@@ -7,7 +7,7 @@
 //! cargo run -p bench --release --bin engine_bench \
 //!     [-- --backend threads|procs|sim|all] [--jobs N] [--level N] \
 //!     [--instances N] [--policy paper-faithful|bounded-reuse:N|cost-aware] \
-//!     [--json PATH]
+//!     [--assert-flat] [--json PATH]
 //! ```
 //!
 //! For each backend the bench constructs one `Engine`, submits `--jobs`
@@ -17,6 +17,13 @@
 //! perpetual pool exists to amortize. Every job is checked bit-for-bit
 //! against the sequential oracle; a drift or a warm job that fails to beat
 //! the cold one exits nonzero, so CI can run this as a smoke test.
+//!
+//! `--jobs 400 --assert-flat` is the long-run mode: a fleet that degrades
+//! with uptime fails it. The median latency of the last tenth of the jobs
+//! may not exceed 1.15× that of the second tenth, and the fleet may not
+//! have spawned more threads than one job has processes (its master and
+//! workers) — a thread count that follows the job count is a leak, one
+//! that stops at a job's width is a warm pool.
 //!
 //! Threads and procs report wall-clock milliseconds; sim reports the
 //! virtual-time milliseconds of the DES, where warm jobs skip the
@@ -32,7 +39,11 @@ use solver::sequential::SequentialApp;
 const USAGE: &str = "[--backend threads|procs|sim|all] [--jobs N] [--level N] \
      [--instances N] [--reps N] [--shards N] [--steal on|off] \
      [--churn join@N,leave@M] \
-     [--policy paper-faithful|bounded-reuse:N|cost-aware] [--json PATH]";
+     [--policy paper-faithful|bounded-reuse:N|cost-aware] [--assert-flat] [--json PATH]";
+
+/// How much slower the last tenth of a long run may be than its second
+/// tenth before `--assert-flat` calls it decay.
+const FLAT_TOLERANCE: f64 = 1.15;
 
 /// One backend's aggregate numbers.
 struct BackendStats {
@@ -47,6 +58,27 @@ struct BackendStats {
     warm_speedup: f64,
     bit_identical: bool,
     checksum: u64,
+    /// Median latency of jobs in the second tenth of the run.
+    early_ms: f64,
+    /// Median latency of jobs in the last tenth of the run.
+    late_ms: f64,
+    fleet: FleetCounters,
+}
+
+/// What one backend's lifecycles reported besides latencies.
+#[derive(Default)]
+struct FleetCounters {
+    /// Most processes (master + workers) any one job had.
+    job_width: usize,
+    /// Fleet-lifetime counters from `EngineSummary`, worst lifecycle.
+    threads_spawned: u64,
+    peak_live_processes: usize,
+}
+
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    percentile(&sorted, 0.50)
 }
 
 fn percentile(sorted: &[f64], p: f64) -> f64 {
@@ -60,8 +92,10 @@ fn summarize(
     latencies_ms: &[f64],
     bit_identical: bool,
     checksum: u64,
+    fleet: FleetCounters,
 ) -> BackendStats {
     let job1_ms = latencies_ms[0];
+    let tenth = latencies_ms.len().div_ceil(10);
     let warm = &latencies_ms[1..];
     let jobs2plus_mean_ms = warm.iter().sum::<f64>() / warm.len() as f64;
     let mut sorted = latencies_ms.to_vec();
@@ -79,6 +113,9 @@ fn summarize(
         warm_speedup: job1_ms / jobs2plus_mean_ms,
         bit_identical,
         checksum,
+        early_ms: median(&latencies_ms[tenth..(2 * tenth).min(latencies_ms.len())]),
+        late_ms: median(&latencies_ms[latencies_ms.len() - tenth..]),
+        fleet,
     }
 }
 
@@ -103,6 +140,7 @@ fn bench_backend(
     let reps = if virtual_time { 1 } else { reps };
     let mut latencies_ms = vec![f64::INFINITY; jobs];
     let mut bit_identical = true;
+    let mut fleet = FleetCounters::default();
 
     for _ in 0..reps {
         let t0 = Instant::now();
@@ -126,6 +164,7 @@ fn bench_backend(
                 wall_ms
             };
             latencies_ms[job - 1] = latencies_ms[job - 1].min(sample);
+            fleet.job_width = fleet.job_width.max(1 + report.outcome.workers_created());
             if report.result.combined != oracle.combined
                 || report.result.l2_error != oracle.l2_error
             {
@@ -133,7 +172,9 @@ fn bench_backend(
                 bit_identical = false;
             }
         }
-        engine.shutdown();
+        let summary = engine.shutdown();
+        fleet.threads_spawned = fleet.threads_spawned.max(summary.threads_spawned);
+        fleet.peak_live_processes = fleet.peak_live_processes.max(summary.peak_live_processes);
     }
     summarize(
         backend,
@@ -141,6 +182,7 @@ fn bench_backend(
         &latencies_ms,
         bit_identical,
         checksum,
+        fleet,
     )
 }
 
@@ -157,6 +199,7 @@ fn render_json(level: u32, reps: usize, policy: &str, stats: &[BackendStats]) ->
              \"jobs_per_sec\": {:.3},\n      \"job1_ms\": {:.3},\n      \
              \"jobs2plus_mean_ms\": {:.3},\n      \"p50_ms\": {:.3},\n      \
              \"p95_ms\": {:.3},\n      \"warm_speedup\": {:.2},\n      \
+             \"threads_spawned\": {},\n      \"peak_live_processes\": {},\n      \
              \"bit_identical\": {},\n      \"checksum\": \"{:016x}\"\n    }}{}\n",
             s.backend,
             s.jobs,
@@ -167,6 +210,8 @@ fn render_json(level: u32, reps: usize, policy: &str, stats: &[BackendStats]) ->
             s.p50_ms,
             s.p95_ms,
             s.warm_speedup,
+            s.fleet.threads_spawned,
+            s.fleet.peak_live_processes,
             s.bit_identical,
             s.checksum,
             if i + 1 < stats.len() { "," } else { "" }
@@ -183,6 +228,7 @@ fn main() {
     let instances = cli.parsed("--instances", 2usize);
     let reps = cli.parsed("--reps", 5usize).max(1);
     let policy = cli.policy();
+    let assert_flat = cli.flag("--assert-flat");
     let backends: Vec<&'static str> = match cli.value("--backend").unwrap_or("all") {
         "threads" => vec!["threads"],
         "procs" => vec!["procs"],
@@ -247,6 +293,19 @@ fn main() {
         stats.push(s);
     }
     println!();
+    for s in stats.iter().filter(|s| !s.virtual_time) {
+        println!(
+            "{}: {} threads spawned, peak {} live processes (a job is {} processes wide); \
+             second-tenth median {:.3} ms, last-tenth median {:.3} ms",
+            s.backend,
+            s.fleet.threads_spawned,
+            s.fleet.peak_live_processes,
+            s.fleet.job_width,
+            s.early_ms,
+            s.late_ms
+        );
+    }
+    println!();
 
     let mut failed = false;
     for s in &stats {
@@ -261,6 +320,24 @@ fn main() {
                 s.backend, s.jobs2plus_mean_ms, s.job1_ms
             );
             failed = true;
+        }
+        if assert_flat && !s.virtual_time {
+            if s.late_ms > FLAT_TOLERANCE * s.early_ms {
+                eprintln!(
+                    "engine_bench: {} slows as it serves — last tenth {:.3} ms vs second \
+                     tenth {:.3} ms (limit {FLAT_TOLERANCE}x)",
+                    s.backend, s.late_ms, s.early_ms
+                );
+                failed = true;
+            }
+            if s.fleet.threads_spawned as usize > s.fleet.job_width {
+                eprintln!(
+                    "engine_bench: {} spawned {} threads for jobs {} processes wide — \
+                     threads are leaking",
+                    s.backend, s.fleet.threads_spawned, s.fleet.job_width
+                );
+                failed = true;
+            }
         }
     }
 

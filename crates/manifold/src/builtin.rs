@@ -5,7 +5,9 @@
 //! * `variable` — a process holding a single value; the paper's `now` and
 //!   `t` counters are instances of it ("MANIFOLD obviously only knows
 //!   processes; there are no data structures in MANIFOLD, not even the
-//!   simplest kind, a variable").
+//!   simplest kind, a variable"). Here it is a process that costs no
+//!   thread until someone wires a stream to it: the coordinator's own
+//!   `now = now + 1` reads and writes the value directly.
 //! * `void` — a process that never terminates; `terminated(void)` (the
 //!   `IDLE` macro) therefore hangs a state until an event preempts it.
 
@@ -14,6 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::coord::Coord;
+use crate::env::Environment;
 use crate::error::MfResult;
 use crate::process::{ProcessCtx, ProcessRef};
 use crate::unit::Unit;
@@ -22,15 +25,21 @@ use crate::unit::Unit;
 /// process's `input` port becomes its current value, which the owner may
 /// read back at any time (and which the process echoes to its `output` port
 /// for downstream consumers).
+///
+/// The process is created at once — it has an identity, can be watched,
+/// and dies with the block that declared it — but its body, whose only
+/// job is to serve the ports, is not started until [`Variable::process`]
+/// hands the process out to be connected.
 #[derive(Clone)]
 pub struct Variable {
     process: ProcessRef,
     cell: Arc<Mutex<Unit>>,
+    env: Environment,
 }
 
 impl Variable {
-    /// Create and activate a `variable` process initialized to `initial`
-    /// (the paper's `variable(0)`).
+    /// Create a `variable` process initialized to `initial` (the paper's
+    /// `variable(0)`) in the coordinator's current block.
     pub fn spawn(coord: &Coord, name: &str, initial: Unit) -> MfResult<Variable> {
         let cell = Arc::new(Mutex::new(initial));
         let cell2 = cell.clone();
@@ -42,12 +51,18 @@ impl Variable {
                 let _ = ctx.core().port("output").try_write(u);
             }
         });
-        coord.activate(&process)?;
-        Ok(Variable { process, cell })
+        Ok(Variable {
+            process,
+            cell,
+            env: coord.env().clone(),
+        })
     }
 
-    /// The underlying process (to connect streams to/from it).
+    /// The underlying process (to connect streams to/from it). The first
+    /// call starts its body, so units sent to `input` are consumed.
     pub fn process(&self) -> &ProcessRef {
+        // Already running, or already dead with its block: nothing to do.
+        let _ = self.env.activate(&self.process);
         &self.process
     }
 
@@ -122,6 +137,31 @@ mod tests {
             Ok(())
         })
         .unwrap();
+        // Counting never touched a port, so no body ever ran.
+        assert_eq!(env.threads_spawned(), 0);
+        env.shutdown();
+    }
+
+    #[test]
+    fn variable_dies_with_its_block_whether_or_not_it_ever_ran() {
+        let env = Environment::new();
+        env.run_coordinator("Main", |coord| {
+            let (passive, wired) = coord.scope(|coord| {
+                let passive = Variable::spawn(coord, "passive", Unit::int(0))?;
+                let wired = Variable::spawn(coord, "wired", Unit::int(0))?;
+                assert_eq!(wired.process().life_state(), LifeState::Active);
+                assert_eq!(passive.process.life_state(), LifeState::Created);
+                Ok((passive, wired))
+            })?;
+            assert_eq!(passive.process.life_state(), LifeState::Terminated);
+            assert_eq!(wired.process.life_state(), LifeState::Terminated);
+            // Handing out a dead variable's process does not revive it.
+            assert_eq!(passive.process().life_state(), LifeState::Terminated);
+            assert_eq!(coord.env().live_processes(), 1, "only the coordinator");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(env.threads_spawned(), 1, "only the wired variable ran");
         env.shutdown();
     }
 
@@ -147,13 +187,29 @@ mod tests {
     }
 
     #[test]
-    fn void_never_terminates_until_shutdown() {
+    fn void_and_printer_live_exactly_as_long_as_their_block() {
         let env = Environment::new();
-        let v = env.run_coordinator("Main", |coord| void(coord)).unwrap();
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(v.life_state(), LifeState::Active);
-        env.shutdown();
+        let (v, p) = env
+            .run_coordinator("Main", |coord| {
+                let v = void(coord)?;
+                let p = coord.scope(|coord| {
+                    let p = printer(coord, "seen")?;
+                    assert_eq!(p.life_state(), LifeState::Active);
+                    Ok(p)
+                })?;
+                // The inner block took its printer with it; `void`, declared
+                // in the coordinator's own block, never terminates by itself.
+                assert_eq!(p.life_state(), LifeState::Terminated);
+                std::thread::sleep(Duration::from_millis(30));
+                assert_eq!(v.life_state(), LifeState::Active);
+                Ok((v, p))
+            })
+            .unwrap();
+        // No shutdown needed: the coordinator's exit ended `void`.
         assert_eq!(v.life_state(), LifeState::Terminated);
+        assert!(env.process(v.id()).is_none() && env.process(p.id()).is_none());
+        assert_eq!(env.live_processes(), 0);
+        env.shutdown();
     }
 
     #[test]

@@ -18,21 +18,35 @@
 //! | `post(e)`                        | [`Coord::post`]                         |
 //! | `raise(e)`                       | [`Coord::raise`]                        |
 //! | `ignore e` (block declaration)   | [`Coord::with_ignore`]                  |
+//! | a block's `auto process` locals  | [`Coord::scope`] (they die with the block) |
 //! | `process p is M(...)` + `activate` | [`Coord::create_atomic`] + [`Coord::activate`] |
 //! | `&p -> q` (send a reference)     | [`StateScope::send`] with a [`Unit::ProcessRef`] |
 //!
 //! Counters such as the paper's `now` and `t` variables can be ordinary Rust
 //! locals inside the coordinator, or — for fidelity — instances of the
 //! predefined [`variable`](crate::builtin::Variable) process.
+//!
+//! ## Process lifetimes
+//!
+//! A coordinator owns the processes it creates, block by block. The
+//! coordinator body is the outermost block; [`Coord::scope`] opens a
+//! nested one. When a block exits — normal return, `?`, or the
+//! coordinator being killed out of a wait — every process created inside
+//! it is killed, joined and removed from the environment's registry, in
+//! that order, before control leaves the block. Nothing a block started
+//! outlives it, so a coordinator that runs the same block a million times
+//! costs the same the millionth time as the first.
 
 use std::sync::Arc;
 use std::time::Duration;
+
+use parking_lot::Mutex;
 
 use crate::env::Environment;
 use crate::error::MfResult;
 use crate::event::{EventOccurrence, EventPattern};
 use crate::ident::{Name, ProcessId};
-use crate::process::{AtomicProcess, ProcessCtx, ProcessRef};
+use crate::process::{AtomicProcess, ProcessCore, ProcessCtx, ProcessRef};
 use crate::stream::{Stream, StreamType};
 use crate::unit::Unit;
 
@@ -61,13 +75,21 @@ impl StateExit {
 pub struct Coord {
     ctx: ProcessCtx,
     env: Environment,
+    /// Processes created by this coordinator whose block is still open,
+    /// in creation order. A scope is a suffix of this list.
+    owned: Mutex<Vec<Arc<ProcessCore>>>,
 }
 
 impl Coord {
     /// Wrap a process context (normally done by
-    /// [`Environment::run_coordinator`]).
+    /// [`Environment::run_coordinator`]). Dropping the coordinator closes
+    /// its outermost scope.
     pub fn new(ctx: ProcessCtx, env: Environment) -> Self {
-        Coord { ctx, env }
+        Coord {
+            ctx,
+            env,
+            owned: Mutex::new(Vec::new()),
+        }
     }
 
     /// The coordinator's own process context.
@@ -91,7 +113,24 @@ impl Coord {
     pub fn create_atomic(&self, manifold: impl Into<Name>, body: impl AtomicProcess) -> ProcessRef {
         let p = self.env.create_process(manifold, body);
         self.ctx.watch(&p);
+        self.owned.lock().push(p.core().clone());
         p
+    }
+
+    /// Run `body` as a block that owns the processes created inside it:
+    /// when the block exits, however it exits, they are killed, joined and
+    /// unregistered (innermost block first when scopes nest). Failures
+    /// they recorded stay readable through [`Environment::failures`].
+    pub fn scope<R>(&self, body: impl FnOnce(&Coord) -> MfResult<R>) -> MfResult<R> {
+        let mark = self.owned.lock().len();
+        let result = body(self);
+        self.close_from(mark);
+        result
+    }
+
+    fn close_from(&self, mark: usize) {
+        let members = self.owned.lock().split_off(mark);
+        self.env.retire(&members);
     }
 
     /// Activate a created process (`activate p`).
@@ -168,6 +207,12 @@ impl Coord {
             self.ctx.core().events().purge_named(&Name::new(*e));
         }
         result
+    }
+}
+
+impl Drop for Coord {
+    fn drop(&mut self) {
+        self.close_from(0);
     }
 }
 
@@ -310,6 +355,7 @@ mod tests {
     use super::*;
     use crate::env::Environment;
     use crate::error::MfError;
+    use crate::process::LifeState;
 
     /// A worker that reads one number, doubles it, writes it back, raises
     /// `done`, and dies.
@@ -442,6 +488,88 @@ mod tests {
             Ok(())
         })
         .unwrap();
+        env.shutdown();
+    }
+
+    /// A process that parks until killed.
+    fn parked(coord: &Coord) -> MfResult<ProcessRef> {
+        let p = coord.create_atomic("Parked", |ctx: ProcessCtx| {
+            ctx.read("never")?;
+            Ok(())
+        });
+        coord.activate(&p)?;
+        Ok(p)
+    }
+
+    #[test]
+    fn scope_kills_its_processes_on_early_return() {
+        let env = Environment::new();
+        env.run_coordinator("Main", |coord| {
+            let outer = parked(coord)?;
+            let mut inner = None;
+            let r: MfResult<()> = coord.scope(|coord| {
+                inner = Some(parked(coord)?);
+                // Nothing feeds this port: the `?` leaves the block early.
+                coord.read_timeout("nothing", Duration::ZERO)?;
+                Ok(())
+            });
+            assert_eq!(r, Err(MfError::Timeout));
+            let inner = inner.unwrap();
+            assert_eq!(inner.life_state(), LifeState::Terminated);
+            assert!(coord.env().process(inner.id()).is_none());
+            // The enclosing block's process is untouched.
+            assert_eq!(outer.life_state(), LifeState::Active);
+            assert!(coord.env().process(outer.id()).is_some());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(env.live_processes(), 0);
+        assert!(env.failures().is_empty(), "a kill is not a failure");
+        env.shutdown();
+    }
+
+    #[test]
+    fn scope_kills_its_processes_when_the_coordinator_is_killed() {
+        let env = Environment::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let c = env.spawn_coordinator("Side", move |coord| {
+            coord.scope(|coord| {
+                tx.send(parked(coord)?).unwrap();
+                // Blocks until the coordinator itself is killed.
+                coord.wait_events(&["never".into()]).map(|_| ())
+            })
+        });
+        let member = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(member.life_state(), LifeState::Active);
+        c.core().kill();
+        c.core().wait_terminated(Duration::from_secs(5)).unwrap();
+        assert_eq!(member.life_state(), LifeState::Terminated);
+        assert_eq!(env.live_processes(), 0);
+        assert!(env.failures().is_empty());
+        env.shutdown();
+    }
+
+    #[test]
+    fn scope_failures_are_reported_once() {
+        let env = Environment::new();
+        env.run_coordinator("Main", |coord| {
+            coord.scope(|coord| {
+                let p = coord
+                    .create_atomic("Boom", |_ctx: ProcessCtx| Err(MfError::App("boom".into())));
+                coord.activate(&p)?;
+                p.core().wait_terminated(Duration::from_secs(5))
+            })?;
+            // Out of the registry, but its failure is still on record.
+            assert_eq!(coord.env().live_processes(), 1);
+            assert_eq!(coord.env().failures().len(), 1);
+            Ok(())
+        })
+        .unwrap();
+        let taken = env.take_failures();
+        assert_eq!(taken.len(), 1);
+        assert_eq!(taken[0].1, MfError::App("boom".into()));
+        assert!(env.take_failures().is_empty());
+        assert!(env.failures().is_empty());
         env.shutdown();
     }
 

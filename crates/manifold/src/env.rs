@@ -3,11 +3,18 @@
 //!
 //! An [`Environment`] is the in-process analogue of a running MANIFOLD
 //! application: it assigns process ids, applies the MLINK/CONFIG placement
-//! rules through a [`Bundler`], spawns one thread per activated process, and
-//! tears everything down at shutdown.
+//! rules through a [`Bundler`], runs each activated process on a pooled
+//! thread, and tears everything down at shutdown.
+//!
+//! The registry holds *live* processes only. A process leaves it when the
+//! coordinator block that created it exits (see [`Coord::scope`]): the
+//! block's processes are killed, joined and unregistered, and any failure
+//! they recorded moves to a short list the environment keeps for
+//! [`Environment::failures`]. An environment that serves jobs forever
+//! therefore stays the size of the job it is serving.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -23,9 +30,17 @@ use crate::pool::ThreadPool;
 use crate::process::{AtomicProcess, LifeState, ProcessCore, ProcessCtx, ProcessRef};
 use crate::trace::{Clock, TraceSink};
 
+/// How long a closing scope waits for one killed member to unwind. Every
+/// blocking MANIFOLD operation observes a kill at once; the grace only
+/// matters for a body that is busy computing.
+const RETIRE_GRACE: Duration = Duration::from_secs(600);
+
 pub(crate) struct EnvShared {
     next_pid: AtomicU64,
     processes: Mutex<HashMap<ProcessId, Arc<ProcessCore>>>,
+    peak_live: AtomicUsize,
+    /// Failures of processes that have left the registry.
+    failures: Mutex<Vec<(ProcessId, MfError)>>,
     bundler: Mutex<Bundler>,
     trace: Arc<TraceSink>,
     clock: Clock,
@@ -77,6 +92,8 @@ impl Environment {
             shared: Arc::new(EnvShared {
                 next_pid: AtomicU64::new(1),
                 processes: Mutex::new(HashMap::new()),
+                peak_live: AtomicUsize::new(0),
+                failures: Mutex::new(Vec::new()),
                 bundler: Mutex::new(Bundler::new(link, config)),
                 trace: Arc::new(TraceSink::new()),
                 clock,
@@ -105,6 +122,46 @@ impl Environment {
         ProcessId(self.shared.next_pid.fetch_add(1, Ordering::Relaxed))
     }
 
+    fn register(&self, core: &Arc<ProcessCore>) {
+        let mut processes = self.shared.processes.lock();
+        processes.insert(core.id(), core.clone());
+        self.shared
+            .peak_live
+            .fetch_max(processes.len(), Ordering::Relaxed);
+    }
+
+    /// Drop a finished process from the registry, keeping its failure.
+    fn unregister(&self, core: &ProcessCore) {
+        self.shared.processes.lock().remove(&core.id());
+        if let Some(e) = core.failure() {
+            self.shared.failures.lock().push((core.id(), e));
+        }
+    }
+
+    /// End the life of every process in `members` — the exit of the
+    /// coordinator block that created them. All are killed first so they
+    /// unwind concurrently; each is then joined (its thread is back in the
+    /// pool when this returns) and leaves the registry. A member that was
+    /// never activated terminates without ever having had a thread.
+    pub(crate) fn retire(&self, members: &[Arc<ProcessCore>]) {
+        for p in members {
+            p.kill();
+        }
+        for p in members {
+            // Holding the body means nobody else can activate it any more.
+            let never_ran = p.body.lock().take().is_some();
+            if never_ran {
+                p.terminate();
+            } else {
+                // A body still computing after the grace is abandoned: it
+                // is dead to the registry and exits at its next blocking
+                // operation.
+                let _ = p.wait_terminated(RETIRE_GRACE);
+            }
+            self.unregister(p);
+        }
+    }
+
     /// Create (but do not activate) an atomic process instance of the named
     /// manifold.
     pub fn create_process(
@@ -119,7 +176,7 @@ impl Environment {
             self.shared.clock.clone(),
         );
         *core.body.lock() = Some(Box::new(body));
-        self.shared.processes.lock().insert(core.id(), core.clone());
+        self.register(&core);
         ProcessRef::new(core)
     }
 
@@ -156,18 +213,19 @@ impl Environment {
         });
         core.set_life(LifeState::Active);
         let ctx = ProcessCtx::new(core.clone());
-        let job = move || {
-            let result = body.run(ctx);
-            match result {
-                Ok(()) | Err(MfError::Killed) => {}
-                Err(e) => core.record_failure(e),
-            }
-            core.terminate();
+        let failed = core.clone();
+        let job = move || match body.run(ctx) {
+            Ok(()) | Err(MfError::Killed) => {}
+            Err(e) => failed.record_failure(e),
         };
-        if let Some(handle) = self.shared.pool.run(Box::new(job)) {
+        self.run_on_pool(core, Box::new(job));
+        Ok(())
+    }
+
+    fn run_on_pool(&self, core: Arc<ProcessCore>, body: Box<dyn FnOnce() + Send>) {
+        if let Some(handle) = self.shared.pool.run(core, body) {
             self.shared.threads.lock().push(handle);
         }
-        Ok(())
     }
 
     fn make_coordinator_core(&self, name: &Name) -> Arc<ProcessCore> {
@@ -184,12 +242,14 @@ impl Environment {
             env.shared.bundler.lock().release(&placement);
         });
         core.set_life(LifeState::Active);
-        self.shared.processes.lock().insert(core.id(), core.clone());
+        self.register(&core);
         core
     }
 
     /// Run a coordinator on the *current* thread until it returns. This is
-    /// how an application's `Main` manifold is entered.
+    /// how an application's `Main` manifold is entered. The coordinator is
+    /// the outermost scope: every process it created is dead and out of
+    /// the registry when this returns, and so is the coordinator itself.
     pub fn run_coordinator<R>(
         &self,
         name: impl Into<Name>,
@@ -199,7 +259,9 @@ impl Environment {
         let core = self.make_coordinator_core(&name);
         let mut coord = Coord::new(ProcessCtx::new(core.clone()), self.clone());
         let result = f(&mut coord);
+        drop(coord);
         core.terminate();
+        self.unregister(&core);
         result
     }
 
@@ -239,18 +301,19 @@ impl Environment {
         let env = self.clone();
         let core2 = core.clone();
         let job = move || {
-            let mut coord = Coord::new(ProcessCtx::new(core2.clone()), env);
+            let mut coord = Coord::new(ProcessCtx::new(core2.clone()), env.clone());
             let result = f(&mut coord);
+            drop(coord);
             if let Err(e) = result {
                 if e != MfError::Killed {
                     core2.record_failure(e);
                 }
             }
-            core2.terminate();
+            // Out of the registry before `terminated` is observable, like
+            // every scoped process.
+            env.unregister(&core2);
         };
-        if let Some(handle) = self.shared.pool.run(Box::new(job)) {
-            self.shared.threads.lock().push(handle);
-        }
+        self.run_on_pool(core.clone(), Box::new(job));
         ProcessRef::new(core)
     }
 
@@ -276,41 +339,6 @@ impl Environment {
         }
     }
 
-    /// Per-job maintenance for a *perpetual* environment: drop terminated
-    /// processes from the registry and join threads that have already
-    /// finished, returning the failures the reaped processes recorded.
-    ///
-    /// An environment that serves many jobs over one fleet would otherwise
-    /// grow its registry and thread list without bound; `terminated` fires
-    /// per-process (per-job masters and workers come and go) while the
-    /// environment — and every parked perpetual task instance in its
-    /// bundler — stays alive. Live processes are untouched, so this is
-    /// safe to call between jobs while the fleet idles.
-    pub fn reap(&self) -> Vec<(ProcessId, MfError)> {
-        let mut failures = Vec::new();
-        self.shared.processes.lock().retain(|id, core| {
-            if core.life_state() == LifeState::Terminated {
-                if let Some(e) = core.failure() {
-                    failures.push((*id, e));
-                }
-                false
-            } else {
-                true
-            }
-        });
-        let mut threads = self.shared.threads.lock();
-        let mut live = Vec::with_capacity(threads.len());
-        for h in threads.drain(..) {
-            if h.is_finished() {
-                let _ = h.join();
-            } else {
-                live.push(h);
-            }
-        }
-        *threads = live;
-        failures
-    }
-
     /// Join all spawned threads without killing (application ran to
     /// completion on its own). Parked threads are woken to exit first —
     /// they would otherwise block the join forever.
@@ -330,14 +358,44 @@ impl Environment {
         self.shared.pool.parked()
     }
 
-    /// Errors recorded by failed process bodies (excluding clean kills).
+    /// OS threads this environment has ever spawned. A warm fleet reuses
+    /// parked threads, so in steady state this does not move.
+    pub fn threads_spawned(&self) -> u64 {
+        self.shared.pool.spawned()
+    }
+
+    /// Processes currently registered: created in a scope that is still
+    /// open (or outside any coordinator) and not yet torn down.
+    pub fn live_processes(&self) -> usize {
+        self.shared.processes.lock().len()
+    }
+
+    /// High-water mark of [`Environment::live_processes`].
+    pub fn peak_live_processes(&self) -> usize {
+        self.shared.peak_live.load(Ordering::Relaxed)
+    }
+
+    /// Errors recorded by failed process bodies (excluding clean kills):
+    /// those of processes whose scope has closed, oldest first, then those
+    /// of processes still registered.
     pub fn failures(&self) -> Vec<(ProcessId, MfError)> {
-        self.shared
-            .processes
-            .lock()
-            .values()
-            .filter_map(|c| c.failure().map(|e| (c.id(), e)))
-            .collect()
+        let mut all = self.shared.failures.lock().clone();
+        all.extend(
+            self.shared
+                .processes
+                .lock()
+                .values()
+                .filter_map(|c| c.failure().map(|e| (c.id(), e))),
+        );
+        all
+    }
+
+    /// Remove and return the failures of processes whose scope has closed.
+    /// A long-lived environment calls this once per unit of work (after
+    /// the coordinator that ran it has returned), so each failure is
+    /// reported once and none accumulate.
+    pub fn take_failures(&self) -> Vec<(ProcessId, MfError)> {
+        std::mem::take(&mut *self.shared.failures.lock())
     }
 }
 
@@ -386,6 +444,23 @@ mod tests {
         let fails = env.failures();
         assert_eq!(fails.len(), 1);
         assert_eq!(fails[0].1, MfError::App("boom".into()));
+        env.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_body_still_terminates_its_process() {
+        let env = Environment::new();
+        env.run_coordinator("Main", |coord| {
+            let p = coord.create_atomic("P", |_ctx: ProcessCtx| panic!("body bug"));
+            coord.activate(&p)?;
+            // Returning closes the scope, which joins `p`: that must not
+            // wait for a thread that is gone.
+            Ok(())
+        })
+        .unwrap();
+        let fails = env.failures();
+        assert_eq!(fails.len(), 1);
+        assert_eq!(fails[0].1, MfError::App("process body panicked".into()));
         env.shutdown();
     }
 
@@ -456,26 +531,15 @@ mod tests {
     #[test]
     fn threads_park_and_are_reused_across_jobs() {
         let env = Environment::new();
-        let wait_parked = |n: usize| {
-            let t0 = std::time::Instant::now();
-            while env.parked_threads() < n {
-                assert!(t0.elapsed() < Duration::from_secs(5), "thread never parked");
-                std::thread::yield_now();
-            }
-        };
         for _ in 0..3 {
             let p = env.create_process("P", |_ctx: ProcessCtx| Ok(()));
             env.activate(&p).unwrap();
             p.core().wait_terminated(Duration::from_secs(5)).unwrap();
-            // Parking happens just after terminate; wait for it so the
-            // next activation must reuse rather than spawn.
-            wait_parked(1);
+            // A thread parks before its process is seen terminated, so the
+            // next activation must reuse it rather than spawn.
+            assert_eq!(env.parked_threads(), 1);
         }
-        assert_eq!(
-            env.parked_threads(),
-            1,
-            "three jobs should share one thread"
-        );
+        assert_eq!(env.threads_spawned(), 1, "three jobs share one thread");
         env.shutdown();
         assert_eq!(env.parked_threads(), 0, "shutdown drains the pool");
     }

@@ -160,8 +160,11 @@ impl<'p> Interp<'p> {
             bindings,
             parent: Some(parent),
         };
+        // The manner's block owns what it declares: its `variable`s and the
+        // processes its factories create die when it returns.
+        let flow = coord.scope(|coord| self.run_block(coord, body, &frame, &[]))?;
         // A manner boundary absorbs `halt`.
-        match self.run_block(coord, body, &frame, &[])? {
+        match flow {
             Flow::Done | Flow::Halted => Ok(()),
             Flow::Preempted(occ) => Err(MfError::App(format!(
                 "manner exited on unhandled occurrence {occ:?}"

@@ -135,7 +135,9 @@ impl<'p> Vm<'p> {
         for (s, a) in m.params.iter().zip(args) {
             run.slots.push((s.0, a));
         }
-        let r = self.run_block(coord, run, m.block);
+        // The manner's block owns what it declares: its `variable`s and the
+        // processes its factories create die when it returns.
+        let r = coord.scope(|coord| self.run_block(coord, run, m.block));
         run.slots.truncate(mark);
         // A manner boundary absorbs `halt`.
         match r? {

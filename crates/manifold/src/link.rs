@@ -330,7 +330,6 @@ struct InstanceState {
     host: HostName,
     load: u32,
     perpetual: bool,
-    alive: bool,
 }
 
 /// Notification that a task instance died (its last process left and it was
@@ -370,7 +369,6 @@ impl Bundler {
             host: config.startup_host().clone(),
             load: 0,
             perpetual: true,
-            alive: true,
         };
         Bundler {
             link,
@@ -411,7 +409,7 @@ impl Bundler {
         if let Some(inst) = self
             .instances
             .iter_mut()
-            .find(|i| i.alive && i.task == task_name && i.load + w <= limit)
+            .find(|i| i.task == task_name && i.load + w <= limit)
         {
             inst.load += w;
             return Placement {
@@ -426,12 +424,7 @@ impl Bundler {
         let candidates = self.config.hosts_for(&task_name);
         let host = candidates
             .iter()
-            .min_by_key(|h| {
-                self.instances
-                    .iter()
-                    .filter(|i| i.alive && &i.host == *h)
-                    .count()
-            })
+            .min_by_key(|h| self.instances.iter().filter(|i| &i.host == *h).count())
             .cloned()
             .unwrap_or_else(|| self.config.startup_host().clone());
         let id = TaskInstanceId(self.next_id);
@@ -442,7 +435,6 @@ impl Bundler {
             host: host.clone(),
             load: w,
             perpetual: self.link.perpetual,
-            alive: true,
         });
         Placement {
             task: id,
@@ -456,13 +448,17 @@ impl Bundler {
     /// Release a previously placed process. Returns the task death if the
     /// instance expired (load reached zero and it was not perpetual).
     pub fn release(&mut self, placement: &Placement) -> Option<TaskDeath> {
-        let inst = self.instances.iter_mut().find(|i| i.id == placement.task)?;
+        let at = self.instances.iter().position(|i| i.id == placement.task)?;
+        let inst = &mut self.instances[at];
         inst.load = inst.load.saturating_sub(placement.weight);
         if inst.load == 0 && !inst.perpetual && inst.id != TaskInstanceId(0) {
-            inst.alive = false;
+            // Only alive instances are kept (in fork order, which first-fit
+            // placement depends on), so a fleet that forks and expires an
+            // instance per job stays the size of its live set.
+            let dead = self.instances.remove(at);
             return Some(TaskDeath {
-                task: inst.id,
-                host: inst.host.clone(),
+                task: dead.id,
+                host: dead.host,
             });
         }
         None
@@ -471,32 +467,28 @@ impl Bundler {
     /// Kill an idle perpetual instance explicitly (end of application).
     pub fn expire_idle(&mut self) -> Vec<TaskDeath> {
         let mut deaths = Vec::new();
-        for inst in &mut self.instances {
-            if inst.alive && inst.load == 0 && inst.id != TaskInstanceId(0) {
-                inst.alive = false;
+        self.instances.retain(|inst| {
+            let idle = inst.load == 0 && inst.id != TaskInstanceId(0);
+            if idle {
                 deaths.push(TaskDeath {
                     task: inst.id,
                     host: inst.host.clone(),
                 });
             }
-        }
+            !idle
+        });
         deaths
     }
 
     /// Number of alive task instances (including the start-up instance).
     pub fn alive_instances(&self) -> usize {
-        self.instances.iter().filter(|i| i.alive).count()
+        self.instances.len()
     }
 
     /// Number of distinct machines currently hosting an alive instance —
     /// the "number of machines" the paper plots in Figure 1.
     pub fn machines_in_use(&self) -> usize {
-        let mut hosts: Vec<&HostName> = self
-            .instances
-            .iter()
-            .filter(|i| i.alive)
-            .map(|i| &i.host)
-            .collect();
+        let mut hosts: Vec<&HostName> = self.instances.iter().map(|i| &i.host).collect();
         hosts.sort();
         hosts.dedup();
         hosts.len()
@@ -511,18 +503,18 @@ impl Bundler {
     pub fn parked_instances(&self) -> usize {
         self.instances
             .iter()
-            .filter(|i| i.alive && i.load == 0 && i.perpetual && i.id != TaskInstanceId(0))
+            .filter(|i| i.load == 0 && i.perpetual && i.id != TaskInstanceId(0))
             .count()
     }
 
-    /// Current load of a task instance, if it exists.
+    /// Current load of a task instance, if it is alive.
     pub fn load_of(&self, task: TaskInstanceId) -> Option<u32> {
         self.instances.iter().find(|i| i.id == task).map(|i| i.load)
     }
 
     /// Is the given instance alive?
     pub fn is_alive(&self, task: TaskInstanceId) -> bool {
-        self.instances.iter().any(|i| i.id == task && i.alive)
+        self.instances.iter().any(|i| i.id == task)
     }
 }
 
@@ -631,6 +623,25 @@ mod tests {
         let w2 = b.place(&Name::new("Worker"));
         assert!(w2.forked);
         assert_ne!(w2.task, w.task);
+    }
+
+    #[test]
+    fn fork_expire_cycles_do_not_accumulate_dead_instances() {
+        let mut b = paper_bundler();
+        // Non-perpetual: every worker's instance dies when it leaves.
+        b.link.perpetual = false;
+        let master = b.place(&Name::new("Master"));
+        for _ in 0..1000 {
+            let w1 = b.place(&Name::new("Worker"));
+            let w2 = b.place(&Name::new("Worker"));
+            assert!(w1.forked && w2.forked);
+            assert!(b.release(&w1).is_some());
+            assert!(b.release(&w2).is_some());
+            assert!(!b.is_alive(w1.task));
+        }
+        assert_eq!(b.instances.len(), 1, "only the start-up instance");
+        assert_eq!(b.alive_instances(), 1);
+        assert_eq!(b.release(&master), None);
     }
 
     #[test]

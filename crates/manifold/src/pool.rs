@@ -6,6 +6,12 @@
 //! [`activate`](crate::env::Environment::activate) hands it the new body
 //! rather than paying `thread::spawn` again — on a warm fleet a job can
 //! create zero threads.
+//!
+//! A thread puts itself back on the idle list *before* it marks its
+//! process terminated, so whoever has seen a process terminate (a scope
+//! joining its members, a coordinator waiting on `terminated(p)`) can
+//! count on that thread being reusable: a fleet in steady state spawns
+//! nothing, deterministically.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -14,11 +20,36 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+use crate::error::MfError;
+use crate::process::ProcessCore;
+
+type Body = Box<dyn FnOnce() + Send + 'static>;
+
+/// One activation: the process body, and the process to mark terminated
+/// once the body has returned and the thread is reusable again.
+struct Job {
+    body: Body,
+    process: Arc<ProcessCore>,
+}
 
 enum Msg {
     Run(Job),
     Exit,
+}
+
+/// Terminates its process when dropped: after the thread has parked on
+/// the normal path, during unwinding if the body panicked — so a scope
+/// joining its members never waits on a process that can no longer end.
+struct Ending(Arc<ProcessCore>);
+
+impl Drop for Ending {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .record_failure(MfError::App("process body panicked".into()));
+        }
+        self.0.terminate();
+    }
 }
 
 #[derive(Default)]
@@ -34,12 +65,13 @@ struct Shared {
 }
 
 impl ThreadPool {
-    /// Run `job` on a parked thread when one is available, else on a fresh
-    /// thread that parks itself when the job returns. Returns the new
-    /// thread's handle, or `None` when a parked thread was reused (its
-    /// handle is already tracked by the caller).
-    pub(crate) fn run(&self, job: Job) -> Option<JoinHandle<()>> {
-        let mut job = job;
+    /// Run `body` on a parked thread when one is available, else on a
+    /// fresh thread that parks itself when the body returns; either way
+    /// `process` is terminated after the body, once the thread is
+    /// reusable. Returns the new thread's handle, or `None` when a parked
+    /// thread was reused (its handle is already tracked by the caller).
+    pub(crate) fn run(&self, process: Arc<ProcessCore>, body: Body) -> Option<JoinHandle<()>> {
+        let mut job = Job { body, process };
         loop {
             let parked = self.shared.idle.lock().pop();
             match parked {
@@ -67,17 +99,26 @@ impl ThreadPool {
             .spawn(move || {
                 let mut job = first;
                 loop {
-                    job();
+                    let Job { body, process } = job;
+                    let ending = Ending(process);
+                    body();
                     let (tx, rx) = channel();
-                    {
+                    let parked = {
                         // The flag is checked under the idle lock and set
                         // under the same lock in `drain`, so a thread can
                         // never park after the drain swept the list.
                         let mut idle = shared.idle.lock();
-                        if shared.draining.load(Ordering::Acquire) {
-                            return;
+                        let parked = !shared.draining.load(Ordering::Acquire);
+                        if parked {
+                            idle.push(tx);
                         }
-                        idle.push(tx);
+                        parked
+                    };
+                    // Only now may observers learn the process is gone: the
+                    // next activation they trigger finds this thread idle.
+                    drop(ending);
+                    if !parked {
+                        return;
                     }
                     match rx.recv() {
                         Ok(Msg::Run(next)) => job = next,
@@ -106,5 +147,10 @@ impl ThreadPool {
     /// Number of threads currently parked and reusable.
     pub(crate) fn parked(&self) -> usize {
         self.shared.idle.lock().len()
+    }
+
+    /// OS threads this pool has ever spawned. Flat on a warm fleet.
+    pub(crate) fn spawned(&self) -> u64 {
+        self.shared.spawned.load(Ordering::Relaxed)
     }
 }

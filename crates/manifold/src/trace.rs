@@ -242,18 +242,12 @@ impl TraceSink {
         self.records.lock().clone()
     }
 
-    /// Remove and return all records.
+    /// Remove and return all records. The sink retains whatever nobody
+    /// has taken: a consumer that serves many jobs over one environment
+    /// takes each job's records as the job ends, so the sink holds one
+    /// job's worth at most.
     pub fn take(&self) -> Vec<TraceRecord> {
         std::mem::take(&mut *self.records.lock())
-    }
-
-    /// Copy of the records from `offset` on (all of them when `offset` is
-    /// past the end — callers pair this with an earlier [`TraceSink::len`]).
-    /// A multi-job consumer reads each job's slice in O(job) instead of
-    /// cloning the whole history via [`TraceSink::snapshot`].
-    pub fn since(&self, offset: usize) -> Vec<TraceRecord> {
-        let records = self.records.lock();
-        records[offset.min(records.len())..].to_vec()
     }
 
     /// Number of records so far.

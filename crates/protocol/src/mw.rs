@@ -34,6 +34,11 @@ impl ProtocolOutcome {
             ProtocolOutcome::MasterTerminated { pools } => pools,
         }
     }
+
+    /// Workers created across every pool the protocol ran.
+    pub fn workers_created(&self) -> usize {
+        self.pools().iter().map(|p| p.workers_created).sum()
+    }
 }
 
 /// Statistics of one `Create_Worker_Pool` invocation.
@@ -52,13 +57,13 @@ pub struct PoolStats {
 /// application; a perpetual fleet instead runs the same loop once *per
 /// job*, each time with a fresh job-scoped master rendezvousing against
 /// the shared pool machinery. `PerpetualPool` is that shared half: it
-/// accumulates statistics across every master served, while each
+/// keeps running totals across every master served, while each
 /// [`PerpetualPool::serve`] call returns a per-job [`ProtocolOutcome`]
 /// carrying only that job's pools (so single-job callers still see
 /// `pools().len() == 1` per `create_pool`).
 #[derive(Debug, Default)]
 pub struct PerpetualPool {
-    pools: Vec<PoolStats>,
+    workers_created: usize,
     jobs_served: usize,
 }
 
@@ -73,21 +78,15 @@ impl PerpetualPool {
         self.jobs_served
     }
 
-    /// Statistics of every pool run across the fleet's whole life, in
-    /// creation order (spanning all jobs).
-    pub fn fleet_pools(&self) -> &[PoolStats] {
-        &self.pools
-    }
-
     /// Total workers created across the fleet's whole life.
     pub fn fleet_workers_created(&self) -> usize {
-        self.pools.iter().map(|p| p.workers_created).sum()
+        self.workers_created
     }
 
     /// Serve one master to completion: the `ProtocolMW` begin loop
     /// (lines 54–64), scoped to this job. The returned outcome carries
-    /// only the pools created by *this* master; they are also appended to
-    /// the fleet-lifetime statistics.
+    /// only the pools created by *this* master; their totals are also
+    /// added to the fleet-lifetime statistics.
     pub fn serve(
         &mut self,
         coord: &Coord,
@@ -114,7 +113,7 @@ impl PerpetualPool {
                 StateExit::Terminated(_) => break ProtocolOutcome::MasterTerminated { pools },
             }
         };
-        self.pools.extend_from_slice(outcome.pools());
+        self.workers_created += outcome.workers_created();
         self.jobs_served += 1;
         Ok(outcome)
     }
@@ -150,90 +149,97 @@ pub fn create_worker_pool(
     // Block declarations (lines 15–23): `save *.` is implicit in our event
     // memory (unhandled events stay saved); `ignore death.` is applied on
     // exit by `with_ignore`; `now` and `t` are instances of the predefined
-    // `variable` manifold (lines 18–19); the priority declaration
-    // `create_worker > rendezvous` (line 23) becomes pattern order.
+    // `variable` manifold (lines 18–19) and, being `auto`, die with the
+    // block — as does every worker the block creates, which is what the
+    // scope is for; the priority declaration `create_worker > rendezvous`
+    // (line 23) becomes pattern order. The scope closes inside
+    // `with_ignore`, so a worker unwinding on the error path cannot leave
+    // a `death_worker` behind the purge.
     coord.with_ignore(&[DEATH_WORKER], |coord| {
-        let now = Variable::spawn(coord, "now", Unit::int(0))?;
-        let t = Variable::spawn(coord, "t", Unit::int(0))?;
+        coord.scope(|coord| {
+            let now = Variable::spawn(coord, "now", Unit::int(0))?;
+            let t = Variable::spawn(coord, "t", Unit::int(0))?;
 
-        // Every wait inside the pool is also sensitive to the master's
-        // termination: a master that *fails* mid-pool (e.g. its lost-worker
-        // retry budget runs out) must abort the pool instead of leaving the
-        // coordinator idling forever on events no one will raise. In the
-        // normal course the master cannot terminate here — it is blocked on
-        // `a_rendezvous` until the pool ends — so this changes nothing for
-        // a healthy run. Pending events still take precedence.
-        fn master_died() -> MfError {
-            MfError::App("master terminated inside an active worker pool".into())
-        }
-
-        // begin: (MES("begin"), preemptall, IDLE).          (line 25)
-        mes!(coord.ctx(), "begin");
-        let mut pending = {
-            let st = coord.state();
-            match st.until_terminated(master, &[CREATE_WORKER.into(), RENDEZVOUS.into()])? {
-                StateExit::Event(e) => e,
-                StateExit::Terminated(_) => return Err(master_died()),
+            // Every wait inside the pool is also sensitive to the master's
+            // termination: a master that *fails* mid-pool (e.g. its lost-worker
+            // retry budget runs out) must abort the pool instead of leaving the
+            // coordinator idling forever on events no one will raise. In the
+            // normal course the master cannot terminate here — it is blocked on
+            // `a_rendezvous` until the pool ends — so this changes nothing for
+            // a healthy run. Pending events still take precedence.
+            fn master_died() -> MfError {
+                MfError::App("master terminated inside an active worker pool".into())
             }
-        };
 
-        loop {
-            match pending.name().map(Name::as_str) {
-                // create_worker: (lines 27–37)
-                Some(CREATE_WORKER) => {
-                    // hold worker. / process worker is Worker(death_worker).
-                    let worker = worker_factory(coord, &death_event);
-                    // stream KK worker -> master.dataport.    (line 32)
-                    // begin: now = now + 1;                    (line 34)
-                    now.add(1);
-                    mes!(coord.ctx(), "create_worker: begin");
-                    // &worker -> master -> worker -> master.dataport, IDLE.
-                    let mut st = coord.state();
-                    st.send_ref(&worker, master, "input")?;
-                    st.connect(master, "output", &worker, "input", StreamType::BK)?;
-                    st.connect(&worker, "output", master, "dataport", StreamType::KK)?;
-                    pending = match st
-                        .until_terminated(master, &[CREATE_WORKER.into(), RENDEZVOUS.into()])?
-                    {
-                        StateExit::Event(e) => e,
-                        StateExit::Terminated(_) => return Err(master_died()),
-                    };
-                    // Preemption dismantled the BK streams; the KK result
-                    // stream stays intact (it must survive to transport a
-                    // remote worker's results to the master).
+            // begin: (MES("begin"), preemptall, IDLE).          (line 25)
+            mes!(coord.ctx(), "begin");
+            let mut pending = {
+                let st = coord.state();
+                match st.until_terminated(master, &[CREATE_WORKER.into(), RENDEZVOUS.into()])? {
+                    StateExit::Event(e) => e,
+                    StateExit::Terminated(_) => return Err(master_died()),
                 }
-                // rendezvous: (lines 39–48)
-                Some(RENDEZVOUS) => {
-                    // The guard runs *before* the first wait: a pool that
-                    // created no workers (e.g. a resumed run whose
-                    // checkpoint already held every result) must
-                    // acknowledge at once instead of idling on a
-                    // death_worker no one will raise.
-                    while t.get_int() < now.get_int() {
-                        // begin: (preemptall, IDLE) — wait for death_worker.
-                        let st = coord.state();
-                        let _death = match st.until_terminated(master, &[DEATH_WORKER.into()])? {
+            };
+
+            loop {
+                match pending.name().map(Name::as_str) {
+                    // create_worker: (lines 27–37)
+                    Some(CREATE_WORKER) => {
+                        // hold worker. / process worker is Worker(death_worker).
+                        let worker = worker_factory(coord, &death_event);
+                        // stream KK worker -> master.dataport.    (line 32)
+                        // begin: now = now + 1;                    (line 34)
+                        now.add(1);
+                        mes!(coord.ctx(), "create_worker: begin");
+                        // &worker -> master -> worker -> master.dataport, IDLE.
+                        let mut st = coord.state();
+                        st.send_ref(&worker, master, "input")?;
+                        st.connect(master, "output", &worker, "input", StreamType::BK)?;
+                        st.connect(&worker, "output", master, "dataport", StreamType::KK)?;
+                        pending = match st
+                            .until_terminated(master, &[CREATE_WORKER.into(), RENDEZVOUS.into()])?
+                        {
                             StateExit::Event(e) => e,
                             StateExit::Terminated(_) => return Err(master_died()),
                         };
-                        // death_worker: t = t + 1; post(begin).
-                        t.add(1);
+                        // Preemption dismantled the BK streams; the KK result
+                        // stream stays intact (it must survive to transport a
+                        // remote worker's results to the master).
                     }
-                    // end: (MES(...), raise(a_rendezvous)).    (line 50)
-                    mes!(coord.ctx(), "rendezvous acknowledged");
-                    coord.raise(A_RENDEZVOUS);
-                    return Ok(PoolStats {
-                        workers_created: now.get_int() as usize,
-                        deaths_counted: t.get_int() as usize,
-                    });
-                }
-                other => {
-                    return Err(MfError::App(format!(
-                        "Create_Worker_Pool: unexpected event {other:?}"
-                    )))
+                    // rendezvous: (lines 39–48)
+                    Some(RENDEZVOUS) => {
+                        // The guard runs *before* the first wait: a pool that
+                        // created no workers (e.g. a resumed run whose
+                        // checkpoint already held every result) must
+                        // acknowledge at once instead of idling on a
+                        // death_worker no one will raise.
+                        while t.get_int() < now.get_int() {
+                            // begin: (preemptall, IDLE) — wait for death_worker.
+                            let st = coord.state();
+                            let _death =
+                                match st.until_terminated(master, &[DEATH_WORKER.into()])? {
+                                    StateExit::Event(e) => e,
+                                    StateExit::Terminated(_) => return Err(master_died()),
+                                };
+                            // death_worker: t = t + 1; post(begin).
+                            t.add(1);
+                        }
+                        // end: (MES(...), raise(a_rendezvous)).    (line 50)
+                        mes!(coord.ctx(), "rendezvous acknowledged");
+                        coord.raise(A_RENDEZVOUS);
+                        return Ok(PoolStats {
+                            workers_created: now.get_int() as usize,
+                            deaths_counted: t.get_int() as usize,
+                        });
+                    }
+                    other => {
+                        return Err(MfError::App(format!(
+                            "Create_Worker_Pool: unexpected event {other:?}"
+                        )))
+                    }
                 }
             }
-        }
+        })
     })
 }
 
@@ -241,6 +247,8 @@ pub fn create_worker_pool(
 mod tests {
     use super::*;
     use crate::handles::{MasterHandle, WorkerHandle};
+    use manifold::ident::ProcessId;
+    use manifold::process::LifeState;
     use std::time::Duration;
 
     /// A toy worker: reads one number, squares it, submits, dies.
@@ -447,6 +455,78 @@ mod tests {
         .unwrap();
         env.shutdown();
         assert!(env.failures().is_empty());
+    }
+
+    /// Run one pool whose master either completes it or terminates inside
+    /// it, and check that what the pool's block declared — `now`, `t`, the
+    /// worker — is terminated and out of the registry when
+    /// `create_worker_pool` has returned, on an environment nobody shut
+    /// down. The worker factory runs inside the block, so it can look the
+    /// two counters up (created right before the first worker) for the
+    /// test to examine afterwards.
+    fn pool_block_locals(master_completes: bool) -> MfResult<ProtocolOutcome> {
+        let env = Environment::new();
+        let locals = std::sync::Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let seen = locals.clone();
+        let result = env.run_coordinator("Main", |coord| {
+            let coord_ref = coord.self_ref();
+            let env2 = coord.env().clone();
+            let master = coord.create_atomic("Master(port in)", move |ctx: ProcessCtx| {
+                let h = MasterHandle::new(ctx, coord_ref, env2);
+                h.create_pool();
+                let _w = h.request_worker()?;
+                if master_completes {
+                    h.send_work(Unit::real(3.0))?;
+                    h.collect()?;
+                    h.rendezvous()?;
+                    h.finished();
+                }
+                // Else: gone mid-pool, its one worker still waiting for work.
+                Ok(())
+            });
+            coord.activate(&master)?;
+            let result = protocol_mw(coord, &master, |coord, death| {
+                let worker = squaring_worker(coord, death);
+                let env = coord.env();
+                let mut seen = seen.lock();
+                for back in [2, 1] {
+                    let var = env.process(ProcessId(worker.id().0 - back)).unwrap();
+                    assert!(var.manifold_name().as_str().starts_with("variable("));
+                    seen.push(var);
+                }
+                seen.push(worker.clone());
+                worker
+            });
+            // The pool's block is closed; the coordinator's is still open.
+            let env = coord.env();
+            assert_eq!(locals.lock().len(), 3);
+            for p in locals.lock().iter() {
+                assert_eq!(p.life_state(), LifeState::Terminated, "{p:?}");
+                assert!(env.process(p.id()).is_none(), "{p:?} still registered");
+            }
+            assert_eq!(env.live_processes(), 2, "coordinator and master");
+            result
+        });
+        assert_eq!(env.live_processes(), 0);
+        assert_eq!(
+            env.threads_spawned(),
+            2,
+            "master and worker; no counter ran"
+        );
+        env.shutdown();
+        result
+    }
+
+    #[test]
+    fn pool_locals_die_with_the_pool() {
+        let outcome = pool_block_locals(true).unwrap();
+        assert_eq!(outcome.pools()[0].workers_created, 1);
+    }
+
+    #[test]
+    fn pool_locals_die_with_an_aborted_pool() {
+        let err = pool_block_locals(false).unwrap_err();
+        assert!(err.to_string().contains("master terminated inside"));
     }
 
     #[test]

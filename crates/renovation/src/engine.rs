@@ -274,6 +274,21 @@ impl JobHandle {
     }
 }
 
+/// The resources a live fleet's environment is holding between jobs. None
+/// of these may depend on how many jobs the fleet has served: a value that
+/// climbs with uptime is a leak, visible here without `/proc`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FleetFootprint {
+    /// OS threads ever spawned; flat once the fleet is warm.
+    pub threads_spawned: u64,
+    /// Processes registered right now; zero between jobs.
+    pub live_processes: usize,
+    /// High-water mark of `live_processes`: the largest job's size.
+    pub peak_live_processes: usize,
+    /// Trace records held by the environment's sink; zero between jobs.
+    pub trace_records: usize,
+}
+
 /// What the fleet did over its whole life.
 #[derive(Debug)]
 pub struct EngineSummary {
@@ -281,6 +296,14 @@ pub struct EngineSummary {
     pub jobs_served: usize,
     /// Workers created across every job.
     pub fleet_workers_created: usize,
+    /// OS threads the fleet's environment spawned over its whole life (0
+    /// on the sim backend). A healthy fleet stops spawning once warm; a
+    /// count that tracks `jobs_served` is a per-job thread leak.
+    pub threads_spawned: u64,
+    /// High-water mark of processes registered in the fleet's environment
+    /// (0 on the sim backend): the size of the largest job, not of the
+    /// fleet's history.
+    pub peak_live_processes: usize,
     /// Procs backend only: per-child (slot, identity, trace text) reports
     /// collected at shutdown.
     pub child_reports: Vec<(u64, RemoteIdentity, Option<String>)>,
@@ -480,8 +503,9 @@ impl Engine {
     }
 
     /// Serve one job on the fleet. Runs to completion; the handle carries
-    /// the report. A failed job leaves the fleet serviceable (its workers
-    /// are reaped) unless the failure killed the fleet itself.
+    /// the report. A failed job leaves the fleet serviceable (its master
+    /// and workers die with the job's coordinator) unless the failure
+    /// killed the fleet itself.
     ///
     /// Admission-shaped refusals — the job never started — come back as a
     /// typed [`SubmitError`] instead of a panic or an opaque `MfError`:
@@ -511,10 +535,26 @@ impl Engine {
         Ok(JobHandle { id, report })
     }
 
+    /// What the fleet's environment holds right now (all zero on sim).
+    pub fn footprint(&self) -> FleetFootprint {
+        match &self.state {
+            BackendState::ThreadsFleet { env, .. } | BackendState::ProcsFleet { env, .. } => {
+                FleetFootprint {
+                    threads_spawned: env.threads_spawned(),
+                    live_processes: env.live_processes(),
+                    peak_live_processes: env.peak_live_processes(),
+                    trace_records: env.trace().len(),
+                }
+            }
+            BackendState::SimFleetState { .. } => FleetFootprint::default(),
+        }
+    }
+
     /// Tear the fleet down and account for its life.
     pub fn shutdown(self) -> EngineSummary {
         let jobs_served = self.jobs_served();
         let fleet_workers_created = self.fleet_workers_created();
+        let footprint = self.footprint();
         let child_reports = match self.state {
             BackendState::ThreadsFleet { env, .. } => {
                 env.shutdown();
@@ -529,6 +569,8 @@ impl Engine {
         EngineSummary {
             jobs_served,
             fleet_workers_created,
+            threads_spawned: footprint.threads_spawned,
+            peak_live_processes: footprint.peak_live_processes,
             child_reports,
         }
     }
@@ -676,7 +718,6 @@ fn run_live_job(
 ) -> MfResult<JobReport> {
     let started = Instant::now();
     gauge.reset_peak();
-    let trace_before = env.trace().len();
     let cell: Arc<Mutex<Option<SequentialResult>>> = Arc::new(Mutex::new(None));
 
     let run = env.run_coordinator("Main", |coord| {
@@ -702,25 +743,24 @@ fn run_live_job(
         Ok(outcome)
     });
 
-    // A failed job must not take the fleet with it: reap the job's dead
-    // processes (collecting the root-cause failure detail the one-shot
-    // paths surface) and leave the environment serving.
-    let outcome = match run {
-        Ok(o) => o,
-        Err(e) => {
-            if let Some((pid, err)) = env.reap().into_iter().next() {
-                return Err(MfError::App(format!("process {pid:?} failed: {err}")));
-            }
-            return Err(e);
-        }
-    };
-    let machines_used = env.with_bundler(|b| b.machines_in_use());
-    // Only this job's slice: a warm fleet must not pay O(fleet history)
-    // per submit.
-    let records = env.trace().since(trace_before);
-    if let Some((pid, err)) = env.reap().into_iter().next() {
-        return Err(MfError::App(format!("process {pid:?} failed: {err}")));
+    // The coordinator was the job's scope: its master and workers are
+    // dead and unregistered, so the sink holds exactly this job's records
+    // and the environment's failure list exactly this job's failures.
+    // Both are taken, not copied — a warm fleet pays O(job) per submit and
+    // keeps nothing — and a failed job leaves the fleet serving.
+    let records = env.trace().take();
+    let failures = env.take_failures();
+    if let Some((pid, err)) = failures.first() {
+        // The first recorded failure is the root cause the one-shot paths
+        // surface; the rest are its consequences.
+        let more = match failures.len() - 1 {
+            0 => String::new(),
+            n => format!(" (and {n} more process failure(s) suppressed)"),
+        };
+        return Err(MfError::App(format!("process {pid:?} failed: {err}{more}")));
     }
+    let outcome = run?;
+    let machines_used = env.with_bundler(|b| b.machines_in_use());
     let result = cell
         .lock()
         .take()

@@ -53,7 +53,8 @@ pub use app::{
 pub use checkpoint::{atomic_replace, Checkpoint, CheckpointStore, RunKey};
 pub use cost::{parse_subsolve_label, CostModel};
 pub use engine::{
-    AppConfig, Engine, EngineBackend, EngineOpts, EngineSummary, JobHandle, JobReport, SubmitError,
+    AppConfig, Engine, EngineBackend, EngineOpts, EngineSummary, FleetFootprint, JobHandle,
+    JobReport, SubmitError,
 };
 pub use master::{master_body, FleetMembership, MasterConfig};
 pub use procs::{run_concurrent_procs, run_worker_child, ProcsConfig};

@@ -365,7 +365,7 @@ pub fn run_worker_child(
 /// process instance, feed it the job, collect its submission, observe its
 /// death — the same four steps the thread backend's pool performs.
 fn solve_one(env: &Environment, job: Unit) -> MfResult<Unit> {
-    env.run_coordinator("ChildMain", |coord| {
+    let solved = env.run_coordinator("ChildMain", |coord| {
         let death = Name::new(DEATH_WORKER);
         let worker = worker_factory(coord, &death);
         coord.activate(&worker)?;
@@ -379,16 +379,19 @@ fn solve_one(env: &Environment, job: Unit) -> MfResult<Unit> {
                 Ok(result)
             }
             StateExit::Terminated(_) => {
-                let detail = env
-                    .failures()
-                    .into_iter()
-                    .find(|(pid, _)| *pid == worker.id())
-                    .map(|(_, e)| e.to_string())
+                let detail = worker
+                    .core()
+                    .failure()
+                    .map(|e| e.to_string())
                     .unwrap_or_else(|| "worker terminated without a result".into());
                 Err(MfError::App(detail))
             }
         }
-    })
+    });
+    // Already reported through `solved`; a child serving jobs for days
+    // must not keep one entry per failed job.
+    env.take_failures();
+    solved
 }
 
 #[cfg(test)]

@@ -194,6 +194,15 @@ fn main() {
             t.tenant, t.weight, t.accepted, t.served, t.rejected, t.failed
         );
     }
+    // The fleet's own accounting: a thread count or a registry peak that
+    // tracks the job count means the daemon degrades with uptime.
+    if let Some(e) = &report.engine {
+        println!(
+            "mf-served:   engine: {} jobs, {} workers created, {} threads spawned, \
+             peak {} live processes",
+            e.jobs_served, e.fleet_workers_created, e.threads_spawned, e.peak_live_processes
+        );
+    }
     if let Some(err) = &report.engine_error {
         eprintln!("mf-served: engine error: {err}");
     }
