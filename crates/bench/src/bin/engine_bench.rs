@@ -19,16 +19,19 @@
 //! the cold one exits nonzero, so CI can run this as a smoke test.
 //!
 //! `--jobs 400 --assert-flat` is the long-run mode: a fleet that degrades
-//! with uptime fails it. The median latency of the last tenth of the jobs
-//! may not exceed 1.15× that of the second tenth, and the fleet may not
-//! have spawned more threads than one job has processes (its master and
-//! workers) — a thread count that follows the job count is a leak, one
-//! that stops at a job's width is a warm pool.
+//! with uptime fails it. It keeps the fleet full — [`Engine::width`] jobs
+//! submitted at all times, so a procs fleet runs its jobs overlapped — and
+//! the median latency of the last tenth of the jobs may not exceed 1.15×
+//! that of the second tenth, and the fleet may not have spawned more
+//! threads than the jobs it runs together have processes (coordinator,
+//! master and workers each) — a thread count that follows the job count
+//! is a leak, one that stops there is a warm pool.
 //!
 //! Threads and procs report wall-clock milliseconds; sim reports the
 //! virtual-time milliseconds of the DES, where warm jobs skip the
 //! application startup and the first-fork surcharge.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use bench::cli::Cli;
@@ -68,7 +71,9 @@ struct BackendStats {
 /// What one backend's lifecycles reported besides latencies.
 #[derive(Default)]
 struct FleetCounters {
-    /// Most processes (master + workers) any one job had.
+    /// Jobs the fleet runs side by side ([`Engine::width`]).
+    width: usize,
+    /// Most processes (coordinator + master + workers) any one job had.
     job_width: usize,
     /// Fleet-lifetime counters from `EngineSummary`, worst lifecycle.
     threads_spawned: u64,
@@ -93,6 +98,8 @@ fn summarize(
     bit_identical: bool,
     checksum: u64,
     fleet: FleetCounters,
+    // Jobs submitted at a time: their latencies overlap that many deep.
+    depth: usize,
 ) -> BackendStats {
     let job1_ms = latencies_ms[0];
     let tenth = latencies_ms.len().div_ceil(10);
@@ -109,7 +116,7 @@ fn summarize(
         jobs2plus_mean_ms,
         p50_ms: percentile(&sorted, 0.50),
         p95_ms: percentile(&sorted, 0.95),
-        jobs_per_sec: latencies_ms.len() as f64 / total_s,
+        jobs_per_sec: (latencies_ms.len() * depth) as f64 / total_s,
         warm_speedup: job1_ms / jobs2plus_mean_ms,
         bit_identical,
         checksum,
@@ -121,7 +128,9 @@ fn summarize(
 
 /// Drive `jobs` identical solves through one engine, `reps` lifecycles
 /// over; the closure builds each engine so its construction lands inside
-/// job 1's timer. Each job position reports its *minimum* across
+/// job 1's timer. With `keep_full` the fleet always has as many jobs
+/// submitted as it runs side by side; otherwise one, waited for before the
+/// next. Each job position reports its *minimum* across
 /// lifecycles: scheduler noise only ever adds latency, so the floor
 /// isolates the systematic cold-vs-warm delta (engine construction +
 /// first-job instance forks) that a mean would drown at
@@ -131,6 +140,7 @@ fn bench_backend(
     app: SequentialApp,
     jobs: usize,
     reps: usize,
+    keep_full: bool,
     build: &dyn Fn() -> Result<Engine, manifold::prelude::MfError>,
 ) -> BackendStats {
     let oracle = app.run().expect("sequential oracle");
@@ -141,17 +151,28 @@ fn bench_backend(
     let mut latencies_ms = vec![f64::INFINITY; jobs];
     let mut bit_identical = true;
     let mut fleet = FleetCounters::default();
+    let mut depth = 1;
 
     for _ in 0..reps {
         let t0 = Instant::now();
         let mut engine = build().expect("engine construction");
-        for job in 1..=jobs {
-            let t_job = Instant::now();
-            let report = engine
-                .submit(AppConfig::new(app))
-                .expect("engine admission")
-                .wait()
-                .expect("engine job");
+        fleet.width = engine.width();
+        depth = if keep_full { engine.width() } else { 1 };
+        let mut submitted = VecDeque::new();
+        // One more turn than jobs per extra job in flight: the last turns
+        // only collect.
+        for turn in 1..jobs + depth {
+            if turn <= jobs {
+                let handle = engine
+                    .submit(AppConfig::new(app))
+                    .expect("engine admission");
+                submitted.push_back((turn, Instant::now(), handle));
+            }
+            if turn < depth {
+                continue;
+            }
+            let (job, t_job, handle) = submitted.pop_front().expect("a job per turn");
+            let report = handle.wait().expect("engine job");
             let wall_ms = if job == 1 {
                 // Cold job: fleet bring-up + first solve.
                 t0.elapsed().as_secs_f64() * 1e3
@@ -164,7 +185,7 @@ fn bench_backend(
                 wall_ms
             };
             latencies_ms[job - 1] = latencies_ms[job - 1].min(sample);
-            fleet.job_width = fleet.job_width.max(1 + report.outcome.workers_created());
+            fleet.job_width = fleet.job_width.max(2 + report.outcome.workers_created());
             if report.result.combined != oracle.combined
                 || report.result.l2_error != oracle.l2_error
             {
@@ -183,6 +204,7 @@ fn bench_backend(
         bit_identical,
         checksum,
         fleet,
+        depth,
     )
 }
 
@@ -265,16 +287,16 @@ fn main() {
             // instances, so job 1 pays the forks and warm jobs reuse the
             // parked `{perpetual}` instances (Parallel bundles everything
             // into the startup instance — nothing to amortize).
-            "threads" => bench_backend("threads", app, jobs, reps, &|| {
+            "threads" => bench_backend("threads", app, jobs, reps, assert_flat, &|| {
                 let mode = RunMode::Distributed {
                     hosts: RunMode::paper_hosts(),
                 };
                 Engine::threads(mode, policy.clone(), opts())
             }),
-            "procs" => bench_backend("procs", app, jobs, reps, &|| {
+            "procs" => bench_backend("procs", app, jobs, reps, assert_flat, &|| {
                 Engine::procs(ProcsConfig::new(instances), policy.clone(), opts())
             }),
-            "sim" => bench_backend("sim", app, jobs, reps, &|| {
+            "sim" => bench_backend("sim", app, jobs, reps, assert_flat, &|| {
                 Engine::sim(None, policy.clone(), opts())
             }),
             _ => unreachable!(),
@@ -295,11 +317,12 @@ fn main() {
     println!();
     for s in stats.iter().filter(|s| !s.virtual_time) {
         println!(
-            "{}: {} threads spawned, peak {} live processes (a job is {} processes wide); \
-             second-tenth median {:.3} ms, last-tenth median {:.3} ms",
+            "{}: {} threads spawned, peak {} live processes ({} at a time, a job is {} \
+             processes wide); second-tenth median {:.3} ms, last-tenth median {:.3} ms",
             s.backend,
             s.fleet.threads_spawned,
             s.fleet.peak_live_processes,
+            s.fleet.width,
             s.fleet.job_width,
             s.early_ms,
             s.late_ms
@@ -330,11 +353,11 @@ fn main() {
                 );
                 failed = true;
             }
-            if s.fleet.threads_spawned as usize > s.fleet.job_width {
+            if s.fleet.threads_spawned as usize > s.fleet.width * s.fleet.job_width {
                 eprintln!(
-                    "engine_bench: {} spawned {} threads for jobs {} processes wide — \
-                     threads are leaking",
-                    s.backend, s.fleet.threads_spawned, s.fleet.job_width
+                    "engine_bench: {} spawned {} threads for {} jobs at a time, {} processes \
+                     wide — threads are leaking",
+                    s.backend, s.fleet.threads_spawned, s.fleet.width, s.fleet.job_width
                 );
                 failed = true;
             }

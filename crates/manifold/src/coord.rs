@@ -36,13 +36,20 @@
 //! that order, before control leaves the block. Nothing a block started
 //! outlives it, so a coordinator that runs the same block a million times
 //! costs the same the millionth time as the first.
+//!
+//! Activation normally gives a process a thread ([`Coord::activate`]). A
+//! process that is already wired — its input waiting on its port, its
+//! output connected — and whose body only computes can instead be run to
+//! completion on the coordinator's own thread
+//! ([`Coord::run_to_completion`]): same placement, same trace lines, same
+//! failure recording, no hand-off in either direction.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::env::Environment;
+use crate::env::{Environment, ScopeLog};
 use crate::error::MfResult;
 use crate::event::{EventOccurrence, EventPattern};
 use crate::ident::{Name, ProcessId};
@@ -75,6 +82,9 @@ impl StateExit {
 pub struct Coord {
     ctx: ProcessCtx,
     env: Environment,
+    /// Where this coordinator's processes print and where their failures
+    /// go when they are retired.
+    log: Arc<ScopeLog>,
     /// Processes created by this coordinator whose block is still open,
     /// in creation order. A scope is a suffix of this list.
     owned: Mutex<Vec<Arc<ProcessCore>>>,
@@ -84,10 +94,11 @@ impl Coord {
     /// Wrap a process context (normally done by
     /// [`Environment::run_coordinator`]). Dropping the coordinator closes
     /// its outermost scope.
-    pub fn new(ctx: ProcessCtx, env: Environment) -> Self {
+    pub fn new(ctx: ProcessCtx, env: Environment, log: Arc<ScopeLog>) -> Self {
         Coord {
             ctx,
             env,
+            log,
             owned: Mutex::new(Vec::new()),
         }
     }
@@ -111,7 +122,7 @@ impl Coord {
     /// observing its events — mirroring `process p is M(…)`, after which the
     /// creating coordinator is tuned to `p`'s events.
     pub fn create_atomic(&self, manifold: impl Into<Name>, body: impl AtomicProcess) -> ProcessRef {
-        let p = self.env.create_process(manifold, body);
+        let p = self.env.create_process_in(&self.log, manifold, body);
         self.ctx.watch(&p);
         self.owned.lock().push(p.core().clone());
         p
@@ -120,7 +131,9 @@ impl Coord {
     /// Run `body` as a block that owns the processes created inside it:
     /// when the block exits, however it exits, they are killed, joined and
     /// unregistered (innermost block first when scopes nest). Failures
-    /// they recorded stay readable through [`Environment::failures`].
+    /// they recorded move to the coordinator's [`ScopeLog`] (the
+    /// environment's own, read by [`Environment::failures`], unless the
+    /// coordinator was started with one).
     pub fn scope<R>(&self, body: impl FnOnce(&Coord) -> MfResult<R>) -> MfResult<R> {
         let mark = self.owned.lock().len();
         let result = body(self);
@@ -130,12 +143,19 @@ impl Coord {
 
     fn close_from(&self, mark: usize) {
         let members = self.owned.lock().split_off(mark);
-        self.env.retire(&members);
+        self.env.retire(&members, &self.log);
     }
 
     /// Activate a created process (`activate p`).
     pub fn activate(&self, p: &ProcessRef) -> MfResult<()> {
         self.env.activate(p)
+    }
+
+    /// Activate a created process and run its body to completion on this
+    /// thread (see [`Environment::run_to_completion`]). Wire the process
+    /// first; it has terminated when this returns.
+    pub fn run_to_completion(&self, p: &ProcessRef) -> MfResult<()> {
+        self.env.run_to_completion(p)
     }
 
     /// Begin observing an existing process (e.g. one received as a manner

@@ -9,9 +9,16 @@
 //! The registry holds *live* processes only. A process leaves it when the
 //! coordinator block that created it exits (see [`Coord::scope`]): the
 //! block's processes are killed, joined and unregistered, and any failure
-//! they recorded moves to a short list the environment keeps for
-//! [`Environment::failures`]. An environment that serves jobs forever
-//! therefore stays the size of the job it is serving.
+//! they recorded moves to the [`ScopeLog`] of the coordinator that owned
+//! them. An environment that serves jobs forever therefore stays the size
+//! of the jobs it is serving.
+//!
+//! A [`ScopeLog`] is where a coordinator's observable output accumulates:
+//! the §6 records its processes print and the failures of those it has
+//! retired. Coordinators share the environment's own log unless they are
+//! started with one of their own ([`Environment::spawn_coordinator_logged`]),
+//! which is how several jobs run side by side over one environment and
+//! each still reports exactly its own records and failures.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -35,14 +42,47 @@ use crate::trace::{Clock, TraceSink};
 /// matters for a body that is busy computing.
 const RETIRE_GRACE: Duration = Duration::from_secs(600);
 
+/// What one coordinator scope has produced so far: the trace records its
+/// processes printed, and the failures of the processes it has retired.
+///
+/// Every process writes to the log of the coordinator that created it, so
+/// a log handed to one coordinator holds that coordinator's output and
+/// nobody else's, whatever else the environment is running meanwhile.
+#[derive(Default)]
+pub struct ScopeLog {
+    trace: Arc<TraceSink>,
+    /// Failures of processes that have left the registry.
+    failures: Mutex<Vec<(ProcessId, MfError)>>,
+}
+
+impl ScopeLog {
+    /// A fresh, empty log.
+    pub fn new() -> Arc<ScopeLog> {
+        Arc::new(ScopeLog::default())
+    }
+
+    /// The sink the scope's processes print their `MES` lines to.
+    pub fn trace(&self) -> &Arc<TraceSink> {
+        &self.trace
+    }
+
+    /// Remove and return the failures of processes retired so far, oldest
+    /// first. Once the coordinator has returned that is all of them.
+    pub fn take_failures(&self) -> Vec<(ProcessId, MfError)> {
+        std::mem::take(&mut *self.failures.lock())
+    }
+}
+
+/// A process body ready to run: on a pool thread, or in place.
+type PoolBody = Box<dyn FnOnce() + Send>;
+
 pub(crate) struct EnvShared {
     next_pid: AtomicU64,
     processes: Mutex<HashMap<ProcessId, Arc<ProcessCore>>>,
     peak_live: AtomicUsize,
-    /// Failures of processes that have left the registry.
-    failures: Mutex<Vec<(ProcessId, MfError)>>,
+    /// The log of every coordinator that was not given its own.
+    log: Arc<ScopeLog>,
     bundler: Mutex<Bundler>,
-    trace: Arc<TraceSink>,
     clock: Clock,
     threads: Mutex<Vec<JoinHandle<()>>>,
     pool: ThreadPool,
@@ -93,9 +133,8 @@ impl Environment {
                 next_pid: AtomicU64::new(1),
                 processes: Mutex::new(HashMap::new()),
                 peak_live: AtomicUsize::new(0),
-                failures: Mutex::new(Vec::new()),
+                log: ScopeLog::new(),
                 bundler: Mutex::new(Bundler::new(link, config)),
-                trace: Arc::new(TraceSink::new()),
                 clock,
                 threads: Mutex::new(Vec::new()),
                 pool: ThreadPool::default(),
@@ -103,14 +142,15 @@ impl Environment {
         }
     }
 
-    /// The shared trace sink (§6-format chronological output).
+    /// The environment's own trace sink (§6-format chronological output):
+    /// what every coordinator without a [`ScopeLog`] of its own prints to.
     pub fn trace(&self) -> &Arc<TraceSink> {
-        &self.shared.trace
+        &self.shared.log.trace
     }
 
     /// Echo trace records to stderr as they are produced.
     pub fn echo_trace(&self, on: bool) {
-        self.shared.trace.set_echo(on);
+        self.shared.log.trace.set_echo(on);
     }
 
     /// Inspect the bundler (machines in use, task instances, …).
@@ -130,20 +170,22 @@ impl Environment {
             .fetch_max(processes.len(), Ordering::Relaxed);
     }
 
-    /// Drop a finished process from the registry, keeping its failure.
-    fn unregister(&self, core: &ProcessCore) {
+    /// Drop a finished process from the registry, keeping its failure in
+    /// its owner's log.
+    fn unregister(&self, core: &ProcessCore, log: &ScopeLog) {
         self.shared.processes.lock().remove(&core.id());
         if let Some(e) = core.failure() {
-            self.shared.failures.lock().push((core.id(), e));
+            log.failures.lock().push((core.id(), e));
         }
     }
 
     /// End the life of every process in `members` — the exit of the
     /// coordinator block that created them. All are killed first so they
     /// unwind concurrently; each is then joined (its thread is back in the
-    /// pool when this returns) and leaves the registry. A member that was
-    /// never activated terminates without ever having had a thread.
-    pub(crate) fn retire(&self, members: &[Arc<ProcessCore>]) {
+    /// pool when this returns) and leaves the registry, its failure moving
+    /// to `log`. A member that was never activated terminates without ever
+    /// having had a thread.
+    pub(crate) fn retire(&self, members: &[Arc<ProcessCore>], log: &ScopeLog) {
         for p in members {
             p.kill();
         }
@@ -158,21 +200,32 @@ impl Environment {
                 // operation.
                 let _ = p.wait_terminated(RETIRE_GRACE);
             }
-            self.unregister(p);
+            self.unregister(p, log);
         }
     }
 
     /// Create (but do not activate) an atomic process instance of the named
-    /// manifold.
+    /// manifold, printing to the environment's own trace sink.
     pub fn create_process(
         &self,
+        manifold_name: impl Into<Name>,
+        body: impl AtomicProcess,
+    ) -> ProcessRef {
+        self.create_process_in(&self.shared.log, manifold_name, body)
+    }
+
+    /// [`Environment::create_process`] for a coordinator: the process
+    /// prints to the coordinator's log.
+    pub(crate) fn create_process_in(
+        &self,
+        log: &ScopeLog,
         manifold_name: impl Into<Name>,
         body: impl AtomicProcess,
     ) -> ProcessRef {
         let core = ProcessCore::new(
             self.next_id(),
             manifold_name,
-            self.shared.trace.clone(),
+            log.trace.clone(),
             self.shared.clock.clone(),
         );
         *core.body.lock() = Some(Box::new(body));
@@ -190,10 +243,11 @@ impl Environment {
             .map(ProcessRef::new)
     }
 
-    /// Activate a created process: place it in a task instance per the
-    /// MLINK/CONFIG rules and start its body on a thread — a parked one
-    /// from an earlier job when the fleet is warm, a fresh one otherwise.
-    pub fn activate(&self, p: &ProcessRef) -> MfResult<()> {
+    /// The part of activation that does not depend on where the body
+    /// runs: claim the body, place the process in a task instance per the
+    /// MLINK/CONFIG rules, and mark it active. Returns the body wrapped so
+    /// that a failure it returns is recorded on the process.
+    fn begin(&self, p: &ProcessRef) -> MfResult<(Arc<ProcessCore>, PoolBody)> {
         let core = p.core().clone();
         if core.life_state() != LifeState::Created {
             return Err(MfError::AlreadyActive(core.id()));
@@ -207,9 +261,8 @@ impl Environment {
         core.set_placement(placement.clone());
         // Task-instance load bookkeeping when the process goes away.
         let env = self.clone();
-        let pl = placement.clone();
         core.on_terminate(move || {
-            env.shared.bundler.lock().release(&pl);
+            env.shared.bundler.lock().release(&placement);
         });
         core.set_life(LifeState::Active);
         let ctx = ProcessCtx::new(core.clone());
@@ -218,21 +271,49 @@ impl Environment {
             Ok(()) | Err(MfError::Killed) => {}
             Err(e) => failed.record_failure(e),
         };
-        self.run_on_pool(core, Box::new(job));
+        Ok((core, Box::new(job)))
+    }
+
+    /// Activate a created process: place it in a task instance per the
+    /// MLINK/CONFIG rules and start its body on a thread — a parked one
+    /// from an earlier job when the fleet is warm, a fresh one otherwise.
+    pub fn activate(&self, p: &ProcessRef) -> MfResult<()> {
+        let (core, job) = self.begin(p)?;
+        self.run_on_pool(core, job);
         Ok(())
     }
 
-    fn run_on_pool(&self, core: Arc<ProcessCore>, body: Box<dyn FnOnce() + Send>) {
+    /// Activate a created process and run its body to completion on the
+    /// *calling* thread; the process has terminated when this returns.
+    ///
+    /// For a process whose input is already on its port and whose body
+    /// only computes, a thread of its own buys nothing but two hand-offs —
+    /// one to start it, one to learn that it finished. Everything else is
+    /// as under [`Environment::activate`]: the same placement, the same
+    /// `on_terminate` hooks, the same trace lines, and a body that panics
+    /// still leaves a terminated process with a recorded failure. The
+    /// caller must have wired the process first: a body that waits for a
+    /// unit or an event only this thread could supply never returns.
+    pub fn run_to_completion(&self, p: &ProcessRef) -> MfResult<()> {
+        let (core, job) = self.begin(p)?;
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+            core.record_failure(MfError::App("process body panicked".into()));
+        }
+        core.terminate();
+        Ok(())
+    }
+
+    fn run_on_pool(&self, core: Arc<ProcessCore>, body: PoolBody) {
         if let Some(handle) = self.shared.pool.run(core, body) {
             self.shared.threads.lock().push(handle);
         }
     }
 
-    fn make_coordinator_core(&self, name: &Name) -> Arc<ProcessCore> {
+    fn make_coordinator_core(&self, name: &Name, log: &ScopeLog) -> Arc<ProcessCore> {
         let core = ProcessCore::new(
             self.next_id(),
             name.clone(),
-            self.shared.trace.clone(),
+            log.trace.clone(),
             self.shared.clock.clone(),
         );
         let placement = self.shared.bundler.lock().place(name);
@@ -256,12 +337,13 @@ impl Environment {
         f: impl FnOnce(&mut Coord) -> MfResult<R>,
     ) -> MfResult<R> {
         let name = name.into();
-        let core = self.make_coordinator_core(&name);
-        let mut coord = Coord::new(ProcessCtx::new(core.clone()), self.clone());
+        let log = self.shared.log.clone();
+        let core = self.make_coordinator_core(&name, &log);
+        let mut coord = Coord::new(ProcessCtx::new(core.clone()), self.clone(), log.clone());
         let result = f(&mut coord);
         drop(coord);
         core.terminate();
-        self.unregister(&core);
+        self.unregister(&core, &log);
         result
     }
 
@@ -296,12 +378,28 @@ impl Environment {
         name: impl Into<Name>,
         f: impl FnOnce(&mut Coord) -> MfResult<()> + Send + 'static,
     ) -> ProcessRef {
+        self.spawn_coordinator_logged(name, self.shared.log.clone(), f)
+    }
+
+    /// [`Environment::spawn_coordinator`] with a [`ScopeLog`] of the
+    /// coordinator's own: everything the coordinator and the processes it
+    /// creates print or fail with goes to `log` instead of the
+    /// environment's. When the returned process has terminated the scope
+    /// is closed and `log` is complete — an `on_terminate` hook on it is
+    /// the place to collect the log, and by then the thread that ran the
+    /// coordinator is back in the pool.
+    pub fn spawn_coordinator_logged(
+        &self,
+        name: impl Into<Name>,
+        log: Arc<ScopeLog>,
+        f: impl FnOnce(&mut Coord) -> MfResult<()> + Send + 'static,
+    ) -> ProcessRef {
         let name = name.into();
-        let core = self.make_coordinator_core(&name);
+        let core = self.make_coordinator_core(&name, &log);
         let env = self.clone();
         let core2 = core.clone();
         let job = move || {
-            let mut coord = Coord::new(ProcessCtx::new(core2.clone()), env.clone());
+            let mut coord = Coord::new(ProcessCtx::new(core2.clone()), env.clone(), log.clone());
             let result = f(&mut coord);
             drop(coord);
             if let Err(e) = result {
@@ -311,7 +409,7 @@ impl Environment {
             }
             // Out of the registry before `terminated` is observable, like
             // every scoped process.
-            env.unregister(&core2);
+            env.unregister(&core2, &log);
         };
         self.run_on_pool(core.clone(), Box::new(job));
         ProcessRef::new(core)
@@ -379,7 +477,7 @@ impl Environment {
     /// those of processes whose scope has closed, oldest first, then those
     /// of processes still registered.
     pub fn failures(&self) -> Vec<(ProcessId, MfError)> {
-        let mut all = self.shared.failures.lock().clone();
+        let mut all = self.shared.log.failures.lock().clone();
         all.extend(
             self.shared
                 .processes
@@ -390,12 +488,14 @@ impl Environment {
         all
     }
 
-    /// Remove and return the failures of processes whose scope has closed.
-    /// A long-lived environment calls this once per unit of work (after
-    /// the coordinator that ran it has returned), so each failure is
-    /// reported once and none accumulate.
+    /// Remove and return the failures of processes whose scope has closed
+    /// — those of coordinators sharing the environment's own log. A
+    /// long-lived environment running one coordinator at a time calls
+    /// this once per unit of work (after the coordinator that ran it has
+    /// returned), so each failure is reported once and none accumulate;
+    /// one running several at a time gives each its own [`ScopeLog`].
     pub fn take_failures(&self) -> Vec<(ProcessId, MfError)> {
-        std::mem::take(&mut *self.shared.failures.lock())
+        self.shared.log.take_failures()
     }
 }
 
@@ -542,6 +642,123 @@ mod tests {
         assert_eq!(env.threads_spawned(), 1, "three jobs share one thread");
         env.shutdown();
         assert_eq!(env.parked_threads(), 0, "shutdown drains the pool");
+    }
+
+    #[test]
+    fn run_to_completion_runs_the_body_on_the_calling_thread() {
+        let link = LinkSpec::default().load(1).weight("Echo", 1).task("t");
+        let env = Environment::with_specs(link, ConfigSpec::with_startup("start"));
+        let here = std::thread::current().id();
+        env.run_coordinator("Main", |coord| {
+            let echo = coord.create_atomic("Echo", move |ctx: ProcessCtx| {
+                assert_eq!(std::thread::current().id(), here);
+                crate::mes!(ctx, "Welcome");
+                let u = ctx.read("input")?;
+                ctx.write("output", u)?;
+                ctx.raise("done");
+                Ok(())
+            });
+            let hooked = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let h2 = hooked.clone();
+            echo.core()
+                .on_terminate(move || h2.store(true, Ordering::SeqCst));
+            // Wired first: input waiting, output connected.
+            let mut st = coord.state();
+            st.send(Unit::int(9), &echo, "input")?;
+            st.connect_to_self(&echo, "output", "input", crate::stream::StreamType::KK)?;
+            coord.run_to_completion(&echo)?;
+            assert_eq!(echo.life_state(), LifeState::Terminated);
+            assert!(hooked.load(Ordering::SeqCst), "on_terminate hooks ran");
+            // Placed like any process: the load-1 instance it filled is
+            // free again, so the next Echo lands on the same one.
+            let placed = echo.core().placement().expect("placed");
+            let next = coord.create_atomic("Echo", |_ctx: ProcessCtx| Ok(()));
+            coord.run_to_completion(&next)?;
+            assert_eq!(next.core().placement().unwrap().task, placed.task);
+            // Its event and its unit are already here; nothing blocks.
+            assert!(matches!(
+                st.until_terminated(&echo, &["done".into()])?,
+                crate::coord::StateExit::Event(_)
+            ));
+            assert_eq!(coord.read("input")?.as_int(), Some(9));
+            assert!(matches!(
+                coord.run_to_completion(&echo),
+                Err(MfError::AlreadyActive(_))
+            ));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(env.threads_spawned(), 0, "nothing was handed to a thread");
+        assert_eq!(env.trace().snapshot()[0].message, "Welcome");
+        env.shutdown();
+    }
+
+    #[test]
+    fn run_to_completion_records_failures_and_panics() {
+        let env = Environment::new();
+        env.run_coordinator("Main", |coord| {
+            let bad = coord.create_atomic("Bad", |_ctx: ProcessCtx| Err(MfError::App("no".into())));
+            coord.run_to_completion(&bad)?;
+            assert_eq!(bad.core().failure(), Some(MfError::App("no".into())));
+            let worse = coord.create_atomic("Worse", |_ctx: ProcessCtx| panic!("body bug"));
+            coord.run_to_completion(&worse)?;
+            assert_eq!(worse.life_state(), LifeState::Terminated);
+            assert_eq!(
+                worse.core().failure(),
+                Some(MfError::App("process body panicked".into()))
+            );
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(env.take_failures().len(), 2);
+        env.shutdown();
+    }
+
+    #[test]
+    fn concurrent_scopes_keep_their_records_and_failures_apart() {
+        let env = Environment::new();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let go_rx = Arc::new(Mutex::new(go_rx));
+        let scopes: Vec<(Arc<ScopeLog>, ProcessRef)> = (0..2)
+            .map(|k| {
+                let log = ScopeLog::new();
+                let go = go_rx.clone();
+                let c = env.spawn_coordinator_logged("Main", log.clone(), move |coord| {
+                    crate::mes!(coord.ctx(), "scope {k} begins");
+                    let p = coord.create_atomic("P", move |ctx: ProcessCtx| {
+                        crate::mes!(ctx, "hello from {k}");
+                        Err(MfError::App(format!("boom {k}")))
+                    });
+                    coord.activate(&p)?;
+                    p.core().wait_terminated(Duration::from_secs(5))?;
+                    // Both scopes are alive at once: neither returns
+                    // before the test has seen them both running.
+                    let _ = go.lock().recv_timeout(Duration::from_secs(5));
+                    Ok(())
+                });
+                (log, c)
+            })
+            .collect();
+        while scopes.iter().any(|(log, _)| log.trace().len() < 2) {
+            std::thread::yield_now();
+        }
+        go_tx.send(()).unwrap();
+        go_tx.send(()).unwrap();
+        for (k, (log, c)) in scopes.iter().enumerate() {
+            c.core().wait_terminated(Duration::from_secs(5)).unwrap();
+            let msgs: Vec<String> = log.trace().take().into_iter().map(|r| r.message).collect();
+            assert_eq!(
+                msgs,
+                vec![format!("scope {k} begins"), format!("hello from {k}")]
+            );
+            let failures = log.take_failures();
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].1, MfError::App(format!("boom {k}")));
+        }
+        assert!(env.trace().is_empty(), "nothing leaked into the shared log");
+        assert!(env.take_failures().is_empty());
+        assert_eq!(env.live_processes(), 0);
+        env.shutdown();
     }
 
     #[test]

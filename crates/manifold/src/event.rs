@@ -151,6 +151,37 @@ pub struct EventMemory {
 struct MemInner {
     occurrences: Vec<EventOccurrence>,
     killed: bool,
+    /// Patterns of the waits currently blocked, and how many there are. An
+    /// occurrence none of them matches stays in memory without waking
+    /// anyone: it preempts nothing until a state asks for it.
+    awaited: Vec<EventPattern>,
+    waiters: usize,
+}
+
+impl MemInner {
+    /// Block on `cv` until something one of `patterns` matches arrives
+    /// (or the owner is killed, or the deadline passes — returns `true`).
+    fn wait(
+        inner: &mut parking_lot::MutexGuard<'_, MemInner>,
+        cv: &Condvar,
+        patterns: &[EventPattern],
+        deadline: Option<std::time::Instant>,
+    ) -> bool {
+        inner.awaited.extend_from_slice(patterns);
+        inner.waiters += 1;
+        let timed_out = match deadline {
+            Some(d) => cv.wait_until(inner, d).timed_out(),
+            None => {
+                cv.wait(inner);
+                false
+            }
+        };
+        inner.waiters -= 1;
+        if inner.waiters == 0 {
+            inner.awaited.clear();
+        }
+        timed_out
+    }
 }
 
 impl Default for EventMemory {
@@ -166,6 +197,8 @@ impl EventMemory {
             inner: Mutex::new(MemInner {
                 occurrences: Vec::new(),
                 killed: false,
+                awaited: Vec::new(),
+                waiters: 0,
             }),
             cv: Condvar::new(),
         }
@@ -179,8 +212,10 @@ impl EventMemory {
         if inner.occurrences.contains(&occ) {
             return false;
         }
+        if inner.awaited.iter().any(|p| p.matches(&occ)) {
+            self.cv.notify_all();
+        }
         inner.occurrences.push(occ);
-        self.cv.notify_all();
         true
     }
 
@@ -247,7 +282,7 @@ impl EventMemory {
             if inner.killed {
                 return Err(MfError::Killed);
             }
-            self.cv.wait(&mut inner);
+            MemInner::wait(&mut inner, &self.cv, patterns, None);
         }
     }
 
@@ -270,7 +305,7 @@ impl EventMemory {
             if now >= deadline {
                 return Err(MfError::Timeout);
             }
-            if self.cv.wait_until(&mut inner, deadline).timed_out() {
+            if MemInner::wait(&mut inner, &self.cv, patterns, Some(deadline)) {
                 // Loop once more to give a final chance to a racing deliver.
                 if let Some(hit) = Self::select_locked(&mut inner, patterns) {
                     return Ok(hit);
@@ -316,6 +351,32 @@ mod tests {
             .unwrap();
         assert_eq!(pi, 0);
         assert_eq!(occ.name().unwrap(), "create_worker");
+    }
+
+    #[test]
+    fn unawaited_occurrences_stay_put_and_awaited_ones_wake_their_waiter() {
+        let m = Arc::new(EventMemory::new());
+        let waiters: Vec<_> = ["rendezvous", "finished"]
+            .into_iter()
+            .map(|name| {
+                let m = m.clone();
+                std::thread::spawn(move || m.wait_select(&[name.into()]).unwrap().1)
+            })
+            .collect();
+        // Both blocked; what neither awaits is remembered, not lost.
+        while m.inner.lock().waiters < 2 {
+            std::thread::yield_now();
+        }
+        m.deliver(EventOccurrence::named("death_worker", p(7)));
+        m.deliver(EventOccurrence::terminated(p(7)));
+        m.deliver(EventOccurrence::named("finished", p(1)));
+        m.deliver(EventOccurrence::named("rendezvous", p(1)));
+        for (w, name) in waiters.into_iter().zip(["rendezvous", "finished"]) {
+            assert_eq!(w.join().unwrap().name().unwrap(), name);
+        }
+        assert_eq!(m.len(), 2);
+        assert!(m.inner.lock().awaited.is_empty());
+        assert!(m.try_select(&["death_worker".into()]).is_some());
     }
 
     #[test]

@@ -250,6 +250,16 @@ impl TraceSink {
         std::mem::take(&mut *self.records.lock())
     }
 
+    /// Drop all but the most recent `n` records; returns how many went.
+    /// For a sink nobody takes from until the very end: its owner bounds
+    /// what it retains, and says in the final dump how much is missing.
+    pub fn keep_last(&self, n: usize) -> usize {
+        let mut records = self.records.lock();
+        let excess = records.len().saturating_sub(n);
+        records.drain(..excess);
+        excess
+    }
+
     /// Number of records so far.
     pub fn len(&self) -> usize {
         self.records.lock().len()
@@ -305,7 +315,10 @@ mod tests {
         let snap = sink.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[2].message, "m2");
-        assert_eq!(sink.take().len(), 3);
+        assert_eq!(sink.keep_last(5), 0);
+        assert_eq!(sink.keep_last(2), 1);
+        assert_eq!(sink.snapshot()[0].message, "m1");
+        assert_eq!(sink.take().len(), 2);
         assert!(sink.is_empty());
     }
 

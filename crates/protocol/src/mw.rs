@@ -4,6 +4,8 @@
 //! embedded DSL. Comments quote the original line numbers so the two can be
 //! read side by side.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use manifold::builtin::Variable;
 use manifold::mes;
 use manifold::prelude::*;
@@ -60,11 +62,13 @@ pub struct PoolStats {
 /// keeps running totals across every master served, while each
 /// [`PerpetualPool::serve`] call returns a per-job [`ProtocolOutcome`]
 /// carrying only that job's pools (so single-job callers still see
-/// `pools().len() == 1` per `create_pool`).
+/// `pools().len() == 1` per `create_pool`). Masters may be served one
+/// after another or side by side — each `serve` call runs on its own
+/// coordinator and shares nothing with the others but these totals.
 #[derive(Debug, Default)]
 pub struct PerpetualPool {
-    workers_created: usize,
-    jobs_served: usize,
+    workers_created: AtomicUsize,
+    jobs_served: AtomicUsize,
 }
 
 impl PerpetualPool {
@@ -75,12 +79,12 @@ impl PerpetualPool {
 
     /// How many masters this pool has served to completion.
     pub fn jobs_served(&self) -> usize {
-        self.jobs_served
+        self.jobs_served.load(Ordering::Relaxed)
     }
 
     /// Total workers created across the fleet's whole life.
     pub fn fleet_workers_created(&self) -> usize {
-        self.workers_created
+        self.workers_created.load(Ordering::Relaxed)
     }
 
     /// Serve one master to completion: the `ProtocolMW` begin loop
@@ -88,7 +92,7 @@ impl PerpetualPool {
     /// only the pools created by *this* master; their totals are also
     /// added to the fleet-lifetime statistics.
     pub fn serve(
-        &mut self,
+        &self,
         coord: &Coord,
         master: &ProcessRef,
         worker_factory: &mut dyn FnMut(&Coord, &Name) -> ProcessRef,
@@ -113,8 +117,9 @@ impl PerpetualPool {
                 StateExit::Terminated(_) => break ProtocolOutcome::MasterTerminated { pools },
             }
         };
-        self.workers_created += outcome.workers_created();
-        self.jobs_served += 1;
+        self.workers_created
+            .fetch_add(outcome.workers_created(), Ordering::Relaxed);
+        self.jobs_served.fetch_add(1, Ordering::Relaxed);
         Ok(outcome)
     }
 }

@@ -13,32 +13,52 @@
 //!
 //! ```text
 //! Engine::new ──► fleet up (env / worker processes / simulated cluster)
-//!    submit(cfg₁) ─► job-scoped master #1 ─► JobReport (bit-identical)
-//!    submit(cfg₂) ─► job-scoped master #2 ─► JobReport (warm: no bring-up)
+//!    submit(cfg₁) ─► JobHandle #1 ┐ pending; up to `width` jobs in flight,
+//!    submit(cfg₂) ─► JobHandle #2 ┘ each a job scope of its own
+//!    next_finished() / handle.wait() ─► JobReport (bit-identical)
 //!    ...
 //! engine.shutdown() ──► fleet down, EngineSummary
 //! ```
 //!
-//! Every job runs a *fresh, job-scoped* master over the *shared* fleet:
-//! the [`protocol::PerpetualPool`] serves each master in turn (threads and
-//! procs), worker processes survive across jobs with every wire unit
-//! tagged by job id (procs), and the discrete-event simulation keeps one
-//! virtual timeline with parked perpetual task instances
-//! ([`cluster::SimFleet`]). Per-job numerical results are bit-identical to
-//! a solo one-shot run of the same configuration on every backend; the
-//! one-shot entry points are now thin wrappers over a single-job engine.
+//! Every job runs a *fresh, job-scoped* coordinator and master over the
+//! *shared* fleet. [`Engine::submit`] starts the job and returns at once;
+//! [`JobHandle::wait`] blocks for that job, [`Engine::next_finished`] for
+//! whichever finishes first. [`Engine::width`] jobs can be in flight
+//! together — as many as the procs backend has worker processes, one on
+//! the other backends — and a submit beyond that waits for a slot.
+//!
+//! What a job owns and what the fleet owns:
+//!
+//! | job-scoped                                   | fleet-scoped                         |
+//! |----------------------------------------------|--------------------------------------|
+//! | coordinator, master, worker (proxy) processes | environment, thread pool, bundler    |
+//! | trace records and failures ([`ScopeLog`])    | worker processes and connections     |
+//! | wire job tag, shard-affinity hint            | the [`WorkerGauge`] (one per fleet)  |
+//! | its window on the gauge, its pool statistics | [`PerpetualPool`] running totals     |
+//!
+//! Every worker is open to every job: two jobs in flight compete for the
+//! same workers, and a job running alone spreads over all of them. The
+//! [`protocol::PerpetualPool`] serves each master (threads and procs),
+//! worker processes survive across jobs with every wire unit tagged by job
+//! id (procs), and the discrete-event simulation keeps one virtual
+//! timeline with parked perpetual task instances ([`cluster::SimFleet`]).
+//! Per-job numerical results are bit-identical to a solo one-shot run of
+//! the same configuration on every backend; the one-shot entry points are
+//! thin wrappers over a single-job engine.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chaos::{FaultKind, FaultPlan};
 use cluster::{Perturbation, SimFleet};
+use manifold::env::ScopeLog;
 use manifold::prelude::*;
 use manifold::remote::{ConduitSource, RemoteIdentity};
 use manifold::trace::TraceRecord;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use protocol::{MasterHandle, PaperFaithful, PerpetualPool, PolicyRef, PoolStats, ProtocolOutcome};
 use solver::sequential::{SequentialApp, SequentialResult};
 use transport::{PoolConfig, RemoteWorkerPool};
@@ -47,7 +67,7 @@ use crate::app::{ConcurrentResult, RunMode};
 use crate::checkpoint::CheckpointStore;
 use crate::cost::CostModel;
 use crate::master::{master_body, FleetMembership, MasterConfig};
-use crate::procs::{GaugedSource, ProcsConfig};
+use crate::procs::{JobSource, ProcsConfig};
 use crate::virtualrun::paper_sim;
 use crate::worker::{worker_factory_chaos, worker_factory_with_gauge, WorkerGauge};
 
@@ -180,8 +200,10 @@ pub struct JobReport {
     pub records: Vec<TraceRecord>,
     /// Machines hosting task instances (procs: coordinator side only).
     pub machines_used: usize,
-    /// Peak workers simultaneously in their compute section during this
-    /// job (sim: peak busy machines).
+    /// Peak workers simultaneously in their compute section anywhere in
+    /// the fleet while this job ran — its own and, when jobs overlap,
+    /// those of the jobs it shared the fleet with (sim: peak busy
+    /// machines).
     pub peak_concurrent_workers: usize,
     /// Submit-to-completion latency: wall-clock seconds on the live
     /// backends, virtual seconds on the simulator.
@@ -201,7 +223,7 @@ impl JobReport {
     }
 }
 
-/// Why [`Engine::submit`] refused a job *before* running it.
+/// Why [`Engine::submit`] refused a job *before* starting it.
 ///
 /// These are admission-shaped errors: a serving layer in front of the
 /// engine (see `crates/serve`) converts them into backpressure replies
@@ -252,14 +274,63 @@ impl From<SubmitError> for MfError {
     }
 }
 
-/// Handle to one submitted job.
-///
-/// Submission currently runs the job to completion before returning, so
-/// the handle is already resolved; the API keeps the submit/wait split so
-/// callers are written against the streaming shape.
+/// Where finished jobs are announced: one lock and one condition for the
+/// whole fleet, so a single thread can wait on every job in flight.
+#[derive(Default)]
+struct Board {
+    state: Mutex<BoardState>,
+    finished: Condvar,
+}
+
+#[derive(Default)]
+struct BoardState {
+    /// `Some(diagnosis)` once a failure killed the fleet itself; every
+    /// later submit is refused with [`SubmitError::FleetDown`].
+    down: Option<String>,
+    /// Called after each job's report is in place (see
+    /// [`Engine::on_job_finished`]).
+    wake: Option<Arc<dyn Fn() + Send + Sync>>,
+}
+
+/// One job's result cell, shared by its handle, the engine, and whoever
+/// finishes the job.
+struct JobSlot {
+    /// Set under the board lock, after `report` is in place.
+    finished: AtomicBool,
+    report: Mutex<Option<MfResult<JobReport>>>,
+    /// The job's handle was waited on or dropped: nobody is left to be
+    /// told about it.
+    handle_gone: AtomicBool,
+}
+
+impl JobSlot {
+    fn finished(&self) -> bool {
+        self.finished.load(Ordering::Acquire)
+    }
+}
+
+impl Board {
+    fn publish(&self, slot: &JobSlot, report: MfResult<JobReport>) {
+        *slot.report.lock() = Some(report);
+        let wake = {
+            let state = self.state.lock();
+            slot.finished.store(true, Ordering::Release);
+            self.finished.notify_all();
+            state.wake.clone()
+        };
+        if let Some(wake) = wake {
+            wake();
+        }
+    }
+}
+
+/// Handle to one submitted job. The job is running (or already done) when
+/// [`Engine::submit`] hands this out; the handle is how its report is
+/// collected.
 pub struct JobHandle {
     id: u64,
-    report: MfResult<JobReport>,
+    slot: Arc<JobSlot>,
+    board: Arc<Board>,
 }
 
 impl JobHandle {
@@ -268,24 +339,44 @@ impl JobHandle {
         self.id
     }
 
-    /// The job's outcome.
+    /// Has the job finished (so that [`JobHandle::wait`] returns at once)?
+    pub fn is_finished(&self) -> bool {
+        self.slot.finished()
+    }
+
+    /// Block until the job has finished; its outcome.
     pub fn wait(self) -> MfResult<JobReport> {
-        self.report
+        let mut state = self.board.state.lock();
+        while !self.is_finished() {
+            self.board.finished.wait(&mut state);
+        }
+        drop(state);
+        let report = self.slot.report.lock().take();
+        report.expect("a finished job has a report")
     }
 }
 
-/// The resources a live fleet's environment is holding between jobs. None
-/// of these may depend on how many jobs the fleet has served: a value that
-/// climbs with uptime is a leak, visible here without `/proc`.
+impl Drop for JobHandle {
+    fn drop(&mut self) {
+        self.slot.handle_gone.store(true, Ordering::Release);
+    }
+}
+
+/// The resources a live fleet's environment is holding. None of these may
+/// depend on how many jobs the fleet has served: a value that climbs with
+/// uptime is a leak, visible here without `/proc`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FleetFootprint {
     /// OS threads ever spawned; flat once the fleet is warm.
     pub threads_spawned: u64,
-    /// Processes registered right now; zero between jobs.
+    /// Processes registered right now; zero with no job in flight.
     pub live_processes: usize,
-    /// High-water mark of `live_processes`: the largest job's size.
+    /// High-water mark of `live_processes`: the size of the largest set
+    /// of jobs that were in flight together.
     pub peak_live_processes: usize,
-    /// Trace records held by the environment's sink; zero between jobs.
+    /// Trace records the fleet is holding — those of jobs still running (a
+    /// finished job's records leave with its report); zero with no job in
+    /// flight.
     pub trace_records: usize,
 }
 
@@ -301,15 +392,15 @@ pub struct EngineSummary {
     /// count that tracks `jobs_served` is a per-job thread leak.
     pub threads_spawned: u64,
     /// High-water mark of processes registered in the fleet's environment
-    /// (0 on the sim backend): the size of the largest job, not of the
-    /// fleet's history.
+    /// (0 on the sim backend): the size of the largest set of jobs in
+    /// flight together, not of the fleet's history.
     pub peak_live_processes: usize,
     /// Procs backend only: per-child (slot, identity, trace text) reports
     /// collected at shutdown.
     pub child_reports: Vec<(u64, RemoteIdentity, Option<String>)>,
 }
 
-type WorkerFactory = Box<dyn FnMut(&Coord, &Name) -> ProcessRef>;
+type WorkerFactory = Arc<dyn Fn(&Coord, &Name) -> ProcessRef + Send + Sync>;
 
 // One value per Engine; the variant size spread is irrelevant.
 #[allow(clippy::large_enum_variant)]
@@ -323,9 +414,6 @@ enum BackendState {
         env: Environment,
         pool: Arc<RemoteWorkerPool>,
         gauge: Arc<WorkerGauge>,
-        // Concrete so it can serve as both the ConduitSource and the
-        // master's FleetMembership backend.
-        source: Arc<GaugedSource>,
         instances: usize,
     },
     SimFleetState {
@@ -336,6 +424,18 @@ enum BackendState {
     },
 }
 
+/// A job the engine started and still has to account for: it is running,
+/// or it has finished and neither [`Engine::next_finished`] nor its handle
+/// has taken note.
+struct InFlight {
+    id: u64,
+    /// Which of the fleet's `width` lanes the job occupies — its window on
+    /// the gauge.
+    lane: usize,
+    slot: Arc<JobSlot>,
+    log: Arc<ScopeLog>,
+}
+
 /// A persistent worker fleet serving a stream of jobs. See the module
 /// docs for the lifecycle.
 pub struct Engine {
@@ -344,11 +444,12 @@ pub struct Engine {
     opts: EngineOpts,
     store: Option<Arc<CheckpointStore>>,
     resume_pending: bool,
-    protocol_pool: PerpetualPool,
+    protocol_pool: Arc<PerpetualPool>,
     next_job: u64,
-    /// `Some(diagnosis)` once a failure killed the fleet itself; every
-    /// later submit is refused with [`SubmitError::FleetDown`].
-    down: Option<String>,
+    width: usize,
+    /// Submission order; at most `width` of them still running.
+    in_flight: Vec<InFlight>,
+    board: Arc<Board>,
 }
 
 impl Engine {
@@ -359,21 +460,30 @@ impl Engine {
             Some(dir) => Some(Arc::new(CheckpointStore::new(dir)?)),
             None => None,
         };
+        // How many jobs the fleet runs side by side. Never configured: one
+        // per remote worker instance on the procs backend; one where a
+        // job's subsolves already run on this process's own cores
+        // (threads), where there is one virtual timeline (sim), and where
+        // jobs would share one snapshot file (a checkpoint store).
+        let width = match &backend {
+            EngineBackend::Procs { cfg } if store.is_none() => cfg.instances.max(1),
+            _ => 1,
+        };
         let state = match backend {
             EngineBackend::Threads { mode } => {
                 let env = Environment::with_specs(
                     mode.link_spec(opts.capacity_level),
                     mode.config_spec(),
                 );
-                let gauge = WorkerGauge::new();
+                let gauge = WorkerGauge::with_windows(width);
                 // One factory for the fleet's whole life: a chaos factory's
                 // pool-wide job counter then spans job boundaries, exactly
                 // like a remote child's per-incarnation counter.
                 let factory: WorkerFactory = match worker_faults(&opts.faults) {
                     Some(faults) if !faults.is_empty() => {
-                        Box::new(worker_factory_chaos(gauge.clone(), faults))
+                        Arc::new(worker_factory_chaos(gauge.clone(), faults))
                     }
-                    _ => Box::new(worker_factory_with_gauge(gauge.clone())),
+                    _ => Arc::new(worker_factory_with_gauge(gauge.clone())),
                 };
                 BackendState::ThreadsFleet {
                     env,
@@ -404,23 +514,22 @@ impl Engine {
                     pool_cfg,
                     Arc::new(transport::LocalSpawner),
                 )?);
+                // Room for `width` jobs' coordinators, masters and proxies
+                // in the one task instance.
                 let link = LinkSpec::default()
                     .task("mainprog")
                     .perpetual(true)
-                    .load(2 * opts.capacity_level + 8 + retry as u32)
+                    .load(width as u32 * (2 * opts.capacity_level + 8 + retry as u32))
                     .weight("Master", 1)
                     .weight("Worker", 1);
                 let env = Environment::with_specs(
                     link,
                     manifold::config::ConfigSpec::with_startup("bumpa.sen.cwi.nl"),
                 );
-                let gauge = WorkerGauge::new();
-                let source = Arc::new(GaugedSource::new(Arc::clone(&pool), Arc::clone(&gauge)));
                 BackendState::ProcsFleet {
                     env,
                     pool,
-                    gauge,
-                    source,
+                    gauge: WorkerGauge::with_windows(width),
                     instances: cfg.instances,
                 }
             }
@@ -448,9 +557,11 @@ impl Engine {
             opts,
             store,
             resume_pending,
-            protocol_pool: PerpetualPool::new(),
+            protocol_pool: Arc::new(PerpetualPool::new()),
             next_job: 1,
-            down: None,
+            width,
+            in_flight: Vec::new(),
+            board: Arc::new(Board::default()),
         })
     }
 
@@ -472,6 +583,26 @@ impl Engine {
     /// Fleet serving the paper's dispatch order with default options.
     pub fn paper_default(backend: EngineBackend) -> MfResult<Engine> {
         Engine::new(backend, Arc::new(PaperFaithful), EngineOpts::default())
+    }
+
+    /// How many jobs this fleet runs side by side: the number of remote
+    /// worker instances on the procs backend, 1 on threads and sim and
+    /// whenever a checkpoint store is attached. A property of the fleet,
+    /// not a setting.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Jobs started and not yet finished; never more than
+    /// [`Engine::width`].
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.iter().filter(|j| !j.slot.finished()).count()
+    }
+
+    /// Forget the finished jobs nobody can ask about any more.
+    fn prune(&mut self) {
+        self.in_flight
+            .retain(|j| !(j.slot.finished() && j.slot.handle_gone.load(Ordering::Acquire)));
     }
 
     /// Jobs this fleet has served to completion.
@@ -502,10 +633,21 @@ impl Engine {
         }
     }
 
-    /// Serve one job on the fleet. Runs to completion; the handle carries
-    /// the report. A failed job leaves the fleet serviceable (its master
-    /// and workers die with the job's coordinator) unless the failure
-    /// killed the fleet itself.
+    /// Call `wake` every time a job finishes, from the thread that
+    /// finished it, after the job's report is in place. This is how a
+    /// caller that also waits on something else — a serving loop blocked
+    /// on its admission queue — folds job completion into its one wake-up
+    /// source instead of polling; a caller with nothing else to wait on
+    /// uses [`Engine::next_finished`].
+    pub fn on_job_finished(&mut self, wake: impl Fn() + Send + Sync + 'static) {
+        self.board.state.lock().wake = Some(Arc::new(wake));
+    }
+
+    /// Start one job on the fleet and return its handle at once. With
+    /// [`Engine::width`] jobs already in flight this first waits for one
+    /// of them to finish — the only time it blocks. A failed job leaves
+    /// the fleet serviceable (its master and workers die with the job's
+    /// coordinator) unless the failure killed the fleet itself.
     ///
     /// Admission-shaped refusals — the job never started — come back as a
     /// typed [`SubmitError`] instead of a panic or an opaque `MfError`:
@@ -513,26 +655,76 @@ impl Engine {
     /// dead fleet are both conditions a serving layer converts into
     /// backpressure replies.
     pub fn submit(&mut self, cfg: AppConfig) -> Result<JobHandle, SubmitError> {
-        if let Some(reason) = &self.down {
-            return Err(SubmitError::FleetDown {
-                reason: reason.clone(),
-            });
-        }
         if cfg.app.level > self.opts.capacity_level {
             return Err(SubmitError::OverCapacity {
                 level: cfg.app.level,
                 capacity: self.opts.capacity_level,
             });
         }
+        {
+            let mut state = self.board.state.lock();
+            while self.in_flight() == self.width {
+                self.board.finished.wait(&mut state);
+            }
+            if let Some(reason) = &state.down {
+                return Err(SubmitError::FleetDown {
+                    reason: reason.clone(),
+                });
+            }
+        }
+        self.prune();
         let id = self.next_job;
         self.next_job += 1;
-        let report = self.run_job(id, cfg);
-        if let Err(MfError::Killed) = &report {
-            // The environment died under the job: the fleet is gone, not
-            // just this job.
-            self.down = Some("environment killed mid-job".into());
+        let lane = (0..self.width)
+            .find(|l| {
+                self.in_flight
+                    .iter()
+                    .all(|j| j.lane != *l || j.slot.finished())
+            })
+            .expect("fewer jobs running than lanes");
+        let job = InFlight {
+            id,
+            lane,
+            slot: Arc::new(JobSlot {
+                finished: AtomicBool::new(false),
+                report: Mutex::new(None),
+                handle_gone: AtomicBool::new(false),
+            }),
+            log: ScopeLog::new(),
+        };
+        let handle = JobHandle {
+            id,
+            slot: Arc::clone(&job.slot),
+            board: Arc::clone(&self.board),
+        };
+        if let Err(e) = self.start_job(&job, cfg) {
+            self.board.publish(&job.slot, Err(e));
         }
-        Ok(JobHandle { id, report })
+        self.in_flight.push(job);
+        Ok(handle)
+    }
+
+    /// Block until a job has finished that this call has not reported
+    /// before and whose handle is still waiting to be asked, and return
+    /// its id — earliest submitted first when there are several — or
+    /// `None` when no such job is left, running or finished. The job's
+    /// [`JobHandle::wait`] then returns at once. One thread can keep the
+    /// fleet full this way: submit until [`Engine::in_flight`] reaches
+    /// [`Engine::width`], then alternate `next_finished` and `submit`.
+    pub fn next_finished(&mut self) -> Option<u64> {
+        let board = Arc::clone(&self.board);
+        let mut state = board.state.lock();
+        loop {
+            self.prune();
+            let done = self.in_flight.iter().position(|j| j.slot.finished());
+            if let Some(i) = done {
+                return Some(self.in_flight.remove(i).id);
+            }
+            if self.in_flight.is_empty() {
+                return None;
+            }
+            self.board.finished.wait(&mut state);
+        }
     }
 
     /// What the fleet's environment holds right now (all zero on sim).
@@ -543,15 +735,22 @@ impl Engine {
                     threads_spawned: env.threads_spawned(),
                     live_processes: env.live_processes(),
                     peak_live_processes: env.peak_live_processes(),
-                    trace_records: env.trace().len(),
+                    trace_records: env.trace().len()
+                        + self
+                            .in_flight
+                            .iter()
+                            .map(|j| j.log.trace().len())
+                            .sum::<usize>(),
                 }
             }
             BackendState::SimFleetState { .. } => FleetFootprint::default(),
         }
     }
 
-    /// Tear the fleet down and account for its life.
-    pub fn shutdown(self) -> EngineSummary {
+    /// Wait for the jobs still in flight, then tear the fleet down and
+    /// account for its life.
+    pub fn shutdown(mut self) -> EngineSummary {
+        while self.next_finished().is_some() {}
         let jobs_served = self.jobs_served();
         let fleet_workers_created = self.fleet_workers_created();
         let footprint = self.footprint();
@@ -575,10 +774,10 @@ impl Engine {
         }
     }
 
-    fn master_config(&mut self, id: u64, cfg: &AppConfig) -> MfResult<(MasterConfig, PolicyRef)> {
+    fn master_config(&mut self, cfg: &AppConfig) -> MfResult<MasterConfig> {
         let policy = cfg.policy.clone().unwrap_or_else(|| self.policy.clone());
         let mut mc = MasterConfig::new(cfg.app, cfg.data_through_master)
-            .with_policy(policy.clone())
+            .with_policy(policy)
             .with_batch_width(cfg.batch_width)
             .with_shards(self.opts.shards)
             .with_churn(self.opts.churn.clone());
@@ -601,47 +800,44 @@ impl Engine {
                 mc = mc.with_master_kill_at(k);
             }
         }
-        let _ = id;
-        Ok((mc, policy))
+        Ok(mc)
     }
 
-    fn run_job(&mut self, id: u64, cfg: AppConfig) -> MfResult<JobReport> {
-        let (master_cfg, _policy) = self.master_config(id, &cfg)?;
+    /// Start `job`. An `Err` means it never started; a started job
+    /// publishes its own report when it ends.
+    fn start_job(&mut self, job: &InFlight, cfg: AppConfig) -> MfResult<()> {
+        let master_cfg = self.master_config(&cfg)?;
+        let scope = JobScope {
+            id: job.id,
+            lane: job.lane,
+            slot: Arc::clone(&job.slot),
+            log: Arc::clone(&job.log),
+            board: Arc::clone(&self.board),
+            protocol_pool: Arc::clone(&self.protocol_pool),
+        };
         match &mut self.state {
             BackendState::ThreadsFleet {
                 env,
                 gauge,
                 factory,
-            } => run_live_job(
-                id,
-                master_cfg,
-                env,
-                gauge,
-                &mut self.protocol_pool,
-                LiveWorkers::Threads(factory),
-            ),
-            BackendState::ProcsFleet {
-                env,
-                pool,
-                gauge,
-                source,
-                ..
             } => {
-                pool.set_current_job(id);
-                // The pool is the only backend with real membership:
-                // sharded masters hint checkouts through it and churn
-                // joins/retires worker processes.
+                let factory = Arc::clone(factory);
+                scope.spawn(env, gauge, master_cfg, move |coord, name| {
+                    factory(coord, name)
+                });
+            }
+            BackendState::ProcsFleet {
+                env, pool, gauge, ..
+            } => {
+                // The job's own view of the shared pool: its wire tag, its
+                // shard hints. The pool is the only backend with real
+                // membership: sharded masters hint checkouts through it
+                // and churn joins/retires worker processes.
+                let source = Arc::new(JobSource::new(Arc::clone(pool), Arc::clone(gauge), job.id));
                 let master_cfg =
-                    master_cfg.with_membership(Arc::clone(source) as Arc<dyn FleetMembership>);
-                let dyn_source: Arc<dyn ConduitSource> = Arc::clone(source) as _;
-                run_live_job(
-                    id,
-                    master_cfg,
-                    env,
-                    gauge,
-                    &mut self.protocol_pool,
-                    LiveWorkers::Remote(&dyn_source),
-                )
+                    master_cfg.with_membership(Arc::clone(&source) as Arc<dyn FleetMembership>);
+                let factory = protocol::remote_worker_factory(source as Arc<dyn ConduitSource>);
+                scope.spawn(env, gauge, master_cfg, factory);
             }
             BackendState::SimFleetState {
                 fleet,
@@ -649,137 +845,186 @@ impl Engine {
                 model,
                 workers_created,
             } => {
-                // The simulator replays the legacy computation for the
-                // answer (bit-identical by construction) and runs the
-                // fleet DES for the virtual-time performance report.
-                let result = cfg
-                    .app
-                    .run()
-                    .map_err(|e| MfError::App(format!("sequential core failed: {e}")))?;
-                let policy = cfg.policy.unwrap_or_else(|| self.policy.clone());
-                let wl = model.workload(
-                    cfg.app.root,
-                    cfg.app.level,
-                    cfg.app.le_tol,
-                    cfg.data_through_master,
-                );
-                let report = fleet
-                    .submit(&wl, noise, policy.as_ref())
-                    .map_err(MfError::App)?;
-                let workers = report
-                    .records
-                    .iter()
-                    .filter(|r| {
-                        r.manifold_name.as_str() == "Worker(event)" && r.message == "Welcome"
-                    })
-                    .count();
-                *workers_created += workers;
-                let machines_used = report
-                    .records
-                    .iter()
-                    .map(|r| r.host.as_str().to_string())
-                    .collect::<BTreeSet<_>>()
-                    .len();
-                Ok(JobReport {
-                    job: id,
-                    result,
-                    // One synthesized pool totalling the job: the DES has
-                    // no per-pool protocol bookkeeping to report.
-                    outcome: ProtocolOutcome::Finished {
-                        pools: vec![PoolStats {
-                            workers_created: workers,
-                            deaths_counted: workers,
-                        }],
-                    },
-                    machines_used,
-                    peak_concurrent_workers: report.peak_machines.max(0) as usize,
-                    latency_s: report.elapsed,
-                    records: report.records,
-                })
+                // The simulator has no thread to run a job on and no need
+                // of one: a job is a function of the virtual timeline,
+                // evaluated here, and reported like any other.
+                let policy = cfg.policy.clone().unwrap_or_else(|| self.policy.clone());
+                let report = run_sim_job(job.id, &cfg, policy, fleet, noise, model);
+                if let Ok(r) = &report {
+                    *workers_created += r.outcome.workers_created();
+                }
+                self.board.publish(&job.slot, report);
             }
         }
+        Ok(())
     }
 }
 
-enum LiveWorkers<'a> {
-    Threads(&'a mut WorkerFactory),
-    Remote(&'a Arc<dyn ConduitSource>),
-}
-
-/// One job on a live (threads or procs) fleet: a fresh job-scoped master
-/// served by the shared [`PerpetualPool`] over the shared environment.
-fn run_live_job(
+/// One job on the simulated fleet: the legacy computation replayed for
+/// the answer (bit-identical by construction), the fleet DES run for the
+/// virtual-time performance report.
+fn run_sim_job(
     id: u64,
-    master_cfg: MasterConfig,
-    env: &Environment,
-    gauge: &Arc<WorkerGauge>,
-    protocol_pool: &mut PerpetualPool,
-    workers: LiveWorkers<'_>,
+    cfg: &AppConfig,
+    policy: PolicyRef,
+    fleet: &mut SimFleet,
+    noise: &mut Perturbation,
+    model: &CostModel,
 ) -> MfResult<JobReport> {
-    let started = Instant::now();
-    gauge.reset_peak();
-    let cell: Arc<Mutex<Option<SequentialResult>>> = Arc::new(Mutex::new(None));
-
-    let run = env.run_coordinator("Main", |coord| {
-        let coord_ref = coord.self_ref();
-        let env2 = coord.env().clone();
-        let cell2 = cell.clone();
-        let master_cfg = master_cfg.clone();
-        let master = coord.create_atomic("Master(port in)", move |ctx: ProcessCtx| {
-            let h = MasterHandle::new(ctx, coord_ref, env2);
-            let result = master_body(&h, &master_cfg)?;
-            *cell2.lock() = Some(result);
-            Ok(())
-        });
-        coord.activate(&master)?;
-        let outcome = match workers {
-            LiveWorkers::Threads(factory) => protocol_pool.serve(coord, &master, &mut **factory)?,
-            LiveWorkers::Remote(source) => {
-                let mut factory = protocol::remote_worker_factory(Arc::clone(source));
-                protocol_pool.serve(coord, &master, &mut factory)?
-            }
-        };
-        master.core().wait_terminated(Duration::from_secs(600))?;
-        Ok(outcome)
-    });
-
-    // The coordinator was the job's scope: its master and workers are
-    // dead and unregistered, so the sink holds exactly this job's records
-    // and the environment's failure list exactly this job's failures.
-    // Both are taken, not copied — a warm fleet pays O(job) per submit and
-    // keeps nothing — and a failed job leaves the fleet serving.
-    let records = env.trace().take();
-    let failures = env.take_failures();
-    if let Some((pid, err)) = failures.first() {
-        // The first recorded failure is the root cause the one-shot paths
-        // surface; the rest are its consequences.
-        let more = match failures.len() - 1 {
-            0 => String::new(),
-            n => format!(" (and {n} more process failure(s) suppressed)"),
-        };
-        return Err(MfError::App(format!("process {pid:?} failed: {err}{more}")));
-    }
-    let outcome = run?;
-    let machines_used = env.with_bundler(|b| b.machines_in_use());
-    let result = cell
-        .lock()
-        .take()
-        .ok_or_else(|| MfError::App("master produced no result".into()))?;
+    let result = cfg
+        .app
+        .run()
+        .map_err(|e| MfError::App(format!("sequential core failed: {e}")))?;
+    let wl = model.workload(
+        cfg.app.root,
+        cfg.app.level,
+        cfg.app.le_tol,
+        cfg.data_through_master,
+    );
+    let report = fleet
+        .submit(&wl, noise, policy.as_ref())
+        .map_err(MfError::App)?;
+    let workers = report
+        .records
+        .iter()
+        .filter(|r| r.manifold_name.as_str() == "Worker(event)" && r.message == "Welcome")
+        .count();
     Ok(JobReport {
         job: id,
         result,
-        outcome,
-        machines_used: machines_used.max(
-            records
-                .iter()
-                .map(|r| r.host.as_str().to_string())
-                .collect::<BTreeSet<_>>()
-                .len(),
-        ),
-        peak_concurrent_workers: gauge.peak(),
-        latency_s: started.elapsed().as_secs_f64(),
-        records,
+        // One synthesized pool totalling the job: the DES has no per-pool
+        // protocol bookkeeping to report.
+        outcome: ProtocolOutcome::Finished {
+            pools: vec![PoolStats {
+                workers_created: workers,
+                deaths_counted: workers,
+            }],
+        },
+        machines_used: distinct_hosts(&report.records),
+        peak_concurrent_workers: report.peak_machines.max(0) as usize,
+        latency_s: report.elapsed,
+        records: report.records,
     })
+}
+
+fn distinct_hosts(records: &[TraceRecord]) -> usize {
+    records
+        .iter()
+        .map(|r| r.host.as_str())
+        .collect::<BTreeSet<_>>()
+        .len()
+}
+
+/// What one job on a live (threads or procs) fleet carries with it: its
+/// identity, where its output accumulates, and where its report goes.
+struct JobScope {
+    id: u64,
+    lane: usize,
+    slot: Arc<JobSlot>,
+    log: Arc<ScopeLog>,
+    board: Arc<Board>,
+    protocol_pool: Arc<PerpetualPool>,
+}
+
+/// What a job's coordinator leaves for its report, beside the log.
+type Ran = (MfResult<ProtocolOutcome>, Option<SequentialResult>);
+
+impl JobScope {
+    /// Run the job as a coordinator of its own on a pool thread: a fresh
+    /// job-scoped master served by the shared [`PerpetualPool`] over the
+    /// shared environment. Returns as soon as the coordinator is started;
+    /// the report is published when it has terminated.
+    fn spawn(
+        self,
+        env: &Environment,
+        gauge: &Arc<WorkerGauge>,
+        master_cfg: MasterConfig,
+        mut workers: impl FnMut(&Coord, &Name) -> ProcessRef + Send + 'static,
+    ) {
+        let started = Instant::now();
+        gauge.open_window(self.lane);
+        let ran: Arc<Mutex<Option<Ran>>> = Arc::new(Mutex::new(None));
+
+        let ran2 = Arc::clone(&ran);
+        let protocol_pool = Arc::clone(&self.protocol_pool);
+        let coordinator =
+            env.spawn_coordinator_logged("Main", Arc::clone(&self.log), move |coord| {
+                let cell: Arc<Mutex<Option<SequentialResult>>> = Arc::new(Mutex::new(None));
+                let coord_ref = coord.self_ref();
+                let env2 = coord.env().clone();
+                let cell2 = cell.clone();
+                let master = coord.create_atomic("Master(port in)", move |ctx: ProcessCtx| {
+                    let h = MasterHandle::new(ctx, coord_ref, env2);
+                    let result = master_body(&h, &master_cfg)?;
+                    *cell2.lock() = Some(result);
+                    Ok(())
+                });
+                let outcome = coord.activate(&master).and_then(|()| {
+                    let outcome = protocol_pool.serve(coord, &master, &mut workers)?;
+                    master.core().wait_terminated(Duration::from_secs(600))?;
+                    Ok(outcome)
+                });
+                // The job's own outcome travels beside the log rather than
+                // through it: the log is for what the scope's processes did.
+                *ran2.lock() = Some((outcome, cell.lock().take()));
+                Ok(())
+            });
+
+        // The coordinator was the job's scope: once it has terminated its
+        // master and workers are dead and unregistered, the log holds
+        // exactly this job's records and failures — whatever other jobs
+        // did meanwhile — and the thread that ran it is back in the pool
+        // for the next submit to reuse.
+        let env = env.clone();
+        let gauge = Arc::clone(gauge);
+        coordinator.core().on_terminate(move || {
+            let ran = ran.lock().take();
+            let report = self.report(started, ran, &env, &gauge);
+            if let Err(MfError::Killed) = &report {
+                // The environment died under the job: the fleet is gone,
+                // not just this job.
+                self.board.state.lock().down = Some("environment killed mid-job".into());
+            }
+            self.board.publish(&self.slot, report);
+        });
+    }
+
+    fn report(
+        &self,
+        started: Instant,
+        ran: Option<Ran>,
+        env: &Environment,
+        gauge: &WorkerGauge,
+    ) -> MfResult<JobReport> {
+        // Both are taken, not copied — a warm fleet pays O(job) per submit
+        // and keeps nothing — and a failed job leaves the fleet serving.
+        let records = self.log.trace().take();
+        let failures = self.log.take_failures();
+        if let Some((pid, err)) = failures.first() {
+            // The first recorded failure is the root cause the one-shot
+            // paths surface; the rest are its consequences.
+            let more = match failures.len() - 1 {
+                0 => String::new(),
+                n => format!(" (and {n} more process failure(s) suppressed)"),
+            };
+            return Err(MfError::App(format!("process {pid:?} failed: {err}{more}")));
+        }
+        let (outcome, result) =
+            ran.ok_or_else(|| MfError::App("job coordinator died without a result".into()))?;
+        let outcome = outcome?;
+        let result = result.ok_or_else(|| MfError::App("master produced no result".into()))?;
+        Ok(JobReport {
+            job: self.id,
+            result,
+            outcome,
+            machines_used: env
+                .with_bundler(|b| b.machines_in_use())
+                .max(distinct_hosts(&records)),
+            peak_concurrent_workers: gauge.window_peak(self.lane),
+            latency_s: started.elapsed().as_secs_f64(),
+            records,
+        })
+    }
 }
 
 fn worker_faults(plan: &Option<FaultPlan>) -> Option<chaos::WorkerFaults> {

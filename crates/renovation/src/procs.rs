@@ -158,24 +158,28 @@ pub(crate) fn resolve_worker_exe(cfg: &ProcsConfig) -> MfResult<PathBuf> {
     ))
 }
 
-/// Wraps the pool so every job executed through a conduit is counted by
-/// the same [`WorkerGauge`] the threads backend uses — `peak_concurrent_workers`
-/// means the same thing for both backends. Also the procs backend's
-/// [`FleetMembership`]: sharded masters leave a one-shot pool-affinity
-/// hint here before each checkout, and churn joins/retires worker
-/// processes through it.
-pub(crate) struct GaugedSource {
-    pub(crate) pool: Arc<RemoteWorkerPool>,
-    pub(crate) gauge: Arc<WorkerGauge>,
+/// One job's view of the fleet's worker pool. Every conduit checked out
+/// here carries the job's id as its wire tag, and every job executed
+/// through one is counted by the same [`WorkerGauge`] the threads backend
+/// uses — `peak_concurrent_workers` means the same thing for both
+/// backends. Also the procs backend's [`FleetMembership`]: a sharded master
+/// leaves a one-shot pool-affinity hint here before each checkout (its
+/// own — another job's master has another `JobSource`), and churn
+/// joins/retires worker processes through it.
+pub(crate) struct JobSource {
+    pool: Arc<RemoteWorkerPool>,
+    gauge: Arc<WorkerGauge>,
+    job: u64,
     /// One-shot checkout affinity hint (`u64::MAX` = none).
     hint: AtomicU64,
 }
 
-impl GaugedSource {
-    pub(crate) fn new(pool: Arc<RemoteWorkerPool>, gauge: Arc<WorkerGauge>) -> Self {
-        GaugedSource {
+impl JobSource {
+    pub(crate) fn new(pool: Arc<RemoteWorkerPool>, gauge: Arc<WorkerGauge>, job: u64) -> Self {
+        JobSource {
             pool,
             gauge,
+            job,
             hint: AtomicU64::new(u64::MAX),
         }
     }
@@ -186,18 +190,18 @@ struct GaugedConduit {
     gauge: Arc<WorkerGauge>,
 }
 
-impl ConduitSource for GaugedSource {
+impl ConduitSource for JobSource {
     fn checkout(&self) -> MfResult<Arc<dyn RemoteConduit>> {
         let hint = self.hint.swap(u64::MAX, Ordering::Relaxed);
         let pool = (hint != u64::MAX).then_some(hint);
         Ok(Arc::new(GaugedConduit {
-            inner: self.pool.checkout_pool(pool)?,
+            inner: self.pool.checkout_for(self.job, pool)?,
             gauge: Arc::clone(&self.gauge),
         }))
     }
 }
 
-impl FleetMembership for GaugedSource {
+impl FleetMembership for JobSource {
     fn join(&self, pool: Option<u64>) -> MfResult<u64> {
         self.pool.add_instance(pool)
     }
@@ -302,6 +306,32 @@ pub fn run_concurrent_procs(
     })
 }
 
+/// Trace records a worker child keeps once it has served enough jobs to
+/// have more: it trims back to this many whenever it holds twice as many.
+/// A one-shot run never gets there (a level-15 job gives one child some
+/// thirty subsolves, two records each), so its shipped trace is complete;
+/// a child serving a daemon for days stays this size.
+const CHILD_TRACE_KEEP: usize = 1024;
+
+/// The child's trace as shipped at shutdown: the retained records with
+/// task uids rewritten to this instance's slot, behind one line saying how
+/// many earlier ones were dropped, if any were.
+fn child_trace_dump(mut records: Vec<TraceRecord>, task_uid: u64, dropped: u64) -> String {
+    if let (Some(first), true) = (records.first().cloned(), dropped > 0) {
+        records.insert(
+            0,
+            TraceRecord {
+                message: format!("{dropped} earlier records dropped"),
+                ..first
+            },
+        );
+    }
+    for r in &mut records {
+        r.task_uid = task_uid;
+    }
+    format_trace(&records)
+}
+
 /// The child side: everything `subsolve_worker` does after parsing its
 /// environment. Serves jobs from `addr` by running the real Worker
 /// manifold in a private MANIFOLD environment whose startup machine is
@@ -336,25 +366,30 @@ pub fn run_worker_child(
         heartbeat_delay: faults.heartbeat_delay_ms.map(Duration::from_millis),
     };
     let crash_on_job = faults.crash_on_job;
-    let jobs_seen = AtomicU64::new(0);
-    let env_for_jobs = env.clone();
+    let mut jobs_seen = 0u64;
+    let dropped = std::cell::Cell::new(0u64);
     let summary = serve(
         cfg,
-        move |job| {
-            let n = jobs_seen.fetch_add(1, Ordering::SeqCst) + 1;
-            if crash_on_job == Some(n) {
+        |job| {
+            jobs_seen += 1;
+            if crash_on_job == Some(jobs_seen) {
                 // Fault injection: die the way a crashed workstation
                 // does — no reply, no cleanup, connection just drops.
                 std::process::exit(42);
             }
-            solve_one(&env_for_jobs, job).map_err(|e| e.to_string())
+            let solved = solve_one(&env, job).map_err(|e| e.to_string());
+            if env.trace().len() >= 2 * CHILD_TRACE_KEEP {
+                let gone = env.trace().keep_last(CHILD_TRACE_KEEP);
+                dropped.set(dropped.get() + gone as u64);
+            }
+            solved
         },
         || {
-            let mut records = env.trace().snapshot();
-            for r in &mut records {
-                r.task_uid = task_uid;
-            }
-            Some(format_trace(&records))
+            Some(child_trace_dump(
+                env.trace().snapshot(),
+                task_uid,
+                dropped.get(),
+            ))
         },
     )?;
     env.shutdown();
@@ -363,21 +398,19 @@ pub fn run_worker_child(
 
 /// Run one job through the real Worker manifold: create the worker
 /// process instance, feed it the job, collect its submission, observe its
-/// death — the same four steps the thread backend's pool performs.
+/// death — the same four steps the thread backend's pool performs. The
+/// worker's only input is in hand and its body only computes, so once it
+/// is wired it runs to completion on this thread.
 fn solve_one(env: &Environment, job: Unit) -> MfResult<Unit> {
     let solved = env.run_coordinator("ChildMain", |coord| {
         let death = Name::new(DEATH_WORKER);
         let worker = worker_factory(coord, &death);
-        coord.activate(&worker)?;
         let mut st = coord.state();
         st.send(job.clone(), &worker, "input")?;
         st.connect_to_self(&worker, "output", "input", StreamType::KK)?;
+        coord.run_to_completion(&worker)?;
         match st.until_terminated(&worker, &[DEATH_WORKER.into()])? {
-            StateExit::Event(_) => {
-                let result = coord.read("input")?;
-                worker.core().wait_terminated(Duration::from_secs(600))?;
-                Ok(result)
-            }
+            StateExit::Event(_) => coord.read("input"),
             StateExit::Terminated(_) => {
                 let detail = worker
                     .core()
@@ -429,6 +462,118 @@ mod tests {
         let direct = solver::subsolve(&req).unwrap();
         assert_eq!(res.values, direct.values);
         env.shutdown();
+    }
+
+    #[test]
+    fn solve_one_runs_the_worker_on_the_calling_thread() {
+        use crate::codec::request_to_unit;
+        use solver::problem::Problem;
+        use solver::subsolve::SubsolveRequest;
+
+        let env = Environment::new();
+        let req = SubsolveRequest::for_grid(2, 1, 1, 1e-3, Problem::manufactured_benchmark());
+        for _ in 0..3 {
+            solve_one(&env, request_to_unit(&req)).unwrap();
+        }
+        assert_eq!(env.threads_spawned(), 0);
+        assert_eq!(env.live_processes(), 0);
+        let msgs: Vec<String> = env.trace().take().into_iter().map(|r| r.message).collect();
+        assert_eq!(msgs, ["Welcome", "Bye", "Welcome", "Bye", "Welcome", "Bye"]);
+        env.shutdown();
+    }
+
+    /// One child, 20,000 jobs, a real socket: what the child holds (and
+    /// ships at shutdown) stops growing, and the shipped trace says how
+    /// much is missing.
+    #[test]
+    fn a_perpetual_child_retains_a_bounded_trace() {
+        use crate::codec::request_to_unit;
+        use solver::problem::Problem;
+        use solver::subsolve::SubsolveRequest;
+        use transport::{Conn, Message};
+
+        const JOBS: u64 = 20_000;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = Addr::Tcp(listener.local_addr().unwrap().to_string());
+        let child = std::thread::spawn(move || {
+            run_worker_child(
+                addr,
+                0,
+                Duration::from_millis(100),
+                chaos::WorkerFaults::default(),
+            )
+        });
+        let (sock, _) = listener.accept().unwrap();
+        sock.set_nodelay(true).unwrap();
+        let mut conn = Conn::Tcp(sock);
+        match conn.recv_msg().unwrap().unwrap() {
+            Message::Hello { instance, .. } => conn
+                .send_msg(&Message::HelloAck { instance, pool: 0 })
+                .unwrap(),
+            other => panic!("expected Hello, got {other:?}"),
+        }
+        let reply = |conn: &mut Conn| loop {
+            match conn.recv_msg().unwrap().unwrap() {
+                Message::Heartbeat => continue,
+                m => return m,
+            }
+        };
+        let req = SubsolveRequest::for_grid(1, 0, 0, 1e-2, Problem::manufactured_benchmark());
+        let payload = request_to_unit(&req);
+        for seq in 1..=JOBS {
+            conn.send_msg(&Message::Job {
+                seq,
+                job: 0,
+                payload: payload.clone(),
+            })
+            .unwrap();
+            assert!(matches!(reply(&mut conn), Message::Done { seq: s, .. } if s == seq));
+        }
+        conn.send_msg(&Message::Shutdown).unwrap();
+        let Message::Trace { text } = reply(&mut conn) else {
+            panic!("expected the child's trace");
+        };
+        let summary = child.join().unwrap().unwrap();
+        assert_eq!(summary.jobs_done, JOBS);
+
+        let records = parse_trace(&text).unwrap();
+        assert!(
+            records.len() <= 2 * CHILD_TRACE_KEEP + 1,
+            "{} records retained after {JOBS} jobs",
+            records.len()
+        );
+        let dropped: u64 = records[0]
+            .message
+            .strip_suffix(" earlier records dropped")
+            .expect("first line accounts for the dropped records")
+            .parse()
+            .unwrap();
+        // Welcome and Bye per job: nothing unaccounted for.
+        assert_eq!(dropped + records.len() as u64 - 1, 2 * JOBS);
+        assert!(records[1..]
+            .chunks(2)
+            .all(|pair| pair[0].message == "Welcome" && pair[1].message == "Bye"));
+        assert!(records.iter().all(|r| r.task_uid == child_task_uid(0)));
+    }
+
+    #[test]
+    fn a_short_lived_childs_trace_is_shipped_whole() {
+        let rec = |msg: &str| TraceRecord {
+            host: HostName::new("h"),
+            task_uid: 1,
+            proc_uid: 7,
+            secs: 1,
+            usecs: 2,
+            task_name: Name::new("mainprog"),
+            manifold_name: Name::new("Worker(event)"),
+            source_file: "worker.rs".into(),
+            line: 1,
+            message: msg.into(),
+        };
+        let text = child_trace_dump(vec![rec("Welcome"), rec("Bye")], 9, 0);
+        let back = parse_trace(&text).unwrap();
+        assert_eq!(back.len(), 2);
+        assert!(back.iter().all(|r| r.task_uid == 9));
     }
 
     #[test]

@@ -24,38 +24,47 @@ use crate::codec::{batch_results_to_unit, requests_from_unit, result_to_unit};
 /// `window` jobs are outstanding at once, making the observed peak a
 /// deterministic upper-bounded measure of worker concurrency (and hence of
 /// simultaneously computing OS threads in a parallel run).
-#[derive(Debug, Default)]
+///
+/// One gauge spans a whole fleet. A job that wants the peak *while it
+/// ran* opens one of the gauge's windows when it starts and reads it when
+/// it ends; with several jobs sharing the fleet each holds a window of its
+/// own, and what it reads is the fleet's peak over its lifetime — the
+/// other jobs' workers included, because they were competing for the same
+/// workers.
+#[derive(Debug)]
 pub struct WorkerGauge {
     alive: AtomicUsize,
-    peak: AtomicUsize,
+    windows: Box<[AtomicUsize]>,
 }
 
 impl WorkerGauge {
-    /// A fresh, shareable gauge.
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// A gauge for a fleet running up to `windows` jobs at once.
+    pub fn with_windows(windows: usize) -> Arc<Self> {
+        Arc::new(WorkerGauge {
+            alive: AtomicUsize::new(0),
+            windows: (0..windows.max(1)).map(|_| AtomicUsize::new(0)).collect(),
+        })
     }
 
     pub(crate) fn enter(&self) {
         let now = self.alive.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak.fetch_max(now, Ordering::SeqCst);
+        for w in self.windows.iter() {
+            w.fetch_max(now, Ordering::SeqCst);
+        }
     }
 
     pub(crate) fn exit(&self) {
         self.alive.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Highest number of workers ever inside their compute section at once.
-    pub fn peak(&self) -> usize {
-        self.peak.load(Ordering::SeqCst)
+    /// Start window `i` from the current occupancy.
+    pub fn open_window(&self, i: usize) {
+        self.windows[i].store(self.alive.load(Ordering::SeqCst), Ordering::SeqCst);
     }
 
-    /// Restart the peak from the current occupancy. An engine serving many
-    /// jobs over one fleet calls this between jobs so each job reports its
-    /// own peak rather than the fleet-lifetime maximum.
-    pub fn reset_peak(&self) {
-        self.peak
-            .store(self.alive.load(Ordering::SeqCst), Ordering::SeqCst);
+    /// The peak since window `i` was last opened.
+    pub fn window_peak(&self, i: usize) -> usize {
+        self.windows[i].load(Ordering::SeqCst)
     }
 }
 
@@ -160,7 +169,7 @@ pub fn worker_factory(coord: &Coord, death_event: &Name) -> ProcessRef {
 /// really caps worker concurrency.
 pub fn worker_factory_with_gauge(
     gauge: Arc<WorkerGauge>,
-) -> impl FnMut(&Coord, &Name) -> ProcessRef {
+) -> impl Fn(&Coord, &Name) -> ProcessRef + Send + Sync {
     move |coord, death_event| make_worker(coord, death_event, Some(gauge.clone()), None)
 }
 
@@ -171,7 +180,7 @@ pub fn worker_factory_with_gauge(
 pub fn worker_factory_chaos(
     gauge: Arc<WorkerGauge>,
     faults: chaos::WorkerFaults,
-) -> impl FnMut(&Coord, &Name) -> ProcessRef {
+) -> impl Fn(&Coord, &Name) -> ProcessRef + Send + Sync {
     let chaos = Arc::new(ThreadChaos {
         jobs_seen: AtomicU64::new(0),
         faults,

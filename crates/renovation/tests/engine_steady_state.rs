@@ -5,12 +5,15 @@
 //! count is the fleet's (plus the harness), not some neighbouring test's.
 //! It fails if a job leaves behind a thread (the `variable` counters of
 //! `Create_Worker_Pool` once did, two per job), a registry entry, or a
-//! trace record.
+//! trace record — on a threads fleet serving one job at a time, and then
+//! on a procs fleet kept two jobs full.
 
+use std::collections::VecDeque;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use protocol::PaperFaithful;
-use renovation::{AppConfig, Engine, EngineOpts, FleetFootprint, RunMode};
+use renovation::{AppConfig, Engine, EngineOpts, FleetFootprint, JobHandle, ProcsConfig, RunMode};
 use solver::sequential::SequentialApp;
 
 /// OS threads of this process, where the OS can be asked.
@@ -22,56 +25,87 @@ fn os_threads() -> Option<usize> {
 
 #[test]
 fn three_hundred_jobs_leave_nothing_behind() {
-    let app = SequentialApp::new(1, 2, 1e-3);
-    let oracle = app.run().unwrap();
-    let opts = EngineOpts {
+    let opts = || EngineOpts {
         capacity_level: 2,
         ..EngineOpts::default()
     };
+    // One after the other, in one test: the OS thread count is the fleet's.
+    let threads = Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts()).unwrap();
+    assert_eq!(threads.width(), 1);
+    serve_three_hundred(threads);
+
+    let mut cfg = ProcsConfig::new(2);
+    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
+    let procs = Engine::procs(cfg, Arc::new(PaperFaithful), opts()).unwrap();
+    assert_eq!(procs.width(), 2);
+    serve_three_hundred(procs);
+}
+
+/// Keep `engine` full — `width` jobs submitted at all times — for 300
+/// jobs and hold it to what `width` jobs need, no more.
+fn serve_three_hundred(mut engine: Engine) {
+    let app = SequentialApp::new(1, 2, 1e-3);
+    let oracle = app.run().unwrap();
     let threads_before = os_threads();
-    let mut engine = Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts).unwrap();
+    let width = engine.width();
 
     let mut warm: Option<FleetFootprint> = None;
-    // A job's master and workers: the most threads it can occupy at once.
-    let mut width = 0;
-    for job in 1..=300 {
-        let report = engine
-            .submit(AppConfig::new(app))
-            .expect("engine admission")
-            .wait()
-            .expect("engine job");
-        assert_eq!(report.result.combined, oracle.combined, "job {job} drifted");
-        assert_eq!(report.result.l2_error, oracle.l2_error, "job {job} drifted");
-        width = width.max(1 + report.outcome.workers_created());
-        if job == 20 {
+    // A job's coordinator, master and workers: the most threads it can
+    // occupy at once.
+    let mut job_width = 0;
+    let mut pending = VecDeque::new();
+    for job in 1..300 + width {
+        // `width` jobs submitted at all times; the last `width - 1` turns of
+        // the loop only collect.
+        if job <= 300 {
+            pending.push_back(
+                engine
+                    .submit(AppConfig::new(app))
+                    .expect("engine admission"),
+            );
+        }
+        if job < width {
+            continue;
+        }
+        let handle: JobHandle = pending.pop_front().expect("one job per turn");
+        let id = handle.id();
+        let report = handle.wait().expect("engine job");
+        assert_eq!(report.result.combined, oracle.combined, "job {id} drifted");
+        assert_eq!(report.result.l2_error, oracle.l2_error, "job {id} drifted");
+        job_width = job_width.max(2 + report.outcome.workers_created());
+        if id == 20 {
             warm = Some(engine.footprint());
         }
     }
+    assert!(pending.is_empty());
+    assert_eq!(engine.in_flight(), 0);
     let warm = warm.unwrap();
     let end = engine.footprint();
-    assert_eq!(warm.live_processes, 0, "a job's processes outlived it");
-    assert_eq!(warm.trace_records, 0, "a job's trace records outlived it");
-    // coordinator + `now` + `t` + the job's width, every job alike.
-    assert_eq!(warm.peak_live_processes, width + 3);
-    assert_eq!(
-        FleetFootprint {
-            threads_spawned: warm.threads_spawned,
-            ..end
-        },
-        warm,
-        "the fleet grew with jobs served"
-    );
+    if width == 1 {
+        assert_eq!(warm.live_processes, 0, "a job's processes outlived it");
+        assert_eq!(warm.trace_records, 0, "a job's trace records outlived it");
+    }
+    assert_eq!(end.live_processes, 0, "a job's processes outlived it");
+    assert_eq!(end.trace_records, 0, "a job's trace records outlived it");
+    // `now` + `t` + the job's width, for every job that can be in flight.
+    assert!(warm.peak_live_processes <= width * (job_width + 2));
+    assert!(end.peak_live_processes <= width * (job_width + 2));
+    if width == 1 {
+        assert_eq!(warm.peak_live_processes, job_width + 2, "every job alike");
+        assert_eq!(end.peak_live_processes, warm.peak_live_processes);
+    }
     // How many of a job's processes happen to be alive at once is the
-    // scheduler's business, so the thread count may creep up to the job's
-    // width — and not one thread further, however many jobs are served.
+    // scheduler's business, so the thread count may creep up to what
+    // `width` jobs can occupy — and not one thread further, however many
+    // jobs are served.
     assert!(
-        end.threads_spawned as usize <= width,
-        "{} threads for jobs {width} processes wide",
+        end.threads_spawned as usize <= width * job_width,
+        "{} threads for {width} jobs {job_width} processes wide",
         end.threads_spawned
     );
     if let (Some(before), Some(now)) = (threads_before, os_threads()) {
         assert!(
-            now <= before + width,
+            now <= before + width * job_width,
             "{now} OS threads, {before} before the fleet"
         );
     }

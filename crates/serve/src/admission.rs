@@ -118,7 +118,8 @@ pub enum Next {
     Job(QueuedJob),
     /// Draining and every queue is empty and nothing is in flight: stop.
     Drained,
-    /// Timed out waiting for work.
+    /// No job this time — the wait timed out, or ([`Admission::next_when`])
+    /// someone poked the dispatcher. Look around and ask again.
     Idle,
 }
 
@@ -154,6 +155,9 @@ struct Shared {
     /// Accepted jobs whose session vanished before service (these are
     /// *not* drain losses: nobody is waiting for them).
     orphaned: u64,
+    /// Set by [`Admission::poke`], cleared by the [`Admission::next_when`]
+    /// it wakes.
+    poked: bool,
 }
 
 /// Per-tenant statistics snapshot.
@@ -218,6 +222,7 @@ impl Admission {
                 served_total: 0,
                 rejected_total: 0,
                 orphaned: 0,
+                poked: false,
             }),
             cv: Condvar::new(),
         }
@@ -362,16 +367,7 @@ impl Admission {
         let deadline = Instant::now() + timeout;
         let mut s = self.m.lock();
         loop {
-            if let Some(idx) = pick_min_vtime(&s) {
-                let job = s.tenants[idx].queue.pop_front().expect("picked non-empty");
-                let t = &mut s.tenants[idx];
-                // Start-time fair queuing: charge 1/weight of virtual time
-                // and move the global clock to this job's start tag.
-                let start = t.vtime;
-                t.vtime += 1.0 / t.weight as f64;
-                s.clock = s.clock.max(start);
-                s.queued_total -= 1;
-                s.inflight += 1;
+            if let Some(job) = pop_min_vtime(&mut s) {
                 return Next::Job(job);
             }
             if s.draining && s.queued_total == 0 && s.inflight == 0 {
@@ -381,6 +377,38 @@ impl Admission {
                 return Next::Idle;
             }
         }
+    }
+
+    /// [`Admission::next`] for a dispatcher that keeps several jobs in
+    /// flight, and so has two things to wait for — a job to start, when it
+    /// has a slot free, and one of its running jobs to finish — and one
+    /// place to wait: here. Blocks until a job can be popped (only with
+    /// `slot_free`), the gate has drained, or someone calls
+    /// [`Admission::poke`]; a poke returns [`Next::Idle`], and one that
+    /// arrives while nobody waits is remembered for the next call.
+    pub fn next_when(&self, slot_free: bool) -> Next {
+        let mut s = self.m.lock();
+        loop {
+            if std::mem::take(&mut s.poked) {
+                return Next::Idle;
+            }
+            if slot_free {
+                if let Some(job) = pop_min_vtime(&mut s) {
+                    return Next::Job(job);
+                }
+            }
+            if s.draining && s.queued_total == 0 && s.inflight == 0 {
+                return Next::Drained;
+            }
+            self.cv.wait(&mut s);
+        }
+    }
+
+    /// Wake the dispatcher out of [`Admission::next_when`]: something it
+    /// should look at happened elsewhere (a job it started has finished).
+    pub fn poke(&self) {
+        self.m.lock().poked = true;
+        self.cv.notify_all();
     }
 
     /// Dispatcher side: account the completion of a popped job.
@@ -518,6 +546,22 @@ impl Admission {
                 .collect(),
         }
     }
+}
+
+/// Pop the head of the non-empty tenant queue with the smallest virtual
+/// time, accounting it as in flight.
+fn pop_min_vtime(s: &mut Shared) -> Option<QueuedJob> {
+    let idx = pick_min_vtime(s)?;
+    let job = s.tenants[idx].queue.pop_front().expect("picked non-empty");
+    let t = &mut s.tenants[idx];
+    // Start-time fair queuing: charge 1/weight of virtual time and move
+    // the global clock to this job's start tag.
+    let start = t.vtime;
+    t.vtime += 1.0 / t.weight as f64;
+    s.clock = s.clock.max(start);
+    s.queued_total -= 1;
+    s.inflight += 1;
+    Some(job)
 }
 
 /// Index of the non-empty tenant with the smallest virtual time
@@ -729,6 +773,45 @@ mod tests {
         // Drain still terminates: nothing is stuck in flight.
         adm.drain();
         assert!(matches!(adm.next(Duration::from_millis(50)), Next::Drained));
+    }
+
+    #[test]
+    fn next_when_pops_only_into_a_free_slot_and_remembers_pokes() {
+        let adm = Arc::new(Admission::new(AdmissionConfig::default()));
+        adm.register("t", 1);
+        let t: Arc<str> = Arc::from("t");
+        adm.offer(job(&t, 1));
+        adm.offer(job(&t, 2));
+        // A poke with nobody waiting is not lost, and comes out first.
+        adm.poke();
+        assert!(matches!(adm.next_when(true), Next::Idle));
+        let first = match adm.next_when(true) {
+            Next::Job(j) => j,
+            other => panic!("{other:?}"),
+        };
+        // No slot: the queued job stays queued; only a poke ends the wait.
+        let poker = {
+            let adm = Arc::clone(&adm);
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                adm.poke();
+            })
+        };
+        assert!(matches!(adm.next_when(false), Next::Idle));
+        poker.join().unwrap();
+        assert_eq!(adm.stats().queued, 1);
+        // Draining with a job still running is not yet drained.
+        adm.drain();
+        let second = match adm.next_when(true) {
+            Next::Job(j) => j,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!((first.seq, second.seq), (1, 2));
+        adm.complete(&first, true);
+        adm.poke();
+        assert!(matches!(adm.next_when(true), Next::Idle));
+        adm.complete(&second, true);
+        assert!(matches!(adm.next_when(true), Next::Drained));
     }
 
     #[test]

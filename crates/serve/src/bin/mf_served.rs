@@ -199,8 +199,12 @@ fn main() {
     if let Some(e) = &report.engine {
         println!(
             "mf-served:   engine: {} jobs, {} workers created, {} threads spawned, \
-             peak {} live processes",
-            e.jobs_served, e.fleet_workers_created, e.threads_spawned, e.peak_live_processes
+             peak {} live processes, peak {} in flight",
+            e.jobs_served,
+            e.fleet_workers_created,
+            e.threads_spawned,
+            e.peak_live_processes,
+            report.peak_in_flight
         );
     }
     if let Some(err) = &report.engine_error {

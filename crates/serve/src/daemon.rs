@@ -3,21 +3,24 @@
 //! Three kinds of thread cooperate around two shared structures:
 //!
 //! ```text
-//!  tenant sockets ──> reactor threads ──offer──> Admission ──next──┐
-//!        ^                 │  ^                                    │
-//!        │                 │  └── Session outbox <──send── dispatcher thread
-//!        └── poll/flush ───┘                                  │
-//!                                                      Engine::submit
+//!  tenant sockets ──> reactor threads ──offer──> Admission ──next_when──┐
+//!        ^                 │  ^                      ^                  │
+//!        │                 │  └── Session outbox <───│── dispatcher thread
+//!        └── poll/flush ───┘                       poke          │
+//!                                                    └── job ◄── Engine::submit
 //! ```
 //!
 //! The reactor threads ([`crate::reactor`]) never block on the engine:
 //! they decode a `Submit`, call [`Admission::offer`], and either return to
 //! `poll(2)` or queue a `Reject` — admission is a mutex push, so a slow
 //! solve never stalls the event loop. The single dispatcher thread owns
-//! the [`Engine`] (engines are deliberately not `Send`-shared; the daemon
-//! builds it *on* the dispatcher thread via a `Send` builder closure) and
-//! pulls jobs in weighted-fair order, multiplexing every tenant over the
-//! one persistent worker fleet.
+//! the [`Engine`] (the daemon builds it *on* the dispatcher thread via a
+//! `Send` builder closure) and keeps [`Engine::width`] jobs in flight on
+//! the one persistent worker fleet: whenever a slot is free it pulls the
+//! next job in weighted-fair order and submits it, and as each job
+//! finishes it journals the outcome and replies. It waits in one place —
+//! [`Admission::next_when`], which an offer, a drain and a finished job
+//! (the engine pokes the gate) all wake — so nothing is polled.
 //!
 //! **Drain** is the only shutdown: trigger it with a tenant `Drain`
 //! message, [`DrainTrigger::drain`] (the daemon binary wires SIGTERM to
@@ -41,7 +44,7 @@ use std::time::{Duration, Instant};
 
 use chaos::FaultPlan;
 use manifold::prelude::MfResult;
-use renovation::{AppConfig, Engine, EngineSummary};
+use renovation::{AppConfig, Engine, EngineSummary, JobHandle, JobReport};
 use solver::sequential::SequentialApp;
 use transport::Addr;
 
@@ -102,6 +105,9 @@ pub struct DaemonReport {
     pub peak_in_system: usize,
     /// Full admission-layer snapshot (per-tenant rows included).
     pub stats: AdmissionStats,
+    /// Most jobs the dispatcher had running in the engine at once — at
+    /// most the engine's width.
+    pub peak_in_flight: usize,
     /// The engine's own shutdown summary (`None` when the engine failed
     /// to construct or the dispatcher panicked).
     pub engine: Option<EngineSummary>,
@@ -133,6 +139,7 @@ impl DrainTrigger {
 
 /// What the dispatcher thread hands back when the drain completes.
 struct DispatchOutcome {
+    peak_in_flight: usize,
     engine: Option<EngineSummary>,
     engine_error: Option<String>,
 }
@@ -244,6 +251,7 @@ impl Daemon {
         let outcome = match self.dispatcher.take().expect("dispatcher running").join() {
             Ok(o) => o,
             Err(_) => DispatchOutcome {
+                peak_in_flight: 0,
                 engine: None,
                 engine_error: Some("dispatcher panicked".into()),
             },
@@ -258,6 +266,7 @@ impl Daemon {
             orphaned: stats.orphaned,
             peak_in_system: stats.peak_in_system,
             stats,
+            peak_in_flight: outcome.peak_in_flight,
             engine: outcome.engine,
             engine_error: outcome.engine_error,
             clean,
@@ -529,8 +538,24 @@ fn sigkill_self() -> ! {
 /// re-execute loop.
 const JOURNAL_RETRY_PAUSE: Duration = Duration::from_millis(100);
 
-/// The dispatcher: owns the engine, serves the fair-share queue until the
-/// drain empties it.
+/// What the dispatcher thread works with besides the engine.
+struct Dispatcher {
+    admission: Arc<Admission>,
+    registry: Arc<Registry>,
+    faults: Option<FaultPlan>,
+    journal: Option<Arc<Journal>>,
+    /// Per-tenant dispatched-job ordinals, the `on_job` coordinate of the
+    /// per-tenant fault vocabulary.
+    tenant_jobs: HashMap<Arc<str>, u64>,
+    /// daemonkill@N: die *after* journaling outcome N but *before* sending
+    /// it — the nastiest window, where only recovery + replay can save the
+    /// reply.
+    daemon_kill: Option<u64>,
+    outcomes: u64,
+}
+
+/// The dispatcher: owns the engine, keeps it full from the fair-share
+/// queue until the drain empties both.
 fn dispatch_loop(
     build_engine: EngineBuilder,
     admission: Arc<Admission>,
@@ -540,57 +565,92 @@ fn dispatch_loop(
 ) -> DispatchOutcome {
     let mut engine_error: Option<String> = None;
     let mut engine = match build_engine() {
-        Ok(e) => Some(e),
+        Ok(mut e) => {
+            let gate = Arc::clone(&admission);
+            e.on_job_finished(move || gate.poke());
+            Some(e)
+        }
         Err(e) => {
             engine_error = Some(format!("engine construction failed: {e}"));
             None
         }
     };
-    // Per-tenant dispatched-job ordinals, the `on_job` coordinate of the
-    // per-tenant fault vocabulary.
-    let mut tenant_jobs: HashMap<Arc<str>, u64> = HashMap::new();
-    // daemonkill@N: die *after* journaling outcome N but *before* sending
-    // it — the nastiest window, where only recovery + replay can save the
-    // reply.
-    let daemon_kill = faults.as_ref().and_then(|p| p.daemon_kill());
-    let mut outcomes: u64 = 0;
+    let width = engine.as_ref().map_or(1, Engine::width);
+    let mut d = Dispatcher {
+        daemon_kill: faults.as_ref().and_then(|p| p.daemon_kill()),
+        admission,
+        registry,
+        faults,
+        journal,
+        tenant_jobs: HashMap::new(),
+        outcomes: 0,
+    };
+    // Jobs running in the engine, oldest first; never more than `width`.
+    let mut running: Vec<(QueuedJob, JobHandle)> = Vec::new();
+    let mut peak_in_flight = 0;
 
     loop {
-        let job = match admission.next(Duration::from_millis(200)) {
-            Next::Idle => continue,
+        while let Some(i) = running.iter().position(|(_, h)| h.is_finished()) {
+            let (job, handle) = running.remove(i);
+            d.finish(job, handle.wait().map_err(|e| e.to_string()));
+        }
+        match d.admission.next_when(running.len() < width) {
+            Next::Idle => {}
             Next::Drained => break,
-            Next::Job(job) => job,
-        };
+            Next::Job(job) => {
+                d.start(job, engine.as_mut(), &engine_error, &mut running);
+                peak_in_flight = peak_in_flight.max(running.len());
+            }
+        }
+    }
+
+    // The backlog is empty and nothing is in flight: tell every session
+    // the drain completed *now*, from the thread that knows — waiting for
+    // the main thread to join us would deadlock any client blocking on
+    // this very message.
+    d.registry.broadcast(&ServeMsg::Drained {
+        served: d.admission.served_total(),
+    });
+    DispatchOutcome {
+        peak_in_flight,
+        engine: engine.take().map(Engine::shutdown),
+        engine_error,
+    }
+}
+
+impl Dispatcher {
+    /// Count `job` against its tenant's fault schedule: sleep out an
+    /// injected stall here, return the error of an injected failure.
+    fn injected_fault(&mut self, job: &QueuedJob) -> Option<String> {
         let n = {
-            let c = tenant_jobs.entry(Arc::clone(&job.tenant)).or_insert(0);
+            let c = self.tenant_jobs.entry(Arc::clone(&job.tenant)).or_insert(0);
             *c += 1;
             *c
         };
-
-        let mut injected: Option<String> = None;
-        if let Some(plan) = &faults {
-            if let Some(ord) = admission.ordinal(&job.tenant) {
-                let wf = plan.worker_faults(ord);
-                if let Some((on_job, millis)) = wf.stall_on_job {
-                    if on_job == n {
-                        std::thread::sleep(Duration::from_millis(millis));
-                    }
-                }
-                if wf.crash_on_job == Some(n)
-                    || wf.drop_on_job == Some(n)
-                    || wf.corrupt_on_job == Some(n)
-                {
-                    injected = Some(format!(
-                        "chaos: injected tenant fault on dispatched job {n}"
-                    ));
-                }
+        let plan = self.faults.as_ref()?;
+        let wf = plan.worker_faults(self.admission.ordinal(&job.tenant)?);
+        if let Some((on_job, millis)) = wf.stall_on_job {
+            if on_job == n {
+                std::thread::sleep(Duration::from_millis(millis));
             }
         }
+        (wf.crash_on_job == Some(n) || wf.drop_on_job == Some(n) || wf.corrupt_on_job == Some(n))
+            .then(|| format!("chaos: injected tenant fault on dispatched job {n}"))
+    }
 
-        let served = if let Some(err) = injected {
-            Err(err)
-        } else {
-            match engine.as_mut() {
+    /// Hand one popped job to the engine. A job that cannot be started —
+    /// an injected fault, no engine, a refused submit — is finished on the
+    /// spot with that error.
+    fn start(
+        &mut self,
+        job: QueuedJob,
+        engine: Option<&mut Engine>,
+        engine_error: &Option<String>,
+        running: &mut Vec<(QueuedJob, JobHandle)>,
+    ) {
+        let started = match self.injected_fault(&job) {
+            Some(err) => Err(err),
+            None => match engine {
                 None => Err(engine_error
                     .clone()
                     .unwrap_or_else(|| "engine unavailable".into())),
@@ -598,13 +658,28 @@ fn dispatch_loop(
                     .submit(AppConfig::new(SequentialApp::new(
                         job.root, job.level, job.tol,
                     )))
-                    .map_err(|e| e.to_string())
-                    .and_then(|h| h.wait().map_err(|e| e.to_string())),
-            }
+                    .map_err(|e| e.to_string()),
+            },
         };
+        match started {
+            Ok(handle) => running.push((job, handle)),
+            Err(error) => self.finish(job, Err(error)),
+        }
+    }
 
+    /// One more outcome is durable; `daemonkill@N` fires on the N-th.
+    fn outcome_journaled(&mut self) {
+        self.outcomes += 1;
+        if Some(self.outcomes) == self.daemon_kill {
+            sigkill_self();
+        }
+    }
+
+    /// Account, journal and answer one popped job's outcome.
+    fn finish(&mut self, job: QueuedJob, served: Result<JobReport, String>) {
+        let (admission, registry) = (Arc::clone(&self.admission), Arc::clone(&self.registry));
         match served {
-            Ok(report) => match &journal {
+            Ok(report) => match self.journal.clone() {
                 Some(j) => {
                     // Journal the outcome before sending it: a crash
                     // in between replays the reply; a crash before
@@ -616,10 +691,7 @@ fn dispatch_loop(
                     };
                     match j.record_outcome(&job.tenant, job.seq, &body) {
                         Ok(rseq) => {
-                            outcomes += 1;
-                            if Some(outcomes) == daemon_kill {
-                                sigkill_self();
-                            }
+                            self.outcome_journaled();
                             if let Some(s) = registry.tenant_session(&job.tenant) {
                                 s.send(&body.to_msg(job.seq, rseq));
                             }
@@ -664,17 +736,14 @@ fn dispatch_loop(
                 // spent retry budget surfaces the failure to the tenant.
                 if admission.charge_failure(job).is_none() {
                     let (tenant, seq) = (final_copy.tenant.clone(), final_copy.seq);
-                    match &journal {
+                    match self.journal.clone() {
                         Some(j) => {
                             let body = OutcomeBody::Fail {
                                 error: error.clone(),
                             };
                             match j.record_outcome(&tenant, seq, &body) {
                                 Ok(rseq) => {
-                                    outcomes += 1;
-                                    if Some(outcomes) == daemon_kill {
-                                        sigkill_self();
-                                    }
+                                    self.outcome_journaled();
                                     if let Some(s) = registry.tenant_session(&tenant) {
                                         s.send(&body.to_msg(seq, rseq));
                                     }
@@ -712,17 +781,5 @@ fn dispatch_loop(
                 }
             }
         }
-    }
-
-    // The backlog is empty and nothing is in flight: tell every session
-    // the drain completed *now*, from the thread that knows — waiting for
-    // the main thread to join us would deadlock any client blocking on
-    // this very message.
-    registry.broadcast(&ServeMsg::Drained {
-        served: admission.served_total(),
-    });
-    DispatchOutcome {
-        engine: engine.take().map(Engine::shutdown),
-        engine_error,
     }
 }

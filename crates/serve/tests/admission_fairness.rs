@@ -1,9 +1,10 @@
 //! Fair-share guarantees of the admission layer, pinned deterministically:
 //! a tenant that floods its bounded queue cannot starve a light tenant,
-//! and weights shift the interleave in the promised ratio.
+//! and weights shift the interleave in the promised ratio — whether the
+//! dispatcher runs one job at a time or keeps two in flight.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use serve::admission::{Admission, AdmissionConfig, Next, QueuedJob};
 
@@ -20,16 +21,30 @@ fn job(tenant: &Arc<str>, seq: u64) -> QueuedJob {
     }
 }
 
-fn pop_order(adm: &Admission, total: usize) -> Vec<(String, u64)> {
+/// Dispatcher widths the guarantees are pinned at.
+const WIDTHS: [usize; 2] = [1, 2];
+
+/// Pop `total` jobs the way a dispatcher `width` jobs wide does: a job is
+/// popped whenever a slot is free, and with every slot taken the *newest*
+/// running job completes first — overlapped jobs do not finish in the
+/// order they started.
+fn pop_order(adm: &Admission, total: usize, width: usize) -> Vec<(String, u64)> {
     let mut order = Vec::with_capacity(total);
-    for _ in 0..total {
-        match adm.next(Duration::from_secs(1)) {
+    let mut running: Vec<QueuedJob> = Vec::new();
+    while order.len() < total {
+        match adm.next_when(running.len() < width) {
             Next::Job(j) => {
                 order.push((j.tenant.to_string(), j.seq));
-                adm.complete(&j, true);
+                running.push(j);
             }
             other => panic!("expected a job, got {other:?}"),
         }
+        if running.len() == width {
+            adm.complete(&running.pop().unwrap(), true);
+        }
+    }
+    for j in running {
+        adm.complete(&j, true);
     }
     order
 }
@@ -42,6 +57,10 @@ fn pop_order(adm: &Admission, total: usize) -> Vec<(String, u64)> {
 /// than the greedy backlog it arrived behind.
 #[test]
 fn greedy_tenant_cannot_starve_a_light_tenants_p99() {
+    WIDTHS.into_iter().for_each(greedy_cannot_starve_light);
+}
+
+fn greedy_cannot_starve_light(width: usize) {
     let adm = Admission::new(AdmissionConfig {
         queue_cap: 1000,
         ..AdmissionConfig::default()
@@ -57,7 +76,7 @@ fn greedy_tenant_cannot_starve_a_light_tenants_p99() {
         adm.offer(job(&light, 1000 + i));
     }
 
-    let order = pop_order(&adm, 510);
+    let order = pop_order(&adm, 510, width);
     let light_positions: Vec<usize> = order
         .iter()
         .enumerate()
@@ -88,6 +107,10 @@ fn greedy_tenant_cannot_starve_a_light_tenants_p99() {
 /// while both queues are non-empty, exactly.
 #[test]
 fn weights_split_service_in_ratio() {
+    WIDTHS.into_iter().for_each(weights_split_service);
+}
+
+fn weights_split_service(width: usize) {
     let adm = Admission::new(AdmissionConfig {
         queue_cap: 1000,
         ..AdmissionConfig::default()
@@ -102,7 +125,7 @@ fn weights_split_service_in_ratio() {
     for i in 0..30 {
         adm.offer(job(&free, 1000 + i));
     }
-    let order = pop_order(&adm, 120);
+    let order = pop_order(&adm, 120, width);
     // While both are backlogged (first 120 pops cover exactly both
     // queues), every window of 4 pops contains exactly 3 paying jobs.
     let paying_served = order.iter().take(40).filter(|(t, _)| t == "paying").count();
@@ -113,6 +136,10 @@ fn weights_split_service_in_ratio() {
 /// bank a burst entitlement that would starve the others later.
 #[test]
 fn idle_time_is_not_a_burst_entitlement() {
+    WIDTHS.into_iter().for_each(idle_time_is_not_banked);
+}
+
+fn idle_time_is_not_banked(width: usize) {
     let adm = Admission::new(AdmissionConfig {
         queue_cap: 1000,
         ..AdmissionConfig::default()
@@ -125,14 +152,14 @@ fn idle_time_is_not_a_burst_entitlement() {
     for i in 0..100 {
         adm.offer(job(&steady, i));
     }
-    let _ = pop_order(&adm, 100);
+    let _ = pop_order(&adm, 100, width);
     // Now both offer 20: the sleeper must *share* from here (1:1), not
     // get 20 consecutive pops as repayment for its idle time.
     for i in 0..20 {
         adm.offer(job(&steady, 200 + i));
         adm.offer(job(&sleeper, 300 + i));
     }
-    let order = pop_order(&adm, 40);
+    let order = pop_order(&adm, 40, width);
     let sleeper_in_first_10 = order
         .iter()
         .take(10)

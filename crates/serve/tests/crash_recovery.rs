@@ -29,20 +29,55 @@ fn scratch(tag: &str) -> (PathBuf, PathBuf) {
     (base.join("sock"), base.join("journal"))
 }
 
-fn spawn_daemon(sock: &Path, journal: &Path, faults: Option<&str>) -> Child {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_mf-served"));
+/// Which fleet the daemon under test serves from, and hence how many
+/// jobs it keeps in flight.
+#[derive(Clone, Copy)]
+enum Fleet {
+    /// One virtual timeline: one job at a time.
+    Sim,
+    /// Two worker processes: two jobs at a time.
+    Procs,
+}
+
+/// Every incarnation's standard output, appended: the drain reports.
+fn stdout_log(journal: &Path) -> PathBuf {
+    journal.with_file_name("stdout")
+}
+
+fn spawn_daemon(sock: &Path, journal: &Path, fleet: Fleet, faults: Option<&str>) -> Child {
+    let served = Path::new(env!("CARGO_BIN_EXE_mf-served"));
+    let stdout = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(stdout_log(journal))
+        .expect("daemon stdout log");
+    let mut cmd = Command::new(served);
     cmd.arg("--listen")
         .arg(format!("unix:{}", sock.display()))
-        .arg("--backend")
-        .arg("sim")
         .arg("--journal")
         .arg(journal)
         .arg("--capacity-level")
         .arg("4")
         .arg("--queue-cap")
         .arg("256")
-        .stdout(Stdio::null())
+        .stdout(stdout)
         .stderr(Stdio::null());
+    match fleet {
+        Fleet::Sim => cmd.args(["--backend", "sim"]),
+        Fleet::Procs => {
+            // Built by the same cargo invocation into the same directory
+            // (`cargo test` builds every workspace member's binaries; on
+            // its own, `cargo build -p renovation` does).
+            let worker = served.with_file_name("subsolve_worker");
+            assert!(
+                worker.is_file(),
+                "{} is missing — build the renovation crate's binaries first",
+                worker.display()
+            );
+            cmd.args(["--backend", "procs", "--instances", "2", "--worker-exe"])
+                .arg(worker)
+        }
+    };
     if let Some(f) = faults {
         cmd.arg("--faults").arg(f);
     }
@@ -55,6 +90,7 @@ fn spawn_daemon(sock: &Path, journal: &Path, faults: Option<&str>) -> Child {
 fn supervise(
     sock: PathBuf,
     journal: PathBuf,
+    fleet: Fleet,
     mut child: Child,
     fault_schedule: Vec<Option<String>>,
     done: Arc<AtomicBool>,
@@ -77,7 +113,7 @@ fn supervise(
                 .get(incarnation)
                 .and_then(|f| f.as_deref())
                 .map(str::to_string);
-            child = spawn_daemon(&sock, &journal, faults.as_deref());
+            child = spawn_daemon(&sock, &journal, fleet, faults.as_deref());
         }
     })
 }
@@ -163,15 +199,28 @@ fn run_tenant(
     let _ = c.bye();
 }
 
-/// The full scenario: spawn, load, kill per `fault_schedule`, drain,
-/// assert exactly-once + bit-identity throughout. Returns (kills,
-/// replayed-duplicates-suppressed).
+/// The full scenario on the one-job-at-a-time fleet.
 fn crash_scenario(
     tag: &str,
     tenants: usize,
     jobs_per_tenant: u64,
     schedule: Vec<Option<String>>,
 ) -> (u32, u64) {
+    let (kills, suppressed, _) =
+        crash_scenario_on(Fleet::Sim, tag, tenants, jobs_per_tenant, schedule);
+    (kills, suppressed)
+}
+
+/// The full scenario: spawn, load, kill per `fault_schedule`, drain,
+/// assert exactly-once + bit-identity throughout. Returns (kills,
+/// replayed-duplicates-suppressed, what the incarnations printed).
+fn crash_scenario_on(
+    fleet: Fleet,
+    tag: &str,
+    tenants: usize,
+    jobs_per_tenant: u64,
+    schedule: Vec<Option<String>>,
+) -> (u32, u64, String) {
     let (sock, journal) = scratch(tag);
     let addr = Addr::Unix(sock.clone());
 
@@ -188,10 +237,16 @@ fn crash_scenario(
     let oracle = Arc::new(oracle);
 
     let done = Arc::new(AtomicBool::new(false));
-    let child = spawn_daemon(&sock, &journal, schedule.first().and_then(|f| f.as_deref()));
+    let child = spawn_daemon(
+        &sock,
+        &journal,
+        fleet,
+        schedule.first().and_then(|f| f.as_deref()),
+    );
     let sup = supervise(
         sock.clone(),
         journal.clone(),
+        fleet,
         child,
         schedule,
         Arc::clone(&done),
@@ -247,8 +302,9 @@ fn crash_scenario(
     let (kills, clean_exit) = sup.join().unwrap();
     assert!(clean_exit, "final incarnation must drain and exit 0");
 
+    let printed = std::fs::read_to_string(stdout_log(&journal)).unwrap_or_default();
     let _ = std::fs::remove_dir_all(sock.parent().unwrap());
-    (kills, suppressed.load(Ordering::Relaxed))
+    (kills, suppressed.load(Ordering::Relaxed), printed)
 }
 
 /// Control: journal on, no kills — the durable path serves like the
@@ -290,4 +346,29 @@ fn repeated_kills_compose_across_incarnations() {
         ],
     );
     assert_eq!(kills, 2, "both induced crashes must fire");
+}
+
+/// The same kill with two jobs in flight. Whichever outcome the daemon
+/// dies on, the job beside it in the engine (and whatever had already
+/// refilled the freed slot) is Pending in the journal with no outcome: the
+/// next incarnation re-runs each of them once, replays the journaled
+/// reply, and no tenant sees a duplicate — `run_tenant` panics on one.
+#[test]
+fn a_kill_with_two_jobs_in_flight_reruns_each_pending_job_once() {
+    for k in [1u64, 2, 5] {
+        let (kills, _, printed) = crash_scenario_on(
+            Fleet::Procs,
+            &format!("overlap{k}"),
+            4,
+            4,
+            vec![Some(format!("daemonkill@{k}"))],
+        );
+        assert_eq!(kills, 1, "kill point {k}: exactly one induced crash");
+        // Only the surviving incarnation printed a drain report: all 16
+        // jobs answered, two at a time.
+        assert!(
+            printed.contains("peak 2 in flight"),
+            "kill point {k}: the daemon never overlapped two jobs:\n{printed}"
+        );
+    }
 }

@@ -49,15 +49,57 @@ impl std::fmt::Display for Addr {
     }
 }
 
-/// An established connection, either flavour, speaking framed [`Message`]s.
-pub enum Conn {
-    /// TCP stream (cross-host capable).
+/// Receive-buffer size. A subsolve's request and its reply are a few
+/// hundred bytes, so one `read` normally brings in a whole frame — and
+/// whatever heartbeat sits in front of it — header and payload together.
+const RECV_BUF: usize = 4096;
+
+enum Sock {
     Tcp(TcpStream),
-    /// Unix-domain stream (same-host, lower latency).
     Unix(UnixStream),
 }
 
+/// An established connection, either flavour, speaking framed [`Message`]s.
+///
+/// Reads go through a small receive buffer, so a frame costs one `read`
+/// instead of one per header and payload; a read at least as large as the
+/// buffer bypasses it, so the body of a big frame lands straight in its
+/// payload vector. Writes are unbuffered: [`write_frame`] hands header and
+/// payload to the socket in one vectored write.
+pub struct Conn {
+    sock: Sock,
+    /// Received but not yet consumed: `rbuf[pos..end]`. Allocated on the
+    /// first read, so a handle that only writes never has one.
+    rbuf: Vec<u8>,
+    pos: usize,
+    end: usize,
+}
+
+// The two constructors keep the names (and call shape) of the enum
+// variants `Conn` had before it grew a buffer.
+#[allow(non_snake_case)]
 impl Conn {
+    /// Wrap a connected TCP stream (cross-host capable).
+    pub fn Tcp(s: TcpStream) -> Conn {
+        Conn::over(Sock::Tcp(s))
+    }
+
+    /// Wrap a connected Unix-domain stream (same-host, lower latency).
+    pub fn Unix(s: UnixStream) -> Conn {
+        Conn::over(Sock::Unix(s))
+    }
+}
+
+impl Conn {
+    fn over(sock: Sock) -> Conn {
+        Conn {
+            sock,
+            rbuf: Vec::new(),
+            pos: 0,
+            end: 0,
+        }
+    }
+
     /// Connect once, with a connect timeout for TCP (Unix-domain connects
     /// are effectively immediate).
     pub fn connect(addr: &Addr, timeout: Duration) -> std::io::Result<Conn> {
@@ -85,36 +127,39 @@ impl Conn {
 
     /// Read timeout for subsequent `recv_msg` calls (`None` blocks forever).
     pub fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_read_timeout(t),
-            Conn::Unix(s) => s.set_read_timeout(t),
+        match &self.sock {
+            Sock::Tcp(s) => s.set_read_timeout(t),
+            Sock::Unix(s) => s.set_read_timeout(t),
         }
     }
 
     /// Write timeout for subsequent `send_msg` calls.
     pub fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_write_timeout(t),
-            Conn::Unix(s) => s.set_write_timeout(t),
+        match &self.sock {
+            Sock::Tcp(s) => s.set_write_timeout(t),
+            Sock::Unix(s) => s.set_write_timeout(t),
         }
     }
 
     /// Duplicate the handle (shared socket), so one thread can write
-    /// heartbeats while another blocks in `recv_msg`.
+    /// heartbeats while another blocks in `recv_msg`. The duplicate starts
+    /// with an empty receive buffer of its own: bytes this handle has
+    /// already buffered stay here, so only one of the two may be the
+    /// reader.
     pub fn try_clone(&self) -> std::io::Result<Conn> {
-        Ok(match self {
-            Conn::Tcp(s) => Conn::Tcp(s.try_clone()?),
-            Conn::Unix(s) => Conn::Unix(s.try_clone()?),
+        Ok(match &self.sock {
+            Sock::Tcp(s) => Conn::Tcp(s.try_clone()?),
+            Sock::Unix(s) => Conn::Unix(s.try_clone()?),
         })
     }
 
     /// Shut down both directions, unblocking any thread inside a read.
     pub fn shutdown(&self) {
-        match self {
-            Conn::Tcp(s) => {
+        match &self.sock {
+            Sock::Tcp(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
-            Conn::Unix(s) => {
+            Sock::Unix(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -137,26 +182,49 @@ impl Conn {
     }
 }
 
-impl Read for Conn {
+impl Read for Sock {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
+            Sock::Tcp(s) => s.read(buf),
+            Sock::Unix(s) => s.read(buf),
         }
+    }
+}
+
+impl Read for Conn {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.pos == self.end {
+            if buf.len() >= RECV_BUF {
+                return self.sock.read(buf);
+            }
+            self.rbuf.resize(RECV_BUF, 0);
+            (self.pos, self.end) = (0, 0);
+            self.end = self.sock.read(&mut self.rbuf)?;
+        }
+        let n = buf.len().min(self.end - self.pos);
+        buf[..n].copy_from_slice(&self.rbuf[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 }
 
 impl Write for Conn {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
+        match &mut self.sock {
+            Sock::Tcp(s) => s.write(buf),
+            Sock::Unix(s) => s.write(buf),
+        }
+    }
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        match &mut self.sock {
+            Sock::Tcp(s) => s.write_vectored(bufs),
+            Sock::Unix(s) => s.write_vectored(bufs),
         }
     }
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
+        match &mut self.sock {
+            Sock::Tcp(s) => s.flush(),
+            Sock::Unix(s) => s.flush(),
         }
     }
 }
@@ -265,6 +333,113 @@ mod tests {
         server.join().unwrap();
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A connected pair: the raw far end, and a `Conn` over the near end.
+    fn pair() -> (UnixStream, Conn) {
+        let (far, near) = UnixStream::pair().unwrap();
+        (far, Conn::Unix(near))
+    }
+
+    fn done(seq: u64) -> Message {
+        Message::Done {
+            seq,
+            job: 3,
+            payload: Unit::tuple(vec![Unit::real(0.25), Unit::text("grid")]),
+        }
+    }
+
+    #[test]
+    fn frames_arriving_in_one_read_come_out_one_by_one() {
+        let (mut far, mut conn) = pair();
+        // A heartbeat, the reply behind it and the next reply, written as
+        // one burst: the first `recv_msg` buffers all three.
+        let mut burst = Vec::new();
+        for m in [Message::Heartbeat, done(1), done(2)] {
+            burst.extend(crate::frame_vec(&m.encode().unwrap()));
+        }
+        far.write_all(&burst).unwrap();
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), Message::Heartbeat);
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), done(1));
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), done(2));
+        drop(far);
+        assert!(
+            conn.recv_msg().unwrap().is_none(),
+            "clean EOF after the burst"
+        );
+    }
+
+    #[test]
+    fn a_frame_dribbling_in_bytewise_is_reassembled() {
+        let (mut far, mut conn) = pair();
+        let bytes = crate::frame_vec(&done(7).encode().unwrap());
+        let writer = std::thread::spawn(move || {
+            for b in bytes {
+                far.write_all(&[b]).unwrap();
+                std::thread::yield_now();
+            }
+            far
+        });
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), done(7));
+        let far = writer.join().unwrap();
+        // EOF in the middle of the next frame is an error, not a clean close.
+        let mut far = far;
+        far.write_all(&crate::frame_vec(b"abcdef")[..5]).unwrap();
+        drop(far);
+        assert!(conn.recv_msg().is_err());
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_buffer_round_trips() {
+        let (far, mut conn) = pair();
+        let big = Message::Done {
+            seq: 1,
+            job: 0,
+            payload: Unit::text("x".repeat(10 * RECV_BUF)),
+        };
+        let mut far = Conn::Unix(far);
+        let sent = big.clone();
+        let writer = std::thread::spawn(move || {
+            far.send_msg(&sent).unwrap();
+            far.send_msg(&Message::Heartbeat).unwrap();
+        });
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), big);
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), Message::Heartbeat);
+        writer.join().unwrap();
+    }
+
+    #[test]
+    fn a_corrupt_frame_is_rejected_through_the_buffer() {
+        let (mut far, mut conn) = pair();
+        let mut burst = crate::frame_vec(&Message::Heartbeat.encode().unwrap());
+        let mut bad = crate::frame_vec(&done(1).encode().unwrap());
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        burst.extend(bad);
+        far.write_all(&burst).unwrap();
+        // The good frame in front still decodes; the flipped bit behind it
+        // is a checksum error, never a message.
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), Message::Heartbeat);
+        let err = conn.recv_msg().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("checksum"), "got: {err}");
+    }
+
+    #[test]
+    fn a_cloned_handle_starts_with_an_empty_buffer() {
+        let (mut far, mut conn) = pair();
+        far.write_all(&crate::frame_vec(&done(1).encode().unwrap()))
+            .unwrap();
+        far.write_all(&crate::frame_vec(&done(2).encode().unwrap()))
+            .unwrap();
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), done(1));
+        // done(2) is already in `conn`'s buffer; the clone shares the
+        // socket, not those bytes, and writes without ever allocating.
+        let mut writer = conn.try_clone().unwrap();
+        assert!(writer.rbuf.is_empty());
+        writer.send_msg(&Message::Heartbeat).unwrap();
+        assert!(writer.rbuf.is_empty());
+        assert_eq!(conn.recv_msg().unwrap().unwrap(), done(2));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   split-at-arbitrary-boundaries property tests exercise.
 
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 use crate::WireError;
 
@@ -61,7 +61,10 @@ fn header_for(payload: &[u8]) -> [u8; HEADER_LEN] {
     h
 }
 
-/// Write one frame (length + CRC header, then the payload).
+/// Write one frame (length + CRC header, then the payload). Header and
+/// payload go out in one vectored write — one syscall and, on a
+/// `TCP_NODELAY` socket, one segment — with ordinary writes finishing
+/// whatever a short write left behind.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME || u32::try_from(payload.len()).is_err() {
         return Err(std::io::Error::new(
@@ -69,8 +72,19 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
             "frame too long",
         ));
     }
-    w.write_all(&header_for(payload))?;
-    w.write_all(payload)?;
+    let header = header_for(payload);
+    let sent = loop {
+        match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if sent < HEADER_LEN {
+        w.write_all(&header[sent..])?;
+    }
+    w.write_all(&payload[sent.saturating_sub(HEADER_LEN)..])?;
     w.flush()
 }
 

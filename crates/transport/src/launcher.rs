@@ -66,7 +66,7 @@ pub struct PoolConfig {
     pub respawn_budget: usize,
     /// Number of shard pools the fleet is partitioned into. Each slot is
     /// assigned pool `index % shards` in its `HelloAck`; checkouts can
-    /// prefer a pool with [`RemoteWorkerPool::checkout_pool`]. 1 (the
+    /// prefer a pool with [`RemoteWorkerPool::checkout_for`]. 1 (the
     /// default) is the flat fleet.
     pub shards: usize,
 }
@@ -205,7 +205,6 @@ struct Slot {
     index: u64,
     /// Shard pool this slot serves (assigned in its `HelloAck`).
     pool: u64,
-    job_timeout: Duration,
     state: Mutex<SlotState>,
     seq: AtomicU64,
 }
@@ -225,9 +224,6 @@ struct PoolInner {
     // Monotonic instance-index source; never reused, so a joined worker
     // can never be confused with a departed one.
     next_index: AtomicU64,
-    // Engine-job id stamped on every Job frame; replies must echo it.
-    // One-shot pools leave it at 0 for their whole life.
-    current_job: Arc<AtomicU64>,
 }
 
 /// A pool of remote task instances implementing [`ConduitSource`].
@@ -261,7 +257,6 @@ impl RemoteWorkerPool {
             ),
             next: AtomicUsize::new(0),
             next_index: AtomicU64::new(instances),
-            current_job: Arc::new(AtomicU64::new(0)),
             cfg,
         });
         let slots: Vec<Arc<Slot>> = inner.slots.read().clone();
@@ -275,19 +270,6 @@ impl RemoteWorkerPool {
     /// The address children connect back to (`tcp:…` / `unix:…`).
     pub fn addr(&self) -> Addr {
         self.inner.addr.clone()
-    }
-
-    /// Tag every subsequent `Job` frame with this engine-job id. The pool
-    /// (children, connections, respawn budgets) survives across jobs; the
-    /// tag is what keeps a stale reply from a previous job from being
-    /// mistaken for this one's.
-    pub fn set_current_job(&self, job: u64) {
-        self.inner.current_job.store(job, Ordering::Relaxed);
-    }
-
-    /// The engine-job id currently stamped on outgoing work.
-    pub fn current_job(&self) -> u64 {
-        self.inner.current_job.load(Ordering::Relaxed)
     }
 
     /// Number of slots with a live connection right now.
@@ -432,7 +414,6 @@ fn new_slot(cfg: &PoolConfig, index: u64, pool: u64) -> Arc<Slot> {
     Arc::new(Slot {
         index,
         pool,
-        job_timeout: cfg.job_timeout,
         state: Mutex::new(SlotState {
             conn: None,
             identity: RemoteIdentity {
@@ -505,6 +486,10 @@ fn bring_up(inner: &PoolInner, slot_index: u64, pool: u64, st: &mut SlotState) -
                 }
                 conn.send_msg(&Message::HelloAck { instance, pool })
                     .map_err(app_err)?;
+                // From here on the connection only carries jobs: the
+                // liveness window is set once, not per job.
+                conn.set_read_timeout(Some(cfg.job_timeout))
+                    .map_err(app_err)?;
                 st.conn = Some(conn);
                 st.identity = RemoteIdentity {
                     host: HostName::new(host),
@@ -523,12 +508,22 @@ fn bring_up(inner: &PoolInner, slot_index: u64, pool: u64, st: &mut SlotState) -
 }
 
 impl RemoteWorkerPool {
-    /// Check out a conduit, preferring workers assigned to `pool`. This is
-    /// the sharded fleet's locality hint: a shard master asks for its own
-    /// pool first and falls back to any live worker — worker-level work
-    /// stealing — when its pool is busy, dead, or departed. `None` is the
-    /// flat round-robin.
-    pub fn checkout_pool(&self, pool: Option<u64>) -> MfResult<Arc<dyn RemoteConduit>> {
+    /// Check out a conduit for engine job `job`, preferring workers
+    /// assigned to `pool`. Every `Job` frame the conduit sends carries
+    /// `job` and every reply must echo it: the pool (children,
+    /// connections, respawn budgets) outlives jobs and serves several at
+    /// once, and the tag is what keeps a frame belonging to another job —
+    /// an earlier one or a concurrent one — from being taken for this
+    /// one's. One-shot callers pass 0.
+    ///
+    /// `pool` is the sharded fleet's locality hint: a shard master asks
+    /// for its own pool first and falls back to any live worker —
+    /// worker-level work stealing — when its pool is dead or departed.
+    /// `None` is the flat round-robin. Either way a worker that is not
+    /// executing right now is taken before one that is, so jobs sharing
+    /// the fleet spread over it instead of queueing behind each other on
+    /// the round-robin cursor.
+    pub fn checkout_for(&self, job: u64, pool: Option<u64>) -> MfResult<Arc<dyn RemoteConduit>> {
         let slots: Vec<Arc<Slot>> = self.inner.slots.read().clone();
         let n = slots.len();
         if n == 0 {
@@ -542,30 +537,40 @@ impl RemoteWorkerPool {
             None => &[None],
         };
         for &want in passes {
-            for i in 0..n {
-                let slot = &slots[(start + i) % n];
-                if want.is_some_and(|p| slot.pool != p) {
-                    continue;
-                }
-                let mut st = slot.state.lock();
-                if st.departed {
-                    continue;
-                }
-                if st.conn.is_none() && st.respawns_left > 0 {
-                    st.respawns_left -= 1;
-                    let delay = st.backoff.step();
-                    std::thread::sleep(delay);
-                    if let Err(e) = bring_up(&self.inner, slot.index, slot.pool, &mut st) {
-                        st.mark_dead();
-                        // Keep scanning for another live slot.
-                        let _ = e;
+            // Two sweeps: first the workers not executing right now (a job
+            // in flight holds its slot's state lock for the whole round
+            // trip), then whichever comes free.
+            for wait in [false, true] {
+                for slot in (0..n).map(|i| &slots[(start + i) % n]) {
+                    if want.is_some_and(|p| slot.pool != p) {
+                        continue;
                     }
-                }
-                if st.conn.is_some() {
-                    return Ok(Arc::new(SlotConduit {
-                        slot: Arc::clone(slot),
-                        job: Arc::clone(&self.inner.current_job),
-                    }));
+                    let mut st = if wait {
+                        slot.state.lock()
+                    } else {
+                        match slot.state.try_lock() {
+                            Some(st) => st,
+                            None => continue,
+                        }
+                    };
+                    if st.departed {
+                        continue;
+                    }
+                    if st.conn.is_none() && st.respawns_left > 0 {
+                        st.respawns_left -= 1;
+                        let delay = st.backoff.step();
+                        std::thread::sleep(delay);
+                        if bring_up(&self.inner, slot.index, slot.pool, &mut st).is_err() {
+                            // Keep scanning for another live slot.
+                            st.mark_dead();
+                        }
+                    }
+                    if st.conn.is_some() {
+                        return Ok(Arc::new(SlotConduit {
+                            slot: Arc::clone(slot),
+                            job,
+                        }));
+                    }
                 }
             }
         }
@@ -577,29 +582,26 @@ impl RemoteWorkerPool {
 
 impl ConduitSource for RemoteWorkerPool {
     fn checkout(&self) -> MfResult<Arc<dyn RemoteConduit>> {
-        self.checkout_pool(None)
+        self.checkout_for(0, None)
     }
 }
 
 struct SlotConduit {
     slot: Arc<Slot>,
-    job: Arc<AtomicU64>,
+    /// Engine-job tag this conduit stamps and expects back.
+    job: u64,
 }
 
 impl RemoteConduit for SlotConduit {
     fn execute(&self, job: Unit) -> MfResult<Unit> {
         let seq = self.slot.seq.fetch_add(1, Ordering::Relaxed);
-        let engine_job = self.job.load(Ordering::Relaxed);
+        let engine_job = self.job;
         let mut st = self.slot.state.lock();
         let index = self.slot.index;
         let conn = st
             .conn
             .as_mut()
             .ok_or_else(|| app_err(format!("instance {index} is dead")))?;
-        if conn.set_read_timeout(Some(self.slot.job_timeout)).is_err() {
-            st.mark_dead();
-            return Err(app_err(format!("instance {index} lost (socket error)")));
-        }
         if let Err(e) = conn.send_msg(&Message::Job {
             seq,
             job: engine_job,
@@ -615,8 +617,8 @@ impl RemoteConduit for SlotConduit {
                 Ok(Some(Message::Heartbeat)) => continue,
                 // A reply counts only when it echoes both the sequence
                 // number and the engine-job tag; anything else on a
-                // long-lived connection is a stale frame from an earlier
-                // job and poisons the slot below.
+                // long-lived connection is a frame of some other job —
+                // earlier or concurrent — and poisons the slot below.
                 Ok(Some(Message::Done {
                     seq: s,
                     job: j,
@@ -809,8 +811,8 @@ mod tests {
         pool.shutdown();
     }
 
-    /// "Children" that echo a *stale* engine-job tag on every reply, the
-    /// way a delayed frame from a previous job would look.
+    /// "Children" that answer every job with the *next* engine-job's tag,
+    /// the way a frame delivered to the wrong job would look.
     struct StaleTagSpawner;
 
     impl Spawner for StaleTagSpawner {
@@ -844,27 +846,80 @@ mod tests {
     fn job_tag_is_stamped_and_stale_replies_poison_the_slot() {
         let spawner = Arc::new(ThreadSpawner::new(None));
         let pool = RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), spawner).unwrap();
-        assert_eq!(pool.current_job(), 0);
-        pool.set_current_job(5);
-        assert_eq!(pool.current_job(), 5);
         // The serve loop echoes whatever tag the Job carried, so a healthy
-        // child still round-trips under a nonzero tag.
-        let c = pool.checkout().unwrap();
-        let out = c.execute(Unit::real(3.0)).unwrap();
-        assert_eq!(out, Unit::tuple(vec![Unit::int(0), Unit::real(3.0)]));
+        // child round-trips under any tag — and under two tags at once:
+        // conduits of different jobs share the one connection.
+        let a = pool.checkout_for(5, None).unwrap();
+        let b = pool.checkout_for(6, None).unwrap();
+        for c in [&a, &b, &a] {
+            let out = c.execute(Unit::real(3.0)).unwrap();
+            assert_eq!(out, Unit::tuple(vec![Unit::int(0), Unit::real(3.0)]));
+        }
         pool.shutdown();
 
-        // A child that echoes the wrong tag is indistinguishable from a
-        // stale frame of an earlier job: the conduit must not hand its
-        // payload to the current job.
+        // A child that echoes the wrong tag — here the tag of the job
+        // holding the other conduit, live at the same moment — is
+        // indistinguishable from a frame gone astray: the conduit must not
+        // hand its payload to either job.
         let mut cfg = quick_cfg(1, BindMode::Tcp);
         cfg.respawn_budget = 0;
         let pool = RemoteWorkerPool::launch(cfg, Arc::new(StaleTagSpawner)).unwrap();
-        pool.set_current_job(9);
-        let c = pool.checkout().unwrap();
-        let err = c.execute(Unit::int(1)).unwrap_err();
+        let c9 = pool.checkout_for(9, None).unwrap();
+        let c10 = pool.checkout_for(10, None).unwrap();
+        let err = c9.execute(Unit::int(1)).unwrap_err();
         assert!(err.to_string().contains("protocol confusion"), "got: {err}");
-        assert_eq!(pool.live_count(), 0, "stale reply must poison the slot");
+        assert_eq!(pool.live_count(), 0, "a foreign tag must poison the slot");
+        assert!(
+            c10.execute(Unit::int(1)).is_err(),
+            "the slot is dead for both"
+        );
+    }
+
+    /// "Children" that answer every job with a heartbeat and the reply in
+    /// one write — and flip a payload bit of the second job's reply.
+    struct BurstSpawner;
+
+    impl Spawner for BurstSpawner {
+        fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
+            let addr = Addr::parse(&env_of(spec, "MF_WORKER_ADDR")).unwrap();
+            let instance: u64 = env_of(spec, "MF_WORKER_INSTANCE").parse().unwrap();
+            std::thread::spawn(move || {
+                let mut conn = Conn::connect(&addr, Duration::from_secs(5)).unwrap();
+                conn.send_msg(&Message::Hello {
+                    version: PROTOCOL_VERSION,
+                    instance,
+                    host: "burst-host".into(),
+                    task_uid: 1,
+                })
+                .unwrap();
+                let _ = conn.recv_msg().unwrap();
+                let mut jobs = 0;
+                while let Ok(Some(Message::Job { seq, job, payload })) = conn.recv_msg() {
+                    jobs += 1;
+                    let mut burst = crate::frame_vec(&Message::Heartbeat.encode().unwrap());
+                    let reply = Message::Done { seq, job, payload };
+                    burst.extend(crate::frame_vec(&reply.encode().unwrap()));
+                    if jobs == 2 {
+                        let last = burst.len() - 1;
+                        burst[last] ^= 0x01;
+                    }
+                    std::io::Write::write_all(&mut conn, &burst).unwrap();
+                }
+            });
+            Ok(ChildHandle::detached())
+        }
+    }
+
+    #[test]
+    fn heartbeat_and_reply_in_one_read_then_a_corrupt_frame_poisons_the_slot() {
+        let mut cfg = quick_cfg(1, BindMode::Tcp);
+        cfg.respawn_budget = 0;
+        let pool = RemoteWorkerPool::launch(cfg, Arc::new(BurstSpawner)).unwrap();
+        let c = pool.checkout().unwrap();
+        assert_eq!(c.execute(Unit::int(1)).unwrap(), Unit::int(1));
+        let err = c.execute(Unit::int(2)).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "got: {err}");
+        assert_eq!(pool.live_count(), 0, "a bad CRC must poison the slot");
     }
 
     #[test]
@@ -904,21 +959,21 @@ mod tests {
     }
 
     #[test]
-    fn checkout_pool_prefers_the_hinted_shard_and_steals_on_famine() {
+    fn checkout_prefers_the_hinted_shard_and_steals_on_famine() {
         let spawner = Arc::new(ThreadSpawner::new(None));
         let mut cfg = quick_cfg(4, BindMode::Tcp);
         cfg.shards = 2;
         let pool = RemoteWorkerPool::launch(cfg, spawner).unwrap();
         // Pool assignment is index % shards: slots 1 and 3 serve pool 1.
         for _ in 0..4 {
-            let c = pool.checkout_pool(Some(1)).unwrap();
+            let c = pool.checkout_for(0, Some(1)).unwrap();
             assert_eq!(c.instance_id() % 2, 1, "hint not honoured");
         }
         // Retire pool 1 entirely: the hint falls back to any live worker
         // (worker-level stealing) instead of failing.
         pool.retire_instance(1).unwrap();
         pool.retire_instance(3).unwrap();
-        let c = pool.checkout_pool(Some(1)).unwrap();
+        let c = pool.checkout_for(0, Some(1)).unwrap();
         assert_eq!(c.instance_id() % 2, 0);
         assert!(c.execute(Unit::int(7)).is_ok());
         pool.shutdown();
