@@ -23,9 +23,11 @@
 //! submitted at all times, so a procs fleet runs its jobs overlapped — and
 //! the median latency of the last tenth of the jobs may not exceed 1.15×
 //! that of the second tenth, and the fleet may not have spawned more
-//! threads than the jobs it runs together have processes (coordinator,
-//! master and workers each) — a thread count that follows the job count
-//! is a leak, one that stops there is a warm pool.
+//! threads than the jobs it runs together can occupy — coordinator,
+//! master and one per worker each on threads; coordinator and master on
+//! procs, whose proxy workers are stepped processes without a thread — a
+//! thread count that follows the job count is a leak, one that stops
+//! there is a warm pool.
 //!
 //! Threads and procs report wall-clock milliseconds; sim reports the
 //! virtual-time milliseconds of the DES, where warm jobs skip the
@@ -73,8 +75,9 @@ struct BackendStats {
 struct FleetCounters {
     /// Jobs the fleet runs side by side ([`Engine::width`]).
     width: usize,
-    /// Most processes (coordinator + master + workers) any one job had.
-    job_width: usize,
+    /// Most threads any one job can occupy: coordinator, master, and —
+    /// where workers compute in this process — one per worker.
+    job_threads: usize,
     /// Fleet-lifetime counters from `EngineSummary`, worst lifecycle.
     threads_spawned: u64,
     peak_live_processes: usize,
@@ -185,7 +188,11 @@ fn bench_backend(
                 wall_ms
             };
             latencies_ms[job - 1] = latencies_ms[job - 1].min(sample);
-            fleet.job_width = fleet.job_width.max(2 + report.outcome.workers_created());
+            let worker_threads = match backend {
+                "procs" => 0,
+                _ => report.outcome.workers_created(),
+            };
+            fleet.job_threads = fleet.job_threads.max(2 + worker_threads);
             if report.result.combined != oracle.combined
                 || report.result.l2_error != oracle.l2_error
             {
@@ -318,12 +325,12 @@ fn main() {
     for s in stats.iter().filter(|s| !s.virtual_time) {
         println!(
             "{}: {} threads spawned, peak {} live processes ({} at a time, a job is {} \
-             processes wide); second-tenth median {:.3} ms, last-tenth median {:.3} ms",
+             threads wide); second-tenth median {:.3} ms, last-tenth median {:.3} ms",
             s.backend,
             s.fleet.threads_spawned,
             s.fleet.peak_live_processes,
             s.fleet.width,
-            s.fleet.job_width,
+            s.fleet.job_threads,
             s.early_ms,
             s.late_ms
         );
@@ -353,11 +360,11 @@ fn main() {
                 );
                 failed = true;
             }
-            if s.fleet.threads_spawned as usize > s.fleet.width * s.fleet.job_width {
+            if s.fleet.threads_spawned as usize > s.fleet.width * s.fleet.job_threads {
                 eprintln!(
-                    "engine_bench: {} spawned {} threads for {} jobs at a time, {} processes \
-                     wide — threads are leaking",
-                    s.backend, s.fleet.threads_spawned, s.fleet.width, s.fleet.job_width
+                    "engine_bench: {} spawned {} threads for {} jobs at a time, {} threads \
+                     each — threads are leaking",
+                    s.backend, s.fleet.threads_spawned, s.fleet.width, s.fleet.job_threads
                 );
                 failed = true;
             }

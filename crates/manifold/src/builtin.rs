@@ -5,64 +5,54 @@
 //! * `variable` — a process holding a single value; the paper's `now` and
 //!   `t` counters are instances of it ("MANIFOLD obviously only knows
 //!   processes; there are no data structures in MANIFOLD, not even the
-//!   simplest kind, a variable"). Here it is a process that costs no
-//!   thread until someone wires a stream to it: the coordinator's own
-//!   `now = now + 1` reads and writes the value directly.
+//!   simplest kind, a variable"). The coordinator's own `now = now + 1`
+//!   reads and writes the value directly.
 //! * `void` — a process that never terminates; `terminated(void)` (the
 //!   `IDLE` macro) therefore hangs a state until an event preempts it.
+//!
+//! All of them only ever react to what arrives at their ports, so they are
+//! stepped processes: active from the moment they are declared, and none
+//! of them ever occupies a thread.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::coord::Coord;
-use crate::env::Environment;
 use crate::error::MfResult;
-use crate::process::{ProcessCtx, ProcessRef};
+use crate::process::{ProcessCtx, ProcessRef, Step};
 use crate::unit::Unit;
 
 /// A handle to a `variable` process instance: every unit written to the
 /// process's `input` port becomes its current value, which the owner may
 /// read back at any time (and which the process echoes to its `output` port
 /// for downstream consumers).
-///
-/// The process is created at once — it has an identity, can be watched,
-/// and dies with the block that declared it — but its body, whose only
-/// job is to serve the ports, is not started until [`Variable::process`]
-/// hands the process out to be connected.
 #[derive(Clone)]
 pub struct Variable {
     process: ProcessRef,
     cell: Arc<Mutex<Unit>>,
-    env: Environment,
 }
 
 impl Variable {
-    /// Create a `variable` process initialized to `initial` (the paper's
-    /// `variable(0)`) in the coordinator's current block.
+    /// Create and activate a `variable` process initialized to `initial`
+    /// (the paper's `variable(0)`) in the coordinator's current block.
     pub fn spawn(coord: &Coord, name: &str, initial: Unit) -> MfResult<Variable> {
         let cell = Arc::new(Mutex::new(initial));
         let cell2 = cell.clone();
-        let process = coord.create_atomic(format!("variable({name})"), move |ctx: ProcessCtx| {
-            loop {
-                let u = ctx.read("input")?;
+        let process = coord.create_stepped(format!("variable({name})"), move |ctx: &ProcessCtx| {
+            while let Some(u) = ctx.try_read("input") {
                 *cell2.lock() = u.clone();
-                // Echo for any connected consumer; never block on it.
-                let _ = ctx.core().port("output").try_write(u);
+                // Echo for any connected consumer; never wait for one.
+                ctx.try_write("output", u)?;
             }
+            Ok(Step::Pending)
         });
-        Ok(Variable {
-            process,
-            cell,
-            env: coord.env().clone(),
-        })
+        coord.activate(&process)?;
+        Ok(Variable { process, cell })
     }
 
-    /// The underlying process (to connect streams to/from it). The first
-    /// call starts its body, so units sent to `input` are consumed.
+    /// The underlying process (to connect streams to/from it).
     pub fn process(&self) -> &ProcessRef {
-        // Already running, or already dead with its block: nothing to do.
-        let _ = self.env.activate(&self.process);
         &self.process
     }
 
@@ -90,16 +80,11 @@ impl Variable {
     }
 }
 
-/// Create and activate the predefined `void` process: it blocks forever (on
-/// an event that never comes) and only goes away when killed. Waiting for
-/// its termination is the `IDLE` idiom.
+/// Create and activate the predefined `void` process: it never finishes and
+/// only goes away when killed. Waiting for its termination is the `IDLE`
+/// idiom.
 pub fn void(coord: &Coord) -> MfResult<ProcessRef> {
-    let p = coord.create_atomic("void", |ctx: ProcessCtx| {
-        // Wait on an empty pattern list: matches nothing, returns only on
-        // kill.
-        ctx.wait_event(&[])?;
-        Ok(())
-    });
+    let p = coord.create_stepped("void", |_ctx: &ProcessCtx| Ok(Step::Pending));
     coord.activate(&p)?;
     Ok(p)
 }
@@ -108,9 +93,11 @@ pub fn void(coord: &Coord) -> MfResult<ProcessRef> {
 /// emitted as a §6-format trace message (prefixed with `label`).
 pub fn printer(coord: &Coord, label: &str) -> MfResult<ProcessRef> {
     let label = label.to_string();
-    let p = coord.create_atomic("printer", move |ctx: ProcessCtx| loop {
-        let u = ctx.read("input")?;
-        crate::mes!(ctx, "{label}: {u:?}");
+    let p = coord.create_stepped("printer", move |ctx: &ProcessCtx| {
+        while let Some(u) = ctx.try_read("input") {
+            crate::mes!(ctx, "{label}: {u:?}");
+        }
+        Ok(Step::Pending)
     });
     coord.activate(&p)?;
     Ok(p)
@@ -137,31 +124,25 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        // Counting never touched a port, so no body ever ran.
         assert_eq!(env.threads_spawned(), 0);
         env.shutdown();
     }
 
     #[test]
-    fn variable_dies_with_its_block_whether_or_not_it_ever_ran() {
+    fn variable_is_active_from_its_declaration_and_dies_with_its_block() {
         let env = Environment::new();
         env.run_coordinator("Main", |coord| {
-            let (passive, wired) = coord.scope(|coord| {
-                let passive = Variable::spawn(coord, "passive", Unit::int(0))?;
-                let wired = Variable::spawn(coord, "wired", Unit::int(0))?;
-                assert_eq!(wired.process().life_state(), LifeState::Active);
-                assert_eq!(passive.process.life_state(), LifeState::Created);
-                Ok((passive, wired))
+            let v = coord.scope(|coord| {
+                let v = Variable::spawn(coord, "v", Unit::int(0))?;
+                assert_eq!(v.process().life_state(), LifeState::Active);
+                Ok(v)
             })?;
-            assert_eq!(passive.process.life_state(), LifeState::Terminated);
-            assert_eq!(wired.process.life_state(), LifeState::Terminated);
-            // Handing out a dead variable's process does not revive it.
-            assert_eq!(passive.process().life_state(), LifeState::Terminated);
+            assert_eq!(v.process().life_state(), LifeState::Terminated);
             assert_eq!(coord.env().live_processes(), 1, "only the coordinator");
             Ok(())
         })
         .unwrap();
-        assert_eq!(env.threads_spawned(), 1, "only the wired variable ran");
+        assert_eq!(env.threads_spawned(), 0);
         env.shutdown();
     }
 
@@ -173,16 +154,12 @@ mod tests {
             let mut st = coord.state();
             st.send(Unit::real(3.5), v.process(), "input")?;
             drop(st);
-            // Delivery is asynchronous.
-            for _ in 0..100 {
-                if v.get().as_real() == Some(3.5) {
-                    return Ok(());
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            panic!("variable never updated");
+            // The unit's arrival stepped the variable on this thread.
+            assert_eq!(v.get().as_real(), Some(3.5));
+            Ok(())
         })
         .unwrap();
+        assert_eq!(env.threads_spawned(), 0);
         env.shutdown();
     }
 
@@ -209,6 +186,7 @@ mod tests {
         assert_eq!(v.life_state(), LifeState::Terminated);
         assert!(env.process(v.id()).is_none() && env.process(p.id()).is_none());
         assert_eq!(env.live_processes(), 0);
+        assert_eq!(env.threads_spawned(), 0);
         env.shutdown();
     }
 
@@ -219,18 +197,19 @@ mod tests {
             let p = printer(coord, "seen")?;
             let mut st = coord.state();
             st.send(Unit::int(9), &p, "input")?;
+            st.send(Unit::int(10), &p, "input")?;
             drop(st);
-            for _ in 0..100 {
-                if !env.trace().is_empty() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
             Ok(())
         })
         .unwrap();
-        let recs = env.trace().snapshot();
-        assert!(recs.iter().any(|r| r.message.contains("seen")));
+        let seen: Vec<String> = env
+            .trace()
+            .snapshot()
+            .into_iter()
+            .map(|r| r.message)
+            .collect();
+        assert_eq!(seen, ["seen: Int(9)", "seen: Int(10)"], "one line per unit");
+        assert_eq!(env.threads_spawned(), 0);
         env.shutdown();
     }
 
@@ -249,6 +228,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
+        assert_eq!(env.threads_spawned(), 0);
         env.shutdown();
     }
 }

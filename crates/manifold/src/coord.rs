@@ -53,7 +53,7 @@ use crate::env::{Environment, ScopeLog};
 use crate::error::MfResult;
 use crate::event::{EventOccurrence, EventPattern};
 use crate::ident::{Name, ProcessId};
-use crate::process::{AtomicProcess, ProcessCore, ProcessCtx, ProcessRef};
+use crate::process::{AtomicProcess, Body, ProcessCore, ProcessCtx, ProcessRef, Step};
 use crate::stream::{Stream, StreamType};
 use crate::unit::Unit;
 
@@ -122,10 +122,25 @@ impl Coord {
     /// observing its events — mirroring `process p is M(…)`, after which the
     /// creating coordinator is tuned to `p`'s events.
     pub fn create_atomic(&self, manifold: impl Into<Name>, body: impl AtomicProcess) -> ProcessRef {
-        let p = self.env.create_process_in(&self.log, manifold, body);
+        self.create(manifold.into(), Body::Threaded(Box::new(body)))
+    }
+
+    fn create(&self, manifold: Name, body: Body) -> ProcessRef {
+        let p = self.env.create_in(&self.log, manifold, body);
         self.ctx.watch(&p);
         self.owned.lock().push(p.core().clone());
         p
+    }
+
+    /// [`Coord::create_atomic`] for a *stepped* process (see
+    /// [`Environment::create_stepped`]): no thread, `step` run on whichever
+    /// thread makes the process runnable, and it must never block.
+    pub fn create_stepped(
+        &self,
+        manifold: impl Into<Name>,
+        step: impl FnMut(&ProcessCtx) -> MfResult<Step> + Send + 'static,
+    ) -> ProcessRef {
+        self.create(manifold.into(), Body::Stepped(Box::new(step)))
     }
 
     /// Run `body` as a block that owns the processes created inside it:

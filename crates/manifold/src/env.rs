@@ -3,8 +3,9 @@
 //!
 //! An [`Environment`] is the in-process analogue of a running MANIFOLD
 //! application: it assigns process ids, applies the MLINK/CONFIG placement
-//! rules through a [`Bundler`], runs each activated process on a pooled
-//! thread, and tears everything down at shutdown.
+//! rules through a [`Bundler`], runs each activated process — a threaded
+//! one on a pooled thread, a stepped one on whichever thread makes it
+//! runnable — and tears everything down at shutdown.
 //!
 //! The registry holds *live* processes only. A process leaves it when the
 //! coordinator block that created it exits (see [`Coord::scope`]): the
@@ -34,7 +35,7 @@ use crate::error::{MfError, MfResult};
 use crate::ident::{Name, ProcessId};
 use crate::link::{Bundler, LinkSpec};
 use crate::pool::ThreadPool;
-use crate::process::{AtomicProcess, LifeState, ProcessCore, ProcessCtx, ProcessRef};
+use crate::process::{AtomicProcess, Body, LifeState, ProcessCore, ProcessCtx, ProcessRef, Step};
 use crate::trace::{Clock, TraceSink};
 
 /// How long a closing scope waits for one killed member to unwind. Every
@@ -184,7 +185,8 @@ impl Environment {
     /// unwind concurrently; each is then joined (its thread is back in the
     /// pool when this returns) and leaves the registry, its failure moving
     /// to `log`. A member that was never activated terminates without ever
-    /// having had a thread.
+    /// having run; an active stepped one terminated inside its `kill`, or
+    /// does when the step another thread is in returns.
     pub(crate) fn retire(&self, members: &[Arc<ProcessCore>], log: &ScopeLog) {
         for p in members {
             p.kill();
@@ -211,26 +213,50 @@ impl Environment {
         manifold_name: impl Into<Name>,
         body: impl AtomicProcess,
     ) -> ProcessRef {
-        self.create_process_in(&self.shared.log, manifold_name, body)
+        self.create_in(
+            &self.shared.log,
+            manifold_name,
+            Body::Threaded(Box::new(body)),
+        )
     }
 
-    /// [`Environment::create_process`] for a coordinator: the process
-    /// prints to the coordinator's log.
-    pub(crate) fn create_process_in(
+    /// Create and register a process that prints to `log` and will run
+    /// `body` once activated.
+    pub(crate) fn create_in(
         &self,
         log: &ScopeLog,
         manifold_name: impl Into<Name>,
-        body: impl AtomicProcess,
+        body: Body,
     ) -> ProcessRef {
-        let core = ProcessCore::new(
+        let core = ProcessCore::with_body(
             self.next_id(),
             manifold_name,
             log.trace.clone(),
             self.shared.clock.clone(),
+            body,
         );
-        *core.body.lock() = Some(Box::new(body));
         self.register(&core);
         ProcessRef::new(core)
+    }
+
+    /// Create (but do not activate) a *stepped* atomic process: `step` is
+    /// called on whichever thread makes the process runnable — its
+    /// activation, a unit or a stream arriving at one of its ports, a
+    /// [`Waker`](crate::process::Waker) — one call at a time, until it
+    /// returns [`Step::Done`] or an error. It costs no thread, so it must
+    /// never block: `try_read`/`try_write`, and [`Step::Pending`] when
+    /// there is nothing to do yet. Prints to the environment's own trace
+    /// sink.
+    pub fn create_stepped(
+        &self,
+        manifold_name: impl Into<Name>,
+        step: impl FnMut(&ProcessCtx) -> MfResult<Step> + Send + 'static,
+    ) -> ProcessRef {
+        self.create_in(
+            &self.shared.log,
+            manifold_name,
+            Body::Stepped(Box::new(step)),
+        )
     }
 
     /// Look up a live process by id.
@@ -243,11 +269,10 @@ impl Environment {
             .map(ProcessRef::new)
     }
 
-    /// The part of activation that does not depend on where the body
-    /// runs: claim the body, place the process in a task instance per the
-    /// MLINK/CONFIG rules, and mark it active. Returns the body wrapped so
-    /// that a failure it returns is recorded on the process.
-    fn begin(&self, p: &ProcessRef) -> MfResult<(Arc<ProcessCore>, PoolBody)> {
+    /// The part of activation that does not depend on how the body runs:
+    /// claim the body and place the process in a task instance per the
+    /// MLINK/CONFIG rules.
+    fn claim(&self, p: &ProcessRef) -> MfResult<(Arc<ProcessCore>, Body)> {
         let core = p.core().clone();
         if core.life_state() != LifeState::Created {
             return Err(MfError::AlreadyActive(core.id()));
@@ -264,22 +289,43 @@ impl Environment {
         core.on_terminate(move || {
             env.shared.bundler.lock().release(&placement);
         });
+        Ok((core, body))
+    }
+
+    /// Mark a claimed threaded process active; its body, wrapped so that a
+    /// failure it returns is recorded on the process.
+    fn start_threaded(core: &Arc<ProcessCore>, body: Box<dyn AtomicProcess>) -> PoolBody {
         core.set_life(LifeState::Active);
         let ctx = ProcessCtx::new(core.clone());
         let failed = core.clone();
-        let job = move || match body.run(ctx) {
+        Box::new(move || match body.run(ctx) {
             Ok(()) | Err(MfError::Killed) => {}
             Err(e) => failed.record_failure(e),
-        };
-        Ok((core, Box::new(job)))
+        })
+    }
+
+    /// Start a claimed stepped process: step it here and now, for the
+    /// first time.
+    fn start_stepped(core: &ProcessCore, step: crate::process::StepBody) {
+        core.install_step(step);
+        core.set_life(LifeState::Active);
+        core.wake();
     }
 
     /// Activate a created process: place it in a task instance per the
-    /// MLINK/CONFIG rules and start its body on a thread — a parked one
-    /// from an earlier job when the fleet is warm, a fresh one otherwise.
+    /// MLINK/CONFIG rules and start it. A threaded body starts on a thread
+    /// — a parked one from an earlier job when the fleet is warm, a fresh
+    /// one otherwise; a stepped process takes its first step on the
+    /// calling thread.
     pub fn activate(&self, p: &ProcessRef) -> MfResult<()> {
-        let (core, job) = self.begin(p)?;
-        self.run_on_pool(core, job);
+        let (core, body) = self.claim(p)?;
+        match body {
+            Body::Threaded(body) => {
+                let job = Self::start_threaded(&core, body);
+                self.run_on_pool(core, job);
+            }
+            Body::Stepped(step) => Self::start_stepped(&core, step),
+        }
         Ok(())
     }
 
@@ -293,13 +339,21 @@ impl Environment {
     /// `on_terminate` hooks, the same trace lines, and a body that panics
     /// still leaves a terminated process with a recorded failure. The
     /// caller must have wired the process first: a body that waits for a
-    /// unit or an event only this thread could supply never returns.
+    /// unit or an event only this thread could supply never returns. (A
+    /// stepped process has no body to run to completion: it is activated,
+    /// which steps it on this thread as far as it can go.)
     pub fn run_to_completion(&self, p: &ProcessRef) -> MfResult<()> {
-        let (core, job) = self.begin(p)?;
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-            core.record_failure(MfError::App("process body panicked".into()));
+        let (core, body) = self.claim(p)?;
+        match body {
+            Body::Threaded(body) => {
+                let job = Self::start_threaded(&core, body);
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+                    core.record_failure(MfError::App("process body panicked".into()));
+                }
+                core.terminate();
+            }
+            Body::Stepped(step) => Self::start_stepped(&core, step),
         }
-        core.terminate();
         Ok(())
     }
 

@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::event::{Event, EventOccurrence, EventPattern};
     pub use crate::ident::{Name, ProcessId};
     pub use crate::link::{LinkSpec, TaskSpec};
-    pub use crate::process::{AtomicProcess, ProcessCtx, ProcessRef};
+    pub use crate::process::{AtomicProcess, ProcessCtx, ProcessRef, Step};
     pub use crate::stream::StreamType;
     pub use crate::unit::Unit;
 }

@@ -2,7 +2,7 @@
 //!
 //! The bundler keeps `{perpetual}` task instances alive between jobs; this
 //! pool keeps their OS threads alive too. A thread whose process body has
-//! returned parks on a private channel instead of exiting, and the next
+//! returned parks on its own channel instead of exiting, and the next
 //! [`activate`](crate::env::Environment::activate) hands it the new body
 //! rather than paying `thread::spawn` again — on a warm fleet a job can
 //! create zero threads.
@@ -98,11 +98,13 @@ impl ThreadPool {
             .name(format!("mf-pool-{n}"))
             .spawn(move || {
                 let mut job = first;
+                // One channel for the thread's whole life; each park puts a
+                // clone of its sender on the idle list.
+                let (tx, rx) = channel();
                 loop {
                     let Job { body, process } = job;
                     let ending = Ending(process);
                     body();
-                    let (tx, rx) = channel();
                     let parked = {
                         // The flag is checked under the idle lock and set
                         // under the same lock in `drain`, so a thread can
@@ -110,7 +112,7 @@ impl ThreadPool {
                         let mut idle = shared.idle.lock();
                         let parked = !shared.draining.load(Ordering::Acquire);
                         if parked {
-                            idle.push(tx);
+                            idle.push(tx.clone());
                         }
                         parked
                     };

@@ -26,6 +26,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MfError, MfResult};
 use crate::ident::{Name, ProcessId};
+use crate::process::Waker;
 use crate::stream::Stream;
 use crate::unit::Unit;
 
@@ -50,14 +51,27 @@ pub struct Port {
     name: Name,
     inner: Mutex<PortInner>,
     cv: Condvar,
+    /// Set on the ports of a stepped process: the owner has no thread
+    /// blocked on the condition, so a poke steps it instead.
+    waker: Option<Waker>,
 }
 
 impl Port {
     /// Create a port owned by `owner`.
     pub fn new(owner: ProcessId, name: impl Into<Name>) -> Arc<Port> {
+        Self::build(owner, name.into(), None)
+    }
+
+    /// Create a port of a stepped process: every [`Port::poke`] also calls
+    /// `waker`, on the poking thread, with no port lock held.
+    pub(crate) fn with_waker(owner: ProcessId, name: impl Into<Name>, waker: Waker) -> Arc<Port> {
+        Self::build(owner, name.into(), Some(waker))
+    }
+
+    fn build(owner: ProcessId, name: Name, waker: Option<Waker>) -> Arc<Port> {
         Arc::new(Port {
             owner,
-            name: name.into(),
+            name,
             inner: Mutex::new(PortInner {
                 incoming: Vec::new(),
                 outgoing: Vec::new(),
@@ -65,6 +79,7 @@ impl Port {
                 cursor: 0,
             }),
             cv: Condvar::new(),
+            waker,
         })
     }
 
@@ -81,8 +96,13 @@ impl Port {
     /// Wake all readers/writers blocked on this port so they can re-examine
     /// state. Called by streams after a push and by the kill path.
     pub fn poke(&self) {
-        let _guard = self.inner.lock();
-        self.cv.notify_all();
+        {
+            let _guard = self.inner.lock();
+            self.cv.notify_all();
+        }
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
     }
 
     /// Mark the owner killed; all blocked operations return

@@ -7,9 +7,18 @@
 //! computation carriers — in the paper these are thin C wrappers around the
 //! legacy `subsolve` and main routines; here they are Rust closures or
 //! structs receiving a [`ProcessCtx`].
+//!
+//! An atomic process runs in one of two ways. A *threaded* process
+//! ([`AtomicProcess`]) has a body that runs once, on a pool thread of its
+//! own, and may block and compute as it likes. A *stepped* process has no
+//! thread: its body is a step function ([`Step`]) that never blocks, run on
+//! whichever thread makes the process runnable — see
+//! [`ProcessCore::wake`]. Everything else about the two is the same:
+//! placement, `on_terminate` hooks, failure recording, trace lines, and
+//! dying with the coordinator block that created them.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Duration;
 
@@ -63,6 +72,47 @@ where
     }
 }
 
+/// What one step of a stepped process reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Nothing more to do until the process is woken again.
+    Pending,
+    /// The process has finished; it terminates now.
+    Done,
+}
+
+/// The body of a stepped process: called again and again, each call doing
+/// what can be done *without blocking* — `try_read`/`try_write` on its own
+/// ports, handing work to something that will call its [`Waker`] — until it
+/// returns [`Step::Done`] or an error.
+pub(crate) type StepBody = Box<dyn FnMut(&ProcessCtx) -> MfResult<Step> + Send>;
+
+/// How a created process will run once it is activated. Holding it is also
+/// the right to activate: whoever takes it out of the core either starts
+/// the process or (a closing scope) ends it unstarted.
+pub(crate) enum Body {
+    Threaded(Box<dyn AtomicProcess>),
+    Stepped(StepBody),
+}
+
+/// No thread is stepping the process.
+const IDLE: u8 = 0;
+/// A thread is stepping the process.
+const RUNNING: u8 = 1;
+/// A thread is stepping the process and a wake arrived meanwhile: it must
+/// step once more before it leaves.
+const RUN_AGAIN: u8 = 2;
+
+/// The run-time half of a stepped process.
+struct Stepper {
+    /// The run / run-again flag serialising steps: [`IDLE`], [`RUNNING`] or
+    /// [`RUN_AGAIN`].
+    state: AtomicU8,
+    /// The step function, from activation until the process terminates.
+    /// Only the thread that holds the flag touches it.
+    step: Mutex<Option<StepBody>>,
+}
+
 type TerminateHook = Box<dyn FnOnce() + Send>;
 
 /// Shared state of one process instance.
@@ -76,7 +126,11 @@ pub struct ProcessCore {
     watchers: Mutex<Vec<Weak<ProcessCore>>>,
     placement: Mutex<Option<Placement>>,
     remote_identity: Mutex<Option<RemoteIdentity>>,
-    pub(crate) body: Mutex<Option<Box<dyn AtomicProcess>>>,
+    pub(crate) body: Mutex<Option<Body>>,
+    /// Present on a stepped process, from creation on.
+    stepper: Option<Stepper>,
+    /// This core, for the wakers its ports and completions hold.
+    me: Weak<ProcessCore>,
     on_terminate: Mutex<Vec<TerminateHook>>,
     failure: Mutex<Option<MfError>>,
     killed: AtomicBool,
@@ -92,9 +146,32 @@ impl ProcessCore {
         trace: Arc<TraceSink>,
         clock: Clock,
     ) -> Arc<ProcessCore> {
-        Arc::new(ProcessCore {
+        Self::build(id, manifold_name.into(), trace, clock, None)
+    }
+
+    /// Create the core of a process that will run `body` once activated.
+    /// A stepped body makes a stepped process: its ports wake it.
+    pub(crate) fn with_body(
+        id: ProcessId,
+        manifold_name: impl Into<Name>,
+        trace: Arc<TraceSink>,
+        clock: Clock,
+        body: Body,
+    ) -> Arc<ProcessCore> {
+        Self::build(id, manifold_name.into(), trace, clock, Some(body))
+    }
+
+    fn build(
+        id: ProcessId,
+        manifold_name: Name,
+        trace: Arc<TraceSink>,
+        clock: Clock,
+        body: Option<Body>,
+    ) -> Arc<ProcessCore> {
+        let stepped = matches!(body, Some(Body::Stepped(_)));
+        Arc::new_cyclic(|me| ProcessCore {
             id,
-            manifold_name: manifold_name.into(),
+            manifold_name,
             life: Mutex::new(LifeState::Created),
             life_cv: Condvar::new(),
             events: EventMemory::new(),
@@ -102,7 +179,12 @@ impl ProcessCore {
             watchers: Mutex::new(Vec::new()),
             placement: Mutex::new(None),
             remote_identity: Mutex::new(None),
-            body: Mutex::new(None),
+            body: Mutex::new(body),
+            stepper: stepped.then(|| Stepper {
+                state: AtomicU8::new(IDLE),
+                step: Mutex::new(None),
+            }),
+            me: me.clone(),
             on_terminate: Mutex::new(Vec::new()),
             failure: Mutex::new(None),
             killed: AtomicBool::new(false),
@@ -178,7 +260,12 @@ impl ProcessCore {
         let mut ports = self.ports.lock();
         let port = ports
             .entry(name.clone())
-            .or_insert_with(|| Port::new(self.id, name))
+            .or_insert_with(|| match &self.stepper {
+                None => Port::new(self.id, name),
+                // A unit or a stream arriving at a stepped process's port
+                // is what makes it runnable.
+                Some(_) => Port::with_waker(self.id, name, self.waker()),
+            })
             .clone();
         drop(ports);
         // A port created after the process was killed must be born killed,
@@ -254,6 +341,9 @@ impl ProcessCore {
 
     /// Forcefully interrupt the process: all blocking operations return
     /// [`MfError::Killed`], after which its thread unwinds and terminates.
+    /// An active stepped process terminates before this returns, unless
+    /// another thread is inside its step right now — then as soon as that
+    /// step returns.
     pub fn kill(&self) {
         // Order matters: set the flag first so any port created from now on
         // is born killed (see `port`), then wake everything already blocked.
@@ -263,6 +353,88 @@ impl ProcessCore {
         for p in ports {
             p.kill();
         }
+        self.wake();
+    }
+
+    /// Hand an activated stepped process its step function. Must precede
+    /// `set_life(Active)`: an active stepped process always has one.
+    pub(crate) fn install_step(&self, step: StepBody) {
+        let stepper = self.stepper.as_ref().expect("a stepped process");
+        *stepper.step.lock() = Some(step);
+    }
+
+    /// A handle that makes this process runnable from anywhere (see
+    /// [`ProcessCore::wake`]). It does not keep the process alive.
+    pub fn waker(&self) -> Waker {
+        Waker(self.me.clone())
+    }
+
+    /// Make a stepped process runnable: step it on *this* thread, now,
+    /// unless another thread is already stepping it — then that thread
+    /// steps it once more before it leaves, so no wake is ever lost and no
+    /// two steps of one process ever overlap. Called on activation, when a
+    /// unit or a stream arrives at one of the process's ports, by whoever
+    /// completes work the process handed out ([`Waker`]), and on kill. A
+    /// process that is not active yet, or no longer, is not stepped; a
+    /// threaded process never is.
+    pub fn wake(&self) {
+        let Some(stepper) = &self.stepper else {
+            return;
+        };
+        // The flag is the whole protocol; `SeqCst` so that whatever the
+        // waker wrote before calling (a unit in a stream, a result in a
+        // cell, the life state) is seen by the step that the wake causes.
+        let was = stepper
+            .state
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |s| {
+                Some(if s == IDLE { RUNNING } else { RUN_AGAIN })
+            })
+            .expect("the update is total");
+        if was != IDLE {
+            return;
+        }
+        loop {
+            self.step_once(stepper);
+            if stepper
+                .state
+                .compare_exchange(RUNNING, IDLE, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                return;
+            }
+            stepper.state.store(RUNNING, Ordering::SeqCst);
+        }
+    }
+
+    /// One turn of a stepped process, on the thread holding its flag.
+    fn step_once(&self, stepper: &Stepper) {
+        // Checked inside the flag: a wake that finds the process not yet
+        // active leaves, and the activation that follows wakes again.
+        if self.life_state() != LifeState::Active {
+            return;
+        }
+        let Some(me) = self.me.upgrade() else {
+            return;
+        };
+        let mut step = stepper.step.lock();
+        let outcome = if self.is_killed() {
+            Err(MfError::Killed)
+        } else {
+            let ctx = ProcessCtx::new(me);
+            let body = step.as_mut().expect("an active stepped process has a step");
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)))
+                .unwrap_or_else(|_| Err(MfError::App("process body panicked".into())))
+        };
+        match outcome {
+            Ok(Step::Pending) => return,
+            Ok(Step::Done) | Err(MfError::Killed) => {}
+            Err(e) => self.record_failure(e),
+        }
+        // Whatever the step function holds (a fleet, a completion cell) is
+        // released with the process, not with the last reference to it.
+        *step = None;
+        drop(step);
+        self.terminate();
     }
 
     /// Has this process been killed?
@@ -437,6 +609,18 @@ impl ProcessCtx {
         self.core.port(port).try_read()
     }
 
+    /// Non-blocking write: `false` when no stream is attached yet (attaching
+    /// one wakes a stepped process, which then tries again).
+    pub fn try_write(&self, port: impl Into<Name>, unit: Unit) -> MfResult<bool> {
+        self.core.port(port).try_write(unit)
+    }
+
+    /// A handle for whoever completes work this process handed out: calling
+    /// it makes a stepped process runnable again.
+    pub fn waker(&self) -> Waker {
+        self.core.waker()
+    }
+
     /// Blocking write to one of our own output ports.
     pub fn write(&self, port: impl Into<Name>, unit: Unit) -> MfResult<()> {
         self.core.port(port).write(unit)
@@ -485,6 +669,22 @@ impl ProcessCtx {
     /// [`ProcessCore::set_remote_identity`]).
     pub fn set_remote_identity(&self, identity: RemoteIdentity) {
         self.core.set_remote_identity(identity);
+    }
+}
+
+/// Makes a stepped process runnable from outside it — the completion of
+/// work it handed to something else calls this. Holding one does not keep
+/// the process alive, and waking a process that has terminated does
+/// nothing.
+#[derive(Clone)]
+pub struct Waker(Weak<ProcessCore>);
+
+impl Waker {
+    /// See [`ProcessCore::wake`].
+    pub fn wake(&self) {
+        if let Some(core) = self.0.upgrade() {
+            core.wake();
+        }
     }
 }
 

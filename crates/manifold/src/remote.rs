@@ -7,13 +7,12 @@
 //! transport (TCP, Unix sockets). This module is the narrow waist between
 //! the two worlds:
 //!
-//! * [`RemoteConduit`] — a synchronous request/response channel to one
-//!   remote task instance. The `transport` crate implements it over
-//!   framed sockets; tests can implement it in memory.
-//! * [`ConduitSource`] — a factory handing out conduits, one per proxy
-//!   process. The transport crate's worker pool implements it with
-//!   round-robin placement over the CONFIG host map (plus respawn of dead
-//!   instances).
+//! * [`JobFleet`] — somewhere a proxy process can hand one unit of work
+//!   to without waiting for it: [`JobFleet::submit`] returns at once, and
+//!   two callbacks report the job reaching a remote task instance
+//!   ([`Started`]) and its answer or its loss ([`Completion`]). The
+//!   `transport` crate's worker pool is behind the one the procs backend
+//!   uses; tests implement it in memory.
 //! * [`RemoteIdentity`] — the (machine, task-instance uid) pair a proxy
 //!   process adopts so the §6 chronological trace reports the *real* host
 //!   executing the work instead of the local placement label (see
@@ -26,10 +25,7 @@
 //!
 //! [`ProcessCtx::set_remote_identity`]: crate::process::ProcessCtx::set_remote_identity
 
-use std::sync::Arc;
-
 use crate::config::HostName;
-use crate::error::MfResult;
 use crate::unit::Unit;
 
 /// The trace-visible identity of a remote task instance.
@@ -42,62 +38,41 @@ pub struct RemoteIdentity {
     pub task_uid: u64,
 }
 
-/// A synchronous job channel to one remote task instance.
-///
-/// `execute` carries one unit to the remote instance and blocks until the
-/// answer unit comes back (or the instance is declared dead: connection
-/// loss, heartbeat timeout, or an application error on the far side).
-pub trait RemoteConduit: Send + Sync {
-    /// Ship `job` to the remote instance and wait for its answer.
-    fn execute(&self, job: Unit) -> MfResult<Unit>;
-    /// The remote instance's trace identity.
-    fn identity(&self) -> RemoteIdentity;
-    /// Stable index of the remote instance within its pool (used for
-    /// diagnostics and fault-injection addressing).
-    fn instance_id(&self) -> u64;
+/// A job that came back without an answer.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Lost {
+    /// The remote instance the job was on (its stable index within the
+    /// fleet), or `None` when it never reached one.
+    pub instance: Option<u64>,
+    /// What happened: connection loss, heartbeat silence, an application
+    /// error on the far side, no instance left to run it.
+    pub reason: String,
 }
 
-/// Hands out conduits to proxy processes, one per checkout.
-pub trait ConduitSource: Send + Sync {
-    /// Obtain a conduit to some live remote instance. Implementations may
-    /// block (e.g. to respawn a dead instance with backoff) and must be
-    /// callable from any thread.
-    fn checkout(&self) -> MfResult<Arc<dyn RemoteConduit>>;
-}
+/// Called once when the job has been given to a remote instance — its
+/// index within the fleet and its trace identity — on the thread that
+/// gave it, possibly while the fleet holds its own lock: it must not call
+/// back into the fleet. Not called for a job that never reaches an
+/// instance.
+pub type Started = Box<dyn FnOnce(u64, RemoteIdentity) + Send>;
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// Called once with the job's answer or its loss, after [`Started`] if
+/// that was called at all, on whichever thread learned the outcome —
+/// possibly inside [`JobFleet::submit`] itself. It must not block.
+pub type Completion = Box<dyn FnOnce(Result<Unit, Lost>) + Send>;
 
-    struct Echo;
-    impl RemoteConduit for Echo {
-        fn execute(&self, job: Unit) -> MfResult<Unit> {
-            Ok(job)
-        }
-        fn identity(&self) -> RemoteIdentity {
-            RemoteIdentity {
-                host: HostName::new("far.example"),
-                task_uid: 42,
-            }
-        }
-        fn instance_id(&self) -> u64 {
-            0
-        }
+/// Remote task instances that take jobs without making the caller wait.
+pub trait JobFleet: Send + Sync {
+    /// Where the next job should preferably run (a shard pool), if whoever
+    /// dispatches it left word. One-shot: taking it clears it. A proxy
+    /// takes it when it is *created* — once per dispatch, in dispatch
+    /// order — and passes it to its own [`JobFleet::submit`] later.
+    fn take_hint(&self) -> Option<u64> {
+        None
     }
 
-    struct OneEcho;
-    impl ConduitSource for OneEcho {
-        fn checkout(&self) -> MfResult<Arc<dyn RemoteConduit>> {
-            Ok(Arc::new(Echo))
-        }
-    }
-
-    #[test]
-    fn in_memory_conduit_round_trips() {
-        let src = OneEcho;
-        let c = src.checkout().unwrap();
-        assert_eq!(c.execute(Unit::int(7)).unwrap(), Unit::int(7));
-        assert_eq!(c.identity().host.as_str(), "far.example");
-        assert_eq!(c.identity().task_uid, 42);
-    }
+    /// Hand `job` over and return at once. The job runs on an instance of
+    /// pool `hint` if one is free right now, on any free instance
+    /// otherwise, and waits its turn when none is.
+    fn submit(&self, hint: Option<u64>, job: Unit, started: Started, done: Completion);
 }

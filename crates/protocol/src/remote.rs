@@ -3,16 +3,21 @@
 //!
 //! [`remote_worker_factory`] produces workers that are, to
 //! [`crate::protocol_mw`] and to the master, indistinguishable from local
-//! ones — same ports, same death event, same protocol steps. Internally
-//! each proxy checks a [`RemoteConduit`] out of a [`ConduitSource`],
-//! ships its job across, and submits whatever comes back. The proxy also
-//! adopts the conduit's [`RemoteIdentity`], so §6 trace lines it emits
-//! carry the *real* host executing the work.
+//! ones — same ports, same death event, same protocol steps. A proxy only
+//! forwards one unit each way, so it is a *stepped* process: it has no
+//! thread, and each of its steps runs on the thread that made it possible.
+//! The master's `send_work` puts the job on the proxy's input port and
+//! thereby steps it, so the job is handed to the [`JobFleet`] — on an idle
+//! connection, written to the socket — by the master's own thread; the
+//! thread that learns the outcome steps it again, and that step submits
+//! the answer and dies. The proxy also adopts the [`RemoteIdentity`] of
+//! the instance its job lands on, so §6 trace lines it emits carry the
+//! *real* host executing the work.
 //!
 //! ## Failure semantics
 //!
-//! If the conduit reports the remote instance lost (connection drop,
-//! heartbeat silence, handshake failure), the proxy
+//! If the fleet reports the job lost (connection drop, heartbeat silence,
+//! an error on the far side, no instance left), the proxy
 //!
 //! 1. raises [`WORKER_LOST`] (an ordinary MANIFOLD event — observers of
 //!    the pool coordinator see it through the normal event mechanism), and
@@ -25,14 +30,15 @@
 //! marker with [`as_lost_job`] and re-dispatches the wrapped job to a
 //! fresh worker (bounded by its retry budget), so a killed worker process
 //! costs one round-trip, not the run.
+//!
+//! [`RemoteIdentity`]: manifold::remote::RemoteIdentity
 
 use std::sync::Arc;
 
 use manifold::mes;
 use manifold::prelude::*;
-use manifold::remote::ConduitSource;
-
-use crate::WorkerHandle;
+use manifold::remote::{JobFleet, Lost};
+use parking_lot::Mutex;
 
 /// Event a proxy raises when its remote instance is declared dead.
 pub const WORKER_LOST: &str = "worker_lost";
@@ -41,8 +47,8 @@ pub const WORKER_LOST: &str = "worker_lost";
 const LOST_TAG: &str = "__worker_lost";
 
 /// Wrap an undelivered job in a marker the master can recognize on its
-/// `dataport`. `instance` is the dead remote instance (`u64::MAX` when no
-/// conduit could be checked out at all).
+/// `dataport`. `instance` is the remote instance the job was lost on
+/// (`u64::MAX` when it never reached one).
 pub fn lost_job_marker(job: Unit, instance: u64, reason: &str) -> Unit {
     Unit::tuple(vec![
         Unit::text(LOST_TAG),
@@ -63,46 +69,100 @@ pub fn as_lost_job(unit: &Unit) -> Option<(u64, &str, &Unit)> {
     }
 }
 
+/// Where a proxy is in its one job.
+enum Proxy {
+    /// Step 1 not done yet: no job on the input port so far.
+    AwaitingJob,
+    /// The fleet has the job; its outcome lands in the shared cell.
+    InFlight { job: Unit },
+    /// Step 3 not done yet: `output` had no stream when we last tried.
+    Submitting { unit: Unit, say_bye: bool },
+}
+
 /// Worker factory whose workers delegate their job to a remote task
-/// instance obtained from `source` — the `--backend procs` counterpart of
-/// a computing worker factory. Plug into [`crate::protocol_mw`] unchanged.
-pub fn remote_worker_factory(
-    source: Arc<dyn ConduitSource>,
-) -> impl FnMut(&Coord, &Name) -> ProcessRef {
+/// instance of `fleet` — the `--backend procs` counterpart of a computing
+/// worker factory. Plug into [`crate::protocol_mw`] unchanged.
+///
+/// The factory runs once per dispatch, between the master asking for a
+/// worker and holding its reference, so this is where the dispatch's
+/// placement hint ([`JobFleet::take_hint`]) is bound to its proxy.
+pub fn remote_worker_factory(fleet: Arc<dyn JobFleet>) -> impl FnMut(&Coord, &Name) -> ProcessRef {
     move |coord, death_event| {
         let death = death_event.clone();
-        let source = Arc::clone(&source);
-        coord.create_atomic("Worker(event)", move |ctx: ProcessCtx| {
-            let h = WorkerHandle::new(ctx, death.clone());
-            // Step 1: read the job from our own input port (before the
-            // checkout: a conduit is only held while there is work).
-            let job = h.receive()?;
-            match source.checkout() {
-                Ok(conduit) => {
-                    // Trace lines from here on carry the remote identity.
-                    h.ctx().set_remote_identity(conduit.identity());
-                    mes!(h.ctx(), "Welcome");
-                    // Steps 2+3: compute remotely, submit the answer.
-                    match conduit.execute(job.clone()) {
-                        Ok(result) => h.submit(result)?,
-                        Err(err) => {
-                            let instance = conduit.instance_id();
-                            mes!(h.ctx(), "worker lost: instance {instance}: {err}");
-                            h.ctx().raise(WORKER_LOST);
-                            h.submit(lost_job_marker(job, instance, &err.to_string()))?;
-                        }
-                    }
-                    mes!(h.ctx(), "Bye");
+        let fleet = Arc::clone(&fleet);
+        let hint = fleet.take_hint();
+        let outcome: Arc<Mutex<Option<Result<Unit, Lost>>>> = Arc::new(Mutex::new(None));
+        let mut state = Proxy::AwaitingJob;
+        coord.create_stepped("Worker(event)", move |ctx: &ProcessCtx| loop {
+            match &state {
+                Proxy::AwaitingJob => {
+                    // Step 1: the job, from our own input port.
+                    let Some(job) = ctx.try_read("input") else {
+                        return Ok(Step::Pending);
+                    };
+                    state = Proxy::InFlight { job: job.clone() };
+                    let welcomed = ctx.clone();
+                    let (cell, waker) = (Arc::clone(&outcome), ctx.waker());
+                    fleet.submit(
+                        hint,
+                        job,
+                        // Trace lines from here on carry the remote identity.
+                        Box::new(move |_instance, identity| {
+                            welcomed.set_remote_identity(identity);
+                            mes!(welcomed, "Welcome");
+                        }),
+                        Box::new(move |result| {
+                            *cell.lock() = Some(result);
+                            waker.wake();
+                        }),
+                    );
                 }
-                Err(err) => {
-                    mes!(h.ctx(), "worker lost: no instance available: {err}");
-                    h.ctx().raise(WORKER_LOST);
-                    h.submit(lost_job_marker(job, u64::MAX, &err.to_string()))?;
+                Proxy::InFlight { job } => {
+                    // Step 2 happens elsewhere; we are woken with its outcome.
+                    let Some(result) = outcome.lock().take() else {
+                        return Ok(Step::Pending);
+                    };
+                    state = match result {
+                        Ok(unit) => Proxy::Submitting {
+                            unit,
+                            say_bye: true,
+                        },
+                        Err(lost) => {
+                            match lost.instance {
+                                Some(instance) => {
+                                    mes!(ctx, "worker lost: instance {instance}: {}", lost.reason)
+                                }
+                                None => {
+                                    mes!(ctx, "worker lost: no instance available: {}", lost.reason)
+                                }
+                            }
+                            ctx.raise(WORKER_LOST);
+                            Proxy::Submitting {
+                                unit: lost_job_marker(
+                                    job.clone(),
+                                    lost.instance.unwrap_or(u64::MAX),
+                                    &lost.reason,
+                                ),
+                                say_bye: lost.instance.is_some(),
+                            }
+                        }
+                    };
+                }
+                Proxy::Submitting { unit, say_bye } => {
+                    // Step 3: the answer (or the marker) to our own output
+                    // port — when the coordinator has connected it.
+                    if !ctx.try_write("output", unit.clone())? {
+                        return Ok(Step::Pending);
+                    }
+                    if *say_bye {
+                        mes!(ctx, "Bye");
+                    }
+                    // Step 4: die like any worker, keeping rendezvous
+                    // counting intact.
+                    ctx.raise(death.clone());
+                    return Ok(Step::Done);
                 }
             }
-            // Step 4: die like any worker, keeping rendezvous counting intact.
-            h.die();
-            Ok(())
         })
     }
 }
@@ -112,8 +172,7 @@ mod tests {
     use super::*;
     use crate::{protocol_mw, MasterHandle};
     use manifold::config::HostName;
-    use manifold::remote::{RemoteConduit, RemoteIdentity};
-    use parking_lot::Mutex;
+    use manifold::remote::{Completion, RemoteIdentity, Started};
 
     #[test]
     fn lost_job_marker_round_trips() {
@@ -129,44 +188,40 @@ mod tests {
         assert!(as_lost_job(&Unit::tuple(vec![Unit::text("__worker_lost")])).is_none());
     }
 
-    /// Conduit that squares reals, failing on the unlucky 13.
+    /// Fleet that squares reals on a thread of its own per job, failing on
+    /// the unlucky 13.
     struct Squarer {
         calls: Arc<Mutex<Vec<f64>>>,
     }
-    impl RemoteConduit for Squarer {
-        fn execute(&self, job: Unit) -> MfResult<Unit> {
-            let x = job.expect_real()?;
-            self.calls.lock().push(x);
-            if x == 13.0 {
-                return Err(MfError::App("instance crashed".into()));
-            }
-            Ok(Unit::real(x * x))
-        }
-        fn identity(&self) -> RemoteIdentity {
-            RemoteIdentity {
-                host: HostName::new("far-node"),
-                task_uid: 9,
-            }
-        }
-        fn instance_id(&self) -> u64 {
-            4
-        }
-    }
-    struct SquarerSource {
-        calls: Arc<Mutex<Vec<f64>>>,
-    }
-    impl ConduitSource for SquarerSource {
-        fn checkout(&self) -> MfResult<Arc<dyn RemoteConduit>> {
-            Ok(Arc::new(Squarer {
-                calls: self.calls.clone(),
-            }))
+    impl JobFleet for Squarer {
+        fn submit(&self, _hint: Option<u64>, job: Unit, started: Started, done: Completion) {
+            let calls = self.calls.clone();
+            std::thread::spawn(move || {
+                started(
+                    4,
+                    RemoteIdentity {
+                        host: HostName::new("far-node"),
+                        task_uid: 9,
+                    },
+                );
+                let x = job.expect_real().unwrap();
+                calls.lock().push(x);
+                done(if x == 13.0 {
+                    Err(Lost {
+                        instance: Some(4),
+                        reason: "instance crashed".into(),
+                    })
+                } else {
+                    Ok(Unit::real(x * x))
+                });
+            });
         }
     }
 
     #[test]
     fn proxy_workers_run_the_protocol_end_to_end() {
         let calls = Arc::new(Mutex::new(Vec::new()));
-        let source: Arc<dyn ConduitSource> = Arc::new(SquarerSource {
+        let fleet: Arc<dyn JobFleet> = Arc::new(Squarer {
             calls: calls.clone(),
         });
         let collected = Arc::new(Mutex::new(Vec::new()));
@@ -190,9 +245,11 @@ mod tests {
                 Ok(())
             });
             coord.activate(&master)?;
-            protocol_mw(coord, &master, remote_worker_factory(source))
+            protocol_mw(coord, &master, remote_worker_factory(fleet))
         })
         .unwrap();
+        // The master and the coordinator: not one thread for a proxy.
+        assert_eq!(env.threads_spawned(), 1);
         env.shutdown();
         assert!(env.failures().is_empty());
 
@@ -218,7 +275,7 @@ mod tests {
     #[test]
     fn lost_instance_surfaces_marker_and_event() {
         let calls = Arc::new(Mutex::new(Vec::new()));
-        let source: Arc<dyn ConduitSource> = Arc::new(SquarerSource {
+        let fleet: Arc<dyn JobFleet> = Arc::new(Squarer {
             calls: calls.clone(),
         });
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -247,7 +304,7 @@ mod tests {
                 Ok(())
             });
             coord.activate(&master)?;
-            protocol_mw(coord, &master, remote_worker_factory(source))
+            protocol_mw(coord, &master, remote_worker_factory(fleet))
         })
         .unwrap();
         env.shutdown();

@@ -24,8 +24,8 @@
 //! *shared* fleet. [`Engine::submit`] starts the job and returns at once;
 //! [`JobHandle::wait`] blocks for that job, [`Engine::next_finished`] for
 //! whichever finishes first. [`Engine::width`] jobs can be in flight
-//! together — as many as the procs backend has worker processes, one on
-//! the other backends — and a submit beyond that waits for a slot.
+//! together — two per worker process on the procs backend, one on the
+//! other backends — and a submit beyond that waits for a slot.
 //!
 //! What a job owns and what the fleet owns:
 //!
@@ -56,7 +56,7 @@ use chaos::{FaultKind, FaultPlan};
 use cluster::{Perturbation, SimFleet};
 use manifold::env::ScopeLog;
 use manifold::prelude::*;
-use manifold::remote::{ConduitSource, RemoteIdentity};
+use manifold::remote::{JobFleet, RemoteIdentity};
 use manifold::trace::TraceRecord;
 use parking_lot::{Condvar, Mutex};
 use protocol::{MasterHandle, PaperFaithful, PerpetualPool, PolicyRef, PoolStats, ProtocolOutcome};
@@ -117,7 +117,7 @@ pub struct EngineOpts {
     /// this many shard masters (with optional work stealing). The default
     /// single shard is the flat master, byte for byte. On the procs
     /// backend the worker processes are also partitioned into matching
-    /// pools and checkouts prefer the dispatching shard's pool.
+    /// pools and each dispatch prefers the dispatching shard's pool.
     pub shards: protocol::ShardSpec,
     /// Membership churn plan: worker joins/leaves fired at 1-based
     /// dispatch ordinals (per job). Real on the procs backend (processes
@@ -398,6 +398,12 @@ pub struct EngineSummary {
     /// Procs backend only: per-child (slot, identity, trace text) reports
     /// collected at shutdown.
     pub child_reports: Vec<(u64, RemoteIdentity, Option<String>)>,
+    /// Procs backend only: connection reader threads the fleet was running
+    /// when it shut down — one per worker process, whatever the job count.
+    pub reader_threads: usize,
+    /// Procs backend only: the most subsolves that ever waited for a
+    /// worker connection at once.
+    pub wire_queue_peak: usize,
 }
 
 type WorkerFactory = Arc<dyn Fn(&Coord, &Name) -> ProcessRef + Send + Sync>;
@@ -460,13 +466,17 @@ impl Engine {
             Some(dir) => Some(Arc::new(CheckpointStore::new(dir)?)),
             None => None,
         };
-        // How many jobs the fleet runs side by side. Never configured: one
-        // per remote worker instance on the procs backend; one where a
-        // job's subsolves already run on this process's own cores
-        // (threads), where there is one virtual timeline (sim), and where
-        // jobs would share one snapshot file (a checkpoint store).
+        // How many jobs the fleet runs side by side. Never configured: two
+        // per remote worker instance on the procs backend — while one job
+        // has a subsolve computing on a worker, another is between
+        // protocol steps on this side, and the fleet's queue absorbs the
+        // difference (measured: two per worker gains a quarter over one,
+        // three gains nothing more); one where a job's subsolves already
+        // run on this process's own cores (threads), where there is one
+        // virtual timeline (sim), and where jobs would share one snapshot
+        // file (a checkpoint store).
         let width = match &backend {
-            EngineBackend::Procs { cfg } if store.is_none() => cfg.instances.max(1),
+            EngineBackend::Procs { cfg } if store.is_none() => 2 * cfg.instances.max(1),
             _ => 1,
         };
         let state = match backend {
@@ -585,10 +595,10 @@ impl Engine {
         Engine::new(backend, Arc::new(PaperFaithful), EngineOpts::default())
     }
 
-    /// How many jobs this fleet runs side by side: the number of remote
-    /// worker instances on the procs backend, 1 on threads and sim and
-    /// whenever a checkpoint store is attached. A property of the fleet,
-    /// not a setting.
+    /// How many jobs this fleet runs side by side: twice the number of
+    /// remote worker instances on the procs backend, 1 on threads and sim
+    /// and whenever a checkpoint store is attached. A property of the
+    /// fleet, not a setting.
     pub fn width(&self) -> usize {
         self.width
     }
@@ -754,24 +764,26 @@ impl Engine {
         let jobs_served = self.jobs_served();
         let fleet_workers_created = self.fleet_workers_created();
         let footprint = self.footprint();
-        let child_reports = match self.state {
-            BackendState::ThreadsFleet { env, .. } => {
-                env.shutdown();
-                Vec::new()
-            }
-            BackendState::ProcsFleet { env, pool, .. } => {
-                env.shutdown();
-                pool.shutdown()
-            }
-            BackendState::SimFleetState { .. } => Vec::new(),
-        };
-        EngineSummary {
+        let mut summary = EngineSummary {
             jobs_served,
             fleet_workers_created,
             threads_spawned: footprint.threads_spawned,
             peak_live_processes: footprint.peak_live_processes,
-            child_reports,
+            child_reports: Vec::new(),
+            reader_threads: 0,
+            wire_queue_peak: 0,
+        };
+        match self.state {
+            BackendState::ThreadsFleet { env, .. } => env.shutdown(),
+            BackendState::ProcsFleet { env, pool, .. } => {
+                env.shutdown();
+                summary.reader_threads = pool.reader_threads();
+                summary.wire_queue_peak = pool.queue_peak();
+                summary.child_reports = pool.shutdown();
+            }
+            BackendState::SimFleetState { .. } => {}
         }
+        summary
     }
 
     fn master_config(&mut self, cfg: &AppConfig) -> MfResult<MasterConfig> {
@@ -831,12 +843,12 @@ impl Engine {
             } => {
                 // The job's own view of the shared pool: its wire tag, its
                 // shard hints. The pool is the only backend with real
-                // membership: sharded masters hint checkouts through it
+                // membership: sharded masters hint dispatches through it
                 // and churn joins/retires worker processes.
                 let source = Arc::new(JobSource::new(Arc::clone(pool), Arc::clone(gauge), job.id));
                 let master_cfg =
                     master_cfg.with_membership(Arc::clone(&source) as Arc<dyn FleetMembership>);
-                let factory = protocol::remote_worker_factory(source as Arc<dyn ConduitSource>);
+                let factory = protocol::remote_worker_factory(source as Arc<dyn JobFleet>);
                 scope.spawn(env, gauge, master_cfg, factory);
             }
             BackendState::SimFleetState {

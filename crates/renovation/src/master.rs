@@ -99,8 +99,10 @@ pub trait FleetMembership: Send + Sync {
     /// Retire one worker (the implementation chooses the victim). Returns
     /// the retired instance index, or `None` when nothing is retirable.
     fn leave(&self) -> MfResult<Option<u64>>;
-    /// Affinity hint: the next worker checkout should prefer this pool
-    /// (shard). Advisory and one-shot; implementations may ignore it.
+    /// Affinity hint: the next worker requested should run on this pool
+    /// (shard) if it can. Advisory and one-shot — it goes with the worker
+    /// created for the very next `request_worker` — and implementations
+    /// may ignore it.
     fn hint_pool(&self, _pool: u64) {}
 }
 
@@ -498,8 +500,8 @@ pub fn master_body(h: &MasterHandle, cfg: &MasterConfig) -> MfResult<SequentialR
         }
         // Membership churn fires by dispatch ordinal, after the job that
         // reaches it: a joined worker is in the rotation from the next
-        // dispatch on; a retirement waits for the victim's in-flight job
-        // (the slot lock serializes them), so nothing is lost.
+        // dispatch on; a retirement waits for the job on the victim's
+        // wire, so nothing is lost.
         if let Some(members) = &cfg.membership {
             if !cfg.churn.is_empty() {
                 for _ in cfg.churn.joins.iter().filter(|&&at| at == dispatch_no) {

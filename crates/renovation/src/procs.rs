@@ -29,7 +29,7 @@ use std::time::Duration;
 use manifold::config::{ConfigSpec, HostName};
 use manifold::ident::TaskInstanceId;
 use manifold::prelude::*;
-use manifold::remote::{ConduitSource, RemoteConduit};
+use manifold::remote::{Completion, JobFleet, Lost, Started};
 use manifold::trace::{format_trace, merge_traces, parse_trace, TraceRecord};
 use protocol::{PolicyRef, DEATH_WORKER};
 use solver::sequential::SequentialApp;
@@ -158,19 +158,22 @@ pub(crate) fn resolve_worker_exe(cfg: &ProcsConfig) -> MfResult<PathBuf> {
     ))
 }
 
-/// One job's view of the fleet's worker pool. Every conduit checked out
-/// here carries the job's id as its wire tag, and every job executed
-/// through one is counted by the same [`WorkerGauge`] the threads backend
-/// uses — `peak_concurrent_workers` means the same thing for both
-/// backends. Also the procs backend's [`FleetMembership`]: a sharded master
-/// leaves a one-shot pool-affinity hint here before each checkout (its
-/// own — another job's master has another `JobSource`), and churn
-/// joins/retires worker processes through it.
+/// One job's view of the fleet's worker pool. Every subsolve submitted
+/// here carries the job's id as its wire tag, and every one is counted by
+/// the same [`WorkerGauge`] the threads backend uses, from the moment its
+/// frame is on a worker's wire until its answer is back — a subsolve
+/// waiting in the fleet's queue is not running — so
+/// `peak_concurrent_workers` means the same thing for both backends. Also
+/// the procs backend's [`FleetMembership`]: a sharded master leaves a
+/// one-shot pool-affinity hint here before each dispatch (its own —
+/// another job's master has another `JobSource`), which the proxy created
+/// for that dispatch takes with it, and churn joins/retires worker
+/// processes through it.
 pub(crate) struct JobSource {
     pool: Arc<RemoteWorkerPool>,
     gauge: Arc<WorkerGauge>,
     job: u64,
-    /// One-shot checkout affinity hint (`u64::MAX` = none).
+    /// One-shot affinity hint for the next dispatch (`u64::MAX` = none).
     hint: AtomicU64,
 }
 
@@ -185,19 +188,28 @@ impl JobSource {
     }
 }
 
-struct GaugedConduit {
-    inner: Arc<dyn RemoteConduit>,
-    gauge: Arc<WorkerGauge>,
-}
-
-impl ConduitSource for JobSource {
-    fn checkout(&self) -> MfResult<Arc<dyn RemoteConduit>> {
+impl JobFleet for JobSource {
+    fn take_hint(&self) -> Option<u64> {
         let hint = self.hint.swap(u64::MAX, Ordering::Relaxed);
-        let pool = (hint != u64::MAX).then_some(hint);
-        Ok(Arc::new(GaugedConduit {
-            inner: self.pool.checkout_for(self.job, pool)?,
-            gauge: Arc::clone(&self.gauge),
-        }))
+        (hint != u64::MAX).then_some(hint)
+    }
+
+    fn submit(&self, hint: Option<u64>, job: Unit, started: Started, done: Completion) {
+        let gauge = Arc::clone(&self.gauge);
+        let started: Started = Box::new(move |instance, identity| {
+            gauge.enter();
+            started(instance, identity);
+        });
+        let gauge = Arc::clone(&self.gauge);
+        let done: Completion = Box::new(move |result| {
+            // A job lost without an instance never reached a wire, so it
+            // never entered; any other leaves before its answer is seen.
+            if !matches!(&result, Err(Lost { instance: None, .. })) {
+                gauge.exit();
+            }
+            done(result);
+        });
+        self.pool.submit(self.job, hint, job, started, done);
     }
 }
 
@@ -221,21 +233,6 @@ impl FleetMembership for JobSource {
 
     fn hint_pool(&self, pool: u64) {
         self.hint.store(pool, Ordering::Relaxed);
-    }
-}
-
-impl RemoteConduit for GaugedConduit {
-    fn execute(&self, job: Unit) -> MfResult<Unit> {
-        self.gauge.enter();
-        let result = self.inner.execute(job);
-        self.gauge.exit();
-        result
-    }
-    fn identity(&self) -> manifold::remote::RemoteIdentity {
-        self.inner.identity()
-    }
-    fn instance_id(&self) -> u64 {
-        self.inner.instance_id()
     }
 }
 

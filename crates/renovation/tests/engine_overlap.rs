@@ -4,9 +4,11 @@
 //!
 //! `engine_jobs.rs` submits its 8-job mix one job at a time; here the same
 //! mix goes in back to back, so on the procs fleet (two worker processes,
-//! width 2) two jobs' coordinators, masters and proxies really are alive
-//! at once over one environment, one pool and one gauge. The threads fleet
-//! is one job wide: the same calls, the same code, one slot.
+//! width 4) four jobs' coordinators, masters and proxies really are alive
+//! at once over one environment, one pool and one gauge — twice as many
+//! jobs as there are workers to compute for them, the rest waiting in the
+//! pool's queue. The threads fleet is one job wide: the same calls, the
+//! same code, one slot.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -81,7 +83,7 @@ fn process_ids(report: &JobReport) -> BTreeSet<u64> {
 
 /// Submit the whole mix without waiting, then check every report against
 /// the sequential oracle and against the same job run alone on `solo`.
-fn overlapped_mix_matches_solo_runs(mut fleet: Engine, mut solo: Engine) {
+fn overlapped_mix_matches_solo_runs(mut fleet: Engine, mut solo: Engine, workers: usize) {
     let handles: Vec<JobHandle> = job_mix()
         .into_iter()
         .map(|cfg| fleet.submit(cfg).expect("engine admission"))
@@ -114,6 +116,14 @@ fn overlapped_mix_matches_solo_runs(mut fleet: Engine, mut solo: Engine) {
             .filter(|r| r.manifold_name.as_str() == "Worker(event)" && r.message == "Welcome")
             .count();
         assert_eq!(welcomes, report.outcome.workers_created());
+        // A subsolve counts while it is on a worker's wire, not while it
+        // waits for one: however many jobs share the fleet, no more run
+        // than there are workers.
+        assert!(
+            report.peak_concurrent_workers <= workers,
+            "job {job}: {} subsolves at once on {workers} workers",
+            report.peak_concurrent_workers
+        );
 
         // And its own processes: no process printed into two reports.
         let ids = process_ids(report);
@@ -142,15 +152,16 @@ fn overlapped_mix_matches_solo_runs(mut fleet: Engine, mut solo: Engine) {
 #[test]
 fn procs_fleet_overlaps_the_mix_and_keeps_every_job_apart() {
     let fleet = procs_fleet(level4());
-    assert_eq!(fleet.width(), 2, "one job per worker process");
-    overlapped_mix_matches_solo_runs(fleet, procs_fleet(level4()));
+    assert_eq!(fleet.width(), 4, "two jobs per worker process");
+    overlapped_mix_matches_solo_runs(fleet, procs_fleet(level4()), 2);
 }
 
 #[test]
 fn threads_fleet_takes_the_same_calls_one_job_wide() {
     let fleet = threads_fleet(level4());
     assert_eq!(fleet.width(), 1);
-    overlapped_mix_matches_solo_runs(fleet, threads_fleet(level4()));
+    // Level 4 dispatches nine subsolves, each a computing thread.
+    overlapped_mix_matches_solo_runs(fleet, threads_fleet(level4()), 9);
 }
 
 #[test]
@@ -244,9 +255,10 @@ fn a_crashed_master_fails_its_own_job_only_on_threads() {
 }
 
 /// Worker process 0 dies on its third subsolve and nothing may be retried
-/// or respawned: whichever job had a subsolve on it — at most the two in
-/// flight — fails with the budget's message, every other job is
-/// bit-identical, and the fleet serves on with the worker it has left.
+/// or respawned: the one job whose subsolve was on its wire fails with the
+/// budget's message — the subsolves waiting for a worker were nobody's yet
+/// and go to the other one — every other job is bit-identical, and the
+/// fleet serves on with the worker it has left.
 #[test]
 fn an_exhausted_retry_budget_fails_the_jobs_it_hit_and_the_fleet_serves_on() {
     let plan = FaultPlan::new(0).push(FaultKind::WorkerCrash {
@@ -273,10 +285,7 @@ fn an_exhausted_retry_budget_fails_the_jobs_it_hit_and_the_fleet_serves_on() {
             }
         }
     }
-    assert!(
-        (1..=2).contains(&failed),
-        "{failed} jobs failed for one lost worker"
-    );
+    assert_eq!(failed, 1, "{failed} jobs failed for one lost worker");
     for _ in 0..3 {
         let report = fleet.submit(AppConfig::new(app)).unwrap().wait().unwrap();
         assert_eq!(report.result.combined, oracle.combined);

@@ -6,7 +6,9 @@
 //! It fails if a job leaves behind a thread (the `variable` counters of
 //! `Create_Worker_Pool` once did, two per job), a registry entry, or a
 //! trace record — on a threads fleet serving one job at a time, and then
-//! on a procs fleet kept two jobs full.
+//! on a procs fleet kept four jobs full, whose proxy workers are stepped
+//! processes: a job in flight there is two threads, its coordinator and
+//! its master, and the fleet adds one reader per worker connection.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -32,18 +34,19 @@ fn three_hundred_jobs_leave_nothing_behind() {
     // One after the other, in one test: the OS thread count is the fleet's.
     let threads = Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts()).unwrap();
     assert_eq!(threads.width(), 1);
-    serve_three_hundred(threads);
+    serve_three_hundred(threads, None);
 
     let mut cfg = ProcsConfig::new(2);
     cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
     let procs = Engine::procs(cfg, Arc::new(PaperFaithful), opts()).unwrap();
-    assert_eq!(procs.width(), 2);
-    serve_three_hundred(procs);
+    assert_eq!(procs.width(), 4);
+    serve_three_hundred(procs, Some(2));
 }
 
 /// Keep `engine` full — `width` jobs submitted at all times — for 300
-/// jobs and hold it to what `width` jobs need, no more.
-fn serve_three_hundred(mut engine: Engine) {
+/// jobs and hold it to what `width` jobs need, no more: `threads_per_job`
+/// threads each, or one per process of the widest job when `None`.
+fn serve_three_hundred(mut engine: Engine, threads_per_job: Option<usize>) {
     let app = SequentialApp::new(1, 2, 1e-3);
     let oracle = app.run().unwrap();
     let threads_before = os_threads();
@@ -98,14 +101,15 @@ fn serve_three_hundred(mut engine: Engine) {
     // scheduler's business, so the thread count may creep up to what
     // `width` jobs can occupy — and not one thread further, however many
     // jobs are served.
+    let threads_per_job = threads_per_job.unwrap_or(job_width);
     assert!(
-        end.threads_spawned as usize <= width * job_width,
-        "{} threads for {width} jobs {job_width} processes wide",
+        end.threads_spawned as usize <= width * threads_per_job,
+        "{} threads for {width} jobs of {threads_per_job} threads each",
         end.threads_spawned
     );
     if let (Some(before), Some(now)) = (threads_before, os_threads()) {
         assert!(
-            now <= before + width * job_width,
+            now <= before + width * threads_per_job,
             "{now} OS threads, {before} before the fleet"
         );
     }

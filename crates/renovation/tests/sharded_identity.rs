@@ -8,7 +8,7 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use protocol::{ChurnPlan, CostAware, PaperFaithful, PolicyRef, ShardSpec};
+use protocol::{BoundedReuse, ChurnPlan, CostAware, PaperFaithful, PolicyRef, ShardSpec};
 use renovation::{
     run_concurrent_opts, run_concurrent_procs, AppConfig, Engine, EngineOpts, ProcsConfig, RunMode,
     RunOpts,
@@ -209,6 +209,66 @@ fn sharded_procs_match_sharded_threads_line_for_line() {
     let b = dispatch_lines(&procs.records);
     assert_eq!(a, b, "sharded dispatch order differs between backends");
     assert!(a.iter().all(|l| l.contains("[shard ")));
+}
+
+/// Every dispatch of a sharded master carries its shard as a placement
+/// hint, and the hint belongs to *that* dispatch: the worker the
+/// coordinator creates for it takes it along, whichever thread later hands
+/// its job to the fleet. Four worker processes in two pools under a
+/// two-job window always leave the hinted pool a free worker (two workers,
+/// at most one other job in flight), so every dispatch must land in its
+/// shard's pool — over several jobs, because a hint taken by the wrong
+/// dispatch is a race, not a certainty.
+#[test]
+fn every_hinted_dispatch_lands_in_its_pool_while_the_pool_has_a_free_worker() {
+    use manifold::ident::TaskInstanceId;
+    use manifold::trace::TraceRecord;
+
+    let app = SequentialApp::new(2, 3, 1e-3);
+    let seq = app.run().unwrap();
+    let mut cfg = ProcsConfig::new(4);
+    cfg.bind = BindMode::Unix;
+    cfg.worker_exe = Some(worker_exe());
+    let opts = EngineOpts {
+        capacity_level: 3,
+        shards: ShardSpec::new(2),
+        ..EngineOpts::default()
+    };
+    let mut engine = Engine::procs(cfg, Arc::new(BoundedReuse::new(2)), opts).unwrap();
+    for job in 0..12 {
+        let report = engine.submit(AppConfig::new(app)).unwrap().wait().unwrap();
+        assert_eq!(report.result.combined, seq.combined);
+        // The k-th dispatch is served by the k-th worker created: one
+        // factory call per `request_worker`, process ids in creation order.
+        let shards: Vec<u64> = dispatch_lines(&report.records)
+            .iter()
+            .map(|l| {
+                let tag = l.split("[shard ").nth(1).expect("attributed dispatch");
+                tag.trim_end_matches(']').parse().unwrap()
+            })
+            .collect();
+        let mut welcomes: Vec<&TraceRecord> = report
+            .records
+            .iter()
+            .filter(|r| r.manifold_name.as_str() == "Worker(event)" && r.message == "Welcome")
+            .collect();
+        welcomes.sort_by_key(|r| r.proc_uid);
+        assert_eq!(shards.len(), 7, "level 3 dispatches 7 subsolves");
+        assert_eq!(welcomes.len(), shards.len());
+        for (k, (shard, welcome)) in shards.iter().zip(&welcomes).enumerate() {
+            // A proxy prints under the identity of the worker process its
+            // job went to: instance i is task instance i + 1, pool i % 2.
+            let instance = (0..4u64)
+                .find(|&i| TraceRecord::task_uid_for(TaskInstanceId(i + 1)) == welcome.task_uid)
+                .expect("a worker process's task uid");
+            assert_eq!(
+                instance % 2,
+                *shard,
+                "job {job}: dispatch {k} hinted at pool {shard} ran on instance {instance}"
+            );
+        }
+    }
+    engine.shutdown();
 }
 
 /// The CI `scaling-smoke` invariant: a 2-shard procs fleet that gains one

@@ -195,16 +195,20 @@ fn main() {
         );
     }
     // The fleet's own accounting: a thread count or a registry peak that
-    // tracks the job count means the daemon degrades with uptime.
+    // tracks the job count means the daemon degrades with uptime; a wire
+    // queue that never fills means the workers waited for the daemon.
     if let Some(e) = &report.engine {
         println!(
             "mf-served:   engine: {} jobs, {} workers created, {} threads spawned, \
-             peak {} live processes, peak {} in flight",
+             peak {} live processes, peak {} in flight, {} reader threads, \
+             wire queue peak {}",
             e.jobs_served,
             e.fleet_workers_created,
             e.threads_spawned,
             e.peak_live_processes,
-            report.peak_in_flight
+            report.peak_in_flight,
+            e.reader_threads,
+            e.wire_queue_peak
         );
     }
     if let Some(err) = &report.engine_error {

@@ -35,7 +35,7 @@ fn scratch(tag: &str) -> (PathBuf, PathBuf) {
 enum Fleet {
     /// One virtual timeline: one job at a time.
     Sim,
-    /// Two worker processes: two jobs at a time.
+    /// Two worker processes: four jobs at a time.
     Procs,
 }
 
@@ -348,13 +348,13 @@ fn repeated_kills_compose_across_incarnations() {
     assert_eq!(kills, 2, "both induced crashes must fire");
 }
 
-/// The same kill with two jobs in flight. Whichever outcome the daemon
-/// dies on, the job beside it in the engine (and whatever had already
-/// refilled the freed slot) is Pending in the journal with no outcome: the
-/// next incarnation re-runs each of them once, replays the journaled
+/// The same kill with four jobs in flight. Whichever outcome the daemon
+/// dies on, the jobs beside it in the engine (and whatever had already
+/// refilled the freed slot) are Pending in the journal with no outcome:
+/// the next incarnation re-runs each of them once, replays the journaled
 /// reply, and no tenant sees a duplicate — `run_tenant` panics on one.
 #[test]
-fn a_kill_with_two_jobs_in_flight_reruns_each_pending_job_once() {
+fn a_kill_with_four_jobs_in_flight_reruns_each_pending_job_once() {
     for k in [1u64, 2, 5] {
         let (kills, _, printed) = crash_scenario_on(
             Fleet::Procs,
@@ -365,10 +365,10 @@ fn a_kill_with_two_jobs_in_flight_reruns_each_pending_job_once() {
         );
         assert_eq!(kills, 1, "kill point {k}: exactly one induced crash");
         // Only the surviving incarnation printed a drain report: all 16
-        // jobs answered, two at a time.
+        // jobs answered, four at a time.
         assert!(
-            printed.contains("peak 2 in flight"),
-            "kill point {k}: the daemon never overlapped two jobs:\n{printed}"
+            printed.contains("peak 4 in flight"),
+            "kill point {k}: the daemon never overlapped four jobs:\n{printed}"
         );
     }
 }

@@ -23,9 +23,10 @@
 //! * [`server`] — the child-side serve loop (handshake, job execution,
 //!   heartbeats while computing, trace shipping at shutdown);
 //! * [`launcher`] — the coordinator-side pool: spawns instances from the
-//!   CONFIG host map, hands out [`manifold::remote::RemoteConduit`]s,
-//!   detects dead instances (EOF, heartbeat silence) and respawns them
-//!   under a bounded budget.
+//!   CONFIG host map, takes jobs without blocking (an idle connection or
+//!   the fleet's queue, one reader thread per connection), detects dead
+//!   instances (EOF, heartbeat silence) and respawns them under a bounded
+//!   budget.
 //!
 //! Nothing above this crate handles sockets: `protocol` and the
 //! application layers talk to [`manifold::remote`] traits only, so the
