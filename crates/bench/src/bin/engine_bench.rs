@@ -23,11 +23,17 @@
 //! submitted at all times, so a procs fleet runs its jobs overlapped — and
 //! the median latency of the last tenth of the jobs may not exceed 1.15×
 //! that of the second tenth, and the fleet may not have spawned more
-//! threads than the jobs it runs together can occupy — coordinator,
-//! master and one per worker each on threads; coordinator and master on
-//! procs, whose proxy workers are stepped processes without a thread — a
-//! thread count that follows the job count is a leak, one that stops
-//! there is a warm pool.
+//! threads than the jobs it runs together can occupy — the master and one
+//! per worker each on threads; the master alone on procs, whose proxy
+//! workers, like every job's coordinator, are stepped processes without a
+//! thread — a thread count that follows the job count is a leak, one that
+//! stops there is a warm pool.
+//!
+//! Every live backend also reports — nothing gates on them — how many
+//! voluntary context switches this process made per job over the jobs of
+//! its last lifecycle and how many `mf-pool-N` threads it ended with, read
+//! from `/proc/self/task/*/{status,comm}` (zero where there is no `/proc`):
+//! the hand-offs the fleet's side of a job costs.
 //!
 //! Threads and procs report wall-clock milliseconds; sim reports the
 //! virtual-time milliseconds of the DES, where warm jobs skip the
@@ -75,12 +81,42 @@ struct BackendStats {
 struct FleetCounters {
     /// Jobs the fleet runs side by side ([`Engine::width`]).
     width: usize,
-    /// Most threads any one job can occupy: coordinator, master, and —
-    /// where workers compute in this process — one per worker.
+    /// Most threads any one job can occupy: its master, and — where
+    /// workers compute in this process — one per worker.
     job_threads: usize,
     /// Fleet-lifetime counters from `EngineSummary`, worst lifecycle.
     threads_spawned: u64,
     peak_live_processes: usize,
+    /// Voluntary context switches of this process per job, and its
+    /// `mf-pool-N` threads at the end, over the last lifecycle's jobs.
+    voluntary_switches_per_job: f64,
+    pool_threads: usize,
+}
+
+/// Voluntary context switches summed over this process's threads, and how
+/// many of the threads are `mf-pool-N`; `None` without a `/proc`. Threads
+/// that exit between two readings take their count with them — a fleet's
+/// do not exit before `shutdown`.
+fn task_switches() -> Option<(u64, usize)> {
+    let mut switches = 0;
+    let mut pool_threads = 0;
+    for task in std::fs::read_dir("/proc/self/task").ok()? {
+        let dir = task.ok()?.path();
+        let (Ok(status), Ok(comm)) = (
+            std::fs::read_to_string(dir.join("status")),
+            std::fs::read_to_string(dir.join("comm")),
+        ) else {
+            // The thread exited while we were listing.
+            continue;
+        };
+        switches += status
+            .lines()
+            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+            .and_then(|n| n.trim().parse::<u64>().ok())
+            .unwrap_or(0);
+        pool_threads += usize::from(comm.starts_with("mf-pool-"));
+    }
+    Some((switches, pool_threads))
 }
 
 fn median(samples: &[f64]) -> f64 {
@@ -161,6 +197,7 @@ fn bench_backend(
         let mut engine = build().expect("engine construction");
         fleet.width = engine.width();
         depth = if keep_full { engine.width() } else { 1 };
+        let before = task_switches();
         let mut submitted = VecDeque::new();
         // One more turn than jobs per extra job in flight: the last turns
         // only collect.
@@ -192,13 +229,17 @@ fn bench_backend(
                 "procs" => 0,
                 _ => report.outcome.workers_created(),
             };
-            fleet.job_threads = fleet.job_threads.max(2 + worker_threads);
+            fleet.job_threads = fleet.job_threads.max(1 + worker_threads);
             if report.result.combined != oracle.combined
                 || report.result.l2_error != oracle.l2_error
             {
                 eprintln!("engine_bench: {backend} job {job} drifted from the sequential oracle");
                 bit_identical = false;
             }
+        }
+        if let (Some((before, _)), Some((after, pool_threads))) = (before, task_switches()) {
+            fleet.voluntary_switches_per_job = after.saturating_sub(before) as f64 / jobs as f64;
+            fleet.pool_threads = pool_threads;
         }
         let summary = engine.shutdown();
         fleet.threads_spawned = fleet.threads_spawned.max(summary.threads_spawned);
@@ -229,6 +270,7 @@ fn render_json(level: u32, reps: usize, policy: &str, stats: &[BackendStats]) ->
              \"jobs2plus_mean_ms\": {:.3},\n      \"p50_ms\": {:.3},\n      \
              \"p95_ms\": {:.3},\n      \"warm_speedup\": {:.2},\n      \
              \"threads_spawned\": {},\n      \"peak_live_processes\": {},\n      \
+             \"voluntary_switches_per_job\": {:.2},\n      \"pool_threads\": {},\n      \
              \"bit_identical\": {},\n      \"checksum\": \"{:016x}\"\n    }}{}\n",
             s.backend,
             s.jobs,
@@ -241,6 +283,8 @@ fn render_json(level: u32, reps: usize, policy: &str, stats: &[BackendStats]) ->
             s.warm_speedup,
             s.fleet.threads_spawned,
             s.fleet.peak_live_processes,
+            s.fleet.voluntary_switches_per_job,
+            s.fleet.pool_threads,
             s.bit_identical,
             s.checksum,
             if i + 1 < stats.len() { "," } else { "" }
@@ -325,14 +369,17 @@ fn main() {
     for s in stats.iter().filter(|s| !s.virtual_time) {
         println!(
             "{}: {} threads spawned, peak {} live processes ({} at a time, a job is {} \
-             threads wide); second-tenth median {:.3} ms, last-tenth median {:.3} ms",
+             threads wide); second-tenth median {:.3} ms, last-tenth median {:.3} ms; \
+             {:.1} voluntary switches per job, {} pool threads",
             s.backend,
             s.fleet.threads_spawned,
             s.fleet.peak_live_processes,
             s.fleet.width,
             s.fleet.job_threads,
             s.early_ms,
-            s.late_ms
+            s.late_ms,
+            s.fleet.voluntary_switches_per_job,
+            s.fleet.pool_threads
         );
     }
     println!();

@@ -7,7 +7,7 @@
 //! releases the lock for the next acquirer.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// A mutex that, like `parking_lot::Mutex`, never poisons.
@@ -185,10 +185,13 @@ impl WaitTimeoutResult {
 /// rely on it.
 pub struct Condvar {
     inner: std::sync::Condvar,
-    /// `std::sync::Condvar` panics if used with two different mutexes;
-    /// parking_lot relaxes this. In-tree usage is one-mutex, so we keep
-    /// a debug flag only to make misuse loud.
-    used: AtomicBool,
+    /// Threads inside `wait`/`wait_until`. `std`'s condvar makes a futex
+    /// system call for every notify; parking_lot's returns at once when
+    /// nobody is parked, and in-tree callers notify far more often than
+    /// anyone waits. Counted up under the caller's mutex before it is
+    /// released, so a notifier that changed the predicate under that
+    /// mutex cannot miss a waiter it should wake.
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -196,17 +199,18 @@ impl Condvar {
     pub const fn new() -> Condvar {
         Condvar {
             inner: std::sync::Condvar::new(),
-            used: AtomicBool::new(false),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Block until notified, releasing the guard while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        self.used.store(true, Ordering::Relaxed);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         replace_guard(&mut guard.inner, |g| match self.inner.wait(g) {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Block until notified or `deadline` passes.
@@ -215,7 +219,7 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         deadline: Instant,
     ) -> WaitTimeoutResult {
-        self.used.store(true, Ordering::Relaxed);
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let mut timed_out = false;
         replace_guard(&mut guard.inner, |g| {
             let now = Instant::now();
@@ -236,17 +240,22 @@ impl Condvar {
                 }
             }
         });
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         WaitTimeoutResult { timed_out }
     }
 
     /// Wake one waiter.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
     /// Wake all waiters.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 

@@ -17,8 +17,9 @@
 //! | state preemption                 | [`StateScope`] drop (dismantles streams)|
 //! | `post(e)`                        | [`Coord::post`]                         |
 //! | `raise(e)`                       | [`Coord::raise`]                        |
-//! | `ignore e` (block declaration)   | [`Coord::with_ignore`]                  |
+//! | `ignore e` (block declaration)   | [`EventMemory::purge_named`](crate::event::EventMemory::purge_named) at block exit |
 //! | a block's `auto process` locals  | [`Coord::scope`] (they die with the block) |
+//! | the same, from a step function   | [`Coord::open_scope`] + [`Coord::close_pending`] |
 //! | `process p is M(...)` + `activate` | [`Coord::create_atomic`] + [`Coord::activate`] |
 //! | `&p -> q` (send a reference)     | [`StateScope::send`] with a [`Unit::ProcessRef`] |
 //!
@@ -37,6 +38,19 @@
 //! outlives it, so a coordinator that runs the same block a million times
 //! costs the same the millionth time as the first.
 //!
+//! A coordinator is itself run in one of two ways. A *closure*
+//! coordinator ([`Environment::run_coordinator`],
+//! [`Environment::spawn_coordinator`]) owns a thread and blocks in its
+//! waits; its blocks close by joining their members ([`Coord::scope`]). A
+//! *stepped* coordinator
+//! ([`Environment::create_stepped_coordinator`]) has no thread: its step
+//! function runs on whichever thread raises an event into it, selects
+//! with `try_select`, holds a state's streams across steps with
+//! [`StateScope::hold`], and closes its blocks with
+//! [`Coord::close_pending`], which never waits — a closing block stays
+//! pending until its members' termination notices have arrived, because
+//! the thread running the step may be the very member it would wait for.
+//!
 //! Activation normally gives a process a thread ([`Coord::activate`]). A
 //! process that is already wired — its input waiting on its port, its
 //! output connected — and whose body only computes can instead be run to
@@ -53,7 +67,7 @@ use crate::env::{Environment, ScopeLog};
 use crate::error::MfResult;
 use crate::event::{EventOccurrence, EventPattern};
 use crate::ident::{Name, ProcessId};
-use crate::process::{AtomicProcess, Body, ProcessCore, ProcessCtx, ProcessRef, Step};
+use crate::process::{AtomicProcess, Body, LifeState, ProcessCore, ProcessCtx, ProcessRef, Step};
 use crate::stream::{Stream, StreamType};
 use crate::unit::Unit;
 
@@ -73,6 +87,36 @@ impl StateExit {
         match self {
             StateExit::Event(e) => Some(e),
             StateExit::Terminated(_) => None,
+        }
+    }
+}
+
+/// Where a block opened with [`Coord::open_scope`] begins, and whether its
+/// closing has started.
+#[derive(Debug)]
+pub struct ScopeMark {
+    start: usize,
+    ending: bool,
+}
+
+impl ScopeMark {
+    /// The coordinator's outermost block: everything it still owns.
+    pub(crate) fn outermost() -> ScopeMark {
+        ScopeMark {
+            start: 0,
+            ending: false,
+        }
+    }
+}
+
+/// The streams of a state a step function is waiting in (see
+/// [`StateScope::hold`]). Dropping it preempts the state.
+pub struct HeldState(Vec<Arc<Stream>>);
+
+impl Drop for HeldState {
+    fn drop(&mut self) {
+        for s in &self.0 {
+            s.dismantle();
         }
     }
 }
@@ -140,7 +184,7 @@ impl Coord {
         manifold: impl Into<Name>,
         step: impl FnMut(&ProcessCtx) -> MfResult<Step> + Send + 'static,
     ) -> ProcessRef {
-        self.create(manifold.into(), Body::Stepped(Box::new(step)))
+        self.create(manifold.into(), Body::stepped(step))
     }
 
     /// Run `body` as a block that owns the processes created inside it:
@@ -158,7 +202,49 @@ impl Coord {
 
     fn close_from(&self, mark: usize) {
         let members = self.owned.lock().split_off(mark);
-        self.env.retire(&members, &self.log);
+        self.env.retire(&members, self.ctx.core(), &self.log);
+    }
+
+    /// Open a block from a step function: the processes created from now
+    /// on belong to it until [`Coord::close_pending`] has closed it.
+    /// Blocks nest; close the innermost first.
+    pub fn open_scope(&self) -> ScopeMark {
+        ScopeMark {
+            start: self.owned.lock().len(),
+            ending: false,
+        }
+    }
+
+    /// Close the block opened at `mark` as far as that goes without
+    /// waiting: on the first call its members are killed and those never
+    /// activated end unstarted; once every member has terminated they
+    /// leave the registry, their failures move to the coordinator's log,
+    /// and the block is closed — `None`. Until then the answer is a member
+    /// still on its way out; its termination notice wakes a stepped
+    /// coordinator (a blocking caller waits for it with
+    /// [`EventMemory::wait_present`](crate::event::EventMemory::wait_present)),
+    /// which then asks again. No process may be created in a closing
+    /// block.
+    pub fn close_pending(&self, mark: &mut ScopeMark) -> Option<ProcessId> {
+        let members: Vec<Arc<ProcessCore>> = {
+            let owned = self.owned.lock();
+            owned[mark.start.min(owned.len())..].to_vec()
+        };
+        if !mark.ending {
+            mark.ending = true;
+            self.env.end(&members);
+        }
+        if let Some(alive) = members
+            .iter()
+            .find(|p| p.life_state() != LifeState::Terminated)
+        {
+            return Some(alive.id());
+        }
+        self.owned.lock().truncate(mark.start);
+        for p in &members {
+            self.env.unregister(p, &self.log);
+        }
+        None
     }
 
     /// Activate a created process (`activate p`).
@@ -227,21 +313,6 @@ impl Coord {
             coord: self,
             streams: Vec::new(),
         }
-    }
-
-    /// Run `body` as a block that declared `ignore e` for each listed
-    /// event: on exit, pending occurrences of those events are purged from
-    /// the coordinator's memory (the paper's `ignore death.`).
-    pub fn with_ignore<R>(
-        &self,
-        ignored: &[&str],
-        body: impl FnOnce(&Coord) -> MfResult<R>,
-    ) -> MfResult<R> {
-        let result = body(self);
-        for e in ignored {
-            self.ctx.core().events().purge_named(&Name::new(*e));
-        }
-        result
     }
 }
 
@@ -375,6 +446,13 @@ impl<'c> StateScope<'c> {
     pub fn stream_count(&self) -> usize {
         self.streams.len()
     }
+
+    /// Stay in this state across the steps of a step function: the
+    /// state's streams, to be kept until the event that preempts the state
+    /// has been selected and dropped then.
+    pub fn hold(mut self) -> HeldState {
+        HeldState(std::mem::take(&mut self.streams))
+    }
 }
 
 impl Drop for StateScope<'_> {
@@ -390,7 +468,6 @@ mod tests {
     use super::*;
     use crate::env::Environment;
     use crate::error::MfError;
-    use crate::process::LifeState;
 
     /// A worker that reads one number, doubles it, writes it back, raises
     /// `done`, and dies.
@@ -585,6 +662,53 @@ mod tests {
     }
 
     #[test]
+    fn a_scope_closed_from_inside_its_own_member_is_diagnosed_not_joined() {
+        // A coordinator handed to the process it created closes its block
+        // on that process's own thread, from inside its body: joining the
+        // member there would wait the whole grace for itself.
+        let env = Environment::new();
+        let owner = ProcessCore::new(
+            ProcessId(1_000_000),
+            "Main",
+            env.trace().clone(),
+            crate::trace::Clock::System,
+        );
+        let coord = Coord::new(
+            ProcessCtx::new(owner.clone()),
+            env.clone(),
+            env.log().clone(),
+        );
+        let (hand_tx, hand_rx) = std::sync::mpsc::channel::<Coord>();
+        let (took_tx, took_rx) = std::sync::mpsc::channel();
+        let member = coord.create_atomic("Member", move |_ctx: ProcessCtx| {
+            let coord = hand_rx.recv().expect("the coordinator is handed over");
+            let began = std::time::Instant::now();
+            drop(coord);
+            took_tx.send(began.elapsed()).unwrap();
+            Ok(())
+        });
+        let bystander = parked(&coord).unwrap();
+        coord.activate(&member).unwrap();
+        hand_tx.send(coord).unwrap();
+        let took = took_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(took < Duration::from_secs(1), "the exit took {took:?}");
+        assert_eq!(
+            owner.failure(),
+            Some(MfError::App(
+                "scope closed from inside its member Member".into()
+            ))
+        );
+        // The rest of the block was closed as usual.
+        assert_eq!(bystander.life_state(), LifeState::Terminated);
+        member
+            .core()
+            .wait_terminated(Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(env.live_processes(), 0);
+        env.shutdown();
+    }
+
+    #[test]
     fn scope_failures_are_reported_once() {
         let env = Environment::new();
         env.run_coordinator("Main", |coord| {
@@ -605,22 +729,6 @@ mod tests {
         assert_eq!(taken[0].1, MfError::App("boom".into()));
         assert!(env.take_failures().is_empty());
         assert!(env.failures().is_empty());
-        env.shutdown();
-    }
-
-    #[test]
-    fn with_ignore_purges_on_exit() {
-        let env = Environment::new();
-        env.run_coordinator("Main", |coord| {
-            coord.post("death");
-            coord.post("keep");
-            coord.with_ignore(&["death"], |_c| Ok(()))?;
-            let mem = coord.ctx().core().events();
-            assert!(mem.try_select(&["death".into()]).is_none());
-            assert!(mem.try_select(&["keep".into()]).is_some());
-            Ok(())
-        })
-        .unwrap();
         env.shutdown();
     }
 

@@ -16,10 +16,11 @@
 //!
 //! A [`ScopeLog`] is where a coordinator's observable output accumulates:
 //! the §6 records its processes print and the failures of those it has
-//! retired. Coordinators share the environment's own log unless they are
-//! started with one of their own ([`Environment::spawn_coordinator_logged`]),
-//! which is how several jobs run side by side over one environment and
-//! each still reports exactly its own records and failures.
+//! retired. Closure coordinators share the environment's own log; a
+//! stepped coordinator ([`Environment::create_stepped_coordinator`]) is
+//! given one of its own, which is how several jobs run side by side over
+//! one environment and each still reports exactly its own records and
+//! failures.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -30,7 +31,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::config::ConfigSpec;
-use crate::coord::Coord;
+use crate::coord::{Coord, ScopeMark};
 use crate::error::{MfError, MfResult};
 use crate::ident::{Name, ProcessId};
 use crate::link::{Bundler, LinkSpec};
@@ -149,6 +150,12 @@ impl Environment {
         &self.shared.log.trace
     }
 
+    /// The environment's own log: where every closure coordinator prints
+    /// and retires its processes, and what [`Environment::failures`] reads.
+    pub fn log(&self) -> &Arc<ScopeLog> {
+        &self.shared.log
+    }
+
     /// Echo trace records to stderr as they are produced.
     pub fn echo_trace(&self, on: bool) {
         self.shared.log.trace.set_echo(on);
@@ -173,29 +180,46 @@ impl Environment {
 
     /// Drop a finished process from the registry, keeping its failure in
     /// its owner's log.
-    fn unregister(&self, core: &ProcessCore, log: &ScopeLog) {
+    pub(crate) fn unregister(&self, core: &ProcessCore, log: &ScopeLog) {
         self.shared.processes.lock().remove(&core.id());
         if let Some(e) = core.failure() {
             log.failures.lock().push((core.id(), e));
         }
     }
 
-    /// End the life of every process in `members` — the exit of the
-    /// coordinator block that created them. All are killed first so they
-    /// unwind concurrently; each is then joined (its thread is back in the
-    /// pool when this returns) and leaves the registry, its failure moving
-    /// to `log`. A member that was never activated terminates without ever
-    /// having run; an active stepped one terminated inside its `kill`, or
-    /// does when the step another thread is in returns.
-    pub(crate) fn retire(&self, members: &[Arc<ProcessCore>], log: &ScopeLog) {
+    /// The part of a block's exit that never waits: every member is
+    /// killed — all of them first, so they unwind concurrently — and one
+    /// that was never activated terminates without ever having run. An
+    /// active stepped member terminates inside its `kill`, or when the
+    /// step another thread is in returns; a threaded one when its body
+    /// has unwound.
+    pub(crate) fn end(&self, members: &[Arc<ProcessCore>]) {
         for p in members {
             p.kill();
         }
         for p in members {
             // Holding the body means nobody else can activate it any more.
-            let never_ran = p.body.lock().take().is_some();
-            if never_ran {
+            if p.body.lock().take().is_some() {
                 p.terminate();
+            }
+        }
+    }
+
+    /// End the life of every process in `members` — the exit of a block of
+    /// the closure coordinator `owner`: [`Environment::end`], then each is
+    /// joined (its thread is back in the pool when this returns) and
+    /// leaves the registry, its failure moving to `log`.
+    pub(crate) fn retire(&self, members: &[Arc<ProcessCore>], owner: &ProcessCore, log: &ScopeLog) {
+        self.end(members);
+        for p in members {
+            if p.runs_on_this_thread() {
+                // The block is closing inside this member's own body (a
+                // coordinator handed to the process it created): joining
+                // would wait the whole grace for ourselves.
+                owner.record_failure(MfError::App(format!(
+                    "scope closed from inside its member {}",
+                    p.manifold_name()
+                )));
             } else {
                 // A body still computing after the grace is abandoned: it
                 // is dead to the registry and exits at its next blocking
@@ -252,11 +276,7 @@ impl Environment {
         manifold_name: impl Into<Name>,
         step: impl FnMut(&ProcessCtx) -> MfResult<Step> + Send + 'static,
     ) -> ProcessRef {
-        self.create_in(
-            &self.shared.log,
-            manifold_name,
-            Body::Stepped(Box::new(step)),
-        )
+        self.create_in(&self.shared.log, manifold_name, Body::stepped(step))
     }
 
     /// Look up a live process by id.
@@ -297,10 +317,13 @@ impl Environment {
     fn start_threaded(core: &Arc<ProcessCore>, body: Box<dyn AtomicProcess>) -> PoolBody {
         core.set_life(LifeState::Active);
         let ctx = ProcessCtx::new(core.clone());
-        let failed = core.clone();
-        Box::new(move || match body.run(ctx) {
-            Ok(()) | Err(MfError::Killed) => {}
-            Err(e) => failed.record_failure(e),
+        let core = core.clone();
+        Box::new(move || {
+            core.set_carrier();
+            match body.run(ctx) {
+                Ok(()) | Err(MfError::Killed) => {}
+                Err(e) => core.record_failure(e),
+            }
         })
     }
 
@@ -427,28 +450,14 @@ impl Environment {
     }
 
     /// Run a coordinator on a new thread; returns its process reference.
+    /// When that process has terminated the coordinator's scope is closed.
     pub fn spawn_coordinator(
         &self,
         name: impl Into<Name>,
         f: impl FnOnce(&mut Coord) -> MfResult<()> + Send + 'static,
     ) -> ProcessRef {
-        self.spawn_coordinator_logged(name, self.shared.log.clone(), f)
-    }
-
-    /// [`Environment::spawn_coordinator`] with a [`ScopeLog`] of the
-    /// coordinator's own: everything the coordinator and the processes it
-    /// creates print or fail with goes to `log` instead of the
-    /// environment's. When the returned process has terminated the scope
-    /// is closed and `log` is complete — an `on_terminate` hook on it is
-    /// the place to collect the log, and by then the thread that ran the
-    /// coordinator is back in the pool.
-    pub fn spawn_coordinator_logged(
-        &self,
-        name: impl Into<Name>,
-        log: Arc<ScopeLog>,
-        f: impl FnOnce(&mut Coord) -> MfResult<()> + Send + 'static,
-    ) -> ProcessRef {
         let name = name.into();
+        let log = self.shared.log.clone();
         let core = self.make_coordinator_core(&name, &log);
         let env = self.clone();
         let core2 = core.clone();
@@ -467,6 +476,66 @@ impl Environment {
         };
         self.run_on_pool(core.clone(), Box::new(job));
         ProcessRef::new(core)
+    }
+
+    /// Create (but do not activate) a *stepped* coordinator: a coordinator
+    /// without a thread. `step` is handed the coordinator's [`Coord`] and
+    /// is called on whichever thread makes the coordinator runnable — its
+    /// activation, an event raised by a process it watches, a `post` to
+    /// itself, a termination notice, a kill — one call at a time, until it
+    /// returns [`Step::Done`] or an error. It reacts and returns: it
+    /// selects from its event memory with `try_select`, closes its blocks
+    /// with [`Coord::close_pending`], and never blocks, because the thread
+    /// it runs on belongs to whoever raised the event — the master inside
+    /// `raise(create_worker)`, a worker inside `raise(death_worker)`.
+    ///
+    /// Everything the coordinator and its processes print or fail with
+    /// goes to `log`. The coordinator's own exit does not block either:
+    /// when `step` is done, has failed, or the coordinator was killed (a
+    /// step that is still pending after the kill is not called again), what
+    /// it still owns is killed, and the coordinator stays pending until the
+    /// termination notices of those processes have arrived; then they
+    /// leave the registry, then the coordinator does, and only then does
+    /// it terminate. So `on_terminate` on the returned process still means
+    /// "scope closed, `log` complete" — registered before
+    /// [`Environment::activate`], it cannot miss.
+    pub fn create_stepped_coordinator(
+        &self,
+        name: impl Into<Name>,
+        log: Arc<ScopeLog>,
+        mut step: impl FnMut(&Coord) -> MfResult<Step> + Send + 'static,
+    ) -> ProcessRef {
+        let env = self.clone();
+        let scope_log = log.clone();
+        // The coordinator's outermost block, from its first step on, and
+        // the mark its exit closes it with once `step` is through.
+        let mut coord: Option<Coord> = None;
+        let mut exit: Option<ScopeMark> = None;
+        let body = move |ctx: &ProcessCtx| -> MfResult<Step> {
+            let coord = coord
+                .get_or_insert_with(|| Coord::new(ctx.clone(), env.clone(), scope_log.clone()));
+            if exit.is_none() {
+                // A panic is caught here rather than left to the stepper,
+                // so that the scope of a coordinator with a bug still
+                // closes in order.
+                let stepped =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(coord)))
+                        .unwrap_or_else(|_| Err(MfError::App("process body panicked".into())));
+                match stepped {
+                    Ok(Step::Pending) if !ctx.core().is_killed() => return Ok(Step::Pending),
+                    Ok(_) | Err(MfError::Killed) => {}
+                    Err(e) => ctx.core().record_failure(e),
+                }
+            }
+            let exit = exit.get_or_insert_with(ScopeMark::outermost);
+            if coord.close_pending(exit).is_some() {
+                return Ok(Step::Pending);
+            }
+            // Out of the registry before `terminated` is observable.
+            env.unregister(ctx.core(), &scope_log);
+            Ok(Step::Done)
+        };
+        self.create_in(&log, name, Body::Stepped(Box::new(body)))
     }
 
     /// Block until the given process terminates.
@@ -771,34 +840,38 @@ mod tests {
     #[test]
     fn concurrent_scopes_keep_their_records_and_failures_apart() {
         let env = Environment::new();
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let go_rx = Arc::new(Mutex::new(go_rx));
         let scopes: Vec<(Arc<ScopeLog>, ProcessRef)> = (0..2)
             .map(|k| {
                 let log = ScopeLog::new();
-                let go = go_rx.clone();
-                let c = env.spawn_coordinator_logged("Main", log.clone(), move |coord| {
-                    crate::mes!(coord.ctx(), "scope {k} begins");
-                    let p = coord.create_atomic("P", move |ctx: ProcessCtx| {
-                        crate::mes!(ctx, "hello from {k}");
-                        Err(MfError::App(format!("boom {k}")))
-                    });
-                    coord.activate(&p)?;
-                    p.core().wait_terminated(Duration::from_secs(5))?;
-                    // Both scopes are alive at once: neither returns
+                let mut begun = false;
+                let c = env.create_stepped_coordinator("Main", log.clone(), move |coord| {
+                    if !begun {
+                        begun = true;
+                        crate::mes!(coord.ctx(), "scope {k} begins");
+                        let p = coord.create_atomic("P", move |ctx: ProcessCtx| {
+                            crate::mes!(ctx, "hello from {k}");
+                            Err(MfError::App(format!("boom {k}")))
+                        });
+                        coord.activate(&p)?;
+                    }
+                    // Both scopes are alive at once: neither is done
                     // before the test has seen them both running.
-                    let _ = go.lock().recv_timeout(Duration::from_secs(5));
-                    Ok(())
+                    let go = coord.ctx().core().events().try_select(&["go".into()]);
+                    Ok(if go.is_some() {
+                        Step::Done
+                    } else {
+                        Step::Pending
+                    })
                 });
+                env.activate(&c).unwrap();
                 (log, c)
             })
             .collect();
         while scopes.iter().any(|(log, _)| log.trace().len() < 2) {
             std::thread::yield_now();
         }
-        go_tx.send(()).unwrap();
-        go_tx.send(()).unwrap();
         for (k, (log, c)) in scopes.iter().enumerate() {
+            c.core().post("go");
             c.core().wait_terminated(Duration::from_secs(5)).unwrap();
             let msgs: Vec<String> = log.trace().take().into_iter().map(|r| r.message).collect();
             assert_eq!(
@@ -812,6 +885,10 @@ mod tests {
         assert!(env.trace().is_empty(), "nothing leaked into the shared log");
         assert!(env.take_failures().is_empty());
         assert_eq!(env.live_processes(), 0);
+        assert!(
+            env.threads_spawned() <= 2,
+            "one thread per `P` at most: the scopes themselves ran on none"
+        );
         env.shutdown();
     }
 

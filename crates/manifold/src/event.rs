@@ -286,6 +286,28 @@ impl EventMemory {
         }
     }
 
+    /// Block until an occurrence matching one of `patterns` is in the
+    /// memory, and leave it there: the blocking counterpart of a stepped
+    /// process's wake, for a caller that drives a step function from a
+    /// thread of its own — step, and when the step is pending, wait here
+    /// for what it is pending on.
+    pub fn wait_present(&self, patterns: &[EventPattern]) -> MfResult<()> {
+        let mut inner = self.inner.lock();
+        loop {
+            if inner
+                .occurrences
+                .iter()
+                .any(|o| patterns.iter().any(|p| p.matches(o)))
+            {
+                return Ok(());
+            }
+            if inner.killed {
+                return Err(MfError::Killed);
+            }
+            MemInner::wait(&mut inner, &self.cv, patterns, None);
+        }
+    }
+
     /// Like [`EventMemory::wait_select`] but gives up after `timeout`.
     pub fn wait_select_timeout(
         &self,
@@ -430,6 +452,25 @@ mod tests {
         let (pi, occ) = h.join().unwrap();
         assert_eq!(pi, 0);
         assert_eq!(occ.source, p(7));
+    }
+
+    #[test]
+    fn wait_present_leaves_the_occurrence_for_the_step_that_selects_it() {
+        let m = Arc::new(EventMemory::new());
+        m.deliver(EventOccurrence::named("other", p(1)));
+        let m2 = m.clone();
+        let h = std::thread::spawn(move || m2.wait_present(&["go".into()]));
+        while m.inner.lock().waiters < 1 {
+            std::thread::yield_now();
+        }
+        m.deliver(EventOccurrence::named("go", p(7)));
+        assert_eq!(h.join().unwrap(), Ok(()));
+        assert_eq!(m.len(), 2, "nothing was consumed");
+        // Present already: no wait.
+        m.wait_present(&["never".into(), "go".into()]).unwrap();
+        assert!(m.try_select(&["go".into()]).is_some());
+        m.kill();
+        assert_eq!(m.wait_present(&["go".into()]), Err(MfError::Killed));
     }
 
     #[test]

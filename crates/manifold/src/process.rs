@@ -12,14 +12,18 @@
 //! ([`AtomicProcess`]) has a body that runs once, on a pool thread of its
 //! own, and may block and compute as it likes. A *stepped* process has no
 //! thread: its body is a step function ([`Step`]) that never blocks, run on
-//! whichever thread makes the process runnable — see
-//! [`ProcessCore::wake`]. Everything else about the two is the same:
-//! placement, `on_terminate` hooks, failure recording, trace lines, and
-//! dying with the coordinator block that created them.
+//! whichever thread makes the process runnable — a unit or a stream
+//! arriving at one of its ports, an occurrence arriving in its event
+//! memory, a completion it handed out; see [`ProcessCore::wake`].
+//! Everything else about the two is the same: placement, `on_terminate`
+//! hooks, failure recording, trace lines, and dying with the coordinator
+//! block that created them. Coordinators come in the same two kinds (see
+//! [`Environment::create_stepped_coordinator`](crate::env::Environment::create_stepped_coordinator)).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Weak};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
@@ -83,8 +87,10 @@ pub enum Step {
 
 /// The body of a stepped process: called again and again, each call doing
 /// what can be done *without blocking* — `try_read`/`try_write` on its own
-/// ports, handing work to something that will call its [`Waker`] — until it
-/// returns [`Step::Done`] or an error.
+/// ports, `try_select` on its own event memory, handing work to something
+/// that will call its [`Waker`] — until it returns [`Step::Done`] or an
+/// error. A kill is a wake like any other: the body is called and finds
+/// [`ProcessCore::is_killed`] set.
 pub(crate) type StepBody = Box<dyn FnMut(&ProcessCtx) -> MfResult<Step> + Send>;
 
 /// How a created process will run once it is activated. Holding it is also
@@ -93,6 +99,21 @@ pub(crate) type StepBody = Box<dyn FnMut(&ProcessCtx) -> MfResult<Step> + Send>;
 pub(crate) enum Body {
     Threaded(Box<dyn AtomicProcess>),
     Stepped(StepBody),
+}
+
+impl Body {
+    /// The body of a stepped *atomic* process: `step`, until the process
+    /// is killed — it has nothing to wind up, so a kill ends it at once.
+    pub(crate) fn stepped(
+        mut step: impl FnMut(&ProcessCtx) -> MfResult<Step> + Send + 'static,
+    ) -> Body {
+        Body::Stepped(Box::new(move |ctx: &ProcessCtx| {
+            if ctx.core().is_killed() {
+                return Err(MfError::Killed);
+            }
+            step(ctx)
+        }))
+    }
 }
 
 /// No thread is stepping the process.
@@ -134,6 +155,8 @@ pub struct ProcessCore {
     on_terminate: Mutex<Vec<TerminateHook>>,
     failure: Mutex<Option<MfError>>,
     killed: AtomicBool,
+    /// The thread a threaded body is running on, from the body's start.
+    carrier: Mutex<Option<ThreadId>>,
     trace: Arc<TraceSink>,
     clock: Clock,
 }
@@ -188,6 +211,7 @@ impl ProcessCore {
             on_terminate: Mutex::new(Vec::new()),
             failure: Mutex::new(None),
             killed: AtomicBool::new(false),
+            carrier: Mutex::new(None),
             trace,
             clock,
         })
@@ -295,7 +319,17 @@ impl ProcessCore {
         }
         drop(ws);
         if already_terminated {
-            watcher.events.deliver(EventOccurrence::terminated(self.id));
+            watcher.deliver(EventOccurrence::terminated(self.id));
+        }
+    }
+
+    /// Put an occurrence into this process's event memory. To a stepped
+    /// process that is a wake like a unit arriving at a port: its step
+    /// runs on the delivering thread (a threaded one is notified by its
+    /// memory when it is waiting for just this).
+    fn deliver(&self, occ: EventOccurrence) {
+        if self.events.deliver(occ) {
+            self.wake();
         }
     }
 
@@ -312,17 +346,20 @@ impl ProcessCore {
             ws.iter().filter_map(Weak::upgrade).collect()
         };
         for w in watchers {
-            w.events.deliver(occ.clone());
+            w.deliver(occ.clone());
         }
     }
 
     /// Post an event occurrence into this process's own memory (`post(e)`).
     pub fn post(&self, event: impl Into<Name>) {
-        self.events.deliver(EventOccurrence::named(event, self.id));
+        self.deliver(EventOccurrence::named(event, self.id));
     }
 
-    /// Mark terminated: notify life waiters, broadcast the termination
-    /// notice, and run termination hooks.
+    /// Mark terminated: notify life waiters, run termination hooks, and
+    /// broadcast the termination notice — in that order, so that what the
+    /// process held (its place in a task instance) is free again when a
+    /// stepped watcher's step, run by the notice on this very thread,
+    /// acts on it.
     pub fn terminate(&self) {
         {
             let mut life = self.life.lock();
@@ -332,18 +369,19 @@ impl ProcessCore {
             *life = LifeState::Terminated;
             self.life_cv.notify_all();
         }
-        self.broadcast(EventOccurrence::terminated(self.id));
         let hooks: Vec<TerminateHook> = std::mem::take(&mut *self.on_terminate.lock());
         for h in hooks {
             h();
         }
+        self.broadcast(EventOccurrence::terminated(self.id));
     }
 
     /// Forcefully interrupt the process: all blocking operations return
     /// [`MfError::Killed`], after which its thread unwinds and terminates.
-    /// An active stepped process terminates before this returns, unless
-    /// another thread is inside its step right now — then as soon as that
-    /// step returns.
+    /// An active stepped atomic process terminates before this returns,
+    /// unless another thread is inside its step right now — then as soon
+    /// as that step returns. A stepped coordinator starts closing its
+    /// scope and terminates when its members have.
     pub fn kill(&self) {
         // Order matters: set the flag first so any port created from now on
         // is born killed (see `port`), then wake everything already blocked.
@@ -373,10 +411,11 @@ impl ProcessCore {
     /// unless another thread is already stepping it — then that thread
     /// steps it once more before it leaves, so no wake is ever lost and no
     /// two steps of one process ever overlap. Called on activation, when a
-    /// unit or a stream arrives at one of the process's ports, by whoever
-    /// completes work the process handed out ([`Waker`]), and on kill. A
-    /// process that is not active yet, or no longer, is not stepped; a
-    /// threaded process never is.
+    /// unit or a stream arrives at one of the process's ports, when an
+    /// occurrence (a raised or posted event, a termination notice) arrives
+    /// in its event memory, by whoever completes work the process handed
+    /// out ([`Waker`]), and on kill. A process that is not active yet, or
+    /// no longer, is not stepped; a threaded process never is.
     pub fn wake(&self) {
         let Some(stepper) = &self.stepper else {
             return;
@@ -417,14 +456,10 @@ impl ProcessCore {
             return;
         };
         let mut step = stepper.step.lock();
-        let outcome = if self.is_killed() {
-            Err(MfError::Killed)
-        } else {
-            let ctx = ProcessCtx::new(me);
-            let body = step.as_mut().expect("an active stepped process has a step");
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)))
-                .unwrap_or_else(|_| Err(MfError::App("process body panicked".into())))
-        };
+        let ctx = ProcessCtx::new(me);
+        let body = step.as_mut().expect("an active stepped process has a step");
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)))
+            .unwrap_or_else(|_| Err(MfError::App("process body panicked".into())));
         match outcome {
             Ok(Step::Pending) => return,
             Ok(Step::Done) | Err(MfError::Killed) => {}
@@ -440,6 +475,18 @@ impl ProcessCore {
     /// Has this process been killed?
     pub fn is_killed(&self) -> bool {
         self.killed.load(Ordering::SeqCst)
+    }
+
+    /// The calling thread starts running this process's threaded body.
+    pub(crate) fn set_carrier(&self) {
+        *self.carrier.lock() = Some(std::thread::current().id());
+    }
+
+    /// Is the calling thread the one inside this process's threaded body?
+    /// Waiting for the process to terminate from there waits for oneself.
+    pub(crate) fn runs_on_this_thread(&self) -> bool {
+        self.life_state() == LifeState::Active
+            && *self.carrier.lock() == Some(std::thread::current().id())
     }
 
     /// Block until the process terminates (test/join helper; coordinators

@@ -290,3 +290,335 @@ fn a_stepped_process_prints_under_its_own_name_to_its_coordinators_log() {
     assert_eq!(recs[0].message, "Welcome");
     env.shutdown();
 }
+
+// ---- events wake stepped processes; stepped coordinators -----------------
+
+/// A stepped process that drains its event memory at every step and notes
+/// which thread each step ran on and what it found.
+type Sightings = Arc<Mutex<Vec<(std::thread::ThreadId, String)>>>;
+
+fn sighting_watcher(seen: Sightings) -> impl FnMut(&ProcessCtx) -> MfResult<Step> + Send + 'static {
+    move |ctx| {
+        while let Some((_, occ)) = ctx.core().events().try_select(&[EventPattern::Any]) {
+            let what = match occ.name() {
+                Some(name) => name.to_string(),
+                None => "terminated".to_string(),
+            };
+            seen.lock().push((std::thread::current().id(), what));
+        }
+        Ok(Step::Pending)
+    }
+}
+
+#[test]
+fn an_occurrence_wakes_a_stepped_watcher_on_the_delivering_thread_and_never_a_threaded_one() {
+    let env = Environment::new();
+    let seen: Sightings = Arc::new(Mutex::new(Vec::new()));
+    let stepped = env.create_stepped("Stepped", sighting_watcher(seen.clone()));
+    env.activate(&stepped).unwrap();
+    // A threaded watcher has a body that runs once, on its own thread, and
+    // nothing an occurrence could run.
+    let entered = Arc::new(AtomicUsize::new(0));
+    let entered2 = entered.clone();
+    let threaded = env.create_process("Threaded", move |ctx: ProcessCtx| {
+        entered2.fetch_add(1, Ordering::SeqCst);
+        ctx.read("never")?;
+        Ok(())
+    });
+    env.activate(&threaded).unwrap();
+
+    let (tid_tx, tid_rx) = channel();
+    let raiser = env.create_process("Raiser", move |ctx: ProcessCtx| {
+        tid_tx.send(std::thread::current().id()).unwrap();
+        ctx.raise("hello");
+        Ok(())
+    });
+    raiser.core().add_watcher(stepped.core());
+    raiser.core().add_watcher(threaded.core());
+    env.activate(&raiser).unwrap();
+    raiser
+        .core()
+        .wait_terminated(Duration::from_secs(5))
+        .unwrap();
+    let raisers_thread = tid_rx.recv().unwrap();
+    // `terminate` broadcasts after `life` says terminated; give the notice
+    // the few instructions it may still need.
+    while seen.lock().len() < 2 {
+        std::thread::yield_now();
+    }
+    // A post is delivered, and stepped, by the posting thread: this one.
+    stepped.core().post("note");
+    let here = std::thread::current().id();
+    assert_eq!(
+        *seen.lock(),
+        vec![
+            (raisers_thread, "hello".to_string()),
+            (raisers_thread, "terminated".to_string()),
+            (here, "note".to_string()),
+        ]
+    );
+    // The threaded watcher was told the same and ran nothing for it.
+    assert_eq!(threaded.core().events().len(), 2);
+    assert_eq!(entered.load(Ordering::SeqCst), 1);
+    env.shutdown();
+}
+
+#[test]
+fn an_occurrence_delivered_before_activation_is_found_by_the_first_step() {
+    let env = Environment::new();
+    let seen: Sightings = Arc::new(Mutex::new(Vec::new()));
+    let p = env.create_stepped("Late", sighting_watcher(seen.clone()));
+    p.core().post("early");
+    // Also the late-watcher notice of a process that is already gone.
+    let gone = env.create_process("Gone", |_ctx: ProcessCtx| Ok(()));
+    env.activate(&gone).unwrap();
+    gone.core().wait_terminated(Duration::from_secs(5)).unwrap();
+    gone.core().add_watcher(p.core());
+    assert!(seen.lock().is_empty(), "not active: not stepped");
+    env.activate(&p).unwrap();
+    let found: Vec<String> = seen.lock().iter().map(|(_, what)| what.clone()).collect();
+    assert_eq!(found, ["early", "terminated"]);
+    env.shutdown();
+}
+
+#[test]
+fn racing_raises_lose_none() {
+    // 10,000 in all: an event memory is a set kept as a list, so a backlog
+    // of n distinct occurrences costs n² to build and drain.
+    const RAISES: usize = 2_500;
+    const THREADS: usize = 4;
+    let env = Environment::new();
+    let consumed = Arc::new(AtomicUsize::new(0));
+    let consumed2 = consumed.clone();
+    let watcher = env.create_stepped("Counter", move |ctx| {
+        while ctx
+            .core()
+            .events()
+            .try_select(&[EventPattern::Any])
+            .is_some()
+        {
+            consumed2.fetch_add(1, Ordering::SeqCst);
+        }
+        Ok(Step::Pending)
+    });
+    // Each raiser is a process of its own raising distinct events, so no
+    // two occurrences collapse under the memory's set semantics: every
+    // one must be consumed by a step that some raise caused.
+    let start = Arc::new(Barrier::new(THREADS + 1));
+    let raisers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let raiser = env.create_process("Raiser", |_ctx: ProcessCtx| Ok(()));
+            raiser.core().add_watcher(watcher.core());
+            let start = start.clone();
+            std::thread::spawn(move || {
+                start.wait();
+                for i in 0..RAISES {
+                    raiser.core().raise(format!("e{i}"));
+                }
+            })
+        })
+        .collect();
+    // Some raises land before the activation, some race it, most follow.
+    start.wait();
+    env.activate(&watcher).unwrap();
+    for r in raisers {
+        r.join().unwrap();
+    }
+    assert_eq!(
+        consumed.load(Ordering::SeqCst),
+        RAISES * THREADS,
+        "a raise woke nobody"
+    );
+    assert!(watcher.core().events().is_empty());
+    env.shutdown();
+}
+
+/// The longest any one call into the runtime may take in the scope-exit
+/// tests below: nothing in a stepped coordinator's exit waits for anything.
+const NO_BLOCKING: Duration = Duration::from_millis(100);
+
+/// A threaded member that parks until it is killed.
+fn parked(coord: &Coord) -> MfResult<ProcessRef> {
+    let p = coord.create_atomic("Parked", |ctx: ProcessCtx| {
+        ctx.read("never")?;
+        Ok(())
+    });
+    coord.activate(&p)?;
+    Ok(p)
+}
+
+/// Run a stepped coordinator whose first step builds its block with
+/// `build` and which is done as soon as `done` says so; check that its
+/// exit blocked nobody and left nothing behind.
+fn stepped_scope_exits_cleanly(
+    build: impl FnOnce(&Coord) -> MfResult<Vec<ProcessRef>> + Send + 'static,
+    done: impl Fn(&Coord, &[ProcessRef]) -> bool + Send + 'static,
+) {
+    let env = Environment::new();
+    let before = env.live_processes();
+    let members = Arc::new(Mutex::new(Vec::new()));
+    let members2 = members.clone();
+    let mut build = Some(build);
+    let c = env.create_stepped_coordinator("Main", env.log().clone(), move |coord| {
+        if let Some(build) = build.take() {
+            *members2.lock() = build(coord)?;
+        }
+        Ok(if done(coord, &members2.lock()) {
+            Step::Done
+        } else {
+            Step::Pending
+        })
+    });
+    let (closed_tx, closed_rx) = channel();
+    let (env2, members3) = (env.clone(), members.clone());
+    c.core().on_terminate(move || {
+        // "Scope closed" is what the coordinator's termination means.
+        let open: Vec<String> = members3
+            .lock()
+            .iter()
+            .filter(|m| m.life_state() != LifeState::Terminated || env2.process(m.id()).is_some())
+            .map(|m| format!("{m:?}"))
+            .collect();
+        closed_tx.send(open).unwrap();
+    });
+    let began = std::time::Instant::now();
+    env.activate(&c).unwrap();
+    assert!(began.elapsed() < NO_BLOCKING, "the first step blocked");
+    let open = closed_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(
+        open.is_empty(),
+        "alive or registered at termination: {open:?}"
+    );
+    assert!(!members.lock().is_empty());
+    assert_eq!(env.live_processes(), before);
+    assert!(env.failures().is_empty(), "{:?}", env.failures());
+    env.shutdown();
+}
+
+#[test]
+fn a_stepped_scope_whose_members_are_all_dead_closes_in_the_step_that_ends_it() {
+    stepped_scope_exits_cleanly(
+        |coord| {
+            let quick = || coord.create_atomic("Quick", |_ctx: ProcessCtx| Ok(()));
+            let members = vec![quick(), quick()];
+            for m in &members {
+                coord.activate(m)?;
+            }
+            Ok(members)
+        },
+        // Their termination notices step the coordinator again.
+        |_coord, members| {
+            members
+                .iter()
+                .all(|m| m.life_state() == LifeState::Terminated)
+        },
+    );
+}
+
+#[test]
+fn a_stepped_scope_with_a_running_threaded_member_stays_pending_until_it_has_unwound() {
+    stepped_scope_exits_cleanly(|coord| Ok(vec![parked(coord)?]), |_, _| true);
+}
+
+#[test]
+fn a_stepped_scope_ends_a_member_that_was_never_activated() {
+    stepped_scope_exits_cleanly(
+        |coord| {
+            let never = coord.create_atomic("Never", |_ctx: ProcessCtx| {
+                panic!("a member of a closed block was started")
+            });
+            let stepped_never = coord.create_stepped("NeverStepped", |_ctx| Ok(Step::Pending));
+            Ok(vec![never, stepped_never])
+        },
+        |_, _| true,
+    );
+}
+
+#[test]
+fn a_stepped_scope_closing_on_its_own_members_thread_waits_for_nobody() {
+    // The member raises the event that ends the coordinator, so the closing
+    // step runs inside the member's own `raise`, on the member's thread,
+    // with the member still active: a join there would wait for itself.
+    let (took_tx, took_rx) = channel();
+    stepped_scope_exits_cleanly(
+        move |coord| {
+            let ender = coord.create_atomic("Ender", move |ctx: ProcessCtx| {
+                let began = std::time::Instant::now();
+                ctx.raise("the_end");
+                took_tx.send(began.elapsed()).unwrap();
+                Ok(())
+            });
+            coord.activate(&ender)?;
+            Ok(vec![ender, parked(coord)?])
+        },
+        |coord, _| {
+            coord
+                .ctx()
+                .core()
+                .events()
+                .try_select(&["the_end".into()])
+                .is_some()
+        },
+    );
+    let took = took_rx.recv().unwrap();
+    assert!(took < NO_BLOCKING, "the raise blocked for {took:?}");
+}
+
+#[test]
+fn killing_a_pending_stepped_coordinator_ends_its_members() {
+    let env = Environment::new();
+    let members = Arc::new(Mutex::new(Vec::new()));
+    let members2 = members.clone();
+    let c = env.create_stepped_coordinator("Main", env.log().clone(), move |coord| {
+        if members2.lock().is_empty() {
+            let waiting = coord.create_stepped("Waiting", |_ctx| Ok(Step::Pending));
+            coord.activate(&waiting)?;
+            *members2.lock() = vec![parked(coord)?, waiting];
+        }
+        Ok(Step::Pending)
+    });
+    env.activate(&c).unwrap();
+    assert_eq!(c.life_state(), LifeState::Active);
+    assert_eq!(env.live_processes(), 3);
+    let began = std::time::Instant::now();
+    c.core().kill();
+    assert!(began.elapsed() < NO_BLOCKING, "the kill blocked");
+    c.core().wait_terminated(Duration::from_secs(5)).unwrap();
+    for m in members.lock().iter() {
+        assert_eq!(m.life_state(), LifeState::Terminated, "{m:?}");
+    }
+    assert_eq!(env.live_processes(), 0);
+    assert!(env.failures().is_empty(), "a kill is not a failure");
+    env.shutdown();
+}
+
+#[test]
+fn a_failing_or_panicking_coordinator_step_still_closes_its_scope() {
+    for panics in [false, true] {
+        let env = Environment::new();
+        let log = manifold::env::ScopeLog::new();
+        let member = Arc::new(Mutex::new(None));
+        let member2 = member.clone();
+        let c = env.create_stepped_coordinator("Main", log.clone(), move |coord| {
+            *member2.lock() = Some(parked(coord)?);
+            if panics {
+                panic!("step bug");
+            }
+            Err(MfError::App("no".into()))
+        });
+        env.activate(&c).unwrap();
+        c.core().wait_terminated(Duration::from_secs(5)).unwrap();
+        let member = member.lock().take().unwrap();
+        assert_eq!(member.life_state(), LifeState::Terminated);
+        assert_eq!(env.live_processes(), 0);
+        let want = if panics {
+            "process body panicked"
+        } else {
+            "no"
+        };
+        let failures = log.take_failures();
+        assert_eq!(failures.len(), 1);
+        assert_eq!(failures[0], (c.id(), MfError::App(want.into())));
+        env.shutdown();
+    }
+}

@@ -8,15 +8,16 @@
 //!
 //! The pieces, with their §4 counterparts:
 //!
-//! * [`protocol_mw`] — the `ProtocolMW` manner (lines 54–64): reacts to the
-//!   master's `create_pool` requests by running a worker pool, and to
-//!   `finished` by returning.
-//! * [`create_worker_pool`] — the `Create_Worker_Pool` manner (lines
-//!   11–51): creates one worker per `create_worker` event, wires the three
-//!   streams of line 36 (`&worker -> master`, `master -> worker`,
+//! * [`ProtocolMw`] — the `ProtocolMW` manner (lines 54–64) and the
+//!   `Create_Worker_Pool` manner it calls (lines 11–51), as one state
+//!   machine: reacts to the master's `create_pool` requests by running a
+//!   worker pool — one worker per `create_worker` event, wired with the
+//!   three streams of line 36 (`&worker -> master`, `master -> worker`,
 //!   `worker -> master.dataport`, the last one `KK` so it survives
-//!   preemption), and organizes the rendezvous by counting `death_worker`
-//!   events.
+//!   preemption), the rendezvous organized by counting `death_worker`
+//!   events — and to `finished` by halting. [`protocol_mw`] drives it from
+//!   a coordinator's own thread; a stepped coordinator steps it on the
+//!   threads that raise into it ([`PerpetualPool::step`]).
 //! * [`MasterHandle`] / [`WorkerHandle`] — the behavior interfaces of §4.3,
 //!   step by step.
 //! * [`scheduler`] — dispatch policies layered over the protocol: the
@@ -43,7 +44,7 @@ pub mod shard;
 
 pub use handles::{MasterHandle, WorkerHandle};
 pub use interpreted::{run_protocol_mc, run_protocol_source};
-pub use mw::{create_worker_pool, protocol_mw, PerpetualPool, PoolStats, ProtocolOutcome};
+pub use mw::{protocol_mw, PerpetualPool, PoolStats, ProtocolMw, ProtocolOutcome};
 pub use remote::{as_lost_job, lost_job_marker, remote_worker_factory, WORKER_LOST};
 pub use scheduler::{
     parse_policy, BoundedReuse, CostAware, DispatchPolicy, PaperFaithful, PolicyRef,

@@ -50,7 +50,8 @@ use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::task::Poll;
+use std::time::Instant;
 
 use chaos::{FaultKind, FaultPlan};
 use cluster::{Perturbation, SimFleet};
@@ -59,7 +60,9 @@ use manifold::prelude::*;
 use manifold::remote::{JobFleet, RemoteIdentity};
 use manifold::trace::TraceRecord;
 use parking_lot::{Condvar, Mutex};
-use protocol::{MasterHandle, PaperFaithful, PerpetualPool, PolicyRef, PoolStats, ProtocolOutcome};
+use protocol::{
+    MasterHandle, PaperFaithful, PerpetualPool, PolicyRef, PoolStats, ProtocolMw, ProtocolOutcome,
+};
 use solver::sequential::{SequentialApp, SequentialResult};
 use transport::{PoolConfig, RemoteWorkerPool};
 
@@ -942,16 +945,21 @@ struct JobScope {
 type Ran = (MfResult<ProtocolOutcome>, Option<SequentialResult>);
 
 impl JobScope {
-    /// Run the job as a coordinator of its own on a pool thread: a fresh
-    /// job-scoped master served by the shared [`PerpetualPool`] over the
-    /// shared environment. Returns as soon as the coordinator is started;
-    /// the report is published when it has terminated.
+    /// Run the job as a stepped coordinator of its own: a fresh job-scoped
+    /// master served by the shared [`PerpetualPool`] over the shared
+    /// environment. The coordinator has no thread — its first step, here
+    /// on the submitting thread, creates and activates the master, and
+    /// every later one runs on the thread that raises into it (the
+    /// master's, a worker's, a connection reader's) — so a job in flight
+    /// is one thread, its master's. Returns as soon as the master is
+    /// started; the report is published when the coordinator has
+    /// terminated.
     fn spawn(
         self,
         env: &Environment,
         gauge: &Arc<WorkerGauge>,
         master_cfg: MasterConfig,
-        mut workers: impl FnMut(&Coord, &Name) -> ProcessRef + Send + 'static,
+        workers: impl FnMut(&Coord, &Name) -> ProcessRef + Send + 'static,
     ) {
         let started = Instant::now();
         gauge.open_window(self.lane);
@@ -959,39 +967,52 @@ impl JobScope {
 
         let ran2 = Arc::clone(&ran);
         let protocol_pool = Arc::clone(&self.protocol_pool);
+        let cell: Arc<Mutex<Option<SequentialResult>>> = Arc::new(Mutex::new(None));
+        let mut begin = Some((master_cfg, workers));
+        let mut serving = None;
         let coordinator =
-            env.spawn_coordinator_logged("Main", Arc::clone(&self.log), move |coord| {
-                let cell: Arc<Mutex<Option<SequentialResult>>> = Arc::new(Mutex::new(None));
-                let coord_ref = coord.self_ref();
-                let env2 = coord.env().clone();
-                let cell2 = cell.clone();
-                let master = coord.create_atomic("Master(port in)", move |ctx: ProcessCtx| {
-                    let h = MasterHandle::new(ctx, coord_ref, env2);
-                    let result = master_body(&h, &master_cfg)?;
-                    *cell2.lock() = Some(result);
-                    Ok(())
-                });
-                let outcome = coord.activate(&master).and_then(|()| {
-                    let outcome = protocol_pool.serve(coord, &master, &mut workers)?;
-                    master.core().wait_terminated(Duration::from_secs(600))?;
-                    Ok(outcome)
-                });
+            env.create_stepped_coordinator("Main", Arc::clone(&self.log), move |coord| {
+                let polled = (|| {
+                    if let Some((master_cfg, workers)) = begin.take() {
+                        let coord_ref = coord.self_ref();
+                        let env2 = coord.env().clone();
+                        let cell2 = cell.clone();
+                        let master =
+                            coord.create_atomic("Master(port in)", move |ctx: ProcessCtx| {
+                                let h = MasterHandle::new(ctx, coord_ref, env2);
+                                let result = master_body(&h, &master_cfg)?;
+                                *cell2.lock() = Some(result);
+                                Ok(())
+                            });
+                        coord.activate(&master)?;
+                        serving = Some(ProtocolMw::new(master, workers));
+                    }
+                    let serving = serving.as_mut().expect("the first step started the master");
+                    protocol_pool.step(serving, coord)
+                })();
+                let outcome = match polled {
+                    Ok(Poll::Pending) => return Ok(Step::Pending),
+                    Ok(Poll::Ready(outcome)) => Ok(outcome),
+                    Err(e) => Err(e),
+                };
                 // The job's own outcome travels beside the log rather than
-                // through it: the log is for what the scope's processes did.
+                // through it: the log is for what the scope's processes
+                // did. The protocol ends after the master has, so its
+                // result is in the cell.
                 *ran2.lock() = Some((outcome, cell.lock().take()));
-                Ok(())
+                Ok(Step::Done)
             });
 
-        // The coordinator was the job's scope: once it has terminated its
-        // master and workers are dead and unregistered, the log holds
+        // The coordinator is the job's scope: once it has terminated its
+        // master and workers are dead and unregistered and the log holds
         // exactly this job's records and failures — whatever other jobs
-        // did meanwhile — and the thread that ran it is back in the pool
-        // for the next submit to reuse.
-        let env = env.clone();
+        // did meanwhile. The hook runs on the thread that took the job's
+        // last step.
+        let hook_env = env.clone();
         let gauge = Arc::clone(gauge);
         coordinator.core().on_terminate(move || {
             let ran = ran.lock().take();
-            let report = self.report(started, ran, &env, &gauge);
+            let report = self.report(started, ran, &hook_env, &gauge);
             if let Err(MfError::Killed) = &report {
                 // The environment died under the job: the fleet is gone,
                 // not just this job.
@@ -999,6 +1020,8 @@ impl JobScope {
             }
             self.board.publish(&self.slot, report);
         });
+        env.activate(&coordinator)
+            .expect("a coordinator just created is not active yet");
     }
 
     fn report(

@@ -6,9 +6,9 @@
 //! It fails if a job leaves behind a thread (the `variable` counters of
 //! `Create_Worker_Pool` once did, two per job), a registry entry, or a
 //! trace record — on a threads fleet serving one job at a time, and then
-//! on a procs fleet kept four jobs full, whose proxy workers are stepped
-//! processes: a job in flight there is two threads, its coordinator and
-//! its master, and the fleet adds one reader per worker connection.
+//! on a procs fleet kept four jobs full, whose coordinators and proxy
+//! workers are stepped processes: a job in flight there is one thread, its
+//! master's, and the fleet adds one reader per worker connection.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -40,12 +40,13 @@ fn three_hundred_jobs_leave_nothing_behind() {
     cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
     let procs = Engine::procs(cfg, Arc::new(PaperFaithful), opts()).unwrap();
     assert_eq!(procs.width(), 4);
-    serve_three_hundred(procs, Some(2));
+    serve_three_hundred(procs, Some(1));
 }
 
 /// Keep `engine` full — `width` jobs submitted at all times — for 300
 /// jobs and hold it to what `width` jobs need, no more: `threads_per_job`
-/// threads each, or one per process of the widest job when `None`.
+/// threads each, or one per threaded process of the widest job — its
+/// master and its workers — when `None`.
 fn serve_three_hundred(mut engine: Engine, threads_per_job: Option<usize>) {
     let app = SequentialApp::new(1, 2, 1e-3);
     let oracle = app.run().unwrap();
@@ -53,8 +54,8 @@ fn serve_three_hundred(mut engine: Engine, threads_per_job: Option<usize>) {
     let width = engine.width();
 
     let mut warm: Option<FleetFootprint> = None;
-    // A job's coordinator, master and workers: the most threads it can
-    // occupy at once.
+    // A job's coordinator, master and workers: the most processes it can
+    // have alive at once, `now` and `t` apart.
     let mut job_width = 0;
     let mut pending = VecDeque::new();
     for job in 1..300 + width {
@@ -101,7 +102,8 @@ fn serve_three_hundred(mut engine: Engine, threads_per_job: Option<usize>) {
     // scheduler's business, so the thread count may creep up to what
     // `width` jobs can occupy — and not one thread further, however many
     // jobs are served.
-    let threads_per_job = threads_per_job.unwrap_or(job_width);
+    // The coordinator is a stepped process: it never occupies a thread.
+    let threads_per_job = threads_per_job.unwrap_or(job_width - 1);
     assert!(
         end.threads_spawned as usize <= width * threads_per_job,
         "{} threads for {width} jobs of {threads_per_job} threads each",

@@ -38,7 +38,6 @@
 pub mod assemble;
 pub mod batch;
 pub mod combine;
-pub mod gmres;
 pub mod grid;
 pub mod linsolve;
 pub mod problem;

@@ -9,14 +9,7 @@
 //! the combined LU values in place on the cached pattern instead of
 //! reallocating, and [`bicgstab_with`] runs on a caller-owned
 //! [`KrylovWorkspace`] so the integrator's inner loop performs no heap
-//! allocation at all.
-//!
-//! The crate also ships restarted GMRES(m) in [`crate::gmres`]. BiCGSTAB is
-//! what [`crate::rosenbrock::integrate`] uses for every stage solve; GMRES
-//! is kept as the classic CWI-style alternative for the benches
-//! (`bench/benches/solver_kernels.rs` compares both on the same stage
-//! matrices) and for test cross-validation — it is never on the `subsolve`
-//! hot path.
+//! allocation at all. BiCGSTAB is the crate's one Krylov solver.
 
 use crate::simd::{self, Backend, F64x4, Tier, LANES};
 use crate::sparse::{Csr, MultiVec, StencilPlan};
@@ -934,10 +927,10 @@ fn tier_norm2(tier: Tier, a: &[f64]) -> f64 {
     tier_dot(tier, a, a).sqrt()
 }
 
-/// Reusable scratch vectors for the Krylov solvers ([`bicgstab_with`] and
-/// [`crate::gmres::gmres_with`]). Allocate one per integration (or per
-/// subsolve) and thread it through every stage solve: after the first call
-/// at a given size, subsequent solves perform zero heap allocations.
+/// Reusable scratch vectors for the Krylov solver ([`bicgstab_with`]).
+/// Allocate one per integration (or per subsolve) and thread it through
+/// every stage solve: after the first call at a given size, subsequent
+/// solves perform zero heap allocations.
 #[derive(Debug, Default)]
 pub struct KrylovWorkspace {
     pub(crate) r: Vec<f64>,
@@ -948,14 +941,6 @@ pub struct KrylovWorkspace {
     pub(crate) s: Vec<f64>,
     pub(crate) s_hat: Vec<f64>,
     pub(crate) t: Vec<f64>,
-    /// GMRES Arnoldi basis vectors (grown on demand, reused across calls).
-    pub(crate) basis: Vec<Vec<f64>>,
-    /// GMRES Hessenberg columns, Givens factors, rotated rhs, solution.
-    pub(crate) h: Vec<Vec<f64>>,
-    pub(crate) cs: Vec<f64>,
-    pub(crate) sn: Vec<f64>,
-    pub(crate) g: Vec<f64>,
-    pub(crate) y: Vec<f64>,
 }
 
 impl KrylovWorkspace {
@@ -1000,7 +985,7 @@ pub fn bicgstab(
 /// [`bicgstab`] on caller-owned scratch: zero heap allocations once the
 /// workspace has been sized (first call at dimension `n`). Bit-identical to
 /// the allocating entry point — same operations in the same order.
-#[allow(clippy::too_many_arguments)] // a solver signature, mirrors gmres
+#[allow(clippy::too_many_arguments)] // a solver signature
 pub fn bicgstab_with(
     a: &Csr,
     precond: &dyn Preconditioner,
@@ -1024,7 +1009,7 @@ pub fn bicgstab_with(
 /// and sweeps are identical between the tiers. Fast-tier results carry a
 /// measured error bound (see the tier tests and DESIGN.md), not bitwise
 /// reproducibility against the reference oracle.
-#[allow(clippy::too_many_arguments)] // a solver signature, mirrors gmres
+#[allow(clippy::too_many_arguments)] // a solver signature
 pub fn bicgstab_tiered(
     a: &Csr,
     precond: &dyn Preconditioner,
