@@ -1,5 +1,5 @@
-//! Solver hot-path benchmark: the SIMD + batched `subsolve` inner loop
-//! against the retained reference implementation.
+//! Solver hot-path benchmark: the SIMD `subsolve` inner loop against the
+//! retained reference implementation.
 //!
 //! For every grid of each requested combination-technique level this runs
 //! the same subsolve through [`solver::reference::subsolve_reference`]
@@ -9,19 +9,19 @@
 //! workspaces, SIMD kernels) at each requested tier — asserting the exact
 //! tier is **bitwise identical** with the same step and (re)factorization
 //! counts — and reports per-grid wall times plus a per-kernel breakdown
-//! (assembly, CSR matvec, ILU(0) sweep, dot product) and a multi-RHS
-//! batched-vs-sequential comparison on each level's calibration grid.
+//! (assembly, CSR matvec, ILU(0) sweep, dot product) on each level's
+//! calibration grid.
 //!
 //! ```text
 //! cargo run -p bench --release --bin solver_bench [-- --level 6 |
-//!     --level-range 8..=10] [--root 2 --tol 1e-4 --reps 3 --batch 4
+//!     --level-range 8..=10] [--root 2 --tol 1e-4 --reps 3
 //!     --tier exact|fast|both --json --assert-zero-alloc]
 //! ```
 //!
 //! `--json` prints only the machine-readable block (the committed
 //! `BENCH_solver.json` is this output). `--assert-zero-alloc` exits
-//! nonzero unless a warm-workspace integration — single-RHS *and* batched
-//! — performs **zero** heap allocations at every requested tier; the
+//! nonzero unless a warm-workspace integration performs **zero** heap
+//! allocations at every requested tier; the
 //! binary installs a counting global allocator so the claim is measured,
 //! not assumed.
 
@@ -38,10 +38,10 @@ use solver::reference::subsolve_reference;
 use solver::rosenbrock::{integrate_with, Ros2Options, Ros2Workspace};
 use solver::simd::{dot_exact, dot_fast};
 use solver::subsolve::{subsolve_tiered, SubsolveRequest};
-use solver::{integrate_batch, BatchWorkspace, Tier, WorkCounter};
+use solver::{Tier, WorkCounter};
 
 const USAGE: &str = "[--level N | --level-range L..=M] [--root N] [--tol T] \
-     [--reps N] [--batch K] [--tier exact|fast|both] [--json] \
+     [--reps N] [--tier exact|fast|both] [--json] \
      [--assert-zero-alloc]";
 
 // ---------------------------------------------------------------------------
@@ -113,24 +113,16 @@ struct KernelReport {
     dot_fast_ns: f64,
 }
 
-/// Batched multi-RHS vs sequential on a level's calibration grid.
-struct BatchReport {
-    width: usize,
-    seq_ms: f64,
-    batch_ms: f64,
-}
-
 struct LevelReport {
     level: u32,
     grids: Vec<GridReport>,
     kernels: KernelReport,
-    batch: Option<BatchReport>,
     flops_per_unknown_step: f64,
 }
 
-/// The grid used for kernel timing, zero-alloc windows, and the batch
-/// comparison: the most anisotropic useful shape of the level, matching
-/// the historical calibration grid.
+/// The grid used for kernel timing and the zero-alloc window: the most
+/// anisotropic useful shape of the level, matching the historical
+/// calibration grid.
 fn calibration_grid(root: u32, level: u32) -> Grid2 {
     Grid2::new(root, level.min(2), level.saturating_sub(level.min(2)))
 }
@@ -196,87 +188,8 @@ fn kernel_bench(root: u32, level: u32, problem: &Problem, reps: usize) -> Kernel
     }
 }
 
-/// Time `width` independent solves of the calibration grid run
-/// sequentially vs through the batched multi-RHS integrator. All members
-/// share one tolerance so they step in lockstep — the case batching
-/// exists for: one factorization and one SoA sweep schedule amortized
-/// across the whole cohort. (Heterogeneous tolerances split the cohort
-/// and the batch degenerates to near-sequential work; that split/re-join
-/// machinery is exercised by the integration and engine tests, not timed
-/// here.)
-fn batch_bench(root: u32, level: u32, problem: &Problem, tol: f64, width: usize) -> BatchReport {
-    let g = calibration_grid(root, level);
-    let mut wk = WorkCounter::new();
-    let disc = assemble(&g, problem, &mut wk);
-    let u0 = disc.exact_interior(problem.t0);
-    let tols: Vec<f64> = vec![tol; width];
-
-    let mut ws = Ros2Workspace::new();
-    // Warm both paths so the comparison is steady-state compute, not
-    // first-call allocation.
-    let seq_run = |ws: &mut Ros2Workspace| {
-        for &t in &tols {
-            let opts = Ros2Options::with_tol(t);
-            let mut w = WorkCounter::new();
-            let r = integrate_with(
-                &disc,
-                u0.clone(),
-                problem.t0,
-                problem.t_end,
-                &opts,
-                ws,
-                &mut w,
-            )
-            .expect("sequential member");
-            std::hint::black_box(&r);
-        }
-    };
-    seq_run(&mut ws);
-    let t0 = Instant::now();
-    seq_run(&mut ws);
-    let seq_s = t0.elapsed().as_secs_f64();
-
-    let mut bws = BatchWorkspace::new();
-    let mut works = vec![WorkCounter::new(); width];
-    let mut results = Vec::new();
-    let batch_run =
-        |bws: &mut BatchWorkspace, works: &mut Vec<WorkCounter>, results: &mut Vec<_>| {
-            let mut us: Vec<Vec<f64>> = (0..width).map(|_| u0.clone()).collect();
-            integrate_batch(
-                &disc,
-                &mut us,
-                problem.t0,
-                problem.t_end,
-                &tols,
-                Tier::Exact,
-                bws,
-                works,
-                results,
-            );
-            std::hint::black_box(&us);
-        };
-    batch_run(&mut bws, &mut works, &mut results);
-    let t0 = Instant::now();
-    batch_run(&mut bws, &mut works, &mut results);
-    let batch_s = t0.elapsed().as_secs_f64();
-
-    BatchReport {
-        width,
-        seq_ms: seq_s * 1e3,
-        batch_ms: batch_s * 1e3,
-    }
-}
-
-/// Warm-workspace allocation counts for the single-RHS and batched hot
-/// loops at one tier: (integrate allocations, batch allocations).
-fn zero_alloc_window(
-    root: u32,
-    level: u32,
-    problem: &Problem,
-    tol: f64,
-    tier: Tier,
-    batch: usize,
-) -> (u64, u64) {
+/// Warm-workspace allocation count of the integrate hot loop at one tier.
+fn zero_alloc_window(root: u32, level: u32, problem: &Problem, tol: f64, tier: Tier) -> u64 {
     let g = calibration_grid(root, level);
     let mut wk = WorkCounter::new();
     let disc = assemble(&g, problem, &mut wk);
@@ -293,11 +206,11 @@ fn zero_alloc_window(
         &mut wk,
     )
     .expect("warm-up integration");
-    let u1 = u0.clone(); // allocate the state vector *outside* the window
-    let ((u_meas, _), single_allocs) = allocations_during(|| {
+    // `u0` moves in: the state vector was allocated outside the window.
+    let ((u_meas, _), allocs) = allocations_during(|| {
         integrate_with(
             &disc,
-            u1,
+            u0,
             problem.t0,
             problem.t_end,
             &opts,
@@ -307,43 +220,7 @@ fn zero_alloc_window(
         .expect("measured integration")
     });
     assert_eq!(u_warm, u_meas, "warm rerun diverged");
-
-    let k = batch.max(2);
-    let tols: Vec<f64> = (0..k).map(|j| tol * (1.0 + 0.5 * j as f64)).collect();
-    let mut bws = BatchWorkspace::new();
-    let mut works = vec![WorkCounter::new(); k];
-    let mut results = Vec::with_capacity(k);
-    let mut us: Vec<Vec<f64>> = (0..k).map(|_| u0.clone()).collect();
-    integrate_batch(
-        &disc,
-        &mut us,
-        problem.t0,
-        problem.t_end,
-        &tols,
-        tier,
-        &mut bws,
-        &mut works,
-        &mut results,
-    );
-    let warm_us = us.clone();
-    for (u, orig) in us.iter_mut().zip(std::iter::repeat(&u0)) {
-        u.copy_from_slice(orig);
-    }
-    let (_, batch_allocs) = allocations_during(|| {
-        integrate_batch(
-            &disc,
-            &mut us,
-            problem.t0,
-            problem.t_end,
-            &tols,
-            tier,
-            &mut bws,
-            &mut works,
-            &mut results,
-        )
-    });
-    assert_eq!(warm_us, us, "warm batched rerun diverged");
-    (single_allocs, batch_allocs)
+    allocs
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -352,7 +229,6 @@ fn bench_level(
     level: u32,
     tol: f64,
     reps: usize,
-    batch: usize,
     tiers: &[Tier],
     problem: &Problem,
     bit_identical: &mut bool,
@@ -426,7 +302,6 @@ fn bench_level(
     LevelReport {
         level,
         kernels: kernel_bench(root, level, problem, reps),
-        batch: (batch > 1).then(|| batch_bench(root, level, problem, tol, batch)),
         flops_per_unknown_step: fsum / fcnt.max(1) as f64,
         grids,
     }
@@ -440,21 +315,19 @@ fn main() {
     let root: u32 = cli.parsed("--root", 2);
     let tol: f64 = cli.parsed("--tol", 1e-4);
     let reps: usize = cli.parsed("--reps", 3);
-    let batch: usize = cli.parsed("--batch", 4);
     let tiers = cli.tiers();
 
     let problem = Problem::transport_benchmark();
 
     // --- Zero-allocation property at every requested tier. ---------------
-    // Warm one workspace (single-RHS and batched), then measure: the
-    // second, identical integration must not touch the heap at all.
+    // Warm one workspace, then measure: the second, identical integration
+    // must not touch the heap at all.
     let za_level = *levels.start();
-    let (mut warm_single, mut warm_batch) = (0u64, 0u64);
-    for &tier in &tiers {
-        let (s, b) = zero_alloc_window(root, za_level, &problem, tol, tier, batch);
-        warm_single = warm_single.max(s);
-        warm_batch = warm_batch.max(b);
-    }
+    let warm_allocs = tiers
+        .iter()
+        .map(|&tier| zero_alloc_window(root, za_level, &problem, tol, tier))
+        .max()
+        .unwrap_or(0);
 
     // --- Per-grid reference vs. optimized timing, per level. -------------
     let mut bit_identical = true;
@@ -467,7 +340,6 @@ fn main() {
                 level,
                 tol,
                 reps,
-                batch,
                 &tiers,
                 &problem,
                 &mut bit_identical,
@@ -477,10 +349,10 @@ fn main() {
         .collect();
 
     if !json_only {
-        println!("solver hot-path benchmark: reference vs. SIMD/batched subsolve");
+        println!("solver hot-path benchmark: reference vs. SIMD subsolve");
         println!(
             "root {root}, levels {}..={}, tol {tol:.1e}, best of {reps} reps, \
-             tiers [{}], batch width {batch}, backend {}",
+             tiers [{}], backend {}",
             levels.start(),
             levels.end(),
             tiers
@@ -529,19 +401,10 @@ fn main() {
                 k.dot_exact_ns,
                 k.dot_fast_ns
             );
-            if let Some(b) = &lr.batch {
-                println!(
-                    "  batched x{}: sequential {:.1} ms -> batched {:.1} ms ({:.2}x)",
-                    b.width,
-                    b.seq_ms,
-                    b.batch_ms,
-                    b.seq_ms / b.batch_ms.max(1e-12)
-                );
-            }
         }
         println!();
         println!("  bit-identical (exact tier): {bit_identical}, counts match: {counts_match}");
-        println!("  warm-workspace integrate allocations: {warm_single} (batched: {warm_batch})");
+        println!("  warm-workspace integrate allocations: {warm_allocs}");
         println!();
     }
 
@@ -550,7 +413,6 @@ fn main() {
     println!("  \"root\": {root},");
     println!("  \"tol\": {tol:e},");
     println!("  \"reps\": {reps},");
-    println!("  \"batch\": {batch},");
     println!(
         "  \"tiers\": [{}],",
         tiers
@@ -612,16 +474,6 @@ fn main() {
             k.dot_exact_ns,
             k.dot_fast_ns
         );
-        if let Some(b) = &lr.batch {
-            println!(
-                "      \"batch\": {{\"width\": {}, \"seq_ms\": {:.3}, \"batch_ms\": {:.3}, \
-                 \"speedup\": {:.3}}},",
-                b.width,
-                b.seq_ms,
-                b.batch_ms,
-                b.seq_ms / b.batch_ms.max(1e-12)
-            );
-        }
         println!(
             "      \"flops_per_unknown_step\": {:.3}",
             lr.flops_per_unknown_step
@@ -631,19 +483,15 @@ fn main() {
     println!("  ],");
     println!("  \"bit_identical\": {bit_identical},");
     println!("  \"counts_match\": {counts_match},");
-    println!("  \"warm_integrate_allocations\": {warm_single},");
-    println!("  \"warm_batch_integrate_allocations\": {warm_batch}");
+    println!("  \"warm_integrate_allocations\": {warm_allocs}");
     println!("}}");
 
     if !bit_identical || !counts_match {
         eprintln!("FAIL: optimized exact tier diverged from the reference");
         std::process::exit(1);
     }
-    if assert_zero_alloc && (warm_single != 0 || warm_batch != 0) {
-        eprintln!(
-            "FAIL: warm integrate performed {warm_single} single-RHS and {warm_batch} \
-             batched heap allocations (expected 0)"
-        );
+    if assert_zero_alloc && warm_allocs != 0 {
+        eprintln!("FAIL: warm integrate performed {warm_allocs} heap allocations (expected 0)");
         std::process::exit(1);
     }
 }

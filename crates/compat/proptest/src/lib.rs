@@ -24,7 +24,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Size specification for [`vec`]: an exact size or a half-open range.
+    /// Size specification for [`vec()`]: an exact size or a half-open range.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         min: usize,

@@ -424,8 +424,8 @@ impl Environment {
         result
     }
 
-    /// Run a manner from a compiled [`Mc`] artifact as the root
-    /// coordinator, under the selected executor. `make_args` builds the
+    /// Run a manner from a compiled [`Mc`](crate::lang::exec::Mc) artifact
+    /// as the root coordinator, under the selected executor. `make_args` builds the
     /// manner's arguments against the live coordinator (creating the
     /// master process, wrapping atomic factories, …); `source_name`
     /// labels MES trace records.

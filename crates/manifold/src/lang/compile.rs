@@ -26,9 +26,9 @@
 //! Compilation is *total* on anything the interpreter accepts: conditions
 //! the interpreter only detects while running (an unknown constructor, a
 //! missing `begin`, a bad stream type) lower to opcodes that fail at the
-//! same execution point with the same [`LangError`] — never at compile
-//! time. That is what makes the differential interpreter-vs-VM tests
-//! meaningful.
+//! same execution point with the same [`LangError`](super::LangError) —
+//! never at compile time. That is what makes the differential
+//! interpreter-vs-VM tests meaningful.
 //!
 //! [`disassemble`](CompiledProgram::disassemble) renders the IR in a
 //! stable textual form; the committed snapshot for `protocolMW.m`

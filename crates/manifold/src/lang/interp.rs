@@ -29,8 +29,8 @@
 //! ## Host interface
 //!
 //! Atomic manifolds (the "C wrappers") are supplied by the host as
-//! [`AtomicFactory`] closures; already-running processes (the paper's
-//! `master` parameter) are passed as bindings. `variable` is built in.
+//! [`AtomicFactory`](super::exec::AtomicFactory) closures; already-running
+//! processes (the paper's `master` parameter) are passed as bindings. `variable` is built in.
 //! Malformed specs diagnose with typed [`LangError`]s carrying source
 //! lines, never panics.
 

@@ -20,10 +20,10 @@
 //!   state, priority declarations reference handled events, …) and
 //!   protocol-level queries used by the tests to verify that the paper's
 //!   source and this crate's embedded-DSL implementation agree;
-//! * [`compile`] — the back end: AST → flat per-manner state-machine IR
-//!   (numbered states, priority-ordered event-dispatch tables, interned
-//!   identifiers, pre-resolved stream chains and declaration opcodes),
-//!   plus a stable disassembler;
+//! * [`compile`](mod@compile) — the back end: AST → flat per-manner
+//!   state-machine IR (numbered states, priority-ordered event-dispatch
+//!   tables, interned identifiers, pre-resolved stream chains and
+//!   declaration opcodes), plus a stable disassembler;
 //! * [`vm`] — the production executor: steps the IR against the live
 //!   runtime with zero per-step parsing, hashing, or allocation in the
 //!   steady state;

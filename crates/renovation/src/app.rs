@@ -165,9 +165,9 @@ pub struct RunOpts {
 /// [`run_concurrent_with_policy`] plus chaos and checkpoint/resume
 /// options.
 ///
-/// Since the [`Engine`](crate::engine::Engine) refactor this is a thin
-/// wrapper: bring a threads fleet up, serve exactly one job, tear it
-/// down. Multi-job callers hold an `Engine` and keep the fleet.
+/// Since the [`Engine`] refactor this is a thin wrapper: bring a threads
+/// fleet up, serve exactly one job, tear it down. Multi-job callers hold
+/// an `Engine` and keep the fleet.
 pub fn run_concurrent_opts(
     app: &SequentialApp,
     mode: &RunMode,

@@ -452,6 +452,67 @@ mod tests {
     }
 
     #[test]
+    fn parent_eight_field_checkpoint_resumes_bit_identically() {
+        use crate::{run_concurrent, run_concurrent_opts, RunMode, RunOpts};
+        use chaos::{FaultKind, FaultPlan};
+        use std::sync::Arc;
+
+        let app = SequentialApp::new(2, 2, 1e-3);
+        let seq = app.run().unwrap();
+        let uninterrupted = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+        let run = |opts: &RunOpts| {
+            let policy = Arc::new(protocol::PaperFaithful);
+            run_concurrent_opts(&app, &RunMode::Parallel, true, policy, opts)
+        };
+
+        // Kill the master after two results to leave a real checkpoint.
+        let dir = tmp_dir("parent-8-field");
+        let store = CheckpointStore::new(&dir).unwrap();
+        let killed = RunOpts {
+            faults: Some(FaultPlan::new(2).push(FaultKind::MasterKill { at_result: 2 })),
+            checkpoint_dir: Some(dir.clone()),
+            ..RunOpts::default()
+        };
+        assert!(run(&killed).is_err());
+        let ck = store.load().unwrap().unwrap();
+        assert_eq!(ck.completed.len(), 2);
+
+        // Rewrite it the way the parent saved it: every work tuple carries
+        // an 8th field, the retired batched-RHS count.
+        let mut state = ck.to_unit().as_tuple().unwrap().to_vec();
+        let completed = state[7].as_tuple().unwrap().iter().map(|r| {
+            let mut r = r.as_tuple().unwrap().to_vec();
+            let mut work = r[5].as_tuple().unwrap().to_vec();
+            work.push(Unit::int(0));
+            r[5] = Unit::tuple(work);
+            Unit::tuple(r)
+        });
+        state[7] = Unit::tuple(completed.collect());
+        let payload = transport::encode_unit_vec(&Unit::tuple(state)).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&transport::frame_vec(&payload));
+        fs::write(store.path(), &bytes).unwrap();
+
+        let parent = store.load().unwrap().unwrap();
+        assert_eq!(parent.completed, ck.completed);
+        let resumed = run(&RunOpts {
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..RunOpts::default()
+        })
+        .unwrap();
+        assert_eq!(resumed.result.combined, seq.combined);
+        assert_eq!(resumed.result.l2_error, seq.l2_error);
+        assert_eq!(resumed.result.work, uninterrupted.result.work);
+        assert!(resumed
+            .records
+            .iter()
+            .any(|r| r.message.contains("2 of 5 results restored")));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn validation_refuses_foreign_runs() {
         let ck = sample_checkpoint();
         let app = SequentialApp::new(2, 1, 1e-3);

@@ -76,7 +76,25 @@ pub fn request_to_unit(req: &SubsolveRequest) -> Unit {
     ])
 }
 
-/// Decode a subsolve request on the worker side.
+/// Decode an integer field into `T`, rejecting values `T` cannot hold: a
+/// negative index or count must not wrap into a different one.
+fn int_field<T: TryFrom<i64>>(u: &Unit, what: &str) -> MfResult<T> {
+    let v = u.expect_int()?;
+    T::try_from(v).map_err(|_| MfError::App(format!("{what} out of range: {v}")))
+}
+
+/// Interior node count of grid `(l, m)` over `root`, or `None` when
+/// `Grid2::new`'s shifts or its node count would overflow.
+fn interior_count(root: u32, l: u32, m: u32) -> Option<usize> {
+    let cells = |r: u32| 1usize.checked_shl(root.checked_add(r)?);
+    let (nx, ny) = (cells(l)?, cells(m)?);
+    (nx + 1).checked_mul(ny + 1)?;
+    Some((nx - 1) * (ny - 1))
+}
+
+/// Decode a subsolve request on the worker side. Everything `subsolve`
+/// would otherwise trip over — a grid whose size overflows, initial data
+/// of the wrong length — is a decode error here, not a worker panic.
 pub fn request_from_unit(u: &Unit) -> MfResult<SubsolveRequest> {
     let t = u
         .as_tuple()
@@ -84,15 +102,26 @@ pub fn request_from_unit(u: &Unit) -> MfResult<SubsolveRequest> {
     if t.len() != 8 {
         return Err(MfError::App(format!("request tuple arity {}", t.len())));
     }
+    let root = int_field(&t[0], "root")?;
+    let l = int_field(&t[1], "l")?;
+    let m = int_field(&t[2], "m")?;
+    let interior = interior_count(root, l, m)
+        .ok_or_else(|| MfError::App(format!("grid ({l}, {m}) over root {root} overflows")))?;
     let initial_interior = match &t[7] {
         Unit::Int(-1) => None,
-        Unit::Reals(v) => Some(v.clone()),
+        Unit::Reals(v) if v.len() == interior => Some(v.clone()),
+        Unit::Reals(v) => {
+            return Err(MfError::App(format!(
+                "initial data has {} values, grid ({l}, {m}) has {interior} interior nodes",
+                v.len()
+            )))
+        }
         other => return Err(MfError::App(format!("bad initial data field: {other:?}"))),
     };
     Ok(SubsolveRequest {
-        root: t[0].expect_int()? as u32,
-        l: t[1].expect_int()? as u32,
-        m: t[2].expect_int()? as u32,
+        root,
+        l,
+        m,
         t0: t[3].expect_real()?,
         t1: t[4].expect_real()?,
         tol: t[5].expect_real()?,
@@ -117,14 +146,13 @@ pub fn result_to_unit(res: &SubsolveResult) -> Unit {
             Unit::int(res.work.factorizations as i64),
             Unit::int(res.work.refactorizations as i64),
             Unit::int(res.work.assemblies as i64),
-            Unit::int(res.work.batched_rhs as i64),
         ]),
     ])
 }
 
-/// Decode a subsolve result on the master side. Accepts both the current
-/// 8-field work tuple and the pre-batching 7-field shape (a result written
-/// by an older worker simply reports `batched_rhs = 0`).
+/// Decode a subsolve result on the master side. The work tuple has 7
+/// fields; an 8th (the retired `batched_rhs` count older workers and
+/// checkpoints wrote) is accepted and ignored.
 pub fn result_from_unit(u: &Unit) -> MfResult<SubsolveResult> {
     let t = u
         .as_tuple()
@@ -139,83 +167,21 @@ pub fn result_from_unit(u: &Unit) -> MfResult<SubsolveResult> {
         return Err(MfError::App("bad work tuple".into()));
     }
     Ok(SubsolveResult {
-        l: t[0].expect_int()? as u32,
-        m: t[1].expect_int()? as u32,
+        l: int_field(&t[0], "l")?,
+        m: int_field(&t[1], "m")?,
         values: t[2].expect_reals()?,
-        steps: t[3].expect_int()? as usize,
-        rejected: t[4].expect_int()? as usize,
+        steps: int_field(&t[3], "steps")?,
+        rejected: int_field(&t[4], "rejected")?,
         work: WorkCounter {
-            flops: w[0].expect_int()? as u64,
-            steps: w[1].expect_int()? as u64,
-            rejected: w[2].expect_int()? as u64,
-            lin_iters: w[3].expect_int()? as u64,
-            factorizations: w[4].expect_int()? as u64,
-            refactorizations: w[5].expect_int()? as u64,
-            assemblies: w[6].expect_int()? as u64,
-            batched_rhs: if w.len() == 8 {
-                w[7].expect_int()? as u64
-            } else {
-                0
-            },
+            flops: int_field(&w[0], "flops")?,
+            steps: int_field(&w[1], "steps")?,
+            rejected: int_field(&w[2], "rejected")?,
+            lin_iters: int_field(&w[3], "lin_iters")?,
+            factorizations: int_field(&w[4], "factorizations")?,
+            refactorizations: int_field(&w[5], "refactorizations")?,
+            assemblies: int_field(&w[6], "assemblies")?,
         },
     })
-}
-
-/// Tag distinguishing a bundled (multi-request) job or result unit from a
-/// single one. A single request tuple has arity 8 and a single result
-/// arity 6, so a 2-tuple opening with this sentinel is unambiguous.
-const BATCH_TAG: i64 = -2;
-
-/// Encode a job bundle for the master → worker stream: the worker runs the
-/// whole bundle through `solver::subsolve_batch`, batching same-shape
-/// members through the multi-RHS kernels.
-pub fn batch_request_to_unit(reqs: &[SubsolveRequest]) -> Unit {
-    Unit::tuple(vec![
-        Unit::int(BATCH_TAG),
-        Unit::tuple(reqs.iter().map(request_to_unit).collect()),
-    ])
-}
-
-fn as_batch(u: &Unit) -> Option<&[Unit]> {
-    match u.as_tuple() {
-        Some([tag, body]) if tag.as_int() == Some(BATCH_TAG) => body.as_tuple(),
-        _ => None,
-    }
-}
-
-/// Decode a worker job that may be a single request or a bundle. Returns
-/// the requests plus whether the job arrived bundled (the reply must use
-/// the same shape).
-pub fn requests_from_unit(u: &Unit) -> MfResult<(Vec<SubsolveRequest>, bool)> {
-    match as_batch(u) {
-        Some(items) => {
-            let reqs = items
-                .iter()
-                .map(request_from_unit)
-                .collect::<MfResult<Vec<_>>>()?;
-            if reqs.is_empty() {
-                return Err(MfError::App("empty job bundle".into()));
-            }
-            Ok((reqs, true))
-        }
-        None => Ok((vec![request_from_unit(u)?], false)),
-    }
-}
-
-/// Encode a bundle of results (the reply to a bundled job).
-pub fn batch_results_to_unit(rs: &[SubsolveResult]) -> Unit {
-    Unit::tuple(vec![
-        Unit::int(BATCH_TAG),
-        Unit::tuple(rs.iter().map(result_to_unit).collect()),
-    ])
-}
-
-/// Decode a collected unit that may hold one result or a bundle.
-pub fn results_from_unit(u: &Unit) -> MfResult<Vec<SubsolveResult>> {
-    match as_batch(u) {
-        Some(items) => items.iter().map(result_from_unit).collect(),
-        None => Ok(vec![result_from_unit(u)?]),
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +201,10 @@ mod tests {
     fn request_round_trip_with_data() {
         let p = Problem::manufactured_benchmark();
         let mut req = SubsolveRequest::for_grid(2, 1, 1, 1e-4, p);
-        req.initial_interior = Some(std::sync::Arc::new(vec![1.0, 2.5, -3.0]));
+        // Grid (1, 1) over root 2 is 8 × 8 cells: 7 × 7 interior nodes.
+        req.initial_interior = Some(std::sync::Arc::new(
+            (0..49).map(|i| i as f64 * 0.5 - 3.0).collect(),
+        ));
         let back = request_from_unit(&request_to_unit(&req)).unwrap();
         assert_eq!(back, req);
     }
@@ -256,11 +225,57 @@ mod tests {
         assert_eq!(problem_from_unit(&u).unwrap(), p);
     }
 
+    /// `u` (a tuple) with field `i` replaced by `v`.
+    fn with_field(u: &Unit, i: usize, v: Unit) -> Unit {
+        let mut t = u.as_tuple().unwrap().to_vec();
+        t[i] = v;
+        Unit::tuple(t)
+    }
+
+    /// Rejected with a diagnosis, not a panic or a type error.
+    fn app_err<T>(r: MfResult<T>) -> bool {
+        matches!(r, Err(MfError::App(_)))
+    }
+
     #[test]
     fn bad_payload_is_rejected() {
         assert!(request_from_unit(&Unit::int(3)).is_err());
         assert!(result_from_unit(&Unit::tuple(vec![Unit::int(1)])).is_err());
         assert!(problem_from_unit(&Unit::tuple(vec![Unit::int(1); 9])).is_err());
+
+        // Integer fields that cannot describe a grid are rejected, not
+        // wrapped: negative, wider than u32, shifts past the word size, a
+        // node count that overflows, and initial data of the wrong length.
+        let p = Problem::manufactured_benchmark();
+        let req = request_to_unit(&SubsolveRequest::for_grid(2, 1, 1, 1e-3, p));
+        for (i, v) in [
+            (0, -1),
+            (1, -1),
+            (2, i64::from(u32::MAX) + 1),
+            (0, i64::from(u32::MAX)),
+            (0, 70),
+            (1, 62),
+        ] {
+            let bad = with_field(&req, i, Unit::int(v));
+            assert!(app_err(request_from_unit(&bad)), "field {i} = {v}");
+        }
+        let both = with_field(&with_field(&req, 1, Unit::int(40)), 2, Unit::int(40));
+        assert!(app_err(request_from_unit(&both)));
+        for n in [0, 48, 50] {
+            let bad = with_field(&req, 7, Unit::reals(vec![0.0; n]));
+            assert!(app_err(request_from_unit(&bad)), "{n} values");
+        }
+
+        let res = result_to_unit(&subsolve(&SubsolveRequest::for_grid(2, 1, 0, 1e-3, p)).unwrap());
+        for i in [0, 1, 3, 4] {
+            let bad = with_field(&res, i, Unit::int(-1));
+            assert!(app_err(result_from_unit(&bad)), "field {i}");
+        }
+        let work = res.as_tuple().unwrap()[5].clone();
+        for i in 0..7 {
+            let bad = with_field(&res, 5, with_field(&work, i, Unit::int(-1)));
+            assert!(app_err(result_from_unit(&bad)), "work {i}");
+        }
     }
 
     #[test]
@@ -284,58 +299,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_request_round_trips_and_single_decode_passes_through() {
-        let p = Problem::transport_benchmark();
-        let reqs: Vec<SubsolveRequest> = [1e-3, 1e-4, 2e-3]
-            .iter()
-            .map(|&tol| SubsolveRequest::for_grid(2, 1, 1, tol, p))
-            .collect();
-        let (back, batched) = requests_from_unit(&batch_request_to_unit(&reqs)).unwrap();
-        assert!(batched);
-        assert_eq!(back, reqs);
-        let (one, batched) = requests_from_unit(&request_to_unit(&reqs[0])).unwrap();
-        assert!(!batched);
-        assert_eq!(one, vec![reqs[0].clone()]);
-        // Empty bundles are wire errors, not silent no-ops.
-        assert!(requests_from_unit(&batch_request_to_unit(&[])).is_err());
-    }
-
-    #[test]
-    fn batch_results_round_trip_exactly() {
-        let p = Problem::manufactured_benchmark();
-        let a = subsolve(&SubsolveRequest::for_grid(2, 1, 0, 1e-3, p)).unwrap();
-        let b = subsolve(&SubsolveRequest::for_grid(2, 0, 1, 1e-3, p)).unwrap();
-        let rs = vec![a.clone(), b];
-        let back = results_from_unit(&batch_results_to_unit(&rs)).unwrap();
-        assert_eq!(back, rs);
-        // A single result unit decodes as a one-element batch.
-        assert_eq!(results_from_unit(&result_to_unit(&a)).unwrap(), vec![a]);
-    }
-
-    #[test]
-    fn legacy_seven_field_work_tuple_still_decodes() {
-        // Results written before the batched_rhs field existed must decode
-        // with batched_rhs = 0 and everything else intact.
+    fn parent_eight_field_work_tuple_still_decodes() {
+        // The current encoder writes a 7-field work tuple, which
+        // round-trips exactly.
         let p = Problem::manufactured_benchmark();
         let res = subsolve(&SubsolveRequest::for_grid(2, 1, 0, 1e-3, p)).unwrap();
-        let mut u = result_to_unit(&res);
-        if let Unit::Tuple(t) = &mut u {
-            let t = std::sync::Arc::make_mut(t);
-            if let Unit::Tuple(w) = &mut t[5] {
-                std::sync::Arc::make_mut(w).pop();
-            }
-        }
-        let legacy = result_from_unit(&u).unwrap();
-        assert_eq!(legacy.work.batched_rhs, 0);
-        assert_eq!(legacy.work.flops, res.work.flops);
-        assert_eq!(legacy.values, res.values);
+        let u = result_to_unit(&res);
+        let work = u.as_tuple().unwrap()[5].clone();
+        assert_eq!(work.as_tuple().unwrap().len(), 7);
+        assert_eq!(result_from_unit(&u).unwrap(), res);
+        // Results (and checkpoints) written by the parent carry an 8th
+        // field, the retired batched-RHS count: it is ignored and
+        // everything else decodes intact.
+        let mut eight = work.as_tuple().unwrap().to_vec();
+        eight.push(Unit::int(3));
+        let parent = with_field(&u, 5, Unit::tuple(eight));
+        assert_eq!(result_from_unit(&parent).unwrap(), res);
     }
 
     #[test]
     fn request_initial_data_is_shared_not_copied() {
         let p = Problem::manufactured_benchmark();
         let mut req = SubsolveRequest::for_grid(2, 1, 1, 1e-4, p);
-        req.initial_interior = Some(std::sync::Arc::new(vec![0.5; 9]));
+        req.initial_interior = Some(std::sync::Arc::new(vec![0.5; 49]));
         let back = request_from_unit(&request_to_unit(&req)).unwrap();
         assert!(std::sync::Arc::ptr_eq(
             back.initial_interior.as_ref().unwrap(),

@@ -152,9 +152,6 @@ pub struct AppConfig {
     pub data_through_master: bool,
     /// Dispatch policy for this job; `None` uses the engine's default.
     pub policy: Option<PolicyRef>,
-    /// Jobs per worker dispatch (see [`MasterConfig::batch_width`]); the
-    /// default 1 is the paper's one-job-per-worker protocol.
-    pub batch_width: usize,
 }
 
 impl AppConfig {
@@ -164,15 +161,7 @@ impl AppConfig {
             app,
             data_through_master: true,
             policy: None,
-            batch_width: 1,
         }
-    }
-
-    /// Bundle up to `width` subsolves per worker dispatch; the worker runs
-    /// each bundle through the batched multi-RHS solver path.
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width.max(1);
-        self
     }
 
     /// Select the §4.1 I/O-worker data path.
@@ -793,7 +782,6 @@ impl Engine {
         let policy = cfg.policy.clone().unwrap_or_else(|| self.policy.clone());
         let mut mc = MasterConfig::new(cfg.app, cfg.data_through_master)
             .with_policy(policy)
-            .with_batch_width(cfg.batch_width)
             .with_shards(self.opts.shards)
             .with_churn(self.opts.churn.clone());
         if let Some(budget) = self.opts.retry_budget {

@@ -17,10 +17,10 @@
 //!   processes bundled into one task instance: `load 6`) and
 //!   **distributed** (one worker per task instance per machine: `load 1`,
 //!   `perpetual`);
-//! * [`engine`] — the multi-job [`Engine`](engine::Engine): one persistent
-//!   worker fleet (threads, OS processes, or the simulated cluster)
-//!   serving a stream of jobs, each bit-identical to a solo run; the
-//!   one-shot entry points are thin wrappers over a single-job engine;
+//! * [`engine`] — the multi-job [`Engine`]: one persistent worker fleet
+//!   (threads, OS processes, or the simulated cluster) serving a stream of
+//!   jobs, each bit-identical to a solo run; the one-shot entry points are
+//!   thin wrappers over a single-job engine;
 //! * [`cost`] — the calibrated cost model translating solver work into the
 //!   virtual seconds of the `cluster` simulator;
 //! * [`virtualrun`] — the Table 1 / Figure 1 experiment driver running the

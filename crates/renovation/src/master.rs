@@ -8,14 +8,15 @@
 //! (combination) work itself — exactly the structure of the pseudo-program
 //! in §3.
 //!
-//! Dispatch is *pipelined* and policy-driven: a [`DispatchPolicy`] decides
-//! the job order (e.g. longest-processing-time-first from the a-priori
-//! cost model in `solver::work`) and an in-flight window. The master keeps
-//! at most `window` jobs outstanding, collecting a result before issuing
-//! the next job once the window is full — so a bounded worker pool gets
-//! backpressure instead of an unbounded feed-all-then-drain burst. The
-//! default [`PaperFaithful`](protocol::PaperFaithful) policy uses natural
-//! order and an unbounded window, reproducing the paper's protocol
+//! Dispatch is *pipelined* and policy-driven: a
+//! [`DispatchPolicy`](protocol::DispatchPolicy) decides the job order
+//! (e.g. longest-processing-time-first from the a-priori cost model in
+//! `solver::work`) and an in-flight window. The master keeps at most
+//! `window` jobs outstanding, one subsolve per worker, collecting a result
+//! before issuing the next job once the window is full — so a bounded
+//! worker pool gets backpressure instead of an unbounded
+//! feed-all-then-drain burst. The default [`PaperFaithful`] policy uses
+//! natural order and an unbounded window, reproducing the paper's protocol
 //! exactly. Because the prolongation sorts per-grid results by index
 //! before combining, *every* policy produces bit-identical output.
 
@@ -34,8 +35,7 @@ use solver::work::estimate_subsolve_flops;
 use solver::{l2_norm, WorkCounter};
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, RunKey};
-use crate::codec::{batch_request_to_unit, request_to_unit, results_from_unit};
-use solver::subsolve::SubsolveRequest;
+use crate::codec::{request_to_unit, result_from_unit};
 
 /// Master-side configuration.
 #[derive(Clone)]
@@ -65,12 +65,6 @@ pub struct MasterConfig {
     /// total results have been collected — the supervisor's relaunch path
     /// is exercised by exactly this failure.
     pub master_kill_at: Option<u64>,
-    /// Jobs per worker dispatch. The default (1) is the paper's protocol:
-    /// one subsolve per worker. Widths above 1 bundle consecutive jobs (in
-    /// policy order) into one dispatch; the worker runs the bundle through
-    /// `solver::subsolve_batch`, whose multi-RHS kernels batch same-shape
-    /// members and whose results are bit-identical per job either way.
-    pub batch_width: usize,
     /// Sharded dispatch: partition the policy-ordered job sequence across
     /// shard masters ([`ShardPlan`]) and dispatch in their interleaved
     /// round-robin order, with pop-two-merge work stealing when a shard's
@@ -117,7 +111,6 @@ impl MasterConfig {
             checkpoint: None,
             resume_from: None,
             master_kill_at: None,
-            batch_width: 1,
             shards: ShardSpec::default(),
             churn: ChurnPlan::default(),
             membership: None,
@@ -172,13 +165,6 @@ impl MasterConfig {
         self
     }
 
-    /// Bundle up to `width` jobs per worker dispatch (1 = the paper's
-    /// one-job-per-worker protocol).
-    pub fn with_batch_width(mut self, width: usize) -> Self {
-        self.batch_width = width.max(1);
-        self
-    }
-
     /// The identity of the run this configuration describes.
     pub fn run_key(&self) -> RunKey {
         RunKey::of(&self.app, self.data_through_master, self.policy.name())
@@ -198,7 +184,6 @@ impl fmt::Debug for MasterConfig {
                 &self.resume_from.as_ref().map(|c| c.completed.len()),
             )
             .field("master_kill_at", &self.master_kill_at)
-            .field("batch_width", &self.batch_width)
             .field("shards", &self.shards)
             .field("churn", &self.churn)
             .field("membership", &self.membership.is_some())
@@ -279,13 +264,12 @@ fn plan_dispatch(
     (steps, windows)
 }
 
-/// Collect one worker's *computational* results from the dataport — one
-/// result for a single-job dispatch, several for a bundle. A lost-job
-/// marker (a proxy worker's remote instance died mid-job) is not a
-/// result: the master requests a fresh worker, re-sends the recovered
-/// job (single or bundle alike), and keeps collecting — so a killed
-/// worker process costs one round-trip, bounded by the retry budget.
-fn collect_results(h: &MasterHandle, retries_left: &mut usize) -> MfResult<Vec<SubsolveResult>> {
+/// Collect one worker's *computational* result from the dataport. A
+/// lost-job marker (a proxy worker's remote instance died mid-job) is not a
+/// result: the master requests a fresh worker, re-sends the recovered job,
+/// and keeps collecting — so a killed worker process costs one round-trip,
+/// bounded by the retry budget.
+fn collect_result(h: &MasterHandle, retries_left: &mut usize) -> MfResult<SubsolveResult> {
     loop {
         let unit = h.collect()?;
         if let Some((instance, reason, job)) = protocol::as_lost_job(&unit) {
@@ -303,32 +287,8 @@ fn collect_results(h: &MasterHandle, retries_left: &mut usize) -> MfResult<Vec<S
             h.send_work(job.clone())?;
             continue;
         }
-        return results_from_unit(&unit);
+        return result_from_unit(&unit);
     }
-}
-
-/// Dispatch the accumulated bundle (if any) to a fresh worker: a bare
-/// request unit for one job — byte-for-byte the paper's wire shape — or a
-/// tagged bundle for several.
-fn flush_bundle(
-    h: &MasterHandle,
-    pending: &mut Vec<SubsolveRequest>,
-    in_flight: &mut usize,
-) -> MfResult<()> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    let unit = if pending.len() == 1 {
-        request_to_unit(&pending[0])
-    } else {
-        batch_request_to_unit(pending)
-    };
-    // (b)+(c): request a worker and activate it; (d): write the job.
-    let _worker = h.request_worker()?;
-    h.send_work(unit)?;
-    *in_flight += 1;
-    pending.clear();
-    Ok(())
 }
 
 /// Run the master's life: steps 2–5 of the behavior interface. Returns the
@@ -428,26 +388,21 @@ pub fn master_body(h: &MasterHandle, cfg: &MasterConfig) -> MfResult<SequentialR
     let mut shard_inflight = vec![0usize; shard_windows.len()];
     let mut shard_of: std::collections::BTreeMap<(u32, u32), usize> = Default::default();
     let mut dispatch_no: u64 = 0;
-    let width = cfg.batch_width.max(1);
-    let mut pending: Vec<SubsolveRequest> = Vec::new();
-    let mut pending_shard = 0usize;
     for step in &steps {
         let idx = grids[step.job];
         if done.contains(&(idx.l, idx.m)) {
             continue;
         }
-        while pending.is_empty()
-            && in_flight > 0
+        while in_flight > 0
             && (in_flight >= window || shard_inflight[step.shard] >= shard_windows[step.shard])
         {
-            // (f): collect one worker's results from our own dataport,
+            // (f): collect one worker's result from our own dataport,
             // freeing a slot.
-            for res in collect_results(h, &mut retries_left)? {
-                if let Some(&s) = shard_of.get(&(res.l, res.m)) {
-                    shard_inflight[s] = shard_inflight[s].saturating_sub(1);
-                }
-                account(&mut work, &mut per_grid, res)?;
+            let res = collect_result(h, &mut retries_left)?;
+            if let Some(&s) = shard_of.get(&(res.l, res.m)) {
+                shard_inflight[s] = shard_inflight[s].saturating_sub(1);
             }
+            account(&mut work, &mut per_grid, res)?;
             in_flight -= 1;
         }
         if let Some(ev) = &step.steal {
@@ -484,20 +439,17 @@ pub fn master_body(h: &MasterHandle, cfg: &MasterConfig) -> MfResult<SequentialR
             // Shared buffer: codec and port transfer add no copies.
             req.initial_interior = Some(Arc::new(interior));
         }
-        if pending.is_empty() {
-            pending_shard = step.shard;
-        }
         shard_of.insert((idx.l, idx.m), step.shard);
         shard_inflight[step.shard] += 1;
-        pending.push(req);
-        if pending.len() >= width {
-            if sharded {
-                if let Some(members) = &cfg.membership {
-                    members.hint_pool(pending_shard as u64);
-                }
+        if sharded {
+            if let Some(members) = &cfg.membership {
+                members.hint_pool(step.shard as u64);
             }
-            flush_bundle(h, &mut pending, &mut in_flight)?;
         }
+        // (b)+(c): request a worker and activate it; (d): write the job.
+        let _worker = h.request_worker()?;
+        h.send_work(request_to_unit(&req))?;
+        in_flight += 1;
         // Membership churn fires by dispatch ordinal, after the job that
         // reaches it: a joined worker is in the rotation from the next
         // dispatch on; a retirement waits for the job on the victim's
@@ -516,17 +468,10 @@ pub fn master_body(h: &MasterHandle, cfg: &MasterConfig) -> MfResult<SequentialR
             }
         }
     }
-    if !pending.is_empty() && sharded {
-        if let Some(members) = &cfg.membership {
-            members.hint_pool(pending_shard as u64);
-        }
-    }
-    flush_bundle(h, &mut pending, &mut in_flight)?;
     // (f): drain the remaining in-flight results.
     for _ in 0..in_flight {
-        for res in collect_results(h, &mut retries_left)? {
-            account(&mut work, &mut per_grid, res)?;
-        }
+        let res = collect_result(h, &mut retries_left)?;
+        account(&mut work, &mut per_grid, res)?;
     }
     // A finished run needs no snapshot; leaving one behind would make an
     // unrelated later run in the same directory refuse to start.

@@ -17,8 +17,8 @@
 //!   chronological record;
 //! * [`run_worker_child`] — the child side, called by the
 //!   `subsolve_worker` binary: serves jobs by running the *real*
-//!   [`worker_factory`](crate::worker_factory) manifold inside its own
-//!   MANIFOLD environment, then ships its trace back at shutdown.
+//!   [`worker_factory`] manifold inside its own MANIFOLD environment,
+//!   then ships its trace back at shutdown.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -48,9 +48,9 @@ pub struct ProcsConfig {
     /// TCP loopback or Unix-domain sockets.
     pub bind: BindMode,
     /// CONFIG host labels for placement, cycled over instances. With the
-    /// [`LocalSpawner`] all children run locally regardless (the paper's
-    /// single-machine multi-process deployment); an ssh spawner would use
-    /// these as targets.
+    /// [`LocalSpawner`](transport::spawn::LocalSpawner) all children run
+    /// locally regardless (the paper's single-machine multi-process
+    /// deployment); an ssh spawner would use these as targets.
     pub hosts: Vec<HostName>,
     /// Path of the `subsolve_worker` binary. `None` resolves via the
     /// `MF_SUBSOLVE_WORKER` environment variable, then by looking next to

@@ -14,7 +14,7 @@ use manifold::mes;
 use manifold::prelude::*;
 use protocol::{lost_job_marker, WorkerHandle, WORKER_LOST};
 
-use crate::codec::{batch_results_to_unit, requests_from_unit, result_to_unit};
+use crate::codec::{request_from_unit, result_to_unit};
 
 /// Concurrency gauge over worker compute sections.
 ///
@@ -114,37 +114,14 @@ fn make_worker(
                 }
             }
         }
-        let (reqs, batched) = requests_from_unit(&job)?;
-        // Step 2: the computational job (the untouched legacy core). A
-        // bundled job runs through the batched multi-RHS path, which is
-        // bit-identical per request to the sequential core.
+        let req = request_from_unit(&job)?;
+        // Step 2: the computational job (the untouched legacy core).
         if let Some(g) = &gauge {
             g.enter();
         }
-        let computed: Result<Unit, String> = if batched {
-            let mut bws = solver::BatchWorkspace::new();
-            let results = solver::subsolve_batch(&reqs, &mut bws);
-            let mut ok = Vec::with_capacity(results.len());
-            let mut failure = None;
-            for (req, r) in reqs.iter().zip(results) {
-                match r {
-                    Ok(res) => ok.push(res),
-                    Err(e) => {
-                        failure = Some(format!("subsolve({}, {}): {e}", req.l, req.m));
-                        break;
-                    }
-                }
-            }
-            match failure {
-                Some(f) => Err(f),
-                None => Ok(batch_results_to_unit(&ok)),
-            }
-        } else {
-            let req = &reqs[0];
-            solver::subsolve(req)
-                .map(|res| result_to_unit(&res))
-                .map_err(|e| format!("subsolve({}, {}): {e}", req.l, req.m))
-        };
+        let computed = solver::subsolve(&req)
+            .map(|res| result_to_unit(&res))
+            .map_err(|e| format!("subsolve({}, {}): {e}", req.l, req.m));
         if let Some(g) = &gauge {
             g.exit();
         }
@@ -174,9 +151,10 @@ pub fn worker_factory_with_gauge(
 }
 
 /// [`worker_factory_with_gauge`] plus an injected fault schedule: the
-/// threads backend's half of the chaos engine (see [`ThreadChaos`] for
-/// which faults apply). All workers of a run share one job counter, so a
-/// `FaultPlan`'s `crash:i@n` fires exactly once pool-wide.
+/// threads backend's half of the chaos engine (a crash and a stall apply;
+/// wire-level faults are inert without a transport). All workers of a run
+/// share one job counter, so a `FaultPlan`'s `crash:i@n` fires exactly
+/// once pool-wide.
 pub fn worker_factory_chaos(
     gauge: Arc<WorkerGauge>,
     faults: chaos::WorkerFaults,
@@ -193,7 +171,7 @@ pub fn worker_factory_chaos(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{batch_request_to_unit, request_to_unit, result_from_unit};
+    use crate::codec::{request_to_unit, result_from_unit};
     use solver::problem::Problem;
     use solver::subsolve::SubsolveRequest;
     use std::time::Duration;
@@ -225,64 +203,37 @@ mod tests {
     }
 
     #[test]
-    fn worker_computes_a_same_shape_bundle_bit_identically() {
-        // Three jobs on the *same* grid with different tolerances: the
-        // bundle rides the multi-RHS batched integrator inside the worker
-        // and must come back bit-identical, per request, to the
-        // sequential core.
-        let env = Environment::new();
-        env.run_coordinator("Main", |coord| {
-            let death = Name::new("death_worker");
-            let w = worker_factory(coord, &death);
-            coord.activate(&w)?;
-            let reqs: Vec<SubsolveRequest> = [1e-3, 2e-4, 5e-3]
-                .iter()
-                .map(|&tol| {
-                    SubsolveRequest::for_grid(2, 2, 1, tol, Problem::manufactured_benchmark())
-                })
-                .collect();
-            let mut st = coord.state();
-            st.send(batch_request_to_unit(&reqs), &w, "input")?;
-            st.connect_to_self(&w, "output", "input", StreamType::KK)?;
-            let occ = st.idle(&["death_worker".into()])?;
-            assert_eq!(occ.source, w.id());
-            let results = crate::codec::results_from_unit(&coord.read("input")?).unwrap();
-            assert_eq!(results.len(), reqs.len());
-            for (req, res) in reqs.iter().zip(&results) {
-                let direct = solver::subsolve(req).unwrap();
-                assert_eq!((res.l, res.m), (req.l, req.m));
-                assert_eq!(res.values, direct.values);
-                assert_eq!(res.steps, direct.steps);
-                assert_eq!(res.work.flops, direct.work.flops);
-            }
-            // The bundle really took the batched path: cohort widths were
-            // recorded for the multi-RHS sweeps.
-            assert!(results.iter().any(|r| r.work.batched_rhs > 0));
-            w.core().wait_terminated(Duration::from_secs(10))?;
-            Ok(())
-        })
-        .unwrap();
-        env.shutdown();
-        assert!(env.failures().is_empty());
-    }
-
-    #[test]
     fn worker_rejects_garbage_input() {
-        let env = Environment::new();
-        env.run_coordinator("Main", |coord| {
-            let death = Name::new("death_worker");
-            let w = worker_factory(coord, &death);
-            coord.activate(&w)?;
-            let mut st = coord.state();
-            st.send(Unit::text("not a job"), &w, "input")?;
-            drop(st);
-            w.core().wait_terminated(Duration::from_secs(10))?;
-            Ok(())
-        })
-        .unwrap();
-        env.shutdown();
-        let fails = env.failures();
-        assert_eq!(fails.len(), 1, "worker should record a failure");
-        env.shutdown();
+        // The bundle-tagged `(-2, (job, job))` shape an older master sent
+        // for multi-job dispatch is garbage to a one-job worker too.
+        let job = request_to_unit(&SubsolveRequest::for_grid(
+            2,
+            1,
+            1,
+            1e-3,
+            Problem::manufactured_benchmark(),
+        ));
+        let bundle = Unit::tuple(vec![Unit::int(-2), Unit::tuple(vec![job.clone(), job])]);
+        for garbage in [Unit::text("not a job"), bundle] {
+            let env = Environment::new();
+            env.run_coordinator("Main", |coord| {
+                let death = Name::new("death_worker");
+                let w = worker_factory(coord, &death);
+                coord.activate(&w)?;
+                let mut st = coord.state();
+                st.send(garbage.clone(), &w, "input")?;
+                drop(st);
+                w.core().wait_terminated(Duration::from_secs(10))?;
+                Ok(())
+            })
+            .unwrap();
+            env.shutdown();
+            let fails = env.failures();
+            assert_eq!(
+                fails.len(),
+                1,
+                "worker should record a failure: {garbage:?}"
+            );
+        }
     }
 }

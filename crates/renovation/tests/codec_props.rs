@@ -40,7 +40,7 @@ fn arb_request() -> impl Strategy<Value = SubsolveRequest> {
         (0u32..3, 0u32..5, 0u32..5),
         (0.0..1.0f64, 1.0..2.0f64, 1e-6..1e-2f64),
         arb_problem(),
-        prop::option::of(prop::collection::vec(-10.0..10.0f64, 0..40)),
+        prop::option::of(-10.0..10.0f64),
     )
         .prop_map(
             |((root, l, m), (t0, t1, tol), problem, init)| SubsolveRequest {
@@ -51,7 +51,12 @@ fn arb_request() -> impl Strategy<Value = SubsolveRequest> {
                 t1,
                 tol,
                 problem,
-                initial_interior: init.map(Arc::new),
+                // The decoder checks the payload against the grid, so it is
+                // sized to the interior.
+                initial_interior: init.map(|v| {
+                    let g = Grid2::new(root, l, m);
+                    Arc::new(g.sample_interior(|x, y| v * x - y))
+                }),
             },
         )
 }
@@ -61,7 +66,7 @@ fn arb_result() -> impl Strategy<Value = SubsolveResult> {
         (0u32..8, 0u32..8),
         prop::collection::vec(-100.0..100.0f64, 0..60),
         (0usize..10_000, 0usize..100),
-        prop::collection::vec(0u64..1_000_000, 8),
+        prop::collection::vec(0u64..1_000_000, 7),
     )
         .prop_map(|((l, m), values, (steps, rejected), w)| SubsolveResult {
             l,
@@ -77,7 +82,6 @@ fn arb_result() -> impl Strategy<Value = SubsolveResult> {
                 factorizations: w[4],
                 refactorizations: w[5],
                 assemblies: w[6],
-                batched_rhs: w[7],
             },
         })
 }

@@ -511,7 +511,7 @@ impl Admission {
     }
 
     /// Registration ordinal of `name` — the `instance` key a per-tenant
-    /// [`chaos::FaultPlan`](chaos::FaultPlan) addresses.
+    /// [`chaos::FaultPlan`] addresses.
     pub fn ordinal(&self, name: &str) -> Option<u64> {
         self.m.lock().by_name.get(name).map(|&i| i as u64)
     }

@@ -200,7 +200,7 @@ impl TenantClient {
     /// Replayed (already-consumed) replies are counted and skipped —
     /// the filter tolerates arrival out of `rseq` order, so a reply
     /// overtaken on the wire by a higher-sequence one is still
-    /// delivered, not mistaken for a duplicate. Every [`ACK_EVERY`]
+    /// delivered, not mistaken for a duplicate. Every `ACK_EVERY`
     /// consumed replies an `Ack` flows back so the daemon can trim its
     /// journal. An orderly daemon-side close surfaces as
     /// `UnexpectedEof`.

@@ -7,7 +7,7 @@
 //!
 //! Two pieces:
 //!
-//! * [`poll`] — a safe wrapper over the syscall: give it a scratch
+//! * `poll` — a safe wrapper over the syscall: give it a scratch
 //!   [`PollFd`] vector and a timeout, get back the number of ready fds
 //!   (EINTR is retried internally, so callers never see it);
 //! * [`Waker`] — the classic self-pipe trick over a `socketpair(2)` (via

@@ -20,7 +20,7 @@
 
 use crate::grid::Grid2;
 use crate::problem::Problem;
-use crate::sparse::{Csr, MultiVec};
+use crate::sparse::Csr;
 use crate::work::WorkCounter;
 
 /// Which advection scheme was chosen in a direction.
@@ -271,28 +271,6 @@ impl Discretization {
             *o += gi;
         }
         work.add_matvec(self.a.nnz());
-    }
-
-    /// Batched [`Discretization::rhs_into_with`]: evaluate `A u_j + g(t)`
-    /// for every member `j` of `u` at one shared time `t`. The forcing is
-    /// evaluated once into `g` and broadcast across members, which is
-    /// exactly why the batched integrator groups members into equal-`t`
-    /// cohorts. Per member the result is bit-identical to the scalar path
-    /// (`A u` row products in CSR order, then `+ g_i`). No work accounting:
-    /// the batched integrator charges `add_matvec` per *live* member,
-    /// mirroring the sequential control flow.
-    pub fn rhs_into_multi_with(&self, t: f64, u: &MultiVec, out: &mut MultiVec, g: &mut [f64]) {
-        let k = u.k();
-        assert_eq!(out.k(), k);
-        assert_eq!(u.n(), self.n());
-        self.a.matvec_multi_into(u, out);
-        self.forcing_into(t, g);
-        let data = out.as_mut_slice();
-        for (gi, row) in g.iter().zip(data.chunks_exact_mut(k)) {
-            for o in row {
-                *o += gi;
-            }
-        }
     }
 
     /// Interior vector of the exact solution at time `t` (for initial

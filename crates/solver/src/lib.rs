@@ -26,8 +26,8 @@
 //! * [`linsolve`] — ILU(0)-preconditioned BiCGSTAB (plus helpers);
 //! * [`rosenbrock`] — the adaptive ROS2 integrator (zero-allocation hot
 //!   path after workspace warm-up);
-//! * [`reference`] — the retained pre-optimization solver path, kept as a
-//!   bit-identity oracle for the optimized hot loop;
+//! * [`reference`](mod@crate::reference) — the retained pre-optimization
+//!   solver path, kept as a bit-identity oracle for the optimized hot loop;
 //! * [`mod subsolve`](mod@crate::subsolve) — the per-grid solve, the unit of work delegated to
 //!   workers in the renovated application;
 //! * [`combine`] — bilinear prolongation and the combination formula;
@@ -36,7 +36,6 @@
 //!   simulator's cost model.
 
 pub mod assemble;
-pub mod batch;
 pub mod combine;
 pub mod grid;
 pub mod linsolve;
@@ -52,7 +51,6 @@ pub mod subsolve;
 pub mod theta;
 pub mod work;
 
-pub use batch::{integrate_batch, subsolve_batch, subsolve_batch_tiered, BatchWorkspace};
 pub use grid::{Grid2, GridIndex};
 pub use problem::Problem;
 pub use sequential::{SequentialApp, SequentialResult};

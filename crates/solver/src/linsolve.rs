@@ -12,7 +12,7 @@
 //! allocation at all. BiCGSTAB is the crate's one Krylov solver.
 
 use crate::simd::{self, Backend, F64x4, Tier, LANES};
-use crate::sparse::{Csr, MultiVec, StencilPlan};
+use crate::sparse::{Csr, StencilPlan};
 use crate::work::WorkCounter;
 
 /// A left preconditioner `M ≈ A`: given `r`, produce `z ≈ A⁻¹ r`.
@@ -562,129 +562,6 @@ impl Ilu0 {
     unsafe fn apply_wavefront_avx2(&self, plan: StencilPlan, r: &[f64], z: &mut [f64]) {
         self.apply_wavefront(plan, r, z)
     }
-
-    /// Apply the factorization to `k` right-hand sides in SoA layout, lanes
-    /// across members. Sweeps run in natural row order — any topological
-    /// order gives bitwise-identical results (each row's arithmetic is
-    /// unchanged; dependencies are honored) — and every stored entry is
-    /// broadcast against the k contiguous member values, so the batched
-    /// sweep vectorizes without the gather traffic of the single-RHS lane
-    /// kernel. Bit-identical per member to [`Ilu0::apply_scalar`]. No work
-    /// accounting: the batched solver charges per active member.
-    pub fn apply_multi(&self, r: &MultiVec, z: &mut MultiVec) {
-        let n = self.lu.n();
-        assert_eq!(r.n(), n);
-        assert_eq!(z.n(), n);
-        assert_eq!(r.k(), z.k());
-        let k = r.k();
-        // SAFETY: Csr invariants as in `apply_scalar`; member blocks stay
-        // within buffers of length `n * k`.
-        match simd::backend() {
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            Backend::Avx2 => unsafe {
-                self.apply_multi_lanes_avx2(k, r.as_slice(), z.as_mut_slice())
-            },
-            Backend::Scalar => {
-                let rs = r.as_slice();
-                let zs = z.as_mut_slice();
-                let row_ptr = self.lu.row_ptr();
-                let cols = self.lu.col_indices();
-                let vals = self.lu.vals();
-                for j in 0..k {
-                    for i in 0..n {
-                        let lo = row_ptr[i];
-                        let dp = lo + self.diag_pos[i];
-                        let mut acc = rs[i * k + j];
-                        for p in lo..dp {
-                            acc -= vals[p] * zs[cols[p] * k + j];
-                        }
-                        zs[i * k + j] = acc;
-                    }
-                    for i in (0..n).rev() {
-                        let lo = row_ptr[i];
-                        let hi = row_ptr[i + 1];
-                        let dp = lo + self.diag_pos[i];
-                        let mut acc = zs[i * k + j];
-                        for p in dp + 1..hi {
-                            acc -= vals[p] * zs[cols[p] * k + j];
-                        }
-                        zs[i * k + j] = acc / vals[dp];
-                    }
-                }
-            }
-            _ => unsafe { self.apply_multi_lanes(k, r.as_slice(), z.as_mut_slice()) },
-        }
-    }
-
-    /// SoA sweep body for [`Ilu0::apply_multi`].
-    ///
-    /// # Safety
-    /// Csr invariants as in `apply_scalar`; `r.len() == z.len() == n * k`.
-    #[inline(always)]
-    unsafe fn apply_multi_lanes(&self, k: usize, r: &[f64], z: &mut [f64]) {
-        let n = self.lu.n();
-        let row_ptr = self.lu.row_ptr();
-        let cols = self.lu.col_indices();
-        let vals = self.lu.vals();
-        // Forward solve L y = r (unit diagonal), y stored in z.
-        for i in 0..n {
-            let lo = *row_ptr.get_unchecked(i);
-            let dp = lo + *self.diag_pos.get_unchecked(i);
-            let mut jb = 0;
-            while jb + LANES <= k {
-                let mut acc = F64x4::load(r, i * k + jb);
-                for p in lo..dp {
-                    let a = F64x4::splat(*vals.get_unchecked(p));
-                    let zz = F64x4::load(z, *cols.get_unchecked(p) * k + jb);
-                    acc = acc.sub(a.mul(zz));
-                }
-                acc.store(z, i * k + jb);
-                jb += LANES;
-            }
-            while jb < k {
-                let mut acc = *r.get_unchecked(i * k + jb);
-                for p in lo..dp {
-                    acc -=
-                        *vals.get_unchecked(p) * *z.get_unchecked(*cols.get_unchecked(p) * k + jb);
-                }
-                *z.get_unchecked_mut(i * k + jb) = acc;
-                jb += 1;
-            }
-        }
-        // Backward solve U z = y.
-        for i in (0..n).rev() {
-            let lo = *row_ptr.get_unchecked(i);
-            let hi = *row_ptr.get_unchecked(i + 1);
-            let dp = lo + *self.diag_pos.get_unchecked(i);
-            let d = *vals.get_unchecked(dp);
-            let mut jb = 0;
-            while jb + LANES <= k {
-                let mut acc = F64x4::load(z, i * k + jb);
-                for p in dp + 1..hi {
-                    let a = F64x4::splat(*vals.get_unchecked(p));
-                    let zz = F64x4::load(z, *cols.get_unchecked(p) * k + jb);
-                    acc = acc.sub(a.mul(zz));
-                }
-                acc.div(F64x4::splat(d)).store(z, i * k + jb);
-                jb += LANES;
-            }
-            while jb < k {
-                let mut acc = *z.get_unchecked(i * k + jb);
-                for p in dp + 1..hi {
-                    acc -=
-                        *vals.get_unchecked(p) * *z.get_unchecked(*cols.get_unchecked(p) * k + jb);
-                }
-                *z.get_unchecked_mut(i * k + jb) = acc / d;
-                jb += 1;
-            }
-        }
-    }
-
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn apply_multi_lanes_avx2(&self, k: usize, r: &[f64], z: &mut [f64]) {
-        self.apply_multi_lanes(k, r, z)
-    }
 }
 
 /// One forward wavefront block: lines `j0 .. j0+L`, lane `k` on line
@@ -837,7 +714,7 @@ unsafe fn bwd_wave_block<const L: usize, const BOTTOM: bool>(
 impl Preconditioner for Ilu0 {
     /// Backend-dispatched sweeps, bit-identical to [`Ilu0::apply_scalar`]
     /// on every backend: stencil-plan factorizations take the skewed
-    /// wavefront ([`Ilu0::apply_wavefront`]), everything else the
+    /// wavefront (`Ilu0::apply_wavefront`), everything else the
     /// lane-blocked level schedule — in both, per-row operation order is
     /// unchanged and only the scheduling across independent rows differs.
     fn apply(&self, r: &[f64], z: &mut [f64], work: &mut WorkCounter) {

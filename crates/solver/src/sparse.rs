@@ -11,8 +11,7 @@
 //! row per lane, preserving each row's accumulation order exactly — so the
 //! vectorized kernel stays bit-identical to [`Csr::matvec_into_scalar`]
 //! (which is both the `force-scalar` fallback and the differential-test
-//! oracle). [`MultiVec`] adds the SoA multi-right-hand-side layout the
-//! batched solver ([`crate::batch`]) sweeps through one factorization.
+//! oracle).
 
 use std::sync::OnceLock;
 
@@ -325,58 +324,6 @@ impl Csr {
                 }
                 *y.get_unchecked_mut(i) = acc;
             }
-        }
-    }
-
-    /// `Y = A·X` for `X.k()` right-hand sides in SoA layout.
-    ///
-    /// Lanes run across *members* (the k RHS): for every stored entry the
-    /// value is broadcast and multiplied against the k contiguous member
-    /// values of the source column, accumulating in entry order — each
-    /// member sees exactly the scalar [`Csr::matvec_into`] operation
-    /// sequence, so the batched kernel is bit-identical per member *and*
-    /// fully vectorized without gathers (this is the point of SoA).
-    pub fn matvec_multi_into(&self, x: &MultiVec, y: &mut MultiVec) {
-        assert_eq!(x.n(), self.n);
-        assert_eq!(y.n(), self.n);
-        assert_eq!(x.k(), y.k());
-        let k = x.k();
-        // SAFETY: struct invariants as in `matvec_into`; member blocks stay
-        // within `i*k..(i+1)*k` of buffers sized `n*k`.
-        match simd::backend() {
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            Backend::Avx2 => unsafe {
-                matvec_multi_lanes_avx2(
-                    &self.row_ptr,
-                    &self.col_idx,
-                    &self.vals,
-                    k,
-                    x.as_slice(),
-                    y.as_mut_slice(),
-                )
-            },
-            Backend::Scalar => {
-                for j in 0..k {
-                    for i in 0..self.n {
-                        let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-                        let mut acc = 0.0;
-                        for p in lo..hi {
-                            acc += self.vals[p] * x.as_slice()[self.col_idx[p] * k + j];
-                        }
-                        y.as_mut_slice()[i * k + j] = acc;
-                    }
-                }
-            }
-            _ => unsafe {
-                matvec_multi_lanes(
-                    &self.row_ptr,
-                    &self.col_idx,
-                    &self.vals,
-                    k,
-                    x.as_slice(),
-                    y.as_mut_slice(),
-                )
-            },
         }
     }
 
@@ -737,133 +684,6 @@ unsafe fn matvec_thin<const W: usize>(
     thin_line::<W, false, true>(h - 1, row_ptr, vals, x, y);
 }
 
-/// SoA multi-RHS matvec body: lanes run across members. For every stored
-/// entry, broadcast the value and accumulate against the k contiguous
-/// member values of the source column, in entry order.
-///
-/// # Safety
-/// CSR invariants as for [`matvec_lanes`]; `x.len() == y.len() == n * k`.
-#[inline(always)]
-unsafe fn matvec_multi_lanes(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f64],
-    k: usize,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    let n = row_ptr.len() - 1;
-    for i in 0..n {
-        let lo = *row_ptr.get_unchecked(i);
-        let hi = *row_ptr.get_unchecked(i + 1);
-        let mut jb = 0;
-        while jb + LANES <= k {
-            let mut acc = F64x4::zero();
-            for p in lo..hi {
-                let a = F64x4::splat(*vals.get_unchecked(p));
-                let xx = F64x4::load(x, *col_idx.get_unchecked(p) * k + jb);
-                acc = acc.add(a.mul(xx));
-            }
-            acc.store(y, i * k + jb);
-            jb += LANES;
-        }
-        while jb < k {
-            let mut acc = 0.0;
-            for p in lo..hi {
-                acc +=
-                    *vals.get_unchecked(p) * *x.get_unchecked(*col_idx.get_unchecked(p) * k + jb);
-            }
-            *y.get_unchecked_mut(i * k + jb) = acc;
-            jb += 1;
-        }
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-#[target_feature(enable = "avx2")]
-unsafe fn matvec_multi_lanes_avx2(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f64],
-    k: usize,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    matvec_multi_lanes(row_ptr, col_idx, vals, k, x, y)
-}
-
-/// `k` vectors of length `n` in structure-of-arrays layout: the `k` member
-/// values for node `i` are contiguous at `data[i*k .. (i+1)*k]`.
-///
-/// This is the batched solver's working layout: every elementwise kernel
-/// and reduction runs lanes across *members*, which makes per-member
-/// reductions simultaneously vectorized and bit-exact (each member's sum
-/// stays in node order — no reassociation within a member).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MultiVec {
-    k: usize,
-    n: usize,
-    data: Vec<f64>,
-}
-
-impl MultiVec {
-    pub fn new() -> MultiVec {
-        MultiVec::default()
-    }
-
-    /// Resize to `k` members of length `n`. Existing capacity is reused;
-    /// warm calls with the same or smaller shape never allocate.
-    pub fn ensure(&mut self, k: usize, n: usize) {
-        self.k = k;
-        self.n = n;
-        if self.data.len() < k * n {
-            self.data.resize(k * n, 0.0);
-        }
-    }
-
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data[..self.k * self.n]
-    }
-
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        let len = self.k * self.n;
-        &mut self.data[..len]
-    }
-
-    pub fn fill(&mut self, v: f64) {
-        let len = self.k * self.n;
-        self.data[..len].fill(v);
-    }
-
-    /// Scatter `src` (length `n`) into member `j`.
-    pub fn pack_member(&mut self, j: usize, src: &[f64]) {
-        assert_eq!(src.len(), self.n);
-        assert!(j < self.k);
-        let k = self.k;
-        for (i, &v) in src.iter().enumerate() {
-            self.data[i * k + j] = v;
-        }
-    }
-
-    /// Gather member `j` into `dst` (length `n`).
-    pub fn unpack_member(&self, j: usize, dst: &mut [f64]) {
-        assert_eq!(dst.len(), self.n);
-        assert!(j < self.k);
-        let k = self.k;
-        for (i, d) in dst.iter_mut().enumerate() {
-            *d = self.data[i * k + j];
-        }
-    }
-}
-
 /// Where a stage-matrix entry takes its value from.
 #[derive(Clone, Copy, Debug)]
 enum StageSrc {
@@ -1151,50 +971,6 @@ mod tests {
             a.matvec_into_scalar(&x, &mut y_scalar);
             assert_eq!(y_lanes, y_scalar, "n = {n}");
         }
-    }
-
-    #[test]
-    fn multi_matvec_matches_per_member_bitwise() {
-        let a = example();
-        for k in [1usize, 2, 3, 4, 5, 8, 9] {
-            let mut x = MultiVec::new();
-            let mut y = MultiVec::new();
-            x.ensure(k, 3);
-            y.ensure(k, 3);
-            let members: Vec<Vec<f64>> = (0..k)
-                .map(|j| (0..3).map(|i| (i + j) as f64 * 0.7 - 1.0).collect())
-                .collect();
-            for (j, m) in members.iter().enumerate() {
-                x.pack_member(j, m);
-            }
-            a.matvec_multi_into(&x, &mut y);
-            let mut got = vec![0.0; 3];
-            let mut want = vec![0.0; 3];
-            for (j, m) in members.iter().enumerate() {
-                y.unpack_member(j, &mut got);
-                a.matvec_into_scalar(m, &mut want);
-                assert_eq!(got, want, "k = {k}, member {j}");
-            }
-        }
-    }
-
-    #[test]
-    fn multivec_pack_unpack_roundtrip() {
-        let mut mv = MultiVec::new();
-        mv.ensure(3, 4);
-        let m: Vec<f64> = vec![1.0, 2.0, 3.0, 4.0];
-        mv.pack_member(1, &m);
-        let mut out = vec![0.0; 4];
-        mv.unpack_member(1, &mut out);
-        assert_eq!(out, m);
-        mv.unpack_member(0, &mut out);
-        assert_eq!(out, vec![0.0; 4]);
-        // Shrinking then regrowing within capacity must not allocate a new
-        // buffer (warm-loop discipline) — observable via the data pointer.
-        let p = mv.as_slice().as_ptr();
-        mv.ensure(2, 3);
-        mv.ensure(3, 4);
-        assert_eq!(mv.as_slice().as_ptr(), p);
     }
 
     /// A w×h 5-point-stencil matrix with smoothly varying, row-distinct

@@ -29,16 +29,6 @@ pub struct WorkCounter {
     pub refactorizations: u64,
     /// Matrix assemblies.
     pub assemblies: u64,
-    /// Batched-RHS dimension: the summed cohort widths of the batched stage
-    /// solves this counter's work went through (0 for a purely sequential
-    /// run). Batched solves charge *exactly* the flops of their sequential
-    /// counterparts — the cost model's ~300 flops/unknown/step calibration
-    /// (see [`MEASURED_FLOPS_PER_UNKNOWN_STEP`]) is unaffected — so this
-    /// field exists to keep that honest: it records how much of the work
-    /// ran k-wide, where wall-clock per flop is lower than the scalar
-    /// calibration assumes.
-    #[serde(default)]
-    pub batched_rhs: u64,
 }
 
 impl WorkCounter {
@@ -91,13 +81,6 @@ impl WorkCounter {
         self.lin_iters += 1;
     }
 
-    /// Record that one batched stage solve processed this member alongside
-    /// `width − 1` others (charge the cohort width). No flops: the batched
-    /// kernels are charged per member exactly like the sequential path.
-    pub fn add_batched_rhs(&mut self, width: usize) {
-        self.batched_rhs += width as u64;
-    }
-
     /// Charge an accepted step.
     pub fn add_step(&mut self) {
         self.steps += 1;
@@ -117,7 +100,6 @@ impl WorkCounter {
         self.factorizations += other.factorizations;
         self.refactorizations += other.refactorizations;
         self.assemblies += other.assemblies;
-        self.batched_rhs += other.batched_rhs;
     }
 }
 

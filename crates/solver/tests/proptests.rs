@@ -7,7 +7,7 @@ use solver::grid::{Grid2, GridIndex};
 use solver::linsolve::{bicgstab, Ilu0, Preconditioner};
 use solver::problem::Problem;
 use solver::rosenbrock::{integrate_with, Ros2Options, Ros2Workspace};
-use solver::sparse::{Csr, MultiVec, StencilPlan};
+use solver::sparse::{Csr, StencilPlan};
 use solver::{l2_norm, linf_norm, Tier, WorkCounter};
 
 // -------------------------------------------------------------------- CSR
@@ -134,10 +134,10 @@ proptest! {
 
 // ------------------------------------------------- SIMD kernel dispatch
 //
-// The production kernels (`Csr::matvec_into`, `Ilu0::apply`, and their
-// multi-RHS variants) promise *bit identity* with the plain scalar loops on
-// every backend and for every dispatch route (lane-blocked, thin stencil,
-// chunked stencil, wavefront). These differentials pin that promise on
+// The production kernels (`Csr::matvec_into`, `Ilu0::apply`) promise *bit
+// identity* with the plain scalar loops on every backend and for every
+// dispatch route (lane-blocked, thin stencil, chunked stencil, wavefront).
+// These differentials pin that promise on
 // adversarial shapes: odd lengths, remainder lanes, systems smaller than
 // the lane width, and stencil grids across the thin/chunked width split.
 
@@ -277,50 +277,6 @@ proptest! {
         ilu.apply_scalar(&x, &mut z_s);
         for i in 0..n {
             prop_assert_eq!(z[i].to_bits(), z_s[i].to_bits(), "sweep row {}", i);
-        }
-    }
-
-    /// The SoA multi-RHS kernels are bit-identical to the single-RHS scalar
-    /// loops member by member, for widths off the lane grid.
-    #[test]
-    fn multi_rhs_kernels_bit_identical_per_member(
-        (a, _, _) in arb_stencil_csr(),
-        k in 1usize..6,
-        seed in any::<u64>()
-    ) {
-        let n = a.n();
-        let members: Vec<Vec<f64>> =
-            (0..k).map(|j| test_vector(n, seed ^ (j as u64) << 17)).collect();
-        let mut x = MultiVec::new();
-        let mut y = MultiVec::new();
-        x.ensure(k, n);
-        y.ensure(k, n);
-        for (j, mem) in members.iter().enumerate() {
-            x.pack_member(j, mem);
-        }
-
-        let mut got = vec![0.0; n];
-        let mut want = vec![0.0; n];
-        a.matvec_multi_into(&x, &mut y);
-        for (j, mem) in members.iter().enumerate() {
-            y.unpack_member(j, &mut got);
-            a.matvec_into_scalar(mem, &mut want);
-            for i in 0..n {
-                prop_assert_eq!(got[i].to_bits(), want[i].to_bits(),
-                    "matvec member {} row {}", j, i);
-            }
-        }
-
-        let mut wk = WorkCounter::new();
-        let ilu = Ilu0::new(&a, &mut wk);
-        ilu.apply_multi(&x, &mut y);
-        for (j, mem) in members.iter().enumerate() {
-            y.unpack_member(j, &mut got);
-            ilu.apply_scalar(mem, &mut want);
-            for i in 0..n {
-                prop_assert_eq!(got[i].to_bits(), want[i].to_bits(),
-                    "sweep member {} row {}", j, i);
-            }
         }
     }
 }
