@@ -14,9 +14,21 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use protocol::{BoundedReuse, CostAware, PaperFaithful, PolicyRef};
-use renovation::app::{run_concurrent_with_policy, RunMode};
+use renovation::{AppConfig, Engine, EngineOpts, JobReport, RunMode};
 use solver::SequentialApp;
 use std::hint::black_box;
+
+/// One job on a fresh threads fleet sized to it — what a one-shot run
+/// costs, bring-up included.
+fn run_one(app: &SequentialApp, policy: PolicyRef) -> JobReport {
+    let opts = EngineOpts {
+        capacity_level: app.level,
+        ..EngineOpts::default()
+    };
+    Engine::threads(RunMode::Parallel, policy, opts)
+        .and_then(|engine| engine.run_one(AppConfig::new(*app)))
+        .unwrap()
+}
 
 fn policies() -> Vec<(&'static str, PolicyRef)> {
     vec![
@@ -33,12 +45,7 @@ fn bench_policies_live(c: &mut Criterion) {
         let app = SequentialApp::new(2, level, 1.0e-3);
         for (name, policy) in policies() {
             group.bench_with_input(BenchmarkId::new(name, level), &app, |b, app| {
-                b.iter(|| {
-                    black_box(
-                        run_concurrent_with_policy(app, &RunMode::Parallel, true, policy.clone())
-                            .unwrap(),
-                    )
-                })
+                b.iter(|| black_box(run_one(app, policy.clone())))
             });
         }
     }

@@ -6,10 +6,25 @@
 //! sampled by the workers instead of shipped through the master, the
 //! master's serial feeding phase shrinks.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use renovation::app::{run_concurrent, RunMode};
+use protocol::PaperFaithful;
+use renovation::{AppConfig, Engine, EngineOpts, JobReport, RunMode};
 use solver::SequentialApp;
 use std::hint::black_box;
+
+/// One job on a fresh threads fleet sized to it, bring-up included.
+fn run_one(app: &SequentialApp, data_through_master: bool) -> JobReport {
+    let opts = EngineOpts {
+        capacity_level: app.level,
+        ..EngineOpts::default()
+    };
+    let job = AppConfig::new(*app).with_data_through_master(data_through_master);
+    Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts)
+        .and_then(|engine| engine.run_one(job))
+        .unwrap()
+}
 
 fn bench_sequential_vs_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("live_run");
@@ -20,12 +35,12 @@ fn bench_sequential_vs_parallel(c: &mut Criterion) {
             b.iter(|| black_box(app.run().unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("parallel", level), &app, |b, app| {
-            b.iter(|| black_box(run_concurrent(app, &RunMode::Parallel, true).unwrap()))
+            b.iter(|| black_box(run_one(app, true)))
         });
         group.bench_with_input(
             BenchmarkId::new("parallel_io_workers", level),
             &app,
-            |b, app| b.iter(|| black_box(run_concurrent(app, &RunMode::Parallel, false).unwrap())),
+            |b, app| b.iter(|| black_box(run_one(app, false))),
         );
     }
     group.finish();

@@ -33,7 +33,7 @@ fn measure_with_policy(
     seed: u64,
     policy: &dyn DispatchPolicy,
 ) -> (f64, f64, f64) {
-    let (st, ct, _m, _) = sim.run_averaged_with_policy(wl, 5, seed, policy);
+    let (st, ct, _m, _) = sim.run_averaged(wl, 5, seed, policy);
     (st, ct, st / ct)
 }
 

@@ -34,14 +34,14 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bench::live::{field_checksum, run_live_with, Backend, LiveOpts};
+use bench::live::{field_checksum, run_live, Backend};
 use chaos::{FaultKind, FaultPlan, Watchdog};
 use cluster::hosts::paper_cluster;
 use cluster::noise::Perturbation;
-use cluster::sim::DistributedSim;
+use cluster::sim::{DistributedSim, SimFleet};
 use protocol::PaperFaithful;
 use renovation::cost::CostModel;
-use renovation::{run_concurrent_opts, supervise, RunMode, RunOpts};
+use renovation::{supervise, AppConfig, Engine, EngineOpts, RunMode};
 use solver::sequential::SequentialApp;
 
 /// One scenario's verdict, serialized into `BENCH_chaos.json`.
@@ -106,12 +106,12 @@ fn main() {
         ] {
             let dog = Watchdog::arm(&format!("{name} seed {seed}"), SCENARIO_TIMEOUT);
             let t0 = Instant::now();
-            let opts = LiveOpts {
+            let opts = EngineOpts {
                 faults: Some(plan.clone()),
-                retry_budget: Some(16),
-                ..LiveOpts::default()
+                retry_budget: 16,
+                ..EngineOpts::default()
             };
-            let v = match run_live_with(backend, &app, Arc::new(PaperFaithful), instances, &opts) {
+            let v = match run_live(backend, &app, Arc::new(PaperFaithful), instances, &opts) {
                 Ok(r) if r.checksum == reference => Verdict {
                     name,
                     seed,
@@ -160,22 +160,20 @@ fn main() {
             // least one, so the checkpoint is non-trivial).
             let kill_at = 1 + seed % jobs.max(2);
             let plan = FaultPlan::new(seed).push(FaultKind::MasterKill { at_result: kill_at });
-            let opts = RunOpts {
+            let opts = EngineOpts {
+                capacity_level: level,
                 faults: Some(plan),
                 checkpoint_dir: Some(dir.clone()),
-                ..RunOpts::default()
+                ..EngineOpts::default()
             };
             let launch_app = app;
             let sup = supervise(2, move |resume| {
-                let mut opts = opts.clone();
-                opts.resume = resume;
-                run_concurrent_opts(
-                    &launch_app,
-                    &RunMode::Parallel,
-                    true,
-                    Arc::new(PaperFaithful),
-                    &opts,
-                )
+                let opts = EngineOpts {
+                    resume,
+                    ..opts.clone()
+                };
+                Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts)?
+                    .run_one(AppConfig::new(launch_app))
             });
             let v = match sup {
                 Ok(s) if field_checksum(&s.result.result.combined) == reference => Verdict {
@@ -224,12 +222,10 @@ fn main() {
             let sim = DistributedSim::new(paper_cluster(model.ref_flops_per_sec));
             let plan = FaultPlan::from_seed(seed, 4, 27);
             let run = |s: u64| {
-                sim.run_with_faults(
+                SimFleet::new(sim.clone(), &plan, 16).submit(
                     &wl,
                     &mut Perturbation::overnight(s),
                     &PaperFaithful,
-                    &plan,
-                    16,
                 )
             };
             let (a, b) = (run(seed), run(seed));
@@ -277,12 +273,12 @@ fn main() {
             instance: 0,
             on_job: 1,
         });
-        let opts = LiveOpts {
+        let opts = EngineOpts {
             faults: Some(plan),
-            retry_budget: Some(2),
-            ..LiveOpts::default()
+            retry_budget: 2,
+            ..EngineOpts::default()
         };
-        let v = match run_live_with(Backend::Procs, &app, Arc::new(PaperFaithful), 1, &opts) {
+        let v = match run_live(Backend::Procs, &app, Arc::new(PaperFaithful), 1, &opts) {
             Err(e) => Verdict {
                 name: "procs:budget-exhausted",
                 seed: 0,
@@ -322,8 +318,11 @@ fn main() {
                 instance: 1,
                 on_job: 3,
             });
-        let v = match sim.run_with_faults(&wl, &mut Perturbation::none(), &PaperFaithful, &plan, 1)
-        {
+        let v = match SimFleet::new(sim, &plan, 1).submit(
+            &wl,
+            &mut Perturbation::none(),
+            &PaperFaithful,
+        ) {
             Err(e) => Verdict {
                 name: "sim:budget-exhausted",
                 seed: 0,

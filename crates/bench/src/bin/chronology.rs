@@ -14,8 +14,11 @@
 //! cargo run -p bench --release --bin chronology [-- --level N] [--virtual]
 //! ```
 
-use renovation::app::{run_concurrent, RunMode};
+use std::sync::Arc;
+
+use protocol::PaperFaithful;
 use renovation::virtualrun::figure1_run;
+use renovation::{AppConfig, Engine, EngineOpts, RunMode};
 use solver::SequentialApp;
 
 fn main() {
@@ -43,7 +46,13 @@ fn main() {
         let mode = RunMode::Distributed {
             hosts: RunMode::paper_hosts(),
         };
-        let conc = run_concurrent(&app, &mode, true).expect("run failed");
+        let opts = EngineOpts {
+            capacity_level: level,
+            ..EngineOpts::default()
+        };
+        let conc = Engine::threads(mode, Arc::new(PaperFaithful), opts)
+            .and_then(|engine| engine.run_one(AppConfig::new(app)))
+            .expect("run failed");
         for rec in conc
             .records
             .iter()

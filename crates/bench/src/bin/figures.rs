@@ -61,7 +61,14 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(5usize);
 
-    let points = run_distributed_experiment(0..=15, &[1.0e-3, 1.0e-4], runs, 20040406, true);
+    let points = run_distributed_experiment(
+        0..=15,
+        &[1.0e-3, 1.0e-4],
+        runs,
+        20040406,
+        true,
+        &protocol::PaperFaithful,
+    );
 
     let figures: Vec<u32> = which.map(|f| vec![f]).unwrap_or_else(|| vec![2, 3, 4, 5]);
     for fig in figures {

@@ -41,13 +41,14 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bench::cli::Cli;
-use bench::live::{field_checksum, run_live_with, Backend, LiveOpts};
+use bench::live::{field_checksum, run_live, Backend};
 use cluster::hosts::{paper_cluster, synthetic_cluster, ClusterSpec};
 use cluster::noise::Perturbation;
 use cluster::sim::DistributedSim;
 use cluster::{ShardSimOpts, ShardedSim};
 use protocol::PaperFaithful;
 use renovation::cost::CostModel;
+use renovation::EngineOpts;
 
 const USAGE: &str = "[--level N] [--tol T] [--backend sim|threads|procs] \
      [--shards N] [--steal on|off] [--churn join@N,leave@M] \
@@ -67,7 +68,7 @@ fn main() {
     if backend != Backend::Sim {
         let fault_spec = cli.fault_spec();
         let checkpoint_dir = cli.checkpoint_dir();
-        let resume = cli.flag("--resume");
+        let resume = cli.resume();
         let app = solver::sequential::SequentialApp::new(2, level, tol);
         let seq = app.run().expect("sequential reference");
         let reference = field_checksum(&seq.combined);
@@ -95,15 +96,18 @@ fn main() {
             let faults = fault_spec
                 .as_deref()
                 .map(|spec| cli.fault_plan(spec, window as u64, (2 * level + 1) as u64));
-            let opts = LiveOpts {
+            let mut opts = EngineOpts {
                 faults,
                 checkpoint_dir: checkpoint_dir.clone(),
                 resume,
-                retry_budget: fault_spec.as_ref().map(|_| 16),
                 shards: shard_spec,
                 churn: churn.clone(),
+                ..EngineOpts::default()
             };
-            let r = run_live_with(backend, &app, policy, window, &opts)
+            if fault_spec.is_some() {
+                opts.retry_budget = 16;
+            }
+            let r = run_live(backend, &app, policy, window, &opts)
                 .expect("live run failed (fault schedule exceeded the retry budget?)");
             let base_wall = *base.get_or_insert(r.wall_s);
             println!(
@@ -145,7 +149,7 @@ fn main() {
         cluster.hosts.truncate(n);
         let cluster = ClusterSpec::new(cluster.hosts, model.ref_flops_per_sec);
         let sim = DistributedSim::new(cluster);
-        let report = sim.run(&wl, &mut Perturbation::none());
+        let report = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         let su = st / report.elapsed;
         let w = n as f64;
         let serial = if n > 1 {

@@ -21,8 +21,8 @@
 //! error, same solution checksum.
 
 use bench::cli::Cli;
-use bench::live::{run_live_with, Backend, LiveOpts};
-use renovation::run_distributed_experiment_with_policy;
+use bench::live::{run_live, Backend};
+use renovation::{run_distributed_experiment, EngineOpts};
 
 const USAGE: &str = "[--io-workers] [--runs N] \
      [--policy paper-faithful|bounded-reuse:N|cost-aware] \
@@ -45,7 +45,7 @@ fn main() {
         // chaos::FaultPlan applied verbatim.
         let fault_spec = cli.fault_spec();
         let checkpoint_dir = cli.checkpoint_dir();
-        let resume = cli.flag("--resume");
+        let resume = cli.resume();
         println!(
             "Table 1, live {backend:?} backend — levels 0–{max_level}, tol 1.0e-3, \
              dispatch: {}{}",
@@ -68,15 +68,18 @@ fn main() {
             let faults = fault_spec
                 .as_deref()
                 .map(|spec| cli.fault_plan(spec, instances as u64, (2 * level + 1) as u64));
-            let opts = LiveOpts {
+            let mut opts = EngineOpts {
                 faults,
                 checkpoint_dir: checkpoint_dir.clone(),
                 resume,
-                retry_budget: fault_spec.as_ref().map(|_| 16),
                 shards: cli.shards(),
                 churn: cli.churn(),
+                ..EngineOpts::default()
             };
-            let r = run_live_with(backend, &app, policy.clone(), instances, &opts)
+            if fault_spec.is_some() {
+                opts.retry_budget = 16;
+            }
+            let r = run_live(backend, &app, policy.clone(), instances, &opts)
                 .expect("live run failed (fault schedule exceeded the retry budget?)");
             println!(
                 "| {level:>5} | {:>4} | {:>22.16e} | {:016x} | {:>4} | {:>4} | {:>7.3} |",
@@ -104,7 +107,7 @@ fn main() {
         policy.name()
     );
     println!();
-    let points = run_distributed_experiment_with_policy(
+    let points = run_distributed_experiment(
         0..=15,
         &[1.0e-3, 1.0e-4],
         runs,

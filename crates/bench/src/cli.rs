@@ -141,6 +141,15 @@ impl Cli {
         self.value("--checkpoint-dir").map(PathBuf::from)
     }
 
+    /// `--resume`, which needs a `--checkpoint-dir` to resume from.
+    pub fn resume(&self) -> bool {
+        let resume = self.flag("--resume");
+        if resume && self.checkpoint_dir().is_none() {
+            self.usage_exit("--resume needs --checkpoint-dir");
+        }
+        resume
+    }
+
     /// `--tenants N` — how many tenant identities a multi-tenant bench
     /// simulates (clamped to at least 1).
     pub fn tenants(&self, default: usize) -> usize {

@@ -6,16 +6,16 @@
 //! instances as separate OS processes over the transport (`procs`). The
 //! point of exposing both behind one flag is the paper's modernization
 //! claim: the application is identical, only the deployment changes, and
-//! the numbers must not.
+//! the numbers must not. Both run through the one entry point every live
+//! job uses, `Engine::{threads,procs}(…)?.run_one(job)`, under the same
+//! [`EngineOpts`].
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use chaos::FaultPlan;
 use manifold::prelude::MfResult;
 use protocol::PolicyRef;
-use renovation::{run_concurrent_opts, run_concurrent_procs, ProcsConfig, RunMode, RunOpts};
+use renovation::{AppConfig, Engine, EngineOpts, ProcsConfig, RunMode};
 use solver::sequential::SequentialApp;
 
 /// Which engine executes a run.
@@ -72,33 +72,14 @@ pub struct LiveRun {
     pub leaves: usize,
 }
 
-/// Robustness options of a live run: fault injection and
-/// checkpoint/restart, uniform across the threads and procs backends.
-#[derive(Clone, Debug, Default)]
-pub struct LiveOpts {
-    /// Fault schedule to inject (see [`chaos::FaultPlan`]).
-    pub faults: Option<FaultPlan>,
-    /// Checkpoint every collected result into this directory.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from the checkpoint in `checkpoint_dir` (no-op when none
-    /// exists yet).
-    pub resume: bool,
-    /// Lost-worker re-dispatches tolerated before the run fails
-    /// (backend default when `None`).
-    pub retry_budget: Option<usize>,
-    /// Sharded dispatch spec (`--shards` / `--steal`); one shard is the
-    /// flat master.
-    pub shards: protocol::ShardSpec,
-    /// Membership churn plan (`--churn`); real process joins/retirements
-    /// on the procs backend, inert on threads.
-    pub churn: protocol::ChurnPlan,
-}
-
 /// FNV-1a over the bit patterns of a float field (one shared definition —
 /// the serving layer's, so client- and bench-side witnesses agree).
 pub use serve::proto::field_checksum;
 
-/// Execute one live run of `app` on the chosen backend.
+/// Execute one live run of `app` on the chosen backend, with the fleet
+/// sized to `app.level` and every other option — faults, checkpointing,
+/// retries, shards, churn — taken from `opts`. A run whose faults exceed
+/// its budgets returns the master's diagnosed error instead of a result.
 ///
 /// `instances` is the number of worker processes for [`Backend::Procs`]
 /// (ignored by [`Backend::Threads`], where concurrency is the dispatch
@@ -109,48 +90,19 @@ pub fn run_live(
     app: &SequentialApp,
     policy: PolicyRef,
     instances: usize,
-) -> LiveRun {
-    run_live_with(backend, app, policy, instances, &LiveOpts::default())
-        .expect("live run without injected faults")
-}
-
-/// [`run_live`] with fault injection and checkpoint/restart options. A run
-/// whose faults exceed its budgets returns the master's diagnosed error
-/// instead of a result.
-pub fn run_live_with(
-    backend: Backend,
-    app: &SequentialApp,
-    policy: PolicyRef,
-    instances: usize,
-    opts: &LiveOpts,
+    opts: &EngineOpts,
 ) -> MfResult<LiveRun> {
     let t0 = Instant::now();
-    let conc = match backend {
-        Backend::Sim => panic!("run_live is for the live backends; sim has its own drivers"),
-        Backend::Threads => {
-            let run_opts = RunOpts {
-                faults: opts.faults.clone(),
-                checkpoint_dir: opts.checkpoint_dir.clone(),
-                resume: opts.resume,
-                retry_budget: opts.retry_budget,
-                shards: opts.shards,
-                churn: opts.churn.clone(),
-            };
-            run_concurrent_opts(app, &RunMode::Parallel, true, policy, &run_opts)?
-        }
-        Backend::Procs => {
-            let mut cfg = ProcsConfig::new(instances.max(1));
-            cfg.faults = opts.faults.clone();
-            cfg.checkpoint_dir = opts.checkpoint_dir.clone();
-            cfg.resume = opts.resume;
-            if let Some(budget) = opts.retry_budget {
-                cfg.retry_budget = budget;
-            }
-            cfg.shards = opts.shards;
-            cfg.churn = opts.churn.clone();
-            run_concurrent_procs(app, &cfg, true, policy)?
-        }
+    let opts = EngineOpts {
+        capacity_level: app.level,
+        ..opts.clone()
     };
+    let engine = match backend {
+        Backend::Sim => panic!("run_live is for the live backends; sim has its own drivers"),
+        Backend::Threads => Engine::threads(RunMode::Parallel, policy, opts)?,
+        Backend::Procs => Engine::procs(ProcsConfig::new(instances.max(1)), policy, opts)?,
+    };
+    let conc = engine.run_one(AppConfig::new(*app))?;
     let wall_s = t0.elapsed().as_secs_f64();
     let losses = conc
         .records
@@ -220,7 +172,14 @@ mod tests {
     #[test]
     fn threads_live_run_reports_consistent_observables() {
         let app = SequentialApp::new(2, 1, 1e-3);
-        let run = run_live(Backend::Threads, &app, Arc::new(protocol::PaperFaithful), 1);
+        let run = run_live(
+            Backend::Threads,
+            &app,
+            Arc::new(protocol::PaperFaithful),
+            1,
+            &EngineOpts::default(),
+        )
+        .unwrap();
         assert_eq!(run.jobs, 3);
         assert_eq!(run.workers_created, 3);
         let seq = app.run().unwrap();

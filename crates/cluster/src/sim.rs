@@ -30,7 +30,7 @@ use manifold::config::{ConfigSpec, HostName};
 use manifold::link::{Bundler, LinkSpec, Placement};
 use manifold::trace::TraceRecord;
 use manifold::Name;
-use protocol::{DispatchPolicy, PaperFaithful};
+use protocol::DispatchPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -174,74 +174,31 @@ impl DistributedSim {
         t
     }
 
-    /// Simulate one distributed run with the paper's verified dispatch
-    /// behavior (natural job order, unbounded in-flight window).
-    pub fn run(&self, wl: &Workload, noise: &mut Perturbation) -> DistributedReport {
-        self.run_with_policy(wl, noise, &PaperFaithful)
-    }
-
-    /// Simulate one distributed run under an explicit [`DispatchPolicy`].
+    /// Simulate one distributed run under a [`DispatchPolicy`] — a fresh
+    /// one-job [`SimFleet`] with no fault plan.
     ///
     /// The policy orders each pool's jobs (seeing their flop counts as
     /// costs) and bounds the master's in-flight window: once `window` jobs
     /// are outstanding the master collects the earliest-arriving result
     /// before feeding the next worker — the same backpressure the live
-    /// runtime applies. [`PaperFaithful`] reproduces [`DistributedSim::run`]
-    /// exactly, noise draw for noise draw.
-    pub fn run_with_policy(
+    /// runtime applies. [`protocol::PaperFaithful`] is the paper's verified
+    /// dispatch behavior (natural job order, unbounded window). A faulted
+    /// run is `SimFleet::new(sim, &plan, retry_budget).submit(…)`.
+    pub fn run(
         &self,
         wl: &Workload,
         noise: &mut Perturbation,
         policy: &dyn DispatchPolicy,
     ) -> DistributedReport {
-        self.run_with_faults(wl, noise, policy, &FaultPlan::default(), 0)
+        SimFleet::new(self.clone(), &FaultPlan::default(), 0)
+            .submit(wl, noise, policy)
             .expect("an empty fault plan cannot exhaust a retry budget")
     }
 
-    /// Simulate one distributed run with a [`chaos::FaultPlan`] composed on
-    /// top of the multi-user noise model.
-    ///
-    /// The simulator has no fixed pool slots, so a worker fault's `on_job`
-    /// ordinal indexes the run's *dispatch sequence* (1-based, re-dispatches
-    /// included). Crash, connection drop, and corrupt reply are all a lost
-    /// job to the master: the worker burns part (crash), almost none
-    /// (drop), or all (corrupt) of its compute, the loss is detected after
-    /// [`LOSS_DETECTION_SECS`] — immediately, for a CRC-rejected reply —
-    /// and the job is re-dispatched, counted in
-    /// [`DistributedReport::redispatches`]. A stall sleeps the worker before
-    /// its compute; a heartbeat delay is absorbed by the live transport's
-    /// margin and costs nothing in virtual time; a master kill is a live
-    /// supervisor concern and is inert here. With an empty plan this is
-    /// [`DistributedSim::run_with_policy`] exactly, noise draw for noise
-    /// draw.
-    ///
-    /// When the injected losses outnumber `retry_budget`, the run ends in a
-    /// diagnosed `Err` — never a hang.
-    pub fn run_with_faults(
-        &self,
-        wl: &Workload,
-        noise: &mut Perturbation,
-        policy: &dyn DispatchPolicy,
-        plan: &FaultPlan,
-        retry_budget: usize,
-    ) -> Result<DistributedReport, String> {
-        SimFleet::new(self.clone(), plan, retry_budget).submit(wl, noise, policy)
-    }
-
-    /// Run `runs` seeded repetitions (the paper ran five) and average the
-    /// elapsed time and machine usage. Returns
+    /// Run `runs` seeded repetitions (the paper ran five) under `policy`
+    /// and average the elapsed time and machine usage. Returns
     /// `(avg sequential, avg concurrent, avg machines, reports)`.
     pub fn run_averaged(
-        &self,
-        wl: &Workload,
-        runs: usize,
-        base_seed: u64,
-    ) -> (f64, f64, f64, Vec<DistributedReport>) {
-        self.run_averaged_with_policy(wl, runs, base_seed, &PaperFaithful)
-    }
-
-    /// [`DistributedSim::run_averaged`] under an explicit dispatch policy.
-    pub fn run_averaged_with_policy(
         &self,
         wl: &Workload,
         runs: usize,
@@ -257,7 +214,7 @@ impl DistributedSim {
             let mut seq_noise = Perturbation::overnight(base_seed + 1000 * k as u64);
             st_sum += self.sequential_time(wl, &mut seq_noise);
             let mut run_noise = Perturbation::overnight(base_seed + 1000 * k as u64 + 1);
-            let report = self.run_with_policy(wl, &mut run_noise, policy);
+            let report = self.run(wl, &mut run_noise, policy);
             ct_sum += report.elapsed;
             m_sum += report.weighted_avg_machines;
             reports.push(report);
@@ -297,9 +254,8 @@ fn push_record(
 /// worker fleet serving a *stream* of workloads over a single virtual
 /// timeline.
 ///
-/// [`DistributedSim::run_with_faults`] is a one-job fleet: the first job
-/// submitted to a fresh fleet reproduces it bit for bit, noise draw for
-/// noise draw. Jobs after the first run warm — they skip the application
+/// [`DistributedSim::run`] is a one-job fleet without a fault plan. Jobs
+/// after the first run warm — they skip the application
 /// [`CoordCosts::startup`], and their workers re-activate the perpetual
 /// task instances the previous job left parked in the bundler, paying
 /// neither `task_fork` nor `first_fork_extra`. The per-job virtual latency
@@ -343,6 +299,21 @@ pub struct SimFleet {
 impl SimFleet {
     /// A cold fleet: nothing forked, virtual clock at zero, the given
     /// fault plan armed against the fleet-lifetime dispatch sequence.
+    ///
+    /// The simulator has no fixed pool slots, so a worker fault's `on_job`
+    /// ordinal indexes the *dispatch sequence* (1-based, re-dispatches
+    /// included). Crash, connection drop, and corrupt reply are all a lost
+    /// job to the master: the worker burns part (crash), almost none
+    /// (drop), or all (corrupt) of its compute, the loss is detected after
+    /// [`LOSS_DETECTION_SECS`] — immediately, for a CRC-rejected reply —
+    /// and the job is re-dispatched, counted in
+    /// [`DistributedReport::redispatches`]. A stall sleeps the worker before
+    /// its compute; a heartbeat delay is absorbed by the live transport's
+    /// margin and costs nothing in virtual time; a master kill is a live
+    /// supervisor concern and is inert here. An empty plan leaves the
+    /// noise draws untouched. When the injected losses outnumber
+    /// `retry_budget`, [`SimFleet::submit`] ends in a diagnosed `Err` —
+    /// never a hang.
     pub fn new(sim: DistributedSim, plan: &FaultPlan, retry_budget: usize) -> SimFleet {
         let mut lost: BTreeMap<u64, FaultKind> = BTreeMap::new();
         let mut stall_ms: BTreeMap<u64, u64> = BTreeMap::new();
@@ -406,7 +377,7 @@ impl SimFleet {
     /// completion); its records, busy trace, and machine averages cover
     /// only this job. `task_forks` is the fleet-lifetime count (so the
     /// first job of a fresh fleet reports exactly what
-    /// [`DistributedSim::run_with_faults`] reports); `redispatches` counts
+    /// a one-job fleet reports); `redispatches` counts
     /// only this job's losses.
     pub fn submit(
         &mut self,
@@ -712,6 +683,7 @@ mod tests {
     use super::*;
     use crate::hosts::paper_cluster;
     use crate::workload::Job;
+    use protocol::PaperFaithful;
 
     fn sim() -> DistributedSim {
         DistributedSim::new(paper_cluster(1e8))
@@ -735,7 +707,7 @@ mod tests {
         let sim = sim();
         let wl = simple_workload(4, 1e9);
         let mut noise = Perturbation::none();
-        let report = sim.run(&wl, &mut noise);
+        let report = sim.run(&wl, &mut noise, &PaperFaithful);
         // Concurrent elapsed can never beat the largest single job.
         let min = sim.cluster.compute_time(&sim.cluster.startup().name, 1e9) / (1466.0 / 1200.0);
         assert!(report.elapsed > min * 0.99, "{}", report.elapsed);
@@ -749,12 +721,14 @@ mod tests {
         // Tiny jobs: overheads dominate, speedup < 1 (paper levels < 10).
         let small = simple_workload(7, 1e6);
         let st_small = sim.sequential_time(&small, &mut Perturbation::none());
-        let ct_small = sim.run(&small, &mut noise).elapsed;
+        let ct_small = sim.run(&small, &mut noise, &PaperFaithful).elapsed;
         assert!(st_small / ct_small < 1.0, "su {} ", st_small / ct_small);
         // Huge jobs: real speedup (paper levels ≥ 10).
         let big = simple_workload(7, 2e11);
         let st_big = sim.sequential_time(&big, &mut Perturbation::none());
-        let ct_big = sim.run(&big, &mut Perturbation::none()).elapsed;
+        let ct_big = sim
+            .run(&big, &mut Perturbation::none(), &PaperFaithful)
+            .elapsed;
         assert!(
             st_big / ct_big > 2.0,
             "expected speedup, got {}",
@@ -766,10 +740,18 @@ mod tests {
     fn machines_grow_with_job_size() {
         let sim = sim();
         let small = sim
-            .run(&simple_workload(9, 1e7), &mut Perturbation::none())
+            .run(
+                &simple_workload(9, 1e7),
+                &mut Perturbation::none(),
+                &PaperFaithful,
+            )
             .weighted_avg_machines;
         let big = sim
-            .run(&simple_workload(9, 1e11), &mut Perturbation::none())
+            .run(
+                &simple_workload(9, 1e11),
+                &mut Perturbation::none(),
+                &PaperFaithful,
+            )
             .weighted_avg_machines;
         assert!(big > small, "big {big} small {small}");
         assert!(small >= 1.0, "master machine always busy: {small}");
@@ -779,7 +761,7 @@ mod tests {
     fn peak_machines_bounded_by_cluster_and_jobs() {
         let sim = sim();
         let wl = simple_workload(9, 1e11);
-        let report = sim.run(&wl, &mut Perturbation::none());
+        let report = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert!(report.peak_machines as usize <= sim.cluster.len());
         assert!(report.peak_machines as usize <= 9 + 1);
         assert!(report.peak_machines >= 2);
@@ -790,7 +772,7 @@ mod tests {
         let sim = sim();
         // Jobs so quick every worker dies before the next is placed.
         let wl = simple_workload(12, 1e5);
-        let report = sim.run(&wl, &mut Perturbation::none());
+        let report = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert!(
             report.task_forks < 12,
             "expected task reuse, got {} forks",
@@ -802,7 +784,7 @@ mod tests {
     fn long_jobs_fork_one_task_each() {
         let sim = sim();
         let wl = simple_workload(5, 1e11);
-        let report = sim.run(&wl, &mut Perturbation::none());
+        let report = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert_eq!(report.task_forks, 5);
     }
 
@@ -810,7 +792,7 @@ mod tests {
     fn trace_records_are_chronological_welcome_bye() {
         let sim = sim();
         let wl = simple_workload(3, 1e9);
-        let report = sim.run(&wl, &mut Perturbation::none());
+        let report = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         // Master welcome + bye, 3 workers x (welcome + bye).
         assert_eq!(report.records.len(), 2 + 6);
         let times: Vec<u64> = report
@@ -828,7 +810,7 @@ mod tests {
     fn master_host_is_startup_machine() {
         let sim = sim();
         let wl = simple_workload(2, 1e8);
-        let report = sim.run(&wl, &mut Perturbation::none());
+        let report = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert_eq!(report.master_host, sim.cluster.startup().name);
     }
 
@@ -836,8 +818,8 @@ mod tests {
     fn deterministic_without_noise() {
         let sim = sim();
         let wl = simple_workload(6, 1e9);
-        let a = sim.run(&wl, &mut Perturbation::none());
-        let b = sim.run(&wl, &mut Perturbation::none());
+        let a = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
+        let b = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.task_forks, b.task_forks);
     }
@@ -846,7 +828,7 @@ mod tests {
     fn averaging_runs_are_stable() {
         let sim = sim();
         let wl = simple_workload(4, 1e9);
-        let (st, ct, m, reports) = sim.run_averaged(&wl, 5, 42);
+        let (st, ct, m, reports) = sim.run_averaged(&wl, 5, 42, &PaperFaithful);
         assert_eq!(reports.len(), 5);
         assert!(st > 0.0 && ct > 0.0 && m >= 1.0);
         // Noise is bounded; the five runs agree within ~40%.
@@ -856,24 +838,11 @@ mod tests {
     }
 
     #[test]
-    fn paper_faithful_policy_reproduces_run_exactly() {
-        let sim = sim();
-        let wl = simple_workload(6, 1e9);
-        let mut n1 = Perturbation::overnight(7);
-        let mut n2 = Perturbation::overnight(7);
-        let a = sim.run(&wl, &mut n1);
-        let b = sim.run_with_policy(&wl, &mut n2, &PaperFaithful);
-        assert_eq!(a.elapsed, b.elapsed);
-        assert_eq!(a.weighted_avg_machines, b.weighted_avg_machines);
-        assert_eq!(a.task_forks, b.task_forks);
-    }
-
-    #[test]
     fn bounded_policy_caps_peak_machines() {
         let sim = sim();
         let wl = simple_workload(9, 1e11);
-        let unbounded = sim.run(&wl, &mut Perturbation::none());
-        let bounded = sim.run_with_policy(
+        let unbounded = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
+        let bounded = sim.run(
             &wl,
             &mut Perturbation::none(),
             &protocol::BoundedReuse::new(2),
@@ -896,9 +865,11 @@ mod tests {
         // paper order feeds it last, LPT feeds it first and wins.
         let mut wl = simple_workload(8, 1e9);
         wl.pools[0].push(Job::new("huge", 2e11, 80_000, 80_000));
-        let paper = sim.run(&wl, &mut Perturbation::none()).elapsed;
+        let paper = sim
+            .run(&wl, &mut Perturbation::none(), &PaperFaithful)
+            .elapsed;
         let lpt = sim
-            .run_with_policy(&wl, &mut Perturbation::none(), &protocol::CostAware)
+            .run(&wl, &mut Perturbation::none(), &protocol::CostAware)
             .elapsed;
         assert!(lpt < paper, "LPT {lpt} should beat paper order {paper}");
     }
@@ -909,9 +880,9 @@ mod tests {
         let wl = simple_workload(6, 1e9);
         let mut n1 = Perturbation::overnight(11);
         let mut n2 = Perturbation::overnight(11);
-        let a = sim.run(&wl, &mut n1);
-        let b = sim
-            .run_with_faults(&wl, &mut n2, &PaperFaithful, &FaultPlan::default(), 0)
+        let a = sim.run(&wl, &mut n1, &PaperFaithful);
+        let b = SimFleet::new(sim.clone(), &FaultPlan::default(), 0)
+            .submit(&wl, &mut n2, &PaperFaithful)
             .unwrap();
         assert_eq!(a.elapsed, b.elapsed);
         assert_eq!(a.weighted_avg_machines, b.weighted_avg_machines);
@@ -923,7 +894,7 @@ mod tests {
     fn injected_loss_costs_a_redispatch_not_the_run() {
         let sim = sim();
         let wl = simple_workload(6, 1e9);
-        let clean = sim.run(&wl, &mut Perturbation::none());
+        let clean = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         let plan = FaultPlan::new(5)
             .push(FaultKind::WorkerCrash {
                 instance: 0,
@@ -933,8 +904,8 @@ mod tests {
                 instance: 1,
                 on_job: 4,
             });
-        let faulted = sim
-            .run_with_faults(&wl, &mut Perturbation::none(), &PaperFaithful, &plan, 4)
+        let faulted = SimFleet::new(sim.clone(), &plan, 4)
+            .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
             .unwrap();
         assert_eq!(faulted.redispatches, 2);
         // Every job still completed (6 worker Byes + master Welcome/Bye +
@@ -961,20 +932,14 @@ mod tests {
         let wl = simple_workload(6, 1e9);
         let plan = FaultPlan::from_seed(42, 4, 6);
         let budget = 8;
-        let a = sim.run_with_faults(
-            &wl,
-            &mut Perturbation::overnight(3),
-            &PaperFaithful,
-            &plan,
-            budget,
-        );
-        let b = sim.run_with_faults(
-            &wl,
-            &mut Perturbation::overnight(3),
-            &PaperFaithful,
-            &plan,
-            budget,
-        );
+        let run = || {
+            SimFleet::new(sim.clone(), &plan, budget).submit(
+                &wl,
+                &mut Perturbation::overnight(3),
+                &PaperFaithful,
+            )
+        };
+        let (a, b) = (run(), run());
         match (a, b) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.elapsed, b.elapsed);
@@ -998,8 +963,8 @@ mod tests {
                 instance: 1,
                 on_job: 3,
             });
-        let err = sim
-            .run_with_faults(&wl, &mut Perturbation::none(), &PaperFaithful, &plan, 1)
+        let err = SimFleet::new(sim.clone(), &plan, 1)
+            .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
             .unwrap_err();
         assert!(err.contains("retry budget"), "{err}");
     }
@@ -1008,14 +973,14 @@ mod tests {
     fn stall_fault_lengthens_the_run_without_a_loss() {
         let sim = sim();
         let wl = simple_workload(4, 1e9);
-        let clean = sim.run(&wl, &mut Perturbation::none());
+        let clean = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         let plan = FaultPlan::new(9).push(FaultKind::ConnStall {
             instance: 0,
             on_job: 4,
             millis: 30_000,
         });
-        let stalled = sim
-            .run_with_faults(&wl, &mut Perturbation::none(), &PaperFaithful, &plan, 0)
+        let stalled = SimFleet::new(sim.clone(), &plan, 0)
+            .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
             .unwrap();
         assert_eq!(stalled.redispatches, 0);
         assert!(stalled.elapsed > clean.elapsed + 25.0);
@@ -1029,8 +994,12 @@ mod tests {
         let jobs = two_pools.pools.pop().unwrap();
         let (a, b) = jobs.split_at(3);
         two_pools.pools = vec![a.to_vec(), b.to_vec()];
-        let ct1 = sim.run(&one_pool, &mut Perturbation::none()).elapsed;
-        let ct2 = sim.run(&two_pools, &mut Perturbation::none()).elapsed;
+        let ct1 = sim
+            .run(&one_pool, &mut Perturbation::none(), &PaperFaithful)
+            .elapsed;
+        let ct2 = sim
+            .run(&two_pools, &mut Perturbation::none(), &PaperFaithful)
+            .elapsed;
         // The pool barrier (rendezvous between pools) can only slow it down.
         assert!(ct2 >= ct1, "two pools {ct2} vs one pool {ct1}");
     }
@@ -1039,7 +1008,7 @@ mod tests {
     fn fleet_job1_matches_solo_run_exactly() {
         let sim = sim();
         let wl = simple_workload(6, 1e9);
-        let solo = sim.run_with_policy(&wl, &mut Perturbation::overnight(7), &PaperFaithful);
+        let solo = sim.run(&wl, &mut Perturbation::overnight(7), &PaperFaithful);
         let mut fleet = SimFleet::new(sim, &FaultPlan::default(), 0);
         let first = fleet
             .submit(&wl, &mut Perturbation::overnight(7), &PaperFaithful)

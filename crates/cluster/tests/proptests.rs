@@ -7,6 +7,7 @@ use cluster::sim::DistributedSim;
 use cluster::timeline::StepTrace;
 use cluster::workload::{Job, Workload};
 use proptest::prelude::*;
+use protocol::PaperFaithful;
 
 proptest! {
     /// Events always pop in nondecreasing time order with FIFO ties.
@@ -88,7 +89,7 @@ proptest! {
     #[test]
     fn simulator_invariants(wl in arb_workload()) {
         let sim = DistributedSim::new(paper_cluster(1e9));
-        let report = sim.run(&wl, &mut Perturbation::none());
+        let report = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
 
         let fastest = 1e9 * (1466.0 / 1200.0);
         prop_assert!(report.elapsed >= wl.max_job_flops() / fastest);
@@ -143,10 +144,10 @@ proptest! {
         let small = {
             let mut c = paper_cluster(1e9);
             c.hosts.truncate(3);
-            DistributedSim::new(c).run(&wl, &mut Perturbation::none()).elapsed
+            DistributedSim::new(c).run(&wl, &mut Perturbation::none(), &PaperFaithful).elapsed
         };
         let big = DistributedSim::new(paper_cluster(1e9))
-            .run(&wl, &mut Perturbation::none())
+            .run(&wl, &mut Perturbation::none(), &PaperFaithful)
             .elapsed;
         prop_assert!(big <= small + 1e-9, "32 hosts {big} vs 3 hosts {small}");
     }

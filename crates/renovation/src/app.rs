@@ -11,20 +11,11 @@
 //! and the CONFIG host list to go from a *parallel* run (every process a
 //! thread in one task instance) to a *distributed* run (each worker in its
 //! own task instance on its own machine). [`RunMode`] captures exactly that
-//! choice.
+//! choice; [`Engine::threads`](crate::Engine::threads) runs the program
+//! under it.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-
-use chaos::FaultPlan;
 use manifold::config::{ConfigSpec, HostName};
 use manifold::link::LinkSpec;
-use manifold::prelude::*;
-use manifold::trace::TraceRecord;
-use protocol::{PaperFaithful, PolicyRef, ProtocolOutcome};
-use solver::sequential::{SequentialApp, SequentialResult};
-
-use crate::engine::{AppConfig, Engine, EngineOpts, JobHandle};
 
 /// Deployment flavour — the paper's link/configure stage choice.
 #[derive(Clone, Debug)]
@@ -96,104 +87,36 @@ impl RunMode {
     }
 }
 
-/// Output of a live concurrent run.
-#[derive(Debug)]
-pub struct ConcurrentResult {
-    /// The application result — bit-identical to the sequential program's.
-    pub result: SequentialResult,
-    /// Protocol bookkeeping (pools, workers created, deaths counted).
-    pub outcome: ProtocolOutcome,
-    /// The chronological §6-format trace of the run.
-    pub records: Vec<TraceRecord>,
-    /// Distinct machines that hosted a task instance during the run.
-    pub machines_used: usize,
-    /// Highest number of workers simultaneously inside their compute
-    /// section. Bounded by the dispatch policy's in-flight window.
-    pub peak_concurrent_workers: usize,
-}
-
-/// Run the renovated application concurrently. `data_through_master`
-/// selects the paper's design (true) or the §4.1 I/O-worker alternative
-/// (false); both produce identical numerical results. Dispatch uses the
-/// paper's verified feed order ([`PaperFaithful`]).
-pub fn run_concurrent(
-    app: &SequentialApp,
-    mode: &RunMode,
-    data_through_master: bool,
-) -> MfResult<ConcurrentResult> {
-    run_concurrent_with_policy(app, mode, data_through_master, Arc::new(PaperFaithful))
-}
-
-/// [`run_concurrent`] with an explicit dispatch policy. All policies
-/// produce bit-identical numerical results; they differ only in job order,
-/// worker concurrency, and hence wall-clock/trace shape.
-pub fn run_concurrent_with_policy(
-    app: &SequentialApp,
-    mode: &RunMode,
-    data_through_master: bool,
-    policy: PolicyRef,
-) -> MfResult<ConcurrentResult> {
-    run_concurrent_opts(app, mode, data_through_master, policy, &RunOpts::default())
-}
-
-/// Robustness options for a threads-backend run — the knobs the
-/// `--checkpoint-dir` / `--resume` / `--faults` flags feed.
-#[derive(Clone, Debug, Default)]
-pub struct RunOpts {
-    /// Fault schedule to inject. Thread workers are anonymous (no fixed
-    /// pool slots), so worker faults apply by *pool-wide* job ordinal
-    /// regardless of the instance a token names; wire-level faults
-    /// (drop/corrupt/hbdelay) have no transport here and are inert.
-    pub faults: Option<FaultPlan>,
-    /// Persist a checkpoint after every collected result.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from the checkpoint in `checkpoint_dir` (no-op when none
-    /// exists yet).
-    pub resume: bool,
-    /// Override the master's lost-worker retry budget.
-    pub retry_budget: Option<usize>,
-    /// Sharded dispatch (`--shards N`, `--steal on|off`): shard masters
-    /// over the same pool, flat when 1. Numerics are bit-identical for
-    /// any shard count.
-    pub shards: protocol::ShardSpec,
-    /// Membership churn plan (`--churn join@N,leave@M`). Threads workers
-    /// are anonymous, so churn is inert here; the procs backend applies
-    /// it as real process joins/retirements.
-    pub churn: protocol::ChurnPlan,
-}
-
-/// [`run_concurrent_with_policy`] plus chaos and checkpoint/resume
-/// options.
-///
-/// Since the [`Engine`] refactor this is a thin wrapper: bring a threads
-/// fleet up, serve exactly one job, tear it down. Multi-job callers hold
-/// an `Engine` and keep the fleet.
-pub fn run_concurrent_opts(
-    app: &SequentialApp,
-    mode: &RunMode,
-    data_through_master: bool,
-    policy: PolicyRef,
-    opts: &RunOpts,
-) -> MfResult<ConcurrentResult> {
-    let engine_opts = EngineOpts {
-        capacity_level: app.level,
-        faults: opts.faults.clone(),
-        checkpoint_dir: opts.checkpoint_dir.clone(),
-        resume: opts.resume,
-        retry_budget: opts.retry_budget,
-        shards: opts.shards,
-        churn: opts.churn.clone(),
-    };
-    let mut engine = Engine::threads(mode.clone(), policy, engine_opts)?;
-    let handle = engine.submit(AppConfig::new(*app).with_data_through_master(data_through_master));
-    let report = handle.map_err(MfError::from).and_then(JobHandle::wait);
-    engine.shutdown();
-    Ok(report?.into_concurrent())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
+    use protocol::{PaperFaithful, PolicyRef};
+    use solver::sequential::{SequentialApp, SequentialResult};
+
+    use crate::{AppConfig, Engine, EngineOpts, JobReport};
+
+    fn run(app: &SequentialApp, mode: RunMode, data_through_master: bool) -> JobReport {
+        run_policy(app, mode, data_through_master, Arc::new(PaperFaithful))
+    }
+
+    fn run_policy(
+        app: &SequentialApp,
+        mode: RunMode,
+        data_through_master: bool,
+        policy: PolicyRef,
+    ) -> JobReport {
+        let opts = EngineOpts {
+            capacity_level: app.level,
+            ..EngineOpts::default()
+        };
+        Engine::threads(mode, policy, opts)
+            .and_then(|engine| {
+                engine.run_one(AppConfig::new(*app).with_data_through_master(data_through_master))
+            })
+            .unwrap()
+    }
 
     fn check_identical(a: &SequentialResult, b: &SequentialResult) {
         assert_eq!(
@@ -208,7 +131,7 @@ mod tests {
     fn parallel_run_matches_sequential_bit_for_bit() {
         let app = SequentialApp::new(2, 2, 1e-3);
         let seq = app.run().unwrap();
-        let conc = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+        let conc = run(&app, RunMode::Parallel, true);
         check_identical(&conc.result, &seq);
         assert_eq!(conc.outcome.pools().len(), 1);
         assert_eq!(conc.outcome.pools()[0].workers_created, 5);
@@ -220,14 +143,13 @@ mod tests {
     fn distributed_run_matches_sequential_bit_for_bit() {
         let app = SequentialApp::new(2, 1, 1e-3);
         let seq = app.run().unwrap();
-        let conc = run_concurrent(
+        let conc = run(
             &app,
-            &RunMode::Distributed {
+            RunMode::Distributed {
                 hosts: RunMode::paper_hosts(),
             },
             true,
-        )
-        .unwrap();
+        );
         check_identical(&conc.result, &seq);
         // Master on the start-up machine + workers elsewhere.
         assert!(conc.machines_used >= 2);
@@ -237,14 +159,14 @@ mod tests {
     fn io_worker_variant_matches_too() {
         let app = SequentialApp::new(2, 1, 1e-3);
         let seq = app.run().unwrap();
-        let conc = run_concurrent(&app, &RunMode::Parallel, false).unwrap();
+        let conc = run(&app, RunMode::Parallel, false);
         check_identical(&conc.result, &seq);
     }
 
     #[test]
     fn level_zero_single_worker() {
         let app = SequentialApp::new(2, 0, 1e-3);
-        let conc = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+        let conc = run(&app, RunMode::Parallel, true);
         assert_eq!(conc.outcome.pools()[0].workers_created, 1);
         assert_eq!(conc.result.per_grid.len(), 1);
     }
@@ -256,13 +178,12 @@ mod tests {
         // workers compute at once — and the answer stays bit-identical.
         let app = SequentialApp::new(1, 6, 1e-3);
         let seq = app.run().unwrap();
-        let conc = run_concurrent_with_policy(
+        let conc = run_policy(
             &app,
-            &RunMode::Parallel,
+            RunMode::Parallel,
             true,
             Arc::new(protocol::BoundedReuse::new(3)),
-        )
-        .unwrap();
+        );
         check_identical(&conc.result, &seq);
         assert_eq!(conc.outcome.pools()[0].workers_created, 13);
         assert!(
@@ -277,27 +198,20 @@ mod tests {
     fn cost_aware_policy_matches_sequential_bit_for_bit() {
         let app = SequentialApp::new(2, 2, 1e-3);
         let seq = app.run().unwrap();
-        let conc = run_concurrent_with_policy(
-            &app,
-            &RunMode::Parallel,
-            true,
-            Arc::new(protocol::CostAware),
-        )
-        .unwrap();
+        let conc = run_policy(&app, RunMode::Parallel, true, Arc::new(protocol::CostAware));
         check_identical(&conc.result, &seq);
     }
 
     #[test]
     fn trace_shows_welcomes_and_byes() {
         let app = SequentialApp::new(2, 1, 1e-3);
-        let conc = run_concurrent(
+        let conc = run(
             &app,
-            &RunMode::Distributed {
+            RunMode::Distributed {
                 hosts: RunMode::paper_hosts(),
             },
             true,
-        )
-        .unwrap();
+        );
         let welcomes = conc
             .records
             .iter()

@@ -22,11 +22,13 @@
 //! Writes go to a temp file in the same directory followed by an atomic
 //! rename, so a crash mid-write leaves the previous checkpoint intact.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use manifold::prelude::*;
+use solver::grid::Grid2;
 use solver::sequential::SequentialApp;
 use solver::subsolve::SubsolveResult;
 
@@ -148,7 +150,10 @@ pub struct Checkpoint {
 
 impl Checkpoint {
     /// Validate that this checkpoint belongs to the run identified by
-    /// `key` with dispatch order `order`.
+    /// `key` with dispatch order `order`, and that every result it would
+    /// restore is one of that run's grids, at most once, with the grid's
+    /// node count of values — a snapshot the master can trust as if it had
+    /// collected the results itself.
     pub fn validate(&self, key: &RunKey, order: &[usize]) -> MfResult<()> {
         key.matches(&self.key).map_err(MfError::App)?;
         if self.order != order {
@@ -157,6 +162,32 @@ impl Checkpoint {
                  refusing to resume"
                     .into(),
             ));
+        }
+        let grids: BTreeSet<(u32, u32)> = Grid2::combination_indices(key.level)
+            .into_iter()
+            .map(|g| (g.l, g.m))
+            .collect();
+        let mut seen = BTreeSet::new();
+        for res in &self.completed {
+            let grid = (res.l, res.m);
+            let refuse = |what: String| {
+                MfError::App(format!(
+                    "checkpoint result for grid {grid:?} {what} — refusing to resume"
+                ))
+            };
+            if !grids.contains(&grid) {
+                return Err(refuse("is not a grid of this run".into()));
+            }
+            if !seen.insert(grid) {
+                return Err(refuse("appears more than once".into()));
+            }
+            let nodes = Grid2::new(key.root, res.l, res.m).node_count();
+            if res.values.len() != nodes {
+                return Err(refuse(format!(
+                    "has {} values, the grid has {nodes} nodes",
+                    res.values.len()
+                )));
+            }
         }
         Ok(())
     }
@@ -185,7 +216,7 @@ impl Checkpoint {
             .as_tuple()
             .ok_or(MfError::UnitType { expected: "Tuple" })?
             .iter()
-            .map(|u| Ok(u.expect_int()? as usize))
+            .map(|u| decode_int("order", u))
             .collect::<MfResult<Vec<usize>>>()?;
         let completed = t[7]
             .as_tuple()
@@ -195,8 +226,8 @@ impl Checkpoint {
             .collect::<MfResult<Vec<SubsolveResult>>>()?;
         Ok(Checkpoint {
             key: RunKey {
-                root: t[0].expect_int()? as u32,
-                level: t[1].expect_int()? as u32,
+                root: decode_int("root", &t[0])?,
+                level: decode_int("level", &t[1])?,
                 le_tol: t[2].expect_real()?,
                 data_through_master: t[3].expect_int()? != 0,
                 policy: t[4]
@@ -209,6 +240,17 @@ impl Checkpoint {
             completed,
         })
     }
+}
+
+/// An integer field of a checkpoint, refused rather than wrapped when it
+/// does not fit its type: a `level` of 2^32 + 2 is not level 2.
+fn decode_int<T: TryFrom<i64>>(field: &str, u: &Unit) -> MfResult<T> {
+    let v = u.expect_int()?;
+    T::try_from(v).map_err(|_| {
+        MfError::App(format!(
+            "checkpoint field `{field}` holds {v}, which is out of range"
+        ))
+    })
 }
 
 /// A directory holding at most one current checkpoint per run.
@@ -325,6 +367,23 @@ mod tests {
         d
     }
 
+    /// Write `state` as a checkpoint file, bypassing [`Checkpoint::to_unit`]
+    /// — how a file from another build (or a damaged one) reaches `load`.
+    fn write_raw(store: &CheckpointStore, state: Vec<Unit>) {
+        let payload = transport::encode_unit_vec(&Unit::tuple(state)).unwrap();
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&transport::frame_vec(&payload));
+        fs::write(store.path(), &bytes).unwrap();
+    }
+
+    /// A threads run of `app` under the paper's dispatch order.
+    fn run(app: SequentialApp, opts: crate::EngineOpts) -> MfResult<crate::JobReport> {
+        let policy = std::sync::Arc::new(protocol::PaperFaithful);
+        crate::Engine::threads(crate::RunMode::Parallel, policy, opts)?
+            .run_one(crate::AppConfig::new(app))
+    }
+
     fn sample_checkpoint() -> Checkpoint {
         let app = SequentialApp::new(2, 1, 1e-3);
         let req = SubsolveRequest::for_grid(2, 1, 0, 1e-3, Problem::manufactured_benchmark());
@@ -385,6 +444,17 @@ mod tests {
         newer[4] = 99;
         fs::write(store.path(), &newer).unwrap();
         assert!(store.load().unwrap_err().to_string().contains("version"));
+
+        // A well-framed file whose level does not fit a u32: refused, not
+        // wrapped to the level-1 run it would otherwise pass for.
+        let mut state = sample_checkpoint().to_unit().as_tuple().unwrap().to_vec();
+        state[1] = Unit::int((1i64 << 32) + 1);
+        write_raw(&store, state);
+        let err = store.load().unwrap_err().to_string();
+        assert!(
+            err.contains("`level`") && err.contains("out of range"),
+            "{err}"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -418,9 +488,6 @@ mod tests {
 
     #[test]
     fn mismatched_key_resume_is_an_error_not_a_fresh_start() {
-        use crate::{run_concurrent_opts, RunMode, RunOpts};
-        use std::sync::Arc;
-
         let dir = tmp_dir("foreign-resume");
         // A finished level-1 run leaves its checkpoint behind (it would
         // normally be cleared, so plant one explicitly).
@@ -431,20 +498,12 @@ mod tests {
         // both parameter sets — silently starting fresh would hide that
         // the operator pointed at the wrong directory.
         let other = SequentialApp::new(2, 2, 1e-3);
-        let opts = RunOpts {
+        let opts = crate::EngineOpts {
             checkpoint_dir: Some(dir.clone()),
             resume: true,
-            ..RunOpts::default()
+            ..crate::EngineOpts::default()
         };
-        let err = run_concurrent_opts(
-            &other,
-            &RunMode::Parallel,
-            true,
-            Arc::new(protocol::PaperFaithful),
-            &opts,
-        )
-        .unwrap_err()
-        .to_string();
+        let err = run(other, opts).unwrap_err().to_string();
         assert!(err.contains("different parameters"), "{err}");
         assert!(err.contains("level 1"), "checkpoint's own level: {err}");
         assert!(err.contains("level 2"), "this run's level: {err}");
@@ -453,27 +512,22 @@ mod tests {
 
     #[test]
     fn parent_eight_field_checkpoint_resumes_bit_identically() {
-        use crate::{run_concurrent, run_concurrent_opts, RunMode, RunOpts};
+        use crate::EngineOpts;
         use chaos::{FaultKind, FaultPlan};
-        use std::sync::Arc;
 
         let app = SequentialApp::new(2, 2, 1e-3);
         let seq = app.run().unwrap();
-        let uninterrupted = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
-        let run = |opts: &RunOpts| {
-            let policy = Arc::new(protocol::PaperFaithful);
-            run_concurrent_opts(&app, &RunMode::Parallel, true, policy, opts)
-        };
+        let uninterrupted = run(app, EngineOpts::default()).unwrap();
 
         // Kill the master after two results to leave a real checkpoint.
         let dir = tmp_dir("parent-8-field");
         let store = CheckpointStore::new(&dir).unwrap();
-        let killed = RunOpts {
+        let killed = EngineOpts {
             faults: Some(FaultPlan::new(2).push(FaultKind::MasterKill { at_result: 2 })),
             checkpoint_dir: Some(dir.clone()),
-            ..RunOpts::default()
+            ..EngineOpts::default()
         };
-        assert!(run(&killed).is_err());
+        assert!(run(app, killed).is_err());
         let ck = store.load().unwrap().unwrap();
         assert_eq!(ck.completed.len(), 2);
 
@@ -488,19 +542,18 @@ mod tests {
             Unit::tuple(r)
         });
         state[7] = Unit::tuple(completed.collect());
-        let payload = transport::encode_unit_vec(&Unit::tuple(state)).unwrap();
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&transport::frame_vec(&payload));
-        fs::write(store.path(), &bytes).unwrap();
+        write_raw(&store, state);
 
         let parent = store.load().unwrap().unwrap();
         assert_eq!(parent.completed, ck.completed);
-        let resumed = run(&RunOpts {
-            checkpoint_dir: Some(dir.clone()),
-            resume: true,
-            ..RunOpts::default()
-        })
+        let resumed = run(
+            app,
+            EngineOpts {
+                checkpoint_dir: Some(dir.clone()),
+                resume: true,
+                ..EngineOpts::default()
+            },
+        )
         .unwrap();
         assert_eq!(resumed.result.combined, seq.combined);
         assert_eq!(resumed.result.l2_error, seq.l2_error);
@@ -532,5 +585,38 @@ mod tests {
 
         let err = ck.validate(&key, &[0, 1, 2]).unwrap_err();
         assert!(err.to_string().contains("order"));
+
+        // Results the master would restore unchecked: a duplicate, a grid
+        // of another run, and one value short of the grid's node count.
+        let res = &ck.completed[0];
+        let mut foreign = res.clone();
+        (foreign.l, foreign.m) = (3, 3);
+        let mut short = res.clone();
+        short.values = std::sync::Arc::new(res.values[1..].to_vec());
+        let nodes = res.values.len();
+        for (completed, diagnosis) in [
+            (
+                vec![res.clone(), res.clone()],
+                "(1, 0) appears more than once".into(),
+            ),
+            (vec![foreign], "(3, 3) is not a grid of this run".into()),
+            (
+                vec![short],
+                format!(
+                    "(1, 0) has {} values, the grid has {nodes} nodes",
+                    nodes - 1
+                ),
+            ),
+        ] {
+            let bad = Checkpoint {
+                completed,
+                ..sample_checkpoint()
+            };
+            let err = bad.validate(&key, &[2, 0, 1]).unwrap_err();
+            assert!(
+                matches!(&err, MfError::App(m) if m.contains(&diagnosis)),
+                "{err}"
+            );
+        }
     }
 }

@@ -1,13 +1,13 @@
 //! The multi-job [`Engine`]: one persistent worker fleet, many jobs.
 //!
-//! The one-shot entry points ([`run_concurrent`](crate::run_concurrent),
-//! [`run_concurrent_procs`](crate::run_concurrent_procs), the simulated
-//! runs) bring a whole deployment up — MANIFOLD environment, worker
-//! processes, sockets — solve one problem, and tear everything down. That
-//! is the paper's batch shape, but a renovated application serving a
-//! *stream* of problems should pay the bring-up once. `Engine` is that
-//! refactor: construct it once with a backend, then [`Engine::submit`] any
-//! number of [`AppConfig`]s against the same fleet.
+//! Every live job in the repository runs through an `Engine`. The paper's
+//! batch shape — bring a deployment up, solve one problem, tear it down —
+//! is [`Engine::run_one`]; a renovated application serving a *stream* of
+//! problems pays the bring-up once and [`Engine::submit`]s any number of
+//! [`AppConfig`]s against the same fleet. The backend is the only thing
+//! that differs between deployments ([`Engine::threads`],
+//! [`Engine::procs`], [`Engine::sim`]), and [`EngineOpts`] is the one
+//! place a run's options are set.
 //!
 //! Lifecycle:
 //!
@@ -18,6 +18,8 @@
 //!    next_finished() / handle.wait() ─► JobReport (bit-identical)
 //!    ...
 //! engine.shutdown() ──► fleet down, EngineSummary
+//!
+//! Engine::new(…)?.run_one(cfg) ══ submit, wait, shutdown (+ child traces)
 //! ```
 //!
 //! Every job runs a *fresh, job-scoped* coordinator and master over the
@@ -42,9 +44,8 @@
 //! worker processes survive across jobs with every wire unit tagged by job
 //! id (procs), and the discrete-event simulation keeps one virtual
 //! timeline with parked perpetual task instances ([`cluster::SimFleet`]).
-//! Per-job numerical results are bit-identical to a solo one-shot run of
-//! the same configuration on every backend; the one-shot entry points are
-//! thin wrappers over a single-job engine.
+//! Per-job numerical results are bit-identical to a solo [`Engine::run_one`]
+//! of the same configuration on every backend.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -60,17 +61,15 @@ use manifold::prelude::*;
 use manifold::remote::{JobFleet, RemoteIdentity};
 use manifold::trace::TraceRecord;
 use parking_lot::{Condvar, Mutex};
-use protocol::{
-    MasterHandle, PaperFaithful, PerpetualPool, PolicyRef, PoolStats, ProtocolMw, ProtocolOutcome,
-};
+use protocol::{MasterHandle, PerpetualPool, PolicyRef, PoolStats, ProtocolMw, ProtocolOutcome};
 use solver::sequential::{SequentialApp, SequentialResult};
 use transport::{PoolConfig, RemoteWorkerPool};
 
-use crate::app::{ConcurrentResult, RunMode};
+use crate::app::RunMode;
 use crate::checkpoint::CheckpointStore;
 use crate::cost::CostModel;
 use crate::master::{master_body, FleetMembership, MasterConfig};
-use crate::procs::{JobSource, ProcsConfig};
+use crate::procs::{merge_child_traces, JobSource, ProcsConfig, WORKER_HEARTBEAT};
 use crate::virtualrun::paper_sim;
 use crate::worker::{worker_factory_chaos, worker_factory_with_gauge, WorkerGauge};
 
@@ -97,8 +96,14 @@ pub enum EngineBackend {
     },
 }
 
-/// Fleet-construction options — the engine-lifetime analogue of
-/// [`RunOpts`](crate::RunOpts).
+/// Lost-worker re-dispatches a master tolerates (and, on procs, each
+/// worker slot's respawn budget) unless [`EngineOpts::retry_budget`] says
+/// otherwise.
+pub(crate) const DEFAULT_RETRY_BUDGET: usize = 3;
+
+/// A run's options: the only place fault injection, checkpointing,
+/// retries, sharding and churn are set, on every backend. The pool's shape
+/// is the backend's business ([`ProcsConfig`], [`RunMode`]).
 #[derive(Clone, Debug)]
 pub struct EngineOpts {
     /// Largest `app.level` the fleet must accommodate: sizes the MANIFOLD
@@ -112,10 +117,13 @@ pub struct EngineOpts {
     /// Persist a checkpoint after every collected result (per job).
     pub checkpoint_dir: Option<PathBuf>,
     /// Resume the *first* submitted job from the checkpoint in
-    /// `checkpoint_dir` (no-op when none exists yet).
+    /// `checkpoint_dir` (no-op when none exists yet). Without a
+    /// `checkpoint_dir` there is nothing to resume from, and
+    /// [`Engine::new`] refuses the combination.
     pub resume: bool,
-    /// Override the lost-worker retry budget (default: backend's own).
-    pub retry_budget: Option<usize>,
+    /// Lost-worker re-dispatches each job's master tolerates; on procs
+    /// also each worker slot's respawn budget. Defaults to 3.
+    pub retry_budget: usize,
     /// Sharded dispatch: partition each job's dispatch sequence across
     /// this many shard masters (with optional work stealing). The default
     /// single shard is the flat master, byte for byte. On the procs
@@ -136,7 +144,7 @@ impl Default for EngineOpts {
             faults: None,
             checkpoint_dir: None,
             resume: false,
-            retry_budget: None,
+            retry_budget: DEFAULT_RETRY_BUDGET,
             shards: protocol::ShardSpec::default(),
             churn: protocol::ChurnPlan::default(),
         }
@@ -187,10 +195,12 @@ pub struct JobReport {
     /// Protocol bookkeeping for *this job's* pools.
     pub outcome: ProtocolOutcome,
     /// This job's slice of the chronological §6 trace. On the procs
-    /// backend the children's records arrive only at fleet shutdown, so
-    /// this holds the coordinator-side records.
+    /// backend the children's records arrive only at fleet shutdown, so a
+    /// job collected from [`JobHandle::wait`] holds the coordinator-side
+    /// records; [`Engine::run_one`] merges the children's in.
     pub records: Vec<TraceRecord>,
-    /// Machines hosting task instances (procs: coordinator side only).
+    /// Machines hosting task instances (procs: coordinator side only,
+    /// unless the report came from [`Engine::run_one`]).
     pub machines_used: usize,
     /// Peak workers simultaneously in their compute section anywhere in
     /// the fleet while this job ran — its own and, when jobs overlap,
@@ -200,19 +210,6 @@ pub struct JobReport {
     /// Submit-to-completion latency: wall-clock seconds on the live
     /// backends, virtual seconds on the simulator.
     pub latency_s: f64,
-}
-
-impl JobReport {
-    /// Lower to the one-shot result shape.
-    pub fn into_concurrent(self) -> ConcurrentResult {
-        ConcurrentResult {
-            result: self.result,
-            outcome: self.outcome,
-            records: self.records,
-            machines_used: self.machines_used,
-            peak_concurrent_workers: self.peak_concurrent_workers,
-        }
-    }
 }
 
 /// Why [`Engine::submit`] refused a job *before* starting it.
@@ -454,6 +451,11 @@ impl Engine {
     /// Bring a fleet up on `backend`. For procs this launches the worker
     /// processes — a missing worker binary fails here, not at submit.
     pub fn new(backend: EngineBackend, policy: PolicyRef, opts: EngineOpts) -> MfResult<Engine> {
+        if opts.resume && opts.checkpoint_dir.is_none() {
+            return Err(MfError::App(
+                "resume needs a checkpoint directory to resume from".into(),
+            ));
+        }
         let store = match &opts.checkpoint_dir {
             Some(dir) => Some(Arc::new(CheckpointStore::new(dir)?)),
             None => None,
@@ -494,7 +496,7 @@ impl Engine {
                 }
             }
             EngineBackend::Procs { cfg } => {
-                let retry = opts.retry_budget.unwrap_or(cfg.retry_budget);
+                let retry = opts.retry_budget;
                 let program = crate::procs::resolve_worker_exe(&cfg)?;
                 let mut pool_cfg = PoolConfig::new(program);
                 pool_cfg.instances = cfg.instances;
@@ -505,9 +507,9 @@ impl Engine {
                 pool_cfg.shards = opts.shards.shards.max(1);
                 pool_cfg.base_env = vec![(
                     "MF_WORKER_HEARTBEAT_MS".into(),
-                    cfg.heartbeat.as_millis().to_string(),
+                    WORKER_HEARTBEAT.as_millis().to_string(),
                 )];
-                if let Some(plan) = opts.faults.as_ref().or(cfg.faults.as_ref()) {
+                if let Some(plan) = &opts.faults {
                     pool_cfg
                         .base_env
                         .push(("MF_CHAOS_PLAN".into(), plan.to_string()));
@@ -539,7 +541,7 @@ impl Engine {
                 let model = CostModel::paper_calibrated();
                 let sim = paper_sim(&model);
                 let plan = opts.faults.clone().unwrap_or_default();
-                let fleet = SimFleet::new(sim, &plan, opts.retry_budget.unwrap_or(3));
+                let fleet = SimFleet::new(sim, &plan, opts.retry_budget);
                 let noise = match noise_seed {
                     Some(seed) => Perturbation::overnight(seed),
                     None => Perturbation::none(),
@@ -552,13 +554,12 @@ impl Engine {
                 }
             }
         };
-        let resume_pending = opts.resume && store.is_some();
         Ok(Engine {
             state,
             policy,
+            resume_pending: opts.resume,
             opts,
             store,
-            resume_pending,
             protocol_pool: Arc::new(PerpetualPool::new()),
             next_job: 1,
             width,
@@ -580,11 +581,6 @@ impl Engine {
     /// A simulated fleet with the paper's defaults.
     pub fn sim(noise_seed: Option<u64>, policy: PolicyRef, opts: EngineOpts) -> MfResult<Engine> {
         Engine::new(EngineBackend::Sim { noise_seed }, policy, opts)
-    }
-
-    /// Fleet serving the paper's dispatch order with default options.
-    pub fn paper_default(backend: EngineBackend) -> MfResult<Engine> {
-        Engine::new(backend, Arc::new(PaperFaithful), EngineOpts::default())
     }
 
     /// How many jobs this fleet runs side by side: twice the number of
@@ -778,15 +774,38 @@ impl Engine {
         summary
     }
 
+    /// Serve exactly one job, then tear the fleet down: the paper's batch
+    /// run, on any backend. On procs the worker processes' own §6 traces
+    /// arrive at shutdown and are merged into the report's chronological
+    /// `records`, and `machines_used` counts their hosts too. The fleet is
+    /// shut down whether the job succeeded or not, so a failed run still
+    /// reaps its children, and every failure comes back as
+    /// [`MfError::App`] with the same text on every backend.
+    pub fn run_one(mut self, job: AppConfig) -> MfResult<JobReport> {
+        let report = self
+            .submit(job)
+            .map_err(MfError::from)
+            .and_then(JobHandle::wait);
+        let summary = self.shutdown();
+        let mut report = match report {
+            Ok(r) => r,
+            Err(e @ MfError::App(_)) => return Err(e),
+            Err(e) => return Err(MfError::App(e.to_string())),
+        };
+        if !summary.child_reports.is_empty() {
+            report.records = merge_child_traces(report.records, &summary.child_reports)?;
+            report.machines_used = distinct_hosts(&report.records);
+        }
+        Ok(report)
+    }
+
     fn master_config(&mut self, cfg: &AppConfig) -> MfResult<MasterConfig> {
         let policy = cfg.policy.clone().unwrap_or_else(|| self.policy.clone());
         let mut mc = MasterConfig::new(cfg.app, cfg.data_through_master)
             .with_policy(policy)
             .with_shards(self.opts.shards)
-            .with_churn(self.opts.churn.clone());
-        if let Some(budget) = self.opts.retry_budget {
-            mc = mc.with_retry_budget(budget);
-        }
+            .with_churn(self.opts.churn.clone())
+            .with_retry_budget(self.opts.retry_budget);
         if let Some(store) = &self.store {
             if self.resume_pending {
                 self.resume_pending = false;
@@ -1065,4 +1084,25 @@ fn worker_faults(plan: &Option<FaultPlan>) -> Option<chaos::WorkerFaults> {
         }
     }
     Some(w)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use protocol::PaperFaithful;
+
+    #[test]
+    fn resume_without_a_checkpoint_dir_is_refused() {
+        let opts = EngineOpts {
+            resume: true,
+            ..EngineOpts::default()
+        };
+        let err = Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts)
+            .err()
+            .expect("resume with nothing to resume from must not run fresh");
+        assert!(
+            matches!(&err, MfError::App(m) if m.contains("checkpoint directory")),
+            "{err}"
+        );
+    }
 }

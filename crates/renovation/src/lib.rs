@@ -12,15 +12,20 @@
 //!   the input port, compute, write the result, raise `death_worker`);
 //! * [`codec`] — the unit encoding of [`SubsolveRequest`] /
 //!   [`SubsolveResult`] payloads travelling through MANIFOLD streams;
-//! * [`app`] — `mainprog.m`: wiring Master + Worker into `ProtocolMW` under
-//!   an [`Environment`], in the paper's two flavours — **parallel** (all
-//!   processes bundled into one task instance: `load 6`) and
-//!   **distributed** (one worker per task instance per machine: `load 1`,
-//!   `perpetual`);
-//! * [`engine`] — the multi-job [`Engine`]: one persistent worker fleet
-//!   (threads, OS processes, or the simulated cluster) serving a stream of
-//!   jobs, each bit-identical to a solo run; the one-shot entry points are
-//!   thin wrappers over a single-job engine;
+//! * [`app`] — `mainprog.m`'s link/configure stage ([`RunMode`]): Master +
+//!   Worker under `ProtocolMW` in an [`Environment`], in the paper's two
+//!   flavours — **parallel** (all processes bundled into one task
+//!   instance: `load 6`) and **distributed** (one worker per task instance
+//!   per machine: `load 1`, `perpetual`);
+//! * [`engine`] — the [`Engine`]: one persistent worker fleet (threads, OS
+//!   processes, or the simulated cluster) serving a stream of jobs, each
+//!   bit-identical to a solo run. It is the one way to run a job: a
+//!   one-shot run is `Engine::{threads,procs,sim}(…)?.run_one(job)`, and
+//!   [`EngineOpts`] is the one place a run's options are set;
+//! * [`procs`] — the process backend's pool shape ([`ProcsConfig`]) and
+//!   the `subsolve_worker` child;
+//! * [`checkpoint`] / [`supervisor`] — snapshots a killed master resumes
+//!   from, and the coordinator that relaunches it;
 //! * [`cost`] — the calibrated cost model translating solver work into the
 //!   virtual seconds of the `cluster` simulator;
 //! * [`virtualrun`] — the Table 1 / Figure 1 experiment driver running the
@@ -46,10 +51,7 @@ pub mod supervisor;
 pub mod virtualrun;
 pub mod worker;
 
-pub use app::{
-    run_concurrent, run_concurrent_opts, run_concurrent_with_policy, ConcurrentResult, RunMode,
-    RunOpts,
-};
+pub use app::RunMode;
 pub use checkpoint::{atomic_replace, Checkpoint, CheckpointStore, RunKey};
 pub use cost::{parse_subsolve_label, CostModel};
 pub use engine::{
@@ -57,9 +59,7 @@ pub use engine::{
     JobReport, SubmitError,
 };
 pub use master::{master_body, FleetMembership, MasterConfig};
-pub use procs::{run_concurrent_procs, run_worker_child, ProcsConfig};
+pub use procs::{run_worker_child, ProcsConfig};
 pub use supervisor::{supervise, SupervisedRun};
-pub use virtualrun::{
-    run_distributed_experiment, run_distributed_experiment_with_policy, ExperimentPoint,
-};
+pub use virtualrun::{run_distributed_experiment, ExperimentPoint};
 pub use worker::{worker_factory, worker_factory_with_gauge, WorkerGauge};

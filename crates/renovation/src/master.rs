@@ -107,7 +107,7 @@ impl MasterConfig {
             app,
             data_through_master,
             policy: Arc::new(PaperFaithful),
-            retry_budget: 3,
+            retry_budget: crate::engine::DEFAULT_RETRY_BUDGET,
             checkpoint: None,
             resume_from: None,
             master_kill_at: None,

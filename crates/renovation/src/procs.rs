@@ -1,6 +1,6 @@
 //! The *process* backend: `subsolve` workers as separate OS processes.
 //!
-//! [`run_concurrent`](crate::run_concurrent) executes every process
+//! [`Engine::threads`](crate::Engine::threads) executes every process
 //! instance as a thread. This module provides the deployment the paper
 //! actually ran on its workstation cluster: each worker task instance is a
 //! separate operating-system process (the committed `subsolve_worker`
@@ -8,19 +8,22 @@
 //! CONFIG host list. The master, the protocol, and the dispatch policies
 //! are *unchanged* — proxies from [`protocol::remote_worker_factory`]
 //! stand in for local workers, and the backend is chosen purely by
-//! configuration ([`ProcsConfig`] vs [`RunMode`](crate::RunMode)).
+//! configuration ([`ProcsConfig`] vs [`RunMode`](crate::RunMode), handed to
+//! [`Engine::procs`](crate::Engine::procs) or
+//! [`Engine::threads`](crate::Engine::threads); the run's options are the
+//! same [`EngineOpts`](crate::EngineOpts) either way).
 //!
 //! Both halves live here so they cannot drift apart:
 //!
-//! * [`run_concurrent_procs`] — the coordinator side: launches the worker
-//!   pool, runs the master, merges the children's §6 traces into the run's
-//!   chronological record;
+//! * the coordinator side — [`ProcsConfig`], the pool's shape; each job's
+//!   view of the shared worker pool; and the merge of the children's §6
+//!   traces into a run's chronological record, which
+//!   [`Engine::run_one`](crate::Engine::run_one) applies at shutdown;
 //! * [`run_worker_child`] — the child side, called by the
 //!   `subsolve_worker` binary: serves jobs by running the *real*
 //!   [`worker_factory`] manifold inside its own MANIFOLD environment,
 //!   then ships its trace back at shutdown.
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,18 +32,19 @@ use std::time::Duration;
 use manifold::config::{ConfigSpec, HostName};
 use manifold::ident::TaskInstanceId;
 use manifold::prelude::*;
-use manifold::remote::{Completion, JobFleet, Lost, Started};
+use manifold::remote::{Completion, JobFleet, Lost, RemoteIdentity, Started};
 use manifold::trace::{format_trace, merge_traces, parse_trace, TraceRecord};
-use protocol::{PolicyRef, DEATH_WORKER};
-use solver::sequential::SequentialApp;
+use protocol::DEATH_WORKER;
 use transport::{serve, Addr, BindMode, RemoteWorkerPool, ServeConfig, ServeSummary};
 
-use crate::app::ConcurrentResult;
-use crate::engine::{AppConfig, Engine, EngineOpts, JobHandle};
 use crate::master::FleetMembership;
 use crate::worker::{worker_factory, WorkerGauge};
 
-/// Configuration of a multi-process run.
+/// How often a worker child reports that it is alive.
+pub(crate) const WORKER_HEARTBEAT: Duration = Duration::from_millis(100);
+
+/// The shape of a worker-process pool. How a run on it behaves — faults,
+/// checkpoints, retries, shards, churn — is [`EngineOpts`](crate::EngineOpts).
 #[derive(Debug, Clone)]
 pub struct ProcsConfig {
     /// Worker processes to launch.
@@ -56,30 +60,9 @@ pub struct ProcsConfig {
     /// `MF_SUBSOLVE_WORKER` environment variable, then by looking next to
     /// the current executable.
     pub worker_exe: Option<PathBuf>,
-    /// Lost-worker re-dispatches the master tolerates (also the per-slot
-    /// respawn budget of the pool).
-    pub retry_budget: usize,
-    /// Fault schedule to inject: worker faults travel to the children via
-    /// the `MF_CHAOS_PLAN` environment variable (each child filters the
-    /// plan down to its own instance), a master kill applies in-process.
-    pub faults: Option<chaos::FaultPlan>,
-    /// Persist a checkpoint after every collected result.
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Resume from the checkpoint in `checkpoint_dir` (no-op when none
-    /// exists yet).
-    pub resume: bool,
     /// Max silence during a remote job before the instance is declared
-    /// dead (heartbeats reset the window).
+    /// dead (heartbeats, every 100 ms, reset the window).
     pub job_timeout: Duration,
-    /// Child heartbeat cadence.
-    pub heartbeat: Duration,
-    /// Sharded dispatch: worker processes are partitioned into this many
-    /// pools (by `instance % shards`) and the master dispatches through
-    /// matching shard queues. One shard is the flat master.
-    pub shards: protocol::ShardSpec,
-    /// Worker joins/leaves fired at 1-based dispatch ordinals — real
-    /// process churn on this backend (`add_instance`/`retire_instance`).
-    pub churn: protocol::ChurnPlan,
 }
 
 impl ProcsConfig {
@@ -90,39 +73,8 @@ impl ProcsConfig {
             bind: BindMode::Tcp,
             hosts: Vec::new(),
             worker_exe: None,
-            retry_budget: 3,
-            faults: None,
-            checkpoint_dir: None,
-            resume: false,
             job_timeout: Duration::from_secs(60),
-            heartbeat: Duration::from_millis(100),
-            shards: protocol::ShardSpec::default(),
-            churn: protocol::ChurnPlan::default(),
         }
-    }
-
-    /// Shard the dispatch (and the worker-process pools) `shards` ways.
-    pub fn with_shards(mut self, spec: protocol::ShardSpec) -> Self {
-        self.shards = spec;
-        self
-    }
-
-    /// Fire worker joins/leaves at these dispatch ordinals.
-    pub fn with_churn(mut self, churn: protocol::ChurnPlan) -> Self {
-        self.churn = churn;
-        self
-    }
-
-    /// Schedule one abrupt exit: `instance` dies upon receiving its
-    /// `nth` (1-based) job. Shorthand for a one-fault [`chaos::FaultPlan`].
-    pub fn with_crash_on_job(mut self, instance: u64, nth: u64) -> Self {
-        self.faults = Some(
-            chaos::FaultPlan::new(0).push(chaos::FaultKind::WorkerCrash {
-                instance,
-                on_job: nth,
-            }),
-        );
-        self
     }
 }
 
@@ -242,65 +194,22 @@ pub fn child_task_uid(instance: u64) -> u64 {
     TraceRecord::task_uid_for(TaskInstanceId(instance + 1))
 }
 
-/// Run the renovated application with worker task instances as separate
-/// OS processes. Numerically (and in trace-visible dispatch order)
-/// identical to [`run_concurrent_with_policy`](crate::run_concurrent_with_policy)
-/// for every dispatch policy.
-pub fn run_concurrent_procs(
-    app: &SequentialApp,
-    cfg: &ProcsConfig,
-    data_through_master: bool,
-    policy: PolicyRef,
-) -> MfResult<ConcurrentResult> {
-    // Since the Engine refactor this is a thin wrapper: launch the fleet,
-    // serve exactly one job, shut down. Multi-job callers hold an
-    // `Engine` and keep the worker processes alive between jobs.
-    let engine_opts = EngineOpts {
-        capacity_level: app.level,
-        faults: cfg.faults.clone(),
-        checkpoint_dir: cfg.checkpoint_dir.clone(),
-        resume: cfg.resume,
-        retry_budget: Some(cfg.retry_budget),
-        shards: cfg.shards,
-        churn: cfg.churn.clone(),
-    };
-    let mut engine = Engine::procs(cfg.clone(), policy, engine_opts)?;
-    let handle = engine.submit(AppConfig::new(*app).with_data_through_master(data_through_master));
-    let report = handle.map_err(MfError::from).and_then(JobHandle::wait);
-    // Shut down either way, so a failed run still reaps its children.
-    let summary = engine.shutdown();
-    let report = match report {
-        Ok(r) => r,
-        // The one-shot contract: every failure surfaces as an application
-        // error (the engine already formats process-failure root causes).
-        Err(e @ MfError::App(_)) => return Err(e),
-        Err(e) => return Err(MfError::App(e.to_string())),
-    };
-
-    // Satellite: interleave the per-process trace files chronologically,
-    // exactly as the paper's single chronological listing shows them.
-    let mut sequences = vec![report.records];
-    for (slot, _identity, trace) in &summary.child_reports {
+/// Interleave the worker children's shipped trace files into a run's
+/// coordinator-side records, chronologically — exactly as the paper's
+/// single chronological listing shows them.
+pub(crate) fn merge_child_traces(
+    records: Vec<TraceRecord>,
+    children: &[(u64, RemoteIdentity, Option<String>)],
+) -> MfResult<Vec<TraceRecord>> {
+    let mut sequences = vec![records];
+    for (slot, _identity, trace) in children {
         if let Some(text) = trace {
             let records = parse_trace(text)
                 .map_err(|e| MfError::App(format!("instance {slot} sent a bad trace: {e}")))?;
             sequences.push(records);
         }
     }
-    let records = merge_traces(sequences);
-    let machines_used = records
-        .iter()
-        .map(|r| r.host.as_str().to_string())
-        .collect::<BTreeSet<_>>()
-        .len();
-
-    Ok(ConcurrentResult {
-        result: report.result,
-        outcome: report.outcome,
-        records,
-        machines_used,
-        peak_concurrent_workers: report.peak_concurrent_workers,
-    })
+    Ok(merge_traces(sequences))
 }
 
 /// Trace records a worker child keeps once it has served enough jobs to
@@ -427,7 +336,9 @@ fn solve_one(env: &Environment, job: Unit) -> MfResult<Unit> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AppConfig, Engine, EngineOpts};
     use protocol::PaperFaithful;
+    use solver::sequential::SequentialApp;
 
     #[test]
     fn child_task_uids_are_distinct_from_the_masters() {
@@ -441,7 +352,9 @@ mod tests {
         let mut cfg = ProcsConfig::new(1);
         cfg.worker_exe = Some(PathBuf::from("/nonexistent/subsolve_worker"));
         let app = SequentialApp::new(1, 1, 1e-3);
-        let err = run_concurrent_procs(&app, &cfg, true, Arc::new(PaperFaithful)).unwrap_err();
+        let err = Engine::procs(cfg, Arc::new(PaperFaithful), EngineOpts::default())
+            .and_then(|engine| engine.run_one(AppConfig::new(app)))
+            .unwrap_err();
         // The pool fails to spawn and reports which instance.
         assert!(err.to_string().contains("instance 0"), "got: {err}");
     }

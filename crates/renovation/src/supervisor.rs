@@ -14,6 +14,11 @@
 //! The relaunch budget bounds the other half of the chaos-harness
 //! invariant: a run whose faults exceed its budgets must end in a
 //! *diagnosed* error in bounded time, not a retry loop.
+//!
+//! An incarnation is whatever the caller's closure runs — typically one
+//! [`Engine::run_one`](crate::Engine::run_one) with
+//! [`EngineOpts::resume`](crate::EngineOpts::resume) set from the flag the
+//! supervisor passes in.
 
 use std::sync::Arc;
 
@@ -22,7 +27,7 @@ use manifold::prelude::*;
 use manifold::trace::TraceRecord;
 use parking_lot::Mutex;
 
-use crate::app::ConcurrentResult;
+use crate::engine::JobReport;
 
 /// Event the supervisor raises each time it observes a dead master.
 pub const MASTER_DOWN: &str = "master_down";
@@ -30,8 +35,8 @@ pub const MASTER_DOWN: &str = "master_down";
 /// Outcome of a supervised run.
 #[derive(Debug)]
 pub struct SupervisedRun {
-    /// The surviving incarnation's result.
-    pub result: ConcurrentResult,
+    /// The surviving incarnation's report.
+    pub result: JobReport,
     /// How many times the supervisor relaunched a dead run.
     pub relaunches: usize,
     /// The supervisor's own trace (the application's is in
@@ -43,16 +48,16 @@ pub struct SupervisedRun {
 ///
 /// `launch(resume)` runs one incarnation of the application: `false` on
 /// the first attempt, `true` on every relaunch — the callee wires that
-/// flag to its checkpoint store (e.g. [`crate::app::RunOpts::resume`] or
-/// [`crate::ProcsConfig`]'s resume field). The first incarnation may also
+/// flag to its checkpoint store ([`EngineOpts::resume`](crate::EngineOpts::resume)).
+/// The first incarnation may also
 /// resume, if its caller already holds a checkpoint from an earlier
 /// process; the supervisor only *escalates* the flag, never clears it.
 pub fn supervise<F>(relaunch_budget: usize, mut launch: F) -> MfResult<SupervisedRun>
 where
-    F: FnMut(bool) -> MfResult<ConcurrentResult> + Send + 'static,
+    F: FnMut(bool) -> MfResult<JobReport> + Send + 'static,
 {
     let env = Environment::new();
-    let cell: Arc<Mutex<Option<(ConcurrentResult, usize)>>> = Arc::new(Mutex::new(None));
+    let cell: Arc<Mutex<Option<(JobReport, usize)>>> = Arc::new(Mutex::new(None));
     let cell2 = cell.clone();
     let run = env.run_coordinator("Supervisor", |coord| {
         let sup = coord.create_atomic("Supervise(run)", move |ctx: ProcessCtx| {
@@ -121,10 +126,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{run_concurrent_opts, RunMode, RunOpts};
+    use crate::{AppConfig, Engine, EngineOpts, RunMode};
     use chaos::{FaultKind, FaultPlan};
     use protocol::PaperFaithful;
     use solver::sequential::SequentialApp;
+
+    fn run(app: SequentialApp, opts: EngineOpts) -> MfResult<JobReport> {
+        Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts)?
+            .run_one(AppConfig::new(app))
+    }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("mf-sup-{tag}-{}", std::process::id()));
@@ -139,23 +149,21 @@ mod tests {
         // The work-counter oracle is an *uninterrupted concurrent* run: the
         // master counts its per-grid data-staging ops, which the sequential
         // program does not perform.
-        let uninterrupted = crate::app::run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+        let uninterrupted = run(app, EngineOpts::default()).unwrap();
         let dir = tmp_dir("relaunch");
         let plan = FaultPlan::new(7).push(FaultKind::MasterKill { at_result: 2 });
-        let opts = RunOpts {
+        let opts = EngineOpts {
             faults: Some(plan),
             checkpoint_dir: Some(dir.clone()),
-            ..RunOpts::default()
+            ..EngineOpts::default()
         };
         let sup = supervise(2, move |resume| {
-            let mut opts = opts.clone();
-            opts.resume = resume;
-            run_concurrent_opts(
-                &app,
-                &RunMode::Parallel,
-                true,
-                Arc::new(PaperFaithful),
-                &opts,
+            run(
+                app,
+                EngineOpts {
+                    resume,
+                    ..opts.clone()
+                },
             )
         })
         .unwrap();
@@ -173,7 +181,7 @@ mod tests {
     #[test]
     fn exhausted_relaunch_budget_is_a_diagnosed_error() {
         let app = SequentialApp::new(2, 1, 1e-3);
-        let err = supervise(1, move |_resume| -> MfResult<ConcurrentResult> {
+        let err = supervise(1, move |_resume| -> MfResult<JobReport> {
             let _ = app;
             Err(MfError::App("synthetic: master exploded".into()))
         })

@@ -41,29 +41,11 @@ pub fn paper_sim(model: &CostModel) -> DistributedSim {
 }
 
 /// Reproduce Table 1: every `(tol, level)` combination, `runs` seeded
-/// repetitions averaged. `data_through_master` selects the paper's design
-/// (true) or the I/O-worker ablation (false).
+/// repetitions averaged, under `policy` (the `--policy` flag of the
+/// `table1` binary; [`PaperFaithful`] is the paper's own dispatch order).
+/// `data_through_master` selects the paper's design (true) or the
+/// I/O-worker ablation (false).
 pub fn run_distributed_experiment(
-    levels: impl IntoIterator<Item = u32>,
-    tols: &[f64],
-    runs: usize,
-    base_seed: u64,
-    data_through_master: bool,
-) -> Vec<ExperimentPoint> {
-    run_distributed_experiment_with_policy(
-        levels,
-        tols,
-        runs,
-        base_seed,
-        data_through_master,
-        &PaperFaithful,
-    )
-}
-
-/// [`run_distributed_experiment`] under an explicit dispatch policy, so the
-/// Table 1 sweep can be regenerated per policy (the `--policy` flag of the
-/// `table1` binary).
-pub fn run_distributed_experiment_with_policy(
     levels: impl IntoIterator<Item = u32>,
     tols: &[f64],
     runs: usize,
@@ -81,7 +63,7 @@ pub fn run_distributed_experiment_with_policy(
             let seed = base_seed
                 .wrapping_add(level as u64)
                 .wrapping_add((tol * 1e7) as u64);
-            let (st, ct, m, reports) = sim.run_averaged_with_policy(&wl, runs, seed, policy);
+            let (st, ct, m, reports) = sim.run_averaged(&wl, runs, seed, policy);
             let peak = reports.iter().map(|r| r.peak_machines).max().unwrap_or(0);
             let forks = reports.first().map_or(0, |r| r.task_forks);
             out.push(ExperimentPoint {
@@ -106,7 +88,7 @@ pub fn figure1_run(level: u32, tol: f64, seed: u64) -> DistributedReport {
     let sim = paper_sim(&model);
     let wl = model.workload(2, level, tol, true);
     let mut noise = cluster::noise::Perturbation::overnight(seed);
-    sim.run(&wl, &mut noise)
+    sim.run(&wl, &mut noise, &PaperFaithful)
 }
 
 #[cfg(test)]
@@ -117,7 +99,8 @@ mod tests {
     /// (full sweep in the bench binaries).
     #[test]
     fn shape_speedup_crossover_and_growth() {
-        let pts = run_distributed_experiment([0, 4, 8, 10, 12, 15], &[1e-3], 3, 42, true);
+        let pts =
+            run_distributed_experiment([0, 4, 8, 10, 12, 15], &[1e-3], 3, 42, true, &PaperFaithful);
         let by_level = |lvl: u32| pts.iter().find(|p| p.level == lvl).unwrap();
         // Criterion 1: no gain at low levels.
         assert!(by_level(0).su < 1.0, "su(0) = {}", by_level(0).su);
@@ -137,7 +120,7 @@ mod tests {
 
     #[test]
     fn tighter_tolerance_slower_but_similar_speedup() {
-        let pts = run_distributed_experiment([12], &[1e-3, 1e-4], 2, 7, true);
+        let pts = run_distributed_experiment([12], &[1e-3, 1e-4], 2, 7, true, &PaperFaithful);
         let loose = &pts[0];
         let tight = &pts[1];
         assert!(
@@ -193,15 +176,9 @@ mod tests {
 
     #[test]
     fn bounded_policy_throttles_the_sweep() {
-        let paper = run_distributed_experiment([12], &[1e-3], 2, 9, true);
-        let bounded = run_distributed_experiment_with_policy(
-            [12],
-            &[1e-3],
-            2,
-            9,
-            true,
-            &protocol::BoundedReuse::new(2),
-        );
+        let paper = run_distributed_experiment([12], &[1e-3], 2, 9, true, &PaperFaithful);
+        let bounded =
+            run_distributed_experiment([12], &[1e-3], 2, 9, true, &protocol::BoundedReuse::new(2));
         // Two workers in flight + the master: peak machines capped at 3,
         // and the concurrent time can only grow.
         assert!(bounded[0].peak <= 3, "peak {}", bounded[0].peak);

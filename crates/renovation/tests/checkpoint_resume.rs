@@ -11,10 +11,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use chaos::{FaultKind, FaultPlan};
+use manifold::prelude::MfResult;
 use protocol::PaperFaithful;
-use renovation::{
-    run_concurrent, run_concurrent_opts, run_concurrent_procs, ProcsConfig, RunMode, RunOpts,
-};
+use renovation::{AppConfig, Engine, EngineOpts, JobReport, ProcsConfig, RunMode};
 use solver::sequential::SequentialApp;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -23,11 +22,21 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
+fn threads_run(app: SequentialApp, opts: EngineOpts) -> MfResult<JobReport> {
+    Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts)?.run_one(AppConfig::new(app))
+}
+
+fn procs_run(app: SequentialApp, opts: EngineOpts) -> MfResult<JobReport> {
+    let mut cfg = ProcsConfig::new(2);
+    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
+    Engine::procs(cfg, Arc::new(PaperFaithful), opts)?.run_one(AppConfig::new(app))
+}
+
 #[test]
 fn threads_kill_at_every_point_resumes_bit_identically() {
     let app = SequentialApp::new(2, 2, 1e-3);
     let seq = app.run().unwrap();
-    let uninterrupted = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+    let uninterrupted = threads_run(app, EngineOpts::default()).unwrap();
     let jobs = 2 * app.level as u64 + 1;
 
     // Kill after every possible number of collected results — including
@@ -35,37 +44,22 @@ fn threads_kill_at_every_point_resumes_bit_identically() {
     // pool must still rendezvous.
     for kill_at in 1..=jobs {
         let dir = tmp_dir(&format!("threads-{kill_at}"));
-        let opts = RunOpts {
+        let opts = EngineOpts {
             faults: Some(
                 FaultPlan::new(kill_at).push(FaultKind::MasterKill { at_result: kill_at }),
             ),
             checkpoint_dir: Some(dir.clone()),
-            ..RunOpts::default()
+            ..EngineOpts::default()
         };
-        let err = run_concurrent_opts(
-            &app,
-            &RunMode::Parallel,
-            true,
-            Arc::new(PaperFaithful),
-            &opts,
-        )
-        .unwrap_err()
-        .to_string();
+        let err = threads_run(app, opts).unwrap_err().to_string();
         assert!(err.contains("master killed"), "kill_at {kill_at}: {err}");
 
-        let resumed = RunOpts {
+        let resumed = EngineOpts {
             checkpoint_dir: Some(dir.clone()),
             resume: true,
-            ..RunOpts::default()
+            ..EngineOpts::default()
         };
-        let run = run_concurrent_opts(
-            &app,
-            &RunMode::Parallel,
-            true,
-            Arc::new(PaperFaithful),
-            &resumed,
-        )
-        .unwrap();
+        let run = threads_run(app, resumed).unwrap();
         assert_eq!(run.result.combined, seq.combined, "kill_at {kill_at}");
         assert_eq!(run.result.l2_error, seq.l2_error, "kill_at {kill_at}");
         assert_eq!(
@@ -99,25 +93,25 @@ fn procs_kill_and_resume_is_bit_identical_across_seeds() {
         // resumed run must survive both kinds of failure in one go.
         let plan = FaultPlan::from_seed_with_master_kill(seed, 2, jobs);
 
-        let mut cfg = ProcsConfig::new(2);
-        cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
-        cfg.retry_budget = 16;
-        cfg.faults = Some(plan);
-        cfg.checkpoint_dir = Some(dir.clone());
-        let err = run_concurrent_procs(&app, &cfg, true, Arc::new(PaperFaithful))
-            .unwrap_err()
-            .to_string();
+        let opts = EngineOpts {
+            retry_budget: 16,
+            faults: Some(plan),
+            checkpoint_dir: Some(dir.clone()),
+            ..EngineOpts::default()
+        };
+        let err = procs_run(app, opts).unwrap_err().to_string();
         assert!(err.contains("master killed"), "seed {seed}: {err}");
 
         // Resume without the master kill (its job is done); worker faults
         // restart per incarnation and must still be harmless.
-        let mut cfg2 = ProcsConfig::new(2);
-        cfg2.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
-        cfg2.retry_budget = 16;
-        cfg2.faults = Some(FaultPlan::from_seed(seed, 2, jobs));
-        cfg2.checkpoint_dir = Some(dir.clone());
-        cfg2.resume = true;
-        let run = run_concurrent_procs(&app, &cfg2, true, Arc::new(PaperFaithful)).unwrap();
+        let opts = EngineOpts {
+            retry_budget: 16,
+            faults: Some(FaultPlan::from_seed(seed, 2, jobs)),
+            checkpoint_dir: Some(dir.clone()),
+            resume: true,
+            ..EngineOpts::default()
+        };
+        let run = procs_run(app, opts).unwrap();
 
         assert_eq!(run.result.combined, seq.combined, "seed {seed}");
         assert_eq!(run.result.l2_error, seq.l2_error, "seed {seed}");

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use protocol::{BoundedReuse, CostAware, PaperFaithful, PolicyRef};
-use renovation::{run_concurrent_procs, run_concurrent_with_policy, ProcsConfig, RunMode};
+use renovation::{AppConfig, Engine, EngineOpts, JobReport, ProcsConfig, RunMode};
 use solver::sequential::SequentialApp;
 use transport::BindMode;
 
@@ -16,11 +16,26 @@ fn worker_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker"))
 }
 
-fn procs_cfg(instances: usize, bind: BindMode) -> ProcsConfig {
-    let mut cfg = ProcsConfig::new(instances);
+fn opts(app: &SequentialApp) -> EngineOpts {
+    EngineOpts {
+        capacity_level: app.level,
+        ..EngineOpts::default()
+    }
+}
+
+fn threads_run(app: SequentialApp, policy: PolicyRef) -> JobReport {
+    Engine::threads(RunMode::Parallel, policy, opts(&app))
+        .and_then(|engine| engine.run_one(AppConfig::new(app)))
+        .unwrap()
+}
+
+fn procs_run(app: SequentialApp, bind: BindMode, policy: PolicyRef) -> JobReport {
+    let mut cfg = ProcsConfig::new(2);
     cfg.bind = bind;
     cfg.worker_exe = Some(worker_exe());
-    cfg
+    Engine::procs(cfg, policy, opts(&app))
+        .and_then(|engine| engine.run_one(AppConfig::new(app)))
+        .unwrap()
 }
 
 /// The dispatch-order signature: the master's `dispatch subsolve(l, m)`
@@ -35,9 +50,8 @@ fn dispatch_sequence(records: &[manifold::trace::TraceRecord]) -> Vec<String> {
 
 fn assert_backends_match(policy: PolicyRef, bind: BindMode) {
     let app = SequentialApp::new(2, 2, 1e-3);
-    let threads =
-        run_concurrent_with_policy(&app, &RunMode::Parallel, true, policy.clone()).unwrap();
-    let procs = run_concurrent_procs(&app, &procs_cfg(2, bind), true, policy).unwrap();
+    let threads = threads_run(app, policy.clone());
+    let procs = procs_run(app, bind, policy);
 
     // Bit-identical numbers, not approximately equal.
     assert_eq!(threads.result.combined, procs.result.combined);
@@ -80,13 +94,7 @@ fn paper_faithful_matches_over_unix_sockets() {
 #[test]
 fn remote_traces_carry_real_host_and_child_task_uids() {
     let app = SequentialApp::new(2, 1, 1e-3);
-    let procs = run_concurrent_procs(
-        &app,
-        &procs_cfg(2, BindMode::Tcp),
-        true,
-        Arc::new(PaperFaithful),
-    )
-    .unwrap();
+    let procs = procs_run(app, BindMode::Tcp, Arc::new(PaperFaithful));
 
     let real_host = transport::real_hostname();
     // The proxy workers adopt the children's reported identity: the

@@ -267,7 +267,7 @@ fn an_exhausted_retry_budget_fails_the_jobs_it_hit_and_the_fleet_serves_on() {
     });
     let mut fleet = procs_fleet(EngineOpts {
         faults: Some(plan),
-        retry_budget: Some(0),
+        retry_budget: 0,
         ..level4()
     });
     let app = SequentialApp::new(2, 2, 1e-3);

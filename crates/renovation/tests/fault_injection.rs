@@ -9,24 +9,41 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use chaos::{FaultKind, FaultPlan};
+use manifold::prelude::MfResult;
 use protocol::PaperFaithful;
-use renovation::{run_concurrent_procs, ProcsConfig};
+use renovation::{AppConfig, Engine, EngineOpts, JobReport, ProcsConfig};
 use solver::sequential::SequentialApp;
+
+/// A run whose every incarnation of `instance` 0 dies on its `on_job`-th
+/// job, on a fleet of `instances` worker processes.
+fn crash_run(
+    app: SequentialApp,
+    mut cfg: ProcsConfig,
+    on_job: u64,
+    retry_budget: usize,
+) -> MfResult<JobReport> {
+    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
+    let opts = EngineOpts {
+        faults: Some(FaultPlan::new(0).push(FaultKind::WorkerCrash {
+            instance: 0,
+            on_job,
+        })),
+        retry_budget,
+        ..EngineOpts::default()
+    };
+    Engine::procs(cfg, Arc::new(PaperFaithful), opts)?.run_one(AppConfig::new(app))
+}
 
 #[test]
 fn killed_worker_is_redispatched_and_run_completes() {
     let app = SequentialApp::new(2, 2, 1e-3);
     let seq = app.run().unwrap();
 
-    let mut cfg = ProcsConfig::new(2);
-    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
     // Every incarnation of instance 0 dies on its second job, so the slot
     // keeps making progress (one job per incarnation) while exercising
     // crash → lost-marker → re-dispatch → respawn repeatedly.
-    cfg = cfg.with_crash_on_job(0, 2);
-    cfg.retry_budget = 6;
-
-    let procs = run_concurrent_procs(&app, &cfg, true, Arc::new(PaperFaithful)).unwrap();
+    let procs = crash_run(app, ProcsConfig::new(2), 2, 6).unwrap();
 
     // Correct despite the losses — and not approximately: bit-identical.
     assert_eq!(procs.result.combined, seq.combined);
@@ -53,15 +70,11 @@ fn exhausted_retry_budget_fails_the_run_cleanly() {
     let app = SequentialApp::new(2, 2, 1e-3);
 
     let mut cfg = ProcsConfig::new(1);
-    cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
+    cfg.job_timeout = std::time::Duration::from_secs(20);
     // The only instance dies on its *first* job, every incarnation: no
     // progress is possible, so the budget must run out with a clear error
     // instead of a hang.
-    cfg = cfg.with_crash_on_job(0, 1);
-    cfg.retry_budget = 2;
-    cfg.job_timeout = std::time::Duration::from_secs(20);
-
-    let err = run_concurrent_procs(&app, &cfg, true, Arc::new(PaperFaithful)).unwrap_err();
+    let err = crash_run(app, cfg, 1, 2).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("retry budget") || msg.contains("respawn budget") || msg.contains("lost"),

@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use chaos::{FaultKind, FaultPlan, Watchdog};
 use protocol::PaperFaithful;
-use renovation::{run_concurrent_procs, ProcsConfig};
+use renovation::{AppConfig, Engine, EngineOpts, ProcsConfig};
 use solver::sequential::SequentialApp;
 
 #[test]
@@ -36,10 +36,15 @@ fn procs_survives_a_worker_kill_on_every_incarnation() {
 
     let mut cfg = ProcsConfig::new(2);
     cfg.worker_exe = Some(PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker")));
-    cfg.faults = Some(plan);
-    cfg.retry_budget = 24;
+    let opts = EngineOpts {
+        faults: Some(plan),
+        retry_budget: 24,
+        ..EngineOpts::default()
+    };
 
-    let run = run_concurrent_procs(&app, &cfg, true, Arc::new(PaperFaithful)).unwrap();
+    let run = Engine::procs(cfg, Arc::new(PaperFaithful), opts)
+        .and_then(|engine| engine.run_one(AppConfig::new(app)))
+        .unwrap();
 
     assert_eq!(run.result.combined, seq.combined);
     assert_eq!(run.result.l2_error, seq.l2_error);

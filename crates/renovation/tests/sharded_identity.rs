@@ -9,10 +9,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use protocol::{BoundedReuse, ChurnPlan, CostAware, PaperFaithful, PolicyRef, ShardSpec};
-use renovation::{
-    run_concurrent_opts, run_concurrent_procs, AppConfig, Engine, EngineOpts, ProcsConfig, RunMode,
-    RunOpts,
-};
+use renovation::{AppConfig, Engine, EngineOpts, JobReport, ProcsConfig, RunMode};
 use solver::sequential::SequentialApp;
 use transport::BindMode;
 
@@ -20,12 +17,29 @@ fn worker_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker"))
 }
 
-fn threads_run(
-    app: &SequentialApp,
-    policy: PolicyRef,
-    opts: &RunOpts,
-) -> renovation::ConcurrentResult {
-    run_concurrent_opts(app, &RunMode::Parallel, true, policy, opts).unwrap()
+/// Options for a one-job run of `app`: the fleet sized to its level,
+/// dispatch split over `shards`.
+fn sized(app: &SequentialApp, shards: ShardSpec) -> EngineOpts {
+    EngineOpts {
+        capacity_level: app.level,
+        shards,
+        ..EngineOpts::default()
+    }
+}
+
+fn threads_run(app: &SequentialApp, policy: PolicyRef, opts: EngineOpts) -> JobReport {
+    Engine::threads(RunMode::Parallel, policy, opts)
+        .and_then(|engine| engine.run_one(AppConfig::new(*app)))
+        .unwrap()
+}
+
+fn procs_run(app: &SequentialApp, opts: EngineOpts) -> JobReport {
+    let mut cfg = ProcsConfig::new(2);
+    cfg.bind = BindMode::Unix;
+    cfg.worker_exe = Some(worker_exe());
+    Engine::procs(cfg, Arc::new(PaperFaithful), opts)
+        .and_then(|engine| engine.run_one(AppConfig::new(*app)))
+        .unwrap()
 }
 
 /// The `dispatch subsolve(...)` trace lines, chronological.
@@ -48,7 +62,11 @@ fn count_prefix(records: &[manifold::trace::TraceRecord], prefix: &str) -> usize
 fn sharded_threads_runs_are_bit_identical_to_flat() {
     let app = SequentialApp::new(2, 4, 1e-3);
     let seq = app.run().unwrap();
-    let flat = threads_run(&app, Arc::new(PaperFaithful), &RunOpts::default());
+    let flat = threads_run(
+        &app,
+        Arc::new(PaperFaithful),
+        sized(&app, ShardSpec::default()),
+    );
     assert_eq!(flat.result.combined, seq.combined);
     // The flat trace carries the original, unattributed dispatch line.
     assert!(dispatch_lines(&flat.records)
@@ -56,11 +74,8 @@ fn sharded_threads_runs_are_bit_identical_to_flat() {
         .all(|l| !l.contains("[shard")));
 
     for shards in [2usize, 4, 8] {
-        let opts = RunOpts {
-            shards: ShardSpec::new(shards),
-            ..RunOpts::default()
-        };
-        let sharded = threads_run(&app, Arc::new(PaperFaithful), &opts);
+        let opts = sized(&app, ShardSpec::new(shards));
+        let sharded = threads_run(&app, Arc::new(PaperFaithful), opts);
         assert_eq!(
             sharded.result.combined, seq.combined,
             "{shards}-shard combined field differs from sequential"
@@ -95,11 +110,8 @@ fn steal_off_and_cost_aware_orders_stay_bit_identical() {
     let app = SequentialApp::new(2, 3, 1e-3);
     let seq = app.run().unwrap();
     for steal in [true, false] {
-        let opts = RunOpts {
-            shards: ShardSpec::new(3).with_steal(steal),
-            ..RunOpts::default()
-        };
-        let r = threads_run(&app, Arc::new(CostAware), &opts);
+        let opts = sized(&app, ShardSpec::new(3).with_steal(steal));
+        let r = threads_run(&app, Arc::new(CostAware), opts);
         assert_eq!(r.result.combined, seq.combined, "steal={steal}");
         assert_eq!(r.result.l2_error, seq.l2_error);
     }
@@ -112,11 +124,7 @@ fn work_stealing_is_attributed_in_the_live_trace() {
     // must be visible in the trace and must not perturb the numbers.
     let app = SequentialApp::new(2, 4, 1e-3);
     let seq = app.run().unwrap();
-    let opts = RunOpts {
-        shards: ShardSpec::new(4),
-        ..RunOpts::default()
-    };
-    let r = threads_run(&app, Arc::new(CostAware), &opts);
+    let r = threads_run(&app, Arc::new(CostAware), sized(&app, ShardSpec::new(4)));
     assert_eq!(r.result.combined, seq.combined);
     assert!(
         count_prefix(&r.records, "steal: shard") >= 1,
@@ -190,17 +198,12 @@ fn sharded_sim_backend_matches_flat() {
 #[test]
 fn sharded_procs_match_sharded_threads_line_for_line() {
     let app = SequentialApp::new(2, 3, 1e-3);
-    let opts = RunOpts {
-        shards: ShardSpec::new(2),
-        ..RunOpts::default()
-    };
-    let threads = threads_run(&app, Arc::new(PaperFaithful), &opts);
-
-    let mut cfg = ProcsConfig::new(2);
-    cfg.bind = BindMode::Unix;
-    cfg.worker_exe = Some(worker_exe());
-    cfg.shards = ShardSpec::new(2);
-    let procs = run_concurrent_procs(&app, &cfg, true, Arc::new(PaperFaithful)).unwrap();
+    let threads = threads_run(
+        &app,
+        Arc::new(PaperFaithful),
+        sized(&app, ShardSpec::new(2)),
+    );
+    let procs = procs_run(&app, sized(&app, ShardSpec::new(2)));
 
     assert_eq!(threads.result.combined, procs.result.combined);
     assert_eq!(threads.result.l2_error, procs.result.l2_error);
@@ -279,12 +282,11 @@ fn procs_churn_join_and_leave_loses_nothing() {
     let app = SequentialApp::new(2, 3, 1e-3);
     let seq = app.run().unwrap();
 
-    let mut cfg = ProcsConfig::new(2);
-    cfg.bind = BindMode::Unix;
-    cfg.worker_exe = Some(worker_exe());
-    cfg.shards = ShardSpec::new(2);
-    cfg.churn = ChurnPlan::parse("join@2,leave@5").unwrap();
-    let r = run_concurrent_procs(&app, &cfg, true, Arc::new(PaperFaithful)).unwrap();
+    let opts = EngineOpts {
+        churn: ChurnPlan::parse("join@2,leave@5").unwrap(),
+        ..sized(&app, ShardSpec::new(2))
+    };
+    let r = procs_run(&app, opts);
 
     assert_eq!(r.result.combined, seq.combined, "churn changed the numbers");
     assert_eq!(r.result.l2_error, seq.l2_error);

@@ -7,9 +7,12 @@
 //! cargo run -p renovation --release --example distributed_cluster
 //! ```
 
-use renovation::app::{run_concurrent, RunMode};
+use std::sync::Arc;
+
+use protocol::PaperFaithful;
 use renovation::cost::CostModel;
 use renovation::virtualrun::paper_sim;
+use renovation::{AppConfig, Engine, EngineOpts, RunMode};
 use solver::SequentialApp;
 
 fn main() {
@@ -18,7 +21,13 @@ fn main() {
     let mode = RunMode::Distributed {
         hosts: RunMode::paper_hosts(),
     };
-    let conc = run_concurrent(&app, &mode, true).expect("distributed run failed");
+    let opts = EngineOpts {
+        capacity_level: app.level,
+        ..EngineOpts::default()
+    };
+    let conc = Engine::threads(mode, Arc::new(PaperFaithful), opts)
+        .and_then(|engine| engine.run_one(AppConfig::new(app)))
+        .expect("distributed run failed");
     println!("chronological output of the level-2 distributed run:");
     for rec in conc
         .records
@@ -41,7 +50,7 @@ fn main() {
     let model = CostModel::paper_calibrated();
     let sim = paper_sim(&model);
     let wl = model.workload(2, 12, 1.0e-3, true);
-    let (st, ct, m, _) = sim.run_averaged(&wl, 5, 7);
+    let (st, ct, m, _) = sim.run_averaged(&wl, 5, 7, &PaperFaithful);
     println!(
         "st = {st:.2} s   ct = {ct:.2} s   machines = {m:.1}   speedup = {:.1}",
         st / ct

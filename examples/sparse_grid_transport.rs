@@ -7,7 +7,10 @@
 //! cargo run -p renovation --release --example sparse_grid_transport [-- <max_level>]
 //! ```
 
-use renovation::app::{run_concurrent, RunMode};
+use std::sync::Arc;
+
+use protocol::PaperFaithful;
+use renovation::{AppConfig, Engine, EngineOpts, RunMode};
 use solver::SequentialApp;
 
 fn main() {
@@ -23,7 +26,13 @@ fn main() {
     for level in 0..=max_level {
         let app = SequentialApp::new(2, level, le_tol);
         let seq = app.run().expect("sequential run failed");
-        let conc = run_concurrent(&app, &RunMode::Parallel, true).expect("concurrent run failed");
+        let opts = EngineOpts {
+            capacity_level: level,
+            ..EngineOpts::default()
+        };
+        let conc = Engine::threads(RunMode::Parallel, Arc::new(PaperFaithful), opts)
+            .and_then(|engine| engine.run_one(AppConfig::new(app)))
+            .expect("concurrent run failed");
         let identical = conc.result.combined == seq.combined;
         let steps: usize = seq.per_grid.iter().map(|g| g.steps).sum();
         println!(

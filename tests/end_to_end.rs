@@ -3,29 +3,57 @@
 //! "the computational results … are exactly the same as in the sequential
 //! version".
 
-use renovation::app::{run_concurrent, RunMode};
+use std::sync::Arc;
+
+use protocol::PolicyRef;
+use renovation::{AppConfig, Engine, EngineOpts, JobReport, RunMode};
 use solver::problem::Problem;
 use solver::SequentialApp;
+
+/// One job on a fresh threads fleet deployed as `mode` and sized to it.
+fn run_policy(
+    app: &SequentialApp,
+    mode: &RunMode,
+    data_through_master: bool,
+    policy: PolicyRef,
+) -> JobReport {
+    let opts = EngineOpts {
+        capacity_level: app.level,
+        ..EngineOpts::default()
+    };
+    let job = AppConfig::new(*app).with_data_through_master(data_through_master);
+    Engine::threads(mode.clone(), policy, opts)
+        .and_then(|engine| engine.run_one(job))
+        .unwrap()
+}
+
+fn run(app: &SequentialApp, mode: &RunMode, data_through_master: bool) -> JobReport {
+    run_policy(
+        app,
+        mode,
+        data_through_master,
+        Arc::new(protocol::PaperFaithful),
+    )
+}
 
 #[test]
 fn all_modes_agree_bit_for_bit_level2() {
     let app = SequentialApp::new(2, 2, 1.0e-3);
     let seq = app.run().unwrap();
 
-    let parallel = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+    let parallel = run(&app, &RunMode::Parallel, true);
     assert_eq!(parallel.result.combined, seq.combined);
 
-    let distributed = run_concurrent(
+    let distributed = run(
         &app,
         &RunMode::Distributed {
             hosts: RunMode::paper_hosts(),
         },
         true,
-    )
-    .unwrap();
+    );
     assert_eq!(distributed.result.combined, seq.combined);
 
-    let io_workers = run_concurrent(&app, &RunMode::Parallel, false).unwrap();
+    let io_workers = run(&app, &RunMode::Parallel, false);
     assert_eq!(io_workers.result.combined, seq.combined);
 }
 
@@ -34,7 +62,7 @@ fn agreement_holds_across_levels_and_tolerances() {
     for (level, tol) in [(0u32, 1.0e-3), (1, 1.0e-4), (3, 1.0e-3)] {
         let app = SequentialApp::new(2, level, tol);
         let seq = app.run().unwrap();
-        let conc = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+        let conc = run(&app, &RunMode::Parallel, true);
         assert_eq!(
             conc.result.combined, seq.combined,
             "divergence at level {level}, tol {tol:e}"
@@ -51,7 +79,7 @@ fn agreement_holds_across_levels_and_tolerances() {
 fn agreement_on_manufactured_problem() {
     let app = SequentialApp::new(2, 2, 1.0e-4).with_problem(Problem::manufactured_benchmark());
     let seq = app.run().unwrap();
-    let conc = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+    let conc = run(&app, &RunMode::Parallel, true);
     assert_eq!(conc.result.combined, seq.combined);
     assert!(conc.result.l2_error < 1e-2);
 }
@@ -59,14 +87,13 @@ fn agreement_on_manufactured_problem() {
 #[test]
 fn distributed_trace_reproduces_section6_structure() {
     let app = SequentialApp::new(2, 2, 1.0e-3);
-    let conc = run_concurrent(
+    let conc = run(
         &app,
         &RunMode::Distributed {
             hosts: RunMode::paper_hosts(),
         },
         true,
-    )
-    .unwrap();
+    );
     let recs: Vec<_> = conc
         .records
         .iter()
@@ -107,14 +134,13 @@ fn five_host_cluster_reuses_machines_for_seven_workers() {
     // make it fit ("we need less than six machines to run an application
     // with five workers").
     let app = SequentialApp::new(2, 3, 1.0e-3);
-    let conc = run_concurrent(
+    let conc = run(
         &app,
         &RunMode::Distributed {
             hosts: RunMode::paper_hosts(),
         },
         true,
-    )
-    .unwrap();
+    );
     assert_eq!(conc.outcome.pools()[0].workers_created, 7);
     assert!(conc.machines_used <= 6, "used {}", conc.machines_used);
     let seq = app.run().unwrap();
@@ -124,8 +150,8 @@ fn five_host_cluster_reuses_machines_for_seven_workers() {
 #[test]
 fn repeated_runs_are_deterministic() {
     let app = SequentialApp::new(2, 1, 1.0e-3);
-    let a = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
-    let b = run_concurrent(&app, &RunMode::Parallel, true).unwrap();
+    let a = run(&app, &RunMode::Parallel, true);
+    let b = run(&app, &RunMode::Parallel, true);
     assert_eq!(a.result.combined, b.result.combined);
 }
 
@@ -134,9 +160,6 @@ fn every_policy_matches_sequential_in_every_mode() {
     // The scheduler acceptance matrix: all three dispatch policies, in
     // both deployment modes, must be bit-identical to the sequential
     // program — policies change only job order and worker concurrency.
-    use renovation::app::run_concurrent_with_policy;
-    use std::sync::Arc;
-
     let app = SequentialApp::new(2, 2, 1.0e-3);
     let seq = app.run().unwrap();
     let policies: [protocol::PolicyRef; 3] = [
@@ -152,7 +175,7 @@ fn every_policy_matches_sequential_in_every_mode() {
     ];
     for policy in &policies {
         for mode in &modes {
-            let conc = run_concurrent_with_policy(&app, mode, true, policy.clone()).unwrap();
+            let conc = run_policy(&app, mode, true, policy.clone());
             assert_eq!(
                 conc.result.combined,
                 seq.combined,

@@ -5,6 +5,7 @@
 //! and must reproduce the paper's shape (crossover, saturation, machine
 //! growth) within the documented bands. EXPERIMENTS.md discusses each.
 
+use protocol::PaperFaithful;
 use renovation::cost::{CostModel, REF_TOL};
 use renovation::run_distributed_experiment;
 use renovation::virtualrun::figure1_run;
@@ -60,6 +61,7 @@ fn concurrent_shape_matches_paper() {
         3,
         20040406,
         true,
+        &PaperFaithful,
     );
     let get = |tol: f64, lvl: u32| {
         points
@@ -144,8 +146,8 @@ fn figure1_quantities_match_paper_scale() {
 fn io_worker_ablation_beats_paper_design_at_high_level() {
     // The untried §4.1 alternative: workers fetch their own input, so the
     // master's serial feeding phase shrinks and the speedup grows.
-    let through = run_distributed_experiment([14], &[1.0e-3], 3, 9, true);
-    let io = run_distributed_experiment([14], &[1.0e-3], 3, 9, false);
+    let through = run_distributed_experiment([14], &[1.0e-3], 3, 9, true, &PaperFaithful);
+    let io = run_distributed_experiment([14], &[1.0e-3], 3, 9, false, &PaperFaithful);
     assert!(
         io[0].su > through[0].su,
         "io-workers {} should beat through-master {}",
@@ -156,7 +158,7 @@ fn io_worker_ablation_beats_paper_design_at_high_level() {
 
 #[test]
 fn speedup_bounded_by_machines_and_workers() {
-    let points = run_distributed_experiment([6, 10, 14], &[1.0e-3], 2, 3, true);
+    let points = run_distributed_experiment([6, 10, 14], &[1.0e-3], 2, 3, true, &PaperFaithful);
     for p in &points {
         assert!(p.su <= p.m + 0.5, "su {} > m {}", p.su, p.m);
         assert!(p.peak as u32 <= 2 * p.level + 2);
