@@ -6,24 +6,22 @@
 //! (triplet assembly, full stage rebuilds, allocating BiCGSTAB, per-step
 //! error vector) and through the optimized path (direct CSR assembly,
 //! pattern-cached stage matrix, in-place ILU(0) refactorization, reused
-//! workspaces, SIMD kernels) at each requested tier — asserting the exact
-//! tier is **bitwise identical** with the same step and (re)factorization
-//! counts — and reports per-grid wall times plus a per-kernel breakdown
-//! (assembly, CSR matvec, ILU(0) sweep, dot product) on each level's
-//! calibration grid.
+//! workspaces, SIMD kernels, fused reductions) — asserting it is **bitwise
+//! identical** with the same step and (re)factorization counts — and
+//! reports per-grid wall times plus a per-kernel breakdown (assembly, CSR
+//! matvec, ILU(0) sweep, dot product) on each level's calibration grid.
 //!
 //! ```text
 //! cargo run -p bench --release --bin solver_bench [-- --level 6 |
 //!     --level-range 8..=10] [--root 2 --tol 1e-4 --reps 3
-//!     --tier exact|fast|both --json --assert-zero-alloc]
+//!     --json --assert-zero-alloc]
 //! ```
 //!
 //! `--json` prints only the machine-readable block (the committed
 //! `BENCH_solver.json` is this output). `--assert-zero-alloc` exits
 //! nonzero unless a warm-workspace integration performs **zero** heap
-//! allocations at every requested tier; the
-//! binary installs a counting global allocator so the claim is measured,
-//! not assumed.
+//! allocations; the binary installs a counting global allocator so the
+//! claim is measured, not assumed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -36,13 +34,12 @@ use solver::linsolve::{Ilu0, Preconditioner};
 use solver::problem::Problem;
 use solver::reference::subsolve_reference;
 use solver::rosenbrock::{integrate_with, Ros2Options, Ros2Workspace};
-use solver::simd::{dot_exact, dot_fast};
-use solver::subsolve::{subsolve_tiered, SubsolveRequest};
-use solver::{Tier, WorkCounter};
+use solver::simd::dot_exact;
+use solver::subsolve::{subsolve_with, SubsolveRequest};
+use solver::WorkCounter;
 
 const USAGE: &str = "[--level N | --level-range L..=M] [--root N] [--tol T] \
-     [--reps N] [--tier exact|fast|both] [--json] \
-     [--assert-zero-alloc]";
+     [--reps N] [--json] [--assert-zero-alloc]";
 
 // ---------------------------------------------------------------------------
 // Counting allocator: tallies this thread's heap allocations so the
@@ -98,8 +95,8 @@ struct GridReport {
     refactorizations: u64,
     flops: u64,
     ref_ms: f64,
-    /// Optimized wall time per timed tier, `tier_ms[i]` matching `tiers[i]`.
-    tier_ms: Vec<f64>,
+    /// Optimized wall time.
+    exact_ms: f64,
 }
 
 /// Per-kernel nanoseconds per call on a level's calibration grid.
@@ -110,7 +107,6 @@ struct KernelReport {
     matvec_ns: f64,
     sweep_ns: f64,
     dot_exact_ns: f64,
-    dot_fast_ns: f64,
 }
 
 struct LevelReport {
@@ -171,11 +167,6 @@ fn kernel_bench(root: u32, level: u32, problem: &Problem, reps: usize) -> Kernel
             acc += dot_exact(std::hint::black_box(&x), &y);
         }
     });
-    let df_s = best_of(reps, || {
-        for _ in 0..dot_iters {
-            acc += dot_fast(std::hint::black_box(&x), &y);
-        }
-    });
     std::hint::black_box(acc);
     KernelReport {
         unknowns: n,
@@ -184,17 +175,16 @@ fn kernel_bench(root: u32, level: u32, problem: &Problem, reps: usize) -> Kernel
         matvec_ns: matvec_s * 1e9 / iters as f64,
         sweep_ns: sweep_s * 1e9 / iters as f64,
         dot_exact_ns: de_s * 1e9 / dot_iters as f64,
-        dot_fast_ns: df_s * 1e9 / dot_iters as f64,
     }
 }
 
-/// Warm-workspace allocation count of the integrate hot loop at one tier.
-fn zero_alloc_window(root: u32, level: u32, problem: &Problem, tol: f64, tier: Tier) -> u64 {
+/// Warm-workspace allocation count of the integrate hot loop.
+fn zero_alloc_window(root: u32, level: u32, problem: &Problem, tol: f64) -> u64 {
     let g = calibration_grid(root, level);
     let mut wk = WorkCounter::new();
     let disc = assemble(&g, problem, &mut wk);
     let u0 = disc.exact_interior(problem.t0);
-    let opts = Ros2Options::with_tol(tol).with_tier(tier);
+    let opts = Ros2Options::with_tol(tol);
     let mut ws = Ros2Workspace::new();
     let (u_warm, _) = integrate_with(
         &disc,
@@ -223,13 +213,11 @@ fn zero_alloc_window(root: u32, level: u32, problem: &Problem, tol: f64, tier: T
     allocs
 }
 
-#[allow(clippy::too_many_arguments)]
 fn bench_level(
     root: u32,
     level: u32,
     tol: f64,
     reps: usize,
-    tiers: &[Tier],
     problem: &Problem,
     bit_identical: &mut bool,
     counts_match: &mut bool,
@@ -248,33 +236,22 @@ fn bench_level(
         }
         let ref_res = ref_res.unwrap();
 
-        let mut tier_ms = Vec::new();
-        let mut exact_report = None;
-        for &tier in tiers {
-            let mut best = f64::INFINITY;
-            let mut res = None;
-            let mut ws = Ros2Workspace::new();
-            for _ in 0..reps {
-                let t0 = Instant::now();
-                let r = subsolve_tiered(&req, tier, &mut ws).expect("optimized subsolve");
-                best = best.min(t0.elapsed().as_secs_f64());
-                res = Some(r);
-            }
-            let res = res.unwrap();
-            if tier == Tier::Exact {
-                *bit_identical &= ref_res.values == res.values;
-                *counts_match &= ref_res.steps == res.steps
-                    && ref_res.rejected == res.rejected
-                    && ref_res.work.flops == res.work.flops
-                    && ref_res.work.factorizations
-                        == res.work.factorizations + res.work.refactorizations;
-            }
-            if exact_report.is_none() || tier == Tier::Exact {
-                exact_report = Some(res);
-            }
-            tier_ms.push(best * 1e3);
+        let mut best = f64::INFINITY;
+        let mut opt_res = None;
+        let mut ws = Ros2Workspace::new();
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            let r = subsolve_with(&req, &mut ws).expect("optimized subsolve");
+            best = best.min(t0.elapsed().as_secs_f64());
+            opt_res = Some(r);
         }
-        let opt_res = exact_report.unwrap();
+        let opt_res = opt_res.unwrap();
+        *bit_identical &= ref_res.values == opt_res.values;
+        *counts_match &= ref_res.steps == opt_res.steps
+            && ref_res.rejected == opt_res.rejected
+            && ref_res.work.flops == opt_res.work.flops
+            && ref_res.work.factorizations
+                == opt_res.work.factorizations + opt_res.work.refactorizations;
 
         let g = req.grid();
         grids.push(GridReport {
@@ -285,7 +262,7 @@ fn bench_level(
             refactorizations: opt_res.work.factorizations + opt_res.work.refactorizations,
             flops: opt_res.work.flops,
             ref_ms: ref_best * 1e3,
-            tier_ms,
+            exact_ms: best * 1e3,
         });
     }
 
@@ -315,19 +292,13 @@ fn main() {
     let root: u32 = cli.parsed("--root", 2);
     let tol: f64 = cli.parsed("--tol", 1e-4);
     let reps: usize = cli.parsed("--reps", 3);
-    let tiers = cli.tiers();
 
     let problem = Problem::transport_benchmark();
 
-    // --- Zero-allocation property at every requested tier. ---------------
+    // --- Zero-allocation property. ----------------------------------------
     // Warm one workspace, then measure: the second, identical integration
     // must not touch the heap at all.
-    let za_level = *levels.start();
-    let warm_allocs = tiers
-        .iter()
-        .map(|&tier| zero_alloc_window(root, za_level, &problem, tol, tier))
-        .max()
-        .unwrap_or(0);
+    let warm_allocs = zero_alloc_window(root, *levels.start(), &problem, tol);
 
     // --- Per-grid reference vs. optimized timing, per level. -------------
     let mut bit_identical = true;
@@ -340,7 +311,6 @@ fn main() {
                 level,
                 tol,
                 reps,
-                &tiers,
                 &problem,
                 &mut bit_identical,
                 &mut counts_match,
@@ -351,59 +321,43 @@ fn main() {
     if !json_only {
         println!("solver hot-path benchmark: reference vs. SIMD subsolve");
         println!(
-            "root {root}, levels {}..={}, tol {tol:.1e}, best of {reps} reps, \
-             tiers [{}], backend {}",
+            "root {root}, levels {}..={}, tol {tol:.1e}, best of {reps} reps, backend {}",
             levels.start(),
             levels.end(),
-            tiers
-                .iter()
-                .map(|t| t.name())
-                .collect::<Vec<_>>()
-                .join(", "),
             solver::simd::backend().name(),
         );
         for lr in &reports {
             println!();
             println!("  level {}", lr.level);
-            print!("  grid        n   steps  refac    ref ms");
-            for t in &tiers {
-                print!("  {:>6} ms  spdup", t.name());
-            }
-            println!();
+            println!("  grid        n   steps  refac    ref ms   exact ms  spdup");
             for r in &lr.grids {
-                print!(
-                    "  ({},{})  {:>7} {:>7} {:>6} {:>9.2}",
-                    r.l, r.m, r.unknowns, r.steps, r.refactorizations, r.ref_ms
+                println!(
+                    "  ({},{})  {:>7} {:>7} {:>6} {:>9.2}  {:>9.2} {:>6.2}",
+                    r.l,
+                    r.m,
+                    r.unknowns,
+                    r.steps,
+                    r.refactorizations,
+                    r.ref_ms,
+                    r.exact_ms,
+                    r.ref_ms / r.exact_ms.max(1e-12)
                 );
-                for ms in &r.tier_ms {
-                    print!("  {:>9.2} {:>6.2}", ms, r.ref_ms / ms.max(1e-12));
-                }
-                println!();
             }
             let total_ref: f64 = lr.grids.iter().map(|r| r.ref_ms).sum();
-            for (i, t) in tiers.iter().enumerate() {
-                let total: f64 = lr.grids.iter().map(|r| r.tier_ms[i]).sum();
-                println!(
-                    "  total {}: {total_ref:.1} ms -> {total:.1} ms ({:.2}x)",
-                    t.name(),
-                    total_ref / total.max(1e-12)
-                );
-            }
+            let total: f64 = lr.grids.iter().map(|r| r.exact_ms).sum();
+            println!(
+                "  total exact: {total_ref:.1} ms -> {total:.1} ms ({:.2}x)",
+                total_ref / total.max(1e-12)
+            );
             let k = &lr.kernels;
             println!(
                 "  kernels (n {}, nnz {}): assembly {:.1} us, matvec {:.0} ns, \
-                 sweep {:.0} ns, dot exact {:.0} ns / fast {:.0} ns",
-                k.unknowns,
-                k.nnz,
-                k.assembly_us,
-                k.matvec_ns,
-                k.sweep_ns,
-                k.dot_exact_ns,
-                k.dot_fast_ns
+                 sweep {:.0} ns, dot exact {:.0} ns",
+                k.unknowns, k.nnz, k.assembly_us, k.matvec_ns, k.sweep_ns, k.dot_exact_ns,
             );
         }
         println!();
-        println!("  bit-identical (exact tier): {bit_identical}, counts match: {counts_match}");
+        println!("  bit-identical: {bit_identical}, counts match: {counts_match}");
         println!("  warm-workspace integrate allocations: {warm_allocs}");
         println!();
     }
@@ -413,14 +367,6 @@ fn main() {
     println!("  \"root\": {root},");
     println!("  \"tol\": {tol:e},");
     println!("  \"reps\": {reps},");
-    println!(
-        "  \"tiers\": [{}],",
-        tiers
-            .iter()
-            .map(|t| format!("\"{}\"", t.name()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
     println!("  \"backend\": \"{}\",", solver::simd::backend().name());
     println!("  \"levels\": [");
     for (li, lr) in reports.iter().enumerate() {
@@ -430,49 +376,35 @@ fn main() {
         println!("      \"grids\": [");
         for (i, r) in lr.grids.iter().enumerate() {
             let comma = if i + 1 < lr.grids.len() { "," } else { "" };
-            let tier_fields = tiers
-                .iter()
-                .zip(&r.tier_ms)
-                .map(|(t, ms)| {
-                    format!(
-                        "\"{0}_ms\": {1:.3}, \"speedup_{0}\": {2:.3}",
-                        t.name(),
-                        ms,
-                        r.ref_ms / ms.max(1e-12)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(", ");
             println!(
                 "        {{\"l\": {}, \"m\": {}, \"unknowns\": {}, \"steps\": {}, \
-                 \"refactorizations\": {}, \"flops\": {}, \"ref_ms\": {:.3}, {tier_fields}}}{comma}",
-                r.l, r.m, r.unknowns, r.steps, r.refactorizations, r.flops, r.ref_ms,
+                 \"refactorizations\": {}, \"flops\": {}, \"ref_ms\": {:.3}, \
+                 \"exact_ms\": {:.3}, \"speedup_exact\": {:.3}}}{comma}",
+                r.l,
+                r.m,
+                r.unknowns,
+                r.steps,
+                r.refactorizations,
+                r.flops,
+                r.ref_ms,
+                r.exact_ms,
+                r.ref_ms / r.exact_ms.max(1e-12)
             );
         }
         println!("      ],");
         let total_ref: f64 = lr.grids.iter().map(|r| r.ref_ms).sum();
         println!("      \"total_ref_ms\": {total_ref:.3},");
-        for (i, t) in tiers.iter().enumerate() {
-            let total: f64 = lr.grids.iter().map(|r| r.tier_ms[i]).sum();
-            println!("      \"total_{}_ms\": {total:.3},", t.name());
-            println!(
-                "      \"overall_speedup_{}\": {:.3},",
-                t.name(),
-                total_ref / total.max(1e-12)
-            );
-        }
+        let total: f64 = lr.grids.iter().map(|r| r.exact_ms).sum();
+        println!("      \"total_exact_ms\": {total:.3},");
+        println!(
+            "      \"overall_speedup_exact\": {:.3},",
+            total_ref / total.max(1e-12)
+        );
         let k = &lr.kernels;
         println!(
             "      \"kernels\": {{\"unknowns\": {}, \"nnz\": {}, \"assembly_us\": {:.3}, \
-             \"matvec_ns\": {:.1}, \"sweep_ns\": {:.1}, \"dot_exact_ns\": {:.1}, \
-             \"dot_fast_ns\": {:.1}}},",
-            k.unknowns,
-            k.nnz,
-            k.assembly_us,
-            k.matvec_ns,
-            k.sweep_ns,
-            k.dot_exact_ns,
-            k.dot_fast_ns
+             \"matvec_ns\": {:.1}, \"sweep_ns\": {:.1}, \"dot_exact_ns\": {:.1}}},",
+            k.unknowns, k.nnz, k.assembly_us, k.matvec_ns, k.sweep_ns, k.dot_exact_ns,
         );
         println!(
             "      \"flops_per_unknown_step\": {:.3}",
@@ -487,7 +419,7 @@ fn main() {
     println!("}}");
 
     if !bit_identical || !counts_match {
-        eprintln!("FAIL: optimized exact tier diverged from the reference");
+        eprintln!("FAIL: optimized subsolve diverged from the reference");
         std::process::exit(1);
     }
     if assert_zero_alloc && warm_allocs != 0 {

@@ -94,19 +94,6 @@ impl Cli {
         }
     }
 
-    /// `--tier exact|fast|both` — which solver tiers a bench exercises.
-    pub fn tiers(&self) -> Vec<solver::Tier> {
-        match self.value("--tier") {
-            None | Some("both") => vec![solver::Tier::Exact, solver::Tier::Fast],
-            Some(v) => match solver::Tier::parse(v) {
-                Some(t) => vec![t],
-                None => {
-                    self.usage_exit(&format!("--tier: expected exact, fast, or both, got {v:?}"))
-                }
-            },
-        }
-    }
-
     /// `--policy paper-faithful|bounded-reuse:N|cost-aware`, defaulting to
     /// the paper's dispatch order.
     pub fn policy(&self) -> PolicyRef {
@@ -244,16 +231,6 @@ mod tests {
         assert_eq!(cli(&["--level-range", "6..=8"]).level_range(3), 6..=8);
         assert_eq!(cli(&["--level", "5"]).level_range(3), 5..=5);
         assert_eq!(cli(&[]).level_range(3), 3..=3);
-    }
-
-    #[test]
-    fn tiers_parse() {
-        assert_eq!(
-            cli(&[]).tiers(),
-            vec![solver::Tier::Exact, solver::Tier::Fast]
-        );
-        assert_eq!(cli(&["--tier", "exact"]).tiers(), vec![solver::Tier::Exact]);
-        assert_eq!(cli(&["--tier", "fast"]).tiers(), vec![solver::Tier::Fast]);
     }
 
     #[test]

@@ -54,8 +54,7 @@ pub mod work;
 pub use grid::{Grid2, GridIndex};
 pub use problem::Problem;
 pub use sequential::{SequentialApp, SequentialResult};
-pub use simd::Tier;
-pub use subsolve::{subsolve, subsolve_tiered, subsolve_with, SubsolveRequest, SubsolveResult};
+pub use subsolve::{subsolve, subsolve_with, SubsolveRequest, SubsolveResult};
 pub use work::WorkCounter;
 
 /// Discrete L2 norm of a vector (RMS): `sqrt(Σ v_i² / n)`.

@@ -11,7 +11,7 @@
 //! [`KrylovWorkspace`] so the integrator's inner loop performs no heap
 //! allocation at all. BiCGSTAB is the crate's one Krylov solver.
 
-use crate::simd::{self, Backend, F64x4, Tier, LANES};
+use crate::simd::{self, Backend, Dot, F64x4, Square, LANES, SUM_START};
 use crate::sparse::{Csr, StencilPlan};
 use crate::work::WorkCounter;
 
@@ -788,22 +788,6 @@ pub struct SolveStats {
     pub residual: f64,
 }
 
-/// Tier-dispatched dot product: strict sequential order on the exact tier
-/// (bit-identical to `solver::reference`), the fixed stride-8 reassociated
-/// pattern of [`crate::simd::dot_fast`] on the fast tier.
-#[inline]
-fn tier_dot(tier: Tier, a: &[f64], b: &[f64]) -> f64 {
-    match tier {
-        Tier::Exact => simd::dot_exact(a, b),
-        Tier::Fast => simd::dot_fast(a, b),
-    }
-}
-
-#[inline]
-fn tier_norm2(tier: Tier, a: &[f64]) -> f64 {
-    tier_dot(tier, a, a).sqrt()
-}
-
 /// Reusable scratch vectors for the Krylov solver ([`bicgstab_with`]).
 /// Allocate one per integration (or per subsolve) and thread it through
 /// every stage solve: after the first call at a given size, subsequent
@@ -862,6 +846,19 @@ pub fn bicgstab(
 /// [`bicgstab`] on caller-owned scratch: zero heap allocations once the
 /// workspace has been sized (first call at dimension `n`). Bit-identical to
 /// the allocating entry point — same operations in the same order.
+///
+/// Every dot product and norm adds its products in strict sequential order
+/// — bit-identical to `solver::reference`, whose iteration runs six of
+/// these serial chains, each in a pass of its own. Here each one rides the
+/// pass that writes its operand ([`crate::simd::Chain`]), so its adds
+/// overlap that pass's work:
+///
+/// * `‖s‖²` — the `s = r − αv` update;
+/// * `‖r‖²` and `(r̂, r)` — the `r = s − ωt` update; `(r̂, r)` is the next
+///   iteration's `ρ`. Before the first iteration one pass forms `r = b −
+///   Ax` with `‖b‖²` and `‖r‖²`, which is also the first `ρ` (`r̂ = r`);
+/// * `(r̂, v)` — the matvec writing `v`;
+/// * `(t, t)` and `(t, s)` — the matvec writing `t`.
 #[allow(clippy::too_many_arguments)] // a solver signature
 pub fn bicgstab_with(
     a: &Csr,
@@ -873,35 +870,9 @@ pub fn bicgstab_with(
     ws: &mut KrylovWorkspace,
     work: &mut WorkCounter,
 ) -> Result<SolveStats, SolveError> {
-    bicgstab_tiered(a, precond, b, x, rel_tol, max_iters, Tier::Exact, ws, work)
-}
-
-/// [`bicgstab_with`] with an explicit numerical [`Tier`].
-///
-/// `Tier::Exact` is byte-for-byte the historical solver: every reduction in
-/// strict sequential order. `Tier::Fast` reroutes the seven per-iteration
-/// dot products/norms — the latency-bound scalar chains that dominate the
-/// iteration once sweeps and matvec are vectorized — through the
-/// reassociated [`crate::simd::dot_fast`] pattern; the elementwise updates
-/// and sweeps are identical between the tiers. Fast-tier results carry a
-/// measured error bound (see the tier tests and DESIGN.md), not bitwise
-/// reproducibility against the reference oracle.
-#[allow(clippy::too_many_arguments)] // a solver signature
-pub fn bicgstab_tiered(
-    a: &Csr,
-    precond: &dyn Preconditioner,
-    b: &[f64],
-    x: &mut [f64],
-    rel_tol: f64,
-    max_iters: usize,
-    tier: Tier,
-    ws: &mut KrylovWorkspace,
-    work: &mut WorkCounter,
-) -> Result<SolveStats, SolveError> {
     let n = a.n();
     assert_eq!(b.len(), n);
     assert_eq!(x.len(), n);
-    let bnorm = tier_norm2(tier, b).max(1e-300);
 
     ws.ensure(n);
     let KrylovWorkspace {
@@ -918,9 +889,15 @@ pub fn bicgstab_tiered(
 
     a.matvec_into(x, r);
     work.add_matvec(a.nnz());
+    // r = b − A·x, carrying ‖b‖² and ‖r‖² (also the first ρ = (r̂, r), as
+    // r̂ starts as r).
+    let (mut bb, mut rr) = (SUM_START, SUM_START);
     for (ri, bi) in r.iter_mut().zip(b) {
         *ri = bi - *ri;
+        bb += bi * bi;
+        rr += *ri * *ri;
     }
+    let bnorm = bb.sqrt().max(1e-300);
     r_hat.copy_from_slice(r);
     let mut rho = 1.0_f64;
     let mut alpha = 1.0_f64;
@@ -928,7 +905,8 @@ pub fn bicgstab_tiered(
     v.fill(0.0);
     p.fill(0.0);
 
-    let mut resid = tier_norm2(tier, r) / bnorm;
+    let mut rho_next = rr;
+    let mut resid = rr.sqrt() / bnorm;
     if resid <= rel_tol {
         return Ok(SolveStats {
             iterations: 0,
@@ -938,45 +916,44 @@ pub fn bicgstab_tiered(
 
     for it in 1..=max_iters {
         work.add_lin_iter();
-        let rho_new = tier_dot(tier, r_hat, r);
+        let rho_new = rho_next;
         if rho_new.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it - 1 });
         }
         let beta = (rho_new / rho) * (alpha / omega);
         simd::p_update(p, r, beta, omega, v);
         precond.apply(p, p_hat, work);
-        a.matvec_into(p_hat, v);
+        let [rv] = a.matvec_dots(p_hat, v, (Dot(r_hat),));
         work.add_matvec(a.nnz());
-        let rv = tier_dot(tier, r_hat, v);
         if rv.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
         alpha = rho_new / rv;
-        simd::s_update(s, r, alpha, v);
-        if tier_norm2(tier, s) / bnorm <= rel_tol {
+        let [ss] = simd::s_update(s, r, alpha, v, (Square,));
+        let s_resid = ss.sqrt() / bnorm;
+        if s_resid <= rel_tol {
             simd::axpy(x, alpha, p_hat);
             work.add_vector_ops(n, 6);
             return Ok(SolveStats {
                 iterations: it,
-                residual: tier_norm2(tier, s) / bnorm,
+                residual: s_resid,
             });
         }
         precond.apply(s, s_hat, work);
-        a.matvec_into(s_hat, t);
+        let [tt, ts] = a.matvec_dots(s_hat, t, (Square, Dot(s)));
         work.add_matvec(a.nnz());
-        let tt = tier_dot(tier, t, t);
         if tt.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
-        omega = tier_dot(tier, t, s) / tt;
+        omega = ts / tt;
         if omega.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
         simd::x_update(x, alpha, p_hat, omega, s_hat);
         // r = s - omega * t: same expression shape as the s-update kernel.
-        simd::s_update(r, s, omega, t);
+        let [rr, rhat_r] = simd::s_update(r, s, omega, t, (Square, Dot(r_hat)));
         work.add_vector_ops(n, 10);
-        resid = tier_norm2(tier, r) / bnorm;
+        resid = rr.sqrt() / bnorm;
         if resid <= rel_tol {
             return Ok(SolveStats {
                 iterations: it,
@@ -984,6 +961,7 @@ pub fn bicgstab_tiered(
             });
         }
         rho = rho_new;
+        rho_next = rhat_r;
     }
     Err(SolveError::MaxIterations { residual: resid })
 }

@@ -31,8 +31,7 @@
 //! (re)factorization counts.
 
 use crate::assemble::Discretization;
-use crate::linsolve::{bicgstab_tiered, Ilu0, KrylovWorkspace, SolveError};
-use crate::simd::{F64x4, Tier, LANES};
+use crate::linsolve::{bicgstab_with, Ilu0, KrylovWorkspace, SolveError};
 use crate::sparse::CachedStage;
 use crate::work::WorkCounter;
 
@@ -84,11 +83,6 @@ pub struct Ros2Options {
     pub lin_tol: f64,
     /// Iteration cap for the stage linear solves.
     pub lin_max_iters: usize,
-    /// Numerical tier for the reductions inside the stage solves and the
-    /// error norm. [`Tier::Exact`] (the default) is bit-identical to
-    /// [`crate::reference`]; [`Tier::Fast`] reassociates them (see
-    /// [`crate::simd`]) for speed with a measured error bound.
-    pub tier: Tier,
 }
 
 impl Ros2Options {
@@ -100,14 +94,7 @@ impl Ros2Options {
             max_steps: 200_000,
             lin_tol: 1e-10,
             lin_max_iters: 500,
-            tier: Tier::Exact,
         }
-    }
-
-    /// Builder-style tier override.
-    pub fn with_tier(mut self, tier: Tier) -> Self {
-        self.tier = tier;
-        self
     }
 }
 
@@ -137,44 +124,6 @@ pub(crate) fn error_norm(err: &[f64], u: &[f64], tol: f64) -> f64 {
         })
         .sum();
     (sum / n as f64).sqrt()
-}
-
-/// Fast-tier [`error_norm`]: the same per-element term, accumulated in four
-/// lanes (stride 4, combined `(a0+a1)+(a2+a3)`, sequential tail). The
-/// per-step reduction is one of the latency-bound scalar chains the fast
-/// tier exists to break; like [`crate::simd::dot_fast`] the pattern is
-/// fixed, so the result is deterministic across backends.
-fn error_norm_fast(err: &[f64], u: &[f64], tol: f64) -> f64 {
-    debug_assert_eq!(err.len(), u.len());
-    let n = err.len();
-    let tolv = F64x4::splat(tol);
-    let onev = F64x4::splat(1.0);
-    let mut acc = F64x4::zero();
-    let mut i = 0;
-    // SAFETY: i + 4 <= n inside the loop.
-    unsafe {
-        while i + LANES <= n {
-            let w = tolv.mul(onev.add(F64x4::load(u, i).abs()));
-            let r = F64x4::load(err, i).div(w);
-            acc = acc.add(r.mul(r));
-            i += LANES;
-        }
-    }
-    let mut sum = (acc.0[0] + acc.0[1]) + (acc.0[2] + acc.0[3]);
-    while i < n {
-        let w = tol * (1.0 + u[i].abs());
-        let r = err[i] / w;
-        sum += r * r;
-        i += 1;
-    }
-    (sum / n.max(1) as f64).sqrt()
-}
-
-pub(crate) fn error_norm_tiered(tier: Tier, err: &[f64], u: &[f64], tol: f64) -> f64 {
-    match tier {
-        Tier::Exact => error_norm(err, u, tol),
-        Tier::Fast => error_norm_fast(err, u, tol),
-    }
 }
 
 /// The cached stage system: `I − γ·dt·A` with pattern-reusing values and
@@ -313,14 +262,13 @@ pub fn integrate_with(
         // Stage 1.
         disc.rhs_into_with(t, &u, &mut ws.f1, &mut ws.g, work);
         ws.k1.fill(0.0);
-        bicgstab_tiered(
+        bicgstab_with(
             st.cache.matrix(),
             &st.ilu,
             &ws.f1,
             &mut ws.k1,
             opts.lin_tol,
             opts.lin_max_iters,
-            opts.tier,
             &mut ws.krylov,
             work,
         )
@@ -335,14 +283,13 @@ pub fn integrate_with(
             *f2i -= 2.0 * k1i;
         }
         ws.k2.fill(0.0);
-        bicgstab_tiered(
+        bicgstab_with(
             st.cache.matrix(),
             &st.ilu,
             &ws.f2,
             &mut ws.k2,
             opts.lin_tol,
             opts.lin_max_iters,
-            opts.tier,
             &mut ws.krylov,
             work,
         )
@@ -355,7 +302,7 @@ pub fn integrate_with(
         for ((ei, k1i), k2i) in ws.err.iter_mut().zip(&ws.k1).zip(&ws.k2) {
             *ei = 0.5 * dt_step * (k1i + k2i);
         }
-        let enorm = error_norm_tiered(opts.tier, &ws.err, &u, opts.tol);
+        let enorm = error_norm(&ws.err, &u, opts.tol);
         work.add_vector_ops(n, 8);
 
         if enorm <= 1.0 {

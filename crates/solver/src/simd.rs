@@ -6,59 +6,28 @@
 //! * **Lanewise kernels** (axpy-style elementwise updates, lane-per-row
 //!   sweeps and matvecs) evaluate *exactly the same expression tree per
 //!   element* as the scalar code — lanes never interact — so they are
-//!   bit-identical to scalar by construction and safe on the default tier.
-//! * **Reassociating reductions** ([`dot_fast`], [`norm2_fast`]) change the
-//!   summation order (a fixed stride-8, two-register accumulation pattern)
-//!   and therefore live behind the opt-in [`Tier::Fast`]; the error is
-//!   bounded and measured by tests, and the pattern is *deterministic* —
-//!   the AVX2 and portable instantiations produce the same bits, only the
-//!   exact tier differs from them.
+//!   bit-identical to scalar by construction.
+//! * **Reductions are never reassociated.** Every dot product and norm adds
+//!   its products in ascending index order from the start value of `f64`'s
+//!   `Sum`, exactly as [`dot_exact`]. What the hot ones change is *where*
+//!   the chain runs: a [`Chain`] rides the pass that writes its operand (the
+//!   BiCGSTAB updates here, the stencil matvec in [`crate::sparse`]), so
+//!   its serial adds overlap that pass's work instead of getting a pass of
+//!   their own.
 //!
 //! Dispatch is resolved once at startup ([`backend`]): on `x86_64` with AVX2
 //! detected at runtime the kernels run as `#[target_feature(enable =
-//! "avx2")]` instantiations of the same portable [`F64x4`] bodies (plus a
-//! hand-written `core::arch` path for the reductions); otherwise the
-//! portable bodies run under the baseline ISA. Building the crate with the
-//! `force-scalar` feature pins plain scalar loops everywhere, which is the
-//! baseline CI keeps green and the denominator the benches report against.
+//! "avx2")]` instantiations of the same portable [`F64x4`] bodies;
+//! otherwise the portable bodies run under the baseline ISA. Building the
+//! crate with the `force-scalar` feature pins plain scalar loops everywhere,
+//! which is the baseline CI keeps green and the denominator the benches
+//! report against.
 
 use std::sync::OnceLock;
 
 /// Lane width of the explicit vector type. All blocked kernels consume
 /// elements in chunks of this many `f64`s with a scalar remainder loop.
 pub const LANES: usize = 4;
-
-/// Numerical tier for the Krylov solver's reductions.
-///
-/// `Exact` (the default) keeps every dot product and norm in strict
-/// left-to-right order — bit-identical to `solver::reference`. `Fast`
-/// reassociates reductions into the fixed stride-8 pattern implemented in
-/// this module; everything *else* (sweeps, matvecs, elementwise updates)
-/// is identical between the tiers.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Tier {
-    #[default]
-    Exact,
-    Fast,
-}
-
-impl Tier {
-    /// Parse a CLI-style tier name.
-    pub fn parse(s: &str) -> Option<Tier> {
-        match s {
-            "exact" => Some(Tier::Exact),
-            "fast" => Some(Tier::Fast),
-            _ => None,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Tier::Exact => "exact",
-            Tier::Fast => "fast",
-        }
-    }
-}
 
 /// Which instantiation of the kernels this process runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -206,138 +175,177 @@ impl F64x4 {
 }
 
 // ---------------------------------------------------------------------------
-// Exact-tier reductions (strict left-to-right order, same as reference).
+// Ordered reductions (strict left-to-right order, same as reference).
+//
+// A scalar dot product is *latency*-bound: one dependent add per element,
+// and strict IEEE semantics forbid breaking the chain. BiCGSTAB runs six
+// such chains per iteration, so instead of a pass each they ride the passes
+// that produce their operands (see `bicgstab_with`): `‖s‖²` the `s`
+// update, `‖r‖²` and `(r̂, r)` the `r` update, `(r̂, v)` the matvec that
+// writes `v`, `(t, t)` and `(t, s)` the one that writes `t`. Each chain
+// still adds one product per element in ascending order from `SUM_START`,
+// so its bits are [`dot_exact`]'s.
 // ---------------------------------------------------------------------------
 
-/// Sequential dot product — the exact-tier reduction, bit-identical to the
-/// reference solver's.
+/// The start value of `f64`'s `Sum` (`-0.0`, so a sum of `-0.0` terms stays
+/// `-0.0`). Every fused chain starts here, as [`dot_exact`]'s `.sum()` does.
+pub(crate) const SUM_START: f64 = -0.0;
+
+/// Sequential dot product, bit-identical to the reference solver's.
 #[inline]
 pub fn dot_exact(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Sequential 2-norm (exact tier).
-#[inline]
-pub fn norm2_exact(a: &[f64]) -> f64 {
-    dot_exact(a, a).sqrt()
+/// One ordered reduction a fused kernel carries over the vector `y` it
+/// writes — [`Square`] or [`Dot`]. The sum has the bits of [`dot_exact`]
+/// over the finished `y`. Chain kinds are types, not values, so a kernel
+/// instance carries exactly its chains' arithmetic and nothing that picks
+/// between them per element.
+pub trait Chain: Copy {
+    /// The factor element `i` (value `y`) is multiplied by.
+    ///
+    /// # Safety
+    /// `i < n` for an `n` that [`Chain::check`] accepted.
+    unsafe fn factor(self, i: usize, y: f64) -> f64;
+
+    /// Panics unless the chain can run over a `y` of length `n`.
+    fn check(self, _n: usize) {}
 }
 
-// ---------------------------------------------------------------------------
-// Fast-tier reductions: fixed stride-8, two-register accumulation.
-//
-// Scalar dot products are *latency*-bound: one dependent add every ~4
-// cycles, and strict IEEE semantics forbid the compiler from breaking the
-// chain. BiCGSTAB performs seven reductions per iteration, which makes this
-// the single hottest scalar pattern left after PR 3. The fast tier keeps
-// eight partial sums in flight (two F64x4 registers), which hides the add
-// latency and vectorizes; the final combine order is fixed:
-//
-//   acc = acc0 + acc1 (lanewise);  h = (acc[0]+acc[1]) + (acc[2]+acc[3]);
-//   h += tail elements in order.
-//
-// Because that pattern is fixed, the AVX2 and portable instantiations give
-// identical bits — only the *exact* tier differs from the fast tier.
-// ---------------------------------------------------------------------------
+/// `Σ yᵢ·yᵢ`, a squared norm.
+#[derive(Clone, Copy, Debug)]
+pub struct Square;
 
-macro_rules! fast_reduce_body {
-    ($a:ident, $b:ident) => {{
-        debug_assert_eq!($a.len(), $b.len());
-        let n = $a.len();
-        let mut acc0 = F64x4::zero();
-        let mut acc1 = F64x4::zero();
-        let mut i = 0;
-        // SAFETY: i + 8 <= n inside the loop.
-        unsafe {
-            while i + 8 <= n {
-                acc0 = acc0.add(F64x4::load($a, i).mul(F64x4::load($b, i)));
-                acc1 = acc1.add(F64x4::load($a, i + 4).mul(F64x4::load($b, i + 4)));
-                i += 8;
-            }
+/// `Σ yᵢ·wᵢ` against a vector `w` of `y`'s length.
+#[derive(Clone, Copy, Debug)]
+pub struct Dot<'a>(pub &'a [f64]);
+
+impl Chain for Square {
+    #[inline(always)]
+    unsafe fn factor(self, _i: usize, y: f64) -> f64 {
+        y
+    }
+}
+
+impl Chain for Dot<'_> {
+    #[inline(always)]
+    unsafe fn factor(self, i: usize, _y: f64) -> f64 {
+        *self.0.get_unchecked(i)
+    }
+
+    fn check(self, n: usize) {
+        assert_eq!(self.0.len(), n, "chain operand length");
+    }
+}
+
+/// The [`Chain`]s one pass carries — `()`, `(A,)` or `(A, B)` — and their
+/// running sums, returned as an array in the same order. Elements must be
+/// added exactly once each, in ascending index order.
+pub trait Chains: Copy {
+    /// `[f64; k]` for `k` chains.
+    type Sums;
+
+    /// Panics unless every chain can run over length `n`; every sum starts
+    /// where `f64`'s `Sum` starts, at `-0.0`.
+    fn start(self, n: usize) -> Self::Sums;
+
+    /// Add element `i` (value `y`) to every chain.
+    ///
+    /// # Safety
+    /// `i < n` of the [`Chains::start`] call that made `sums`.
+    unsafe fn add(self, sums: &mut Self::Sums, i: usize, y: f64);
+
+    /// Add elements `i .. i+4` from four lanes, in lane order.
+    ///
+    /// # Safety
+    /// `i + 4 <= n` of the [`Chains::start`] call that made `sums`.
+    #[inline(always)]
+    unsafe fn add4(self, sums: &mut Self::Sums, i: usize, y: F64x4) {
+        for (q, &yq) in y.0.iter().enumerate() {
+            self.add(sums, i + q, yq);
         }
-        let acc = acc0.add(acc1);
-        let mut h = (acc.0[0] + acc.0[1]) + (acc.0[2] + acc.0[3]);
-        while i < n {
-            h += $a[i] * $b[i];
-            i += 1;
-        }
-        h
-    }};
-}
-
-#[inline]
-fn dot_fast_portable(a: &[f64], b: &[f64]) -> f64 {
-    fast_reduce_body!(a, b)
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_fast_avx2(a: &[f64], b: &[f64]) -> f64 {
-    use std::arch::x86_64::*;
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    let (pa, pb) = (a.as_ptr(), b.as_ptr());
-    let mut acc0 = _mm256_setzero_pd();
-    let mut acc1 = _mm256_setzero_pd();
-    let mut i = 0;
-    while i + 8 <= n {
-        let x0 = _mm256_loadu_pd(pa.add(i));
-        let y0 = _mm256_loadu_pd(pb.add(i));
-        let x1 = _mm256_loadu_pd(pa.add(i + 4));
-        let y1 = _mm256_loadu_pd(pb.add(i + 4));
-        // mul + add, not FMA: keeps the bits identical to the portable body.
-        acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(x0, y0));
-        acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(x1, y1));
-        i += 8;
-    }
-    let acc = _mm256_add_pd(acc0, acc1);
-    let mut lanes = [0.0f64; 4];
-    _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
-    let mut h = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-    while i < n {
-        h += *pa.add(i) * *pb.add(i);
-        i += 1;
-    }
-    h
-}
-
-/// Fast-tier dot product: reassociated (stride-8, two registers), backend
-/// dispatched. Deterministic for a given input regardless of backend.
-#[inline]
-pub fn dot_fast(a: &[f64], b: &[f64]) -> f64 {
-    match backend() {
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-        Backend::Avx2 => unsafe { dot_fast_avx2(a, b) },
-        _ => dot_fast_portable(a, b),
     }
 }
 
-/// Fast-tier 2-norm.
+impl Chains for () {
+    type Sums = [f64; 0];
+
+    #[inline(always)]
+    fn start(self, _n: usize) -> [f64; 0] {
+        []
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, _sums: &mut [f64; 0], _i: usize, _y: f64) {}
+}
+
+impl<A: Chain> Chains for (A,) {
+    type Sums = [f64; 1];
+
+    #[inline(always)]
+    fn start(self, n: usize) -> [f64; 1] {
+        self.0.check(n);
+        [SUM_START]
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, sums: &mut [f64; 1], i: usize, y: f64) {
+        sums[0] += y * self.0.factor(i, y);
+    }
+}
+
+impl<A: Chain, B: Chain> Chains for (A, B) {
+    type Sums = [f64; 2];
+
+    #[inline(always)]
+    fn start(self, n: usize) -> [f64; 2] {
+        self.0.check(n);
+        self.1.check(n);
+        [SUM_START; 2]
+    }
+
+    #[inline(always)]
+    unsafe fn add(self, sums: &mut [f64; 2], i: usize, y: f64) {
+        sums[0] += y * self.0.factor(i, y);
+        sums[1] += y * self.1.factor(i, y);
+    }
+}
+
+/// Every chain of `chains` over a finished `y`, in one pass — what a kernel
+/// that does not carry chains itself runs after writing `y`.
 #[inline]
-pub fn norm2_fast(a: &[f64]) -> f64 {
-    dot_fast(a, a).sqrt()
+pub(crate) fn dots_exact<C: Chains>(y: &[f64], chains: C) -> C::Sums {
+    let mut sums = chains.start(y.len());
+    for (i, &yi) in y.iter().enumerate() {
+        // SAFETY: `i < y.len()`, the length `sums` was started for.
+        unsafe { chains.add(&mut sums, i, yi) };
+    }
+    sums
 }
 
 // ---------------------------------------------------------------------------
-// Lanewise elementwise kernels (exact on every tier).
+// Lanewise elementwise kernels.
 //
 // Each kernel's per-element expression tree is written once in a portable
 // body; `dispatch_lanes!` instantiates it a second time under
 // `#[target_feature(enable = "avx2")]` so the hot builds use ymm registers
-// without a separate source body to keep in sync. Under `force-scalar` the
-// scalar loop below each body is used instead.
+// without a separate source body to keep in sync. Every other backend,
+// `force-scalar` included, runs the portable body as written.
 // ---------------------------------------------------------------------------
 
 macro_rules! dispatch_lanes {
-    ($pub_name:ident, $portable:ident, $avx2:ident, ($($arg:ident : $ty:ty),*)) => {
+    ($pub_name:ident, $portable:ident, $avx2:ident, $(<$g:ident: $bound:ident>)?
+     ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         #[target_feature(enable = "avx2")]
-        unsafe fn $avx2($($arg: $ty),*) {
+        unsafe fn $avx2$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             $portable($($arg),*)
         }
 
         #[inline]
-        pub fn $pub_name($($arg: $ty),*) {
+        pub fn $pub_name$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             match backend() {
                 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
                 Backend::Avx2 => unsafe { $avx2($($arg),*) },
@@ -350,7 +358,7 @@ macro_rules! dispatch_lanes {
 /// `y[i] += a * x[i]` — same op order per element as the scalar loop.
 #[inline(always)]
 fn axpy_portable(y: &mut [f64], a: f64, x: &[f64]) {
-    debug_assert_eq!(y.len(), x.len());
+    assert_eq!(y.len(), x.len(), "axpy operand lengths");
     let n = y.len();
     let av = F64x4::splat(a);
     let mut i = 0;
@@ -373,7 +381,10 @@ dispatch_lanes!(axpy, axpy_portable, axpy_avx2, (y: &mut [f64], a: f64, x: &[f64
 /// BiCGSTAB search-direction update: `p[i] = r[i] + beta * (p[i] - omega * v[i])`.
 #[inline(always)]
 fn p_update_portable(p: &mut [f64], r: &[f64], beta: f64, omega: f64, v: &[f64]) {
-    debug_assert!(p.len() == r.len() && p.len() == v.len());
+    assert!(
+        p.len() == r.len() && p.len() == v.len(),
+        "p_update operand lengths"
+    );
     let n = p.len();
     let (bv, ov) = (F64x4::splat(beta), F64x4::splat(omega));
     let mut i = 0;
@@ -399,37 +410,56 @@ dispatch_lanes!(
     (p: &mut [f64], r: &[f64], beta: f64, omega: f64, v: &[f64])
 );
 
-/// `s[i] = r[i] - alpha * v[i]`.
+/// `s[i] = r[i] - alpha * v[i]`, carrying `chains` over the new `s` — in
+/// BiCGSTAB both `s = r − αv` (with `‖s‖²`) and `r = s − ωt` (with `‖r‖²`
+/// and `(r̂, r)`). Each lane block is stored, then its four elements join
+/// every chain in index order.
 #[inline(always)]
-fn s_update_portable(s: &mut [f64], r: &[f64], alpha: f64, v: &[f64]) {
-    debug_assert!(s.len() == r.len() && s.len() == v.len());
+fn s_update_portable<C: Chains>(
+    s: &mut [f64],
+    r: &[f64],
+    alpha: f64,
+    v: &[f64],
+    chains: C,
+) -> C::Sums {
     let n = s.len();
+    assert!(r.len() == n && v.len() == n, "s_update operand lengths");
+    let mut sums = chains.start(n);
     let av = F64x4::splat(alpha);
     let mut i = 0;
-    // SAFETY: i + 4 <= n inside the loop.
+    // SAFETY: i + 4 <= n == r.len() == v.len() inside the first loop and
+    // i < n in the second; `sums` was started for length n.
     unsafe {
         while i + 4 <= n {
-            F64x4::load(r, i).sub(av.mul(F64x4::load(v, i))).store(s, i);
+            let ss = F64x4::load(r, i).sub(av.mul(F64x4::load(v, i)));
+            ss.store(s, i);
+            chains.add4(&mut sums, i, ss);
             i += 4;
         }
+        while i < n {
+            let si = *r.get_unchecked(i) - alpha * *v.get_unchecked(i);
+            *s.get_unchecked_mut(i) = si;
+            chains.add(&mut sums, i, si);
+            i += 1;
+        }
     }
-    while i < n {
-        s[i] = r[i] - alpha * v[i];
-        i += 1;
-    }
+    sums
 }
 
 dispatch_lanes!(
     s_update,
     s_update_portable,
     s_update_avx2,
-    (s: &mut [f64], r: &[f64], alpha: f64, v: &[f64])
+    <C: Chains>(s: &mut [f64], r: &[f64], alpha: f64, v: &[f64], chains: C) -> C::Sums
 );
 
 /// `x[i] += alpha * p[i] + omega * s[i]`.
 #[inline(always)]
 fn x_update_portable(x: &mut [f64], alpha: f64, p: &[f64], omega: f64, s: &[f64]) {
-    debug_assert!(x.len() == p.len() && x.len() == s.len());
+    assert!(
+        x.len() == p.len() && x.len() == s.len(),
+        "x_update operand lengths"
+    );
     let n = x.len();
     let (av, ov) = (F64x4::splat(alpha), F64x4::splat(omega));
     let mut i = 0;
@@ -469,12 +499,47 @@ mod tests {
     }
 
     #[test]
-    fn tier_parse_roundtrip() {
-        assert_eq!(Tier::parse("exact"), Some(Tier::Exact));
-        assert_eq!(Tier::parse("fast"), Some(Tier::Fast));
-        assert_eq!(Tier::parse("FAST"), None);
-        assert_eq!(Tier::default(), Tier::Exact);
-        assert_eq!(Tier::Fast.name(), "fast");
+    fn chains_start_where_sum_starts() {
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(SUM_START.to_bits(), empty.to_bits());
+        // Every product is -0.0, so only the start value decides the sign.
+        let (y, w) = ([-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]);
+        let [dot] = dots_exact(&y, (Dot(&w),));
+        assert_eq!(dot.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(dot.to_bits(), dot_exact(&y, &w).to_bits());
+    }
+
+    #[test]
+    fn kernels_reject_mismatched_lengths() {
+        // Release builds too: the lane loops index unchecked, so a short
+        // operand must stop the kernel before its first load.
+        let (long, short) = (vec![1.0; 9], vec![1.0; 5]);
+        let panics =
+            |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
+        assert!(panics(&|| axpy(&mut long.clone(), 1.0, &short)));
+        assert!(panics(&|| p_update(
+            &mut long.clone(),
+            &short,
+            1.0,
+            1.0,
+            &long
+        )));
+        assert!(panics(&|| x_update(
+            &mut long.clone(),
+            1.0,
+            &long,
+            1.0,
+            &short
+        )));
+        assert!(panics(&|| {
+            let [] = s_update(&mut long.clone(), &long, 1.0, &short, ());
+        }));
+        assert!(panics(&|| {
+            let [_] = s_update(&mut long.clone(), &long, 1.0, &long, (Dot(&short),));
+        }));
+        assert!(panics(&|| {
+            let [_] = dots_exact(&long, (Dot(&short),));
+        }));
     }
 
     #[test]
@@ -509,7 +574,7 @@ mod tests {
 
         let mut s1 = vec![0.0; n];
         let mut s2 = vec![0.0; n];
-        s_update(&mut s1, &r, a, &v);
+        let [] = s_update(&mut s1, &r, a, &v, ());
         for i in 0..n {
             s2[i] = r[i] - a * v[i];
         }
@@ -522,24 +587,5 @@ mod tests {
             x2[i] += a * r[i] + omega * v[i];
         }
         assert_eq!(x1, x2);
-    }
-
-    #[test]
-    fn fast_dot_matches_portable_pattern_and_bounds_error() {
-        for n in [0usize, 1, 3, 4, 7, 8, 9, 63, 64, 65, 1000] {
-            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).cos()).collect();
-            let fast = dot_fast(&a, &b);
-            // The dispatched result must equal the portable fixed pattern
-            // bitwise (backend-independence of the fast tier).
-            assert_eq!(fast.to_bits(), dot_fast_portable(&a, &b).to_bits());
-            let exact = dot_exact(&a, &b);
-            let mag: f64 = a.iter().zip(&b).map(|(x, y)| (x * y).abs()).sum();
-            let bound = (n as f64) * f64::EPSILON * mag + f64::MIN_POSITIVE;
-            assert!(
-                (fast - exact).abs() <= bound,
-                "n={n}: |{fast} - {exact}| > {bound}"
-            );
-        }
     }
 }

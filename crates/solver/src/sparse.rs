@@ -15,7 +15,7 @@
 
 use std::sync::OnceLock;
 
-use crate::simd::{self, Backend, F64x4, LANES};
+use crate::simd::{self, Backend, Chains, F64x4, LANES};
 
 /// The tensor-product 5-point-stencil shape of a CSR pattern, when every
 /// row conforms: row `i = j·w + c` stores exactly the columns
@@ -271,17 +271,28 @@ impl Csr {
     /// assigns one row per lane, so each row's accumulation order is
     /// unchanged.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        let [] = self.matvec_dots(x, y, ());
+    }
+
+    /// `y = A·x`, carrying `chains` over the new `y`: the bits of
+    /// [`Csr::matvec_into`] followed by [`simd::dot_exact`] per chain. The
+    /// chunked stencil kernel (lines at least 8 wide) adds each row to
+    /// every chain as it writes it, so the serial adds overlap the matvec;
+    /// every other route writes `y` first and then runs all the chains in
+    /// one pass.
+    pub fn matvec_dots<C: Chains>(&self, x: &[f64], y: &mut [f64], chains: C) -> C::Sums {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
         // SAFETY (both lane paths): the struct invariants guarantee
         // `row_ptr` is monotone with `row_ptr[n] == col_idx.len() ==
-        // vals.len()` and every stored column `< n == x.len()`.
+        // vals.len()` and every stored column `< n == x.len()`; the stencil
+        // routes run only on the verified plan of this pattern.
         match simd::backend() {
             #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
             Backend::Avx2 => unsafe {
                 match self.stencil_plan() {
                     Some(plan) if plan.w >= STENCIL_MATVEC_MIN_W => {
-                        matvec_stencil_avx2(&self.row_ptr, &self.vals, plan, x, y)
+                        return matvec_stencil_avx2(&self.row_ptr, &self.vals, plan, x, y, chains);
                     }
                     Some(plan) => {
                         matvec_thin_dispatch(&self.row_ptr, &self.col_idx, &self.vals, plan, x, y)
@@ -293,7 +304,7 @@ impl Csr {
             _ => unsafe {
                 match self.stencil_plan() {
                     Some(plan) if plan.w >= STENCIL_MATVEC_MIN_W => {
-                        matvec_stencil(&self.row_ptr, &self.vals, plan, x, y)
+                        return matvec_stencil(&self.row_ptr, &self.vals, plan, x, y, chains);
                     }
                     Some(plan) => {
                         matvec_thin_dispatch(&self.row_ptr, &self.col_idx, &self.vals, plan, x, y)
@@ -302,6 +313,7 @@ impl Csr {
                 }
             },
         }
+        simd::dots_exact(y, chains)
     }
 
     /// `y = A·x` with the plain per-row scalar loop — the differential-test
@@ -486,19 +498,25 @@ unsafe fn matvec_lanes_avx2(
 /// kernel's per-row operation sequence, so the result is bit-identical to
 /// [`Csr::matvec_into_scalar`].
 ///
+/// Every written row then joins `chains`; rows are written in ascending
+/// order, so each chain has the bits of [`simd::dot_exact`] over `y`. With
+/// no chains (`()`) this is the plain matvec.
+///
 /// # Safety
 /// `plan` must be the verified [`StencilPlan`] of this pattern (so row
 /// `j·w + c` has exactly the positional stencil columns and `row_ptr`
 /// matches the implied row lengths); `x.len() == y.len() == w·h`.
 #[inline(always)]
-unsafe fn matvec_stencil(
+unsafe fn matvec_stencil<C: Chains>(
     row_ptr: &[usize],
     vals: &[f64],
     plan: StencilPlan,
     x: &[f64],
     y: &mut [f64],
-) {
+    chains: C,
+) -> C::Sums {
     let StencilPlan { w, h } = plan;
+    let mut sums = chains.start(w * h);
     for j in 0..h {
         let row0 = j * w;
         // First column of the line: scalar (no west neighbor).
@@ -516,6 +534,7 @@ unsafe fn matvec_stencil(
                 acc += *vals.get_unchecked(p + 2) * *x.get_unchecked(i + w);
             }
             *y.get_unchecked_mut(i) = acc;
+            chains.add(&mut sums, i, acc);
         }
         // Interior columns 1..w-1: equal-length rows, vals at stride e.
         let (e, offs): (usize, [isize; 5]) = if j == 0 {
@@ -544,6 +563,7 @@ unsafe fn matvec_stencil(
                 acc = acc.add(a.mul(xx));
             }
             acc.store(y, i);
+            chains.add4(&mut sums, i, acc);
             r += LANES;
         }
         while r < m {
@@ -554,6 +574,7 @@ unsafe fn matvec_stencil(
                 acc += *vals.get_unchecked(p + b) * *x.get_unchecked((i as isize + off) as usize);
             }
             *y.get_unchecked_mut(i) = acc;
+            chains.add(&mut sums, i, acc);
             r += 1;
         }
         // Last column of the line: scalar (no east neighbor).
@@ -571,20 +592,23 @@ unsafe fn matvec_stencil(
                 acc += *vals.get_unchecked(p + 2) * *x.get_unchecked(i + w);
             }
             *y.get_unchecked_mut(i) = acc;
+            chains.add(&mut sums, i, acc);
         }
     }
+    sums
 }
 
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 #[target_feature(enable = "avx2")]
-unsafe fn matvec_stencil_avx2(
+unsafe fn matvec_stencil_avx2<C: Chains>(
     row_ptr: &[usize],
     vals: &[f64],
     plan: StencilPlan,
     x: &[f64],
     y: &mut [f64],
-) {
-    matvec_stencil(row_ptr, vals, plan, x, y)
+    chains: C,
+) -> C::Sums {
+    matvec_stencil(row_ptr, vals, plan, x, y, chains)
 }
 
 /// One line of the thin-stencil matvec: straight-line code for all `W`

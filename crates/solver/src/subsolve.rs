@@ -18,7 +18,6 @@ use crate::assemble::assemble;
 use crate::grid::Grid2;
 use crate::problem::Problem;
 use crate::rosenbrock::{integrate_with, IntegrateError, Ros2Options, Ros2Workspace};
-use crate::simd::Tier;
 use crate::work::WorkCounter;
 
 /// Everything a worker needs to run one subsolve.
@@ -117,19 +116,6 @@ pub fn subsolve_with(
     req: &SubsolveRequest,
     ws: &mut Ros2Workspace,
 ) -> Result<SubsolveResult, IntegrateError> {
-    subsolve_tiered(req, Tier::Exact, ws)
-}
-
-/// [`subsolve_with`] with an explicit numerical [`Tier`]. [`Tier::Exact`]
-/// (what [`subsolve`] and [`subsolve_with`] use) is bit-identical to the
-/// reference path; [`Tier::Fast`] reassociates the Krylov reductions and
-/// the step-error norm for speed, within the error bound documented in
-/// DESIGN.md.
-pub fn subsolve_tiered(
-    req: &SubsolveRequest,
-    tier: Tier,
-    ws: &mut Ros2Workspace,
-) -> Result<SubsolveResult, IntegrateError> {
     let grid = req.grid();
     let mut work = WorkCounter::new();
     let disc = assemble(&grid, &req.problem, &mut work);
@@ -147,7 +133,7 @@ pub fn subsolve_tiered(
         u0,
         req.t0,
         req.t1,
-        &Ros2Options::with_tol(req.tol).with_tier(tier),
+        &Ros2Options::with_tol(req.tol),
         ws,
         &mut work,
     )?;

@@ -6,9 +6,9 @@ use solver::combine::{combine, prolong_bilinear};
 use solver::grid::{Grid2, GridIndex};
 use solver::linsolve::{bicgstab, Ilu0, Preconditioner};
 use solver::problem::Problem;
-use solver::rosenbrock::{integrate_with, Ros2Options, Ros2Workspace};
+use solver::simd::{dot_exact, s_update, Dot, Square};
 use solver::sparse::{Csr, StencilPlan};
-use solver::{l2_norm, linf_norm, Tier, WorkCounter};
+use solver::{l2_norm, linf_norm, WorkCounter};
 
 // -------------------------------------------------------------------- CSR
 
@@ -281,42 +281,132 @@ proptest! {
     }
 }
 
-/// The fast tier trades bit-reproducibility for speed (blocked dots, fused
-/// error norm) but must not degrade *accuracy*: on the anisotropic
-/// regression grids, the fast-tier solution error against the manufactured
-/// exact solution stays within a whisker of the exact tier's.
+// ------------------------------------------------------ fused reductions
+//
+// BiCGSTAB's dot products ride the passes that write their operands
+// (`s_update`, `Csr::matvec_dots`). Each fused kernel must give exactly
+// the bits of the unfused sequence: the plain update or matvec, then one
+// `dot_exact` per chain.
+
+/// The unfused oracle for a chain set over a finished `y`.
+fn unfused_chains(y: &[f64], w: &[f64]) -> [u64; 2] {
+    [dot_exact(y, y).to_bits(), dot_exact(y, w).to_bits()]
+}
+
+/// `matvec_dots` against `matvec_into` + `dot_exact` per chain, with one
+/// and two chains, on a matrix whose route the caller picked.
+fn check_matvec_dots(a: &Csr, seed: u64) {
+    let n = a.n();
+    let x = test_vector(n, seed);
+    let w = test_vector(n, seed ^ 0x5eed);
+    let mut y = vec![0.0; n];
+    a.matvec_into(&x, &mut y);
+
+    let mut y2 = vec![0.0; n];
+    let [sq, dot] = a.matvec_dots(&x, &mut y2, (Square, Dot(&w)));
+    prop_assert_eq!(&y2, &y);
+    prop_assert_eq!([sq.to_bits(), dot.to_bits()], unfused_chains(&y, &w));
+
+    let mut y1 = vec![0.0; n];
+    let [dot1] = a.matvec_dots(&x, &mut y1, (Dot(&w),));
+    prop_assert_eq!(&y1, &y);
+    prop_assert_eq!(dot1.to_bits(), dot.to_bits());
+}
+
+proptest! {
+    /// `s = r − αv` with `‖s‖²` and `(s, w)` riding the update, at lengths
+    /// with every lane-remainder size.
+    #[test]
+    fn s_update_chains_match_unfused(
+        n in 0usize..40,
+        alpha in -3.0..3.0f64,
+        seed in any::<u64>()
+    ) {
+        let r = test_vector(n, seed);
+        let v = test_vector(n, seed ^ 1);
+        let w = test_vector(n, seed ^ 2);
+        let want: Vec<f64> = r.iter().zip(&v).map(|(ri, vi)| ri - alpha * vi).collect();
+
+        let mut s = vec![0.0; n];
+        let [sq, dot] = s_update(&mut s, &r, alpha, &v, (Square, Dot(&w)));
+        prop_assert_eq!(&s, &want);
+        prop_assert_eq!([sq.to_bits(), dot.to_bits()], unfused_chains(&want, &w));
+
+        let mut s1 = vec![0.0; n];
+        let [sq1] = s_update(&mut s1, &r, alpha, &v, (Square,));
+        prop_assert_eq!(&s1, &want);
+        prop_assert_eq!(sq1.to_bits(), sq.to_bits());
+    }
+
+    /// Stencil grids on both sides of the width where the matvec starts
+    /// carrying its chains itself (narrower ones take the one-pass
+    /// fallback).
+    #[test]
+    fn matvec_dots_match_unfused_on_stencil_grids(
+        (a, w, h) in arb_stencil_csr(),
+        seed in any::<u64>()
+    ) {
+        prop_assert_eq!(a.stencil_plan(), Some(StencilPlan { w, h }));
+        check_matvec_dots(&a, seed);
+    }
+
+    /// Ragged non-stencil patterns: the lane-blocked matvec, then the
+    /// one-pass fallback.
+    #[test]
+    fn matvec_dots_match_unfused_on_pentadiagonal(
+        a in arb_pentadiagonal(),
+        seed in any::<u64>()
+    ) {
+        check_matvec_dots(&a, seed);
+    }
+}
+
+/// When every product is `-0.0`, only the chain's start value decides the
+/// sign of the sum, so this pins it to `dot_exact`'s on every route.
 #[test]
-fn fast_tier_error_bound_on_regression_grids() {
-    let problem = Problem::manufactured_benchmark();
-    for (l, m) in [(0u32, 4u32), (4, 0), (1, 3), (3, 1), (2, 2)] {
-        let g = Grid2::new(2, l, m);
-        let mut wk = WorkCounter::new();
-        let disc = assemble(&g, &problem, &mut wk);
-        let u0 = disc.exact_interior(problem.t0);
-        let want = disc.exact_interior(problem.t_end);
-        let mut err = [0.0f64; 2];
-        for (slot, tier) in [(0, Tier::Exact), (1, Tier::Fast)] {
-            let opts = Ros2Options::with_tol(1e-4).with_tier(tier);
-            let mut ws = Ros2Workspace::new();
-            let (u, _) = integrate_with(
-                &disc,
-                u0.clone(),
-                problem.t0,
-                problem.t_end,
-                &opts,
-                &mut ws,
-                &mut wk,
-            )
-            .expect("integration");
-            let diff: Vec<f64> = u.iter().zip(&want).map(|(a, b)| a - b).collect();
-            err[slot] = l2_norm(&diff) / (1.0 + l2_norm(&want));
+fn fused_chains_start_where_dot_exact_starts() {
+    let neg = |n: usize| vec![-0.0f64; n];
+    // A matvec over x = 0 writes +0.0 rows; against w = -0.0 each product
+    // is -0.0. Widths 4 and 12 straddle the fused-matvec threshold; the
+    // 1-D Laplacian has no stencil plan.
+    let stencil = |w: usize, h: usize| {
+        let mut t = Vec::new();
+        for i in 0..w * h {
+            let (j, c) = (i / w, i % w);
+            t.push((i, i, 4.0));
+            if j > 0 {
+                t.push((i, i - w, -1.0));
+            }
+            if c > 0 {
+                t.push((i, i - 1, -1.0));
+            }
+            if c + 1 < w {
+                t.push((i, i + 1, -1.0));
+            }
+            if j + 1 < h {
+                t.push((i, i + w, -1.0));
+            }
         }
-        assert!(
-            err[1] <= 1.05 * err[0] + 1e-7,
-            "grid ({l},{m}): fast-tier error {} vs exact-tier {}",
-            err[1],
-            err[0]
-        );
+        Csr::from_triplets(w * h, &t)
+    };
+    let lap: Vec<_> = (0..9)
+        .flat_map(|i| [(i, i, 2.0), (i, (i + 1) % 9, -1.0)])
+        .collect();
+    for a in [stencil(4, 5), stencil(12, 5), Csr::from_triplets(9, &lap)] {
+        let n = a.n();
+        let (x, w) = (vec![0.0; n], neg(n));
+        let mut y = vec![0.0; n];
+        let [dot] = a.matvec_dots(&x, &mut y, (Dot(&w),));
+        assert_eq!(dot.to_bits(), (-0.0f64).to_bits(), "n = {n}");
+        assert_eq!(dot.to_bits(), dot_exact(&y, &w).to_bits());
+    }
+    // s = (-0.0) - 1·(+0.0) = -0.0; against w = +0.0 each product is -0.0.
+    for n in [1, 3, 4, 7] {
+        let (r, v, w) = (neg(n), vec![0.0; n], vec![0.0; n]);
+        let mut s = vec![0.0; n];
+        let [dot] = s_update(&mut s, &r, 1.0, &v, (Dot(&w),));
+        assert_eq!(dot.to_bits(), (-0.0f64).to_bits(), "n = {n}");
+        assert_eq!(dot.to_bits(), dot_exact(&s, &w).to_bits());
     }
 }
 
