@@ -25,7 +25,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::Mutex;
@@ -86,16 +85,7 @@ pub(crate) struct EnvShared {
     log: Arc<ScopeLog>,
     bundler: Mutex<Bundler>,
     clock: Clock,
-    threads: Mutex<Vec<JoinHandle<()>>>,
     pool: ThreadPool,
-}
-
-impl Drop for EnvShared {
-    fn drop(&mut self) {
-        // An environment dropped without `shutdown` must still wake its
-        // parked threads so they exit instead of leaking until process end.
-        self.pool.drain();
-    }
 }
 
 /// A running MANIFOLD application instance.
@@ -138,7 +128,6 @@ impl Environment {
                 log: ScopeLog::new(),
                 bundler: Mutex::new(Bundler::new(link, config)),
                 clock,
-                threads: Mutex::new(Vec::new()),
                 pool: ThreadPool::default(),
             }),
         }
@@ -336,16 +325,16 @@ impl Environment {
     }
 
     /// Activate a created process: place it in a task instance per the
-    /// MLINK/CONFIG rules and start it. A threaded body starts on a thread
-    /// — a parked one from an earlier job when the fleet is warm, a fresh
-    /// one otherwise; a stepped process takes its first step on the
-    /// calling thread.
+    /// MLINK/CONFIG rules and start it. A threaded body starts on a carrier
+    /// thread — a parked one from an earlier job, in this environment or
+    /// any other, when the process is warm, a fresh one otherwise; a
+    /// stepped process takes its first step on the calling thread.
     pub fn activate(&self, p: &ProcessRef) -> MfResult<()> {
         let (core, body) = self.claim(p)?;
         match body {
             Body::Threaded(body) => {
                 let job = Self::start_threaded(&core, body);
-                self.run_on_pool(core, job);
+                self.shared.pool.run(core, job);
             }
             Body::Stepped(step) => Self::start_stepped(&core, step),
         }
@@ -378,12 +367,6 @@ impl Environment {
             Body::Stepped(step) => Self::start_stepped(&core, step),
         }
         Ok(())
-    }
-
-    fn run_on_pool(&self, core: Arc<ProcessCore>, body: PoolBody) {
-        if let Some(handle) = self.shared.pool.run(core, body) {
-            self.shared.threads.lock().push(handle);
-        }
     }
 
     fn make_coordinator_core(&self, name: &Name, log: &ScopeLog) -> Arc<ProcessCore> {
@@ -474,7 +457,7 @@ impl Environment {
             // every scoped process.
             env.unregister(&core2, &log);
         };
-        self.run_on_pool(core.clone(), Box::new(job));
+        self.shared.pool.run(core.clone(), Box::new(job));
         ProcessRef::new(core)
     }
 
@@ -544,43 +527,47 @@ impl Environment {
     }
 
     /// Kill every process (their blocking operations return
-    /// [`MfError::Killed`]) and join all threads, parked ones included.
+    /// [`MfError::Killed`]) and wait until every body this environment
+    /// handed to a carrier thread has returned and its process has
+    /// terminated, panicking bodies included. The carriers themselves are
+    /// not joined: they park for the next activation in any environment.
+    /// Called from inside one of the environment's own bodies, it waits
+    /// for all the others, and the caller's process terminates when its
+    /// body returns.
     pub fn shutdown(&self) {
         let procs: Vec<Arc<ProcessCore>> = self.shared.processes.lock().values().cloned().collect();
         for p in &procs {
             p.kill();
         }
-        self.shared.pool.drain();
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.threads.lock());
-        for h in handles {
-            let _ = h.join();
-        }
+        self.shared.pool.wait_idle();
         for p in &procs {
-            p.terminate();
+            // A caller inside its own body terminates when that returns.
+            if !p.runs_on_this_thread() {
+                p.terminate();
+            }
         }
     }
 
-    /// Join all spawned threads without killing (application ran to
-    /// completion on its own). Parked threads are woken to exit first —
-    /// they would otherwise block the join forever.
+    /// Wait, without killing, until every body this environment handed to
+    /// a carrier thread has returned and its process has terminated (the
+    /// application ran to completion on its own). Like
+    /// [`Environment::shutdown`], it does not wait for itself.
     pub fn join_all(&self) {
-        self.shared.pool.drain();
-        let handles: Vec<JoinHandle<()>> = std::mem::take(&mut *self.shared.threads.lock());
-        for h in handles {
-            let _ = h.join();
-        }
+        self.shared.pool.wait_idle();
     }
 
-    /// Threads parked in the reuse pool (their last process body returned;
-    /// the next [`Environment::activate`] will hand one of them the new
-    /// body instead of spawning). Fleet introspection for engines and
-    /// benchmarks.
+    /// Carrier threads parked in the process-wide pool: their last body
+    /// returned, and the next [`Environment::activate`] — in this
+    /// environment or any other — hands one of them its body instead of
+    /// spawning. Fleet introspection for engines and benchmarks.
     pub fn parked_threads(&self) -> usize {
-        self.shared.pool.parked()
+        ThreadPool::parked()
     }
 
-    /// OS threads this environment has ever spawned. A warm fleet reuses
-    /// parked threads, so in steady state this does not move.
+    /// Carrier threads spawned to run this environment's bodies — those
+    /// that found no parked carrier. Carriers parked by an earlier
+    /// environment are reused first, so on a warm process, and on a warm
+    /// fleet in steady state, this does not move.
     pub fn threads_spawned(&self) -> u64 {
         self.shared.pool.spawned()
     }
@@ -758,13 +745,12 @@ mod tests {
             let p = env.create_process("P", |_ctx: ProcessCtx| Ok(()));
             env.activate(&p).unwrap();
             p.core().wait_terminated(Duration::from_secs(5)).unwrap();
-            // A thread parks before its process is seen terminated, so the
-            // next activation must reuse it rather than spawn.
-            assert_eq!(env.parked_threads(), 1);
         }
-        assert_eq!(env.threads_spawned(), 1, "three jobs share one thread");
+        // A carrier parks before its process is seen terminated, so each
+        // activation after the first reuses it. The pool is the process's:
+        // a carrier another test left parked may serve even the first.
+        assert!(env.threads_spawned() <= 1, "three jobs share one thread");
         env.shutdown();
-        assert_eq!(env.parked_threads(), 0, "shutdown drains the pool");
     }
 
     #[test]

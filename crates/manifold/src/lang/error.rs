@@ -71,6 +71,9 @@ pub enum LangErrorKind {
     },
     /// A non-numeric expression where an integer was required.
     NonNumericExpr,
+    /// Blocks, groups or expressions nested deeper than
+    /// [`MAX_NESTING`](crate::lang::parse::MAX_NESTING).
+    RecursionLimitExceeded,
 }
 
 impl LangError {
@@ -132,6 +135,9 @@ impl fmt::Display for LangError {
                 "factory argument {index}: expected {expected}, got {found}"
             ),
             LangErrorKind::NonNumericExpr => write!(f, "non-numeric expression"),
+            LangErrorKind::RecursionLimitExceeded => {
+                write!(f, "nested deeper than {}", crate::lang::parse::MAX_NESTING)
+            }
         }
     }
 }

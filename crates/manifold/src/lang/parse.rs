@@ -2,7 +2,15 @@
 
 use crate::error::{MfError, MfResult};
 use crate::lang::ast::*;
+use crate::lang::error::{LangError, LangErrorKind};
 use crate::lang::token::{lex, Token, TokenKind};
+
+/// How deep blocks, action groups and expressions may nest. The parser
+/// recurses once per level, so a deeper source is refused with
+/// [`LangErrorKind::RecursionLimitExceeded`] rather than overflowing the
+/// stack. The paper's sources nest six deep; 64 levels take about 1 MB of
+/// stack in a debug build, half a test thread's.
+pub const MAX_NESTING: usize = 64;
 
 /// Parse a full source file.
 pub fn parse_program(source: &str) -> MfResult<Program> {
@@ -10,6 +18,7 @@ pub fn parse_program(source: &str) -> MfResult<Program> {
     let mut p = Parser {
         tokens: lexed.tokens,
         pos: 0,
+        depth: 0,
     };
     let mut items = Vec::new();
     while !p.at(&TokenKind::Eof) {
@@ -25,6 +34,8 @@ pub fn parse_program(source: &str) -> MfResult<Program> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Productions entered through [`Parser::nested`] and not yet left.
+    depth: usize,
 }
 
 impl Parser {
@@ -92,6 +103,19 @@ impl Parser {
 
     fn err(&self, msg: &str) -> MfError {
         MfError::Spec(format!("parse error at line {}: {msg}", self.line()))
+    }
+
+    /// Parse one level of nesting with `f`. Every cycle in the grammar —
+    /// `{` blocks, `( … )` action groups, parenthesised expressions,
+    /// unary `-` — passes through here.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> MfResult<T>) -> MfResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(LangError::at(LangErrorKind::RecursionLimitExceeded, self.line()).into());
+        }
+        self.depth += 1;
+        let parsed = f(self);
+        self.depth -= 1;
+        parsed
     }
 
     // ------------------------------------------------------------ items
@@ -288,6 +312,10 @@ impl Parser {
     // ------------------------------------------------------------ blocks
 
     fn block(&mut self) -> MfResult<Block> {
+        self.nested(Self::block_body)
+    }
+
+    fn block_body(&mut self) -> MfResult<Block> {
         self.expect(TokenKind::LBrace)?;
         let mut block = Block::default();
         loop {
@@ -412,6 +440,10 @@ impl Parser {
         if self.at(&TokenKind::LBrace) {
             return Ok(Action::Block(self.block()?));
         }
+        self.nested(Self::action_atom_body)
+    }
+
+    fn action_atom_body(&mut self) -> MfResult<Action> {
         if self.at(&TokenKind::LParen) {
             self.bump();
             let mut parts = Vec::new();
@@ -596,6 +628,10 @@ impl Parser {
     }
 
     fn expr_primary(&mut self) -> MfResult<Expr> {
+        self.nested(Self::expr_primary_body)
+    }
+
+    fn expr_primary_body(&mut self) -> MfResult<Expr> {
         match self.bump() {
             TokenKind::Int(v) => Ok(Expr::Int(v)),
             TokenKind::LParen => {
@@ -815,6 +851,45 @@ mod tests {
         let err = parse_program("manner F() { begin halt. }").unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("line 1"), "{msg}");
+    }
+
+    /// A manner whose `begin` state nests each recursive production
+    /// `depth` levels deep, on line 2: action groups, `{` blocks,
+    /// parenthesised expressions and unary minus.
+    fn nested_sources(depth: usize) -> Vec<String> {
+        let manner = |body: String| format!("manner F() {{\n begin: {body}. }}");
+        vec![
+            manner(format!("{}halt{}", "(".repeat(depth), ")".repeat(depth))),
+            manner(format!(
+                "{}halt{}",
+                "{ s: ".repeat(depth),
+                ". }".repeat(depth)
+            )),
+            manner(format!("x = {}1{}", "(".repeat(depth), ")".repeat(depth))),
+            manner(format!("x = {}1", "- ".repeat(depth))),
+        ]
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_diagnosed_error_not_a_stack_overflow() {
+        for depth in [MAX_NESTING, 100_000] {
+            for src in nested_sources(depth) {
+                let err = parse_program(&src).unwrap_err();
+                assert_eq!(
+                    err,
+                    MfError::Lang(LangError::at(LangErrorKind::RecursionLimitExceeded, 2)),
+                    "{}",
+                    &src[..40]
+                );
+            }
+        }
+        // Just inside the limit, every kind still parses; so do the
+        // paper's sources.
+        for src in nested_sources(MAX_NESTING - 8) {
+            parse_program(&src).unwrap();
+        }
+        parse_program(PROTOCOL_MW_SOURCE).unwrap();
+        parse_program(MAINPROG_SOURCE).unwrap();
     }
 
     #[test]

@@ -1,43 +1,62 @@
-//! Parked worker threads: the runtime half of perpetual task instances.
+//! Parked carrier threads: the runtime half of perpetual task instances.
 //!
 //! The bundler keeps `{perpetual}` task instances alive between jobs; this
-//! pool keeps their OS threads alive too. A thread whose process body has
-//! returned parks on its own channel instead of exiting, and the next
-//! [`activate`](crate::env::Environment::activate) hands it the new body
-//! rather than paying `thread::spawn` again — on a warm fleet a job can
-//! create zero threads.
+//! pool keeps their OS threads alive too, for the life of the process. A
+//! carrier thread whose process body has returned parks on its own channel
+//! instead of exiting, and the next
+//! [`activate`](crate::env::Environment::activate) — in the same
+//! [`Environment`](crate::env::Environment) or any other — hands it the new
+//! body rather than paying `thread::spawn` again. A carrier is spawned only
+//! when none is parked, so the process never holds more carriers than its
+//! peak of concurrently running threaded bodies, and a fresh environment
+//! on a warm process creates zero threads.
 //!
-//! A thread puts itself back on the idle list *before* it marks its
+//! A carrier puts itself back on the idle list *before* it marks its
 //! process terminated, so whoever has seen a process terminate (a scope
 //! joining its members, a coordinator waiting on `terminated(p)`) can
-//! count on that thread being reusable: a fleet in steady state spawns
+//! count on that carrier being reusable: a fleet in steady state spawns
 //! nothing, deterministically.
+//!
+//! Environments own no threads. Each [`ThreadPool`] is one environment's
+//! view of the carriers: it counts that environment's bodies from hand-off
+//! until after their process has terminated, and
+//! [`ThreadPool::wait_idle`] — what `shutdown` and `join_all` do — waits for
+//! the count to reach zero.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::MfError;
 use crate::process::ProcessCore;
 
 type Body = Box<dyn FnOnce() + Send + 'static>;
 
-/// One activation: the process body, and the process to mark terminated
-/// once the body has returned and the thread is reusable again.
+/// Every parked carrier in the process, whichever environment it last
+/// served.
+static IDLE: Mutex<Vec<Sender<Job>>> = Mutex::new(Vec::new());
+
+/// Carriers spawned in the process: the `N` of the `mf-pool-N` names.
+static SPAWNED: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// On a carrier, the running count of the body it is carrying.
+    static CARRYING: Cell<*const Bodies> = const { Cell::new(std::ptr::null()) };
+}
+
+/// One activation: the process body, the process to mark terminated once
+/// the body has returned and the carrier is reusable again, and the body's
+/// place in its environment's running count.
 struct Job {
     body: Body,
     process: Arc<ProcessCore>,
+    counted: Counted,
 }
 
-enum Msg {
-    Run(Job),
-    Exit,
-}
-
-/// Terminates its process when dropped: after the thread has parked on
+/// Terminates its process when dropped: after the carrier has parked on
 /// the normal path, during unwinding if the body panicked — so a scope
 /// joining its members never waits on a process that can no longer end.
 struct Ending(Arc<ProcessCore>);
@@ -52,107 +71,134 @@ impl Drop for Ending {
     }
 }
 
+/// One environment's bodies on carriers.
 #[derive(Default)]
-pub(crate) struct ThreadPool {
-    shared: Arc<Shared>,
-}
-
-#[derive(Default)]
-struct Shared {
-    idle: Mutex<Vec<Sender<Msg>>>,
-    draining: AtomicBool,
+struct Bodies {
+    tally: Mutex<Tally>,
+    changed: Condvar,
+    /// Carriers spawned to run this environment's bodies.
     spawned: AtomicU64,
 }
 
+#[derive(Default)]
+struct Tally {
+    /// Bodies handed to a carrier and not yet through their `Ending`.
+    running: usize,
+    /// Of those, the ones waiting in [`ThreadPool::wait_idle`] from
+    /// inside themselves.
+    waiting_inside: usize,
+}
+
+/// A body's place in its environment's running count. Dropped last: after
+/// the body, after its `Ending`, on the normal path and while unwinding.
+struct Counted(Arc<Bodies>);
+
+impl Counted {
+    fn new(bodies: &Arc<Bodies>) -> Counted {
+        bodies.tally.lock().running += 1;
+        Counted(bodies.clone())
+    }
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.0.tally.lock().running -= 1;
+        self.0.changed.notify_all();
+    }
+}
+
+/// One environment's handle on the process's carriers.
+#[derive(Default)]
+pub(crate) struct ThreadPool {
+    bodies: Arc<Bodies>,
+}
+
 impl ThreadPool {
-    /// Run `body` on a parked thread when one is available, else on a
-    /// fresh thread that parks itself when the body returns; either way
-    /// `process` is terminated after the body, once the thread is
-    /// reusable. Returns the new thread's handle, or `None` when a parked
-    /// thread was reused (its handle is already tracked by the caller).
-    pub(crate) fn run(&self, process: Arc<ProcessCore>, body: Body) -> Option<JoinHandle<()>> {
-        let mut job = Job { body, process };
+    /// Run `body` on a parked carrier when one is available, else on a
+    /// fresh carrier that parks itself when the body returns; either way
+    /// `process` is terminated after the body, once the carrier is
+    /// reusable, and only then does the body stop counting as running.
+    pub(crate) fn run(&self, process: Arc<ProcessCore>, body: Body) {
+        let mut job = Job {
+            body,
+            process,
+            counted: Counted::new(&self.bodies),
+        };
         loop {
-            let parked = self.shared.idle.lock().pop();
+            let parked = IDLE.lock().pop();
             match parked {
-                Some(tx) => match tx.send(Msg::Run(job)) {
-                    Ok(()) => return None,
-                    // The thread is gone; take the job back and try the
+                Some(tx) => match tx.send(job) {
+                    Ok(()) => return,
+                    // The carrier is gone; take the job back and try the
                     // next parked one.
-                    Err(e) => {
-                        job = match e.0 {
-                            Msg::Run(j) => j,
-                            Msg::Exit => unreachable!("pool only sends Run here"),
-                        }
-                    }
+                    Err(e) => job = e.0,
                 },
-                None => return Some(self.spawn(job)),
+                None => return self.spawn(job),
             }
         }
     }
 
-    fn spawn(&self, first: Job) -> JoinHandle<()> {
-        let shared = self.shared.clone();
-        let n = self.shared.spawned.fetch_add(1, Ordering::Relaxed);
+    fn spawn(&self, first: Job) {
+        self.bodies.spawned.fetch_add(1, Ordering::Relaxed);
+        let n = SPAWNED.fetch_add(1, Ordering::Relaxed);
         std::thread::Builder::new()
             .name(format!("mf-pool-{n}"))
             .spawn(move || {
                 let mut job = first;
-                // One channel for the thread's whole life; each park puts a
-                // clone of its sender on the idle list.
+                // One channel for the carrier's whole life; each park puts
+                // a clone of its sender on the idle list.
                 let (tx, rx) = channel();
                 loop {
-                    let Job { body, process } = job;
+                    let Job {
+                        body,
+                        process,
+                        counted,
+                    } = job;
+                    CARRYING.with(|c| c.set(Arc::as_ptr(&counted.0)));
                     let ending = Ending(process);
                     body();
-                    let parked = {
-                        // The flag is checked under the idle lock and set
-                        // under the same lock in `drain`, so a thread can
-                        // never park after the drain swept the list.
-                        let mut idle = shared.idle.lock();
-                        let parked = !shared.draining.load(Ordering::Acquire);
-                        if parked {
-                            idle.push(tx.clone());
-                        }
-                        parked
-                    };
+                    IDLE.lock().push(tx.clone());
                     // Only now may observers learn the process is gone: the
-                    // next activation they trigger finds this thread idle.
+                    // next activation they trigger finds this carrier idle.
                     drop(ending);
-                    if !parked {
-                        return;
-                    }
+                    drop(counted);
+                    CARRYING.with(|c| c.set(std::ptr::null()));
                     match rx.recv() {
-                        Ok(Msg::Run(next)) => job = next,
-                        Ok(Msg::Exit) | Err(_) => return,
+                        Ok(next) => job = next,
+                        Err(_) => return,
                     }
                 }
             })
-            .expect("thread spawn")
+            .expect("thread spawn");
     }
 
-    /// Tell every parked thread to exit and stop future parking; busy
-    /// threads exit when their current job returns. Must run before the
-    /// environment joins its thread handles — a parked thread would block
-    /// that join forever.
-    pub(crate) fn drain(&self) {
-        let parked = {
-            let mut idle = self.shared.idle.lock();
-            self.shared.draining.store(true, Ordering::Release);
-            std::mem::take(&mut *idle)
-        };
-        for tx in parked {
-            let _ = tx.send(Msg::Exit);
+    /// Block until every body this pool has handed to a carrier has
+    /// returned and its process has terminated. Called from inside one of
+    /// those bodies, it waits for all the others, and returns once every
+    /// body still running is waiting here from inside itself.
+    pub(crate) fn wait_idle(&self) {
+        let inside = CARRYING.with(|c| c.get() == Arc::as_ptr(&self.bodies));
+        let mut tally = self.bodies.tally.lock();
+        if inside {
+            tally.waiting_inside += 1;
+            while tally.running > tally.waiting_inside {
+                self.bodies.changed.wait(&mut tally);
+            }
+            tally.waiting_inside -= 1;
+        } else {
+            while tally.running > 0 {
+                self.bodies.changed.wait(&mut tally);
+            }
         }
     }
 
-    /// Number of threads currently parked and reusable.
-    pub(crate) fn parked(&self) -> usize {
-        self.shared.idle.lock().len()
+    /// Carriers currently parked and reusable, in the whole process.
+    pub(crate) fn parked() -> usize {
+        IDLE.lock().len()
     }
 
-    /// OS threads this pool has ever spawned. Flat on a warm fleet.
+    /// Carriers spawned to run this pool's bodies. Flat on a warm fleet.
     pub(crate) fn spawned(&self) -> u64 {
-        self.shared.spawned.load(Ordering::Relaxed)
+        self.bodies.spawned.load(Ordering::Relaxed)
     }
 }

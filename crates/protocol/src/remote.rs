@@ -249,7 +249,7 @@ mod tests {
         })
         .unwrap();
         // The master and the coordinator: not one thread for a proxy.
-        assert_eq!(env.threads_spawned(), 1);
+        assert!(env.threads_spawned() <= 1);
         env.shutdown();
         assert!(env.failures().is_empty());
 
