@@ -43,6 +43,11 @@ use crate::trace::{Clock, TraceSink};
 /// matters for a body that is busy computing.
 const RETIRE_GRACE: Duration = Duration::from_secs(600);
 
+/// How long an activated threaded body may wait in the carrier pool's run
+/// queue before it is started on a carrier of its own, past the
+/// one-runnable-carrier-per-core bound (see [`Environment::activate`]).
+pub const QUEUE_GRACE: Duration = crate::pool::GRACE;
+
 /// What one coordinator scope has produced so far: the trace records its
 /// processes printed, and the failures of the processes it has retired.
 ///
@@ -325,10 +330,19 @@ impl Environment {
     }
 
     /// Activate a created process: place it in a task instance per the
-    /// MLINK/CONFIG rules and start it. A threaded body starts on a carrier
+    /// MLINK/CONFIG rules and start it. A stepped process takes its first
+    /// step on the calling thread. A threaded body runs on a carrier
     /// thread — a parked one from an earlier job, in this environment or
-    /// any other, when the process is warm, a fresh one otherwise; a
-    /// stepped process takes its first step on the calling thread.
+    /// any other, when the process is warm, a fresh one otherwise — once it
+    /// has a slot: the process keeps one runnable carrier per core
+    /// (`available_parallelism()`). With every slot taken, the body waits
+    /// in a process-wide FIFO run queue until a carrier's body returns or
+    /// blocks in a runtime wait (a port read or write, an event wait, a
+    /// join, [`Environment::shutdown`]); a blocked carrier hands its slot
+    /// on for the wait and takes it back after. A body queued for longer
+    /// than [`QUEUE_GRACE`] — its predecessors block elsewhere, on a std
+    /// channel, a sleep, a socket — is started on a carrier of its own,
+    /// past the bound.
     pub fn activate(&self, p: &ProcessRef) -> MfResult<()> {
         let (core, body) = self.claim(p)?;
         match body {
@@ -528,12 +542,13 @@ impl Environment {
 
     /// Kill every process (their blocking operations return
     /// [`MfError::Killed`]) and wait until every body this environment
-    /// handed to a carrier thread has returned and its process has
+    /// activated — queued ones too, which still start and see the kill at
+    /// their first runtime wait — has returned and its process has
     /// terminated, panicking bodies included. The carriers themselves are
     /// not joined: they park for the next activation in any environment.
     /// Called from inside one of the environment's own bodies, it waits
-    /// for all the others, and the caller's process terminates when its
-    /// body returns.
+    /// for all the others, handing its carrier's slot on meanwhile, and
+    /// the caller's process terminates when its body returns.
     pub fn shutdown(&self) {
         let procs: Vec<Arc<ProcessCore>> = self.shared.processes.lock().values().cloned().collect();
         for p in &procs {
@@ -548,16 +563,18 @@ impl Environment {
         }
     }
 
-    /// Wait, without killing, until every body this environment handed to
-    /// a carrier thread has returned and its process has terminated (the
-    /// application ran to completion on its own). Like
-    /// [`Environment::shutdown`], it does not wait for itself.
+    /// Wait, without killing, until every body this environment activated,
+    /// queued ones included, has returned and its process has terminated
+    /// (the application ran to completion on its own). Like
+    /// [`Environment::shutdown`], it does not wait for itself, and from
+    /// inside a body it hands that carrier's slot on while it waits.
     pub fn join_all(&self) {
         self.shared.pool.wait_idle();
     }
 
     /// Carrier threads parked in the process-wide pool: their last body
-    /// returned, and the next [`Environment::activate`] — in this
+    /// returned with nothing queued, and the next
+    /// [`Environment::activate`] that finds a slot free — in this
     /// environment or any other — hands one of them its body instead of
     /// spawning. Fleet introspection for engines and benchmarks.
     pub fn parked_threads(&self) -> usize {
@@ -565,11 +582,21 @@ impl Environment {
     }
 
     /// Carrier threads spawned to run this environment's bodies — those
-    /// that found no parked carrier. Carriers parked by an earlier
-    /// environment are reused first, so on a warm process, and on a warm
-    /// fleet in steady state, this does not move.
+    /// that were given a slot and found no parked carrier. Carriers parked
+    /// by an earlier environment are reused first, and bodies beyond one
+    /// runnable carrier per core wait in the run queue rather than spawn,
+    /// so on a warm process, and on a warm fleet in steady state, this does
+    /// not move.
     pub fn threads_spawned(&self) -> u64 {
         self.shared.pool.spawned()
+    }
+
+    /// Bodies started past the one-runnable-carrier-per-core bound because
+    /// they had waited in the run queue for longer than [`QUEUE_GRACE`],
+    /// in the whole process. Nonzero means some body kept its carrier's
+    /// slot while blocked outside the runtime's waits.
+    pub fn grace_starts(&self) -> u64 {
+        ThreadPool::overdue()
     }
 
     /// Processes currently registered: created in a scope that is still

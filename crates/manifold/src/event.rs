@@ -26,6 +26,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MfError, MfResult};
 use crate::ident::{Name, ProcessId};
+use crate::pool;
 
 /// A named event. Construct with [`Event::new`] or from a `&str`.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -161,6 +162,7 @@ struct MemInner {
 impl MemInner {
     /// Block on `cv` until something one of `patterns` matches arrives
     /// (or the owner is killed, or the deadline passes — returns `true`).
+    /// A carrier hands its slot on meanwhile.
     fn wait(
         inner: &mut parking_lot::MutexGuard<'_, MemInner>,
         cv: &Condvar,
@@ -170,9 +172,9 @@ impl MemInner {
         inner.awaited.extend_from_slice(patterns);
         inner.waiters += 1;
         let timed_out = match deadline {
-            Some(d) => cv.wait_until(inner, d).timed_out(),
+            Some(d) => pool::blocking(|| cv.wait_until(inner, d).timed_out()),
             None => {
-                cv.wait(inner);
+                pool::blocking(|| cv.wait(inner));
                 false
             }
         };

@@ -18,6 +18,9 @@
 //!   coordinator attaches one; the unit is never dropped silently.
 //! * Both operations are kill-aware and return [`MfError::Killed`] when the
 //!   owning process is torn down.
+//! * A carrier thread blocked in either one hands its runnable slot to a
+//!   queued process body for the duration (see
+//!   [`Environment::activate`](crate::env::Environment::activate)).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -26,6 +29,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MfError, MfResult};
 use crate::ident::{Name, ProcessId};
+use crate::pool;
 use crate::process::Waker;
 use crate::stream::Stream;
 use crate::unit::Unit;
@@ -192,7 +196,7 @@ impl Port {
             if let Some(u) = Self::scan_incoming(&mut inner) {
                 return Ok(u);
             }
-            self.cv.wait(&mut inner);
+            pool::blocking(|| self.cv.wait(&mut inner));
         }
     }
 
@@ -210,7 +214,7 @@ impl Port {
             if Instant::now() >= deadline {
                 return Err(MfError::Timeout);
             }
-            if self.cv.wait_until(&mut inner, deadline).timed_out() {
+            if pool::blocking(|| self.cv.wait_until(&mut inner, deadline)).timed_out() {
                 return Self::scan_incoming(&mut inner).ok_or(MfError::Timeout);
             }
         }
@@ -228,7 +232,7 @@ impl Port {
                 if !inner.outgoing.is_empty() {
                     break inner.outgoing.clone();
                 }
-                self.cv.wait(&mut inner);
+                pool::blocking(|| self.cv.wait(&mut inner));
             }
         };
         // Deliver outside the port lock: pushes poke *other* ports.

@@ -9,8 +9,11 @@
 //! structs receiving a [`ProcessCtx`].
 //!
 //! An atomic process runs in one of two ways. A *threaded* process
-//! ([`AtomicProcess`]) has a body that runs once, on a pool thread of its
-//! own, and may block and compute as it likes. A *stepped* process has no
+//! ([`AtomicProcess`]) has a body that runs once, on a carrier thread of
+//! the process-wide pool, and may block and compute as it likes — the pool
+//! keeps at most one carrier per core runnable, so an activation beyond
+//! that waits in its run queue until a carrier finishes or blocks in a
+//! runtime wait (a port, an event memory, a join). A *stepped* process has no
 //! thread: its body is a step function ([`Step`]) that never blocks, run on
 //! whichever thread makes the process runnable — a unit or a stream
 //! arriving at one of its ports, an occurrence arriving in its event
@@ -32,6 +35,7 @@ use crate::error::{MfError, MfResult};
 use crate::event::{EventMemory, EventOccurrence, EventPattern};
 use crate::ident::{Name, ProcessId};
 use crate::link::Placement;
+use crate::pool;
 use crate::port::Port;
 use crate::remote::RemoteIdentity;
 use crate::trace::{Clock, TraceRecord, TraceSink};
@@ -495,7 +499,7 @@ impl ProcessCore {
         let deadline = std::time::Instant::now() + timeout;
         let mut life = self.life.lock();
         while *life != LifeState::Terminated {
-            if self.life_cv.wait_until(&mut life, deadline).timed_out() {
+            if pool::blocking(|| self.life_cv.wait_until(&mut life, deadline)).timed_out() {
                 return Err(MfError::Timeout);
             }
         }
