@@ -35,6 +35,8 @@
 //! * [`work`] — work (flop) accounting used to calibrate the cluster
 //!   simulator's cost model.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod assemble;
 pub mod combine;
 pub mod grid;

@@ -11,7 +11,7 @@
 //! [`KrylovWorkspace`] so the integrator's inner loop performs no heap
 //! allocation at all. BiCGSTAB is the crate's one Krylov solver.
 
-use crate::simd::{self, Backend, Dot, F64x4, Square, LANES, SUM_START};
+use crate::simd::{self, Backend, Dot, F64x4, Square, SUM_START};
 use crate::sparse::{Csr, StencilPlan};
 use crate::work::WorkCounter;
 
@@ -27,33 +27,6 @@ pub struct IdentityPrecond;
 impl Preconditioner for IdentityPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64], _work: &mut WorkCounter) {
         z.copy_from_slice(r);
-    }
-}
-
-/// Diagonal (Jacobi) preconditioner.
-pub struct JacobiPrecond {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPrecond {
-    /// Build from the matrix diagonal (zero entries are treated as 1).
-    pub fn new(a: &Csr) -> Self {
-        JacobiPrecond {
-            inv_diag: a
-                .diag()
-                .iter()
-                .map(|&d| if d.abs() < 1e-300 { 1.0 } else { 1.0 / d })
-                .collect(),
-        }
-    }
-}
-
-impl Preconditioner for JacobiPrecond {
-    fn apply(&self, r: &[f64], z: &mut [f64], work: &mut WorkCounter) {
-        for ((zi, ri), di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
-            *zi = ri * di;
-        }
-        work.add_vector_ops(r.len(), 1);
     }
 }
 
@@ -247,9 +220,10 @@ impl Ilu0 {
 }
 
 impl Ilu0 {
-    /// Level-scheduled sweeps with the plain scalar inner loops — the
-    /// differential-test oracle for the lane-blocked [`Preconditioner::apply`]
-    /// and the `force-scalar` code path. Performs no work accounting.
+    /// Level-scheduled sweeps with the plain scalar inner loops: the route
+    /// of every factor without a stencil plan (1-D grids, general
+    /// matrices), the `force-scalar` code path, and the differential-test
+    /// oracle for the wavefront sweeps. Performs no work accounting.
     pub fn apply_scalar(&self, r: &[f64], z: &mut [f64]) {
         let n = self.lu.n();
         assert_eq!(r.len(), n);
@@ -301,197 +275,6 @@ impl Ilu0 {
                 }
             }
         }
-    }
-
-    /// Lane-blocked level-scheduled sweeps: rows inside a level are mutually
-    /// independent, so blocks of four equal-dependency-count rows run one
-    /// row per lane. Each row still evaluates exactly the scalar per-row
-    /// expression, so the result is bit-identical to [`Ilu0::apply_scalar`].
-    ///
-    /// # Safety
-    /// Relies on the same invariants as `apply_scalar` (see the safety
-    /// comment there); additionally, rows within one level never read each
-    /// other's `z`, so the four lanes of a block are data-independent.
-    #[inline(always)]
-    unsafe fn apply_lanes(&self, r: &[f64], z: &mut [f64]) {
-        let row_ptr = self.lu.row_ptr();
-        let cols = self.lu.col_indices();
-        let vals = self.lu.vals();
-        let diag_pos = &self.diag_pos;
-
-        // Forward solve L y = r (unit diagonal), y stored in z.
-        for w in self.fwd_level_ptr.windows(2) {
-            let (mut idx, hi) = (w[0] as usize, w[1] as usize);
-            while idx + LANES <= hi {
-                let i0 = *self.fwd_order.get_unchecked(idx) as usize;
-                let i1 = *self.fwd_order.get_unchecked(idx + 1) as usize;
-                let i2 = *self.fwd_order.get_unchecked(idx + 2) as usize;
-                let i3 = *self.fwd_order.get_unchecked(idx + 3) as usize;
-                let lo0 = *row_ptr.get_unchecked(i0);
-                let lo1 = *row_ptr.get_unchecked(i1);
-                let lo2 = *row_ptr.get_unchecked(i2);
-                let lo3 = *row_ptr.get_unchecked(i3);
-                let len = *diag_pos.get_unchecked(i0);
-                if *diag_pos.get_unchecked(i1) == len
-                    && *diag_pos.get_unchecked(i2) == len
-                    && *diag_pos.get_unchecked(i3) == len
-                {
-                    let mut acc = F64x4([
-                        *r.get_unchecked(i0),
-                        *r.get_unchecked(i1),
-                        *r.get_unchecked(i2),
-                        *r.get_unchecked(i3),
-                    ]);
-                    for p in 0..len {
-                        let a = F64x4([
-                            *vals.get_unchecked(lo0 + p),
-                            *vals.get_unchecked(lo1 + p),
-                            *vals.get_unchecked(lo2 + p),
-                            *vals.get_unchecked(lo3 + p),
-                        ]);
-                        let zz = F64x4([
-                            *z.get_unchecked(*cols.get_unchecked(lo0 + p)),
-                            *z.get_unchecked(*cols.get_unchecked(lo1 + p)),
-                            *z.get_unchecked(*cols.get_unchecked(lo2 + p)),
-                            *z.get_unchecked(*cols.get_unchecked(lo3 + p)),
-                        ]);
-                        acc = acc.sub(a.mul(zz));
-                    }
-                    *z.get_unchecked_mut(i0) = acc.0[0];
-                    *z.get_unchecked_mut(i1) = acc.0[1];
-                    *z.get_unchecked_mut(i2) = acc.0[2];
-                    *z.get_unchecked_mut(i3) = acc.0[3];
-                    idx += LANES;
-                    continue;
-                }
-                for q in idx..idx + LANES {
-                    self.fwd_row_scalar(q, r, z, row_ptr, cols, vals);
-                }
-                idx += LANES;
-            }
-            while idx < hi {
-                self.fwd_row_scalar(idx, r, z, row_ptr, cols, vals);
-                idx += 1;
-            }
-        }
-        // Backward solve U z = y.
-        for w in self.bwd_level_ptr.windows(2) {
-            let (mut idx, hi) = (w[0] as usize, w[1] as usize);
-            while idx + LANES <= hi {
-                let i0 = *self.bwd_order.get_unchecked(idx) as usize;
-                let i1 = *self.bwd_order.get_unchecked(idx + 1) as usize;
-                let i2 = *self.bwd_order.get_unchecked(idx + 2) as usize;
-                let i3 = *self.bwd_order.get_unchecked(idx + 3) as usize;
-                let dp0 = *row_ptr.get_unchecked(i0) + *diag_pos.get_unchecked(i0);
-                let dp1 = *row_ptr.get_unchecked(i1) + *diag_pos.get_unchecked(i1);
-                let dp2 = *row_ptr.get_unchecked(i2) + *diag_pos.get_unchecked(i2);
-                let dp3 = *row_ptr.get_unchecked(i3) + *diag_pos.get_unchecked(i3);
-                let len = *row_ptr.get_unchecked(i0 + 1) - dp0 - 1;
-                if *row_ptr.get_unchecked(i1 + 1) - dp1 - 1 == len
-                    && *row_ptr.get_unchecked(i2 + 1) - dp2 - 1 == len
-                    && *row_ptr.get_unchecked(i3 + 1) - dp3 - 1 == len
-                {
-                    let mut acc = F64x4([
-                        *z.get_unchecked(i0),
-                        *z.get_unchecked(i1),
-                        *z.get_unchecked(i2),
-                        *z.get_unchecked(i3),
-                    ]);
-                    for p in 1..=len {
-                        let a = F64x4([
-                            *vals.get_unchecked(dp0 + p),
-                            *vals.get_unchecked(dp1 + p),
-                            *vals.get_unchecked(dp2 + p),
-                            *vals.get_unchecked(dp3 + p),
-                        ]);
-                        let zz = F64x4([
-                            *z.get_unchecked(*cols.get_unchecked(dp0 + p)),
-                            *z.get_unchecked(*cols.get_unchecked(dp1 + p)),
-                            *z.get_unchecked(*cols.get_unchecked(dp2 + p)),
-                            *z.get_unchecked(*cols.get_unchecked(dp3 + p)),
-                        ]);
-                        acc = acc.sub(a.mul(zz));
-                    }
-                    let d = F64x4([
-                        *vals.get_unchecked(dp0),
-                        *vals.get_unchecked(dp1),
-                        *vals.get_unchecked(dp2),
-                        *vals.get_unchecked(dp3),
-                    ]);
-                    let out = acc.div(d);
-                    *z.get_unchecked_mut(i0) = out.0[0];
-                    *z.get_unchecked_mut(i1) = out.0[1];
-                    *z.get_unchecked_mut(i2) = out.0[2];
-                    *z.get_unchecked_mut(i3) = out.0[3];
-                    idx += LANES;
-                    continue;
-                }
-                for q in idx..idx + LANES {
-                    self.bwd_row_scalar(q, z, row_ptr, cols, vals);
-                }
-                idx += LANES;
-            }
-            while idx < hi {
-                self.bwd_row_scalar(idx, z, row_ptr, cols, vals);
-                idx += 1;
-            }
-        }
-    }
-
-    /// One forward-sweep row (scalar), addressed by schedule position.
-    ///
-    /// # Safety
-    /// Same invariants as [`Ilu0::apply_lanes`]; `q` must be a valid index
-    /// into `fwd_order`.
-    #[inline(always)]
-    unsafe fn fwd_row_scalar(
-        &self,
-        q: usize,
-        r: &[f64],
-        z: &mut [f64],
-        row_ptr: &[usize],
-        cols: &[usize],
-        vals: &[f64],
-    ) {
-        let i = *self.fwd_order.get_unchecked(q) as usize;
-        let lo = *row_ptr.get_unchecked(i);
-        let dp = lo + *self.diag_pos.get_unchecked(i);
-        let mut acc = *r.get_unchecked(i);
-        for k in lo..dp {
-            acc -= *vals.get_unchecked(k) * *z.get_unchecked(*cols.get_unchecked(k));
-        }
-        *z.get_unchecked_mut(i) = acc;
-    }
-
-    /// One backward-sweep row (scalar), addressed by schedule position.
-    ///
-    /// # Safety
-    /// Same invariants as [`Ilu0::apply_lanes`]; `q` must be a valid index
-    /// into `bwd_order`.
-    #[inline(always)]
-    unsafe fn bwd_row_scalar(
-        &self,
-        q: usize,
-        z: &mut [f64],
-        row_ptr: &[usize],
-        cols: &[usize],
-        vals: &[f64],
-    ) {
-        let i = *self.bwd_order.get_unchecked(q) as usize;
-        let lo = *row_ptr.get_unchecked(i);
-        let hi = *row_ptr.get_unchecked(i + 1);
-        let dp = lo + *self.diag_pos.get_unchecked(i);
-        let mut acc = *z.get_unchecked(i);
-        for k in dp + 1..hi {
-            acc -= *vals.get_unchecked(k) * *z.get_unchecked(*cols.get_unchecked(k));
-        }
-        *z.get_unchecked_mut(i) = acc / *vals.get_unchecked(dp);
-    }
-
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-    #[target_feature(enable = "avx2")]
-    unsafe fn apply_lanes_avx2(&self, r: &[f64], z: &mut [f64]) {
-        self.apply_lanes(r, z)
     }
 
     /// Skewed-wavefront sweeps for a stencil-plan factorization. The
@@ -713,37 +496,28 @@ unsafe fn bwd_wave_block<const L: usize, const BOTTOM: bool>(
 
 impl Preconditioner for Ilu0 {
     /// Backend-dispatched sweeps, bit-identical to [`Ilu0::apply_scalar`]
-    /// on every backend: stencil-plan factorizations take the skewed
-    /// wavefront (`Ilu0::apply_wavefront`), everything else the
-    /// lane-blocked level schedule — in both, per-row operation order is
-    /// unchanged and only the scheduling across independent rows differs.
+    /// on every backend. Two routes: stencil-plan factorizations take the
+    /// skewed wavefront (`Ilu0::apply_wavefront`), everything else
+    /// `apply_scalar` — in both, per-row operation order is unchanged and
+    /// only the scheduling across independent rows differs.
+    ///
+    /// Any detected stencil takes the wavefront: even at the minimum line
+    /// width (w = 3) it breaks the serial west-neighbor chain across four
+    /// lines, beating the chain-bound scalar sweep (measured on the level-8
+    /// anisotropic family — see BENCH_solver.json).
     fn apply(&self, r: &[f64], z: &mut [f64], work: &mut WorkCounter) {
         assert_eq!(r.len(), self.lu.n());
         assert_eq!(z.len(), self.lu.n());
-        match simd::backend() {
+        match (simd::backend(), self.plan) {
             #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            // SAFETY: backend() returned Avx2, so the CPU supports it; the
-            // sweep invariants are documented on `apply_scalar`/`apply_lanes`,
-            // and `self.plan` was verified against this pattern in `new`.
-            Backend::Avx2 => unsafe {
-                // Any detected stencil takes the wavefront: even at the
-                // minimum line width (w = 3) it breaks the serial
-                // west-neighbor chain across four lines, beating the
-                // chain-bound scalar sweep (measured on the level-8
-                // anisotropic family — see BENCH_solver.json).
-                match self.plan {
-                    Some(plan) => self.apply_wavefront_avx2(plan, r, z),
-                    None => self.apply_lanes_avx2(r, z),
-                }
-            },
-            Backend::Scalar => self.apply_scalar(r, z),
-            // SAFETY: sweep invariants as documented on `apply_scalar`.
-            _ => unsafe {
-                match self.plan {
-                    Some(plan) => self.apply_wavefront(plan, r, z),
-                    None => self.apply_lanes(r, z),
-                }
-            },
+            // SAFETY: `backend()` returns Avx2 only after detecting AVX2 on
+            // this CPU. `plan` is the plan `detect_stencil` verified row by
+            // row against this pattern in `new` (`refactor` keeps the
+            // pattern), and `r`/`z` were asserted to have length `n == w·h`.
+            (Backend::Avx2, Some(plan)) => unsafe { self.apply_wavefront_avx2(plan, r, z) },
+            (Backend::Scalar, _) | (_, None) => self.apply_scalar(r, z),
+            // SAFETY: as for the Avx2 arm, minus the feature probe.
+            (_, Some(plan)) => unsafe { self.apply_wavefront(plan, r, z) },
         }
         work.add_precond_apply(self.lu.nnz());
     }
@@ -1051,8 +825,8 @@ mod tests {
     fn wavefront_apply_matches_scalar_bitwise_on_assembled_grids() {
         // The production path: assembled advection-diffusion stage matrices,
         // including the strongly anisotropic shapes. Non-stencil shapes (if
-        // a grid degenerates below the plan's minimum) still must agree —
-        // they take the lane-blocked path instead.
+        // a grid degenerates below the plan's minimum) take `apply_scalar`
+        // itself.
         let p = Problem::transport_benchmark();
         let mut planned = 0;
         for (lx, ly) in [(1, 1), (2, 2), (0, 4), (4, 0), (1, 3), (3, 1), (2, 3)] {
@@ -1216,16 +990,6 @@ mod tests {
         assert_eq!(x1, x2);
         assert_eq!(x1, x3);
         assert_eq!(s1.iterations, s3.iterations);
-    }
-
-    #[test]
-    fn jacobi_preconditioner_scales_by_diagonal() {
-        let a = Csr::from_triplets(2, &[(0, 0, 2.0), (1, 1, 4.0)]);
-        let j = JacobiPrecond::new(&a);
-        let mut z = vec![0.0; 2];
-        let mut w = WorkCounter::new();
-        j.apply(&[2.0, 4.0], &mut z, &mut w);
-        assert_eq!(z, vec![1.0, 1.0]);
     }
 
     #[test]

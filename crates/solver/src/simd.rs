@@ -3,10 +3,11 @@
 //! Everything here follows one discipline, inherited from the PR-3 rule that
 //! the optimized path must stay bit-identical to [`crate::reference`]:
 //!
-//! * **Lanewise kernels** (axpy-style elementwise updates, lane-per-row
-//!   sweeps and matvecs) evaluate *exactly the same expression tree per
-//!   element* as the scalar code — lanes never interact — so they are
-//!   bit-identical to scalar by construction.
+//! * **Lanewise kernels** (axpy-style elementwise updates, the four-row
+//!   chunks of the stencil matvec, the wavefront sweeps' packed divides)
+//!   evaluate *exactly the same expression tree per element* as the scalar
+//!   code — lanes never interact — so they are bit-identical to scalar by
+//!   construction.
 //! * **Reductions are never reassociated.** Every dot product and norm adds
 //!   its products in ascending index order from the start value of `f64`'s
 //!   `Sum`, exactly as [`dot_exact`]. What the hot ones change is *where*
@@ -348,6 +349,9 @@ macro_rules! dispatch_lanes {
         pub fn $pub_name$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             match backend() {
                 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+                // SAFETY: `backend()` returns Avx2 only after detecting AVX2
+                // on this CPU, the one precondition of the `target_feature`
+                // twin; the portable body checks its own operands.
                 Backend::Avx2 => unsafe { $avx2($($arg),*) },
                 _ => $portable($($arg),*),
             }

@@ -6,12 +6,15 @@
 //! set for both, with sorted column indices per row (required by the ILU(0)
 //! factorization in [`crate::linsolve`]).
 //!
-//! The matvec kernel is lane-blocked ([`crate::simd`]): blocks of four
-//! consecutive equal-length rows accumulate in four independent lanes, one
-//! row per lane, preserving each row's accumulation order exactly — so the
-//! vectorized kernel stays bit-identical to [`Csr::matvec_into_scalar`]
-//! (which is both the `force-scalar` fallback and the differential-test
-//! oracle).
+//! The matvec has one kernel per production shape. Every assembled matrix
+//! is a 5-point stencil on a grid whose interior width is `2^(root+l) − 1`,
+//! so it is 1-D (width or height 1), thin (width 3 or 7), or wide (width
+//! 15 and up). Wide lines run the chunked `matvec_stencil`, thin ones the
+//! unrolled `matvec_thin`, and everything else — 1-D grids, non-stencil
+//! patterns, widths no grid has — the plain [`Csr::matvec_into_scalar`],
+//! which is also the `force-scalar` code path and the differential-test
+//! oracle. Each kernel keeps every row's accumulation order, so all three
+//! are bit-identical.
 
 use std::sync::OnceLock;
 
@@ -267,57 +270,63 @@ impl Csr {
     }
 
     /// `y = A·x`, backend-dispatched. Bit-identical to
-    /// [`Csr::matvec_into_scalar`] on every backend: the lane-blocked kernel
-    /// assigns one row per lane, so each row's accumulation order is
-    /// unchanged.
+    /// [`Csr::matvec_into_scalar`] on every backend: every route keeps each
+    /// row's accumulation order.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         let [] = self.matvec_dots(x, y, ());
     }
 
     /// `y = A·x`, carrying `chains` over the new `y`: the bits of
-    /// [`Csr::matvec_into`] followed by [`simd::dot_exact`] per chain. The
-    /// chunked stencil kernel (lines at least 8 wide) adds each row to
-    /// every chain as it writes it, so the serial adds overlap the matvec;
-    /// every other route writes `y` first and then runs all the chains in
-    /// one pass.
+    /// [`Csr::matvec_into`] followed by [`simd::dot_exact`] per chain.
+    ///
+    /// Each SIMD backend has three routes: the chunked stencil kernel
+    /// (lines at least 8 wide), the thin kernel (lines 3 or 7 wide), and
+    /// [`Csr::matvec_into_scalar`] for everything else. The chunked kernel
+    /// adds each row to every chain as it writes it, so the serial adds
+    /// overlap the matvec; the other two write `y` first and then run all
+    /// the chains in one pass.
     pub fn matvec_dots<C: Chains>(&self, x: &[f64], y: &mut [f64], chains: C) -> C::Sums {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        // SAFETY (both lane paths): the struct invariants guarantee
-        // `row_ptr` is monotone with `row_ptr[n] == col_idx.len() ==
-        // vals.len()` and every stored column `< n == x.len()`; the stencil
-        // routes run only on the verified plan of this pattern.
+        let (row_ptr, vals) = (&self.row_ptr[..], &self.vals[..]);
         match simd::backend() {
             #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+            // SAFETY: `backend()` returns Avx2 only after detecting AVX2 on
+            // this CPU. Each kernel runs on `stencil_plan()`, the plan
+            // `detect_stencil` verified row by row against this pattern, with
+            // the width it was instantiated for; `x` and `y` were asserted to
+            // have length `n == w·h` above.
             Backend::Avx2 => unsafe {
                 match self.stencil_plan() {
                     Some(plan) if plan.w >= STENCIL_MATVEC_MIN_W => {
-                        return matvec_stencil_avx2(&self.row_ptr, &self.vals, plan, x, y, chains);
+                        return matvec_stencil_avx2(row_ptr, vals, plan, x, y, chains);
                     }
-                    Some(plan) => {
-                        matvec_thin_dispatch(&self.row_ptr, &self.col_idx, &self.vals, plan, x, y)
-                    }
-                    None => matvec_lanes_avx2(&self.row_ptr, &self.col_idx, &self.vals, x, y),
+                    Some(plan) if plan.w == 3 => matvec_thin::<3>(row_ptr, vals, plan, x, y),
+                    Some(plan) if plan.w == 7 => matvec_thin::<7>(row_ptr, vals, plan, x, y),
+                    _ => self.matvec_into_scalar(x, y),
                 }
             },
             Backend::Scalar => self.matvec_into_scalar(x, y),
+            // SAFETY: as for the Avx2 arm, minus the feature probe: these are
+            // the baseline-ISA instantiations.
             _ => unsafe {
                 match self.stencil_plan() {
                     Some(plan) if plan.w >= STENCIL_MATVEC_MIN_W => {
-                        return matvec_stencil(&self.row_ptr, &self.vals, plan, x, y, chains);
+                        return matvec_stencil(row_ptr, vals, plan, x, y, chains);
                     }
-                    Some(plan) => {
-                        matvec_thin_dispatch(&self.row_ptr, &self.col_idx, &self.vals, plan, x, y)
-                    }
-                    None => matvec_lanes(&self.row_ptr, &self.col_idx, &self.vals, x, y),
+                    Some(plan) if plan.w == 3 => matvec_thin::<3>(row_ptr, vals, plan, x, y),
+                    Some(plan) if plan.w == 7 => matvec_thin::<7>(row_ptr, vals, plan, x, y),
+                    _ => self.matvec_into_scalar(x, y),
                 }
             },
         }
         simd::dots_exact(y, chains)
     }
 
-    /// `y = A·x` with the plain per-row scalar loop — the differential-test
-    /// oracle for the lane-blocked kernel and the `force-scalar` code path.
+    /// `y = A·x` with the plain per-row scalar loop: the route of every
+    /// pattern without a stencil kernel (1-D grids, general matrices), the
+    /// `force-scalar` code path, and the differential-test oracle for the
+    /// stencil kernels.
     pub fn matvec_into_scalar(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
@@ -391,99 +400,6 @@ impl Csr {
         }
         d
     }
-
-    /// Infinity norm of the matrix (max absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.n)
-            .map(|r| self.row(r).1.iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Lane-blocked matvec body: one row per lane for blocks of four
-/// consecutive equal-length rows (the common case in the pentadiagonal
-/// interior), scalar otherwise. Per-row accumulation order is identical to
-/// the scalar kernel.
-///
-/// # Safety
-/// CSR invariants (see [`Csr`]): monotone `row_ptr` bounded by
-/// `col_idx.len() == vals.len()`, all columns `< x.len()`,
-/// `row_ptr.len() == y.len() + 1`, `x.len() == y.len()`.
-#[inline(always)]
-unsafe fn matvec_lanes(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-) {
-    #[inline(always)]
-    unsafe fn row_dot(
-        row_ptr: &[usize],
-        col_idx: &[usize],
-        vals: &[f64],
-        x: &[f64],
-        r: usize,
-    ) -> f64 {
-        let lo = *row_ptr.get_unchecked(r);
-        let hi = *row_ptr.get_unchecked(r + 1);
-        let mut acc = 0.0;
-        for k in lo..hi {
-            acc += *vals.get_unchecked(k) * *x.get_unchecked(*col_idx.get_unchecked(k));
-        }
-        acc
-    }
-
-    let n = y.len();
-    let mut i = 0;
-    while i + LANES <= n {
-        let lo0 = *row_ptr.get_unchecked(i);
-        let lo1 = *row_ptr.get_unchecked(i + 1);
-        let lo2 = *row_ptr.get_unchecked(i + 2);
-        let lo3 = *row_ptr.get_unchecked(i + 3);
-        let hi3 = *row_ptr.get_unchecked(i + 4);
-        let len = lo1 - lo0;
-        if lo2 - lo1 == len && lo3 - lo2 == len && hi3 - lo3 == len {
-            let mut acc = F64x4::zero();
-            for p in 0..len {
-                let a = F64x4([
-                    *vals.get_unchecked(lo0 + p),
-                    *vals.get_unchecked(lo1 + p),
-                    *vals.get_unchecked(lo2 + p),
-                    *vals.get_unchecked(lo3 + p),
-                ]);
-                let xx = F64x4([
-                    *x.get_unchecked(*col_idx.get_unchecked(lo0 + p)),
-                    *x.get_unchecked(*col_idx.get_unchecked(lo1 + p)),
-                    *x.get_unchecked(*col_idx.get_unchecked(lo2 + p)),
-                    *x.get_unchecked(*col_idx.get_unchecked(lo3 + p)),
-                ]);
-                acc = acc.add(a.mul(xx));
-            }
-            acc.store(y, i);
-        } else {
-            for r in i..i + LANES {
-                *y.get_unchecked_mut(r) = row_dot(row_ptr, col_idx, vals, x, r);
-            }
-        }
-        i += LANES;
-    }
-    while i < n {
-        *y.get_unchecked_mut(i) = row_dot(row_ptr, col_idx, vals, x, i);
-        i += 1;
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-#[target_feature(enable = "avx2")]
-unsafe fn matvec_lanes_avx2(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-) {
-    matvec_lanes(row_ptr, col_idx, vals, x, y)
 }
 
 /// Stencil matvec body: the [`StencilPlan`] pins every column index, so no
@@ -654,8 +570,9 @@ unsafe fn thin_line<const W: usize, const TOP: bool, const BOTTOM: bool>(
     }
 }
 
-/// Thin-stencil matvec body for lines narrower than
-/// [`STENCIL_MATVEC_MIN_W`]: too narrow for the four-row interior chunks of
+/// Thin-stencil matvec body for the two line widths below
+/// [`STENCIL_MATVEC_MIN_W`] that grids have, `W ∈ {3, 7}` (interior widths
+/// are `2^k − 1`): too narrow for the four-row interior chunks of
 /// [`matvec_stencil`], but the const line width lets every line run as
 /// unrolled straight-line code with full instruction-level parallelism
 /// (`W` independent accumulators per line). Bit-identical to
@@ -665,33 +582,6 @@ unsafe fn thin_line<const W: usize, const TOP: bool, const BOTTOM: bool>(
 /// `plan` must be the verified [`StencilPlan`] of this pattern with
 /// `plan.w == W` (detection guarantees `h >= 3`, so the first and last
 /// lines are distinct); `x.len() == y.len() == w·h`.
-/// Route a narrow plan (`plan.w < STENCIL_MATVEC_MIN_W`) to the matching
-/// const-width [`matvec_thin`] body. Detection admits widths down to 2; a
-/// width outside `2..=6` cannot reach here, but falls back to the generic
-/// lane kernel rather than trusting that invariant with UB.
-///
-/// # Safety
-/// As for [`matvec_thin`], minus the width pin (checked here).
-#[inline(always)]
-unsafe fn matvec_thin_dispatch(
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    vals: &[f64],
-    plan: StencilPlan,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    match plan.w {
-        2 => matvec_thin::<2>(row_ptr, vals, plan, x, y),
-        3 => matvec_thin::<3>(row_ptr, vals, plan, x, y),
-        4 => matvec_thin::<4>(row_ptr, vals, plan, x, y),
-        5 => matvec_thin::<5>(row_ptr, vals, plan, x, y),
-        6 => matvec_thin::<6>(row_ptr, vals, plan, x, y),
-        7 => matvec_thin::<7>(row_ptr, vals, plan, x, y),
-        _ => matvec_lanes(row_ptr, col_idx, vals, x, y),
-    }
-}
-
 unsafe fn matvec_thin<const W: usize>(
     row_ptr: &[usize],
     vals: &[f64],
@@ -900,12 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn norm_inf() {
-        let a = example();
-        assert_eq!(a.norm_inf(), 4.0);
-    }
-
-    #[test]
     #[should_panic]
     fn out_of_range_triplet_panics() {
         let _ = Csr::from_triplets(2, &[(2, 0, 1.0)]);
@@ -967,9 +851,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_matvec_matches_scalar_bitwise() {
-        // Pentadiagonal-ish matrix large enough to hit full lane blocks,
-        // equal-length runs, ragged blocks, and the remainder loop.
+    fn non_stencil_matvec_matches_scalar_bitwise() {
+        // Bandwidth-3 pentadiagonal matrices: from n = 7 on, the first
+        // 5-entry row looks like a width-3 stencil row, so this guards that
+        // a pattern the plan rejects still routes to the scalar loop.
         for n in [1usize, 2, 3, 4, 5, 7, 8, 13, 31] {
             let mut t = Vec::new();
             for i in 0..n {
@@ -1031,7 +916,7 @@ mod tests {
             assert_eq!(a.stencil_plan(), Some(StencilPlan { w, h }), "{w}x{h}");
         }
         // Width- or height-2 grids have no interior (5-entry) row to anchor
-        // detection — they conservatively stay on the generic kernels.
+        // detection — they conservatively stay on the scalar loops.
         for (w, h) in [(2, 2), (2, 5), (5, 2)] {
             assert_eq!(stencil_matrix(w, h).stencil_plan(), None, "{w}x{h}");
         }
@@ -1078,9 +963,10 @@ mod tests {
 
     #[test]
     fn stencil_matvec_matches_scalar_bitwise() {
-        // Shapes cover w == 2 (no interior columns), thin-and-tall,
-        // wide-and-short, chunk remainders (w-2 mod 4 in every class), and
-        // a square large enough for several four-row chunks per line.
+        // Shapes cover w == 2 (no interior columns), both thin widths (3
+        // and 7), widths no grid has (4–6, scalar), wide-and-short, chunk
+        // remainders (w-2 mod 4 in every class), and a square large enough
+        // for several four-row chunks per line.
         for (w, h) in [
             (2, 2),
             (2, 7),
@@ -1089,7 +975,11 @@ mod tests {
             (5, 4),
             (6, 3),
             (7, 2),
+            (7, 5),
+            (8, 4),
             (9, 6),
+            (10, 3),
+            (11, 5),
             (17, 5),
         ] {
             let a = stencil_matrix(w, h);

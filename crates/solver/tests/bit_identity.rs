@@ -7,6 +7,10 @@
 //! the arithmetic is scheduled, never *what* is computed. These tests pin
 //! that down — bitwise-equal solution values and identical step, rejection,
 //! iteration and flop counts on a set of anisotropic and isotropic grids.
+//!
+//! Two roots cover every kernel route: root 2's grids are thin (3 or 7
+//! wide) and wide stencils, and root 1's include the 1-D grids (one
+//! interior line) that production runs on the scalar fallback.
 
 use solver::problem::Problem;
 use solver::reference::{bit_identity_grids, subsolve_reference};
@@ -20,8 +24,11 @@ fn assert_identical(p: Problem, tol: f64) {
     // One shared workspace across all grids: reuse (with its pattern-cache
     // resets between differently shaped grids) must not perturb anything.
     let mut ws = Ros2Workspace::new();
-    for (l, m) in grids {
-        let req = SubsolveRequest::for_grid(2, l, m, tol, p);
+    let cases = [1, 2]
+        .into_iter()
+        .flat_map(|root| grids.iter().map(move |&(l, m)| (root, l, m)));
+    for (root, l, m) in cases {
+        let req = SubsolveRequest::for_grid(root, l, m, tol, p);
         let reference = subsolve_reference(&req).expect("reference subsolve");
         let fresh = subsolve(&req).expect("optimized subsolve");
         let warm = subsolve_with(&req, &mut ws).expect("warm-workspace subsolve");
@@ -29,20 +36,23 @@ fn assert_identical(p: Problem, tol: f64) {
         for res in [&fresh, &warm] {
             assert_eq!(
                 reference.values, res.values,
-                "grid ({l},{m}): values diverged from the reference"
+                "root {root} grid ({l},{m}): values diverged from the reference"
             );
-            assert_eq!(reference.steps, res.steps, "grid ({l},{m}): step count");
+            assert_eq!(
+                reference.steps, res.steps,
+                "root {root} grid ({l},{m}): step count"
+            );
             assert_eq!(
                 reference.rejected, res.rejected,
-                "grid ({l},{m}): rejected-step count"
+                "root {root} grid ({l},{m}): rejected-step count"
             );
             assert_eq!(
                 reference.work.flops, res.work.flops,
-                "grid ({l},{m}): counted flops"
+                "root {root} grid ({l},{m}): counted flops"
             );
             assert_eq!(
                 reference.work.lin_iters, res.work.lin_iters,
-                "grid ({l},{m}): linear iterations"
+                "root {root} grid ({l},{m}): linear iterations"
             );
             // The reference only ever performs full factorizations; the
             // optimized path splits the same events into one factorization
@@ -50,7 +60,7 @@ fn assert_identical(p: Problem, tol: f64) {
             assert_eq!(
                 reference.work.factorizations,
                 res.work.factorizations + res.work.refactorizations,
-                "grid ({l},{m}): (re)factorization events"
+                "root {root} grid ({l},{m}): (re)factorization events"
             );
         }
     }

@@ -136,10 +136,11 @@ proptest! {
 //
 // The production kernels (`Csr::matvec_into`, `Ilu0::apply`) promise *bit
 // identity* with the plain scalar loops on every backend and for every
-// dispatch route (lane-blocked, thin stencil, chunked stencil, wavefront).
-// These differentials pin that promise on
-// adversarial shapes: odd lengths, remainder lanes, systems smaller than
-// the lane width, and stencil grids across the thin/chunked width split.
+// dispatch route (thin stencil, chunked stencil, wavefront, and the scalar
+// fallback for everything else). These differentials pin that promise on
+// adversarial shapes: odd lengths, remainder lanes, and stencil grids
+// across the thin/chunked width split; the census test below pins which
+// route every production grid takes.
 
 /// Deterministic pseudo-random vector (splitmix-style) in roughly ±1.
 fn test_vector(n: usize, seed: u64) -> Vec<f64> {
@@ -156,8 +157,9 @@ fn test_vector(n: usize, seed: u64) -> Vec<f64> {
 /// Random pentadiagonal CSR: bands at offsets `{-b, -1, 0, +1, +b}`, each
 /// off-diagonal entry present with probability ~0.7 (so rows have ragged
 /// lengths and the pattern rarely conforms to a stencil plan), strongly
-/// diagonally dominant. `n` ranges below the lane width (4) up to several
-/// lane blocks plus remainders.
+/// diagonally dominant. Its first full row often looks like a stencil row
+/// of width `b`, so it is the routing guard for non-stencil patterns: a
+/// plan must be rejected (scalar fallback) unless every row conforms.
 fn arb_pentadiagonal() -> impl Strategy<Value = Csr> {
     // The vendored proptest has no `prop_flat_map`, so draw fixed-size
     // entry pools for the largest `n` and slice what the drawn size needs.
@@ -223,7 +225,8 @@ fn arb_stencil_csr() -> impl Strategy<Value = (Csr, usize, usize)> {
 
 proptest! {
     /// Dispatched matvec and ILU(0) sweeps are bit-identical to the scalar
-    /// loops on ragged pentadiagonal systems (lane-blocked route).
+    /// loops on ragged pentadiagonal systems: a near-stencil pattern must
+    /// still route to the scalar fallback.
     #[test]
     fn simd_kernels_bit_identical_on_pentadiagonal(
         a in arb_pentadiagonal(),
@@ -277,6 +280,39 @@ proptest! {
         ilu.apply_scalar(&x, &mut z_s);
         for i in 0..n {
             prop_assert_eq!(z[i].to_bits(), z_s[i].to_bits(), "sweep row {}", i);
+        }
+    }
+}
+
+/// The census of production shapes, pinned. A grid's interior width is
+/// `2^(root+l) − 1`, so every stage matrix of every combination grid is a
+/// thin stencil (`w ∈ {3, 7}`, `matvec_thin`), a wide one (`w ≥ 8`, the
+/// chunked kernel), or a 1-D grid with no plan (the scalar fallback). A
+/// grid family with a width that has no stencil kernel fails here instead
+/// of silently running the scalar loops. Assembly only; levels are capped
+/// so the largest grid stays near 4k unknowns.
+#[test]
+fn every_combination_grid_has_a_stencil_kernel_or_is_1d() {
+    let p = Problem::transport_benchmark();
+    for root in 0..=4u32 {
+        for level in 0..=8 - root {
+            for idx in Grid2::combination_indices(level) {
+                let g = Grid2::new(root, idx.l, idx.m);
+                let (w, h) = (g.nx - 1, g.ny - 1);
+                let mut wk = WorkCounter::new();
+                let m = assemble(&g, &p, &mut wk).a.identity_minus_scaled(0.01);
+                let plan = m.stencil_plan();
+                let at = format!("root {root} grid {idx}: {w}x{h}");
+                if w <= 1 || h <= 1 {
+                    assert_eq!(plan, None, "{at}");
+                } else {
+                    assert_eq!(plan, Some(StencilPlan { w, h }), "{at}");
+                    assert!(
+                        h >= 3 && (w == 3 || w == 7 || w >= 8),
+                        "{at}: no stencil kernel for this width"
+                    );
+                }
+            }
         }
     }
 }
@@ -350,8 +386,8 @@ proptest! {
         check_matvec_dots(&a, seed);
     }
 
-    /// Ragged non-stencil patterns: the lane-blocked matvec, then the
-    /// one-pass fallback.
+    /// Ragged non-stencil patterns: the scalar matvec, then the one-pass
+    /// chains.
     #[test]
     fn matvec_dots_match_unfused_on_pentadiagonal(
         a in arb_pentadiagonal(),
@@ -367,8 +403,8 @@ proptest! {
 fn fused_chains_start_where_dot_exact_starts() {
     let neg = |n: usize| vec![-0.0f64; n];
     // A matvec over x = 0 writes +0.0 rows; against w = -0.0 each product
-    // is -0.0. Widths 4 and 12 straddle the fused-matvec threshold; the
-    // 1-D Laplacian has no stencil plan.
+    // is -0.0. Widths 7 (thin) and 12 (chunked) straddle the fused-matvec
+    // threshold; the 1-D Laplacian has no stencil plan.
     let stencil = |w: usize, h: usize| {
         let mut t = Vec::new();
         for i in 0..w * h {
@@ -392,7 +428,7 @@ fn fused_chains_start_where_dot_exact_starts() {
     let lap: Vec<_> = (0..9)
         .flat_map(|i| [(i, i, 2.0), (i, (i + 1) % 9, -1.0)])
         .collect();
-    for a in [stencil(4, 5), stencil(12, 5), Csr::from_triplets(9, &lap)] {
+    for a in [stencil(7, 5), stencil(12, 5), Csr::from_triplets(9, &lap)] {
         let n = a.n();
         let (x, w) = (vec![0.0; n], neg(n));
         let mut y = vec![0.0; n];
