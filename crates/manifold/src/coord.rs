@@ -50,6 +50,8 @@
 //! [`Coord::close_pending`], which never waits — a closing block stays
 //! pending until its members' termination notices have arrived, because
 //! the thread running the step may be the very member it would wait for.
+//! The compiled MANIFOLD VM ([`crate::lang::vm`]) runs every manner as a
+//! stepped coordinator, and the tree-walking interpreter as a closure one.
 //!
 //! Activation normally gives a process a thread ([`Coord::activate`]). A
 //! process that is already wired — its input waiting on its port, its
@@ -111,7 +113,15 @@ impl ScopeMark {
 
 /// The streams of a state a step function is waiting in (see
 /// [`StateScope::hold`]). Dropping it preempts the state.
+#[derive(Default)]
 pub struct HeldState(Vec<Arc<Stream>>);
+
+impl HeldState {
+    /// Add a stream the state has connected by hand.
+    pub(crate) fn push(&mut self, s: Arc<Stream>) {
+        self.0.push(s);
+    }
+}
 
 impl Drop for HeldState {
     fn drop(&mut self) {

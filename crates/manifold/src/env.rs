@@ -422,10 +422,28 @@ impl Environment {
     }
 
     /// Run a manner from a compiled [`Mc`](crate::lang::exec::Mc) artifact
-    /// as the root coordinator, under the selected executor. `make_args` builds the
-    /// manner's arguments against the live coordinator (creating the
-    /// master process, wrapping atomic factories, …); `source_name`
-    /// labels MES trace records.
+    /// as the root coordinator, under the selected executor, and return
+    /// when it has returned. `make_args` builds the manner's arguments
+    /// against the live coordinator (creating the master process, wrapping
+    /// atomic factories, …); `source_name` labels MES trace records.
+    ///
+    /// Under [`CoordExec::Interp`](crate::lang::CoordExec::Interp) the
+    /// calling thread is the coordinator's and tree-walks the manner, as
+    /// [`Environment::run_coordinator`] runs a closure. Under
+    /// [`CoordExec::Compiled`](crate::lang::CoordExec::Compiled) the
+    /// coordinator is a stepped one
+    /// ([`Environment::create_stepped_coordinator`]) whose step is the
+    /// [`Vm`](crate::lang::Vm): it runs on whichever thread raises into it
+    /// and needs none of its own. A process argument that `make_args`
+    /// created but did not activate is started by this call: under
+    /// `Interp` they are all activated before the manner begins; under
+    /// `Compiled`, once the coordinator's first step has returned, any but
+    /// the first are activated and the calling thread, which has nothing
+    /// else to do, runs the first to completion
+    /// ([`Environment::run_to_completion`]) — unless the manner has
+    /// already returned and its exit ended them unstarted. The
+    /// coordinator's block, and everything created in it, is closed when
+    /// this returns.
     ///
     /// This is the one seam every entry point (tests, benches, the
     /// `protocol` crate) threads its `--coord interp|compiled` selector
@@ -438,12 +456,7 @@ impl Environment {
         manner: &str,
         make_args: impl FnOnce(&mut Coord) -> MfResult<Vec<crate::lang::Value>>,
     ) -> MfResult<()> {
-        use crate::lang::CoordExecutor;
-        self.run_coordinator(Name::new(manner), |coord| {
-            let args = make_args(coord)?;
-            mc.executor(kind, source_name)
-                .call_manner(coord, manner, args)
-        })
+        crate::lang::exec::run_manner(self, mc, kind, source_name, manner, make_args)
     }
 
     /// Run a coordinator on a new thread; returns its process reference.
@@ -500,23 +513,54 @@ impl Environment {
         &self,
         name: impl Into<Name>,
         log: Arc<ScopeLog>,
-        mut step: impl FnMut(&Coord) -> MfResult<Step> + Send + 'static,
+        step: impl FnMut(&Coord) -> MfResult<Step> + Send + 'static,
     ) -> ProcessRef {
+        match self.prepare_stepped_coordinator(name, log, |_| Ok(step)) {
+            Ok(p) => p,
+            Err(_) => unreachable!("a step that is already built cannot fail to build"),
+        }
+    }
+
+    /// [`Environment::create_stepped_coordinator`], with the step function
+    /// built by `prepare` on the calling thread, from the coordinator's own
+    /// [`Coord`], before the coordinator can be activated: what `prepare`
+    /// creates (a manner's arguments) belongs to the coordinator's
+    /// outermost block. If `prepare` fails, that block closes as a closure
+    /// coordinator's does and the coordinator, never run, is gone.
+    pub(crate) fn prepare_stepped_coordinator<S>(
+        &self,
+        name: impl Into<Name>,
+        log: Arc<ScopeLog>,
+        prepare: impl FnOnce(&mut Coord) -> MfResult<S>,
+    ) -> MfResult<ProcessRef>
+    where
+        S: FnMut(&Coord) -> MfResult<Step> + Send + 'static,
+    {
+        // The process comes first, for the `Coord` to be its own; the
+        // placeholder step is replaced below, before anyone could run it.
+        let p = self.create_in(&log, name, Body::stepped(|_: &ProcessCtx| Ok(Step::Done)));
+        let mut coord = Coord::new(ProcessCtx::new(p.core().clone()), self.clone(), log.clone());
+        let mut step = match prepare(&mut coord) {
+            Ok(step) => step,
+            Err(e) => {
+                drop(coord);
+                p.core().body.lock().take();
+                p.core().terminate();
+                self.unregister(p.core(), &log);
+                return Err(e);
+            }
+        };
         let env = self.clone();
-        let scope_log = log.clone();
-        // The coordinator's outermost block, from its first step on, and
-        // the mark its exit closes it with once `step` is through.
-        let mut coord: Option<Coord> = None;
+        // The mark the coordinator's exit closes its outermost block with,
+        // once `step` is through.
         let mut exit: Option<ScopeMark> = None;
         let body = move |ctx: &ProcessCtx| -> MfResult<Step> {
-            let coord = coord
-                .get_or_insert_with(|| Coord::new(ctx.clone(), env.clone(), scope_log.clone()));
             if exit.is_none() {
                 // A panic is caught here rather than left to the stepper,
                 // so that the scope of a coordinator with a bug still
                 // closes in order.
                 let stepped =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(coord)))
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| step(&coord)))
                         .unwrap_or_else(|_| Err(MfError::App("process body panicked".into())));
                 match stepped {
                     Ok(Step::Pending) if !ctx.core().is_killed() => return Ok(Step::Pending),
@@ -529,10 +573,11 @@ impl Environment {
                 return Ok(Step::Pending);
             }
             // Out of the registry before `terminated` is observable.
-            env.unregister(ctx.core(), &scope_log);
+            env.unregister(ctx.core(), &log);
             Ok(Step::Done)
         };
-        self.create_in(&log, name, Body::Stepped(Box::new(body)))
+        *p.core().body.lock() = Some(Body::Stepped(Box::new(body)));
+        Ok(p)
     }
 
     /// Block until the given process terminates.

@@ -138,6 +138,7 @@ pub enum DeclOp {
 }
 
 /// One pre-resolved segment of a stream chain (`a -> b.port`).
+#[derive(Clone)]
 pub struct ChainStep {
     /// Dismantling type (from a matching `stream TY …` declaration of the
     /// same block, else the default `BK`).
@@ -233,6 +234,7 @@ pub enum Op {
 }
 
 /// Compiled expressions.
+#[derive(Clone)]
 pub enum CExpr {
     /// Integer literal.
     Int(i64),

@@ -1,34 +1,42 @@
-//! The executor seam: everything shared between the tree-walking
-//! interpreter and the compiled state-machine VM.
+//! The executor seam: everything the tree-walking interpreter and the
+//! compiled state-machine VM share, and the one way to run a manner under
+//! either.
 //!
-//! The two executors differ only in *how* they step a manner — the
-//! [`Interp`] walks the AST, the [`Vm`] steps pre-compiled IR — while the
-//! value model ([`Value`]), the host interface ([`AtomicFactory`] plus the
-//! typed `expect_*_arg` helpers), the trace attribution, and the structural
-//! checks are shared verbatim. [`CoordExecutor`] is the common trait;
+//! The two executors differ only in *how* they run a manner. The
+//! [`Interp`] walks the AST on a closure coordinator's thread and blocks
+//! in its waits; the [`Vm`] steps pre-compiled IR as a stepped
+//! coordinator, on whichever thread raises an event into it, and owns no
+//! thread. The value model ([`Value`]), the host interface
+//! ([`AtomicFactory`] plus the typed `expect_*_arg` helpers), the trace
+//! attribution, and the structural checks are shared verbatim.
 //! [`CoordExec`] is the user-facing selector (`--coord interp|compiled`,
 //! compiled by default); [`Mc`] bundles a parsed program with its compiled
-//! form so either executor can be constructed from one artifact.
+//! form, and [`Environment::run_manner`] runs one of its manners under
+//! either executor.
 
-use std::rc::Rc;
 use std::str::FromStr;
+use std::sync::Arc;
+use std::task::Poll;
+
+use parking_lot::Mutex;
 
 use crate::builtin::Variable;
 use crate::coord::Coord;
-use crate::error::MfResult;
+use crate::env::Environment;
+use crate::error::{MfError, MfResult};
 use crate::ident::Name;
 use crate::lang::ast::Program;
 use crate::lang::compile::{compile, CompiledProgram};
 use crate::lang::error::{LangError, LangErrorKind};
 use crate::lang::interp::Interp;
 use crate::lang::parse::parse_program;
-use crate::lang::vm::Vm;
-use crate::process::ProcessRef;
+use crate::lang::vm::{Code, Vm};
+use crate::process::{LifeState, ProcessRef, Step};
 
 /// Host-supplied constructor for an atomic manifold: receives the
 /// coordinator and the (resolved) constructor arguments, returns a created
 /// (not yet activated) process.
-pub type AtomicFactory = Rc<dyn Fn(&Coord, &[Value]) -> MfResult<ProcessRef>>;
+pub type AtomicFactory = Arc<dyn Fn(&Coord, &[Value]) -> MfResult<ProcessRef> + Send + Sync>;
 
 /// A runtime value bound to a MANIFOLD name.
 #[derive(Clone)]
@@ -107,17 +115,6 @@ pub fn expect_int_arg(args: &[Value], index: usize) -> Result<i64, LangError> {
     }
 }
 
-/// What both executors expose to the host: run a manner against a live
-/// coordinator. `check`, trace attribution, and the [`AtomicFactory`]
-/// plumbing sit above/below this seam and are shared verbatim.
-pub trait CoordExecutor {
-    /// Call a manner by name with the given arguments.
-    fn call_manner(&self, coord: &Coord, name: &str, args: Vec<Value>) -> MfResult<()>;
-
-    /// Short name of the executor ("interp" / "compiled"), for reports.
-    fn kind(&self) -> CoordExec;
-}
-
 /// Executor selector: which engine runs coordinator specs.
 ///
 /// The compiled VM is the default — it is bit-identical to the interpreter
@@ -166,10 +163,11 @@ impl FromStr for CoordExec {
 }
 
 /// The whole `Mc` compiler as one artifact: a parsed [`Program`] plus its
-/// compiled [`CompiledProgram`], from which either executor can be built.
+/// compiled [`CompiledProgram`], linked for the VM, from which either
+/// executor runs a manner ([`Environment::run_manner`]).
 pub struct Mc {
     program: Program,
-    compiled: CompiledProgram,
+    code: Arc<Code>,
 }
 
 impl Mc {
@@ -180,8 +178,8 @@ impl Mc {
 
     /// Compile an already-parsed program.
     pub fn from_program(program: Program) -> MfResult<Mc> {
-        let compiled = compile(&program)?;
-        Ok(Mc { program, compiled })
+        let code = Arc::new(Code::link(compile(&program)?));
+        Ok(Mc { program, code })
     }
 
     /// The parsed AST.
@@ -191,47 +189,85 @@ impl Mc {
 
     /// The compiled state-machine IR.
     pub fn compiled(&self) -> &CompiledProgram {
-        &self.compiled
+        self.code.program()
     }
 
-    /// Build the selected executor. `source_name` labels MES trace records
-    /// (identically for both executors).
-    pub fn executor(&self, kind: CoordExec, source_name: &str) -> Executor<'_> {
-        match kind {
-            CoordExec::Interp => Executor::Interp(Interp::new(&self.program, source_name)),
-            CoordExec::Compiled => Executor::Vm(Vm::new(&self.compiled, source_name)),
+    /// The IR linked for the VM.
+    pub(crate) fn code(&self) -> &Arc<Code> {
+        &self.code
+    }
+}
+
+/// [`Environment::run_manner`].
+pub(crate) fn run_manner(
+    env: &Environment,
+    mc: &Mc,
+    kind: CoordExec,
+    source_name: &str,
+    manner: &str,
+    make_args: impl FnOnce(&mut Coord) -> MfResult<Vec<Value>>,
+) -> MfResult<()> {
+    match kind {
+        CoordExec::Interp => env.run_coordinator(Name::new(manner), |coord| {
+            let args = make_args(coord)?;
+            for p in unstarted(&args) {
+                coord.activate(&p)?;
+            }
+            Interp::new(&mc.program, source_name).call_manner(coord, manner, args)
+        }),
+        CoordExec::Compiled => {
+            let ended = Arc::new(Mutex::new(None));
+            let ended2 = ended.clone();
+            let mut drivers = Vec::new();
+            let log = env.log().clone();
+            let coordinator = env.prepare_stepped_coordinator(manner, log, |coord| {
+                let args = make_args(coord)?;
+                drivers = unstarted(&args);
+                let mut vm = Vm::new(mc, source_name, manner, args);
+                Ok(move |coord: &Coord| {
+                    Ok(match vm.step(coord) {
+                        Poll::Pending => Step::Pending,
+                        Poll::Ready(r) => {
+                            *ended2.lock() = Some(r);
+                            Step::Done
+                        }
+                    })
+                })
+            })?;
+            // The first step runs here and now, up to the manner's first
+            // wait.
+            env.activate(&coordinator)?;
+            // Activation fails only for a process that is no longer
+            // unstarted: the manner returned first, and its coordinator's
+            // exit ended it without ever running it.
+            if let Some((first, others)) = drivers.split_first() {
+                for p in others {
+                    let _ = env.activate(p);
+                }
+                let _ = env.run_to_completion(first);
+            }
+            coordinator.core().wait_until_terminated();
+            let ended = ended.lock().take();
+            // Never ended: the coordinator was killed, or its step panicked.
+            ended.unwrap_or_else(|| Err(coordinator.core().failure().unwrap_or(MfError::Killed)))
         }
     }
 }
 
-/// Either executor, behind one concrete type (avoids boxing in the common
-/// "pick at startup" case).
-pub enum Executor<'p> {
-    /// The tree-walker.
-    Interp(Interp<'p>),
-    /// The IR-stepping VM.
-    Vm(Vm<'p>),
-}
-
-impl CoordExecutor for Executor<'_> {
-    fn call_manner(&self, coord: &Coord, name: &str, args: Vec<Value>) -> MfResult<()> {
-        match self {
-            Executor::Interp(i) => i.call_manner(coord, name, args),
-            Executor::Vm(v) => v.call_manner(coord, name, args),
-        }
-    }
-
-    fn kind(&self) -> CoordExec {
-        match self {
-            Executor::Interp(_) => CoordExec::Interp,
-            Executor::Vm(_) => CoordExec::Compiled,
-        }
-    }
+/// The process arguments `make_args` created but did not activate.
+fn unstarted(args: &[Value]) -> Vec<ProcessRef> {
+    args.iter()
+        .filter_map(|a| match a {
+            Value::Process(p) if p.life_state() == LifeState::Created => Some(p.clone()),
+            _ => None,
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::process::ProcessCtx;
 
     #[test]
     fn selector_parses_and_defaults_to_compiled() {
@@ -271,9 +307,21 @@ mod tests {
     #[test]
     fn mc_builds_both_executors_for_the_paper_source() {
         let mc = Mc::from_source(crate::lang::PROTOCOL_MW_SOURCE).unwrap();
+        assert!(mc.program().coordinator("ProtocolMW").is_some());
+        assert!(mc.compiled().manner("ProtocolMW").is_some());
         for kind in CoordExec::ALL {
-            let exec = mc.executor(kind, "protocolMW.m");
-            assert_eq!(exec.kind(), kind);
+            let env = Environment::new();
+            // A master that leaves at once ends the protocol in its `begin`
+            // state; `run_manner` starts it, since nobody else did.
+            env.run_manner(&mc, kind, "protocolMW.m", "ProtocolMW", |coord| {
+                let master = coord.create_atomic("Master", |_ctx: ProcessCtx| Ok(()));
+                let worker: AtomicFactory = Arc::new(|_, _| unreachable!("no worker requested"));
+                Ok(vec![Value::Process(master), Value::Manifold(worker)])
+            })
+            .unwrap();
+            assert_eq!(env.live_processes(), 0, "{kind}");
+            env.shutdown();
+            assert!(env.failures().is_empty(), "{kind}");
         }
     }
 }

@@ -4,10 +4,11 @@
 //!
 //! This is the *reference* executor: it walks the AST directly, which keeps
 //! it auditably close to the language report but re-derives structure
-//! (label sorts, pattern lists, name hashing) on every step. The compiled
-//! [`crate::lang::vm::Vm`] is the production path; the differential
-//! property tests in `tests/lang_proptests.rs` hold the two bit-identical.
-//! Select between them with [`crate::lang::CoordExec`].
+//! (label sorts, pattern lists, name hashing) on every step, and it runs
+//! as a closure coordinator, blocking its thread in every wait. The
+//! compiled [`crate::lang::vm::Vm`] is the production path; the
+//! differential property tests in `tests/lang_proptests.rs` hold the two
+//! bit-identical. Select between them with [`crate::lang::CoordExec`].
 //!
 //! ## Semantics implemented
 //!
@@ -46,7 +47,7 @@ use crate::lang::compile::{endpoints_match, parse_stream_type};
 use crate::lang::error::{attribute_line, LangError, LangErrorKind};
 #[cfg(test)]
 use crate::lang::exec::AtomicFactory;
-use crate::lang::exec::{CoordExec, CoordExecutor, Value};
+use crate::lang::exec::Value;
 use crate::process::ProcessRef;
 use crate::stream::{Stream, StreamType};
 use crate::unit::Unit;
@@ -556,16 +557,6 @@ impl<'p> Interp<'p> {
     }
 }
 
-impl CoordExecutor for Interp<'_> {
-    fn call_manner(&self, coord: &Coord, name: &str, args: Vec<Value>) -> MfResult<()> {
-        Interp::call_manner(self, coord, name, args)
-    }
-
-    fn kind(&self) -> CoordExec {
-        CoordExec::Interp
-    }
-}
-
 type Arc2 = std::sync::Arc<Stream>;
 
 #[cfg(test)]
@@ -574,7 +565,7 @@ mod tests {
     use crate::env::Environment;
     use crate::lang::parse::parse_program;
     use crate::process::ProcessCtx;
-    use std::rc::Rc;
+    use std::sync::Arc;
 
     #[test]
     fn interprets_trivial_manner() {
@@ -690,7 +681,7 @@ mod tests {
         }";
         let prog = parse_program(src).unwrap();
         let env = Environment::new();
-        let got = std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let got = Arc::new(parking_lot::Mutex::new(None));
         let got2 = got.clone();
         env.run_coordinator("Main", |coord| {
             let source = coord.create_atomic("Source", |ctx: ProcessCtx| {
@@ -700,7 +691,7 @@ mod tests {
                 Ok(())
             });
             coord.activate(&source)?;
-            let sink_factory: AtomicFactory = Rc::new(move |coord, args| {
+            let sink_factory: AtomicFactory = Arc::new(move |coord, args| {
                 let death = crate::lang::exec::expect_event_arg(args, 0)?;
                 let got3 = got2.clone();
                 let p = coord.create_atomic("Sink", move |ctx: ProcessCtx| {
@@ -732,7 +723,7 @@ mod tests {
         let prog = parse_program(src).unwrap();
         let env = Environment::new();
         let r = env.run_coordinator("Main", |coord| {
-            let factory: AtomicFactory = Rc::new(|_coord, args| {
+            let factory: AtomicFactory = Arc::new(|_coord, args| {
                 // Wrong kind: the factory wanted an event, got an int.
                 let e = crate::lang::exec::expect_event_arg(args, 0)?;
                 unreachable!("{e}");

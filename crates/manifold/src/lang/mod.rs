@@ -24,17 +24,20 @@
 //!   state-machine IR (numbered states, priority-ordered event-dispatch
 //!   tables, interned identifiers, pre-resolved stream chains and
 //!   declaration opcodes), plus a stable disassembler;
-//! * [`vm`] — the production executor: steps the IR against the live
-//!   runtime with zero per-step parsing, hashing, or allocation in the
+//! * [`vm`] — the production executor: a stepped coordinator that steps
+//!   the IR on whichever thread raises an event into it, with no thread of
+//!   its own and zero per-step parsing, hashing, or allocation in the
 //!   steady state;
-//! * [`interp`] — the reference executor: tree-walks the AST with the same
-//!   observable semantics (the differential tests in
-//!   `tests/lang_proptests.rs` hold the two bit-identical);
+//! * [`interp`] — the reference executor: tree-walks the AST on a closure
+//!   coordinator's thread with the same observable semantics (the
+//!   differential tests in `tests/lang_proptests.rs` hold the two
+//!   bit-identical);
 //! * [`exec`] — the seam between them: the shared [`Value`] model,
 //!   [`AtomicFactory`] host interface with typed `expect_*_arg` argument
-//!   access, the [`CoordExecutor`] trait, the [`CoordExec`] selector
-//!   (`--coord interp|compiled`, compiled by default), and [`Mc`], which
-//!   bundles a parsed program with its compiled form;
+//!   access, the [`CoordExec`] selector (`--coord interp|compiled`,
+//!   compiled by default), and [`Mc`], which bundles a parsed program with
+//!   its compiled form for
+//!   [`Environment::run_manner`](crate::env::Environment::run_manner);
 //! * [`error`] — typed [`LangError`] diagnostics carrying source lines.
 //!
 //! The paper's two source files ship as fixtures (`fixtures/protocolMW.m`,
@@ -58,8 +61,7 @@ pub use check::{check_program, ProgramSummary};
 pub use compile::{compile, CompiledBlock, CompiledManner, CompiledProgram, CompiledState};
 pub use error::{LangError, LangErrorKind};
 pub use exec::{
-    expect_event_arg, expect_int_arg, expect_process_arg, AtomicFactory, CoordExec, CoordExecutor,
-    Executor, Mc, Value,
+    expect_event_arg, expect_int_arg, expect_process_arg, AtomicFactory, CoordExec, Mc, Value,
 };
 pub use interp::Interp;
 pub use parse::parse_program;

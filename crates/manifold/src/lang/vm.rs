@@ -1,5 +1,7 @@
 //! The state-machine VM: steps [`CompiledProgram`] IR against a live
-//! [`Coord`], bit-identically to the tree-walking interpreter.
+//! [`Coord`], bit-identically to the tree-walking interpreter, as the step
+//! function of a stepped coordinator
+//! ([`Environment::create_stepped_coordinator`](crate::env::Environment::create_stepped_coordinator)).
 //!
 //! Where [`crate::lang::interp::Interp`] re-parses structure on every step
 //! — hashing identifier strings into per-frame maps, re-sorting wait
@@ -7,12 +9,37 @@
 //! numbers, bindings are `(symbol, value)` pairs on one scope stack, and
 //! every wait-pattern list was built at compile time. In the steady state
 //! the dispatch loop performs **zero allocations**: transitions select
-//! straight from [`CompiledBlock::local_pats`] into
-//! [`CompiledBlock::local_targets`], `post` clones interned
-//! [`Name`](crate::ident::Name)s
-//! (a refcount bump), and the only growable scratch (the `terminated(p)`
-//! wait list) is reused across steps. `coord_bench --assert-zero-alloc`
-//! enforces this with a counting allocator.
+//! straight from [`CompiledBlock::local_pats`](crate::lang::CompiledBlock::local_pats)
+//! into [`CompiledBlock::local_targets`](crate::lang::CompiledBlock::local_targets),
+//! `post` clones interned [`Name`](crate::ident::Name)s (a refcount bump),
+//! and the growable state — the frame stack, the scope stack, the
+//! `terminated(p)` wait list — keeps its capacity from step to step.
+//! `coord_bench --assert-zero-alloc` enforces this with a counting
+//! allocator.
+//!
+//! ## No thread
+//!
+//! A [`Vm`] never blocks. Its state is a resumable stack of frames, one per
+//! active block (a manner's root block, or a block entered from a state
+//! body), each holding its current state and an instruction index into
+//! that state's body. Building an [`Mc`] links its IR for the VM once,
+//! flattening every state body to straight-line code with jumps, so a body
+//! suspended in a wait, or in a manner or block it entered, resumes at a
+//! plain index. [`Vm::step`] runs until the manner needs something that
+//! has not happened yet:
+//!
+//! * **Waits.** `IDLE` (`terminated(void)`) and `terminated(p)` select
+//!   from the coordinator's event memory with `try_select`; when nothing
+//!   matches the step is [`Poll::Pending`], and the next occurrence to
+//!   arrive steps the coordinator again, on the thread that raised it.
+//!   Self-`post`ed transitions loop inside one step.
+//! * **Streams.** A state's streams are held across steps in a
+//!   [`HeldState`] and dismantled when the state is preempted.
+//! * **Exits.** A manner's block owns what it declares; on exit it closes
+//!   with [`Coord::close_pending`], which never joins: while a member is
+//!   still on its way out (the worker whose `raise(death_worker)` is
+//!   running this very step) the step is pending, and that member's
+//!   termination notice resumes it.
 //!
 //! ## Scope discipline
 //!
@@ -30,28 +57,182 @@
 //! `tests/lang_proptests.rs` and the three-way protocol tests in
 //! `tests/interpreted_protocol.rs` hold both executors to it): same
 //! [`LangError`] kinds with the same source lines, same `MES` attribution,
-//! same event-memory operations in the same order.
+//! same event-memory operations in the same order. On the error path a
+//! block's streams are dismantled and each manner's block closes before
+//! the error reaches its caller, and `ignore` purges are skipped.
 
 use std::sync::Arc;
+use std::task::Poll;
 
 use crate::builtin::Variable;
-use crate::coord::Coord;
+use crate::coord::{Coord, HeldState, ScopeMark};
 use crate::error::{MfError, MfResult};
 use crate::event::{EventOccurrence, EventPattern};
-use crate::lang::compile::{CExpr, CompiledBlock, CompiledProgram, DeclOp, Op, Sym};
+use crate::ident::ProcessId;
+use crate::lang::compile::{CExpr, ChainStep, CompiledBlock, CompiledProgram, DeclOp, Op, Sym};
 use crate::lang::error::{attribute_line, LangError, LangErrorKind};
-use crate::lang::exec::Value;
+use crate::lang::exec::{Mc, Value};
 use crate::process::ProcessRef;
 use crate::stream::Stream;
 use crate::unit::Unit;
 
-/// The VM for one compiled program.
-pub struct Vm<'p> {
-    program: &'p CompiledProgram,
-    source_name: String,
+/// A compiled program linked for the VM: the IR as compiled, plus every
+/// state body flattened to straight-line code.
+pub(crate) struct Code {
+    program: CompiledProgram,
+    /// `bodies[block][state]`.
+    bodies: Vec<Vec<Vec<Ins>>>,
 }
 
-/// How a body/block finished (mirror of the interpreter's control flow).
+impl Code {
+    /// Flatten every state body of `program`.
+    pub(crate) fn link(program: CompiledProgram) -> Code {
+        let bodies = program
+            .blocks
+            .iter()
+            .map(|b| {
+                b.states
+                    .iter()
+                    .map(|s| {
+                        let mut code = Vec::new();
+                        flatten(&s.body, &mut code);
+                        code
+                    })
+                    .collect()
+            })
+            .collect();
+        Code { program, bodies }
+    }
+
+    /// The IR this code was linked from.
+    pub(crate) fn program(&self) -> &CompiledProgram {
+        &self.program
+    }
+}
+
+/// One instruction of a flattened state body. A body runs from instruction
+/// 0 until it falls off its end (it completed) or an instruction ends the
+/// state early: `halt`, an error, or a wait preempted by an event.
+enum Ins {
+    Chain {
+        steps: Vec<ChainStep>,
+        line: u32,
+    },
+    Call {
+        manner: Option<usize>,
+        name: Sym,
+        args: Vec<CExpr>,
+        line: u32,
+    },
+    Post(Sym),
+    Raise(Sym),
+    Halt,
+    Mes {
+        msg: String,
+        line: u32,
+    },
+    Idle,
+    Await {
+        proc: Sym,
+        line: u32,
+    },
+    Assign {
+        var: Sym,
+        value: CExpr,
+        line: u32,
+    },
+    Block(usize),
+    /// The test of an `if`: fall through into the then-branch when it
+    /// holds, else go on at `otherwise`.
+    Unless {
+        lhs: CExpr,
+        op: char,
+        rhs: CExpr,
+        line: u32,
+        otherwise: usize,
+    },
+    /// From the end of a then-branch past its else-branch.
+    Jump(usize),
+}
+
+/// Append `op` to `code`. A sequence is its parts in order; an `if` is its
+/// test, its then-branch and, with an else-branch, a jump over it.
+fn flatten(op: &Op, code: &mut Vec<Ins>) {
+    let ins = match op {
+        Op::Seq(parts) => return parts.iter().for_each(|p| flatten(p, code)),
+        Op::If {
+            lhs,
+            op,
+            rhs,
+            then,
+            otherwise,
+            line,
+        } => {
+            let test = code.len();
+            code.push(Ins::Unless {
+                lhs: lhs.clone(),
+                op: *op,
+                rhs: rhs.clone(),
+                line: *line,
+                otherwise: 0,
+            });
+            flatten(then, code);
+            let at = match otherwise {
+                None => code.len(),
+                Some(o) => {
+                    let jump = code.len();
+                    code.push(Ins::Jump(0));
+                    let at = code.len();
+                    flatten(o, code);
+                    code[jump] = Ins::Jump(code.len());
+                    at
+                }
+            };
+            if let Ins::Unless { otherwise, .. } = &mut code[test] {
+                *otherwise = at;
+            }
+            return;
+        }
+        Op::PreemptAll | Op::Nop => return,
+        Op::Block(b) => Ins::Block(*b),
+        Op::Chain { steps, line } => Ins::Chain {
+            steps: steps.clone(),
+            line: *line,
+        },
+        Op::Call {
+            manner,
+            name,
+            args,
+            line,
+        } => Ins::Call {
+            manner: *manner,
+            name: *name,
+            args: args.clone(),
+            line: *line,
+        },
+        Op::Post(e) => Ins::Post(*e),
+        Op::Raise(e) => Ins::Raise(*e),
+        Op::Halt => Ins::Halt,
+        Op::Mes { msg, line } => Ins::Mes {
+            msg: msg.clone(),
+            line: *line,
+        },
+        Op::Idle => Ins::Idle,
+        Op::AwaitTermination { proc, line } => Ins::Await {
+            proc: *proc,
+            line: *line,
+        },
+        Op::Assign { var, value, line } => Ins::Assign {
+            var: *var,
+            value: value.clone(),
+            line: *line,
+        },
+    };
+    code.push(ins);
+}
+
+/// How a state body, a block or a manner finished (mirror of the
+/// interpreter's control flow).
 enum Flow {
     /// Ran to completion.
     Done,
@@ -61,58 +242,174 @@ enum Flow {
     Halted,
 }
 
-/// Mutable state of one `call_manner` activation.
-struct Run {
+/// One active block.
+struct Frame {
+    block: usize,
+    /// `slots` below this index belong to the frames underneath.
+    mark: usize,
+    /// For a manner's root block: the manner's scope, and where its
+    /// parameters start in `slots`.
+    manner: Option<(ScopeMark, usize)>,
+    /// The current state, and the next instruction of its body.
+    state: usize,
+    pc: usize,
+    /// The current state's streams.
+    held: HeldState,
+}
+
+/// What the next step does.
+enum Next {
+    /// Enter the manner with these arguments (the first step).
+    Enter(String, Vec<Value>),
+    /// Run the innermost frame's body from its `pc`.
+    Run,
+    /// Wait in `IDLE`: select from the innermost block's patterns.
+    Idle,
+    /// Wait in `terminated(p)`: select from `scratch`.
+    Await(ProcessId),
+    /// A manner's block is closing; once it has closed, `flow` goes to the
+    /// manner's caller and `slots` shrink back to `mark`.
+    Close {
+        scope: ScopeMark,
+        mark: usize,
+        flow: MfResult<Flow>,
+    },
+}
+
+/// One manner activation of a compiled program: the step function of a
+/// stepped coordinator. [`Environment::run_manner`](crate::env::Environment::run_manner)
+/// runs one under [`CoordExec::Compiled`](crate::lang::CoordExec::Compiled).
+pub struct Vm {
+    code: Arc<Code>,
+    source_name: String,
     /// The dynamic scope: `(symbol, value)` slots, innermost last.
     slots: Vec<(u32, Value)>,
-    /// Reusable wait list for `terminated(p)` (block patterns + one
-    /// termination pattern); keeps the hot loop allocation-free.
+    /// The wait list of `terminated(p)` (block patterns + one termination
+    /// pattern), reused from wait to wait.
     scratch: Vec<EventPattern>,
+    /// The active blocks, innermost last.
+    frames: Vec<Frame>,
+    next: Next,
 }
 
-impl Run {
-    fn lookup(&self, sym: Sym) -> Option<Value> {
-        self.slots
-            .iter()
-            .rev()
-            .find(|(s, _)| *s == sym.0)
-            .map(|(_, v)| v.clone())
-    }
-}
-
-impl<'p> Vm<'p> {
-    /// Create a VM for `program`. `source_name` labels MES trace records.
-    pub fn new(program: &'p CompiledProgram, source_name: impl Into<String>) -> Self {
+impl Vm {
+    /// An activation of `mc`'s manner `manner` with `args`, entered by the
+    /// first [`Vm::step`]. `source_name` labels MES trace records.
+    pub fn new(mc: &Mc, source_name: &str, manner: &str, args: Vec<Value>) -> Vm {
         Vm {
-            program,
-            source_name: source_name.into(),
+            code: mc.code().clone(),
+            source_name: source_name.to_string(),
+            slots: Vec::new(),
+            scratch: Vec::new(),
+            frames: Vec::new(),
+            next: Next::Enter(manner.to_string(), args),
         }
     }
 
-    /// Call an exported manner by name with the given arguments.
-    pub fn call_manner(&self, coord: &Coord, name: &str, args: Vec<Value>) -> MfResult<()> {
-        let idx = self
-            .program
-            .manners
-            .iter()
-            .position(|m| m.name.as_str() == name)
-            .ok_or_else(|| LangError::new(LangErrorKind::UnknownManner(name.to_string())))?;
-        let mut run = Run {
-            slots: Vec::new(),
-            scratch: Vec::new(),
-        };
-        self.run_manner(coord, &mut run, idx, args, 0)
+    /// Run the manner on `coord` (always the same coordinator) as far as
+    /// it goes without waiting: `Ready` with what the manner returned, or
+    /// `Pending` until an occurrence arrives in `coord`'s event memory. A
+    /// `Ready` activation is not stepped again.
+    pub fn step(&mut self, coord: &Coord) -> Poll<MfResult<()>> {
+        let code = Arc::clone(&self.code);
+        let events = coord.ctx().core().events();
+        loop {
+            match std::mem::replace(&mut self.next, Next::Run) {
+                Next::Enter(manner, args) => {
+                    let entered = match code
+                        .program
+                        .manners
+                        .iter()
+                        .position(|m| m.name.as_str() == manner)
+                    {
+                        Some(m) => self.enter_manner(&code, coord, m, args, 0),
+                        None => Err(LangError::new(LangErrorKind::UnknownManner(manner)).into()),
+                    };
+                    if let Err(e) = entered {
+                        return Poll::Ready(Err(e));
+                    }
+                }
+                Next::Run => {
+                    let f = self
+                        .frames
+                        .last_mut()
+                        .expect("a running manner has a frame");
+                    match code.bodies[f.block][f.state].get(f.pc) {
+                        Some(ins) => {
+                            f.pc += 1;
+                            if let Err(e) = self.exec(&code, coord, ins) {
+                                self.end_state(&code, coord, Err(e));
+                            }
+                        }
+                        None => self.end_state(&code, coord, Ok(Flow::Done)),
+                    }
+                }
+                Next::Idle => {
+                    let f = self.frames.last().expect("a waiting manner has a frame");
+                    let pats = &code.program.blocks[f.block].all_pats;
+                    match events.try_select(pats) {
+                        // IDLE: only events can get us out.
+                        Some((_, occ)) => self.end_state(&code, coord, Ok(Flow::Preempted(occ))),
+                        None if events.is_killed() => {
+                            self.end_state(&code, coord, Err(MfError::Killed))
+                        }
+                        None => {
+                            self.next = Next::Idle;
+                            return Poll::Pending;
+                        }
+                    }
+                }
+                Next::Await(p) => match events.try_select(&self.scratch) {
+                    Some((idx, occ))
+                        if idx == self.scratch.len() - 1 && occ.is_termination_of(p) => {}
+                    Some((_, occ)) => self.end_state(&code, coord, Ok(Flow::Preempted(occ))),
+                    None if events.is_killed() => {
+                        self.end_state(&code, coord, Err(MfError::Killed))
+                    }
+                    None => {
+                        self.next = Next::Await(p);
+                        return Poll::Pending;
+                    }
+                },
+                Next::Close {
+                    mut scope,
+                    mark,
+                    flow,
+                } => {
+                    if coord.close_pending(&mut scope).is_some() {
+                        self.next = Next::Close { scope, mark, flow };
+                        return Poll::Pending;
+                    }
+                    self.slots.truncate(mark);
+                    // A manner boundary absorbs `halt`.
+                    let ended = match flow {
+                        Ok(Flow::Done | Flow::Halted) => Ok(()),
+                        Ok(Flow::Preempted(occ)) => Err(MfError::App(format!(
+                            "manner exited on unhandled occurrence {occ:?}"
+                        ))),
+                        Err(e) => Err(e),
+                    };
+                    if self.frames.is_empty() {
+                        return Poll::Ready(ended);
+                    }
+                    self.returned(&code, coord, ended.map(|()| Flow::Done));
+                }
+            }
+        }
     }
 
-    fn run_manner(
-        &self,
+    /// Enter manner `manner`: bind its parameters, open the block that
+    /// owns what it declares, and enter it. Only an arity mismatch fails
+    /// here; a failing declaration exits the block like any error.
+    fn enter_manner(
+        &mut self,
+        code: &Code,
         coord: &Coord,
-        run: &mut Run,
         manner: usize,
         args: Vec<Value>,
         line: u32,
     ) -> MfResult<()> {
-        let m = &self.program.manners[manner];
+        let m = &code.program.manners[manner];
         if m.params.len() != args.len() {
             return Err(LangError::at(
                 LangErrorKind::ArityMismatch {
@@ -131,54 +428,62 @@ impl<'p> Vm<'p> {
                 coord.watch(p);
             }
         }
-        let mark = run.slots.len();
-        for (s, a) in m.params.iter().zip(args) {
-            run.slots.push((s.0, a));
-        }
+        let mark = self.slots.len();
+        self.slots.extend(m.params.iter().map(|s| s.0).zip(args));
         // The manner's block owns what it declares: its `variable`s and the
         // processes its factories create die when it returns.
-        let r = coord.scope(|coord| self.run_block(coord, run, m.block));
-        run.slots.truncate(mark);
-        // A manner boundary absorbs `halt`.
-        match r? {
-            Flow::Done | Flow::Halted => Ok(()),
-            Flow::Preempted(occ) => Err(MfError::App(format!(
-                "manner exited on unhandled occurrence {occ:?}"
-            ))),
-        }
+        let scope = coord.open_scope();
+        self.enter_block(code, coord, m.block, Some((scope, mark)));
+        Ok(())
     }
 
-    /// Execute one block: declaration opcodes, then the state machine.
-    fn run_block(&self, coord: &Coord, run: &mut Run, block: usize) -> MfResult<Flow> {
-        let b = &self.program.blocks[block];
-        let mark = run.slots.len();
-        let r = self.run_block_inner(coord, run, b);
-        run.slots.truncate(mark);
-        if r.is_ok() {
-            // `ignore e.`: purge on departure from the block (skipped on
-            // the error path, exactly like the interpreter).
-            for e in &b.ignores {
-                coord.ctx().core().events().purge_named(e);
+    /// Push a frame for `block`, run its declarations, and visit its
+    /// `begin` state.
+    fn enter_block(
+        &mut self,
+        code: &Code,
+        coord: &Coord,
+        block: usize,
+        manner: Option<(ScopeMark, usize)>,
+    ) {
+        let b = &code.program.blocks[block];
+        self.frames.push(Frame {
+            block,
+            mark: self.slots.len(),
+            manner,
+            state: 0,
+            pc: 0,
+            held: HeldState::default(),
+        });
+        let begin = self.declare(code, coord, b).and_then(|()| {
+            b.begin
+                .ok_or_else(|| LangError::new(LangErrorKind::NoSuchState("begin".into())).into())
+        });
+        match begin {
+            Ok(begin) => {
+                self.frames.last_mut().expect("just pushed").state = begin;
+                self.next = Next::Run;
             }
+            Err(e) => self.exit_block(code, coord, Err(e)),
         }
-        r
     }
 
-    fn run_block_inner(&self, coord: &Coord, run: &mut Run, b: &CompiledBlock) -> MfResult<Flow> {
+    /// Run a block's declaration opcodes, in order.
+    fn declare(&mut self, code: &Code, coord: &Coord, b: &CompiledBlock) -> MfResult<()> {
         for d in &b.decls {
             match d {
                 DeclOp::Event { sym } => {
-                    let name = self.program.name(*sym).clone();
-                    run.slots.push((sym.0, Value::Event(name)));
+                    let name = code.program.name(*sym).clone();
+                    self.slots.push((sym.0, Value::Event(name)));
                 }
                 DeclOp::Variable { sym, init, line } => {
                     let init = match init {
-                        Some(e) => self.eval_int(run, e, *line)?,
+                        Some(e) => self.eval_int(code, e, *line)?,
                         None => 0,
                     };
-                    let name = self.program.name(*sym).clone();
+                    let name = code.program.name(*sym).clone();
                     let var = Variable::spawn(coord, name.as_str(), Unit::int(init))?;
-                    run.slots.push((sym.0, Value::Variable(var)));
+                    self.slots.push((sym.0, Value::Variable(var)));
                 }
                 DeclOp::Process {
                     sym,
@@ -186,12 +491,12 @@ impl<'p> Vm<'p> {
                     args,
                     line,
                 } => {
-                    let factory = match run.lookup(*ctor) {
-                        Some(Value::Manifold(f)) => f,
+                    let factory = match self.lookup(*ctor) {
+                        Some(Value::Manifold(f)) => f.clone(),
                         _ => {
                             return Err(LangError::at(
                                 LangErrorKind::NotAManifold(
-                                    self.program.name(*ctor).as_str().to_string(),
+                                    code.program.name(*ctor).as_str().to_string(),
                                 ),
                                 *line,
                             )
@@ -200,102 +505,44 @@ impl<'p> Vm<'p> {
                     };
                     let argv: Vec<Value> = args
                         .iter()
-                        .map(|a| self.eval_value(run, a, *line))
+                        .map(|a| self.eval_value(code, a, *line))
                         .collect::<MfResult<_>>()?;
                     let p = factory(coord, &argv).map_err(|e| attribute_line(e, *line))?;
-                    run.slots.push((sym.0, Value::Process(p)));
+                    self.slots.push((sym.0, Value::Process(p)));
                 }
                 DeclOp::InvalidStream { ty } => {
                     return Err(LangError::new(LangErrorKind::UnknownStreamType(ty.clone())).into())
                 }
             }
         }
-
-        let mut current = match b.begin {
-            Some(i) => i,
-            None => return Err(LangError::new(LangErrorKind::NoSuchState("begin".into())).into()),
-        };
-        loop {
-            let state = &b.states[current];
-            // Empty Vec: no allocation until a chain op actually pushes.
-            let mut streams: Vec<Arc<Stream>> = Vec::new();
-            let flow = self.exec_op(coord, run, b, &state.body, &mut streams);
-            // State preemption: dismantle this state's streams (also on the
-            // error path, as the interpreter does).
-            for s in &streams {
-                s.dismantle();
-            }
-            match flow? {
-                Flow::Halted => return Ok(Flow::Halted),
-                Flow::Preempted(occ) => {
-                    let target = occ
-                        .name()
-                        .and_then(|n| b.states.iter().position(|s| s.label == *n));
-                    match target {
-                        Some(i) => current = i,
-                        None => return Ok(Flow::Preempted(occ)),
-                    }
-                }
-                Flow::Done => {
-                    // Body completed: pending local label → transition via
-                    // the dispatch table; pending outer label → exit; else
-                    // the block completes.
-                    let events = coord.ctx().core().events();
-                    if let Some((i, _)) = events.try_select(&b.local_pats) {
-                        current = b.local_targets[i];
-                        continue;
-                    }
-                    if let Some((_, occ)) = events.try_select(&b.outer_pats) {
-                        return Ok(Flow::Preempted(occ));
-                    }
-                    return Ok(Flow::Done);
-                }
-            }
-        }
+        Ok(())
     }
 
-    fn exec_op(
-        &self,
-        coord: &Coord,
-        run: &mut Run,
-        b: &CompiledBlock,
-        op: &Op,
-        streams: &mut Vec<Arc<Stream>>,
-    ) -> MfResult<Flow> {
-        match op {
-            Op::Seq(parts) => {
-                for p in parts {
-                    match self.exec_op(coord, run, b, p, streams)? {
-                        Flow::Done => {}
-                        other => return Ok(other),
-                    }
-                }
-                Ok(Flow::Done)
-            }
-            Op::Block(idx) => self.run_block(coord, run, *idx),
-            Op::Chain { steps, line } => {
+    /// Execute one instruction of the innermost frame's body (its `pc` is
+    /// already past it). An error ends the state.
+    fn exec(&mut self, code: &Code, coord: &Coord, ins: &Ins) -> MfResult<()> {
+        match ins {
+            Ins::Chain { steps, line } => {
                 for s in steps {
-                    let sink = self.resolve_process(run, s.to, *line)?;
-                    let sink_port = sink.port(self.program.name(s.to_port).clone());
-                    if s.from_ref {
+                    let sink = self.resolve_process(code, s.to, *line)?;
+                    let sink_port = sink.port(code.program.name(s.to_port).clone());
+                    let st = if s.from_ref {
                         // `&p -> q`: a one-shot reference unit from the
                         // coordinator.
-                        let p = self.resolve_process(run, s.from, *line)?;
-                        let st = Stream::preloaded(s.ty, [Unit::ProcessRef(p)]);
-                        sink_port.attach_incoming(&st);
-                        streams.push(st);
+                        let p = self.resolve_process(code, s.from, *line)?;
+                        Stream::preloaded(s.ty, [Unit::ProcessRef(p)])
                     } else {
-                        let src = self.resolve_process(run, s.from, *line)?;
-                        let src_port = src.port(self.program.name(s.from_port).clone());
+                        let src = self.resolve_process(code, s.from, *line)?;
                         let st = Stream::new(s.ty);
-                        src_port.attach_outgoing(&st);
-                        sink_port.attach_incoming(&st);
-                        streams.push(st);
-                    }
+                        src.port(code.program.name(s.from_port).clone())
+                            .attach_outgoing(&st);
+                        st
+                    };
+                    sink_port.attach_incoming(&st);
+                    self.frames.last_mut().expect("running").held.push(st);
                 }
-                Ok(Flow::Done)
             }
-            Op::Call {
+            Ins::Call {
                 manner,
                 name,
                 args,
@@ -305,47 +552,33 @@ impl<'p> Vm<'p> {
                 // like the interpreter.
                 let argv: Vec<Value> = args
                     .iter()
-                    .map(|a| self.eval_value(run, a, *line))
+                    .map(|a| self.eval_value(code, a, *line))
                     .collect::<MfResult<_>>()?;
                 match manner {
-                    Some(idx) => {
-                        self.run_manner(coord, run, *idx, argv, *line)?;
-                        Ok(Flow::Done)
+                    Some(m) => self.enter_manner(code, coord, *m, argv, *line)?,
+                    None => {
+                        return Err(LangError::at(
+                            LangErrorKind::UnknownManner(
+                                code.program.name(*name).as_str().to_string(),
+                            ),
+                            *line,
+                        )
+                        .into())
                     }
-                    None => Err(LangError::at(
-                        LangErrorKind::UnknownManner(self.program.name(*name).as_str().to_string()),
-                        *line,
-                    )
-                    .into()),
                 }
             }
-            Op::Post(e) => {
-                coord.post(self.program.name(*e).clone());
-                Ok(Flow::Done)
-            }
-            Op::Raise(e) => {
-                coord.raise(self.program.name(*e).clone());
-                Ok(Flow::Done)
-            }
-            Op::Halt => Ok(Flow::Halted),
-            Op::PreemptAll => Ok(Flow::Done),
-            Op::Mes { msg, line } => {
-                coord.ctx().trace(&self.source_name, *line, msg.clone());
-                Ok(Flow::Done)
-            }
-            Op::Idle => {
-                // IDLE: only events can get us out; the wait list is the
-                // precomputed local ++ outer patterns.
-                let (_, occ) = coord.ctx().core().events().wait_select(&b.all_pats)?;
-                Ok(Flow::Preempted(occ))
-            }
-            Op::AwaitTermination { proc, line } => {
-                let p = match run.lookup(*proc) {
-                    Some(Value::Process(p)) => p,
+            Ins::Post(e) => coord.post(code.program.name(*e).clone()),
+            Ins::Raise(e) => coord.raise(code.program.name(*e).clone()),
+            Ins::Halt => self.end_state(code, coord, Ok(Flow::Halted)),
+            Ins::Mes { msg, line } => coord.ctx().trace(&self.source_name, *line, msg.clone()),
+            Ins::Idle => self.next = Next::Idle,
+            Ins::Await { proc, line } => {
+                let p = match self.lookup(*proc) {
+                    Some(Value::Process(p)) => p.clone(),
                     _ => {
                         return Err(LangError::at(
                             LangErrorKind::NotAProcess(
-                                self.program.name(*proc).as_str().to_string(),
+                                code.program.name(*proc).as_str().to_string(),
                             ),
                             *line,
                         )
@@ -353,96 +586,168 @@ impl<'p> Vm<'p> {
                     }
                 };
                 coord.watch(&p);
-                run.scratch.clear();
-                run.scratch.extend_from_slice(&b.all_pats);
-                run.scratch.push(EventPattern::Terminated(p.id()));
-                let (idx, occ) = coord.ctx().core().events().wait_select(&run.scratch)?;
-                if idx == run.scratch.len() - 1 && occ.is_termination_of(p.id()) {
-                    Ok(Flow::Done)
-                } else {
-                    Ok(Flow::Preempted(occ))
-                }
+                let f = self.frames.last().expect("running");
+                self.scratch.clear();
+                self.scratch
+                    .extend_from_slice(&code.program.blocks[f.block].all_pats);
+                self.scratch.push(EventPattern::Terminated(p.id()));
+                self.next = Next::Await(p.id());
             }
-            Op::Assign { var, value, line } => {
-                let v = self.eval_int(run, value, *line)?;
-                match run.lookup(*var) {
-                    Some(Value::Variable(target)) => {
-                        target.set(Unit::int(v));
-                        Ok(Flow::Done)
+            Ins::Assign { var, value, line } => {
+                let v = self.eval_int(code, value, *line)?;
+                match self.lookup(*var) {
+                    Some(Value::Variable(target)) => target.set(Unit::int(v)),
+                    _ => {
+                        return Err(LangError::at(
+                            LangErrorKind::NotAVariable(
+                                code.program.name(*var).as_str().to_string(),
+                            ),
+                            *line,
+                        )
+                        .into())
                     }
-                    _ => Err(LangError::at(
-                        LangErrorKind::NotAVariable(self.program.name(*var).as_str().to_string()),
-                        *line,
-                    )
-                    .into()),
                 }
             }
-            Op::If {
+            Ins::Block(b) => self.enter_block(code, coord, *b, None),
+            Ins::Unless {
                 lhs,
                 op,
                 rhs,
-                then,
-                otherwise,
                 line,
+                otherwise,
             } => {
-                let l = self.eval_int(run, lhs, *line)?;
-                let r = self.eval_int(run, rhs, *line)?;
+                let l = self.eval_int(code, lhs, *line)?;
+                let r = self.eval_int(code, rhs, *line)?;
                 let hit = match op {
                     '<' => l < r,
                     '>' => l > r,
                     '=' => l == r,
                     _ => unreachable!(),
                 };
-                let branch = if hit {
-                    Some(then.as_ref())
-                } else {
-                    otherwise.as_deref()
-                };
-                match branch {
-                    Some(a) => self.exec_op(coord, run, b, a, streams),
+                if !hit {
+                    self.frames.last_mut().expect("running").pc = *otherwise;
+                }
+            }
+            Ins::Jump(to) => self.frames.last_mut().expect("running").pc = *to,
+        }
+        Ok(())
+    }
+
+    /// The innermost frame's state body has finished with `flow`: preempt
+    /// the state (dismantle its streams, also on the error path), then
+    /// transition, or exit the block.
+    fn end_state(&mut self, code: &Code, coord: &Coord, flow: MfResult<Flow>) {
+        let f = self.frames.last_mut().expect("a state ends in its frame");
+        f.held = HeldState::default();
+        let b = &code.program.blocks[f.block];
+        let exit = match flow {
+            Ok(Flow::Preempted(occ)) => {
+                match occ
+                    .name()
+                    .and_then(|n| b.states.iter().position(|s| s.label == *n))
+                {
+                    Some(i) => {
+                        f.state = i;
+                        f.pc = 0;
+                        self.next = Next::Run;
+                        return;
+                    }
+                    None => Ok(Flow::Preempted(occ)),
+                }
+            }
+            Ok(Flow::Done) => {
+                // Body completed: pending local label → transition via the
+                // dispatch table; pending outer label → exit; else the
+                // block completes.
+                let events = coord.ctx().core().events();
+                if let Some((i, _)) = events.try_select(&b.local_pats) {
+                    f.state = b.local_targets[i];
+                    f.pc = 0;
+                    self.next = Next::Run;
+                    return;
+                }
+                match events.try_select(&b.outer_pats) {
+                    Some((_, occ)) => Ok(Flow::Preempted(occ)),
                     None => Ok(Flow::Done),
                 }
             }
-            Op::Nop => Ok(Flow::Done),
+            other => other,
+        };
+        self.exit_block(code, coord, exit);
+    }
+
+    /// Leave the innermost block with `flow`: unbind what it declared and,
+    /// unless it failed, purge its `ignore`d events; then close it if it is
+    /// a manner's, or hand `flow` to the state body that entered it.
+    fn exit_block(&mut self, code: &Code, coord: &Coord, flow: MfResult<Flow>) {
+        let f = self.frames.pop().expect("a block exits from its frame");
+        self.slots.truncate(f.mark);
+        if flow.is_ok() {
+            // `ignore e.`: purge on departure from the block (skipped on
+            // the error path, exactly like the interpreter).
+            for e in &code.program.blocks[f.block].ignores {
+                coord.ctx().core().events().purge_named(e);
+            }
+        }
+        match f.manner {
+            Some((scope, mark)) => self.next = Next::Close { scope, mark, flow },
+            None => self.returned(code, coord, flow),
         }
     }
 
-    fn resolve_process(&self, run: &Run, sym: Sym, line: u32) -> MfResult<ProcessRef> {
-        match run.lookup(sym) {
-            Some(Value::Process(p)) => Ok(p),
+    /// A block or manner entered from the innermost frame's state body has
+    /// finished with `flow`: the body goes on, or ends with it.
+    fn returned(&mut self, code: &Code, coord: &Coord, flow: MfResult<Flow>) {
+        match flow {
+            Ok(Flow::Done) => self.next = Next::Run,
+            other => self.end_state(code, coord, other),
+        }
+    }
+
+    fn lookup(&self, sym: Sym) -> Option<&Value> {
+        self.slots
+            .iter()
+            .rev()
+            .find(|(s, _)| *s == sym.0)
+            .map(|(_, v)| v)
+    }
+
+    fn resolve_process(&self, code: &Code, sym: Sym, line: u32) -> MfResult<ProcessRef> {
+        match self.lookup(sym) {
+            Some(Value::Process(p)) => Ok(p.clone()),
             Some(Value::Variable(v)) => Ok(v.process().clone()),
             _ => Err(LangError::at(
-                LangErrorKind::NotAProcess(self.program.name(sym).as_str().to_string()),
+                LangErrorKind::NotAProcess(code.program.name(sym).as_str().to_string()),
                 line,
             )
             .into()),
         }
     }
 
-    fn eval_value(&self, run: &Run, e: &CExpr, line: u32) -> MfResult<Value> {
+    fn eval_value(&self, code: &Code, e: &CExpr, line: u32) -> MfResult<Value> {
         match e {
             CExpr::Int(v) => Ok(Value::Int(*v)),
-            CExpr::Var(sym) | CExpr::Ref(sym) => run.lookup(*sym).ok_or_else(|| {
+            CExpr::Var(sym) | CExpr::Ref(sym) => self.lookup(*sym).cloned().ok_or_else(|| {
                 LangError::at(
-                    LangErrorKind::Unbound(self.program.name(*sym).as_str().to_string()),
+                    LangErrorKind::Unbound(code.program.name(*sym).as_str().to_string()),
                     line,
                 )
                 .into()
             }),
-            CExpr::Binary { .. } => Ok(Value::Int(self.eval_int(run, e, line)?)),
+            CExpr::Binary { .. } => Ok(Value::Int(self.eval_int(code, e, line)?)),
             CExpr::Call => Err(LangError::at(LangErrorKind::NestedCall, line).into()),
         }
     }
 
-    fn eval_int(&self, run: &Run, e: &CExpr, line: u32) -> MfResult<i64> {
+    fn eval_int(&self, code: &Code, e: &CExpr, line: u32) -> MfResult<i64> {
         match e {
             CExpr::Int(v) => Ok(*v),
-            CExpr::Var(sym) => match run.lookup(*sym) {
-                Some(Value::Int(v)) => Ok(v),
+            CExpr::Var(sym) => match self.lookup(*sym) {
+                Some(Value::Int(v)) => Ok(*v),
                 Some(Value::Variable(var)) => Ok(var.get_int()),
                 other => Err(LangError::at(
                     LangErrorKind::NotNumeric {
-                        name: self.program.name(*sym).as_str().to_string(),
+                        name: code.program.name(*sym).as_str().to_string(),
                         found: format!("{other:?}"),
                     },
                     line,
@@ -450,8 +755,8 @@ impl<'p> Vm<'p> {
                 .into()),
             },
             CExpr::Binary { op, lhs, rhs } => {
-                let l = self.eval_int(run, lhs, line)?;
-                let r = self.eval_int(run, rhs, line)?;
+                let l = self.eval_int(code, lhs, line)?;
+                let r = self.eval_int(code, rhs, line)?;
                 Ok(match op {
                     '+' => l + r,
                     '-' => l - r,
@@ -469,22 +774,19 @@ impl<'p> Vm<'p> {
 mod tests {
     use super::*;
     use crate::env::Environment;
-    use crate::lang::compile::compile;
-    use crate::lang::parse::parse_program;
+    use crate::lang::CoordExec;
 
     fn run_vm(src: &str, manner: &str) -> (MfResult<()>, Vec<String>) {
-        let prog = parse_program(src).unwrap();
-        let ir = compile(&prog).unwrap();
+        let mc = Mc::from_source(src).unwrap();
         let env = Environment::new();
-        let r = env.run_coordinator("Main", |coord| {
-            Vm::new(&ir, "test.m").call_manner(coord, manner, vec![])
-        });
+        let r = env.run_manner(&mc, CoordExec::Compiled, "test.m", manner, |_| Ok(vec![]));
         let msgs = env
             .trace()
             .snapshot()
             .into_iter()
             .map(|r| r.message)
             .collect();
+        assert_eq!(env.live_processes(), 0);
         env.shutdown();
         (r, msgs)
     }
@@ -534,6 +836,93 @@ mod tests {
                 assert_ne!(e.line, 0);
             }
             other => panic!("expected LangError, got {other:?}"),
+        }
+        // So does an unknown entry manner, with no line.
+        let (r, _) = run_vm("manner Go() { begin: halt. }", "Gone");
+        assert_eq!(
+            r.unwrap_err(),
+            MfError::Lang(LangError::new(LangErrorKind::UnknownManner("Gone".into())))
+        );
+    }
+
+    #[test]
+    fn flattened_if_falls_through_then_and_jumps_over_else() {
+        let src = "manner Go() {\n\
+            begin: if (1 < 2) then (MES(\"a\"); MES(\"b\")) else (MES(\"c\")); \
+                   if (2 < 1) then (MES(\"d\")) else (MES(\"e\"); MES(\"f\")); \
+                   if (2 < 1) then (MES(\"g\")); MES(\"h\").\n\
+        }";
+        let (r, msgs) = run_vm(src, "Go");
+        r.unwrap();
+        assert_eq!(msgs, ["a", "b", "e", "f", "h"]);
+    }
+
+    #[test]
+    fn a_suspended_nested_manner_resumes_mid_sequence() {
+        // The nested manner idles until the host's process raises `go`; the
+        // outer body goes on after the call, into its `if`.
+        let src = "\
+            manner Inner(process p) { begin: (MES(\"waiting\"), terminated (void)). go: MES(\"woken\"). }\n\
+            manner Outer(process p) { begin: Inner(p); MES(\"after\"); if (1 < 2) then (MES(\"then\")). }";
+        let mc = Mc::from_source(src).unwrap();
+        let env = Environment::new();
+        let raiser = Arc::new(parking_lot::Mutex::new(None));
+        let raiser2 = raiser.clone();
+        let here = std::thread::current().id();
+        env.run_manner(&mc, CoordExec::Compiled, "t.m", "Outer", |coord| {
+            let p = coord.create_atomic("P", move |ctx: crate::process::ProcessCtx| {
+                *raiser2.lock() = Some(std::thread::current().id());
+                ctx.raise("go");
+                Ok(())
+            });
+            Ok(vec![Value::Process(p)])
+        })
+        .unwrap();
+        let msgs: Vec<String> = env
+            .trace()
+            .snapshot()
+            .into_iter()
+            .map(|r| r.message)
+            .collect();
+        assert_eq!(msgs, ["waiting", "woken", "after", "then"]);
+        // The unstarted argument ran on the calling thread.
+        assert_eq!(*raiser.lock(), Some(here));
+        assert_eq!(env.live_processes(), 0);
+        env.shutdown();
+    }
+
+    #[test]
+    fn a_manner_returns_only_once_its_block_has_closed() {
+        // `Sub`'s block owns a process that takes a while to unwind once
+        // killed: the caller goes on only after it has.
+        let src = "\
+            manner Sub(manifold Slow()) { process z is Slow. begin: MES(\"sub\"). }\n\
+            manner Main(manifold Slow()) { begin: Sub(Slow); MES(\"after\"). }";
+        let mc = Mc::from_source(src).unwrap();
+        for kind in CoordExec::ALL {
+            let env = Environment::new();
+            env.run_manner(&mc, kind, "t.m", "Main", |_| {
+                let slow: crate::lang::AtomicFactory = Arc::new(|coord, _| {
+                    let p = coord.create_atomic("Slow", |ctx: crate::process::ProcessCtx| {
+                        let _ = ctx.read("input");
+                        std::thread::sleep(std::time::Duration::from_millis(30));
+                        ctx.trace("slow.rs", 1, "unwound".into());
+                        Ok(())
+                    });
+                    coord.activate(&p)?;
+                    Ok(p)
+                });
+                Ok(vec![Value::Manifold(slow)])
+            })
+            .unwrap();
+            let msgs: Vec<String> = env
+                .trace()
+                .snapshot()
+                .into_iter()
+                .map(|r| r.message)
+                .collect();
+            assert_eq!(msgs, ["sub", "unwound", "after"], "{kind}");
+            env.shutdown();
         }
     }
 }

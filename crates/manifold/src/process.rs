@@ -506,6 +506,14 @@ impl ProcessCore {
         Ok(())
     }
 
+    /// Block until the process terminates, however long that takes.
+    pub(crate) fn wait_until_terminated(&self) {
+        let mut life = self.life.lock();
+        while *life != LifeState::Terminated {
+            pool::blocking(|| self.life_cv.wait(&mut life));
+        }
+    }
+
     /// The error the body returned, if it failed with something other than
     /// a clean kill.
     pub fn failure(&self) -> Option<MfError> {

@@ -3,11 +3,17 @@
 //! trips, the lexer never panics on arbitrary input, and — the differential
 //! property — generated well-formed manner programs produce identical
 //! results, trace records, and leftover events under the tree-walking
-//! interpreter and the compiled state-machine VM.
+//! interpreter and the compiled state-machine VM, including programs that
+//! wait between states for events raised by processes on other threads.
+
+use std::sync::Arc;
 
 use manifold::env::Environment;
 use manifold::lang::ast::*;
-use manifold::lang::{lex, parse_program, print_program, CoordExec, CoordExecutor, Mc};
+use manifold::lang::{
+    expect_event_arg, lex, parse_program, print_program, AtomicFactory, CoordExec, Mc, Value,
+};
+use manifold::prelude::{Coord, MfResult, ProcessCtx};
 use proptest::prelude::*;
 
 fn ident() -> impl Strategy<Value = String> {
@@ -269,6 +275,10 @@ enum PAct {
     },
     /// `Sub()` — exercises dynamic scoping (Sub mutates the caller's v0).
     CallSub,
+    /// `Nap(Ping)` — a nested manner that idles until its own `Ping`
+    /// process wakes it, then bumps the caller's v0 (suspending programs
+    /// only).
+    Nap,
 }
 
 /// Actions legal in state `state` of `n` total states: posts may only
@@ -317,6 +327,7 @@ fn render_act(a: &PAct) -> String {
             STATE_LABELS[*then_t], STATE_LABELS[*else_t]
         ),
         PAct::CallSub => "Sub()".to_string(),
+        PAct::Nap => "Nap(Ping)".to_string(),
     }
 }
 
@@ -345,22 +356,43 @@ fn render_program(init0: i64, init1: i64, bodies: &[Vec<PAct>]) -> String {
 type Observation = (Result<(), String>, Vec<(String, u32, String)>, Vec<String>);
 
 fn run_once(src: &str, kind: CoordExec) -> Observation {
+    run_with(src, kind, |_| Ok(Vec::new()))
+}
+
+/// [`run_once`] for a `Main(manifold Ping(event), manifold Once())`.
+fn run_with_helpers(src: &str, kind: CoordExec) -> Observation {
+    run_with(src, kind, |_| {
+        Ok(vec![Value::Manifold(ping()), Value::Manifold(once())])
+    })
+}
+
+fn run_with(
+    src: &str,
+    kind: CoordExec,
+    make_args: impl FnOnce(&mut Coord) -> MfResult<Vec<Value>>,
+) -> Observation {
     let mc = Mc::from_source(src).expect("generated program must compile");
     let env = Environment::new();
-    let out = env.run_coordinator("Main", |coord| {
-        let exec = mc.executor(kind, "prop.m");
-        let result = exec.call_manner(coord, "Main", Vec::new());
-        let leftovers: Vec<String> = coord
-            .ctx()
-            .core()
-            .events()
-            .snapshot()
-            .iter()
-            .filter_map(|o| o.name().map(|n| n.as_str().to_string()))
-            .collect();
-        Ok((result, leftovers))
+    let mut coordinator = None;
+    let result = env.run_manner(&mc, kind, "prop.m", "Main", |coord| {
+        coordinator = Some(coord.self_ref());
+        make_args(coord)
     });
-    let (result, leftovers) = out.expect("coordinator harness must not fail");
+    // Everything the manner declared died with it, and so did its
+    // coordinator.
+    assert_eq!(
+        env.live_processes(),
+        0,
+        "{kind}: processes outlived the manner"
+    );
+    let leftovers: Vec<String> = coordinator
+        .expect("the coordinator was created")
+        .core()
+        .events()
+        .snapshot()
+        .iter()
+        .filter_map(|o| o.name().map(|n| n.as_str().to_string()))
+        .collect();
     let trace: Vec<(String, u32, String)> = env
         .trace()
         .snapshot()
@@ -369,6 +401,30 @@ fn run_once(src: &str, kind: CoordExec) -> Observation {
         .collect();
     env.shutdown();
     (result.map_err(|e| format!("{e:?}")), trace, leftovers)
+}
+
+/// `Ping(e)`: a process on a thread of its own that raises `e` for every
+/// unit arriving at its input, and otherwise waits.
+fn ping() -> AtomicFactory {
+    Arc::new(|coord, args| {
+        let e = expect_event_arg(args, 0)?;
+        let p = coord.create_atomic("Ping", move |ctx: ProcessCtx| loop {
+            ctx.read("input")?;
+            ctx.raise(e.clone());
+        });
+        coord.activate(&p)?;
+        Ok(p)
+    })
+}
+
+/// `Once`: a process on a thread of its own that terminates once a unit
+/// has arrived at its input.
+fn once() -> AtomicFactory {
+    Arc::new(|coord, _| {
+        let p = coord.create_atomic("Once", |ctx: ProcessCtx| ctx.read("input").map(drop));
+        coord.activate(&p)?;
+        Ok(p)
+    })
 }
 
 /// Malformed-at-runtime programs must fail identically — same error kind,
@@ -401,6 +457,27 @@ fn executors_agree_on_errors() {
         assert!(interp.0.is_err(), "expected a runtime error for {src:?}");
         assert_eq!(interp, vm, "executors disagree on source:\n{src}");
     }
+    // A failure inside a nested manner whose block still has live members:
+    // a variable, and a process blocked on its input in a thread of its
+    // own. The block closes — the compiled coordinator waiting, without a
+    // thread, for that process to unwind — before the error surfaces.
+    let nested = "\
+        manner Sub(manifold Ping(event)) {\n\
+            event e.\n\
+            auto process v is variable(0).\n\
+            process z is Ping(e).\n\
+            begin: v = v + 1; MES(\"failing\"); Nope().\n\
+        }\n\
+        manner Main(manifold Ping(event), manifold Once()) {\n\
+            begin: MES(\"calling\"); Sub(Ping); MES(\"unreachable\").\n\
+        }\n";
+    let interp = run_with_helpers(nested, CoordExec::Interp);
+    let vm = run_with_helpers(nested, CoordExec::Compiled);
+    assert!(
+        interp.0.as_ref().is_err_and(|e| e.contains("Nope")),
+        "{interp:?}"
+    );
+    assert_eq!(interp, vm, "executors disagree on source:\n{nested}");
 }
 
 proptest! {
@@ -448,6 +525,144 @@ proptest! {
         let src = render_program(init0, init1, &[b0, b1, b2, b3]);
         let interp = run_once(&src, CoordExec::Interp);
         let vm = run_once(&src, CoordExec::Compiled);
+        prop_assert_eq!(interp, vm, "executors disagree on source:\n{}", src);
+    }
+}
+
+// ------------------------------------------------------------------------
+// Differential testing of programs that wait. Every state of `Main` runs
+// some actions that never leave it, then is left one way, last:
+//
+// * completing, or posting (directly or in an `if`) a later state, as
+//   above;
+// * `(&p{i} -> p{i}, terminated (void))` — idling until `p{i}`, a `Ping`
+//   of the later state's label, has read the reference and raised it from
+//   its own thread;
+// * `(&q{i} -> q{i}, terminated (q{i}))`, then posting a later state if
+//   there is one — waiting for `q{i}`, a `Once`, to terminate.
+//
+// At most one label occurrence is ever pending, and only the wait it is
+// meant for can select it, so the run is deterministic however the helper
+// threads are scheduled — and the compiled coordinator, which has no
+// thread, is stepped on theirs. `Nap(Ping)` suspends the same way inside a
+// nested manner, so the caller resumes mid-sequence after it returns.
+
+/// How a state of a suspending program is left.
+#[derive(Clone, Debug)]
+enum Leave {
+    /// The body completes with nothing pending: the block completes.
+    Complete,
+    /// `post`, or an `if` that posts: transition to a later state.
+    Then(PAct),
+    /// Idle until `Ping(label)` wakes the state into the later one.
+    Idle(usize),
+    /// Wait for a `Once` to terminate, then post the later state, if any.
+    Await(Option<usize>),
+}
+
+fn arb_suspending_state(state: usize, n: usize) -> BoxedStrategy<(Vec<PAct>, Leave)> {
+    let act = prop_oneof![
+        (0usize..2, prop_oneof![Just('+'), Just('-')], 0i64..4)
+            .prop_map(|(var, op, k)| PAct::Assign { var, op, k }),
+        "[a-z]{1,8}".prop_map(PAct::Mes),
+        Just(PAct::CallSub),
+        Just(PAct::Nap),
+    ];
+    let leave = if state + 1 < n {
+        let later = (state + 1)..n;
+        // The shim's union is uniform: the waits are listed twice to be
+        // drawn more often.
+        prop_oneof![
+            Just(Leave::Complete),
+            later.clone().prop_map(|t| Leave::Then(PAct::Post(t))),
+            (0usize..2, -2i64..5, later.clone(), later.clone()).prop_map(
+                |(var, bound, then_t, else_t)| Leave::Then(PAct::If {
+                    var,
+                    bound,
+                    then_t,
+                    else_t,
+                })
+            ),
+            later.clone().prop_map(Leave::Idle),
+            later.clone().prop_map(Leave::Idle),
+            later.clone().prop_map(|t| Leave::Await(Some(t))),
+            later.prop_map(|t| Leave::Await(Some(t))),
+        ]
+        .boxed()
+    } else {
+        prop_oneof![Just(Leave::Complete), Just(Leave::Await(None))].boxed()
+    };
+    (prop::collection::vec(act, 0..3), leave).boxed()
+}
+
+fn render_suspending(init0: i64, init1: i64, states: &[(Vec<PAct>, Leave)]) -> String {
+    let mut src = String::new();
+    src.push_str("manner Sub() {\n    begin: v0 = v0 + 1.\n}\n");
+    src.push_str("manner Nap(manifold Ping(event)) {\n");
+    src.push_str("    event wake.\n    process z is Ping(wake).\n");
+    src.push_str("    begin: (&z -> z, terminated (void)).\n");
+    src.push_str("    wake: v0 = v0 + 1.\n}\n");
+    src.push_str("manner Main(manifold Ping(event), manifold Once()) {\n");
+    for label in &STATE_LABELS[1..] {
+        src.push_str(&format!("    event {label}.\n"));
+    }
+    src.push_str(&format!("    auto process v0 is variable({init0}).\n"));
+    src.push_str(&format!("    auto process v1 is variable({init1}).\n"));
+    for (i, (_, leave)) in states.iter().enumerate() {
+        match leave {
+            Leave::Idle(t) => src.push_str(&format!(
+                "    process p{i} is Ping({}).\n",
+                STATE_LABELS[*t]
+            )),
+            Leave::Await(_) => src.push_str(&format!("    process q{i} is Once.\n")),
+            Leave::Complete | Leave::Then(_) => {}
+        }
+    }
+    for (i, (acts, leave)) in states.iter().enumerate() {
+        let mut rendered: Vec<String> = acts.iter().map(render_act).collect();
+        match leave {
+            Leave::Complete => {}
+            Leave::Then(a) => rendered.push(render_act(a)),
+            Leave::Idle(_) => rendered.push(format!("(&p{i} -> p{i}, terminated (void))")),
+            Leave::Await(then) => {
+                rendered.push(format!("(&q{i} -> q{i}, terminated (q{i}))"));
+                if let Some(t) = then {
+                    rendered.push(render_act(&PAct::Post(*t)));
+                }
+            }
+        }
+        let stmt = if rendered.is_empty() {
+            "preemptall".to_string()
+        } else {
+            rendered.join("; ")
+        };
+        src.push_str(&format!("    {}: {}.\n", STATE_LABELS[i], stmt));
+    }
+    src.push_str("}\n");
+    src
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The differential property over programs that suspend between
+    /// states: the compiled coordinator is stepped by the helper threads
+    /// that wake it and must still agree with the interpreter on the
+    /// result, the trace, and the leftover events.
+    #[test]
+    fn executors_agree_on_generated_suspending_programs(
+        (init0, init1, s0, s1, s2, s3) in (
+            -5i64..6,
+            -5i64..6,
+            arb_suspending_state(0, 4),
+            arb_suspending_state(1, 4),
+            arb_suspending_state(2, 4),
+            arb_suspending_state(3, 4),
+        )
+    ) {
+        let src = render_suspending(init0, init1, &[s0, s1, s2, s3]);
+        let interp = run_with_helpers(&src, CoordExec::Interp);
+        let vm = run_with_helpers(&src, CoordExec::Compiled);
         prop_assert_eq!(interp, vm, "executors disagree on source:\n{}", src);
     }
 }

@@ -361,11 +361,6 @@ impl Csr {
         cols.binary_search(&c).ok().map(|k| vals[k])
     }
 
-    /// The main diagonal (0.0 where not stored).
-    pub fn diag(&self) -> Vec<f64> {
-        (0..self.n).map(|r| self.get(r, r).unwrap_or(0.0)).collect()
-    }
-
     /// Compute `I - s·A`. Every diagonal entry is materialized even when
     /// `A` has none stored.
     pub fn identity_minus_scaled(&self, s: f64) -> Csr {
@@ -781,12 +776,6 @@ mod tests {
         assert_eq!(m.get(0, 0), Some(1.0));
         assert_eq!(m.get(0, 1), Some(-2.0));
         assert_eq!(m.get(1, 1), Some(1.0));
-    }
-
-    #[test]
-    fn diag_extraction() {
-        let a = example();
-        assert_eq!(a.diag(), vec![2.0, 2.0, 2.0]);
     }
 
     #[test]

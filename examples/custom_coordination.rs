@@ -10,7 +10,6 @@
 //! `--coord` selects the executor (the compiled state-machine VM by
 //! default; `interp` tree-walks the AST instead). Both are bit-identical.
 
-use std::rc::Rc;
 use std::sync::Arc;
 
 use manifold::lang::{check_program, expect_event_arg, print_program, CoordExec, Mc, Value};
@@ -81,7 +80,7 @@ fn main() -> MfResult<()> {
         coord.activate(&sink)?;
 
         // Stage manifold: squares one number, raises its completion event.
-        let stage: manifold::lang::AtomicFactory = Rc::new(|coord, args| {
+        let stage: manifold::lang::AtomicFactory = Arc::new(|coord, args| {
             let done = expect_event_arg(args, 0)?;
             let p = coord.create_atomic("Stage", move |ctx: ProcessCtx| {
                 let x = ctx.read("input")?.expect_real()?;

@@ -128,6 +128,14 @@ fn interpreted_paper_source_runs_sparse_grid_app() {
 
 #[test]
 fn interpreted_source_emits_paper_trace_messages() {
+    // A 4-worker squaring run: the coordinator's MES lines of
+    // protocolMW.m, in order, attributed to the .m source and the line of
+    // the state that prints them — the same under both executors.
+    let mut want = vec![("protocolMW.m".to_string(), 26, "begin".to_string())];
+    for _ in 0..4 {
+        want.push(("protocolMW.m".into(), 35, "create_worker: begin".into()));
+    }
+    want.push(("protocolMW.m".into(), 51, "rendezvous acknowledged".into()));
     for kind in CoordExec::ALL {
         let env = Environment::new();
         run_protocol_source(
@@ -135,34 +143,33 @@ fn interpreted_source_emits_paper_trace_messages() {
             kind,
             |h: MasterHandle| {
                 h.create_pool();
-                let _w = h.request_worker()?;
-                h.send_work(Unit::real(1.0))?;
-                let _ = h.collect()?;
+                for x in 1..=4 {
+                    let _w = h.request_worker()?;
+                    h.send_work(Unit::real(x as f64))?;
+                }
+                for _ in 0..4 {
+                    let _ = h.collect()?;
+                }
                 h.rendezvous()?;
                 h.finished();
                 Ok(())
             },
             |h: WorkerHandle| {
-                let x = h.receive()?;
-                h.submit(x)?;
+                let x = h.receive()?.expect_real()?;
+                h.submit(Unit::real(x * x))?;
                 h.die();
                 Ok(())
             },
         )
         .unwrap();
-        let msgs: Vec<(String, String)> = env
+        let got: Vec<(String, u32, String)> = env
             .trace()
             .snapshot()
             .into_iter()
-            .map(|r| (r.source_file, r.message))
+            .filter(|r| r.source_file == "protocolMW.m")
+            .map(|r| (r.source_file, r.line, r.message))
             .collect();
         env.shutdown();
-        // The MES messages of protocolMW.m, attributed to the .m source.
-        for want in ["begin", "create_worker: begin", "rendezvous acknowledged"] {
-            assert!(
-                msgs.iter().any(|(f, m)| f == "protocolMW.m" && m == want),
-                "executor {kind}: missing MES {want:?} in {msgs:?}"
-            );
-        }
+        assert_eq!(got, want, "executor {kind}");
     }
 }
