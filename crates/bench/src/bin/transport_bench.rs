@@ -107,12 +107,14 @@ fn main() {
 
     // Memory-copy baseline (the simulator's intra-machine transfer rate).
     // Non-constant data + black_box so the copy cannot be optimized away.
+    // The destination is allocated and touched before the timer starts:
+    // a fresh buffer per copy would time its page faults, not the copy.
     let src: Vec<u8> = (0..64usize << 20).map(|i| i as u8).collect();
+    let mut dst = vec![1u8; src.len()];
     let copies = 8;
     let t0 = Instant::now();
     for _ in 0..copies {
-        let dst = std::hint::black_box(std::hint::black_box(&src).clone());
-        drop(dst);
+        std::hint::black_box(&mut dst).copy_from_slice(std::hint::black_box(&src));
     }
     let mem_bandwidth = (src.len() * copies) as f64 / t0.elapsed().as_secs_f64().max(1e-12);
 

@@ -1,7 +1,7 @@
 //! Shared flag parsing for the bench binaries.
 //!
-//! `table1`, `scaling`, `ablations` (and now `engine_bench`) grew the same
-//! hand-rolled `args.iter().position(...)` parsing three times over, each
+//! `table1`, `scaling` and `ablations` grew the same hand-rolled
+//! `args.iter().position(...)` parsing three times over, each
 //! with `.expect(...)` panics for malformed values. This module is that
 //! logic extracted once: position-independent `--flag [value]` pairs,
 //! typed accessors with defaults, and *usage + exit code 2* instead of a
@@ -137,18 +137,6 @@ impl Cli {
         resume
     }
 
-    /// `--tenants N` — how many tenant identities a multi-tenant bench
-    /// simulates (clamped to at least 1).
-    pub fn tenants(&self, default: usize) -> usize {
-        self.parsed("--tenants", default).max(1)
-    }
-
-    /// `--inflight N` — pipelined jobs each tenant keeps open (clamped to
-    /// at least 1).
-    pub fn inflight(&self, default: usize) -> usize {
-        self.parsed("--inflight", default).max(1)
-    }
-
     /// `--shards N` plus `--steal on|off` — the sharded-fleet dispatch
     /// spec. Defaults to one shard (the flat master) with stealing on.
     pub fn shards(&self) -> protocol::ShardSpec {
@@ -215,15 +203,6 @@ mod tests {
         assert_eq!(c.parsed("--runs", 5usize), 5);
         assert_eq!(c.parsed_opt::<f64>("--tol"), Some(1e-4));
         assert_eq!(c.value("--missing"), None);
-    }
-
-    #[test]
-    fn tenants_and_inflight_clamp_to_one() {
-        let c = cli(&["--tenants", "16", "--inflight", "0"]);
-        assert_eq!(c.tenants(3), 16);
-        assert_eq!(c.inflight(8), 1);
-        assert_eq!(cli(&[]).tenants(3), 3);
-        assert_eq!(cli(&[]).inflight(8), 8);
     }
 
     #[test]

@@ -13,10 +13,9 @@
 //! * `cargo run -p bench --release --bin chronology` — the §6 chronological
 //!   `Welcome`/`Bye` output of a small distributed run.
 //!
-//! Criterion micro-benchmarks (`cargo bench -p bench`) cover the solver
-//! kernels, the coordination-layer overheads (the paper's third overhead
-//! category), KK- vs BK-stream dismantling, and the live shared-memory
-//! parallel run against the sequential baseline.
+//! Layer costs on the serving path (coordination overhead, streams,
+//! events, the live speedup over the sequential program) are measured by
+//! the standalone `benchmark/` crate, not here.
 
 use renovation::ExperimentPoint;
 

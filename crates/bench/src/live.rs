@@ -10,7 +10,6 @@
 //! job uses, `Engine::{threads,procs}(…)?.run_one(job)`, under the same
 //! [`EngineOpts`].
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use manifold::prelude::MfResult;
@@ -135,19 +134,6 @@ pub fn run_live(
     })
 }
 
-/// The standard live policies, as (label, policy) pairs: every shipped
-/// [`DispatchPolicy`](protocol::DispatchPolicy).
-pub fn all_policies() -> Vec<(&'static str, PolicyRef)> {
-    vec![
-        (
-            "paper-faithful",
-            Arc::new(protocol::PaperFaithful) as PolicyRef,
-        ),
-        ("bounded-reuse:4", Arc::new(protocol::BoundedReuse::new(4))),
-        ("cost-aware", Arc::new(protocol::CostAware)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,7 +161,7 @@ mod tests {
         let run = run_live(
             Backend::Threads,
             &app,
-            Arc::new(protocol::PaperFaithful),
+            std::sync::Arc::new(protocol::PaperFaithful),
             1,
             &EngineOpts::default(),
         )

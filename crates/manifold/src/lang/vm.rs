@@ -14,7 +14,7 @@
 //! `post` clones interned [`Name`](crate::ident::Name)s (a refcount bump),
 //! and the growable state — the frame stack, the scope stack, the
 //! `terminated(p)` wait list — keeps its capacity from step to step.
-//! `coord_bench --assert-zero-alloc` enforces this with a counting
+//! The protocol crate's `coord_budget` test enforces this with a counting
 //! allocator.
 //!
 //! ## No thread

@@ -21,8 +21,7 @@
 //!   owns the engine and serves the fair-share queue, drain finishes
 //!   every accepted job before the last outbox flush;
 //! * [`proto`] / [`client`] — the tenant session protocol (`Hello` …
-//!   `Drained`) and a blocking client for tests, smoke drivers, and the
-//!   `serve_bench` load generator;
+//!   `Drained`) and a blocking client for tests and load generators;
 //! * [`journal`] — the crash-durability layer: a CRC-framed write-ahead
 //!   journal of admissions and outcomes with snapshot compaction, resume
 //!   tokens, and exactly-once reply replay across daemon restarts;

@@ -421,10 +421,13 @@ impl RemoteWorkerPool {
         let ups: Vec<Up> = (0..instances)
             .map(|index| bring_up(&inner, index, index % shards))
             .collect::<MfResult<_>>()?;
+        let pool = RemoteWorkerPool { inner };
         for (index, up) in (0..instances).zip(ups) {
-            inner.install(index, index % shards, up);
+            // On failure, dropping `pool` shuts down the slots installed so
+            // far and dropping the rest of `ups` kills their children.
+            pool.inner.install(index, index % shards, up)?;
         }
-        Ok(RemoteWorkerPool { inner })
+        Ok(pool)
     }
 
     /// The address children connect back to (`tcp:…` / `unix:…`).
@@ -546,7 +549,7 @@ impl RemoteWorkerPool {
         let shards = self.inner.cfg.shards.max(1) as u64;
         let pool = pool.unwrap_or(index % shards).min(shards - 1);
         let up = bring_up(&self.inner, index, pool)?;
-        self.inner.install(index, pool, up);
+        self.inner.install(index, pool, up)?;
         self.inner.feed(index);
         Ok(index)
     }
@@ -745,6 +748,23 @@ fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Makes this thread's next reader spawn for that instance fail.
+    static FAIL_READER_SPAWN: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+/// Start the `mf-conn-{index}` thread.
+fn spawn_reader(index: u64, f: impl FnOnce() + Send + 'static) -> std::io::Result<JoinHandle<()>> {
+    #[cfg(test)]
+    if FAIL_READER_SPAWN.with(|fail| fail.get() == Some(index) && fail.take().is_some()) {
+        return Err(std::io::Error::other("injected spawn failure"));
+    }
+    std::thread::Builder::new()
+        .name(format!("mf-conn-{index}"))
+        .spawn(f)
+}
+
 /// What a connection's reader does next.
 enum Flow {
     /// Keep reading.
@@ -773,22 +793,32 @@ fn timed_out(e: &std::io::Error) -> bool {
 
 impl PoolInner {
     /// Add the slot for a child that is up and start its reader thread.
-    fn install(self: &Arc<Self>, index: u64, pool: u64, up: Up) {
+    /// Without a reader thread there is no slot: the child is killed.
+    fn install(self: &Arc<Self>, index: u64, pool: u64, up: Up) -> MfResult<()> {
         let inner = Arc::clone(self);
-        let conn = up.reader;
+        let Up {
+            reader: conn,
+            writer,
+            identity,
+            mut child,
+        } = up;
         let mut st = self.state.lock();
         // Spawned under the lock: the reader's first look at the state
         // finds its slot.
-        let reader = std::thread::Builder::new()
-            .name(format!("mf-conn-{index}"))
-            .spawn(move || inner.read_loop(index, conn))
-            .expect("thread spawn");
+        let reader = match spawn_reader(index, move || inner.read_loop(index, conn)) {
+            Ok(reader) => reader,
+            Err(e) => {
+                drop(st);
+                child.kill();
+                return Err(app_err(format!("instance {index}: reader thread: {e}")));
+            }
+        };
         st.slots.push(Slot {
             index,
             pool,
-            identity: up.identity,
-            writer: Some(Arc::new(Mutex::new(up.writer))),
-            child: Some(up.child),
+            identity,
+            writer: Some(Arc::new(Mutex::new(writer))),
+            child: Some(child),
             wire: None,
             next_seq: 1,
             respawns_left: self.cfg.respawn_budget,
@@ -799,6 +829,7 @@ impl PoolInner {
             trace: None,
             reader: Some(reader),
         });
+        Ok(())
     }
 
     /// Give slot `index`, just (re)connected, the oldest waiting job.
@@ -1639,5 +1670,75 @@ mod tests {
             "gave up after {waited:?}"
         );
         assert_eq!(pool.live_count(), 0);
+    }
+
+    /// Test double: [`ThreadSpawner`]'s children, each reporting its
+    /// instance on `exits` when its serve loop ends.
+    struct ExitReporting {
+        exits: Mutex<Sender<u64>>,
+    }
+
+    impl Spawner for ExitReporting {
+        fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
+            let addr = Addr::parse(&env_of(spec, "MF_WORKER_ADDR")).unwrap();
+            let instance: u64 = env_of(spec, "MF_WORKER_INSTANCE").parse().unwrap();
+            let exits = self.exits.lock().clone();
+            std::thread::spawn(move || {
+                let cfg = ServeConfig::new(addr, instance, format!("host-{instance}"), instance);
+                let _ = serve(cfg, Ok, || None);
+                let _ = exits.send(instance);
+            });
+            Ok(ChildHandle::detached())
+        }
+    }
+
+    fn exit_reporting() -> (Arc<ExitReporting>, Receiver<u64>) {
+        let (tx, rx) = channel();
+        let spawner = ExitReporting {
+            exits: Mutex::new(tx),
+        };
+        (Arc::new(spawner), rx)
+    }
+
+    #[test]
+    fn a_launch_whose_reader_spawn_fails_is_an_error_and_leaves_no_child() {
+        let (spawner, exits) = exit_reporting();
+        FAIL_READER_SPAWN.with(|fail| fail.set(Some(1)));
+        let err = match RemoteWorkerPool::launch(quick_cfg(2, BindMode::Tcp), spawner) {
+            Err(err) => err,
+            Ok(_) => panic!("launch succeeded without a reader for instance 1"),
+        };
+        assert!(
+            matches!(&err, MfError::App(m) if m == "instance 1: reader thread: injected spawn failure"),
+            "got {err:?}"
+        );
+        // Instance 0 was installed and is shut down; instance 1 lost its
+        // connection with its slot.
+        let mut gone = [
+            exits.recv_timeout(WAIT).unwrap(),
+            exits.recv_timeout(WAIT).unwrap(),
+        ];
+        gone.sort();
+        assert_eq!(gone, [0, 1]);
+    }
+
+    #[test]
+    fn an_instance_whose_reader_spawn_fails_is_an_error_and_the_fleet_serves_on() {
+        let (spawner, exits) = exit_reporting();
+        let pool = RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), spawner).unwrap();
+        FAIL_READER_SPAWN.with(|fail| fail.set(Some(1)));
+        let err = pool.add_instance(None).unwrap_err();
+        assert!(
+            matches!(&err, MfError::App(m) if m.starts_with("instance 1: reader thread:")),
+            "got {err:?}"
+        );
+        assert_eq!(exits.recv_timeout(WAIT).unwrap(), 1, "the child is gone");
+        assert_eq!(pool.live_count(), 1);
+        assert_eq!(pool.member_indices(), vec![0]);
+        assert_eq!(run(&pool, 0, Unit::int(7)).unwrap(), Unit::int(7));
+        // The next instance gets a fresh index and a reader.
+        assert_eq!(pool.add_instance(None).unwrap(), 2);
+        assert_eq!(pool.reader_threads(), 2);
+        pool.shutdown();
     }
 }
