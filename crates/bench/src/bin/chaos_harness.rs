@@ -34,7 +34,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::json::{fixed, raw, Json};
 use bench::live::{field_checksum, run_live, Backend};
+use bench::obj;
 use chaos::{FaultKind, FaultPlan, Watchdog};
 use cluster::hosts::paper_cluster;
 use cluster::noise::Perturbation;
@@ -55,18 +57,6 @@ struct Verdict {
     redispatches: usize,
     relaunches: usize,
     wall_s: f64,
-}
-
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            '\n' => vec!['\\', 'n'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -375,33 +365,18 @@ fn main() {
     }
 
     // The machine-readable block (BENCH_chaos.json).
-    println!("{{");
-    println!("  \"schema\": \"chaos-harness/v1\",");
-    println!("  \"level\": {level},");
-    println!("  \"instances\": {instances},");
-    println!("  \"seeds\": {seeds},");
-    println!("  \"reference_checksum\": \"{reference:016x}\",");
-    println!("  \"watchdog_timeouts\": 0,");
-    println!("  \"all_ok\": {all_ok},");
-    println!("  \"scenarios\": [");
-    for (i, v) in verdicts.iter().enumerate() {
-        println!(
-            "    {{\"name\": \"{}\", \"seed\": {}, \"ok\": {}, \"losses\": {}, \
-             \"redispatches\": {}, \"relaunches\": {}, \"wall_s\": {:.3}, \
-             \"outcome\": \"{}\"}}{}",
-            v.name,
-            v.seed,
-            v.ok,
-            v.losses,
-            v.redispatches,
-            v.relaunches,
-            v.wall_s,
-            json_escape(&v.outcome),
-            if i + 1 < verdicts.len() { "," } else { "" }
-        );
-    }
-    println!("  ]");
-    println!("}}");
+    let scenarios = verdicts.iter().map(|v| {
+        obj! { "name": Json::Str(v.name.into()), "seed": raw(v.seed), "ok": raw(v.ok),
+        "losses": raw(v.losses), "redispatches": raw(v.redispatches),
+        "relaunches": raw(v.relaunches), "wall_s": fixed(v.wall_s, 3),
+        "outcome": Json::Str(v.outcome.clone()) }
+    });
+    let json = obj! { "schema": Json::Str("chaos-harness/v1".into()), "level": raw(level),
+    "instances": raw(instances), "seeds": raw(seeds),
+    "reference_checksum": Json::Str(format!("{reference:016x}")),
+    "watchdog_timeouts": raw(0), "all_ok": raw(all_ok),
+    "scenarios": Json::Arr(scenarios.collect()) };
+    print!("{}", json.render());
 
     if !all_ok {
         std::process::exit(1);

@@ -1,9 +1,10 @@
 //! `mc` — the MANIFOLD compiler front-end as a CLI (the paper's `Mc`).
 //!
 //! Parses a `.m` source file, runs the structural checks, and prints a
-//! summary plus (optionally) the pretty-printed normal form and/or the
-//! compiled state-machine IR. With no file argument it processes the
-//! built-in fixtures: the paper's `protocolMW.m` and `mainprog.m`.
+//! summary plus (optionally) the pretty-printed normal form and/or, with
+//! `--ir`, the compiled code the VM steps: each state body as numbered
+//! instructions with every jump target. With no file argument it processes
+//! the built-in fixtures: the paper's `protocolMW.m` and `mainprog.m`.
 //!
 //! ```text
 //! cargo run -p bench --release --bin mc [-- <file.m>] [--print] [--ir]

@@ -37,11 +37,12 @@
 //! join, and leave events are counted from the trace. `--out` writes the
 //! machine-readable sweep (the committed `BENCH_scaling.json`).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bench::cli::Cli;
+use bench::json::{fixed, raw, Json};
 use bench::live::{field_checksum, run_live, Backend};
+use bench::obj;
 use cluster::hosts::{paper_cluster, synthetic_cluster, ClusterSpec};
 use cluster::noise::Perturbation;
 use cluster::sim::DistributedSim;
@@ -261,52 +262,23 @@ fn main() {
     }
 
     // ---- Machine-readable block (the committed BENCH_scaling.json). ----
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"level\": {level},");
-    let _ = writeln!(json, "  \"tol\": {tol:e},");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"sequential_time_s\": {st:.3},");
-    let _ = writeln!(json, "  \"paper_curve\": [");
-    for (i, (n, ct, su, peak, serial)) in paper_rows.iter().enumerate() {
-        let comma = if i + 1 < paper_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"machines\": {n}, \"ct_s\": {ct:.3}, \"speedup\": {su:.3}, \
-             \"peak_machines\": {peak}, \"serial_fraction\": {serial:.4}}}{comma}"
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"flat_saturation_hosts\": {},",
-        sat.map(|h| h.to_string()).unwrap_or_else(|| "null".into())
-    );
-    let _ = writeln!(json, "  \"shard_sweep\": [");
-    for (i, r) in sweep.iter().enumerate() {
-        let comma = if i + 1 < sweep.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"hosts\": {}, \"jobs\": {}, \"shards\": {}, \
-             \"flat_elapsed_s\": {:.3}, \"flat_jobs_per_s\": {:.4}, \
-             \"sharded_elapsed_s\": {:.3}, \"sharded_jobs_per_s\": {:.4}, \
-             \"throughput_ratio\": {:.3}, \"steals\": {}, \
-             \"finish_spread_s\": {:.3}, \"deterministic\": {}}}{comma}",
-            r.hosts,
-            r.jobs,
-            r.shards,
-            r.flat_elapsed,
-            r.flat_tp,
-            r.sharded_elapsed,
-            r.sharded_tp,
-            r.sharded_tp / r.flat_tp,
-            r.steals,
-            r.spread,
-            r.deterministic,
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+    let paper_curve = paper_rows.iter().map(|&(n, ct, su, peak, serial)| {
+        obj! { "machines": raw(n), "ct_s": fixed(ct, 3), "speedup": fixed(su, 3),
+        "peak_machines": raw(peak), "serial_fraction": fixed(serial, 4) }
+    });
+    let shard_sweep = sweep.iter().map(|r| {
+        obj! { "hosts": raw(r.hosts), "jobs": raw(r.jobs), "shards": raw(r.shards),
+        "flat_elapsed_s": fixed(r.flat_elapsed, 3), "flat_jobs_per_s": fixed(r.flat_tp, 4),
+        "sharded_elapsed_s": fixed(r.sharded_elapsed, 3),
+        "sharded_jobs_per_s": fixed(r.sharded_tp, 4),
+        "throughput_ratio": fixed(r.sharded_tp / r.flat_tp, 3), "steals": raw(r.steals),
+        "finish_spread_s": fixed(r.spread, 3), "deterministic": raw(r.deterministic) }
+    });
+    let json = obj! { "level": raw(level), "tol": raw(format!("{tol:e}")), "seed": raw(seed),
+    "sequential_time_s": fixed(st, 3), "paper_curve": Json::Arr(paper_curve.collect()),
+    "flat_saturation_hosts": raw(sat.map_or("null".into(), |h| h.to_string())),
+    "shard_sweep": Json::Arr(shard_sweep.collect()) }
+    .render();
     match cli.value("--out") {
         Some(path) => {
             std::fs::write(path, &json).expect("write --out file");

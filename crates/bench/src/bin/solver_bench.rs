@@ -28,6 +28,8 @@ use std::cell::Cell;
 use std::time::Instant;
 
 use bench::cli::Cli;
+use bench::json::{fixed, raw, Json};
+use bench::obj;
 use solver::assemble::assemble;
 use solver::grid::Grid2;
 use solver::linsolve::{Ilu0, Preconditioner};
@@ -363,60 +365,29 @@ fn main() {
     }
 
     // --- Machine-readable block (the committed BENCH_solver.json). -------
-    println!("{{");
-    println!("  \"root\": {root},");
-    println!("  \"tol\": {tol:e},");
-    println!("  \"reps\": {reps},");
-    println!("  \"backend\": \"{}\",", solver::simd::backend().name());
-    println!("  \"levels\": [");
-    for (li, lr) in reports.iter().enumerate() {
-        let lcomma = if li + 1 < reports.len() { "," } else { "" };
-        println!("    {{");
-        println!("      \"level\": {},", lr.level);
-        println!("      \"grids\": [");
-        for (i, r) in lr.grids.iter().enumerate() {
-            let comma = if i + 1 < lr.grids.len() { "," } else { "" };
-            println!(
-                "        {{\"l\": {}, \"m\": {}, \"unknowns\": {}, \"steps\": {}, \
-                 \"refactorizations\": {}, \"flops\": {}, \"ref_ms\": {:.3}, \
-                 \"exact_ms\": {:.3}, \"speedup_exact\": {:.3}}}{comma}",
-                r.l,
-                r.m,
-                r.unknowns,
-                r.steps,
-                r.refactorizations,
-                r.flops,
-                r.ref_ms,
-                r.exact_ms,
-                r.ref_ms / r.exact_ms.max(1e-12)
-            );
-        }
-        println!("      ],");
+    let levels = reports.iter().map(|lr| {
+        let grids = lr.grids.iter().map(|r| {
+            obj! { "l": raw(r.l), "m": raw(r.m), "unknowns": raw(r.unknowns),
+            "steps": raw(r.steps), "refactorizations": raw(r.refactorizations),
+            "flops": raw(r.flops), "ref_ms": fixed(r.ref_ms, 3), "exact_ms": fixed(r.exact_ms, 3),
+            "speedup_exact": fixed(r.ref_ms / r.exact_ms.max(1e-12), 3) }
+        });
         let total_ref: f64 = lr.grids.iter().map(|r| r.ref_ms).sum();
-        println!("      \"total_ref_ms\": {total_ref:.3},");
         let total: f64 = lr.grids.iter().map(|r| r.exact_ms).sum();
-        println!("      \"total_exact_ms\": {total:.3},");
-        println!(
-            "      \"overall_speedup_exact\": {:.3},",
-            total_ref / total.max(1e-12)
-        );
         let k = &lr.kernels;
-        println!(
-            "      \"kernels\": {{\"unknowns\": {}, \"nnz\": {}, \"assembly_us\": {:.3}, \
-             \"matvec_ns\": {:.1}, \"sweep_ns\": {:.1}, \"dot_exact_ns\": {:.1}}},",
-            k.unknowns, k.nnz, k.assembly_us, k.matvec_ns, k.sweep_ns, k.dot_exact_ns,
-        );
-        println!(
-            "      \"flops_per_unknown_step\": {:.3}",
-            lr.flops_per_unknown_step
-        );
-        println!("    }}{lcomma}");
-    }
-    println!("  ],");
-    println!("  \"bit_identical\": {bit_identical},");
-    println!("  \"counts_match\": {counts_match},");
-    println!("  \"warm_integrate_allocations\": {warm_allocs}");
-    println!("}}");
+        let kernels = obj! { "unknowns": raw(k.unknowns), "nnz": raw(k.nnz),
+        "assembly_us": fixed(k.assembly_us, 3), "matvec_ns": fixed(k.matvec_ns, 1),
+        "sweep_ns": fixed(k.sweep_ns, 1), "dot_exact_ns": fixed(k.dot_exact_ns, 1) };
+        obj! { "level": raw(lr.level), "grids": Json::Arr(grids.collect()),
+        "total_ref_ms": fixed(total_ref, 3), "total_exact_ms": fixed(total, 3),
+        "overall_speedup_exact": fixed(total_ref / total.max(1e-12), 3), "kernels": kernels,
+        "flops_per_unknown_step": fixed(lr.flops_per_unknown_step, 3) }
+    });
+    let json = obj! { "root": raw(root), "tol": raw(format!("{tol:e}")), "reps": raw(reps),
+    "backend": Json::Str(solver::simd::backend().name().into()),
+    "levels": Json::Arr(levels.collect()), "bit_identical": raw(bit_identical),
+    "counts_match": raw(counts_match), "warm_integrate_allocations": raw(warm_allocs) };
+    print!("{}", json.render());
 
     if !bit_identical || !counts_match {
         eprintln!("FAIL: optimized subsolve diverged from the reference");

@@ -16,6 +16,8 @@
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
+use bench::json::{fixed, raw};
+use bench::obj;
 use cluster::network::NetworkModel;
 use manifold::unit::Unit;
 use transport::{decode_unit, encode_unit_vec, Addr, Conn, Message};
@@ -157,20 +159,12 @@ fn main() {
         );
         println!();
     }
-    println!("{{");
-    println!("  \"small_payload_bytes\": {bytes_small},");
-    println!("  \"small_rtt_us\": {:.3},", rtt_small * 1e6);
-    println!("  \"bulk_payload_bytes\": {bytes_bulk},");
-    println!("  \"bulk_rtt_us\": {:.3},", rtt_bulk * 1e6);
-    println!("  \"calibrated_latency_us\": {:.3},", model.latency * 1e6);
-    println!(
-        "  \"calibrated_bandwidth_mb_s\": {:.3},",
-        model.bandwidth / 1e6
-    );
-    println!(
-        "  \"codec_throughput_mb_s\": {:.3},",
-        codec_bytes_per_sec / 1e6
-    );
-    println!("  \"mem_bandwidth_mb_s\": {:.3}", mem_bandwidth / 1e6);
-    println!("}}");
+    let json = obj! { "small_payload_bytes": raw(bytes_small),
+    "small_rtt_us": fixed(rtt_small * 1e6, 3), "bulk_payload_bytes": raw(bytes_bulk),
+    "bulk_rtt_us": fixed(rtt_bulk * 1e6, 3),
+    "calibrated_latency_us": fixed(model.latency * 1e6, 3),
+    "calibrated_bandwidth_mb_s": fixed(model.bandwidth / 1e6, 3),
+    "codec_throughput_mb_s": fixed(codec_bytes_per_sec / 1e6, 3),
+    "mem_bandwidth_mb_s": fixed(mem_bandwidth / 1e6, 3) };
+    print!("{}", json.render());
 }

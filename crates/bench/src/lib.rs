@@ -20,6 +20,7 @@
 use renovation::ExperimentPoint;
 
 pub mod cli;
+pub mod json;
 pub mod live;
 
 /// Render experiment points as the paper's Table 1 (two blocks: one per

@@ -306,15 +306,6 @@ impl Coord {
         self.ctx.wait_event(patterns)
     }
 
-    /// Like [`Coord::wait_events`] with a deadline.
-    pub fn wait_events_timeout(
-        &self,
-        patterns: &[EventPattern],
-        t: Duration,
-    ) -> MfResult<EventOccurrence> {
-        self.ctx.wait_event_timeout(patterns, t)
-    }
-
     /// Enter a new state: stream connections made through the returned
     /// [`StateScope`] are dismantled (per their [`StreamType`]) when the
     /// scope ends — i.e. when the state is preempted.
@@ -383,19 +374,6 @@ impl<'c> StateScope<'c> {
         self.connect(src, src_port, &me, own_port, ty)
     }
 
-    /// Connect one of the coordinator's own ports into a process
-    /// (`self.port -> p.input`).
-    pub fn connect_from_self(
-        &mut self,
-        own_port: impl Into<Name>,
-        dst: &ProcessRef,
-        dst_port: impl Into<Name>,
-        ty: StreamType,
-    ) -> MfResult<Arc<Stream>> {
-        let me = self.coord.self_ref();
-        self.connect(&me, own_port, dst, dst_port, ty)
-    }
-
     /// Send a constant unit into a process port — the MANIFOLD idiom
     /// `&worker -> master` (the unit's producer is the coordinator itself,
     /// via a one-shot preloaded stream).
@@ -450,11 +428,6 @@ impl<'c> StateScope<'c> {
         } else {
             StateExit::Event(occ)
         })
-    }
-
-    /// Number of streams created in this state so far (diagnostics).
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 
     /// Stay in this state across the steps of a step function: the

@@ -150,11 +150,6 @@ impl Environment {
         &self.shared.log
     }
 
-    /// Echo trace records to stderr as they are produced.
-    pub fn echo_trace(&self, on: bool) {
-        self.shared.log.trace.set_echo(on);
-    }
-
     /// Inspect the bundler (machines in use, task instances, …).
     pub fn with_bundler<R>(&self, f: impl FnOnce(&Bundler) -> R) -> R {
         f(&self.shared.bundler.lock())
@@ -578,11 +573,6 @@ impl Environment {
         };
         *p.core().body.lock() = Some(Body::Stepped(Box::new(body)));
         Ok(p)
-    }
-
-    /// Block until the given process terminates.
-    pub fn join_process(&self, p: &ProcessRef, timeout: Duration) -> MfResult<()> {
-        p.core().wait_terminated(timeout)
     }
 
     /// Kill every process (their blocking operations return

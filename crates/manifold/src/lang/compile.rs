@@ -1,4 +1,5 @@
-//! The back half of `Mc`: compile MANIFOLD ASTs to a flat state-machine IR.
+//! The back half of `Mc`: compile MANIFOLD ASTs to the flat state-machine
+//! code the VM steps.
 //!
 //! The tree-walking interpreter re-derives everything on every step: it
 //! hashes identifier strings into per-frame maps, re-sorts wait labels,
@@ -8,6 +9,12 @@
 //!
 //! * **Numbered states** — every block becomes a [`CompiledBlock`] whose
 //!   states are indexed; transitions resolve to state indices, not labels.
+//! * **Straight-line bodies** — each state body is one `Vec<`[`Ins`]`>`:
+//!   sequences and groups are their parts in order, an `if` is an
+//!   [`Ins::Unless`] test with its branches and an [`Ins::Jump`] over the
+//!   else-branch, and `preemptall` and mentions emit nothing. A body
+//!   suspended in a wait, or in a manner or block it entered, resumes at a
+//!   plain instruction index.
 //! * **Event-dispatch tables** — the priority-ordered wait-pattern list of
 //!   each block (`priority a > b` boosts, then appearance order) is built
 //!   once as [`CompiledBlock::local_pats`], with a parallel
@@ -30,9 +37,10 @@
 //! never at compile time. That is what makes the differential
 //! interpreter-vs-VM tests meaningful.
 //!
-//! [`disassemble`](CompiledProgram::disassemble) renders the IR in a
-//! stable textual form; the committed snapshot for `protocolMW.m`
-//! documents the state machine the paper implies.
+//! [`disassemble`](CompiledProgram::disassemble) renders the code in a
+//! stable textual form, every instruction with its index and every jump
+//! with its target; the committed snapshot for `protocolMW.m` documents
+//! the state machine the paper implies, exactly as the VM runs it.
 
 use std::collections::HashMap;
 
@@ -98,8 +106,8 @@ pub struct CompiledState {
     /// Source line of the label (MES records and diagnostics attribute to
     /// it, exactly as the interpreter does).
     pub line: u32,
-    /// The compiled body.
-    pub body: Op,
+    /// The body, as the straight-line code the VM steps.
+    pub body: Vec<Ins>,
 }
 
 /// Compiled declaration opcodes (run once, at block entry, in order).
@@ -155,13 +163,12 @@ pub struct ChainStep {
     pub to_port: Sym,
 }
 
-/// Compiled actions.
-pub enum Op {
-    /// Sequential/grouped composition (the runtime semantics coincide).
-    Seq(Vec<Op>),
-    /// Enter a nested block.
-    Block(usize),
-    /// Build a stream chain.
+/// One instruction of a state body. A body runs from instruction 0 until it
+/// falls off its end (it completed) or an instruction ends the state early:
+/// `halt`, an error, or a wait preempted by an event. `preemptall` and
+/// mentions have no runtime effect and emit nothing.
+pub enum Ins {
+    /// Build a stream chain from its pre-resolved segments.
     Chain {
         /// Pre-resolved segments.
         steps: Vec<ChainStep>,
@@ -169,7 +176,8 @@ pub enum Op {
         line: u32,
     },
     /// Call a manner. `manner` is `None` when the program defines no such
-    /// manner — executing the op reports it, as the interpreter does.
+    /// manner — executing the instruction reports it, as the interpreter
+    /// does.
     Call {
         /// Resolved manner index.
         manner: Option<usize>,
@@ -186,9 +194,7 @@ pub enum Op {
     Raise(Sym),
     /// `halt`.
     Halt,
-    /// `preemptall` (a no-op in this subset, as in the interpreter).
-    PreemptAll,
-    /// `MES("…")`.
+    /// `MES("…")`, attributed to `line`.
     Mes {
         /// The message.
         msg: String,
@@ -199,7 +205,7 @@ pub enum Op {
     Idle,
     /// `terminated (p)` — watch `p`, wait for its termination or a
     /// preempting event.
-    AwaitTermination {
+    Await {
         /// The process symbol.
         proc: Sym,
         /// Source line.
@@ -214,23 +220,25 @@ pub enum Op {
         /// Source line.
         line: u32,
     },
-    /// `if (cond) then a else b`.
-    If {
+    /// Enter a nested block.
+    Block(usize),
+    /// The test of an `if`: fall through into the then-branch when
+    /// `lhs op rhs` holds (`op` is `<`, `>` or `=`), else go on at
+    /// instruction `otherwise`.
+    Unless {
         /// Left operand.
         lhs: CExpr,
-        /// `<`, `>`, or `=`.
+        /// The comparison.
         op: char,
         /// Right operand.
         rhs: CExpr,
-        /// Then-branch.
-        then: Box<Op>,
-        /// Else-branch.
-        otherwise: Option<Box<Op>>,
         /// Source line.
         line: u32,
+        /// Where the else-branch, or what follows the `if`, starts.
+        otherwise: usize,
     },
-    /// Mentions (and anything else with no runtime effect).
-    Nop,
+    /// From the end of a then-branch past its else-branch.
+    Jump(usize),
 }
 
 /// Compiled expressions.
@@ -272,8 +280,9 @@ impl CompiledProgram {
         self.manners.iter().find(|m| m.name.as_str() == name)
     }
 
-    /// Render the IR in a stable, human-readable text form (the committed
-    /// snapshot for `protocolMW.m` pins this down).
+    /// Render the code in a stable, human-readable text form: each state
+    /// body as its numbered instructions (the committed snapshot for
+    /// `protocolMW.m` pins this down).
     pub fn disassemble(&self) -> String {
         let mut out = String::new();
         let p = |s: &mut String, line: &str| {
@@ -336,7 +345,9 @@ impl CompiledProgram {
                     &mut out,
                     &format!("  state {si} '{}' @line {}:", st.label, st.line),
                 );
-                self.op_str(&st.body, 2, &mut out);
+                for (i, ins) in st.body.iter().enumerate() {
+                    p(&mut out, &format!("    {i}: {}", self.ins_str(ins)));
+                }
             }
         }
         out
@@ -387,109 +398,65 @@ impl CompiledProgram {
         }
     }
 
-    fn op_str(&self, op: &Op, depth: usize, out: &mut String) {
-        fn ln(out: &mut String, pad: &str, s: &str) {
-            out.push_str(pad);
-            out.push_str(s);
-            out.push('\n');
-        }
-        let pad = "  ".repeat(depth);
-        let line = |out: &mut String, s: String| ln(out, &pad, &s);
-        match op {
-            Op::Seq(parts) => {
-                line(out, "seq".into());
-                for part in parts {
-                    self.op_str(part, depth + 1, out);
-                }
-            }
-            Op::Block(b) => line(out, format!("enter block {b}")),
-            Op::Chain { steps, line: l } => {
-                line(out, format!("chain ; line {l}"));
-                for s in steps {
-                    let from = if s.from_ref {
-                        format!("&{}", self.sym_str(s.from))
+    fn ins_str(&self, ins: &Ins) -> String {
+        match ins {
+            Ins::Chain { steps, line } => {
+                let mut s = format!("chain ; line {line}");
+                for st in steps {
+                    let from = if st.from_ref {
+                        format!("&{}", self.sym_str(st.from))
                     } else {
-                        format!(
-                            "{}.{}",
-                            self.sym_str(s.from),
-                            self.names[s.from_port.0 as usize]
-                        )
+                        format!("{}.{}", self.sym_str(st.from), self.name(st.from_port))
                     };
-                    out.push_str(&pad);
-                    out.push_str(&format!(
-                        "  {:?} {from} -> {}.{}\n",
-                        s.ty,
-                        self.sym_str(s.to),
-                        self.names[s.to_port.0 as usize]
+                    s.push_str(&format!(
+                        "\n         {:?} {from} -> {}.{}",
+                        st.ty,
+                        self.sym_str(st.to),
+                        self.name(st.to_port)
                     ));
                 }
+                s
             }
-            Op::Call {
+            Ins::Call {
                 manner,
                 name,
                 args,
-                line: l,
+                line,
             } => {
                 let a: Vec<String> = args.iter().map(|e| self.expr_str(e)).collect();
                 let target = match manner {
                     Some(i) => format!("manner {i}"),
                     None => "!unknown".into(),
                 };
-                line(
-                    out,
-                    format!(
-                        "call {} ({}) = {target} ; line {l}",
-                        self.sym_str(*name),
-                        a.join(", ")
-                    ),
-                );
+                let name = self.sym_str(*name);
+                format!("call {name} ({}) = {target} ; line {line}", a.join(", "))
             }
-            Op::Post(s) => line(out, format!("post {}", self.sym_str(*s))),
-            Op::Raise(s) => line(out, format!("raise {}", self.sym_str(*s))),
-            Op::Halt => line(out, "halt".into()),
-            Op::PreemptAll => line(out, "preemptall".into()),
-            Op::Mes { msg, line: l } => line(out, format!("mes {msg:?} ; line {l}")),
-            Op::Idle => line(out, "idle".into()),
-            Op::AwaitTermination { proc, line: l } => line(
-                out,
-                format!("await-termination {} ; line {l}", self.sym_str(*proc)),
+            Ins::Post(s) => format!("post {}", self.sym_str(*s)),
+            Ins::Raise(s) => format!("raise {}", self.sym_str(*s)),
+            Ins::Halt => "halt".into(),
+            Ins::Mes { msg, line } => format!("mes {msg:?} ; line {line}"),
+            Ins::Idle => "idle".into(),
+            Ins::Await { proc, line } => {
+                format!("await-termination {} ; line {line}", self.sym_str(*proc))
+            }
+            Ins::Assign { var, value, line } => format!(
+                "assign {} = {} ; line {line}",
+                self.sym_str(*var),
+                self.expr_str(value)
             ),
-            Op::Assign {
-                var,
-                value,
-                line: l,
-            } => line(
-                out,
-                format!(
-                    "assign {} = {} ; line {l}",
-                    self.sym_str(*var),
-                    self.expr_str(value)
-                ),
-            ),
-            Op::If {
+            Ins::Block(b) => format!("enter block {b}"),
+            Ins::Unless {
                 lhs,
                 op,
                 rhs,
-                then,
+                line,
                 otherwise,
-                line: l,
-            } => {
-                line(
-                    out,
-                    format!(
-                        "if {} {op} {} ; line {l}",
-                        self.expr_str(lhs),
-                        self.expr_str(rhs)
-                    ),
-                );
-                line(out, "then".into());
-                self.op_str(then, depth + 1, out);
-                if let Some(o) = otherwise {
-                    line(out, "else".into());
-                    self.op_str(o, depth + 1, out);
-                }
-            }
-            Op::Nop => line(out, "nop".into()),
+            } => format!(
+                "unless {} {op} {} -> {otherwise} ; line {line}",
+                self.expr_str(lhs),
+                self.expr_str(rhs)
+            ),
+            Ins::Jump(to) => format!("jump -> {to}"),
         }
     }
 }
@@ -501,8 +468,9 @@ fn pat_str(p: &EventPattern) -> String {
     }
 }
 
-/// Compile a parsed program to IR. Total on everything the interpreter
-/// accepts (see module docs); the `Result` is for future front-end limits.
+/// Compile a parsed program to state-machine code. Total on everything the
+/// interpreter accepts (see module docs); the `Result` is for future
+/// front-end limits.
 ///
 /// Every callable coordinator body becomes a [`CompiledManner`]: `manner`
 /// items first, then manifolds declared with coordinator blocks (like
@@ -684,10 +652,14 @@ impl Compiler {
         let states: Vec<CompiledState> = block
             .states
             .iter()
-            .map(|s| CompiledState {
-                label: Name::new(&s.label),
-                line: s.line,
-                body: self.compile_action(&s.body, &stream_decls, &child_outer, s.line),
+            .map(|s| {
+                let mut body = Vec::new();
+                self.compile_action(&s.body, &stream_decls, &child_outer, s.line, &mut body);
+                CompiledState {
+                    label: Name::new(&s.label),
+                    line: s.line,
+                    body,
+                }
             })
             .collect();
 
@@ -704,21 +676,56 @@ impl Compiler {
         self.blocks.len() - 1
     }
 
+    /// Append `action` to the state body `code`. A sequence or group is its
+    /// parts in order; an `if` is its test, its then-branch and, with an
+    /// else-branch, a jump over it, each jump patched once its target is
+    /// known.
     fn compile_action(
         &mut self,
         action: &Action,
         stream_decls: &[(StreamType, Endpoint, Endpoint)],
         child_outer: &[Name],
         line: u32,
-    ) -> Op {
-        match action {
-            Action::Seq(parts) | Action::Group(parts) => Op::Seq(
-                parts
-                    .iter()
-                    .map(|p| self.compile_action(p, stream_decls, child_outer, line))
-                    .collect(),
-            ),
-            Action::Block(b) => Op::Block(self.compile_block(b, child_outer)),
+        code: &mut Vec<Ins>,
+    ) {
+        let ins = match action {
+            Action::Seq(parts) | Action::Group(parts) => {
+                for p in parts {
+                    self.compile_action(p, stream_decls, child_outer, line, code);
+                }
+                return;
+            }
+            Action::If {
+                cond,
+                then,
+                otherwise,
+            } => {
+                let test = code.len();
+                code.push(Ins::Unless {
+                    lhs: self.compile_expr(&cond.lhs),
+                    op: cond.op,
+                    rhs: self.compile_expr(&cond.rhs),
+                    line,
+                    otherwise: 0,
+                });
+                self.compile_action(then, stream_decls, child_outer, line, code);
+                let at = match otherwise {
+                    None => code.len(),
+                    Some(o) => {
+                        let jump = code.len();
+                        code.push(Ins::Jump(0));
+                        self.compile_action(o, stream_decls, child_outer, line, code);
+                        code[jump] = Ins::Jump(code.len());
+                        jump + 1
+                    }
+                };
+                if let Ins::Unless { otherwise, .. } = &mut code[test] {
+                    *otherwise = at;
+                }
+                return;
+            }
+            Action::PreemptAll | Action::Mention(_) => return,
+            Action::Block(b) => Ins::Block(self.compile_block(b, child_outer)),
             Action::Chain(endpoints) => {
                 let steps = endpoints
                     .windows(2)
@@ -739,48 +746,33 @@ impl Compiler {
                         }
                     })
                     .collect();
-                Op::Chain { steps, line }
+                Ins::Chain { steps, line }
             }
-            Action::Call { name, args } => Op::Call {
+            Action::Call { name, args } => Ins::Call {
                 manner: self.manner_names.iter().position(|m| m == name),
                 name: self.intern(name),
                 args: args.iter().map(|e| self.compile_expr(e)).collect(),
                 line,
             },
-            Action::Post(e) => Op::Post(self.intern(e)),
-            Action::Raise(e) => Op::Raise(self.intern(e)),
-            Action::Halt => Op::Halt,
-            Action::PreemptAll => Op::PreemptAll,
-            Action::Mes(msg) => Op::Mes {
+            Action::Post(e) => Ins::Post(self.intern(e)),
+            Action::Raise(e) => Ins::Raise(self.intern(e)),
+            Action::Halt => Ins::Halt,
+            Action::Mes(msg) => Ins::Mes {
                 msg: msg.clone(),
                 line,
             },
-            Action::Terminated(pname) if pname == "void" => Op::Idle,
-            Action::Terminated(pname) => Op::AwaitTermination {
+            Action::Terminated(pname) if pname == "void" => Ins::Idle,
+            Action::Terminated(pname) => Ins::Await {
                 proc: self.intern(pname),
                 line,
             },
-            Action::Assign { name, value } => Op::Assign {
+            Action::Assign { name, value } => Ins::Assign {
                 var: self.intern(name),
                 value: self.compile_expr(value),
                 line,
             },
-            Action::If {
-                cond,
-                then,
-                otherwise,
-            } => Op::If {
-                lhs: self.compile_expr(&cond.lhs),
-                op: cond.op,
-                rhs: self.compile_expr(&cond.rhs),
-                then: Box::new(self.compile_action(then, stream_decls, child_outer, line)),
-                otherwise: otherwise
-                    .as_ref()
-                    .map(|o| Box::new(self.compile_action(o, stream_decls, child_outer, line))),
-                line,
-            },
-            Action::Mention(_) => Op::Nop,
-        }
+        };
+        code.push(ins);
     }
 
     fn compile_expr(&mut self, e: &Expr) -> CExpr {
@@ -844,22 +836,12 @@ mod tests {
             .filter(|b| !b.outer_pats.is_empty())
             .collect();
         assert!(!nested.is_empty());
-        let has_kk = ir
-            .blocks
-            .iter()
-            .any(|b| b.states.iter().any(|s| op_has_kk(&s.body)));
+        let has_kk = ir.blocks.iter().flat_map(|b| &b.states).any(|s| {
+            s.body.iter().any(
+                |i| matches!(i, Ins::Chain { steps, .. } if steps.iter().any(|s| s.ty == StreamType::KK)),
+            )
+        });
         assert!(has_kk, "KK stream type not resolved into any chain");
-    }
-
-    fn op_has_kk(op: &Op) -> bool {
-        match op {
-            Op::Seq(parts) => parts.iter().any(op_has_kk),
-            Op::Chain { steps, .. } => steps.iter().any(|s| s.ty == StreamType::KK),
-            Op::If {
-                then, otherwise, ..
-            } => op_has_kk(then) || otherwise.as_deref().map(op_has_kk).unwrap_or(false),
-            _ => false,
-        }
     }
 
     #[test]

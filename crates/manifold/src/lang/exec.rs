@@ -4,7 +4,7 @@
 //!
 //! The two executors differ only in *how* they run a manner. The
 //! [`Interp`] walks the AST on a closure coordinator's thread and blocks
-//! in its waits; the [`Vm`] steps pre-compiled IR as a stepped
+//! in its waits; the [`Vm`] steps pre-compiled code as a stepped
 //! coordinator, on whichever thread raises an event into it, and owns no
 //! thread. The value model ([`Value`]), the host interface
 //! ([`AtomicFactory`] plus the typed `expect_*_arg` helpers), the trace
@@ -30,7 +30,7 @@ use crate::lang::compile::{compile, CompiledProgram};
 use crate::lang::error::{LangError, LangErrorKind};
 use crate::lang::interp::Interp;
 use crate::lang::parse::parse_program;
-use crate::lang::vm::{Code, Vm};
+use crate::lang::vm::Vm;
 use crate::process::{LifeState, ProcessRef, Step};
 
 /// Host-supplied constructor for an atomic manifold: receives the
@@ -163,11 +163,11 @@ impl FromStr for CoordExec {
 }
 
 /// The whole `Mc` compiler as one artifact: a parsed [`Program`] plus its
-/// compiled [`CompiledProgram`], linked for the VM, from which either
-/// executor runs a manner ([`Environment::run_manner`]).
+/// [`CompiledProgram`], from which either executor runs a manner
+/// ([`Environment::run_manner`]); every [`Vm`] shares the compiled code.
 pub struct Mc {
     program: Program,
-    code: Arc<Code>,
+    pub(super) compiled: Arc<CompiledProgram>,
 }
 
 impl Mc {
@@ -178,8 +178,8 @@ impl Mc {
 
     /// Compile an already-parsed program.
     pub fn from_program(program: Program) -> MfResult<Mc> {
-        let code = Arc::new(Code::link(compile(&program)?));
-        Ok(Mc { program, code })
+        let compiled = Arc::new(compile(&program)?);
+        Ok(Mc { program, compiled })
     }
 
     /// The parsed AST.
@@ -187,14 +187,9 @@ impl Mc {
         &self.program
     }
 
-    /// The compiled state-machine IR.
+    /// The compiled state-machine code the VM steps.
     pub fn compiled(&self) -> &CompiledProgram {
-        self.code.program()
-    }
-
-    /// The IR linked for the VM.
-    pub(crate) fn code(&self) -> &Arc<Code> {
-        &self.code
+        &self.compiled
     }
 }
 

@@ -21,12 +21,14 @@
 //!   protocol-level queries used by the tests to verify that the paper's
 //!   source and this crate's embedded-DSL implementation agree;
 //! * [`compile`](mod@compile) — the back end: AST → flat per-manner
-//!   state-machine IR (numbered states, priority-ordered event-dispatch
+//!   state-machine code (numbered states whose bodies are straight-line
+//!   [`Ins`] lists with patched jumps, priority-ordered event-dispatch
 //!   tables, interned identifiers, pre-resolved stream chains and
-//!   declaration opcodes), plus a stable disassembler;
+//!   declaration opcodes), plus a stable disassembler. It is the one
+//!   compiled form: the VM runs it as emitted;
 //! * [`vm`] — the production executor: a stepped coordinator that steps
-//!   the IR on whichever thread raises an event into it, with no thread of
-//!   its own and zero per-step parsing, hashing, or allocation in the
+//!   that code on whichever thread raises an event into it, with no thread
+//!   of its own and zero per-step parsing, hashing, or allocation in the
 //!   steady state;
 //! * [`interp`] — the reference executor: tree-walks the AST on a closure
 //!   coordinator's thread with the same observable semantics (the
@@ -43,7 +45,7 @@
 //! The paper's two source files ship as fixtures (`fixtures/protocolMW.m`,
 //! `fixtures/mainprog.m`, transcribed from §4.2/§5); the committed IR
 //! snapshot `fixtures/protocolMW.ir.txt` documents the state machine the
-//! paper implies.
+//! paper implies, as the code the VM executes.
 
 pub mod ast;
 pub mod check;
@@ -58,7 +60,7 @@ pub mod vm;
 
 pub use ast::{Action, BlockItem, Declaration, Item, Program, State};
 pub use check::{check_program, ProgramSummary};
-pub use compile::{compile, CompiledBlock, CompiledManner, CompiledProgram, CompiledState};
+pub use compile::{compile, CompiledBlock, CompiledManner, CompiledProgram, CompiledState, Ins};
 pub use error::{LangError, LangErrorKind};
 pub use exec::{
     expect_event_arg, expect_int_arg, expect_process_arg, AtomicFactory, CoordExec, Mc, Value,

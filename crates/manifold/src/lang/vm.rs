@@ -1,4 +1,4 @@
-//! The state-machine VM: steps [`CompiledProgram`] IR against a live
+//! The state-machine VM: steps [`CompiledProgram`] code against a live
 //! [`Coord`], bit-identically to the tree-walking interpreter, as the step
 //! function of a stepped coordinator
 //! ([`Environment::create_stepped_coordinator`](crate::env::Environment::create_stepped_coordinator)).
@@ -22,11 +22,10 @@
 //! A [`Vm`] never blocks. Its state is a resumable stack of frames, one per
 //! active block (a manner's root block, or a block entered from a state
 //! body), each holding its current state and an instruction index into
-//! that state's body. Building an [`Mc`] links its IR for the VM once,
-//! flattening every state body to straight-line code with jumps, so a body
-//! suspended in a wait, or in a manner or block it entered, resumes at a
-//! plain index. [`Vm::step`] runs until the manner needs something that
-//! has not happened yet:
+//! that state's body — the straight-line [`Ins`] code `lang::compile`
+//! emitted, run as it is. A body suspended in a wait, or in a manner or
+//! block it entered, resumes at a plain index. [`Vm::step`] runs until the
+//! manner needs something that has not happened yet:
 //!
 //! * **Waits.** `IDLE` (`terminated(void)`) and `terminated(p)` select
 //!   from the coordinator's event memory with `try_select`; when nothing
@@ -69,167 +68,12 @@ use crate::coord::{Coord, HeldState, ScopeMark};
 use crate::error::{MfError, MfResult};
 use crate::event::{EventOccurrence, EventPattern};
 use crate::ident::ProcessId;
-use crate::lang::compile::{CExpr, ChainStep, CompiledBlock, CompiledProgram, DeclOp, Op, Sym};
+use crate::lang::compile::{CExpr, CompiledBlock, CompiledProgram, DeclOp, Ins, Sym};
 use crate::lang::error::{attribute_line, LangError, LangErrorKind};
 use crate::lang::exec::{Mc, Value};
 use crate::process::ProcessRef;
 use crate::stream::Stream;
 use crate::unit::Unit;
-
-/// A compiled program linked for the VM: the IR as compiled, plus every
-/// state body flattened to straight-line code.
-pub(crate) struct Code {
-    program: CompiledProgram,
-    /// `bodies[block][state]`.
-    bodies: Vec<Vec<Vec<Ins>>>,
-}
-
-impl Code {
-    /// Flatten every state body of `program`.
-    pub(crate) fn link(program: CompiledProgram) -> Code {
-        let bodies = program
-            .blocks
-            .iter()
-            .map(|b| {
-                b.states
-                    .iter()
-                    .map(|s| {
-                        let mut code = Vec::new();
-                        flatten(&s.body, &mut code);
-                        code
-                    })
-                    .collect()
-            })
-            .collect();
-        Code { program, bodies }
-    }
-
-    /// The IR this code was linked from.
-    pub(crate) fn program(&self) -> &CompiledProgram {
-        &self.program
-    }
-}
-
-/// One instruction of a flattened state body. A body runs from instruction
-/// 0 until it falls off its end (it completed) or an instruction ends the
-/// state early: `halt`, an error, or a wait preempted by an event.
-enum Ins {
-    Chain {
-        steps: Vec<ChainStep>,
-        line: u32,
-    },
-    Call {
-        manner: Option<usize>,
-        name: Sym,
-        args: Vec<CExpr>,
-        line: u32,
-    },
-    Post(Sym),
-    Raise(Sym),
-    Halt,
-    Mes {
-        msg: String,
-        line: u32,
-    },
-    Idle,
-    Await {
-        proc: Sym,
-        line: u32,
-    },
-    Assign {
-        var: Sym,
-        value: CExpr,
-        line: u32,
-    },
-    Block(usize),
-    /// The test of an `if`: fall through into the then-branch when it
-    /// holds, else go on at `otherwise`.
-    Unless {
-        lhs: CExpr,
-        op: char,
-        rhs: CExpr,
-        line: u32,
-        otherwise: usize,
-    },
-    /// From the end of a then-branch past its else-branch.
-    Jump(usize),
-}
-
-/// Append `op` to `code`. A sequence is its parts in order; an `if` is its
-/// test, its then-branch and, with an else-branch, a jump over it.
-fn flatten(op: &Op, code: &mut Vec<Ins>) {
-    let ins = match op {
-        Op::Seq(parts) => return parts.iter().for_each(|p| flatten(p, code)),
-        Op::If {
-            lhs,
-            op,
-            rhs,
-            then,
-            otherwise,
-            line,
-        } => {
-            let test = code.len();
-            code.push(Ins::Unless {
-                lhs: lhs.clone(),
-                op: *op,
-                rhs: rhs.clone(),
-                line: *line,
-                otherwise: 0,
-            });
-            flatten(then, code);
-            let at = match otherwise {
-                None => code.len(),
-                Some(o) => {
-                    let jump = code.len();
-                    code.push(Ins::Jump(0));
-                    let at = code.len();
-                    flatten(o, code);
-                    code[jump] = Ins::Jump(code.len());
-                    at
-                }
-            };
-            if let Ins::Unless { otherwise, .. } = &mut code[test] {
-                *otherwise = at;
-            }
-            return;
-        }
-        Op::PreemptAll | Op::Nop => return,
-        Op::Block(b) => Ins::Block(*b),
-        Op::Chain { steps, line } => Ins::Chain {
-            steps: steps.clone(),
-            line: *line,
-        },
-        Op::Call {
-            manner,
-            name,
-            args,
-            line,
-        } => Ins::Call {
-            manner: *manner,
-            name: *name,
-            args: args.clone(),
-            line: *line,
-        },
-        Op::Post(e) => Ins::Post(*e),
-        Op::Raise(e) => Ins::Raise(*e),
-        Op::Halt => Ins::Halt,
-        Op::Mes { msg, line } => Ins::Mes {
-            msg: msg.clone(),
-            line: *line,
-        },
-        Op::Idle => Ins::Idle,
-        Op::AwaitTermination { proc, line } => Ins::Await {
-            proc: *proc,
-            line: *line,
-        },
-        Op::Assign { var, value, line } => Ins::Assign {
-            var: *var,
-            value: value.clone(),
-            line: *line,
-        },
-    };
-    code.push(ins);
-}
 
 /// How a state body, a block or a manner finished (mirror of the
 /// interpreter's control flow).
@@ -280,7 +124,7 @@ enum Next {
 /// stepped coordinator. [`Environment::run_manner`](crate::env::Environment::run_manner)
 /// runs one under [`CoordExec::Compiled`](crate::lang::CoordExec::Compiled).
 pub struct Vm {
-    code: Arc<Code>,
+    program: Arc<CompiledProgram>,
     source_name: String,
     /// The dynamic scope: `(symbol, value)` slots, innermost last.
     slots: Vec<(u32, Value)>,
@@ -297,7 +141,7 @@ impl Vm {
     /// first [`Vm::step`]. `source_name` labels MES trace records.
     pub fn new(mc: &Mc, source_name: &str, manner: &str, args: Vec<Value>) -> Vm {
         Vm {
-            code: mc.code().clone(),
+            program: Arc::clone(&mc.compiled),
             source_name: source_name.to_string(),
             slots: Vec::new(),
             scratch: Vec::new(),
@@ -311,18 +155,14 @@ impl Vm {
     /// `Pending` until an occurrence arrives in `coord`'s event memory. A
     /// `Ready` activation is not stepped again.
     pub fn step(&mut self, coord: &Coord) -> Poll<MfResult<()>> {
-        let code = Arc::clone(&self.code);
+        let prog = Arc::clone(&self.program);
         let events = coord.ctx().core().events();
         loop {
             match std::mem::replace(&mut self.next, Next::Run) {
                 Next::Enter(manner, args) => {
-                    let entered = match code
-                        .program
-                        .manners
-                        .iter()
-                        .position(|m| m.name.as_str() == manner)
+                    let entered = match prog.manners.iter().position(|m| m.name.as_str() == manner)
                     {
-                        Some(m) => self.enter_manner(&code, coord, m, args, 0),
+                        Some(m) => self.enter_manner(&prog, coord, m, args, 0),
                         None => Err(LangError::new(LangErrorKind::UnknownManner(manner)).into()),
                     };
                     if let Err(e) = entered {
@@ -334,24 +174,24 @@ impl Vm {
                         .frames
                         .last_mut()
                         .expect("a running manner has a frame");
-                    match code.bodies[f.block][f.state].get(f.pc) {
+                    match prog.blocks[f.block].states[f.state].body.get(f.pc) {
                         Some(ins) => {
                             f.pc += 1;
-                            if let Err(e) = self.exec(&code, coord, ins) {
-                                self.end_state(&code, coord, Err(e));
+                            if let Err(e) = self.exec(&prog, coord, ins) {
+                                self.end_state(&prog, coord, Err(e));
                             }
                         }
-                        None => self.end_state(&code, coord, Ok(Flow::Done)),
+                        None => self.end_state(&prog, coord, Ok(Flow::Done)),
                     }
                 }
                 Next::Idle => {
                     let f = self.frames.last().expect("a waiting manner has a frame");
-                    let pats = &code.program.blocks[f.block].all_pats;
+                    let pats = &prog.blocks[f.block].all_pats;
                     match events.try_select(pats) {
                         // IDLE: only events can get us out.
-                        Some((_, occ)) => self.end_state(&code, coord, Ok(Flow::Preempted(occ))),
+                        Some((_, occ)) => self.end_state(&prog, coord, Ok(Flow::Preempted(occ))),
                         None if events.is_killed() => {
-                            self.end_state(&code, coord, Err(MfError::Killed))
+                            self.end_state(&prog, coord, Err(MfError::Killed))
                         }
                         None => {
                             self.next = Next::Idle;
@@ -362,9 +202,9 @@ impl Vm {
                 Next::Await(p) => match events.try_select(&self.scratch) {
                     Some((idx, occ))
                         if idx == self.scratch.len() - 1 && occ.is_termination_of(p) => {}
-                    Some((_, occ)) => self.end_state(&code, coord, Ok(Flow::Preempted(occ))),
+                    Some((_, occ)) => self.end_state(&prog, coord, Ok(Flow::Preempted(occ))),
                     None if events.is_killed() => {
-                        self.end_state(&code, coord, Err(MfError::Killed))
+                        self.end_state(&prog, coord, Err(MfError::Killed))
                     }
                     None => {
                         self.next = Next::Await(p);
@@ -392,7 +232,7 @@ impl Vm {
                     if self.frames.is_empty() {
                         return Poll::Ready(ended);
                     }
-                    self.returned(&code, coord, ended.map(|()| Flow::Done));
+                    self.returned(&prog, coord, ended.map(|()| Flow::Done));
                 }
             }
         }
@@ -403,13 +243,13 @@ impl Vm {
     /// here; a failing declaration exits the block like any error.
     fn enter_manner(
         &mut self,
-        code: &Code,
+        prog: &CompiledProgram,
         coord: &Coord,
         manner: usize,
         args: Vec<Value>,
         line: u32,
     ) -> MfResult<()> {
-        let m = &code.program.manners[manner];
+        let m = &prog.manners[manner];
         if m.params.len() != args.len() {
             return Err(LangError::at(
                 LangErrorKind::ArityMismatch {
@@ -433,7 +273,7 @@ impl Vm {
         // The manner's block owns what it declares: its `variable`s and the
         // processes its factories create die when it returns.
         let scope = coord.open_scope();
-        self.enter_block(code, coord, m.block, Some((scope, mark)));
+        self.enter_block(prog, coord, m.block, Some((scope, mark)));
         Ok(())
     }
 
@@ -441,12 +281,12 @@ impl Vm {
     /// `begin` state.
     fn enter_block(
         &mut self,
-        code: &Code,
+        prog: &CompiledProgram,
         coord: &Coord,
         block: usize,
         manner: Option<(ScopeMark, usize)>,
     ) {
-        let b = &code.program.blocks[block];
+        let b = &prog.blocks[block];
         self.frames.push(Frame {
             block,
             mark: self.slots.len(),
@@ -455,7 +295,7 @@ impl Vm {
             pc: 0,
             held: HeldState::default(),
         });
-        let begin = self.declare(code, coord, b).and_then(|()| {
+        let begin = self.declare(prog, coord, b).and_then(|()| {
             b.begin
                 .ok_or_else(|| LangError::new(LangErrorKind::NoSuchState("begin".into())).into())
         });
@@ -464,24 +304,29 @@ impl Vm {
                 self.frames.last_mut().expect("just pushed").state = begin;
                 self.next = Next::Run;
             }
-            Err(e) => self.exit_block(code, coord, Err(e)),
+            Err(e) => self.exit_block(prog, coord, Err(e)),
         }
     }
 
     /// Run a block's declaration opcodes, in order.
-    fn declare(&mut self, code: &Code, coord: &Coord, b: &CompiledBlock) -> MfResult<()> {
+    fn declare(
+        &mut self,
+        prog: &CompiledProgram,
+        coord: &Coord,
+        b: &CompiledBlock,
+    ) -> MfResult<()> {
         for d in &b.decls {
             match d {
                 DeclOp::Event { sym } => {
-                    let name = code.program.name(*sym).clone();
+                    let name = prog.name(*sym).clone();
                     self.slots.push((sym.0, Value::Event(name)));
                 }
                 DeclOp::Variable { sym, init, line } => {
                     let init = match init {
-                        Some(e) => self.eval_int(code, e, *line)?,
+                        Some(e) => self.eval_int(prog, e, *line)?,
                         None => 0,
                     };
-                    let name = code.program.name(*sym).clone();
+                    let name = prog.name(*sym).clone();
                     let var = Variable::spawn(coord, name.as_str(), Unit::int(init))?;
                     self.slots.push((sym.0, Value::Variable(var)));
                 }
@@ -495,9 +340,7 @@ impl Vm {
                         Some(Value::Manifold(f)) => f.clone(),
                         _ => {
                             return Err(LangError::at(
-                                LangErrorKind::NotAManifold(
-                                    code.program.name(*ctor).as_str().to_string(),
-                                ),
+                                LangErrorKind::NotAManifold(prog.name(*ctor).as_str().to_string()),
                                 *line,
                             )
                             .into())
@@ -505,7 +348,7 @@ impl Vm {
                     };
                     let argv: Vec<Value> = args
                         .iter()
-                        .map(|a| self.eval_value(code, a, *line))
+                        .map(|a| self.eval_value(prog, a, *line))
                         .collect::<MfResult<_>>()?;
                     let p = factory(coord, &argv).map_err(|e| attribute_line(e, *line))?;
                     self.slots.push((sym.0, Value::Process(p)));
@@ -520,21 +363,21 @@ impl Vm {
 
     /// Execute one instruction of the innermost frame's body (its `pc` is
     /// already past it). An error ends the state.
-    fn exec(&mut self, code: &Code, coord: &Coord, ins: &Ins) -> MfResult<()> {
+    fn exec(&mut self, prog: &CompiledProgram, coord: &Coord, ins: &Ins) -> MfResult<()> {
         match ins {
             Ins::Chain { steps, line } => {
                 for s in steps {
-                    let sink = self.resolve_process(code, s.to, *line)?;
-                    let sink_port = sink.port(code.program.name(s.to_port).clone());
+                    let sink = self.resolve_process(prog, s.to, *line)?;
+                    let sink_port = sink.port(prog.name(s.to_port).clone());
                     let st = if s.from_ref {
                         // `&p -> q`: a one-shot reference unit from the
                         // coordinator.
-                        let p = self.resolve_process(code, s.from, *line)?;
+                        let p = self.resolve_process(prog, s.from, *line)?;
                         Stream::preloaded(s.ty, [Unit::ProcessRef(p)])
                     } else {
-                        let src = self.resolve_process(code, s.from, *line)?;
+                        let src = self.resolve_process(prog, s.from, *line)?;
                         let st = Stream::new(s.ty);
-                        src.port(code.program.name(s.from_port).clone())
+                        src.port(prog.name(s.from_port).clone())
                             .attach_outgoing(&st);
                         st
                     };
@@ -552,24 +395,22 @@ impl Vm {
                 // like the interpreter.
                 let argv: Vec<Value> = args
                     .iter()
-                    .map(|a| self.eval_value(code, a, *line))
+                    .map(|a| self.eval_value(prog, a, *line))
                     .collect::<MfResult<_>>()?;
                 match manner {
-                    Some(m) => self.enter_manner(code, coord, *m, argv, *line)?,
+                    Some(m) => self.enter_manner(prog, coord, *m, argv, *line)?,
                     None => {
                         return Err(LangError::at(
-                            LangErrorKind::UnknownManner(
-                                code.program.name(*name).as_str().to_string(),
-                            ),
+                            LangErrorKind::UnknownManner(prog.name(*name).as_str().to_string()),
                             *line,
                         )
                         .into())
                     }
                 }
             }
-            Ins::Post(e) => coord.post(code.program.name(*e).clone()),
-            Ins::Raise(e) => coord.raise(code.program.name(*e).clone()),
-            Ins::Halt => self.end_state(code, coord, Ok(Flow::Halted)),
+            Ins::Post(e) => coord.post(prog.name(*e).clone()),
+            Ins::Raise(e) => coord.raise(prog.name(*e).clone()),
+            Ins::Halt => self.end_state(prog, coord, Ok(Flow::Halted)),
             Ins::Mes { msg, line } => coord.ctx().trace(&self.source_name, *line, msg.clone()),
             Ins::Idle => self.next = Next::Idle,
             Ins::Await { proc, line } => {
@@ -577,9 +418,7 @@ impl Vm {
                     Some(Value::Process(p)) => p.clone(),
                     _ => {
                         return Err(LangError::at(
-                            LangErrorKind::NotAProcess(
-                                code.program.name(*proc).as_str().to_string(),
-                            ),
+                            LangErrorKind::NotAProcess(prog.name(*proc).as_str().to_string()),
                             *line,
                         )
                         .into())
@@ -589,26 +428,24 @@ impl Vm {
                 let f = self.frames.last().expect("running");
                 self.scratch.clear();
                 self.scratch
-                    .extend_from_slice(&code.program.blocks[f.block].all_pats);
+                    .extend_from_slice(&prog.blocks[f.block].all_pats);
                 self.scratch.push(EventPattern::Terminated(p.id()));
                 self.next = Next::Await(p.id());
             }
             Ins::Assign { var, value, line } => {
-                let v = self.eval_int(code, value, *line)?;
+                let v = self.eval_int(prog, value, *line)?;
                 match self.lookup(*var) {
                     Some(Value::Variable(target)) => target.set(Unit::int(v)),
                     _ => {
                         return Err(LangError::at(
-                            LangErrorKind::NotAVariable(
-                                code.program.name(*var).as_str().to_string(),
-                            ),
+                            LangErrorKind::NotAVariable(prog.name(*var).as_str().to_string()),
                             *line,
                         )
                         .into())
                     }
                 }
             }
-            Ins::Block(b) => self.enter_block(code, coord, *b, None),
+            Ins::Block(b) => self.enter_block(prog, coord, *b, None),
             Ins::Unless {
                 lhs,
                 op,
@@ -616,8 +453,8 @@ impl Vm {
                 line,
                 otherwise,
             } => {
-                let l = self.eval_int(code, lhs, *line)?;
-                let r = self.eval_int(code, rhs, *line)?;
+                let l = self.eval_int(prog, lhs, *line)?;
+                let r = self.eval_int(prog, rhs, *line)?;
                 let hit = match op {
                     '<' => l < r,
                     '>' => l > r,
@@ -636,10 +473,10 @@ impl Vm {
     /// The innermost frame's state body has finished with `flow`: preempt
     /// the state (dismantle its streams, also on the error path), then
     /// transition, or exit the block.
-    fn end_state(&mut self, code: &Code, coord: &Coord, flow: MfResult<Flow>) {
+    fn end_state(&mut self, prog: &CompiledProgram, coord: &Coord, flow: MfResult<Flow>) {
         let f = self.frames.last_mut().expect("a state ends in its frame");
         f.held = HeldState::default();
-        let b = &code.program.blocks[f.block];
+        let b = &prog.blocks[f.block];
         let exit = match flow {
             Ok(Flow::Preempted(occ)) => {
                 match occ
@@ -673,34 +510,34 @@ impl Vm {
             }
             other => other,
         };
-        self.exit_block(code, coord, exit);
+        self.exit_block(prog, coord, exit);
     }
 
     /// Leave the innermost block with `flow`: unbind what it declared and,
     /// unless it failed, purge its `ignore`d events; then close it if it is
     /// a manner's, or hand `flow` to the state body that entered it.
-    fn exit_block(&mut self, code: &Code, coord: &Coord, flow: MfResult<Flow>) {
+    fn exit_block(&mut self, prog: &CompiledProgram, coord: &Coord, flow: MfResult<Flow>) {
         let f = self.frames.pop().expect("a block exits from its frame");
         self.slots.truncate(f.mark);
         if flow.is_ok() {
             // `ignore e.`: purge on departure from the block (skipped on
             // the error path, exactly like the interpreter).
-            for e in &code.program.blocks[f.block].ignores {
+            for e in &prog.blocks[f.block].ignores {
                 coord.ctx().core().events().purge_named(e);
             }
         }
         match f.manner {
             Some((scope, mark)) => self.next = Next::Close { scope, mark, flow },
-            None => self.returned(code, coord, flow),
+            None => self.returned(prog, coord, flow),
         }
     }
 
     /// A block or manner entered from the innermost frame's state body has
     /// finished with `flow`: the body goes on, or ends with it.
-    fn returned(&mut self, code: &Code, coord: &Coord, flow: MfResult<Flow>) {
+    fn returned(&mut self, prog: &CompiledProgram, coord: &Coord, flow: MfResult<Flow>) {
         match flow {
             Ok(Flow::Done) => self.next = Next::Run,
-            other => self.end_state(code, coord, other),
+            other => self.end_state(prog, coord, other),
         }
     }
 
@@ -712,34 +549,34 @@ impl Vm {
             .map(|(_, v)| v)
     }
 
-    fn resolve_process(&self, code: &Code, sym: Sym, line: u32) -> MfResult<ProcessRef> {
+    fn resolve_process(&self, prog: &CompiledProgram, sym: Sym, line: u32) -> MfResult<ProcessRef> {
         match self.lookup(sym) {
             Some(Value::Process(p)) => Ok(p.clone()),
             Some(Value::Variable(v)) => Ok(v.process().clone()),
             _ => Err(LangError::at(
-                LangErrorKind::NotAProcess(code.program.name(sym).as_str().to_string()),
+                LangErrorKind::NotAProcess(prog.name(sym).as_str().to_string()),
                 line,
             )
             .into()),
         }
     }
 
-    fn eval_value(&self, code: &Code, e: &CExpr, line: u32) -> MfResult<Value> {
+    fn eval_value(&self, prog: &CompiledProgram, e: &CExpr, line: u32) -> MfResult<Value> {
         match e {
             CExpr::Int(v) => Ok(Value::Int(*v)),
             CExpr::Var(sym) | CExpr::Ref(sym) => self.lookup(*sym).cloned().ok_or_else(|| {
                 LangError::at(
-                    LangErrorKind::Unbound(code.program.name(*sym).as_str().to_string()),
+                    LangErrorKind::Unbound(prog.name(*sym).as_str().to_string()),
                     line,
                 )
                 .into()
             }),
-            CExpr::Binary { .. } => Ok(Value::Int(self.eval_int(code, e, line)?)),
+            CExpr::Binary { .. } => Ok(Value::Int(self.eval_int(prog, e, line)?)),
             CExpr::Call => Err(LangError::at(LangErrorKind::NestedCall, line).into()),
         }
     }
 
-    fn eval_int(&self, code: &Code, e: &CExpr, line: u32) -> MfResult<i64> {
+    fn eval_int(&self, prog: &CompiledProgram, e: &CExpr, line: u32) -> MfResult<i64> {
         match e {
             CExpr::Int(v) => Ok(*v),
             CExpr::Var(sym) => match self.lookup(*sym) {
@@ -747,7 +584,7 @@ impl Vm {
                 Some(Value::Variable(var)) => Ok(var.get_int()),
                 other => Err(LangError::at(
                     LangErrorKind::NotNumeric {
-                        name: code.program.name(*sym).as_str().to_string(),
+                        name: prog.name(*sym).as_str().to_string(),
                         found: format!("{other:?}"),
                     },
                     line,
@@ -755,8 +592,8 @@ impl Vm {
                 .into()),
             },
             CExpr::Binary { op, lhs, rhs } => {
-                let l = self.eval_int(code, lhs, line)?;
-                let r = self.eval_int(code, rhs, line)?;
+                let l = self.eval_int(prog, lhs, line)?;
+                let r = self.eval_int(prog, rhs, line)?;
                 Ok(match op {
                     '+' => l + r,
                     '-' => l - r,

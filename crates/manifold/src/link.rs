@@ -507,11 +507,6 @@ impl Bundler {
             .count()
     }
 
-    /// Current load of a task instance, if it is alive.
-    pub fn load_of(&self, task: TaskInstanceId) -> Option<u32> {
-        self.instances.iter().find(|i| i.id == task).map(|i| i.load)
-    }
-
     /// Is the given instance alive?
     pub fn is_alive(&self, task: TaskInstanceId) -> bool {
         self.instances.iter().any(|i| i.id == task)

@@ -98,11 +98,6 @@ impl Stream {
         self.id
     }
 
-    /// The dismantling type.
-    pub fn stream_type(&self) -> StreamType {
-        self.ty
-    }
-
     /// Append a unit at the source end and wake the sink port's readers.
     pub fn push(&self, unit: Unit) {
         let snk = {

@@ -13,7 +13,7 @@
 //! manifold name, the source file and line, and the message.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -159,8 +159,8 @@ impl TraceRecord {
 }
 
 /// Parse a whole trace dump (a sequence of two-line records as produced by
-/// [`format_trace`] or the live `MES` echo). Blank lines are skipped;
-/// malformed pairs are an error carrying the offending line number.
+/// [`format_trace`]). Blank lines are skipped; malformed pairs are an error
+/// carrying the offending line number.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, String> {
     let mut out = Vec::new();
     let mut lines = text
@@ -202,38 +202,20 @@ pub fn merge_traces(sequences: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
     merged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Collects trace records chronologically; optionally echoes them to stderr
-/// as they arrive.
+/// Collects trace records chronologically.
+#[derive(Default)]
 pub struct TraceSink {
     records: Mutex<Vec<TraceRecord>>,
-    echo: AtomicBool,
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TraceSink {
-    /// New, silent sink.
+    /// New, empty sink.
     pub fn new() -> Self {
-        TraceSink {
-            records: Mutex::new(Vec::new()),
-            echo: AtomicBool::new(false),
-        }
-    }
-
-    /// Echo records to stderr as they arrive (the live `MES` behaviour).
-    pub fn set_echo(&self, on: bool) {
-        self.echo.store(on, Ordering::Relaxed);
+        Self::default()
     }
 
     /// Append a record.
     pub fn record(&self, rec: TraceRecord) {
-        if self.echo.load(Ordering::Relaxed) {
-            eprintln!("{rec}");
-        }
         self.records.lock().push(rec);
     }
 

@@ -147,14 +147,6 @@ impl Unit {
         })
     }
 
-    /// Like [`Unit::as_text`] but returning a typed error.
-    pub fn expect_text(&self) -> MfResult<Arc<str>> {
-        match self {
-            Unit::Text(v) => Ok(v.clone()),
-            _ => Err(MfError::UnitType { expected: "Text" }),
-        }
-    }
-
     /// Approximate wire size of the unit in bytes, as it would cross the
     /// network between task instances. Used by the cluster simulator to cost
     /// inter-host transfers.

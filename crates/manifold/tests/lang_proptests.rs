@@ -11,7 +11,8 @@ use std::sync::Arc;
 use manifold::env::Environment;
 use manifold::lang::ast::*;
 use manifold::lang::{
-    expect_event_arg, lex, parse_program, print_program, AtomicFactory, CoordExec, Mc, Value,
+    compile, expect_event_arg, lex, parse_program, print_program, AtomicFactory, CompiledProgram,
+    CoordExec, Ins, Mc, Value, MAINPROG_SOURCE, PROTOCOL_MW_SOURCE,
 };
 use manifold::prelude::{Coord, MfResult, ProcessCtx};
 use proptest::prelude::*;
@@ -526,6 +527,59 @@ proptest! {
         let interp = run_once(&src, CoordExec::Interp);
         let vm = run_once(&src, CoordExec::Compiled);
         prop_assert_eq!(interp, vm, "executors disagree on source:\n{}", src);
+    }
+
+    /// The code the VM steps is well formed: every jump lands inside its
+    /// body or just past its end, and every block and resolved manner it
+    /// names exists.
+    #[test]
+    fn compiled_code_is_well_formed(
+        (init0, init1, b0, b1, b2, b3) in (
+            -5i64..6,
+            -5i64..6,
+            prop::collection::vec(arb_pact(0, 4), 0..4),
+            prop::collection::vec(arb_pact(1, 4), 0..4),
+            prop::collection::vec(arb_pact(2, 4), 0..4),
+            prop::collection::vec(arb_pact(3, 4), 0..4),
+        )
+    ) {
+        let src = render_program(init0, init1, &[b0, b1, b2, b3]);
+        let mc = Mc::from_source(&src).expect("generated program must compile");
+        assert_well_formed(mc.compiled(), &src);
+    }
+}
+
+/// [`compiled_code_is_well_formed`] on the paper's two fixtures.
+#[test]
+fn paper_fixtures_compile_to_well_formed_code() {
+    for (name, source) in [
+        ("protocolMW.m", PROTOCOL_MW_SOURCE),
+        ("mainprog.m", MAINPROG_SOURCE),
+    ] {
+        let compiled = compile(&parse_program(source).expect("parse")).expect("compile");
+        assert_well_formed(&compiled, name);
+    }
+}
+
+fn assert_well_formed(prog: &CompiledProgram, what: &str) {
+    for (bi, b) in prog.blocks.iter().enumerate() {
+        for (si, st) in b.states.iter().enumerate() {
+            let at = format!("{what}: block {bi} state {si}");
+            for ins in &st.body {
+                match ins {
+                    Ins::Unless { otherwise: to, .. } | Ins::Jump(to) => {
+                        assert!(*to <= st.body.len(), "{at}: jump to {to}")
+                    }
+                    Ins::Block(to) => assert!(*to < prog.blocks.len(), "{at}: block {to}"),
+                    Ins::Call {
+                        manner: Some(m), ..
+                    } => {
+                        assert!(*m < prog.manners.len(), "{at}: manner {m}")
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
 }
 

@@ -800,29 +800,27 @@ impl Engine {
     }
 
     fn master_config(&mut self, cfg: &AppConfig) -> MfResult<MasterConfig> {
-        let policy = cfg.policy.clone().unwrap_or_else(|| self.policy.clone());
-        let mut mc = MasterConfig::new(cfg.app, cfg.data_through_master)
-            .with_policy(policy)
-            .with_shards(self.opts.shards)
-            .with_churn(self.opts.churn.clone())
-            .with_retry_budget(self.opts.retry_budget);
-        if let Some(store) = &self.store {
-            if self.resume_pending {
+        let resume_from = match &self.store {
+            Some(store) if self.resume_pending => {
                 self.resume_pending = false;
-                if let Some(ck) = store.load()? {
-                    mc = mc.with_resume(ck);
-                }
+                store.load()?
             }
-            mc = mc.with_checkpoints(Arc::clone(store));
-        }
-        if let Some(plan) = &self.opts.faults {
-            if let Some(k) = plan.master_kill() {
-                // Collected-result ordinals restart with each job's
-                // master, so the kill can fire once per job.
-                mc = mc.with_master_kill_at(k);
-            }
-        }
-        Ok(mc)
+            _ => None,
+        };
+        Ok(MasterConfig {
+            app: cfg.app,
+            data_through_master: cfg.data_through_master,
+            policy: cfg.policy.clone().unwrap_or_else(|| self.policy.clone()),
+            retry_budget: self.opts.retry_budget,
+            checkpoint: self.store.clone(),
+            resume_from,
+            // Collected-result ordinals restart with each job's master, so
+            // the kill can fire once per job.
+            master_kill_at: self.opts.faults.as_ref().and_then(|p| p.master_kill()),
+            shards: self.opts.shards,
+            churn: self.opts.churn.clone(),
+            membership: None,
+        })
     }
 
     /// Start `job`. An `Err` means it never started; a started job
@@ -856,8 +854,10 @@ impl Engine {
                 // membership: sharded masters hint dispatches through it
                 // and churn joins/retires worker processes.
                 let source = Arc::new(JobSource::new(Arc::clone(pool), Arc::clone(gauge), job.id));
-                let master_cfg =
-                    master_cfg.with_membership(Arc::clone(&source) as Arc<dyn FleetMembership>);
+                let master_cfg = MasterConfig {
+                    membership: Some(Arc::clone(&source) as Arc<dyn FleetMembership>),
+                    ..master_cfg
+                };
                 let factory = protocol::remote_worker_factory(source as Arc<dyn JobFleet>);
                 scope.spawn(env, gauge, master_cfg, factory);
             }

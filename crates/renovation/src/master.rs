@@ -15,19 +15,17 @@
 //! `window` jobs outstanding, one subsolve per worker, collecting a result
 //! before issuing the next job once the window is full — so a bounded
 //! worker pool gets backpressure instead of an unbounded
-//! feed-all-then-drain burst. The default [`PaperFaithful`] policy uses
-//! natural order and an unbounded window, reproducing the paper's protocol
-//! exactly. Because the prolongation sorts per-grid results by index
-//! before combining, *every* policy produces bit-identical output.
+//! feed-all-then-drain burst. The default
+//! [`PaperFaithful`](protocol::PaperFaithful) policy uses natural order and
+//! an unbounded window, reproducing the paper's protocol exactly. Because
+//! the prolongation sorts per-grid results by index before combining,
+//! *every* policy produces bit-identical output.
 
-use std::fmt;
 use std::sync::Arc;
 
 use manifold::mes;
 use manifold::prelude::*;
-use protocol::{
-    ChurnPlan, MasterHandle, PaperFaithful, PolicyRef, ShardPlan, ShardSpec, StealQueues,
-};
+use protocol::{ChurnPlan, MasterHandle, PolicyRef, ShardPlan, ShardSpec, StealQueues};
 use solver::grid::Grid2;
 use solver::sequential::{prolongation_phase, SequentialApp, SequentialResult};
 use solver::subsolve::SubsolveResult;
@@ -37,9 +35,9 @@ use solver::{l2_norm, WorkCounter};
 use crate::checkpoint::{Checkpoint, CheckpointStore, RunKey};
 use crate::codec::{request_to_unit, result_from_unit};
 
-/// Master-side configuration.
+/// Master-side configuration. The engine fills it in per job.
 #[derive(Clone)]
-pub struct MasterConfig {
+pub(crate) struct MasterConfig {
     /// The application parameters (root, level, le_tol, problem).
     pub app: SequentialApp,
     /// When true (the paper's design), the master samples each grid's
@@ -101,93 +99,9 @@ pub trait FleetMembership: Send + Sync {
 }
 
 impl MasterConfig {
-    /// A configuration with the paper's verified dispatch behavior.
-    pub fn new(app: SequentialApp, data_through_master: bool) -> Self {
-        MasterConfig {
-            app,
-            data_through_master,
-            policy: Arc::new(PaperFaithful),
-            retry_budget: crate::engine::DEFAULT_RETRY_BUDGET,
-            checkpoint: None,
-            resume_from: None,
-            master_kill_at: None,
-            shards: ShardSpec::default(),
-            churn: ChurnPlan::default(),
-            membership: None,
-        }
-    }
-
-    /// Shard the dispatch across `spec.shards` shard masters.
-    pub fn with_shards(mut self, spec: ShardSpec) -> Self {
-        self.shards = spec;
-        self
-    }
-
-    /// Fire worker joins/leaves at these dispatch ordinals.
-    pub fn with_churn(mut self, churn: ChurnPlan) -> Self {
-        self.churn = churn;
-        self
-    }
-
-    /// Provide the live membership backend churn and pool hints act on.
-    pub fn with_membership(mut self, membership: Arc<dyn FleetMembership>) -> Self {
-        self.membership = Some(membership);
-        self
-    }
-
-    /// Replace the dispatch policy.
-    pub fn with_policy(mut self, policy: PolicyRef) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Replace the lost-worker retry budget.
-    pub fn with_retry_budget(mut self, budget: usize) -> Self {
-        self.retry_budget = budget;
-        self
-    }
-
-    /// Checkpoint every collected result into `store`.
-    pub fn with_checkpoints(mut self, store: Arc<CheckpointStore>) -> Self {
-        self.checkpoint = Some(store);
-        self
-    }
-
-    /// Resume from a previously-saved snapshot.
-    pub fn with_resume(mut self, ck: Checkpoint) -> Self {
-        self.resume_from = Some(ck);
-        self
-    }
-
-    /// Inject a master death after `k` collected results.
-    pub fn with_master_kill_at(mut self, k: u64) -> Self {
-        self.master_kill_at = Some(k);
-        self
-    }
-
     /// The identity of the run this configuration describes.
-    pub fn run_key(&self) -> RunKey {
+    fn run_key(&self) -> RunKey {
         RunKey::of(&self.app, self.data_through_master, self.policy.name())
-    }
-}
-
-impl fmt::Debug for MasterConfig {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MasterConfig")
-            .field("app", &self.app)
-            .field("data_through_master", &self.data_through_master)
-            .field("policy", &self.policy.name())
-            .field("retry_budget", &self.retry_budget)
-            .field("checkpointing", &self.checkpoint.is_some())
-            .field(
-                "resumed_results",
-                &self.resume_from.as_ref().map(|c| c.completed.len()),
-            )
-            .field("master_kill_at", &self.master_kill_at)
-            .field("shards", &self.shards)
-            .field("churn", &self.churn)
-            .field("membership", &self.membership.is_some())
-            .finish()
     }
 }
 
@@ -293,7 +207,7 @@ fn collect_result(h: &MasterHandle, retries_left: &mut usize) -> MfResult<Subsol
 
 /// Run the master's life: steps 2–5 of the behavior interface. Returns the
 /// full application result (identical to [`SequentialApp::run`]).
-pub fn master_body(h: &MasterHandle, cfg: &MasterConfig) -> MfResult<SequentialResult> {
+pub(crate) fn master_body(h: &MasterHandle, cfg: &MasterConfig) -> MfResult<SequentialResult> {
     let app = cfg.app;
     mes!(h.ctx(), "Welcome");
 
@@ -509,6 +423,7 @@ pub fn master_body(h: &MasterHandle, cfg: &MasterConfig) -> MfResult<SequentialR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use protocol::PaperFaithful;
     use std::sync::Arc;
 
     fn steps_of(order: &[usize], costs: &[f64], spec: &ShardSpec) -> Vec<DispatchStep> {

@@ -150,11 +150,6 @@ impl TenantClient {
         self.token != 0
     }
 
-    /// Submitted seqs still awaiting a reply.
-    pub fn open_jobs(&self) -> usize {
-        self.open.len()
-    }
-
     /// Replayed replies the exactly-once filter swallowed so far.
     pub fn duplicates_suppressed(&self) -> u64 {
         self.duplicates_suppressed

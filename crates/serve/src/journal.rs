@@ -902,17 +902,6 @@ impl Journal {
         Ok(())
     }
 
-    /// Jobs currently journaled without a terminal outcome (test hook and
-    /// operator introspection).
-    pub fn pending_count(&self) -> usize {
-        let g = self.inner.lock().unwrap();
-        g.state
-            .jobs
-            .values()
-            .filter(|s| matches!(s, JobState::Pending { .. }))
-            .count()
-    }
-
     /// Current segment count on disk (1 except transiently; tests use
     /// this to observe rotation + compaction).
     pub fn segment_count(&self) -> usize {

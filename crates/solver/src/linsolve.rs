@@ -602,24 +602,10 @@ impl KrylovWorkspace {
 }
 
 /// Preconditioned BiCGSTAB: solve `A x = b` in place (`x` holds the initial
-/// guess on entry, the solution on success). Allocates its own scratch;
-/// hot paths should use [`bicgstab_with`] and a reused [`KrylovWorkspace`].
-pub fn bicgstab(
-    a: &Csr,
-    precond: &dyn Preconditioner,
-    b: &[f64],
-    x: &mut [f64],
-    rel_tol: f64,
-    max_iters: usize,
-    work: &mut WorkCounter,
-) -> Result<SolveStats, SolveError> {
-    let mut ws = KrylovWorkspace::new();
-    bicgstab_with(a, precond, b, x, rel_tol, max_iters, &mut ws, work)
-}
-
-/// [`bicgstab`] on caller-owned scratch: zero heap allocations once the
-/// workspace has been sized (first call at dimension `n`). Bit-identical to
-/// the allocating entry point — same operations in the same order.
+/// guess on entry, the solution on success), on caller-owned scratch: zero
+/// heap allocations once the workspace has been sized (first call at
+/// dimension `n`). A fresh workspace and a reused one give bit-identical
+/// results.
 ///
 /// Every dot product and norm adds its products in strict sequential order
 /// — bit-identical to `solver::reference`, whose iteration runs six of
@@ -894,7 +880,17 @@ mod tests {
         let b = [1.0, 2.0, 3.0, 4.0];
         let mut x = vec![0.0; 4];
         let mut w = WorkCounter::new();
-        let stats = bicgstab(&a, &IdentityPrecond, &b, &mut x, 1e-12, 10, &mut w).unwrap();
+        let stats = bicgstab_with(
+            &a,
+            &IdentityPrecond,
+            &b,
+            &mut x,
+            1e-12,
+            10,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap();
         assert!(stats.iterations <= 1);
         for (xi, bi) in x.iter().zip(&b) {
             assert!((xi - bi).abs() < 1e-10);
@@ -908,7 +904,17 @@ mod tests {
         let b = a.matvec(&x_true);
         let mut x = vec![0.0; 50];
         let mut w = WorkCounter::new();
-        let stats = bicgstab(&a, &IdentityPrecond, &b, &mut x, 1e-10, 500, &mut w).unwrap();
+        let stats = bicgstab_with(
+            &a,
+            &IdentityPrecond,
+            &b,
+            &mut x,
+            1e-10,
+            500,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap();
         assert!(stats.residual <= 1e-10);
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-6);
@@ -927,11 +933,31 @@ mod tests {
         let b = m.matvec(&x_true);
 
         let mut x1 = vec![0.0; m.n()];
-        let plain = bicgstab(&m, &IdentityPrecond, &b, &mut x1, 1e-10, 2000, &mut w).unwrap();
+        let plain = bicgstab_with(
+            &m,
+            &IdentityPrecond,
+            &b,
+            &mut x1,
+            1e-10,
+            2000,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap();
 
         let ilu = Ilu0::new(&m, &mut w);
         let mut x2 = vec![0.0; m.n()];
-        let pre = bicgstab(&m, &ilu, &b, &mut x2, 1e-10, 2000, &mut w).unwrap();
+        let pre = bicgstab_with(
+            &m,
+            &ilu,
+            &b,
+            &mut x2,
+            1e-10,
+            2000,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap();
 
         assert!(
             pre.iterations < plain.iterations,
@@ -969,7 +995,7 @@ mod tests {
     }
 
     #[test]
-    fn workspace_bicgstab_matches_allocating_entry_point() {
+    fn reused_workspace_matches_a_fresh_one() {
         let p = Problem::transport_benchmark();
         let g = Grid2::new(2, 2, 1);
         let mut w = WorkCounter::new();
@@ -979,7 +1005,17 @@ mod tests {
         let b: Vec<f64> = (0..m.n()).map(|i| ((i % 11) as f64) / 11.0).collect();
 
         let mut x1 = vec![0.0; m.n()];
-        let s1 = bicgstab(&m, &ilu, &b, &mut x1, 1e-10, 500, &mut w).unwrap();
+        let s1 = bicgstab_with(
+            &m,
+            &ilu,
+            &b,
+            &mut x1,
+            1e-10,
+            500,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap();
         let mut ws = KrylovWorkspace::new();
         let mut x2 = vec![0.0; m.n()];
         // Two calls on the same workspace: the second must not be polluted
@@ -998,7 +1034,17 @@ mod tests {
         let b = vec![1.0; 100];
         let mut x = vec![0.0; 100];
         let mut w = WorkCounter::new();
-        let err = bicgstab(&a, &IdentityPrecond, &b, &mut x, 1e-14, 2, &mut w).unwrap_err();
+        let err = bicgstab_with(
+            &a,
+            &IdentityPrecond,
+            &b,
+            &mut x,
+            1e-14,
+            2,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap_err();
         assert!(matches!(err, SolveError::MaxIterations { .. }));
     }
 
@@ -1008,7 +1054,17 @@ mod tests {
         let b = vec![0.0; 10];
         let mut x = vec![0.0; 10];
         let mut w = WorkCounter::new();
-        let stats = bicgstab(&a, &IdentityPrecond, &b, &mut x, 1e-10, 10, &mut w).unwrap();
+        let stats = bicgstab_with(
+            &a,
+            &IdentityPrecond,
+            &b,
+            &mut x,
+            1e-10,
+            10,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap();
         assert_eq!(stats.iterations, 0);
     }
 
@@ -1023,7 +1079,17 @@ mod tests {
         let ilu = Ilu0::new(&m, &mut w);
         let b = vec![1.0; m.n()];
         let mut x = vec![0.0; m.n()];
-        let stats = bicgstab(&m, &ilu, &b, &mut x, 1e-10, 100, &mut w).unwrap();
+        let stats = bicgstab_with(
+            &m,
+            &ilu,
+            &b,
+            &mut x,
+            1e-10,
+            100,
+            &mut KrylovWorkspace::new(),
+            &mut w,
+        )
+        .unwrap();
         assert!(stats.iterations <= 5, "took {}", stats.iterations);
     }
 }

@@ -13,7 +13,7 @@
 //! ```
 
 use crate::assemble::Discretization;
-use crate::linsolve::{bicgstab, Ilu0, SolveError};
+use crate::linsolve::{bicgstab_with, Ilu0, KrylovWorkspace, SolveError};
 use crate::work::WorkCounter;
 
 /// Which θ-scheme.
@@ -53,6 +53,7 @@ pub fn integrate_theta(
     let mut g1 = vec![0.0; n];
     let mut rhs = vec![0.0; n];
     let mut au = vec![0.0; n];
+    let mut ws = KrylovWorkspace::new();
     let mut steps = 0usize;
 
     let mut t = t0;
@@ -79,7 +80,7 @@ pub fn integrate_theta(
             rhs[i] = u[i] + (1.0 - theta) * h * au[i] + h * (theta * g1[i] + (1.0 - theta) * g0[i]);
         }
         // Warm start from the current state.
-        bicgstab(m, ilu, &rhs, &mut u, 1e-10, 500, work)?;
+        bicgstab_with(m, ilu, &rhs, &mut u, 1e-10, 500, &mut ws, work)?;
         work.add_vector_ops(n, 4);
         t += h;
         steps += 1;

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use solver::assemble::assemble;
 use solver::combine::{combine, prolong_bilinear};
 use solver::grid::{Grid2, GridIndex};
-use solver::linsolve::{bicgstab, Ilu0, Preconditioner};
+use solver::linsolve::{bicgstab_with, Ilu0, KrylovWorkspace, Preconditioner};
 use solver::problem::Problem;
 use solver::simd::{dot_exact, s_update, Dot, Square};
 use solver::sparse::{Csr, StencilPlan};
@@ -460,7 +460,7 @@ proptest! {
         let mut w = WorkCounter::new();
         let ilu = Ilu0::new(&a, &mut w);
         let mut x = vec![0.0; 10];
-        let stats = bicgstab(&a, &ilu, &b, &mut x, 1e-9, 500, &mut w);
+        let stats = bicgstab_with(&a, &ilu, &b, &mut x, 1e-9, 500, &mut KrylovWorkspace::new(), &mut w);
         prop_assert!(stats.is_ok(), "solve failed: {stats:?}");
         let r: Vec<f64> = a
             .matvec(&x)

@@ -67,18 +67,11 @@ pub struct PoolConfig {
     pub bind: BindMode,
     /// Worker executable for children.
     pub program: PathBuf,
-    /// Extra command-line arguments for children.
-    pub args: Vec<String>,
     /// CONFIG host labels, cycled over instances (`hosts[i % len]`).
     /// Empty means every instance is placed on `localhost`.
     pub hosts: Vec<HostName>,
     /// Environment variables added to every child.
     pub base_env: Vec<(String, String)>,
-    /// Additional per-instance environment (indexed by slot; missing
-    /// entries mean "nothing extra").
-    pub per_instance_env: Vec<Vec<(String, String)>>,
-    /// Time allowed for a child to connect and complete the handshake.
-    pub handshake_timeout: Duration,
     /// Maximum silence (no `Done`/`Fail`/`Heartbeat`) during a job before
     /// the instance is declared dead.
     pub job_timeout: Duration,
@@ -98,11 +91,8 @@ impl PoolConfig {
             instances: 2,
             bind: BindMode::Tcp,
             program,
-            args: Vec::new(),
             hosts: Vec::new(),
             base_env: Vec::new(),
-            per_instance_env: Vec::new(),
-            handshake_timeout: Duration::from_secs(20),
             job_timeout: Duration::from_secs(10),
             respawn_budget: 3,
             shards: 1,
@@ -205,6 +195,9 @@ impl Drop for Listener {
 
 /// What a job that found no instance alive or revivable fails with.
 const NO_INSTANCES: &str = "no live remote instances (respawn budget exhausted)";
+
+/// Time allowed for a child to connect and complete the handshake.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(20);
 
 /// How long a departing child gets to acknowledge and ship its trace.
 const DEPARTURE_GRACE: Duration = Duration::from_secs(5);
@@ -441,15 +434,6 @@ impl RemoteWorkerPool {
         st.slots.iter().filter(|s| s.writer.is_some()).count()
     }
 
-    /// Trace identities of all slots (index, identity).
-    pub fn identities(&self) -> Vec<(u64, RemoteIdentity)> {
-        let st = self.inner.state.lock();
-        st.slots
-            .iter()
-            .map(|s| (s.index, s.identity.clone()))
-            .collect()
-    }
-
     /// Instance indices still in the membership (not departed), ascending.
     pub fn member_indices(&self) -> Vec<u64> {
         let st = self.inner.state.lock();
@@ -679,12 +663,9 @@ fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
     let mut env = cfg.base_env.clone();
     env.push(("MF_WORKER_ADDR".into(), inner.addr.to_string()));
     env.push(("MF_WORKER_INSTANCE".into(), index.to_string()));
-    if let Some(extra) = cfg.per_instance_env.get(index as usize) {
-        env.extend(extra.iter().cloned());
-    }
     let spec = SpawnSpec {
         program: cfg.program.clone(),
-        args: cfg.args.clone(),
+        args: Vec::new(),
         env,
         host,
     };
@@ -695,7 +676,7 @@ fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
         .spawn(&spec)
         .map_err(|e| app_err(format!("spawn instance {index}: {e}")))?;
 
-    let deadline = Instant::now() + cfg.handshake_timeout;
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     loop {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
@@ -704,7 +685,7 @@ fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
         let mut conn = listener
             .accept_within(remaining)
             .map_err(|e| app_err(format!("instance {index}: {e}")))?;
-        conn.set_read_timeout(Some(cfg.handshake_timeout))
+        conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT))
             .map_err(app_err)?;
         match conn.recv_msg() {
             Ok(Some(Message::Hello {
@@ -1256,7 +1237,6 @@ mod tests {
         let mut cfg = PoolConfig::new(PathBuf::from("unused-by-thread-spawners"));
         cfg.instances = instances;
         cfg.bind = bind;
-        cfg.handshake_timeout = Duration::from_secs(10);
         cfg.job_timeout = Duration::from_secs(5);
         cfg.hosts = vec![HostName::new("cfg-host-a"), HostName::new("cfg-host-b")];
         cfg
