@@ -93,7 +93,7 @@ fn main() {
     // 3. Network sweeps.
     for (label, bw) in [("10 Mbps Ethernet", 1.1e6), ("1 Gbps Ethernet", 110.0e6)] {
         let mut slow = sim.clone();
-        slow.network.bandwidth = bw;
+        slow.fabric.intra.bandwidth = bw;
         report(
             &format!("network: {label}"),
             baseline,

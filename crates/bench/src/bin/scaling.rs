@@ -14,10 +14,11 @@
 //! 2. **Flat-master saturation + sharded fleets** (throughput scaling):
 //!    sweep a synthetic heterogeneous fleet from 32 to 10,000 hosts with a
 //!    workload proportional to the fleet, and run the sharded
-//!    discrete-event simulation ([`cluster::ShardedSim`]) once flat
-//!    (1 shard — the paper's master) and once sharded (hierarchical shard
-//!    masters with work stealing). The flat master's serial feed saturates
-//!    aggregate throughput; sharding restores it.
+//!    discrete-event simulation ([`cluster::SimFleet`], the one that
+//!    produces Table 1) once flat (1 shard — the paper's master) and once
+//!    sharded (hierarchical shard masters with work stealing). The flat
+//!    master's serial feed saturates aggregate throughput; sharding
+//!    restores it.
 //! 3. **Determinism witness**: the sharded run repeats with the same seed
 //!    and must produce the bit-identical virtual elapsed time.
 //!
@@ -46,8 +47,7 @@ use bench::obj;
 use cluster::hosts::{paper_cluster, synthetic_cluster, ClusterSpec};
 use cluster::noise::Perturbation;
 use cluster::sim::DistributedSim;
-use cluster::{ShardSimOpts, ShardedSim};
-use protocol::PaperFaithful;
+use protocol::{PaperFaithful, ShardSpec};
 use renovation::cost::CostModel;
 use renovation::EngineOpts;
 
@@ -206,7 +206,6 @@ fn main() {
         let copies = (2 * hosts).div_ceil(base.job_count()).max(1);
         let wl = base.replicate(copies);
         let cluster = synthetic_cluster(hosts, seed, model.ref_flops_per_sec);
-        let sim = ShardedSim::new(cluster);
         // One shard master per ~64 hosts, within the fleet's clamp; an
         // explicit --shards overrides.
         let shards = if shard_spec.is_flat() {
@@ -214,12 +213,17 @@ fn main() {
         } else {
             shard_spec.shards
         };
-        let flat = sim.run(&wl, &PaperFaithful, &ShardSimOpts::new(1).quiet());
-        let mut opts = ShardSimOpts::new(shards).quiet();
-        opts.spec.steal = shard_spec.steal;
-        opts.churn = churn.clone();
-        let sharded = sim.run(&wl, &PaperFaithful, &opts);
-        let again = sim.run(&wl, &PaperFaithful, &opts);
+        let quiet = |sim: &DistributedSim| sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
+        let flat = quiet(&DistributedSim::new(cluster.clone()));
+        let sim = DistributedSim {
+            shards: ShardSpec::new(shards).with_steal(shard_spec.steal),
+            churn: churn.clone(),
+            ..DistributedSim::new(cluster)
+        };
+        let sharded = quiet(&sim);
+        let again = quiet(&sim);
+        let jobs = wl.job_count();
+        let (flat_tp, sharded_tp) = (jobs as f64 / flat.elapsed, jobs as f64 / sharded.elapsed);
         let deterministic = sharded.elapsed.to_bits() == again.elapsed.to_bits();
         assert!(
             deterministic,
@@ -227,22 +231,22 @@ fn main() {
         );
         println!(
             "| {hosts:>6} | {:>5} | {:>6} | {:>11.2} | {:>14.2} | {:>5.2} | {:>6} | {:>8.1} |",
-            wl.job_count(),
-            sharded.shards,
-            flat.throughput,
-            sharded.throughput,
-            sharded.throughput / flat.throughput,
+            jobs,
+            sharded.per_shard_jobs.len(),
+            flat_tp,
+            sharded_tp,
+            sharded_tp / flat_tp,
             sharded.steals,
             sharded.finish_spread(),
         );
         sweep.push(SweepRow {
             hosts,
-            jobs: wl.job_count(),
-            shards: sharded.shards,
+            jobs,
+            shards: sharded.per_shard_jobs.len(),
             flat_elapsed: flat.elapsed,
-            flat_tp: flat.throughput,
+            flat_tp,
             sharded_elapsed: sharded.elapsed,
-            sharded_tp: sharded.throughput,
+            sharded_tp,
             steals: sharded.steals,
             spread: sharded.finish_spread(),
             deterministic,

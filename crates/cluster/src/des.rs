@@ -2,8 +2,8 @@
 //!
 //! Events carry an arbitrary payload and fire in nondecreasing time order;
 //! ties break in insertion (FIFO) order, which keeps simulations fully
-//! deterministic. [`crate::sim`] uses one to interleave worker deaths with
-//! the master's serial timeline.
+//! deterministic. [`crate::sim`] keeps one per master to interleave worker
+//! deaths with that master's serial timeline.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

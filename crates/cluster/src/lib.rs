@@ -26,13 +26,14 @@
 //! chronological `Welcome`/`Bye` trace with virtual timestamps, and the
 //! machines-in-use step function behind Figure 1 and the `m` column of
 //! Table 1.
-
 //!
-//! The [`shard`] module extends the DES past the paper's lab: a sharded
-//! fleet of 1,000–10,000 synthetic hosts ([`hosts::synthetic_cluster`])
-//! behind a two-level fabric ([`network::FabricModel`]), used by the
-//! scaling study to chart where the flat master saturates and how the
-//! hierarchical topology keeps scaling.
+//! There is one event loop, [`SimFleet`]'s ([`sim`]). The same loop runs
+//! the sharded fleet past the paper's lab: [`DistributedSim::shards`]
+//! masters over 1,000–10,000 synthetic hosts ([`hosts::synthetic_cluster`])
+//! behind a two-level fabric ([`network::FabricModel`]), with work
+//! stealing, membership churn and `poolkill` re-homing ([`shard`]). One
+//! shard is the paper's flat master, so the scaling study's flat baseline
+//! is the model Table 1 validates.
 
 pub mod des;
 pub mod hosts;
@@ -46,7 +47,6 @@ pub mod workload;
 pub use hosts::{paper_cluster, synthetic_cluster, ClusterSpec, Host};
 pub use network::{FabricModel, NetworkModel};
 pub use noise::Perturbation;
-pub use shard::{ShardReport, ShardSimOpts, ShardedSim};
 pub use sim::{CoordCosts, DistributedReport, DistributedSim, SimFleet};
 pub use timeline::StepTrace;
 pub use workload::{Job, Workload};

@@ -1,693 +1,184 @@
-//! The sharded discrete-event simulator: hierarchical shard masters over
-//! an elastic fleet, in virtual time.
+//! The fleet's shard topology: which host masters which slice of the
+//! fleet, and how membership moves between slices.
 //!
-//! [`crate::sim`] models the paper's topology faithfully — one serial
-//! master feeding one pool. That topology saturates once the master's
-//! per-job feed time (worker creation, serialization, the network write)
-//! stops being negligible next to the job compute divided by the fleet
-//! size: past that point adding hosts adds nothing, which is exactly the
-//! §4.2 "more demanding master" observation. This module simulates the
-//! sharded generalization at 1,000–10,000 hosts:
+//! [`SimFleet`](crate::SimFleet) runs one event loop for every topology;
+//! this module only says who its masters are. With
+//! [`DistributedSim::shards`] `= 1` the start-up machine is the paper's
+//! single master and every other host is in its locus. That master's
+//! serial feed saturates once the per-job dispatch time stops being
+//! negligible next to the job compute divided by the fleet size — the
+//! §4.2 "more demanding master" observation. With `S > 1`:
 //!
-//! * the fleet is partitioned into `S` pools, each behind its own shard
-//!   master (a dedicated host); a lightweight root on the start-up machine
-//!   partitions the job stream cost-aware ([`protocol::ShardPlan`]) and
-//!   only coordinates — it never touches job payloads;
-//! * each shard master runs the *same* serial feed/collect discipline as
-//!   the flat master — the existing [`DispatchPolicy`] applies unchanged
-//!   over the shard's slice (order and in-flight window);
-//! * an idle shard steals queued work from the most loaded one with the
-//!   pop-two-merge discipline ([`protocol::StealQueues`]); a stolen job's
-//!   input crosses the inter-pool link of the [`FabricModel`], so stealing
-//!   has a price the DES charges;
-//! * membership is elastic: a [`protocol::ChurnPlan`] joins or retires
-//!   workers at fleet-wide dispatch ordinals, and a chaos `poolkill@N`
-//!   token kills shard master `N` mid-run — the root re-homes its workers
-//!   and still-queued jobs onto the surviving shards, exactly once.
+//! * hosts `1..=S` are shard masters, and the remaining hosts are split
+//!   contiguously over them (one edge switch each); a root on the
+//!   start-up machine partitions each pool's job stream cost-aware
+//!   ([`protocol::ShardPlan`]) and only coordinates;
+//! * each shard master owns a [`Bundler`] over its slice, so forks, the
+//!   fleet-wide first-fork surcharge, CPU queues and faults work exactly
+//!   as for the flat master;
+//! * an idle shard steals queued work from the most loaded one
+//!   ([`protocol::StealQueues`], pop-two-merge); a stolen job's input
+//!   crosses the inter-pool link of the [`FabricModel`](crate::FabricModel);
+//! * a [`protocol::ChurnPlan`] joins or retires hosts at fleet-wide
+//!   dispatch ordinals, and a chaos `poolkill@N` token kills shard master
+//!   `N` mid-pool — its hosts and queued jobs re-home to the survivors,
+//!   once.
 //!
-//! `shards = 1` runs the *same* model with the root as the single master
-//! and no hierarchy overhead — that is the flat baseline every sharded
-//! sweep is measured against, so the saturation comparison is internally
-//! consistent. Numerical bit-identity is not at stake here (the DES only
-//! produces virtual *time*; results are replayed sequentially by the
-//! engine), but the dispatch bookkeeping is the same [`ShardPlan`] the
-//! live master uses, so the sharded dispatch order agrees across backends
-//! by construction.
+//! The dispatch bookkeeping is the same [`protocol::ShardPlan`] the live
+//! master uses, so the sharded dispatch order agrees across backends by
+//! construction.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use chaos::FaultPlan;
-use manifold::config::HostName;
-use manifold::trace::TraceRecord;
+use manifold::config::{ConfigSpec, HostName};
+use manifold::link::{Bundler, LinkSpec, Placement};
 use manifold::Name;
-use protocol::{ChurnPlan, DispatchPolicy, MembershipDirectory, ShardPlan, ShardSpec, StealQueues};
 
-use crate::hosts::ClusterSpec;
-use crate::network::FabricModel;
-use crate::noise::Perturbation;
-use crate::sim::{CoordCosts, TRACE_EPOCH_SECS};
-use crate::workload::Workload;
+use crate::des::EventQueue;
+use crate::sim::DistributedSim;
 
-/// Options of one sharded run.
-#[derive(Clone, Debug)]
-pub struct ShardSimOpts {
-    /// Topology: shard count and stealing.
-    pub spec: ShardSpec,
-    /// Worker join/leave schedule, keyed by fleet-wide dispatch ordinal.
-    pub churn: ChurnPlan,
-    /// Fault schedule; only the `poolkill@N` token is meaningful here
-    /// (worker faults are the flat simulator's concern).
-    pub faults: FaultPlan,
-    /// Seed of the multi-user noise model (`u64::MAX` disables noise —
-    /// use [`ShardSimOpts::quiet`]).
-    pub noise_seed: u64,
-    /// Override the number of *worker* hosts per pool (for asymmetric
-    /// topologies in tests). Must sum to at most the available workers.
-    pub pool_hosts: Option<Vec<usize>>,
+/// One master and the slice of the fleet it feeds.
+pub(crate) struct Shard {
+    /// Task instances over this shard's locus (MLINK `load 1`, perpetual).
+    pub(crate) bundler: Bundler,
+    /// The machines this master may fork workers on.
+    pub(crate) locus: Vec<HostName>,
+    /// The master's machine.
+    pub(crate) master: HostName,
+    /// Flop rate of the master's machine.
+    pub(crate) master_speed: f64,
+    /// Placed workers, keyed by the time their task instance frees up.
+    pub(crate) deaths: EventQueue<Placement>,
+    /// False once a `poolkill` took this master down.
+    pub(crate) alive: bool,
+    /// This job's master process and its trace uid.
+    pub(crate) job_master: Option<(Placement, u64)>,
+    /// The master's clock within the current pool.
+    pub(crate) t: f64,
+    /// Results in flight: `(arrival, output bytes, job)`.
+    pub(crate) arrivals: Vec<(f64, usize, usize)>,
+    /// Latest `death_worker` event of the current pool.
+    pub(crate) last_death_event: f64,
+    /// The policy's in-flight window over this shard's share.
+    pub(crate) window: usize,
+    /// Dispatches in the current pool.
+    pub(crate) dispatched: usize,
+    /// When this master last went idle (or died).
+    pub(crate) finish: f64,
 }
 
-impl ShardSimOpts {
-    /// `shards` shard masters, stealing on, no churn, no faults, quiet.
-    pub fn new(shards: usize) -> ShardSimOpts {
-        ShardSimOpts {
-            spec: ShardSpec::new(shards),
-            churn: ChurnPlan::default(),
-            faults: FaultPlan::default(),
-            noise_seed: u64::MAX,
-            pool_hosts: None,
-        }
-    }
-
-    /// Disable noise (fully quiet machines).
-    pub fn quiet(mut self) -> ShardSimOpts {
-        self.noise_seed = u64::MAX;
-        self
-    }
-
-    /// Enable the overnight noise model with this seed.
-    pub fn with_noise(mut self, seed: u64) -> ShardSimOpts {
-        self.noise_seed = seed;
-        self
-    }
+/// `mainprog.mlink` from §6.
+fn link_spec() -> LinkSpec {
+    LinkSpec::default()
+        .task("mainprog")
+        .perpetual(true)
+        .load(1)
+        .weight("Master", 1)
+        .weight("Worker", 1)
 }
 
-/// What one sharded run produces.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    /// Elapsed virtual seconds from startup to the root's rendezvous.
-    pub elapsed: f64,
-    /// Jobs completed (always the workload's job count).
-    pub jobs: usize,
-    /// Effective shard count (after clamping to the fleet size).
-    pub shards: usize,
-    /// Aggregate throughput in jobs per virtual second.
-    pub throughput: f64,
-    /// Pop-two-merge steals that fired.
-    pub steals: usize,
-    /// Workers that joined mid-run.
-    pub joins: usize,
-    /// Workers that left mid-run.
-    pub leaves: usize,
-    /// Re-home events (0 or 1: a `poolkill` triggers exactly one).
-    pub rehomes: usize,
-    /// Jobs re-dispatched because their shard master died holding them.
-    pub redispatches: usize,
-    /// Jobs completed per shard (stolen jobs count for the thief).
-    pub per_shard_jobs: Vec<usize>,
-    /// Virtual time each shard went idle for good.
-    pub shard_finish: Vec<f64>,
-    /// Steal/join/leave/poolkill/re-home events, §6-trace-formatted.
-    pub records: Vec<TraceRecord>,
-}
-
-impl ShardReport {
-    /// Spread between the first and last shard to finish — the starvation
-    /// metric work stealing is meant to bound.
-    pub fn finish_spread(&self) -> f64 {
-        let finite: Vec<f64> = self
-            .shard_finish
-            .iter()
-            .copied()
-            .filter(|t| t.is_finite())
-            .collect();
-        let max = finite.iter().copied().fold(f64::MIN, f64::max);
-        let min = finite.iter().copied().fold(f64::MAX, f64::min);
-        if finite.is_empty() {
-            0.0
-        } else {
-            max - min
-        }
-    }
-}
-
-/// The sharded simulator configuration.
-#[derive(Clone, Debug)]
-pub struct ShardedSim {
-    /// The machines (host 0 is the root's start-up machine).
-    pub cluster: ClusterSpec,
-    /// The two-level interconnect.
-    pub fabric: FabricModel,
-    /// Coordination-layer costs (same constants as the flat simulator).
-    pub costs: CoordCosts,
-}
-
-/// Per-worker-slot state inside one pool.
-#[derive(Clone, Copy, Debug)]
-struct WorkerSlot {
-    host: usize,
-    member: u64,
-    free_at: f64,
-}
-
-/// Min-heap key over f64 virtual times.
-#[derive(Clone, Copy, Debug, PartialEq)]
-struct Key(f64);
-
-impl Eq for Key {}
-impl PartialOrd for Key {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Key {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// One in-flight job awaiting collection by its shard master.
-#[derive(Clone, Copy, Debug)]
-struct InFlight {
-    seq_index: usize,
-    output_bytes: usize,
-    collected: bool,
-}
-
-struct PoolState {
-    master_host: usize,
-    master_free: f64,
-    alive: bool,
-    // Worker slots, min-heap by next-free time.
-    workers: BinaryHeap<(Reverse<Key>, usize)>,
-    slots: Vec<WorkerSlot>,
-    inflight: BinaryHeap<(Reverse<Key>, usize)>, // keyed by done_at → InFlight index
-    inflights: Vec<InFlight>,
-    window: usize,
-    dispatched: usize,
-    completed: usize,
-    finish: f64,
-}
-
-impl ShardedSim {
-    /// A sharded simulator over `cluster` with the two-level 2004 fabric
-    /// and paper-era coordination costs.
-    pub fn new(cluster: ClusterSpec) -> ShardedSim {
-        ShardedSim {
-            cluster,
-            fabric: FabricModel::two_level_2004(),
-            costs: CoordCosts::paper_era(),
-        }
-    }
-
-    /// Simulate one sharded run of `wl` under `policy`.
-    ///
-    /// The job stream is flattened across the workload's pools, ordered by
-    /// the policy exactly as the flat master orders it, then partitioned
-    /// over the shards cost-aware. Each shard master serializes its feeds
-    /// and collects under the policy's in-flight window; workers compute
-    /// concurrently at their host's (noise-perturbed) speed.
-    pub fn run(
-        &self,
-        wl: &Workload,
-        policy: &dyn DispatchPolicy,
-        opts: &ShardSimOpts,
-    ) -> ShardReport {
-        let jobs: Vec<&crate::workload::Job> = wl.pools.iter().flatten().collect();
-        let costs_vec: Vec<f64> = jobs.iter().map(|j| j.flops).collect();
-        let order = policy.order(&costs_vec);
-        assert_eq!(order.len(), jobs.len(), "policy must return a permutation");
-        // Dispatch-order cost vector feeding the root's partition.
-        let seq_costs: Vec<f64> = order.iter().map(|&j| costs_vec[j]).collect();
-
-        // Clamp the topology to the fleet: a sharded run needs a root plus
-        // one master and one worker per shard.
-        let n_hosts = self.cluster.len();
-        let max_shards = if n_hosts >= 3 { (n_hosts - 1) / 2 } else { 1 };
-        let shards = opts.spec.shards.clamp(1, max_shards.max(1));
-
-        let plan = ShardPlan::partition(&seq_costs, shards);
-        let mut queues = StealQueues::new(&plan);
-        let mut directory = MembershipDirectory::new(shards);
-        let mut noise = if opts.noise_seed == u64::MAX {
-            Perturbation::none()
-        } else {
-            Perturbation::overnight(opts.noise_seed)
-        };
-
-        // ---- host partition ----------------------------------------------
-        // Host 0 is the root. In the flat case the root *is* the master and
-        // every other host is a worker; sharded, each pool takes a
-        // contiguous slice (one edge switch), its first host the dedicated
-        // shard master.
-        let mut pools: Vec<PoolState> = Vec::with_capacity(shards);
-        let t0 = self.costs.startup
-            + self
-                .cluster
-                .compute_time(&self.cluster.hosts[0].name, wl.init_flops);
-        let worker_hosts: Vec<usize> = (1..n_hosts).collect();
-        if shards == 1 {
-            let mut p = new_pool(0, t0 + self.costs.pool_setup);
-            for &h in &worker_hosts {
-                let member = h as u64;
-                directory.join_to(member, 0);
-                p.slots.push(WorkerSlot {
-                    host: h,
-                    member,
-                    free_at: 0.0,
-                });
-            }
-            pools.push(p);
-        } else {
-            // Carve off the S shard-master hosts first, then split the rest.
-            let masters: Vec<usize> = worker_hosts[..shards].to_vec();
-            let rest = &worker_hosts[shards..];
-            let counts: Vec<usize> = match &opts.pool_hosts {
-                Some(c) => {
-                    assert_eq!(c.len(), shards, "pool_hosts must have one entry per shard");
-                    assert!(
-                        c.iter().sum::<usize>() <= rest.len(),
-                        "pool_hosts exceed fleet"
-                    );
-                    c.clone()
-                }
-                None => {
-                    let base = rest.len() / shards;
-                    let extra = rest.len() % shards;
-                    (0..shards).map(|s| base + usize::from(s < extra)).collect()
-                }
-            };
-            let mut cursor = 0usize;
-            for s in 0..shards {
-                // Hierarchy handoff: the root ships shard `s` its queue
-                // descriptor over the inter-pool link.
-                let handoff = t0
-                    + self.costs.pool_setup
-                    + self.costs.event_latency
-                    + self.fabric.inter.remote_transfer(64 * queues.pending(s));
-                let mut p = new_pool(masters[s], handoff);
-                for &h in &rest[cursor..cursor + counts[s]] {
-                    directory.join_to(h as u64, s);
-                    p.slots.push(WorkerSlot {
-                        host: h,
-                        member: h as u64,
-                        free_at: 0.0,
-                    });
-                }
-                cursor += counts[s];
-                pools.push(p);
-            }
-        }
-        for (s, p) in pools.iter_mut().enumerate() {
-            p.window = policy.window(queues.pending(s)).max(1);
-            for (i, slot) in p.slots.iter().enumerate() {
-                p.workers.push((Reverse(Key(slot.free_at)), i));
-            }
-        }
-
-        // ---- event loop --------------------------------------------------
-        let mut records: Vec<TraceRecord> = Vec::new();
-        let mut dispatch_no = 0u64;
-        let mut steals = 0usize;
-        let mut joins = 0usize;
-        let mut leaves = 0usize;
-        let mut redispatches = 0usize;
-        let mut join_iter = opts.churn.joins.iter().peekable();
-        let mut leave_iter = opts.churn.leaves.iter().peekable();
-        let mut synthetic_host_seq = 0usize;
-        let kill = opts.faults.pool_kill().map(|pool| {
-            let pool = (pool as usize).min(shards.saturating_sub(1));
-            // The shard master dies after dispatching half its assigned
-            // queue — deterministic, and always mid-run for 2+ jobs.
-            (pool, queues.pending(pool).div_ceil(2).max(1))
-        });
-        let mut killed = false;
-        let mut per_shard_jobs = vec![0usize; shards];
-
-        loop {
-            // The next shard master able to hand out work: smallest
-            // master-free time among the alive shards that still have (or
-            // can steal) queued jobs.
-            let mut next: Option<usize> = None;
-            for (s, p) in pools.iter().enumerate() {
-                if !p.alive {
-                    continue;
-                }
-                // A shard can progress when its own queue has work, or when
-                // stealing is on and some *other* queue has more than one
-                // job queued (the steal discipline never takes a last job —
-                // using the same predicate here keeps the loop terminating).
-                let stealable =
-                    opts.spec.steal && (0..pools.len()).any(|i| i != s && queues.pending(i) > 1);
-                if queues.pending(s) == 0 && !stealable {
-                    continue;
-                }
-                match next {
-                    Some(b) if pools[b].master_free <= p.master_free => {}
-                    _ => next = Some(s),
-                }
-            }
-            let Some(s) = next else { break };
-
-            if queues.pending(s) == 0 {
-                // Pop-two-merge steal: the idle shard master asks the root,
-                // which brokers two jobs off the most loaded queue. One
-                // inter-pool round trip, charged to the thief.
-                // The selection predicate above matches steal_into's victim
-                // rule exactly, so this cannot fail; break defensively
-                // rather than loop if it ever did.
-                let Some(ev) = queues.steal_into(s) else {
-                    break;
-                };
-                steals += 1;
-                let t = pools[s].master_free
-                    + 2.0 * self.fabric.inter.latency
-                    + self.costs.event_latency;
-                pools[s].master_free = t;
-                self.push_event(
-                    &mut records,
-                    s,
-                    &pools,
-                    t,
-                    &format!(
-                        "steal: shard {} <- shard {} ({} jobs)",
-                        ev.thief,
-                        ev.victim,
-                        ev.jobs.len()
-                    ),
-                );
-            }
-
-            let k = queues.pop_own(s).expect("shard selected with work");
-            let job = jobs[order[k]];
-            let stolen = plan.assignment[k] != s;
-            dispatch_no += 1;
-
-            // Membership churn, keyed by the fleet-wide dispatch ordinal.
-            while join_iter.peek().is_some_and(|&&at| at <= dispatch_no) {
-                join_iter.next();
-                // A fresh host reports in; the root assigns the
-                // least-populated pool and the worker forks there.
-                let census = directory.census();
-                let target = census
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, _)| pools[i].alive)
-                    .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-                    .map(|(i, _)| i)
-                    .unwrap_or(s);
-                synthetic_host_seq += 1;
-                let member = (n_hosts + synthetic_host_seq) as u64;
-                directory.join_to(member, target);
-                let t = pools[target].master_free + self.costs.task_fork + self.costs.activation;
-                let slot = WorkerSlot {
-                    // Joining hosts run at reference speed (host index
-                    // out of range ⇒ reference clock).
-                    host: usize::MAX,
-                    member,
-                    free_at: t,
-                };
-                let idx = pools[target].slots.len();
-                pools[target].slots.push(slot);
-                pools[target].workers.push((Reverse(Key(t)), idx));
-                joins += 1;
-                self.push_event(
-                    &mut records,
-                    target,
-                    &pools,
-                    t,
-                    &format!("join: worker {member} -> pool {target} (Welcome)"),
-                );
-            }
-            while leave_iter.peek().is_some_and(|&&at| at <= dispatch_no) {
-                leave_iter.next();
-                // The most-populated pool retires one worker (gracefully:
-                // it finishes its current job first — removing the slot
-                // from the rotation is exactly that).
-                let target = (0..shards)
-                    .filter(|&i| pools[i].alive && pools[i].workers.len() > 1)
-                    .max_by(|&a, &b| {
-                        pools[a]
-                            .workers
-                            .len()
-                            .cmp(&pools[b].workers.len())
-                            .then(b.cmp(&a))
-                    });
-                if let Some(target) = target {
-                    if let Some((Reverse(Key(t)), idx)) = pools[target].workers.pop() {
-                        let member = pools[target].slots[idx].member;
-                        directory.leave(member);
-                        leaves += 1;
-                        self.push_event(
-                            &mut records,
-                            target,
-                            &pools,
-                            t.max(pools[target].master_free),
-                            &format!("leave: worker {member} <- pool {target} (Bye)"),
-                        );
-                    }
-                }
-            }
-
-            // Window backpressure: collect before exceeding the policy's
-            // in-flight bound (the same discipline as the flat master),
-            // further capped by the pool's worker count — a `load 1` pool
-            // cannot hold more jobs in flight than it has workers, and it
-            // is exactly this cap that leaves excess work *queued* where an
-            // idle shard can steal it.
-            let window = pools[s].window.min(pools[s].workers.len()).max(1);
-            while pools[s].inflight.len() >= window {
-                collect_one(&mut pools[s], self, wl);
-            }
-
-            // Serial master work: worker creation, then the feed. A stolen
-            // job's input lives in the victim's region and crosses the
-            // inter-pool link.
-            let mhost = self.host_name(pools[s].master_host);
-            let mspeed = self.cluster.flops_per_sec(&mhost);
-            let feed = wl.feed_flops_per_byte * job.input_bytes as f64 / mspeed
-                + self.fabric.transfer(job.input_bytes, false, !stolen);
-            pools[s].master_free += self.costs.worker_create + self.costs.event_latency + feed;
-            pools[s].dispatched += 1;
-
-            // The worker computes concurrently on the pool's earliest-free
-            // host.
-            let (Reverse(Key(free)), idx) = pools[s]
-                .workers
-                .pop()
-                .expect("pool must keep at least one worker");
-            let whost_idx = pools[s].slots[idx].host;
-            let wspeed = if whost_idx < n_hosts {
-                self.cluster
-                    .flops_per_sec(&self.cluster.hosts[whost_idx].name)
-            } else {
-                self.cluster.ref_flops_per_sec
-            };
-            let start = pools[s].master_free.max(free) + self.costs.activation;
-            let compute = noise.perturb(job.flops / wspeed);
-            let done = start + compute;
-            pools[s].slots[idx].free_at = done;
-            pools[s].workers.push((Reverse(Key(done)), idx));
-            let fl = pools[s].inflights.len();
-            pools[s].inflights.push(InFlight {
-                seq_index: k,
-                output_bytes: job.output_bytes,
-                collected: false,
-            });
-            pools[s].inflight.push((Reverse(Key(done)), fl));
-            per_shard_jobs[s] += 1;
-
-            // poolkill: the sentenced shard master dies after dispatching
-            // half its assigned queue. The root supervises: still-queued
-            // and in-flight jobs re-home to the survivors, workers follow.
-            if let Some((kp, at)) = kill {
-                if !killed && s == kp && pools[s].dispatched >= at && shards > 1 {
-                    killed = true;
-                    let t = pools[s].master_free;
-                    self.push_event(
-                        &mut records,
-                        s,
-                        &pools,
-                        t,
-                        &format!("poolkill: shard {s} master lost"),
-                    );
-                    // Queued jobs re-home through the shared queue logic...
-                    let moved_jobs = queues.rehome(s);
-                    // ...in-flight jobs die with the master that would have
-                    // collected them: re-dispatch on the survivors.
-                    let orphans: Vec<usize> = pools[s]
-                        .inflights
-                        .iter()
-                        .filter(|f| !f.collected)
-                        .map(|f| f.seq_index)
-                        .collect();
-                    redispatches += orphans.len();
-                    for (i, k2) in orphans.into_iter().enumerate() {
-                        let target = (s + 1 + (i % (shards - 1))) % shards;
-                        queues.requeue(target, k2);
-                    }
-                    let moved_workers = directory.rehome_pool(s);
-                    // Workers physically re-home: they reconnect to their
-                    // new masters after one inter-pool round trip.
-                    let mut drained: Vec<(Reverse<Key>, usize)> =
-                        std::mem::take(&mut pools[s].workers).into_vec();
-                    drained.sort_by_key(|&(Reverse(k), _)| k);
-                    for (i, (Reverse(Key(free)), idx)) in drained.into_iter().enumerate() {
-                        let target = (s + 1 + (i % (shards - 1))) % shards;
-                        let slot = pools[s].slots[idx];
-                        let rejoin =
-                            free.max(t) + 2.0 * self.fabric.inter.latency + self.costs.activation;
-                        let nidx = pools[target].slots.len();
-                        pools[target].slots.push(WorkerSlot {
-                            host: slot.host,
-                            member: slot.member,
-                            free_at: rejoin,
-                        });
-                        pools[target].workers.push((Reverse(Key(rejoin)), nidx));
-                    }
-                    pools[s].alive = false;
-                    pools[s].finish = t;
-                    self.push_event(
-                        &mut records,
-                        s,
-                        &pools,
-                        t,
-                        &format!(
-                            "re-home: {moved_workers} workers, {} jobs -> surviving shards",
-                            moved_jobs + redispatches
-                        ),
-                    );
-                }
-            }
-        }
-
-        // Drain: every shard collects its outstanding results, then the
-        // root rendezvouses and runs the prolongation.
-        for p in pools.iter_mut() {
-            if p.alive {
-                finish_pool(p, self, wl);
-            }
-        }
-        let root_host = self.host_name(0);
-        let mut t_end = t0;
-        for p in &pools {
-            if p.finish.is_finite() {
-                t_end = t_end.max(p.finish);
-            }
-        }
-        if shards > 1 {
-            // Per-shard completion reports cross the inter-pool link.
-            t_end += shards as f64 * self.costs.event_latency + self.fabric.inter.latency;
-        }
-        t_end += self.costs.event_latency + self.cluster.compute_time(&root_host, wl.prolong_flops);
-
-        let jobs_done = jobs.len();
-        ShardReport {
-            elapsed: t_end,
-            jobs: jobs_done,
-            shards,
-            throughput: if t_end > 0.0 {
-                jobs_done as f64 / t_end
-            } else {
-                0.0
-            },
-            steals,
-            joins,
-            leaves,
-            rehomes: directory.rehomes(),
-            redispatches,
-            per_shard_jobs,
-            shard_finish: pools.iter().map(|p| p.finish).collect(),
-            records,
-        }
-    }
-
-    fn host_name(&self, idx: usize) -> HostName {
-        self.cluster.hosts[idx.min(self.cluster.len() - 1)]
-            .name
-            .clone()
-    }
-
-    fn push_event(
-        &self,
-        records: &mut Vec<TraceRecord>,
-        shard: usize,
-        pools: &[PoolState],
-        t: f64,
-        msg: &str,
-    ) {
-        let micros = (t.max(0.0) * 1e6).round() as u64;
-        records.push(TraceRecord {
-            host: self.host_name(pools[shard].master_host),
-            task_uid: (shard as u64 + 1) << 18,
-            proc_uid: shard as u64 + 2,
-            secs: TRACE_EPOCH_SECS + micros / 1_000_000,
-            usecs: (micros % 1_000_000) as u32,
-            task_name: Name::new("mainprog"),
-            manifold_name: Name::new("ShardMaster(event)"),
-            source_file: "ResSourceCode.c".into(),
-            line: 0,
-            message: msg.into(),
-        });
-    }
-}
-
-fn new_pool(master_host: usize, master_free: f64) -> PoolState {
-    PoolState {
-        master_host,
-        master_free,
-        alive: true,
-        workers: BinaryHeap::new(),
-        slots: Vec::new(),
-        inflight: BinaryHeap::new(),
-        inflights: Vec::new(),
-        window: 1,
-        dispatched: 0,
-        completed: 0,
-        finish: f64::INFINITY,
-    }
-}
-
-/// Collect the earliest-finishing in-flight job: the master waits for it,
-/// then pays the collect serialization and the result transfer.
-fn collect_one(p: &mut PoolState, sim: &ShardedSim, wl: &Workload) {
-    let Some((Reverse(Key(done)), fi)) = p.inflight.pop() else {
-        return;
+/// Partition the cluster into shards: the root alone when flat, else
+/// hosts `1..=S` as masters over contiguous slices of the rest. A sharded
+/// fleet needs the root plus one master and one worker per shard, which
+/// clamps `S`.
+pub(crate) fn partition(sim: &DistributedSim) -> Vec<Shard> {
+    let hosts = &sim.cluster.hosts;
+    let shards = sim.shards.shards.clamp(1, (hosts.len().max(3) - 1) / 2);
+    let (masters, rest) = if shards == 1 {
+        (&hosts[..1], &hosts[1..])
+    } else {
+        (&hosts[1..=shards], &hosts[shards + 1..])
     };
-    let job_bytes = p.inflights[fi].output_bytes;
-    p.inflights[fi].collected = true;
-    let mhost = sim.host_name(p.master_host);
-    let mspeed = sim.cluster.flops_per_sec(&mhost);
-    let collect = wl.collect_flops_per_byte * job_bytes as f64 / mspeed
-        + sim.fabric.transfer(job_bytes, false, true);
-    p.master_free = p.master_free.max(done) + collect + sim.costs.event_latency;
-    p.completed += 1;
+    let counts: Vec<usize> = match &sim.pool_hosts {
+        Some(c) => {
+            assert_eq!(c.len(), shards, "pool_hosts must have one entry per shard");
+            assert!(
+                c.iter().sum::<usize>() <= rest.len(),
+                "pool_hosts exceed fleet"
+            );
+            c.clone()
+        }
+        None => (0..shards)
+            .map(|s| rest.len() / shards + usize::from(s < rest.len() % shards))
+            .collect(),
+    };
+    let mut cursor = 0;
+    masters
+        .iter()
+        .zip(counts)
+        .map(|(master, n)| {
+            let locus: Vec<HostName> = rest[cursor..cursor + n]
+                .iter()
+                .map(|h| h.name.clone())
+                .collect();
+            cursor += n;
+            let names: Vec<&str> = locus.iter().map(HostName::as_str).collect();
+            let config = ConfigSpec::with_startup(master.name.clone()).locus("mainprog", &names);
+            Shard {
+                bundler: Bundler::new(link_spec(), config),
+                locus,
+                master: master.name.clone(),
+                master_speed: sim.cluster.flops_per_sec(&master.name),
+                deaths: EventQueue::new(),
+                alive: true,
+                job_master: None,
+                t: 0.0,
+                arrivals: Vec::new(),
+                last_death_event: 0.0,
+                window: 1,
+                dispatched: 0,
+                finish: f64::INFINITY,
+            }
+        })
+        .collect()
 }
 
-fn finish_pool(p: &mut PoolState, sim: &ShardedSim, wl: &Workload) {
-    while !p.inflight.is_empty() {
-        collect_one(p, sim, wl);
+/// A fresh host joins the least-populated live shard (ties to the lowest
+/// index). Returns that shard.
+pub(crate) fn join(shards: &mut [Shard], worker: &Name, host: HostName) -> usize {
+    let target = (0..shards.len())
+        .filter(|&i| shards[i].alive)
+        .min_by_key(|&i| (shards[i].locus.len(), i))
+        .expect("a fleet keeps one live shard");
+    shards[target].bundler.add_host(worker, host.clone());
+    shards[target].locus.push(host);
+    target
+}
+
+/// The most-populated live shard with more than one host retires its last
+/// one (gracefully: a worker running there finishes first). Returns the
+/// shard and the host, if any shard can spare one.
+pub(crate) fn leave(shards: &mut [Shard]) -> Option<(usize, HostName)> {
+    let target = (0..shards.len())
+        .filter(|&i| shards[i].alive && shards[i].locus.len() > 1)
+        .max_by_key(|&i| (shards[i].locus.len(), std::cmp::Reverse(i)))?;
+    let host = shards[target].locus.pop()?;
+    shards[target].bundler.remove_host(&host);
+    Some((target, host))
+}
+
+/// Hand dead shard `dead`'s hosts to the survivors round-robin. Returns
+/// how many moved.
+pub(crate) fn rehome_hosts(shards: &mut [Shard], dead: usize, worker: &Name) -> usize {
+    let survivors: Vec<usize> = (0..shards.len())
+        .filter(|&i| i != dead && shards[i].alive)
+        .collect();
+    let hosts = std::mem::take(&mut shards[dead].locus);
+    let moved = hosts.len();
+    for (i, host) in hosts.into_iter().enumerate() {
+        let target = survivors[i % survivors.len()];
+        shards[target].bundler.add_host(worker, host.clone());
+        shards[target].locus.push(host);
     }
-    if p.finish.is_infinite() {
-        p.finish = p.master_free;
-    }
+    moved
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::hosts::{paper_cluster, synthetic_cluster};
-    use crate::workload::Job;
+    use crate::noise::Perturbation;
+    use crate::sim::{DistributedReport, DistributedSim, SimFleet};
+    use crate::workload::{Job, Workload};
+    use chaos::FaultPlan;
+    use protocol::{ChurnPlan, DispatchPolicy, PaperFaithful, ShardSpec};
 
     fn uniform_workload(jobs: usize, flops: f64) -> Workload {
         Workload {
@@ -702,14 +193,43 @@ mod tests {
         }
     }
 
+    fn sharded(cluster: crate::ClusterSpec, shards: usize) -> DistributedSim {
+        DistributedSim {
+            shards: ShardSpec::new(shards),
+            ..DistributedSim::new(cluster)
+        }
+    }
+
+    fn run_with(
+        sim: &DistributedSim,
+        wl: &Workload,
+        plan: &FaultPlan,
+        policy: &dyn DispatchPolicy,
+    ) -> DistributedReport {
+        SimFleet::new(sim.clone(), plan, 0)
+            .submit(wl, &mut Perturbation::none(), policy)
+            .unwrap()
+    }
+
+    fn throughput(wl: &Workload, r: &DistributedReport) -> f64 {
+        wl.job_count() as f64 / r.elapsed
+    }
+
+    fn worker_byes(r: &DistributedReport) -> usize {
+        r.records
+            .iter()
+            .filter(|rec| rec.manifold_name.as_str() == "Worker(event)" && rec.message == "Bye")
+            .count()
+    }
+
     #[test]
     fn flat_and_sharded_complete_all_jobs() {
         let wl = uniform_workload(64, 5e9);
-        let sim = ShardedSim::new(paper_cluster(1e9));
         for shards in [1usize, 2, 4, 8] {
-            let r = sim.run(&wl, &protocol::PaperFaithful, &ShardSimOpts::new(shards));
-            assert_eq!(r.jobs, 64);
-            assert_eq!(r.shards, shards);
+            let sim = sharded(paper_cluster(1e9), shards);
+            let r = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
+            assert_eq!(worker_byes(&r), 64);
+            assert_eq!(r.per_shard_jobs.len(), shards);
             assert_eq!(r.per_shard_jobs.iter().sum::<usize>(), 64);
             assert!(r.elapsed.is_finite() && r.elapsed > 0.0);
         }
@@ -718,11 +238,10 @@ mod tests {
     #[test]
     fn same_seed_same_elapsed() {
         let wl = uniform_workload(48, 3e9);
-        let sim = ShardedSim::new(paper_cluster(1e9));
-        let opts = ShardSimOpts::new(4).with_noise(11);
-        let a = sim.run(&wl, &protocol::CostAware, &opts);
-        let b = sim.run(&wl, &protocol::CostAware, &opts);
-        assert_eq!(a.elapsed, b.elapsed);
+        let sim = sharded(paper_cluster(1e9), 4);
+        let run = || sim.run(&wl, &mut Perturbation::overnight(11), &protocol::CostAware);
+        let (a, b) = (run(), run());
+        assert_eq!(a.elapsed.to_bits(), b.elapsed.to_bits());
         assert_eq!(a.steals, b.steals);
         assert_eq!(a.per_shard_jobs, b.per_shard_jobs);
     }
@@ -733,14 +252,13 @@ mod tests {
         // master's serial feed saturates; 16 shard masters do not.
         let cluster = synthetic_cluster(1000, 42, 1e9);
         let wl = uniform_workload(2000, 10e9);
-        let sim = ShardedSim::new(cluster);
-        let flat = sim.run(&wl, &protocol::PaperFaithful, &ShardSimOpts::new(1));
-        let sharded = sim.run(&wl, &protocol::PaperFaithful, &ShardSimOpts::new(16));
+        let flat = sharded(cluster.clone(), 1).run(&wl, &mut Perturbation::none(), &PaperFaithful);
+        let sharded = sharded(cluster, 16).run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert!(
-            sharded.throughput >= 2.0 * flat.throughput,
+            throughput(&wl, &sharded) >= 2.0 * throughput(&wl, &flat),
             "sharded {:.2} jobs/s vs flat {:.2} jobs/s",
-            sharded.throughput,
-            flat.throughput
+            throughput(&wl, &sharded),
+            throughput(&wl, &flat)
         );
     }
 
@@ -750,15 +268,12 @@ mod tests {
         // LPT partition still splits the *costs* evenly, so shard 1 goes
         // idle early — stealing must drain shard 0's queue and bound the
         // finish spread.
-        let cluster = paper_cluster(1e9);
         let wl = uniform_workload(60, 8e9);
-        let sim = ShardedSim::new(cluster);
-        let mut opts = ShardSimOpts::new(2);
-        opts.pool_hosts = Some(vec![2, 20]);
-        let stealing = sim.run(&wl, &protocol::PaperFaithful, &opts);
-        let mut no_steal = opts.clone();
-        no_steal.spec = no_steal.spec.with_steal(false);
-        let starved = sim.run(&wl, &protocol::PaperFaithful, &no_steal);
+        let mut sim = sharded(paper_cluster(1e9), 2);
+        sim.pool_hosts = Some(vec![2, 20]);
+        let stealing = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
+        sim.shards = sim.shards.with_steal(false);
+        let starved = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert!(stealing.steals > 0, "the idle pool must steal");
         assert!(
             stealing.elapsed < starved.elapsed,
@@ -786,10 +301,9 @@ mod tests {
     #[test]
     fn poolkill_rehomes_exactly_once_and_loses_nothing() {
         let wl = uniform_workload(64, 5e9);
-        let sim = ShardedSim::new(paper_cluster(1e9));
-        let mut opts = ShardSimOpts::new(4);
-        opts.faults = FaultPlan::parse("poolkill@1").unwrap();
-        let r = sim.run(&wl, &protocol::PaperFaithful, &opts);
+        let sim = sharded(paper_cluster(1e9), 4);
+        let plan = FaultPlan::parse("poolkill@1").unwrap();
+        let r = run_with(&sim, &wl, &plan, &PaperFaithful);
         assert_eq!(r.rehomes, 1, "exactly one re-home per poolkill");
         assert_eq!(r.per_shard_jobs.iter().sum::<usize>(), 64 + r.redispatches);
         assert!(r.redispatches > 0, "the dead master held in-flight jobs");
@@ -800,15 +314,17 @@ mod tests {
         assert!(r.records.iter().any(|r| r.message.starts_with("re-home:")));
         // Shard 1 stopped mid-queue; the survivors absorbed its work.
         assert!(r.per_shard_jobs[1] < 64 / 4 + 1);
+        assert_eq!(worker_byes(&r), 64 + r.redispatches);
     }
 
     #[test]
     fn churn_joins_and_leaves_are_applied_and_attributed() {
         let wl = uniform_workload(40, 5e9);
-        let sim = ShardedSim::new(paper_cluster(1e9));
-        let mut opts = ShardSimOpts::new(2);
-        opts.churn = ChurnPlan::parse("join@5,leave@20").unwrap();
-        let r = sim.run(&wl, &protocol::PaperFaithful, &opts);
+        let sim = DistributedSim {
+            churn: ChurnPlan::parse("join@5,leave@20").unwrap(),
+            ..sharded(paper_cluster(1e9), 2)
+        };
+        let r = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
         assert_eq!(r.joins, 1);
         assert_eq!(r.leaves, 1);
         assert_eq!(r.per_shard_jobs.iter().sum::<usize>(), 40, "no lost jobs");
@@ -820,10 +336,9 @@ mod tests {
     fn shard_count_is_clamped_to_the_fleet() {
         let wl = uniform_workload(8, 1e9);
         // 5 hosts: root + at most (5-1)/2 = 2 shards.
-        let cluster = synthetic_cluster(5, 1, 1e9);
-        let sim = ShardedSim::new(cluster);
-        let r = sim.run(&wl, &protocol::PaperFaithful, &ShardSimOpts::new(8));
-        assert_eq!(r.shards, 2);
+        let sim = sharded(synthetic_cluster(5, 1, 1e9), 8);
+        let r = sim.run(&wl, &mut Perturbation::none(), &PaperFaithful);
+        assert_eq!(r.per_shard_jobs.len(), 2);
         assert_eq!(r.per_shard_jobs.iter().sum::<usize>(), 8);
     }
 }

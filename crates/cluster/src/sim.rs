@@ -1,4 +1,4 @@
-//! The distributed-run simulator.
+//! The discrete-event simulator.
 //!
 //! Replays the master/worker protocol of `protocolMW.m` on the simulated
 //! cluster in virtual time, event for event:
@@ -18,28 +18,36 @@
 //! 4. the master collects every result, requests the rendezvous, and after
 //!    the acknowledgement proceeds to the prolongation phase.
 //!
+//! The fleet has [`DistributedSim::shards`] masters, each over its own
+//! slice of the hosts ([`crate::shard`]). One shard is the paper's flat
+//! master on the start-up machine; more run the same per-dispatch
+//! sequence, each on its own clock, and the master whose clock is earliest
+//! acts next. A master whose locus holds a live worker on every machine
+//! (MLINK `load 1`) waits for the earliest worker death before it creates
+//! the next one.
+//!
 //! Everything the paper measures falls out: the elapsed wall-clock time
 //! (`ct`), the number of machines in use as a function of time (Figure 1),
 //! its time-weighted average (`m`), and the §6-format chronological
 //! `Welcome`/`Bye` trace with virtual timestamps.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use chaos::{FaultKind, FaultPlan};
-use manifold::config::{ConfigSpec, HostName};
-use manifold::link::{Bundler, LinkSpec, Placement};
+use manifold::config::HostName;
+use manifold::link::Placement;
 use manifold::trace::TraceRecord;
 use manifold::Name;
-use protocol::DispatchPolicy;
+use protocol::{ChurnPlan, DispatchPolicy, ShardPlan, ShardSpec, StealQueues};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::des::EventQueue;
 use crate::hosts::ClusterSpec;
-use crate::network::NetworkModel;
+use crate::network::FabricModel;
 use crate::noise::Perturbation;
+use crate::shard::{self, Shard};
 use crate::timeline::StepTrace;
-use crate::workload::Workload;
+use crate::workload::{Job, Workload};
 
 /// Epoch base for virtual trace timestamps — the very timestamp family the
 /// paper's §6 output shows.
@@ -94,12 +102,21 @@ impl CoordCosts {
 /// The full simulator configuration.
 #[derive(Clone, Debug)]
 pub struct DistributedSim {
-    /// The machines.
+    /// The machines (the first is the start-up machine).
     pub cluster: ClusterSpec,
-    /// The interconnect.
-    pub network: NetworkModel,
+    /// The interconnect: `intra` links a master to its own workers (the
+    /// paper's switched Ethernet), `inter` crosses between shards.
+    pub fabric: FabricModel,
     /// Coordination-layer costs.
     pub costs: CoordCosts,
+    /// Shard masters (clamped to the fleet) and work stealing; the default
+    /// is the paper's single master.
+    pub shards: ShardSpec,
+    /// Hosts joining or leaving, keyed by fleet-lifetime dispatch ordinal.
+    pub churn: ChurnPlan,
+    /// Worker hosts per shard, overriding the even contiguous split (for
+    /// asymmetric topologies). Must sum to at most the non-master hosts.
+    pub pool_hosts: Option<Vec<usize>>,
 }
 
 /// Everything a simulated distributed run produces.
@@ -115,50 +132,56 @@ pub struct DistributedReport {
     pub peak_machines: i64,
     /// Task instances forked over the run.
     pub task_forks: usize,
-    /// Chronological `Welcome`/`Bye` trace with virtual timestamps.
+    /// Chronological trace: `Welcome`/`Bye` with virtual timestamps, plus
+    /// steal, join, leave, poolkill and re-home events.
     pub records: Vec<TraceRecord>,
-    /// The start-up machine (where the master ran).
+    /// The start-up machine (where the master, or the sharded root, ran).
     pub master_host: HostName,
-    /// Jobs the master had to re-dispatch after an injected loss (always 0
-    /// without a fault plan).
+    /// Jobs re-dispatched after an injected worker loss or because a
+    /// killed shard master held them (always 0 without a fault plan).
     pub redispatches: usize,
+    /// Pop-two-merge steals that fired.
+    pub steals: usize,
+    /// Hosts that joined mid-job.
+    pub joins: usize,
+    /// Hosts that left mid-job.
+    pub leaves: usize,
+    /// Re-home events (a `poolkill` triggers exactly one).
+    pub rehomes: usize,
+    /// Dispatches per shard (a stolen job counts for the thief); the
+    /// length is the effective shard count.
+    pub per_shard_jobs: Vec<usize>,
+    /// Virtual time each shard master last went idle (or died).
+    pub shard_finish: Vec<f64>,
 }
 
-struct WorkerDeath {
-    placement: Placement,
+impl DistributedReport {
+    /// Spread between the first and last shard to finish — the starvation
+    /// metric work stealing is meant to bound.
+    pub fn finish_spread(&self) -> f64 {
+        let finite = self.shard_finish.iter().copied().filter(|t| t.is_finite());
+        let (lo, hi) = finite.fold((f64::MAX, f64::MIN), |(lo, hi), t| (lo.min(t), hi.max(t)));
+        if hi < lo {
+            0.0
+        } else {
+            hi - lo
+        }
+    }
 }
 
 impl DistributedSim {
-    /// The paper's setup: the given cluster with its 100 Mbps switched
-    /// Ethernet and paper-era coordination costs.
+    /// The paper's setup: the given cluster behind one flat master, its
+    /// 100 Mbps switched Ethernet (two-level when sharded), and paper-era
+    /// coordination costs.
     pub fn new(cluster: ClusterSpec) -> DistributedSim {
         DistributedSim {
             cluster,
-            network: NetworkModel::switched_ethernet_100mbps(),
+            fabric: FabricModel::two_level_2004(),
             costs: CoordCosts::paper_era(),
+            shards: ShardSpec::default(),
+            churn: ChurnPlan::default(),
+            pool_hosts: None,
         }
-    }
-
-    fn link_spec() -> LinkSpec {
-        // mainprog.mlink from §6.
-        LinkSpec::default()
-            .task("mainprog")
-            .perpetual(true)
-            .load(1)
-            .weight("Master", 1)
-            .weight("Worker", 1)
-    }
-
-    fn config_spec(&self) -> ConfigSpec {
-        let mut spec = ConfigSpec::with_startup(self.cluster.startup().name.clone());
-        let mut vars = Vec::new();
-        for (i, h) in self.cluster.hosts.iter().enumerate().skip(1) {
-            let var = format!("host{i}");
-            spec = spec.host(var.as_str(), h.name.clone());
-            vars.push(var);
-        }
-        let refs: Vec<&str> = vars.iter().map(String::as_str).collect();
-        spec.locus("mainprog", &refs)
     }
 
     /// Virtual time of the *sequential* program for this workload on the
@@ -178,7 +201,7 @@ impl DistributedSim {
     /// one-job [`SimFleet`] with no fault plan.
     ///
     /// The policy orders each pool's jobs (seeing their flop counts as
-    /// costs) and bounds the master's in-flight window: once `window` jobs
+    /// costs) and bounds each master's in-flight window: once `window` jobs
     /// are outstanding the master collects the earliest-arriving result
     /// before feeding the next worker — the same backpressure the live
     /// runtime applies. [`protocol::PaperFaithful`] is the paper's verified
@@ -224,22 +247,20 @@ impl DistributedSim {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // one call site per trace field set
-fn push_record(
-    records: &mut Vec<TraceRecord>,
-    host: &HostName,
+/// One trace line.
+fn record(
     placement: &Placement,
-    proc_uid: u64,
+    uid: u64,
     manifold: &str,
     line: u32,
     t: f64,
     msg: &str,
-) {
+) -> TraceRecord {
     let micros = (t * 1e6).round() as u64;
-    records.push(TraceRecord {
-        host: host.clone(),
+    TraceRecord {
+        host: placement.host.clone(),
         task_uid: TraceRecord::task_uid_for(placement.task),
-        proc_uid,
+        proc_uid: uid,
         secs: TRACE_EPOCH_SECS + micros / 1_000_000,
         usecs: (micros % 1_000_000) as u32,
         task_name: placement.task_name.clone(),
@@ -247,7 +268,31 @@ fn push_record(
         source_file: "ResSourceCode.c".into(),
         line,
         message: msg.into(),
-    });
+    }
+}
+
+/// What one job accumulates for its report.
+#[derive(Default)]
+struct JobLog {
+    records: Vec<TraceRecord>,
+    busy: HashMap<HostName, Vec<(f64, f64)>>,
+    orphans: usize,
+    steals: usize,
+    joins: usize,
+    leaves: usize,
+    rehomes: usize,
+    per_shard_jobs: Vec<usize>,
+}
+
+impl JobLog {
+    /// A steal/churn/poolkill line, attributed to `shard`'s master.
+    fn event(&mut self, shard: &Shard, t: f64, msg: String) {
+        let Some((master, uid)) = &shard.job_master else {
+            return;
+        };
+        let line = record(master, *uid, "Master(event)", 0, t.max(0.0), &msg);
+        self.records.push(line);
+    }
 }
 
 /// The multi-job discrete-event simulation: one persistent simulated
@@ -257,26 +302,26 @@ fn push_record(
 /// [`DistributedSim::run`] is a one-job fleet without a fault plan. Jobs
 /// after the first run warm — they skip the application
 /// [`CoordCosts::startup`], and their workers re-activate the perpetual
-/// task instances the previous job left parked in the bundler, paying
+/// task instances the previous job left parked in the bundlers, paying
 /// neither `task_fork` nor `first_fork_extra`. The per-job virtual latency
 /// of a warm fleet is therefore strictly below the cold first job's.
 ///
-/// Each job gets a fresh job-scoped master (its own `Welcome`/`Bye` pair
-/// and process uid); the bundler, the machine CPU timelines, and the
-/// pending-death queue belong to the fleet. A fault plan's `on_job`
+/// Each job gets fresh job-scoped masters (their own `Welcome`/`Bye` pair
+/// and process uid); the bundlers, the machine CPU timelines, and the
+/// pending-death queues belong to the fleet. A fault plan's `on_job`
 /// ordinals index the fleet-lifetime dispatch sequence, so an injected
 /// fault can fire in any job — fault plans extend across job boundaries —
-/// and the retry budget is likewise fleet-lifetime. After a submit returns
-/// `Err` the fleet's virtual state is mid-job and further submissions are
-/// not meaningful.
+/// and the retry budget is likewise fleet-lifetime. A submit that ends in
+/// `Err` releases its masters and advances the clock to the failure, so
+/// the fleet keeps serving.
 pub struct SimFleet {
     sim: DistributedSim,
-    bundler: Bundler,
+    shards: Vec<Shard>,
     master_name: Name,
     worker_name: Name,
-    /// The fleet's virtual clock: end of the last completed job.
+    /// The fleet's virtual clock: end of the last job (or its failure).
     t: f64,
-    deaths: EventQueue<WorkerDeath>,
+    started: bool,
     task_forks: usize,
     next_proc: u64,
     // Single-processor machines: a worker computes only when its host's
@@ -287,10 +332,14 @@ pub struct SimFleet {
     // faults win a collision, matching `FaultPlan::worker_faults`.
     lost: BTreeMap<u64, FaultKind>,
     stall_ms: BTreeMap<u64, u64>,
+    // The shard a `poolkill` token sentences, until it fires.
+    pool_kill: Option<usize>,
     // Drawn from only when a loss actually fires, so an empty plan leaves
     // the per-job `noise` sequences untouched.
     chaos_rng: StdRng,
     dispatch_no: u64,
+    joins_applied: usize,
+    leaves_applied: usize,
     redispatches: usize,
     retry_budget: usize,
     jobs_served: usize,
@@ -309,11 +358,12 @@ impl SimFleet {
     /// and the job is re-dispatched, counted in
     /// [`DistributedReport::redispatches`]. A stall sleeps the worker before
     /// its compute; a heartbeat delay is absorbed by the live transport's
-    /// margin and costs nothing in virtual time; a master kill is a live
-    /// supervisor concern and is inert here. An empty plan leaves the
-    /// noise draws untouched. When the injected losses outnumber
-    /// `retry_budget`, [`SimFleet::submit`] ends in a diagnosed `Err` —
-    /// never a hang.
+    /// margin and costs nothing in virtual time; a master or daemon kill is
+    /// a live supervisor concern and is inert here. `poolkill@N` kills
+    /// shard master `N` (clamped) once it has dispatched half its share of
+    /// a pool; it needs two or more shards. An empty plan leaves the noise
+    /// draws untouched. When the injected losses outnumber `retry_budget`,
+    /// [`SimFleet::submit`] ends in a diagnosed `Err` — never a hang.
     pub fn new(sim: DistributedSim, plan: &FaultPlan, retry_budget: usize) -> SimFleet {
         let mut lost: BTreeMap<u64, FaultKind> = BTreeMap::new();
         let mut stall_ms: BTreeMap<u64, u64> = BTreeMap::new();
@@ -333,22 +383,28 @@ impl SimFleet {
                 | FaultKind::PoolKill { .. } => {}
             }
         }
-        let chaos_rng = StdRng::seed_from_u64(plan.seed ^ 0x00c5_a05c_0de0_f003);
-        let bundler = Bundler::new(DistributedSim::link_spec(), sim.config_spec());
+        let shards = shard::partition(&sim);
+        let pool_kill = plan
+            .pool_kill()
+            .filter(|_| shards.len() > 1)
+            .map(|p| (p as usize).min(shards.len() - 1));
         SimFleet {
             sim,
-            bundler,
+            shards,
             master_name: Name::new("Master"),
             worker_name: Name::new("Worker"),
             t: 0.0,
-            deaths: EventQueue::new(),
+            started: false,
             task_forks: 0,
             next_proc: 1,
             cpu_free: HashMap::new(),
             lost,
             stall_ms,
-            chaos_rng,
+            pool_kill,
+            chaos_rng: StdRng::seed_from_u64(plan.seed ^ 0x00c5_a05c_0de0_f003),
             dispatch_no: 0,
+            joins_applied: 0,
+            leaves_applied: 0,
             redispatches: 0,
             retry_budget,
             jobs_served: 0,
@@ -365,20 +421,22 @@ impl SimFleet {
         self.task_forks
     }
 
-    /// Idle perpetual worker instances currently parked in the bundler,
+    /// Idle perpetual worker instances currently parked in the bundlers,
     /// ready to be re-activated fork-free by the next job.
     pub fn parked_workers(&self) -> usize {
-        self.bundler.parked_instances()
+        self.shards
+            .iter()
+            .map(|s| s.bundler.parked_instances())
+            .sum()
     }
 
-    /// Serve one job: a fresh job-scoped master runs `wl` on the fleet.
+    /// Serve one job: fresh job-scoped masters run `wl` on the fleet.
     ///
     /// The report's `elapsed` is the *per-job* virtual latency (submit to
-    /// completion); its records, busy trace, and machine averages cover
-    /// only this job. `task_forks` is the fleet-lifetime count (so the
-    /// first job of a fresh fleet reports exactly what
-    /// a one-job fleet reports); `redispatches` counts
-    /// only this job's losses.
+    /// completion); its records, busy trace, machine averages and shard
+    /// counters cover only this job. `task_forks` is the fleet-lifetime
+    /// count (so the first job of a fresh fleet reports exactly what a
+    /// one-job fleet reports); `redispatches` counts only this job's.
     pub fn submit(
         &mut self,
         wl: &Workload,
@@ -387,258 +445,70 @@ impl SimFleet {
     ) -> Result<DistributedReport, String> {
         let job_start = self.t;
         let redispatches_before = self.redispatches;
-        let master_placement = self.bundler.place(&self.master_name);
-        let master_host = master_placement.host.clone();
-        let master_speed = self.sim.cluster.flops_per_sec(&master_host);
-        let master_uid = self.next_proc;
-        self.next_proc += 1;
+        for shard in self.shards.iter_mut().filter(|s| s.alive) {
+            let placement = shard.bundler.place(&self.master_name);
+            shard.job_master = Some((placement, self.next_proc));
+            self.next_proc += 1;
+        }
+        let root = self.sim.cluster.startup().name.clone();
+        let mut log = JobLog {
+            per_shard_jobs: vec![0; self.shards.len()],
+            ..JobLog::default()
+        };
 
-        let mut records: Vec<TraceRecord> = Vec::new();
-        let mut busy_intervals: HashMap<HostName, Vec<(f64, f64)>> = HashMap::new();
-
-        // Application start-up (first job only — the fleet stays up
-        // between jobs), then this master's initialization on the
-        // start-up machine.
-        if self.jobs_served == 0 {
+        // Application start-up (the fleet's first job only — it stays up
+        // between jobs), then the initialization on the start-up machine.
+        if !self.started {
+            self.started = true;
             self.t += self.sim.costs.startup;
         }
-        self.t += noise.perturb(self.sim.cluster.compute_time(&master_host, wl.init_flops));
+        self.t += noise.perturb(self.sim.cluster.compute_time(&root, wl.init_flops));
         let mut t = self.t;
-        push_record(
-            &mut records,
-            &master_host,
-            &master_placement,
-            master_uid,
-            "Master(port in)",
-            136,
-            t,
-            "Welcome",
-        );
+        for shard in self.shards.iter().filter(|s| s.alive) {
+            let (placement, uid) = shard.job_master.as_ref().expect("placed above");
+            let welcome = record(placement, *uid, "Master(port in)", 136, t, "Welcome");
+            log.records.push(welcome);
+        }
 
         for pool in &wl.pools {
-            // create_pool + Create_Worker_Pool entry.
-            t += self.sim.costs.event_latency + self.sim.costs.pool_setup;
-            let mut result_arrivals: Vec<(f64, usize)> = Vec::new();
-            let mut last_death_event = t;
-
-            // The policy sees each job's cost and answers with a dispatch
-            // order and an in-flight window.
-            let costs: Vec<f64> = pool.iter().map(|j| j.flops).collect();
-            let order = policy.order(&costs);
-            debug_assert_eq!(order.len(), pool.len());
-            let window = policy.window(pool.len()).max(1);
-
-            // A worklist rather than a plain loop: a job whose worker is
-            // lost goes back on the queue, not before the master has
-            // detected the loss.
-            let mut queue: VecDeque<(usize, f64)> = order.iter().map(|&ji| (ji, 0.0)).collect();
-            while let Some((ji, not_before)) = queue.pop_front() {
-                let job = &pool[ji];
-                // Backpressure: with the window full, the master collects
-                // the earliest pending result before feeding more work.
-                while result_arrivals.len() >= window {
-                    let k = result_arrivals
-                        .iter()
-                        .enumerate()
-                        .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-                        .map(|(i, _)| i)
-                        .expect("window is full");
-                    let (arrival, bytes) = result_arrivals.remove(k);
-                    let handle = wl.collect_flops_per_byte * bytes as f64 / master_speed;
-                    t = t.max(arrival) + noise.perturb(handle);
+            match self.run_pool(t, pool, wl, noise, policy, &mut log) {
+                Ok(end) => t = end,
+                Err((failed_at, e)) => {
+                    self.release_masters();
+                    self.t = failed_at;
+                    return Err(e);
                 }
-                // A re-dispatched job waits for the loss to be detected.
-                t = t.max(not_before);
-                self.dispatch_no += 1;
-                let this_dispatch = self.dispatch_no;
-                // Master raises create_worker; the coordinator reacts.
-                t += self.sim.costs.event_latency;
-                // Any worker whose task already expired frees its machine
-                // before this placement (perpetual reuse — including the
-                // previous job's workers, which is what makes a warm fleet
-                // fork-free).
-                for (_, d) in self.deaths.pop_until(t) {
-                    self.bundler.release(&d.placement);
-                }
-                // Coordinator creates the worker process...
-                t += self.sim.costs.worker_create;
-                let placement = self.bundler.place(&self.worker_name);
-                if placement.forked {
-                    self.task_forks += 1;
-                }
-                let busy_start = t;
-                // ...and sends its reference to the master.
-                t += self.sim.costs.event_latency;
-                // Master activates the worker (forking its task instance if
-                // the bundler had to start a fresh one; the first fork of
-                // the fleet's life pays the cold binary load).
-                t += self.sim.costs.activation;
-                if placement.forked {
-                    t += self.sim.costs.task_fork;
-                    if self.task_forks == 1 {
-                        t += self.sim.costs.first_fork_extra;
-                    }
-                }
-                // Master feeds the worker: serialize + transfer.
-                let same_host = placement.host == master_host;
-                let feed = wl.feed_flops_per_byte * job.input_bytes as f64 / master_speed
-                    + self.sim.network.transfer(job.input_bytes, same_host);
-                t += noise.perturb(feed);
-
-                // The worker computes concurrently from here on — but its
-                // single-processor host may still be running earlier
-                // workers.
-                let cpu = self.cpu_free.entry(placement.host.clone()).or_insert(0.0);
-                let worker_start = t.max(*cpu);
-                let mut compute =
-                    noise.perturb(self.sim.cluster.compute_time(&placement.host, job.flops));
-                if let Some(ms) = self.stall_ms.get(&this_dispatch) {
-                    // ConnStall: the worker sleeps before computing, but its
-                    // heartbeats keep flowing — nothing is declared dead.
-                    compute += *ms as f64 / 1000.0;
-                }
-                if let Some(kind) = self.lost.get(&this_dispatch).copied() {
-                    // How much of the job ran before the loss.
-                    let fraction = match kind {
-                        FaultKind::FrameCorrupt { .. } => 1.0,
-                        FaultKind::ConnDrop { .. } => 0.05 * self.chaos_rng.gen::<f64>(),
-                        _ => 0.25 + 0.5 * self.chaos_rng.gen::<f64>(),
-                    };
-                    let worker_end = worker_start + fraction * compute;
-                    *cpu = worker_end;
-                    // A corrupt reply still crosses the network and is
-                    // rejected on arrival; a silent death is declared only
-                    // after the loss-detection window.
-                    let detect_at = match kind {
-                        FaultKind::FrameCorrupt { .. } => {
-                            worker_end + self.sim.network.transfer(job.output_bytes, same_host)
-                        }
-                        _ => worker_end + LOSS_DETECTION_SECS,
-                    };
-                    let proc_uid = self.next_proc;
-                    self.next_proc += 1;
-                    push_record(
-                        &mut records,
-                        &placement.host,
-                        &placement,
-                        proc_uid,
-                        "Worker(event)",
-                        351,
-                        worker_start,
-                        "Welcome",
-                    );
-                    push_record(
-                        &mut records,
-                        &placement.host,
-                        &placement,
-                        proc_uid,
-                        "Worker(event)",
-                        370,
-                        worker_end,
-                        &format!("worker lost ({kind}, dispatch {this_dispatch})"),
-                    );
-                    busy_intervals
-                        .entry(placement.host.clone())
-                        .or_default()
-                        .push((busy_start, worker_end));
-                    last_death_event =
-                        last_death_event.max(worker_end + self.sim.costs.event_latency);
-                    self.deaths.schedule(worker_end, WorkerDeath { placement });
-                    if self.redispatches >= self.retry_budget {
-                        let retry_budget = self.retry_budget;
-                        return Err(format!(
-                            "worker lost ({kind}, dispatch {this_dispatch}); \
-                             retry budget ({retry_budget}) exhausted"
-                        ));
-                    }
-                    self.redispatches += 1;
-                    queue.push_back((ji, detect_at));
-                    continue;
-                }
-                let worker_end = worker_start + compute;
-                *cpu = worker_end;
-                let flush = self.sim.network.transfer(job.output_bytes, same_host);
-                let result_arrival = worker_end + flush;
-                // The task instance can expire once the result has left its
-                // buffers; the death_worker event reaches the coordinator a
-                // hair after the worker's last action.
-                let release = worker_end + flush;
-                last_death_event = last_death_event.max(worker_end + self.sim.costs.event_latency);
-
-                let proc_uid = self.next_proc;
-                self.next_proc += 1;
-                push_record(
-                    &mut records,
-                    &placement.host,
-                    &placement,
-                    proc_uid,
-                    "Worker(event)",
-                    351,
-                    worker_start,
-                    "Welcome",
-                );
-                push_record(
-                    &mut records,
-                    &placement.host,
-                    &placement,
-                    proc_uid,
-                    "Worker(event)",
-                    370,
-                    worker_end,
-                    "Bye",
-                );
-                busy_intervals
-                    .entry(placement.host.clone())
-                    .or_default()
-                    .push((busy_start, release));
-                result_arrivals.push((result_arrival, job.output_bytes));
-                self.deaths.schedule(release, WorkerDeath { placement });
-            }
-
-            // Collect phase: the master drains the remaining in-flight
-            // results serially, in arrival order.
-            result_arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
-            for (arrival, bytes) in result_arrivals {
-                let handle = wl.collect_flops_per_byte * bytes as f64 / master_speed;
-                t = t.max(arrival) + noise.perturb(handle);
-            }
-
-            // Rendezvous: the coordinator has to count every death_worker.
-            t += self.sim.costs.event_latency;
-            t = t.max(last_death_event) + self.sim.costs.event_latency;
-            for (_, d) in self.deaths.pop_until(t) {
-                self.bundler.release(&d.placement);
             }
         }
 
-        // Prolongation on the master, then this job is done.
-        t += noise.perturb(
-            self.sim
-                .cluster
-                .compute_time(&master_host, wl.prolong_flops),
-        );
+        // Prolongation on the start-up machine, then this job is done.
+        t += noise.perturb(self.sim.cluster.compute_time(&root, wl.prolong_flops));
         let job_end = t;
-        push_record(
-            &mut records,
-            &master_host,
-            &master_placement,
-            master_uid,
-            "Master(port in)",
-            337,
-            job_end,
-            "Bye",
-        );
-
-        // The master's machine is busy for this whole job.
-        busy_intervals
-            .entry(master_host.clone())
+        log.busy
+            .entry(root.clone())
             .or_default()
             .push((job_start, job_end));
+        for shard in self.shards.iter().filter(|s| s.alive) {
+            let (placement, uid) = shard.job_master.as_ref().expect("placed above");
+            log.records.push(record(
+                placement,
+                *uid,
+                "Master(port in)",
+                337,
+                job_end,
+                "Bye",
+            ));
+            // A master's machine is busy for this whole job.
+            log.busy
+                .entry(placement.host.clone())
+                .or_default()
+                .push((job_start, job_end));
+        }
 
         // Busy-machine step function: union of intervals per host, then one
         // +1/−1 pair per maximal busy stretch.
         let mut busy = StepTrace::new();
-        for intervals in busy_intervals.values_mut() {
+        for intervals in log.busy.values_mut() {
             intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
             let mut current: Option<(f64, f64)> = None;
             for &(s, e) in intervals.iter() {
@@ -656,13 +526,13 @@ impl SimFleet {
             }
         }
 
-        records.sort_by_key(|a| (a.secs, a.usecs));
+        log.records.sort_by_key(|a| (a.secs, a.usecs));
         let weighted_avg_machines = busy.weighted_average(job_start, job_end);
         let peak_machines = busy.peak();
 
-        // The job-scoped master dies; its (perpetual, startup) instance
-        // parks for the next job's master.
-        self.bundler.release(&master_placement);
+        // The job-scoped masters die; their (perpetual) instances park for
+        // the next job's masters.
+        self.release_masters();
         self.t = job_end;
         self.jobs_served += 1;
         Ok(DistributedReport {
@@ -671,10 +541,381 @@ impl SimFleet {
             weighted_avg_machines,
             peak_machines,
             task_forks: self.task_forks,
-            records,
-            master_host,
-            redispatches: self.redispatches - redispatches_before,
+            records: log.records,
+            master_host: root,
+            redispatches: self.redispatches - redispatches_before + log.orphans,
+            steals: log.steals,
+            joins: log.joins,
+            leaves: log.leaves,
+            rehomes: log.rehomes,
+            per_shard_jobs: log.per_shard_jobs,
+            shard_finish: self.shards.iter().map(|s| s.finish).collect(),
         })
+    }
+
+    fn release_masters(&mut self) {
+        for shard in &mut self.shards {
+            if let Some((placement, _)) = shard.job_master.take() {
+                shard.bundler.release(&placement);
+            }
+        }
+    }
+
+    /// Seconds from the root to shard `s`'s master for a `bytes` message:
+    /// nothing when the master *is* the root (the flat topology).
+    fn root_hop(&self, s: usize, bytes: usize) -> f64 {
+        if self.shards[s].master == self.sim.cluster.startup().name {
+            0.0
+        } else {
+            self.sim.costs.event_latency + self.sim.fabric.inter.remote_transfer(bytes)
+        }
+    }
+
+    /// One pool, from `create_pool` at `t` to the rendezvous
+    /// acknowledgement (returned). `Err` carries the failure time.
+    fn run_pool(
+        &mut self,
+        t: f64,
+        pool: &[Job],
+        wl: &Workload,
+        noise: &mut Perturbation,
+        policy: &dyn DispatchPolicy,
+        log: &mut JobLog,
+    ) -> Result<f64, (f64, String)> {
+        // create_pool + Create_Worker_Pool entry.
+        let t_pool = t + (self.sim.costs.event_latency + self.sim.costs.pool_setup);
+        // The policy sees each job's cost and answers with a dispatch order
+        // and an in-flight window; the root splits the order over the live
+        // shards and hands each its queue.
+        let costs: Vec<f64> = pool.iter().map(|j| j.flops).collect();
+        let order = policy.order(&costs);
+        debug_assert_eq!(order.len(), pool.len());
+        let seq_costs: Vec<f64> = order.iter().map(|&j| costs[j]).collect();
+        let plan = ShardPlan::partition(&seq_costs, self.shards.len());
+        let mut queues = StealQueues::new(&plan);
+        for s in 0..self.shards.len() {
+            if !self.shards[s].alive {
+                queues.rehome(s);
+            }
+        }
+        for s in 0..self.shards.len() {
+            let start = t_pool + self.root_hop(s, 64 * queues.pending(s));
+            let shard = &mut self.shards[s];
+            shard.t = start;
+            shard.last_death_event = start;
+            shard.window = policy.window(queues.pending(s)).max(1);
+            shard.arrivals.clear();
+            shard.dispatched = 0;
+        }
+        let kill_at = self
+            .pool_kill
+            .map(|s| (s, queues.pending(s).div_ceil(2).max(1)));
+        // A re-dispatched job waits until its loss is detected.
+        let mut not_before = vec![0.0f64; pool.len()];
+
+        while let Some(s) = self.next_shard(&queues) {
+            if queues.pending(s) == 0 {
+                // Pop-two-merge steal: the idle master asks the root, which
+                // brokers two jobs off the most loaded queue — one
+                // inter-pool round trip, charged to the thief.
+                let ev = queues.steal_into(s).expect("next_shard saw a victim");
+                let shard = &mut self.shards[s];
+                shard.t += 2.0 * self.sim.fabric.inter.latency + self.sim.costs.event_latency;
+                log.steals += 1;
+                let msg = format!(
+                    "steal: shard {s} <- shard {} ({} jobs)",
+                    ev.victim,
+                    ev.jobs.len()
+                );
+                log.event(shard, shard.t, msg);
+            }
+            let k = queues.pop_own(s).expect("shard selected with work");
+            let job = &pool[order[k]];
+            let stolen = plan.assignment[k] != s;
+            if let Some(detect_at) =
+                self.dispatch(s, k, job, stolen, not_before[k], wl, noise, log)?
+            {
+                not_before[k] = detect_at;
+                queues.requeue(s, k);
+            }
+            if kill_at.is_some_and(|(kp, at)| kp == s && self.shards[s].dispatched >= at) {
+                self.kill_shard(s, &mut queues, log);
+            }
+        }
+
+        // Collect phase: each master drains its remaining in-flight
+        // results serially, in arrival order, and reports to the root.
+        let mut t = f64::NEG_INFINITY;
+        for s in 0..self.shards.len() {
+            let shard = &mut self.shards[s];
+            if !shard.alive {
+                continue;
+            }
+            shard.arrivals.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for &(arrival, bytes, _) in &shard.arrivals {
+                let handle = wl.collect_flops_per_byte * bytes as f64 / shard.master_speed;
+                shard.t = shard.t.max(arrival) + noise.perturb(handle);
+            }
+            shard.arrivals.clear();
+            shard.finish = shard.t;
+            let done = shard.t;
+            t = t.max(done + self.root_hop(s, 64));
+        }
+
+        // Rendezvous: the coordinator has to count every death_worker.
+        let last_death = self.shards.iter().map(|s| s.last_death_event);
+        let last_death = last_death.fold(f64::NEG_INFINITY, f64::max);
+        t += self.sim.costs.event_latency;
+        t = t.max(last_death) + self.sim.costs.event_latency;
+        for shard in &mut self.shards {
+            for (_, placement) in shard.deaths.pop_until(t) {
+                shard.bundler.release(&placement);
+            }
+        }
+        Ok(t)
+    }
+
+    /// The live master to act next: the earliest clock (ties to the lowest
+    /// index) among those with queued work, or — stealing on — with a
+    /// victim holding more than one job (the steal rule never takes a
+    /// last job, which keeps the loop terminating).
+    fn next_shard(&self, queues: &StealQueues) -> Option<usize> {
+        let loaded = (0..self.shards.len())
+            .filter(|&i| queues.pending(i) > 1)
+            .count();
+        let mut next: Option<usize> = None;
+        for (s, shard) in self.shards.iter().enumerate() {
+            let victim = self.sim.shards.steal && loaded > usize::from(queues.pending(s) > 1);
+            if !shard.alive || (queues.pending(s) == 0 && !victim) {
+                continue;
+            }
+            match next {
+                Some(b) if self.shards[b].t <= shard.t => {}
+                _ => next = Some(s),
+            }
+        }
+        next
+    }
+
+    /// Apply the churn plan's joins and leaves up to the current dispatch
+    /// ordinal.
+    fn apply_churn(&mut self, log: &mut JobLog) {
+        let plan = &self.sim.churn;
+        while plan
+            .joins
+            .get(self.joins_applied)
+            .is_some_and(|&at| at <= self.dispatch_no)
+        {
+            self.joins_applied += 1;
+            // A fresh host reports in; the root assigns it the
+            // least-populated pool. Unknown hosts run at reference speed.
+            let host = HostName::new(format!("join{:05}.fleet", self.joins_applied));
+            let s = shard::join(&mut self.shards, &self.worker_name, host.clone());
+            log.joins += 1;
+            let shard = &self.shards[s];
+            log.event(
+                shard,
+                shard.t,
+                format!("join: worker {host} -> pool {s} (Welcome)"),
+            );
+        }
+        while plan
+            .leaves
+            .get(self.leaves_applied)
+            .is_some_and(|&at| at <= self.dispatch_no)
+        {
+            self.leaves_applied += 1;
+            if let Some((s, host)) = shard::leave(&mut self.shards) {
+                log.leaves += 1;
+                let shard = &self.shards[s];
+                log.event(
+                    shard,
+                    shard.t,
+                    format!("leave: worker {host} <- pool {s} (Bye)"),
+                );
+            }
+        }
+    }
+
+    /// `poolkill`: shard `s`'s master dies. The root re-homes its queued
+    /// jobs, re-dispatches the results it never collected, and hands its
+    /// hosts to the survivors — one re-home event.
+    fn kill_shard(&mut self, s: usize, queues: &mut StealQueues, log: &mut JobLog) {
+        self.pool_kill = None;
+        let t = self.shards[s].t;
+        log.event(
+            &self.shards[s],
+            t,
+            format!("poolkill: shard {s} master lost"),
+        );
+        let moved_jobs = queues.rehome(s);
+        let orphans: Vec<usize> = self.shards[s].arrivals.drain(..).map(|a| a.2).collect();
+        let survivors: Vec<usize> = (0..self.shards.len())
+            .filter(|&i| i != s && self.shards[i].alive)
+            .collect();
+        for (i, &k) in orphans.iter().enumerate() {
+            queues.requeue(survivors[i % survivors.len()], k);
+        }
+        log.orphans += orphans.len();
+        let moved_hosts = shard::rehome_hosts(&mut self.shards, s, &self.worker_name);
+        log.rehomes += 1;
+        let msg = format!(
+            "re-home: {moved_hosts} workers, {} jobs -> surviving shards",
+            moved_jobs + orphans.len()
+        );
+        log.event(&self.shards[s], t, msg);
+        let shard = &mut self.shards[s];
+        shard.alive = false;
+        shard.finish = t;
+        // Its instances are lost with it; the job's Bye is not its to say.
+        shard.job_master = None;
+    }
+
+    /// Shard `s` dispatches job `k`: the master's serial create/activate/
+    /// feed sequence, then the worker's compute on its host. Returns the
+    /// loss-detection time when an injected fault loses the job.
+    #[allow(clippy::too_many_arguments)] // the pool's context, passed down
+    fn dispatch(
+        &mut self,
+        s: usize,
+        k: usize,
+        job: &Job,
+        stolen: bool,
+        not_before: f64,
+        wl: &Workload,
+        noise: &mut Perturbation,
+        log: &mut JobLog,
+    ) -> Result<Option<f64>, (f64, String)> {
+        let costs = self.sim.costs;
+        let net = self.sim.fabric.intra;
+        // Backpressure: with the window full, the master collects the
+        // earliest pending result before feeding more work.
+        let shard = &mut self.shards[s];
+        let mut t = shard.t;
+        while shard.arrivals.len() >= shard.window {
+            let i = (0..shard.arrivals.len())
+                .min_by(|&a, &b| shard.arrivals[a].0.total_cmp(&shard.arrivals[b].0))
+                .expect("window is full");
+            let (arrival, bytes, _) = shard.arrivals.remove(i);
+            let handle = wl.collect_flops_per_byte * bytes as f64 / shard.master_speed;
+            t = t.max(arrival) + noise.perturb(handle);
+        }
+        t = t.max(not_before);
+        shard.t = t;
+        self.dispatch_no += 1;
+        let this_dispatch = self.dispatch_no;
+        self.apply_churn(log);
+        let shard = &mut self.shards[s];
+        shard.dispatched += 1;
+        log.per_shard_jobs[s] += 1;
+        // Master raises create_worker; the coordinator reacts.
+        t += costs.event_latency;
+        // Any worker whose task already expired frees its machine before
+        // this placement (perpetual reuse — including the previous job's
+        // workers, which is what makes a warm fleet fork-free)...
+        for (_, placement) in shard.deaths.pop_until(t) {
+            shard.bundler.release(&placement);
+        }
+        // ...and with a live worker on every machine of the locus (placed,
+        // not yet released), the master waits for the earliest to die
+        // (`load 1`).
+        while shard.deaths.len() >= shard.locus.len() {
+            let Some((died, placement)) = shard.deaths.pop() else {
+                break;
+            };
+            t = t.max(died);
+            shard.bundler.release(&placement);
+        }
+        // Coordinator creates the worker process...
+        t += costs.worker_create;
+        let placement = shard.bundler.place(&self.worker_name);
+        if placement.forked {
+            self.task_forks += 1;
+        }
+        let busy_start = t;
+        // ...and sends its reference to the master.
+        t += costs.event_latency;
+        // Master activates the worker (forking its task instance if the
+        // bundler had to start a fresh one; the first fork of the fleet's
+        // life pays the cold binary load).
+        t += costs.activation;
+        if placement.forked {
+            t += costs.task_fork;
+            if self.task_forks == 1 {
+                t += costs.first_fork_extra;
+            }
+        }
+        // Master feeds the worker: serialize + transfer. A stolen job's
+        // input lives in the victim's region and crosses the inter-pool
+        // link.
+        let same_host = placement.host == shard.master;
+        let feed = wl.feed_flops_per_byte * job.input_bytes as f64 / shard.master_speed
+            + self
+                .sim
+                .fabric
+                .transfer(job.input_bytes, same_host, !stolen);
+        t += noise.perturb(feed);
+        shard.t = t;
+
+        // The worker computes concurrently from here on — but its
+        // single-processor host may still be running earlier workers.
+        let cpu = self.cpu_free.entry(placement.host.clone()).or_insert(0.0);
+        let worker_start = t.max(*cpu);
+        let mut compute = noise.perturb(self.sim.cluster.compute_time(&placement.host, job.flops));
+        if let Some(ms) = self.stall_ms.get(&this_dispatch) {
+            // ConnStall: the worker sleeps before computing, but its
+            // heartbeats keep flowing — nothing is declared dead.
+            compute += *ms as f64 / 1000.0;
+        }
+        let uid = self.next_proc;
+        self.next_proc += 1;
+        let trace = |line, t, msg: &str| record(&placement, uid, "Worker(event)", line, t, msg);
+        log.records.push(trace(351, worker_start, "Welcome"));
+        // How much of the job ran: an injected loss burns part (crash),
+        // almost none (drop) or all (corrupt reply) of the compute.
+        let lost = self.lost.get(&this_dispatch).copied();
+        let fraction = match lost {
+            None | Some(FaultKind::FrameCorrupt { .. }) => 1.0,
+            Some(FaultKind::ConnDrop { .. }) => 0.05 * self.chaos_rng.gen::<f64>(),
+            Some(_) => 0.25 + 0.5 * self.chaos_rng.gen::<f64>(),
+        };
+        let worker_end = worker_start + fraction * compute;
+        *cpu = worker_end;
+        // The task instance can expire once the result has left its
+        // buffers (a lost worker's at once); the death_worker event
+        // reaches the coordinator a hair after the worker's last action.
+        let flush = net.transfer(job.output_bytes, same_host);
+        let (release, msg) = match lost {
+            None => (worker_end + flush, "Bye".to_string()),
+            Some(kind) => (
+                worker_end,
+                format!("worker lost ({kind}, dispatch {this_dispatch})"),
+            ),
+        };
+        log.records.push(trace(370, worker_end, &msg));
+        let busy = log.busy.entry(placement.host.clone()).or_default();
+        busy.push((busy_start, release));
+        shard.last_death_event = shard.last_death_event.max(worker_end + costs.event_latency);
+        shard.deaths.schedule(release, placement);
+        let Some(kind) = lost else {
+            shard.arrivals.push((release, job.output_bytes, k));
+            return Ok(None);
+        };
+        // A corrupt reply is rejected on arrival; a silent death is
+        // declared only after the loss-detection window.
+        let detect_at = match kind {
+            FaultKind::FrameCorrupt { .. } => worker_end + flush,
+            _ => worker_end + LOSS_DETECTION_SECS,
+        };
+        if self.redispatches >= self.retry_budget {
+            let budget = self.retry_budget;
+            return Err((
+                detect_at,
+                format!("{msg}; retry budget ({budget}) exhausted"),
+            ));
+        }
+        self.redispatches += 1;
+        Ok(Some(detect_at))
     }
 }
 
@@ -1057,6 +1298,63 @@ mod tests {
             warm.elapsed
         );
         assert_eq!(fleet.jobs_served(), 3);
+    }
+
+    #[test]
+    fn a_full_locus_makes_the_master_wait_for_a_death() {
+        // Two worker machines, six long jobs: with `load 1` the master
+        // waits and reuses the two perpetual instances instead of forking
+        // more onto busy machines.
+        let mut cluster = paper_cluster(1e8);
+        cluster.hosts.truncate(3);
+        let report = DistributedSim::new(cluster).run(
+            &simple_workload(6, 1e10),
+            &mut Perturbation::none(),
+            &PaperFaithful,
+        );
+        assert_eq!(report.task_forks, 2);
+        assert_eq!(report.peak_machines, 3);
+    }
+
+    #[test]
+    fn a_failed_submit_leaves_the_fleet_serving() {
+        let wl = simple_workload(5, 1e9);
+        let plan = FaultPlan::parse("crash:0@1").unwrap();
+        let mut fleet = SimFleet::new(DistributedSim::new(paper_cluster(1e9)), &plan, 0);
+        let err = fleet
+            .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
+            .unwrap_err();
+        assert!(err.contains("retry budget"), "{err}");
+        assert_eq!(fleet.jobs_served(), 0);
+        let next = fleet
+            .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
+            .unwrap();
+        // The failed job's master was released, so the next one runs on
+        // the start-up machine again...
+        let master = next
+            .records
+            .iter()
+            .find(|r| r.manifold_name.as_str() == "Master(port in)")
+            .unwrap();
+        assert_eq!(master.host, paper_cluster(1e9).startup().name);
+        // ...and the fleet counts as started: no second start-up charge
+        // (a fork or two more than a warm job, at most).
+        let sim = DistributedSim::new(paper_cluster(1e9));
+        let mut clean = SimFleet::new(sim.clone(), &FaultPlan::default(), 0);
+        for _ in 0..2 {
+            clean
+                .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
+                .unwrap();
+        }
+        let warm = clean
+            .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
+            .unwrap();
+        assert!(
+            next.elapsed < warm.elapsed + sim.costs.startup,
+            "{} vs warm {}",
+            next.elapsed,
+            warm.elapsed
+        );
     }
 
     #[test]

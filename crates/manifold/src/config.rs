@@ -115,6 +115,18 @@ impl ConfigSpec {
         self
     }
 
+    /// Append `machine` to `task`'s locus (a machine joining the fleet).
+    pub fn add_to_locus(&mut self, task: &Name, machine: HostName) {
+        self.locus.entry(task.clone()).or_default().push(machine);
+    }
+
+    /// Drop `machine` from every locus (a machine leaving the fleet).
+    pub fn remove_from_loci(&mut self, machine: &HostName) {
+        for hosts in self.locus.values_mut() {
+            hosts.retain(|h| h != machine);
+        }
+    }
+
     /// The start-up machine.
     pub fn startup_host(&self) -> &HostName {
         &self.startup

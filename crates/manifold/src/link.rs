@@ -464,6 +464,25 @@ impl Bundler {
         None
     }
 
+    /// A machine joins the locus of `manifold`'s task (elastic
+    /// membership): later forks may land on it.
+    pub fn add_host(&mut self, manifold: &Name, host: HostName) {
+        let task = self.link.task_for(manifold);
+        self.config.add_to_locus(&task, host);
+    }
+
+    /// A machine leaves the fleet: it drops out of every locus and its
+    /// instances stop being perpetual, so an idle one expires now and a
+    /// loaded one when its last process is released.
+    pub fn remove_host(&mut self, host: &HostName) {
+        self.config.remove_from_loci(host);
+        for inst in self.instances.iter_mut().filter(|i| &i.host == host) {
+            inst.perpetual = false;
+        }
+        self.instances
+            .retain(|i| &i.host != host || i.load > 0 || i.id == TaskInstanceId(0));
+    }
+
     /// Kill an idle perpetual instance explicitly (end of application).
     pub fn expire_idle(&mut self) -> Vec<TaskDeath> {
         let mut deaths = Vec::new();
@@ -593,6 +612,25 @@ mod tests {
         let w2 = b.place(&Name::new("Worker"));
         assert!(!w2.forked);
         assert_eq!(w2.task, w1.task);
+    }
+
+    #[test]
+    fn joined_hosts_take_forks_and_departed_hosts_expire() {
+        let worker = Name::new("Worker");
+        let mut b = paper_bundler();
+        b.place(&Name::new("Master"));
+        let placed: Vec<Placement> = (0..5).map(|_| b.place(&worker)).collect();
+        // The locus is full; a joined machine is the next fork's only
+        // empty candidate.
+        b.add_host(&worker, HostName::new("newcomer"));
+        assert_eq!(b.place(&worker).host.as_str(), "newcomer");
+        // A departing machine's idle instance expires at once, and no
+        // fork lands there again.
+        let leaving = placed[0].host.clone();
+        b.release(&placed[0]);
+        b.remove_host(&leaving);
+        assert!(!b.is_alive(placed[0].task));
+        assert_ne!(b.place(&worker).host, leaving);
     }
 
     #[test]

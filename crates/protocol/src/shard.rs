@@ -20,12 +20,12 @@
 //! ```
 //!
 //! Everything here is *pure data*: the live master (`renovation::master`),
-//! the procs fleet (`transport`) and the cluster DES (`cluster::shard`)
-//! all consume the same [`ShardPlan`], [`StealQueues`] and [`Membership`]
-//! types, so the dispatch sequence of a sharded run is identical across
-//! backends by construction — and bit-identity of the numerical results is
-//! inherited from the flat protocol (results are stored by grid index and
-//! combined in a fixed order, so no topology can perturb the sum).
+//! the procs fleet (`transport`) and the cluster DES (`cluster::SimFleet`)
+//! all consume the same [`ShardPlan`] and [`StealQueues`], so the dispatch
+//! sequence of a sharded run is identical across backends by construction
+//! — and bit-identity of the numerical results is inherited from the flat
+//! protocol (results are stored by grid index and combined in a fixed
+//! order, so no topology can perturb the sum).
 
 use std::collections::VecDeque;
 

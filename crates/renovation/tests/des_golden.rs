@@ -44,10 +44,7 @@ fn check(name: &str, actual: &str) {
         "DES output drifted from {}; regenerate with MC_BLESS=1 if intentional\n\
          first differing line: {:?}",
         path.display(),
-        actual
-            .lines()
-            .zip(expected.lines())
-            .find(|(a, e)| a != e)
+        actual.lines().zip(expected.lines()).find(|(a, e)| a != e)
     );
 }
 

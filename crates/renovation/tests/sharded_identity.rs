@@ -305,7 +305,7 @@ fn procs_churn_join_and_leave_loses_nothing() {
 /// queue is re-homed exactly once, and no job is lost.
 #[test]
 fn poolkill_fault_plan_rehomes_exactly_once() {
-    use cluster::{paper_cluster, Job, ShardSimOpts, ShardedSim, Workload};
+    use cluster::{paper_cluster, DistributedSim, Job, Perturbation, SimFleet, Workload};
 
     let jobs = 48usize;
     let wl = Workload {
@@ -318,10 +318,14 @@ fn poolkill_fault_plan_rehomes_exactly_once() {
         feed_flops_per_byte: 2.0,
         collect_flops_per_byte: 2.0,
     };
-    let sim = ShardedSim::new(paper_cluster(1e9));
-    let mut opts = ShardSimOpts::new(4).quiet();
-    opts.faults = chaos::FaultPlan::parse("seed:3,poolkill@2").unwrap();
-    let r = sim.run(&wl, &PaperFaithful, &opts);
+    let sim = DistributedSim {
+        shards: ShardSpec::new(4),
+        ..DistributedSim::new(paper_cluster(1e9))
+    };
+    let plan = chaos::FaultPlan::parse("seed:3,poolkill@2").unwrap();
+    let r = SimFleet::new(sim, &plan, 0)
+        .submit(&wl, &mut Perturbation::none(), &PaperFaithful)
+        .unwrap();
     assert_eq!(r.rehomes, 1, "exactly one re-home per poolkill");
     assert_eq!(
         r.per_shard_jobs.iter().sum::<usize>(),

@@ -43,7 +43,6 @@ pub mod grid;
 pub mod linsolve;
 pub mod problem;
 pub mod reference;
-pub mod restrict;
 pub mod rosenbrock;
 pub mod sequential;
 pub mod simd;

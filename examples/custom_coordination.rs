@@ -11,6 +11,7 @@
 //! default; `interp` tree-walks the AST instead). Both are bit-identical.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use manifold::lang::{check_program, expect_event_arg, print_program, CoordExec, Mc, Value};
 use manifold::prelude::*;
@@ -62,22 +63,34 @@ fn main() -> MfResult<()> {
     let env = Environment::new();
     let received = Arc::new(Mutex::new(Vec::<f64>::new()));
     let received2 = received.clone();
+    // The sink sums everything it sees. It belongs to the application, not
+    // to the manner: everything the manner creates ends with its `halt`,
+    // which may come before the sink has drained the second square.
+    let sink = env.create_process("Sink", move |ctx: ProcessCtx| loop {
+        let v = ctx.read("input")?.expect_real()?;
+        received2.lock().push(v);
+    });
+    env.activate(&sink)?;
 
     env.run_manner(&mc, kind, "reduction.m", "Reduce", |coord| {
         // The source emits one number; the port fan-out copies it to each
-        // stage. It parks afterwards so its streams stay connected.
+        // stage. A write reaches only the streams attached at that moment,
+        // so it first waits (a runtime wait, handing its carrier on) until
+        // `begin` has wired both stages. It parks afterwards so its streams
+        // stay connected.
         let source = coord.create_atomic("Source", |ctx: ProcessCtx| {
+            let output = ctx.core().port("output");
+            while output.outgoing_count() < 2 {
+                if let Err(e @ MfError::Killed) = ctx.read_timeout("park", Duration::from_millis(1))
+                {
+                    return Err(e);
+                }
+            }
             ctx.write("output", Unit::real(3.0))?;
             let _ = ctx.read("park"); // stay alive until shutdown
             Ok(())
         });
         coord.activate(&source)?;
-        // The sink sums everything it sees.
-        let sink = coord.create_atomic("Sink", move |ctx: ProcessCtx| loop {
-            let v = ctx.read("input")?.expect_real()?;
-            received2.lock().push(v);
-        });
-        coord.activate(&sink)?;
 
         // Stage manifold: squares one number, raises its completion event.
         let stage: manifold::lang::AtomicFactory = Arc::new(|coord, args| {
@@ -94,7 +107,7 @@ fn main() -> MfResult<()> {
 
         Ok(vec![
             Value::Process(source),
-            Value::Process(sink),
+            Value::Process(sink.clone()),
             Value::Manifold(stage),
         ])
     })?;
