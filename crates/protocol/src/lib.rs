@@ -28,7 +28,7 @@
 //! * [`shard`] — the sharded dispatch layer above the policies: cost-aware
 //!   partition of one pool across several shard masters ([`ShardPlan`]),
 //!   pop-two-merge work stealing between their queues ([`StealQueues`]),
-//!   and elastic fleet membership ([`MembershipDirectory`]). Each shard
+//!   and the membership churn a run fires ([`ChurnPlan`]). Each shard
 //!   runs its [`DispatchPolicy`] unchanged over its slice.
 //!
 //! The event vocabulary matches the paper exactly: [`CREATE_POOL`],
@@ -49,9 +49,7 @@ pub use remote::{as_lost_job, lost_job_marker, remote_worker_factory, WORKER_LOS
 pub use scheduler::{
     parse_policy, BoundedReuse, CostAware, DispatchPolicy, PaperFaithful, PolicyRef,
 };
-pub use shard::{
-    ChurnPlan, Membership, MembershipDirectory, ShardPlan, ShardSpec, StealEvent, StealQueues,
-};
+pub use shard::{ChurnPlan, ShardPlan, ShardSpec, StealEvent, StealQueues};
 
 /// Master → coordinator: "I need a workers-pool to delegate work to"
 /// (handled at line 61 of `protocolMW.m`).

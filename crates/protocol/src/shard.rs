@@ -1,5 +1,6 @@
 //! Sharded dispatch: partitioning one pool of jobs across a hierarchy of
-//! shard masters, with work stealing and elastic membership.
+//! shard masters, with work stealing, and the plan of membership changes
+//! ([`ChurnPlan`]) a run fires.
 //!
 //! The paper's topology is one master feeding one worker pool; its §4.2
 //! "more demanding master" ablation already shows that topology saturating
@@ -21,7 +22,9 @@
 //!
 //! Everything here is *pure data*: the live master (`renovation::master`),
 //! the procs fleet (`transport`) and the cluster DES (`cluster::SimFleet`)
-//! all consume the same [`ShardPlan`] and [`StealQueues`], so the dispatch
+//! all consume the same [`ShardPlan`] and [`StealQueues`]. Who the fleet's
+//! members are is kept by the fleet itself — the launcher's slots on the
+//! procs backend, the simulated hosts in the DES — never here. The dispatch
 //! sequence of a sharded run is identical across backends by construction
 //! — and bit-identity of the numerical results is inherited from the flat
 //! protocol (results are stored by grid index and combined in a fixed
@@ -337,156 +340,6 @@ impl std::fmt::Display for ChurnPlan {
     }
 }
 
-/// Lifecycle of one fleet member, as the root sees it.
-///
-/// ```text
-///            HelloAck{pool}            Leave/retire
-///  Joining ───────────────► Active ───────────────► Left
-///                              │
-///                              │ shard master died (poolkill)
-///                              ▼
-///                           Rehomed ──► Active (new pool)
-/// ```
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Membership {
-    /// Hello received, pool assignment pending.
-    Joining,
-    /// Assigned to a pool and serving.
-    Active {
-        /// The pool (shard) this member serves.
-        pool: usize,
-    },
-    /// Departed cleanly (Leave exchanged); never respawned.
-    Left,
-}
-
-/// The root's membership directory: which worker serves which pool, with
-/// balanced assignment on join and re-homing when a pool's master dies.
-#[derive(Clone, Debug, Default)]
-pub struct MembershipDirectory {
-    pools: usize,
-    members: Vec<(u64, Membership)>,
-    rehomes: usize,
-}
-
-impl MembershipDirectory {
-    /// A directory over `pools` shard pools.
-    pub fn new(pools: usize) -> MembershipDirectory {
-        MembershipDirectory {
-            pools: pools.max(1),
-            members: Vec::new(),
-            rehomes: 0,
-        }
-    }
-
-    /// Number of pools.
-    pub fn pools(&self) -> usize {
-        self.pools
-    }
-
-    /// Admit `member`, assigning the least-populated pool (ties to the
-    /// lowest pool index). Returns the assignment. Re-joining a departed
-    /// member re-admits it fresh.
-    pub fn join(&mut self, member: u64) -> usize {
-        let mut counts = vec![0usize; self.pools];
-        for (_, m) in &self.members {
-            if let Membership::Active { pool } = m {
-                counts[*pool] += 1;
-            }
-        }
-        let pool = least_loaded(&counts.iter().map(|&c| c as f64).collect::<Vec<_>>());
-        match self.members.iter_mut().find(|(id, _)| *id == member) {
-            Some(entry) => entry.1 = Membership::Active { pool },
-            None => self.members.push((member, Membership::Active { pool })),
-        }
-        pool
-    }
-
-    /// Admit `member` into a *specific* pool — used when the topology is
-    /// fixed externally (the DES's contiguous host slices, or a test
-    /// constructing a known-asymmetric fleet). Out-of-range pools are
-    /// clamped. Re-joining a known member reassigns it.
-    pub fn join_to(&mut self, member: u64, pool: usize) -> usize {
-        let pool = pool.min(self.pools - 1);
-        match self.members.iter_mut().find(|(id, _)| *id == member) {
-            Some(entry) => entry.1 = Membership::Active { pool },
-            None => self.members.push((member, Membership::Active { pool })),
-        }
-        pool
-    }
-
-    /// Mark `member` departed. No-op for unknown members.
-    pub fn leave(&mut self, member: u64) {
-        if let Some(entry) = self.members.iter_mut().find(|(id, _)| *id == member) {
-            entry.1 = Membership::Left;
-        }
-    }
-
-    /// The pool `member` currently serves, if active.
-    pub fn pool_of(&self, member: u64) -> Option<usize> {
-        self.members.iter().find_map(|(id, m)| match m {
-            Membership::Active { pool } if *id == member => Some(*pool),
-            _ => None,
-        })
-    }
-
-    /// Active member count per pool.
-    pub fn census(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.pools];
-        for (_, m) in &self.members {
-            if let Membership::Active { pool } = m {
-                counts[*pool] += 1;
-            }
-        }
-        counts
-    }
-
-    /// Pool `dead`'s master died: move every active member of that pool to
-    /// the least-populated surviving pool. Counts as ONE re-home event
-    /// regardless of the number of workers moved (the supervisor contract:
-    /// a poolkill triggers exactly one re-home). Returns the number of
-    /// workers moved.
-    pub fn rehome_pool(&mut self, dead: usize) -> usize {
-        if self.pools <= 1 {
-            return 0;
-        }
-        let mut moved = 0;
-        loop {
-            let mut counts = vec![0usize; self.pools];
-            for (_, m) in &self.members {
-                if let Membership::Active { pool } = m {
-                    counts[*pool] += 1;
-                }
-            }
-            let target = counts
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| i != dead)
-                .min_by(|a, b| a.1.cmp(b.1).then(a.0.cmp(&b.0)))
-                .map(|(i, _)| i)
-                .unwrap_or(dead);
-            let Some(entry) = self
-                .members
-                .iter_mut()
-                .find(|(_, m)| matches!(m, Membership::Active { pool } if *pool == dead))
-            else {
-                break;
-            };
-            entry.1 = Membership::Active { pool: target };
-            moved += 1;
-        }
-        if moved > 0 {
-            self.rehomes += 1;
-        }
-        moved
-    }
-
-    /// Number of re-home events so far.
-    pub fn rehomes(&self) -> usize {
-        self.rehomes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -574,31 +427,6 @@ mod tests {
         assert!(ChurnPlan::parse("join@x").is_err());
         assert!(ChurnPlan::parse("evict@3").is_err());
         assert!(ChurnPlan::parse("join3").is_err());
-    }
-
-    #[test]
-    fn membership_balances_joins_and_rehomes_once() {
-        let mut dir = MembershipDirectory::new(2);
-        assert_eq!(dir.join(10), 0);
-        assert_eq!(dir.join(11), 1);
-        assert_eq!(dir.join(12), 0);
-        assert_eq!(dir.census(), vec![2, 1]);
-        dir.leave(12);
-        assert_eq!(dir.census(), vec![1, 1]);
-        assert_eq!(dir.pool_of(12), None);
-        assert_eq!(dir.pool_of(10), Some(0));
-        // Kill pool 0's master: its one worker moves, one re-home event.
-        let moved = dir.rehome_pool(0);
-        assert_eq!(moved, 1);
-        assert_eq!(dir.rehomes(), 1);
-        assert_eq!(dir.census(), vec![0, 2]);
-        // A second kill of an empty pool is not a re-home.
-        assert_eq!(dir.rehome_pool(0), 0);
-        assert_eq!(dir.rehomes(), 1);
-        // Explicit placement overrides balancing (and clamps).
-        assert_eq!(dir.join_to(13, 0), 0);
-        assert_eq!(dir.join_to(14, 99), 1);
-        assert_eq!(dir.census(), vec![1, 3]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ use transport::{PoolConfig, RemoteWorkerPool};
 use crate::app::RunMode;
 use crate::checkpoint::CheckpointStore;
 use crate::cost::CostModel;
-use crate::master::{master_body, FleetMembership, MasterConfig};
+use crate::master::{master_body, MasterConfig};
 use crate::procs::{merge_child_traces, JobSource, ProcsConfig, WORKER_HEARTBEAT};
 use crate::virtualrun::paper_sim;
 use crate::worker::{worker_factory_chaos, worker_factory_with_gauge, WorkerGauge};
@@ -128,7 +128,10 @@ pub struct EngineOpts {
     /// this many shard masters (with optional work stealing). The default
     /// single shard is the flat master, byte for byte. On the procs
     /// backend the worker processes are also partitioned into matching
-    /// pools and each dispatch prefers the dispatching shard's pool.
+    /// pools and each dispatch prefers the dispatching shard's pool; on
+    /// sim the simulated cluster runs that many shard masters over
+    /// contiguous host slices, which moves the virtual-time report and
+    /// never the result.
     pub shards: protocol::ShardSpec,
     /// Membership churn plan: worker joins/leaves fired at 1-based
     /// dispatch ordinals (per job). Real on the procs backend (processes
@@ -501,7 +504,6 @@ impl Engine {
                 let mut pool_cfg = PoolConfig::new(program);
                 pool_cfg.instances = cfg.instances;
                 pool_cfg.bind = cfg.bind;
-                pool_cfg.hosts = cfg.hosts.clone();
                 pool_cfg.job_timeout = cfg.job_timeout;
                 pool_cfg.respawn_budget = retry;
                 pool_cfg.shards = opts.shards.shards.max(1);
@@ -539,7 +541,8 @@ impl Engine {
             }
             EngineBackend::Sim { noise_seed } => {
                 let model = CostModel::paper_calibrated();
-                let sim = paper_sim(&model);
+                let mut sim = paper_sim(&model);
+                sim.shards = opts.shards;
                 let plan = opts.faults.clone().unwrap_or_default();
                 let fleet = SimFleet::new(sim, &plan, opts.retry_budget);
                 let noise = match noise_seed {
@@ -855,7 +858,7 @@ impl Engine {
                 // and churn joins/retires worker processes.
                 let source = Arc::new(JobSource::new(Arc::clone(pool), Arc::clone(gauge), job.id));
                 let master_cfg = MasterConfig {
-                    membership: Some(Arc::clone(&source) as Arc<dyn FleetMembership>),
+                    membership: Some(Arc::clone(&source)),
                     ..master_cfg
                 };
                 let factory = protocol::remote_worker_factory(source as Arc<dyn JobFleet>);

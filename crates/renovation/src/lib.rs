@@ -58,7 +58,6 @@ pub use engine::{
     AppConfig, Engine, EngineBackend, EngineOpts, EngineSummary, FleetFootprint, JobHandle,
     JobReport, SubmitError,
 };
-pub use master::FleetMembership;
 pub use procs::{run_worker_child, ProcsConfig};
 pub use supervisor::{supervise, SupervisedRun};
 pub use virtualrun::{run_distributed_experiment, ExperimentPoint};

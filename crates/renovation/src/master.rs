@@ -34,6 +34,7 @@ use solver::{l2_norm, WorkCounter};
 
 use crate::checkpoint::{Checkpoint, CheckpointStore, RunKey};
 use crate::codec::{request_to_unit, result_from_unit};
+use crate::procs::JobSource;
 
 /// Master-side configuration. The engine fills it in per job.
 #[derive(Clone)]
@@ -72,30 +73,13 @@ pub(crate) struct MasterConfig {
     /// grid index).
     pub shards: ShardSpec,
     /// Membership churn: worker joins/leaves fired at 1-based dispatch
-    /// ordinals. Requires a [`FleetMembership`] backend (procs); inert on
-    /// backends without real membership (threads, sim).
+    /// ordinals. Needs `membership` (procs); inert on backends without
+    /// real membership (threads, sim).
     pub churn: ChurnPlan,
-    /// Live membership operations (procs: the worker-process pool). `None`
-    /// on backends whose workers are anonymous.
-    pub membership: Option<Arc<dyn FleetMembership>>,
-}
-
-/// Live-fleet membership operations the master drives at dispatch
-/// ordinals. The procs backend implements this over its worker-process
-/// pool (`transport::RemoteWorkerPool`); backends with anonymous workers
-/// have no implementation and churn is inert there.
-pub trait FleetMembership: Send + Sync {
-    /// Admit one worker, optionally into a specific pool (shard). Returns
-    /// the new instance index.
-    fn join(&self, pool: Option<u64>) -> MfResult<u64>;
-    /// Retire one worker (the implementation chooses the victim). Returns
-    /// the retired instance index, or `None` when nothing is retirable.
-    fn leave(&self) -> MfResult<Option<u64>>;
-    /// Affinity hint: the next worker requested should run on this pool
-    /// (shard) if it can. Advisory and one-shot — it goes with the worker
-    /// created for the very next `request_worker` — and implementations
-    /// may ignore it.
-    fn hint_pool(&self, _pool: u64) {}
+    /// This job's seam to the worker-process pool, whose slots own the
+    /// fleet's membership (procs). `None` on backends whose workers are
+    /// anonymous.
+    pub membership: Option<Arc<JobSource>>,
 }
 
 impl MasterConfig {

@@ -4,11 +4,12 @@
 //! instance as a thread. This module provides the deployment the paper
 //! actually ran on its workstation cluster: each worker task instance is a
 //! separate operating-system process (the committed `subsolve_worker`
-//! binary), connected over TCP or a Unix socket, placed according to the
-//! CONFIG host list. The master, the protocol, and the dispatch policies
-//! are *unchanged* — proxies from [`protocol::remote_worker_factory`]
-//! stand in for local workers, and the backend is chosen purely by
-//! configuration ([`ProcsConfig`] vs [`RunMode`](crate::RunMode), handed to
+//! binary), connected over TCP or a Unix socket; each child reports its
+//! own host in its handshake, and the §6 trace prints that host. The
+//! master, the protocol, and the dispatch policies are *unchanged* —
+//! proxies from [`protocol::remote_worker_factory`] stand in for local
+//! workers, and the backend is chosen purely by configuration
+//! ([`ProcsConfig`] vs [`RunMode`](crate::RunMode), handed to
 //! [`Engine::procs`](crate::Engine::procs) or
 //! [`Engine::threads`](crate::Engine::threads); the run's options are the
 //! same [`EngineOpts`](crate::EngineOpts) either way).
@@ -29,7 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use manifold::config::{ConfigSpec, HostName};
+use manifold::config::ConfigSpec;
 use manifold::ident::TaskInstanceId;
 use manifold::prelude::*;
 use manifold::remote::{Completion, JobFleet, Lost, RemoteIdentity, Started};
@@ -37,7 +38,6 @@ use manifold::trace::{format_trace, merge_traces, parse_trace, TraceRecord};
 use protocol::DEATH_WORKER;
 use transport::{serve, Addr, BindMode, RemoteWorkerPool, ServeConfig, ServeSummary};
 
-use crate::master::FleetMembership;
 use crate::worker::{worker_factory, WorkerGauge};
 
 /// How often a worker child reports that it is alive.
@@ -51,11 +51,6 @@ pub struct ProcsConfig {
     pub instances: usize,
     /// TCP loopback or Unix-domain sockets.
     pub bind: BindMode,
-    /// CONFIG host labels for placement, cycled over instances. With the
-    /// [`LocalSpawner`](transport::spawn::LocalSpawner) all children run
-    /// locally regardless (the paper's single-machine multi-process
-    /// deployment); an ssh spawner would use these as targets.
-    pub hosts: Vec<HostName>,
     /// Path of the `subsolve_worker` binary. `None` resolves via the
     /// `MF_SUBSOLVE_WORKER` environment variable, then by looking next to
     /// the current executable.
@@ -71,7 +66,6 @@ impl ProcsConfig {
         ProcsConfig {
             instances,
             bind: BindMode::Tcp,
-            hosts: Vec::new(),
             worker_exe: None,
             job_timeout: Duration::from_secs(60),
         }
@@ -115,12 +109,13 @@ pub(crate) fn resolve_worker_exe(cfg: &ProcsConfig) -> MfResult<PathBuf> {
 /// the same [`WorkerGauge`] the threads backend uses, from the moment its
 /// frame is on a worker's wire until its answer is back — a subsolve
 /// waiting in the fleet's queue is not running — so
-/// `peak_concurrent_workers` means the same thing for both backends. Also
-/// the procs backend's [`FleetMembership`]: a sharded master leaves a
-/// one-shot pool-affinity hint here before each dispatch (its own —
-/// another job's master has another `JobSource`), which the proxy created
-/// for that dispatch takes with it, and churn joins/retires worker
-/// processes through it.
+/// `peak_concurrent_workers` means the same thing for both backends.
+///
+/// It is also the master's one seam to the fleet's membership, which the
+/// launcher's slots own: a sharded master leaves a one-shot pool-affinity
+/// hint here before each dispatch (its own — another job's master has
+/// another `JobSource`), which the proxy created for that dispatch takes
+/// with it, and churn joins and retires worker processes through it.
 pub(crate) struct JobSource {
     pool: Arc<RemoteWorkerPool>,
     gauge: Arc<WorkerGauge>,
@@ -165,15 +160,18 @@ impl JobFleet for JobSource {
     }
 }
 
-impl FleetMembership for JobSource {
-    fn join(&self, pool: Option<u64>) -> MfResult<u64> {
+impl JobSource {
+    /// Admit one worker process, optionally into a specific pool (shard).
+    /// Returns the new instance index.
+    pub(crate) fn join(&self, pool: Option<u64>) -> MfResult<u64> {
         self.pool.add_instance(pool)
     }
 
-    fn leave(&self) -> MfResult<Option<u64>> {
-        // Retire the newest member (the reverse of join, so churn plans
-        // compose predictably) — but never the last worker, which would
-        // starve the run.
+    /// Retire the newest member (the reverse of join, so churn plans
+    /// compose predictably) — but never the last worker, which would
+    /// starve the run. Returns the retired instance index, or `None` when
+    /// nothing is retirable.
+    pub(crate) fn leave(&self) -> MfResult<Option<u64>> {
         let members = self.pool.member_indices();
         if members.len() <= 1 {
             return Ok(None);
@@ -183,7 +181,10 @@ impl FleetMembership for JobSource {
         Ok(Some(victim))
     }
 
-    fn hint_pool(&self, pool: u64) {
+    /// Affinity hint: the next worker requested should run on this pool
+    /// (shard) if it can. Advisory and one-shot — it goes with the worker
+    /// created for the very next `request_worker`.
+    pub(crate) fn hint_pool(&self, pool: u64) {
         self.hint.store(pool, Ordering::Relaxed);
     }
 }
@@ -337,6 +338,7 @@ fn solve_one(env: &Environment, job: Unit) -> MfResult<Unit> {
 mod tests {
     use super::*;
     use crate::{AppConfig, Engine, EngineOpts};
+    use manifold::config::HostName;
     use protocol::PaperFaithful;
     use solver::sequential::SequentialApp;
 

@@ -173,6 +173,16 @@ fn sharded_engine_jobs_match_flat_engine_jobs() {
     }
 }
 
+/// The hosts of the sim trace's master records (a sharded fleet's shard
+/// masters run on hosts of their own).
+fn master_hosts(records: &[manifold::trace::TraceRecord]) -> BTreeSet<String> {
+    records
+        .iter()
+        .filter(|r| r.manifold_name.as_str().starts_with("Master"))
+        .map(|r| r.host.as_str().to_string())
+        .collect()
+}
+
 #[test]
 fn sharded_sim_backend_matches_flat() {
     let run_sim = |shards: usize| {
@@ -187,12 +197,23 @@ fn sharded_sim_backend_matches_flat() {
             .unwrap();
         let r = h.wait().unwrap();
         eng.shutdown();
-        (r.result.combined, r.result.l2_error)
+        r
     };
-    let (flat, flat_l2) = run_sim(1);
-    let (sharded, sharded_l2) = run_sim(4);
-    assert_eq!(flat, sharded);
-    assert_eq!(flat_l2, sharded_l2);
+    let flat = run_sim(1);
+    for shards in [2, 4] {
+        let sharded = run_sim(shards);
+        assert_eq!(flat.result.combined, sharded.result.combined);
+        assert_eq!(flat.result.l2_error, sharded.result.l2_error);
+        // The shard count reaches the simulated fleet: each shard master
+        // runs on a host of its own, and the virtual-time report is not
+        // the flat master's.
+        assert_eq!(master_hosts(&flat.records).len(), 1);
+        assert_eq!(master_hosts(&sharded.records).len(), shards);
+        assert_ne!(
+            sharded.latency_s, flat.latency_s,
+            "{shards} shards simulated as the flat master"
+        );
+    }
 }
 
 #[test]

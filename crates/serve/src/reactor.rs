@@ -7,9 +7,10 @@
 //! nonblocking, each event thread (one per core by default) owns a slice
 //! of the connections and sits in a hand-rolled [`poll(2)`][crate::poll]
 //! loop, and all per-connection state is a [`FrameDecoder`] plus an
-//! outbound byte queue. Thread 0 additionally owns the listener and deals
-//! accepted connections round-robin to the event threads through
-//! injector queues.
+//! outbound byte queue. Thread 0 additionally owns the listener — the
+//! transport crate's [`Listener`], the same one the worker fleet binds,
+//! which replaces a stale socket file on bind — and deals accepted
+//! connections round-robin to the event threads through injector queues.
 //!
 //! The reactor knows nothing about admission or engines: it turns socket
 //! bytes into [`ServeMsg`]s for a [`Service`] and flushes whatever the
@@ -20,14 +21,13 @@
 //! shutdown).
 
 use std::io::Read;
-use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use transport::frame::FrameDecoder;
-use transport::Addr;
+use transport::{Addr, Listener, Stream};
 
 use crate::poll::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use crate::proto::ServeMsg;
@@ -48,102 +48,6 @@ pub trait Service: Send + Sync + 'static {
     fn on_message(&self, session: &Arc<Session>, msg: ServeMsg) -> Action;
     /// `session`'s connection is gone (EOF, error, or post-`Close`).
     fn on_disconnect(&self, session: &Arc<Session>);
-}
-
-/// A bound listening socket, either flavour.
-enum Listener {
-    Tcp(std::net::TcpListener),
-    Unix(std::os::unix::net::UnixListener, std::path::PathBuf),
-}
-
-impl Listener {
-    fn bind(addr: &Addr) -> std::io::Result<(Listener, Addr)> {
-        match addr {
-            Addr::Tcp(hp) => {
-                let l = std::net::TcpListener::bind(hp.as_str())?;
-                l.set_nonblocking(true)?;
-                let local = Addr::Tcp(l.local_addr()?.to_string());
-                Ok((Listener::Tcp(l), local))
-            }
-            Addr::Unix(path) => {
-                // A stale socket file from a dead daemon refuses binds.
-                let _ = std::fs::remove_file(path);
-                let l = std::os::unix::net::UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok((Listener::Unix(l, path.clone()), Addr::Unix(path.clone())))
-            }
-        }
-    }
-
-    fn fd(&self) -> RawFd {
-        match self {
-            Listener::Tcp(l) => l.as_raw_fd(),
-            Listener::Unix(l, _) => l.as_raw_fd(),
-        }
-    }
-
-    fn accept(&self) -> std::io::Result<Stream> {
-        match self {
-            Listener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_nodelay(true)?;
-                s.set_nonblocking(true)?;
-                Ok(Stream::Tcp(s))
-            }
-            Listener::Unix(l, _) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(true)?;
-                Ok(Stream::Unix(s))
-            }
-        }
-    }
-}
-
-impl Drop for Listener {
-    fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// One accepted, nonblocking tenant socket.
-enum Stream {
-    Tcp(std::net::TcpStream),
-    Unix(std::os::unix::net::UnixStream),
-}
-
-impl Stream {
-    fn fd(&self) -> RawFd {
-        match self {
-            Stream::Tcp(s) => s.as_raw_fd(),
-            Stream::Unix(s) => s.as_raw_fd(),
-        }
-    }
-}
-
-impl std::io::Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl std::io::Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Unix(s) => s.flush(),
-        }
-    }
 }
 
 /// Per-connection reactor state.
@@ -336,7 +240,7 @@ fn event_loop(index: usize, listener: Option<Listener>, shared: Arc<SharedState>
         if let (Some(slot), Some(l)) = (listener_slot, listener.as_ref()) {
             if fds[slot].ready(POLLIN) {
                 loop {
-                    match l.accept() {
+                    match l.accept().and_then(|s| s.set_nonblocking(true).map(|()| s)) {
                         Ok(stream) => {
                             let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
                             let t = (shared.next_thread.fetch_add(1, Ordering::Relaxed) as usize)

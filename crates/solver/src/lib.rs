@@ -49,7 +49,6 @@ pub mod simd;
 pub mod sparse;
 pub mod study;
 pub mod subsolve;
-pub mod theta;
 pub mod work;
 
 pub use grid::{Grid2, GridIndex};

@@ -1,10 +1,13 @@
-//! One coordinator↔child connection: TCP or Unix-domain socket, with
-//! timeouts, duplication for concurrent read/write threads, and bounded
-//! connect-with-backoff.
+//! Sockets, both flavours (TCP and Unix-domain): the one [`Listener`]
+//! that binds and accepts for the worker fleet and the serving daemon
+//! alike, the [`Stream`] it accepts, and one coordinator↔child
+//! connection ([`Conn`]) with timeouts, duplication for concurrent
+//! read/write threads, and bounded connect-with-backoff.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::os::unix::net::UnixStream;
+use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -54,9 +57,91 @@ impl std::fmt::Display for Addr {
 /// whatever heartbeat sits in front of it — header and payload together.
 const RECV_BUF: usize = 4096;
 
-enum Sock {
+/// A connected socket, either flavour.
+pub enum Stream {
+    /// A TCP stream.
     Tcp(TcpStream),
+    /// A Unix-domain stream.
     Unix(UnixStream),
+}
+
+impl Stream {
+    /// The descriptor, for `poll`.
+    pub fn fd(&self) -> RawFd {
+        match self {
+            Stream::Tcp(s) => s.as_raw_fd(),
+            Stream::Unix(s) => s.as_raw_fd(),
+        }
+    }
+
+    /// Switch the socket between blocking and non-blocking I/O.
+    pub fn set_nonblocking(&self, on: bool) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_nonblocking(on),
+            Stream::Unix(s) => s.set_nonblocking(on),
+        }
+    }
+}
+
+/// A bound, non-blocking listening socket, either flavour. A Unix socket
+/// file is removed when the listener is dropped.
+pub struct Listener(Bound);
+
+enum Bound {
+    Tcp(TcpListener),
+    Unix(UnixListener, PathBuf),
+}
+
+impl Listener {
+    /// Bind `addr` and return the listener with the address it is bound
+    /// to (the kernel-assigned port for `tcp:…:0`). A stale socket file
+    /// at a Unix path, left by a process that died without unlinking it,
+    /// is removed first: it would refuse the bind.
+    pub fn bind(addr: &Addr) -> std::io::Result<(Listener, Addr)> {
+        match addr {
+            Addr::Tcp(hp) => {
+                let l = TcpListener::bind(hp.as_str())?;
+                l.set_nonblocking(true)?;
+                let local = Addr::Tcp(l.local_addr()?.to_string());
+                Ok((Listener(Bound::Tcp(l)), local))
+            }
+            Addr::Unix(path) => {
+                let _ = std::fs::remove_file(path);
+                let l = UnixListener::bind(path)?;
+                l.set_nonblocking(true)?;
+                Ok((Listener(Bound::Unix(l, path.clone())), addr.clone()))
+            }
+        }
+    }
+
+    /// Accept one pending connection, `TCP_NODELAY` set on a TCP one;
+    /// `WouldBlock` when none is pending.
+    pub fn accept(&self) -> std::io::Result<Stream> {
+        match &self.0 {
+            Bound::Tcp(l) => {
+                let (s, _) = l.accept()?;
+                s.set_nodelay(true)?;
+                Ok(Stream::Tcp(s))
+            }
+            Bound::Unix(l, _) => Ok(Stream::Unix(l.accept()?.0)),
+        }
+    }
+
+    /// The descriptor, for `poll`.
+    pub fn fd(&self) -> RawFd {
+        match &self.0 {
+            Bound::Tcp(l) => l.as_raw_fd(),
+            Bound::Unix(l, _) => l.as_raw_fd(),
+        }
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        if let Bound::Unix(_, path) = &self.0 {
+            let _ = std::fs::remove_file(path);
+        }
+    }
 }
 
 /// An established connection, either flavour, speaking framed [`Message`]s.
@@ -67,7 +152,7 @@ enum Sock {
 /// payload vector. Writes are unbuffered: [`write_frame`] hands header and
 /// payload to the socket in one vectored write.
 pub struct Conn {
-    sock: Sock,
+    sock: Stream,
     /// Received but not yet consumed: `rbuf[pos..end]`. Allocated on the
     /// first read, so a handle that only writes never has one.
     rbuf: Vec<u8>,
@@ -81,17 +166,17 @@ pub struct Conn {
 impl Conn {
     /// Wrap a connected TCP stream (cross-host capable).
     pub fn Tcp(s: TcpStream) -> Conn {
-        Conn::over(Sock::Tcp(s))
+        Conn::from(Stream::Tcp(s))
     }
 
     /// Wrap a connected Unix-domain stream (same-host, lower latency).
     pub fn Unix(s: UnixStream) -> Conn {
-        Conn::over(Sock::Unix(s))
+        Conn::from(Stream::Unix(s))
     }
 }
 
-impl Conn {
-    fn over(sock: Sock) -> Conn {
+impl From<Stream> for Conn {
+    fn from(sock: Stream) -> Conn {
         Conn {
             sock,
             rbuf: Vec::new(),
@@ -99,7 +184,9 @@ impl Conn {
             end: 0,
         }
     }
+}
 
+impl Conn {
     /// Connect once, with a connect timeout for TCP (Unix-domain connects
     /// are effectively immediate).
     pub fn connect(addr: &Addr, timeout: Duration) -> std::io::Result<Conn> {
@@ -128,16 +215,16 @@ impl Conn {
     /// Read timeout for subsequent `recv_msg` calls (`None` blocks forever).
     pub fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
         match &self.sock {
-            Sock::Tcp(s) => s.set_read_timeout(t),
-            Sock::Unix(s) => s.set_read_timeout(t),
+            Stream::Tcp(s) => s.set_read_timeout(t),
+            Stream::Unix(s) => s.set_read_timeout(t),
         }
     }
 
     /// Write timeout for subsequent `send_msg` calls.
     pub fn set_write_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
         match &self.sock {
-            Sock::Tcp(s) => s.set_write_timeout(t),
-            Sock::Unix(s) => s.set_write_timeout(t),
+            Stream::Tcp(s) => s.set_write_timeout(t),
+            Stream::Unix(s) => s.set_write_timeout(t),
         }
     }
 
@@ -148,18 +235,18 @@ impl Conn {
     /// reader.
     pub fn try_clone(&self) -> std::io::Result<Conn> {
         Ok(match &self.sock {
-            Sock::Tcp(s) => Conn::Tcp(s.try_clone()?),
-            Sock::Unix(s) => Conn::Unix(s.try_clone()?),
+            Stream::Tcp(s) => Conn::Tcp(s.try_clone()?),
+            Stream::Unix(s) => Conn::Unix(s.try_clone()?),
         })
     }
 
     /// Shut down both directions, unblocking any thread inside a read.
     pub fn shutdown(&self) {
         match &self.sock {
-            Sock::Tcp(s) => {
+            Stream::Tcp(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
-            Sock::Unix(s) => {
+            Stream::Unix(s) => {
                 let _ = s.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -182,11 +269,11 @@ impl Conn {
     }
 }
 
-impl Read for Sock {
+impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
         }
     }
 }
@@ -208,24 +295,34 @@ impl Read for Conn {
     }
 }
 
-impl Write for Conn {
+impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match &mut self.sock {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Unix(s) => s.write(buf),
+        match self {
+            Stream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
         }
     }
     fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
-        match &mut self.sock {
-            Sock::Tcp(s) => s.write_vectored(bufs),
-            Sock::Unix(s) => s.write_vectored(bufs),
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
         }
     }
+    /// Sockets buffer nothing in user space.
     fn flush(&mut self) -> std::io::Result<()> {
-        match &mut self.sock {
-            Sock::Tcp(s) => s.flush(),
-            Sock::Unix(s) => s.flush(),
-        }
+        Ok(())
+    }
+}
+
+impl Write for Conn {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.sock.write(buf)
+    }
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        self.sock.write_vectored(bufs)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.sock.flush()
     }
 }
 
@@ -333,6 +430,62 @@ mod tests {
         server.join().unwrap();
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    /// A socket path in a directory no other test removes.
+    fn temp_socket_path(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("tconn-listener-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join(name)
+    }
+
+    #[test]
+    fn a_listener_binds_over_a_stale_socket_file_and_unlinks_it_on_drop() {
+        let path = temp_socket_path("stale.sock");
+        let _ = std::fs::remove_file(&path);
+        // A process that died without unlinking leaves its file behind.
+        drop(UnixListener::bind(&path).unwrap());
+        assert!(path.exists());
+        assert!(
+            UnixListener::bind(&path).is_err(),
+            "a stale file refuses binds"
+        );
+
+        let addr = Addr::Unix(path.clone());
+        let (listener, local) = Listener::bind(&addr).unwrap();
+        assert_eq!(local, addr);
+        let mut client = Conn::connect(&addr, Duration::from_secs(5)).unwrap();
+        let stream = loop {
+            match listener.accept() {
+                Ok(s) => break s,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::yield_now(),
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        assert!(stream.fd() >= 0);
+        stream.set_nonblocking(false).unwrap();
+        let mut server = Conn::from(stream);
+        client.send_msg(&Message::Heartbeat).unwrap();
+        assert_eq!(server.recv_msg().unwrap().unwrap(), Message::Heartbeat);
+
+        drop(listener);
+        assert!(!path.exists(), "dropping the listener removes its file");
+        let _ = std::fs::remove_dir(path.parent().unwrap());
+    }
+
+    #[test]
+    fn a_tcp_listener_reports_its_bound_port_and_an_idle_accept_would_block() {
+        let (listener, local) = Listener::bind(&Addr::Tcp("127.0.0.1:0".into())).unwrap();
+        let Addr::Tcp(hp) = &local else {
+            panic!("a tcp bind reports a tcp address, got {local}");
+        };
+        let port: u16 = hp.rsplit(':').next().unwrap().parse().unwrap();
+        assert_ne!(port, 0, "the kernel-assigned port, not the requested 0");
+        assert!(listener.fd() >= 0);
+        let err = listener.accept().err().expect("nothing is pending");
+        assert_eq!(err.kind(), std::io::ErrorKind::WouldBlock);
+        // The reported address is the one clients reach.
+        let _client = Conn::connect(&local, Duration::from_secs(5)).unwrap();
     }
 
     /// A connected pair: the raw far end, and a `Conn` over the near end.

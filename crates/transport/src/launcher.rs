@@ -1,10 +1,11 @@
 //! Coordinator-side fleet of remote task instances.
 //!
-//! [`RemoteWorkerPool::launch`] binds a listener (TCP loopback or a Unix
-//! socket), spawns one child process per task instance through a
-//! [`Spawner`] using the CONFIG host list for placement, and completes the
-//! `Hello`/`HelloAck` handshake with each. From then on it takes jobs
-//! without making anyone wait ([`RemoteWorkerPool::submit`]):
+//! [`RemoteWorkerPool::launch`] binds a [`Listener`] (TCP loopback or a
+//! Unix socket), spawns one child process per task instance through a
+//! [`Spawner`], and completes the `Hello`/`HelloAck` handshake with each;
+//! the host a child names in its `Hello` is the host its trace records
+//! carry. From then on it takes jobs without making anyone wait
+//! ([`RemoteWorkerPool::submit`]):
 //!
 //! * a job submitted while some live connection is idle is written to
 //!   that connection at once, by the submitting thread;
@@ -43,7 +44,7 @@ use manifold::remote::{Completion, Lost, RemoteIdentity, Started};
 use manifold::{MfError, MfResult, Unit};
 use parking_lot::{Condvar, Mutex};
 
-use crate::conn::{Addr, Backoff, Conn};
+use crate::conn::{Addr, Backoff, Conn, Listener};
 use crate::msg::{Message, PROTOCOL_VERSION};
 use crate::spawn::{ChildHandle, SpawnSpec, Spawner};
 
@@ -67,9 +68,6 @@ pub struct PoolConfig {
     pub bind: BindMode,
     /// Worker executable for children.
     pub program: PathBuf,
-    /// CONFIG host labels, cycled over instances (`hosts[i % len]`).
-    /// Empty means every instance is placed on `localhost`.
-    pub hosts: Vec<HostName>,
     /// Environment variables added to every child.
     pub base_env: Vec<(String, String)>,
     /// Maximum silence (no `Done`/`Fail`/`Heartbeat`) during a job before
@@ -91,105 +89,55 @@ impl PoolConfig {
             instances: 2,
             bind: BindMode::Tcp,
             program,
-            hosts: Vec::new(),
             base_env: Vec::new(),
             job_timeout: Duration::from_secs(10),
             respawn_budget: 3,
             shards: 1,
         }
     }
-
-    fn host_for(&self, slot: usize) -> HostName {
-        if self.hosts.is_empty() {
-            HostName::new("localhost")
-        } else {
-            self.hosts[slot % self.hosts.len()].clone()
-        }
-    }
-}
-
-enum Listener {
-    Tcp(std::net::TcpListener),
-    Unix(std::os::unix::net::UnixListener, PathBuf),
 }
 
 static UNIX_SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 
-impl Listener {
-    fn bind(mode: BindMode) -> std::io::Result<(Listener, Addr)> {
-        match mode {
-            BindMode::Tcp => {
-                let l = std::net::TcpListener::bind("127.0.0.1:0")?;
-                let addr = Addr::Tcp(l.local_addr()?.to_string());
-                Ok((Listener::Tcp(l), addr))
-            }
-            BindMode::Unix => {
-                let path = std::env::temp_dir().join(format!(
-                    "mf-pool-{}-{}.sock",
-                    std::process::id(),
-                    UNIX_SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
-                ));
-                let _ = std::fs::remove_file(&path);
-                let l = std::os::unix::net::UnixListener::bind(&path)?;
-                let addr = Addr::Unix(path.clone());
-                Ok((Listener::Unix(l, path), addr))
-            }
-        }
-    }
-
-    /// Accept one connection within `timeout` (polling, so a child that
-    /// never connects cannot hang the pool). The pause between polls
-    /// starts at 50 µs and doubles up to 5 ms: a child that connects a
-    /// millisecond after it was spawned is accepted a millisecond after,
-    /// and one that never does costs two hundred polls a second.
-    fn accept_within(&self, timeout: Duration) -> std::io::Result<Conn> {
-        let deadline = Instant::now() + timeout;
-        let mut pause = Backoff::new(Duration::from_micros(50), Duration::from_millis(5));
-        loop {
-            let conn = match self {
-                Listener::Tcp(l) => {
-                    l.set_nonblocking(true)?;
-                    match l.accept() {
-                        Ok((s, _)) => {
-                            s.set_nonblocking(false)?;
-                            s.set_nodelay(true)?;
-                            Some(Conn::Tcp(s))
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                        Err(e) => return Err(e),
-                    }
-                }
-                Listener::Unix(l, _) => {
-                    l.set_nonblocking(true)?;
-                    match l.accept() {
-                        Ok((s, _)) => {
-                            s.set_nonblocking(false)?;
-                            Some(Conn::Unix(s))
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                        Err(e) => return Err(e),
-                    }
-                }
-            };
-            if let Some(c) = conn {
-                return Ok(c);
-            }
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "no child connected within handshake timeout",
-                ));
-            }
-            std::thread::sleep(pause.step());
+impl BindMode {
+    /// Where the pool listens: an ephemeral loopback port, or a fresh
+    /// socket path in the temp directory.
+    fn addr(self) -> Addr {
+        match self {
+            BindMode::Tcp => Addr::Tcp("127.0.0.1:0".into()),
+            BindMode::Unix => Addr::Unix(std::env::temp_dir().join(format!(
+                "mf-pool-{}-{}.sock",
+                std::process::id(),
+                UNIX_SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
+            ))),
         }
     }
 }
 
-impl Drop for Listener {
-    fn drop(&mut self) {
-        if let Listener::Unix(_, path) = self {
-            let _ = std::fs::remove_file(path.as_path());
+/// Accept one connection within `timeout` (polling, so a child that never
+/// connects cannot hang the pool). The pause between polls starts at
+/// 50 µs and doubles up to 5 ms: a child that connects a millisecond after
+/// it was spawned is accepted a millisecond after, and one that never does
+/// costs two hundred polls a second.
+fn accept_within(listener: &Listener, timeout: Duration) -> std::io::Result<Conn> {
+    let deadline = Instant::now() + timeout;
+    let mut pause = Backoff::new(Duration::from_micros(50), Duration::from_millis(5));
+    loop {
+        match listener.accept() {
+            Ok(stream) => {
+                stream.set_nonblocking(false)?;
+                return Ok(Conn::from(stream));
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) => return Err(e),
         }
+        if Instant::now() >= deadline {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "no child connected within handshake timeout",
+            ));
+        }
+        std::thread::sleep(pause.step());
     }
 }
 
@@ -390,7 +338,7 @@ impl RemoteWorkerPool {
         if cfg.instances == 0 {
             return Err(app_err("pool needs at least one instance"));
         }
-        let (listener, addr) = Listener::bind(cfg.bind).map_err(app_err)?;
+        let (listener, addr) = Listener::bind(&cfg.bind.addr()).map_err(app_err)?;
         let instances = cfg.instances as u64;
         let shards = cfg.shards.max(1) as u64;
         let inner = Arc::new(PoolInner {
@@ -659,7 +607,6 @@ fn send_leave(writer: &Mutex<Conn>, index: u64) {
 /// bring-ups; the fleet's state lock is not.
 fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
     let cfg = &inner.cfg;
-    let host = cfg.host_for(index as usize);
     let mut env = cfg.base_env.clone();
     env.push(("MF_WORKER_ADDR".into(), inner.addr.to_string()));
     env.push(("MF_WORKER_INSTANCE".into(), index.to_string()));
@@ -667,7 +614,6 @@ fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
         program: cfg.program.clone(),
         args: Vec::new(),
         env,
-        host,
     };
 
     let listener = inner.listener.lock();
@@ -682,8 +628,7 @@ fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
         if remaining.is_zero() {
             return Err(app_err(format!("instance {index}: handshake timed out")));
         }
-        let mut conn = listener
-            .accept_within(remaining)
+        let mut conn = accept_within(&listener, remaining)
             .map_err(|e| app_err(format!("instance {index}: {e}")))?;
         conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT))
             .map_err(app_err)?;
@@ -1238,7 +1183,6 @@ mod tests {
         cfg.instances = instances;
         cfg.bind = bind;
         cfg.job_timeout = Duration::from_secs(5);
-        cfg.hosts = vec![HostName::new("cfg-host-a"), HostName::new("cfg-host-b")];
         cfg
     }
 

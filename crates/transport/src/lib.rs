@@ -4,8 +4,8 @@
 //! task instances as bookkeeping entities. This crate supplies the missing
 //! half of the paper's deployment story: task instances as *separate
 //! operating-system processes*, connected to the coordinator's process over
-//! TCP or Unix-domain sockets, placed on hosts according to the CONFIG
-//! host map.
+//! TCP or Unix-domain sockets. Each child names its own host in its
+//! `Hello`, and that is the host the §6 trace reports.
 //!
 //! The stack, bottom up:
 //!
@@ -15,22 +15,25 @@
 //!   incremental decoder;
 //! * [`msg`] — the session protocol (`Hello`/`HelloAck` handshake, `Job`/
 //!   `Done`/`Fail` request-response, `Heartbeat`, `Shutdown`, `Trace`);
-//! * [`conn`] — one connection (TCP or Unix socket) with timeouts and
-//!   bounded reconnect-with-backoff;
+//! * [`conn`] — sockets: the one [`Listener`] (bind, stale Unix socket
+//!   removal, non-blocking accept, unlink on drop) behind both this
+//!   crate's launcher and the serving daemon's reactor, and one
+//!   connection (TCP or Unix socket) with timeouts and bounded
+//!   reconnect-with-backoff;
 //! * [`spawn`] — launching child task-instance processes: a local
-//!   `fork/exec` spawner plus an ssh-style remote spawner stub behind the
-//!   same trait;
+//!   `fork/exec` spawner behind a trait tests substitute;
 //! * [`server`] — the child-side serve loop (handshake, job execution,
 //!   heartbeats while computing, trace shipping at shutdown);
-//! * [`launcher`] — the coordinator-side pool: spawns instances from the
-//!   CONFIG host map, takes jobs without blocking (an idle connection or
-//!   the fleet's queue, one reader thread per connection), detects dead
-//!   instances (EOF, heartbeat silence) and respawns them under a bounded
-//!   budget.
+//! * [`launcher`] — the coordinator-side pool: spawns instances, owns the
+//!   fleet's membership (joins and retirements go through its slots),
+//!   takes jobs without blocking (an idle connection or the fleet's
+//!   queue, one reader thread per connection), detects dead instances
+//!   (EOF, heartbeat silence) and respawns them under a bounded budget.
 //!
-//! Nothing above this crate handles sockets: `protocol` and the
-//! application layers talk to [`manifold::remote`] traits only, so the
-//! threads backend and this process backend are interchangeable by
+//! Nothing above this crate binds or accepts a socket of its own: the
+//! serving daemon's reactor listens through [`Listener`], and `protocol`
+//! and the application layers talk to [`manifold::remote`] traits only, so
+//! the threads backend and this process backend are interchangeable by
 //! configuration.
 
 pub mod conn;
@@ -43,12 +46,12 @@ pub mod wire;
 
 use std::fmt;
 
-pub use conn::{connect_with_backoff, Addr, Backoff, Conn};
+pub use conn::{connect_with_backoff, Addr, Backoff, Conn, Listener, Stream};
 pub use frame::{crc32, frame_vec, read_frame, write_frame, FrameDecoder, HEADER_LEN, MAX_FRAME};
 pub use launcher::{BindMode, PoolConfig, RemoteWorkerPool};
 pub use msg::{Message, PROTOCOL_VERSION};
 pub use server::{serve, ServeConfig, ServeFaults, ServeSummary};
-pub use spawn::{ChildHandle, LocalSpawner, SpawnSpec, Spawner, SshSpawner};
+pub use spawn::{ChildHandle, LocalSpawner, SpawnSpec, Spawner};
 pub use wire::{decode_unit, encode_unit, encode_unit_vec, MAX_DEPTH};
 
 /// Errors from the wire codec and the incremental frame decoder.

@@ -1,20 +1,14 @@
 //! Spawning child task-instance processes.
 //!
-//! The CONFIG stage maps task instances to hosts; the launcher turns each
-//! mapping into a [`SpawnSpec`] and hands it to a [`Spawner`]. Two
-//! implementations exist:
-//!
-//! * [`LocalSpawner`] — `fork/exec` on this machine (the localhost
-//!   multi-process deployment, fully supported);
-//! * [`SshSpawner`] — remote execution over ssh. The command-line
-//!   construction is real and tested; actually running it is stubbed out
-//!   until a cluster with key-based ssh is available, so `spawn` returns
-//!   `Unsupported`.
+//! The launcher describes each child as a [`SpawnSpec`] and hands it to a
+//! [`Spawner`]. [`LocalSpawner`] runs it with `fork/exec` on this machine
+//! (the paper's single-workstation multi-process deployment); the
+//! launcher's tests substitute in-thread children through the same trait.
+//! Where a child runs is not part of the spec: the child reports its own
+//! host in its `Hello`.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-
-use manifold::config::HostName;
 
 /// Everything needed to start one child task-instance process.
 #[derive(Debug, Clone)]
@@ -25,8 +19,6 @@ pub struct SpawnSpec {
     pub args: Vec<String>,
     /// Environment variables (`MF_WORKER_ADDR`, `MF_WORKER_INSTANCE`, …).
     pub env: Vec<(String, String)>,
-    /// The CONFIG host this instance is placed on.
-    pub host: HostName,
 }
 
 /// A live child process handle; kills the child when dropped.
@@ -42,8 +34,7 @@ impl ChildHandle {
     }
 
     /// A handle owning no process — for spawners whose children are not
-    /// OS processes of ours (in-thread test doubles, remote ssh children
-    /// owned by the far side's sshd).
+    /// OS processes of ours (in-thread test doubles).
     pub fn detached() -> Self {
         Self { child: None }
     }
@@ -85,14 +76,14 @@ impl Drop for ChildHandle {
     }
 }
 
-/// Starts task-instance processes on the host a spec names.
+/// Starts task-instance processes.
 pub trait Spawner: Send + Sync {
     /// Launch the process described by `spec`.
     fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle>;
 }
 
-/// Runs children on this machine, ignoring the host label beyond trace
-/// bookkeeping (the paper's single-workstation multi-process setup).
+/// Runs children on this machine (the paper's single-workstation
+/// multi-process setup).
 #[derive(Debug, Default, Clone)]
 pub struct LocalSpawner;
 
@@ -110,68 +101,9 @@ impl Spawner for LocalSpawner {
     }
 }
 
-/// Would run children on remote hosts via `ssh host env K=V … program`.
-///
-/// Building the command line is implemented (and unit-tested) so the
-/// placement path is exercised; execution itself is not wired up — there
-/// is no cluster in this environment — so `spawn` reports `Unsupported`.
-#[derive(Debug, Default, Clone)]
-pub struct SshSpawner {
-    /// Optional `user@` prefix for the ssh target.
-    pub user: Option<String>,
-}
-
-impl SshSpawner {
-    /// The argv that would be executed for `spec`, starting with `ssh`.
-    pub fn command_line(&self, spec: &SpawnSpec) -> Vec<String> {
-        let target = match &self.user {
-            Some(u) => format!("{u}@{}", spec.host.as_str()),
-            None => spec.host.as_str().to_string(),
-        };
-        let mut argv = vec![
-            "ssh".to_string(),
-            "-o".into(),
-            "BatchMode=yes".into(),
-            target,
-        ];
-        argv.push("env".into());
-        for (k, v) in &spec.env {
-            argv.push(format!("{k}={v}"));
-        }
-        argv.push(spec.program.display().to_string());
-        argv.extend(spec.args.iter().cloned());
-        argv
-    }
-}
-
-impl Spawner for SshSpawner {
-    fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
-        let argv = self.command_line(spec);
-        Err(std::io::Error::new(
-            std::io::ErrorKind::Unsupported,
-            format!(
-                "ssh spawning not available in this environment (would run: {})",
-                argv.join(" ")
-            ),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spec() -> SpawnSpec {
-        SpawnSpec {
-            program: PathBuf::from("/opt/bin/subsolve_worker"),
-            args: vec!["--quiet".into()],
-            env: vec![
-                ("MF_WORKER_ADDR".into(), "tcp:10.0.0.1:4242".into()),
-                ("MF_WORKER_INSTANCE".into(), "2".into()),
-            ],
-            host: HostName::new("node3.cluster"),
-        }
-    }
 
     #[test]
     fn local_spawner_runs_a_real_child() {
@@ -181,7 +113,6 @@ mod tests {
                 program: PathBuf::from("/bin/sh"),
                 args: vec!["-c".into(), "exit 7".into()],
                 env: vec![],
-                host: HostName::new("localhost"),
             })
             .unwrap();
         assert_eq!(handle.wait(), Some(7));
@@ -196,37 +127,11 @@ mod tests {
                 program: PathBuf::from("/bin/sh"),
                 args: vec!["-c".into(), "sleep 30".into()],
                 env: vec![],
-                host: HostName::new("localhost"),
             })
             .unwrap();
         assert!(!handle.is_dead());
         handle.kill();
         handle.kill();
         assert!(handle.is_dead());
-    }
-
-    #[test]
-    fn ssh_command_line_places_on_named_host() {
-        let plain = SshSpawner::default();
-        let argv = plain.command_line(&spec());
-        assert_eq!(argv[0], "ssh");
-        assert!(argv.contains(&"node3.cluster".to_string()));
-        assert!(argv.contains(&"MF_WORKER_ADDR=tcp:10.0.0.1:4242".to_string()));
-        assert!(argv.contains(&"/opt/bin/subsolve_worker".to_string()));
-        assert_eq!(argv.last().unwrap(), "--quiet");
-
-        let with_user = SshSpawner {
-            user: Some("grid".into()),
-        };
-        assert!(with_user
-            .command_line(&spec())
-            .contains(&"grid@node3.cluster".to_string()));
-    }
-
-    #[test]
-    fn ssh_spawn_is_a_stub() {
-        let err = SshSpawner::default().spawn(&spec()).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
-        assert!(err.to_string().contains("ssh"));
     }
 }
