@@ -94,7 +94,9 @@ fn interior_count(root: u32, l: u32, m: u32) -> Option<usize> {
 
 /// Decode a subsolve request on the worker side. Everything `subsolve`
 /// would otherwise trip over — a grid whose size overflows, initial data
-/// of the wrong length — is a decode error here, not a worker panic.
+/// of the wrong length, an interval that is empty or not finite, a
+/// tolerance that is not finite and positive — is a decode error here, not
+/// a worker panic or a run to the step budget.
 pub fn request_from_unit(u: &Unit) -> MfResult<SubsolveRequest> {
     let t = u
         .as_tuple()
@@ -118,13 +120,28 @@ pub fn request_from_unit(u: &Unit) -> MfResult<SubsolveRequest> {
         }
         other => return Err(MfError::App(format!("bad initial data field: {other:?}"))),
     };
+    let (t0, t1, tol) = (
+        t[3].expect_real()?,
+        t[4].expect_real()?,
+        t[5].expect_real()?,
+    );
+    if !(t0.is_finite() && t1.is_finite() && t1 > t0) {
+        return Err(MfError::App(format!(
+            "empty or non-finite interval [{t0}, {t1}]"
+        )));
+    }
+    if !(tol.is_finite() && tol > 0.0) {
+        return Err(MfError::App(format!(
+            "tolerance {tol} is not finite and positive"
+        )));
+    }
     Ok(SubsolveRequest {
         root,
         l,
         m,
-        t0: t[3].expect_real()?,
-        t1: t[4].expect_real()?,
-        tol: t[5].expect_real()?,
+        t0,
+        t1,
+        tol,
         problem: problem_from_unit(&t[6])?,
         initial_interior,
     })
@@ -275,6 +292,31 @@ mod tests {
         for i in 0..7 {
             let bad = with_field(&res, 5, with_field(&work, i, Unit::int(-1)));
             assert!(app_err(result_from_unit(&bad)), "work {i}");
+        }
+    }
+
+    #[test]
+    fn bad_interval_or_tolerance_is_rejected() {
+        // An empty interval would trip `integrate_with`'s assertion in the
+        // worker; a NaN tolerance would run the step budget out and an
+        // infinite one would accept every step.
+        let p = Problem::manufactured_benchmark();
+        let req = request_to_unit(&SubsolveRequest::for_grid(2, 1, 1, 1e-3, p));
+        let (t0, t1) = (p.t0, p.t_end);
+        for (i, v) in [
+            (3, t1),
+            (4, t0),
+            (4, t0 - 1.0),
+            (3, f64::NAN),
+            (4, f64::INFINITY),
+            (3, f64::NEG_INFINITY),
+            (5, f64::NAN),
+            (5, 0.0),
+            (5, -1e-3),
+            (5, f64::INFINITY),
+        ] {
+            let bad = with_field(&req, i, Unit::real(v));
+            assert!(app_err(request_from_unit(&bad)), "field {i} = {v}");
         }
     }
 

@@ -332,11 +332,19 @@ impl ServeMsg {
             }
             T_SUBMIT => {
                 arity(5)?;
+                // The integrator's error controller divides by `tol`: a NaN
+                // never accepts a step (the job runs out its step budget),
+                // an infinite one accepts every step, and zero or a
+                // negative value is no tolerance at all.
+                let tol = real(4)?;
+                if !(tol.is_finite() && tol > 0.0) {
+                    return Err(format!("submit tolerance {tol} is not finite and positive"));
+                }
                 Ok(ServeMsg::Submit {
                     seq: int(1)? as u64,
                     root: int(2)?.max(0) as u32,
                     level: int(3)?.max(0) as u32,
-                    tol: real(4)?,
+                    tol,
                 })
             }
             T_DONE => {
@@ -498,6 +506,25 @@ mod tests {
         assert!(bad_tag.unwrap_err().contains("55"));
         let bad_arity = ServeMsg::from_unit(&Unit::tuple(vec![Unit::int(102)]));
         assert!(bad_arity.unwrap_err().contains("arity"));
+    }
+
+    #[test]
+    fn submit_tolerance_must_be_finite_and_positive() {
+        let submit = |tol: f64| ServeMsg::Submit {
+            seq: 1,
+            root: 1,
+            level: 2,
+            tol,
+        };
+        for tol in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1e-3] {
+            let bytes = submit(tol).encode().unwrap();
+            let err = ServeMsg::decode(&bytes).unwrap_err();
+            assert!(err.contains("tolerance"), "tol {tol}: {err}");
+        }
+        for tol in [1e-4, f64::MIN_POSITIVE, 1e3] {
+            let bytes = submit(tol).encode().unwrap();
+            assert_eq!(ServeMsg::decode(&bytes).unwrap(), submit(tol));
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::grid::Grid2;
 use crate::problem::Problem;
-use crate::sparse::Csr;
+use crate::sparse::{Csr, StencilPlan};
 use crate::work::WorkCounter;
 
 /// Which advection scheme was chosen in a direction.
@@ -88,8 +88,11 @@ fn stencil_1d(a: f64, h: f64, eps: f64, scheme: AdvectionScheme) -> (f64, f64, f
 /// The 5-point stencil's sparsity pattern is known a priori, so the CSR
 /// arrays are written directly in sorted-column order (south, west, center,
 /// east, north — interior indices are row-major with `j` outer) with no
-/// triplet buffer and no sort. The result is identical — entry for entry —
-/// to the triplet path retained in [`assemble_reference`].
+/// triplet buffer and no sort. On a grid at least 8 interior nodes wide it
+/// also writes the band-major copy a wide stencil matrix keeps for its
+/// matvec: five arrays of `n`, each one of the five stencil weights
+/// repeated. The result is identical — entry for entry — to the triplet
+/// path retained in [`assemble_reference`].
 pub fn assemble(grid: &Grid2, problem: &Problem, work: &mut WorkCounter) -> Discretization {
     let scheme_x = choose_scheme(problem.ax, grid.hx, problem.eps);
     let scheme_y = choose_scheme(problem.ay, grid.hy, problem.eps);
@@ -145,11 +148,25 @@ pub fn assemble(grid: &Grid2, problem: &Problem, work: &mut WorkCounter) -> Disc
         }
     }
 
+    // Every row stores the same five weights, so each band (south to
+    // north) is one value repeated; the slot a boundary row lacks gets it
+    // too, and no kernel reads that slot.
+    let plan = StencilPlan {
+        w: grid.nx - 1,
+        h: grid.ny - 1,
+    };
+    let mut bands = Vec::new();
+    if plan.is_wide() {
+        bands.reserve_exact(5 * n);
+        for v in [wy, wx, cx + cy, ex, ey] {
+            bands.resize(bands.len() + n, v);
+        }
+    }
     work.add_assembly(n);
     Discretization {
         grid: grid.clone(),
         problem: *problem,
-        a: Csr::from_parts(n, row_ptr, col_idx, vals),
+        a: Csr::from_parts_and_bands(n, row_ptr, col_idx, vals, bands),
         scheme_x,
         scheme_y,
         boundary,
@@ -248,26 +265,22 @@ impl Discretization {
 
     /// Evaluate the semi-discrete right-hand side `f(t, u) = A u + g(t)`
     /// into `out`. Allocates forcing scratch; the integrator's hot loop
-    /// uses [`Discretization::rhs_into_with`] instead.
+    /// evaluates each forcing once into its own buffer and uses
+    /// [`Discretization::rhs_with_forcing`].
     pub fn rhs_into(&self, t: f64, u: &[f64], out: &mut [f64], work: &mut WorkCounter) {
         let mut g = vec![0.0; self.n()];
-        self.rhs_into_with(t, u, out, &mut g, work);
+        self.forcing_into(t, &mut g);
+        self.rhs_with_forcing(u, &g, out, work);
     }
 
-    /// [`Discretization::rhs_into`] on a caller-owned forcing scratch `g`
-    /// (fully overwritten; length `n`). Allocation-free and bit-identical
-    /// to the allocating entry point.
-    pub fn rhs_into_with(
-        &self,
-        t: f64,
-        u: &[f64],
-        out: &mut [f64],
-        g: &mut [f64],
-        work: &mut WorkCounter,
-    ) {
+    /// `out = A u + g` for a forcing `g` the caller already evaluated with
+    /// [`Discretization::forcing_into`]: the matvec, then the add.
+    /// Allocation-free and bit-identical to [`Discretization::rhs_into`] at
+    /// the forcing's `t`.
+    pub fn rhs_with_forcing(&self, u: &[f64], g: &[f64], out: &mut [f64], work: &mut WorkCounter) {
+        assert_eq!(g.len(), self.n());
         self.a.matvec_into(u, out);
-        self.forcing_into(t, g);
-        for (o, gi) in out.iter_mut().zip(g.iter()) {
+        for (o, gi) in out.iter_mut().zip(g) {
             *o += gi;
         }
         work.add_matvec(self.a.nnz());
@@ -383,12 +396,14 @@ mod tests {
         // The sorted-order direct CSR build must reproduce the triplet path
         // entry for entry — matrix (bitwise, via Csr's PartialEq), boundary
         // table, and scheme choices — on isotropic, anisotropic and
-        // degenerate (nx == 2 or ny == 2) grids.
+        // degenerate (nx == 2 or ny == 2) grids. Debug builds also check
+        // the bands the direct path writes against the derived ones, on
+        // every wide grid here (w = 15 and 31).
         for p in [
             Problem::manufactured_benchmark(),
             Problem::transport_benchmark(),
         ] {
-            for root in [1u32, 2] {
+            for root in [1u32, 2, 3] {
                 for l in 0..3u32 {
                     for m in 0..3u32 {
                         let g = Grid2::new(root, l, m);
@@ -411,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn rhs_into_with_matches_allocating_path() {
+    fn rhs_with_forcing_matches_allocating_path() {
         let p = Problem::transport_benchmark();
         let g = Grid2::new(2, 1, 2);
         let mut w = WorkCounter::new();
@@ -419,9 +434,10 @@ mod tests {
         let u = d.exact_interior(0.2);
         let mut f1 = vec![0.0; d.n()];
         let mut f2 = vec![7.0; d.n()]; // junk: must be fully overwritten
-        let mut scratch = vec![-3.0; d.n()]; // junk scratch too
+        let mut forcing = vec![-3.0; d.n()]; // junk too, until evaluated
         d.rhs_into(0.2, &u, &mut f1, &mut w);
-        d.rhs_into_with(0.2, &u, &mut f2, &mut scratch, &mut w);
+        d.forcing_into(0.2, &mut forcing);
+        d.rhs_with_forcing(&u, &forcing, &mut f2, &mut w);
         assert_eq!(f1, f2);
     }
 

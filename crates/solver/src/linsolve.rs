@@ -11,7 +11,7 @@
 //! [`KrylovWorkspace`] so the integrator's inner loop performs no heap
 //! allocation at all. BiCGSTAB is the crate's one Krylov solver.
 
-use crate::simd::{self, Backend, Dot, F64x4, Square, SUM_START};
+use crate::simd::{self, Backend, Dot, F64x4, Square};
 use crate::sparse::{Csr, StencilPlan};
 use crate::work::WorkCounter;
 
@@ -186,10 +186,9 @@ impl Ilu0 {
             level_schedule(true, lu.row_ptr(), lu.col_indices(), &diag_pos);
         let (bwd_order, bwd_level_ptr) =
             level_schedule(false, lu.row_ptr(), lu.col_indices(), &diag_pos);
-        {
-            let (row_ptr, col_idx, vals) = lu.raw_parts_mut();
-            factor_in_place(row_ptr, col_idx, vals, &diag_pos);
-        }
+        lu.with_raw_parts_mut(|row_ptr, col_idx, vals| {
+            factor_in_place(row_ptr, col_idx, vals, &diag_pos)
+        });
         work.add_factorization(lu.nnz());
         let plan = a.stencil_plan();
         Ilu0 {
@@ -212,14 +211,23 @@ impl Ilu0 {
             self.lu.same_pattern(a),
             "Ilu0::refactor: pattern mismatch — use Ilu0::new"
         );
-        self.lu.vals_mut().copy_from_slice(a.vals());
-        let (row_ptr, col_idx, vals) = self.lu.raw_parts_mut();
-        factor_in_place(row_ptr, col_idx, vals, &self.diag_pos);
+        let diag_pos = &self.diag_pos;
+        self.lu.with_raw_parts_mut(|row_ptr, col_idx, vals| {
+            vals.copy_from_slice(a.vals());
+            factor_in_place(row_ptr, col_idx, vals, diag_pos)
+        });
         work.add_refactorization(self.lu.nnz());
     }
 }
 
 impl Ilu0 {
+    /// The combined factors on the input's pattern: the unit lower `L`
+    /// strictly below the diagonal (its unit diagonal is not stored), `U`
+    /// on and above.
+    pub fn factors(&self) -> &Csr {
+        &self.lu
+    }
+
     /// Level-scheduled sweeps with the plain scalar inner loops: the route
     /// of every factor without a stencil plan (1-D grids, general
     /// matrices), the `force-scalar` code path, and the differential-test
@@ -601,11 +609,19 @@ impl KrylovWorkspace {
     }
 }
 
-/// Preconditioned BiCGSTAB: solve `A x = b` in place (`x` holds the initial
-/// guess on entry, the solution on success), on caller-owned scratch: zero
-/// heap allocations once the workspace has been sized (first call at
-/// dimension `n`). A fresh workspace and a reused one give bit-identical
-/// results.
+/// Preconditioned BiCGSTAB from a zero initial guess: solve `A x = b` into
+/// `x` (output only: overwritten with zeros on entry, the solution on
+/// success), on caller-owned scratch: zero heap allocations once the
+/// workspace has been sized (first call at dimension `n`). A fresh
+/// workspace and a reused one give bit-identical results.
+///
+/// With `x = 0` the initial residual `r = b − A·0` is `b` bit for bit: a
+/// finite `A` gives `+0.0` in every row of `A·0`, and `b − (+0.0) = b`. So
+/// the solve skips that matvec and starts from `r = b`, and `‖b‖²` is also
+/// `‖r‖²`. [`WorkCounter`] still charges the skipped matvec: the counters
+/// count the nominal work of the reference algorithm
+/// ([`crate::reference`]), which `bit_identity`, the DES golden files and
+/// BENCH_solver's `counts_match` pin.
 ///
 /// Every dot product and norm adds its products in strict sequential order
 /// — bit-identical to `solver::reference`, whose iteration runs six of
@@ -614,9 +630,10 @@ impl KrylovWorkspace {
 /// overlap that pass's work:
 ///
 /// * `‖s‖²` — the `s = r − αv` update;
-/// * `‖r‖²` and `(r̂, r)` — the `r = s − ωt` update; `(r̂, r)` is the next
-///   iteration's `ρ`. Before the first iteration one pass forms `r = b −
-///   Ax` with `‖b‖²` and `‖r‖²`, which is also the first `ρ` (`r̂ = r`);
+/// * `‖r‖²` and `(r̂, r)` — the `r = s − ωt` update, which also applies
+///   `x += αp̂ + ωŝ`; `(r̂, r)` is the next iteration's `ρ`. Before the
+///   first iteration one pass over `b` forms `‖b‖²`, which is also the
+///   first `ρ` (`r̂ = r = b`);
 /// * `(r̂, v)` — the matvec writing `v`;
 /// * `(t, t)` and `(t, s)` — the matvec writing `t`.
 #[allow(clippy::too_many_arguments)] // a solver signature
@@ -647,26 +664,21 @@ pub fn bicgstab_with(
         ..
     } = ws;
 
-    a.matvec_into(x, r);
+    x.fill(0.0);
+    // r = b − A·0 = b; the matvec is charged, not run (see above).
     work.add_matvec(a.nnz());
-    // r = b − A·x, carrying ‖b‖² and ‖r‖² (also the first ρ = (r̂, r), as
-    // r̂ starts as r).
-    let (mut bb, mut rr) = (SUM_START, SUM_START);
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
-        bb += bi * bi;
-        rr += *ri * *ri;
-    }
+    r.copy_from_slice(b);
+    r_hat.copy_from_slice(b);
+    let bb = simd::dot_exact(b, b);
     let bnorm = bb.sqrt().max(1e-300);
-    r_hat.copy_from_slice(r);
     let mut rho = 1.0_f64;
     let mut alpha = 1.0_f64;
     let mut omega = 1.0_f64;
     v.fill(0.0);
     p.fill(0.0);
 
-    let mut rho_next = rr;
-    let mut resid = rr.sqrt() / bnorm;
+    let mut rho_next = bb;
+    let mut resid = bb.sqrt() / bnorm;
     if resid <= rel_tol {
         return Ok(SolveStats {
             iterations: 0,
@@ -709,9 +721,8 @@ pub fn bicgstab_with(
         if omega.abs() < 1e-300 {
             return Err(SolveError::Breakdown { iterations: it });
         }
-        simd::x_update(x, alpha, p_hat, omega, s_hat);
-        // r = s - omega * t: same expression shape as the s-update kernel.
-        let [rr, rhat_r] = simd::s_update(r, s, omega, t, (Square, Dot(r_hat)));
+        let [rr, rhat_r] =
+            simd::xr_update(x, alpha, p_hat, s_hat, r, s, omega, t, (Square, Dot(r_hat)));
         work.add_vector_ops(n, 10);
         resid = rr.sqrt() / bnorm;
         if resid <= rel_tol {

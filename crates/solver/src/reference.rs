@@ -92,34 +92,34 @@ impl RefIlu0 {
                 } else {
                     akk
                 };
-                let pivot = {
-                    let ivals = lu.row_vals_mut(i);
+                let pivot = lu.with_row_vals_mut(i, |ivals| {
                     ivals[ki] /= akk;
                     ivals[ki]
-                };
+                });
                 // Row update: a[i][j] -= pivot * a[k][j] for j > k in both
                 // patterns.
                 let (kcols, kvals) = {
                     let (c, v) = lu.row(k);
                     (c.to_vec(), v.to_vec())
                 };
-                let ivals = lu.row_vals_mut(i);
-                let mut ji = ki + 1;
-                for (kc, kv) in kcols.iter().zip(&kvals) {
-                    if *kc <= k {
-                        continue;
+                lu.with_row_vals_mut(i, |ivals| {
+                    let mut ji = ki + 1;
+                    for (kc, kv) in kcols.iter().zip(&kvals) {
+                        if *kc <= k {
+                            continue;
+                        }
+                        // advance ji to the first column >= kc
+                        while ji < icols.len() && icols[ji] < *kc {
+                            ji += 1;
+                        }
+                        if ji == icols.len() {
+                            break;
+                        }
+                        if icols[ji] == *kc {
+                            ivals[ji] -= pivot * kv;
+                        }
                     }
-                    // advance ji to the first column >= kc
-                    while ji < icols.len() && icols[ji] < *kc {
-                        ji += 1;
-                    }
-                    if ji == icols.len() {
-                        break;
-                    }
-                    if icols[ji] == *kc {
-                        ivals[ji] -= pivot * kv;
-                    }
-                }
+                });
             }
         }
         work.add_factorization(lu.nnz());

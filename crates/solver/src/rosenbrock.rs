@@ -25,10 +25,17 @@
 //! `dt` changes, the ILU(0) factors are refreshed via
 //! [`Ilu0::refactor`] on the cached combined-LU pattern, the Krylov scratch
 //! is a reused [`KrylovWorkspace`], and the ROS2 stage vectors live in a
-//! per-subsolve [`Ros2Workspace`]. The optimized path is bit-identical to
-//! the retained reference implementation in [`crate::reference`] — same
-//! floating-point results, same adaptive step sequence, same
-//! (re)factorization counts.
+//! per-subsolve [`Ros2Workspace`].
+//!
+//! **One forcing per step.** Stage 2 evaluates the forcing at `t + dt`,
+//! the same f64 sum that `t += dt` makes when the step is accepted, so the
+//! accepted step's stage-2 forcing is the next step's stage-1 forcing bit
+//! for bit; after a rejection, stage 1's is unchanged. The workspace keeps
+//! both and swaps them on accept, so each step evaluates `g` once.
+//!
+//! The optimized path is bit-identical to the retained reference
+//! implementation in [`crate::reference`] — same floating-point results,
+//! same adaptive step sequence, same (re)factorization counts.
 
 use crate::assemble::Discretization;
 use crate::linsolve::{bicgstab_with, Ilu0, KrylovWorkspace, SolveError};
@@ -135,10 +142,10 @@ struct StageState {
 }
 
 /// Reusable per-subsolve scratch for [`integrate_with`]: the six ROS2 stage
-/// vectors, the error-estimate and forcing buffers, the Krylov workspace,
-/// and the cached stage matrix + ILU(0) factors. After the workspace is
-/// warm (first stage build at a given sparsity pattern), the integrate loop
-/// performs zero heap allocations.
+/// vectors, the error-estimate buffer, the two forcing buffers, the Krylov
+/// workspace, and the cached stage matrix + ILU(0) factors. After the
+/// workspace is warm (first stage build at a given sparsity pattern), the
+/// integrate loop performs zero heap allocations.
 #[derive(Default)]
 pub struct Ros2Workspace {
     f1: Vec<f64>,
@@ -148,7 +155,10 @@ pub struct Ros2Workspace {
     u_stage: Vec<f64>,
     u_new: Vec<f64>,
     err: Vec<f64>,
-    g: Vec<f64>,
+    /// The forcing `g(t)` at the current time (stage 1).
+    g_now: Vec<f64>,
+    /// The forcing `g(t + dt)` at the step's end (stage 2).
+    g_end: Vec<f64>,
     krylov: KrylovWorkspace,
     stage: Option<StageState>,
 }
@@ -168,7 +178,8 @@ impl Ros2Workspace {
             &mut self.u_stage,
             &mut self.u_new,
             &mut self.err,
-            &mut self.g,
+            &mut self.g_now,
+            &mut self.g_end,
         ] {
             buf.resize(n, 0.0);
         }
@@ -238,15 +249,15 @@ pub fn integrate_with(
         }
     }
     stats.refactorizations += 1;
+    disc.forcing_into(t, &mut ws.g_now);
 
     while t < t1 - 1e-14 * span {
         if stats.steps + stats.rejected >= opts.max_steps {
             return Err(IntegrateError::MaxSteps { t });
         }
-        // Clip the step to land exactly on t1, but avoid refactoring for a
-        // sub-10% end adjustment by allowing a slightly longer last step to
-        // be split evenly — simplest correct policy: clip and refactor when
-        // needed.
+        // Clip the step so it lands exactly on t1. When the clipped step
+        // differs from the factored one (beyond round-off), rewrite the
+        // stage matrix and refactor.
         let dt_step = dt.min(t1 - t);
         {
             let st = ws.stage.as_mut().expect("stage built above");
@@ -260,8 +271,7 @@ pub fn integrate_with(
         let st = ws.stage.as_ref().expect("stage built above");
 
         // Stage 1.
-        disc.rhs_into_with(t, &u, &mut ws.f1, &mut ws.g, work);
-        ws.k1.fill(0.0);
+        disc.rhs_with_forcing(&u, &ws.g_now, &mut ws.f1, work);
         bicgstab_with(
             st.cache.matrix(),
             &st.ilu,
@@ -278,11 +288,11 @@ pub fn integrate_with(
         for ((usi, ui), k1i) in ws.u_stage.iter_mut().zip(&u).zip(&ws.k1) {
             *usi = ui + dt_step * k1i;
         }
-        disc.rhs_into_with(t + dt_step, &ws.u_stage, &mut ws.f2, &mut ws.g, work);
+        disc.forcing_into(t + dt_step, &mut ws.g_end);
+        disc.rhs_with_forcing(&ws.u_stage, &ws.g_end, &mut ws.f2, work);
         for (f2i, k1i) in ws.f2.iter_mut().zip(&ws.k1) {
             *f2i -= 2.0 * k1i;
         }
-        ws.k2.fill(0.0);
         bicgstab_with(
             st.cache.matrix(),
             &st.ilu,
@@ -308,6 +318,8 @@ pub fn integrate_with(
         if enorm <= 1.0 {
             // Accept.
             std::mem::swap(&mut u, &mut ws.u_new);
+            // g(t + dt_step) is the new t's forcing, bit for bit.
+            std::mem::swap(&mut ws.g_now, &mut ws.g_end);
             t += dt_step;
             stats.steps += 1;
             work.add_step();

@@ -206,10 +206,7 @@ pub fn dot_exact(a: &[f64], b: &[f64]) -> f64 {
 /// between them per element.
 pub trait Chain: Copy {
     /// The factor element `i` (value `y`) is multiplied by.
-    ///
-    /// # Safety
-    /// `i < n` for an `n` that [`Chain::check`] accepted.
-    unsafe fn factor(self, i: usize, y: f64) -> f64;
+    fn factor(self, i: usize, y: f64) -> f64;
 
     /// Panics unless the chain can run over a `y` of length `n`.
     fn check(self, _n: usize) {}
@@ -225,15 +222,15 @@ pub struct Dot<'a>(pub &'a [f64]);
 
 impl Chain for Square {
     #[inline(always)]
-    unsafe fn factor(self, _i: usize, y: f64) -> f64 {
+    fn factor(self, _i: usize, y: f64) -> f64 {
         y
     }
 }
 
 impl Chain for Dot<'_> {
     #[inline(always)]
-    unsafe fn factor(self, i: usize, _y: f64) -> f64 {
-        *self.0.get_unchecked(i)
+    fn factor(self, i: usize, _y: f64) -> f64 {
+        self.0[i]
     }
 
     fn check(self, n: usize) {
@@ -253,17 +250,11 @@ pub trait Chains: Copy {
     fn start(self, n: usize) -> Self::Sums;
 
     /// Add element `i` (value `y`) to every chain.
-    ///
-    /// # Safety
-    /// `i < n` of the [`Chains::start`] call that made `sums`.
-    unsafe fn add(self, sums: &mut Self::Sums, i: usize, y: f64);
+    fn add(self, sums: &mut Self::Sums, i: usize, y: f64);
 
     /// Add elements `i .. i+4` from four lanes, in lane order.
-    ///
-    /// # Safety
-    /// `i + 4 <= n` of the [`Chains::start`] call that made `sums`.
     #[inline(always)]
-    unsafe fn add4(self, sums: &mut Self::Sums, i: usize, y: F64x4) {
+    fn add4(self, sums: &mut Self::Sums, i: usize, y: F64x4) {
         for (q, &yq) in y.0.iter().enumerate() {
             self.add(sums, i + q, yq);
         }
@@ -279,7 +270,7 @@ impl Chains for () {
     }
 
     #[inline(always)]
-    unsafe fn add(self, _sums: &mut [f64; 0], _i: usize, _y: f64) {}
+    fn add(self, _sums: &mut [f64; 0], _i: usize, _y: f64) {}
 }
 
 impl<A: Chain> Chains for (A,) {
@@ -292,7 +283,7 @@ impl<A: Chain> Chains for (A,) {
     }
 
     #[inline(always)]
-    unsafe fn add(self, sums: &mut [f64; 1], i: usize, y: f64) {
+    fn add(self, sums: &mut [f64; 1], i: usize, y: f64) {
         sums[0] += y * self.0.factor(i, y);
     }
 }
@@ -308,7 +299,7 @@ impl<A: Chain, B: Chain> Chains for (A, B) {
     }
 
     #[inline(always)]
-    unsafe fn add(self, sums: &mut [f64; 2], i: usize, y: f64) {
+    fn add(self, sums: &mut [f64; 2], i: usize, y: f64) {
         sums[0] += y * self.0.factor(i, y);
         sums[1] += y * self.1.factor(i, y);
     }
@@ -320,8 +311,7 @@ impl<A: Chain, B: Chain> Chains for (A, B) {
 pub(crate) fn dots_exact<C: Chains>(y: &[f64], chains: C) -> C::Sums {
     let mut sums = chains.start(y.len());
     for (i, &yi) in y.iter().enumerate() {
-        // SAFETY: `i < y.len()`, the length `sums` was started for.
-        unsafe { chains.add(&mut sums, i, yi) };
+        chains.add(&mut sums, i, yi);
     }
     sums
 }
@@ -337,15 +327,17 @@ pub(crate) fn dots_exact<C: Chains>(y: &[f64], chains: C) -> C::Sums {
 // ---------------------------------------------------------------------------
 
 macro_rules! dispatch_lanes {
-    ($pub_name:ident, $portable:ident, $avx2:ident, $(<$g:ident: $bound:ident>)?
+    ($(#[$attr:meta])* $pub_name:ident, $portable:ident, $avx2:ident, $(<$g:ident: $bound:ident>)?
      ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
         #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
         #[target_feature(enable = "avx2")]
+        $(#[$attr])*
         unsafe fn $avx2$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             $portable($($arg),*)
         }
 
         #[inline]
+        $(#[$attr])*
         pub fn $pub_name$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             match backend() {
                 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
@@ -432,7 +424,7 @@ fn s_update_portable<C: Chains>(
     let av = F64x4::splat(alpha);
     let mut i = 0;
     // SAFETY: i + 4 <= n == r.len() == v.len() inside the first loop and
-    // i < n in the second; `sums` was started for length n.
+    // i < n in the second.
     unsafe {
         while i + 4 <= n {
             let ss = F64x4::load(r, i).sub(av.mul(F64x4::load(v, i)));
@@ -457,36 +449,67 @@ dispatch_lanes!(
     <C: Chains>(s: &mut [f64], r: &[f64], alpha: f64, v: &[f64], chains: C) -> C::Sums
 );
 
-/// `x[i] += alpha * p[i] + omega * s[i]`.
+/// BiCGSTAB's closing update in one pass: `x[i] += alpha * p[i] + omega *
+/// s_hat[i]` and `r[i] = s[i] - omega * t[i]`, carrying `chains` over the
+/// new `r` (`‖r‖²` and `(r̂, r)`). Each element evaluates the expressions
+/// the two updates had as separate passes; each lane block of `r` is
+/// stored, then its four elements join every chain in index order.
 #[inline(always)]
-fn x_update_portable(x: &mut [f64], alpha: f64, p: &[f64], omega: f64, s: &[f64]) {
-    assert!(
-        x.len() == p.len() && x.len() == s.len(),
-        "x_update operand lengths"
-    );
+#[allow(clippy::too_many_arguments)] // two updates' operands
+fn xr_update_portable<C: Chains>(
+    x: &mut [f64],
+    alpha: f64,
+    p: &[f64],
+    s_hat: &[f64],
+    r: &mut [f64],
+    s: &[f64],
+    omega: f64,
+    t: &[f64],
+    chains: C,
+) -> C::Sums {
     let n = x.len();
+    assert!(
+        [p.len(), s_hat.len(), r.len(), s.len(), t.len()]
+            .iter()
+            .all(|&len| len == n),
+        "xr_update operand lengths"
+    );
+    let mut sums = chains.start(n);
     let (av, ov) = (F64x4::splat(alpha), F64x4::splat(omega));
     let mut i = 0;
-    // SAFETY: i + 4 <= n inside the loop.
+    // SAFETY: every operand has length n (asserted above); i + 4 <= n
+    // inside the first loop and i < n in the second.
     unsafe {
         while i + 4 <= n {
             let xx =
-                F64x4::load(x, i).add(av.mul(F64x4::load(p, i)).add(ov.mul(F64x4::load(s, i))));
+                F64x4::load(x, i).add(av.mul(F64x4::load(p, i)).add(ov.mul(F64x4::load(s_hat, i))));
             xx.store(x, i);
+            let rr = F64x4::load(s, i).sub(ov.mul(F64x4::load(t, i)));
+            rr.store(r, i);
+            chains.add4(&mut sums, i, rr);
             i += 4;
         }
+        while i < n {
+            *x.get_unchecked_mut(i) +=
+                alpha * *p.get_unchecked(i) + omega * *s_hat.get_unchecked(i);
+            let ri = *s.get_unchecked(i) - omega * *t.get_unchecked(i);
+            *r.get_unchecked_mut(i) = ri;
+            chains.add(&mut sums, i, ri);
+            i += 1;
+        }
     }
-    while i < n {
-        x[i] += alpha * p[i] + omega * s[i];
-        i += 1;
-    }
+    sums
 }
 
 dispatch_lanes!(
-    x_update,
-    x_update_portable,
-    x_update_avx2,
-    (x: &mut [f64], alpha: f64, p: &[f64], omega: f64, s: &[f64])
+    #[allow(clippy::too_many_arguments)]
+    xr_update,
+    xr_update_portable,
+    xr_update_avx2,
+    <C: Chains>(
+        x: &mut [f64], alpha: f64, p: &[f64], s_hat: &[f64],
+        r: &mut [f64], s: &[f64], omega: f64, t: &[f64], chains: C
+    ) -> C::Sums
 );
 
 #[cfg(test)]
@@ -528,13 +551,32 @@ mod tests {
             1.0,
             &long
         )));
-        assert!(panics(&|| x_update(
-            &mut long.clone(),
-            1.0,
-            &long,
-            1.0,
-            &short
-        )));
+        assert!(panics(&|| {
+            let [] = xr_update(
+                &mut long.clone(),
+                1.0,
+                &long,
+                &short,
+                &mut long.clone(),
+                &long,
+                1.0,
+                &long,
+                (),
+            );
+        }));
+        assert!(panics(&|| {
+            let [] = xr_update(
+                &mut long.clone(),
+                1.0,
+                &long,
+                &long,
+                &mut long.clone(),
+                &long,
+                1.0,
+                &short,
+                (),
+            );
+        }));
         assert!(panics(&|| {
             let [] = s_update(&mut long.clone(), &long, 1.0, &short, ());
         }));
@@ -584,12 +626,29 @@ mod tests {
         }
         assert_eq!(s1, s2);
 
+        // The fused closing update against its two separate passes, with
+        // both chains against the unfused `dot_exact`s.
         let mut x1 = x.clone();
         let mut x2 = x.clone();
-        x_update(&mut x1, a, &r, omega, &v);
+        let (mut r1, mut r2) = (vec![0.0; n], vec![0.0; n]);
+        let [rr, rv] = xr_update(
+            &mut x1,
+            a,
+            &r,
+            &v,
+            &mut r1,
+            &x,
+            omega,
+            &v,
+            (Square, Dot(&r)),
+        );
         for i in 0..n {
             x2[i] += a * r[i] + omega * v[i];
+            r2[i] = x[i] - omega * v[i];
         }
         assert_eq!(x1, x2);
+        assert_eq!(r1, r2);
+        assert_eq!(rr.to_bits(), dot_exact(&r2, &r2).to_bits());
+        assert_eq!(rv.to_bits(), dot_exact(&r2, &r).to_bits());
     }
 }

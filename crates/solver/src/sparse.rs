@@ -9,12 +9,13 @@
 //! The matvec has one kernel per production shape. Every assembled matrix
 //! is a 5-point stencil on a grid whose interior width is `2^(root+l) − 1`,
 //! so it is 1-D (width or height 1), thin (width 3 or 7), or wide (width
-//! 15 and up). Wide lines run the chunked `matvec_stencil`, thin ones the
-//! unrolled `matvec_thin`, and everything else — 1-D grids, non-stencil
-//! patterns, widths no grid has — the plain [`Csr::matvec_into_scalar`],
-//! which is also the `force-scalar` code path and the differential-test
-//! oracle. Each kernel keeps every row's accumulation order, so all three
-//! are bit-identical.
+//! 15 and up). Wide lines run the chunked `matvec_stencil` over the
+//! matrix's band-major copy of its values, thin ones the unrolled
+//! `matvec_thin`, and everything else — 1-D grids, non-stencil patterns,
+//! widths no grid has — the plain [`Csr::matvec_into_scalar`], which is
+//! also the `force-scalar` code path and the differential-test oracle. Each
+//! kernel keeps every row's accumulation order, so all three are
+//! bit-identical.
 
 use std::sync::OnceLock;
 
@@ -25,11 +26,12 @@ use crate::simd::{self, Backend, Chains, F64x4, LANES};
 /// `{i−w if j>0, i−1 if c>0, i, i+1 if c+1<w, i+w if j+1<h}`, ascending.
 /// This is the pattern every [`crate::assemble`] interior operator (and
 /// its `I − γ·dt·A` stage matrices, and their ILU(0) factors) has, and it
-/// unlocks the structure-aware kernels: a run-vectorized matvec with
-/// contiguous loads instead of per-entry gathers, and skewed-wavefront
+/// unlocks the structure-aware kernels: a chunked matvec whose values and
+/// `x` operands are both contiguous loads (a wide plan's matrix keeps its
+/// values band-major as well as row-major), and skewed-wavefront
 /// triangular sweeps that pipeline the row recurrence across grid lines.
 /// The plan depends only on the sparsity pattern, which is immutable after
-/// construction, so it is detected once and cached.
+/// construction, so it is detected once, row by row, and cached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StencilPlan {
     /// Interior row width (fast index): rows `j·w .. (j+1)·w` form line `j`.
@@ -43,6 +45,25 @@ pub struct StencilPlan {
 /// line) and the const-width unrolled [`matvec_thin`] kernel wins instead
 /// (measured on the level-8 anisotropic family — see BENCH_solver.json).
 const STENCIL_MATVEC_MIN_W: usize = 8;
+
+/// The stencil bands, in a row's storage (ascending-column) order: columns
+/// `i−w`, `i−1`, `i`, `i+1` and `i+w` of row `i`.
+const BANDS: usize = 5;
+
+impl StencilPlan {
+    /// Does the chunked kernel run this plan (and its matrix keep bands)?
+    /// Detected plans all have `h >= 3`; the check also answers for a
+    /// shape not built yet, such as a one-line grid.
+    pub(crate) fn is_wide(self) -> bool {
+        self.w >= STENCIL_MATVEC_MIN_W && self.h >= 3
+    }
+
+    /// Which bands row `(j, c)` stores: all five but those a grid edge
+    /// cuts off.
+    fn present(self, j: usize, c: usize) -> [bool; BANDS] {
+        [j > 0, c > 0, true, c + 1 < self.w, j + 1 < self.h]
+    }
+}
 
 /// Detect the [`StencilPlan`] of a CSR pattern, conservatively: `None`
 /// unless *every* row matches the positional stencil exactly.
@@ -65,37 +86,40 @@ fn detect_stencil(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Option<Sten
     if w < 2 || !n.is_multiple_of(w) {
         return None;
     }
-    let h = n / w;
-    if h < 2 {
+    let plan = StencilPlan { w, h: n / w };
+    if plan.h < 2 {
         return None;
     }
-    let mut expect = [0usize; 5];
-    for i in 0..n {
-        let (j, c) = (i / w, i % w);
-        let mut len = 0;
-        if j > 0 {
-            expect[len] = i - w;
-            len += 1;
-        }
-        if c > 0 {
-            expect[len] = i - 1;
-            len += 1;
-        }
-        expect[len] = i;
-        len += 1;
-        if c + 1 < w {
-            expect[len] = i + 1;
-            len += 1;
-        }
-        if j + 1 < h {
-            expect[len] = i + w;
-            len += 1;
-        }
-        if col_idx[row_ptr[i]..row_ptr[i + 1]] != expect[..len] {
-            return None;
+    for j in 0..plan.h {
+        for c in 0..w {
+            let i = j * w + c;
+            let mut row = col_idx[row_ptr[i]..row_ptr[i + 1]].iter();
+            for (off, present) in band_offsets(w).into_iter().zip(plan.present(j, c)) {
+                if present && row.next() != Some(&i.wrapping_add_signed(off)) {
+                    return None;
+                }
+            }
+            if row.next().is_some() {
+                return None;
+            }
         }
     }
-    Some(StencilPlan { w, h })
+    Some(plan)
+}
+
+/// The CSR invariants the unchecked kernels rely on (one O(nnz) pass at
+/// construction buys bounds-check-free matvec and triangular solves).
+fn check_parts(n: usize, row_ptr: &[usize], col_idx: &[usize], vals: &[f64]) {
+    assert_eq!(row_ptr.len(), n + 1);
+    assert_eq!(row_ptr[0], 0);
+    assert_eq!(*row_ptr.last().unwrap(), col_idx.len());
+    assert_eq!(col_idx.len(), vals.len());
+    assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]));
+    assert!(col_idx.iter().all(|&c| c < n));
+    debug_assert!((0..n).all(|r| {
+        let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+        row.windows(2).all(|w| w[0] < w[1])
+    }));
 }
 
 /// A square sparse matrix in CSR format with per-row sorted columns.
@@ -108,6 +132,18 @@ fn detect_stencil(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Option<Sten
 /// index `< n`. The hot kernels ([`Csr::matvec_into`], the ILU(0)
 /// triangular solves in [`crate::linsolve`]) rely on these invariants to
 /// skip per-element bounds checks.
+///
+/// Two pieces of derived state ride along: the [`StencilPlan`], detected
+/// once and cached, and — when the plan is wide (at least
+/// `STENCIL_MATVEC_MIN_W` columns) — the values again, band-major: five
+/// arrays of `n`, where `bands[b·n + i]` is row `i`'s entry in band `b`
+/// (see `BANDS`); a slot a boundary row lacks holds a value no kernel
+/// reads. Every value writer writes them: the constructors (which detect
+/// the plan to know whether to), [`crate::assemble::assemble`] (as five
+/// fills of its five stencil weights), [`CachedStage`], and the
+/// closure-taking mutators ([`Csr::with_raw_parts_mut`],
+/// [`Csr::with_row_vals_mut`]), which re-derive them after the closure
+/// returns. So the bands never go stale.
 #[derive(Clone, Debug)]
 pub struct Csr {
     n: usize,
@@ -116,11 +152,13 @@ pub struct Csr {
     vals: Vec<f64>,
     /// Lazily detected [`StencilPlan`] of the (immutable) pattern.
     stencil: OnceLock<Option<StencilPlan>>,
+    /// The values band-major for a wide plan; empty otherwise.
+    bands: Vec<f64>,
 }
 
 impl PartialEq for Csr {
     fn eq(&self, other: &Self) -> bool {
-        // The stencil cache is derived state — equality is the matrix.
+        // The plan and the bands are derived state — equality is the matrix.
         self.n == other.n
             && self.row_ptr == other.row_ptr
             && self.col_idx == other.col_idx
@@ -158,13 +196,7 @@ impl Csr {
             row_ptr.push(col_idx.len());
             current_row += 1;
         }
-        Csr {
-            n,
-            row_ptr,
-            col_idx,
-            vals,
-            stencil: OnceLock::new(),
-        }
+        Csr::with_derived_bands(n, row_ptr, col_idx, vals)
     }
 
     /// Build from pre-assembled CSR parts. `row_ptr` must be monotone with
@@ -172,25 +204,58 @@ impl Csr {
     /// columns must be strictly increasing. This is the fast path for
     /// stencil assemblies whose pattern is known a priori (no triplet sort).
     pub fn from_parts(n: usize, row_ptr: Vec<usize>, col_idx: Vec<usize>, vals: Vec<f64>) -> Csr {
-        assert_eq!(row_ptr.len(), n + 1);
-        assert_eq!(row_ptr[0], 0);
-        assert_eq!(*row_ptr.last().unwrap(), col_idx.len());
-        assert_eq!(col_idx.len(), vals.len());
-        // Hard invariants the unchecked kernels rely on (one O(nnz) pass at
-        // construction buys bounds-check-free matvec and triangular solves).
-        assert!(row_ptr.windows(2).all(|w| w[0] <= w[1]));
-        assert!(col_idx.iter().all(|&c| c < n));
-        debug_assert!((0..n).all(|r| {
-            let row = &col_idx[row_ptr[r]..row_ptr[r + 1]];
-            row.windows(2).all(|w| w[0] < w[1])
-        }));
-        Csr {
+        check_parts(n, &row_ptr, &col_idx, &vals);
+        Csr::with_derived_bands(n, row_ptr, col_idx, vals)
+    }
+
+    /// [`Csr::from_parts`] for a caller that wrote the band-major values
+    /// itself ([`crate::assemble::assemble`]): `bands` is empty when the
+    /// pattern's plan is not wide, and otherwise holds five arrays of `n`
+    /// with the values the derivation would write. Both are checked, the
+    /// values in debug builds. The plan stays undetected until first use,
+    /// as for a matrix without bands.
+    pub(crate) fn from_parts_and_bands(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        vals: Vec<f64>,
+        bands: Vec<f64>,
+    ) -> Csr {
+        check_parts(n, &row_ptr, &col_idx, &vals);
+        assert!(bands.is_empty() || bands.len() == BANDS * n, "band arrays");
+        let a = Csr {
             n,
             row_ptr,
             col_idx,
             vals,
             stencil: OnceLock::new(),
+            bands,
+        };
+        debug_assert!(a.bands_in_sync(), "caller-written bands");
+        a
+    }
+
+    /// Detect the plan now and derive the bands when it is wide.
+    fn with_derived_bands(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        vals: Vec<f64>,
+    ) -> Csr {
+        let stencil = OnceLock::from(detect_stencil(n, &row_ptr, &col_idx));
+        let mut a = Csr {
+            n,
+            row_ptr,
+            col_idx,
+            vals,
+            stencil,
+            bands: Vec::new(),
+        };
+        if a.wide_plan().is_some() {
+            a.bands = vec![0.0; BANDS * n];
+            a.derive_bands();
         }
+        a
     }
 
     /// The identity matrix of size `n`.
@@ -200,18 +265,74 @@ impl Csr {
             row_ptr: (0..=n).collect(),
             col_idx: (0..n).collect(),
             vals: vec![1.0; n],
-            stencil: OnceLock::new(),
+            stencil: OnceLock::from(None),
+            bands: Vec::new(),
         }
     }
 
     /// The [`StencilPlan`] of this matrix's pattern, if it is a conforming
-    /// tensor-product 5-point stencil. Detected on first call and cached;
-    /// the pattern is immutable so the cache can never go stale (values may
-    /// change in place, but the plan does not depend on them).
+    /// tensor-product 5-point stencil. Detected on first call (or at
+    /// construction) and cached; the pattern is immutable so the cache can
+    /// never go stale (values may change in place, but the plan does not
+    /// depend on them).
     pub fn stencil_plan(&self) -> Option<StencilPlan> {
         *self
             .stencil
             .get_or_init(|| detect_stencil(self.n, &self.row_ptr, &self.col_idx))
+    }
+
+    /// The plan, when the chunked kernel runs it over the bands.
+    fn wide_plan(&self) -> Option<StencilPlan> {
+        self.stencil_plan().filter(|p| p.is_wide())
+    }
+
+    /// Rewrite every band slot from the row-major values. A line's edge
+    /// rows go one by one; its interior rows all store the same bands and
+    /// sit back to back, so each band is one strided copy out of that run.
+    fn derive_bands(&mut self) {
+        let Some(plan) = self.wide_plan() else {
+            return;
+        };
+        let (n, w) = (self.n, plan.w);
+        for j in 0..plan.h {
+            self.derive_row_bands(plan, j, 0);
+            self.derive_row_bands(plan, j, w - 1);
+            let first = j * w + 1;
+            let run = &self.vals[self.row_ptr[first]..self.row_ptr[first + w - 2]];
+            let present = plan.present(j, 1);
+            let stride = present.iter().filter(|&&p| p).count();
+            let bands = (0..BANDS).filter(|&b| present[b]);
+            for (k, b) in bands.enumerate() {
+                let slots = &mut self.bands[b * n + first..][..w - 2];
+                for (slot, row) in slots.iter_mut().zip(run.chunks_exact(stride)) {
+                    *slot = row[k];
+                }
+            }
+        }
+    }
+
+    /// Rewrite row `(j, c)`'s band slots from its row-major values.
+    fn derive_row_bands(&mut self, plan: StencilPlan, j: usize, c: usize) {
+        let i = j * plan.w + c;
+        let mut row = self.vals[self.row_ptr[i]..self.row_ptr[i + 1]].iter();
+        for (b, present) in plan.present(j, c).into_iter().enumerate() {
+            if present {
+                self.bands[b * self.n + i] = *row.next().expect("plan-conforming row");
+            }
+        }
+    }
+
+    /// Are the bands there exactly when the plan is wide, holding the bits
+    /// [`Csr::derive_bands`] writes?
+    fn bands_in_sync(&self) -> bool {
+        let wide = self.wide_plan().is_some();
+        if self.bands.len() != usize::from(wide) * BANDS * self.n {
+            return false;
+        }
+        let mut fresh = self.clone();
+        fresh.derive_bands();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        bits(&fresh.bands) == bits(&self.bands)
     }
 
     /// Matrix dimension.
@@ -231,11 +352,16 @@ impl Csr {
         (&self.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
-    /// Mutable values of row `r` (columns stay fixed).
-    pub fn row_vals_mut(&mut self, r: usize) -> &mut [f64] {
+    /// Edit the values of row `r` in place (columns stay fixed); the row's
+    /// band slots follow when `f` returns.
+    pub fn with_row_vals_mut<R>(&mut self, r: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
         let lo = self.row_ptr[r];
         let hi = self.row_ptr[r + 1];
-        &mut self.vals[lo..hi]
+        let out = f(&mut self.vals[lo..hi]);
+        if let Some(plan) = self.wide_plan() {
+            self.derive_row_bands(plan, r / plan.w, r % plan.w);
+        }
+        out
     }
 
     /// The row-pointer array (`n + 1` entries).
@@ -253,15 +379,16 @@ impl Csr {
         &self.vals
     }
 
-    /// All stored values, mutable (the pattern stays fixed).
-    pub fn vals_mut(&mut self) -> &mut [f64] {
-        &mut self.vals
-    }
-
-    /// Split borrow for in-place factorizations: `(row_ptr, col_idx, vals)`
-    /// with only the values mutable.
-    pub fn raw_parts_mut(&mut self) -> (&[usize], &[usize], &mut [f64]) {
-        (&self.row_ptr, &self.col_idx, &mut self.vals)
+    /// Edit all stored values in place, as in-place factorizations do: `f`
+    /// gets `(row_ptr, col_idx, vals)` with only the values mutable; the
+    /// bands follow when it returns.
+    pub fn with_raw_parts_mut<R>(
+        &mut self,
+        f: impl FnOnce(&[usize], &[usize], &mut [f64]) -> R,
+    ) -> R {
+        let out = f(&self.row_ptr, &self.col_idx, &mut self.vals);
+        self.derive_bands();
+        out
     }
 
     /// Do `self` and `other` store exactly the same sparsity pattern?
@@ -288,18 +415,27 @@ impl Csr {
     pub fn matvec_dots<C: Chains>(&self, x: &[f64], y: &mut [f64], chains: C) -> C::Sums {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        let (row_ptr, vals) = (&self.row_ptr[..], &self.vals[..]);
+        let (row_ptr, vals, bands) = (&self.row_ptr[..], &self.vals[..], &self.bands[..]);
+        let plan = self.stencil_plan();
+        if plan.is_some_and(StencilPlan::is_wide) {
+            assert_eq!(
+                bands.len(),
+                BANDS * self.n,
+                "a wide stencil keeps its bands"
+            );
+        }
         match simd::backend() {
             #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
             // SAFETY: `backend()` returns Avx2 only after detecting AVX2 on
             // this CPU. Each kernel runs on `stencil_plan()`, the plan
             // `detect_stencil` verified row by row against this pattern, with
             // the width it was instantiated for; `x` and `y` were asserted to
-            // have length `n == w·h` above.
+            // have length `n == w·h` above, and a wide plan's `bands` to have
+            // length `BANDS·n`.
             Backend::Avx2 => unsafe {
-                match self.stencil_plan() {
-                    Some(plan) if plan.w >= STENCIL_MATVEC_MIN_W => {
-                        return matvec_stencil_avx2(row_ptr, vals, plan, x, y, chains);
+                match plan {
+                    Some(plan) if plan.is_wide() => {
+                        return matvec_stencil_avx2(bands, plan, x, y, chains);
                     }
                     Some(plan) if plan.w == 3 => matvec_thin::<3>(row_ptr, vals, plan, x, y),
                     Some(plan) if plan.w == 7 => matvec_thin::<7>(row_ptr, vals, plan, x, y),
@@ -310,9 +446,9 @@ impl Csr {
             // SAFETY: as for the Avx2 arm, minus the feature probe: these are
             // the baseline-ISA instantiations.
             _ => unsafe {
-                match self.stencil_plan() {
-                    Some(plan) if plan.w >= STENCIL_MATVEC_MIN_W => {
-                        return matvec_stencil(row_ptr, vals, plan, x, y, chains);
+                match plan {
+                    Some(plan) if plan.is_wide() => {
+                        return matvec_stencil(bands, plan, x, y, chains);
                     }
                     Some(plan) if plan.w == 3 => matvec_thin::<3>(row_ptr, vals, plan, x, y),
                     Some(plan) if plan.w == 7 => matvec_thin::<7>(row_ptr, vals, plan, x, y),
@@ -397,16 +533,119 @@ impl Csr {
     }
 }
 
-/// Stencil matvec body: the [`StencilPlan`] pins every column index, so no
-/// `col_idx` indirection (and no per-entry gather) is needed. Per grid
-/// line, the two boundary rows run scalar; the interior rows all have the
-/// same entry count `E` (4 on the first/last line, 5 elsewhere) with
-/// values contiguous at stride `E`, and are processed in four-row chunks:
-/// for each of the `E` stencil bands, four row values come from strided
-/// positions in `vals` and the four `x` operands are one *contiguous* load
-/// at the band's column offset. Bands accumulate in ascending-column order
-/// from a zero accumulator with separate mul/add — exactly the scalar
-/// kernel's per-row operation sequence, so the result is bit-identical to
+/// Column offsets of the bands, in `BANDS` order.
+#[inline(always)]
+fn band_offsets(w: usize) -> [isize; BANDS] {
+    [-(w as isize), -1, 0, 1, w as isize]
+}
+
+/// One row of the band matvec, scalar: the bands `has` marks, in
+/// ascending-column order, from a zero accumulator — the scalar kernel's
+/// per-row operation sequence.
+///
+/// # Safety
+/// As [`matvec_stencil`], with `i < n` and every marked band's column in
+/// `0..n`.
+#[inline(always)]
+unsafe fn band_row(
+    bands: &[f64],
+    n: usize,
+    w: usize,
+    i: usize,
+    x: &[f64],
+    has: [bool; BANDS],
+) -> f64 {
+    let mut acc = 0.0;
+    for (b, off) in band_offsets(w).into_iter().enumerate() {
+        if has[b] {
+            acc += *bands.get_unchecked(b * n + i) * *x.get_unchecked(i.wrapping_add_signed(off));
+        }
+    }
+    acc
+}
+
+/// Rows `i .. i+4` of the band matvec: per marked band, one contiguous
+/// load of four values and one of the four `x` operands, multiplied and
+/// added lanewise in ascending-column order from a zero accumulator — each
+/// lane is [`band_row`]'s operation sequence.
+///
+/// # Safety
+/// As [`band_row`], for all four rows.
+#[inline(always)]
+unsafe fn band_chunk(
+    bands: &[f64],
+    n: usize,
+    w: usize,
+    i: usize,
+    x: &[f64],
+    has: [bool; BANDS],
+) -> F64x4 {
+    let mut acc = F64x4::zero();
+    for (b, off) in band_offsets(w).into_iter().enumerate() {
+        if has[b] {
+            let a = F64x4::load(bands, b * n + i);
+            acc = acc.add(a.mul(F64x4::load(x, i.wrapping_add_signed(off))));
+        }
+    }
+    acc
+}
+
+/// Line `j` of the band matvec. The first and last columns run
+/// [`band_row`] without their west or east band; the interior columns run
+/// [`band_chunk`] four rows at a time, then [`band_row`] for the remainder.
+/// Boundary rows never touch the band slots they lack, so no zero
+/// coefficient is ever multiplied in.
+///
+/// # Safety
+/// As [`matvec_stencil`], with `j < h`, `top` iff `j == 0` and `bottom`
+/// iff `j + 1 == h`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one line of a kernel
+unsafe fn band_line<C: Chains>(
+    bands: &[f64],
+    plan: StencilPlan,
+    j: usize,
+    top: bool,
+    bottom: bool,
+    x: &[f64],
+    y: &mut [f64],
+    chains: C,
+    sums: &mut C::Sums,
+) {
+    let StencilPlan { w, h } = plan;
+    let n = w * h;
+    let (north, south) = (!top, !bottom);
+    let row0 = j * w;
+    let end = row0 + w - 1;
+    let first = band_row(bands, n, w, row0, x, [north, false, true, true, south]);
+    *y.get_unchecked_mut(row0) = first;
+    chains.add(sums, row0, first);
+    let interior = [north, true, true, true, south];
+    let mut i = row0 + 1;
+    while i + LANES <= end {
+        let acc = band_chunk(bands, n, w, i, x, interior);
+        acc.store(y, i);
+        chains.add4(sums, i, acc);
+        i += LANES;
+    }
+    while i < end {
+        let acc = band_row(bands, n, w, i, x, interior);
+        *y.get_unchecked_mut(i) = acc;
+        chains.add(sums, i, acc);
+        i += 1;
+    }
+    let last = band_row(bands, n, w, end, x, [north, true, true, false, south]);
+    *y.get_unchecked_mut(end) = last;
+    chains.add(sums, end, last);
+}
+
+/// Stencil matvec body over a wide plan's band-major values: the
+/// [`StencilPlan`] pins every column, so there is no `col_idx` indirection,
+/// and the bands make the values as contiguous as the `x` operands — an
+/// interior chunk of four rows loads each band's four values with one
+/// load. Every row accumulates its bands in ascending-column order from a
+/// zero accumulator with separate mul/add — exactly the scalar kernel's
+/// per-row operation sequence, so the result is bit-identical to
 /// [`Csr::matvec_into_scalar`].
 ///
 /// Every written row then joins `chains`; rows are written in ascending
@@ -414,112 +653,37 @@ impl Csr {
 /// no chains (`()`) this is the plain matvec.
 ///
 /// # Safety
-/// `plan` must be the verified [`StencilPlan`] of this pattern (so row
-/// `j·w + c` has exactly the positional stencil columns and `row_ptr`
-/// matches the implied row lengths); `x.len() == y.len() == w·h`.
+/// `plan` must be the verified [`StencilPlan`] of the matrix `bands` was
+/// derived from (which guarantees `h >= 3`), `bands.len() == BANDS·w·h`,
+/// and `x.len() == y.len() == w·h`.
 #[inline(always)]
 unsafe fn matvec_stencil<C: Chains>(
-    row_ptr: &[usize],
-    vals: &[f64],
+    bands: &[f64],
     plan: StencilPlan,
     x: &[f64],
     y: &mut [f64],
     chains: C,
 ) -> C::Sums {
-    let StencilPlan { w, h } = plan;
-    let mut sums = chains.start(w * h);
-    for j in 0..h {
-        let row0 = j * w;
-        // First column of the line: scalar (no west neighbor).
-        {
-            let i = row0;
-            let mut p = *row_ptr.get_unchecked(i);
-            let mut acc = 0.0;
-            if j > 0 {
-                acc += *vals.get_unchecked(p) * *x.get_unchecked(i - w);
-                p += 1;
-            }
-            acc += *vals.get_unchecked(p) * *x.get_unchecked(i);
-            acc += *vals.get_unchecked(p + 1) * *x.get_unchecked(i + 1);
-            if j + 1 < h {
-                acc += *vals.get_unchecked(p + 2) * *x.get_unchecked(i + w);
-            }
-            *y.get_unchecked_mut(i) = acc;
-            chains.add(&mut sums, i, acc);
-        }
-        // Interior columns 1..w-1: equal-length rows, vals at stride e.
-        let (e, offs): (usize, [isize; 5]) = if j == 0 {
-            (4, [-1, 0, 1, w as isize, 0])
-        } else if j + 1 == h {
-            (4, [-(w as isize), -1, 0, 1, 0])
-        } else {
-            (5, [-(w as isize), -1, 0, 1, w as isize])
-        };
-        let first = row0 + 1;
-        let m = w - 2;
-        let p0 = *row_ptr.get_unchecked(first);
-        let mut r = 0usize;
-        while r + LANES <= m {
-            let i = first + r;
-            let p = p0 + r * e;
-            let mut acc = F64x4::zero();
-            for (b, off) in offs.iter().enumerate().take(e) {
-                let a = F64x4([
-                    *vals.get_unchecked(p + b),
-                    *vals.get_unchecked(p + e + b),
-                    *vals.get_unchecked(p + 2 * e + b),
-                    *vals.get_unchecked(p + 3 * e + b),
-                ]);
-                let xx = F64x4::load(x, (i as isize + off) as usize);
-                acc = acc.add(a.mul(xx));
-            }
-            acc.store(y, i);
-            chains.add4(&mut sums, i, acc);
-            r += LANES;
-        }
-        while r < m {
-            let i = first + r;
-            let p = p0 + r * e;
-            let mut acc = 0.0;
-            for (b, off) in offs.iter().enumerate().take(e) {
-                acc += *vals.get_unchecked(p + b) * *x.get_unchecked((i as isize + off) as usize);
-            }
-            *y.get_unchecked_mut(i) = acc;
-            chains.add(&mut sums, i, acc);
-            r += 1;
-        }
-        // Last column of the line: scalar (no east neighbor).
-        {
-            let i = row0 + w - 1;
-            let mut p = *row_ptr.get_unchecked(i);
-            let mut acc = 0.0;
-            if j > 0 {
-                acc += *vals.get_unchecked(p) * *x.get_unchecked(i - w);
-                p += 1;
-            }
-            acc += *vals.get_unchecked(p) * *x.get_unchecked(i - 1);
-            acc += *vals.get_unchecked(p + 1) * *x.get_unchecked(i);
-            if j + 1 < h {
-                acc += *vals.get_unchecked(p + 2) * *x.get_unchecked(i + w);
-            }
-            *y.get_unchecked_mut(i) = acc;
-            chains.add(&mut sums, i, acc);
-        }
+    let h = plan.h;
+    let mut sums = chains.start(plan.w * h);
+    band_line(bands, plan, 0, true, false, x, y, chains, &mut sums);
+    for j in 1..h - 1 {
+        band_line(bands, plan, j, false, false, x, y, chains, &mut sums);
     }
+    band_line(bands, plan, h - 1, false, true, x, y, chains, &mut sums);
     sums
 }
 
 #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
 #[target_feature(enable = "avx2")]
 unsafe fn matvec_stencil_avx2<C: Chains>(
-    row_ptr: &[usize],
-    vals: &[f64],
+    bands: &[f64],
     plan: StencilPlan,
     x: &[f64],
     y: &mut [f64],
     chains: C,
 ) -> C::Sums {
-    matvec_stencil(row_ptr, vals, plan, x, y, chains)
+    matvec_stencil(bands, plan, x, y, chains)
 }
 
 /// One line of the thin-stencil matvec: straight-line code for all `W`
@@ -678,7 +842,8 @@ impl CachedStage {
         true
     }
 
-    /// Rewrite the values for a new scale `s`, allocation-free.
+    /// Rewrite the values (and the bands) for a new scale `s`,
+    /// allocation-free.
     pub fn rewrite(&mut self, a: &Csr, s: f64) {
         debug_assert!(self.matches(a), "CachedStage pattern out of sync");
         let avals = &a.vals;
@@ -689,6 +854,7 @@ impl CachedStage {
                 StageSrc::Off(k) => -s * avals[k],
             };
         }
+        self.m.derive_bands();
     }
 }
 
@@ -988,7 +1154,7 @@ mod tests {
         let a = example();
         let mut b = example();
         assert!(a.same_pattern(&b));
-        b.vals_mut()[0] = 9.0;
+        b.with_row_vals_mut(0, |v| v[0] = 9.0);
         assert!(a.same_pattern(&b), "values do not affect the pattern");
         let c = Csr::identity(3);
         assert!(!a.same_pattern(&c));

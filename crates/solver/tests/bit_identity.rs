@@ -10,24 +10,31 @@
 //!
 //! Two roots cover every kernel route: root 2's grids are thin (3 or 7
 //! wide) and wide stencils, and root 1's include the 1-D grids (one
-//! interior line) that production runs on the scalar fallback.
+//! interior line) that production runs on the scalar fallback. Root 4's
+//! level-2 row — lines 15, 31 and 63 wide, the shapes of the `solve_heavy`
+//! benchmark workload's jobs — pins the band-major matvec on the grids it
+//! is claimed for.
 
 use solver::problem::Problem;
 use solver::reference::{bit_identity_grids, subsolve_reference};
 use solver::rosenbrock::Ros2Workspace;
 use solver::subsolve::{subsolve, subsolve_with, SubsolveRequest};
 
-fn assert_identical(p: Problem, tol: f64) {
+/// Roots 1 and 2 over the regression grid set.
+fn regression_cases() -> Vec<(u32, u32, u32)> {
     let grids = bit_identity_grids();
     assert!(grids.len() >= 3, "need at least three regression grids");
+    [1, 2]
+        .into_iter()
+        .flat_map(|root| grids.iter().map(move |&(l, m)| (root, l, m)))
+        .collect()
+}
 
+fn assert_identical(p: Problem, tol: f64, cases: &[(u32, u32, u32)]) {
     // One shared workspace across all grids: reuse (with its pattern-cache
     // resets between differently shaped grids) must not perturb anything.
     let mut ws = Ros2Workspace::new();
-    let cases = [1, 2]
-        .into_iter()
-        .flat_map(|root| grids.iter().map(move |&(l, m)| (root, l, m)));
-    for (root, l, m) in cases {
+    for &(root, l, m) in cases {
         let req = SubsolveRequest::for_grid(root, l, m, tol, p);
         let reference = subsolve_reference(&req).expect("reference subsolve");
         let fresh = subsolve(&req).expect("optimized subsolve");
@@ -68,10 +75,16 @@ fn assert_identical(p: Problem, tol: f64) {
 
 #[test]
 fn transport_problem_is_bit_identical_to_reference() {
-    assert_identical(Problem::transport_benchmark(), 1e-4);
+    assert_identical(Problem::transport_benchmark(), 1e-4, &regression_cases());
 }
 
 #[test]
 fn manufactured_problem_is_bit_identical_to_reference() {
-    assert_identical(Problem::manufactured_benchmark(), 1e-3);
+    assert_identical(Problem::manufactured_benchmark(), 1e-3, &regression_cases());
+}
+
+#[test]
+fn solve_heavy_grids_are_bit_identical_to_reference() {
+    let cases = [(4, 0, 2), (4, 1, 1), (4, 2, 0)];
+    assert_identical(Problem::transport_benchmark(), 1e-4, &cases);
 }

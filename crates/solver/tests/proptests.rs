@@ -7,7 +7,7 @@ use solver::grid::{Grid2, GridIndex};
 use solver::linsolve::{bicgstab_with, Ilu0, KrylovWorkspace, Preconditioner};
 use solver::problem::Problem;
 use solver::simd::{dot_exact, s_update, Dot, Square};
-use solver::sparse::{Csr, StencilPlan};
+use solver::sparse::{CachedStage, Csr, StencilPlan};
 use solver::{l2_norm, linf_norm, WorkCounter};
 
 // -------------------------------------------------------------------- CSR
@@ -394,6 +394,93 @@ proptest! {
         seed in any::<u64>()
     ) {
         check_matvec_dots(&a, seed);
+    }
+}
+
+/// `matvec_dots` against the scalar loop and `dot_exact` per chain: what
+/// any route must give, whatever state (bands included) it reads.
+fn check_matvec_dots_against_scalar(a: &Csr, seed: u64) {
+    let n = a.n();
+    let x = test_vector(n, seed);
+    let w = test_vector(n, seed ^ 0x5eed);
+    let mut y = vec![0.0; n];
+    a.matvec_into_scalar(&x, &mut y);
+    let mut y2 = vec![0.0; n];
+    let [sq, dot] = a.matvec_dots(&x, &mut y2, (Square, Dot(&w)));
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&y2), bits(&y));
+    prop_assert_eq!([sq.to_bits(), dot.to_bits()], unfused_chains(&y, &w));
+}
+
+/// The 5-point stencil matrix of a `w × h` grid with values drawn from
+/// `seed` and a dominant diagonal (so its ILU(0) stays finite).
+fn seeded_stencil(w: usize, h: usize, seed: u64) -> Csr {
+    let n = w * h;
+    let v = test_vector(5 * n, seed);
+    let mut t = Vec::new();
+    for i in 0..n {
+        let (j, c) = (i / w, i % w);
+        if j > 0 {
+            t.push((i, i - w, v[5 * i]));
+        }
+        if c > 0 {
+            t.push((i, i - 1, v[5 * i + 1]));
+        }
+        t.push((i, i, 8.0 + v[5 * i + 2]));
+        if c + 1 < w {
+            t.push((i, i + 1, v[5 * i + 3]));
+        }
+        if j + 1 < h {
+            t.push((i, i + w, v[5 * i + 4]));
+        }
+    }
+    Csr::from_triplets(n, &t)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// No value writer leaves a matrix's band-major copy stale: after each
+    /// one, the fused matvec (which reads the bands on the wide shapes)
+    /// still equals the scalar loop (which reads the row-major values) and
+    /// `dot_exact`, bit for bit. Widths 8, 15 and 31 run the chunked kernel
+    /// (h = 3 and 9); h = 2 has no stencil plan and pins the scalar route.
+    #[test]
+    fn matvec_dots_match_scalar_after_every_value_writer(
+        seed in any::<u64>(),
+        s1 in 0.001..0.1f64,
+        s2 in 0.001..0.1f64,
+        pick in any::<u64>()
+    ) {
+        for w in [8, 15, 31] {
+            for h in [2, 3, 9] {
+                let n = w * h;
+                let mut a = seeded_stencil(w, h, seed);
+                check_matvec_dots_against_scalar(&a, seed);
+
+                let bump = test_vector(a.nnz(), seed ^ 1);
+                a.with_raw_parts_mut(|_, _, v| v.iter_mut().zip(&bump).for_each(|(vi, d)| *vi += d));
+                check_matvec_dots_against_scalar(&a, seed ^ 2);
+                a.with_raw_parts_mut(|_, _, v| v.iter_mut().for_each(|vi| *vi *= -1.5));
+                check_matvec_dots_against_scalar(&a, seed ^ 3);
+                for r in [0, (pick % n as u64) as usize, n - 1] {
+                    a.with_row_vals_mut(r, |v| v.iter_mut().for_each(|vi| *vi += 3.25));
+                    check_matvec_dots_against_scalar(&a, seed ^ 4);
+                }
+
+                let mut stage = CachedStage::new(&a, s1);
+                check_matvec_dots_against_scalar(stage.matrix(), seed ^ 5);
+                stage.rewrite(&a, s2);
+                check_matvec_dots_against_scalar(stage.matrix(), seed ^ 6);
+
+                let mut wk = WorkCounter::new();
+                let mut ilu = Ilu0::new(stage.matrix(), &mut wk);
+                check_matvec_dots_against_scalar(ilu.factors(), seed ^ 7);
+                stage.rewrite(&a, s1);
+                ilu.refactor(stage.matrix(), &mut wk);
+                check_matvec_dots_against_scalar(ilu.factors(), seed ^ 8);
+            }
+        }
     }
 }
 
