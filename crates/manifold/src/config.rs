@@ -132,18 +132,6 @@ impl ConfigSpec {
         &self.startup
     }
 
-    /// All declared host machines (in declaration order, deduplicated),
-    /// *excluding* the startup machine unless it was declared.
-    pub fn declared_hosts(&self) -> Vec<HostName> {
-        let mut out = Vec::new();
-        for (_, h) in &self.hosts {
-            if !out.contains(h) {
-                out.push(h.clone());
-            }
-        }
-        out
-    }
-
     /// Candidate hosts for instances of `task`: the declared locus, or the
     /// startup machine when none was declared.
     pub fn hosts_for(&self, task: &Name) -> Vec<HostName> {
@@ -251,14 +239,5 @@ mod tests {
     fn unknown_directive_is_error() {
         let err = ConfigSpec::parse("{frob a b}", "s").unwrap_err();
         assert!(matches!(err, MfError::Spec(_)));
-    }
-
-    #[test]
-    fn declared_hosts_dedup() {
-        let spec = ConfigSpec::with_startup("s")
-            .host("a", "m1")
-            .host("b", "m1")
-            .host("c", "m2");
-        assert_eq!(spec.declared_hosts().len(), 2);
     }
 }

@@ -56,8 +56,9 @@
 //! Activation normally gives a process a thread ([`Coord::activate`]). A
 //! process that is already wired — its input waiting on its port, its
 //! output connected — and whose body only computes can instead be run to
-//! completion on the coordinator's own thread
-//! ([`Coord::run_to_completion`]): same placement, same trace lines, same
+//! completion on the calling thread
+//! ([`Environment::run_to_completion`], which `run_manner` uses for a
+//! manner's first process): same placement, same trace lines, same
 //! failure recording, no hand-off in either direction.
 
 use std::sync::Arc;
@@ -262,13 +263,6 @@ impl Coord {
         self.env.activate(p)
     }
 
-    /// Activate a created process and run its body to completion on this
-    /// thread (see [`Environment::run_to_completion`]). Wire the process
-    /// first; it has terminated when this returns.
-    pub fn run_to_completion(&self, p: &ProcessRef) -> MfResult<()> {
-        self.env.run_to_completion(p)
-    }
-
     /// Begin observing an existing process (e.g. one received as a manner
     /// parameter, like `master` in `ProtocolMW`).
     pub fn watch(&self, p: &ProcessRef) {
@@ -405,11 +399,6 @@ impl<'c> StateScope<'c> {
         let occ = self.coord.ctx.wait_event(patterns);
         // `self` drops here, dismantling the state's streams.
         occ
-    }
-
-    /// Like [`StateScope::idle`] with a deadline.
-    pub fn idle_timeout(self, patterns: &[EventPattern], t: Duration) -> MfResult<EventOccurrence> {
-        self.coord.ctx.wait_event_timeout(patterns, t)
     }
 
     /// `terminated(p)` with event sensitivity: wait until either `p`
@@ -727,17 +716,6 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        env.shutdown();
-    }
-
-    #[test]
-    fn idle_timeout_expires() {
-        let env = Environment::new();
-        let r = env.run_coordinator("Main", |coord| {
-            let st = coord.state();
-            st.idle_timeout(&["never".into()], Duration::from_millis(30))
-        });
-        assert_eq!(r, Err(MfError::Timeout));
         env.shutdown();
     }
 }

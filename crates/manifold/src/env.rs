@@ -837,14 +837,14 @@ mod tests {
             let mut st = coord.state();
             st.send(Unit::int(9), &echo, "input")?;
             st.connect_to_self(&echo, "output", "input", crate::stream::StreamType::KK)?;
-            coord.run_to_completion(&echo)?;
+            env.run_to_completion(&echo)?;
             assert_eq!(echo.life_state(), LifeState::Terminated);
             assert!(hooked.load(Ordering::SeqCst), "on_terminate hooks ran");
             // Placed like any process: the load-1 instance it filled is
             // free again, so the next Echo lands on the same one.
             let placed = echo.core().placement().expect("placed");
             let next = coord.create_atomic("Echo", |_ctx: ProcessCtx| Ok(()));
-            coord.run_to_completion(&next)?;
+            env.run_to_completion(&next)?;
             assert_eq!(next.core().placement().unwrap().task, placed.task);
             // Its event and its unit are already here; nothing blocks.
             assert!(matches!(
@@ -853,7 +853,7 @@ mod tests {
             ));
             assert_eq!(coord.read("input")?.as_int(), Some(9));
             assert!(matches!(
-                coord.run_to_completion(&echo),
+                env.run_to_completion(&echo),
                 Err(MfError::AlreadyActive(_))
             ));
             Ok(())
@@ -869,10 +869,10 @@ mod tests {
         let env = Environment::new();
         env.run_coordinator("Main", |coord| {
             let bad = coord.create_atomic("Bad", |_ctx: ProcessCtx| Err(MfError::App("no".into())));
-            coord.run_to_completion(&bad)?;
+            env.run_to_completion(&bad)?;
             assert_eq!(bad.core().failure(), Some(MfError::App("no".into())));
             let worse = coord.create_atomic("Worse", |_ctx: ProcessCtx| panic!("body bug"));
-            coord.run_to_completion(&worse)?;
+            env.run_to_completion(&worse)?;
             assert_eq!(worse.life_state(), LifeState::Terminated);
             assert_eq!(
                 worse.core().failure(),

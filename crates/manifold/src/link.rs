@@ -483,22 +483,6 @@ impl Bundler {
             .retain(|i| &i.host != host || i.load > 0 || i.id == TaskInstanceId(0));
     }
 
-    /// Kill an idle perpetual instance explicitly (end of application).
-    pub fn expire_idle(&mut self) -> Vec<TaskDeath> {
-        let mut deaths = Vec::new();
-        self.instances.retain(|inst| {
-            let idle = inst.load == 0 && inst.id != TaskInstanceId(0);
-            if idle {
-                deaths.push(TaskDeath {
-                    task: inst.id,
-                    host: inst.host.clone(),
-                });
-            }
-            !idle
-        });
-        deaths
-    }
-
     /// Number of alive task instances (including the start-up instance).
     pub fn alive_instances(&self) -> usize {
         self.instances.len()
@@ -758,17 +742,5 @@ mod tests {
         let w3 = b.place(&Name::new("Worker"));
         assert!(!w3.forked);
         assert_eq!(b.parked_instances(), 1);
-    }
-
-    #[test]
-    fn expire_idle_reaps_perpetual_instances() {
-        let mut b = paper_bundler();
-        b.place(&Name::new("Master"));
-        let w = b.place(&Name::new("Worker"));
-        b.release(&w);
-        assert!(b.is_alive(w.task));
-        let deaths = b.expire_idle();
-        assert_eq!(deaths.len(), 1);
-        assert!(!b.is_alive(w.task));
     }
 }

@@ -304,11 +304,6 @@ impl ProcessCore {
         port
     }
 
-    /// Names of the ports that exist so far.
-    pub fn port_names(&self) -> Vec<Name> {
-        self.ports.lock().keys().cloned().collect()
-    }
-
     /// `watcher` starts observing this process: future raised events and the
     /// termination notice are delivered to its event memory. If the process
     /// has already terminated, the termination notice is delivered at once.
@@ -706,18 +701,6 @@ impl ProcessCtx {
         self.core.events().wait_select(patterns).map(|(_, occ)| occ)
     }
 
-    /// Like [`ProcessCtx::wait_event`] with a deadline.
-    pub fn wait_event_timeout(
-        &self,
-        patterns: &[EventPattern],
-        t: Duration,
-    ) -> MfResult<EventOccurrence> {
-        self.core
-            .events()
-            .wait_select_timeout(patterns, t)
-            .map(|(_, occ)| occ)
-    }
-
     /// Emit a §6-style trace message; prefer the [`mes!`](crate::mes)
     /// macro, which fills in file and line.
     pub fn trace(&self, source_file: &str, line: u32, message: String) {
@@ -870,7 +853,6 @@ mod tests {
         let a = p.port("dataport");
         let b = p.port("dataport");
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(p.port_names().len(), 1);
     }
 
     #[test]

@@ -127,11 +127,6 @@ impl Stream {
         self.inner.lock().src_open
     }
 
-    /// Is the sink end currently attached?
-    pub fn sink_open(&self) -> bool {
-        self.inner.lock().snk_open
-    }
-
     /// Number of buffered units.
     pub fn len(&self) -> usize {
         self.inner.lock().queue.len()
@@ -268,7 +263,6 @@ mod tests {
         s.push(Unit::int(1));
         s.dismantle();
         assert!(!s.source_open());
-        assert!(!s.sink_open());
     }
 
     #[test]

@@ -118,90 +118,6 @@ impl fmt::Display for TraceRecord {
     }
 }
 
-impl TraceRecord {
-    /// Parse one record from its two-line [`Display`] form. `first` is the
-    /// numeric header line, `second` the indented detail line.
-    ///
-    /// [`Display`]: std::fmt::Display
-    pub fn parse_pair(first: &str, second: &str) -> Option<TraceRecord> {
-        let mut h = first.split_whitespace();
-        let host = HostName::new(h.next()?);
-        let task_uid = h.next()?.parse().ok()?;
-        let proc_uid = h.next()?.parse().ok()?;
-        let secs = h.next()?.parse().ok()?;
-        let usecs = h.next()?.parse().ok()?;
-        if h.next().is_some() {
-            return None;
-        }
-        let detail = second.trim_start();
-        let (head, message) = detail.split_once(" -> ")?;
-        let mut d = head.split_whitespace();
-        let task_name = Name::new(d.next()?);
-        let manifold_name = Name::new(d.next()?);
-        let source_file = d.next()?.to_string();
-        let line = d.next()?.parse().ok()?;
-        if d.next().is_some() {
-            return None;
-        }
-        Some(TraceRecord {
-            host,
-            task_uid,
-            proc_uid,
-            secs,
-            usecs,
-            task_name,
-            manifold_name,
-            source_file,
-            line,
-            message: message.to_string(),
-        })
-    }
-}
-
-/// Parse a whole trace dump (a sequence of two-line records as produced by
-/// [`format_trace`]). Blank lines are skipped; malformed pairs are an error
-/// carrying the offending line number.
-pub fn parse_trace(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut out = Vec::new();
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    while let Some((n, first)) = lines.next() {
-        let (_, second) = lines
-            .next()
-            .ok_or_else(|| format!("line {}: record truncated", n + 1))?;
-        let rec = TraceRecord::parse_pair(first, second)
-            .ok_or_else(|| format!("line {}: malformed trace record", n + 1))?;
-        out.push(rec);
-    }
-    Ok(out)
-}
-
-/// Render records in the same two-line format [`parse_trace`] reads.
-pub fn format_trace(records: &[TraceRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&r.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Merge per-process trace files into one chronology: interleave the
-/// record sequences by timestamp. Each input sequence is assumed
-/// internally ordered (as every `TraceSink` produces); ties keep the
-/// input order (earlier sequences first), so merging is deterministic.
-pub fn merge_traces(sequences: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    let mut merged: Vec<(usize, TraceRecord)> = sequences
-        .into_iter()
-        .enumerate()
-        .flat_map(|(i, seq)| seq.into_iter().map(move |r| (i, r)))
-        .collect();
-    merged.sort_by_key(|(i, r)| (r.secs, r.usecs, *i));
-    merged.into_iter().map(|(_, r)| r).collect()
-}
-
 /// Collects trace records chronologically.
 #[derive(Default)]
 pub struct TraceSink {
@@ -230,16 +146,6 @@ impl TraceSink {
     /// job's worth at most.
     pub fn take(&self) -> Vec<TraceRecord> {
         std::mem::take(&mut *self.records.lock())
-    }
-
-    /// Drop all but the most recent `n` records; returns how many went.
-    /// For a sink nobody takes from until the very end: its owner bounds
-    /// what it retains, and says in the final dump how much is missing.
-    pub fn keep_last(&self, n: usize) -> usize {
-        let mut records = self.records.lock();
-        let excess = records.len().saturating_sub(n);
-        records.drain(..excess);
-        excess
     }
 
     /// Number of records so far.
@@ -297,10 +203,7 @@ mod tests {
         let snap = sink.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[2].message, "m2");
-        assert_eq!(sink.keep_last(5), 0);
-        assert_eq!(sink.keep_last(2), 1);
-        assert_eq!(sink.snapshot()[0].message, "m1");
-        assert_eq!(sink.take().len(), 2);
+        assert_eq!(sink.take().len(), 3);
         assert!(sink.is_empty());
     }
 
@@ -317,61 +220,6 @@ mod tests {
         let c = Clock::System;
         let a = c.now_micros();
         assert!(a > 1_000_000_000_000_000); // after ~2001 in micros
-    }
-
-    fn rec(host: &str, secs: u64, usecs: u32, msg: &str) -> TraceRecord {
-        TraceRecord {
-            host: HostName::new(host),
-            task_uid: 262146,
-            proc_uid: 7,
-            secs,
-            usecs,
-            task_name: Name::new("mainprog"),
-            manifold_name: Name::new("Worker(event)"),
-            source_file: "worker.rs".into(),
-            line: 12,
-            message: msg.into(),
-        }
-    }
-
-    #[test]
-    fn parse_round_trips_display() {
-        let records = vec![
-            rec("a.example", 10, 5, "Welcome"),
-            rec("b.example", 10, 9, "Bye"),
-        ];
-        let text = format_trace(&records);
-        let back = parse_trace(&text).unwrap();
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn parse_preserves_spaces_in_message() {
-        let r = rec("h", 1, 2, "worker lost; re-dispatching subsolve(3, 1)");
-        let back = parse_trace(&format_trace(std::slice::from_ref(&r))).unwrap();
-        assert_eq!(back[0].message, r.message);
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(parse_trace("just one line").is_err());
-        assert!(parse_trace("h x 1 2 3\n    t m f 1 -> msg").is_err());
-    }
-
-    #[test]
-    fn merge_interleaves_by_timestamp() {
-        let a = vec![rec("a", 1, 0, "a1"), rec("a", 3, 0, "a2")];
-        let b = vec![rec("b", 2, 0, "b1"), rec("b", 3, 0, "b2")];
-        let m = merge_traces(vec![a, b]);
-        let msgs: Vec<&str> = m.iter().map(|r| r.message.as_str()).collect();
-        // Tie at secs=3 resolved by sequence order: a before b.
-        assert_eq!(msgs, vec!["a1", "b1", "a2", "b2"]);
-    }
-
-    #[test]
-    fn merge_of_empty_is_empty() {
-        assert!(merge_traces(vec![]).is_empty());
-        assert!(merge_traces(vec![vec![], vec![]]).is_empty());
     }
 
     #[test]

@@ -342,8 +342,9 @@ fn an_occurrence_wakes_a_stepped_watcher_on_the_delivering_thread_and_never_a_th
         .unwrap();
     let raisers_thread = tid_rx.recv().unwrap();
     // `terminate` broadcasts after `life` says terminated; give the notice
-    // the few instructions it may still need.
-    while seen.lock().len() < 2 {
+    // the few instructions it may still need — to both watchers, the
+    // threaded one last.
+    while seen.lock().len() < 2 || threaded.core().events().len() < 2 {
         std::thread::yield_now();
     }
     // A post is delivered, and stepped, by the posting thread: this one.

@@ -19,7 +19,7 @@
 //!    ...
 //! engine.shutdown() ──► fleet down, EngineSummary
 //!
-//! Engine::new(…)?.run_one(cfg) ══ submit, wait, shutdown (+ child traces)
+//! Engine::new(…)?.run_one(cfg) ══ submit, wait, shutdown
 //! ```
 //!
 //! Every job runs a *fresh, job-scoped* coordinator and master over the
@@ -58,7 +58,7 @@ use chaos::{FaultKind, FaultPlan};
 use cluster::{Perturbation, SimFleet};
 use manifold::env::ScopeLog;
 use manifold::prelude::*;
-use manifold::remote::{JobFleet, RemoteIdentity};
+use manifold::remote::JobFleet;
 use manifold::trace::TraceRecord;
 use parking_lot::{Condvar, Mutex};
 use protocol::{MasterHandle, PerpetualPool, PolicyRef, PoolStats, ProtocolMw, ProtocolOutcome};
@@ -69,7 +69,7 @@ use crate::app::RunMode;
 use crate::checkpoint::CheckpointStore;
 use crate::cost::CostModel;
 use crate::master::{master_body, MasterConfig};
-use crate::procs::{merge_child_traces, JobSource, ProcsConfig, WORKER_HEARTBEAT};
+use crate::procs::{JobSource, ProcsConfig, WORKER_HEARTBEAT};
 use crate::virtualrun::paper_sim;
 use crate::worker::{worker_factory_chaos, worker_factory_with_gauge, WorkerGauge};
 
@@ -197,13 +197,11 @@ pub struct JobReport {
     pub result: SequentialResult,
     /// Protocol bookkeeping for *this job's* pools.
     pub outcome: ProtocolOutcome,
-    /// This job's slice of the chronological §6 trace. On the procs
-    /// backend the children's records arrive only at fleet shutdown, so a
-    /// job collected from [`JobHandle::wait`] holds the coordinator-side
-    /// records; [`Engine::run_one`] merges the children's in.
+    /// This job's slice of the chronological §6 trace: one `Welcome` and
+    /// one `Bye` per worker on every backend (on procs, printed by the
+    /// worker's proxy under the child's host and task uid).
     pub records: Vec<TraceRecord>,
-    /// Machines hosting task instances (procs: coordinator side only,
-    /// unless the report came from [`Engine::run_one`]).
+    /// Machines hosting task instances.
     pub machines_used: usize,
     /// Peak workers simultaneously in their compute section anywhere in
     /// the fleet while this job ran — its own and, when jobs overlap,
@@ -387,9 +385,6 @@ pub struct EngineSummary {
     /// (0 on the sim backend): the size of the largest set of jobs in
     /// flight together, not of the fleet's history.
     pub peak_live_processes: usize,
-    /// Procs backend only: per-child (slot, identity, trace text) reports
-    /// collected at shutdown.
-    pub child_reports: Vec<(u64, RemoteIdentity, Option<String>)>,
     /// Procs backend only: connection reader threads the fleet was running
     /// when it shut down — one per worker process, whatever the job count.
     pub reader_threads: usize,
@@ -760,7 +755,6 @@ impl Engine {
             fleet_workers_created,
             threads_spawned: footprint.threads_spawned,
             peak_live_processes: footprint.peak_live_processes,
-            child_reports: Vec::new(),
             reader_threads: 0,
             wire_queue_peak: 0,
         };
@@ -770,7 +764,7 @@ impl Engine {
                 env.shutdown();
                 summary.reader_threads = pool.reader_threads();
                 summary.wire_queue_peak = pool.queue_peak();
-                summary.child_reports = pool.shutdown();
+                pool.shutdown();
             }
             BackendState::SimFleetState { .. } => {}
         }
@@ -778,28 +772,21 @@ impl Engine {
     }
 
     /// Serve exactly one job, then tear the fleet down: the paper's batch
-    /// run, on any backend. On procs the worker processes' own §6 traces
-    /// arrive at shutdown and are merged into the report's chronological
-    /// `records`, and `machines_used` counts their hosts too. The fleet is
-    /// shut down whether the job succeeded or not, so a failed run still
-    /// reaps its children, and every failure comes back as
-    /// [`MfError::App`] with the same text on every backend.
+    /// run, on any backend. The fleet is shut down whether the job
+    /// succeeded or not, so a failed run still reaps its children, and
+    /// every failure comes back as [`MfError::App`] with the same text on
+    /// every backend.
     pub fn run_one(mut self, job: AppConfig) -> MfResult<JobReport> {
         let report = self
             .submit(job)
             .map_err(MfError::from)
             .and_then(JobHandle::wait);
-        let summary = self.shutdown();
-        let mut report = match report {
-            Ok(r) => r,
-            Err(e @ MfError::App(_)) => return Err(e),
-            Err(e) => return Err(MfError::App(e.to_string())),
-        };
-        if !summary.child_reports.is_empty() {
-            report.records = merge_child_traces(report.records, &summary.child_reports)?;
-            report.machines_used = distinct_hosts(&report.records);
+        self.shutdown();
+        match report {
+            Ok(r) => Ok(r),
+            Err(e @ MfError::App(_)) => Err(e),
+            Err(e) => Err(MfError::App(e.to_string())),
         }
-        Ok(report)
     }
 
     fn master_config(&mut self, cfg: &AppConfig) -> MfResult<MasterConfig> {

@@ -16,29 +16,28 @@
 //!
 //! Both halves live here so they cannot drift apart:
 //!
-//! * the coordinator side — [`ProcsConfig`], the pool's shape; each job's
-//!   view of the shared worker pool; and the merge of the children's §6
-//!   traces into a run's chronological record, which
-//!   [`Engine::run_one`](crate::Engine::run_one) applies at shutdown;
+//! * the coordinator side — [`ProcsConfig`], the pool's shape, and each
+//!   job's view of the shared worker pool. The proxy standing in for a
+//!   remote worker is that worker's one identity: it prints the worker's
+//!   `Welcome` and `Bye` under the host and task uid the child named in
+//!   its `Hello`;
 //! * [`run_worker_child`] — the child side, called by the
-//!   `subsolve_worker` binary: serves jobs by running the *real*
-//!   [`worker_factory`] manifold inside its own MANIFOLD environment,
-//!   then ships its trace back at shutdown.
+//!   `subsolve_worker` binary: a plain job server that runs each job
+//!   through the same decode → `subsolve` → encode step as the threads
+//!   backend's Worker, and holds nothing from one job to the next.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use manifold::config::ConfigSpec;
 use manifold::ident::TaskInstanceId;
 use manifold::prelude::*;
-use manifold::remote::{Completion, JobFleet, Lost, RemoteIdentity, Started};
-use manifold::trace::{format_trace, merge_traces, parse_trace, TraceRecord};
-use protocol::DEATH_WORKER;
+use manifold::remote::{Completion, JobFleet, Lost, Started};
+use manifold::trace::TraceRecord;
 use transport::{serve, Addr, BindMode, RemoteWorkerPool, ServeConfig, ServeSummary};
 
-use crate::worker::{worker_factory, WorkerGauge};
+use crate::worker::{subsolve_unit, WorkerGauge};
 
 /// How often a worker child reports that it is alive.
 pub(crate) const WORKER_HEARTBEAT: Duration = Duration::from_millis(100);
@@ -195,71 +194,24 @@ pub fn child_task_uid(instance: u64) -> u64 {
     TraceRecord::task_uid_for(TaskInstanceId(instance + 1))
 }
 
-/// Interleave the worker children's shipped trace files into a run's
-/// coordinator-side records, chronologically — exactly as the paper's
-/// single chronological listing shows them.
-pub(crate) fn merge_child_traces(
-    records: Vec<TraceRecord>,
-    children: &[(u64, RemoteIdentity, Option<String>)],
-) -> MfResult<Vec<TraceRecord>> {
-    let mut sequences = vec![records];
-    for (slot, _identity, trace) in children {
-        if let Some(text) = trace {
-            let records = parse_trace(text)
-                .map_err(|e| MfError::App(format!("instance {slot} sent a bad trace: {e}")))?;
-            sequences.push(records);
-        }
-    }
-    Ok(merge_traces(sequences))
-}
-
-/// Trace records a worker child keeps once it has served enough jobs to
-/// have more: it trims back to this many whenever it holds twice as many.
-/// A one-shot run never gets there (a level-15 job gives one child some
-/// thirty subsolves, two records each), so its shipped trace is complete;
-/// a child serving a daemon for days stays this size.
-const CHILD_TRACE_KEEP: usize = 1024;
-
-/// The child's trace as shipped at shutdown: the retained records with
-/// task uids rewritten to this instance's slot, behind one line saying how
-/// many earlier ones were dropped, if any were.
-fn child_trace_dump(mut records: Vec<TraceRecord>, task_uid: u64, dropped: u64) -> String {
-    if let (Some(first), true) = (records.first().cloned(), dropped > 0) {
-        records.insert(
-            0,
-            TraceRecord {
-                message: format!("{dropped} earlier records dropped"),
-                ..first
-            },
-        );
-    }
-    for r in &mut records {
-        r.task_uid = task_uid;
-    }
-    format_trace(&records)
-}
-
 /// The child side: everything `subsolve_worker` does after parsing its
-/// environment. Serves jobs from `addr` by running the real Worker
-/// manifold in a private MANIFOLD environment whose startup machine is
-/// this machine's real hostname, and ships the accumulated trace (task
-/// uids rewritten to this instance's slot) back at shutdown.
+/// environment. Connects to `addr`, says `Hello` with this machine's real
+/// hostname and this instance's task uid, and answers each job with the
+/// threads Worker's own decode → [`solver::subsolve()`] → encode step. A
+/// payload that does not decode, a `subsolve` error or a panic in the
+/// computation answers `Fail`, and the child serves on.
 pub fn run_worker_child(
     addr: Addr,
     instance: u64,
     heartbeat: Duration,
     faults: chaos::WorkerFaults,
 ) -> std::io::Result<ServeSummary> {
-    let host = transport::real_hostname();
-    let task_uid = child_task_uid(instance);
-    let link = LinkSpec::default()
-        .task("mainprog")
-        .perpetual(true)
-        .load(64)
-        .weight("Worker", 1);
-    let env = Environment::with_specs(link, ConfigSpec::with_startup(host.as_str()));
-
-    let mut cfg = ServeConfig::new(addr, instance, host, task_uid);
+    let mut cfg = ServeConfig::new(
+        addr,
+        instance,
+        transport::real_hostname(),
+        child_task_uid(instance),
+    );
     cfg.heartbeat = heartbeat;
     // Wire-level faults run inside the serve loop (it owns the socket);
     // the crash stays here in the job handler, because an abrupt
@@ -274,71 +226,30 @@ pub fn run_worker_child(
     };
     let crash_on_job = faults.crash_on_job;
     let mut jobs_seen = 0u64;
-    let dropped = std::cell::Cell::new(0u64);
-    let summary = serve(
-        cfg,
-        |job| {
-            jobs_seen += 1;
-            if crash_on_job == Some(jobs_seen) {
-                // Fault injection: die the way a crashed workstation
-                // does — no reply, no cleanup, connection just drops.
-                std::process::exit(42);
-            }
-            let solved = solve_one(&env, job).map_err(|e| e.to_string());
-            if env.trace().len() >= 2 * CHILD_TRACE_KEEP {
-                let gone = env.trace().keep_last(CHILD_TRACE_KEEP);
-                dropped.set(dropped.get() + gone as u64);
-            }
-            solved
-        },
-        || {
-            Some(child_trace_dump(
-                env.trace().snapshot(),
-                task_uid,
-                dropped.get(),
-            ))
-        },
-    )?;
-    env.shutdown();
-    Ok(summary)
+    serve(cfg, |job| {
+        jobs_seen += 1;
+        if crash_on_job == Some(jobs_seen) {
+            // Fault injection: die the way a crashed workstation
+            // does — no reply, no cleanup, connection just drops.
+            std::process::exit(42);
+        }
+        child_reply(&job)
+    })
 }
 
-/// Run one job through the real Worker manifold: create the worker
-/// process instance, feed it the job, collect its submission, observe its
-/// death — the same four steps the thread backend's pool performs. The
-/// worker's only input is in hand and its body only computes, so once it
-/// is wired it runs to completion on this thread.
-fn solve_one(env: &Environment, job: Unit) -> MfResult<Unit> {
-    let solved = env.run_coordinator("ChildMain", |coord| {
-        let death = Name::new(DEATH_WORKER);
-        let worker = worker_factory(coord, &death);
-        let mut st = coord.state();
-        st.send(job.clone(), &worker, "input")?;
-        st.connect_to_self(&worker, "output", "input", StreamType::KK)?;
-        coord.run_to_completion(&worker)?;
-        match st.until_terminated(&worker, &[DEATH_WORKER.into()])? {
-            StateExit::Event(_) => coord.read("input"),
-            StateExit::Terminated(_) => {
-                let detail = worker
-                    .core()
-                    .failure()
-                    .map(|e| e.to_string())
-                    .unwrap_or_else(|| "worker terminated without a result".into());
-                Err(MfError::App(detail))
-            }
-        }
-    });
-    // Already reported through `solved`; a child serving jobs for days
-    // must not keep one entry per failed job.
-    env.take_failures();
-    solved
+/// The answer a worker child gives one job: the encoded result, or the
+/// text of its `Fail` — the error as a Worker process would record it,
+/// under the application-error prefix.
+fn child_reply(job: &Unit) -> Result<Unit, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| subsolve_unit(job)))
+        .unwrap_or_else(|_| Err(MfError::App("process body panicked".into())))
+        .map_err(|e| MfError::App(e.to_string()).to_string())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{AppConfig, Engine, EngineOpts};
-    use manifold::config::HostName;
     use protocol::PaperFaithful;
     use solver::sequential::SequentialApp;
 
@@ -361,50 +272,16 @@ mod tests {
         assert!(err.to_string().contains("instance 0"), "got: {err}");
     }
 
+    /// A real child on a loopback socket: a payload that does not decode
+    /// gets `Fail` with the Worker's error text, and the child serves on —
+    /// the next, valid job gets `Done` with the bits `subsolve` computes.
     #[test]
-    fn solve_one_runs_the_real_worker() {
+    fn a_child_fails_a_garbage_job_and_serves_the_next() {
         use crate::codec::{request_to_unit, result_from_unit};
-        use solver::problem::Problem;
-        use solver::subsolve::SubsolveRequest;
-
-        let env = Environment::new();
-        let req = SubsolveRequest::for_grid(2, 1, 1, 1e-3, Problem::manufactured_benchmark());
-        let out = solve_one(&env, request_to_unit(&req)).unwrap();
-        let res = result_from_unit(&out).unwrap();
-        let direct = solver::subsolve(&req).unwrap();
-        assert_eq!(res.values, direct.values);
-        env.shutdown();
-    }
-
-    #[test]
-    fn solve_one_runs_the_worker_on_the_calling_thread() {
-        use crate::codec::request_to_unit;
-        use solver::problem::Problem;
-        use solver::subsolve::SubsolveRequest;
-
-        let env = Environment::new();
-        let req = SubsolveRequest::for_grid(2, 1, 1, 1e-3, Problem::manufactured_benchmark());
-        for _ in 0..3 {
-            solve_one(&env, request_to_unit(&req)).unwrap();
-        }
-        assert_eq!(env.threads_spawned(), 0);
-        assert_eq!(env.live_processes(), 0);
-        let msgs: Vec<String> = env.trace().take().into_iter().map(|r| r.message).collect();
-        assert_eq!(msgs, ["Welcome", "Bye", "Welcome", "Bye", "Welcome", "Bye"]);
-        env.shutdown();
-    }
-
-    /// One child, 20,000 jobs, a real socket: what the child holds (and
-    /// ships at shutdown) stops growing, and the shipped trace says how
-    /// much is missing.
-    #[test]
-    fn a_perpetual_child_retains_a_bounded_trace() {
-        use crate::codec::request_to_unit;
         use solver::problem::Problem;
         use solver::subsolve::SubsolveRequest;
         use transport::{Conn, Message};
 
-        const JOBS: u64 = 20_000;
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = Addr::Tcp(listener.local_addr().unwrap().to_string());
         let child = std::thread::spawn(move || {
@@ -416,12 +293,15 @@ mod tests {
             )
         });
         let (sock, _) = listener.accept().unwrap();
-        sock.set_nodelay(true).unwrap();
         let mut conn = Conn::Tcp(sock);
         match conn.recv_msg().unwrap().unwrap() {
-            Message::Hello { instance, .. } => conn
-                .send_msg(&Message::HelloAck { instance, pool: 0 })
-                .unwrap(),
+            Message::Hello {
+                instance, task_uid, ..
+            } => {
+                assert_eq!(task_uid, child_task_uid(0));
+                conn.send_msg(&Message::HelloAck { instance, pool: 0 })
+                    .unwrap()
+            }
             other => panic!("expected Hello, got {other:?}"),
         }
         let reply = |conn: &mut Conn| loop {
@@ -430,69 +310,58 @@ mod tests {
                 m => return m,
             }
         };
-        let req = SubsolveRequest::for_grid(1, 0, 0, 1e-2, Problem::manufactured_benchmark());
-        let payload = request_to_unit(&req);
-        for seq in 1..=JOBS {
-            conn.send_msg(&Message::Job {
-                seq,
-                job: 0,
-                payload: payload.clone(),
-            })
-            .unwrap();
-            assert!(matches!(reply(&mut conn), Message::Done { seq: s, .. } if s == seq));
-        }
-        conn.send_msg(&Message::Shutdown).unwrap();
-        let Message::Trace { text } = reply(&mut conn) else {
-            panic!("expected the child's trace");
-        };
-        let summary = child.join().unwrap().unwrap();
-        assert_eq!(summary.jobs_done, JOBS);
 
-        let records = parse_trace(&text).unwrap();
-        assert!(
-            records.len() <= 2 * CHILD_TRACE_KEEP + 1,
-            "{} records retained after {JOBS} jobs",
-            records.len()
+        conn.send_msg(&Message::Job {
+            seq: 1,
+            job: 3,
+            payload: Unit::text("not a job"),
+        })
+        .unwrap();
+        assert_eq!(
+            reply(&mut conn),
+            Message::Fail {
+                seq: 1,
+                job: 3,
+                error: "application error: unit type mismatch: expected Tuple".into(),
+            }
         );
-        let dropped: u64 = records[0]
-            .message
-            .strip_suffix(" earlier records dropped")
-            .expect("first line accounts for the dropped records")
-            .parse()
-            .unwrap();
-        // Welcome and Bye per job: nothing unaccounted for.
-        assert_eq!(dropped + records.len() as u64 - 1, 2 * JOBS);
-        assert!(records[1..]
-            .chunks(2)
-            .all(|pair| pair[0].message == "Welcome" && pair[1].message == "Bye"));
-        assert!(records.iter().all(|r| r.task_uid == child_task_uid(0)));
-    }
 
-    #[test]
-    fn a_short_lived_childs_trace_is_shipped_whole() {
-        let rec = |msg: &str| TraceRecord {
-            host: HostName::new("h"),
-            task_uid: 1,
-            proc_uid: 7,
-            secs: 1,
-            usecs: 2,
-            task_name: Name::new("mainprog"),
-            manifold_name: Name::new("Worker(event)"),
-            source_file: "worker.rs".into(),
-            line: 1,
-            message: msg.into(),
+        let req = SubsolveRequest::for_grid(2, 1, 1, 1e-3, Problem::manufactured_benchmark());
+        conn.send_msg(&Message::Job {
+            seq: 2,
+            job: 3,
+            payload: request_to_unit(&req),
+        })
+        .unwrap();
+        let Message::Done {
+            seq: 2,
+            job: 3,
+            payload,
+        } = reply(&mut conn)
+        else {
+            panic!("expected Done for seq 2");
         };
-        let text = child_trace_dump(vec![rec("Welcome"), rec("Bye")], 9, 0);
-        let back = parse_trace(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert!(back.iter().all(|r| r.task_uid == 9));
-    }
+        let direct = solver::subsolve(&req).unwrap();
+        let got = result_from_unit(&payload).unwrap();
+        assert_eq!(
+            got.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            direct
+                .values
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
 
-    #[test]
-    fn solve_one_surfaces_worker_failures() {
-        let env = Environment::new();
-        let err = solve_one(&env, Unit::text("not a job")).unwrap_err();
-        assert!(!err.to_string().is_empty());
-        env.shutdown();
+        // Shutdown is answered by closing: nothing else is on the wire.
+        conn.send_msg(&Message::Shutdown).unwrap();
+        loop {
+            match conn.recv_msg().unwrap() {
+                Some(Message::Heartbeat) => continue,
+                other => break assert_eq!(other, None),
+            }
+        }
+        let summary = child.join().unwrap().unwrap();
+        assert_eq!((summary.jobs_done, summary.jobs_failed), (1, 1));
+        assert!(summary.clean_shutdown);
     }
 }

@@ -114,24 +114,32 @@ fn make_worker(
                 }
             }
         }
-        let req = request_from_unit(&job)?;
         // Step 2: the computational job (the untouched legacy core).
         if let Some(g) = &gauge {
             g.enter();
         }
-        let computed = solver::subsolve(&req)
-            .map(|res| result_to_unit(&res))
-            .map_err(|e| format!("subsolve({}, {}): {e}", req.l, req.m));
+        let computed = subsolve_unit(&job);
         if let Some(g) = &gauge {
             g.exit();
         }
         // Step 3: write the results to our own output port.
-        h.submit(computed.map_err(MfError::App)?)?;
+        h.submit(computed?)?;
         // Step 4: signal death and return.
         mes!(h.ctx(), "Bye");
         h.die();
         Ok(())
     })
+}
+
+/// One job's computation, as every worker performs it: decode the
+/// request, run [`solver::subsolve()`] on it, encode the result. The
+/// threads backend's Worker process calls it between its read and its
+/// write; a procs worker child calls it for each `Job` frame.
+pub(crate) fn subsolve_unit(job: &Unit) -> MfResult<Unit> {
+    let req = request_from_unit(job)?;
+    solver::subsolve(&req)
+        .map(|res| result_to_unit(&res))
+        .map_err(|e| MfError::App(format!("subsolve({}, {}): {e}", req.l, req.m)))
 }
 
 /// Create (but do not activate) one Worker process instance — the factory
@@ -200,6 +208,39 @@ mod tests {
         .unwrap();
         env.shutdown();
         assert!(env.failures().is_empty());
+    }
+
+    #[test]
+    fn subsolve_unit_is_the_subsolve_bit_for_bit() {
+        let req = SubsolveRequest::for_grid(2, 1, 1, 1e-3, Problem::manufactured_benchmark());
+        let res = result_from_unit(&subsolve_unit(&request_to_unit(&req)).unwrap()).unwrap();
+        let direct = solver::subsolve(&req).unwrap();
+        assert_eq!((res.l, res.m), (1, 1));
+        assert_eq!(
+            res.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            direct
+                .values
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn subsolve_unit_surfaces_failures() {
+        assert_eq!(
+            subsolve_unit(&Unit::text("not a job")),
+            Err(MfError::UnitType { expected: "Tuple" })
+        );
+        // A request that decodes but that `subsolve` cannot integrate.
+        let mut req = SubsolveRequest::for_grid(2, 1, 1, 1e-3, Problem::manufactured_benchmark());
+        let interior = req.grid().interior_count();
+        req.initial_interior = Some(Arc::new(vec![f64::NAN; interior]));
+        let err = subsolve_unit(&request_to_unit(&req)).unwrap_err();
+        assert!(
+            matches!(&err, MfError::App(m) if m.starts_with("subsolve(1, 1): ")),
+            "got {err:?}"
+        );
     }
 
     #[test]

@@ -93,34 +93,47 @@ fn paper_faithful_matches_over_unix_sockets() {
 
 #[test]
 fn remote_traces_carry_real_host_and_child_task_uids() {
-    let app = SequentialApp::new(2, 1, 1e-3);
+    let app = SequentialApp::new(2, 2, 1e-3);
     let procs = procs_run(app, BindMode::Tcp, Arc::new(PaperFaithful));
+    let threads = threads_run(app, Arc::new(PaperFaithful));
 
-    let real_host = transport::real_hostname();
-    // The proxy workers adopt the children's reported identity: the
-    // machine's *real* hostname, not the CONFIG label.
-    assert!(
-        procs
+    // One `Welcome` and one `Bye` per worker created, as on threads: the
+    // proxy is the worker's one identity, and the child prints nothing.
+    let worker_lines = |report: &JobReport, message: &str| {
+        report
             .records
             .iter()
-            .any(|r| r.manifold_name.as_str() == "Worker(event)" && r.host.as_str() == real_host),
-        "no worker trace line carries the real hostname {real_host:?}"
-    );
-    // The children's own trace files were merged in, rewritten to their
-    // pool slots' task-instance uids.
-    for slot in 0..2u64 {
-        let uid = renovation::procs::child_task_uid(slot);
-        assert!(
-            procs.records.iter().any(|r| r.task_uid == uid),
-            "no merged trace record from child instance {slot} (uid {uid})"
+            .filter(|r| r.manifold_name.as_str() == "Worker(event)" && r.message == message)
+            .count()
+    };
+    let workers = procs.outcome.workers_created();
+    assert!(workers > 0);
+    assert_eq!(threads.outcome.workers_created(), workers);
+    for message in ["Welcome", "Bye"] {
+        assert_eq!(worker_lines(&procs, message), workers, "procs {message}s");
+        assert_eq!(
+            worker_lines(&threads, message),
+            workers,
+            "threads {message}s"
         );
     }
-    // Each worker announced itself in its own process: 3 remote Welcomes
-    // (per job) + the proxies' and master's lines all interleave into one
-    // chronology.
+
+    // Every worker line carries the children's reported identity: the
+    // machine's *real* hostname, not the CONFIG label, and a child's
+    // task-instance uid.
+    let real_host = transport::real_hostname();
+    let child_uids: Vec<u64> = (0..2).map(renovation::procs::child_task_uid).collect();
+    for r in procs
+        .records
+        .iter()
+        .filter(|r| r.manifold_name.as_str() == "Worker(event)")
+    {
+        assert_eq!(r.host.as_str(), real_host, "{r}");
+        assert!(child_uids.contains(&r.task_uid), "{r}");
+    }
     let mut last = (0, 0);
     for r in &procs.records {
-        assert!((r.secs, r.usecs) >= last, "merged trace not chronological");
+        assert!((r.secs, r.usecs) >= last, "trace not chronological");
         last = (r.secs, r.usecs);
     }
 }

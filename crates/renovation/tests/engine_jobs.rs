@@ -113,9 +113,9 @@ fn procs_fleet_serves_eight_interleaved_jobs_bit_identically() {
     assert_eq!(engine.jobs_served(), 8);
     let summary = engine.shutdown();
     assert_eq!(summary.jobs_served, 8);
-    // The same two worker processes served all eight jobs and each ships
-    // one shutdown report.
-    assert_eq!(summary.child_reports.len(), 2);
+    // The same two worker processes, one reader thread each, served all
+    // eight jobs.
+    assert_eq!(summary.reader_threads, 2);
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //!
 //! [`RemoteWorkerPool::launch`] binds a [`Listener`] (TCP loopback or a
 //! Unix socket), spawns one child process per task instance through a
-//! [`Spawner`], and completes the `Hello`/`HelloAck` handshake with each;
-//! the host a child names in its `Hello` is the host its trace records
-//! carry. From then on it takes jobs without making anyone wait
+//! [`Spawner`], and completes the `Hello`/`HelloAck` handshake with each
+//! (a child at another protocol version fails the launch); the host and
+//! task uid a child names in its `Hello` are the identity its worker's
+//! trace records carry. From then on it takes jobs without making anyone wait
 //! ([`RemoteWorkerPool::submit`]):
 //!
 //! * a job submitted while some live connection is idle is written to
@@ -147,7 +148,7 @@ const NO_INSTANCES: &str = "no live remote instances (respawn budget exhausted)"
 /// Time allowed for a child to connect and complete the handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(20);
 
-/// How long a departing child gets to acknowledge and ship its trace.
+/// How long a departing child gets to acknowledge and close.
 const DEPARTURE_GRACE: Duration = Duration::from_secs(5);
 
 /// A job waiting for a connection.
@@ -190,8 +191,6 @@ struct Slot {
     /// rotation for good: it is never handed a job and never respawned —
     /// that is what distinguishes an orderly retirement from a crash.
     departed: bool,
-    /// The trace block the child shipped as it left.
-    trace: Option<String>,
     reader: Option<JoinHandle<()>>,
 }
 
@@ -490,9 +489,9 @@ impl RemoteWorkerPool {
     /// bidirectional `Leave` exchange. From this call on the slot takes no
     /// new job; `Leave` goes out once its wire is empty — at once, or when
     /// the job it is running has been answered — so retirement loses
-    /// nothing. Returns, once the child has left, the trace block it
-    /// shipped, if it sent one. The departed slot never respawns.
-    pub fn retire_instance(&self, index: u64) -> MfResult<Option<String>> {
+    /// nothing. Returns once the child has left. The departed slot never
+    /// respawns.
+    pub fn retire_instance(&self, index: u64) -> MfResult<()> {
         let inner = &self.inner;
         let mut st = inner.state.lock();
         let slot = st
@@ -522,19 +521,18 @@ impl RemoteWorkerPool {
         while !st.slot(index).departed {
             inner.departed.wait(&mut st);
         }
-        Ok(st.slot(index).trace.take())
+        Ok(())
     }
 
     /// Orderly shutdown: fail whatever still waits, ask every live child
-    /// to finish, collect the trace block each sends back, join the reader
-    /// threads and reap the processes. Returns `(slot, identity, trace)`
-    /// per instance the fleet ever had; empty on a second call.
-    pub fn shutdown(&self) -> Vec<(u64, RemoteIdentity, Option<String>)> {
+    /// to finish, join the reader threads once each child has closed its
+    /// connection, and reap the processes. A second call does nothing.
+    pub fn shutdown(&self) {
         let inner = &self.inner;
         let (writers, waiting) = {
             let mut st = inner.state.lock();
             if st.closing {
-                return Vec::new();
+                return;
             }
             st.closing = true;
             let writers: Vec<_> = st.slots.iter().filter_map(|s| s.writer.clone()).collect();
@@ -560,16 +558,12 @@ impl RemoteWorkerPool {
             let _ = r.join();
         }
         let mut st = inner.state.lock();
-        st.slots
-            .iter_mut()
-            .map(|s| {
-                // A clean child has already exited; kill() just reaps it.
-                if let Some(mut child) = s.child.take() {
-                    child.kill();
-                }
-                (s.index, s.identity.clone(), s.trace.take())
-            })
-            .collect()
+        for s in &mut st.slots {
+            // A clean child has already exited; kill() just reaps it.
+            if let Some(mut child) = s.child.take() {
+                child.kill();
+            }
+        }
     }
 }
 
@@ -752,7 +746,6 @@ impl PoolInner {
             reviving: false,
             retiring: false,
             departed: false,
-            trace: None,
             reader: Some(reader),
         });
         Ok(())
@@ -808,12 +801,8 @@ impl PoolInner {
             Ok(Some(Message::Fail { seq, job, error })) => {
                 self.answered(index, seq, job, Err(error))
             }
-            // A departing child acknowledges with its own Leave, then
-            // ships its trace and exits.
-            Ok(Some(Message::Leave { .. })) if self.leaving(index) => Flow::Read,
-            Ok(Some(Message::Trace { text })) if self.leaving(index) => {
-                self.left(index, Some(text))
-            }
+            // A departing child acknowledges with its own Leave and exits.
+            Ok(Some(Message::Leave { .. })) if self.leaving(index) => self.left(index),
             Ok(Some(other)) => self.lost(
                 index,
                 format!("instance {index} lost (protocol confusion: {other:?})"),
@@ -902,7 +891,7 @@ impl PoolInner {
                 Flow::Read
             }
             // No answer to `Leave` / `Shutdown` within the grace.
-            None if leaving => self.left(index, None),
+            None if leaving => self.left(index),
             // An idle child owes nothing but heartbeats, and a missing
             // heartbeat costs no job: wait on.
             None => Flow::Read,
@@ -932,18 +921,17 @@ impl PoolInner {
         }
         fail(stranded, NO_INSTANCES);
         if leaving {
-            self.left(index, None)
+            self.left(index)
         } else {
             Flow::Dead
         }
     }
 
     /// Slot `index` is out of the fleet for good — retired, or the fleet
-    /// is closing: keep what the child shipped and end the reader.
-    fn left(&self, index: u64, trace: Option<String>) -> Flow {
+    /// is closing: end the reader.
+    fn left(&self, index: u64) -> Flow {
         let mut st = self.state.lock();
         let slot = st.slot(index);
-        slot.trace = trace;
         slot.writer = None;
         slot.departed = true;
         let child = slot.child.take();
@@ -961,7 +949,7 @@ impl PoolInner {
         let pause = loop {
             if st.closing || st.slot(index).retiring {
                 drop(st);
-                return self.left(index, None);
+                return self.left(index);
             }
             // One revival per waiting job: a single job in the queue must
             // not spend every dead slot's budget.
@@ -988,7 +976,7 @@ impl PoolInner {
             Ok(up) if closing || slot.retiring => {
                 drop(st);
                 drop(up);
-                self.left(index, None)
+                self.left(index)
             }
             Ok(up) => {
                 slot.writer = Some(Arc::new(Mutex::new(up.writer)));
@@ -1066,11 +1054,9 @@ mod tests {
                     format!("thread-host-{instance}"),
                     1000 + instance,
                 );
-                let _ = serve(
-                    cfg,
-                    |u| Ok(Unit::tuple(vec![Unit::int(instance as i64), u])),
-                    || Some(format!("trace-of-{instance}")),
-                );
+                let _ = serve(cfg, |u| {
+                    Ok(Unit::tuple(vec![Unit::int(instance as i64), u]))
+                });
             });
             Ok(ChildHandle::detached())
         }
@@ -1166,8 +1152,6 @@ mod tests {
                         }
                         Ok(Some(Message::Leave { instance, reason })) => {
                             conn.send_msg(&Message::Leave { instance, reason }).unwrap();
-                            let text = format!("trace-of-{instance}");
-                            conn.send_msg(&Message::Trace { text }).unwrap();
                             return;
                         }
                         _ => return,
@@ -1223,7 +1207,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_robins_live_instances_and_collects_traces() {
+    fn pool_round_robins_live_instances() {
         let spawner = Arc::new(ThreadSpawner::default());
         let pool = RemoteWorkerPool::launch(quick_cfg(2, BindMode::Tcp), spawner.clone()).unwrap();
         assert_eq!(pool.live_count(), 2);
@@ -1244,13 +1228,10 @@ mod tests {
         b.outcome().unwrap();
         assert_eq!(pool.queue_peak(), 0, "an idle connection took each job");
 
-        let traces = pool.shutdown();
-        assert_eq!(traces.len(), 2);
-        for (slot, _id, trace) in traces {
-            assert_eq!(trace.as_deref(), Some(format!("trace-of-{slot}").as_str()));
-        }
+        pool.shutdown();
+        assert_eq!(pool.reader_threads(), 0);
         assert_eq!(spawner.spawned.load(Ordering::Relaxed), 2);
-        assert!(pool.shutdown().is_empty(), "nothing left to shut down");
+        pool.shutdown(); // nothing left to shut down
     }
 
     #[test]
@@ -1441,10 +1422,8 @@ mod tests {
         assert_eq!(pool.live_count(), 3);
         assert_eq!(pool.reader_threads(), 3);
 
-        // Retire instance 0: Leave exchange, trace shipped, out of the
-        // rotation for good.
-        let trace = pool.retire_instance(0).unwrap();
-        assert_eq!(trace.as_deref(), Some("trace-of-0"));
+        // Retire instance 0: Leave exchange, out of the rotation for good.
+        pool.retire_instance(0).unwrap();
         assert_eq!(pool.live_count(), 2);
         assert_eq!(pool.member_indices(), [1, 2]);
         assert_eq!(pool.reader_threads(), 2);
@@ -1463,11 +1442,7 @@ mod tests {
         }
         assert!(pool.retire_instance(0).is_err(), "double retirement");
         assert_eq!(spawner.spawned.load(Ordering::Relaxed), 3);
-        assert_eq!(
-            pool.shutdown().len(),
-            3,
-            "the departed slot is reported too"
-        );
+        pool.shutdown();
     }
 
     #[test]
@@ -1491,8 +1466,7 @@ mod tests {
         assert!(!retiring.is_finished(), "Leave waits for the wire job");
         gates.tell(victim, Reply::Done);
         assert_eq!(held.outcome().unwrap(), Unit::int(1));
-        let trace = retiring.join().unwrap().unwrap();
-        assert_eq!(trace, Some(format!("trace-of-{victim}")));
+        retiring.join().unwrap().unwrap();
         gates.tell(survivor, Reply::Done);
         assert_eq!(other.outcome().unwrap(), Unit::int(2));
         assert_eq!(pool.live_count(), 1);
@@ -1609,7 +1583,7 @@ mod tests {
             let exits = self.exits.lock().clone();
             std::thread::spawn(move || {
                 let cfg = ServeConfig::new(addr, instance, format!("host-{instance}"), instance);
-                let _ = serve(cfg, Ok, || None);
+                let _ = serve(cfg, Ok);
                 let _ = exits.send(instance);
             });
             Ok(ChildHandle::detached())
@@ -1644,6 +1618,64 @@ mod tests {
         ];
         gone.sort();
         assert_eq!(gone, [0, 1]);
+    }
+
+    /// Test double: in-thread children that say `Hello` at the protocol
+    /// version before this one, then report on `exits` once the
+    /// coordinator has closed their connection.
+    struct OldVersion {
+        exits: Mutex<Sender<u64>>,
+    }
+
+    impl Spawner for OldVersion {
+        fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
+            let addr = Addr::parse(&env_of(spec, "MF_WORKER_ADDR")).unwrap();
+            let instance: u64 = env_of(spec, "MF_WORKER_INSTANCE").parse().unwrap();
+            let exits = self.exits.lock().clone();
+            std::thread::spawn(move || {
+                let mut conn = Conn::connect(&addr, Duration::from_secs(5)).unwrap();
+                conn.send_msg(&Message::Hello {
+                    version: PROTOCOL_VERSION - 1,
+                    instance,
+                    host: "old-host".into(),
+                    task_uid: 1000 + instance,
+                })
+                .unwrap();
+                // No `HelloAck` comes: the next read sees the close.
+                assert!(!matches!(conn.recv_msg(), Ok(Some(_))));
+                let _ = exits.send(instance);
+            });
+            Ok(ChildHandle::detached())
+        }
+    }
+
+    #[test]
+    fn a_child_at_the_previous_protocol_version_fails_the_launch() {
+        let (tx, exits) = channel();
+        let spawner = Arc::new(OldVersion {
+            exits: Mutex::new(tx),
+        });
+        // Tripwire: a reader started for instance 0 would fail the launch
+        // with this injected error instead, and take the setting.
+        FAIL_READER_SPAWN.with(|fail| fail.set(Some(0)));
+        let began = Instant::now();
+        let err = match RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), spawner) {
+            Err(err) => err,
+            Ok(_) => panic!("launch accepted a child at the previous protocol version"),
+        };
+        let waited = began.elapsed();
+        let want = format!(
+            "instance 0: protocol version {} != {PROTOCOL_VERSION}",
+            PROTOCOL_VERSION - 1
+        );
+        assert!(matches!(&err, MfError::App(m) if *m == want), "got {err:?}");
+        assert!(waited < HANDSHAKE_TIMEOUT, "refused after {waited:?}");
+        assert_eq!(
+            FAIL_READER_SPAWN.with(|fail| fail.take()),
+            Some(0),
+            "no reader thread was started"
+        );
+        assert_eq!(exits.recv_timeout(WAIT).unwrap(), 0, "the child is gone");
     }
 
     #[test]

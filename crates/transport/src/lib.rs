@@ -14,7 +14,7 @@
 //! * [`frame`] — length-prefixed, CRC-32-guarded framing with an
 //!   incremental decoder;
 //! * [`msg`] — the session protocol (`Hello`/`HelloAck` handshake, `Job`/
-//!   `Done`/`Fail` request-response, `Heartbeat`, `Shutdown`, `Trace`);
+//!   `Done`/`Fail` request-response, `Heartbeat`, `Shutdown`, `Leave`);
 //! * [`conn`] — sockets: the one [`Listener`] (bind, stale Unix socket
 //!   removal, non-blocking accept, unlink on drop) behind both this
 //!   crate's launcher and the serving daemon's reactor, and one
@@ -23,7 +23,8 @@
 //! * [`spawn`] — launching child task-instance processes: a local
 //!   `fork/exec` spawner behind a trait tests substitute;
 //! * [`server`] — the child-side serve loop (handshake, job execution,
-//!   heartbeats while computing, trace shipping at shutdown);
+//!   heartbeats while computing, `Leave` and `Shutdown` answered by
+//!   closing);
 //! * [`launcher`] — the coordinator-side pool: spawns instances, owns the
 //!   fleet's membership (joins and retirements go through its slots),
 //!   takes jobs without blocking (an idle connection or the fleet's

@@ -17,10 +17,12 @@
 //!   | -- Done{seq,payload} --------->|   (or Fail{seq,error})
 //!   |            ...                 |
 //!   |<-- Leave{inst,reason} -------- |   (optional: retire this worker...)
-//!   | -- Leave{inst,reason} -------->|   (...acknowledged, then Trace+exit)
-//!   |<-- Shutdown ------------------ |
-//!   | -- Trace{text} --------------->|   (per-process trace, then close)
+//!   | -- Leave{inst,reason} -------->|   (...acknowledged, then close)
+//!   |<-- Shutdown ------------------ |   (child closes the connection)
 //! ```
+//!
+//! A child keeps no record of its own to ship: the coordinator's proxy
+//! for it prints its §6 lines under the host and task uid of its `Hello`.
 
 use manifold::Unit;
 
@@ -33,8 +35,9 @@ use crate::WireError;
 /// carry work for many engine jobs and replies are attributable to the job
 /// that issued them. Version 4 made membership elastic: `HelloAck` gained
 /// the worker's pool (shard) assignment and `Leave` lets either side
-/// retire a worker cleanly mid-run.
-pub const PROTOCOL_VERSION: i64 = 4;
+/// retire a worker cleanly mid-run. Version 5 removed `Trace` (tag 7):
+/// a child ships no trace, and tag 7 is now an unknown tag.
+pub const PROTOCOL_VERSION: i64 = 5;
 
 const T_HELLO: i64 = 0;
 const T_HELLO_ACK: i64 = 1;
@@ -43,7 +46,6 @@ const T_DONE: i64 = 3;
 const T_FAIL: i64 = 4;
 const T_HEARTBEAT: i64 = 5;
 const T_SHUTDOWN: i64 = 6;
-const T_TRACE: i64 = 7;
 const T_LEAVE: i64 = 8;
 
 /// One protocol message.
@@ -102,17 +104,10 @@ pub enum Message {
     Heartbeat,
     /// Coordinator → child: finish up and exit cleanly.
     Shutdown,
-    /// Child → coordinator: the child's accumulated trace text, sent in
-    /// response to `Shutdown` just before closing.
-    Trace {
-        /// Concatenated §6 trace records from the child's environment.
-        text: String,
-    },
     /// Membership departure, either direction. Coordinator → child: retire
-    /// this worker (the child acknowledges with its own `Leave`, then its
-    /// `Trace`, and exits). Child → coordinator: the worker is departing
-    /// voluntarily; the coordinator removes it from the rotation without
-    /// respawning it.
+    /// this worker (the child acknowledges with its own `Leave` and
+    /// exits). Child → coordinator: the worker is departing voluntarily;
+    /// the coordinator removes it from the rotation without respawning it.
     Leave {
         /// The departing instance slot.
         instance: u64,
@@ -162,7 +157,6 @@ impl Message {
             ]),
             Message::Heartbeat => Unit::tuple(vec![Unit::int(T_HEARTBEAT)]),
             Message::Shutdown => Unit::tuple(vec![Unit::int(T_SHUTDOWN)]),
-            Message::Trace { text } => Unit::tuple(vec![Unit::int(T_TRACE), Unit::text(text)]),
             Message::Leave { instance, reason } => Unit::tuple(vec![
                 Unit::int(T_LEAVE),
                 Unit::int(*instance as i64),
@@ -256,10 +250,6 @@ impl Message {
                 arity(1)?;
                 Ok(Message::Shutdown)
             }
-            T_TRACE => {
-                arity(2)?;
-                Ok(Message::Trace { text: text(1)? })
-            }
             T_LEAVE => {
                 arity(3)?;
                 Ok(Message::Leave {
@@ -317,9 +307,6 @@ mod tests {
             },
             Message::Heartbeat,
             Message::Shutdown,
-            Message::Trace {
-                text: "host task 1 2 3 4\n    t m f 1 -> Welcome\n".into(),
-            },
             Message::Leave {
                 instance: 3,
                 reason: "retired".into(),

@@ -2,7 +2,9 @@
 //!
 //! The child connects back to the coordinator (with bounded backoff — the
 //! listener may not be up yet when the child execs), introduces itself
-//! with `Hello`, then executes jobs one at a time until told to shut down.
+//! with `Hello`, then executes jobs one at a time until told to shut down
+//! (`Shutdown`) or to leave (`Leave`, answered with its own `Leave`);
+//! either way it then closes the connection and the session ends.
 //! A background thread emits [`Message::Heartbeat`] at a fixed cadence for
 //! the life of the session, so the coordinator can tell a slow job from a
 //! dead child.
@@ -93,20 +95,16 @@ pub struct ServeSummary {
     pub clean_shutdown: bool,
     /// Pool (shard) assigned by the coordinator in the handshake.
     pub pool: u64,
-    /// Whether the coordinator retired this worker with `Leave` (an
-    /// orderly mid-run departure rather than an end-of-run shutdown).
-    pub retired: bool,
 }
 
 /// Run the serve loop until shutdown or connection loss.
 ///
 /// `handler` executes one job payload; an `Err` string becomes a `Fail`
-/// reply (the session continues). `trace_dump` is invoked once at orderly
-/// shutdown; a `Some` result is shipped back as a `Trace` message.
-pub fn serve<H, T>(cfg: ServeConfig, mut handler: H, trace_dump: T) -> std::io::Result<ServeSummary>
+/// reply (the session continues). The session holds nothing between jobs
+/// but its counts.
+pub fn serve<H>(cfg: ServeConfig, mut handler: H) -> std::io::Result<ServeSummary>
 where
     H: FnMut(Unit) -> Result<Unit, String>,
-    T: FnOnce() -> Option<String>,
 {
     let mut reader = connect_with_backoff(
         &cfg.addr,
@@ -225,24 +223,17 @@ where
             }
             Ok(Some(Message::Shutdown)) => {
                 summary.clean_shutdown = true;
-                if let Some(text) = trace_dump() {
-                    let _ = writer.lock().send_msg(&Message::Trace { text });
-                }
                 break Ok(());
             }
             Ok(Some(Message::Leave { instance, reason })) if instance == cfg.instance => {
                 // Coordinator-initiated retirement: acknowledge with our
-                // own Leave, ship the trace, and exit as cleanly as a
-                // Shutdown — but mid-run, with the fleet still serving.
-                summary.retired = true;
+                // own Leave and exit as cleanly as a Shutdown — but
+                // mid-run, with the fleet still serving.
                 summary.clean_shutdown = true;
                 let _ = writer.lock().send_msg(&Message::Leave {
                     instance: cfg.instance,
                     reason,
                 });
-                if let Some(text) = trace_dump() {
-                    let _ = writer.lock().send_msg(&Message::Trace { text });
-                }
                 break Ok(());
             }
             Ok(Some(Message::Heartbeat)) => {} // tolerated, not expected
@@ -331,21 +322,17 @@ mod tests {
     }
 
     #[test]
-    fn serve_session_with_heartbeats_failures_and_trace() {
+    fn serve_session_with_heartbeats_and_failures() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = Addr::Tcp(listener.local_addr().unwrap().to_string());
         let coord = coordinator_side(listener);
 
         let mut cfg = ServeConfig::new(addr, 4, "childhost".into(), 99);
         cfg.heartbeat = Duration::from_millis(10); // force heartbeats to appear
-        let summary = serve(
-            cfg,
-            |payload| match payload.as_real() {
-                Some(x) => Ok(Unit::real(2.0 * x)),
-                None => Err("not a real".into()),
-            },
-            || Some("TRACE-BLOCK".into()),
-        )
+        let summary = serve(cfg, |payload| match payload.as_real() {
+            Some(x) => Ok(Unit::real(2.0 * x)),
+            None => Err("not a real".into()),
+        })
         .unwrap();
 
         assert_eq!(summary.jobs_done, 1);
@@ -369,12 +356,8 @@ mod tests {
             } => assert!(error.contains("not a real")),
             other => panic!("expected Fail, got {other:?}"),
         }
-        assert_eq!(
-            seen[2],
-            Message::Trace {
-                text: "TRACE-BLOCK".into()
-            }
-        );
+        // Shutdown is answered by closing the connection, nothing else.
+        assert_eq!(seen.len(), 2);
     }
 
     #[test]
@@ -392,7 +375,7 @@ mod tests {
             }
             // Drop without Shutdown: abrupt coordinator death.
         });
-        let summary = serve(ServeConfig::new(addr, 0, "h".into(), 1), Ok, || None).unwrap();
+        let summary = serve(ServeConfig::new(addr, 0, "h".into(), 1), Ok).unwrap();
         assert!(!summary.clean_shutdown);
         assert_eq!(summary.jobs_done, 0);
         coord.join().unwrap();
@@ -431,7 +414,7 @@ mod tests {
         });
         let mut cfg = ServeConfig::new(addr, 0, "h".into(), 1);
         cfg.faults.corrupt_reply_on_job = Some(1);
-        let summary = serve(cfg, Ok, || None).unwrap();
+        let summary = serve(cfg, Ok).unwrap();
         // The child computed the job; only the wire bytes were damaged.
         assert_eq!(summary.jobs_done, 1);
         coord.join().unwrap();
@@ -466,7 +449,7 @@ mod tests {
         });
         let mut cfg = ServeConfig::new(addr, 0, "h".into(), 1);
         cfg.faults.drop_conn_on_job = Some(1);
-        let err = serve(cfg, Ok, || None).unwrap_err();
+        let err = serve(cfg, Ok).unwrap_err();
         assert!(err.to_string().contains("fault injection"), "got: {err}");
         coord.join().unwrap();
     }
@@ -475,7 +458,7 @@ mod tests {
     fn serve_fails_fast_when_nobody_listens() {
         let mut cfg = ServeConfig::new(Addr::Tcp("127.0.0.1:1".into()), 0, "h".into(), 1);
         cfg.connect_attempts = 2;
-        let err = serve(cfg, Ok, || None);
+        let err = serve(cfg, Ok);
         assert!(err.is_err());
     }
 }

@@ -7,8 +7,10 @@
 //! corrupted `Leave` must never retire the wrong instance silently.
 //!
 //! The seed corpus lives in `fuzz/corpus/transport_msg/` (one framed
-//! message per file, covering every `Message` variant). Regenerate it
-//! after an intentional protocol change with:
+//! message per file, covering every `Message` variant). `trace.bin` is
+//! the exception: a version-4 `Trace` frame (tag 7), kept to show that a
+//! frame of the removed message is refused. Regenerate the rest after an
+//! intentional protocol change with:
 //!
 //! ```text
 //! MC_BLESS=1 cargo test -p transport --test msg_robustness
@@ -83,12 +85,6 @@ fn exemplars() -> Vec<(&'static str, Message)> {
         ),
         ("heartbeat", Message::Heartbeat),
         ("shutdown", Message::Shutdown),
-        (
-            "trace",
-            Message::Trace {
-                text: "host task 1 2 3 4\n    t m f 1 -> Welcome\n".into(),
-            },
-        ),
         (
             "leave",
             Message::Leave {
@@ -281,4 +277,18 @@ fn retagged_membership_frames_decode_cleanly_or_not_at_all() {
             }
         }
     }
+}
+
+/// Tag 7 was `Trace` up to protocol version 4. A version-4 `Trace` frame
+/// still passes the frame checks, and its payload is refused as an
+/// unknown tag: no panic, and no other message.
+#[test]
+fn a_removed_trace_frame_is_refused() {
+    let frame = std::fs::read(corpus_dir().join("trace.bin")).expect("corpus seed trace.bin");
+    let payload = deframe_one(&frame)
+        .expect("a well-formed frame")
+        .expect("a whole frame");
+    let decoded = std::panic::catch_unwind(|| Message::decode(&payload))
+        .expect("decoding a removed message must not panic");
+    assert_eq!(decoded, Err("unknown message tag 7".to_string()));
 }
