@@ -21,8 +21,8 @@
 //! benchmark (`BENCH_solver.json`, from `solver_bench --json`) pins the
 //! per-grid flop intensity at ≈302 flops per unknown per accepted step at
 //! level 6 — the same constant the a-priori dispatch estimate
-//! [`solver::work::estimate_subsolve_flops`] is calibrated to
-//! (`solver::work::MEASURED_FLOPS_PER_UNKNOWN_STEP`). At the reference
+//! [`solver::work::estimate_subsolve_flops`] is calibrated to (its
+//! `MEASURED_FLOPS_PER_UNKNOWN_STEP`). At the reference
 //! rate of 10⁹ flop/s that intensity reproduces the right order for the
 //! paper's low-level `st` entries without retuning the anchor.
 

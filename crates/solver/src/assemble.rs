@@ -25,7 +25,7 @@ use crate::work::WorkCounter;
 
 /// Which advection scheme was chosen in a direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AdvectionScheme {
+enum AdvectionScheme {
     /// Second-order central differences.
     Central,
     /// First-order upwind.
@@ -41,10 +41,6 @@ pub struct Discretization {
     pub problem: Problem,
     /// Interior operator matrix (`interior_count × interior_count`).
     pub a: Csr,
-    /// Advection scheme chosen in x.
-    pub scheme_x: AdvectionScheme,
-    /// Advection scheme chosen in y.
-    pub scheme_y: AdvectionScheme,
     /// Boundary couplings: `(interior_row, boundary_i, boundary_j, coeff)` —
     /// the stencil weight with which boundary node `(i,j)` feeds interior
     /// row `row`.
@@ -52,7 +48,7 @@ pub struct Discretization {
 }
 
 /// Pick the advection scheme for one direction.
-pub fn choose_scheme(a: f64, h: f64, eps: f64) -> AdvectionScheme {
+fn choose_scheme(a: f64, h: f64, eps: f64) -> AdvectionScheme {
     let peclet = a.abs() * h / (2.0 * eps.max(1e-300));
     if peclet <= 1.0 {
         AdvectionScheme::Central
@@ -88,9 +84,9 @@ fn stencil_1d(a: f64, h: f64, eps: f64, scheme: AdvectionScheme) -> (f64, f64, f
 /// The 5-point stencil's sparsity pattern is known a priori, so the CSR
 /// arrays are written directly in sorted-column order (south, west, center,
 /// east, north — interior indices are row-major with `j` outer) with no
-/// triplet buffer and no sort. On a grid at least 8 interior nodes wide it
-/// also writes the band-major copy a wide stencil matrix keeps for its
-/// matvec: five arrays of `n`, each one of the five stencil weights
+/// triplet buffer and no sort. On a grid at least 3 interior nodes wide
+/// and high it also writes the band-major copy a stencil matrix keeps for
+/// its kernels: five arrays of `n`, each one of the five stencil weights
 /// repeated. The result is identical — entry for entry — to the triplet
 /// path retained in [`assemble_reference`].
 pub fn assemble(grid: &Grid2, problem: &Problem, work: &mut WorkCounter) -> Discretization {
@@ -150,13 +146,13 @@ pub fn assemble(grid: &Grid2, problem: &Problem, work: &mut WorkCounter) -> Disc
 
     // Every row stores the same five weights, so each band (south to
     // north) is one value repeated; the slot a boundary row lacks gets it
-    // too, and no kernel reads that slot.
+    // too, and no kernel keeps its product.
     let plan = StencilPlan {
         w: grid.nx - 1,
         h: grid.ny - 1,
     };
     let mut bands = Vec::new();
-    if plan.is_wide() {
+    if plan.is_detected() {
         bands.reserve_exact(5 * n);
         for v in [wy, wx, cx + cy, ex, ey] {
             bands.resize(bands.len() + n, v);
@@ -167,8 +163,6 @@ pub fn assemble(grid: &Grid2, problem: &Problem, work: &mut WorkCounter) -> Disc
         grid: grid.clone(),
         problem: *problem,
         a: Csr::from_parts_and_bands(n, row_ptr, col_idx, vals, bands),
-        scheme_x,
-        scheme_y,
         boundary,
     }
 }
@@ -228,8 +222,6 @@ pub fn assemble_reference(
         grid: grid.clone(),
         problem: *problem,
         a: Csr::from_triplets(n, &triplets),
-        scheme_x,
-        scheme_y,
         boundary,
     }
 }
@@ -263,20 +255,10 @@ impl Discretization {
         }
     }
 
-    /// Evaluate the semi-discrete right-hand side `f(t, u) = A u + g(t)`
-    /// into `out`. Allocates forcing scratch; the integrator's hot loop
-    /// evaluates each forcing once into its own buffer and uses
-    /// [`Discretization::rhs_with_forcing`].
-    pub fn rhs_into(&self, t: f64, u: &[f64], out: &mut [f64], work: &mut WorkCounter) {
-        let mut g = vec![0.0; self.n()];
-        self.forcing_into(t, &mut g);
-        self.rhs_with_forcing(u, &g, out, work);
-    }
-
     /// `out = A u + g` for a forcing `g` the caller already evaluated with
     /// [`Discretization::forcing_into`]: the matvec, then the add.
-    /// Allocation-free and bit-identical to [`Discretization::rhs_into`] at
-    /// the forcing's `t`.
+    /// Allocation-free: the integrator evaluates each forcing once into its
+    /// own buffer.
     pub fn rhs_with_forcing(&self, u: &[f64], g: &[f64], out: &mut [f64], work: &mut WorkCounter) {
         assert_eq!(g.len(), self.n());
         self.a.matvec_into(u, out);
@@ -297,6 +279,14 @@ impl Discretization {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The semi-discrete right-hand side `f(t, u) = A u + g(t)` into `out`,
+    /// with its forcing evaluated into fresh scratch.
+    fn rhs_into(d: &Discretization, t: f64, u: &[f64], out: &mut [f64], work: &mut WorkCounter) {
+        let mut g = vec![0.0; d.n()];
+        d.forcing_into(t, &mut g);
+        d.rhs_with_forcing(u, &g, out, work);
+    }
     use crate::l2_norm;
 
     #[test]
@@ -361,7 +351,7 @@ mod tests {
         let t = 0.1;
         let u = d.exact_interior(t);
         let mut f = vec![0.0; d.n()];
-        d.rhs_into(t, &u, &mut f, &mut w);
+        rhs_into(&d, t, &u, &mut f, &mut w);
         // u_t = -u for the manufactured solution.
         let resid: Vec<f64> = f.iter().zip(&u).map(|(fi, ui)| fi + ui).collect();
         assert!(
@@ -382,7 +372,7 @@ mod tests {
             let t = 0.1;
             let u = d.exact_interior(t);
             let mut f = vec![0.0; d.n()];
-            d.rhs_into(t, &u, &mut f, &mut w);
+            rhs_into(&d, t, &u, &mut f, &mut w);
             let resid: Vec<f64> = f.iter().zip(&u).map(|(fi, ui)| fi + ui).collect();
             errs.push(l2_norm(&resid));
         }
@@ -394,11 +384,11 @@ mod tests {
     #[test]
     fn direct_assembly_equals_triplet_reference() {
         // The sorted-order direct CSR build must reproduce the triplet path
-        // entry for entry — matrix (bitwise, via Csr's PartialEq), boundary
-        // table, and scheme choices — on isotropic, anisotropic and
+        // entry for entry — matrix (bitwise, via Csr's PartialEq) and
+        // boundary table — on isotropic, anisotropic and
         // degenerate (nx == 2 or ny == 2) grids. Debug builds also check
         // the bands the direct path writes against the derived ones, on
-        // every wide grid here (w = 15 and 31).
+        // every 2-D grid here (w = 3 to 31).
         for p in [
             Problem::manufactured_benchmark(),
             Problem::transport_benchmark(),
@@ -416,8 +406,6 @@ mod tests {
                             fast.boundary, slow.boundary,
                             "boundary mismatch on ({root},{l},{m})"
                         );
-                        assert_eq!(fast.scheme_x, slow.scheme_x);
-                        assert_eq!(fast.scheme_y, slow.scheme_y);
                         assert_eq!(w1.flops, w2.flops);
                     }
                 }
@@ -435,7 +423,7 @@ mod tests {
         let mut f1 = vec![0.0; d.n()];
         let mut f2 = vec![7.0; d.n()]; // junk: must be fully overwritten
         let mut forcing = vec![-3.0; d.n()]; // junk too, until evaluated
-        d.rhs_into(0.2, &u, &mut f1, &mut w);
+        rhs_into(&d, 0.2, &u, &mut f1, &mut w);
         d.forcing_into(0.2, &mut forcing);
         d.rhs_with_forcing(&u, &forcing, &mut f2, &mut w);
         assert_eq!(f1, f2);
@@ -469,7 +457,7 @@ mod tests {
         let g = Grid2::new(2, 0, 0);
         let mut w = WorkCounter::new();
         let d = assemble(&g, &p, &mut w);
-        assert_eq!(d.scheme_x, AdvectionScheme::Upwind);
+        assert_eq!(choose_scheme(p.ax, g.hx, p.eps), AdvectionScheme::Upwind);
         let row = g.interior_idx(2, 2);
         let west = d.a.get(row, g.interior_idx(1, 2)).unwrap();
         let east = d.a.get(row, g.interior_idx(3, 2)).unwrap();

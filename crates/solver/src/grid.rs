@@ -79,12 +79,12 @@ impl Grid2 {
     }
 
     /// Number of nodes per row (x direction), boundary included.
-    pub fn nodes_x(&self) -> usize {
+    fn nodes_x(&self) -> usize {
         self.nx + 1
     }
 
     /// Number of nodes per column (y direction), boundary included.
-    pub fn nodes_y(&self) -> usize {
+    fn nodes_y(&self) -> usize {
         self.ny + 1
     }
 
@@ -123,7 +123,7 @@ impl Grid2 {
     }
 
     /// Is node `(i, j)` on the boundary?
-    pub fn is_boundary(&self, i: usize, j: usize) -> bool {
+    fn is_boundary(&self, i: usize, j: usize) -> bool {
         i == 0 || j == 0 || i == self.nx || j == self.ny
     }
 

@@ -35,6 +35,9 @@
 //! * [`work`] — work (flop) accounting used to calibrate the cluster
 //!   simulator's cost model.
 
+// `unsafe` only at the three calls into an AVX2 kernel after the
+// `simd::backend()` probe, each on a fn that allows it.
+#![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod assemble;

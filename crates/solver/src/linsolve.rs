@@ -21,15 +21,6 @@ pub trait Preconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64], work: &mut WorkCounter);
 }
 
-/// The trivial preconditioner (`M = I`).
-pub struct IdentityPrecond;
-
-impl Preconditioner for IdentityPrecond {
-    fn apply(&self, r: &[f64], z: &mut [f64], _work: &mut WorkCounter) {
-        z.copy_from_slice(r);
-    }
-}
-
 /// Incomplete LU factorization with zero fill-in, on the sparsity pattern
 /// of the input matrix.
 pub struct Ilu0 {
@@ -37,82 +28,10 @@ pub struct Ilu0 {
     lu: Csr,
     /// Position of the diagonal entry within each row's value slice.
     diag_pos: Vec<usize>,
-    /// Rows grouped by forward-solve dependency level (see
-    /// [`level_schedule`]); `fwd_level_ptr` delimits the groups.
-    fwd_order: Vec<u32>,
-    fwd_level_ptr: Vec<u32>,
-    /// Same for the backward solve.
-    bwd_order: Vec<u32>,
-    bwd_level_ptr: Vec<u32>,
     /// The [`StencilPlan`] of the pattern, when it conforms — enables the
     /// skewed-wavefront sweeps (ILU(0) preserves the pattern, so the plan
     /// of `A` is the plan of the combined LU factor).
     plan: Option<StencilPlan>,
-}
-
-/// Level schedule for a sparse triangular solve: `level[i]` is the longest
-/// dependency chain ending at row `i`, so rows sharing a level are mutually
-/// independent and the out-of-order core can overlap their long-latency
-/// multiply/subtract(/divide) chains instead of serializing on the
-/// row-to-row recurrence. The sweep still computes every row with exactly
-/// the same operations in the same order — only the *scheduling* across
-/// independent rows changes, so results are bitwise identical to the
-/// natural-order sweep. The schedule depends only on the sparsity pattern
-/// and is reused verbatim by [`Ilu0::refactor`].
-///
-/// For `forward = true` a row's dependencies are its strict lower part
-/// (columns before the diagonal) and rows are walked ascending; for the
-/// backward sweep they are the strict upper part, walked descending. The
-/// group ordering follows the walk, which keeps memory access roughly
-/// sequential within each level.
-fn level_schedule(
-    forward: bool,
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    diag_pos: &[usize],
-) -> (Vec<u32>, Vec<u32>) {
-    let n = row_ptr.len() - 1;
-    let mut level = vec![0u32; n];
-    let mut nlevels = 0u32;
-    let rows: Box<dyn Iterator<Item = usize>> = if forward {
-        Box::new(0..n)
-    } else {
-        Box::new((0..n).rev())
-    };
-    for i in rows {
-        let dp = row_ptr[i] + diag_pos[i];
-        let deps = if forward {
-            &col_idx[row_ptr[i]..dp]
-        } else {
-            &col_idx[dp + 1..row_ptr[i + 1]]
-        };
-        let mut lv = 0u32;
-        for &c in deps {
-            lv = lv.max(level[c] + 1);
-        }
-        level[i] = lv;
-        nlevels = nlevels.max(lv + 1);
-    }
-    let mut level_ptr = vec![0u32; nlevels as usize + 1];
-    for &lv in &level {
-        level_ptr[lv as usize + 1] += 1;
-    }
-    for l in 1..level_ptr.len() {
-        level_ptr[l] += level_ptr[l - 1];
-    }
-    let mut cursor: Vec<u32> = level_ptr[..level_ptr.len() - 1].to_vec();
-    let mut order = vec![0u32; n];
-    let fill: Box<dyn Iterator<Item = usize>> = if forward {
-        Box::new(0..n)
-    } else {
-        Box::new((0..n).rev())
-    };
-    for i in fill {
-        let lv = level[i] as usize;
-        order[cursor[lv] as usize] = i as u32;
-        cursor[lv] += 1;
-    }
-    (order, level_ptr)
 }
 
 /// IKJ-variant ILU(0) over the combined LU values, in place. Rows `k < i`
@@ -182,24 +101,12 @@ impl Ilu0 {
                 .position(|&c| c == r)
                 .unwrap_or_else(|| panic!("ILU(0): row {r} has no diagonal entry"));
         }
-        let (fwd_order, fwd_level_ptr) =
-            level_schedule(true, lu.row_ptr(), lu.col_indices(), &diag_pos);
-        let (bwd_order, bwd_level_ptr) =
-            level_schedule(false, lu.row_ptr(), lu.col_indices(), &diag_pos);
         lu.with_raw_parts_mut(|row_ptr, col_idx, vals| {
             factor_in_place(row_ptr, col_idx, vals, &diag_pos)
         });
         work.add_factorization(lu.nnz());
         let plan = a.stencil_plan();
-        Ilu0 {
-            lu,
-            diag_pos,
-            fwd_order,
-            fwd_level_ptr,
-            bwd_order,
-            bwd_level_ptr,
-            plan,
-        }
+        Ilu0 { lu, diag_pos, plan }
     }
 
     /// Refactor in place from a matrix with the *same sparsity pattern* as
@@ -228,60 +135,39 @@ impl Ilu0 {
         &self.lu
     }
 
-    /// Level-scheduled sweeps with the plain scalar inner loops: the route
-    /// of every factor without a stencil plan (1-D grids, general
-    /// matrices), the `force-scalar` code path, and the differential-test
-    /// oracle for the wavefront sweeps. Performs no work accounting.
+    /// Natural-order sweeps with the plain scalar inner loops: the route of
+    /// every factor without a stencil plan (1-D grids, general matrices),
+    /// and the differential-test oracle for the wavefront sweeps. Performs
+    /// no work accounting.
+    ///
+    /// Row `i`'s entries before its diagonal are exactly its columns `< i`
+    /// (rows are sorted), so each row splits into its strict-L and
+    /// strict-U slices at `diag_pos[i]`.
     pub fn apply_scalar(&self, r: &[f64], z: &mut [f64]) {
         let n = self.lu.n();
         assert_eq!(r.len(), n);
         assert_eq!(z.len(), n);
         let row_ptr = self.lu.row_ptr();
-        let cols = self.lu.col_indices();
-        let vals = self.lu.vals();
-        let diag_pos = &self.diag_pos;
-        debug_assert_eq!(diag_pos.len(), n);
-        // SAFETY: the Csr invariants bound `row_ptr` by `cols.len()` /
-        // `vals.len()` and every stored column by `n`; `diag_pos[i]` is the
-        // verified in-row position of the diagonal (checked in `new`, pattern
-        // unchanged by `refactor`), so `lo + diag_pos[i] < row_ptr[i + 1]`.
-        // Entries before the diagonal are exactly the columns `< i`
-        // (sorted rows), giving the branch-free strict-L / strict-U splits.
-        // The level schedule (built in `new`) is a permutation of `0..n`, so
-        // every `order` entry indexes in bounds, and it groups mutually
-        // independent rows: each row still runs exactly the operations of
-        // the natural-order sweep, in the same order, reading only rows from
-        // earlier levels — results are bitwise identical, but the CPU can
-        // overlap the multiply/subtract(/divide) latency chains of the rows
-        // inside a level instead of serializing on the row recurrence.
-        unsafe {
-            // Forward solve L y = r (unit diagonal), y stored in z.
-            for w in self.fwd_level_ptr.windows(2) {
-                for idx in w[0]..w[1] {
-                    let i = *self.fwd_order.get_unchecked(idx as usize) as usize;
-                    let lo = *row_ptr.get_unchecked(i);
-                    let dp = lo + *diag_pos.get_unchecked(i);
-                    let mut acc = *r.get_unchecked(i);
-                    for k in lo..dp {
-                        acc -= *vals.get_unchecked(k) * *z.get_unchecked(*cols.get_unchecked(k));
-                    }
-                    *z.get_unchecked_mut(i) = acc;
-                }
+        let (cols, vals) = (self.lu.col_indices(), self.lu.vals());
+        let rows = || row_ptr.windows(2).zip(&self.diag_pos).enumerate();
+        // Forward solve L y = r (unit diagonal), y stored in z.
+        for (i, (ends, &dp)) in rows() {
+            let lower = ends[0]..ends[0] + dp;
+            let mut acc = r[i];
+            for (&c, v) in cols[lower.clone()].iter().zip(&vals[lower]) {
+                acc -= v * z[c];
             }
-            // Backward solve U z = y.
-            for w in self.bwd_level_ptr.windows(2) {
-                for idx in w[0]..w[1] {
-                    let i = *self.bwd_order.get_unchecked(idx as usize) as usize;
-                    let lo = *row_ptr.get_unchecked(i);
-                    let hi = *row_ptr.get_unchecked(i + 1);
-                    let dp = lo + *diag_pos.get_unchecked(i);
-                    let mut acc = *z.get_unchecked(i);
-                    for k in dp + 1..hi {
-                        acc -= *vals.get_unchecked(k) * *z.get_unchecked(*cols.get_unchecked(k));
-                    }
-                    *z.get_unchecked_mut(i) = acc / *vals.get_unchecked(dp);
-                }
+            z[i] = acc;
+        }
+        // Backward solve U z = y.
+        for (i, (ends, &dp)) in rows().rev() {
+            let diag = ends[0] + dp;
+            let upper = diag + 1..ends[1];
+            let mut acc = z[i];
+            for (&c, v) in cols[upper.clone()].iter().zip(&vals[upper]) {
+                acc -= v * z[c];
             }
+            z[i] = acc / vals[diag];
         }
     }
 
@@ -295,20 +181,24 @@ impl Ilu0 {
     /// chains — while each neighbor value is carried in a register instead
     /// of re-loaded through `col_idx` gathers.
     ///
-    /// Row order is a valid topological order of the triangular
+    /// The factors' values come from their band-major copy, so each lane
+    /// reads its line of every band it needs as a slice `w` long, indexed
+    /// by column. Row order is a valid topological order of the triangular
     /// dependencies and every row evaluates the exact scalar per-row
     /// expression (ascending-column subtract order, final divide), so the
-    /// result is bitwise identical to [`Ilu0::apply_scalar`] — same
-    /// argument as the level-scheduled sweeps (see [`level_schedule`]).
-    ///
-    /// # Safety
-    /// `plan` must be the verified [`StencilPlan`] of `self.lu`'s pattern;
-    /// `r.len() == z.len() == w·h`.
+    /// result is bitwise identical to [`Ilu0::apply_scalar`].
     #[inline(always)]
-    unsafe fn apply_wavefront(&self, plan: StencilPlan, r: &[f64], z: &mut [f64]) {
+    fn apply_wavefront(&self, plan: StencilPlan, r: &[f64], z: &mut [f64]) {
         let StencilPlan { w, h } = plan;
-        let row_ptr = self.lu.row_ptr();
-        let vals = self.lu.vals();
+        assert!(w >= 2 && h >= 3, "a detected stencil plan");
+        assert!(
+            r.len() == w * h && z.len() == w * h,
+            "wavefront operand lengths"
+        );
+        let f = FactorLines {
+            w,
+            band: std::array::from_fn(|b| self.lu.band(b)),
+        };
         // Forward solve L y = r (unit diagonal), y stored in z.
         // Line 0 rides as lane 0 of the first block (`TOP`: no north term),
         // so there is no serial boundary pass — every row is wavefronted.
@@ -316,42 +206,58 @@ impl Ilu0 {
         // plan) run as one under-laned TOP block.
         let mut j0 = h.min(4);
         match j0 {
-            3 => fwd_wave_block::<3, true>(0, w, row_ptr, vals, r, z),
-            _ => fwd_wave_block::<4, true>(0, w, row_ptr, vals, r, z),
+            3 => fwd_wave_block::<3, true>(f, 0, r, z),
+            _ => fwd_wave_block::<4, true>(f, 0, r, z),
         }
         while j0 + 4 <= h {
-            fwd_wave_block::<4, false>(j0, w, row_ptr, vals, r, z);
+            fwd_wave_block::<4, false>(f, j0, r, z);
             j0 += 4;
         }
         match h - j0 {
-            1 => fwd_wave_block::<1, false>(j0, w, row_ptr, vals, r, z),
-            2 => fwd_wave_block::<2, false>(j0, w, row_ptr, vals, r, z),
-            3 => fwd_wave_block::<3, false>(j0, w, row_ptr, vals, r, z),
+            1 => fwd_wave_block::<1, false>(f, j0, r, z),
+            2 => fwd_wave_block::<2, false>(f, j0, r, z),
+            3 => fwd_wave_block::<3, false>(f, j0, r, z),
             _ => {}
         }
         // Backward solve U z = y. Line h-1 rides as lane 0 of the first
         // block (`BOTTOM`: no south term), mirroring the forward solve.
         match h.min(4) {
-            3 => bwd_wave_block::<3, true>(h - 1, w, row_ptr, vals, z),
-            _ => bwd_wave_block::<4, true>(h - 1, w, row_ptr, vals, z),
+            3 => bwd_wave_block::<3, true>(f, h - 1, z),
+            _ => bwd_wave_block::<4, true>(f, h - 1, z),
         }
         let mut rem = h - h.min(4);
         while rem >= 4 {
-            bwd_wave_block::<4, false>(rem - 1, w, row_ptr, vals, z);
+            bwd_wave_block::<4, false>(f, rem - 1, z);
             rem -= 4;
         }
         match rem {
-            1 => bwd_wave_block::<1, false>(rem - 1, w, row_ptr, vals, z),
-            2 => bwd_wave_block::<2, false>(rem - 1, w, row_ptr, vals, z),
-            3 => bwd_wave_block::<3, false>(rem - 1, w, row_ptr, vals, z),
+            1 => bwd_wave_block::<1, false>(f, rem - 1, z),
+            2 => bwd_wave_block::<2, false>(f, rem - 1, z),
+            3 => bwd_wave_block::<3, false>(f, rem - 1, z),
             _ => {}
         }
     }
 
-    #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+    #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn apply_wavefront_avx2(&self, plan: StencilPlan, r: &[f64], z: &mut [f64]) {
+    fn apply_wavefront_avx2(&self, plan: StencilPlan, r: &[f64], z: &mut [f64]) {
         self.apply_wavefront(plan, r, z)
+    }
+}
+
+/// A stencil-plan factor's bands (north, west, center, east, south), each
+/// `n` long, and the line width that cuts them into lines.
+#[derive(Clone, Copy)]
+struct FactorLines<'a> {
+    w: usize,
+    band: [&'a [f64]; 5],
+}
+
+impl<'a> FactorLines<'a> {
+    /// Line `j` of band `b`: the entry of row `(j, c)` is element `c`.
+    #[inline(always)]
+    fn line(self, b: usize, j: usize) -> &'a [f64] {
+        &self.band[b][j * self.w..][..self.w]
     }
 }
 
@@ -362,24 +268,28 @@ impl Ilu0 {
 /// `k−1`'s previous value (`carry[k−1]`, still unwritten at step `t`
 /// because lanes run in descending `k`) — lane 0 reads the north line from
 /// `z`, finalized by the previous block, except in the grid's first block
-/// (`TOP`), where lane 0 is line 0 and has no north term at all. Per row:
-/// north subtract before west subtract (ascending columns), exactly the
-/// scalar sweep's operation sequence.
-///
-/// # Safety
-/// The stencil plan must hold for lines `j0 ..= j0+L-1` (and `j0-1` when
-/// not `TOP`) of the pattern behind `row_ptr`/`vals` (callers pass a
-/// verified [`StencilPlan`]); `r.len() == z.len() == w·h` with
-/// `j0+L <= h`; `TOP` iff `j0 == 0`.
+/// (`TOP`, `j0 == 0`), where lane 0 is line 0 and has no north term at all.
+/// Per row: north subtract before west subtract (ascending columns),
+/// exactly the scalar sweep's operation sequence.
 #[inline(always)]
-unsafe fn fwd_wave_block<const L: usize, const TOP: bool>(
+fn fwd_wave_block<const L: usize, const TOP: bool>(
+    f: FactorLines<'_>,
     j0: usize,
-    w: usize,
-    row_ptr: &[usize],
-    vals: &[f64],
     r: &[f64],
     z: &mut [f64],
 ) {
+    let w = f.w;
+    let (done, rest) = z.split_at_mut(j0 * w);
+    let north = if TOP {
+        &[][..]
+    } else {
+        &done[(j0 - 1) * w..][..w]
+    };
+    let mut z_lines = rest.chunks_exact_mut(w);
+    let zl: [&mut [f64]; L] = std::array::from_fn(|_| z_lines.next().expect("block line"));
+    let rl: [&[f64]; L] = std::array::from_fn(|k| &r[(j0 + k) * w..][..w]);
+    let nl: [&[f64]; L] = std::array::from_fn(|k| f.line(0, j0 + k));
+    let wl: [&[f64]; L] = std::array::from_fn(|k| f.line(1, j0 + k));
     let mut carry = [0.0f64; L];
     for t in 0..w + L - 1 {
         let mut k = L;
@@ -389,28 +299,21 @@ unsafe fn fwd_wave_block<const L: usize, const TOP: bool>(
                 continue;
             }
             let c = t - k;
-            let i = (j0 + k) * w + c;
-            let base = *row_ptr.get_unchecked(i);
             let mut acc;
             if TOP && k == 0 {
-                // Line 0: no north entry, so the west value (when present)
-                // sits first in the row.
-                acc = *r.get_unchecked(i);
+                // Line 0: no north entry.
+                acc = rl[k][c];
                 if c > 0 {
-                    acc -= *vals.get_unchecked(base) * carry[0];
+                    acc -= wl[k][c] * carry[0];
                 }
             } else {
-                let zup = if k == 0 {
-                    *z.get_unchecked(i - w)
-                } else {
-                    carry[k - 1]
-                };
-                acc = *r.get_unchecked(i) - *vals.get_unchecked(base) * zup;
+                let zup = if k == 0 { north[c] } else { carry[k - 1] };
+                acc = rl[k][c] - nl[k][c] * zup;
                 if c > 0 {
-                    acc -= *vals.get_unchecked(base + 1) * carry[k];
+                    acc -= wl[k][c] * carry[k];
                 }
             }
-            *z.get_unchecked_mut(i) = acc;
+            zl[k][c] = acc;
             carry[k] = acc;
         }
     }
@@ -420,9 +323,9 @@ unsafe fn fwd_wave_block<const L: usize, const TOP: bool>(
 /// `jtop−k`, columns walked east-to-west. The east operand is the lane's
 /// own previous value, the south operand is lane `k−1`'s (lane 0 reads the
 /// finalized south line from `z`, except in the grid's first block
-/// (`BOTTOM`), where lane 0 is line h-1 and has no south term at all). Per
-/// row: east subtract before south subtract (ascending columns), then the
-/// diagonal divide — the scalar sweep's exact sequence.
+/// (`BOTTOM`, `jtop == h−1`), where lane 0 is line h-1 and has no south
+/// term at all). Per row: east subtract before south subtract (ascending
+/// columns), then the diagonal divide — the scalar sweep's exact sequence.
 ///
 /// Each step runs in two phases: numerators and diagonals for every active
 /// lane first (all carry reads see step `t-1` values), then packed divides
@@ -430,18 +333,20 @@ unsafe fn fwd_wave_block<const L: usize, const TOP: bool>(
 /// is per-lane correctly rounded, so each quotient is bit-identical to its
 /// scalar divide; batching quadruples divider throughput, which is what
 /// the backward recurrence is bound on.
-///
-/// # Safety
-/// As [`fwd_wave_block`], for lines `jtop-L+1 ..= jtop` (and `jtop+1` when
-/// not `BOTTOM`) with `L-1 <= jtop <= h-1`; `BOTTOM` iff `jtop == h-1`.
 #[inline(always)]
-unsafe fn bwd_wave_block<const L: usize, const BOTTOM: bool>(
+fn bwd_wave_block<const L: usize, const BOTTOM: bool>(
+    f: FactorLines<'_>,
     jtop: usize,
-    w: usize,
-    row_ptr: &[usize],
-    vals: &[f64],
     z: &mut [f64],
 ) {
+    let w = f.w;
+    let (block, after) = z.split_at_mut((jtop + 1) * w);
+    let south = if BOTTOM { &[][..] } else { &after[..w] };
+    let mut z_lines = block[(jtop + 1 - L) * w..].chunks_exact_mut(w).rev();
+    let zl: [&mut [f64]; L] = std::array::from_fn(|_| z_lines.next().expect("block line"));
+    let dl: [&[f64]; L] = std::array::from_fn(|k| f.line(2, jtop - k));
+    let el: [&[f64]; L] = std::array::from_fn(|k| f.line(3, jtop - k));
+    let sl: [&[f64]; L] = std::array::from_fn(|k| f.line(4, jtop - k));
     let mut carry = [0.0f64; L];
     for t in 0..w + L - 1 {
         let mut acc = [0.0f64; L];
@@ -451,40 +356,32 @@ unsafe fn bwd_wave_block<const L: usize, const BOTTOM: bool>(
                 continue;
             }
             let c = (w - 1) - (t - k);
-            let i = (jtop - k) * w + c;
-            let base = *row_ptr.get_unchecked(i);
-            let dp = base + usize::from(jtop - k > 0) + usize::from(c > 0);
-            let mut a = *z.get_unchecked(i);
+            let mut a = zl[k][c];
             if BOTTOM && k == 0 {
                 // Line h-1: no south entry; only the east term remains.
                 if c + 1 < w {
-                    a -= *vals.get_unchecked(dp + 1) * carry[0];
+                    a -= el[k][c] * carry[0];
                 }
             } else {
-                let zdown = if k == 0 {
-                    *z.get_unchecked(i + w)
-                } else {
-                    carry[k - 1]
-                };
-                let up_pos = if c + 1 < w {
-                    a -= *vals.get_unchecked(dp + 1) * carry[k];
-                    dp + 2
-                } else {
-                    dp + 1
-                };
-                a -= *vals.get_unchecked(up_pos) * zdown;
+                let zdown = if k == 0 { south[c] } else { carry[k - 1] };
+                if c + 1 < w {
+                    a -= el[k][c] * carry[k];
+                }
+                a -= sl[k][c] * zdown;
             }
             acc[k] = a;
-            d[k] = *vals.get_unchecked(dp);
+            d[k] = dl[k][c];
         }
         let mut out = [0.0f64; L];
         if L.is_multiple_of(4) {
-            let mut b = 0;
-            while b < L {
-                let num = F64x4([acc[b], acc[b + 1], acc[b + 2], acc[b + 3]]);
-                let den = F64x4([d[b], d[b + 1], d[b + 2], d[b + 3]]);
-                out[b..b + 4].copy_from_slice(&num.div(den).0);
-                b += 4;
+            for ((o, a), d) in out
+                .as_chunks_mut::<4>()
+                .0
+                .iter_mut()
+                .zip(acc.as_chunks::<4>().0)
+                .zip(d.as_chunks::<4>().0)
+            {
+                *o = F64x4(*a).div(F64x4(*d)).0;
             }
         } else {
             for k in 0..L {
@@ -495,37 +392,38 @@ unsafe fn bwd_wave_block<const L: usize, const BOTTOM: bool>(
             if t < k || t - k >= w {
                 continue;
             }
-            let i = (jtop - k) * w + (w - 1) - (t - k);
-            *z.get_unchecked_mut(i) = out[k];
+            let c = (w - 1) - (t - k);
+            zl[k][c] = out[k];
             carry[k] = out[k];
         }
     }
 }
 
 impl Preconditioner for Ilu0 {
-    /// Backend-dispatched sweeps, bit-identical to [`Ilu0::apply_scalar`]
-    /// on every backend. Two routes: stencil-plan factorizations take the
-    /// skewed wavefront (`Ilu0::apply_wavefront`), everything else
-    /// `apply_scalar` — in both, per-row operation order is unchanged and
-    /// only the scheduling across independent rows differs.
+    /// Sweeps bit-identical to [`Ilu0::apply_scalar`] on every backend. Two
+    /// routes: stencil-plan factorizations take the skewed wavefront
+    /// (`Ilu0::apply_wavefront`, dispatched on the SIMD backend),
+    /// everything else `apply_scalar` — in both, per-row operation order is
+    /// unchanged and only the scheduling across independent rows differs.
     ///
     /// Any detected stencil takes the wavefront: even at the minimum line
     /// width (w = 3) it breaks the serial west-neighbor chain across four
     /// lines, beating the chain-bound scalar sweep (measured on the level-8
     /// anisotropic family — see BENCH_solver.json).
+    #[allow(unsafe_code)]
     fn apply(&self, r: &[f64], z: &mut [f64], work: &mut WorkCounter) {
         assert_eq!(r.len(), self.lu.n());
         assert_eq!(z.len(), self.lu.n());
-        match (simd::backend(), self.plan) {
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            // SAFETY: `backend()` returns Avx2 only after detecting AVX2 on
-            // this CPU. `plan` is the plan `detect_stencil` verified row by
-            // row against this pattern in `new` (`refactor` keeps the
-            // pattern), and `r`/`z` were asserted to have length `n == w·h`.
-            (Backend::Avx2, Some(plan)) => unsafe { self.apply_wavefront_avx2(plan, r, z) },
-            (Backend::Scalar, _) | (_, None) => self.apply_scalar(r, z),
-            // SAFETY: as for the Avx2 arm, minus the feature probe.
-            (_, Some(plan)) => unsafe { self.apply_wavefront(plan, r, z) },
+        match self.plan {
+            Some(plan) => match simd::backend() {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `backend()` returns Avx2 only after detecting AVX2
+                // on this CPU, the one precondition of the safe
+                // `target_feature` twin.
+                Backend::Avx2 => unsafe { self.apply_wavefront_avx2(plan, r, z) },
+                _ => self.apply_wavefront(plan, r, z),
+            },
+            None => self.apply_scalar(r, z),
         }
         work.add_precond_apply(self.lu.nnz());
     }
@@ -743,6 +641,16 @@ mod tests {
     use crate::assemble::assemble;
     use crate::grid::Grid2;
     use crate::problem::Problem;
+    use crate::sparse::tests::{poisoned_stencil_matrix, stencil_matrix, KERNEL_SHAPES};
+
+    /// The trivial preconditioner (`M = I`).
+    struct IdentityPrecond;
+
+    impl Preconditioner for IdentityPrecond {
+        fn apply(&self, r: &[f64], z: &mut [f64], _work: &mut WorkCounter) {
+            z.copy_from_slice(r);
+        }
+    }
 
     fn laplacian_1d(n: usize) -> Csr {
         let mut t = Vec::new();
@@ -753,33 +661,6 @@ mod tests {
             }
             if i + 1 < n {
                 t.push((i, i + 1, -1.0));
-            }
-        }
-        Csr::from_triplets(n, &t)
-    }
-
-    /// A w×h 5-point-stencil matrix with row-distinct values (mirrors the
-    /// sparse-module helper; here it drives the wavefront sweeps).
-    fn stencil_matrix(w: usize, h: usize) -> Csr {
-        let n = w * h;
-        let mut t = Vec::new();
-        for j in 0..h {
-            for c in 0..w {
-                let i = j * w + c;
-                let f = i as f64;
-                if j > 0 {
-                    t.push((i, i - w, -1.0 - 0.01 * f));
-                }
-                if c > 0 {
-                    t.push((i, i - 1, -0.5 - 0.002 * f));
-                }
-                t.push((i, i, 4.0 + 0.1 * f));
-                if c + 1 < w {
-                    t.push((i, i + 1, -0.6 + 0.003 * f));
-                }
-                if j + 1 < h {
-                    t.push((i, i + w, -1.1 + 0.004 * f));
-                }
             }
         }
         Csr::from_triplets(n, &t)
@@ -815,6 +696,30 @@ mod tests {
             ilu.apply(&r, &mut z, &mut wk);
             ilu.apply_scalar(&r, &mut z_scalar);
             assert_eq!(z, z_scalar, "{w}x{h}");
+        }
+    }
+
+    #[test]
+    fn portable_and_dispatched_wavefront_match_scalar_bitwise() {
+        // The portable body runs here whatever the host; the dispatched
+        // call runs the AVX2 twin on a host with AVX2.
+        let (widths, heights) = KERNEL_SHAPES;
+        for (w, h) in widths.into_iter().flat_map(|w| heights.map(|h| (w, h))) {
+            let a = poisoned_stencil_matrix(w, h);
+            let mut wk = WorkCounter::new();
+            let ilu = Ilu0::new(&a, &mut wk);
+            let plan = ilu.plan.expect("a stencil plan");
+            let n = w * h;
+            let r: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.17).sin() * 3.0 - 0.4)
+                .collect();
+            let mut want = vec![0.0; n];
+            ilu.apply_scalar(&r, &mut want);
+            let (mut portable, mut dispatched) = (vec![0.0; n], vec![0.0; n]);
+            ilu.apply_wavefront(plan, &r, &mut portable);
+            ilu.apply(&r, &mut dispatched, &mut wk);
+            assert_eq!(portable, want, "{w}x{h}");
+            assert_eq!(dispatched, want, "{w}x{h}");
         }
     }
 

@@ -40,7 +40,7 @@ fn ref_matvec_into(a: &Csr, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// The original `Discretization::rhs_into`: matvec plus an allocating
+/// The original right-hand side `A u + g(t)`: matvec plus an allocating
 /// forcing evaluation.
 fn ref_rhs_into(disc: &Discretization, t: f64, u: &[f64], out: &mut [f64], work: &mut WorkCounter) {
     ref_matvec_into(&disc.a, u, out);
@@ -280,7 +280,7 @@ impl StageMatrix {
 /// this is the oracle for `crate::rosenbrock::integrate` and must stay
 /// bit-identical to the state of the code before the zero-allocation
 /// rework.
-pub fn integrate_reference(
+fn integrate_reference(
     disc: &Discretization,
     mut u: Vec<f64>,
     t0: f64,
@@ -390,7 +390,7 @@ pub fn integrate_reference(
 }
 
 /// The original allocating `subsolve`, verbatim: triplet assembly plus
-/// [`integrate_reference`]. Oracle for [`crate::subsolve::subsolve`].
+/// `integrate_reference`. Oracle for [`crate::subsolve::subsolve`].
 pub fn subsolve_reference(req: &SubsolveRequest) -> Result<SubsolveResult, IntegrateError> {
     let grid = req.grid();
     let mut work = WorkCounter::new();

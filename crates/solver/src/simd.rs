@@ -19,10 +19,13 @@
 //! Dispatch is resolved once at startup ([`backend`]): on `x86_64` with AVX2
 //! detected at runtime the kernels run as `#[target_feature(enable =
 //! "avx2")]` instantiations of the same portable [`F64x4`] bodies;
-//! otherwise the portable bodies run under the baseline ISA. Building the
-//! crate with the `force-scalar` feature pins plain scalar loops everywhere,
-//! which is the baseline CI keeps green and the denominator the benches
-//! report against.
+//! otherwise the portable bodies run under the baseline ISA.
+//!
+//! Every kernel body is safe code. Lanes come from `as_chunks`, so a lane
+//! block is a `[f64; 4]` whose bounds the slice shape proves, and operand
+//! lengths are checked once per call. The `target_feature` twins are safe
+//! fns too; the one `unsafe` is the call into a twin right after
+//! [`backend`] returned [`Backend::Avx2`].
 
 use std::sync::OnceLock;
 
@@ -38,8 +41,6 @@ pub enum Backend {
     Avx2,
     /// Portable [`F64x4`] bodies compiled for the baseline target ISA.
     Portable,
-    /// Plain scalar loops (the `force-scalar` build).
-    Scalar,
 }
 
 impl Backend {
@@ -47,7 +48,6 @@ impl Backend {
         match self {
             Backend::Avx2 => "avx2",
             Backend::Portable => "portable",
-            Backend::Scalar => "scalar",
         }
     }
 }
@@ -58,12 +58,6 @@ pub fn backend() -> Backend {
     *BACKEND.get_or_init(detect)
 }
 
-#[cfg(feature = "force-scalar")]
-fn detect() -> Backend {
-    Backend::Scalar
-}
-
-#[cfg(not(feature = "force-scalar"))]
 fn detect() -> Backend {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
@@ -76,6 +70,7 @@ fn detect() -> Backend {
 /// reassociation), so a lane computes exactly what the scalar code computes
 /// for the same element. LLVM lowers this to `ymm` arithmetic inside the
 /// AVX2-instantiated kernels and to the baseline vector ISA elsewhere.
+/// Kernels build one from a `[f64; 4]` lane block and store its `.0` back.
 #[derive(Clone, Copy, Debug)]
 #[repr(C, align(32))]
 pub struct F64x4(pub [f64; 4]);
@@ -87,41 +82,13 @@ pub struct F64x4(pub [f64; 4]);
 #[allow(clippy::should_implement_trait)]
 impl F64x4 {
     #[inline(always)]
-    pub fn splat(v: f64) -> F64x4 {
+    fn splat(v: f64) -> F64x4 {
         F64x4([v; 4])
     }
 
     #[inline(always)]
     pub fn zero() -> F64x4 {
         F64x4([0.0; 4])
-    }
-
-    /// Load four consecutive elements starting at `s[i]`.
-    ///
-    /// # Safety
-    /// `i + 4 <= s.len()`.
-    #[inline(always)]
-    pub unsafe fn load(s: &[f64], i: usize) -> F64x4 {
-        debug_assert!(i + 4 <= s.len());
-        F64x4([
-            *s.get_unchecked(i),
-            *s.get_unchecked(i + 1),
-            *s.get_unchecked(i + 2),
-            *s.get_unchecked(i + 3),
-        ])
-    }
-
-    /// Store the four lanes to consecutive elements starting at `s[i]`.
-    ///
-    /// # Safety
-    /// `i + 4 <= s.len()`.
-    #[inline(always)]
-    pub unsafe fn store(self, s: &mut [f64], i: usize) {
-        debug_assert!(i + 4 <= s.len());
-        *s.get_unchecked_mut(i) = self.0[0];
-        *s.get_unchecked_mut(i + 1) = self.0[1];
-        *s.get_unchecked_mut(i + 2) = self.0[2];
-        *s.get_unchecked_mut(i + 3) = self.0[3];
     }
 
     #[inline(always)]
@@ -322,28 +289,29 @@ pub(crate) fn dots_exact<C: Chains>(y: &[f64], chains: C) -> C::Sums {
 // Each kernel's per-element expression tree is written once in a portable
 // body; `dispatch_lanes!` instantiates it a second time under
 // `#[target_feature(enable = "avx2")]` so the hot builds use ymm registers
-// without a separate source body to keep in sync. Every other backend,
-// `force-scalar` included, runs the portable body as written.
+// without a separate source body to keep in sync. The portable backend runs
+// the body as written.
 // ---------------------------------------------------------------------------
 
 macro_rules! dispatch_lanes {
     ($(#[$attr:meta])* $pub_name:ident, $portable:ident, $avx2:ident, $(<$g:ident: $bound:ident>)?
      ($($arg:ident : $ty:ty),*) $(-> $ret:ty)?) => {
-        #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+        #[cfg(target_arch = "x86_64")]
         #[target_feature(enable = "avx2")]
         $(#[$attr])*
-        unsafe fn $avx2$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
+        fn $avx2$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             $portable($($arg),*)
         }
 
         #[inline]
+        #[allow(unsafe_code)]
         $(#[$attr])*
         pub fn $pub_name$(<$g: $bound>)?($($arg: $ty),*) $(-> $ret)? {
             match backend() {
-                #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+                #[cfg(target_arch = "x86_64")]
                 // SAFETY: `backend()` returns Avx2 only after detecting AVX2
                 // on this CPU, the one precondition of the `target_feature`
-                // twin; the portable body checks its own operands.
+                // twin; the twin is a safe fn that checks its own operands.
                 Backend::Avx2 => unsafe { $avx2($($arg),*) },
                 _ => $portable($($arg),*),
             }
@@ -355,20 +323,14 @@ macro_rules! dispatch_lanes {
 #[inline(always)]
 fn axpy_portable(y: &mut [f64], a: f64, x: &[f64]) {
     assert_eq!(y.len(), x.len(), "axpy operand lengths");
-    let n = y.len();
     let av = F64x4::splat(a);
-    let mut i = 0;
-    // SAFETY: i + 4 <= n inside the loop.
-    unsafe {
-        while i + 4 <= n {
-            let yy = F64x4::load(y, i).add(av.mul(F64x4::load(x, i)));
-            yy.store(y, i);
-            i += 4;
-        }
+    let (yc, yt) = y.as_chunks_mut::<LANES>();
+    let (xc, xt) = x.as_chunks::<LANES>();
+    for (yy, xx) in yc.iter_mut().zip(xc) {
+        *yy = F64x4(*yy).add(av.mul(F64x4(*xx))).0;
     }
-    while i < n {
-        y[i] += a * x[i];
-        i += 1;
+    for (yi, xi) in yt.iter_mut().zip(xt) {
+        *yi += a * xi;
     }
 }
 
@@ -381,21 +343,15 @@ fn p_update_portable(p: &mut [f64], r: &[f64], beta: f64, omega: f64, v: &[f64])
         p.len() == r.len() && p.len() == v.len(),
         "p_update operand lengths"
     );
-    let n = p.len();
     let (bv, ov) = (F64x4::splat(beta), F64x4::splat(omega));
-    let mut i = 0;
-    // SAFETY: i + 4 <= n inside the loop.
-    unsafe {
-        while i + 4 <= n {
-            let pp =
-                F64x4::load(r, i).add(bv.mul(F64x4::load(p, i).sub(ov.mul(F64x4::load(v, i)))));
-            pp.store(p, i);
-            i += 4;
-        }
+    let (pc, pt) = p.as_chunks_mut::<LANES>();
+    let (rc, rt) = r.as_chunks::<LANES>();
+    let (vc, vt) = v.as_chunks::<LANES>();
+    for ((pp, rr), vv) in pc.iter_mut().zip(rc).zip(vc) {
+        *pp = F64x4(*rr).add(bv.mul(F64x4(*pp).sub(ov.mul(F64x4(*vv))))).0;
     }
-    while i < n {
-        p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        i += 1;
+    for ((pi, ri), vi) in pt.iter_mut().zip(rt).zip(vt) {
+        *pi = ri + beta * (*pi - omega * vi);
     }
 }
 
@@ -422,22 +378,18 @@ fn s_update_portable<C: Chains>(
     assert!(r.len() == n && v.len() == n, "s_update operand lengths");
     let mut sums = chains.start(n);
     let av = F64x4::splat(alpha);
-    let mut i = 0;
-    // SAFETY: i + 4 <= n == r.len() == v.len() inside the first loop and
-    // i < n in the second.
-    unsafe {
-        while i + 4 <= n {
-            let ss = F64x4::load(r, i).sub(av.mul(F64x4::load(v, i)));
-            ss.store(s, i);
-            chains.add4(&mut sums, i, ss);
-            i += 4;
-        }
-        while i < n {
-            let si = *r.get_unchecked(i) - alpha * *v.get_unchecked(i);
-            *s.get_unchecked_mut(i) = si;
-            chains.add(&mut sums, i, si);
-            i += 1;
-        }
+    let (sc, st) = s.as_chunks_mut::<LANES>();
+    let (rc, rt) = r.as_chunks::<LANES>();
+    let (vc, vt) = v.as_chunks::<LANES>();
+    for (q, ((ss, rr), vv)) in sc.iter_mut().zip(rc).zip(vc).enumerate() {
+        let out = F64x4(*rr).sub(av.mul(F64x4(*vv)));
+        *ss = out.0;
+        chains.add4(&mut sums, q * LANES, out);
+    }
+    let tail = n - st.len();
+    for (k, ((si, ri), vi)) in st.iter_mut().zip(rt).zip(vt).enumerate() {
+        *si = ri - alpha * vi;
+        chains.add(&mut sums, tail + k, *si);
     }
     sums
 }
@@ -476,27 +428,33 @@ fn xr_update_portable<C: Chains>(
     );
     let mut sums = chains.start(n);
     let (av, ov) = (F64x4::splat(alpha), F64x4::splat(omega));
-    let mut i = 0;
-    // SAFETY: every operand has length n (asserted above); i + 4 <= n
-    // inside the first loop and i < n in the second.
-    unsafe {
-        while i + 4 <= n {
-            let xx =
-                F64x4::load(x, i).add(av.mul(F64x4::load(p, i)).add(ov.mul(F64x4::load(s_hat, i))));
-            xx.store(x, i);
-            let rr = F64x4::load(s, i).sub(ov.mul(F64x4::load(t, i)));
-            rr.store(r, i);
-            chains.add4(&mut sums, i, rr);
-            i += 4;
-        }
-        while i < n {
-            *x.get_unchecked_mut(i) +=
-                alpha * *p.get_unchecked(i) + omega * *s_hat.get_unchecked(i);
-            let ri = *s.get_unchecked(i) - omega * *t.get_unchecked(i);
-            *r.get_unchecked_mut(i) = ri;
-            chains.add(&mut sums, i, ri);
-            i += 1;
-        }
+    let (xc, xt) = x.as_chunks_mut::<LANES>();
+    let (rc, rt) = r.as_chunks_mut::<LANES>();
+    let (pc, pt) = p.as_chunks::<LANES>();
+    let (hc, ht) = s_hat.as_chunks::<LANES>();
+    let (sc, st) = s.as_chunks::<LANES>();
+    let (tc, tt) = t.as_chunks::<LANES>();
+    let lanes = xc
+        .iter_mut()
+        .zip(rc)
+        .zip(pc.iter().zip(hc))
+        .zip(sc.iter().zip(tc));
+    for (q, (((xx, rr), (pp, hh)), (ss, t4))) in lanes.enumerate() {
+        *xx = F64x4(*xx).add(av.mul(F64x4(*pp)).add(ov.mul(F64x4(*hh)))).0;
+        let out = F64x4(*ss).sub(ov.mul(F64x4(*t4)));
+        *rr = out.0;
+        chains.add4(&mut sums, q * LANES, out);
+    }
+    let tail = n - xt.len();
+    let rows = xt
+        .iter_mut()
+        .zip(rt)
+        .zip(pt.iter().zip(ht))
+        .zip(st.iter().zip(tt));
+    for (k, (((xi, ri), (pi, hi)), (si, ti))) in rows.enumerate() {
+        *xi += alpha * pi + omega * hi;
+        *ri = si - omega * ti;
+        chains.add(&mut sums, tail + k, *ri);
     }
     sums
 }
@@ -519,10 +477,11 @@ mod tests {
     #[test]
     fn backend_is_detected_once() {
         assert_eq!(backend(), backend());
-        #[cfg(feature = "force-scalar")]
-        assert_eq!(backend(), Backend::Scalar);
-        #[cfg(not(feature = "force-scalar"))]
-        assert_ne!(backend(), Backend::Scalar);
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            backend() == Backend::Avx2,
+            std::arch::is_x86_feature_detected!("avx2")
+        );
     }
 
     #[test]
@@ -538,8 +497,9 @@ mod tests {
 
     #[test]
     fn kernels_reject_mismatched_lengths() {
-        // Release builds too: the lane loops index unchecked, so a short
-        // operand must stop the kernel before its first load.
+        // Input validation, in release builds too: the lane loops zip their
+        // operands, so a short one would silently truncate the update
+        // instead of failing.
         let (long, short) = (vec![1.0; 9], vec![1.0; 5]);
         let panics =
             |f: &dyn Fn()| std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err();
@@ -590,65 +550,67 @@ mod tests {
 
     #[test]
     fn elementwise_kernels_match_scalar_bitwise() {
-        // Odd length exercises the remainder loop; values with different
-        // exponents make reassociation visible if it ever sneaks in.
-        let n = 37;
-        let x: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 0.7).sin() * 1e3_f64.powi((i % 5) as i32 - 2))
-            .collect();
-        let v: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 1.3).cos() + 0.01 * i as f64)
-            .collect();
-        let r: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
+        // Each portable body is called directly, and through its dispatcher,
+        // which runs the AVX2 twin on a host with AVX2. Odd lengths exercise
+        // every remainder; values with different exponents make
+        // reassociation visible if it ever sneaks in.
         let (a, beta, omega) = (1.625, -0.3125, 0.78125);
+        for n in [0, 1, 3, 4, 5, 7, 9, 37] {
+            let x: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.7).sin() * 1e3_f64.powi((i % 5) as i32 - 2))
+                .collect();
+            let v: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 1.3).cos() + 0.01 * i as f64)
+                .collect();
+            let r: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
 
-        let mut y1 = x.clone();
-        let mut y2 = x.clone();
-        axpy(&mut y1, a, &v);
-        for i in 0..n {
-            y2[i] += a * v[i];
-        }
-        assert_eq!(y1, y2);
+            let mut y2 = x.clone();
+            let mut p2 = x.clone();
+            let mut s2 = vec![0.0; n];
+            let mut x2 = x.clone();
+            let mut r2 = vec![0.0; n];
+            for i in 0..n {
+                y2[i] += a * v[i];
+                p2[i] = r[i] + beta * (p2[i] - omega * v[i]);
+                s2[i] = r[i] - a * v[i];
+                x2[i] += a * r[i] + omega * v[i];
+                r2[i] = x[i] - omega * v[i];
+            }
 
-        let mut p1 = x.clone();
-        let mut p2 = x.clone();
-        p_update(&mut p1, &r, beta, omega, &v);
-        for i in 0..n {
-            p2[i] = r[i] + beta * (p2[i] - omega * v[i]);
-        }
-        assert_eq!(p1, p2);
+            for portable in [true, false] {
+                let at = format!("n = {n}, portable body: {portable}");
+                let mut y1 = x.clone();
+                let mut p1 = x.clone();
+                let mut s1 = vec![0.0; n];
+                let [ss] = if portable {
+                    axpy_portable(&mut y1, a, &v);
+                    p_update_portable(&mut p1, &r, beta, omega, &v);
+                    s_update_portable(&mut s1, &r, a, &v, (Square,))
+                } else {
+                    axpy(&mut y1, a, &v);
+                    p_update(&mut p1, &r, beta, omega, &v);
+                    s_update(&mut s1, &r, a, &v, (Square,))
+                };
+                assert_eq!(y1, y2, "axpy, {at}");
+                assert_eq!(p1, p2, "p_update, {at}");
+                assert_eq!(s1, s2, "s_update, {at}");
+                assert_eq!(ss.to_bits(), dot_exact(&s2, &s2).to_bits(), "{at}");
 
-        let mut s1 = vec![0.0; n];
-        let mut s2 = vec![0.0; n];
-        let [] = s_update(&mut s1, &r, a, &v, ());
-        for i in 0..n {
-            s2[i] = r[i] - a * v[i];
+                // The fused closing update against its two separate passes,
+                // with both chains against the unfused `dot_exact`s.
+                let mut x1 = x.clone();
+                let mut r1 = vec![0.0; n];
+                let chains = (Square, Dot(&r));
+                let [rr, rv] = if portable {
+                    xr_update_portable(&mut x1, a, &r, &v, &mut r1, &x, omega, &v, chains)
+                } else {
+                    xr_update(&mut x1, a, &r, &v, &mut r1, &x, omega, &v, chains)
+                };
+                assert_eq!(x1, x2, "xr_update x, {at}");
+                assert_eq!(r1, r2, "xr_update r, {at}");
+                assert_eq!(rr.to_bits(), dot_exact(&r2, &r2).to_bits(), "{at}");
+                assert_eq!(rv.to_bits(), dot_exact(&r2, &r).to_bits(), "{at}");
+            }
         }
-        assert_eq!(s1, s2);
-
-        // The fused closing update against its two separate passes, with
-        // both chains against the unfused `dot_exact`s.
-        let mut x1 = x.clone();
-        let mut x2 = x.clone();
-        let (mut r1, mut r2) = (vec![0.0; n], vec![0.0; n]);
-        let [rr, rv] = xr_update(
-            &mut x1,
-            a,
-            &r,
-            &v,
-            &mut r1,
-            &x,
-            omega,
-            &v,
-            (Square, Dot(&r)),
-        );
-        for i in 0..n {
-            x2[i] += a * r[i] + omega * v[i];
-            r2[i] = x[i] - omega * v[i];
-        }
-        assert_eq!(x1, x2);
-        assert_eq!(r1, r2);
-        assert_eq!(rr.to_bits(), dot_exact(&r2, &r2).to_bits());
-        assert_eq!(rv.to_bits(), dot_exact(&r2, &r).to_bits());
     }
 }

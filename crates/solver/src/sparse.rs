@@ -8,15 +8,18 @@
 //!
 //! The matvec has one kernel per production shape. Every assembled matrix
 //! is a 5-point stencil on a grid whose interior width is `2^(root+l) − 1`,
-//! so it is 1-D (width or height 1), thin (width 3 or 7), or wide (width
-//! 15 and up). Wide lines run the chunked `matvec_stencil` over the
-//! matrix's band-major copy of its values, thin ones the unrolled
-//! `matvec_thin`, and everything else — 1-D grids, non-stencil patterns,
-//! widths no grid has — the plain [`Csr::matvec_into_scalar`], which is
-//! also the `force-scalar` code path and the differential-test oracle. Each
-//! kernel keeps every row's accumulation order, so all three are
-//! bit-identical.
+//! so it is 1-D (width or height 1) or has a [`StencilPlan`] (width and
+//! height 3 and up). A planned matrix keeps a band-major copy of its
+//! values, which the chunked `matvec_stencil` runs over; everything else —
+//! 1-D grids, non-stencil patterns — runs the plain
+//! [`Csr::matvec_into_scalar`], which is also the differential-test oracle.
+//! Both keep every row's accumulation order, so they are bit-identical.
+//!
+//! Every kernel is safe code that checks its operands once per call and
+//! takes its lane blocks and lines from `as_chunks`, so the slice shapes
+//! prove the inner loops' bounds.
 
+use std::array;
 use std::sync::OnceLock;
 
 use crate::simd::{self, Backend, Chains, F64x4, LANES};
@@ -27,7 +30,7 @@ use crate::simd::{self, Backend, Chains, F64x4, LANES};
 /// This is the pattern every [`crate::assemble`] interior operator (and
 /// its `I − γ·dt·A` stage matrices, and their ILU(0) factors) has, and it
 /// unlocks the structure-aware kernels: a chunked matvec whose values and
-/// `x` operands are both contiguous loads (a wide plan's matrix keeps its
+/// `x` operands are both contiguous loads (a planned matrix keeps its
 /// values band-major as well as row-major), and skewed-wavefront
 /// triangular sweeps that pipeline the row recurrence across grid lines.
 /// The plan depends only on the sparsity pattern, which is immutable after
@@ -40,22 +43,15 @@ pub struct StencilPlan {
     pub h: usize,
 }
 
-/// Below this line width, the four-row interior chunks of
-/// [`matvec_stencil`] degenerate (at most one chunk plus remainders per
-/// line) and the const-width unrolled [`matvec_thin`] kernel wins instead
-/// (measured on the level-8 anisotropic family — see BENCH_solver.json).
-const STENCIL_MATVEC_MIN_W: usize = 8;
-
 /// The stencil bands, in a row's storage (ascending-column) order: columns
 /// `i−w`, `i−1`, `i`, `i+1` and `i+w` of row `i`.
 const BANDS: usize = 5;
 
 impl StencilPlan {
-    /// Does the chunked kernel run this plan (and its matrix keep bands)?
-    /// Detected plans all have `h >= 3`; the check also answers for a
-    /// shape not built yet, such as a one-line grid.
-    pub(crate) fn is_wide(self) -> bool {
-        self.w >= STENCIL_MATVEC_MIN_W && self.h >= 3
+    /// Would a `w × h` stencil pattern have this plan detected (and its
+    /// matrix keep bands)? Detection needs an interior row, so `w, h >= 3`.
+    pub(crate) fn is_detected(self) -> bool {
+        self.w >= 3 && self.h >= 3
     }
 
     /// Which bands row `(j, c)` stores: all five but those a grid edge
@@ -107,8 +103,8 @@ fn detect_stencil(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Option<Sten
     Some(plan)
 }
 
-/// The CSR invariants the unchecked kernels rely on (one O(nnz) pass at
-/// construction buys bounds-check-free matvec and triangular solves).
+/// The CSR invariants every reader of the parts relies on, checked in one
+/// O(nnz) pass at construction.
 fn check_parts(n: usize, row_ptr: &[usize], col_idx: &[usize], vals: &[f64]) {
     assert_eq!(row_ptr.len(), n + 1);
     assert_eq!(row_ptr[0], 0);
@@ -129,16 +125,15 @@ fn check_parts(n: usize, row_ptr: &[usize], col_idx: &[usize], vals: &[f64]) {
 /// Every constructor establishes (and no public method can break):
 /// `row_ptr.len() == n + 1`, `row_ptr[0] == 0`, `row_ptr` monotone with
 /// `row_ptr[n] == col_idx.len() == vals.len()`, and every stored column
-/// index `< n`. The hot kernels ([`Csr::matvec_into`], the ILU(0)
-/// triangular solves in [`crate::linsolve`]) rely on these invariants to
-/// skip per-element bounds checks.
+/// index `< n`. The kernels ([`Csr::matvec_into`], the ILU(0) triangular
+/// solves in [`crate::linsolve`]) still check their slices, so a broken
+/// invariant would panic, not misread memory.
 ///
 /// Two pieces of derived state ride along: the [`StencilPlan`], detected
-/// once and cached, and — when the plan is wide (at least
-/// `STENCIL_MATVEC_MIN_W` columns) — the values again, band-major: five
-/// arrays of `n`, where `bands[b·n + i]` is row `i`'s entry in band `b`
-/// (see `BANDS`); a slot a boundary row lacks holds a value no kernel
-/// reads. Every value writer writes them: the constructors (which detect
+/// once and cached, and — when there is one — the values again,
+/// band-major: five arrays of `n`, where `bands[b·n + i]` is row `i`'s
+/// entry in band `b` (see `BANDS`); a slot a boundary row lacks holds a
+/// value whose product no kernel keeps. Every value writer writes them: the constructors (which detect
 /// the plan to know whether to), [`crate::assemble::assemble`] (as five
 /// fills of its five stencil weights), [`CachedStage`], and the
 /// closure-taking mutators ([`Csr::with_raw_parts_mut`],
@@ -152,7 +147,7 @@ pub struct Csr {
     vals: Vec<f64>,
     /// Lazily detected [`StencilPlan`] of the (immutable) pattern.
     stencil: OnceLock<Option<StencilPlan>>,
-    /// The values band-major for a wide plan; empty otherwise.
+    /// The values band-major for a stencil plan; empty otherwise.
     bands: Vec<f64>,
 }
 
@@ -199,18 +194,11 @@ impl Csr {
         Csr::with_derived_bands(n, row_ptr, col_idx, vals)
     }
 
-    /// Build from pre-assembled CSR parts. `row_ptr` must be monotone with
-    /// `row_ptr[0] == 0` and `row_ptr[n] == col_idx.len()`, and every row's
-    /// columns must be strictly increasing. This is the fast path for
-    /// stencil assemblies whose pattern is known a priori (no triplet sort).
-    pub fn from_parts(n: usize, row_ptr: Vec<usize>, col_idx: Vec<usize>, vals: Vec<f64>) -> Csr {
-        check_parts(n, &row_ptr, &col_idx, &vals);
-        Csr::with_derived_bands(n, row_ptr, col_idx, vals)
-    }
-
-    /// [`Csr::from_parts`] for a caller that wrote the band-major values
-    /// itself ([`crate::assemble::assemble`]): `bands` is empty when the
-    /// pattern's plan is not wide, and otherwise holds five arrays of `n`
+    /// Build from pre-assembled CSR parts, for a caller that wrote the
+    /// band-major values itself ([`crate::assemble::assemble`]): `row_ptr`
+    /// must be monotone with `row_ptr[0] == 0` and `row_ptr[n] ==
+    /// col_idx.len()`, every row's columns strictly increasing, and `bands`
+    /// empty when the pattern has no plan and otherwise five arrays of `n`
     /// with the values the derivation would write. Both are checked, the
     /// values in debug builds. The plan stays undetected until first use,
     /// as for a matrix without bands.
@@ -235,7 +223,7 @@ impl Csr {
         a
     }
 
-    /// Detect the plan now and derive the bands when it is wide.
+    /// Detect the plan now and derive the bands when there is one.
     fn with_derived_bands(
         n: usize,
         row_ptr: Vec<usize>,
@@ -251,7 +239,7 @@ impl Csr {
             stencil,
             bands: Vec::new(),
         };
-        if a.wide_plan().is_some() {
+        if a.stencil_plan().is_some() {
             a.bands = vec![0.0; BANDS * n];
             a.derive_bands();
         }
@@ -281,16 +269,17 @@ impl Csr {
             .get_or_init(|| detect_stencil(self.n, &self.row_ptr, &self.col_idx))
     }
 
-    /// The plan, when the chunked kernel runs it over the bands.
-    fn wide_plan(&self) -> Option<StencilPlan> {
-        self.stencil_plan().filter(|p| p.is_wide())
+    /// Band `b` (in `BANDS` order) of a stencil-plan matrix: row `i`'s
+    /// entry in that band is element `i`.
+    pub(crate) fn band(&self, b: usize) -> &[f64] {
+        &self.bands[b * self.n..(b + 1) * self.n]
     }
 
     /// Rewrite every band slot from the row-major values. A line's edge
     /// rows go one by one; its interior rows all store the same bands and
     /// sit back to back, so each band is one strided copy out of that run.
     fn derive_bands(&mut self) {
-        let Some(plan) = self.wide_plan() else {
+        let Some(plan) = self.stencil_plan() else {
             return;
         };
         let (n, w) = (self.n, plan.w);
@@ -322,11 +311,11 @@ impl Csr {
         }
     }
 
-    /// Are the bands there exactly when the plan is wide, holding the bits
+    /// Are the bands there exactly when there is a plan, holding the bits
     /// [`Csr::derive_bands`] writes?
     fn bands_in_sync(&self) -> bool {
-        let wide = self.wide_plan().is_some();
-        if self.bands.len() != usize::from(wide) * BANDS * self.n {
+        let planned = self.stencil_plan().is_some();
+        if self.bands.len() != usize::from(planned) * BANDS * self.n {
             return false;
         }
         let mut fresh = self.clone();
@@ -358,7 +347,7 @@ impl Csr {
         let lo = self.row_ptr[r];
         let hi = self.row_ptr[r + 1];
         let out = f(&mut self.vals[lo..hi]);
-        if let Some(plan) = self.wide_plan() {
+        if let Some(plan) = self.stencil_plan() {
             self.derive_row_bands(plan, r / plan.w, r % plan.w);
         }
         out
@@ -406,81 +395,50 @@ impl Csr {
     /// `y = A·x`, carrying `chains` over the new `y`: the bits of
     /// [`Csr::matvec_into`] followed by [`simd::dot_exact`] per chain.
     ///
-    /// Each SIMD backend has three routes: the chunked stencil kernel
-    /// (lines at least 8 wide), the thin kernel (lines 3 or 7 wide), and
-    /// [`Csr::matvec_into_scalar`] for everything else. The chunked kernel
-    /// adds each row to every chain as it writes it, so the serial adds
-    /// overlap the matvec; the other two write `y` first and then run all
-    /// the chains in one pass.
+    /// Two routes: the chunked stencil kernel for a matrix with a plan,
+    /// dispatched on the SIMD backend, and [`Csr::matvec_into_scalar`] for
+    /// everything else. The chunked kernel adds each row to every chain as
+    /// it writes it, so the serial adds overlap the matvec; the scalar route
+    /// writes `y` first and then runs all the chains in one pass.
+    #[allow(unsafe_code)]
     pub fn matvec_dots<C: Chains>(&self, x: &[f64], y: &mut [f64], chains: C) -> C::Sums {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        let (row_ptr, vals, bands) = (&self.row_ptr[..], &self.vals[..], &self.bands[..]);
-        let plan = self.stencil_plan();
-        if plan.is_some_and(StencilPlan::is_wide) {
-            assert_eq!(
-                bands.len(),
-                BANDS * self.n,
-                "a wide stencil keeps its bands"
-            );
-        }
-        match simd::backend() {
-            #[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
-            // SAFETY: `backend()` returns Avx2 only after detecting AVX2 on
-            // this CPU. Each kernel runs on `stencil_plan()`, the plan
-            // `detect_stencil` verified row by row against this pattern, with
-            // the width it was instantiated for; `x` and `y` were asserted to
-            // have length `n == w·h` above, and a wide plan's `bands` to have
-            // length `BANDS·n`.
-            Backend::Avx2 => unsafe {
-                match plan {
-                    Some(plan) if plan.is_wide() => {
-                        return matvec_stencil_avx2(bands, plan, x, y, chains);
-                    }
-                    Some(plan) if plan.w == 3 => matvec_thin::<3>(row_ptr, vals, plan, x, y),
-                    Some(plan) if plan.w == 7 => matvec_thin::<7>(row_ptr, vals, plan, x, y),
-                    _ => self.matvec_into_scalar(x, y),
+        match self.stencil_plan() {
+            Some(plan) => {
+                let bands = &self.bands[..];
+                match simd::backend() {
+                    #[cfg(target_arch = "x86_64")]
+                    // SAFETY: `backend()` returns Avx2 only after detecting
+                    // AVX2 on this CPU, the one precondition of the safe
+                    // `target_feature` twin.
+                    Backend::Avx2 => unsafe { matvec_stencil_avx2(bands, plan, x, y, chains) },
+                    _ => matvec_stencil(bands, plan, x, y, chains),
                 }
-            },
-            Backend::Scalar => self.matvec_into_scalar(x, y),
-            // SAFETY: as for the Avx2 arm, minus the feature probe: these are
-            // the baseline-ISA instantiations.
-            _ => unsafe {
-                match plan {
-                    Some(plan) if plan.is_wide() => {
-                        return matvec_stencil(bands, plan, x, y, chains);
-                    }
-                    Some(plan) if plan.w == 3 => matvec_thin::<3>(row_ptr, vals, plan, x, y),
-                    Some(plan) if plan.w == 7 => matvec_thin::<7>(row_ptr, vals, plan, x, y),
-                    _ => self.matvec_into_scalar(x, y),
-                }
-            },
+            }
+            _ => {
+                self.matvec_into_scalar(x, y);
+                simd::dots_exact(y, chains)
+            }
         }
-        simd::dots_exact(y, chains)
     }
 
     /// `y = A·x` with the plain per-row scalar loop: the route of every
-    /// pattern without a stencil kernel (1-D grids, general matrices), the
-    /// `force-scalar` code path, and the differential-test oracle for the
-    /// stencil kernels.
+    /// pattern without a stencil kernel (1-D grids, general matrices), and
+    /// the differential-test oracle for the stencil kernels.
     pub fn matvec_into_scalar(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.n);
         assert_eq!(y.len(), self.n);
-        // SAFETY: the struct invariants guarantee `row_ptr` is monotone with
-        // `row_ptr[n] == col_idx.len() == vals.len()` and every stored column
-        // `< n == x.len()`; `i < n` bounds the row_ptr and y accesses. The
-        // accumulation order is unchanged from the checked loop.
-        unsafe {
-            for i in 0..self.n {
-                let lo = *self.row_ptr.get_unchecked(i);
-                let hi = *self.row_ptr.get_unchecked(i + 1);
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += *self.vals.get_unchecked(k)
-                        * *x.get_unchecked(*self.col_idx.get_unchecked(k));
-                }
-                *y.get_unchecked_mut(i) = acc;
+        for (yi, ends) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            let (cols, vals) = (
+                &self.col_idx[ends[0]..ends[1]],
+                &self.vals[ends[0]..ends[1]],
+            );
+            let mut acc = 0.0;
+            for (&c, v) in cols.iter().zip(vals) {
+                acc += v * x[c];
             }
+            *yi = acc;
         }
     }
 
@@ -539,107 +497,122 @@ fn band_offsets(w: usize) -> [isize; BANDS] {
     [-(w as isize), -1, 0, 1, w as isize]
 }
 
-/// One row of the band matvec, scalar: the bands `has` marks, in
-/// ascending-column order, from a zero accumulator — the scalar kernel's
-/// per-row operation sequence.
-///
-/// # Safety
-/// As [`matvec_stencil`], with `i < n` and every marked band's column in
-/// `0..n`.
+/// One row of the band matvec, scalar: the products of the bands `has`
+/// marks, added in ascending-column order to a zero accumulator — the
+/// scalar kernel's per-row operation sequence. `a` and `x` hold each band's
+/// coefficient and `x` operand; an unmarked one is never read.
 #[inline(always)]
-unsafe fn band_row(
-    bands: &[f64],
-    n: usize,
-    w: usize,
-    i: usize,
-    x: &[f64],
-    has: [bool; BANDS],
-) -> f64 {
+fn band_row(a: [f64; BANDS], x: [f64; BANDS], has: [bool; BANDS]) -> f64 {
     let mut acc = 0.0;
-    for (b, off) in band_offsets(w).into_iter().enumerate() {
+    for b in 0..BANDS {
         if has[b] {
-            acc += *bands.get_unchecked(b * n + i) * *x.get_unchecked(i.wrapping_add_signed(off));
+            acc += a[b] * x[b];
         }
     }
     acc
 }
 
-/// Rows `i .. i+4` of the band matvec: per marked band, one contiguous
-/// load of four values and one of the four `x` operands, multiplied and
-/// added lanewise in ascending-column order from a zero accumulator — each
-/// lane is [`band_row`]'s operation sequence.
+/// Rows `first .. first + y.len()` of the band matvec, all on lines that
+/// have (`NORTH`, `SOUTH`) or lack the north and south bands, the first at
+/// column `col`. `a` holds each band's values for these rows and `x` the
+/// five operands of each row `i`: `x[i−w]`, `x[i−1]`, `x[i]`, `x[i+1]` and
+/// `x[i+w]` (for an absent band, any slice of the same length; it is not
+/// read). Every slice is `y.len()` long.
 ///
-/// # Safety
-/// As [`band_row`], for all four rows.
+/// The rows run as one flat sequence of four-row chunks, line ends and
+/// all, so nothing is set up per line: each chunk multiplies the class's
+/// bands lanewise and adds them in band order from zero, and in a chunk
+/// that reaches a line end the (at most two) lanes on a line's last or
+/// first column — which lack the east or west band — take the sum without
+/// that band instead; every lane is [`band_row`]'s operation sequence. The
+/// leftover rows run [`band_row`] one by one. Each row joins `chains` once
+/// its final value is written.
 #[inline(always)]
-unsafe fn band_chunk(
-    bands: &[f64],
-    n: usize,
-    w: usize,
-    i: usize,
-    x: &[f64],
-    has: [bool; BANDS],
-) -> F64x4 {
-    let mut acc = F64x4::zero();
-    for (b, off) in band_offsets(w).into_iter().enumerate() {
-        if has[b] {
-            let a = F64x4::load(bands, b * n + i);
-            acc = acc.add(a.mul(F64x4::load(x, i.wrapping_add_signed(off))));
-        }
-    }
-    acc
-}
-
-/// Line `j` of the band matvec. The first and last columns run
-/// [`band_row`] without their west or east band; the interior columns run
-/// [`band_chunk`] four rows at a time, then [`band_row`] for the remainder.
-/// Boundary rows never touch the band slots they lack, so no zero
-/// coefficient is ever multiplied in.
-///
-/// # Safety
-/// As [`matvec_stencil`], with `j < h`, `top` iff `j == 0` and `bottom`
-/// iff `j + 1 == h`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // one line of a kernel
-unsafe fn band_line<C: Chains>(
-    bands: &[f64],
-    plan: StencilPlan,
-    j: usize,
-    top: bool,
-    bottom: bool,
-    x: &[f64],
+#[allow(clippy::too_many_arguments)] // one run of a kernel
+fn band_rows<const NORTH: bool, const SOUTH: bool, C: Chains>(
+    a: [&[f64]; BANDS],
+    x: [&[f64]; BANDS],
     y: &mut [f64],
+    w: usize,
+    first: usize,
+    col: usize,
     chains: C,
     sums: &mut C::Sums,
 ) {
-    let StencilPlan { w, h } = plan;
-    let n = w * h;
-    let (north, south) = (!top, !bottom);
-    let row0 = j * w;
-    let end = row0 + w - 1;
-    let first = band_row(bands, n, w, row0, x, [north, false, true, true, south]);
-    *y.get_unchecked_mut(row0) = first;
-    chains.add(sums, row0, first);
-    let interior = [north, true, true, true, south];
-    let mut i = row0 + 1;
-    while i + LANES <= end {
-        let acc = band_chunk(bands, n, w, i, x, interior);
-        acc.store(y, i);
-        chains.add4(sums, i, acc);
-        i += LANES;
+    let interior = [NORTH, true, true, true, SOUTH];
+    let west_edge = [NORTH, false, true, true, SOUTH];
+    let east_edge = [NORTH, true, true, false, SOUTH];
+    let (y4, tail) = y.as_chunks_mut::<LANES>();
+    let k = y4.len();
+    let a4 = a.map(|s| &s.as_chunks::<LANES>().0[..k]);
+    let x4 = x.map(|s| &s.as_chunks::<LANES>().0[..k]);
+    // `c` is the first column of the next chunk that reaches a line end,
+    // and `clean` counts the chunks before it.
+    let clean_from = |c: usize| if c == 0 { 0 } else { (w - 1 - c) / LANES };
+    let mut clean = clean_from(col);
+    let mut c = col + clean * LANES;
+    for q in 0..k {
+        let mul = |b: usize| F64x4(a4[b][q]).mul(F64x4(x4[b][q]));
+        let p = [mul(0), mul(1), mul(2), mul(3), mul(4)];
+        // A lane's sum over the bands `has` marks, in band order from zero.
+        let sum = |has: [bool; BANDS]| {
+            let mut v = F64x4::zero();
+            for b in 0..BANDS {
+                if has[b] {
+                    v = v.add(p[b]);
+                }
+            }
+            v
+        };
+        let mut v = sum(interior);
+        if clean > 0 {
+            clean -= 1;
+        } else {
+            // The lanes on a line's first or last column take the sums
+            // without their west (1) or east (2) band. Lane `w − 1 − c` is
+            // on the last column and the lane after it on the next line's
+            // first, except where a chunk holds a whole line of three or
+            // four columns.
+            let alts = [v, sum(west_edge), sum(east_edge)];
+            let pick = |[l0, l1, l2, l3]: [usize; LANES]| {
+                F64x4([alts[l0].0[0], alts[l1].0[1], alts[l2].0[2], alts[l3].0[3]])
+            };
+            v = match (w, c) {
+                (3, 0) => pick([1, 0, 2, 1]),
+                (3, 1) => pick([0, 2, 1, 0]),
+                (3, _) => pick([2, 1, 0, 2]),
+                (4, 0) => pick([1, 0, 0, 2]),
+                (_, 0) => pick([1, 0, 0, 0]),
+                _ => match w - 1 - c {
+                    0 => pick([2, 1, 0, 0]),
+                    1 => pick([0, 2, 1, 0]),
+                    2 => pick([0, 0, 2, 1]),
+                    _ => pick([0, 0, 0, 2]),
+                },
+            };
+            c += LANES;
+            while c >= w {
+                c -= w;
+            }
+            clean = clean_from(c);
+            c += clean * LANES;
+        }
+        y4[q] = v.0;
+        chains.add4(sums, first + q * LANES, v);
     }
-    while i < end {
-        let acc = band_row(bands, n, w, i, x, interior);
-        *y.get_unchecked_mut(i) = acc;
-        chains.add(sums, i, acc);
-        i += 1;
+    for (i, yi) in (k * LANES..).zip(tail) {
+        let has = match c {
+            0 => west_edge,
+            _ if c + 1 == w => east_edge,
+            _ => interior,
+        };
+        *yi = band_row(a.map(|s| s[i]), x.map(|s| s[i]), has);
+        chains.add(sums, first + i, *yi);
+        c = if c + 1 == w { 0 } else { c + 1 };
     }
-    let last = band_row(bands, n, w, end, x, [north, true, true, false, south]);
-    *y.get_unchecked_mut(end) = last;
-    chains.add(sums, end, last);
 }
 
-/// Stencil matvec body over a wide plan's band-major values: the
+/// Stencil matvec body over a planned matrix's band-major values: the
 /// [`StencilPlan`] pins every column, so there is no `col_idx` indirection,
 /// and the bands make the values as contiguous as the `x` operands — an
 /// interior chunk of four rows loads each band's four values with one
@@ -648,35 +621,61 @@ unsafe fn band_line<C: Chains>(
 /// per-row operation sequence, so the result is bit-identical to
 /// [`Csr::matvec_into_scalar`].
 ///
-/// Every written row then joins `chains`; rows are written in ascending
-/// order, so each chain has the bits of [`simd::dot_exact`] over `y`. With
-/// no chains (`()`) this is the plain matvec.
-///
-/// # Safety
-/// `plan` must be the verified [`StencilPlan`] of the matrix `bands` was
-/// derived from (which guarantees `h >= 3`), `bands.len() == BANDS·w·h`,
-/// and `x.len() == y.len() == w·h`.
+/// Rows run in ascending order: row 0, the rest of the first line, the
+/// interior lines, the last line but its last row, and that row — the three
+/// runs through [`band_rows`], whose operand slices are taken once here.
+/// Every written row joins `chains`, so each chain has the bits of
+/// [`simd::dot_exact`] over `y`. With no chains (`()`) this is the plain
+/// matvec.
 #[inline(always)]
-unsafe fn matvec_stencil<C: Chains>(
+fn matvec_stencil<C: Chains>(
     bands: &[f64],
     plan: StencilPlan,
     x: &[f64],
     y: &mut [f64],
     chains: C,
 ) -> C::Sums {
-    let h = plan.h;
-    let mut sums = chains.start(plan.w * h);
-    band_line(bands, plan, 0, true, false, x, y, chains, &mut sums);
-    for j in 1..h - 1 {
-        band_line(bands, plan, j, false, false, x, y, chains, &mut sums);
-    }
-    band_line(bands, plan, h - 1, false, true, x, y, chains, &mut sums);
+    let StencilPlan { w, h } = plan;
+    let n = w * h;
+    assert!(plan.is_detected(), "a stencil plan");
+    assert!(
+        x.len() == n && y.len() == n && bands.len() == BANDS * n,
+        "matvec_stencil operand lengths"
+    );
+    let mut sums = chains.start(n);
+    let band: [&[f64]; BANDS] = array::from_fn(|b| &bands[b * n..(b + 1) * n]);
+    let row = |i: usize, x: [f64; BANDS], has| band_row(band.map(|s| s[i]), x, has);
+    // The operands of rows `lo .. hi`; an absent band's `x` is a stand-in.
+    let run = |lo: usize, hi: usize, [north, south]: [bool; 2]| {
+        let xc = &x[lo..hi];
+        let xn = if north { &x[lo - w..hi - w] } else { xc };
+        let xs = if south { &x[lo + w..hi + w] } else { xc };
+        let xo = [xn, &x[lo - 1..hi - 1], xc, &x[lo + 1..hi + 1], xs];
+        (band.map(|s| &s[lo..hi]), xo)
+    };
+
+    let last = n - 1;
+    y[0] = row(
+        0,
+        [0.0, 0.0, x[0], x[1], x[w]],
+        [false, false, true, true, true],
+    );
+    chains.add(&mut sums, 0, y[0]);
+    let (a, xo) = run(1, w, [false, true]);
+    band_rows::<false, true, C>(a, xo, &mut y[1..w], w, 1, 1, chains, &mut sums);
+    let (a, xo) = run(w, n - w, [true, true]);
+    band_rows::<true, true, C>(a, xo, &mut y[w..n - w], w, w, 0, chains, &mut sums);
+    let (a, xo) = run(n - w, last, [true, false]);
+    band_rows::<true, false, C>(a, xo, &mut y[n - w..last], w, n - w, 0, chains, &mut sums);
+    let x_last = [x[last - w], x[last - 1], x[last], 0.0, 0.0];
+    y[last] = row(last, x_last, [true, true, true, false, false]);
+    chains.add(&mut sums, last, y[last]);
     sums
 }
 
-#[cfg(all(target_arch = "x86_64", not(feature = "force-scalar")))]
+#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matvec_stencil_avx2<C: Chains>(
+fn matvec_stencil_avx2<C: Chains>(
     bands: &[f64],
     plan: StencilPlan,
     x: &[f64],
@@ -684,77 +683,6 @@ unsafe fn matvec_stencil_avx2<C: Chains>(
     chains: C,
 ) -> C::Sums {
     matvec_stencil(bands, plan, x, y, chains)
-}
-
-/// One line of the thin-stencil matvec: straight-line code for all `W`
-/// columns of line `j` (the `c` loop fully unrolls for const `W`, erasing
-/// the boundary branches and the per-entry `col_idx` loads the generic
-/// kernels pay). Each row accumulates its bands in ascending-column order
-/// from a zero accumulator — the scalar kernel's exact operation sequence,
-/// so the result is bit-identical to [`Csr::matvec_into_scalar`].
-///
-/// # Safety
-/// As for [`matvec_thin`], with `j` a valid line index (`TOP` iff `j == 0`,
-/// `BOTTOM` iff `j + 1 == h`).
-#[inline(always)]
-unsafe fn thin_line<const W: usize, const TOP: bool, const BOTTOM: bool>(
-    j: usize,
-    row_ptr: &[usize],
-    vals: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-) {
-    for c in 0..W {
-        let i = j * W + c;
-        let mut p = *row_ptr.get_unchecked(i);
-        let mut acc = 0.0;
-        if !TOP {
-            acc += *vals.get_unchecked(p) * *x.get_unchecked(i - W);
-            p += 1;
-        }
-        if c > 0 {
-            acc += *vals.get_unchecked(p) * *x.get_unchecked(i - 1);
-            p += 1;
-        }
-        acc += *vals.get_unchecked(p) * *x.get_unchecked(i);
-        p += 1;
-        if c + 1 < W {
-            acc += *vals.get_unchecked(p) * *x.get_unchecked(i + 1);
-            p += 1;
-        }
-        if !BOTTOM {
-            acc += *vals.get_unchecked(p) * *x.get_unchecked(i + W);
-        }
-        *y.get_unchecked_mut(i) = acc;
-    }
-}
-
-/// Thin-stencil matvec body for the two line widths below
-/// [`STENCIL_MATVEC_MIN_W`] that grids have, `W ∈ {3, 7}` (interior widths
-/// are `2^k − 1`): too narrow for the four-row interior chunks of
-/// [`matvec_stencil`], but the const line width lets every line run as
-/// unrolled straight-line code with full instruction-level parallelism
-/// (`W` independent accumulators per line). Bit-identical to
-/// [`Csr::matvec_into_scalar`] — see [`thin_line`].
-///
-/// # Safety
-/// `plan` must be the verified [`StencilPlan`] of this pattern with
-/// `plan.w == W` (detection guarantees `h >= 3`, so the first and last
-/// lines are distinct); `x.len() == y.len() == w·h`.
-unsafe fn matvec_thin<const W: usize>(
-    row_ptr: &[usize],
-    vals: &[f64],
-    plan: StencilPlan,
-    x: &[f64],
-    y: &mut [f64],
-) {
-    debug_assert_eq!(plan.w, W);
-    let h = plan.h;
-    thin_line::<W, true, false>(0, row_ptr, vals, x, y);
-    for j in 1..h - 1 {
-        thin_line::<W, false, false>(j, row_ptr, vals, x, y);
-    }
-    thin_line::<W, false, true>(h - 1, row_ptr, vals, x, y);
 }
 
 /// Where a stage-matrix entry takes its value from.
@@ -859,7 +787,7 @@ impl CachedStage {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn example() -> Csr {
@@ -960,11 +888,12 @@ mod tests {
     #[test]
     fn from_parts_equals_from_triplets() {
         let t = example();
-        let d = Csr::from_parts(
+        let d = Csr::from_parts_and_bands(
             3,
             vec![0, 2, 5, 7],
             vec![0, 1, 0, 1, 2, 1, 2],
             vec![2.0, -1.0, -1.0, 2.0, -1.0, -1.0, 2.0],
+            Vec::new(),
         );
         assert_eq!(t, d);
     }
@@ -972,7 +901,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn from_parts_rejects_bad_row_ptr() {
-        let _ = Csr::from_parts(2, vec![0, 1], vec![0], vec![1.0]);
+        let _ = Csr::from_parts_and_bands(2, vec![0, 1], vec![0], vec![1.0], Vec::new());
     }
 
     #[test]
@@ -1037,9 +966,23 @@ mod tests {
         }
     }
 
+    /// A [`stencil_matrix`] whose band slots for bands a row lacks hold
+    /// NaN, so a kernel that keeps a product of one fails loudly.
+    pub(crate) fn poisoned_stencil_matrix(w: usize, h: usize) -> Csr {
+        let mut a = stencil_matrix(w, h);
+        let n = a.n;
+        for i in 0..n {
+            let present = StencilPlan { w, h }.present(i / w, i % w);
+            for b in (0..BANDS).filter(|&b| !present[b]) {
+                a.bands[b * n + i] = f64::NAN;
+            }
+        }
+        a
+    }
+
     /// A w×h 5-point-stencil matrix with smoothly varying, row-distinct
     /// values (so a misplaced band or a swapped neighbor cannot cancel).
-    fn stencil_matrix(w: usize, h: usize) -> Csr {
+    pub(crate) fn stencil_matrix(w: usize, h: usize) -> Csr {
         let n = w * h;
         let mut t = Vec::new();
         for j in 0..h {
@@ -1118,8 +1061,8 @@ mod tests {
 
     #[test]
     fn stencil_matvec_matches_scalar_bitwise() {
-        // Shapes cover w == 2 (no interior columns), both thin widths (3
-        // and 7), widths no grid has (4–6, scalar), wide-and-short, chunk
+        // Shapes cover w == 2 (no plan: scalar), the widths below 8 (3 and
+        // 7 as grids have them, 4–6 as no grid has), wide-and-short, chunk
         // remainders (w-2 mod 4 in every class), and a square large enough
         // for several four-row chunks per line.
         for (w, h) in [
@@ -1146,6 +1089,45 @@ mod tests {
             a.matvec_into(&x, &mut y);
             a.matvec_into_scalar(&x, &mut y_scalar);
             assert_eq!(y, y_scalar, "{w}x{h}");
+        }
+    }
+
+    /// The shapes every backend's stencil kernels are pinned on: every
+    /// line width up to 8 (chunks holding a whole line, or both ends of
+    /// one), wider lines with every chunk remainder, and line counts that
+    /// give one or several interior lines.
+    pub(crate) const KERNEL_SHAPES: ([usize; 10], [usize; 4]) =
+        ([3, 4, 5, 6, 7, 8, 10, 11, 15, 31], [3, 4, 5, 9]);
+
+    #[test]
+    fn portable_and_dispatched_matvec_match_scalar_bitwise() {
+        // The portable body runs here whatever the host; the dispatched
+        // call runs the AVX2 twin on a host with AVX2. Both carry a square
+        // and a dot chain, which must have `dot_exact`'s bits.
+        let (widths, heights) = KERNEL_SHAPES;
+        for (w, h) in widths.into_iter().flat_map(|w| heights.map(|h| (w, h))) {
+            let a = poisoned_stencil_matrix(w, h);
+            let plan = a.stencil_plan().expect("a stencil plan");
+            let n = w * h;
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).sin() * 2.5).collect();
+            let r: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
+            let mut want = vec![0.0; n];
+            a.matvec_into_scalar(&x, &mut want);
+            let want_sums = [simd::dot_exact(&want, &want), simd::dot_exact(&want, &r)];
+            let (mut portable, mut dispatched) = (vec![0.0; n], vec![0.0; n]);
+            let chains = (simd::Square, simd::Dot(&r));
+            let sums = [
+                matvec_stencil(&a.bands, plan, &x, &mut portable, chains),
+                a.matvec_dots(&x, &mut dispatched, chains),
+            ];
+            for (y, got) in [portable, dispatched].iter().zip(sums) {
+                assert_eq!(*y, want, "{w}x{h}");
+                assert_eq!(
+                    got.map(f64::to_bits),
+                    want_sums.map(f64::to_bits),
+                    "{w}x{h}"
+                );
+            }
         }
     }
 

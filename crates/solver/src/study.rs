@@ -35,7 +35,7 @@ impl ConvergenceRow {
     /// Accuracy per flop advantage of the combination technique:
     /// `(full_error / comb_error) · (full_flops / comb_flops)` — > 1 means
     /// the sparse-grid method wins.
-    pub fn advantage(&self) -> f64 {
+    fn advantage(&self) -> f64 {
         (self.full_grid_error / self.combination_error.max(1e-300))
             * (self.full_grid_flops as f64 / self.combination_flops.max(1) as f64)
     }

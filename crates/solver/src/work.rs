@@ -131,7 +131,7 @@ pub fn estimate_subsolve_flops(root: u32, l: u32, m: u32, tol: f64) -> f64 {
 /// constant is an approximation; 300 keeps the a-priori estimate within a
 /// few percent of the counters on the grids the dispatch policies actually
 /// rank.
-pub const MEASURED_FLOPS_PER_UNKNOWN_STEP: f64 = 300.0;
+const MEASURED_FLOPS_PER_UNKNOWN_STEP: f64 = 300.0;
 
 #[cfg(test)]
 mod tests {
