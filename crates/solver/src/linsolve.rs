@@ -190,7 +190,7 @@ impl Ilu0 {
     #[inline(always)]
     fn apply_wavefront(&self, plan: StencilPlan, r: &[f64], z: &mut [f64]) {
         let StencilPlan { w, h } = plan;
-        assert!(w >= 2 && h >= 3, "a detected stencil plan");
+        assert!(plan.is_detected(), "a detected stencil plan");
         assert!(
             r.len() == w * h && z.len() == w * h,
             "wavefront operand lengths"

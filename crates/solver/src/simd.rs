@@ -27,6 +27,7 @@
 //! fns too; the one `unsafe` is the call into a twin right after
 //! [`backend`] returned [`Backend::Avx2`].
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Lane width of the explicit vector type. All blocked kernels consume
@@ -177,6 +178,12 @@ pub trait Chain: Copy {
 
     /// Panics unless the chain can run over a `y` of length `n`.
     fn check(self, _n: usize) {}
+
+    /// The chain over elements `r` of `y` alone, indexed from `r.start`.
+    #[inline(always)]
+    fn sub(self, _r: Range<usize>) -> Self {
+        self
+    }
 }
 
 /// `Σ yᵢ·yᵢ`, a squared norm.
@@ -203,6 +210,11 @@ impl Chain for Dot<'_> {
     fn check(self, n: usize) {
         assert_eq!(self.0.len(), n, "chain operand length");
     }
+
+    #[inline(always)]
+    fn sub(self, r: Range<usize>) -> Self {
+        Dot(&self.0[r])
+    }
 }
 
 /// The [`Chain`]s one pass carries — `()`, `(A,)` or `(A, B)` — and their
@@ -226,6 +238,11 @@ pub trait Chains: Copy {
             self.add(sums, i + q, yq);
         }
     }
+
+    /// The chains over elements `r` of `y` alone, indexed from `r.start`
+    /// (a kernel that works a line at a time checks the operands once per
+    /// line, not once per element).
+    fn sub(self, r: Range<usize>) -> Self;
 }
 
 impl Chains for () {
@@ -238,6 +255,9 @@ impl Chains for () {
 
     #[inline(always)]
     fn add(self, _sums: &mut [f64; 0], _i: usize, _y: f64) {}
+
+    #[inline(always)]
+    fn sub(self, _r: Range<usize>) -> Self {}
 }
 
 impl<A: Chain> Chains for (A,) {
@@ -252,6 +272,11 @@ impl<A: Chain> Chains for (A,) {
     #[inline(always)]
     fn add(self, sums: &mut [f64; 1], i: usize, y: f64) {
         sums[0] += y * self.0.factor(i, y);
+    }
+
+    #[inline(always)]
+    fn sub(self, r: Range<usize>) -> Self {
+        (self.0.sub(r),)
     }
 }
 
@@ -269,6 +294,11 @@ impl<A: Chain, B: Chain> Chains for (A, B) {
     fn add(self, sums: &mut [f64; 2], i: usize, y: f64) {
         sums[0] += y * self.0.factor(i, y);
         sums[1] += y * self.1.factor(i, y);
+    }
+
+    #[inline(always)]
+    fn sub(self, r: Range<usize>) -> Self {
+        (self.0.sub(r.clone()), self.1.sub(r))
     }
 }
 

@@ -10,16 +10,17 @@
 //! is a 5-point stencil on a grid whose interior width is `2^(root+l) − 1`,
 //! so it is 1-D (width or height 1) or has a [`StencilPlan`] (width and
 //! height 3 and up). A planned matrix keeps a band-major copy of its
-//! values, which the chunked `matvec_stencil` runs over; everything else —
+//! values, which the band-line `matvec_stencil` runs over; everything else —
 //! 1-D grids, non-stencil patterns — runs the plain
 //! [`Csr::matvec_into_scalar`], which is also the differential-test oracle.
 //! Both keep every row's accumulation order, so they are bit-identical.
 //!
-//! Every kernel is safe code that checks its operands once per call and
-//! takes its lane blocks and lines from `as_chunks`, so the slice shapes
-//! prove the inner loops' bounds.
+//! Every kernel is safe code that checks its operands once per call or
+//! per line: a line's operands are slices one line long and its lane
+//! blocks come from `as_chunks`, so the slice shapes prove the inner
+//! loops' bounds.
 
-use std::array;
+use std::hint;
 use std::sync::OnceLock;
 
 use crate::simd::{self, Backend, Chains, F64x4, LANES};
@@ -29,7 +30,7 @@ use crate::simd::{self, Backend, Chains, F64x4, LANES};
 /// `{i−w if j>0, i−1 if c>0, i, i+1 if c+1<w, i+w if j+1<h}`, ascending.
 /// This is the pattern every [`crate::assemble`] interior operator (and
 /// its `I − γ·dt·A` stage matrices, and their ILU(0) factors) has, and it
-/// unlocks the structure-aware kernels: a chunked matvec whose values and
+/// unlocks the structure-aware kernels: a band-line matvec whose values and
 /// `x` operands are both contiguous loads (a planned matrix keeps its
 /// values band-major as well as row-major), and skewed-wavefront
 /// triangular sweeps that pipeline the row recurrence across grid lines.
@@ -395,9 +396,9 @@ impl Csr {
     /// `y = A·x`, carrying `chains` over the new `y`: the bits of
     /// [`Csr::matvec_into`] followed by [`simd::dot_exact`] per chain.
     ///
-    /// Two routes: the chunked stencil kernel for a matrix with a plan,
+    /// Two routes: the band-line stencil kernel for a matrix with a plan,
     /// dispatched on the SIMD backend, and [`Csr::matvec_into_scalar`] for
-    /// everything else. The chunked kernel adds each row to every chain as
+    /// everything else. The band-line kernel adds each row to every chain as
     /// it writes it, so the serial adds overlap the matvec; the scalar route
     /// writes `y` first and then runs all the chains in one pass.
     #[allow(unsafe_code)]
@@ -512,104 +513,100 @@ fn band_row(a: [f64; BANDS], x: [f64; BANDS], has: [bool; BANDS]) -> f64 {
     acc
 }
 
-/// Rows `first .. first + y.len()` of the band matvec, all on lines that
-/// have (`NORTH`, `SOUTH`) or lack the north and south bands, the first at
-/// column `col`. `a` holds each band's values for these rows and `x` the
-/// five operands of each row `i`: `x[i−w]`, `x[i−1]`, `x[i]`, `x[i+1]` and
-/// `x[i+w]` (for an absent band, any slice of the same length; it is not
-/// read). Every slice is `y.len()` long.
-///
-/// The rows run as one flat sequence of four-row chunks, line ends and
-/// all, so nothing is set up per line: each chunk multiplies the class's
-/// bands lanewise and adds them in band order from zero, and in a chunk
-/// that reaches a line end the (at most two) lanes on a line's last or
-/// first column — which lack the east or west band — take the sum without
-/// that band instead; every lane is [`band_row`]'s operation sequence. The
-/// leftover rows run [`band_row`] one by one. Each row joins `chains` once
-/// its final value is written.
+/// `f` of each band's entry of `a`, spelled out: `array::map` and
+/// `array::from_fn` can compile to an out-of-line call per use, which a
+/// kernel cannot afford per line.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // one run of a kernel
-fn band_rows<const NORTH: bool, const SOUTH: bool, C: Chains>(
+fn per_band<T: Copy, U>(a: [T; BANDS], f: impl Fn(T) -> U) -> [U; BANDS] {
+    [f(a[0]), f(a[1]), f(a[2]), f(a[3]), f(a[4])]
+}
+
+/// Column `c` of a [`band_line`], scalar: [`band_row`] over the bands
+/// `has` marks. (A fn, not a closure: a closure called from several places
+/// can be compiled out of line.)
+#[inline(always)]
+fn line_row<const NORTH: bool, const SOUTH: bool>(
     a: [&[f64]; BANDS],
-    x: [&[f64]; BANDS],
+    [xn, xl, xs]: [&[f64]; 3],
+    c: usize,
+    has: [bool; BANDS],
+) -> f64 {
+    let x = [
+        if NORTH { xn[c] } else { 0.0 },
+        if has[1] { xl[c - 1] } else { 0.0 },
+        xl[c],
+        if has[3] { xl[c + 1] } else { 0.0 },
+        if SOUTH { xs[c] } else { 0.0 },
+    ];
+    band_row(per_band(a, |s| s[c]), x, has)
+}
+
+/// One line of the band matvec, `w` rows, on a line that has (`NORTH`,
+/// `SOUTH`) or lacks the north and south bands. `a` holds each band's
+/// values for the line's rows; `[xn, xl, xs]` the line of `x` above, the
+/// line's own and the line below (an absent one may be any line: it is
+/// not read); `y` the line's rows; and `chains` runs over the line alone.
+/// Each is `w` long, so the slice shapes and the loop bounds bound every
+/// index. `W` is the width as a constant, or 0 to take it from `y`.
+///
+/// The first and last columns run [`band_row`] without their west or east
+/// band. The interior columns `1 .. w−1` run four rows at a time — per
+/// band one lane block of values and one of `x`, multiplied and added
+/// lanewise in band order from zero, so each lane is [`band_row`]'s
+/// operation sequence — and then [`band_row`] for the remainder. Rows join
+/// `chains` in order; a lane block joins once the next one is written,
+/// read back from `y`: fed straight from the lanes, the chain's adds
+/// lead LLVM to split the whole block's arithmetic into 128-bit halves.
+#[inline(always)]
+fn band_line<const NORTH: bool, const SOUTH: bool, const W: usize, C: Chains>(
+    a: [&[f64]; BANDS],
+    [xn, xl, xs]: [&[f64]; 3],
     y: &mut [f64],
-    w: usize,
-    first: usize,
-    col: usize,
     chains: C,
     sums: &mut C::Sums,
 ) {
+    let w = if W == 0 { y.len() } else { W };
+    assert!(w >= 3 && y.len() == w, "a stencil line");
+    let (a, xn, xl, xs) = (per_band(a, |s| &s[..w]), &xn[..w], &xl[..w], &xs[..w]);
+    let xo = [xn, xl, xs];
     let interior = [NORTH, true, true, true, SOUTH];
-    let west_edge = [NORTH, false, true, true, SOUTH];
-    let east_edge = [NORTH, true, true, false, SOUTH];
-    let (y4, tail) = y.as_chunks_mut::<LANES>();
+    y[0] = line_row::<NORTH, SOUTH>(a, xo, 0, [NORTH, false, true, true, SOUTH]);
+    chains.add(sums, 0, y[0]);
+    // Every interior operand is a slice w − 2 long, so its lane blocks
+    // line up with `y`'s.
+    let (y4, _) = y[1..w - 1].as_chunks_mut::<LANES>();
     let k = y4.len();
-    let a4 = a.map(|s| &s.as_chunks::<LANES>().0[..k]);
-    let x4 = x.map(|s| &s.as_chunks::<LANES>().0[..k]);
-    // `c` is the first column of the next chunk that reaches a line end,
-    // and `clean` counts the chunks before it.
-    let clean_from = |c: usize| if c == 0 { 0 } else { (w - 1 - c) / LANES };
-    let mut clean = clean_from(col);
-    let mut c = col + clean * LANES;
+    let a4 = per_band(a, |s| &s[1..w - 1].as_chunks::<LANES>().0[..k]);
+    let xb = [
+        &xn[1..w - 1],
+        &xl[..w - 2],
+        &xl[1..w - 1],
+        &xl[2..],
+        &xs[1..w - 1],
+    ];
+    let x4 = per_band(xb, |s| &s.as_chunks::<LANES>().0[..k]);
     for q in 0..k {
-        let mul = |b: usize| F64x4(a4[b][q]).mul(F64x4(x4[b][q]));
-        let p = [mul(0), mul(1), mul(2), mul(3), mul(4)];
-        // A lane's sum over the bands `has` marks, in band order from zero.
-        let sum = |has: [bool; BANDS]| {
-            let mut v = F64x4::zero();
-            for b in 0..BANDS {
-                if has[b] {
-                    v = v.add(p[b]);
-                }
+        let mut v = F64x4::zero();
+        for b in 0..BANDS {
+            if interior[b] {
+                v = v.add(F64x4(a4[b][q]).mul(F64x4(x4[b][q])));
             }
-            v
-        };
-        let mut v = sum(interior);
-        if clean > 0 {
-            clean -= 1;
-        } else {
-            // The lanes on a line's first or last column take the sums
-            // without their west (1) or east (2) band. Lane `w − 1 − c` is
-            // on the last column and the lane after it on the next line's
-            // first, except where a chunk holds a whole line of three or
-            // four columns.
-            let alts = [v, sum(west_edge), sum(east_edge)];
-            let pick = |[l0, l1, l2, l3]: [usize; LANES]| {
-                F64x4([alts[l0].0[0], alts[l1].0[1], alts[l2].0[2], alts[l3].0[3]])
-            };
-            v = match (w, c) {
-                (3, 0) => pick([1, 0, 2, 1]),
-                (3, 1) => pick([0, 2, 1, 0]),
-                (3, _) => pick([2, 1, 0, 2]),
-                (4, 0) => pick([1, 0, 0, 2]),
-                (_, 0) => pick([1, 0, 0, 0]),
-                _ => match w - 1 - c {
-                    0 => pick([2, 1, 0, 0]),
-                    1 => pick([0, 2, 1, 0]),
-                    2 => pick([0, 0, 2, 1]),
-                    _ => pick([0, 0, 0, 2]),
-                },
-            };
-            c += LANES;
-            while c >= w {
-                c -= w;
-            }
-            clean = clean_from(c);
-            c += clean * LANES;
         }
         y4[q] = v.0;
-        chains.add4(sums, first + q * LANES, v);
+        if q > 0 {
+            chains.add4(sums, 1 + (q - 1) * LANES, F64x4(y4[q - 1]));
+        }
     }
-    for (i, yi) in (k * LANES..).zip(tail) {
-        let has = match c {
-            0 => west_edge,
-            _ if c + 1 == w => east_edge,
-            _ => interior,
-        };
-        *yi = band_row(a.map(|s| s[i]), x.map(|s| s[i]), has);
-        chains.add(sums, first + i, *yi);
-        c = if c + 1 == w { 0 } else { c + 1 };
+    if k > 0 {
+        chains.add4(sums, 1 + (k - 1) * LANES, F64x4(y4[k - 1]));
     }
+    #[allow(clippy::needless_range_loop)] // the column indexes every operand
+    for c in 1 + k * LANES..w - 1 {
+        y[c] = line_row::<NORTH, SOUTH>(a, xo, c, interior);
+        chains.add(sums, c, y[c]);
+    }
+    y[w - 1] = line_row::<NORTH, SOUTH>(a, xo, w - 1, [NORTH, true, true, false, SOUTH]);
+    chains.add(sums, w - 1, y[w - 1]);
 }
 
 /// Stencil matvec body over a planned matrix's band-major values: the
@@ -621,12 +618,13 @@ fn band_rows<const NORTH: bool, const SOUTH: bool, C: Chains>(
 /// per-row operation sequence, so the result is bit-identical to
 /// [`Csr::matvec_into_scalar`].
 ///
-/// Rows run in ascending order: row 0, the rest of the first line, the
-/// interior lines, the last line but its last row, and that row — the three
-/// runs through [`band_rows`], whose operand slices are taken once here.
-/// Every written row joins `chains`, so each chain has the bits of
-/// [`simd::dot_exact`] over `y`. With no chains (`()`) this is the plain
-/// matvec.
+/// Lines run in ascending order through [`band_line`], each handed its
+/// band, `x` and `y` lines and its stretch of `chains`, so each chain has
+/// the bits of [`simd::dot_exact`] over `y`. With no chains (`()`) this is
+/// the plain matvec. Lines up to 31 wide — the grids' 3, 7, 15 and 31 —
+/// run with the width as a constant: slicing and setting up a line then
+/// compiles to a few adds, where at run-time width it costs as much as
+/// the line's rows (1.3–2× at w ≤ 15).
 #[inline(always)]
 fn matvec_stencil<C: Chains>(
     bands: &[f64],
@@ -635,41 +633,54 @@ fn matvec_stencil<C: Chains>(
     y: &mut [f64],
     chains: C,
 ) -> C::Sums {
-    let StencilPlan { w, h } = plan;
+    match plan.w {
+        3 => band_lines::<3, C>(bands, plan, x, y, chains),
+        7 => band_lines::<7, C>(bands, plan, x, y, chains),
+        15 => band_lines::<15, C>(bands, plan, x, y, chains),
+        31 => band_lines::<31, C>(bands, plan, x, y, chains),
+        _ => band_lines::<0, C>(bands, plan, x, y, chains),
+    }
+}
+
+/// [`matvec_stencil`] with the line width `W`, or `plan.w` for `W = 0`.
+#[inline(always)]
+fn band_lines<const W: usize, C: Chains>(
+    bands: &[f64],
+    plan: StencilPlan,
+    x: &[f64],
+    y: &mut [f64],
+    chains: C,
+) -> C::Sums {
+    let h = plan.h;
+    let w = if W == 0 { plan.w } else { W };
     let n = w * h;
-    assert!(plan.is_detected(), "a stencil plan");
+    assert!(plan.is_detected() && plan.w == w, "a stencil plan");
     assert!(
         x.len() == n && y.len() == n && bands.len() == BANDS * n,
         "matvec_stencil operand lengths"
     );
     let mut sums = chains.start(n);
-    let band: [&[f64]; BANDS] = array::from_fn(|b| &bands[b * n..(b + 1) * n]);
-    let row = |i: usize, x: [f64; BANDS], has| band_row(band.map(|s| s[i]), x, has);
-    // The operands of rows `lo .. hi`; an absent band's `x` is a stand-in.
-    let run = |lo: usize, hi: usize, [north, south]: [bool; 2]| {
-        let xc = &x[lo..hi];
-        let xn = if north { &x[lo - w..hi - w] } else { xc };
-        let xs = if south { &x[lo + w..hi + w] } else { xc };
-        let xo = [xn, &x[lo - 1..hi - 1], xc, &x[lo + 1..hi + 1], xs];
-        (band.map(|s| &s[lo..hi]), xo)
-    };
-
-    let last = n - 1;
-    y[0] = row(
-        0,
-        [0.0, 0.0, x[0], x[1], x[w]],
-        [false, false, true, true, true],
-    );
-    chains.add(&mut sums, 0, y[0]);
-    let (a, xo) = run(1, w, [false, true]);
-    band_rows::<false, true, C>(a, xo, &mut y[1..w], w, 1, 1, chains, &mut sums);
-    let (a, xo) = run(w, n - w, [true, true]);
-    band_rows::<true, true, C>(a, xo, &mut y[w..n - w], w, w, 0, chains, &mut sums);
-    let (a, xo) = run(n - w, last, [true, false]);
-    band_rows::<true, false, C>(a, xo, &mut y[n - w..last], w, n - w, 0, chains, &mut sums);
-    let x_last = [x[last - w], x[last - 1], x[last], 0.0, 0.0];
-    y[last] = row(last, x_last, [true, true, true, false, false]);
-    chains.add(&mut sums, last, y[last]);
+    let band = per_band([0, 1, 2, 3, 4], |b| &bands[b * n..(b + 1) * n]);
+    let line = |j: usize| j * w..(j + 1) * w;
+    let acc = &mut sums;
+    let (a, yl) = (per_band(band, |s| &s[line(0)]), &mut y[line(0)]);
+    band_line::<false, true, W, C>(a, [x, x, &x[line(1)]], yl, chains.sub(line(0)), acc);
+    for j in 1..h - 1 {
+        // With no chain ordering the lines, LLVM vectorizes this loop
+        // across lines, with strided gathers (2× slower at w = 7); an
+        // opaque line index keeps it a loop of lines.
+        let j = if size_of::<C::Sums>() == 0 {
+            hint::black_box(j)
+        } else {
+            j
+        };
+        let (a, yl) = (per_band(band, |s| &s[line(j)]), &mut y[line(j)]);
+        let xo = [&x[line(j - 1)], &x[line(j)], &x[line(j + 1)]];
+        band_line::<true, true, W, C>(a, xo, yl, chains.sub(line(j)), acc);
+    }
+    let (a, yl) = (per_band(band, |s| &s[line(h - 1)]), &mut y[line(h - 1)]);
+    let xo = [&x[line(h - 2)], &x[line(h - 1)], x];
+    band_line::<true, false, W, C>(a, xo, yl, chains.sub(line(h - 1)), acc);
     sums
 }
 
@@ -1062,9 +1073,9 @@ pub(crate) mod tests {
     #[test]
     fn stencil_matvec_matches_scalar_bitwise() {
         // Shapes cover w == 2 (no plan: scalar), the widths below 8 (3 and
-        // 7 as grids have them, 4–6 as no grid has), wide-and-short, chunk
-        // remainders (w-2 mod 4 in every class), and a square large enough
-        // for several four-row chunks per line.
+        // 7 at constant width, as grids have them, 4–6 as no grid has),
+        // wide-and-short, chunk remainders (w-2 mod 4 in every class), and
+        // a square large enough for several four-row chunks per line.
         for (w, h) in [
             (2, 2),
             (2, 7),
@@ -1093,9 +1104,9 @@ pub(crate) mod tests {
     }
 
     /// The shapes every backend's stencil kernels are pinned on: every
-    /// line width up to 8 (chunks holding a whole line, or both ends of
-    /// one), wider lines with every chunk remainder, and line counts that
-    /// give one or several interior lines.
+    /// line width up to 8 (no lane block, or one, per line), wider lines
+    /// with every chunk remainder, the constant widths 3, 7, 15 and 31, and
+    /// line counts that give one or several interior lines.
     pub(crate) const KERNEL_SHAPES: ([usize; 10], [usize; 4]) =
         ([3, 4, 5, 6, 7, 8, 10, 11, 15, 31], [3, 4, 5, 9]);
 

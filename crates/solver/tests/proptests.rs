@@ -136,11 +136,11 @@ proptest! {
 //
 // The production kernels (`Csr::matvec_into`, `Ilu0::apply`) promise *bit
 // identity* with the plain scalar loops on every backend and for every
-// dispatch route (thin stencil, chunked stencil, wavefront, and the scalar
-// fallback for everything else). These differentials pin that promise on
-// adversarial shapes: odd lengths, remainder lanes, and stencil grids
-// across the thin/chunked width split; the census test below pins which
-// route every production grid takes.
+// dispatch route (the band-line matvec, at constant or run-time width, the
+// wavefront sweeps, and the scalar fallback for everything else). These
+// differentials pin that promise on adversarial shapes: odd lengths,
+// remainder lanes, and stencil grids of every width from 3; the census
+// test below pins which route every production grid takes.
 
 /// Deterministic pseudo-random vector (splitmix-style) in roughly ±1.
 fn test_vector(n: usize, seed: u64) -> Vec<f64> {
@@ -189,8 +189,8 @@ fn arb_pentadiagonal() -> impl Strategy<Value = Csr> {
 }
 
 /// Exact 5-point tensor-product stencil matrix on a `w × h` grid with
-/// random band values, spanning the thin-width (`w < 8`) and chunked
-/// (`w >= 8`) matvec routes and the wavefront sweep. Width starts at 3:
+/// random band values, spanning the band-line matvec at constant (`w ∈
+/// {3, 7}`) and run-time width and the wavefront sweep. Width starts at 3:
 /// a 2-wide grid has no 5-entry row for detection to anchor on.
 fn arb_stencil_csr() -> impl Strategy<Value = (Csr, usize, usize)> {
     // Entry pools sized for the largest `w × h` (see `arb_pentadiagonal`).
@@ -254,7 +254,7 @@ proptest! {
     }
 
     /// On conforming stencil grids the plan is detected and the
-    /// structure-aware routes (thin/chunked matvec, wavefront sweeps) stay
+    /// structure-aware routes (band-line matvec, wavefront sweeps) stay
     /// bit-identical to the scalar loops.
     #[test]
     fn simd_kernels_bit_identical_on_stencil_grids(
@@ -286,11 +286,12 @@ proptest! {
 
 /// The census of production shapes, pinned. A grid's interior width is
 /// `2^(root+l) − 1`, so every stage matrix of every combination grid is a
-/// thin stencil (`w ∈ {3, 7}`, `matvec_thin`), a wide one (`w ≥ 8`, the
-/// chunked kernel), or a 1-D grid with no plan (the scalar fallback). A
-/// grid family with a width that has no stencil kernel fails here instead
-/// of silently running the scalar loops. Assembly only; levels are capped
-/// so the largest grid stays near 4k unknowns.
+/// stencil with `w ∈ {3, 7}` or `w ≥ 8` — all run the band-line matvec and
+/// the wavefront sweeps, lines 3, 7, 15 and 31 wide at constant width —
+/// or a 1-D grid with no plan (the scalar fallback). A grid family whose
+/// stage matrices lose their plan fails here instead of silently running
+/// the scalar loops. Assembly only; levels are capped so the largest grid
+/// stays near 4k unknowns.
 #[test]
 fn every_combination_grid_has_a_stencil_kernel_or_is_1d() {
     let p = Problem::transport_benchmark();
@@ -412,6 +413,25 @@ fn check_matvec_dots_against_scalar(a: &Csr, seed: u64) {
     prop_assert_eq!([sq.to_bits(), dot.to_bits()], unfused_chains(&y, &w));
 }
 
+/// `Ilu0::apply` (the wavefront sweeps on a stencil factor) against
+/// `apply_scalar`, bit for bit.
+fn check_sweeps_against_scalar(ilu: &Ilu0, seed: u64) {
+    let n = ilu.factors().n();
+    let r = test_vector(n, seed ^ 0x5ee9);
+    let (mut z, mut z_s) = (vec![0.0; n], vec![0.0; n]);
+    ilu.apply(&r, &mut z, &mut WorkCounter::new());
+    ilu.apply_scalar(&r, &mut z_s);
+    let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    prop_assert_eq!(bits(&z), bits(&z_s));
+}
+
+/// [`check_matvec_dots_against_scalar`] on `a`, and
+/// [`check_sweeps_against_scalar`] on the ILU(0) built from it.
+fn check_kernels_against_scalar(a: &Csr, seed: u64) {
+    check_matvec_dots_against_scalar(a, seed);
+    check_sweeps_against_scalar(&Ilu0::new(a, &mut WorkCounter::new()), seed);
+}
+
 /// The 5-point stencil matrix of a `w × h` grid with values drawn from
 /// `seed` and a dominant diagonal (so its ILU(0) stays finite).
 fn seeded_stencil(w: usize, h: usize, seed: u64) -> Csr {
@@ -440,11 +460,13 @@ fn seeded_stencil(w: usize, h: usize, seed: u64) -> Csr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// No value writer leaves a matrix's band-major copy stale: after each
-    /// one, the fused matvec (which reads the bands on the wide shapes)
-    /// still equals the scalar loop (which reads the row-major values) and
-    /// `dot_exact`, bit for bit. Widths 8, 15 and 31 run the chunked kernel
-    /// (h = 3 and 9); h = 2 has no stencil plan and pins the scalar route.
+    /// No value writer leaves a band-major copy stale: after each one, the
+    /// fused matvec (which reads the bands) still equals the scalar loop
+    /// (which reads the row-major values) and `dot_exact`, and the ILU(0)
+    /// of the matrix sweeps (the wavefront reads the factor's bands) as
+    /// `apply_scalar` does, bit for bit. Widths 3, 7, 15 and 31 run the
+    /// constant-width kernel and 8 the run-time one (h = 3 and 9); h = 2
+    /// has no stencil plan and pins the scalar route.
     #[test]
     fn matvec_dots_match_scalar_after_every_value_writer(
         seed in any::<u64>(),
@@ -452,33 +474,35 @@ proptest! {
         s2 in 0.001..0.1f64,
         pick in any::<u64>()
     ) {
-        for w in [8, 15, 31] {
+        for w in [3, 7, 8, 15, 31] {
             for h in [2, 3, 9] {
                 let n = w * h;
                 let mut a = seeded_stencil(w, h, seed);
-                check_matvec_dots_against_scalar(&a, seed);
+                check_kernels_against_scalar(&a, seed);
 
                 let bump = test_vector(a.nnz(), seed ^ 1);
                 a.with_raw_parts_mut(|_, _, v| v.iter_mut().zip(&bump).for_each(|(vi, d)| *vi += d));
-                check_matvec_dots_against_scalar(&a, seed ^ 2);
+                check_kernels_against_scalar(&a, seed ^ 2);
                 a.with_raw_parts_mut(|_, _, v| v.iter_mut().for_each(|vi| *vi *= -1.5));
-                check_matvec_dots_against_scalar(&a, seed ^ 3);
+                check_kernels_against_scalar(&a, seed ^ 3);
                 for r in [0, (pick % n as u64) as usize, n - 1] {
                     a.with_row_vals_mut(r, |v| v.iter_mut().for_each(|vi| *vi += 3.25));
-                    check_matvec_dots_against_scalar(&a, seed ^ 4);
+                    check_kernels_against_scalar(&a, seed ^ 4);
                 }
 
                 let mut stage = CachedStage::new(&a, s1);
-                check_matvec_dots_against_scalar(stage.matrix(), seed ^ 5);
+                check_kernels_against_scalar(stage.matrix(), seed ^ 5);
                 stage.rewrite(&a, s2);
-                check_matvec_dots_against_scalar(stage.matrix(), seed ^ 6);
+                check_kernels_against_scalar(stage.matrix(), seed ^ 6);
 
                 let mut wk = WorkCounter::new();
                 let mut ilu = Ilu0::new(stage.matrix(), &mut wk);
                 check_matvec_dots_against_scalar(ilu.factors(), seed ^ 7);
+                check_sweeps_against_scalar(&ilu, seed ^ 7);
                 stage.rewrite(&a, s1);
                 ilu.refactor(stage.matrix(), &mut wk);
                 check_matvec_dots_against_scalar(ilu.factors(), seed ^ 8);
+                check_sweeps_against_scalar(&ilu, seed ^ 8);
             }
         }
     }
@@ -490,8 +514,8 @@ proptest! {
 fn fused_chains_start_where_dot_exact_starts() {
     let neg = |n: usize| vec![-0.0f64; n];
     // A matvec over x = 0 writes +0.0 rows; against w = -0.0 each product
-    // is -0.0. Widths 7 (thin) and 12 (chunked) straddle the fused-matvec
-    // threshold; the 1-D Laplacian has no stencil plan.
+    // is -0.0. Widths 7 (constant) and 12 (run-time) take the two widths
+    // of the band-line matvec; the 1-D Laplacian has no stencil plan.
     let stencil = |w: usize, h: usize| {
         let mut t = Vec::new();
         for i in 0..w * h {
