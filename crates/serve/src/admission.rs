@@ -8,7 +8,7 @@
 //!   [`AdmissionConfig::queue_cap`]. A full queue rejects with an explicit
 //!   retry-after hint instead of buffering without limit — the reply is
 //!   cheap, the unbounded queue is how a daemon dies.
-//! * **Weighted fair share.** The dispatcher pops jobs in *virtual-time*
+//! * **Weighted fair share.** Dispatch pops jobs in *virtual-time*
 //!   order (start-time fair queuing): each tenant carries a virtual clock
 //!   advanced by `1/weight` per served job, and [`Admission::next`] always
 //!   picks the non-empty tenant with the smallest clock. A tenant that
@@ -24,9 +24,10 @@
 //!   tenant's pathological workload cannot consume the fleet's recovery
 //!   machinery indefinitely.
 //!
-//! The struct is deliberately socket-free: the reactor calls [`offer`],
-//! the dispatcher thread calls [`next`]/[`complete`], and the fairness
-//! tests drive it directly with no I/O at all.
+//! The struct is deliberately socket-free: the daemon's serve loop calls
+//! [`offer`] as it decodes a `Submit` and [`next`]/[`complete`] as it
+//! fills and drains engine slots, and the fairness tests drive it
+//! directly with no I/O at all.
 //!
 //! [`offer`]: Admission::offer
 //! [`next`]: Admission::next
@@ -118,8 +119,7 @@ pub enum Next {
     Job(QueuedJob),
     /// Draining and every queue is empty and nothing is in flight: stop.
     Drained,
-    /// No job this time — the wait timed out, or ([`Admission::next_when`])
-    /// someone poked the dispatcher. Look around and ask again.
+    /// No job this time: the wait timed out. Look around and ask again.
     Idle,
 }
 
@@ -145,7 +145,7 @@ struct Shared {
     clock: f64,
     draining: bool,
     queued_total: usize,
-    /// Jobs popped by the dispatcher but not yet completed.
+    /// Jobs popped but not yet completed.
     inflight: usize,
     /// Peak of queued + inflight over the daemon's life — the
     /// "concurrent jobs in the system" high-water mark.
@@ -155,9 +155,6 @@ struct Shared {
     /// Accepted jobs whose session vanished before service (these are
     /// *not* drain losses: nobody is waiting for them).
     orphaned: u64,
-    /// Set by [`Admission::poke`], cleared by the [`Admission::next_when`]
-    /// it wakes.
-    poked: bool,
 }
 
 /// Per-tenant statistics snapshot.
@@ -198,8 +195,8 @@ pub struct AdmissionStats {
     pub tenants: Vec<TenantStats>,
 }
 
-/// The admission gate. Shared between the reactor threads (offering) and
-/// the dispatcher thread (consuming).
+/// The admission gate. Its lock lets a drain trigger and a stats reader
+/// on other threads share it with the serve loop.
 pub struct Admission {
     cfg: AdmissionConfig,
     m: Mutex<Shared>,
@@ -222,7 +219,6 @@ impl Admission {
                 served_total: 0,
                 rejected_total: 0,
                 orphaned: 0,
-                poked: false,
             }),
             cv: Condvar::new(),
         }
@@ -360,7 +356,7 @@ impl Admission {
         }
     }
 
-    /// Dispatcher side: the next job in weighted-fair order. Blocks up to
+    /// Dispatch side: the next job in weighted-fair order. Blocks up to
     /// `timeout` when idle; returns [`Next::Drained`] once draining with
     /// nothing queued or in flight.
     pub fn next(&self, timeout: Duration) -> Next {
@@ -379,39 +375,7 @@ impl Admission {
         }
     }
 
-    /// [`Admission::next`] for a dispatcher that keeps several jobs in
-    /// flight, and so has two things to wait for — a job to start, when it
-    /// has a slot free, and one of its running jobs to finish — and one
-    /// place to wait: here. Blocks until a job can be popped (only with
-    /// `slot_free`), the gate has drained, or someone calls
-    /// [`Admission::poke`]; a poke returns [`Next::Idle`], and one that
-    /// arrives while nobody waits is remembered for the next call.
-    pub fn next_when(&self, slot_free: bool) -> Next {
-        let mut s = self.m.lock();
-        loop {
-            if std::mem::take(&mut s.poked) {
-                return Next::Idle;
-            }
-            if slot_free {
-                if let Some(job) = pop_min_vtime(&mut s) {
-                    return Next::Job(job);
-                }
-            }
-            if s.draining && s.queued_total == 0 && s.inflight == 0 {
-                return Next::Drained;
-            }
-            self.cv.wait(&mut s);
-        }
-    }
-
-    /// Wake the dispatcher out of [`Admission::next_when`]: something it
-    /// should look at happened elsewhere (a job it started has finished).
-    pub fn poke(&self) {
-        self.m.lock().poked = true;
-        self.cv.notify_all();
-    }
-
-    /// Dispatcher side: account the completion of a popped job.
+    /// Dispatch side: account the completion of a popped job.
     /// `served` is false for jobs discarded without a result (orphaned).
     pub fn complete(&self, job: &QueuedJob, served: bool) {
         let mut s = self.m.lock();
@@ -424,12 +388,12 @@ impl Admission {
         } else {
             s.orphaned += 1;
         }
-        // Drained-state watchers (and parked dispatchers) may be waiting
-        // on inflight hitting zero.
+        // A caller blocked in `next` may be waiting on inflight hitting
+        // zero.
         self.cv.notify_all();
     }
 
-    /// Dispatcher side: put a popped job back at the end of its tenant's
+    /// Dispatch side: put a popped job back at the end of its tenant's
     /// queue because its outcome could not be journaled. A WAL write
     /// failure is not ignorable — the journal's promise is "an admitted
     /// seq produces a journaled outcome", and completing the job without
@@ -451,7 +415,7 @@ impl Admission {
         self.cv.notify_all();
     }
 
-    /// Dispatcher side: a popped job failed in the engine. Returns the
+    /// Dispatch side: a popped job failed in the engine. Returns the
     /// job re-armed for retry when the tenant still has retry budget;
     /// `None` means the failure is final — reply `Fail` and charge the
     /// tenant's fault budget.
@@ -773,45 +737,6 @@ mod tests {
         // Drain still terminates: nothing is stuck in flight.
         adm.drain();
         assert!(matches!(adm.next(Duration::from_millis(50)), Next::Drained));
-    }
-
-    #[test]
-    fn next_when_pops_only_into_a_free_slot_and_remembers_pokes() {
-        let adm = Arc::new(Admission::new(AdmissionConfig::default()));
-        adm.register("t", 1);
-        let t: Arc<str> = Arc::from("t");
-        adm.offer(job(&t, 1));
-        adm.offer(job(&t, 2));
-        // A poke with nobody waiting is not lost, and comes out first.
-        adm.poke();
-        assert!(matches!(adm.next_when(true), Next::Idle));
-        let first = match adm.next_when(true) {
-            Next::Job(j) => j,
-            other => panic!("{other:?}"),
-        };
-        // No slot: the queued job stays queued; only a poke ends the wait.
-        let poker = {
-            let adm = Arc::clone(&adm);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                adm.poke();
-            })
-        };
-        assert!(matches!(adm.next_when(false), Next::Idle));
-        poker.join().unwrap();
-        assert_eq!(adm.stats().queued, 1);
-        // Draining with a job still running is not yet drained.
-        adm.drain();
-        let second = match adm.next_when(true) {
-            Next::Job(j) => j,
-            other => panic!("{other:?}"),
-        };
-        assert_eq!((first.seq, second.seq), (1, 2));
-        adm.complete(&first, true);
-        adm.poke();
-        assert!(matches!(adm.next_when(true), Next::Idle));
-        adm.complete(&second, true);
-        assert!(matches!(adm.next_when(true), Next::Drained));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `mf-served` — the multi-tenant solve daemon.
 //!
 //! ```text
-//! mf-served [--listen tcp:HOST:PORT|unix:PATH] [--threads N]
+//! mf-served [--listen tcp:HOST:PORT|unix:PATH]
 //!           [--backend threads|procs|sim] [--instances N] [--worker-exe PATH]
 //!           [--capacity-level N] [--queue-cap N] [--max-weight N]
 //!           [--fault-budget N] [--retry-budget N] [--retry-after-ms N]
@@ -33,7 +33,7 @@ use serve::daemon::{Daemon, DaemonConfig, EngineBuilder};
 use serve::{AdmissionConfig, JournalConfig};
 use transport::Addr;
 
-const USAGE: &str = "usage: mf-served [--listen tcp:HOST:PORT|unix:PATH] [--threads N] \
+const USAGE: &str = "usage: mf-served [--listen tcp:HOST:PORT|unix:PATH] \
      [--backend threads|procs|sim] [--instances N] [--worker-exe PATH] \
      [--capacity-level N] [--queue-cap N] [--max-weight N] [--fault-budget N] \
      [--retry-budget N] [--retry-after-ms N] [--faults SPEC] [--drain-grace-ms N] \
@@ -123,7 +123,6 @@ fn main() {
     });
     let cfg = DaemonConfig {
         addr,
-        reactor_threads: args.parsed("--threads", 0),
         admission,
         tenant_faults,
         drain_grace: Duration::from_millis(args.parsed("--drain-grace-ms", 5_000)),

@@ -17,10 +17,8 @@
 //! reply exactly once no matter how many times the connection (or the
 //! daemon) dies in between. The filter is a contiguous watermark plus a
 //! set of `rseq`s seen ahead of it, because wire order is *not* `rseq`
-//! order: `rseq` assignment (under the daemon's journal lock) and the
-//! socket send are separate steps, so a reactor-thread `Reject` can
-//! overtake a dispatcher `Done` that drew a lower sequence, and a fresh
-//! outcome can land ahead of the `Hello` replay of older ones. Open
+//! order: a fresh outcome can land ahead of the `Hello` replay of older
+//! ones, and a resubmitted seq's replay carries its old `rseq`. Open
 //! submissions are tracked client-side and resubmitted on resume — the
 //! daemon's journal dedups them by `(tenant, seq)`, so resubmission is
 //! idempotent.

@@ -1,34 +1,40 @@
-//! The serving daemon: reactor + admission + one engine, glued.
-//!
-//! Three kinds of thread cooperate around two shared structures:
+//! The serving daemon: one thread, `serve-loop`, owns the sockets, the
+//! session table and the engine, and runs one `poll(2)` loop over them.
 //!
 //! ```text
-//!  tenant sockets ──> reactor threads ──offer──> Admission ──next_when──┐
-//!        ^                 │  ^                      ^                  │
-//!        │                 │  └── Session outbox <───│── dispatcher thread
-//!        └── poll/flush ───┘                       poke          │
-//!                                                    └── job ◄── Engine::submit
+//!  listener, tenant sockets ──┐     ┌── Engine::on_job_finished
+//!                             v     v     DrainTrigger::drain
+//!               ┌───── poll(2) ◄── Waker
+//!  serve-loop,  │ 1 accept
+//!  each turn:   │ 2 read, decode, handle ──offer──> Admission
+//!               │ 3 finished jobs: journal, queue replies
+//!               │ 4 Admission::next(0) into free slots ──> Engine::submit
+//!               └ 5 flush each outbox once
 //! ```
 //!
-//! The reactor threads ([`crate::reactor`]) never block on the engine:
-//! they decode a `Submit`, call [`Admission::offer`], and either return to
-//! `poll(2)` or queue a `Reject` — admission is a mutex push, so a slow
-//! solve never stalls the event loop. The single dispatcher thread owns
-//! the [`Engine`] (the daemon builds it *on* the dispatcher thread via a
-//! `Send` builder closure) and keeps [`Engine::width`] jobs in flight on
-//! the one persistent worker fleet: whenever a slot is free it pulls the
-//! next job in weighted-fair order and submits it, and as each job
-//! finishes it journals the outcome and replies. It waits in one place —
-//! [`Admission::next_when`], which an offer, a drain and a finished job
-//! (the engine pokes the gate) all wake — so nothing is polled.
+//! The loop builds the [`Engine`] on itself before its first turn (the
+//! engine is not `Send`; the builder closure is), so fleet bring-up is
+//! part of the daemon's start, not job 1's latency, and then keeps
+//! [`Engine::width`] jobs in flight on the one persistent worker fleet.
+//! A finished job and a drain reach it through the reactor's one
+//! [`Waker`]; everything else it waits for is a socket. Nothing on the
+//! loop blocks but `poll(2)`: a `Submit` is offered and either queued or
+//! answered with a `Reject` in the same turn. Two things hold dispatch —
+//! an injected tenant `stall` and the pause after a failed journal write
+//! — and each is a "no pops before this instant" deadline: the poll
+//! timeout is that deadline, so sockets keep being served while dispatch
+//! waits. The one exception is the sim backend, whose `Engine::submit`
+//! runs the whole simulated job inline: a sim job delays that turn's
+//! socket I/O.
 //!
 //! **Drain** is the only shutdown: trigger it with a tenant `Drain`
 //! message, [`DrainTrigger::drain`] (the daemon binary wires SIGTERM to
 //! it), or a test calling the trigger directly. From that point offers
-//! are rejected with [`RejectReason::Draining`], the dispatcher finishes
-//! the accepted backlog, every session hears `Drained{served}`, and the
-//! reactor flushes each outbox before closing — an accepted job is either
-//! served or charged, never silently dropped.
+//! are rejected with [`RejectReason::Draining`], the loop finishes the
+//! accepted backlog, every session hears `Drained{served}`, and each
+//! outbox is flushed (within [`DaemonConfig::drain_grace`]) before the
+//! sockets close — an accepted job is either served or charged, never
+//! silently dropped.
 //!
 //! Chaos reinterprets the cluster fault vocabulary per *tenant*: a
 //! [`FaultPlan`]'s `instance` selects the tenant's registration ordinal,
@@ -50,28 +56,27 @@ use transport::Addr;
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats, Next, Offer, QueuedJob};
 use crate::journal::{Admit, Journal, JournalConfig, OutcomeBody};
+use crate::poll::Waker;
 use crate::proto::{ServeMsg, SERVE_PROTOCOL_VERSION};
-use crate::reactor::{Action, Reactor, Service};
-use crate::registry::{Registry, Session};
+use crate::reactor::Reactor;
+use crate::registry::SessionId;
 
-/// Builds the dispatcher's engine *on* the dispatcher thread (the engine
-/// itself is not `Send`; the closure is).
+/// Builds the engine *on* the serve loop's thread (the engine itself is
+/// not `Send`; the closure is).
 pub type EngineBuilder = Box<dyn FnOnce() -> MfResult<Engine> + Send + 'static>;
 
 /// Everything a daemon needs to start.
 pub struct DaemonConfig {
     /// Listen address (`tcp:host:port` or `unix:path`).
     pub addr: Addr,
-    /// Reactor event threads; 0 means one per core.
-    pub reactor_threads: usize,
     /// Admission tuning (queue caps, weights, budgets).
     pub admission: AdmissionConfig,
     /// Per-tenant fault schedule (`instance` = tenant ordinal). A
     /// `daemonkill@N` token makes the daemon SIGKILL itself after
     /// journaling its `N`-th outcome — the crash-recovery test hook.
     pub tenant_faults: Option<FaultPlan>,
-    /// How long the final outbox flush may take before the reactor
-    /// abandons unflushed (dead) peers.
+    /// How long the final outbox flush may take before the loop abandons
+    /// unflushed (dead) peers.
     pub drain_grace: Duration,
     /// Crash durability: journal every admission and outcome here, and
     /// recover (rebuild tenants + requeue unfinished jobs) on start.
@@ -83,7 +88,6 @@ impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
             addr: Addr::Tcp("127.0.0.1:0".into()),
-            reactor_threads: 0,
             admission: AdmissionConfig::default(),
             tenant_faults: None,
             drain_grace: Duration::from_secs(5),
@@ -105,17 +109,42 @@ pub struct DaemonReport {
     pub peak_in_system: usize,
     /// Full admission-layer snapshot (per-tenant rows included).
     pub stats: AdmissionStats,
-    /// Most jobs the dispatcher had running in the engine at once — at
-    /// most the engine's width.
+    /// Most jobs the loop had running in the engine at once — at most
+    /// the engine's width.
     pub peak_in_flight: usize,
     /// The engine's own shutdown summary (`None` when the engine failed
-    /// to construct or the dispatcher panicked).
+    /// to construct or the serve loop panicked).
     pub engine: Option<EngineSummary>,
     /// Why the engine was unavailable, when it was.
     pub engine_error: Option<String>,
-    /// True when every event thread exited within the grace with every
-    /// outbox flushed and every session deregistered.
+    /// True when the engine ran and every outbox flushed within the
+    /// drain grace.
     pub clean: bool,
+}
+
+impl DaemonReport {
+    fn new(
+        stats: AdmissionStats,
+        peak_in_flight: usize,
+        engine: Result<EngineSummary, String>,
+        flushed: bool,
+    ) -> DaemonReport {
+        let (engine, engine_error) = match engine {
+            Ok(summary) => (Some(summary), None),
+            Err(e) => (None, Some(e)),
+        };
+        DaemonReport {
+            served: stats.served,
+            rejected: stats.rejected,
+            orphaned: stats.orphaned,
+            peak_in_system: stats.peak_in_system,
+            stats,
+            peak_in_flight,
+            clean: flushed && engine_error.is_none(),
+            engine,
+            engine_error,
+        }
+    }
 }
 
 /// A handle that can start (and observe) the drain from any thread —
@@ -123,12 +152,14 @@ pub struct DaemonReport {
 #[derive(Clone)]
 pub struct DrainTrigger {
     admission: Arc<Admission>,
+    waker: Arc<Waker>,
 }
 
 impl DrainTrigger {
     /// Stop admitting, finish the backlog, shut down.
     pub fn drain(&self) {
         self.admission.drain();
+        self.waker.wake();
     }
 
     /// Has a drain been triggered (by anyone)?
@@ -137,37 +168,26 @@ impl DrainTrigger {
     }
 }
 
-/// What the dispatcher thread hands back when the drain completes.
-struct DispatchOutcome {
-    peak_in_flight: usize,
-    engine: Option<EngineSummary>,
-    engine_error: Option<String>,
-}
-
 /// The running daemon.
 pub struct Daemon {
-    admission: Arc<Admission>,
-    reactor: Option<Reactor>,
-    dispatcher: Option<std::thread::JoinHandle<DispatchOutcome>>,
-    drain_grace: Duration,
+    trigger: DrainTrigger,
+    local: Addr,
+    serve_loop: std::thread::JoinHandle<DaemonReport>,
 }
 
 impl Daemon {
-    /// Bind, spin up the reactor and the dispatcher, and start serving.
-    /// `build_engine` runs on the dispatcher thread before the first job
-    /// (fleet bring-up is part of the daemon's start, not job 1's
-    /// latency).
+    /// Recover the journal, bind, and start the serve loop. `build_engine`
+    /// runs on the loop's thread before its first turn.
     pub fn start(cfg: DaemonConfig, build_engine: EngineBuilder) -> std::io::Result<Daemon> {
         let admission = Arc::new(Admission::new(cfg.admission));
-        let registry = Arc::new(Registry::new());
 
         // Recovery happens *before* the listener binds: by the time a
         // tenant can reconnect, its identity, budgets, and unfinished
         // jobs are already back in the admission queue.
-        let journal = match &cfg.journal {
+        let journal = match cfg.journal {
             None => None,
             Some(jc) => {
-                let (j, rec) = Journal::open(jc.clone())?;
+                let (j, rec) = Journal::open(jc)?;
                 for (name, weight, failed) in &rec.tenants {
                     admission.restore_tenant(name, *weight, *failed);
                 }
@@ -195,324 +215,75 @@ impl Daemon {
                         rec.unacked_outcomes
                     );
                 }
-                Some(Arc::new(j))
+                Some(j)
             }
         };
 
-        let service = Arc::new(ServeService {
+        let reactor = Reactor::bind(&cfg.addr)?;
+        let local = reactor.local_addr().clone();
+        let trigger = DrainTrigger {
             admission: Arc::clone(&admission),
-            registry: Arc::clone(&registry),
-            journal: journal.clone(),
-        });
-        let reactor = Reactor::start(
-            &cfg.addr,
-            cfg.reactor_threads,
-            service,
-            Arc::clone(&registry),
-        )?;
-        let dispatcher = {
-            let admission = Arc::clone(&admission);
-            let registry = Arc::clone(&registry);
-            let faults = cfg.tenant_faults.clone();
-            std::thread::Builder::new()
-                .name("serve-dispatch".into())
-                .spawn(move || dispatch_loop(build_engine, admission, registry, faults, journal))?
+            waker: reactor.waker(),
         };
+        let (faults, drain_grace) = (cfg.tenant_faults, cfg.drain_grace);
+        let serve_loop = std::thread::Builder::new()
+            .name("serve-loop".into())
+            .spawn(move || {
+                let mut engine =
+                    build_engine().map_err(|e| format!("engine construction failed: {e}"));
+                if let Ok(e) = &mut engine {
+                    let waker = reactor.waker();
+                    e.on_job_finished(move || waker.wake());
+                }
+                ServeLoop {
+                    width: engine.as_ref().map_or(1, Engine::width),
+                    engine,
+                    reactor,
+                    admission,
+                    journal,
+                    running: Vec::new(),
+                    peak_in_flight: 0,
+                    hold: None,
+                    stalled: None,
+                    daemon_kill: faults.as_ref().and_then(FaultPlan::daemon_kill),
+                    faults,
+                    tenant_jobs: HashMap::new(),
+                    outcomes: 0,
+                    buf: vec![0; READ_CHUNK],
+                }
+                .run(drain_grace)
+            })?;
         Ok(Daemon {
-            admission,
-            reactor: Some(reactor),
-            dispatcher: Some(dispatcher),
-            drain_grace: cfg.drain_grace,
+            trigger,
+            local,
+            serve_loop,
         })
     }
 
     /// The bound listen address (kernel-assigned port resolved).
     pub fn local_addr(&self) -> &Addr {
-        self.reactor.as_ref().expect("reactor running").local_addr()
+        &self.local
     }
 
     /// A clonable handle that can trigger the drain from another thread.
     pub fn drain_trigger(&self) -> DrainTrigger {
-        DrainTrigger {
-            admission: Arc::clone(&self.admission),
-        }
+        self.trigger.clone()
     }
 
     /// Live admission counters (monitoring).
     pub fn stats(&self) -> AdmissionStats {
-        self.admission.stats()
+        self.trigger.admission.stats()
     }
 
-    /// Block until the drain completes (someone must trigger it), then
-    /// tear everything down and report. An accepted job is either in
-    /// `served`, in a tenant's `failed` row, or in `orphaned` — drains
-    /// lose nothing.
-    pub fn wait(mut self) -> DaemonReport {
-        let outcome = match self.dispatcher.take().expect("dispatcher running").join() {
-            Ok(o) => o,
-            Err(_) => DispatchOutcome {
-                peak_in_flight: 0,
-                engine: None,
-                engine_error: Some("dispatcher panicked".into()),
-            },
-        };
-        let reactor = self.reactor.take().expect("reactor running");
-        reactor.stop_accepting();
-        let clean = reactor.stop(self.drain_grace) && outcome.engine_error.is_none();
-        let stats = self.admission.stats();
-        DaemonReport {
-            served: stats.served,
-            rejected: stats.rejected,
-            orphaned: stats.orphaned,
-            peak_in_system: stats.peak_in_system,
-            stats,
-            peak_in_flight: outcome.peak_in_flight,
-            engine: outcome.engine,
-            engine_error: outcome.engine_error,
-            clean,
-        }
-    }
-}
-
-/// The reactor-facing half: decode-level protocol handling, nothing that
-/// blocks.
-struct ServeService {
-    admission: Arc<Admission>,
-    registry: Arc<Registry>,
-    journal: Option<Arc<Journal>>,
-}
-
-impl Service for ServeService {
-    fn on_message(&self, session: &Arc<Session>, msg: ServeMsg) -> Action {
-        match msg {
-            ServeMsg::Hello {
-                version,
-                tenant,
-                weight,
-                token,
-                last_reply,
-            } => {
-                if version != SERVE_PROTOCOL_VERSION {
-                    session.send(&ServeMsg::Fail {
-                        seq: 0,
-                        rseq: 0,
-                        error: format!(
-                            "protocol version {version} unsupported (daemon speaks \
-                             {SERVE_PROTOCOL_VERSION})"
-                        ),
-                    });
-                    return Action::Close;
-                }
-                match &self.journal {
-                    Some(j) => {
-                        // Journal first: the Welcome must not be sent for
-                        // a tenant whose registration could vanish in a
-                        // crash.
-                        let resume = match j.register(&tenant, weight, token, last_reply) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                session.send(&ServeMsg::Fail {
-                                    seq: 0,
-                                    rseq: 0,
-                                    error: e,
-                                });
-                                return Action::Close;
-                            }
-                        };
-                        self.admission.register(&tenant, weight);
-                        let t: Arc<str> = Arc::from(tenant.as_str());
-                        session.set_tenant(Arc::clone(&t));
-                        // Last Hello wins: with a journal, one session
-                        // speaks for a tenant at a time, and replies route
-                        // by tenant, not by the submitting socket.
-                        self.registry.bind_tenant(t, session.id);
-                        session.send(&ServeMsg::Welcome {
-                            session: session.id,
-                            token: resume.token,
-                        });
-                        // Replay unacknowledged replies *before* anything
-                        // the client pipelines after its Hello — same
-                        // socket, so ordering is free.
-                        for m in &resume.replay {
-                            session.send(m);
-                        }
-                    }
-                    None => {
-                        if token != 0 {
-                            session.send(&ServeMsg::Fail {
-                                seq: 0,
-                                rseq: 0,
-                                error: "resume token presented, but this daemon runs \
-                                        without a journal — resume refused"
-                                    .into(),
-                            });
-                            return Action::Close;
-                        }
-                        self.admission.register(&tenant, weight);
-                        session.set_tenant(Arc::from(tenant.as_str()));
-                        session.send(&ServeMsg::Welcome {
-                            session: session.id,
-                            token: 0,
-                        });
-                    }
-                }
-                Action::Continue
-            }
-            ServeMsg::Submit {
-                seq,
-                root,
-                level,
-                tol,
-            } => {
-                let Some(tenant) = session.tenant() else {
-                    session.send(&ServeMsg::Fail {
-                        seq,
-                        rseq: 0,
-                        error: "submit before hello".into(),
-                    });
-                    return Action::Close;
-                };
-                if let Some(j) = &self.journal {
-                    // Write-ahead: the admission is durable before the
-                    // admission layer (or the client) learns of it.
-                    match j.admit(&tenant, seq, root, level, tol) {
-                        Ok(Admit::New) => {}
-                        // Already in flight from a previous connection —
-                        // its reply will arrive (or replay) on its own.
-                        Ok(Admit::DuplicatePending) => return Action::Continue,
-                        // Finished in a previous life: resend the recorded
-                        // outcome, never re-execute.
-                        Ok(Admit::Replay(msg)) => {
-                            session.send(&msg);
-                            return Action::Continue;
-                        }
-                        Err(e) => {
-                            session.send(&ServeMsg::Fail {
-                                seq,
-                                rseq: 0,
-                                error: format!("journal admit: {e}"),
-                            });
-                            return Action::Continue;
-                        }
-                    }
-                }
-                let offer = self.admission.offer(QueuedJob {
-                    tenant: Arc::clone(&tenant),
-                    session: session.id,
-                    seq,
-                    root,
-                    level,
-                    tol,
-                    attempts: 0,
-                    enqueued: Instant::now(),
-                });
-                if let Offer::Rejected {
-                    reason,
-                    retry_after,
-                } = offer
-                {
-                    let retry_after_ms = retry_after.as_millis() as u64;
-                    // Rejections are replies too: journaled (with a reply
-                    // sequence) before they are sent, so a crash between
-                    // reject and delivery still replays the backpressure
-                    // signal instead of losing the seq.
-                    let rseq = match &self.journal {
-                        Some(j) => match j.record_outcome(
-                            &tenant,
-                            seq,
-                            &OutcomeBody::Reject {
-                                retry_after_ms,
-                                reason,
-                            },
-                        ) {
-                            Ok(rseq) => rseq,
-                            Err(e) => {
-                                // The admit is journaled (Pending) but
-                                // the reject cannot be. Sending an
-                                // unjournaled Reject would wedge the
-                                // seq: the backoff resubmit dedups
-                                // against the Pending entry and vanishes.
-                                // Absorb the job instead — restore()
-                                // bypasses the admission gates, honoring
-                                // the journal's promise that an admitted
-                                // seq produces an outcome.
-                                eprintln!(
-                                    "journal: reject outcome write failed: {e}; \
-                                     absorbing seq {seq} of tenant {tenant} despite rejection"
-                                );
-                                self.admission.restore(QueuedJob {
-                                    tenant: Arc::clone(&tenant),
-                                    session: session.id,
-                                    seq,
-                                    root,
-                                    level,
-                                    tol,
-                                    attempts: 0,
-                                    enqueued: Instant::now(),
-                                });
-                                return Action::Continue;
-                            }
-                        },
-                        None => 0,
-                    };
-                    session.send(&ServeMsg::Reject {
-                        seq,
-                        rseq,
-                        retry_after_ms,
-                        reason,
-                    });
-                }
-                Action::Continue
-            }
-            ServeMsg::Ack { upto } => {
-                if let (Some(j), Some(tenant)) = (&self.journal, session.tenant()) {
-                    if let Err(e) = j.ack(&tenant, upto) {
-                        eprintln!("journal: ack write failed: {e}");
-                    }
-                }
-                Action::Continue
-            }
-            ServeMsg::Drain => {
-                // Any tenant (or the operator over a socket) may start the
-                // drain; the Drained broadcast answers everyone at the end.
-                self.admission.drain();
-                Action::Continue
-            }
-            ServeMsg::Bye => {
-                if let Some(t) = session.tenant() {
-                    self.registry.unbind_tenant(&t, session.id);
-                }
-                // Without a journal a departing session's queued jobs are
-                // solved for nobody — drop them. With one, accepted work
-                // is durable: it finishes and its outcome waits in the
-                // journal for a future session of the same tenant.
-                if self.journal.is_none() {
-                    self.admission.forget_session(session.id);
-                }
-                Action::Close
-            }
-            // Daemon-to-tenant messages arriving *at* the daemon are a
-            // protocol violation.
-            ServeMsg::Welcome { .. }
-            | ServeMsg::Done { .. }
-            | ServeMsg::Fail { .. }
-            | ServeMsg::Reject { .. }
-            | ServeMsg::Drained { .. } => Action::Close,
-        }
-    }
-
-    fn on_disconnect(&self, session: &Arc<Session>) {
-        if let Some(t) = session.tenant() {
-            self.registry.unbind_tenant(&t, session.id);
-        }
-        // Queued jobs from a dead session would be solved for nobody (the
-        // reactor already pulled the session out of the registry) — except
-        // under a journal, where they survive the disconnect exactly like
-        // they survive a daemon crash, and their replies wait for the
-        // tenant to resume.
-        if self.journal.is_none() {
-            self.admission.forget_session(session.id);
-        }
+    /// Block until the drain completes (someone must trigger it) and the
+    /// loop has torn everything down, then report. An accepted job is
+    /// either in `served`, in a tenant's `failed` row, or in `orphaned` —
+    /// drains lose nothing.
+    pub fn wait(self) -> DaemonReport {
+        self.serve_loop.join().unwrap_or_else(|_| {
+            let stats = self.trigger.admission.stats();
+            DaemonReport::new(stats, 0, Err("serve loop panicked".into()), false)
+        })
     }
 }
 
@@ -534,16 +305,31 @@ fn sigkill_self() -> ! {
 }
 
 /// Pause after a failed journal outcome write before the requeued job
-/// can run again: a dead disk must not turn the dispatcher into a hot
+/// can run again: a dead disk must not turn the loop into a hot
 /// re-execute loop.
 const JOURNAL_RETRY_PAUSE: Duration = Duration::from_millis(100);
 
-/// What the dispatcher thread works with besides the engine.
-struct Dispatcher {
+/// Bytes asked of one `read(2)`.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Everything the serve loop owns.
+struct ServeLoop {
+    reactor: Reactor,
     admission: Arc<Admission>,
-    registry: Arc<Registry>,
+    journal: Option<Journal>,
+    /// The engine, or why there is none.
+    engine: Result<Engine, String>,
+    width: usize,
+    /// Jobs running in the engine, oldest first; never more than `width`.
+    running: Vec<(QueuedJob, JobHandle)>,
+    peak_in_flight: usize,
+    /// No pops before this instant: an injected stall, or the pause after
+    /// a failed journal write.
+    hold: Option<Instant>,
+    /// The popped job an injected stall is holding, with its injected
+    /// error.
+    stalled: Option<(QueuedJob, Option<String>)>,
     faults: Option<FaultPlan>,
-    journal: Option<Arc<Journal>>,
     /// Per-tenant dispatched-job ordinals, the `on_job` coordinate of the
     /// per-tenant fault vocabulary.
     tenant_jobs: HashMap<Arc<str>, u64>,
@@ -552,87 +338,337 @@ struct Dispatcher {
     /// reply.
     daemon_kill: Option<u64>,
     outcomes: u64,
+    buf: Vec<u8>,
 }
 
-/// The dispatcher: owns the engine, keeps it full from the fair-share
-/// queue until the drain empties both.
-fn dispatch_loop(
-    build_engine: EngineBuilder,
-    admission: Arc<Admission>,
-    registry: Arc<Registry>,
-    faults: Option<FaultPlan>,
-    journal: Option<Arc<Journal>>,
-) -> DispatchOutcome {
-    let mut engine_error: Option<String> = None;
-    let mut engine = match build_engine() {
-        Ok(mut e) => {
-            let gate = Arc::clone(&admission);
-            e.on_job_finished(move || gate.poke());
-            Some(e)
-        }
-        Err(e) => {
-            engine_error = Some(format!("engine construction failed: {e}"));
-            None
-        }
-    };
-    let width = engine.as_ref().map_or(1, Engine::width);
-    let mut d = Dispatcher {
-        daemon_kill: faults.as_ref().and_then(|p| p.daemon_kill()),
-        admission,
-        registry,
-        faults,
-        journal,
-        tenant_jobs: HashMap::new(),
-        outcomes: 0,
-    };
-    // Jobs running in the engine, oldest first; never more than `width`.
-    let mut running: Vec<(QueuedJob, JobHandle)> = Vec::new();
-    let mut peak_in_flight = 0;
-
-    loop {
-        while let Some(i) = running.iter().position(|(_, h)| h.is_finished()) {
-            let (job, handle) = running.remove(i);
-            d.finish(job, handle.wait().map_err(|e| e.to_string()));
-        }
-        match d.admission.next_when(running.len() < width) {
-            Next::Idle => {}
-            Next::Drained => break,
-            Next::Job(job) => {
-                d.start(job, engine.as_mut(), &engine_error, &mut running);
-                peak_in_flight = peak_in_flight.max(running.len());
+impl ServeLoop {
+    /// Turn until the drain has emptied the queues and the engine, then
+    /// announce it, flush, and shut down.
+    fn run(mut self, drain_grace: Duration) -> DaemonReport {
+        loop {
+            let timeout = self
+                .hold
+                .map(|t| t.saturating_duration_since(Instant::now()));
+            for id in self.reactor.wait(timeout) {
+                self.read(id);
             }
+            self.collect_finished();
+            if self.dispatch() {
+                break;
+            }
+            self.flush();
         }
-    }
 
-    // The backlog is empty and nothing is in flight: tell every session
-    // the drain completed *now*, from the thread that knows — waiting for
-    // the main thread to join us would deadlock any client blocking on
-    // this very message.
-    d.registry.broadcast(&ServeMsg::Drained {
-        served: d.admission.served_total(),
-    });
-    DispatchOutcome {
-        peak_in_flight,
-        engine: engine.take().map(Engine::shutdown),
-        engine_error,
-    }
-}
-
-impl Dispatcher {
-    /// Count `job` against its tenant's fault schedule: sleep out an
-    /// injected stall here, return the error of an injected failure.
-    fn injected_fault(&mut self, job: &QueuedJob) -> Option<String> {
-        let n = {
-            let c = self.tenant_jobs.entry(Arc::clone(&job.tenant)).or_insert(0);
-            *c += 1;
-            *c
+        let drained = ServeMsg::Drained {
+            served: self.admission.served_total(),
         };
-        let plan = self.faults.as_ref()?;
-        let wf = plan.worker_faults(self.admission.ordinal(&job.tenant)?);
-        if let Some((on_job, millis)) = wf.stall_on_job {
-            if on_job == n {
-                std::thread::sleep(Duration::from_millis(millis));
+        for s in self.reactor.sessions.iter_mut() {
+            s.send(&drained);
+        }
+        self.reactor.stop_accepting();
+        let deadline = Instant::now() + drain_grace;
+        let flushed = loop {
+            self.flush();
+            if self.reactor.sessions.iter_mut().all(|s| !s.has_output()) {
+                break true;
             }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break false;
+            }
+            for id in self.reactor.wait(Some(left)) {
+                self.read(id);
+            }
+        };
+        drop(self.reactor);
+        let engine = self.engine.map(Engine::shutdown);
+        DaemonReport::new(self.admission.stats(), self.peak_in_flight, engine, flushed)
+    }
+
+    /// Read and handle what session `id` has sent, until its socket is
+    /// drained for now, it is closing, or its peer turns out to be gone.
+    fn read(&mut self, id: SessionId) {
+        let mut more = true;
+        loop {
+            let Some(s) = self.reactor.sessions.get_mut(id) else {
+                return;
+            };
+            if s.closing {
+                return;
+            }
+            match s.next_msg() {
+                Ok(Some(msg)) => {
+                    self.on_message(id, msg);
+                    continue;
+                }
+                Ok(None) if !more => return,
+                Ok(None) => {}
+                Err(()) => return self.disconnect(id),
+            }
+            match s.fill(&mut self.buf) {
+                Ok(full) => more = full,
+                Err(_) => return self.disconnect(id),
+            }
+        }
+    }
+
+    /// Write each outbox once; forget the sessions that closed.
+    fn flush(&mut self) {
+        for id in self.reactor.flush() {
+            self.forget(id);
+        }
+    }
+
+    /// `id`'s peer is gone (EOF, an error, or a corrupt frame).
+    fn disconnect(&mut self, id: SessionId) {
+        self.reactor.sessions.remove(id);
+        self.forget(id);
+    }
+
+    /// Queued jobs from a departed session would be solved for nobody —
+    /// except under a journal, where they survive the disconnect exactly
+    /// like they survive a daemon crash, and their replies wait for the
+    /// tenant to resume.
+    fn forget(&self, id: SessionId) {
+        if self.journal.is_none() {
+            self.admission.forget_session(id);
+        }
+    }
+
+    /// Decode-level protocol handling for one message from session `id`.
+    fn on_message(&mut self, id: SessionId, msg: ServeMsg) {
+        let Some(s) = self.reactor.sessions.get_mut(id) else {
+            return;
+        };
+        match msg {
+            ServeMsg::Hello {
+                version,
+                tenant,
+                weight,
+                token,
+                last_reply,
+            } => self.hello(id, version, &tenant, weight, token, last_reply),
+            ServeMsg::Submit {
+                seq,
+                root,
+                level,
+                tol,
+            } => self.submit(id, seq, root, level, tol),
+            ServeMsg::Ack { upto } => {
+                if let (Some(j), Some(tenant)) = (&self.journal, &s.tenant) {
+                    if let Err(e) = j.ack(tenant, upto) {
+                        eprintln!("journal: ack write failed: {e}");
+                    }
+                }
+            }
+            // Any tenant (or the operator over a socket) may start the
+            // drain; the Drained broadcast answers everyone at the end.
+            ServeMsg::Drain => self.admission.drain(),
+            ServeMsg::Bye => {
+                s.closing = true;
+                if let Some(t) = s.tenant.clone() {
+                    self.reactor.sessions.unbind_tenant(&t, id);
+                }
+                self.forget(id);
+            }
+            // Daemon-to-tenant messages arriving *at* the daemon are a
+            // protocol violation.
+            ServeMsg::Welcome { .. }
+            | ServeMsg::Done { .. }
+            | ServeMsg::Fail { .. }
+            | ServeMsg::Reject { .. }
+            | ServeMsg::Drained { .. } => s.closing = true,
+        }
+    }
+
+    fn hello(
+        &mut self,
+        id: SessionId,
+        version: i64,
+        tenant: &str,
+        weight: u32,
+        token: u64,
+        last_reply: u64,
+    ) {
+        let Some(s) = self.reactor.sessions.get_mut(id) else {
+            return;
+        };
+        if version != SERVE_PROTOCOL_VERSION {
+            return s.refuse(
+                0,
+                format!(
+                    "protocol version {version} unsupported (daemon speaks \
+                     {SERVE_PROTOCOL_VERSION})"
+                ),
+            );
+        }
+        // Journal first: the Welcome must not be sent for a tenant whose
+        // registration could vanish in a crash.
+        let (token, replay) = match &self.journal {
+            Some(j) => match j.register(tenant, weight, token, last_reply) {
+                Ok(resume) => (resume.token, resume.replay),
+                Err(e) => return s.refuse(0, e),
+            },
+            None if token != 0 => {
+                return s.refuse(
+                    0,
+                    "resume token presented, but this daemon runs without a journal — \
+                     resume refused"
+                        .into(),
+                )
+            }
+            None => (0, Vec::new()),
+        };
+        self.admission.register(tenant, weight);
+        let tenant: Arc<str> = Arc::from(tenant);
+        s.tenant = Some(Arc::clone(&tenant));
+        s.send(&ServeMsg::Welcome { session: id, token });
+        // Replay unacknowledged replies *before* anything the client
+        // pipelines after its Hello — same socket, so ordering is free.
+        for m in &replay {
+            s.send(m);
+        }
+        // Last Hello wins: with a journal, one session speaks for a tenant
+        // at a time, and replies route by tenant, not by the submitting
+        // socket.
+        if self.journal.is_some() {
+            self.reactor.sessions.bind_tenant(tenant, id);
+        }
+    }
+
+    fn submit(&mut self, id: SessionId, seq: u64, root: u32, level: u32, tol: f64) {
+        let Some(s) = self.reactor.sessions.get_mut(id) else {
+            return;
+        };
+        let Some(tenant) = s.tenant.clone() else {
+            return s.refuse(seq, "submit before hello".into());
+        };
+        if let Some(j) = &self.journal {
+            // Write-ahead: the admission is durable before the admission
+            // layer (or the client) learns of it.
+            match j.admit(&tenant, seq, root, level, tol) {
+                Ok(Admit::New) => {}
+                // Already in flight from a previous connection — its reply
+                // will arrive (or replay) on its own.
+                Ok(Admit::DuplicatePending) => return,
+                // Finished in a previous life: resend the recorded
+                // outcome, never re-execute.
+                Ok(Admit::Replay(msg)) => {
+                    s.send(&msg);
+                    return;
+                }
+                Err(e) => {
+                    s.send(&ServeMsg::Fail {
+                        seq,
+                        rseq: 0,
+                        error: format!("journal admit: {e}"),
+                    });
+                    return;
+                }
+            }
+        }
+        let job = || QueuedJob {
+            tenant: Arc::clone(&tenant),
+            session: id,
+            seq,
+            root,
+            level,
+            tol,
+            attempts: 0,
+            enqueued: Instant::now(),
+        };
+        let Offer::Rejected {
+            reason,
+            retry_after,
+        } = self.admission.offer(job())
+        else {
+            return;
+        };
+        let retry_after_ms = retry_after.as_millis() as u64;
+        // Rejections are replies too: journaled (with a reply sequence)
+        // before they are sent, so a crash between reject and delivery
+        // still replays the backpressure signal instead of losing the seq.
+        let rseq = match &self.journal {
+            None => 0,
+            Some(j) => {
+                let body = OutcomeBody::Reject {
+                    retry_after_ms,
+                    reason,
+                };
+                match j.record_outcome(&tenant, seq, &body) {
+                    Ok(rseq) => rseq,
+                    Err(e) => {
+                        // The admit is journaled (Pending) but the reject
+                        // cannot be. Sending an unjournaled Reject would
+                        // wedge the seq: the backoff resubmit dedups
+                        // against the Pending entry and vanishes. Absorb
+                        // the job instead — restore() bypasses the
+                        // admission gates, honoring the journal's promise
+                        // that an admitted seq produces an outcome.
+                        eprintln!(
+                            "journal: reject outcome write failed: {e}; \
+                             absorbing seq {seq} of tenant {tenant} despite rejection"
+                        );
+                        self.admission.restore(job());
+                        return;
+                    }
+                }
+            }
+        };
+        s.send(&ServeMsg::Reject {
+            seq,
+            rseq,
+            retry_after_ms,
+            reason,
+        });
+    }
+
+    /// Journal and answer every job the engine has finished.
+    fn collect_finished(&mut self) {
+        while let Some(i) = self.running.iter().position(|(_, h)| h.is_finished()) {
+            let (job, handle) = self.running.remove(i);
+            self.finish(job, handle.wait().map_err(|e| e.to_string()));
+        }
+    }
+
+    /// Fill the engine's free slots from the fair-share queue, unless
+    /// dispatch is held. True once the drain has emptied the queues and
+    /// nothing is in flight.
+    fn dispatch(&mut self) -> bool {
+        if self.hold.is_some_and(|t| Instant::now() < t) {
+            return false;
+        }
+        self.hold = None;
+        if let Some((job, fault)) = self.stalled.take() {
+            self.start(job, fault);
+        }
+        while self.running.len() < self.width && self.hold.is_none() {
+            match self.admission.next(Duration::ZERO) {
+                Next::Job(job) => {
+                    let fault = self.injected_fault(&job);
+                    if self.hold.is_some() {
+                        self.stalled = Some((job, fault));
+                    } else {
+                        self.start(job, fault);
+                    }
+                }
+                Next::Drained => return true,
+                Next::Idle => break,
+            }
+        }
+        false
+    }
+
+    /// Count `job` against its tenant's fault schedule: hold dispatch for
+    /// an injected stall, return the error of an injected failure.
+    fn injected_fault(&mut self, job: &QueuedJob) -> Option<String> {
+        let plan = self.faults.as_ref()?;
+        let n = self.tenant_jobs.entry(Arc::clone(&job.tenant)).or_insert(0);
+        *n += 1;
+        let n = *n;
+        let wf = plan.worker_faults(self.admission.ordinal(&job.tenant)?);
+        if let Some((_, millis)) = wf.stall_on_job.filter(|&(on_job, _)| on_job == n) {
+            self.hold = Some(Instant::now() + Duration::from_millis(millis));
         }
         (wf.crash_on_job == Some(n) || wf.drop_on_job == Some(n) || wf.corrupt_on_job == Some(n))
             .then(|| format!("chaos: injected tenant fault on dispatched job {n}"))
@@ -641,28 +677,21 @@ impl Dispatcher {
     /// Hand one popped job to the engine. A job that cannot be started —
     /// an injected fault, no engine, a refused submit — is finished on the
     /// spot with that error.
-    fn start(
-        &mut self,
-        job: QueuedJob,
-        engine: Option<&mut Engine>,
-        engine_error: &Option<String>,
-        running: &mut Vec<(QueuedJob, JobHandle)>,
-    ) {
-        let started = match self.injected_fault(&job) {
-            Some(err) => Err(err),
-            None => match engine {
-                None => Err(engine_error
-                    .clone()
-                    .unwrap_or_else(|| "engine unavailable".into())),
-                Some(e) => e
-                    .submit(AppConfig::new(SequentialApp::new(
-                        job.root, job.level, job.tol,
-                    )))
-                    .map_err(|e| e.to_string()),
-            },
+    fn start(&mut self, job: QueuedJob, fault: Option<String>) {
+        let started = match (fault, &mut self.engine) {
+            (Some(error), _) => Err(error),
+            (None, Err(error)) => Err(error.clone()),
+            (None, Ok(e)) => e
+                .submit(AppConfig::new(SequentialApp::new(
+                    job.root, job.level, job.tol,
+                )))
+                .map_err(|e| e.to_string()),
         };
         match started {
-            Ok(handle) => running.push((job, handle)),
+            Ok(handle) => {
+                self.running.push((job, handle));
+                self.peak_in_flight = self.peak_in_flight.max(self.running.len());
+            }
             Err(error) => self.finish(job, Err(error)),
         }
     }
@@ -676,109 +705,66 @@ impl Dispatcher {
     }
 
     /// Account, journal and answer one popped job's outcome.
-    fn finish(&mut self, job: QueuedJob, served: Result<JobReport, String>) {
-        let (admission, registry) = (Arc::clone(&self.admission), Arc::clone(&self.registry));
-        match served {
-            Ok(report) => match self.journal.clone() {
-                Some(j) => {
-                    // Journal the outcome before sending it: a crash
-                    // in between replays the reply; a crash before
-                    // re-executes the (deterministic) job.
-                    let body = OutcomeBody::Done {
-                        grids: report.result.per_grid.len() as u64,
-                        l2_error: report.result.l2_error,
-                        combined: report.result.combined,
-                    };
-                    match j.record_outcome(&job.tenant, job.seq, &body) {
-                        Ok(rseq) => {
-                            self.outcome_journaled();
-                            if let Some(s) = registry.tenant_session(&job.tenant) {
-                                s.send(&body.to_msg(job.seq, rseq));
-                            }
-                            // An undelivered reply is not an orphan: it
-                            // waits, durably, for the tenant to resume.
-                            admission.complete(&job, true);
-                        }
-                        Err(e) => {
-                            // Completing without a journaled outcome
-                            // would wedge the seq: the entry stays
-                            // Pending, so resubmits dedup into nothing
-                            // until a restart replays it. Requeue
-                            // instead — re-execute (deterministic) and
-                            // retry the write, paced so a dead disk
-                            // does not become a hot loop.
-                            eprintln!(
-                                "journal: done outcome write failed: {e}; \
-                                 requeueing seq {} of tenant {}",
-                                job.seq, job.tenant
-                            );
-                            admission.requeue_after_journal_failure(job);
-                            std::thread::sleep(JOURNAL_RETRY_PAUSE);
-                        }
-                    }
-                }
-                None => {
-                    let delivered = registry.get(job.session).is_some_and(|s| {
-                        s.send(&ServeMsg::Done {
-                            seq: job.seq,
-                            rseq: 0,
-                            grids: report.result.per_grid.len() as u64,
-                            l2_error: report.result.l2_error,
-                            combined: report.result.combined,
-                        })
-                    });
-                    admission.complete(&job, delivered);
-                }
+    fn finish(&mut self, job: QueuedJob, outcome: Result<JobReport, String>) {
+        let served = outcome.is_ok();
+        let body = match outcome {
+            Ok(report) => OutcomeBody::Done {
+                grids: report.result.per_grid.len() as u64,
+                l2_error: report.result.l2_error,
+                combined: report.result.combined,
             },
-            Err(error) => {
-                let final_copy = job.clone();
-                // Retry first (re-queued at the tenant's head); only a
-                // spent retry budget surfaces the failure to the tenant.
-                if admission.charge_failure(job).is_none() {
-                    let (tenant, seq) = (final_copy.tenant.clone(), final_copy.seq);
-                    match self.journal.clone() {
-                        Some(j) => {
-                            let body = OutcomeBody::Fail {
-                                error: error.clone(),
-                            };
-                            match j.record_outcome(&tenant, seq, &body) {
-                                Ok(rseq) => {
-                                    self.outcome_journaled();
-                                    if let Some(s) = registry.tenant_session(&tenant) {
-                                        s.send(&body.to_msg(seq, rseq));
-                                    }
-                                }
-                                Err(e) => {
-                                    // Same wedge as the Done path: the
-                                    // seq must not end without a
-                                    // journaled outcome. charge_failure
-                                    // already released the in-flight
-                                    // slot, so restore() (no accounting
-                                    // beyond the queue) re-arms the job;
-                                    // the re-run charges the budget
-                                    // again — accounting drift under a
-                                    // failing disk, traded for never
-                                    // wedging the seq.
-                                    eprintln!(
-                                        "journal: fail outcome write failed: {e}; \
-                                         requeueing seq {seq} of tenant {tenant}"
-                                    );
-                                    admission.restore(final_copy);
-                                    std::thread::sleep(JOURNAL_RETRY_PAUSE);
-                                }
-                            }
-                        }
-                        None => {
-                            if let Some(s) = registry.get(final_copy.session) {
-                                s.send(&ServeMsg::Fail {
-                                    seq,
-                                    rseq: 0,
-                                    error,
-                                });
-                            }
-                        }
-                    }
+            // Retry first (re-queued at the tenant's head); only a spent
+            // retry budget surfaces the failure to the tenant.
+            Err(error) => match self.admission.charge_failure(job.clone()) {
+                Some(_) => return,
+                None => OutcomeBody::Fail { error },
+            },
+        };
+        let Some(j) = &self.journal else {
+            let delivered = match self.reactor.sessions.get_mut(job.session) {
+                Some(s) => s.send(&body.into_msg(job.seq, 0)),
+                None => false,
+            };
+            if served {
+                self.admission.complete(&job, delivered);
+            }
+            return;
+        };
+        // Journal the outcome before sending it: a crash in between
+        // replays the reply; a crash before re-executes the
+        // (deterministic) job.
+        match j.record_outcome(&job.tenant, job.seq, &body) {
+            Ok(rseq) => {
+                self.outcome_journaled();
+                if let Some(s) = self.reactor.sessions.tenant_session(&job.tenant) {
+                    s.send(&body.into_msg(job.seq, rseq));
                 }
+                // An undelivered reply is not an orphan: it waits,
+                // durably, for the tenant to resume.
+                if served {
+                    self.admission.complete(&job, true);
+                }
+            }
+            Err(e) => {
+                // Ending the job without a journaled outcome would wedge
+                // the seq: the entry stays Pending, so resubmits dedup into
+                // nothing until a restart replays it. Requeue instead —
+                // re-execute (deterministic) and retry the write, after a
+                // pause so a dead disk does not become a hot loop.
+                eprintln!(
+                    "journal: outcome write failed: {e}; requeueing seq {} of tenant {}",
+                    job.seq, job.tenant
+                );
+                if served {
+                    self.admission.requeue_after_journal_failure(job);
+                } else {
+                    // charge_failure already released the in-flight slot,
+                    // so restore() re-arms the job; the re-run charges the
+                    // budget again — accounting drift under a failing
+                    // disk, traded for never wedging the seq.
+                    self.admission.restore(job);
+                }
+                self.hold = Some(Instant::now() + JOURNAL_RETRY_PAUSE);
             }
         }
     }

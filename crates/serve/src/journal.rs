@@ -37,15 +37,16 @@
 //!
 //! ## Replay invariants
 //!
-//! * `rseq` — the per-tenant reply sequence — is assigned under the
-//!   journal lock, so replies from the dispatcher thread (`Done`/`Fail`)
-//!   and the reactor threads (`Reject`) interleave into one gap-free
+//! * `rseq` — the per-tenant reply sequence — is assigned as each reply
+//!   is journaled, so the serve loop's finished jobs (`Done`/`Fail`) and
+//!   its admission rejections (`Reject`) interleave into one gap-free
 //!   order per tenant.
 //! * A seq with a journaled non-`Reject` outcome is never re-executed:
 //!   re-`Submit`ting it replays the recorded outcome with its *original*
 //!   `rseq`, which the client's exactly-once filter dedups. Note that
-//!   gap-free `rseq` *assignment* does not make the wire gap-free: the
-//!   journal lock is released before the outbox push, so the client's
+//!   gap-free `rseq` *assignment* does not make the wire gap-free: a
+//!   replayed outcome keeps its old `rseq`, and a reply whose tenant is
+//!   between sessions waits for the resume replay, so the client's
 //!   filter tolerates out-of-order arrival (watermark + seen-ahead set)
 //!   rather than assuming delivery in `rseq` order.
 //! * A seq whose outcome was `Reject` may be re-admitted (that is what
@@ -69,7 +70,7 @@ use crate::proto::{RejectReason, ServeMsg};
 pub const MAGIC: &[u8; 4] = b"MFSJ";
 
 /// Version of the journal layout; mismatches are refused, not guessed.
-pub const JOURNAL_VERSION: u32 = 1;
+const JOURNAL_VERSION: u32 = 1;
 
 const R_REGISTER: i64 = 1;
 const R_ADMIT: i64 = 2;
@@ -135,7 +136,7 @@ pub enum OutcomeBody {
 impl OutcomeBody {
     /// The wire message delivering this outcome for request `seq` under
     /// reply sequence `rseq`.
-    pub fn to_msg(&self, seq: u64, rseq: u64) -> ServeMsg {
+    pub fn into_msg(self, seq: u64, rseq: u64) -> ServeMsg {
         match self {
             OutcomeBody::Done {
                 grids,
@@ -144,23 +145,19 @@ impl OutcomeBody {
             } => ServeMsg::Done {
                 seq,
                 rseq,
-                grids: *grids,
-                l2_error: *l2_error,
-                combined: combined.clone(),
+                grids,
+                l2_error,
+                combined,
             },
-            OutcomeBody::Fail { error } => ServeMsg::Fail {
-                seq,
-                rseq,
-                error: error.clone(),
-            },
+            OutcomeBody::Fail { error } => ServeMsg::Fail { seq, rseq, error },
             OutcomeBody::Reject {
                 retry_after_ms,
                 reason,
             } => ServeMsg::Reject {
                 seq,
                 rseq,
-                retry_after_ms: *retry_after_ms,
-                reason: *reason,
+                retry_after_ms,
+                reason,
             },
         }
     }
@@ -548,8 +545,8 @@ struct Inner {
     token_nonce: u64,
 }
 
-/// The write-ahead journal. All methods are `&self`; one internal lock
-/// orders appends from the reactor threads and the dispatcher.
+/// The write-ahead journal. All methods are `&self` behind one internal
+/// lock; in the daemon the serve loop is the only caller.
 pub struct Journal {
     inner: Mutex<Inner>,
 }
@@ -781,7 +778,7 @@ impl Journal {
                     .iter()
                     .filter_map(|(&(t, seq), s)| match s {
                         JobState::Outcome { rseq, body } if t == idx && *rseq > last_reply => {
-                            Some((*rseq, body.to_msg(seq, *rseq)))
+                            Some((*rseq, body.clone().into_msg(seq, *rseq)))
                         }
                         _ => None,
                     })
@@ -846,7 +843,7 @@ impl Journal {
         match inner.state.jobs.get(&(idx, seq)) {
             Some(JobState::Pending { .. }) => return Ok(Admit::DuplicatePending),
             Some(JobState::Outcome { rseq, body }) if !body.is_reject() => {
-                return Ok(Admit::Replay(Box::new(body.to_msg(seq, *rseq))));
+                return Ok(Admit::Replay(Box::new(body.clone().into_msg(seq, *rseq))));
             }
             // A journaled Reject is not terminal: the client is retrying
             // after backpressure, so fall through and re-admit.
@@ -901,25 +898,6 @@ impl Journal {
         }
         Ok(())
     }
-
-    /// Current segment count on disk (1 except transiently; tests use
-    /// this to observe rotation + compaction).
-    pub fn segment_count(&self) -> usize {
-        let g = self.inner.lock().unwrap();
-        fs::read_dir(&g.cfg.dir)
-            .map(|rd| {
-                rd.filter(|e| {
-                    e.as_ref()
-                        .map(|e| {
-                            let n = e.file_name().to_string_lossy().into_owned();
-                            n.starts_with("wal-") && n.ends_with(".seg")
-                        })
-                        .unwrap_or(false)
-                })
-                .count()
-            })
-            .unwrap_or(0)
-    }
 }
 
 impl Inner {
@@ -968,6 +946,25 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Segment files on disk (1 except transiently): rotation and
+    /// compaction show here.
+    fn segment_count(j: &Journal) -> usize {
+        let g = j.inner.lock().unwrap();
+        fs::read_dir(&g.cfg.dir)
+            .map(|rd| {
+                rd.filter(|e| {
+                    e.as_ref()
+                        .map(|e| {
+                            let n = e.file_name().to_string_lossy().into_owned();
+                            n.starts_with("wal-") && n.ends_with(".seg")
+                        })
+                        .unwrap_or(false)
+                })
+                .count()
+            })
+            .unwrap_or(0)
+    }
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mfsj-{tag}-{}", std::process::id()));
@@ -1161,7 +1158,7 @@ mod tests {
             let rseq = j.record_outcome("a", seq, &done(seq as f64)).unwrap();
             j.ack("a", rseq).unwrap();
         }
-        assert_eq!(j.segment_count(), 1, "old segments deleted after rotation");
+        assert_eq!(segment_count(&j), 1, "old segments deleted after rotation");
         drop(j);
         // The compacted journal still knows the tenant and its watermark.
         let (j2, rec) = Journal::open(cfg).unwrap();

@@ -6,20 +6,21 @@
 //! [`Engine`](renovation::Engine) fleet, with the properties a shared
 //! service needs and a batch run does not:
 //!
-//! * [`poll`] / [`reactor`] — a readiness front end: nonblocking sockets,
-//!   one event thread per core in a hand-rolled `poll(2)` loop, frames in
-//!   and out through the same CRC codec the worker transport uses. No
-//!   thread-per-connection, so thousands of tenant sessions cost what
-//!   their sockets cost;
+//! * [`poll`] / [`reactor`] — a readiness front end: nonblocking sockets
+//!   in one hand-rolled `poll(2)` loop, frames in and out through the
+//!   same CRC codec the worker transport uses. No thread per connection,
+//!   so thousands of tenant sessions cost what their sockets cost;
 //! * [`admission`] — bounded per-tenant queues, weighted fair-share
 //!   dispatch (start-time fair queuing), explicit backpressure
 //!   (`Reject` + retry-after instead of unbounded buffering), and
 //!   per-tenant retry/fault budgets with quarantine;
 //! * [`registry`] — the session table that routes a finished job's reply
 //!   back to the socket that asked for it;
-//! * [`daemon`] — the glue: reactor threads offer, one dispatcher thread
-//!   owns the engine and serves the fair-share queue, drain finishes
-//!   every accepted job before the last outbox flush;
+//! * [`daemon`] — the glue: one thread, `serve-loop`, owns the sockets,
+//!   the session table and the engine; each turn it accepts, handles
+//!   what the sockets brought, answers finished jobs, fills free engine
+//!   slots from the fair-share queue and flushes; drain finishes every
+//!   accepted job before the last outbox flush;
 //! * [`proto`] / [`client`] — the tenant session protocol (`Hello` …
 //!   `Drained`) and a blocking client for tests and load generators;
 //! * [`journal`] — the crash-durability layer: a CRC-framed write-ahead
@@ -52,5 +53,3 @@ pub use client::TenantClient;
 pub use daemon::{Daemon, DaemonConfig, DaemonReport, DrainTrigger, EngineBuilder};
 pub use journal::{Journal, JournalConfig, OutcomeBody, PendingJob, Recovery};
 pub use proto::{field_checksum, RejectReason, ServeMsg, SERVE_PROTOCOL_VERSION};
-pub use reactor::{Action, Reactor, Service};
-pub use registry::{Registry, Session, SessionId};

@@ -12,7 +12,7 @@
 //!   (EINTR is retried internally, so callers never see it);
 //! * [`Waker`] — the classic self-pipe trick over a `socketpair(2)` (via
 //!   [`UnixStream::pair`], so no raw `pipe` FFI either): any thread calls
-//!   [`Waker::wake`], the reactor thread polls the read end and calls
+//!   [`Waker::wake`], the serve loop polls the read end and calls
 //!   [`Waker::drain`] when it trips.
 
 use std::io::{Read, Write};
@@ -24,11 +24,11 @@ pub const POLLIN: i16 = 0x001;
 /// `poll(2)` event bit: writable.
 pub const POLLOUT: i16 = 0x004;
 /// `poll(2)` revent bit: error condition.
-pub const POLLERR: i16 = 0x008;
+const POLLERR: i16 = 0x008;
 /// `poll(2)` revent bit: peer hung up.
-pub const POLLHUP: i16 = 0x010;
+const POLLHUP: i16 = 0x010;
 /// `poll(2)` revent bit: fd not open.
-pub const POLLNVAL: i16 = 0x020;
+const POLLNVAL: i16 = 0x020;
 
 /// One entry of the `poll(2)` fd set — layout-compatible with the
 /// kernel's `struct pollfd`.
@@ -90,10 +90,10 @@ pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
 
 /// Cross-thread wake-up for a thread blocked in [`poll_fds`].
 pub struct Waker {
-    /// Read end, owned by the reactor thread's poll set.
+    /// Read end, in the polling thread's poll set.
     rx: UnixStream,
-    /// Write end, cloned by anyone who needs to wake the reactor.
-    tx: parking_lot::Mutex<UnixStream>,
+    /// Write end: one nonblocking `write(2)` per wake, from any thread.
+    tx: UnixStream,
 }
 
 impl Waker {
@@ -102,29 +102,26 @@ impl Waker {
         let (tx, rx) = UnixStream::pair()?;
         tx.set_nonblocking(true)?;
         rx.set_nonblocking(true)?;
-        Ok(Waker {
-            rx,
-            tx: parking_lot::Mutex::new(tx),
-        })
+        Ok(Waker { rx, tx })
     }
 
-    /// The fd the reactor thread adds to its poll set (watch [`POLLIN`]).
+    /// The fd the polling thread adds to its poll set (watch [`POLLIN`]).
     pub fn poll_fd(&self) -> RawFd {
         use std::os::fd::AsRawFd;
         self.rx.as_raw_fd()
     }
 
-    /// Wake the reactor. A full socketpair buffer means a wake-up is
-    /// already pending, which is all a level-triggered poller needs.
+    /// Wake the polling thread. A full socketpair buffer means a wake-up
+    /// is already pending, which is all a level-triggered poller needs.
     pub fn wake(&self) {
-        let _ = self.tx.lock().write(&[1u8]);
+        let _ = (&self.tx).write(&[1u8]);
     }
 
-    /// Drain pending wake-up bytes (reactor side, after the fd trips).
+    /// Drain pending wake-up bytes (polling side, after the fd trips).
     pub fn drain(&self) {
         let mut buf = [0u8; 64];
-        // Nonblocking: stop at WouldBlock.
-        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+        // Nonblocking: a short read (or WouldBlock) means it is empty.
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n == buf.len()) {}
     }
 }
 

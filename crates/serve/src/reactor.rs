@@ -1,134 +1,56 @@
-//! The readiness/reactor front end: many tenant connections, a few event
-//! threads, zero threads per connection.
+//! The readiness half of the serve loop: many tenant connections, one
+//! thread, zero threads per connection.
 //!
 //! The transport crate's coordinator↔worker path spends a thread per
 //! connection — fine for 32 workers, a coordination-overhead cliff for
 //! thousands of tenants. This reactor is the other shape: sockets are
-//! nonblocking, each event thread (one per core by default) owns a slice
-//! of the connections and sits in a hand-rolled [`poll(2)`][crate::poll]
-//! loop, and all per-connection state is a [`FrameDecoder`] plus an
-//! outbound byte queue. Thread 0 additionally owns the listener — the
-//! transport crate's [`Listener`], the same one the worker fleet binds,
-//! which replaces a stale socket file on bind — and deals accepted
-//! connections round-robin to the event threads through injector queues.
+//! nonblocking, and one hand-rolled [`poll(2)`][crate::poll] waits on the
+//! listener (the transport crate's [`Listener`], the same one the worker
+//! fleet binds, which replaces a stale socket file on bind), every
+//! session's socket and one [`Waker`], which other threads trip to hand
+//! the loop something that is not a socket — a finished engine job, or a
+//! drain.
 //!
-//! The reactor knows nothing about admission or engines: it turns socket
-//! bytes into [`ServeMsg`]s for a [`Service`] and flushes whatever the
-//! service (or the dispatcher, via [`Session::send`]) queues on each
-//! session's outbox. Lifecycle: `accepting` gates new connections
-//! (cleared when a drain starts), `stop` asks the threads to flush every
-//! outbox and exit (bounded by a grace period so a dead peer cannot wedge
-//! shutdown).
+//! The reactor knows nothing about admission or engines. [`Reactor::wait`]
+//! sleeps in `poll(2)`, accepts every pending connection into the session
+//! table and says which sessions have bytes to read; the serve loop
+//! ([`crate::daemon`]) reads and handles them, queues replies on the
+//! sessions' outboxes, and calls [`Reactor::flush`] once per turn.
 
-use std::io::Read;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
-use transport::frame::FrameDecoder;
-use transport::{Addr, Listener, Stream};
+use transport::{Addr, Listener};
 
 use crate::poll::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
-use crate::proto::ServeMsg;
-use crate::registry::{Registry, Session};
+use crate::registry::{Registry, SessionId};
 
-/// What the service wants done with the connection after a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Action {
-    /// Keep serving it.
-    Continue,
-    /// Flush its outbox, then close it.
-    Close,
-}
-
-/// The application half the reactor drives.
-pub trait Service: Send + Sync + 'static {
-    /// One decoded message arrived on `session`.
-    fn on_message(&self, session: &Arc<Session>, msg: ServeMsg) -> Action;
-    /// `session`'s connection is gone (EOF, error, or post-`Close`).
-    fn on_disconnect(&self, session: &Arc<Session>);
-}
-
-/// Per-connection reactor state.
-struct ConnState {
-    stream: Stream,
-    session: Arc<Session>,
-    dec: FrameDecoder,
-    /// Service asked for [`Action::Close`]: flush, then drop.
-    closing: bool,
-}
-
-/// What one event thread shares with the acceptor and the outside world.
-struct ThreadState {
-    waker: Arc<Waker>,
-    /// Freshly accepted connections awaiting adoption by the thread.
-    injector: Mutex<Vec<(Stream, Arc<Session>)>>,
-}
-
-struct SharedState {
-    service: Arc<dyn Service>,
-    registry: Arc<Registry>,
-    threads: Vec<ThreadState>,
-    accepting: AtomicBool,
-    stop: AtomicBool,
-    next_session: AtomicU64,
-    next_thread: AtomicU64,
-}
-
-/// The running front end.
+/// The listener, the session table and the poll set, owned by the one
+/// thread that serves them.
 pub struct Reactor {
-    shared: Arc<SharedState>,
-    joins: Vec<std::thread::JoinHandle<()>>,
+    /// `None` once accepting stops.
+    listener: Option<Listener>,
     local: Addr,
+    waker: Arc<Waker>,
+    /// Every live session.
+    pub sessions: Registry,
+    /// Scratch poll set: the waker, the listener, then one entry per
+    /// session in `polled` order.
+    fds: Vec<PollFd>,
+    polled: Vec<SessionId>,
 }
 
 impl Reactor {
-    /// Bind `addr` and start `threads` event threads (0 = one per core).
-    /// Thread 0 owns the listener.
-    pub fn start(
-        addr: &Addr,
-        threads: usize,
-        service: Arc<dyn Service>,
-        registry: Arc<Registry>,
-    ) -> std::io::Result<Reactor> {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(2, |n| n.get())
-        } else {
-            threads
-        };
+    /// Bind `addr`; nothing is accepted before the first [`Reactor::wait`].
+    pub fn bind(addr: &Addr) -> std::io::Result<Reactor> {
         let (listener, local) = Listener::bind(addr)?;
-        let mut states = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            states.push(ThreadState {
-                waker: Arc::new(Waker::new()?),
-                injector: Mutex::new(Vec::new()),
-            });
-        }
-        let shared = Arc::new(SharedState {
-            service,
-            registry,
-            threads: states,
-            accepting: AtomicBool::new(true),
-            stop: AtomicBool::new(false),
-            next_session: AtomicU64::new(1),
-            next_thread: AtomicU64::new(0),
-        });
-        let mut joins = Vec::with_capacity(threads);
-        let mut listener = Some(listener);
-        for i in 0..threads {
-            let shared = Arc::clone(&shared);
-            let l = listener.take(); // thread 0 owns the listener
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-reactor-{i}"))
-                    .spawn(move || event_loop(i, l, shared))?,
-            );
-        }
         Ok(Reactor {
-            shared,
-            joins,
+            listener: Some(listener),
             local,
+            waker: Arc::new(Waker::new()?),
+            sessions: Registry::default(),
+            fds: Vec::new(),
+            polled: Vec::new(),
         })
     }
 
@@ -137,209 +59,78 @@ impl Reactor {
         &self.local
     }
 
-    /// Stop accepting new connections (existing ones keep being served).
-    pub fn stop_accepting(&self) {
-        self.shared.accepting.store(false, Ordering::Release);
-        self.shared.threads[0].waker.wake();
+    /// The waker that ends a [`Reactor::wait`] from another thread.
+    pub fn waker(&self) -> Arc<Waker> {
+        Arc::clone(&self.waker)
     }
 
-    /// Flush every outbox (within `grace`), close all connections, and
-    /// join the event threads. Returns true when every outbox flushed
-    /// completely before the grace expired.
-    pub fn stop(self, grace: Duration) -> bool {
-        self.shared.accepting.store(false, Ordering::Release);
-        self.shared.stop.store(true, Ordering::Release);
-        for t in &self.shared.threads {
-            t.waker.wake();
-        }
-        let deadline = Instant::now() + grace;
-        let mut clean = true;
-        for j in self.joins {
-            // The event threads bound their own exits by the same grace;
-            // a join blocking past the deadline means a wedged thread.
-            if Instant::now() > deadline + Duration::from_secs(5) {
-                clean = false;
-                break;
-            }
-            if j.join().is_err() {
-                clean = false;
-            }
-        }
-        clean && self.shared.registry.is_empty()
+    /// Close the listener: no new connections.
+    pub fn stop_accepting(&mut self) {
+        self.listener = None;
     }
-}
 
-const READ_CHUNK: usize = 64 * 1024;
-const POLL_TICK_MS: i32 = 100;
-const STOP_FLUSH_GRACE: Duration = Duration::from_secs(5);
-
-fn event_loop(index: usize, listener: Option<Listener>, shared: Arc<SharedState>) {
-    let me = &shared.threads[index];
-    let mut conns: Vec<ConnState> = Vec::new();
-    let mut stop_seen: Option<Instant> = None;
-    loop {
-        // Adopt injected connections.
-        for (stream, session) in me.injector.lock().drain(..) {
-            conns.push(ConnState {
-                stream,
-                session,
-                dec: FrameDecoder::new(),
-                closing: false,
-            });
+    /// Block until a socket is ready, the waker trips or `timeout`
+    /// passes (`None` waits for ever); accept every pending connection,
+    /// and return the sessions with something to read (or a hang-up).
+    pub fn wait(&mut self, timeout: Option<Duration>) -> Vec<SessionId> {
+        self.fds.clear();
+        self.polled.clear();
+        self.fds.push(PollFd::new(self.waker.poll_fd(), POLLIN));
+        if let Some(l) = &self.listener {
+            self.fds.push(PollFd::new(l.fd(), POLLIN));
         }
-
-        let stopping = shared.stop.load(Ordering::Acquire);
-        if stopping && stop_seen.is_none() {
-            stop_seen = Some(Instant::now());
+        let base = self.fds.len();
+        for s in self.sessions.iter_mut() {
+            let read = if s.closing { 0 } else { POLLIN };
+            let write = if s.has_output() { POLLOUT } else { 0 };
+            self.fds.push(PollFd::new(s.fd(), read | write));
+            self.polled.push(s.id);
         }
-        if stopping {
-            // Flush what we can, then leave. Outboxes that cannot flush
-            // within the grace are abandoned (dead peers).
-            let all_flushed = conns.iter().all(|c| c.session.outbox.is_empty());
-            let expired = stop_seen.is_some_and(|t| t.elapsed() > STOP_FLUSH_GRACE);
-            if all_flushed || expired {
-                for c in conns.drain(..) {
-                    c.session.mark_disconnected();
-                    shared.registry.remove(c.session.id);
-                }
-                return;
-            }
+        // Round up: a deadline 0.4 ms away must not become a busy loop.
+        let ms = timeout.map_or(-1, |t| {
+            t.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32
+        });
+        if poll_fds(&mut self.fds, ms).is_err() {
+            return Vec::new();
         }
-
-        // Build the poll set: waker, listener (thread 0, while accepting),
-        // then one entry per connection.
-        let accepting = shared.accepting.load(Ordering::Acquire);
-        let mut fds: Vec<PollFd> = Vec::with_capacity(conns.len() + 2);
-        fds.push(PollFd::new(me.waker.poll_fd(), POLLIN));
-        let listener_slot = if let Some(l) = listener.as_ref().filter(|_| accepting) {
-            fds.push(PollFd::new(l.fd(), POLLIN));
-            Some(1)
-        } else {
-            None
-        };
-        let conn_base = fds.len();
-        let n_polled = conns.len();
-        for c in &conns {
-            let mut ev = POLLIN;
-            if !c.session.outbox.is_empty() {
-                ev |= POLLOUT;
-            }
-            fds.push(PollFd::new(c.stream.fd(), ev));
+        if self.fds[0].ready(POLLIN) {
+            self.waker.drain();
         }
-
-        if poll_fds(&mut fds, POLL_TICK_MS).is_err() {
-            // EBADF from a racing close: rebuild the set next round.
-            continue;
-        }
-
-        if fds[0].ready(POLLIN) {
-            me.waker.drain();
-        }
-
-        // Accept burst (thread 0).
-        if let (Some(slot), Some(l)) = (listener_slot, listener.as_ref()) {
-            if fds[slot].ready(POLLIN) {
-                loop {
-                    match l.accept().and_then(|s| s.set_nonblocking(true).map(|()| s)) {
-                        Ok(stream) => {
-                            let id = shared.next_session.fetch_add(1, Ordering::Relaxed);
-                            let t = (shared.next_thread.fetch_add(1, Ordering::Relaxed) as usize)
-                                % shared.threads.len();
-                            let session = Session::new(id, Arc::clone(&shared.threads[t].waker));
-                            shared.registry.insert(Arc::clone(&session));
-                            if t == index {
-                                conns.push(ConnState {
-                                    stream,
-                                    session,
-                                    dec: FrameDecoder::new(),
-                                    closing: false,
-                                });
-                            } else {
-                                shared.threads[t].injector.lock().push((stream, session));
-                                shared.threads[t].waker.wake();
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => break, // transient accept error; retry next tick
+        if let Some(l) = self.listener.as_ref().filter(|_| self.fds[1].ready(POLLIN)) {
+            loop {
+                match l.accept().and_then(|s| s.set_nonblocking(true).map(|()| s)) {
+                    Ok(stream) => {
+                        self.sessions.insert(stream);
                     }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    // WouldBlock, or a transient accept error: retry
+                    // when the listener next polls ready.
+                    Err(_) => break,
                 }
             }
         }
-
-        // Service each polled connection: reads first (they can queue
-        // writes), then writes, then reap the dead. Connections accepted
-        // *this* round sit past `n_polled` and wait for the next poll.
-        let mut dead: Vec<usize> = Vec::new();
-        let mut buf = [0u8; READ_CHUNK];
-        for (ci, c) in conns.iter_mut().take(n_polled).enumerate() {
-            let pf = fds[conn_base + ci];
-            if pf.ready(POLLIN) && !c.closing {
-                match drain_reads(c, &mut buf, &shared) {
-                    Ok(()) => {}
-                    Err(_) => {
-                        dead.push(ci);
-                        continue;
-                    }
-                }
-            }
-            // Flush opportunistically whenever there is something queued:
-            // level-triggered poll plus an immediate attempt keeps latency
-            // down without spinning.
-            if !c.session.outbox.is_empty() {
-                match c.session.outbox.write_to(&mut c.stream) {
-                    Ok(_flushed) => {}
-                    Err(_) => {
-                        dead.push(ci);
-                        continue;
-                    }
-                }
-            }
-            if c.closing && c.session.outbox.is_empty() {
-                dead.push(ci);
-            }
-        }
-
-        // Reap in reverse index order so removals do not shift the rest.
-        for &ci in dead.iter().rev() {
-            let c = conns.swap_remove(ci);
-            c.session.mark_disconnected();
-            shared.registry.remove(c.session.id);
-            shared.service.on_disconnect(&c.session);
-        }
+        self.polled
+            .iter()
+            .zip(&self.fds[base..])
+            .filter(|(_, fd)| fd.ready(POLLIN))
+            .map(|(&id, _)| id)
+            .collect()
     }
-}
 
-/// Read until `WouldBlock`/EOF, decoding and dispatching every complete
-/// frame. An `Err` return means the connection is dead.
-fn drain_reads(c: &mut ConnState, buf: &mut [u8], shared: &Arc<SharedState>) -> Result<(), ()> {
-    loop {
-        match c.stream.read(buf) {
-            Ok(0) => return Err(()), // EOF
-            Ok(n) => {
-                c.dec.push(&buf[..n]);
-                loop {
-                    match c.dec.next_frame() {
-                        Ok(Some(payload)) => match ServeMsg::decode(&payload) {
-                            Ok(msg) => match shared.service.on_message(&c.session, msg) {
-                                Action::Continue => {}
-                                Action::Close => {
-                                    c.closing = true;
-                                    return Ok(());
-                                }
-                            },
-                            // Undecodable payload: protocol error, hang up.
-                            Err(_) => return Err(()),
-                        },
-                        Ok(None) => break,
-                        // Corrupt frame (bad CRC/length): poison the conn.
-                        Err(_) => return Err(()),
-                    }
-                }
+    /// Write each session's outbox once, as far as its socket takes it,
+    /// and close every session whose peer is gone or that is closing with
+    /// nothing left to write. Returns the closed sessions.
+    pub fn flush(&mut self) -> Vec<SessionId> {
+        let mut closed = Vec::new();
+        for s in self.sessions.iter_mut() {
+            let gone = s.has_output() && s.flush().is_err();
+            if gone || (s.closing && !s.has_output()) {
+                closed.push(s.id);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(()),
         }
+        for &id in &closed {
+            self.sessions.remove(id);
+        }
+        closed
     }
 }

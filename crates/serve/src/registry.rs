@@ -1,98 +1,54 @@
-//! The tenant/session registry: who is connected, and how a reply finds
-//! its way back to the socket that asked for it.
+//! The session table: every tenant connection, and how a reply finds its
+//! way back to the socket that asked for it.
 //!
-//! One connection is one session. The reactor creates a [`Session`] at
-//! accept time (before the tenant has even said `Hello`), the daemon's
-//! dispatcher looks sessions up by id to queue replies, and the reactor
-//! thread that owns the underlying socket flushes the session's
-//! [`Outbox`] when `poll(2)` says the socket can take bytes. The registry
-//! is the only map shared across all of them, so thousands of in-flight
-//! jobs route over however many connections actually exist.
+//! One connection is one [`Session`]: its socket, its frame decoder and
+//! its outbound byte queue. The serve loop ([`crate::daemon`]) creates a
+//! session at accept time (before the tenant has even said `Hello`),
+//! queues replies on it by session id or — with a journal — by tenant
+//! name, and flushes it when `poll(2)` says the socket takes bytes. The
+//! loop's one thread owns the table, so nothing in it is locked or
+//! shared, and thousands of in-flight jobs route over however many
+//! connections actually exist.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use transport::frame::FrameDecoder;
+use transport::Stream;
 
-use crate::poll::Waker;
 use crate::proto::ServeMsg;
 
 /// Session identifier — assigned at accept, echoed in `Welcome`.
 pub type SessionId = u64;
 
-struct OutQ {
+/// Outbound frames awaiting the socket, and where a partial write of the
+/// first one stopped.
+#[derive(Default)]
+struct Outbox {
     bufs: VecDeque<Vec<u8>>,
-    /// Bytes of `bufs[0]` already written (partial-write resume point).
+    /// Bytes of `bufs[0]` already written.
     head_off: usize,
-    closed: bool,
-}
-
-/// Per-session outbound byte queue, filled by any thread, drained by the
-/// one reactor thread owning the socket.
-pub struct Outbox {
-    q: Mutex<OutQ>,
 }
 
 impl Outbox {
-    fn new() -> Outbox {
-        Outbox {
-            q: Mutex::new(OutQ {
-                bufs: VecDeque::new(),
-                head_off: 0,
-                closed: false,
-            }),
-        }
-    }
-
-    /// Queue one already-framed message. Returns false when the session
-    /// is closed (the bytes are dropped).
-    pub fn push(&self, frame: Vec<u8>) -> bool {
-        let mut q = self.q.lock();
-        if q.closed {
-            return false;
-        }
-        q.bufs.push_back(frame);
-        true
-    }
-
-    /// Anything left to write?
-    pub fn is_empty(&self) -> bool {
-        self.q.lock().bufs.is_empty()
-    }
-
-    /// No more pushes accepted.
-    pub fn close(&self) {
-        self.q.lock().closed = true;
-    }
-
     /// Write as much as the (nonblocking) sink accepts. `Ok(true)` means
     /// the queue is fully flushed; `Ok(false)` means the sink would block
     /// with bytes still pending.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<bool> {
-        let mut q = self.q.lock();
-        while let Some(front) = q.bufs.front() {
-            let off = q.head_off;
-            match w.write(&front[off..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "socket accepted zero bytes",
-                    ))
+    fn write_to(&mut self, w: &mut impl Write) -> io::Result<bool> {
+        while let Some(front) = self.bufs.front() {
+            match w.write(&front[self.head_off..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) if self.head_off + n == front.len() => {
+                    self.bufs.pop_front();
+                    self.head_off = 0;
                 }
                 Ok(n) => {
-                    if off + n == front.len() {
-                        q.bufs.pop_front();
-                        q.head_off = 0;
-                    } else {
-                        q.head_off = off + n;
-                        return Ok(false);
-                    }
+                    self.head_off += n;
+                    return Ok(false);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
@@ -102,150 +58,163 @@ impl Outbox {
 
 /// One connected tenant session.
 pub struct Session {
-    /// Registry key, echoed to the tenant in `Welcome`.
+    /// Table key, echoed to the tenant in `Welcome`.
     pub id: SessionId,
-    /// Outbound frames awaiting the socket.
-    pub outbox: Outbox,
+    stream: Stream,
+    dec: FrameDecoder,
+    outbox: Outbox,
     /// Fair-share identity; `None` until the tenant says `Hello`.
-    tenant: Mutex<Option<Arc<str>>>,
-    /// Waker of the reactor thread owning this session's socket.
-    waker: Arc<Waker>,
-    connected: AtomicBool,
+    pub tenant: Option<Arc<str>>,
+    /// Flush the outbox, then close: read nothing more from the peer.
+    pub closing: bool,
 }
 
 impl Session {
-    /// A fresh session owned by the reactor thread behind `waker`.
-    pub fn new(id: SessionId, waker: Arc<Waker>) -> Arc<Session> {
-        Arc::new(Session {
-            id,
-            outbox: Outbox::new(),
-            tenant: Mutex::new(None),
-            waker,
-            connected: AtomicBool::new(true),
-        })
-    }
-
-    /// The tenant this session authenticated as (after `Hello`).
-    pub fn tenant(&self) -> Option<Arc<str>> {
-        self.tenant.lock().clone()
-    }
-
-    /// Record the `Hello` identity.
-    pub fn set_tenant(&self, tenant: Arc<str>) {
-        *self.tenant.lock() = Some(tenant);
-    }
-
-    /// Is the socket still attached?
-    pub fn is_connected(&self) -> bool {
-        self.connected.load(Ordering::Acquire)
-    }
-
-    /// Queue `msg` for delivery and wake the owning reactor thread.
-    /// Returns false when the session is gone (reply dropped — nobody is
-    /// listening).
-    pub fn send(&self, msg: &ServeMsg) -> bool {
-        if !self.is_connected() {
-            return false;
-        }
+    /// Queue `msg` for delivery. False when it cannot be framed.
+    pub fn send(&mut self, msg: &ServeMsg) -> bool {
         let Ok(frame) = msg.to_frame() else {
             return false;
         };
-        if !self.outbox.push(frame) {
-            return false;
-        }
-        self.waker.wake();
+        self.outbox.bufs.push_back(frame);
         true
     }
 
-    /// Mark the socket gone and refuse further sends.
-    pub fn mark_disconnected(&self) {
-        self.connected.store(false, Ordering::Release);
-        self.outbox.close();
+    /// Answer `Fail{seq}` with `error`, then close after the flush.
+    pub fn refuse(&mut self, seq: u64, error: String) {
+        self.send(&ServeMsg::Fail {
+            seq,
+            rseq: 0,
+            error,
+        });
+        self.closing = true;
+    }
+
+    /// The next complete message already read, `Err` for a corrupt frame
+    /// or an undecodable payload (the connection is poisoned).
+    pub(crate) fn next_msg(&mut self) -> Result<Option<ServeMsg>, ()> {
+        match self.dec.next_frame() {
+            Ok(Some(payload)) => ServeMsg::decode(&payload).map(Some).map_err(drop),
+            Ok(None) => Ok(None),
+            Err(_) => Err(()),
+        }
+    }
+
+    /// Read one chunk from the socket into the decoder: `Ok(true)` when
+    /// it filled `buf` (the socket may hold more), `Ok(false)` when the
+    /// socket is drained for now. EOF is an error: the peer is gone.
+    pub(crate) fn fill(&mut self, buf: &mut [u8]) -> io::Result<bool> {
+        loop {
+            return match self.stream.read(buf) {
+                Ok(0) => Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.dec.push(&buf[..n]);
+                    Ok(n == buf.len())
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(false),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => Err(e),
+            };
+        }
+    }
+
+    /// Anything left to write?
+    pub fn has_output(&self) -> bool {
+        !self.outbox.bufs.is_empty()
+    }
+
+    /// Write what the socket takes now; `Err` means the peer is gone.
+    pub(crate) fn flush(&mut self) -> io::Result<bool> {
+        self.outbox.write_to(&mut self.stream)
+    }
+
+    /// The socket, for the poll set.
+    pub(crate) fn fd(&self) -> std::os::fd::RawFd {
+        self.stream.fd()
     }
 }
 
-/// All live sessions, keyed by id.
+/// All live sessions, keyed by id, and which session speaks for which
+/// tenant.
 #[derive(Default)]
 pub struct Registry {
-    m: Mutex<HashMap<SessionId, Arc<Session>>>,
+    /// In accept order, so each turn serves the sockets in that order.
+    sessions: BTreeMap<SessionId, Session>,
     /// Tenant name → the session currently speaking for it. A journaled
     /// daemon routes replies by *tenant* (the durable identity), not by
     /// the session that happened to submit the job — the submitting
     /// socket may be long dead by the time the job finishes.
-    bound: Mutex<HashMap<Arc<str>, SessionId>>,
+    bound: HashMap<Arc<str>, SessionId>,
+    last_id: SessionId,
 }
 
 impl Registry {
-    /// An empty registry.
-    pub fn new() -> Registry {
-        Registry::default()
+    /// Adopt a freshly accepted connection; its id.
+    pub fn insert(&mut self, stream: Stream) -> SessionId {
+        self.last_id += 1;
+        let id = self.last_id;
+        let session = Session {
+            id,
+            stream,
+            dec: FrameDecoder::new(),
+            outbox: Outbox::default(),
+            tenant: None,
+            closing: false,
+        };
+        self.sessions.insert(id, session);
+        id
     }
 
-    /// Insert a freshly accepted session.
-    pub fn insert(&self, session: Arc<Session>) {
-        self.m.lock().insert(session.id, session);
+    /// Look a session up.
+    pub fn get_mut(&mut self, id: SessionId) -> Option<&mut Session> {
+        self.sessions.get_mut(&id)
     }
 
-    /// Look a session up (dispatcher reply path).
-    pub fn get(&self, id: SessionId) -> Option<Arc<Session>> {
-        self.m.lock().get(&id).cloned()
+    /// Drop a session, and the tenant binding it holds.
+    pub fn remove(&mut self, id: SessionId) -> Option<Session> {
+        let s = self.sessions.remove(&id)?;
+        if let Some(t) = &s.tenant {
+            self.unbind_tenant(t, id);
+        }
+        Some(s)
     }
 
-    /// Remove a dead session.
-    pub fn remove(&self, id: SessionId) -> Option<Arc<Session>> {
-        self.m.lock().remove(&id)
-    }
-
-    /// Live session count.
-    pub fn len(&self) -> usize {
-        self.m.lock().len()
-    }
-
-    /// No sessions connected?
-    pub fn is_empty(&self) -> bool {
-        self.m.lock().is_empty()
+    /// Every live session, oldest first.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Session> {
+        self.sessions.values_mut()
     }
 
     /// Bind `tenant` to `id`: future tenant-routed replies go to this
     /// session. Last `Hello` wins — with a journal, one session speaks
     /// for a tenant at a time.
-    pub fn bind_tenant(&self, tenant: Arc<str>, id: SessionId) {
-        self.bound.lock().insert(tenant, id);
+    pub fn bind_tenant(&mut self, tenant: Arc<str>, id: SessionId) {
+        self.bound.insert(tenant, id);
     }
 
     /// Drop the binding, but only if `id` still holds it (a newer
     /// session's rebind must not be undone by the old socket's reap).
-    pub fn unbind_tenant(&self, tenant: &str, id: SessionId) {
-        let mut b = self.bound.lock();
-        if b.get(tenant).copied() == Some(id) {
-            b.remove(tenant);
+    pub fn unbind_tenant(&mut self, tenant: &str, id: SessionId) {
+        if self.bound.get(tenant) == Some(&id) {
+            self.bound.remove(tenant);
         }
     }
 
     /// The live session currently bound to `tenant`, if any.
-    pub fn tenant_session(&self, tenant: &str) -> Option<Arc<Session>> {
-        let id = self.bound.lock().get(tenant).copied()?;
-        self.get(id)
-    }
-
-    /// Queue `msg` on every live session (drain announcements).
-    pub fn broadcast(&self, msg: &ServeMsg) {
-        let sessions: Vec<Arc<Session>> = self.m.lock().values().cloned().collect();
-        for s in sessions {
-            s.send(msg);
-        }
+    pub fn tenant_session(&mut self, tenant: &str) -> Option<&mut Session> {
+        let id = *self.bound.get(tenant)?;
+        self.sessions.get_mut(&id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::unix::net::UnixStream;
 
     #[test]
     fn outbox_flushes_across_partial_writes() {
-        let ob = Outbox::new();
-        ob.push(vec![1, 2, 3, 4, 5]);
-        ob.push(vec![6, 7]);
+        let mut ob = Outbox::default();
+        ob.bufs.push_back(vec![1, 2, 3, 4, 5]);
+        ob.bufs.push_back(vec![6, 7]);
 
         // A sink that takes at most 3 bytes per call.
         struct Trickle(Vec<u8>);
@@ -262,31 +231,7 @@ mod tests {
         let mut sink = Trickle(Vec::new());
         while !ob.write_to(&mut sink).unwrap() {}
         assert_eq!(sink.0, vec![1, 2, 3, 4, 5, 6, 7]);
-        assert!(ob.is_empty());
-    }
-
-    #[test]
-    fn closed_outbox_drops_pushes() {
-        let ob = Outbox::new();
-        ob.close();
-        assert!(!ob.push(vec![1]));
-        assert!(ob.is_empty());
-    }
-
-    #[test]
-    fn registry_send_after_disconnect_reports_failure() {
-        let reg = Registry::new();
-        let waker = Arc::new(Waker::new().unwrap());
-        let s = Session::new(3, waker);
-        reg.insert(Arc::clone(&s));
-        assert!(s.send(&ServeMsg::Welcome {
-            session: 3,
-            token: 0
-        }));
-        s.mark_disconnected();
-        assert!(!s.send(&ServeMsg::Bye));
-        assert!(reg.remove(3).is_some());
-        assert!(reg.is_empty());
+        assert!(ob.bufs.is_empty());
     }
 
     /// The partial-write resume point (`head_off`) under the worst case:
@@ -296,7 +241,7 @@ mod tests {
     /// frame integrity, not just byte count.
     #[test]
     fn one_byte_writes_preserve_frame_integrity() {
-        let ob = Outbox::new();
+        let mut ob = Outbox::default();
         let msgs = [
             ServeMsg::Done {
                 seq: 1,
@@ -314,7 +259,7 @@ mod tests {
             ServeMsg::Drained { served: 99 },
         ];
         for m in &msgs {
-            ob.push(m.to_frame().unwrap());
+            ob.bufs.push_back(m.to_frame().unwrap());
         }
 
         /// One byte per write() call, with a WouldBlock stutter every
@@ -345,7 +290,7 @@ mod tests {
             rounds += 1;
             assert!(rounds < 100_000, "flush does not terminate");
         }
-        assert!(ob.is_empty());
+        assert!(ob.bufs.is_empty());
 
         let mut dec = transport::FrameDecoder::new();
         dec.push(&sink.out);
@@ -357,29 +302,59 @@ mod tests {
         assert_eq!(back, msgs, "frames reassembled byte-exactly");
     }
 
+    /// A session's queued reply reaches its peer through `flush`, and a
+    /// disconnected (removed) session can no longer be found to send to.
+    #[test]
+    fn registry_send_after_disconnect_reports_failure() {
+        let mut reg = Registry::default();
+        let (ours, mut peer) = UnixStream::pair().unwrap();
+        let id = reg.insert(Stream::Unix(ours));
+        let s = reg.get_mut(id).unwrap();
+        assert!(s.send(&ServeMsg::Welcome {
+            session: id,
+            token: 0
+        }));
+        assert!(s.has_output());
+        assert!(s.flush().unwrap());
+        let frame = transport::frame::read_frame(&mut peer).unwrap().unwrap();
+        assert_eq!(
+            ServeMsg::decode(&frame).unwrap(),
+            ServeMsg::Welcome {
+                session: id,
+                token: 0
+            }
+        );
+        assert!(reg.remove(id).is_some());
+        assert!(reg.get_mut(id).is_none());
+    }
+
     #[test]
     fn tenant_binding_routes_to_latest_session_only() {
-        let reg = Registry::new();
-        let waker = Arc::new(Waker::new().unwrap());
-        let old = Session::new(1, Arc::clone(&waker));
-        let new = Session::new(2, waker);
-        reg.insert(Arc::clone(&old));
-        reg.insert(Arc::clone(&new));
+        let mut reg = Registry::default();
+        let mut peers = Vec::new();
+        let mut session = || {
+            let (ours, peer) = UnixStream::pair().unwrap();
+            peers.push(peer);
+            Stream::Unix(ours)
+        };
+        let old = reg.insert(session());
+        let new = reg.insert(session());
         let tenant: Arc<str> = Arc::from("acme");
 
-        reg.bind_tenant(Arc::clone(&tenant), 1);
-        assert_eq!(reg.tenant_session("acme").unwrap().id, 1);
+        reg.bind_tenant(Arc::clone(&tenant), old);
+        assert_eq!(reg.tenant_session("acme").unwrap().id, old);
 
         // Reconnect: the new session takes over.
-        reg.bind_tenant(Arc::clone(&tenant), 2);
-        assert_eq!(reg.tenant_session("acme").unwrap().id, 2);
+        reg.bind_tenant(Arc::clone(&tenant), new);
+        assert_eq!(reg.tenant_session("acme").unwrap().id, new);
 
         // The old socket's reap must not undo the rebind…
-        reg.unbind_tenant("acme", 1);
-        assert_eq!(reg.tenant_session("acme").unwrap().id, 2);
+        reg.get_mut(old).unwrap().tenant = Some(Arc::clone(&tenant));
+        reg.remove(old);
+        assert_eq!(reg.tenant_session("acme").unwrap().id, new);
 
         // …but the current holder's departure does.
-        reg.unbind_tenant("acme", 2);
+        reg.unbind_tenant("acme", new);
         assert!(reg.tenant_session("acme").is_none());
     }
 }

@@ -38,7 +38,6 @@ fn start_daemon(name: &str, admission: AdmissionConfig, faults: Option<FaultPlan
     Daemon::start(
         DaemonConfig {
             addr: Addr::Unix(sock_path(name)),
-            reactor_threads: 2,
             admission,
             tenant_faults: faults,
             drain_grace: Duration::from_secs(5),
