@@ -81,10 +81,10 @@ pub enum EngineBackend {
         /// Link/configure stage choice for the fleet's environment.
         mode: RunMode,
     },
-    /// Worker task instances as separate OS processes over TCP or Unix
-    /// sockets; the processes survive across jobs.
+    /// Worker task instances as separate OS processes over a Unix-domain
+    /// socket; the processes survive across jobs.
     Procs {
-        /// Pool shape (instances, bind mode, worker binary, timeouts).
+        /// Pool shape (instances, worker binary, timeout).
         cfg: ProcsConfig,
     },
     /// The discrete-event simulation of the paper's workstation cluster,
@@ -498,7 +498,6 @@ impl Engine {
                 let program = crate::procs::resolve_worker_exe(&cfg)?;
                 let mut pool_cfg = PoolConfig::new(program);
                 pool_cfg.instances = cfg.instances;
-                pool_cfg.bind = cfg.bind;
                 pool_cfg.job_timeout = cfg.job_timeout;
                 pool_cfg.respawn_budget = retry;
                 pool_cfg.shards = opts.shards.shards.max(1);

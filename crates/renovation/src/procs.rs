@@ -4,7 +4,9 @@
 //! instance as a thread. This module provides the deployment the paper
 //! actually ran on its workstation cluster: each worker task instance is a
 //! separate operating-system process (the committed `subsolve_worker`
-//! binary), connected over TCP or a Unix socket; each child reports its
+//! binary), connected to the coordinator's process over a Unix-domain
+//! socket (the children are all spawned on its host; up to two jobs wait
+//! on each connection, see [`transport::launcher`]); each child reports its
 //! own host in its handshake, and the §6 trace prints that host. The
 //! master, the protocol, and the dispatch policies are *unchanged* —
 //! proxies from [`protocol::remote_worker_factory`] stand in for local
@@ -35,7 +37,7 @@ use manifold::ident::TaskInstanceId;
 use manifold::prelude::*;
 use manifold::remote::{Completion, JobFleet, Lost, Started};
 use manifold::trace::TraceRecord;
-use transport::{serve, Addr, BindMode, RemoteWorkerPool, ServeConfig, ServeSummary};
+use transport::{serve, Addr, RemoteWorkerPool, ServeConfig, ServeSummary};
 
 use crate::worker::{subsolve_unit, WorkerGauge};
 
@@ -48,8 +50,6 @@ pub(crate) const WORKER_HEARTBEAT: Duration = Duration::from_millis(100);
 pub struct ProcsConfig {
     /// Worker processes to launch.
     pub instances: usize,
-    /// TCP loopback or Unix-domain sockets.
-    pub bind: BindMode,
     /// Path of the `subsolve_worker` binary. `None` resolves via the
     /// `MF_SUBSOLVE_WORKER` environment variable, then by looking next to
     /// the current executable.
@@ -64,7 +64,6 @@ impl ProcsConfig {
     pub fn new(instances: usize) -> Self {
         ProcsConfig {
             instances,
-            bind: BindMode::Tcp,
             worker_exe: None,
             job_timeout: Duration::from_secs(60),
         }
@@ -105,10 +104,11 @@ pub(crate) fn resolve_worker_exe(cfg: &ProcsConfig) -> MfResult<PathBuf> {
 
 /// One job's view of the fleet's worker pool. Every subsolve submitted
 /// here carries the job's id as its wire tag, and every one is counted by
-/// the same [`WorkerGauge`] the threads backend uses, from the moment its
-/// frame is on a worker's wire until its answer is back — a subsolve
-/// waiting in the fleet's queue is not running — so
-/// `peak_concurrent_workers` means the same thing for both backends.
+/// the same [`WorkerGauge`] the threads backend uses, from the moment it
+/// is the head of a worker's wire until its answer is back — a subsolve
+/// waiting in the fleet's queue, or behind another on a wire, is not
+/// running — so `peak_concurrent_workers` means the same thing for both
+/// backends.
 ///
 /// It is also the master's one seam to the fleet's membership, which the
 /// launcher's slots own: a sharded master leaves a one-shot pool-affinity

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use protocol::{BoundedReuse, CostAware, PaperFaithful, PolicyRef};
 use renovation::{AppConfig, Engine, EngineOpts, JobReport, ProcsConfig, RunMode};
 use solver::sequential::SequentialApp;
-use transport::BindMode;
 
 fn worker_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker"))
@@ -29,9 +28,8 @@ fn threads_run(app: SequentialApp, policy: PolicyRef) -> JobReport {
         .unwrap()
 }
 
-fn procs_run(app: SequentialApp, bind: BindMode, policy: PolicyRef) -> JobReport {
+fn procs_run(app: SequentialApp, policy: PolicyRef) -> JobReport {
     let mut cfg = ProcsConfig::new(2);
-    cfg.bind = bind;
     cfg.worker_exe = Some(worker_exe());
     Engine::procs(cfg, policy, opts(&app))
         .and_then(|engine| engine.run_one(AppConfig::new(app)))
@@ -48,10 +46,10 @@ fn dispatch_sequence(records: &[manifold::trace::TraceRecord]) -> Vec<String> {
         .collect()
 }
 
-fn assert_backends_match(policy: PolicyRef, bind: BindMode) {
+fn assert_backends_match(policy: PolicyRef) {
     let app = SequentialApp::new(2, 2, 1e-3);
     let threads = threads_run(app, policy.clone());
-    let procs = procs_run(app, bind, policy);
+    let procs = procs_run(app, policy);
 
     // Bit-identical numbers, not approximately equal.
     assert_eq!(threads.result.combined, procs.result.combined);
@@ -72,29 +70,24 @@ fn assert_backends_match(policy: PolicyRef, bind: BindMode) {
 }
 
 #[test]
-fn paper_faithful_matches_over_tcp() {
-    assert_backends_match(Arc::new(PaperFaithful), BindMode::Tcp);
-}
-
-#[test]
-fn bounded_reuse_matches_over_tcp() {
-    assert_backends_match(Arc::new(BoundedReuse::new(2)), BindMode::Tcp);
-}
-
-#[test]
-fn cost_aware_matches_over_tcp() {
-    assert_backends_match(Arc::new(CostAware), BindMode::Tcp);
-}
-
-#[test]
 fn paper_faithful_matches_over_unix_sockets() {
-    assert_backends_match(Arc::new(PaperFaithful), BindMode::Unix);
+    assert_backends_match(Arc::new(PaperFaithful));
+}
+
+#[test]
+fn bounded_reuse_matches_over_unix_sockets() {
+    assert_backends_match(Arc::new(BoundedReuse::new(2)));
+}
+
+#[test]
+fn cost_aware_matches_over_unix_sockets() {
+    assert_backends_match(Arc::new(CostAware));
 }
 
 #[test]
 fn remote_traces_carry_real_host_and_child_task_uids() {
     let app = SequentialApp::new(2, 2, 1e-3);
-    let procs = procs_run(app, BindMode::Tcp, Arc::new(PaperFaithful));
+    let procs = procs_run(app, Arc::new(PaperFaithful));
     let threads = threads_run(app, Arc::new(PaperFaithful));
 
     // One `Welcome` and one `Bye` per worker created, as on threads: the

@@ -11,7 +11,6 @@ use std::sync::Arc;
 use protocol::{BoundedReuse, ChurnPlan, CostAware, PaperFaithful, PolicyRef, ShardSpec};
 use renovation::{AppConfig, Engine, EngineOpts, JobReport, ProcsConfig, RunMode};
 use solver::sequential::SequentialApp;
-use transport::BindMode;
 
 fn worker_exe() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_subsolve_worker"))
@@ -35,7 +34,6 @@ fn threads_run(app: &SequentialApp, policy: PolicyRef, opts: EngineOpts) -> JobR
 
 fn procs_run(app: &SequentialApp, opts: EngineOpts) -> JobReport {
     let mut cfg = ProcsConfig::new(2);
-    cfg.bind = BindMode::Unix;
     cfg.worker_exe = Some(worker_exe());
     Engine::procs(cfg, Arc::new(PaperFaithful), opts)
         .and_then(|engine| engine.run_one(AppConfig::new(*app)))
@@ -251,7 +249,6 @@ fn every_hinted_dispatch_lands_in_its_pool_while_the_pool_has_a_free_worker() {
     let app = SequentialApp::new(2, 3, 1e-3);
     let seq = app.run().unwrap();
     let mut cfg = ProcsConfig::new(4);
-    cfg.bind = BindMode::Unix;
     cfg.worker_exe = Some(worker_exe());
     let opts = EngineOpts {
         capacity_level: 3,

@@ -7,8 +7,10 @@
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::os::linux::net::SocketAddrExt;
+use std::os::unix::ffi::OsStrExt;
+use std::os::unix::net::{SocketAddr, UnixListener, UnixStream};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::frame::{read_frame, write_frame};
@@ -19,13 +21,22 @@ use crate::msg::Message;
 pub enum Addr {
     /// `host:port` TCP endpoint.
     Tcp(String),
-    /// Filesystem path of a Unix-domain socket.
+    /// Filesystem path of a Unix-domain socket. A path that starts with
+    /// `@` names a socket in Linux's abstract namespace instead: no file
+    /// backs it, and the name goes away with the last descriptor bound to
+    /// it, however its process ends.
     Unix(PathBuf),
 }
 
+/// The name of an abstract-namespace socket (`@name`), if `path` is one.
+fn abstract_name(path: &Path) -> Option<&[u8]> {
+    path.as_os_str().as_bytes().strip_prefix(b"@")
+}
+
 impl Addr {
-    /// Parse the `tcp:HOST:PORT` / `unix:PATH` notation the launcher puts
-    /// in the child's `MF_WORKER_ADDR` environment variable.
+    /// Parse the `tcp:HOST:PORT` / `unix:PATH` / `unix:@NAME` notation
+    /// the launcher puts in the child's `MF_WORKER_ADDR` environment
+    /// variable.
     pub fn parse(s: &str) -> Result<Addr, String> {
         if let Some(rest) = s.strip_prefix("tcp:") {
             if rest.is_empty() {
@@ -89,7 +100,8 @@ pub struct Listener(Bound);
 
 enum Bound {
     Tcp(TcpListener),
-    Unix(UnixListener, PathBuf),
+    /// The socket file to unlink on drop; `None` for an abstract name.
+    Unix(UnixListener, Option<PathBuf>),
 }
 
 impl Listener {
@@ -106,10 +118,18 @@ impl Listener {
                 Ok((Listener(Bound::Tcp(l)), local))
             }
             Addr::Unix(path) => {
-                let _ = std::fs::remove_file(path);
-                let l = UnixListener::bind(path)?;
+                let (l, file) = match abstract_name(path) {
+                    Some(name) => (
+                        UnixListener::bind_addr(&SocketAddr::from_abstract_name(name)?)?,
+                        None,
+                    ),
+                    None => {
+                        let _ = std::fs::remove_file(path);
+                        (UnixListener::bind(path)?, Some(path.clone()))
+                    }
+                };
                 l.set_nonblocking(true)?;
-                Ok((Listener(Bound::Unix(l, path.clone())), addr.clone()))
+                Ok((Listener(Bound::Unix(l, file)), addr.clone()))
             }
         }
     }
@@ -138,7 +158,7 @@ impl Listener {
 
 impl Drop for Listener {
     fn drop(&mut self) {
-        if let Bound::Unix(_, path) = &self.0 {
+        if let Bound::Unix(_, Some(path)) = &self.0 {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -208,7 +228,10 @@ impl Conn {
                 }
                 Err(last)
             }
-            Addr::Unix(p) => Ok(Conn::Unix(UnixStream::connect(p)?)),
+            Addr::Unix(p) => Ok(Conn::Unix(match abstract_name(p) {
+                Some(name) => UnixStream::connect_addr(&SocketAddr::from_abstract_name(name)?)?,
+                None => UnixStream::connect(p)?,
+            })),
         }
     }
 
@@ -471,6 +494,33 @@ mod tests {
         drop(listener);
         assert!(!path.exists(), "dropping the listener removes its file");
         let _ = std::fs::remove_dir(path.parent().unwrap());
+    }
+
+    #[test]
+    fn an_abstract_name_carries_messages_leaves_no_file_and_is_free_after_the_listener() {
+        let name = format!("@tconn-abstract-{}", std::process::id());
+        let addr = Addr::parse(&format!("unix:{name}")).unwrap();
+        assert_eq!(addr.to_string(), format!("unix:{name}"));
+        let (listener, local) = Listener::bind(&addr).unwrap();
+        assert_eq!(local, addr);
+        assert!(Listener::bind(&addr).is_err(), "the name is taken");
+        let mut client = Conn::connect(&addr, Duration::from_secs(5)).unwrap();
+        let stream = loop {
+            match listener.accept() {
+                Ok(s) => break s,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::yield_now(),
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        stream.set_nonblocking(false).unwrap();
+        let mut server = Conn::from(stream);
+        client.send_msg(&Message::Heartbeat).unwrap();
+        assert_eq!(server.recv_msg().unwrap().unwrap(), Message::Heartbeat);
+        assert!(!Path::new(&name).exists(), "no file backs the name");
+
+        drop(listener);
+        let (again, _) = Listener::bind(&addr).expect("the name went with its listener");
+        drop(again);
     }
 
     #[test]

@@ -1,37 +1,52 @@
 //! Coordinator-side fleet of remote task instances.
 //!
-//! [`RemoteWorkerPool::launch`] binds a [`Listener`] (TCP loopback or a
-//! Unix socket), spawns one child process per task instance through a
-//! [`Spawner`], and completes the `Hello`/`HelloAck` handshake with each
-//! (a child at another protocol version fails the launch); the host and
-//! task uid a child names in its `Hello` are the identity its worker's
-//! trace records carry. From then on it takes jobs without making anyone wait
-//! ([`RemoteWorkerPool::submit`]):
+//! [`RemoteWorkerPool::launch`] binds a Unix-domain [`Listener`] under a
+//! name in Linux's abstract namespace (every child is spawned on this
+//! host; the name dies with the fleet's process, however it ends, so no
+//! socket file is ever left behind), spawns one child process per task
+//! instance through a [`Spawner`], and completes the
+//! `Hello`/`HelloAck` handshake with each (a child at another protocol
+//! version fails the launch); the host and task uid a child names in its
+//! `Hello` are the identity its worker's trace records carry. From then on
+//! it takes jobs without making anyone wait ([`RemoteWorkerPool::submit`]):
 //!
-//! * a job submitted while some live connection is idle is written to
-//!   that connection at once, by the submitting thread;
+//! * a connection carries up to two jobs (`WIRE_DEPTH`): its *head*, which
+//!   the child is computing, and one more waiting in the child's socket
+//!   buffer, so a child that has just answered finds its next job without
+//!   sleeping in `recv`. Only a job whose frame fits in the socket's send
+//!   buffer at once (`BEHIND_MAX_BYTES`) waits behind a head; a larger one
+//!   goes only on an empty wire;
+//! * a job submitted while no job waits and some live connection has room
+//!   for it is written to that connection at once, by the submitting
+//!   thread — to an empty wire before a half-full one;
 //! * otherwise it waits in the fleet's one FIFO;
 //! * every connection has a reader thread of its own (`mf-conn-N`, N the
 //!   instance index) that blocks in `recv_msg` for the fleet's whole
 //!   life. It consumes heartbeats as they arrive, matches each `Done` /
-//!   `Fail` to the job on its wire by `(seq, job tag)`, writes the next
+//!   `Fail` to the head of its wire by `(seq, job tag)`, writes the next
 //!   queued job to its connection *before* it runs the finished job's
-//!   completion — so the child is computing again while the coordinator
-//!   side is still digesting the previous answer — and owns everything
-//!   that can happen to the connection: its death, its respawn, its
-//!   orderly departure.
+//!   completion, and owns everything that can happen to the connection:
+//!   its death, its respawn, its orderly departure.
 //!
-//! One job is on a connection's wire at a time.
+//! A job counts as started when it becomes the head of its wire: at once
+//! on an empty wire, otherwise right after the completion of the job
+//! ahead of it. So one connection has one job computing, and a job's
+//! silence timeout counts from the moment it became the head.
+//!
+//! Frames reach a connection in `seq` order: whoever puts a job on a wire
+//! takes that connection's writer before it lets go of the fleet's lock
+//! (lock order: fleet state, then writer).
 //!
 //! Failure handling: EOF, an I/O or CRC error, a reply that does not echo
-//! the wire job's `(seq, job tag)`, or silence beyond the job timeout
-//! while a job is on the wire marks the instance dead: its child is
-//! killed and exactly the job on that wire fails. Queued jobs are not
-//! affected — the connections still alive keep pulling them. A dead
-//! instance with respawn budget left is brought up again by its own
-//! reader thread (after an exponentially growing pause) as soon as a job
-//! has to wait for a worker; once no instance is alive or revivable,
-//! every waiting job fails, and so does every later submit.
+//! the head's `(seq, job tag)`, or silence beyond the job timeout while a
+//! job is on the wire marks the instance dead: its child is killed and
+//! the head job fails. The job behind the head never started: it goes
+//! back to the front of the fleet's FIFO, then to a live connection with
+//! room or, through a revival, to a new one — one worker death is one
+//! lost job. A dead instance with respawn budget left is brought up again
+//! by its own reader thread (after an exponentially growing pause) as
+//! soon as a job has to wait for a worker; once no instance is alive or
+//! revivable, every waiting job fails, and so does every later submit.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
@@ -43,30 +58,17 @@ use std::time::{Duration, Instant};
 use manifold::config::HostName;
 use manifold::remote::{Completion, Lost, RemoteIdentity, Started};
 use manifold::{MfError, MfResult, Unit};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::conn::{Addr, Backoff, Conn, Listener};
 use crate::msg::{Message, PROTOCOL_VERSION};
 use crate::spawn::{ChildHandle, SpawnSpec, Spawner};
-
-/// How the pool listens for its children.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BindMode {
-    /// TCP on `127.0.0.1`, ephemeral port. Works for any child that can
-    /// reach loopback; the shape a real cross-host deployment uses.
-    Tcp,
-    /// Unix-domain socket in the temp directory (same-host only, lower
-    /// latency).
-    Unix,
-}
 
 /// Pool parameters.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Number of task instances (child processes).
     pub instances: usize,
-    /// Listener flavour.
-    pub bind: BindMode,
     /// Worker executable for children.
     pub program: PathBuf,
     /// Environment variables added to every child.
@@ -88,7 +90,6 @@ impl PoolConfig {
     pub fn new(program: PathBuf) -> Self {
         Self {
             instances: 2,
-            bind: BindMode::Tcp,
             program,
             base_env: Vec::new(),
             job_timeout: Duration::from_secs(10),
@@ -100,19 +101,13 @@ impl PoolConfig {
 
 static UNIX_SOCKET_SEQ: AtomicU64 = AtomicU64::new(0);
 
-impl BindMode {
-    /// Where the pool listens: an ephemeral loopback port, or a fresh
-    /// socket path in the temp directory.
-    fn addr(self) -> Addr {
-        match self {
-            BindMode::Tcp => Addr::Tcp("127.0.0.1:0".into()),
-            BindMode::Unix => Addr::Unix(std::env::temp_dir().join(format!(
-                "mf-pool-{}-{}.sock",
-                std::process::id(),
-                UNIX_SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
-            ))),
-        }
-    }
+/// Where a pool listens: a fresh name in the abstract namespace.
+fn socket_addr() -> Addr {
+    Addr::Unix(PathBuf::from(format!(
+        "@mf-pool-{}-{}",
+        std::process::id(),
+        UNIX_SOCKET_SEQ.fetch_add(1, Ordering::Relaxed)
+    )))
 }
 
 /// Accept one connection within `timeout` (polling, so a child that never
@@ -151,6 +146,35 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(20);
 /// How long a departing child gets to acknowledge and close.
 const DEPARTURE_GRACE: Duration = Duration::from_secs(5);
 
+/// What a job still waiting when the fleet shut down fails with.
+const SHUT_DOWN: &str = "worker pool shut down";
+
+/// Jobs one connection carries at once: the head, which its child is
+/// computing, and one waiting in the child's socket buffer. A constant:
+/// more would only lengthen the queue a dead child strands behind its
+/// head, fewer puts the child back to sleep between jobs.
+const WIRE_DEPTH: usize = 2;
+
+/// The largest payload ([`Unit::wire_size`]) that waits behind a head. Its
+/// frame must fit in the connection's send buffer at once: the child reads
+/// it only after it has answered the head, and the thread that writes it
+/// may be the reader that has to take that answer — a write that blocks
+/// there waits for a child that waits for it. A quarter of Linux's default
+/// Unix-socket send buffer (`net.core.wmem_default`, 208 KiB) leaves room
+/// for the head's frame and the kernel's accounting. A larger job goes
+/// only on an empty wire, whose child is idle and reading.
+const BEHIND_MAX_BYTES: usize = 64 * 1024;
+
+/// How many jobs a wire may hold for `unit` to join it: `WIRE_DEPTH`, or
+/// 1 — only an empty wire — for a payload above `BEHIND_MAX_BYTES`.
+fn depth_for(unit: &Unit) -> usize {
+    if unit.wire_size() <= BEHIND_MAX_BYTES {
+        WIRE_DEPTH
+    } else {
+        1
+    }
+}
+
 /// A job waiting for a connection.
 struct Queued {
     tag: u64,
@@ -159,14 +183,28 @@ struct Queued {
     done: Completion,
 }
 
-/// The job on a connection's wire.
+/// A job on a connection's wire.
 struct Wire {
     seq: u64,
     tag: u64,
     done: Completion,
-    /// When the frame was handed to the socket: silence is measured from
-    /// here, not from whatever the connection last carried.
-    since: Instant,
+    /// `Some` while the job waits behind the head: its payload, to requeue
+    /// it if the connection dies first, and the callback that runs once it
+    /// becomes the head.
+    behind: Option<(Unit, Started)>,
+}
+
+impl Wire {
+    /// A job that never became its wire's head, back in the queue's form.
+    fn requeue(self) -> Queued {
+        let (unit, started) = self.behind.expect("only a job behind the head is requeued");
+        Queued {
+            tag: self.tag,
+            unit,
+            started,
+            done: self.done,
+        }
+    }
 }
 
 struct Slot {
@@ -178,7 +216,11 @@ struct Slot {
     /// dead. The read half belongs to the slot's reader thread.
     writer: Option<Arc<Mutex<Conn>>>,
     child: Option<ChildHandle>,
-    wire: Option<Wire>,
+    /// The jobs on the connection, head first, at most `WIRE_DEPTH`.
+    wire: VecDeque<Wire>,
+    /// When the wire's head became the head: its silence is measured from
+    /// here, not from whatever the connection last carried.
+    head_since: Instant,
     next_seq: u64,
     respawns_left: usize,
     backoff: Backoff,
@@ -195,9 +237,9 @@ struct Slot {
 }
 
 impl Slot {
-    /// Could take a job right now.
-    fn idle(&self) -> bool {
-        self.writer.is_some() && self.wire.is_none() && !self.retiring
+    /// Could take a job that may join a wire holding fewer than `depth`.
+    fn has_room(&self, depth: usize) -> bool {
+        self.writer.is_some() && !self.retiring && self.wire.len() < depth
     }
 
     /// Runs jobs, or can be made to.
@@ -205,18 +247,43 @@ impl Slot {
         !self.retiring && (self.writer.is_some() || self.reviving || self.respawns_left > 0)
     }
 
-    /// The job goes onto this slot's (empty) wire under the next sequence
-    /// number, which is returned.
-    fn put_on_wire(&mut self, tag: u64, done: Completion) -> u64 {
+    /// Put `q` on this slot's wire under the next sequence number: the
+    /// frame to write and, when the wire was empty and `q` is its head,
+    /// the `started` to run now. A job behind the head keeps its `started`
+    /// until it gets there.
+    fn put_on_wire(&mut self, q: Queued) -> (Message, Option<Started>) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.wire = Some(Wire {
+        let (behind, started) = if self.wire.is_empty() {
+            self.head_since = Instant::now();
+            (None, Some(q.started))
+        } else {
+            (Some((q.unit.clone(), q.started)), None)
+        };
+        self.wire.push_back(Wire {
             seq,
-            tag,
-            done,
-            since: Instant::now(),
+            tag: q.tag,
+            done: q.done,
+            behind,
         });
-        seq
+        let frame = Message::Job {
+            seq,
+            job: q.tag,
+            payload: q.unit,
+        };
+        (frame, started)
+    }
+
+    /// The head was answered: take it off the wire. The job behind it, if
+    /// any, is the head from now on; its `started` is returned, to run
+    /// once the finished job's completion has.
+    fn pop_head(&mut self) -> (Wire, Option<Started>) {
+        let finished = self.wire.pop_front().expect("an answered wire has a head");
+        let started = self.wire.front_mut().map(|head| {
+            self.head_since = Instant::now();
+            head.behind.take().expect("a job behind the head").1
+        });
+        (finished, started)
     }
 }
 
@@ -224,8 +291,8 @@ struct State {
     // Membership is elastic: joins append, retired slots stay in place
     // (marked departed) so reports cover the fleet's whole history.
     slots: Vec<Slot>,
-    /// Jobs no connection was idle for, oldest first. Non-empty only while
-    /// every live connection has a job on its wire.
+    /// Jobs no connection had room for, oldest first. Non-empty only while
+    /// every live connection's wire is full.
     queue: VecDeque<Queued>,
     queue_peak: usize,
     /// Round-robin cursor over `slots`.
@@ -242,36 +309,36 @@ impl State {
             .expect("a reader's slot is never removed")
     }
 
-    /// An idle connection for a job hinted at `pool`: one of that pool if
-    /// there is one, any otherwise, walking from the round-robin cursor.
-    fn pick_idle(&mut self, pool: Option<u64>) -> Option<&mut Slot> {
+    /// The position of a connection with room for a job hinted at `pool`
+    /// that may join a wire holding fewer than `depth` (see `depth_for`):
+    /// an empty wire before a half-full one, and at each depth one of that
+    /// pool before any, walking from the round-robin cursor.
+    fn pick_idle(&mut self, pool: Option<u64>, depth: usize) -> Option<usize> {
         let n = self.slots.len();
         let start = self.cursor % n.max(1);
         self.cursor = self.cursor.wrapping_add(1);
-        let walk = |want: Option<u64>| {
+        let walk = |depth: usize, want: Option<u64>| {
             (0..n).map(|i| (start + i) % n).find(|&i| {
                 let s = &self.slots[i];
-                s.idle() && want.is_none_or(|p| s.pool == p)
+                s.has_room(WIRE_DEPTH) && s.wire.len() == depth && want.is_none_or(|p| s.pool == p)
             })
         };
-        let at = pool.and_then(|p| walk(Some(p))).or_else(|| walk(None))?;
-        Some(&mut self.slots[at])
+        (0..depth).find_map(|depth| {
+            pool.and_then(|p| walk(depth, Some(p)))
+                .or_else(|| walk(depth, None))
+        })
     }
 
-    /// Put the oldest waiting job on slot `index`'s (empty) wire: the frame
-    /// to write and the callback to run once it is written.
-    fn next_for(&mut self, index: u64) -> Option<(Message, Started)> {
-        if self.closing || !self.slot(index).idle() {
+    /// Put the oldest waiting job on slot `index`'s wire, if it has room
+    /// for that job: the frame to write and, if the job is the head, its
+    /// `started`.
+    fn next_for(&mut self, index: u64) -> Option<(Message, Option<Started>)> {
+        let depth = depth_for(&self.queue.front()?.unit);
+        if self.closing || !self.slot(index).has_room(depth) {
             return None;
         }
-        let q = self.queue.pop_front()?;
-        let seq = self.slot(index).put_on_wire(q.tag, q.done);
-        let frame = Message::Job {
-            seq,
-            job: q.tag,
-            payload: q.unit,
-        };
-        Some((frame, q.started))
+        let q = self.queue.pop_front().expect("checked above");
+        Some(self.slot(index).put_on_wire(q))
     }
 
     /// With no instance alive or revivable, the waiting jobs: they can
@@ -337,7 +404,7 @@ impl RemoteWorkerPool {
         if cfg.instances == 0 {
             return Err(app_err("pool needs at least one instance"));
         }
-        let (listener, addr) = Listener::bind(&cfg.bind.addr()).map_err(app_err)?;
+        let (listener, addr) = Listener::bind(&socket_addr()).map_err(app_err)?;
         let instances = cfg.instances as u64;
         let shards = cfg.shards.max(1) as u64;
         let inner = Arc::new(PoolInner {
@@ -370,13 +437,14 @@ impl RemoteWorkerPool {
         Ok(pool)
     }
 
-    /// The address children connect back to (`tcp:…` / `unix:…`).
+    /// The address children connect back to (`unix:@…`).
     pub fn addr(&self) -> Addr {
         self.inner.addr.clone()
     }
 
     /// Number of slots with a live connection right now.
-    pub fn live_count(&self) -> usize {
+    #[cfg(test)]
+    fn live_count(&self) -> usize {
         let st = self.inner.state.lock();
         st.slots.iter().filter(|s| s.writer.is_some()).count()
     }
@@ -405,17 +473,22 @@ impl RemoteWorkerPool {
 
     /// Hand one job to the fleet and return at once.
     ///
-    /// With a live connection idle the `Job` frame is written here, by the
-    /// calling thread — to a connection of shard pool `pool` if one is
-    /// idle, to any idle one otherwise (worker-level work stealing) — and
-    /// `started` runs just before, with the instance's index and identity
-    /// (and with the fleet's lock held: it must not call back into the
-    /// fleet). Otherwise the job waits in the fleet's FIFO until a
-    /// connection's reader thread, done with its previous job, takes it;
-    /// `started` then runs on that thread. `done` runs exactly once, after
-    /// `started`, on the thread that learned the outcome — for a job
+    /// With no job waiting and a live connection that has room the `Job`
+    /// frame is written here, by the calling thread — to a connection of
+    /// shard pool `pool` if one has room, to any other otherwise
+    /// (worker-level work stealing), an empty wire before a half-full one,
+    /// and only an empty one for a payload too large to wait behind a head
+    /// (see `BEHIND_MAX_BYTES`). On an empty wire
+    /// the job is the head and `started` runs just before, with the
+    /// instance's index and identity (and with the fleet's lock held: it
+    /// must not call back into the fleet); behind a head, `started` runs on
+    /// the connection's reader thread once the head's completion has.
+    /// Otherwise the job waits in the fleet's FIFO until a connection's
+    /// reader thread, done with a job, takes it. `done` runs exactly once,
+    /// after `started`, on the thread that learned the outcome — for a job
     /// nothing can run any more, inside this call. A job that fails with
-    /// `instance: None` never reached a wire and was never started.
+    /// `instance: None` never became the head of a wire and was never
+    /// started.
     ///
     /// Every `Job` frame carries `tag` and the reply must echo it: the
     /// fleet (children, connections, respawn budgets) outlives jobs and
@@ -430,6 +503,7 @@ impl RemoteWorkerPool {
         started: Started,
         done: Completion,
     ) {
+        let depth = depth_for(&unit);
         let mut st = self.inner.state.lock();
         if st.closing || !st.slots.iter().any(Slot::usable) {
             drop(st);
@@ -438,13 +512,21 @@ impl RemoteWorkerPool {
                 reason: NO_INSTANCES.into(),
             }));
         }
-        let Some(slot) = st.pick_idle(pool) else {
-            st.queue.push_back(Queued {
-                tag,
-                unit,
-                started,
-                done,
-            });
+        let job = Queued {
+            tag,
+            unit,
+            started,
+            done,
+        };
+        // A waiting job goes first: one that only an empty wire can take
+        // must not be passed by every smaller job that fits behind a head.
+        let at = if st.queue.is_empty() {
+            st.pick_idle(pool, depth)
+        } else {
+            None
+        };
+        let Some(at) = at else {
+            st.queue.push_back(job);
             st.queue_peak = st.queue_peak.max(st.queue.len());
             let dormant = st.slots.iter().any(|s| s.writer.is_none() && s.usable());
             drop(st);
@@ -453,27 +535,14 @@ impl RemoteWorkerPool {
             }
             return;
         };
-        let seq = slot.put_on_wire(tag, done);
-        let writer = Arc::clone(slot.writer.as_ref().expect("an idle slot is live"));
-        // Under the lock: the connection's reader cannot fail the job
-        // before it was started.
-        started(slot.index, slot.identity.clone());
-        drop(st);
-        send_job(
-            &writer,
-            &Message::Job {
-                seq,
-                job: tag,
-                payload: unit,
-            },
-        );
+        place(st, at, job);
     }
 
     /// Dynamic membership: admit one more worker into the fleet mid-run.
     /// The new slot gets a fresh (never reused) instance index, a pool
     /// assignment, and the full spawn + `Hello`/`HelloAck` handshake
     /// before this returns; on success it is in the rotation at once and
-    /// has taken the oldest waiting job, if one was waiting. `pool` of
+    /// has taken the oldest waiting jobs, if any were waiting. `pool` of
     /// `None` balances by `index % shards`.
     pub fn add_instance(&self, pool: Option<u64>) -> MfResult<u64> {
         let index = self.inner.next_index.fetch_add(1, Ordering::Relaxed);
@@ -481,14 +550,14 @@ impl RemoteWorkerPool {
         let pool = pool.unwrap_or(index % shards).min(shards - 1);
         let up = bring_up(&self.inner, index, pool)?;
         self.inner.install(index, pool, up)?;
-        self.inner.feed(index);
+        self.inner.dispatch();
         Ok(index)
     }
 
     /// Dynamic membership: retire the worker in slot `index` with the
     /// bidirectional `Leave` exchange. From this call on the slot takes no
     /// new job; `Leave` goes out once its wire is empty — at once, or when
-    /// the job it is running has been answered — so retirement loses
+    /// the jobs on it have been answered — so retirement loses
     /// nothing. Returns once the child has left. The departed slot never
     /// respawns.
     pub fn retire_instance(&self, index: u64) -> MfResult<()> {
@@ -503,7 +572,7 @@ impl RemoteWorkerPool {
             return Err(app_err(format!("instance {index} already departed")));
         }
         slot.retiring = true;
-        let leave_now = slot.wire.is_none();
+        let leave_now = slot.wire.is_empty();
         let writer = slot.writer.clone();
         // Jobs that were counting on this slot's respawn budget.
         let stranded = st.stranded();
@@ -539,7 +608,7 @@ impl RemoteWorkerPool {
             (writers, st.queue.drain(..).collect())
         };
         inner.revive.notify_all();
-        fail(waiting, "worker pool shut down");
+        fail(waiting, SHUT_DOWN);
         for writer in writers {
             let mut w = writer.lock();
             let _ = w.set_read_timeout(Some(DEPARTURE_GRACE));
@@ -575,11 +644,22 @@ impl Drop for RemoteWorkerPool {
     }
 }
 
-/// A job's frame to the wire. A write that fails closes the socket: the
+/// Put `q` on the wire of the slot at `at`, which has room, and write its
+/// frame. A head is started here, under the fleet's lock: the
+/// connection's reader cannot fail it before. The writer is taken before
+/// the lock is let go, so a frame put on this connection later cannot
+/// reach the socket first. A write that fails closes the socket: the
 /// connection's reader sees that and owns what follows.
-fn send_job(writer: &Mutex<Conn>, frame: &Message) {
+fn place(mut st: MutexGuard<'_, State>, at: usize, q: Queued) {
+    let slot = &mut st.slots[at];
+    let (frame, started) = slot.put_on_wire(q);
+    if let Some(started) = started {
+        started(slot.index, slot.identity.clone());
+    }
+    let writer = Arc::clone(slot.writer.as_ref().expect("a slot with room is live"));
     let mut w = writer.lock();
-    if w.send_msg(frame).is_err() {
+    drop(st);
+    if w.send_msg(&frame).is_err() {
         w.shutdown();
     }
 }
@@ -739,7 +819,8 @@ impl PoolInner {
             identity,
             writer: Some(Arc::new(Mutex::new(writer))),
             child: Some(child),
-            wire: None,
+            wire: VecDeque::with_capacity(WIRE_DEPTH),
+            head_since: Instant::now(),
             next_seq: 1,
             respawns_left: self.cfg.respawn_budget,
             backoff: Backoff::new(Duration::from_millis(50), Duration::from_secs(2)),
@@ -751,17 +832,25 @@ impl PoolInner {
         Ok(())
     }
 
-    /// Give slot `index`, just (re)connected, the oldest waiting job.
-    fn feed(&self, index: u64) {
-        let mut st = self.state.lock();
-        let Some((frame, started)) = st.next_for(index) else {
-            return;
-        };
-        let slot = st.slot(index);
-        let writer = Arc::clone(slot.writer.as_ref().expect("an idle slot is live"));
-        started(index, slot.identity.clone());
-        drop(st);
-        send_job(&writer, &frame);
+    /// Hand waiting jobs, oldest first, to live connections with room —
+    /// one just (re)connected, or the survivors of a lost one — each frame
+    /// under its connection's writer taken before the fleet's lock is let
+    /// go.
+    fn dispatch(&self) {
+        loop {
+            let mut st = self.state.lock();
+            let Some(depth) = st.queue.front().map(|q| depth_for(&q.unit)) else {
+                return;
+            };
+            if st.closing {
+                return;
+            }
+            let Some(at) = st.pick_idle(None, depth) else {
+                return;
+            };
+            let q = st.queue.pop_front().expect("checked above");
+            place(st, at, q);
+        }
     }
 
     /// The life of slot `index`'s reader thread.
@@ -807,7 +896,12 @@ impl PoolInner {
                 index,
                 format!("instance {index} lost (protocol confusion: {other:?})"),
             ),
+            // A child that dies with the job behind its head unread
+            // resets its socket instead of closing it: the same death.
             Ok(None) => self.lost(index, format!("instance {index} lost (connection closed)")),
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {
+                self.lost(index, format!("instance {index} lost (connection closed)"))
+            }
             Err(e) if timed_out(&e) => self.silent(index, link),
             Err(e) => self.lost(index, format!("instance {index} lost: {e}")),
         }
@@ -820,7 +914,7 @@ impl PoolInner {
     }
 
     /// A `Done` or `Fail` arrived. It counts only when it echoes both the
-    /// sequence number and the job tag of the job on this wire; anything
+    /// sequence number and the job tag of the head of this wire; anything
     /// else on a long-lived connection is a frame of some other job —
     /// earlier or concurrent — and poisons the connection.
     fn answered(&self, index: u64, seq: u64, tag: u64, reply: Result<Unit, String>) -> Flow {
@@ -828,7 +922,7 @@ impl PoolInner {
         let slot = st.slot(index);
         if !slot
             .wire
-            .as_ref()
+            .front()
             .is_some_and(|w| w.seq == seq && w.tag == tag)
         {
             drop(st);
@@ -839,32 +933,46 @@ impl PoolInner {
                 ),
             );
         }
-        let finished = slot.wire.take().expect("checked above");
-        let next = st.next_for(index);
+        let (finished, promoted) = slot.pop_head();
+        // Fill the wire back up: one job behind the promoted head, or, on
+        // a wire this answer emptied, a new head and the job behind it
+        // (after a job too large to have had one).
+        let mut refills: [_; WIRE_DEPTH] = std::array::from_fn(|_| st.next_for(index));
         let slot = st.slot(index);
-        let leave = slot.retiring && next.is_none();
+        let leave = slot.retiring && slot.wire.is_empty();
         let writer = Arc::clone(slot.writer.as_ref().expect("this reader's connection"));
         let identity = slot.identity.clone();
-        drop(st);
+        let head = promoted.or_else(|| refills.iter_mut().flatten().find_map(|(_, s)| s.take()));
 
-        // The child first: it computes the next job while this thread
-        // delivers the previous answer.
-        let sent = next.map(|(frame, started)| (writer.lock().send_msg(&frame), started));
+        // The child first: the refills are written before the finished
+        // job's completion runs. The writer is taken before the fleet's
+        // lock is let go, so a submit's later frame cannot overtake them.
+        let written = if refills[0].is_some() {
+            let mut w = writer.lock();
+            drop(st);
+            refills
+                .iter()
+                .flatten()
+                .try_for_each(|(frame, _)| w.send_msg(frame))
+        } else {
+            drop(st);
+            Ok(())
+        };
         (finished.done)(reply.map_err(|reason| Lost {
             instance: Some(index),
             reason,
         }));
-        // Started after the previous completion, so the two jobs never
-        // count as running together: one connection, one job.
-        match sent {
-            Some((written, started)) => {
-                started(index, identity);
-                if let Err(e) = written {
-                    return self.lost(index, format!("instance {index} lost on send: {e}"));
-                }
-            }
-            None if leave => send_leave(&writer, index),
-            None => {}
+        // The new head starts after the previous completion, so the two
+        // jobs never count as running together: one connection, one job
+        // computing.
+        if let Some(started) = head {
+            started(index, identity);
+        }
+        if let Err(e) = written {
+            return self.lost(index, format!("instance {index} lost on send: {e}"));
+        }
+        if leave {
+            send_leave(&writer, index);
         }
         Flow::Read
     }
@@ -875,7 +983,7 @@ impl PoolInner {
         let mut st = self.state.lock();
         let closing = st.closing;
         let slot = st.slot(index);
-        let waited = slot.wire.as_ref().map(|w| w.since.elapsed());
+        let waited = (!slot.wire.is_empty()).then(|| slot.head_since.elapsed());
         let leaving = closing || slot.retiring;
         drop(st);
         match waited {
@@ -883,8 +991,8 @@ impl PoolInner {
                 index,
                 format!("instance {index} lost (silent for {window:?} with a job on its wire)"),
             ),
-            // The job went out onto a connection that was already quiet:
-            // it gets what is left of its own window.
+            // The head became the head on a connection that was already
+            // quiet: it gets what is left of its own window.
             Some(waited) => {
                 let _ = link.conn.set_read_timeout(Some(window - waited));
                 link.shortened = true;
@@ -898,28 +1006,43 @@ impl PoolInner {
         }
     }
 
-    /// Slot `index`'s connection is gone: fail exactly the job on its
-    /// wire, reap the child, and — when that was the last instance alive
-    /// or revivable — fail the jobs still waiting.
+    /// Slot `index`'s connection is gone: fail its head job, put the job
+    /// behind it back at the front of the queue (it never started), reap
+    /// the child, and — when that was the last instance alive or revivable
+    /// — fail the jobs still waiting.
     fn lost(&self, index: u64, reason: String) -> Flow {
         let mut st = self.state.lock();
         let closing = st.closing;
         let slot = st.slot(index);
         slot.writer = None;
         let child = slot.child.take();
-        let wire = slot.wire.take();
+        let mut wire = std::mem::take(&mut slot.wire);
+        let head = wire.pop_front();
         let leaving = closing || slot.retiring;
-        let stranded = st.stranded();
+        let requeued = !wire.is_empty();
+        for behind in wire.into_iter().rev() {
+            st.queue.push_front(behind.requeue());
+        }
+        let (stranded, why) = if closing {
+            // `shutdown` has failed everything that waited before.
+            (st.queue.drain(..).collect(), SHUT_DOWN)
+        } else {
+            (st.stranded(), NO_INSTANCES)
+        };
         drop(st);
+        if requeued {
+            self.dispatch();
+            self.revive.notify_all();
+        }
         // Outside the lock: reaping waits for the process.
         drop(child);
-        if let Some(wire) = wire {
-            (wire.done)(Err(Lost {
+        if let Some(head) = head {
+            (head.done)(Err(Lost {
                 instance: Some(index),
                 reason,
             }));
         }
-        fail(stranded, NO_INSTANCES);
+        fail(stranded, why);
         if leaving {
             self.left(index)
         } else {
@@ -987,7 +1110,7 @@ impl PoolInner {
                     conn: up.reader,
                     shortened: false,
                 });
-                self.feed(index);
+                self.dispatch();
                 Flow::Read
             }
             Err(_) => {
@@ -1162,10 +1285,9 @@ mod tests {
         }
     }
 
-    fn quick_cfg(instances: usize, bind: BindMode) -> PoolConfig {
+    fn quick_cfg(instances: usize) -> PoolConfig {
         let mut cfg = PoolConfig::new(PathBuf::from("unused-by-thread-spawners"));
         cfg.instances = instances;
-        cfg.bind = bind;
         cfg.job_timeout = Duration::from_secs(5);
         cfg
     }
@@ -1209,7 +1331,7 @@ mod tests {
     #[test]
     fn pool_round_robins_live_instances() {
         let spawner = Arc::new(ThreadSpawner::default());
-        let pool = RemoteWorkerPool::launch(quick_cfg(2, BindMode::Tcp), spawner.clone()).unwrap();
+        let pool = RemoteWorkerPool::launch(quick_cfg(2), spawner.clone()).unwrap();
         assert_eq!(pool.live_count(), 2);
         assert_eq!(pool.reader_threads(), 2);
 
@@ -1237,8 +1359,10 @@ mod tests {
     #[test]
     fn pool_works_over_unix_sockets() {
         let spawner = Arc::new(ThreadSpawner::default());
-        let pool = RemoteWorkerPool::launch(quick_cfg(1, BindMode::Unix), spawner).unwrap();
+        let pool = RemoteWorkerPool::launch(quick_cfg(1), spawner).unwrap();
+        // A name in the abstract namespace: no socket file to leave behind.
         assert!(matches!(pool.addr(), Addr::Unix(_)));
+        assert!(pool.addr().to_string().starts_with("unix:@mf-pool-"));
         let out = run(&pool, 0, Unit::text("via unix")).unwrap();
         assert_eq!(out, Unit::tuple(vec![Unit::int(0), Unit::text("via unix")]));
         pool.shutdown();
@@ -1247,20 +1371,28 @@ mod tests {
     #[test]
     fn more_jobs_than_connections_reach_the_wire_in_submission_order() {
         let (spawner, gates) = gated(2);
-        let pool = RemoteWorkerPool::launch(quick_cfg(2, BindMode::Tcp), spawner).unwrap();
+        let pool = RemoteWorkerPool::launch(quick_cfg(2), spawner).unwrap();
         let jobs: Vec<InFlight> = (0..6)
             .map(|k| submit(&pool, 7, None, Unit::int(k)))
             .collect();
-        assert_eq!(pool.queue_peak(), 4, "two on the wires, four waiting");
-        // The first two went out at once, one per connection (which child
-        // reports first is their race).
+        assert_eq!(pool.queue_peak(), 2, "four on the wires, two waiting");
+        // The first two went out at once, one per connection, as heads
+        // (which child reports first is their race); 2 and 3 wait behind
+        // them in the children's socket buffers.
         let mut busy = [gates.arrival(), gates.arrival()];
         busy.sort_by_key(|&(_, k)| k);
         assert_eq!(busy.map(|(_, k)| k), [0, 1]);
         let busy = busy.map(|(instance, _)| instance);
         assert_ne!(busy[0], busy[1]);
-        // Whichever connection answers takes the oldest waiting job.
-        for (answers, want) in [(1usize, 2), (1, 3), (0, 4), (1, 5)] {
+        for (k, job) in jobs.iter().enumerate().take(2) {
+            assert_eq!(job.instance(), busy[k]);
+        }
+        for job in &jobs[2..] {
+            assert!(job.started.try_recv().is_err(), "started before its head");
+        }
+        // A child that answers finds the job behind its head; the
+        // connection that answered takes the oldest waiting job.
+        for (answers, want) in [(1usize, 3), (1, 4), (0, 2), (1, 5)] {
             gates.tell(busy[answers], Reply::Done);
             let (instance, k) = gates.arrival();
             assert_eq!((instance, k), (busy[answers], want), "the queue is FIFO");
@@ -1276,7 +1408,7 @@ mod tests {
     #[test]
     fn the_next_job_is_on_the_wire_before_the_previous_completion_returns() {
         let (spawner, gates) = gated(1);
-        let pool = RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), spawner).unwrap();
+        let pool = RemoteWorkerPool::launch(quick_cfg(1), spawner).unwrap();
         // The first job's completion lingers until the test lets it go.
         let (entered_tx, entered) = channel();
         let (leave_tx, leave) = channel::<()>();
@@ -1290,18 +1422,31 @@ mod tests {
                 leave.recv().unwrap();
             }),
         );
+        // The second waits behind the first on the wire, the third in the
+        // fleet's queue.
         let second = submit(&pool, 0, None, Unit::int(2));
+        let third = submit(&pool, 0, None, Unit::int(3));
+        assert_eq!(pool.queue_peak(), 1);
         assert_eq!(gates.arrival(), (0, 1));
         gates.tell(0, Reply::Done);
         assert_eq!(entered.recv_timeout(WAIT).unwrap().unwrap(), Unit::int(1));
         // The reader thread is inside that completion right now — and the
-        // child already has the second job and answers it.
+        // child has the second job and answers it, and has the third,
+        // which the reader wrote before it ran the completion.
         assert_eq!(gates.arrival(), (0, 2));
         gates.tell(0, Reply::Done);
+        assert_eq!(gates.arrival(), (0, 3));
+        assert!(
+            second.started.try_recv().is_err(),
+            "started before its head's completion"
+        );
         assert!(second.done.try_recv().is_err(), "its reader is still busy");
         leave_tx.send(()).unwrap();
         assert_eq!(second.instance(), 0);
         assert_eq!(second.outcome().unwrap(), Unit::int(2));
+        gates.tell(0, Reply::Done);
+        assert_eq!(third.instance(), 0);
+        assert_eq!(third.outcome().unwrap(), Unit::int(3));
         pool.shutdown();
     }
 
@@ -1313,38 +1458,46 @@ mod tests {
             (Reply::WrongTag, "protocol confusion"),
         ] {
             let (spawner, gates) = gated(2);
-            let mut cfg = quick_cfg(2, BindMode::Tcp);
+            let mut cfg = quick_cfg(2);
             cfg.respawn_budget = 0;
             let pool = RemoteWorkerPool::launch(cfg, spawner).unwrap();
+            // Two on each wire: instance 0 holds jobs 0 and 2, instance 1
+            // holds 1 and 3, the first of each its head.
             let jobs: Vec<InFlight> = (0..4)
                 .map(|k| submit(&pool, 9, None, Unit::int(k)))
                 .collect();
             let (victim, lost_job) = gates.arrival();
             let (survivor, _) = gates.arrival();
+            assert_eq!(lost_job, victim as i64, "a head");
+            let behind = lost_job + 2;
             gates.tell(victim, fault);
             let lost = jobs[lost_job as usize].outcome().unwrap_err();
             assert_eq!(lost.instance, Some(victim));
             assert!(lost.reason.contains(needle), "got: {}", lost.reason);
             assert_eq!(pool.live_count(), 1, "the connection is poisoned");
-            // The waiting jobs were nobody's but the queue's: the live
-            // connection takes them one by one.
+            // The job behind the head never started: it goes back to the
+            // queue, and the live connection takes it with its own two.
             for _ in 0..3 {
                 gates.tell(survivor, Reply::Done);
             }
             for (k, job) in jobs.iter().enumerate() {
                 if k as i64 != lost_job {
-                    assert_eq!(job.instance(), survivor);
+                    assert_eq!(job.instance(), survivor, "job {k}");
                     assert_eq!(job.outcome().unwrap(), Unit::int(k as i64));
                 }
             }
             pool.shutdown();
+            // `started` and `done` ran once each for the requeued job.
+            let requeued = &jobs[behind as usize];
+            assert!(requeued.started.try_recv().is_err(), "started twice");
+            assert!(requeued.done.try_recv().is_err(), "done twice");
         }
     }
 
     #[test]
     fn a_dead_instance_is_respawned_when_a_job_has_to_wait_until_the_budget_is_gone() {
         let (spawner, gates) = gated(1);
-        let mut cfg = quick_cfg(1, BindMode::Tcp);
+        let mut cfg = quick_cfg(1);
         cfg.respawn_budget = 2;
         let pool = RemoteWorkerPool::launch(cfg, spawner.clone()).unwrap();
         for incarnation in 1..=3 {
@@ -1378,7 +1531,7 @@ mod tests {
     #[test]
     fn with_the_budget_gone_every_waiting_job_fails_with_the_old_message() {
         let (spawner, gates) = gated(1);
-        let mut cfg = quick_cfg(1, BindMode::Tcp);
+        let mut cfg = quick_cfg(1);
         cfg.respawn_budget = 0;
         let pool = RemoteWorkerPool::launch(cfg, spawner).unwrap();
         let jobs: Vec<InFlight> = (0..3)
@@ -1398,7 +1551,7 @@ mod tests {
     #[test]
     fn job_tags_are_echoed_and_two_engine_jobs_share_a_connection() {
         let spawner = Arc::new(ThreadSpawner::default());
-        let pool = RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), spawner).unwrap();
+        let pool = RemoteWorkerPool::launch(quick_cfg(1), spawner).unwrap();
         // The serve loop echoes whatever tag the Job carried, so a healthy
         // child round-trips under any tag — and under two tags in turn.
         for tag in [5, 6, 5] {
@@ -1411,7 +1564,7 @@ mod tests {
     #[test]
     fn membership_join_and_retire_mid_run() {
         let spawner = Arc::new(ThreadSpawner::default());
-        let mut cfg = quick_cfg(2, BindMode::Tcp);
+        let mut cfg = quick_cfg(2);
         cfg.shards = 2;
         let pool = RemoteWorkerPool::launch(cfg, spawner.clone()).unwrap();
         assert_eq!(pool.live_count(), 2);
@@ -1448,8 +1601,7 @@ mod tests {
     #[test]
     fn retiring_an_instance_with_a_job_on_its_wire_loses_nothing() {
         let (spawner, gates) = gated(2);
-        let pool =
-            Arc::new(RemoteWorkerPool::launch(quick_cfg(2, BindMode::Tcp), spawner).unwrap());
+        let pool = Arc::new(RemoteWorkerPool::launch(quick_cfg(2), spawner).unwrap());
         let held = submit(&pool, 0, None, Unit::int(1));
         let (victim, _) = gates.arrival();
         let retiring = {
@@ -1474,9 +1626,36 @@ mod tests {
     }
 
     #[test]
+    fn retiring_an_instance_with_two_jobs_on_its_wire_loses_neither() {
+        let (spawner, gates) = gated(1);
+        let pool = Arc::new(RemoteWorkerPool::launch(quick_cfg(1), spawner).unwrap());
+        let first = submit(&pool, 0, None, Unit::int(1));
+        let second = submit(&pool, 0, None, Unit::int(2));
+        assert_eq!(pool.queue_peak(), 0, "both on the wire");
+        assert_eq!(gates.arrival(), (0, 1));
+        let retiring = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.retire_instance(0))
+        };
+        while pool.member_indices().contains(&0) {
+            std::thread::yield_now();
+        }
+        gates.tell(0, Reply::Done);
+        assert_eq!(first.outcome().unwrap(), Unit::int(1));
+        assert_eq!(gates.arrival(), (0, 2));
+        assert!(!retiring.is_finished(), "Leave waits for the whole wire");
+        gates.tell(0, Reply::Done);
+        assert_eq!(second.instance(), 0);
+        assert_eq!(second.outcome().unwrap(), Unit::int(2));
+        retiring.join().unwrap().unwrap();
+        assert_eq!(pool.live_count(), 0);
+        pool.shutdown();
+    }
+
+    #[test]
     fn a_hinted_job_takes_its_pool_while_it_has_an_idle_worker_and_any_other_after() {
         let (spawner, gates) = gated(4);
-        let mut cfg = quick_cfg(4, BindMode::Tcp);
+        let mut cfg = quick_cfg(4);
         cfg.shards = 2;
         let pool = RemoteWorkerPool::launch(cfg, spawner).unwrap();
         // Pool assignment is index % shards: slots 1 and 3 serve pool 1.
@@ -1531,8 +1710,7 @@ mod tests {
                 Ok(ChildHandle::detached())
             }
         }
-        let pool =
-            RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), Arc::new(BurstSpawner)).unwrap();
+        let pool = RemoteWorkerPool::launch(quick_cfg(1), Arc::new(BurstSpawner)).unwrap();
         for k in 0..3 {
             assert_eq!(run(&pool, 0, Unit::int(k)).unwrap(), Unit::int(k));
         }
@@ -1543,7 +1721,7 @@ mod tests {
     fn silence_with_a_job_on_the_wire_is_death_and_idle_silence_is_not() {
         // Gated children never send a heartbeat.
         let (spawner, gates) = gated(1);
-        let mut cfg = quick_cfg(1, BindMode::Tcp);
+        let mut cfg = quick_cfg(1);
         cfg.job_timeout = Duration::from_millis(150);
         cfg.respawn_budget = 0;
         let pool = RemoteWorkerPool::launch(cfg, spawner).unwrap();
@@ -1602,7 +1780,7 @@ mod tests {
     fn a_launch_whose_reader_spawn_fails_is_an_error_and_leaves_no_child() {
         let (spawner, exits) = exit_reporting();
         FAIL_READER_SPAWN.with(|fail| fail.set(Some(1)));
-        let err = match RemoteWorkerPool::launch(quick_cfg(2, BindMode::Tcp), spawner) {
+        let err = match RemoteWorkerPool::launch(quick_cfg(2), spawner) {
             Err(err) => err,
             Ok(_) => panic!("launch succeeded without a reader for instance 1"),
         };
@@ -1659,7 +1837,7 @@ mod tests {
         // with this injected error instead, and take the setting.
         FAIL_READER_SPAWN.with(|fail| fail.set(Some(0)));
         let began = Instant::now();
-        let err = match RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), spawner) {
+        let err = match RemoteWorkerPool::launch(quick_cfg(1), spawner) {
             Err(err) => err,
             Ok(_) => panic!("launch accepted a child at the previous protocol version"),
         };
@@ -1681,7 +1859,7 @@ mod tests {
     #[test]
     fn an_instance_whose_reader_spawn_fails_is_an_error_and_the_fleet_serves_on() {
         let (spawner, exits) = exit_reporting();
-        let pool = RemoteWorkerPool::launch(quick_cfg(1, BindMode::Tcp), spawner).unwrap();
+        let pool = RemoteWorkerPool::launch(quick_cfg(1), spawner).unwrap();
         FAIL_READER_SPAWN.with(|fail| fail.set(Some(1)));
         let err = pool.add_instance(None).unwrap_err();
         assert!(
@@ -1695,6 +1873,203 @@ mod tests {
         // The next instance gets a fresh index and a reader.
         assert_eq!(pool.add_instance(None).unwrap(), 2);
         assert_eq!(pool.reader_threads(), 2);
+        pool.shutdown();
+    }
+
+    /// Test double: children that answer every job at once and flag any
+    /// `Job` whose `seq` is not above the one before it on their wire.
+    #[derive(Default)]
+    struct SeqChecking {
+        out_of_order: Arc<AtomicUsize>,
+    }
+
+    impl Spawner for SeqChecking {
+        fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
+            let spec = spec.clone();
+            let out_of_order = Arc::clone(&self.out_of_order);
+            std::thread::spawn(move || {
+                let (_, mut conn) = hand_shake(&spec, "seq-host");
+                let mut last = 0;
+                while let Ok(Some(Message::Job { seq, job, payload })) = conn.recv_msg() {
+                    if seq <= last {
+                        out_of_order.fetch_add(1, Ordering::Relaxed);
+                    }
+                    last = seq;
+                    let reply = Message::Done { seq, job, payload };
+                    if conn.send_msg(&reply).is_err() {
+                        return;
+                    }
+                }
+            });
+            Ok(ChildHandle::detached())
+        }
+    }
+
+    #[test]
+    fn frames_reach_each_wire_in_seq_order_while_submits_race_refills() {
+        let spawner = Arc::new(SeqChecking::default());
+        let pool = Arc::new(RemoteWorkerPool::launch(quick_cfg(2), spawner.clone()).unwrap());
+        let submitters: Vec<_> = (0..4)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    // Two in flight per thread, eight over two two-deep
+                    // wires: submits race each other and the readers'
+                    // refills for the same connection.
+                    let mut window = VecDeque::new();
+                    for k in 0..2000 {
+                        window.push_back(submit(&pool, t, None, Unit::int(k)));
+                        if window.len() == 2 {
+                            let done = window.pop_front().unwrap();
+                            assert!(done.outcome().is_ok(), "a job was lost");
+                        }
+                    }
+                    for done in window {
+                        assert!(done.outcome().is_ok(), "a job was lost");
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().unwrap();
+        }
+        assert_eq!(spawner.out_of_order.load(Ordering::Relaxed), 0);
+        assert_eq!(pool.live_count(), 2);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_refill_takes_the_writer_before_the_reader_lets_go_of_the_fleet_lock() {
+        let (spawner, gates) = gated(1);
+        let pool = RemoteWorkerPool::launch(quick_cfg(1), spawner).unwrap();
+        // Two on the wire, the third waiting.
+        let jobs: Vec<InFlight> = (0..3)
+            .map(|k| submit(&pool, 0, None, Unit::int(k)))
+            .collect();
+        assert_eq!(gates.arrival(), (0, 0));
+        let writer = Arc::clone(pool.inner.state.lock().slots[0].writer.as_ref().unwrap());
+        let held = writer.lock();
+        // The answer makes the reader refill the wire with job 2. Until it
+        // has the writer it must keep the fleet's lock, or a frame put on
+        // this wire meanwhile could reach the socket before job 2's.
+        gates.tell(0, Reply::Done);
+        let deadline = Instant::now() + WAIT;
+        let mut locked_since = None;
+        loop {
+            match pool.inner.state.try_lock() {
+                Some(st) => {
+                    assert_eq!(
+                        st.queue.len(),
+                        1,
+                        "the reader let go of the fleet's lock before it took the writer"
+                    );
+                    locked_since = None;
+                }
+                None => {
+                    let since = *locked_since.get_or_insert_with(Instant::now);
+                    if since.elapsed() >= Duration::from_millis(50) {
+                        break;
+                    }
+                }
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the reader never took the fleet's lock"
+            );
+            std::thread::yield_now();
+        }
+        drop(held);
+        assert_eq!(gates.arrival(), (0, 1));
+        gates.tell(0, Reply::Done);
+        assert_eq!(gates.arrival(), (0, 2));
+        gates.tell(0, Reply::Done);
+        for (k, job) in jobs.iter().enumerate() {
+            assert_eq!(job.outcome().unwrap(), Unit::int(k as i64));
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_job_too_large_to_wait_behind_a_head_waits_for_an_empty_wire_and_is_not_passed() {
+        let (spawner, gates) = gated(1);
+        let pool = RemoteWorkerPool::launch(quick_cfg(1), spawner).unwrap();
+        let big = |k: i64| Unit::tuple(vec![Unit::int(k), Unit::reals(vec![0.5; 80_000])]);
+        let jobs = [
+            submit(&pool, 0, None, big(0)),
+            submit(&pool, 0, None, big(1)),
+            submit(&pool, 0, None, Unit::int(2)),
+        ];
+        assert_eq!(
+            pool.queue_peak(),
+            2,
+            "the second large job waits for an empty wire, the small one behind it"
+        );
+        let arrival = || gates.arrivals.recv_timeout(WAIT).expect("a job on a wire");
+        assert!(arrival() == (0, big(0)));
+        gates.tell(0, Reply::Done);
+        // That answer empties the wire: the reader writes the large job
+        // and the small one behind it.
+        assert!(arrival() == (0, big(1)));
+        assert!(pool.inner.state.lock().queue.is_empty(), "the wire is full");
+        gates.tell(0, Reply::Done);
+        assert_eq!(arrival(), (0, Unit::int(2)));
+        gates.tell(0, Reply::Done);
+        for (k, job) in jobs.iter().enumerate() {
+            assert_eq!(job.instance(), 0);
+            let want = if k < 2 { big(k as i64) } else { Unit::int(2) };
+            assert!(job.outcome().unwrap() == want, "job {k} came back changed");
+        }
+        pool.shutdown();
+    }
+
+    #[test]
+    fn large_frames_refilled_under_load_never_wedge_the_reader() {
+        /// "Children" running the real serve loop (its writes time out
+        /// after 2 s), echoing each payload after a subsolve's pause.
+        struct Slow;
+        impl Spawner for Slow {
+            fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
+                let addr = Addr::parse(&env_of(spec, "MF_WORKER_ADDR")).unwrap();
+                let instance: u64 = env_of(spec, "MF_WORKER_INSTANCE").parse().unwrap();
+                std::thread::spawn(move || {
+                    let cfg = ServeConfig::new(addr, instance, "slow-host".into(), instance);
+                    let _ = serve(cfg, |u| {
+                        std::thread::sleep(Duration::from_millis(20));
+                        Ok(u)
+                    });
+                });
+                Ok(ChildHandle::detached())
+            }
+        }
+        // 640 kB each way: far more than a socket buffer holds.
+        let big = |k: i64| Unit::tuple(vec![Unit::int(k), Unit::reals(vec![k as f64; 80_000])]);
+        let mut cfg = quick_cfg(1);
+        cfg.respawn_budget = 0;
+        let pool = Arc::new(RemoteWorkerPool::launch(cfg, Arc::new(Slow)).unwrap());
+
+        // Two submitters keep the queue full, so the reader refills the
+        // wire after every answer: a large frame written behind a head
+        // would wait for a child stuck writing its answer to that reader.
+        let submitters: Vec<_> = (0..2)
+            .map(|t| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || {
+                    let jobs: Vec<(i64, InFlight)> = (0..4)
+                        .map(|k| (10 * t + k, submit(&pool, 0, None, big(10 * t + k))))
+                        .collect();
+                    for (k, job) in jobs {
+                        let echo = job
+                            .outcome()
+                            .unwrap_or_else(|lost| panic!("{}", lost.reason));
+                        assert!(echo == big(k), "job {k} came back changed");
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().unwrap();
+        }
+        assert_eq!(pool.live_count(), 1);
         pool.shutdown();
     }
 }

@@ -16,7 +16,8 @@
 //! * [`msg`] — the session protocol (`Hello`/`HelloAck` handshake, `Job`/
 //!   `Done`/`Fail` request-response, `Heartbeat`, `Shutdown`, `Leave`);
 //! * [`conn`] — sockets: the one [`Listener`] (bind, stale Unix socket
-//!   removal, non-blocking accept, unlink on drop) behind both this
+//!   removal, non-blocking accept, unlink on drop; `unix:@NAME` binds in
+//!   Linux's abstract namespace, with no file at all) behind both this
 //!   crate's launcher and the serving daemon's reactor, and one
 //!   connection (TCP or Unix socket) with timeouts and bounded
 //!   reconnect-with-backoff;
@@ -27,8 +28,10 @@
 //!   closing);
 //! * [`launcher`] — the coordinator-side pool: spawns instances, owns the
 //!   fleet's membership (joins and retirements go through its slots),
-//!   takes jobs without blocking (an idle connection or the fleet's
-//!   queue, one reader thread per connection), detects dead instances
+//!   takes jobs without blocking (up to two on each connection's wire,
+//!   the rest in the fleet's queue, one reader thread per connection),
+//!   listens on a Unix-domain socket named in the abstract namespace (its
+//!   children all run on this host), detects dead instances
 //!   (EOF, heartbeat silence) and respawns them under a bounded budget.
 //!
 //! Nothing above this crate binds or accepts a socket of its own: the
@@ -49,7 +52,7 @@ use std::fmt;
 
 pub use conn::{connect_with_backoff, Addr, Backoff, Conn, Listener, Stream};
 pub use frame::{crc32, frame_vec, read_frame, write_frame, FrameDecoder, HEADER_LEN, MAX_FRAME};
-pub use launcher::{BindMode, PoolConfig, RemoteWorkerPool};
+pub use launcher::{PoolConfig, RemoteWorkerPool};
 pub use msg::{Message, PROTOCOL_VERSION};
 pub use server::{serve, ServeConfig, ServeFaults, ServeSummary};
 pub use spawn::{ChildHandle, LocalSpawner, SpawnSpec, Spawner};
