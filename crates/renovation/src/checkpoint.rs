@@ -43,12 +43,10 @@ pub const CHECKPOINT_VERSION: u32 = 1;
 const FILE_NAME: &str = "run.ckpt";
 
 /// Atomically replace `path` with `bytes`: write a temp file in the same
-/// directory (same filesystem, so the rename cannot cross devices),
-/// optionally fsync it, then rename over the destination. A crash at any
-/// point leaves either the previous file or the new one — never a torn
-/// mixture. This is the write discipline behind both the run checkpoints
-/// here and the serving layer's journal segments.
-pub fn atomic_replace(path: &Path, bytes: &[u8], fsync: bool) -> std::io::Result<()> {
+/// directory (same filesystem, so the rename cannot cross devices), fsync
+/// it, then rename over the destination. A crash at any point leaves
+/// either the previous file or the new one — never a torn mixture.
+fn atomic_replace(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     let name = path
         .file_name()
@@ -58,9 +56,7 @@ pub fn atomic_replace(path: &Path, bytes: &[u8], fsync: bool) -> std::io::Result
     let write = || -> std::io::Result<()> {
         let mut f = fs::File::create(&tmp)?;
         f.write_all(bytes)?;
-        if fsync {
-            f.sync_all()?;
-        }
+        f.sync_all()?;
         fs::rename(&tmp, path)
     };
     write().inspect_err(|_| {
@@ -283,7 +279,7 @@ impl CheckpointStore {
         bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
         bytes.extend_from_slice(&transport::frame_vec(&payload));
 
-        atomic_replace(&self.path(), &bytes, true)
+        atomic_replace(&self.path(), &bytes)
             .map_err(|e| MfError::App(format!("checkpoint save {}: {e}", self.path().display())))
     }
 

@@ -52,7 +52,7 @@ pub mod virtualrun;
 pub mod worker;
 
 pub use app::RunMode;
-pub use checkpoint::{atomic_replace, Checkpoint, CheckpointStore, RunKey};
+pub use checkpoint::{Checkpoint, CheckpointStore, RunKey};
 pub use cost::{parse_subsolve_label, CostModel};
 pub use engine::{
     AppConfig, Engine, EngineBackend, EngineOpts, EngineSummary, FleetFootprint, JobHandle,

@@ -25,15 +25,36 @@
 //! built for); [`JournalConfig::fsync`] upgrades every append to
 //! power-loss durability at the documented throughput cost.
 //!
+//! A reply body is encoded once: an outcome record goes out as one
+//! vectored write of frame header, record fields and body, with the CRC
+//! taken over the pieces, and the journal keeps those same body bytes as
+//! the unacknowledged reply, decoding them only to replay it. Recovery
+//! reads each segment into memory and decodes every record in place;
+//! a frame there is bounded by the bytes left in its segment, not by the
+//! wire's `MAX_FRAME`, because a snapshot may outgrow any one message.
+//!
 //! ## Rotation and compaction
 //!
-//! When the active segment exceeds [`JournalConfig::segment_bytes`], the
-//! journal writes a fresh segment whose first record is a `Snapshot` of
-//! the entire live state — tenants and their reply watermarks, pending
-//! jobs, unacknowledged outcomes — via the checkpoint crate's
-//! atomic temp-write + rename, then deletes the older segments. Entries
-//! the client has `Ack`ed are dropped from the snapshot, so the journal's
-//! size is bounded by outstanding (not historical) work.
+//! Once the records appended to the active segment after its snapshot
+//! pass [`JournalConfig::segment_bytes`], the journal applies the record
+//! that crossed the line to its state and then writes a fresh segment
+//! whose one record is a `Snapshot` of the entire live state — tenants
+//! and their reply watermarks, pending jobs, unacknowledged outcomes,
+//! the triggering record included — and deletes the older segments.
+//! Entries the client has `Ack`ed are dropped from the snapshot, so the
+//! journal's size is bounded by outstanding (not historical) work: the
+//! live state plus one segment's worth of records. Counting from the
+//! snapshot means a live state larger than `segment_bytes` rotates once
+//! per `segment_bytes` appended, not again at every append.
+//!
+//! The snapshot is streamed into a temporary file one job entry at a
+//! time (an outcome's body goes out as its journaled bytes), its frame
+//! header patched with the length and CRC at the end, and the file
+//! renamed into place: a rotation holds one entry in memory, never a
+//! copy of the whole state, and writes the very bytes that framing the
+//! whole snapshot unit at once would. A failed rotation loses nothing —
+//! the record that triggered it is already in the active segment — so
+//! it is reported and tried again at the next append.
 //!
 //! ## Replay invariants
 //!
@@ -57,12 +78,15 @@
 //!   crash-looping the daemon.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Display;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Seek, Write};
-use std::path::PathBuf;
-use std::sync::Mutex;
+use std::io::{self, BufWriter, Seek, Write};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 use manifold::Unit;
+use transport::frame::{self, Crc32, HEADER_LEN};
+use transport::wire::{self, UnitReader};
 
 use crate::proto::{RejectReason, ServeMsg};
 
@@ -91,7 +115,10 @@ pub struct JournalConfig {
     /// already survive SIGKILL (the serving threat model); turn this on
     /// for power-loss durability.
     pub fsync: bool,
-    /// Rotate (snapshot + compact) once the active segment passes this.
+    /// Rotate (snapshot + compact) once this many bytes have been
+    /// appended to the active segment after its snapshot. Counting from
+    /// the snapshot, not from the file's start, keeps a live state larger
+    /// than this from rotating again at every append.
     pub segment_bytes: u64,
 }
 
@@ -233,19 +260,48 @@ impl OutcomeBody {
         }
     }
 
-    fn is_reject(&self) -> bool {
-        matches!(self, OutcomeBody::Reject { .. })
+    fn decode(bytes: &[u8]) -> Result<OutcomeBody, String> {
+        OutcomeBody::from_unit(&transport::decode_unit(bytes).map_err(|e| e.to_string())?)
     }
 
-    fn is_fail(&self) -> bool {
-        matches!(self, OutcomeBody::Fail { .. })
+    fn kind(&self) -> i64 {
+        match self {
+            OutcomeBody::Done { .. } => O_DONE,
+            OutcomeBody::Fail { .. } => O_FAIL,
+            OutcomeBody::Reject { .. } => O_REJECT,
+        }
     }
+}
+
+fn invalid(e: impl Display) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("journal: {e}"))
+}
+
+/// A record's bytes: the head of a tuple of `fields` and `more` units,
+/// then `fields`. The caller appends the `more` units, encoded.
+fn record(fields: &[Unit], more: usize) -> io::Result<Vec<u8>> {
+    let mut out = Vec::with_capacity(64);
+    wire::encode_tuple_head(fields.len() + more, &mut out).map_err(invalid)?;
+    for f in fields {
+        wire::encode_unit(f, &mut out).map_err(invalid)?;
+    }
+    Ok(out)
 }
 
 #[derive(Debug, Clone)]
 enum JobState {
-    Pending { root: u32, level: u32, tol: f64 },
-    Outcome { rseq: u64, body: OutcomeBody },
+    Pending {
+        root: u32,
+        level: u32,
+        tol: f64,
+    },
+    /// A journaled reply: its outcome kind (`O_*`) and its body's wire
+    /// bytes as the journal wrote them, decoded only to be replayed.
+    Outcome {
+        rseq: u64,
+        kind: i64,
+        body: Arc<[u8]>,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -272,154 +328,165 @@ struct State {
     jobs: BTreeMap<(usize, u64), JobState>,
 }
 
+/// A record's fields, read in place from its frame payload.
+struct Fields<'a>(UnitReader<'a>);
+
+impl<'a> Fields<'a> {
+    fn tuple(&mut self, what: &str) -> Result<usize, String> {
+        self.0.tuple().map_err(|e| format!("{what}: {e}"))
+    }
+
+    fn tuple_of(&mut self, n: usize, what: &str) -> Result<(), String> {
+        match self.tuple(what)? {
+            m if m == n => Ok(()),
+            m => Err(format!("{what} has {m} fields, not {n}")),
+        }
+    }
+
+    fn unit(&mut self, what: &str) -> Result<(Unit, &'a [u8]), String> {
+        self.0.unit().map_err(|e| format!("{what}: {e}"))
+    }
+
+    fn int(&mut self, what: &str) -> Result<i64, String> {
+        self.unit(what)?
+            .0
+            .as_int()
+            .ok_or_else(|| format!("{what} is not an int"))
+    }
+
+    fn real(&mut self, what: &str) -> Result<f64, String> {
+        self.unit(what)?
+            .0
+            .as_real()
+            .ok_or_else(|| format!("{what} is not a real"))
+    }
+
+    fn text(&mut self, what: &str) -> Result<String, String> {
+        match self.unit(what)?.0.as_text() {
+            Some(s) => Ok(s.to_string()),
+            None => Err(format!("{what} is not text")),
+        }
+    }
+
+    /// An outcome body, checked, and its kind; its bytes are kept as
+    /// written.
+    fn body(&mut self) -> Result<(i64, Arc<[u8]>), String> {
+        let (unit, bytes) = self.unit("outcome body")?;
+        Ok((OutcomeBody::from_unit(&unit)?.kind(), bytes.into()))
+    }
+}
+
 impl State {
-    fn apply(&mut self, u: &Unit) -> Result<(), String> {
-        let t = u.as_tuple().ok_or("record is not a tuple")?;
-        let int = |i: usize| -> Result<i64, String> {
-            t.get(i)
-                .and_then(Unit::as_int)
-                .ok_or_else(|| format!("record field {i} is not an int"))
+    /// Replay one record, read in place from its frame payload.
+    fn apply(&mut self, payload: &[u8]) -> Result<(), String> {
+        let mut r = Fields(UnitReader::new(payload));
+        let arity = r.tuple("record")?;
+        let tag = r.int("record tag")?;
+        let want = match tag {
+            R_REGISTER => 4,
+            R_ADMIT => 6,
+            R_OUTCOME => 5,
+            R_ACK => 3,
+            R_SNAPSHOT => 3,
+            other => return Err(format!("unknown journal record tag {other}")),
         };
-        let text = |i: usize| -> Result<&str, String> {
-            t.get(i)
-                .and_then(Unit::as_text)
-                .ok_or_else(|| format!("record field {i} is not text"))
-        };
-        match int(0)? {
+        if arity != want {
+            return Err(format!("record {tag} has {arity} fields, not {want}"));
+        }
+        match tag {
             R_REGISTER => {
-                let name = text(1)?.to_string();
-                let idx = self.tenants.len();
-                self.by_name.insert(name.clone(), idx);
-                self.tenants.push(TenantRec {
-                    name,
-                    weight: int(2)?.max(0) as u32,
-                    token: int(3)? as u64,
+                let tenant = TenantRec {
+                    name: r.text("tenant")?,
+                    weight: r.int("weight")?.max(0) as u32,
+                    token: r.int("token")? as u64,
                     next_rseq: 1,
                     acked: 0,
                     failed: 0,
-                });
-                Ok(())
+                };
+                self.add_tenant(tenant);
             }
             R_ADMIT => {
-                let idx = *self
-                    .by_name
-                    .get(text(1)?)
-                    .ok_or("admit for unregistered tenant")?;
-                self.jobs.insert(
-                    (idx, int(2)? as u64),
-                    JobState::Pending {
-                        root: int(3)?.max(0) as u32,
-                        level: int(4)?.max(0) as u32,
-                        tol: t
-                            .get(5)
-                            .and_then(Unit::as_real)
-                            .ok_or("record field 5 is not a real")?,
-                    },
-                );
-                Ok(())
+                let idx = self.tenant(&r.text("tenant")?)?;
+                let seq = r.int("seq")? as u64;
+                let job = JobState::Pending {
+                    root: r.int("root")?.max(0) as u32,
+                    level: r.int("level")?.max(0) as u32,
+                    tol: r.real("tol")?,
+                };
+                self.jobs.insert((idx, seq), job);
             }
             R_OUTCOME => {
-                let idx = *self
-                    .by_name
-                    .get(text(1)?)
-                    .ok_or("outcome for unregistered tenant")?;
-                let rseq = int(3)? as u64;
-                let body = OutcomeBody::from_unit(t.get(4).ok_or("outcome has no body")?)?;
-                let tn = &mut self.tenants[idx];
-                tn.next_rseq = tn.next_rseq.max(rseq + 1);
-                if body.is_fail() {
-                    tn.failed += 1;
-                }
-                self.jobs
-                    .insert((idx, int(2)? as u64), JobState::Outcome { rseq, body });
-                Ok(())
+                let idx = self.tenant(&r.text("tenant")?)?;
+                let seq = r.int("seq")? as u64;
+                let rseq = r.int("rseq")? as u64;
+                let (kind, body) = r.body()?;
+                self.outcome(idx, seq, rseq, kind, body);
             }
             R_ACK => {
-                let idx = *self
-                    .by_name
-                    .get(text(1)?)
-                    .ok_or("ack for unregistered tenant")?;
-                self.ack(idx, int(2)? as u64);
-                Ok(())
+                let idx = self.tenant(&r.text("tenant")?)?;
+                self.ack(idx, r.int("ack")? as u64);
             }
-            R_SNAPSHOT => {
+            _ => {
                 *self = State::default();
-                for tu in t
-                    .get(1)
-                    .and_then(Unit::as_tuple)
-                    .ok_or("snapshot tenants is not a tuple")?
-                {
-                    let f = tu.as_tuple().ok_or("snapshot tenant is not a tuple")?;
-                    let fi = |i: usize| -> Result<i64, String> {
-                        f.get(i)
-                            .and_then(Unit::as_int)
-                            .ok_or_else(|| format!("snapshot tenant field {i} is not an int"))
+                for _ in 0..r.tuple("snapshot tenants")? {
+                    r.tuple_of(6, "snapshot tenant")?;
+                    let tenant = TenantRec {
+                        name: r.text("tenant")?,
+                        weight: r.int("weight")?.max(0) as u32,
+                        token: r.int("token")? as u64,
+                        next_rseq: r.int("next rseq")? as u64,
+                        acked: r.int("acked")? as u64,
+                        failed: r.int("failed")? as u64,
                     };
-                    let name = f
-                        .first()
-                        .and_then(Unit::as_text)
-                        .ok_or("snapshot tenant name is not text")?
-                        .to_string();
-                    let idx = self.tenants.len();
-                    self.by_name.insert(name.clone(), idx);
-                    self.tenants.push(TenantRec {
-                        name,
-                        weight: fi(1)?.max(0) as u32,
-                        token: fi(2)? as u64,
-                        next_rseq: fi(3)? as u64,
-                        acked: fi(4)? as u64,
-                        failed: fi(5)? as u64,
-                    });
+                    self.add_tenant(tenant);
                 }
-                for ju in t
-                    .get(2)
-                    .and_then(Unit::as_tuple)
-                    .ok_or("snapshot jobs is not a tuple")?
-                {
-                    let f = ju.as_tuple().ok_or("snapshot job is not a tuple")?;
-                    let idx = *self
-                        .by_name
-                        .get(
-                            f.first()
-                                .and_then(Unit::as_text)
-                                .ok_or("snapshot job tenant is not text")?,
-                        )
-                        .ok_or("snapshot job for unknown tenant")?;
-                    let seq = f
-                        .get(1)
-                        .and_then(Unit::as_int)
-                        .ok_or("snapshot job seq is not an int")?
-                        as u64;
-                    let su = f.get(2).ok_or("snapshot job has no state")?;
-                    let s = su.as_tuple().ok_or("snapshot job state is not a tuple")?;
-                    let si = |i: usize| -> Result<i64, String> {
-                        s.get(i)
-                            .and_then(Unit::as_int)
-                            .ok_or_else(|| format!("snapshot job state field {i} is not an int"))
-                    };
-                    let state = match si(0)? {
-                        0 => JobState::Pending {
-                            root: si(1)?.max(0) as u32,
-                            level: si(2)?.max(0) as u32,
-                            tol: s
-                                .get(3)
-                                .and_then(Unit::as_real)
-                                .ok_or("snapshot job tol is not a real")?,
+                for _ in 0..r.tuple("snapshot jobs")? {
+                    r.tuple_of(3, "snapshot job")?;
+                    let idx = self.tenant(&r.text("tenant")?)?;
+                    let seq = r.int("seq")? as u64;
+                    let fields = r.tuple("snapshot job state")?;
+                    let job = match (r.int("job kind")?, fields) {
+                        (0, 4) => JobState::Pending {
+                            root: r.int("root")?.max(0) as u32,
+                            level: r.int("level")?.max(0) as u32,
+                            tol: r.real("tol")?,
                         },
-                        1 => JobState::Outcome {
-                            rseq: si(1)? as u64,
-                            body: OutcomeBody::from_unit(
-                                s.get(2).ok_or("snapshot outcome has no body")?,
-                            )?,
-                        },
-                        other => return Err(format!("unknown snapshot job kind {other}")),
+                        (1, 3) => {
+                            let rseq = r.int("rseq")? as u64;
+                            let (kind, body) = r.body()?;
+                            JobState::Outcome { rseq, kind, body }
+                        }
+                        (kind, n) => {
+                            return Err(format!("unknown snapshot job kind {kind} with {n} fields"))
+                        }
                     };
-                    self.jobs.insert((idx, seq), state);
+                    self.jobs.insert((idx, seq), job);
                 }
-                Ok(())
             }
-            other => Err(format!("unknown journal record tag {other}")),
         }
+        r.0.finish().map_err(|e| format!("record {tag}: {e}"))
+    }
+
+    fn add_tenant(&mut self, tenant: TenantRec) {
+        self.by_name.insert(tenant.name.clone(), self.tenants.len());
+        self.tenants.push(tenant);
+    }
+
+    fn tenant(&self, name: &str) -> Result<usize, String> {
+        self.by_name
+            .get(name)
+            .copied()
+            .ok_or_else(|| format!("record for unregistered tenant {name:?}"))
+    }
+
+    fn outcome(&mut self, idx: usize, seq: u64, rseq: u64, kind: i64, body: Arc<[u8]>) {
+        let tn = &mut self.tenants[idx];
+        tn.next_rseq = tn.next_rseq.max(rseq + 1);
+        if kind == O_FAIL {
+            tn.failed += 1;
+        }
+        self.jobs
+            .insert((idx, seq), JobState::Outcome { rseq, kind, body });
     }
 
     /// Raise the ack watermark and drop the outcomes it covers — the
@@ -440,7 +507,9 @@ impl State {
         });
     }
 
-    fn snapshot_unit(&self) -> Unit {
+    /// The snapshot record's bytes before its first job entry: the tuple
+    /// head, the record tag, every tenant, and the jobs' tuple head.
+    fn snapshot_prefix(&self) -> io::Result<Vec<u8>> {
         let tenants = self
             .tenants
             .iter()
@@ -455,33 +524,35 @@ impl State {
                 ])
             })
             .collect();
-        let jobs = self
-            .jobs
-            .iter()
-            .map(|(&(idx, seq), s)| {
-                let state = match s {
-                    JobState::Pending { root, level, tol } => Unit::tuple(vec![
+        let mut out = record(&[Unit::int(R_SNAPSHOT), Unit::tuple(tenants)], 1)?;
+        out.extend(record(&[], self.jobs.len())?);
+        Ok(out)
+    }
+
+    /// One job's snapshot entry; an outcome's entry stops before its body,
+    /// whose journaled bytes follow it verbatim.
+    fn entry_head(&self, (idx, seq): (usize, u64), job: &JobState) -> io::Result<Vec<u8>> {
+        let tenant = Unit::text(&self.tenants[idx].name);
+        match job {
+            JobState::Pending { root, level, tol } => record(
+                &[
+                    tenant,
+                    Unit::int(seq as i64),
+                    Unit::tuple(vec![
                         Unit::int(0),
                         Unit::int(*root as i64),
                         Unit::int(*level as i64),
                         Unit::real(*tol),
                     ]),
-                    JobState::Outcome { rseq, body } => {
-                        Unit::tuple(vec![Unit::int(1), Unit::int(*rseq as i64), body.to_unit()])
-                    }
-                };
-                Unit::tuple(vec![
-                    Unit::text(&self.tenants[idx].name),
-                    Unit::int(seq as i64),
-                    state,
-                ])
-            })
-            .collect();
-        Unit::tuple(vec![
-            Unit::int(R_SNAPSHOT),
-            Unit::tuple(tenants),
-            Unit::tuple(jobs),
-        ])
+                ],
+                0,
+            ),
+            JobState::Outcome { rseq, .. } => {
+                let mut out = record(&[tenant, Unit::int(seq as i64)], 1)?;
+                out.extend(record(&[Unit::int(1), Unit::int(*rseq as i64)], 1)?);
+                Ok(out)
+            }
+        }
     }
 }
 
@@ -542,7 +613,12 @@ struct Inner {
     file: File,
     seg_index: u64,
     seg_bytes: u64,
+    /// Bytes of the active segment its snapshot (or bare header) took
+    /// when it began: rotation waits for `segment_bytes` more.
+    seg_base: u64,
     token_nonce: u64,
+    /// The buffer a reply body is encoded into, reused across replies.
+    encoded: Vec<u8>,
 }
 
 /// The write-ahead journal. All methods are `&self` behind one internal
@@ -560,12 +636,6 @@ fn seg_header() -> Vec<u8> {
     h.extend_from_slice(MAGIC);
     h.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
     h
-}
-
-fn encode_record(u: &Unit) -> io::Result<Vec<u8>> {
-    let payload = transport::encode_unit_vec(u)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("journal encode: {e}")))?;
-    Ok(transport::frame_vec(&payload))
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -621,17 +691,17 @@ impl Journal {
                         "layout version {version}, this build reads {JOURNAL_VERSION}"
                     )));
                 }
-                let mut cur = io::Cursor::new(&bytes[8..]);
-                let mut valid = 0u64;
+                // Each record is read in place from the segment image, and
+                // a frame is bounded by the bytes left in it: a snapshot
+                // may be larger than any frame the wire accepts.
+                let mut rest = &bytes[8..];
                 loop {
-                    match transport::read_frame(&mut cur) {
-                        Ok(Some(payload)) => {
-                            let unit = transport::decode_unit(&payload)
-                                .map_err(|e| bad(format!("record decode: {e}")))?;
+                    match frame::split_frame(rest) {
+                        Ok(Some((payload, after))) => {
                             state
-                                .apply(&unit)
+                                .apply(payload)
                                 .map_err(|e| bad(format!("record replay: {e}")))?;
-                            valid = cur.position();
+                            rest = after;
                         }
                         Ok(None) => break,
                         Err(e) if idx == last => {
@@ -641,21 +711,21 @@ impl Journal {
                             eprintln!(
                                 "journal: truncating torn tail of {} at byte {} ({e})",
                                 path.display(),
-                                8 + valid
+                                bytes.len() - rest.len()
                             );
                             break;
                         }
                         Err(e) => {
                             return Err(bad(format!(
                                 "corrupt record at byte {} of a non-final segment: {e}",
-                                8 + valid
+                                bytes.len() - rest.len()
                             )))
                         }
                     }
                 }
                 if idx == last {
                     let f = OpenOptions::new().write(true).open(&path)?;
-                    f.set_len(8 + valid)?;
+                    f.set_len((bytes.len() - rest.len()) as u64)?;
                 }
             }
             let path = cfg.dir.join(seg_name(last));
@@ -705,7 +775,9 @@ impl Journal {
                     file,
                     seg_index,
                     seg_bytes,
+                    seg_base: seg_header().len() as u64,
                     token_nonce,
+                    encoded: Vec::new(),
                 }),
             },
             recovery,
@@ -772,21 +844,28 @@ impl Journal {
                         .append_ack(idx, last_reply)
                         .map_err(|e| format!("journal ack: {e}"))?;
                 }
-                let mut replay: Vec<(u64, ServeMsg)> = inner
+                let mut replay: Vec<(u64, u64, &[u8])> = inner
                     .state
                     .jobs
-                    .iter()
-                    .filter_map(|(&(t, seq), s)| match s {
-                        JobState::Outcome { rseq, body } if t == idx && *rseq > last_reply => {
-                            Some((*rseq, body.clone().into_msg(seq, *rseq)))
+                    .range((idx, 0)..=(idx, u64::MAX))
+                    .filter_map(|(&(_, seq), s)| match s {
+                        JobState::Outcome { rseq, body, .. } if *rseq > last_reply => {
+                            Some((*rseq, seq, &body[..]))
                         }
                         _ => None,
                     })
                     .collect();
-                replay.sort_by_key(|(rseq, _)| *rseq);
+                replay.sort_by_key(|&(rseq, ..)| rseq);
                 Ok(Resume {
                     token: known,
-                    replay: replay.into_iter().map(|(_, m)| m).collect(),
+                    replay: replay
+                        .into_iter()
+                        .map(|(rseq, seq, body)| {
+                            OutcomeBody::decode(body)
+                                .map(|b| b.into_msg(seq, rseq))
+                                .map_err(|e| format!("journal replay: {e}"))
+                        })
+                        .collect::<Result<_, _>>()?,
                 })
             }
             None => {
@@ -805,16 +884,28 @@ impl Journal {
                 let idx = inner.state.tenants.len();
                 let minted =
                     (splitmix64(inner.token_nonce ^ (idx as u64)) & 0x7fff_ffff_ffff_ffff).max(1);
-                let rec = Unit::tuple(vec![
-                    Unit::int(R_REGISTER),
-                    Unit::text(tenant),
-                    Unit::int(weight as i64),
-                    Unit::int(minted as i64),
-                ]);
+                let rec = record(
+                    &[
+                        Unit::int(R_REGISTER),
+                        Unit::text(tenant),
+                        Unit::int(weight as i64),
+                        Unit::int(minted as i64),
+                    ],
+                    0,
+                )
+                .map_err(|e| format!("journal register: {e}"))?;
                 inner
-                    .append(&rec)
+                    .append(&rec, &[], |s| {
+                        s.add_tenant(TenantRec {
+                            name: tenant.to_string(),
+                            weight,
+                            token: minted,
+                            next_rseq: 1,
+                            acked: 0,
+                            failed: 0,
+                        })
+                    })
                     .map_err(|e| format!("journal register: {e}"))?;
-                inner.state.apply(&rec).expect("self-built record");
                 Ok(Resume {
                     token: minted,
                     replay: Vec::new(),
@@ -842,28 +933,35 @@ impl Journal {
         })?;
         match inner.state.jobs.get(&(idx, seq)) {
             Some(JobState::Pending { .. }) => return Ok(Admit::DuplicatePending),
-            Some(JobState::Outcome { rseq, body }) if !body.is_reject() => {
-                return Ok(Admit::Replay(Box::new(body.clone().into_msg(seq, *rseq))));
+            Some(JobState::Outcome { rseq, kind, body }) if *kind != O_REJECT => {
+                let body = OutcomeBody::decode(body).map_err(invalid)?;
+                return Ok(Admit::Replay(Box::new(body.into_msg(seq, *rseq))));
             }
             // A journaled Reject is not terminal: the client is retrying
             // after backpressure, so fall through and re-admit.
             Some(JobState::Outcome { .. }) | None => {}
         }
-        let rec = Unit::tuple(vec![
-            Unit::int(R_ADMIT),
-            Unit::text(tenant),
-            Unit::int(seq as i64),
-            Unit::int(root as i64),
-            Unit::int(level as i64),
-            Unit::real(tol),
-        ]);
-        inner.append(&rec)?;
-        inner.state.apply(&rec).expect("self-built record");
+        let rec = record(
+            &[
+                Unit::int(R_ADMIT),
+                Unit::text(tenant),
+                Unit::int(seq as i64),
+                Unit::int(root as i64),
+                Unit::int(level as i64),
+                Unit::real(tol),
+            ],
+            0,
+        )?;
+        inner.append(&rec, &[], |s| {
+            s.jobs
+                .insert((idx, seq), JobState::Pending { root, level, tol });
+        })?;
         Ok(Admit::New)
     }
 
     /// Journal an outcome *before* it is sent, assigning and returning
-    /// its reply sequence.
+    /// its reply sequence. The body is encoded once: the record carries
+    /// those bytes, and the journal keeps them until the reply is acked.
     pub fn record_outcome(&self, tenant: &str, seq: u64, body: &OutcomeBody) -> io::Result<u64> {
         let mut g = self.inner.lock().unwrap();
         let inner = &mut *g;
@@ -874,15 +972,24 @@ impl Journal {
             )
         })?;
         let rseq = inner.state.tenants[idx].next_rseq;
-        let rec = Unit::tuple(vec![
-            Unit::int(R_OUTCOME),
-            Unit::text(tenant),
-            Unit::int(seq as i64),
-            Unit::int(rseq as i64),
-            body.to_unit(),
-        ]);
-        inner.append(&rec)?;
-        inner.state.apply(&rec).expect("self-built record");
+        // The body goes through a buffer the journal reuses, so the one
+        // fresh allocation per reply is the copy it keeps.
+        inner.encoded.clear();
+        wire::encode_unit(&body.to_unit(), &mut inner.encoded).map_err(invalid)?;
+        let bytes: Arc<[u8]> = inner.encoded[..].into();
+        let head = record(
+            &[
+                Unit::int(R_OUTCOME),
+                Unit::text(tenant),
+                Unit::int(seq as i64),
+                Unit::int(rseq as i64),
+            ],
+            1,
+        )?;
+        let kind = body.kind();
+        inner.append(&head, &bytes, |s| {
+            s.outcome(idx, seq, rseq, kind, Arc::clone(&bytes))
+        })?;
         Ok(rseq)
     }
 
@@ -901,51 +1008,169 @@ impl Journal {
 }
 
 impl Inner {
-    fn append(&mut self, rec: &Unit) -> io::Result<()> {
-        let bytes = encode_record(rec)?;
-        self.file.write_all(&bytes)?;
+    /// Append one record, the frame's payload `head` then `body`, and
+    /// `apply` it to the state — before any rotation it triggers, so the
+    /// snapshot holds it.
+    fn append(
+        &mut self,
+        head: &[u8],
+        body: &[u8],
+        apply: impl FnOnce(&mut State),
+    ) -> io::Result<()> {
+        frame::write_frame_parts(&mut self.file, head, body)?;
         if self.cfg.fsync {
             self.file.sync_data()?;
         }
-        self.seg_bytes += bytes.len() as u64;
-        if self.seg_bytes >= self.cfg.segment_bytes {
-            self.rotate()?;
-        }
+        self.seg_bytes += (HEADER_LEN + head.len() + body.len()) as u64;
+        apply(&mut self.state);
+        self.rotate_if_full();
         Ok(())
     }
 
     fn append_ack(&mut self, idx: usize, upto: u64) -> io::Result<()> {
-        let rec = Unit::tuple(vec![
-            Unit::int(R_ACK),
-            Unit::text(&self.state.tenants[idx].name),
-            Unit::int(upto as i64),
-        ]);
-        self.append(&rec)?;
-        self.state.ack(idx, upto);
-        Ok(())
+        let rec = record(
+            &[
+                Unit::int(R_ACK),
+                Unit::text(&self.state.tenants[idx].name),
+                Unit::int(upto as i64),
+            ],
+            0,
+        )?;
+        self.append(&rec, &[], |s| s.ack(idx, upto))
+    }
+
+    /// Rotate once `segment_bytes` of records follow the active segment's
+    /// snapshot. The record that crossed the line is already durable, so
+    /// a failed rotation only postpones compaction: it is reported, and
+    /// the next append tries again.
+    fn rotate_if_full(&mut self) {
+        if self.seg_bytes - self.seg_base < self.cfg.segment_bytes {
+            return;
+        }
+        if let Err(e) = self.rotate() {
+            eprintln!(
+                "journal: rotation failed ({e}); appending to {} until it succeeds",
+                seg_name(self.seg_index)
+            );
+        }
     }
 
     /// Start a new segment headed by a snapshot of live state, then drop
-    /// the older segments — compaction of everything already acked.
+    /// the older segments — compaction of everything already acked. The
+    /// new segment is written under a temporary name and renamed into
+    /// place, so a crash leaves the old segments whole.
     fn rotate(&mut self) -> io::Result<()> {
         let next = self.seg_index + 1;
         let path = self.cfg.dir.join(seg_name(next));
-        let mut bytes = seg_header();
-        bytes.extend_from_slice(&encode_record(&self.state.snapshot_unit())?);
-        renovation::atomic_replace(&path, &bytes, self.cfg.fsync)?;
-        self.file = OpenOptions::new().append(true).open(&path)?;
+        let tmp = self.cfg.dir.join(format!("{}.tmp", seg_name(next)));
+        let (file, len) = self
+            .write_snapshot(&tmp)
+            .and_then(|written| fs::rename(&tmp, &path).map(|()| written))
+            .inspect_err(|_| {
+                let _ = fs::remove_file(&tmp);
+            })?;
+        self.file = file;
         for old in 1..next {
             let _ = fs::remove_file(self.cfg.dir.join(seg_name(old)));
         }
         self.seg_index = next;
-        self.seg_bytes = bytes.len() as u64;
+        self.seg_bytes = len;
+        self.seg_base = len;
         Ok(())
+    }
+
+    /// Write a segment holding only the snapshot record to `path`,
+    /// streamed one job entry at a time — an outcome's body goes out as
+    /// its journaled bytes — with the frame's length and CRC patched in
+    /// at the end. Returns the file, positioned at its end for appends,
+    /// and its length.
+    fn write_snapshot(&self, path: &Path) -> io::Result<(File, u64)> {
+        let mut out = BufWriter::new(File::create(path)?);
+        let seg_header = seg_header();
+        out.write_all(&seg_header)?;
+        out.write_all(&[0; HEADER_LEN])?;
+        let mut crc = Crc32::new();
+        let mut len = 0u64;
+        let mut put = |out: &mut BufWriter<File>, bytes: &[u8]| {
+            crc.update(bytes);
+            len += bytes.len() as u64;
+            out.write_all(bytes)
+        };
+        put(&mut out, &self.state.snapshot_prefix()?)?;
+        for (&key, job) in &self.state.jobs {
+            put(&mut out, &self.state.entry_head(key, job)?)?;
+            if let JobState::Outcome { body, .. } = job {
+                put(&mut out, body)?;
+            }
+        }
+        let header = frame::frame_header(len, crc.finish())?;
+        let mut file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+        file.seek(io::SeekFrom::Start(seg_header.len() as u64))?;
+        file.write_all(&header)?;
+        if self.cfg.fsync {
+            file.sync_all()?;
+        }
+        let end = file.seek(io::SeekFrom::End(0))?;
+        Ok((file, end))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    /// The whole snapshot as one unit, built the way every existing
+    /// journal's snapshots were: the byte oracle for the streamed rotation.
+    fn snapshot_unit(state: &State) -> Unit {
+        let tenants = state
+            .tenants
+            .iter()
+            .map(|t| {
+                Unit::tuple(vec![
+                    Unit::text(&t.name),
+                    Unit::int(t.weight as i64),
+                    Unit::int(t.token as i64),
+                    Unit::int(t.next_rseq as i64),
+                    Unit::int(t.acked as i64),
+                    Unit::int(t.failed as i64),
+                ])
+            })
+            .collect();
+        let jobs = state
+            .jobs
+            .iter()
+            .map(|(&(idx, seq), s)| {
+                let job = match s {
+                    JobState::Pending { root, level, tol } => Unit::tuple(vec![
+                        Unit::int(0),
+                        Unit::int(*root as i64),
+                        Unit::int(*level as i64),
+                        Unit::real(*tol),
+                    ]),
+                    JobState::Outcome { rseq, body, .. } => Unit::tuple(vec![
+                        Unit::int(1),
+                        Unit::int(*rseq as i64),
+                        transport::decode_unit(body).expect("a journaled body decodes"),
+                    ]),
+                };
+                Unit::tuple(vec![
+                    Unit::text(&state.tenants[idx].name),
+                    Unit::int(seq as i64),
+                    job,
+                ])
+            })
+            .collect();
+        Unit::tuple(vec![
+            Unit::int(R_SNAPSHOT),
+            Unit::tuple(tenants),
+            Unit::tuple(jobs),
+        ])
+    }
+
+    fn encode_record(u: &Unit) -> Vec<u8> {
+        transport::frame_vec(&transport::encode_unit_vec(u).unwrap())
+    }
 
     /// Segment files on disk (1 except transiently): rotation and
     /// compaction show here.
@@ -1209,6 +1434,241 @@ mod tests {
             Ok(_) => panic!("corrupt non-final segment must refuse to open"),
         };
         assert!(err.contains("non-final segment"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// What an open of `dir` recovers — tenants, pending jobs, unacked
+    /// outcomes — and every reply it replays to the resumed tenants: what
+    /// a rotation must keep.
+    type Recovered = (
+        Vec<(String, u32, u64)>,
+        Vec<PendingJob>,
+        usize,
+        Vec<ServeMsg>,
+    );
+
+    fn recovered(dir: &Path, tenants: &[(&str, u64)]) -> Recovered {
+        let (j, rec) = Journal::open(JournalConfig::new(dir)).unwrap();
+        let replay = tenants
+            .iter()
+            .flat_map(|&(name, tok)| j.register(name, 1, tok, 0).unwrap().replay)
+            .collect();
+        (rec.tenants, rec.pending, rec.unacked_outcomes, replay)
+    }
+
+    /// A streamed rotation writes, byte for byte, the segment the whole
+    /// snapshot unit framed at once gives — the layout every existing
+    /// journal was written in — and recovers the same state from it.
+    #[test]
+    fn a_rotation_writes_the_snapshot_oracles_bytes() {
+        let dir = tmp_dir("oracle");
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let a = j.register("a", 2, 0, 0).unwrap().token;
+        let b = j.register("b", 1, 0, 0).unwrap().token;
+        for seq in 1..=5 {
+            j.admit("a", seq, 2, 1, 1e-3).unwrap();
+        }
+        j.admit("b", 1, 3, 2, 1e-4).unwrap();
+        j.admit("b", 2, 3, 2, 1e-4).unwrap();
+        j.record_outcome("a", 2, &done(2.0)).unwrap();
+        let fail = OutcomeBody::Fail {
+            error: "engine: lost".into(),
+        };
+        j.record_outcome("a", 3, &fail).unwrap();
+        let reject = OutcomeBody::Reject {
+            retry_after_ms: 40,
+            reason: RejectReason::OverCapacity,
+        };
+        j.record_outcome("a", 4, &reject).unwrap();
+        j.record_outcome("a", 5, &done(5.0)).unwrap();
+        j.record_outcome("b", 1, &done(-1.0)).unwrap();
+        j.ack("a", 1).unwrap();
+        drop(j);
+        let before = recovered(&dir, &[("a", a), ("b", b)]);
+        assert_eq!(before.0, vec![("a".into(), 2, 1), ("b".into(), 1, 0)]);
+        assert_eq!(before.2, 4, "a's Fail, Reject and Done, and b's Done");
+
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let mut g = j.inner.lock().unwrap();
+        let oracle = [seg_header(), encode_record(&snapshot_unit(&g.state))].concat();
+        g.rotate().unwrap();
+        let next = g.seg_index;
+        drop(g);
+        drop(j);
+        assert_eq!(fs::read(dir.join(seg_name(next))).unwrap(), oracle);
+        assert!(!dir.join(seg_name(next - 1)).exists());
+        assert_eq!(recovered(&dir, &[("a", a), ("b", b)]), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A record whose append fills the segment is in the snapshot that
+    /// append writes: whichever kind of record triggers the rotation,
+    /// the reopened journal knows it.
+    #[test]
+    fn every_record_survives_the_rotation_it_triggers() {
+        for trigger in ["register", "admit", "outcome", "ack"] {
+            let dir = tmp_dir(&format!("trigger-{trigger}"));
+            let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+            // Run `op`; if it is the trigger, shrink the segment so that
+            // its one record fills it. Only the trigger rotates.
+            let step = |name: &str, op: &dyn Fn()| {
+                let armed = name == trigger;
+                let before = {
+                    let mut g = j.inner.lock().unwrap();
+                    g.cfg.segment_bytes = if armed { 1 } else { u64::MAX };
+                    g.seg_index
+                };
+                op();
+                let mut g = j.inner.lock().unwrap();
+                g.cfg.segment_bytes = u64::MAX;
+                assert_eq!(
+                    g.seg_index - before,
+                    armed as u64,
+                    "{name}, trigger {trigger}"
+                );
+            };
+            let tok = Cell::new(0);
+            step("register", &|| {
+                tok.set(j.register("a", 1, 0, 0).unwrap().token)
+            });
+            step("admit", &|| {
+                j.admit("a", 1, 2, 1, 1e-3).unwrap();
+            });
+            j.admit("a", 2, 2, 1, 1e-3).unwrap();
+            step("outcome", &|| {
+                assert_eq!(j.record_outcome("a", 2, &done(2.0)).unwrap(), 1);
+            });
+            j.admit("a", 3, 2, 1, 1e-3).unwrap();
+            j.record_outcome("a", 3, &done(3.0)).unwrap();
+            step("ack", &|| j.ack("a", 1).unwrap());
+            drop(j);
+
+            let (j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+            assert_eq!(rec.tenants, vec![("a".into(), 1, 0)], "trigger {trigger}");
+            let pending: Vec<u64> = rec.pending.iter().map(|p| p.seq).collect();
+            assert_eq!(pending, vec![1], "trigger {trigger}");
+            assert_eq!(rec.unacked_outcomes, 1, "trigger {trigger}");
+            let replay = j.register("a", 1, tok.get(), 0).unwrap().replay;
+            assert!(
+                matches!(
+                    replay[..],
+                    [ServeMsg::Done {
+                        seq: 3,
+                        rseq: 2,
+                        ..
+                    }]
+                ),
+                "trigger {trigger}: {replay:?}"
+            );
+            j.admit("a", 4, 2, 1, 1e-3).unwrap();
+            assert_eq!(j.record_outcome("a", 4, &done(4.0)).unwrap(), 3);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A snapshot larger than `segment_bytes` does not make every later
+    /// append rotate again: the next rotation waits for `segment_bytes`
+    /// of new records.
+    #[test]
+    fn a_live_state_over_the_segment_size_does_not_rotate_every_append() {
+        let dir = tmp_dir("over");
+        let mut cfg = JournalConfig::new(&dir);
+        cfg.segment_bytes = 4096;
+        let (j, _) = Journal::open(cfg).unwrap();
+        j.register("a", 1, 0, 0).unwrap();
+        let body = OutcomeBody::Done {
+            grids: 3,
+            l2_error: 0.0,
+            combined: vec![0.5; 100],
+        };
+        for seq in 1..=20 {
+            j.admit("a", seq, 2, 1, 1e-3).unwrap();
+            j.record_outcome("a", seq, &body).unwrap();
+        }
+        let g = j.inner.lock().unwrap();
+        assert!(g.seg_index > 1, "the unacked replies rotated the journal");
+        assert!(g.seg_bytes > 4096, "the snapshot alone passes the size");
+        let before = g.seg_index;
+        drop(g);
+        for seq in 21..=30 {
+            j.admit("a", seq, 2, 1, 1e-3).unwrap();
+        }
+        assert_eq!(j.inner.lock().unwrap().seg_index, before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The record that fills a segment is durable before the rotation
+    /// starts, so a rotation that fails costs the append nothing: it is
+    /// tried again at the next one.
+    #[test]
+    fn a_failed_rotation_keeps_the_record_and_retries() {
+        let dir = tmp_dir("rot-fail");
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        j.register("a", 1, 0, 0).unwrap();
+        // A directory where the snapshot's temp file goes fails the write.
+        let blocker = dir.join(format!("{}.tmp", seg_name(2)));
+        fs::create_dir(&blocker).unwrap();
+        j.inner.lock().unwrap().cfg.segment_bytes = 1;
+        assert!(matches!(j.admit("a", 1, 2, 1, 1e-3).unwrap(), Admit::New));
+        assert_eq!(j.inner.lock().unwrap().seg_index, 1);
+        fs::remove_dir(&blocker).unwrap();
+        j.admit("a", 2, 2, 1, 1e-3).unwrap();
+        assert_eq!(j.inner.lock().unwrap().seg_index, 2);
+        assert_eq!(segment_count(&j), 1);
+        drop(j);
+        let (_j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let pending: Vec<u64> = rec.pending.iter().map(|p| p.seq).collect();
+        assert_eq!(pending, vec![1, 2]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A snapshot is one frame, and one larger than the wire's
+    /// `MAX_FRAME` is still read back whole: a journal frame is bounded
+    /// by its segment, not by what a peer may send.
+    #[test]
+    fn a_snapshot_larger_than_a_wire_frame_reopens_whole() {
+        let dir = tmp_dir("huge");
+        let mut cfg = JournalConfig::new(&dir);
+        cfg.segment_bytes = u64::MAX;
+        let (j, _) = Journal::open(cfg.clone()).unwrap();
+        j.register("a", 1, 0, 0).unwrap();
+        // Four Done bodies that together pass the cap.
+        let n = transport::MAX_FRAME / 8 / 4 + 1;
+        for seq in 1..=4 {
+            j.admit("a", seq, 2, 1, 1e-3).unwrap();
+            let body = OutcomeBody::Done {
+                grids: 7,
+                l2_error: seq as f64,
+                combined: (0..n).map(|i| i as f64).collect(),
+            };
+            j.record_outcome("a", seq, &body).unwrap();
+        }
+        j.inner.lock().unwrap().rotate().unwrap();
+        let snapshot = fs::metadata(dir.join(seg_name(2))).unwrap().len();
+        assert!(snapshot > transport::MAX_FRAME as u64 + 16, "{snapshot}");
+        drop(j);
+
+        let (j, rec) = Journal::open(cfg).unwrap();
+        assert_eq!(rec.unacked_outcomes, 4);
+        assert_eq!(fs::metadata(dir.join(seg_name(2))).unwrap().len(), snapshot);
+        match j.admit("a", 4, 2, 1, 1e-3).unwrap() {
+            Admit::Replay(msg) => match *msg {
+                ServeMsg::Done {
+                    seq: 4,
+                    rseq: 4,
+                    grids: 7,
+                    l2_error,
+                    combined,
+                } => {
+                    assert_eq!(l2_error, 4.0);
+                    assert_eq!(combined.len(), n);
+                    assert!(combined.iter().enumerate().all(|(i, &v)| v == i as f64));
+                }
+                other => panic!("unexpected replay {other:?}"),
+            },
+            other => panic!("seq 4 must replay, got {other:?}"),
+        }
+        drop(j);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -62,29 +62,61 @@ static CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
+/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over input fed
+/// in pieces: `update` with each piece in order, then `finish`. Any split
+/// of the input gives the value [`crc32`] gives for the whole, so a frame
+/// whose payload is written in parts is checksummed without joining them.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32(!0)
+    }
+}
+
+impl Crc32 {
+    /// The CRC of no input yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feed the next piece of input. Slicing-by-8: the same value as the
+    /// bytewise table walk, eight bytes per step.
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut c = self.0;
+        let mut blocks = data.chunks_exact(8);
+        for b in &mut blocks {
+            let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in blocks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The CRC of everything fed so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `data` —
-/// the checksum guarding every frame payload. Slicing-by-8: the same value
-/// as the bytewise table walk, eight bytes per step.
+/// the checksum guarding every frame payload.
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = !0u32;
-    let mut blocks = data.chunks_exact(8);
-    for b in &mut blocks {
-        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let hi = u32::from_le_bytes([b[4], b[5], b[6], b[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in blocks.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut c = Crc32::new();
+    c.update(data);
+    c.finish()
 }
 
 fn header_for(payload: &[u8]) -> [u8; HEADER_LEN] {
@@ -94,31 +126,94 @@ fn header_for(payload: &[u8]) -> [u8; HEADER_LEN] {
     h
 }
 
+/// The header of a frame whose payload is `len` bytes with CRC-32 `crc`.
+/// A length the header's `u32` field cannot hold is refused, never
+/// truncated.
+pub fn frame_header(len: u64, crc: u32) -> std::io::Result<[u8; HEADER_LEN]> {
+    let len = u32::try_from(len).map_err(|_| {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame payload of {len} bytes exceeds the u32 length field"),
+        )
+    })?;
+    let mut h = [0u8; HEADER_LEN];
+    h[..4].copy_from_slice(&len.to_le_bytes());
+    h[4..].copy_from_slice(&crc.to_le_bytes());
+    Ok(h)
+}
+
 /// Write one frame (length + CRC header, then the payload). Header and
 /// payload go out in one vectored write — one syscall and, on a
-/// `TCP_NODELAY` socket, one segment — with ordinary writes finishing
+/// `TCP_NODELAY` socket, one segment — with further writes finishing
 /// whatever a short write left behind.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME || u32::try_from(payload.len()).is_err() {
+    if payload.len() > MAX_FRAME {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             "frame too long",
         ));
     }
-    let header = header_for(payload);
-    let sent = loop {
-        match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+    write_frame_parts(w, payload, &[])?;
+    w.flush()
+}
+
+/// Write one frame whose payload is `head` followed by `body`, the CRC
+/// taken over the two in place: header, head and body go out in one
+/// vectored write, with further writes finishing whatever a short write
+/// left behind. No [`MAX_FRAME`] cap — that bounds what a peer may send;
+/// a file's frames are bounded by the file (see [`split_frame`]) — only
+/// the header's `u32` length field.
+pub fn write_frame_parts(w: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let mut crc = Crc32::new();
+    crc.update(head);
+    crc.update(body);
+    let header = frame_header((head.len() + body.len()) as u64, crc.finish())?;
+    let mut slices = [
+        IoSlice::new(&header),
+        IoSlice::new(head),
+        IoSlice::new(body),
+    ];
+    let mut bufs = &mut slices[..];
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
             Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(n) => break n,
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
-    };
-    if sent < HEADER_LEN {
-        w.write_all(&header[sent..])?;
     }
-    w.write_all(&payload[sent.saturating_sub(HEADER_LEN)..])?;
-    w.flush()
+    Ok(())
+}
+
+/// The frame at the front of `buf`, an in-memory file image: its
+/// payload, verified and borrowed in place, and the bytes after it;
+/// `Ok(None)` when `buf` is empty. The buffer bounds the frame, not
+/// [`MAX_FRAME`]: a file's frames were written whole by this process's
+/// own writer, and may outgrow what a peer is allowed to send. A header
+/// cut short, or a length running past the buffer, is `UnexpectedEof`;
+/// a payload failing its checksum is [`WireError::BadCrc`].
+pub fn split_frame(buf: &[u8]) -> std::io::Result<Option<(&[u8], &[u8])>> {
+    if buf.is_empty() {
+        return Ok(None);
+    }
+    let eof = |what: String| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what);
+    if buf.len() < HEADER_LEN {
+        return Err(eof("eof inside frame header".into()));
+    }
+    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
+    let want_crc = u32::from_le_bytes(buf[4..HEADER_LEN].try_into().unwrap());
+    let rest = &buf[HEADER_LEN..];
+    if len > rest.len() {
+        return Err(eof(format!(
+            "frame of {len} bytes runs past the {} bytes left",
+            rest.len()
+        )));
+    }
+    let (payload, rest) = rest.split_at(len);
+    if crc32(payload) != want_crc {
+        return Err(WireError::BadCrc.into());
+    }
+    Ok(Some((payload, rest)))
 }
 
 /// Read one complete frame, blocking, verifying its CRC. An EOF before
@@ -256,6 +351,64 @@ mod tests {
                 assert_eq!(crc32(s), crc32_bitwise(s), "start {start}, len {len}");
             }
         }
+    }
+
+    #[test]
+    fn crc32_fed_in_pieces_matches_the_whole() {
+        let data: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % (bound as u64 + 1)) as usize
+        };
+        for _ in 0..200 {
+            let len = next(data.len());
+            let whole = &data[..len];
+            let mut c = Crc32::new();
+            let mut at = 0;
+            while at < len {
+                let to = at + next(len - at);
+                c.update(&whole[at..to]);
+                at = to;
+            }
+            assert_eq!(c.finish(), crc32(whole), "len {len}");
+        }
+        let mut c = Crc32::new();
+        for piece in [&b"1234"[..], b"", b"5", b"6789"] {
+            c.update(piece);
+        }
+        assert_eq!(c.finish(), 0xCBF4_3926);
+        assert_eq!(Crc32::new().finish(), 0);
+    }
+
+    #[test]
+    fn a_frame_written_in_parts_splits_back_from_a_buffer() {
+        let mut buf = Vec::new();
+        write_frame_parts(&mut buf, b"head", b"and body").unwrap();
+        write_frame(&mut buf, b"next").unwrap();
+        assert_eq!(
+            &buf[..HEADER_LEN],
+            &frame_vec(b"headand body")[..HEADER_LEN]
+        );
+        let (first, rest) = split_frame(&buf).unwrap().unwrap();
+        assert_eq!(first, b"headand body");
+        let (second, rest) = split_frame(rest).unwrap().unwrap();
+        assert_eq!((second, rest), (&b"next"[..], &b""[..]));
+        assert!(split_frame(rest).unwrap().is_none());
+        for cut in 1..buf.len() - HEADER_LEN - 4 {
+            let err = split_frame(&buf[..cut]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}");
+        }
+        let mut corrupt = buf.clone();
+        corrupt[HEADER_LEN + 2] ^= 1;
+        assert!(split_frame(&corrupt)
+            .unwrap_err()
+            .to_string()
+            .contains("checksum"));
     }
 
     /// Hands out at most three bytes per read, and fails every real read's

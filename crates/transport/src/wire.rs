@@ -52,6 +52,14 @@ pub fn encode_unit_vec(unit: &Unit) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
+/// Encode the head of a tuple of `count` units into `out`. Exactly
+/// `count` encoded units must follow it — encoded here, or copied in from
+/// bytes an earlier encode produced.
+pub fn encode_tuple_head(count: usize, out: &mut Vec<u8>) -> Result<(), WireError> {
+    out.push(TAG_TUPLE);
+    put_len(out, count)
+}
+
 fn encode_at(unit: &Unit, out: &mut Vec<u8>, depth: usize) -> Result<(), WireError> {
     if depth > MAX_DEPTH {
         return Err(WireError::TooDeep);
@@ -104,12 +112,51 @@ fn put_len(out: &mut Vec<u8>, len: usize) -> Result<(), WireError> {
 /// Decode one unit from `buf`, which must contain exactly one encoded
 /// unit (the framing layer guarantees this).
 pub fn decode_unit(buf: &[u8]) -> Result<Unit, WireError> {
-    let mut cur = Cursor { buf, pos: 0 };
-    let unit = decode_at(&mut cur, 0)?;
-    if cur.pos != buf.len() {
-        return Err(WireError::Trailing(buf.len() - cur.pos));
-    }
+    let mut r = UnitReader::new(buf);
+    let (unit, _) = r.unit()?;
+    r.finish()?;
     Ok(unit)
+}
+
+/// Reads an encoded buffer one unit at a time, in place: the caller steps
+/// into tuples it knows the shape of, and each unit it takes whole comes
+/// with the bytes it was decoded from, so a large unit can be kept as
+/// written instead of re-encoded.
+pub struct UnitReader<'a> {
+    cur: Cursor<'a>,
+}
+
+impl<'a> UnitReader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        UnitReader {
+            cur: Cursor { buf, pos: 0 },
+        }
+    }
+
+    /// Step into a tuple: its element count. Its elements are the next
+    /// units read.
+    pub fn tuple(&mut self) -> Result<usize, WireError> {
+        match self.cur.u8()? {
+            TAG_TUPLE => Ok(self.cur.u32()? as usize),
+            tag => Err(WireError::BadTag(tag)),
+        }
+    }
+
+    /// The next whole unit, decoded, and the bytes it was decoded from.
+    pub fn unit(&mut self) -> Result<(Unit, &'a [u8]), WireError> {
+        let start = self.cur.pos;
+        let unit = decode_at(&mut self.cur, 0)?;
+        Ok((unit, &self.cur.buf[start..self.cur.pos]))
+    }
+
+    /// End of input: an error if any bytes are left unread.
+    pub fn finish(self) -> Result<(), WireError> {
+        match self.cur.buf.len() - self.cur.pos {
+            0 => Ok(()),
+            n => Err(WireError::Trailing(n)),
+        }
+    }
 }
 
 struct Cursor<'a> {
@@ -258,6 +305,34 @@ mod tests {
             Err(WireError::ProcessRef)
         );
         env.shutdown();
+    }
+
+    #[test]
+    fn a_tuple_read_in_place_gives_back_its_units_bytes() {
+        let inner = Unit::tuple(vec![Unit::int(7), Unit::reals(vec![0.5, -1.0])]);
+        let whole = Unit::tuple(vec![Unit::text("t"), inner.clone()]);
+        let encoded = encode_unit_vec(&whole).unwrap();
+        let mut head = Vec::new();
+        encode_tuple_head(2, &mut head).unwrap();
+        encode_unit(&Unit::text("t"), &mut head).unwrap();
+        head.extend_from_slice(&encode_unit_vec(&inner).unwrap());
+        assert_eq!(head, encoded);
+
+        let mut r = UnitReader::new(&encoded);
+        assert_eq!(r.tuple(), Ok(2));
+        assert_eq!(r.unit().unwrap().0, Unit::text("t"));
+        let (unit, bytes) = r.unit().unwrap();
+        assert_eq!(unit, inner);
+        assert_eq!(bytes, encode_unit_vec(&inner).unwrap());
+        r.finish().unwrap();
+
+        let mut r = UnitReader::new(&encoded);
+        r.tuple().unwrap();
+        assert_eq!(r.tuple(), Err(WireError::BadTag(TAG_TEXT)));
+        let mut r = UnitReader::new(&encoded);
+        r.tuple().unwrap();
+        r.unit().unwrap();
+        assert_eq!(r.finish(), Err(WireError::Trailing(encoded.len() - 11)));
     }
 
     #[test]
