@@ -38,8 +38,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
+use solver::Grid2;
+use transport::MAX_FRAME;
 
 use crate::proto::RejectReason;
+
+/// Whether the `Done` for `(root, level)` fits one wire frame, which is
+/// all a tenant reads: its field holds the finest grid's nodes, 8 bytes
+/// each, beside the reply's six other fields (55 bytes; 64 allowed).
+fn done_fits_a_frame(root: u32, level: u32) -> bool {
+    // `Grid2` sizes a side 2^(root + level); past 2^16 the field alone
+    // is 32 GiB, and the shift stays in range.
+    root.checked_add(level).is_some_and(|n| n <= 16)
+        && Grid2::finest(root, level).node_count() * 8 + 64 <= MAX_FRAME
+}
 
 /// Admission-layer tuning.
 #[derive(Clone, Debug)]
@@ -317,7 +329,7 @@ impl Admission {
             s.rejected_total += 1;
             return self.rejected(RejectReason::Draining);
         }
-        if job.level > self.cfg.capacity_level {
+        if job.level > self.cfg.capacity_level || !done_fits_a_frame(job.root, job.level) {
             s.tenants[idx].rejected += 1;
             s.rejected_total += 1;
             return self.rejected(RejectReason::OverCapacity);
@@ -604,6 +616,34 @@ mod tests {
             Offer::Rejected { reason, .. } => assert_eq!(reason, RejectReason::OverCapacity),
             other => panic!("expected rejection, got {other:?}"),
         }
+    }
+
+    /// The level gate alone let any `root` through: `root 30` asked for
+    /// ~10^18 nodes, and any `root + level >= 12` for a `Done` over
+    /// `MAX_FRAME`, which no tenant can read.
+    #[test]
+    fn jobs_whose_done_exceeds_a_frame_are_rejected_at_the_gate() {
+        let adm = Admission::new(AdmissionConfig::default());
+        adm.register("t", 1);
+        let t: Arc<str> = Arc::from("t");
+        let offer = |seq, root, level| {
+            let mut j = job(&t, seq);
+            (j.root, j.level) = (root, level);
+            adm.offer(j)
+        };
+        for (seq, root, level) in [(1, 30, 0), (2, 6, 6), (3, 12, 0), (4, u32::MAX, 1)] {
+            match offer(seq, root, level) {
+                Offer::Rejected { reason, .. } => assert_eq!(
+                    reason,
+                    RejectReason::OverCapacity,
+                    "root {root} level {level}"
+                ),
+                other => panic!("root {root} level {level}: expected rejection, got {other:?}"),
+            }
+        }
+        // (2^11 + 1)^2 nodes are 33.6 MB: still one frame.
+        assert!(matches!(offer(5, 5, 6), Offer::Enqueued { .. }));
+        assert_eq!(adm.stats().rejected, 4);
     }
 
     #[test]

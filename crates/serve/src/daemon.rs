@@ -525,8 +525,8 @@ impl ServeLoop {
         s.send(&ServeMsg::Welcome { session: id, token });
         // Replay unacknowledged replies *before* anything the client
         // pipelines after its Hello — same socket, so ordering is free.
-        for m in &replay {
-            s.send(m);
+        for reply in &replay {
+            s.send_payload(reply);
         }
         // Last Hello wins: with a journal, one session speaks for a tenant
         // at a time, and replies route by tenant, not by the submitting
@@ -553,8 +553,8 @@ impl ServeLoop {
                 Ok(Admit::DuplicatePending) => return,
                 // Finished in a previous life: resend the recorded
                 // outcome, never re-execute.
-                Ok(Admit::Replay(msg)) => {
-                    s.send(&msg);
+                Ok(Admit::Replay(reply)) => {
+                    s.send_payload(&reply);
                     return;
                 }
                 Err(e) => {
@@ -585,42 +585,38 @@ impl ServeLoop {
             return;
         };
         let retry_after_ms = retry_after.as_millis() as u64;
+        let Some(j) = &self.journal else {
+            s.send(&ServeMsg::Reject {
+                seq,
+                rseq: 0,
+                retry_after_ms,
+                reason,
+            });
+            return;
+        };
         // Rejections are replies too: journaled (with a reply sequence)
         // before they are sent, so a crash between reject and delivery
         // still replays the backpressure signal instead of losing the seq.
-        let rseq = match &self.journal {
-            None => 0,
-            Some(j) => {
-                let body = OutcomeBody::Reject {
-                    retry_after_ms,
-                    reason,
-                };
-                match j.record_outcome(&tenant, seq, &body) {
-                    Ok(rseq) => rseq,
-                    Err(e) => {
-                        // The admit is journaled (Pending) but the reject
-                        // cannot be. Sending an unjournaled Reject would
-                        // wedge the seq: the backoff resubmit dedups
-                        // against the Pending entry and vanishes. Absorb
-                        // the job instead — restore() bypasses the
-                        // admission gates, honoring the journal's promise
-                        // that an admitted seq produces an outcome.
-                        eprintln!(
-                            "journal: reject outcome write failed: {e}; \
-                             absorbing seq {seq} of tenant {tenant} despite rejection"
-                        );
-                        self.admission.restore(job());
-                        return;
-                    }
-                }
-            }
-        };
-        s.send(&ServeMsg::Reject {
-            seq,
-            rseq,
+        let body = OutcomeBody::Reject {
             retry_after_ms,
             reason,
-        });
+        };
+        match j.record_reply(&tenant, seq, body) {
+            Ok((_, reply)) => s.send_payload(&reply),
+            Err(e) => {
+                // The admit is journaled (Pending) but the reject cannot
+                // be. Sending an unjournaled Reject would wedge the seq:
+                // the backoff resubmit dedups against the Pending entry
+                // and vanishes. Absorb the job instead — restore()
+                // bypasses the admission gates, honoring the journal's
+                // promise that an admitted seq produces an outcome.
+                eprintln!(
+                    "journal: reject outcome write failed: {e}; \
+                     absorbing seq {seq} of tenant {tenant} despite rejection"
+                );
+                self.admission.restore(job());
+            }
+        }
     }
 
     /// Journal and answer every job the engine has finished.
@@ -733,11 +729,11 @@ impl ServeLoop {
         // Journal the outcome before sending it: a crash in between
         // replays the reply; a crash before re-executes the
         // (deterministic) job.
-        match j.record_outcome(&job.tenant, job.seq, &body) {
-            Ok(rseq) => {
+        match j.record_reply(&job.tenant, job.seq, body) {
+            Ok((_, reply)) => {
                 self.outcome_journaled();
                 if let Some(s) = self.reactor.sessions.tenant_session(&job.tenant) {
-                    s.send(&body.into_msg(job.seq, rseq));
+                    s.send_payload(&reply);
                 }
                 // An undelivered reply is not an orphan: it waits,
                 // durably, for the tenant to resume.

@@ -7,54 +7,72 @@
 //! sent, so a SIGKILL at any instant loses at most replies that were
 //! never acknowledged — and those replay on reconnect.
 //!
-//! ## On-disk format
+//! ## On-disk format (layout version 2)
 //!
 //! A journal is a directory of numbered segments:
 //!
 //! ```text
 //! wal-000001.seg   "MFSJ" version:u32le  frame(record)*
-//! wal-000002.seg   "MFSJ" version:u32le  frame(Snapshot) frame(record)*
+//! wal-000002.seg   "MFSJ" version:u32le  frame(Snapshot) frame(Tenant)*
+//!                                        frame(Admit | Outcome)* frame(record)*
 //! ```
 //!
-//! Each record is a [`Unit`] tuple encoded by [`transport::wire`] and
+//! Each record is one [`Unit`] tuple encoded by [`transport::wire`] and
 //! wrapped in the transport's CRC-32 frame — the same discipline as
 //! [`renovation::checkpoint`] (MFCK), so bit rot is *detected* and a torn
 //! tail (the one record a crash can interrupt) is truncated on recovery,
-//! never misread. Records append with plain `write(2)`: a page-cached
-//! write survives process death (the SIGKILL threat model this layer is
-//! built for); [`JournalConfig::fsync`] upgrades every append to
-//! power-loss durability at the documented throughput cost.
+//! never misread. There are five records:
 //!
-//! A reply body is encoded once: an outcome record goes out as one
-//! vectored write of frame header, record fields and body, with the CRC
-//! taken over the pieces, and the journal keeps those same body bytes as
-//! the unacknowledged reply, decoding them only to replay it. Recovery
-//! reads each segment into memory and decodes every record in place;
-//! a frame there is bounded by the bytes left in its segment, not by the
-//! wire's `MAX_FRAME`, because a snapshot may outgrow any one message.
+//! ```text
+//! (1 Tenant, name, weight, token, next_rseq, acked, failed)
+//! (2 Admit, tenant, seq, root, level, tol)
+//! (3 Outcome, tenant, reply)     reply: the Done/Fail/Reject message
+//! (4 Ack, tenant, upto)
+//! (5 Snapshot)                   forget every earlier record
+//! ```
+//!
+//! An outcome's `reply` is the [`ServeMsg`] payload the tenant receives,
+//! `seq` and `rseq` inside it, so a reply has one format. The journal
+//! encodes it once into an `Arc<[u8]>`, appends it behind the record's
+//! head in one vectored write (the CRC fed over the pieces), keeps that
+//! `Arc` as the unacknowledged reply, and hands it to the daemon, which
+//! sends those bytes: live, on a replayed `Submit`, and on resume.
+//!
+//! Every record fits one wire frame: one over [`transport::MAX_FRAME`]
+//! is refused before it is written. So recovery reads each segment
+//! through a buffered reader one frame at a time
+//! ([`transport::read_frame`]), and copies out only the reply bytes of
+//! outcome records. A segment of another layout version is refused with
+//! a diagnosed error and left as it is. Records append with plain
+//! `write(2)`: a page-cached write survives process death (the SIGKILL
+//! threat model this layer is built for); [`JournalConfig::fsync`]
+//! upgrades every append to power-loss durability at the documented
+//! throughput cost.
 //!
 //! ## Rotation and compaction
 //!
 //! Once the records appended to the active segment after its snapshot
 //! pass [`JournalConfig::segment_bytes`], the journal applies the record
 //! that crossed the line to its state and then writes a fresh segment
-//! whose one record is a `Snapshot` of the entire live state — tenants
-//! and their reply watermarks, pending jobs, unacknowledged outcomes,
-//! the triggering record included — and deletes the older segments.
-//! Entries the client has `Ack`ed are dropped from the snapshot, so the
+//! holding the entire live state as ordinary records, built by the same
+//! builders the live appends use: a bare `Snapshot` marker, one `Tenant`
+//! record per tenant (name, weight, token and reply watermarks), then an
+//! `Admit` per pending job and an `Outcome` per unacknowledged reply (its
+//! journaled bytes) — the triggering record included — and deletes the
+//! older segments. A tenant record counts only the `Fail`s that are not
+//! among the outcome records after it, which count themselves when they
+//! are replayed. Entries the client has `Ack`ed are dropped, so the
 //! journal's size is bounded by outstanding (not historical) work: the
 //! live state plus one segment's worth of records. Counting from the
 //! snapshot means a live state larger than `segment_bytes` rotates once
 //! per `segment_bytes` appended, not again at every append.
 //!
-//! The snapshot is streamed into a temporary file one job entry at a
-//! time (an outcome's body goes out as its journaled bytes), its frame
-//! header patched with the length and CRC at the end, and the file
-//! renamed into place: a rotation holds one entry in memory, never a
-//! copy of the whole state, and writes the very bytes that framing the
-//! whole snapshot unit at once would. A failed rotation loses nothing —
-//! the record that triggered it is already in the active segment — so
-//! it is reported and tried again at the next append.
+//! The records go through a buffered writer into a temporary file, which
+//! is then renamed into place: a rotation holds one record in memory
+//! beside the live state, and a crash leaves the old segments whole. A
+//! failed rotation loses nothing — the record that triggered it is
+//! already in the active segment — so it is reported and tried again at
+//! the next append.
 //!
 //! ## Replay invariants
 //!
@@ -80,12 +98,12 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufWriter, Seek, Write};
+use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use manifold::Unit;
-use transport::frame::{self, Crc32, HEADER_LEN};
+use transport::frame::{self, HEADER_LEN};
 use transport::wire::{self, UnitReader};
 
 use crate::proto::{RejectReason, ServeMsg};
@@ -94,17 +112,13 @@ use crate::proto::{RejectReason, ServeMsg};
 pub const MAGIC: &[u8; 4] = b"MFSJ";
 
 /// Version of the journal layout; mismatches are refused, not guessed.
-const JOURNAL_VERSION: u32 = 1;
+const JOURNAL_VERSION: u32 = 2;
 
-const R_REGISTER: i64 = 1;
+const R_TENANT: i64 = 1;
 const R_ADMIT: i64 = 2;
 const R_OUTCOME: i64 = 3;
 const R_ACK: i64 = 4;
 const R_SNAPSHOT: i64 = 5;
-
-const O_DONE: i64 = 0;
-const O_FAIL: i64 = 1;
-const O_REJECT: i64 = 2;
 
 /// Where and how to journal.
 #[derive(Debug, Clone)]
@@ -189,86 +203,32 @@ impl OutcomeBody {
         }
     }
 
-    fn to_unit(&self) -> Unit {
+    fn kind(&self) -> Kind {
         match self {
-            OutcomeBody::Done {
-                grids,
-                l2_error,
-                combined,
-            } => Unit::tuple(vec![
-                Unit::int(O_DONE),
-                Unit::int(*grids as i64),
-                Unit::real(*l2_error),
-                Unit::reals(combined.clone()),
-            ]),
-            OutcomeBody::Fail { error } => Unit::tuple(vec![Unit::int(O_FAIL), Unit::text(error)]),
-            OutcomeBody::Reject {
-                retry_after_ms,
-                reason,
-            } => Unit::tuple(vec![
-                Unit::int(O_REJECT),
-                Unit::int(*retry_after_ms as i64),
-                Unit::int(match reason {
-                    RejectReason::QueueFull => 0,
-                    RejectReason::Draining => 1,
-                    RejectReason::FaultBudgetExhausted => 2,
-                    RejectReason::OverCapacity => 3,
-                }),
-            ]),
+            OutcomeBody::Done { .. } => Kind::Done,
+            OutcomeBody::Fail { .. } => Kind::Fail,
+            OutcomeBody::Reject { .. } => Kind::Reject,
         }
     }
+}
 
-    fn from_unit(u: &Unit) -> Result<OutcomeBody, String> {
-        let t = u.as_tuple().ok_or("outcome body is not a tuple")?;
-        let int = |i: usize| -> Result<i64, String> {
-            t.get(i)
-                .and_then(Unit::as_int)
-                .ok_or_else(|| format!("outcome field {i} is not an int"))
-        };
-        match int(0)? {
-            O_DONE => Ok(OutcomeBody::Done {
-                grids: int(1)? as u64,
-                l2_error: t
-                    .get(2)
-                    .and_then(Unit::as_real)
-                    .ok_or("outcome field 2 is not a real")?,
-                combined: t
-                    .get(3)
-                    .and_then(Unit::as_reals)
-                    .ok_or("outcome field 3 is not a reals vector")?
-                    .as_ref()
-                    .clone(),
-            }),
-            O_FAIL => Ok(OutcomeBody::Fail {
-                error: t
-                    .get(1)
-                    .and_then(Unit::as_text)
-                    .ok_or("outcome field 1 is not text")?
-                    .to_string(),
-            }),
-            O_REJECT => Ok(OutcomeBody::Reject {
-                retry_after_ms: int(1)? as u64,
-                reason: match int(2)? {
-                    0 => RejectReason::QueueFull,
-                    1 => RejectReason::Draining,
-                    2 => RejectReason::FaultBudgetExhausted,
-                    3 => RejectReason::OverCapacity,
-                    other => return Err(format!("unknown reject reason {other}")),
-                },
-            }),
-            other => Err(format!("unknown outcome kind {other}")),
-        }
-    }
+/// Which reply a journaled outcome is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Done,
+    Fail,
+    Reject,
+}
 
-    fn decode(bytes: &[u8]) -> Result<OutcomeBody, String> {
-        OutcomeBody::from_unit(&transport::decode_unit(bytes).map_err(|e| e.to_string())?)
-    }
-
-    fn kind(&self) -> i64 {
-        match self {
-            OutcomeBody::Done { .. } => O_DONE,
-            OutcomeBody::Fail { .. } => O_FAIL,
-            OutcomeBody::Reject { .. } => O_REJECT,
+impl Kind {
+    /// The request a reply message answers, its reply sequence and its
+    /// kind; `None` for a message that is not a reply.
+    fn of(msg: &ServeMsg) -> Option<(u64, u64, Kind)> {
+        match *msg {
+            ServeMsg::Done { seq, rseq, .. } => Some((seq, rseq, Kind::Done)),
+            ServeMsg::Fail { seq, rseq, .. } => Some((seq, rseq, Kind::Fail)),
+            ServeMsg::Reject { seq, rseq, .. } => Some((seq, rseq, Kind::Reject)),
+            _ => None,
         }
     }
 }
@@ -288,6 +248,51 @@ fn record(fields: &[Unit], more: usize) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
+fn tenant_record(t: &TenantRec) -> io::Result<Vec<u8>> {
+    record(
+        &[
+            Unit::int(R_TENANT),
+            Unit::text(&t.name),
+            Unit::int(t.weight as i64),
+            Unit::int(t.token as i64),
+            Unit::int(t.next_rseq as i64),
+            Unit::int(t.acked as i64),
+            Unit::int(t.failed as i64),
+        ],
+        0,
+    )
+}
+
+fn admit_record(tenant: &str, seq: u64, root: u32, level: u32, tol: f64) -> io::Result<Vec<u8>> {
+    record(
+        &[
+            Unit::int(R_ADMIT),
+            Unit::text(tenant),
+            Unit::int(seq as i64),
+            Unit::int(root as i64),
+            Unit::int(level as i64),
+            Unit::real(tol),
+        ],
+        0,
+    )
+}
+
+/// An outcome record's head; the reply's payload follows it.
+fn outcome_head(tenant: &str) -> io::Result<Vec<u8>> {
+    record(&[Unit::int(R_OUTCOME), Unit::text(tenant)], 1)
+}
+
+fn ack_record(tenant: &str, upto: u64) -> io::Result<Vec<u8>> {
+    record(
+        &[Unit::int(R_ACK), Unit::text(tenant), Unit::int(upto as i64)],
+        0,
+    )
+}
+
+fn snapshot_record() -> io::Result<Vec<u8>> {
+    record(&[Unit::int(R_SNAPSHOT)], 0)
+}
+
 #[derive(Debug, Clone)]
 enum JobState {
     Pending {
@@ -295,12 +300,12 @@ enum JobState {
         level: u32,
         tol: f64,
     },
-    /// A journaled reply: its outcome kind (`O_*`) and its body's wire
-    /// bytes as the journal wrote them, decoded only to be replayed.
+    /// A journaled reply: its kind, and the payload the tenant receives,
+    /// as the journal wrote it.
     Outcome {
         rseq: u64,
-        kind: i64,
-        body: Arc<[u8]>,
+        kind: Kind,
+        reply: Arc<[u8]>,
     },
 }
 
@@ -336,13 +341,6 @@ impl<'a> Fields<'a> {
         self.0.tuple().map_err(|e| format!("{what}: {e}"))
     }
 
-    fn tuple_of(&mut self, n: usize, what: &str) -> Result<(), String> {
-        match self.tuple(what)? {
-            m if m == n => Ok(()),
-            m => Err(format!("{what} has {m} fields, not {n}")),
-        }
-    }
-
     fn unit(&mut self, what: &str) -> Result<(Unit, &'a [u8]), String> {
         self.0.unit().map_err(|e| format!("{what}: {e}"))
     }
@@ -367,13 +365,6 @@ impl<'a> Fields<'a> {
             None => Err(format!("{what} is not text")),
         }
     }
-
-    /// An outcome body, checked, and its kind; its bytes are kept as
-    /// written.
-    fn body(&mut self) -> Result<(i64, Arc<[u8]>), String> {
-        let (unit, bytes) = self.unit("outcome body")?;
-        Ok((OutcomeBody::from_unit(&unit)?.kind(), bytes.into()))
-    }
 }
 
 impl State {
@@ -383,25 +374,24 @@ impl State {
         let arity = r.tuple("record")?;
         let tag = r.int("record tag")?;
         let want = match tag {
-            R_REGISTER => 4,
+            R_TENANT => 7,
             R_ADMIT => 6,
-            R_OUTCOME => 5,
-            R_ACK => 3,
-            R_SNAPSHOT => 3,
+            R_OUTCOME | R_ACK => 3,
+            R_SNAPSHOT => 1,
             other => return Err(format!("unknown journal record tag {other}")),
         };
         if arity != want {
             return Err(format!("record {tag} has {arity} fields, not {want}"));
         }
         match tag {
-            R_REGISTER => {
+            R_TENANT => {
                 let tenant = TenantRec {
                     name: r.text("tenant")?,
                     weight: r.int("weight")?.max(0) as u32,
                     token: r.int("token")? as u64,
-                    next_rseq: 1,
-                    acked: 0,
-                    failed: 0,
+                    next_rseq: r.int("next rseq")? as u64,
+                    acked: r.int("acked")? as u64,
+                    failed: r.int("failed")? as u64,
                 };
                 self.add_tenant(tenant);
             }
@@ -417,52 +407,19 @@ impl State {
             }
             R_OUTCOME => {
                 let idx = self.tenant(&r.text("tenant")?)?;
-                let seq = r.int("seq")? as u64;
-                let rseq = r.int("rseq")? as u64;
-                let (kind, body) = r.body()?;
-                self.outcome(idx, seq, rseq, kind, body);
+                let (unit, reply) = r.unit("reply")?;
+                // Checked as the tenant will decode it; the decoded copy
+                // is gone before the bytes are copied out.
+                let (seq, rseq, kind) = Kind::of(&ServeMsg::from_unit(&unit)?)
+                    .ok_or("outcome record holds no reply")?;
+                drop(unit);
+                self.outcome(idx, seq, rseq, kind, reply.into());
             }
             R_ACK => {
                 let idx = self.tenant(&r.text("tenant")?)?;
                 self.ack(idx, r.int("ack")? as u64);
             }
-            _ => {
-                *self = State::default();
-                for _ in 0..r.tuple("snapshot tenants")? {
-                    r.tuple_of(6, "snapshot tenant")?;
-                    let tenant = TenantRec {
-                        name: r.text("tenant")?,
-                        weight: r.int("weight")?.max(0) as u32,
-                        token: r.int("token")? as u64,
-                        next_rseq: r.int("next rseq")? as u64,
-                        acked: r.int("acked")? as u64,
-                        failed: r.int("failed")? as u64,
-                    };
-                    self.add_tenant(tenant);
-                }
-                for _ in 0..r.tuple("snapshot jobs")? {
-                    r.tuple_of(3, "snapshot job")?;
-                    let idx = self.tenant(&r.text("tenant")?)?;
-                    let seq = r.int("seq")? as u64;
-                    let fields = r.tuple("snapshot job state")?;
-                    let job = match (r.int("job kind")?, fields) {
-                        (0, 4) => JobState::Pending {
-                            root: r.int("root")?.max(0) as u32,
-                            level: r.int("level")?.max(0) as u32,
-                            tol: r.real("tol")?,
-                        },
-                        (1, 3) => {
-                            let rseq = r.int("rseq")? as u64;
-                            let (kind, body) = r.body()?;
-                            JobState::Outcome { rseq, kind, body }
-                        }
-                        (kind, n) => {
-                            return Err(format!("unknown snapshot job kind {kind} with {n} fields"))
-                        }
-                    };
-                    self.jobs.insert((idx, seq), job);
-                }
-            }
+            _ => *self = State::default(),
         }
         r.0.finish().map_err(|e| format!("record {tag}: {e}"))
     }
@@ -479,19 +436,19 @@ impl State {
             .ok_or_else(|| format!("record for unregistered tenant {name:?}"))
     }
 
-    fn outcome(&mut self, idx: usize, seq: u64, rseq: u64, kind: i64, body: Arc<[u8]>) {
+    fn outcome(&mut self, idx: usize, seq: u64, rseq: u64, kind: Kind, reply: Arc<[u8]>) {
         let tn = &mut self.tenants[idx];
-        tn.next_rseq = tn.next_rseq.max(rseq + 1);
-        if kind == O_FAIL {
-            tn.failed += 1;
+        tn.next_rseq = tn.next_rseq.max(rseq.saturating_add(1));
+        if kind == Kind::Fail {
+            tn.failed = tn.failed.saturating_add(1);
         }
         self.jobs
-            .insert((idx, seq), JobState::Outcome { rseq, kind, body });
+            .insert((idx, seq), JobState::Outcome { rseq, kind, reply });
     }
 
     /// Raise the ack watermark and drop the outcomes it covers — the
     /// in-memory side of compaction (the on-disk side happens at the next
-    /// rotation snapshot).
+    /// rotation).
     fn ack(&mut self, idx: usize, upto: u64) {
         let tn = &mut self.tenants[idx];
         if upto <= tn.acked {
@@ -507,52 +464,45 @@ impl State {
         });
     }
 
-    /// The snapshot record's bytes before its first job entry: the tuple
-    /// head, the record tag, every tenant, and the jobs' tuple head.
-    fn snapshot_prefix(&self) -> io::Result<Vec<u8>> {
-        let tenants = self
-            .tenants
-            .iter()
-            .map(|t| {
-                Unit::tuple(vec![
-                    Unit::text(&t.name),
-                    Unit::int(t.weight as i64),
-                    Unit::int(t.token as i64),
-                    Unit::int(t.next_rseq as i64),
-                    Unit::int(t.acked as i64),
-                    Unit::int(t.failed as i64),
-                ])
-            })
-            .collect();
-        let mut out = record(&[Unit::int(R_SNAPSHOT), Unit::tuple(tenants)], 1)?;
-        out.extend(record(&[], self.jobs.len())?);
-        Ok(out)
-    }
-
-    /// One job's snapshot entry; an outcome's entry stops before its body,
-    /// whose journaled bytes follow it verbatim.
-    fn entry_head(&self, (idx, seq): (usize, u64), job: &JobState) -> io::Result<Vec<u8>> {
-        let tenant = Unit::text(&self.tenants[idx].name);
-        match job {
-            JobState::Pending { root, level, tol } => record(
-                &[
-                    tenant,
-                    Unit::int(seq as i64),
-                    Unit::tuple(vec![
-                        Unit::int(0),
-                        Unit::int(*root as i64),
-                        Unit::int(*level as i64),
-                        Unit::real(*tol),
-                    ]),
-                ],
-                0,
-            ),
-            JobState::Outcome { rseq, .. } => {
-                let mut out = record(&[tenant, Unit::int(seq as i64)], 1)?;
-                out.extend(record(&[Unit::int(1), Unit::int(*rseq as i64)], 1)?);
-                Ok(out)
+    /// The live state as records, each built as a live append builds it:
+    /// the `Snapshot` marker, every tenant, then every job's `Admit` or
+    /// `Outcome`. A tenant record leaves out the tenant's live `Fail`s:
+    /// their outcome records count them when replayed.
+    fn write_records(&self, w: &mut impl Write) -> io::Result<()> {
+        frame::write_frame_parts(w, &snapshot_record()?, &[])?;
+        for (idx, t) in self.tenants.iter().enumerate() {
+            let live_fails = self
+                .jobs
+                .range((idx, 0)..=(idx, u64::MAX))
+                .filter(|(_, s)| {
+                    matches!(
+                        s,
+                        JobState::Outcome {
+                            kind: Kind::Fail,
+                            ..
+                        }
+                    )
+                })
+                .count() as u64;
+            let t = TenantRec {
+                failed: t.failed.saturating_sub(live_fails),
+                ..t.clone()
+            };
+            frame::write_frame_parts(w, &tenant_record(&t)?, &[])?;
+        }
+        for (&(idx, seq), job) in &self.jobs {
+            let tenant = &self.tenants[idx].name;
+            match job {
+                JobState::Pending { root, level, tol } => {
+                    let rec = admit_record(tenant, seq, *root, *level, *tol)?;
+                    frame::write_frame_parts(w, &rec, &[])?
+                }
+                JobState::Outcome { reply, .. } => {
+                    frame::write_frame_parts(w, &outcome_head(tenant)?, reply)?
+                }
             }
         }
+        Ok(())
     }
 }
 
@@ -589,9 +539,10 @@ pub struct PendingJob {
 pub struct Resume {
     /// The tenant's stable resume token (mint or existing).
     pub token: u64,
-    /// Journaled replies above the client's watermark, in `rseq` order —
-    /// queue these to the session before processing anything else on it.
-    pub replay: Vec<ServeMsg>,
+    /// Journaled replies above the client's watermark, in `rseq` order,
+    /// each the payload the tenant receives — queue these to the session
+    /// before processing anything else on it.
+    pub replay: Vec<Arc<[u8]>>,
 }
 
 /// Outcome of [`Journal::admit`].
@@ -602,9 +553,10 @@ pub enum Admit {
     /// Already admitted and still in flight — the reply will come; drop
     /// this duplicate on the floor.
     DuplicatePending,
-    /// A terminal outcome is already journaled: resend it (original
-    /// `rseq`, so the client's dedup decides) instead of re-executing.
-    Replay(Box<ServeMsg>),
+    /// A terminal outcome is already journaled: resend its payload
+    /// (original `rseq`, so the client's dedup decides) instead of
+    /// re-executing.
+    Replay(Arc<[u8]>),
 }
 
 struct Inner {
@@ -617,7 +569,7 @@ struct Inner {
     /// when it began: rotation waits for `segment_bytes` more.
     seg_base: u64,
     token_nonce: u64,
-    /// The buffer a reply body is encoded into, reused across replies.
+    /// The buffer a reply is encoded into, reused across replies.
     encoded: Vec<u8>,
 }
 
@@ -636,6 +588,57 @@ fn seg_header() -> Vec<u8> {
     h.extend_from_slice(MAGIC);
     h.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
     h
+}
+
+/// Replay the segment at `path` into `state`, one frame at a time; the
+/// length of its header and whole records. In the `last` segment a
+/// record that fails to read is the torn tail and ends the replay;
+/// anywhere else it is fatal.
+fn replay_segment(path: &Path, last: bool, state: &mut State) -> io::Result<u64> {
+    let bad = |what: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("journal segment {}: {what}", path.display()),
+        )
+    };
+    let mut r = BufReader::new(File::open(path)?);
+    let mut header = [0u8; 8];
+    if r.read_exact(&mut header).is_err() || header[..4] != MAGIC[..] {
+        return Err(bad("not a journal segment (bad magic)".into()));
+    }
+    let version = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+    if version != JOURNAL_VERSION {
+        return Err(bad(format!(
+            "layout version {version}, this build reads {JOURNAL_VERSION}"
+        )));
+    }
+    let mut good = header.len() as u64;
+    loop {
+        match frame::read_frame(&mut r) {
+            Ok(Some(payload)) => {
+                state
+                    .apply(&payload)
+                    .map_err(|e| bad(format!("record replay: {e}")))?;
+                good += (HEADER_LEN + payload.len()) as u64;
+            }
+            Ok(None) => return Ok(good),
+            Err(e) if last => {
+                // The one record a crash can tear is the last append of
+                // the final segment: drop it. The write it guarded was
+                // never acknowledged.
+                eprintln!(
+                    "journal: truncating torn tail of {} at byte {good} ({e})",
+                    path.display()
+                );
+                return Ok(good);
+            }
+            Err(e) => {
+                return Err(bad(format!(
+                    "corrupt record at byte {good} of a non-final segment: {e}"
+                )))
+            }
+        }
+    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -661,77 +664,32 @@ impl Journal {
         segs.sort_unstable();
 
         let mut state = State::default();
-        let (file, seg_index, seg_bytes) = if segs.is_empty() {
-            let index = 1;
-            let path = cfg.dir.join(seg_name(index));
-            let mut f = OpenOptions::new()
-                .create(true)
-                .truncate(true)
-                .write(true)
-                .open(&path)?;
-            f.write_all(&seg_header())?;
-            (f, index, 8u64)
-        } else {
-            let last = *segs.last().unwrap();
-            for &idx in &segs {
-                let path = cfg.dir.join(seg_name(idx));
-                let bytes = fs::read(&path)?;
-                let bad = |what: String| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("journal segment {}: {what}", path.display()),
-                    )
-                };
-                if bytes.len() < 8 || &bytes[..4] != MAGIC {
-                    return Err(bad("not a journal segment (bad magic)".into()));
-                }
-                let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-                if version != JOURNAL_VERSION {
-                    return Err(bad(format!(
-                        "layout version {version}, this build reads {JOURNAL_VERSION}"
-                    )));
-                }
-                // Each record is read in place from the segment image, and
-                // a frame is bounded by the bytes left in it: a snapshot
-                // may be larger than any frame the wire accepts.
-                let mut rest = &bytes[8..];
-                loop {
-                    match frame::split_frame(rest) {
-                        Ok(Some((payload, after))) => {
-                            state
-                                .apply(payload)
-                                .map_err(|e| bad(format!("record replay: {e}")))?;
-                            rest = after;
-                        }
-                        Ok(None) => break,
-                        Err(e) if idx == last => {
-                            // The one record a crash can tear is the last
-                            // append of the final segment: drop it. The
-                            // write it guarded was never acknowledged.
-                            eprintln!(
-                                "journal: truncating torn tail of {} at byte {} ({e})",
-                                path.display(),
-                                bytes.len() - rest.len()
-                            );
-                            break;
-                        }
-                        Err(e) => {
-                            return Err(bad(format!(
-                                "corrupt record at byte {} of a non-final segment: {e}",
-                                bytes.len() - rest.len()
-                            )))
-                        }
-                    }
-                }
-                if idx == last {
-                    let f = OpenOptions::new().write(true).open(&path)?;
-                    f.set_len((bytes.len() - rest.len()) as u64)?;
-                }
+        let (file, seg_index, seg_bytes) = match segs.last() {
+            None => {
+                let index = 1;
+                let path = cfg.dir.join(seg_name(index));
+                let mut f = OpenOptions::new()
+                    .create(true)
+                    .truncate(true)
+                    .write(true)
+                    .open(&path)?;
+                f.write_all(&seg_header())?;
+                (f, index, seg_header().len() as u64)
             }
-            let path = cfg.dir.join(seg_name(last));
-            let mut f = OpenOptions::new().append(true).open(&path)?;
-            let len = f.seek(io::SeekFrom::End(0))?;
-            (f, last, len)
+            Some(&last) => {
+                let mut len = 0;
+                for &idx in &segs {
+                    let path = cfg.dir.join(seg_name(idx));
+                    len = replay_segment(&path, idx == last, &mut state)?;
+                }
+                let f = OpenOptions::new()
+                    .append(true)
+                    .open(cfg.dir.join(seg_name(last)))?;
+                if f.metadata()?.len() > len {
+                    f.set_len(len)?;
+                }
+                (f, last, len)
+            }
         };
 
         let recovery = Recovery {
@@ -844,28 +802,21 @@ impl Journal {
                         .append_ack(idx, last_reply)
                         .map_err(|e| format!("journal ack: {e}"))?;
                 }
-                let mut replay: Vec<(u64, u64, &[u8])> = inner
+                let mut replay: Vec<(u64, Arc<[u8]>)> = inner
                     .state
                     .jobs
                     .range((idx, 0)..=(idx, u64::MAX))
-                    .filter_map(|(&(_, seq), s)| match s {
-                        JobState::Outcome { rseq, body, .. } if *rseq > last_reply => {
-                            Some((*rseq, seq, &body[..]))
+                    .filter_map(|(_, s)| match s {
+                        JobState::Outcome { rseq, reply, .. } if *rseq > last_reply => {
+                            Some((*rseq, Arc::clone(reply)))
                         }
                         _ => None,
                     })
                     .collect();
-                replay.sort_by_key(|&(rseq, ..)| rseq);
+                replay.sort_by_key(|(rseq, _)| *rseq);
                 Ok(Resume {
                     token: known,
-                    replay: replay
-                        .into_iter()
-                        .map(|(rseq, seq, body)| {
-                            OutcomeBody::decode(body)
-                                .map(|b| b.into_msg(seq, rseq))
-                                .map_err(|e| format!("journal replay: {e}"))
-                        })
-                        .collect::<Result<_, _>>()?,
+                    replay: replay.into_iter().map(|(_, reply)| reply).collect(),
                 })
             }
             None => {
@@ -884,27 +835,16 @@ impl Journal {
                 let idx = inner.state.tenants.len();
                 let minted =
                     (splitmix64(inner.token_nonce ^ (idx as u64)) & 0x7fff_ffff_ffff_ffff).max(1);
-                let rec = record(
-                    &[
-                        Unit::int(R_REGISTER),
-                        Unit::text(tenant),
-                        Unit::int(weight as i64),
-                        Unit::int(minted as i64),
-                    ],
-                    0,
-                )
-                .map_err(|e| format!("journal register: {e}"))?;
-                inner
-                    .append(&rec, &[], |s| {
-                        s.add_tenant(TenantRec {
-                            name: tenant.to_string(),
-                            weight,
-                            token: minted,
-                            next_rseq: 1,
-                            acked: 0,
-                            failed: 0,
-                        })
-                    })
+                let rec = TenantRec {
+                    name: tenant.to_string(),
+                    weight,
+                    token: minted,
+                    next_rseq: 1,
+                    acked: 0,
+                    failed: 0,
+                };
+                tenant_record(&rec)
+                    .and_then(|bytes| inner.append(&bytes, &[], |s| s.add_tenant(rec)))
                     .map_err(|e| format!("journal register: {e}"))?;
                 Ok(Resume {
                     token: minted,
@@ -933,25 +873,14 @@ impl Journal {
         })?;
         match inner.state.jobs.get(&(idx, seq)) {
             Some(JobState::Pending { .. }) => return Ok(Admit::DuplicatePending),
-            Some(JobState::Outcome { rseq, kind, body }) if *kind != O_REJECT => {
-                let body = OutcomeBody::decode(body).map_err(invalid)?;
-                return Ok(Admit::Replay(Box::new(body.into_msg(seq, *rseq))));
+            Some(JobState::Outcome { kind, reply, .. }) if *kind != Kind::Reject => {
+                return Ok(Admit::Replay(Arc::clone(reply)));
             }
             // A journaled Reject is not terminal: the client is retrying
             // after backpressure, so fall through and re-admit.
             Some(JobState::Outcome { .. }) | None => {}
         }
-        let rec = record(
-            &[
-                Unit::int(R_ADMIT),
-                Unit::text(tenant),
-                Unit::int(seq as i64),
-                Unit::int(root as i64),
-                Unit::int(level as i64),
-                Unit::real(tol),
-            ],
-            0,
-        )?;
+        let rec = admit_record(tenant, seq, root, level, tol)?;
         inner.append(&rec, &[], |s| {
             s.jobs
                 .insert((idx, seq), JobState::Pending { root, level, tol });
@@ -960,9 +889,24 @@ impl Journal {
     }
 
     /// Journal an outcome *before* it is sent, assigning and returning
-    /// its reply sequence. The body is encoded once: the record carries
-    /// those bytes, and the journal keeps them until the reply is acked.
+    /// its reply sequence ([`Journal::record_reply`] with a copy of
+    /// `body`).
     pub fn record_outcome(&self, tenant: &str, seq: u64, body: &OutcomeBody) -> io::Result<u64> {
+        self.record_reply(tenant, seq, body.clone())
+            .map(|(rseq, _)| rseq)
+    }
+
+    /// Journal an outcome *before* it is sent: assign its reply sequence,
+    /// encode the reply message once, append it, and keep those bytes
+    /// until the tenant acks them. Returns the reply sequence and the
+    /// payload to send. A record over the wire's `MAX_FRAME` is refused
+    /// (`InvalidInput`) before anything is written.
+    pub fn record_reply(
+        &self,
+        tenant: &str,
+        seq: u64,
+        body: OutcomeBody,
+    ) -> io::Result<(u64, Arc<[u8]>)> {
         let mut g = self.inner.lock().unwrap();
         let inner = &mut *g;
         let idx = *inner.state.by_name.get(tenant).ok_or_else(|| {
@@ -972,25 +916,17 @@ impl Journal {
             )
         })?;
         let rseq = inner.state.tenants[idx].next_rseq;
-        // The body goes through a buffer the journal reuses, so the one
+        let kind = body.kind();
+        // The reply goes through a buffer the journal reuses, so the one
         // fresh allocation per reply is the copy it keeps.
         inner.encoded.clear();
-        wire::encode_unit(&body.to_unit(), &mut inner.encoded).map_err(invalid)?;
-        let bytes: Arc<[u8]> = inner.encoded[..].into();
-        let head = record(
-            &[
-                Unit::int(R_OUTCOME),
-                Unit::text(tenant),
-                Unit::int(seq as i64),
-                Unit::int(rseq as i64),
-            ],
-            1,
-        )?;
-        let kind = body.kind();
-        inner.append(&head, &bytes, |s| {
-            s.outcome(idx, seq, rseq, kind, Arc::clone(&bytes))
+        let msg = body.into_msg(seq, rseq);
+        wire::encode_unit(&msg.into_unit(), &mut inner.encoded).map_err(invalid)?;
+        let reply: Arc<[u8]> = inner.encoded[..].into();
+        inner.append(&outcome_head(tenant)?, &reply, |s| {
+            s.outcome(idx, seq, rseq, kind, Arc::clone(&reply))
         })?;
-        Ok(rseq)
+        Ok((rseq, reply))
     }
 
     /// The client has durably consumed every reply with `rseq <= upto`.
@@ -1010,7 +946,7 @@ impl Journal {
 impl Inner {
     /// Append one record, the frame's payload `head` then `body`, and
     /// `apply` it to the state — before any rotation it triggers, so the
-    /// snapshot holds it.
+    /// rotated segment holds it.
     fn append(
         &mut self,
         head: &[u8],
@@ -1028,14 +964,7 @@ impl Inner {
     }
 
     fn append_ack(&mut self, idx: usize, upto: u64) -> io::Result<()> {
-        let rec = record(
-            &[
-                Unit::int(R_ACK),
-                Unit::text(&self.state.tenants[idx].name),
-                Unit::int(upto as i64),
-            ],
-            0,
-        )?;
+        let rec = ack_record(&self.state.tenants[idx].name, upto)?;
         self.append(&rec, &[], |s| s.ack(idx, upto))
     }
 
@@ -1055,16 +984,16 @@ impl Inner {
         }
     }
 
-    /// Start a new segment headed by a snapshot of live state, then drop
-    /// the older segments — compaction of everything already acked. The
-    /// new segment is written under a temporary name and renamed into
-    /// place, so a crash leaves the old segments whole.
+    /// Start a new segment holding the live state, then drop the older
+    /// segments — compaction of everything already acked. The new
+    /// segment is written under a temporary name and renamed into place,
+    /// so a crash leaves the old segments whole.
     fn rotate(&mut self) -> io::Result<()> {
         let next = self.seg_index + 1;
         let path = self.cfg.dir.join(seg_name(next));
         let tmp = self.cfg.dir.join(format!("{}.tmp", seg_name(next)));
         let (file, len) = self
-            .write_snapshot(&tmp)
+            .write_segment(&tmp)
             .and_then(|written| fs::rename(&tmp, &path).map(|()| written))
             .inspect_err(|_| {
                 let _ = fs::remove_file(&tmp);
@@ -1079,38 +1008,18 @@ impl Inner {
         Ok(())
     }
 
-    /// Write a segment holding only the snapshot record to `path`,
-    /// streamed one job entry at a time — an outcome's body goes out as
-    /// its journaled bytes — with the frame's length and CRC patched in
-    /// at the end. Returns the file, positioned at its end for appends,
-    /// and its length.
-    fn write_snapshot(&self, path: &Path) -> io::Result<(File, u64)> {
+    /// Write a segment holding the live state as records to `path`.
+    /// Returns the file, positioned at its end for appends, and its
+    /// length.
+    fn write_segment(&self, path: &Path) -> io::Result<(File, u64)> {
         let mut out = BufWriter::new(File::create(path)?);
-        let seg_header = seg_header();
-        out.write_all(&seg_header)?;
-        out.write_all(&[0; HEADER_LEN])?;
-        let mut crc = Crc32::new();
-        let mut len = 0u64;
-        let mut put = |out: &mut BufWriter<File>, bytes: &[u8]| {
-            crc.update(bytes);
-            len += bytes.len() as u64;
-            out.write_all(bytes)
-        };
-        put(&mut out, &self.state.snapshot_prefix()?)?;
-        for (&key, job) in &self.state.jobs {
-            put(&mut out, &self.state.entry_head(key, job)?)?;
-            if let JobState::Outcome { body, .. } = job {
-                put(&mut out, body)?;
-            }
-        }
-        let header = frame::frame_header(len, crc.finish())?;
+        out.write_all(&seg_header())?;
+        self.state.write_records(&mut out)?;
         let mut file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
-        file.seek(io::SeekFrom::Start(seg_header.len() as u64))?;
-        file.write_all(&header)?;
         if self.cfg.fsync {
             file.sync_all()?;
         }
-        let end = file.seek(io::SeekFrom::End(0))?;
+        let end = file.stream_position()?;
         Ok((file, end))
     }
 }
@@ -1120,56 +1029,12 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    /// The whole snapshot as one unit, built the way every existing
-    /// journal's snapshots were: the byte oracle for the streamed rotation.
-    fn snapshot_unit(state: &State) -> Unit {
-        let tenants = state
-            .tenants
+    /// Replies as the tenant decodes them.
+    fn decoded(replay: &[Arc<[u8]>]) -> Vec<ServeMsg> {
+        replay
             .iter()
-            .map(|t| {
-                Unit::tuple(vec![
-                    Unit::text(&t.name),
-                    Unit::int(t.weight as i64),
-                    Unit::int(t.token as i64),
-                    Unit::int(t.next_rseq as i64),
-                    Unit::int(t.acked as i64),
-                    Unit::int(t.failed as i64),
-                ])
-            })
-            .collect();
-        let jobs = state
-            .jobs
-            .iter()
-            .map(|(&(idx, seq), s)| {
-                let job = match s {
-                    JobState::Pending { root, level, tol } => Unit::tuple(vec![
-                        Unit::int(0),
-                        Unit::int(*root as i64),
-                        Unit::int(*level as i64),
-                        Unit::real(*tol),
-                    ]),
-                    JobState::Outcome { rseq, body, .. } => Unit::tuple(vec![
-                        Unit::int(1),
-                        Unit::int(*rseq as i64),
-                        transport::decode_unit(body).expect("a journaled body decodes"),
-                    ]),
-                };
-                Unit::tuple(vec![
-                    Unit::text(&state.tenants[idx].name),
-                    Unit::int(seq as i64),
-                    job,
-                ])
-            })
-            .collect();
-        Unit::tuple(vec![
-            Unit::int(R_SNAPSHOT),
-            Unit::tuple(tenants),
-            Unit::tuple(jobs),
-        ])
-    }
-
-    fn encode_record(u: &Unit) -> Vec<u8> {
-        transport::frame_vec(&transport::encode_unit_vec(u).unwrap())
+            .map(|r| ServeMsg::decode(r).expect("a journaled reply decodes"))
+            .collect()
     }
 
     /// Segment files on disk (1 except transiently): rotation and
@@ -1237,24 +1102,23 @@ mod tests {
         assert_eq!(rec2.unacked_outcomes, 1);
         let r2 = j2.register("acme", 2, r.token, 0).unwrap();
         assert_eq!(r2.token, r.token);
-        assert_eq!(r2.replay.len(), 1);
-        match &r2.replay[0] {
-            ServeMsg::Done {
+        match &decoded(&r2.replay)[..] {
+            [ServeMsg::Done {
                 seq,
                 rseq,
                 combined,
                 ..
-            } => {
+            }] => {
                 assert_eq!((*seq, *rseq), (1, 1));
                 assert_eq!(combined, &vec![1.0, 1.5]);
             }
             other => panic!("unexpected replay {other:?}"),
         }
         // Resubmitting the finished seq replays, not re-executes.
-        assert!(matches!(
-            j2.admit("acme", 1, 2, 1, 1e-3).unwrap(),
-            Admit::Replay(_)
-        ));
+        match j2.admit("acme", 1, 2, 1, 1e-3).unwrap() {
+            Admit::Replay(reply) => assert_eq!(reply, r2.replay[0]),
+            other => panic!("seq 1 must replay, got {other:?}"),
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1330,15 +1194,17 @@ mod tests {
         .unwrap(); // rseq 2
         j.ack("a", 1).unwrap();
         let r = j.register("a", 1, tok, 1).unwrap();
-        assert_eq!(r.replay.len(), 1, "only the unacked reject replays");
-        assert!(matches!(
-            r.replay[0],
-            ServeMsg::Reject {
-                seq: 2,
-                rseq: 2,
-                ..
-            }
-        ));
+        assert!(
+            matches!(
+                decoded(&r.replay)[..],
+                [ServeMsg::Reject {
+                    seq: 2,
+                    rseq: 2,
+                    ..
+                }]
+            ),
+            "only the unacked reject replays"
+        );
         // The rejected seq may be re-admitted (backpressure retry).
         assert!(matches!(j.admit("a", 2, 2, 1, 1e-3).unwrap(), Admit::New));
         // Hello's last_reply acks implicitly, and survives reopen.
@@ -1444,7 +1310,7 @@ mod tests {
         Vec<(String, u32, u64)>,
         Vec<PendingJob>,
         usize,
-        Vec<ServeMsg>,
+        Vec<Arc<[u8]>>,
     );
 
     fn recovered(dir: &Path, tenants: &[(&str, u64)]) -> Recovered {
@@ -1456,12 +1322,14 @@ mod tests {
         (rec.tenants, rec.pending, rec.unacked_outcomes, replay)
     }
 
-    /// A streamed rotation writes, byte for byte, the segment the whole
-    /// snapshot unit framed at once gives — the layout every existing
-    /// journal was written in — and recovers the same state from it.
+    /// A rotation writes the live state as ordinary records, and a
+    /// journal reopened from them recovers what it recovered before —
+    /// the tenants' `Fail` counts too, which the rotated tenant records
+    /// and the replayed `Fail` outcomes share — twice over. Every replay
+    /// is the very payload the tenant would have been sent live.
     #[test]
-    fn a_rotation_writes_the_snapshot_oracles_bytes() {
-        let dir = tmp_dir("oracle");
+    fn a_rotation_keeps_recovery_and_every_reply_byte() {
+        let dir = tmp_dir("identity");
         let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
         let a = j.register("a", 2, 0, 0).unwrap().token;
         let b = j.register("b", 1, 0, 0).unwrap().token;
@@ -1486,19 +1354,45 @@ mod tests {
         drop(j);
         let before = recovered(&dir, &[("a", a), ("b", b)]);
         assert_eq!(before.0, vec![("a".into(), 2, 1), ("b".into(), 1, 0)]);
+        assert_eq!(before.1.len(), 2, "a's seq 1 and b's seq 2");
         assert_eq!(before.2, 4, "a's Fail, Reject and Done, and b's Done");
+        let sent = [
+            fail.into_msg(3, 2),
+            reject.into_msg(4, 3),
+            done(5.0).into_msg(5, 4),
+            done(-1.0).into_msg(1, 1),
+        ];
+        assert_eq!(before.3.len(), sent.len());
+        for (reply, msg) in before.3.iter().zip(&sent) {
+            assert_eq!(reply[..], msg.encode().unwrap()[..], "{msg:?}");
+            assert_eq!(transport::frame_vec(reply), msg.to_frame().unwrap());
+        }
 
-        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
-        let mut g = j.inner.lock().unwrap();
-        let oracle = [seg_header(), encode_record(&snapshot_unit(&g.state))].concat();
-        g.rotate().unwrap();
-        let next = g.seg_index;
-        drop(g);
-        drop(j);
-        assert_eq!(fs::read(dir.join(seg_name(next))).unwrap(), oracle);
-        assert!(!dir.join(seg_name(next - 1)).exists());
-        assert_eq!(recovered(&dir, &[("a", a), ("b", b)]), before);
+        for round in 1..=2 {
+            let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+            let mut g = j.inner.lock().unwrap();
+            g.rotate().unwrap();
+            let next = g.seg_index;
+            drop(g);
+            drop(j);
+            assert!(!dir.join(seg_name(next - 1)).exists());
+            let seg = fs::read(dir.join(seg_name(next))).unwrap();
+            let records = frames(&seg[8..]);
+            assert_eq!(records[0], snapshot_record().unwrap(), "round {round}");
+            assert_eq!(records.len(), 1 + 2 + 6, "round {round}");
+            assert_eq!(
+                recovered(&dir, &[("a", a), ("b", b)]),
+                before,
+                "round {round}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The payloads of the frames in `bytes`, all of them whole.
+    fn frames(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let mut r = bytes;
+        std::iter::from_fn(|| frame::read_frame(&mut r).unwrap()).collect()
     }
 
     /// A record whose append fills the segment is in the snapshot that
@@ -1548,7 +1442,7 @@ mod tests {
             let pending: Vec<u64> = rec.pending.iter().map(|p| p.seq).collect();
             assert_eq!(pending, vec![1], "trigger {trigger}");
             assert_eq!(rec.unacked_outcomes, 1, "trigger {trigger}");
-            let replay = j.register("a", 1, tok.get(), 0).unwrap().replay;
+            let replay = decoded(&j.register("a", 1, tok.get(), 0).unwrap().replay);
             assert!(
                 matches!(
                     replay[..],
@@ -1622,9 +1516,8 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A snapshot is one frame, and one larger than the wire's
-    /// `MAX_FRAME` is still read back whole: a journal frame is bounded
-    /// by its segment, not by what a peer may send.
+    /// A live state larger than the wire's `MAX_FRAME` rotates into
+    /// records that each fit a frame, and is read back whole.
     #[test]
     fn a_snapshot_larger_than_a_wire_frame_reopens_whole() {
         let dir = tmp_dir("huge");
@@ -1652,7 +1545,7 @@ mod tests {
         assert_eq!(rec.unacked_outcomes, 4);
         assert_eq!(fs::metadata(dir.join(seg_name(2))).unwrap().len(), snapshot);
         match j.admit("a", 4, 2, 1, 1e-3).unwrap() {
-            Admit::Replay(msg) => match *msg {
+            Admit::Replay(reply) => match ServeMsg::decode(&reply).unwrap() {
                 ServeMsg::Done {
                     seq: 4,
                     rseq: 4,
@@ -1670,5 +1563,302 @@ mod tests {
         }
         drop(j);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A journal written in another layout is refused with a diagnosed
+    /// error, and every file is left as it was: nothing truncated,
+    /// renamed or deleted, not even what reads as a torn tail in v2.
+    #[test]
+    fn a_version_1_journal_is_refused_and_left_untouched() {
+        let dir = tmp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let register = Unit::tuple(vec![
+            Unit::int(1),
+            Unit::text("a"),
+            Unit::int(1),
+            Unit::int(77),
+        ]);
+        let mut v1 = MAGIC.to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend(transport::frame_vec(
+            &transport::encode_unit_vec(&register).unwrap(),
+        ));
+        fs::write(dir.join(seg_name(1)), &v1).unwrap();
+        v1.extend_from_slice(&[9, 9, 9]);
+        fs::write(dir.join(seg_name(2)), &v1).unwrap();
+        let files = || {
+            let mut all: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| {
+                    let path = e.unwrap().path();
+                    let bytes = fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            all.sort();
+            all
+        };
+        let before = files();
+        let err = match Journal::open(JournalConfig::new(&dir)) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a version 1 journal must be refused"),
+        };
+        assert!(
+            err.contains("layout version 1, this build reads 2"),
+            "{err}"
+        );
+        assert_eq!(files(), before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Every record is read back through `read_frame`, so none may be
+    /// written over `MAX_FRAME`: such a reply is refused before a byte
+    /// of it reaches the segment, and takes no reply sequence.
+    #[test]
+    fn a_reply_over_a_wire_frame_is_refused_before_it_is_written() {
+        let dir = tmp_dir("over-frame");
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        j.register("a", 1, 0, 0).unwrap();
+        j.admit("a", 1, 2, 1, 1e-3).unwrap();
+        let seg = dir.join(seg_name(1));
+        let len = fs::metadata(&seg).unwrap().len();
+        let huge = OutcomeBody::Done {
+            grids: 1,
+            l2_error: 0.0,
+            combined: vec![0.0; transport::MAX_FRAME / 8],
+        };
+        let err = j.record_reply("a", 1, huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(fs::metadata(&seg).unwrap().len(), len);
+        assert_eq!(j.record_outcome("a", 1, &done(1.0)).unwrap(), 1);
+        drop(j);
+        let (_j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert_eq!(rec.unacked_outcomes, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    fn corpus_dir() -> PathBuf {
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus/journal")
+    }
+
+    /// A segment: the header, then one frame per `(head, body)` record.
+    fn segment(records: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut out = seg_header();
+        for (head, body) in records {
+            frame::write_frame_parts(&mut out, head, body).unwrap();
+        }
+        out
+    }
+
+    /// One segment per record kind, each led by the records it needs,
+    /// and one rotated segment holding two tenants' pending jobs,
+    /// `Done`/`Fail`/`Reject` replies and an ack watermark. Built from
+    /// the record builders with fixed tokens, so the bytes are stable.
+    fn corpus_segments() -> Vec<(&'static str, Vec<u8>)> {
+        let tenant = |name: &str, token| {
+            let t = TenantRec {
+                name: name.into(),
+                weight: 2,
+                token,
+                next_rseq: 1,
+                acked: 0,
+                failed: 0,
+            };
+            (tenant_record(&t).unwrap(), Vec::new())
+        };
+        let admit = |name: &str, seq| (admit_record(name, seq, 2, 1, 1e-3).unwrap(), Vec::new());
+        let outcome =
+            |name: &str, msg: ServeMsg| (outcome_head(name).unwrap(), msg.encode().unwrap());
+        let ack = |name: &str, upto| (ack_record(name, upto).unwrap(), Vec::new());
+        let done = |seq, rseq| done(seq as f64).into_msg(seq, rseq);
+        let fail = |seq, rseq| ServeMsg::Fail {
+            seq,
+            rseq,
+            error: "engine: lost".into(),
+        };
+        let reject = |seq, rseq| ServeMsg::Reject {
+            seq,
+            rseq,
+            retry_after_ms: 25,
+            reason: RejectReason::QueueFull,
+        };
+        let (a, b) = ("tenant-α", "b");
+        let live = vec![
+            tenant(a, 0x0123_4567_89ab_cdef),
+            tenant(b, 7),
+            admit(a, 1),
+            admit(a, 2),
+            admit(a, 3),
+            admit(a, 4),
+            admit(b, 1),
+            outcome(a, done(1, 1)),
+            outcome(a, fail(2, 2)),
+            outcome(a, reject(3, 3)),
+            outcome(b, done(1, 1)),
+            ack(a, 1),
+        ];
+        let mut state = State::default();
+        for (head, body) in &live {
+            state.apply(&[&head[..], body].concat()).unwrap();
+        }
+        let mut rotated = seg_header();
+        state.write_records(&mut rotated).unwrap();
+        vec![
+            ("tenant", segment(&live[..1])),
+            ("admit", segment(&[live[0].clone(), live[2].clone()])),
+            (
+                "outcome-done",
+                segment(&[live[0].clone(), live[2].clone(), live[7].clone()]),
+            ),
+            (
+                "outcome-fail",
+                segment(&[live[0].clone(), live[3].clone(), live[8].clone()]),
+            ),
+            (
+                "outcome-reject",
+                segment(&[live[0].clone(), live[4].clone(), live[9].clone()]),
+            ),
+            (
+                "ack",
+                segment(&[
+                    live[0].clone(),
+                    live[2].clone(),
+                    live[7].clone(),
+                    live[11].clone(),
+                ]),
+            ),
+            ("rotated", rotated),
+        ]
+    }
+
+    /// The committed corpus, checked against the current builders;
+    /// regenerate it after an intentional layout change with
+    /// `MC_BLESS=1 cargo test -p serve --lib journal`.
+    fn corpus() -> Vec<(&'static str, Vec<u8>)> {
+        let dir = corpus_dir();
+        let bless = std::env::var_os("MC_BLESS").is_some();
+        if bless {
+            fs::create_dir_all(&dir).unwrap();
+        }
+        let segs = corpus_segments();
+        for (name, seg) in &segs {
+            let path = dir.join(format!("{name}.seg"));
+            if bless {
+                fs::write(&path, seg).unwrap();
+            }
+            let bytes = fs::read(&path).unwrap_or_else(|e| {
+                panic!(
+                    "missing corpus seed {} ({e}); run with MC_BLESS=1",
+                    path.display()
+                )
+            });
+            assert!(
+                bytes == *seg,
+                "corpus seed {name} drifted from the current layout; regenerate with \
+                 MC_BLESS=1 if the change was intentional"
+            );
+        }
+        segs
+    }
+
+    /// Open `dir` with `final_seg` as its last segment (after `earlier`,
+    /// if given), catching a panic as a test failure.
+    fn open_with(dir: &Path, earlier: Option<&[u8]>, final_seg: &[u8]) -> io::Result<Recovery> {
+        let _ = fs::remove_dir_all(dir);
+        fs::create_dir_all(dir).unwrap();
+        if let Some(seg) = earlier {
+            fs::write(dir.join(seg_name(1)), seg).unwrap();
+        }
+        fs::write(dir.join(seg_name(2)), final_seg).unwrap();
+        std::panic::catch_unwind(|| Journal::open(JournalConfig::new(dir)).map(|(_, rec)| rec))
+            .unwrap_or_else(|_| panic!("Journal::open panicked"))
+    }
+
+    /// Journal replay under corruption: every single-bit flip and every
+    /// truncation of a corpus segment either fails to open with a
+    /// diagnosed error or, in the final segment, recovers a prefix of the
+    /// records the segment held, cut at the first bad one. A flipped bit
+    /// in an earlier segment always fails.
+    #[test]
+    fn corrupt_segments_are_refused_or_cut_to_a_valid_prefix() {
+        let dir = tmp_dir("fuzz-open");
+        let path = dir.join(seg_name(2));
+        let diagnosed = |e: io::Error| {
+            let msg = e.to_string();
+            assert!(msg.starts_with("journal segment"), "undiagnosed: {msg}");
+        };
+        for (name, seg) in corpus() {
+            let full = open_with(&dir, None, &seg).unwrap();
+            assert!(
+                fs::read(&path).unwrap() == seg,
+                "{name}: a clean segment is kept whole"
+            );
+            let mut cases: Vec<(String, Vec<u8>)> = (0..seg.len())
+                .map(|cut| (format!("cut to {cut}"), seg[..cut].to_vec()))
+                .collect();
+            for byte in 0..seg.len() {
+                for bit in 0..8 {
+                    let mut evil = seg.clone();
+                    evil[byte] ^= 1 << bit;
+                    cases.push((format!("byte {byte} bit {bit}"), evil));
+                }
+            }
+            for (what, evil) in &cases {
+                match open_with(&dir, None, evil) {
+                    Err(e) => diagnosed(e),
+                    Ok(rec) => {
+                        let kept = fs::read(&path).unwrap();
+                        assert!(
+                            kept.len() < seg.len() && seg.starts_with(&kept),
+                            "{name}, {what}: kept {} bytes that are not a prefix",
+                            kept.len()
+                        );
+                        assert!(rec.tenants.len() <= full.tenants.len(), "{name}, {what}");
+                    }
+                }
+                if what.starts_with("byte") {
+                    match open_with(&dir, Some(evil), &seg_header()) {
+                        Err(e) => diagnosed(e),
+                        Ok(_) => panic!("{name}, {what}: a corrupt earlier segment opened"),
+                    }
+                }
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `State::apply` on record payloads mangled past their CRC —
+    /// single-bit flips, truncations, trailing garbage — returns `Ok` or
+    /// `Err` and never panics, and a rotation of whatever state it left
+    /// does not panic either.
+    #[test]
+    fn mutated_records_never_panic_the_replay() {
+        for (name, seg) in corpus() {
+            let records = frames(&seg[8..]);
+            for (i, payload) in records.iter().enumerate() {
+                let mut cases: Vec<Vec<u8>> = (0..payload.len())
+                    .map(|cut| payload[..cut].to_vec())
+                    .collect();
+                for byte in 0..payload.len() {
+                    for bit in 0..8 {
+                        let mut evil = payload.clone();
+                        evil[byte] ^= 1 << bit;
+                        cases.push(evil);
+                    }
+                }
+                cases.push([&payload[..], &[0xFF; 9]].concat());
+                for (k, evil) in cases.iter().enumerate() {
+                    let mut state = State::default();
+                    for earlier in &records[..i] {
+                        state.apply(earlier).unwrap();
+                    }
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let _ = state.apply(evil);
+                        let _ = state.write_records(&mut Vec::new());
+                    }))
+                    .unwrap_or_else(|_| panic!("{name}: record {i}, case {k} panicked"));
+                }
+            }
+        }
     }
 }

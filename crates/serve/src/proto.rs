@@ -203,6 +203,13 @@ pub enum ServeMsg {
 impl ServeMsg {
     /// Lower to the unit representation.
     pub fn to_unit(&self) -> Unit {
+        self.clone().into_unit()
+    }
+
+    /// Lower to the unit representation, moving the fields in: a `Done`'s
+    /// field becomes the unit's without a copy. The one layout of every
+    /// message, the journal's replies included.
+    pub fn into_unit(self) -> Unit {
         match self {
             ServeMsg::Hello {
                 version,
@@ -212,16 +219,16 @@ impl ServeMsg {
                 last_reply,
             } => Unit::tuple(vec![
                 Unit::int(T_HELLO),
-                Unit::int(*version),
+                Unit::int(version),
                 Unit::text(tenant),
-                Unit::int(*weight as i64),
-                Unit::int(*token as i64),
-                Unit::int(*last_reply as i64),
+                Unit::int(weight as i64),
+                Unit::int(token as i64),
+                Unit::int(last_reply as i64),
             ]),
             ServeMsg::Welcome { session, token } => Unit::tuple(vec![
                 Unit::int(T_WELCOME),
-                Unit::int(*session as i64),
-                Unit::int(*token as i64),
+                Unit::int(session as i64),
+                Unit::int(token as i64),
             ]),
             ServeMsg::Submit {
                 seq,
@@ -230,10 +237,10 @@ impl ServeMsg {
                 tol,
             } => Unit::tuple(vec![
                 Unit::int(T_SUBMIT),
-                Unit::int(*seq as i64),
-                Unit::int(*root as i64),
-                Unit::int(*level as i64),
-                Unit::real(*tol),
+                Unit::int(seq as i64),
+                Unit::int(root as i64),
+                Unit::int(level as i64),
+                Unit::real(tol),
             ]),
             ServeMsg::Done {
                 seq,
@@ -243,16 +250,16 @@ impl ServeMsg {
                 combined,
             } => Unit::tuple(vec![
                 Unit::int(T_DONE),
-                Unit::int(*seq as i64),
-                Unit::int(*rseq as i64),
-                Unit::int(*grids as i64),
-                Unit::real(*l2_error),
-                Unit::reals(combined.clone()),
+                Unit::int(seq as i64),
+                Unit::int(rseq as i64),
+                Unit::int(grids as i64),
+                Unit::real(l2_error),
+                Unit::reals(combined),
             ]),
             ServeMsg::Fail { seq, rseq, error } => Unit::tuple(vec![
                 Unit::int(T_FAIL),
-                Unit::int(*seq as i64),
-                Unit::int(*rseq as i64),
+                Unit::int(seq as i64),
+                Unit::int(rseq as i64),
                 Unit::text(error),
             ]),
             ServeMsg::Reject {
@@ -262,15 +269,15 @@ impl ServeMsg {
                 reason,
             } => Unit::tuple(vec![
                 Unit::int(T_REJECT),
-                Unit::int(*seq as i64),
-                Unit::int(*rseq as i64),
-                Unit::int(*retry_after_ms as i64),
+                Unit::int(seq as i64),
+                Unit::int(rseq as i64),
+                Unit::int(retry_after_ms as i64),
                 Unit::int(reason.code()),
             ]),
-            ServeMsg::Ack { upto } => Unit::tuple(vec![Unit::int(T_ACK), Unit::int(*upto as i64)]),
+            ServeMsg::Ack { upto } => Unit::tuple(vec![Unit::int(T_ACK), Unit::int(upto as i64)]),
             ServeMsg::Drain => Unit::tuple(vec![Unit::int(T_DRAIN)]),
             ServeMsg::Drained { served } => {
-                Unit::tuple(vec![Unit::int(T_DRAINED), Unit::int(*served as i64)])
+                Unit::tuple(vec![Unit::int(T_DRAINED), Unit::int(served as i64)])
             }
             ServeMsg::Bye => Unit::tuple(vec![Unit::int(T_BYE)]),
         }

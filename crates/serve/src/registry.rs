@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use transport::frame::FrameDecoder;
+use transport::frame::{frame_vec, FrameDecoder};
 use transport::Stream;
 
 use crate::proto::ServeMsg;
@@ -70,13 +70,17 @@ pub struct Session {
 }
 
 impl Session {
-    /// Queue `msg` for delivery. False when it cannot be framed.
+    /// Queue `msg` for delivery. False when it cannot be encoded.
     pub fn send(&mut self, msg: &ServeMsg) -> bool {
-        let Ok(frame) = msg.to_frame() else {
-            return false;
-        };
-        self.outbox.bufs.push_back(frame);
-        true
+        msg.encode()
+            .map(|payload| self.send_payload(&payload))
+            .is_ok()
+    }
+
+    /// Queue a message already encoded — a journaled reply — for
+    /// delivery.
+    pub fn send_payload(&mut self, payload: &[u8]) {
+        self.outbox.bufs.push_back(frame_vec(payload));
     }
 
     /// Answer `Fail{seq}` with `error`, then close after the flush.

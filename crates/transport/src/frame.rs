@@ -9,9 +9,14 @@
 //! feeds the coordinator's normal lost-instance/reconnect path instead of
 //! letting a flipped bit masquerade as data.
 //!
-//! Two consumption styles:
+//! Frames are written whole by [`write_frame`], or by
+//! [`write_frame_parts`] from a head and a body held apart, the CRC fed
+//! piece by piece; both refuse a payload over
+//! [`MAX_FRAME`], so whatever they write reads back. Two consumption
+//! styles:
 //!
-//! * [`read_frame`] — blocking, over any [`Read`] (sockets);
+//! * [`read_frame`] — blocking, over any [`Read`] (sockets, and the
+//!   serving journal's segment files);
 //! * [`FrameDecoder`] — incremental: push byte chunks of *any* size (as a
 //!   socket delivers them) and pop complete frames. This is the form the
 //!   split-at-arbitrary-boundaries property tests exercise.
@@ -67,7 +72,7 @@ static CRC_TABLES: [[u32; 256]; 8] = {
 /// of the input gives the value [`crc32`] gives for the whole, so a frame
 /// whose payload is written in parts is checksummed without joining them.
 #[derive(Debug, Clone, Copy)]
-pub struct Crc32(u32);
+struct Crc32(u32);
 
 impl Default for Crc32 {
     fn default() -> Self {
@@ -119,27 +124,12 @@ pub fn crc32(data: &[u8]) -> u32 {
     c.finish()
 }
 
-fn header_for(payload: &[u8]) -> [u8; HEADER_LEN] {
-    let mut h = [0u8; HEADER_LEN];
-    h[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    h[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    h
-}
-
 /// The header of a frame whose payload is `len` bytes with CRC-32 `crc`.
-/// A length the header's `u32` field cannot hold is refused, never
-/// truncated.
-pub fn frame_header(len: u64, crc: u32) -> std::io::Result<[u8; HEADER_LEN]> {
-    let len = u32::try_from(len).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("frame payload of {len} bytes exceeds the u32 length field"),
-        )
-    })?;
+fn header(len: usize, crc: u32) -> [u8; HEADER_LEN] {
     let mut h = [0u8; HEADER_LEN];
-    h[..4].copy_from_slice(&len.to_le_bytes());
+    h[..4].copy_from_slice(&(len as u32).to_le_bytes());
     h[4..].copy_from_slice(&crc.to_le_bytes());
-    Ok(h)
+    h
 }
 
 /// Write one frame (length + CRC header, then the payload). Header and
@@ -147,12 +137,6 @@ pub fn frame_header(len: u64, crc: u32) -> std::io::Result<[u8; HEADER_LEN]> {
 /// `TCP_NODELAY` socket, one segment — with further writes finishing
 /// whatever a short write left behind.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "frame too long",
-        ));
-    }
     write_frame_parts(w, payload, &[])?;
     w.flush()
 }
@@ -160,14 +144,21 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 /// Write one frame whose payload is `head` followed by `body`, the CRC
 /// taken over the two in place: header, head and body go out in one
 /// vectored write, with further writes finishing whatever a short write
-/// left behind. No [`MAX_FRAME`] cap — that bounds what a peer may send;
-/// a file's frames are bounded by the file (see [`split_frame`]) — only
-/// the header's `u32` length field.
+/// left behind. A payload over [`MAX_FRAME`] is refused before anything
+/// is written, so every frame written here reads back through
+/// [`read_frame`].
 pub fn write_frame_parts(w: &mut impl Write, head: &[u8], body: &[u8]) -> std::io::Result<()> {
+    let len = head.len() + body.len();
+    if len > MAX_FRAME {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("frame of {len} bytes exceeds cap"),
+        ));
+    }
     let mut crc = Crc32::new();
     crc.update(head);
     crc.update(body);
-    let header = frame_header((head.len() + body.len()) as u64, crc.finish())?;
+    let header = header(len, crc.finish());
     let mut slices = [
         IoSlice::new(&header),
         IoSlice::new(head),
@@ -183,37 +174,6 @@ pub fn write_frame_parts(w: &mut impl Write, head: &[u8], body: &[u8]) -> std::i
         }
     }
     Ok(())
-}
-
-/// The frame at the front of `buf`, an in-memory file image: its
-/// payload, verified and borrowed in place, and the bytes after it;
-/// `Ok(None)` when `buf` is empty. The buffer bounds the frame, not
-/// [`MAX_FRAME`]: a file's frames were written whole by this process's
-/// own writer, and may outgrow what a peer is allowed to send. A header
-/// cut short, or a length running past the buffer, is `UnexpectedEof`;
-/// a payload failing its checksum is [`WireError::BadCrc`].
-pub fn split_frame(buf: &[u8]) -> std::io::Result<Option<(&[u8], &[u8])>> {
-    if buf.is_empty() {
-        return Ok(None);
-    }
-    let eof = |what: String| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what);
-    if buf.len() < HEADER_LEN {
-        return Err(eof("eof inside frame header".into()));
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    let want_crc = u32::from_le_bytes(buf[4..HEADER_LEN].try_into().unwrap());
-    let rest = &buf[HEADER_LEN..];
-    if len > rest.len() {
-        return Err(eof(format!(
-            "frame of {len} bytes runs past the {} bytes left",
-            rest.len()
-        )));
-    }
-    let (payload, rest) = rest.split_at(len);
-    if crc32(payload) != want_crc {
-        return Err(WireError::BadCrc.into());
-    }
-    Ok(Some((payload, rest)))
 }
 
 /// Read one complete frame, blocking, verifying its CRC. An EOF before
@@ -305,7 +265,7 @@ impl FrameDecoder {
 /// for batching multiple frames into one socket write.
 pub fn frame_vec(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + HEADER_LEN);
-    out.extend_from_slice(&header_for(payload));
+    out.extend_from_slice(&header(payload.len(), crc32(payload)));
     out.extend_from_slice(payload);
     out
 }
@@ -386,29 +346,29 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_written_in_parts_splits_back_from_a_buffer() {
+    fn a_frame_written_in_parts_reads_back_whole() {
         let mut buf = Vec::new();
         write_frame_parts(&mut buf, b"head", b"and body").unwrap();
         write_frame(&mut buf, b"next").unwrap();
-        assert_eq!(
-            &buf[..HEADER_LEN],
-            &frame_vec(b"headand body")[..HEADER_LEN]
-        );
-        let (first, rest) = split_frame(&buf).unwrap().unwrap();
-        assert_eq!(first, b"headand body");
-        let (second, rest) = split_frame(rest).unwrap().unwrap();
-        assert_eq!((second, rest), (&b"next"[..], &b""[..]));
-        assert!(split_frame(rest).unwrap().is_none());
-        for cut in 1..buf.len() - HEADER_LEN - 4 {
-            let err = split_frame(&buf[..cut]).unwrap_err();
+        assert_eq!(&buf[..HEADER_LEN + 12], &frame_vec(b"headand body")[..]);
+        let mut r = std::io::Cursor::new(&buf);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"headand body");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"next");
+        assert_eq!(read_frame(&mut r).unwrap(), None);
+        for cut in 1..HEADER_LEN + 12 {
+            let err = read_frame(&mut std::io::Cursor::new(&buf[..cut])).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "cut {cut}");
         }
         let mut corrupt = buf.clone();
-        corrupt[HEADER_LEN + 2] ^= 1;
-        assert!(split_frame(&corrupt)
-            .unwrap_err()
-            .to_string()
-            .contains("checksum"));
+        corrupt[HEADER_LEN + 5] ^= 1;
+        let err = read_frame(&mut std::io::Cursor::new(&corrupt)).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
+        // A payload over the cap in parts is refused with nothing written.
+        let big = vec![0u8; MAX_FRAME];
+        let mut sink = Vec::new();
+        let err = write_frame_parts(&mut sink, b"x", &big).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(sink.is_empty());
     }
 
     /// Hands out at most three bytes per read, and fails every real read's

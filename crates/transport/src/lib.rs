@@ -11,7 +11,9 @@
 //!
 //! * [`wire`] — exact binary encoding of [`manifold::Unit`] values
 //!   (little-endian, IEEE-754 bit patterns for reals);
-//! * [`frame`] — length-prefixed, CRC-32-guarded framing with an
+//! * [`frame`] — length-prefixed, CRC-32-guarded framing, every frame
+//!   at most [`MAX_FRAME`]: whole or in two parts (head and body, one
+//!   `writev`, the CRC fed piece by piece), read back blocking or by an
 //!   incremental decoder;
 //! * [`msg`] — the session protocol (`Hello`/`HelloAck` handshake, `Job`/
 //!   `Done`/`Fail` request-response, `Heartbeat`, `Shutdown`, `Leave`);
