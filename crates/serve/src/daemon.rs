@@ -525,8 +525,8 @@ impl ServeLoop {
         s.send(&ServeMsg::Welcome { session: id, token });
         // Replay unacknowledged replies *before* anything the client
         // pipelines after its Hello — same socket, so ordering is free.
-        for reply in &replay {
-            s.send_payload(reply);
+        for frame in replay {
+            s.push_frame(frame);
         }
         // Last Hello wins: with a journal, one session speaks for a tenant
         // at a time, and replies route by tenant, not by the submitting
@@ -553,8 +553,8 @@ impl ServeLoop {
                 Ok(Admit::DuplicatePending) => return,
                 // Finished in a previous life: resend the recorded
                 // outcome, never re-execute.
-                Ok(Admit::Replay(reply)) => {
-                    s.send_payload(&reply);
+                Ok(Admit::Replay(frame)) => {
+                    s.push_frame(frame);
                     return;
                 }
                 Err(e) => {
@@ -602,7 +602,7 @@ impl ServeLoop {
             reason,
         };
         match j.record_reply(&tenant, seq, body) {
-            Ok((_, reply)) => s.send_payload(&reply),
+            Ok((_, frame)) => s.push_frame(frame),
             Err(e) => {
                 // The admit is journaled (Pending) but the reject cannot
                 // be. Sending an unjournaled Reject would wedge the seq:
@@ -730,10 +730,10 @@ impl ServeLoop {
         // replays the reply; a crash before re-executes the
         // (deterministic) job.
         match j.record_reply(&job.tenant, job.seq, body) {
-            Ok((_, reply)) => {
+            Ok((_, frame)) => {
                 self.outcome_journaled();
                 if let Some(s) = self.reactor.sessions.tenant_session(&job.tenant) {
-                    s.send_payload(&reply);
+                    s.push_frame(frame);
                 }
                 // An undelivered reply is not an orphan: it waits,
                 // durably, for the tenant to resume.

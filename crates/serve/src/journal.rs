@@ -33,21 +33,27 @@
 //!
 //! An outcome's `reply` is the [`ServeMsg`] payload the tenant receives,
 //! `seq` and `rseq` inside it, so a reply has one format. The journal
-//! encodes it once into an `Arc<[u8]>`, appends it behind the record's
-//! head in one vectored write (the CRC fed over the pieces), keeps that
-//! `Arc` as the unacknowledged reply, and hands it to the daemon, which
-//! sends those bytes: live, on a replayed `Submit`, and on resume.
+//! encodes it once, straight into the frame the tenant receives, appends
+//! the payload behind the record's head in one vectored write (the CRC
+//! fed over the pieces), and hands that frame to the daemon to send. What
+//! it keeps of an unacknowledged reply is where the payload lies on disk,
+//! `(segment, offset, length)`, not its bytes: the segment is the reply
+//! store. The bytes are read back (`pread`) only when they must be sent
+//! again — on a replayed `Submit` and on resume — and when a rotation
+//! moves them; the live send reads no file.
 //!
 //! Every record fits one wire frame: one over [`transport::MAX_FRAME`]
 //! is refused before it is written. So recovery reads each segment
 //! through a buffered reader one frame at a time
-//! ([`transport::read_frame`]), and copies out only the reply bytes of
-//! outcome records. A segment of another layout version is refused with
-//! a diagnosed error and left as it is. Records append with plain
-//! `write(2)`: a page-cached write survives process death (the SIGKILL
-//! threat model this layer is built for); [`JournalConfig::fsync`]
-//! upgrades every append to power-loss durability at the documented
-//! throughput cost.
+//! ([`transport::read_frame`]), checks each reply in place as the tenant
+//! will decode it, and keeps only where it lies. A segment of another
+//! layout version is refused with a diagnosed error and left as it is.
+//! Records append with plain `write(2)`: a page-cached write survives
+//! process death (the SIGKILL threat model this layer is built for);
+//! [`JournalConfig::fsync`] upgrades every append to power-loss
+//! durability at the documented throughput cost. An append that fails
+//! is cut from the segment again, so every offset the journal counts is
+//! where its record lies.
 //!
 //! ## Rotation and compaction
 //!
@@ -57,22 +63,27 @@
 //! holding the entire live state as ordinary records, built by the same
 //! builders the live appends use: a bare `Snapshot` marker, one `Tenant`
 //! record per tenant (name, weight, token and reply watermarks), then an
-//! `Admit` per pending job and an `Outcome` per unacknowledged reply (its
-//! journaled bytes) — the triggering record included — and deletes the
-//! older segments. A tenant record counts only the `Fail`s that are not
-//! among the outcome records after it, which count themselves when they
-//! are replayed. Entries the client has `Ack`ed are dropped, so the
-//! journal's size is bounded by outstanding (not historical) work: the
-//! live state plus one segment's worth of records. Counting from the
-//! snapshot means a live state larger than `segment_bytes` rotates once
-//! per `segment_bytes` appended, not again at every append.
+//! `Admit` per pending job and an `Outcome` per unacknowledged reply —
+//! the triggering record included — and deletes the older segments. A
+//! tenant record counts only the `Fail`s that are not among the outcome
+//! records after it, which count themselves when they are replayed.
+//! Entries the client has `Ack`ed are dropped, so the journal's size is
+//! bounded by outstanding (not historical) work: the live state plus one
+//! segment's worth of records. Counting from the snapshot means a live
+//! state larger than `segment_bytes` rotates once per `segment_bytes`
+//! appended, not again at every append.
 //!
 //! The records go through a buffered writer into a temporary file, which
-//! is then renamed into place: a rotation holds one record in memory
-//! beside the live state, and a crash leaves the old segments whole. A
-//! failed rotation loses nothing — the record that triggered it is
-//! already in the active segment — so it is reported and tried again at
-//! the next append.
+//! is then renamed into place. Each kept reply is copied from the
+//! segment it lies in, one at a time through one reused buffer, so a
+//! rotation holds one reply in memory. A reply's location moves to the
+//! new segment only once the rename has succeeded, and the older
+//! segments are deleted only then: a crash or a failed rotation leaves
+//! every reply where its location says. A failed rotation loses nothing
+//! — the record that triggered it is already in the active segment — so
+//! it is reported and tried again at the next append. The first segment
+//! is made the same way, so no crash leaves a segment without its
+//! header; a temporary file left by a crash is removed at the next open.
 //!
 //! ## Replay invariants
 //!
@@ -99,20 +110,24 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Display;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, BufWriter, Read, Seek, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use manifold::Unit;
 use transport::frame::{self, HEADER_LEN};
 use transport::wire::{self, UnitReader};
 
-use crate::proto::{RejectReason, ServeMsg};
+use crate::proto::{RejectReason, ReplyKind, ServeMsg};
 
 /// Magic bytes opening every journal segment.
 pub const MAGIC: &[u8; 4] = b"MFSJ";
 
 /// Version of the journal layout; mismatches are refused, not guessed.
 const JOURNAL_VERSION: u32 = 2;
+
+/// Bytes of a segment's header: [`MAGIC`] and the version.
+const SEG_HEADER_LEN: u64 = 8;
 
 const R_TENANT: i64 = 1;
 const R_ADMIT: i64 = 2;
@@ -203,32 +218,11 @@ impl OutcomeBody {
         }
     }
 
-    fn kind(&self) -> Kind {
+    fn kind(&self) -> ReplyKind {
         match self {
-            OutcomeBody::Done { .. } => Kind::Done,
-            OutcomeBody::Fail { .. } => Kind::Fail,
-            OutcomeBody::Reject { .. } => Kind::Reject,
-        }
-    }
-}
-
-/// Which reply a journaled outcome is.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Kind {
-    Done,
-    Fail,
-    Reject,
-}
-
-impl Kind {
-    /// The request a reply message answers, its reply sequence and its
-    /// kind; `None` for a message that is not a reply.
-    fn of(msg: &ServeMsg) -> Option<(u64, u64, Kind)> {
-        match *msg {
-            ServeMsg::Done { seq, rseq, .. } => Some((seq, rseq, Kind::Done)),
-            ServeMsg::Fail { seq, rseq, .. } => Some((seq, rseq, Kind::Fail)),
-            ServeMsg::Reject { seq, rseq, .. } => Some((seq, rseq, Kind::Reject)),
-            _ => None,
+            OutcomeBody::Done { .. } => ReplyKind::Done,
+            OutcomeBody::Fail { .. } => ReplyKind::Fail,
+            OutcomeBody::Reject { .. } => ReplyKind::Reject,
         }
     }
 }
@@ -293,6 +287,15 @@ fn snapshot_record() -> io::Result<Vec<u8>> {
     record(&[Unit::int(R_SNAPSHOT)], 0)
 }
 
+/// Where a kept reply's payload lies: bytes `off..off + len` of segment
+/// `seg`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Loc {
+    seg: u64,
+    off: u64,
+    len: usize,
+}
+
 #[derive(Debug, Clone)]
 enum JobState {
     Pending {
@@ -300,12 +303,12 @@ enum JobState {
         level: u32,
         tol: f64,
     },
-    /// A journaled reply: its kind, and the payload the tenant receives,
-    /// as the journal wrote it.
+    /// A journaled reply: its kind, and where the payload the tenant
+    /// receives lies, as the journal wrote it.
     Outcome {
         rseq: u64,
-        kind: Kind,
-        reply: Arc<[u8]>,
+        kind: ReplyKind,
+        at: Loc,
     },
 }
 
@@ -341,35 +344,24 @@ impl<'a> Fields<'a> {
         self.0.tuple().map_err(|e| format!("{what}: {e}"))
     }
 
-    fn unit(&mut self, what: &str) -> Result<(Unit, &'a [u8]), String> {
-        self.0.unit().map_err(|e| format!("{what}: {e}"))
-    }
-
     fn int(&mut self, what: &str) -> Result<i64, String> {
-        self.unit(what)?
-            .0
-            .as_int()
-            .ok_or_else(|| format!("{what} is not an int"))
+        self.0.int().map_err(|e| format!("{what}: {e}"))
     }
 
     fn real(&mut self, what: &str) -> Result<f64, String> {
-        self.unit(what)?
-            .0
-            .as_real()
-            .ok_or_else(|| format!("{what} is not a real"))
+        self.0.real().map_err(|e| format!("{what}: {e}"))
     }
 
-    fn text(&mut self, what: &str) -> Result<String, String> {
-        match self.unit(what)?.0.as_text() {
-            Some(s) => Ok(s.to_string()),
-            None => Err(format!("{what} is not text")),
-        }
+    fn text(&mut self, what: &str) -> Result<&'a str, String> {
+        self.0.text().map_err(|e| format!("{what}: {e}"))
     }
 }
 
 impl State {
-    /// Replay one record, read in place from its frame payload.
-    fn apply(&mut self, payload: &[u8]) -> Result<(), String> {
+    /// Replay one record, read in place from its frame payload, which
+    /// lies at byte `off` of segment `seg`: a reply is checked as the
+    /// tenant will decode it and kept as where it lies.
+    fn apply(&mut self, payload: &[u8], seg: u64, off: u64) -> Result<(), String> {
         let mut r = Fields(UnitReader::new(payload));
         let arity = r.tuple("record")?;
         let tag = r.int("record tag")?;
@@ -386,7 +378,7 @@ impl State {
         match tag {
             R_TENANT => {
                 let tenant = TenantRec {
-                    name: r.text("tenant")?,
+                    name: r.text("tenant")?.to_string(),
                     weight: r.int("weight")?.max(0) as u32,
                     token: r.int("token")? as u64,
                     next_rseq: r.int("next rseq")? as u64,
@@ -396,7 +388,7 @@ impl State {
                 self.add_tenant(tenant);
             }
             R_ADMIT => {
-                let idx = self.tenant(&r.text("tenant")?)?;
+                let idx = self.tenant(r.text("tenant")?)?;
                 let seq = r.int("seq")? as u64;
                 let job = JobState::Pending {
                     root: r.int("root")?.max(0) as u32,
@@ -406,17 +398,19 @@ impl State {
                 self.jobs.insert((idx, seq), job);
             }
             R_OUTCOME => {
-                let idx = self.tenant(&r.text("tenant")?)?;
-                let (unit, reply) = r.unit("reply")?;
-                // Checked as the tenant will decode it; the decoded copy
-                // is gone before the bytes are copied out.
-                let (seq, rseq, kind) = Kind::of(&ServeMsg::from_unit(&unit)?)
-                    .ok_or("outcome record holds no reply")?;
-                drop(unit);
-                self.outcome(idx, seq, rseq, kind, reply.into());
+                let idx = self.tenant(r.text("tenant")?)?;
+                let start = r.0.position();
+                let (seq, rseq, kind) =
+                    ServeMsg::check_reply(&mut r.0).map_err(|e| format!("reply: {e}"))?;
+                let at = Loc {
+                    seg,
+                    off: off + start as u64,
+                    len: r.0.position() - start,
+                };
+                self.outcome(idx, seq, rseq, kind, at);
             }
             R_ACK => {
-                let idx = self.tenant(&r.text("tenant")?)?;
+                let idx = self.tenant(r.text("tenant")?)?;
                 self.ack(idx, r.int("ack")? as u64);
             }
             _ => *self = State::default(),
@@ -436,14 +430,14 @@ impl State {
             .ok_or_else(|| format!("record for unregistered tenant {name:?}"))
     }
 
-    fn outcome(&mut self, idx: usize, seq: u64, rseq: u64, kind: Kind, reply: Arc<[u8]>) {
+    fn outcome(&mut self, idx: usize, seq: u64, rseq: u64, kind: ReplyKind, at: Loc) {
         let tn = &mut self.tenants[idx];
         tn.next_rseq = tn.next_rseq.max(rseq.saturating_add(1));
-        if kind == Kind::Fail {
+        if kind == ReplyKind::Fail {
             tn.failed = tn.failed.saturating_add(1);
         }
         self.jobs
-            .insert((idx, seq), JobState::Outcome { rseq, kind, reply });
+            .insert((idx, seq), JobState::Outcome { rseq, kind, at });
     }
 
     /// Raise the ack watermark and drop the outcomes it covers — the
@@ -467,9 +461,24 @@ impl State {
     /// The live state as records, each built as a live append builds it:
     /// the `Snapshot` marker, every tenant, then every job's `Admit` or
     /// `Outcome`. A tenant record leaves out the tenant's live `Fail`s:
-    /// their outcome records count them when replayed.
-    fn write_records(&self, w: &mut impl Write) -> io::Result<()> {
-        frame::write_frame_parts(w, &snapshot_record()?, &[])?;
+    /// their outcome records count them when replayed. The records start
+    /// at byte `pos` of their segment, and `read` fills a buffer with a
+    /// kept reply's bytes, which go through one reused buffer. Returns
+    /// the offset each reply is written at, in job order.
+    fn write_records(
+        &self,
+        w: &mut impl Write,
+        mut pos: u64,
+        mut read: impl FnMut(Loc, &mut [u8]) -> io::Result<()>,
+    ) -> io::Result<Vec<u64>> {
+        // Write one record; the offset its body lands at.
+        let mut put = |head: &[u8], body: &[u8]| -> io::Result<u64> {
+            frame::write_frame_parts(w, head, body)?;
+            let body_at = pos + (HEADER_LEN + head.len()) as u64;
+            pos = body_at + body.len() as u64;
+            Ok(body_at)
+        };
+        put(&snapshot_record()?, &[])?;
         for (idx, t) in self.tenants.iter().enumerate() {
             let live_fails = self
                 .jobs
@@ -478,7 +487,7 @@ impl State {
                     matches!(
                         s,
                         JobState::Outcome {
-                            kind: Kind::Fail,
+                            kind: ReplyKind::Fail,
                             ..
                         }
                     )
@@ -488,21 +497,24 @@ impl State {
                 failed: t.failed.saturating_sub(live_fails),
                 ..t.clone()
             };
-            frame::write_frame_parts(w, &tenant_record(&t)?, &[])?;
+            put(&tenant_record(&t)?, &[])?;
         }
+        let mut moved = Vec::new();
+        let mut reply = Vec::new();
         for (&(idx, seq), job) in &self.jobs {
             let tenant = &self.tenants[idx].name;
             match job {
                 JobState::Pending { root, level, tol } => {
-                    let rec = admit_record(tenant, seq, *root, *level, *tol)?;
-                    frame::write_frame_parts(w, &rec, &[])?
+                    put(&admit_record(tenant, seq, *root, *level, *tol)?, &[])?;
                 }
-                JobState::Outcome { reply, .. } => {
-                    frame::write_frame_parts(w, &outcome_head(tenant)?, reply)?
+                JobState::Outcome { at, .. } => {
+                    reply.resize(at.len, 0);
+                    read(*at, &mut reply)?;
+                    moved.push(put(&outcome_head(tenant)?, &reply)?);
                 }
             }
         }
-        Ok(())
+        Ok(moved)
     }
 }
 
@@ -540,9 +552,9 @@ pub struct Resume {
     /// The tenant's stable resume token (mint or existing).
     pub token: u64,
     /// Journaled replies above the client's watermark, in `rseq` order,
-    /// each the payload the tenant receives — queue these to the session
-    /// before processing anything else on it.
-    pub replay: Vec<Arc<[u8]>>,
+    /// each read back from disk as the frame the tenant receives — queue
+    /// these to the session before processing anything else on it.
+    pub replay: Vec<Vec<u8>>,
 }
 
 /// Outcome of [`Journal::admit`].
@@ -553,15 +565,17 @@ pub enum Admit {
     /// Already admitted and still in flight — the reply will come; drop
     /// this duplicate on the floor.
     DuplicatePending,
-    /// A terminal outcome is already journaled: resend its payload
-    /// (original `rseq`, so the client's dedup decides) instead of
-    /// re-executing.
-    Replay(Arc<[u8]>),
+    /// A terminal outcome is already journaled: resend it, read back
+    /// from disk as the frame the tenant receives (original `rseq`, so
+    /// the client's dedup decides), instead of re-executing.
+    Replay(Vec<u8>),
 }
 
 struct Inner {
     cfg: JournalConfig,
     state: State,
+    /// The active segment, open for reading too: kept replies are read
+    /// back from it.
     file: File,
     seg_index: u64,
     seg_bytes: u64,
@@ -569,8 +583,6 @@ struct Inner {
     /// when it began: rotation waits for `segment_bytes` more.
     seg_base: u64,
     token_nonce: u64,
-    /// The buffer a reply is encoded into, reused across replies.
-    encoded: Vec<u8>,
 }
 
 /// The write-ahead journal. All methods are `&self` behind one internal
@@ -584,25 +596,61 @@ fn seg_name(index: u64) -> String {
 }
 
 fn seg_header() -> Vec<u8> {
-    let mut h = Vec::with_capacity(8);
+    let mut h = Vec::with_capacity(SEG_HEADER_LEN as usize);
     h.extend_from_slice(MAGIC);
     h.extend_from_slice(&JOURNAL_VERSION.to_le_bytes());
     h
 }
 
-/// Replay the segment at `path` into `state`, one frame at a time; the
+/// Make segment `index` of `cfg.dir`: write its header and then what
+/// `body` writes through a buffered writer into a temporary file, and
+/// rename that into place, so a crash leaves no segment or a whole one.
+/// Returns the file, open for reading too and positioned at its end for
+/// appends, its length, and what `body` returned.
+fn create_segment<T>(
+    cfg: &JournalConfig,
+    index: u64,
+    body: impl FnOnce(&mut BufWriter<File>) -> io::Result<T>,
+) -> io::Result<(File, u64, T)> {
+    let path = cfg.dir.join(seg_name(index));
+    let tmp = cfg.dir.join(format!("{}.tmp", seg_name(index)));
+    let write = || {
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
+        let mut out = BufWriter::new(file);
+        out.write_all(&seg_header())?;
+        let made = body(&mut out)?;
+        let mut file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+        if cfg.fsync {
+            file.sync_all()?;
+        }
+        let end = file.stream_position()?;
+        fs::rename(&tmp, &path)?;
+        Ok((file, end, made))
+    };
+    write().inspect_err(|_| {
+        let _ = fs::remove_file(&tmp);
+    })
+}
+
+/// Replay segment `seg` of `dir` into `state`, one frame at a time; the
 /// length of its header and whole records. In the `last` segment a
 /// record that fails to read is the torn tail and ends the replay;
 /// anywhere else it is fatal.
-fn replay_segment(path: &Path, last: bool, state: &mut State) -> io::Result<u64> {
+fn replay_segment(dir: &Path, seg: u64, last: bool, state: &mut State) -> io::Result<u64> {
+    let path = dir.join(seg_name(seg));
     let bad = |what: String| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             format!("journal segment {}: {what}", path.display()),
         )
     };
-    let mut r = BufReader::new(File::open(path)?);
-    let mut header = [0u8; 8];
+    let mut r = BufReader::new(File::open(&path)?);
+    let mut header = [0u8; SEG_HEADER_LEN as usize];
     if r.read_exact(&mut header).is_err() || header[..4] != MAGIC[..] {
         return Err(bad("not a journal segment (bad magic)".into()));
     }
@@ -612,14 +660,15 @@ fn replay_segment(path: &Path, last: bool, state: &mut State) -> io::Result<u64>
             "layout version {version}, this build reads {JOURNAL_VERSION}"
         )));
     }
-    let mut good = header.len() as u64;
+    let mut good = SEG_HEADER_LEN;
     loop {
         match frame::read_frame(&mut r) {
             Ok(Some(payload)) => {
+                let at = good + HEADER_LEN as u64;
                 state
-                    .apply(&payload)
+                    .apply(&payload, seg, at)
                     .map_err(|e| bad(format!("record replay: {e}")))?;
-                good += (HEADER_LEN + payload.len()) as u64;
+                good = at + payload.len() as u64;
             }
             Ok(None) => return Ok(good),
             Err(e) if last => {
@@ -654,35 +703,44 @@ impl Journal {
     /// segments. Returns the journal plus what it recovered.
     pub fn open(cfg: JournalConfig) -> io::Result<(Journal, Recovery)> {
         fs::create_dir_all(&cfg.dir)?;
-        let mut segs: Vec<u64> = fs::read_dir(&cfg.dir)?
-            .filter_map(|e| {
-                let name = e.ok()?.file_name().to_string_lossy().into_owned();
-                let idx = name.strip_prefix("wal-")?.strip_suffix(".seg")?;
-                idx.parse::<u64>().ok()
-            })
-            .collect();
+        let (mut segs, mut leftovers) = (Vec::new(), Vec::new());
+        for entry in fs::read_dir(&cfg.dir)? {
+            let path = entry?.path();
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
+                continue;
+            };
+            let Some(rest) = name.strip_prefix("wal-") else {
+                continue;
+            };
+            if let Some(idx) = rest
+                .strip_suffix(".seg")
+                .and_then(|i| i.parse::<u64>().ok())
+            {
+                segs.push(idx);
+            } else if rest.ends_with(".seg.tmp") {
+                leftovers.push(path);
+            }
+        }
         segs.sort_unstable();
 
         let mut state = State::default();
+        let mut len = 0;
+        for &idx in &segs {
+            len = replay_segment(&cfg.dir, idx, Some(&idx) == segs.last(), &mut state)?;
+        }
+        // A segment a crash left half made was never renamed into place,
+        // so it holds nothing the journal counts on.
+        for path in leftovers {
+            let _ = fs::remove_file(path);
+        }
         let (file, seg_index, seg_bytes) = match segs.last() {
             None => {
-                let index = 1;
-                let path = cfg.dir.join(seg_name(index));
-                let mut f = OpenOptions::new()
-                    .create(true)
-                    .truncate(true)
-                    .write(true)
-                    .open(&path)?;
-                f.write_all(&seg_header())?;
-                (f, index, seg_header().len() as u64)
+                let (file, len, ()) = create_segment(&cfg, 1, |_| Ok(()))?;
+                (file, 1, len)
             }
             Some(&last) => {
-                let mut len = 0;
-                for &idx in &segs {
-                    let path = cfg.dir.join(seg_name(idx));
-                    len = replay_segment(&path, idx == last, &mut state)?;
-                }
                 let f = OpenOptions::new()
+                    .read(true)
                     .append(true)
                     .open(cfg.dir.join(seg_name(last)))?;
                 if f.metadata()?.len() > len {
@@ -733,9 +791,8 @@ impl Journal {
                     file,
                     seg_index,
                     seg_bytes,
-                    seg_base: seg_header().len() as u64,
+                    seg_base: SEG_HEADER_LEN,
                     token_nonce,
-                    encoded: Vec::new(),
                 }),
             },
             recovery,
@@ -754,7 +811,8 @@ impl Journal {
     /// the session. `last_reply` acknowledges every reply at or below
     /// it, and must not exceed the highest reply sequence the daemon
     /// ever issued — a forged watermark would compact away replies the
-    /// legitimate client never received.
+    /// legitimate client never received. A reply that cannot be read
+    /// back refuses the resume too.
     pub fn register(
         &self,
         tenant: &str,
@@ -802,21 +860,26 @@ impl Journal {
                         .append_ack(idx, last_reply)
                         .map_err(|e| format!("journal ack: {e}"))?;
                 }
-                let mut replay: Vec<(u64, Arc<[u8]>)> = inner
+                let mut kept: Vec<(u64, u64, Loc)> = inner
                     .state
                     .jobs
                     .range((idx, 0)..=(idx, u64::MAX))
-                    .filter_map(|(_, s)| match s {
-                        JobState::Outcome { rseq, reply, .. } if *rseq > last_reply => {
-                            Some((*rseq, Arc::clone(reply)))
+                    .filter_map(|(&(_, seq), s)| match *s {
+                        JobState::Outcome { rseq, at, .. } if rseq > last_reply => {
+                            Some((rseq, seq, at))
                         }
                         _ => None,
                     })
                     .collect();
-                replay.sort_by_key(|(rseq, _)| *rseq);
+                kept.sort_unstable_by_key(|&(rseq, ..)| rseq);
+                let replay = kept
+                    .into_iter()
+                    .map(|(rseq, seq, at)| inner.reply_frame(seq, rseq, at))
+                    .collect::<io::Result<_>>()
+                    .map_err(|e| format!("journal replay: {e}"))?;
                 Ok(Resume {
                     token: known,
-                    replay: replay.into_iter().map(|(_, reply)| reply).collect(),
+                    replay,
                 })
             }
             None => {
@@ -854,7 +917,8 @@ impl Journal {
         }
     }
 
-    /// Journal an admission *before* it enters the admission queue.
+    /// Journal an admission *before* it enters the admission queue. A
+    /// journaled reply that cannot be read back is an error.
     pub fn admit(
         &self,
         tenant: &str,
@@ -873,8 +937,8 @@ impl Journal {
         })?;
         match inner.state.jobs.get(&(idx, seq)) {
             Some(JobState::Pending { .. }) => return Ok(Admit::DuplicatePending),
-            Some(JobState::Outcome { kind, reply, .. }) if *kind != Kind::Reject => {
-                return Ok(Admit::Replay(Arc::clone(reply)));
+            Some(&JobState::Outcome { rseq, kind, at }) if kind != ReplyKind::Reject => {
+                return inner.reply_frame(seq, rseq, at).map(Admit::Replay);
             }
             // A journaled Reject is not terminal: the client is retrying
             // after backpressure, so fall through and re-admit.
@@ -897,16 +961,17 @@ impl Journal {
     }
 
     /// Journal an outcome *before* it is sent: assign its reply sequence,
-    /// encode the reply message once, append it, and keep those bytes
-    /// until the tenant acks them. Returns the reply sequence and the
-    /// payload to send. A record over the wire's `MAX_FRAME` is refused
-    /// (`InvalidInput`) before anything is written.
+    /// encode the reply message once, straight into the frame the tenant
+    /// receives, and append its payload. Returns the reply sequence and
+    /// that frame; the journal keeps only where the payload lies. A
+    /// record over the wire's `MAX_FRAME` is refused (`InvalidInput`)
+    /// before anything is written.
     pub fn record_reply(
         &self,
         tenant: &str,
         seq: u64,
         body: OutcomeBody,
-    ) -> io::Result<(u64, Arc<[u8]>)> {
+    ) -> io::Result<(u64, Vec<u8>)> {
         let mut g = self.inner.lock().unwrap();
         let inner = &mut *g;
         let idx = *inner.state.by_name.get(tenant).ok_or_else(|| {
@@ -917,16 +982,17 @@ impl Journal {
         })?;
         let rseq = inner.state.tenants[idx].next_rseq;
         let kind = body.kind();
-        // The reply goes through a buffer the journal reuses, so the one
-        // fresh allocation per reply is the copy it keeps.
-        inner.encoded.clear();
-        let msg = body.into_msg(seq, rseq);
-        wire::encode_unit(&msg.into_unit(), &mut inner.encoded).map_err(invalid)?;
-        let reply: Arc<[u8]> = inner.encoded[..].into();
-        inner.append(&outcome_head(tenant)?, &reply, |s| {
-            s.outcome(idx, seq, rseq, kind, Arc::clone(&reply))
+        let frame = body.into_msg(seq, rseq).into_frame().map_err(invalid)?;
+        let head = outcome_head(tenant)?;
+        let at = Loc {
+            seg: inner.seg_index,
+            off: inner.seg_bytes + (HEADER_LEN + head.len()) as u64,
+            len: frame.len() - HEADER_LEN,
+        };
+        inner.append(&head, &frame[HEADER_LEN..], |s| {
+            s.outcome(idx, seq, rseq, kind, at)
         })?;
-        Ok((rseq, reply))
+        Ok((rseq, frame))
     }
 
     /// The client has durably consumed every reply with `rseq <= upto`.
@@ -946,16 +1012,24 @@ impl Journal {
 impl Inner {
     /// Append one record, the frame's payload `head` then `body`, and
     /// `apply` it to the state — before any rotation it triggers, so the
-    /// rotated segment holds it.
+    /// rotated segment holds it. A failed append is cut from the segment
+    /// again: the records after it must lie where `seg_bytes` says.
     fn append(
         &mut self,
         head: &[u8],
         body: &[u8],
         apply: impl FnOnce(&mut State),
     ) -> io::Result<()> {
-        frame::write_frame_parts(&mut self.file, head, body)?;
-        if self.cfg.fsync {
-            self.file.sync_data()?;
+        let written = frame::write_frame_parts(&mut self.file, head, body).and_then(|()| {
+            if self.cfg.fsync {
+                self.file.sync_data()
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(e) = written {
+            let _ = self.file.set_len(self.seg_bytes);
+            return Err(e);
         }
         self.seg_bytes += (HEADER_LEN + head.len() + body.len()) as u64;
         apply(&mut self.state);
@@ -966,6 +1040,38 @@ impl Inner {
     fn append_ack(&mut self, idx: usize, upto: u64) -> io::Result<()> {
         let rec = ack_record(&self.state.tenants[idx].name, upto)?;
         self.append(&rec, &[], |s| s.ack(idx, upto))
+    }
+
+    /// Read the kept reply at `at` into `buf`: from the active segment,
+    /// or from the older segment that still holds it (after a recovery
+    /// that replayed several segments, until the next rotation moves it).
+    fn read_reply(&self, at: Loc, buf: &mut [u8]) -> io::Result<()> {
+        if at.seg == self.seg_index {
+            self.file.read_exact_at(buf, at.off)
+        } else {
+            File::open(self.cfg.dir.join(seg_name(at.seg)))?.read_exact_at(buf, at.off)
+        }
+    }
+
+    /// The kept reply to `seq` with sequence `rseq`, read back from disk
+    /// into the frame the tenant receives. Bytes that do not check as
+    /// that reply are an error, never sent.
+    fn reply_frame(&self, seq: u64, rseq: u64, at: Loc) -> io::Result<Vec<u8>> {
+        let failed = |kind, e: &dyn Display| {
+            let seg = seg_name(at.seg);
+            let what = format!("the reply to seq {seq} (rseq {rseq}) at byte {}", at.off);
+            io::Error::new(kind, format!("journal: reading {what} of {seg}: {e}"))
+        };
+        let mut frame = vec![0; HEADER_LEN + at.len];
+        self.read_reply(at, &mut frame[HEADER_LEN..])
+            .map_err(|e| failed(e.kind(), &e))?;
+        let mut r = UnitReader::new(&frame[HEADER_LEN..]);
+        match ServeMsg::check_reply(&mut r) {
+            Ok((s, rs, _)) if (s, rs) == (seq, rseq) && r.finish().is_ok() => {}
+            _ => return Err(failed(io::ErrorKind::InvalidData, &"other bytes lie there")),
+        }
+        frame::seal_frame(&mut frame);
+        Ok(frame)
     }
 
     /// Rotate once `segment_bytes` of records follow the active segment's
@@ -984,20 +1090,29 @@ impl Inner {
         }
     }
 
-    /// Start a new segment holding the live state, then drop the older
-    /// segments — compaction of everything already acked. The new
-    /// segment is written under a temporary name and renamed into place,
-    /// so a crash leaves the old segments whole.
+    /// Start a new segment holding the live state, every kept reply
+    /// copied into it, then drop the older segments — compaction of
+    /// everything already acked. The replies' locations move to the new
+    /// segment only once it is renamed into place, and the older
+    /// segments go only then, so a crash or a failure leaves every reply
+    /// where its location says.
     fn rotate(&mut self) -> io::Result<()> {
         let next = self.seg_index + 1;
-        let path = self.cfg.dir.join(seg_name(next));
-        let tmp = self.cfg.dir.join(format!("{}.tmp", seg_name(next)));
-        let (file, len) = self
-            .write_segment(&tmp)
-            .and_then(|written| fs::rename(&tmp, &path).map(|()| written))
-            .inspect_err(|_| {
-                let _ = fs::remove_file(&tmp);
-            })?;
+        let (file, len, moved) = create_segment(&self.cfg, next, |w| {
+            self.state
+                .write_records(w, SEG_HEADER_LEN, |at, buf| self.read_reply(at, buf))
+        })?;
+        let kept = self.state.jobs.values_mut().filter_map(|s| match s {
+            JobState::Outcome { at, .. } => Some(at),
+            JobState::Pending { .. } => None,
+        });
+        for (at, off) in kept.zip(moved) {
+            *at = Loc {
+                seg: next,
+                off,
+                ..*at
+            };
+        }
         self.file = file;
         for old in 1..next {
             let _ = fs::remove_file(self.cfg.dir.join(seg_name(old)));
@@ -1007,21 +1122,6 @@ impl Inner {
         self.seg_base = len;
         Ok(())
     }
-
-    /// Write a segment holding the live state as records to `path`.
-    /// Returns the file, positioned at its end for appends, and its
-    /// length.
-    fn write_segment(&self, path: &Path) -> io::Result<(File, u64)> {
-        let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(&seg_header())?;
-        self.state.write_records(&mut out)?;
-        let mut file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
-        if self.cfg.fsync {
-            file.sync_all()?;
-        }
-        let end = file.stream_position()?;
-        Ok((file, end))
-    }
 }
 
 #[cfg(test)]
@@ -1030,11 +1130,14 @@ mod tests {
     use std::cell::Cell;
 
     /// Replies as the tenant decodes them.
-    fn decoded(replay: &[Arc<[u8]>]) -> Vec<ServeMsg> {
-        replay
-            .iter()
-            .map(|r| ServeMsg::decode(r).expect("a journaled reply decodes"))
-            .collect()
+    fn decoded(replay: &[Vec<u8>]) -> Vec<ServeMsg> {
+        replay.iter().map(|f| decode(f)).collect()
+    }
+
+    /// A reply frame as the tenant decodes it.
+    fn decode(frame: &[u8]) -> ServeMsg {
+        let payload = frames(frame).pop().expect("a reply is one frame");
+        ServeMsg::decode(&payload).expect("a journaled reply decodes")
     }
 
     /// Segment files on disk (1 except transiently): rotation and
@@ -1310,7 +1413,7 @@ mod tests {
         Vec<(String, u32, u64)>,
         Vec<PendingJob>,
         usize,
-        Vec<Arc<[u8]>>,
+        Vec<Vec<u8>>,
     );
 
     fn recovered(dir: &Path, tenants: &[(&str, u64)]) -> Recovered {
@@ -1364,8 +1467,7 @@ mod tests {
         ];
         assert_eq!(before.3.len(), sent.len());
         for (reply, msg) in before.3.iter().zip(&sent) {
-            assert_eq!(reply[..], msg.encode().unwrap()[..], "{msg:?}");
-            assert_eq!(transport::frame_vec(reply), msg.to_frame().unwrap());
+            assert_eq!(*reply, msg.to_frame().unwrap(), "{msg:?}");
         }
 
         for round in 1..=2 {
@@ -1491,28 +1593,161 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every frame `tenant` is sent again, read back from disk: its
+    /// resume replay, then the replay of a resubmit of each of `seqs`.
+    fn resent(j: &Journal, tenant: &str, token: u64, seqs: &[u64]) -> Vec<Vec<u8>> {
+        let mut frames = j.register(tenant, 1, token, 0).unwrap().replay;
+        for &seq in seqs {
+            match j.admit(tenant, seq, 2, 1, 1e-3).unwrap() {
+                Admit::Replay(frame) => frames.push(frame),
+                other => panic!("seq {seq} must replay, got {other:?}"),
+            }
+        }
+        frames
+    }
+
     /// The record that fills a segment is durable before the rotation
     /// starts, so a rotation that fails costs the append nothing: it is
-    /// tried again at the next one.
+    /// tried again at the next one. The kept replies stay where they
+    /// were until a rotation succeeds, and then move: each is resent as
+    /// the very frame first sent, after the failure and after the retry.
     #[test]
     fn a_failed_rotation_keeps_the_record_and_retries() {
         let dir = tmp_dir("rot-fail");
         let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
-        j.register("a", 1, 0, 0).unwrap();
+        let tok = j.register("a", 1, 0, 0).unwrap().token;
+        let mut sent = Vec::new();
+        for (seq, body) in [
+            (10, done(10.0)),
+            (
+                11,
+                OutcomeBody::Fail {
+                    error: "engine: lost".into(),
+                },
+            ),
+        ] {
+            j.admit("a", seq, 2, 1, 1e-3).unwrap();
+            sent.push(j.record_reply("a", seq, body).unwrap().1);
+        }
+        let both = [sent.clone(), sent.clone()].concat();
         // A directory where the snapshot's temp file goes fails the write.
         let blocker = dir.join(format!("{}.tmp", seg_name(2)));
         fs::create_dir(&blocker).unwrap();
         j.inner.lock().unwrap().cfg.segment_bytes = 1;
         assert!(matches!(j.admit("a", 1, 2, 1, 1e-3).unwrap(), Admit::New));
         assert_eq!(j.inner.lock().unwrap().seg_index, 1);
+        assert_eq!(resent(&j, "a", tok, &[10, 11]), both, "after the failure");
         fs::remove_dir(&blocker).unwrap();
         j.admit("a", 2, 2, 1, 1e-3).unwrap();
         assert_eq!(j.inner.lock().unwrap().seg_index, 2);
         assert_eq!(segment_count(&j), 1);
+        assert_eq!(resent(&j, "a", tok, &[10, 11]), both, "after the retry");
         drop(j);
-        let (_j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let (j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
         let pending: Vec<u64> = rec.pending.iter().map(|p| p.seq).collect();
         assert_eq!(pending, vec![1, 2]);
+        assert_eq!(resent(&j, "a", tok, &[10, 11]), both, "after reopening");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A reply may lie in a segment older than the active one: here the
+    /// segment after it holds only its header, so recovery keeps the
+    /// reply where it lies. It is resent byte-identical from there, and
+    /// again once the next rotation has copied it and deleted both
+    /// files.
+    #[test]
+    fn a_reply_in_an_older_segment_is_resent_and_moved_by_the_next_rotation() {
+        let dir = tmp_dir("older");
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let tok = j.register("a", 1, 0, 0).unwrap().token;
+        j.admit("a", 1, 2, 1, 1e-3).unwrap();
+        let sent = j.record_reply("a", 1, done(1.0)).unwrap().1;
+        drop(j);
+        fs::write(dir.join(seg_name(2)), seg_header()).unwrap();
+        let (j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert_eq!(rec.unacked_outcomes, 1);
+        assert_eq!(j.inner.lock().unwrap().seg_index, 2);
+        let both = vec![sent.clone(), sent];
+        assert_eq!(resent(&j, "a", tok, &[1]), both, "from the older segment");
+        j.inner.lock().unwrap().rotate().unwrap();
+        assert!(!dir.join(seg_name(1)).exists());
+        assert!(!dir.join(seg_name(2)).exists());
+        assert_eq!(resent(&j, "a", tok, &[1]), both, "after the rotation");
+        drop(j);
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert_eq!(resent(&j, "a", tok, &[1]), both, "after reopening");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A kept reply that cannot be read back — its segment gone, cut
+    /// short, or overwritten — fails the resubmit and the resume with a
+    /// diagnosed error: no panic, and no bytes sent that are not the
+    /// reply.
+    #[test]
+    fn a_reply_that_cannot_be_read_back_is_a_diagnosed_error() {
+        let dir = tmp_dir("unreadable");
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        let tok = j.register("a", 1, 0, 0).unwrap().token;
+        j.admit("a", 1, 2, 1, 1e-3).unwrap();
+        j.record_outcome("a", 1, &done(1.0)).unwrap();
+        let at = match j.inner.lock().unwrap().state.jobs.get(&(0, 1)) {
+            Some(&JobState::Outcome { at, .. }) => at,
+            other => panic!("seq 1 has no kept reply: {other:?}"),
+        };
+        let seg = dir.join(seg_name(1));
+        let whole = fs::read(&seg).unwrap();
+        let mut overwritten = whole.clone();
+        overwritten[at.off as usize..][..at.len].fill(0);
+        let older = dir.join(seg_name(2));
+        for (how, damaged) in [
+            ("cut short", whole[..at.off as usize].to_vec()),
+            ("overwritten", overwritten),
+        ] {
+            fs::write(&seg, damaged).unwrap();
+            let err = match j.admit("a", 1, 2, 1, 1e-3) {
+                Err(e) => e.to_string(),
+                Ok(other) => panic!("{how}: a resubmit got {other:?}"),
+            };
+            assert!(err.contains("the reply to seq 1 (rseq 1)"), "{how}: {err}");
+            let err = j.register("a", 1, tok, 0).unwrap_err();
+            assert!(err.starts_with("journal replay:"), "{how}: {err}");
+            fs::write(&seg, &whole).unwrap();
+            assert!(matches!(
+                j.admit("a", 1, 2, 1, 1e-3).unwrap(),
+                Admit::Replay(_)
+            ));
+        }
+        // The reply lies in an older segment, which is gone.
+        drop(j);
+        fs::write(&older, seg_header()).unwrap();
+        let (j, _) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        fs::remove_file(&seg).unwrap();
+        let err = j.admit("a", 1, 2, 1, 1e-3).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "{err}");
+        let err = j.register("a", 1, tok, 0).unwrap_err();
+        assert!(err.starts_with("journal replay:"), "{err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The first segment is made as a rotation makes one, under a
+    /// temporary name: a crash leaves at most a temporary file, which
+    /// the next open removes, and the directory opens as an empty
+    /// journal.
+    #[test]
+    fn a_half_made_first_segment_is_removed_and_the_journal_starts_empty() {
+        let dir = tmp_dir("half-made");
+        fs::create_dir_all(&dir).unwrap();
+        let tmp = dir.join(format!("{}.tmp", seg_name(1)));
+        fs::write(&tmp, b"MFS").unwrap();
+        let (j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert!(rec.tenants.is_empty() && rec.pending.is_empty());
+        assert!(!tmp.exists());
+        assert_eq!(fs::read(dir.join(seg_name(1))).unwrap(), seg_header());
+        j.register("a", 1, 0, 0).unwrap();
+        j.admit("a", 1, 2, 1, 1e-3).unwrap();
+        drop(j);
+        let (_j, rec) = Journal::open(JournalConfig::new(&dir)).unwrap();
+        assert_eq!(rec.pending.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1545,7 +1780,7 @@ mod tests {
         assert_eq!(rec.unacked_outcomes, 4);
         assert_eq!(fs::metadata(dir.join(seg_name(2))).unwrap().len(), snapshot);
         match j.admit("a", 4, 2, 1, 1e-3).unwrap() {
-            Admit::Replay(reply) => match ServeMsg::decode(&reply).unwrap() {
+            Admit::Replay(reply) => match decode(&reply) {
                 ServeMsg::Done {
                     seq: 4,
                     rseq: 4,
@@ -1697,12 +1932,15 @@ mod tests {
             outcome(b, done(1, 1)),
             ack(a, 1),
         ];
+        let live_seg = segment(&live);
         let mut state = State::default();
-        for (head, body) in &live {
-            state.apply(&[&head[..], body].concat()).unwrap();
+        for (at, payload) in records_at(&live_seg) {
+            state.apply(&payload, 1, at).unwrap();
         }
         let mut rotated = seg_header();
-        state.write_records(&mut rotated).unwrap();
+        state
+            .write_records(&mut rotated, SEG_HEADER_LEN, read_from(&[&live_seg]))
+            .unwrap();
         vec![
             ("tenant", segment(&live[..1])),
             ("admit", segment(&[live[0].clone(), live[2].clone()])),
@@ -1827,6 +2065,52 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The records of the segment `bytes`, each with the offset its
+    /// payload lies at.
+    fn records_at(bytes: &[u8]) -> Vec<(u64, Vec<u8>)> {
+        let mut at = SEG_HEADER_LEN;
+        frames(&bytes[SEG_HEADER_LEN as usize..])
+            .into_iter()
+            .map(|payload| {
+                let here = at + HEADER_LEN as u64;
+                at = here + payload.len() as u64;
+                (here, payload)
+            })
+            .collect()
+    }
+
+    /// A rotation's reply reader over segments held in memory, numbered
+    /// from 1; a location outside them is an error.
+    fn read_from<'a>(segs: &'a [&'a [u8]]) -> impl FnMut(Loc, &mut [u8]) -> io::Result<()> + 'a {
+        |at, buf| {
+            let bytes = (at.seg as usize)
+                .checked_sub(1)
+                .and_then(|i| segs.get(i))
+                .and_then(|seg| seg.get(at.off as usize..))
+                .and_then(|rest| rest.get(..at.len))
+                .ok_or_else(|| io::Error::other(format!("no reply at {at:?}")))?;
+            buf.copy_from_slice(bytes);
+            Ok(())
+        }
+    }
+
+    /// Every single-bit flip and truncation of `payload`, and `payload`
+    /// with trailing garbage.
+    fn mutations(payload: &[u8]) -> Vec<Vec<u8>> {
+        let mut cases: Vec<Vec<u8>> = (0..payload.len())
+            .map(|cut| payload[..cut].to_vec())
+            .collect();
+        for byte in 0..payload.len() {
+            for bit in 0..8 {
+                let mut evil = payload.to_vec();
+                evil[byte] ^= 1 << bit;
+                cases.push(evil);
+            }
+        }
+        cases.push([payload, &[0xFF; 9]].concat());
+        cases
+    }
+
     /// `State::apply` on record payloads mangled past their CRC —
     /// single-bit flips, truncations, trailing garbage — returns `Ok` or
     /// `Err` and never panics, and a rotation of whatever state it left
@@ -1834,31 +2118,76 @@ mod tests {
     #[test]
     fn mutated_records_never_panic_the_replay() {
         for (name, seg) in corpus() {
-            let records = frames(&seg[8..]);
-            for (i, payload) in records.iter().enumerate() {
-                let mut cases: Vec<Vec<u8>> = (0..payload.len())
-                    .map(|cut| payload[..cut].to_vec())
-                    .collect();
-                for byte in 0..payload.len() {
-                    for bit in 0..8 {
-                        let mut evil = payload.clone();
-                        evil[byte] ^= 1 << bit;
-                        cases.push(evil);
-                    }
-                }
-                cases.push([&payload[..], &[0xFF; 9]].concat());
-                for (k, evil) in cases.iter().enumerate() {
+            let records = records_at(&seg);
+            for (i, (_, payload)) in records.iter().enumerate() {
+                for (k, evil) in mutations(payload).iter().enumerate() {
                     let mut state = State::default();
-                    for earlier in &records[..i] {
-                        state.apply(earlier).unwrap();
+                    for (at, earlier) in &records[..i] {
+                        state.apply(earlier, 1, *at).unwrap();
                     }
                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let _ = state.apply(evil);
-                        let _ = state.write_records(&mut Vec::new());
+                        let _ = state.apply(evil, 2, 0);
+                        let segs: [&[u8]; 2] = [&seg, evil];
+                        let read = read_from(&segs);
+                        let _ = state.write_records(&mut Vec::new(), SEG_HEADER_LEN, read);
                     }))
                     .unwrap_or_else(|_| panic!("{name}: record {i}, case {k} panicked"));
                 }
             }
         }
+    }
+
+    /// Recovery checks a reply in place (`ServeMsg::check_reply`) rather
+    /// than decoding it: over every corpus record and every mutation of
+    /// it, the check accepts exactly the records whose reply
+    /// `ServeMsg::from_unit` accepts as a `Done`, `Fail` or `Reject`, and
+    /// reads the same `seq`, `rseq` and kind.
+    #[test]
+    fn the_in_place_reply_check_accepts_what_from_unit_accepts() {
+        // Both read the record's arity, tag and tenant alike, then the
+        // reply, which must end the record.
+        let decoded = |p: &[u8]| -> Result<(u64, u64, ReplyKind), String> {
+            let mut r = UnitReader::new(p);
+            r.tuple().map_err(|e| e.to_string())?;
+            for _ in 0..2 {
+                r.unit().map_err(|e| e.to_string())?;
+            }
+            let msg = ServeMsg::from_unit(&r.unit().map_err(|e| e.to_string())?.0)?;
+            r.finish().map_err(|e| e.to_string())?;
+            match msg {
+                ServeMsg::Done { seq, rseq, .. } => Ok((seq, rseq, ReplyKind::Done)),
+                ServeMsg::Fail { seq, rseq, .. } => Ok((seq, rseq, ReplyKind::Fail)),
+                ServeMsg::Reject { seq, rseq, .. } => Ok((seq, rseq, ReplyKind::Reject)),
+                _ => Err("not a reply".into()),
+            }
+        };
+        let in_place = |p: &[u8]| -> Result<(u64, u64, ReplyKind), String> {
+            let mut r = UnitReader::new(p);
+            r.tuple().map_err(|e| e.to_string())?;
+            for _ in 0..2 {
+                r.unit().map_err(|e| e.to_string())?;
+            }
+            let reply = ServeMsg::check_reply(&mut r)?;
+            r.finish().map_err(|e| e.to_string())?;
+            Ok(reply)
+        };
+        let mut accepted = 0;
+        for (name, seg) in corpus() {
+            for (i, (_, payload)) in records_at(&seg).iter().enumerate() {
+                for (k, evil) in mutations(payload).iter().enumerate() {
+                    let (want, got) = (decoded(evil), in_place(evil));
+                    assert_eq!(
+                        want.is_ok(),
+                        got.is_ok(),
+                        "{name}: record {i}, case {k}: {want:?} vs {got:?}"
+                    );
+                    if let (Ok(want), Ok(got)) = (want, got) {
+                        assert_eq!(want, got, "{name}: record {i}, case {k}");
+                        accepted += 1;
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0, "some mutations still hold a reply");
     }
 }

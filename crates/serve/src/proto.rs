@@ -42,6 +42,7 @@
 //! refused.
 
 use manifold::Unit;
+use transport::wire::{self, UnitReader};
 use transport::WireError;
 
 /// Version of the tenant session protocol; peers with different versions
@@ -103,6 +104,14 @@ impl std::fmt::Display for RejectReason {
             RejectReason::OverCapacity => write!(f, "over capacity"),
         }
     }
+}
+
+/// Which reply a `Done`, `Fail` or `Reject` message is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ReplyKind {
+    Done,
+    Fail,
+    Reject,
 }
 
 /// One tenant-session message.
@@ -409,21 +418,72 @@ impl ServeMsg {
         }
     }
 
+    /// Check the reply message `r` is at, in place: the tag, arity and
+    /// field types [`ServeMsg::from_unit`] checks, without building the
+    /// message or a copy of its field. Its `seq`, `rseq` and kind; an
+    /// error for whatever `from_unit` refuses and for a message that is
+    /// not a reply.
+    pub(crate) fn check_reply(r: &mut UnitReader<'_>) -> Result<(u64, u64, ReplyKind), String> {
+        let items = r.tuple().map_err(|e| format!("message: {e}"))?;
+        if items == 0 {
+            return Err("message has no integer tag".into());
+        }
+        let tag = r.int().map_err(|_| "message has no integer tag")?;
+        let (kind, want) = match tag {
+            T_DONE => (ReplyKind::Done, 6),
+            T_FAIL => (ReplyKind::Fail, 4),
+            T_REJECT => (ReplyKind::Reject, 5),
+            other => return Err(format!("message tag {other} is not a reply")),
+        };
+        if items != want {
+            return Err(format!("tag {tag}: expected arity {want}, got {items}"));
+        }
+        let field = |e: WireError| format!("tag {tag}: {e}");
+        let seq = r.int().map_err(field)? as u64;
+        let rseq = r.int().map_err(field)? as u64;
+        match kind {
+            ReplyKind::Done => {
+                r.int().map_err(field)?;
+                r.real().map_err(field)?;
+                r.skip_reals().map_err(field)?;
+            }
+            ReplyKind::Fail => {
+                r.text().map_err(field)?;
+            }
+            ReplyKind::Reject => {
+                r.int().map_err(field)?;
+                RejectReason::from_code(r.int().map_err(field)?)?;
+            }
+        }
+        Ok((seq, rseq, kind))
+    }
+
     /// Encode to wire bytes (one frame payload).
     pub fn encode(&self) -> Result<Vec<u8>, WireError> {
-        transport::wire::encode_unit_vec(&self.to_unit())
+        wire::encode_unit_vec(&self.to_unit())
     }
 
     /// Decode from one frame payload.
     pub fn decode(bytes: &[u8]) -> Result<ServeMsg, String> {
-        let unit = transport::wire::decode_unit(bytes).map_err(|e| e.to_string())?;
+        let unit = wire::decode_unit(bytes).map_err(|e| e.to_string())?;
         ServeMsg::from_unit(&unit)
     }
 
     /// Encode and frame in one step (header + payload bytes, ready for a
     /// socket write).
     pub fn to_frame(&self) -> Result<Vec<u8>, WireError> {
-        Ok(transport::frame::frame_vec(&self.encode()?))
+        self.clone().into_frame()
+    }
+
+    /// Encode straight into a frame, behind room left for its header,
+    /// moving the fields in: the frame is the one buffer the message
+    /// takes.
+    pub(crate) fn into_frame(self) -> Result<Vec<u8>, WireError> {
+        let mut frame = Vec::with_capacity(64);
+        frame.resize(transport::HEADER_LEN, 0);
+        wire::encode_unit(&self.into_unit(), &mut frame)?;
+        transport::frame::seal_frame(&mut frame);
+        Ok(frame)
     }
 }
 

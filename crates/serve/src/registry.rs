@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use transport::frame::{frame_vec, FrameDecoder};
+use transport::frame::FrameDecoder;
 use transport::Stream;
 
 use crate::proto::ServeMsg;
@@ -72,15 +72,13 @@ pub struct Session {
 impl Session {
     /// Queue `msg` for delivery. False when it cannot be encoded.
     pub fn send(&mut self, msg: &ServeMsg) -> bool {
-        msg.encode()
-            .map(|payload| self.send_payload(&payload))
-            .is_ok()
+        msg.to_frame().map(|frame| self.push_frame(frame)).is_ok()
     }
 
-    /// Queue a message already encoded — a journaled reply — for
-    /// delivery.
-    pub fn send_payload(&mut self, payload: &[u8]) {
-        self.outbox.bufs.push_back(frame_vec(payload));
+    /// Queue a message already framed — a journaled reply — for
+    /// delivery, as it is.
+    pub fn push_frame(&mut self, frame: Vec<u8>) {
+        self.outbox.bufs.push_back(frame);
     }
 
     /// Answer `Fail{seq}` with `error`, then close after the flush.

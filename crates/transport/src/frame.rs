@@ -261,6 +261,15 @@ impl FrameDecoder {
     }
 }
 
+/// Make a frame of a buffer that holds [`HEADER_LEN`] reserved bytes and
+/// then the payload: write the payload's header over those bytes. A
+/// message encoded straight behind the reserved bytes becomes a frame
+/// without a copy.
+pub fn seal_frame(frame: &mut [u8]) {
+    let (head, payload) = frame.split_at_mut(HEADER_LEN);
+    head.copy_from_slice(&header(payload.len(), crc32(payload)));
+}
+
 /// Frame a payload into a fresh buffer (header + payload), for tests and
 /// for batching multiple frames into one socket write.
 pub fn frame_vec(payload: &[u8]) -> Vec<u8> {
@@ -351,6 +360,9 @@ mod tests {
         write_frame_parts(&mut buf, b"head", b"and body").unwrap();
         write_frame(&mut buf, b"next").unwrap();
         assert_eq!(&buf[..HEADER_LEN + 12], &frame_vec(b"headand body")[..]);
+        let mut sealed = [&[0u8; HEADER_LEN][..], b"headand body"].concat();
+        seal_frame(&mut sealed);
+        assert_eq!(sealed, &buf[..HEADER_LEN + 12]);
         let mut r = std::io::Cursor::new(&buf);
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"headand body");
         assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"next");

@@ -137,9 +137,49 @@ impl<'a> UnitReader<'a> {
     /// Step into a tuple: its element count. Its elements are the next
     /// units read.
     pub fn tuple(&mut self) -> Result<usize, WireError> {
+        self.expect(TAG_TUPLE)?;
+        Ok(self.cur.u32()? as usize)
+    }
+
+    /// Bytes read so far: where the next unit starts.
+    pub fn position(&self) -> usize {
+        self.cur.pos
+    }
+
+    /// The next unit, which must be an int ([`WireError::BadTag`] for any
+    /// other unit).
+    pub fn int(&mut self) -> Result<i64, WireError> {
+        self.expect(TAG_INT)?;
+        Ok(self.cur.u64()? as i64)
+    }
+
+    /// The next unit, which must be a real.
+    pub fn real(&mut self) -> Result<f64, WireError> {
+        self.expect(TAG_REAL)?;
+        Ok(f64::from_bits(self.cur.u64()?))
+    }
+
+    /// The next unit, which must be text, borrowed from the buffer.
+    pub fn text(&mut self) -> Result<&'a str, WireError> {
+        self.expect(TAG_TEXT)?;
+        let len = self.cur.u32()? as usize;
+        std::str::from_utf8(self.cur.take(len)?).map_err(|_| WireError::BadUtf8)
+    }
+
+    /// Step over the next unit, which must be a reals vector, checking
+    /// its length against the buffer but decoding none of its values.
+    pub fn skip_reals(&mut self) -> Result<(), WireError> {
+        self.expect(TAG_REALS)?;
+        let count = self.cur.u32()? as usize;
+        self.cur
+            .take(count.checked_mul(8).ok_or(WireError::Truncated)?)
+            .map(drop)
+    }
+
+    fn expect(&mut self, tag: u8) -> Result<(), WireError> {
         match self.cur.u8()? {
-            TAG_TUPLE => Ok(self.cur.u32()? as usize),
-            tag => Err(WireError::BadTag(tag)),
+            t if t == tag => Ok(()),
+            t => Err(WireError::BadTag(t)),
         }
     }
 
