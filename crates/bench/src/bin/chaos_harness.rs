@@ -34,6 +34,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bench::cli::Cli;
 use bench::json::{fixed, raw, Json};
 use bench::live::{field_checksum, run_live, Backend};
 use bench::obj;
@@ -68,16 +69,14 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
 const SCENARIO_TIMEOUT: Duration = Duration::from_secs(120);
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let arg = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-    };
-    let seeds: u64 = arg("--seeds").and_then(|v| v.parse().ok()).unwrap_or(3);
-    let level: u32 = arg("--level").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let instances: usize = arg("--instances").and_then(|v| v.parse().ok()).unwrap_or(2);
-    let json_only = args.iter().any(|a| a == "--json");
+    let cli = Cli::parse(
+        "chaos_harness",
+        "[--seeds N] [--level L] [--instances W] [--json]",
+    );
+    let seeds: u64 = cli.parsed("--seeds", 3);
+    let level: u32 = cli.parsed("--level", 2);
+    let instances: usize = cli.parsed("--instances", 2);
+    let json_only = cli.flag("--json");
 
     let app = SequentialApp::new(2, level, 1.0e-3);
     let jobs = (2 * level + 1) as u64;

@@ -16,20 +16,18 @@
 
 use std::sync::Arc;
 
+use bench::cli::Cli;
 use protocol::PaperFaithful;
 use renovation::virtualrun::figure1_run;
 use renovation::{AppConfig, Engine, EngineOpts, RunMode};
 use solver::SequentialApp;
 
+const USAGE: &str = "[--level N] [--virtual]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let level: u32 = args
-        .iter()
-        .position(|a| a == "--level")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let virtual_run = args.iter().any(|a| a == "--virtual");
+    let cli = Cli::parse("chronology", USAGE);
+    let level: u32 = cli.parsed("--level", 2);
+    let virtual_run = cli.flag("--virtual");
 
     if virtual_run {
         let report = figure1_run(level, 1.0e-3, 7);

@@ -11,23 +11,16 @@
 //! cargo run -p bench --release --bin convergence [-- --max-level N --tol T]
 //! ```
 
+use bench::cli::Cli;
 use solver::problem::Problem;
 use solver::study::{convergence_study, format_study, observed_orders};
 
+const USAGE: &str = "[--max-level N] [--tol T]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_level: u32 = args
-        .iter()
-        .position(|a| a == "--max-level")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3);
-    let tol: f64 = args
-        .iter()
-        .position(|a| a == "--tol")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.0e-5);
+    let cli = Cli::parse("convergence", USAGE);
+    let max_level: u32 = cli.parsed("--max-level", 3);
+    let tol: f64 = cli.parsed("--tol", 1.0e-5);
 
     for (name, problem) in [
         ("manufactured benchmark", Problem::manufactured_benchmark()),

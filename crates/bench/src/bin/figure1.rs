@@ -7,21 +7,16 @@
 //! cargo run -p bench --release --bin figure1 [-- --level N] [--tol T] [--seed S]
 //! ```
 
+use bench::cli::Cli;
 use renovation::virtualrun::figure1_run;
 
-fn arg<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+const USAGE: &str = "[--level N] [--tol T] [--seed S]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let level: u32 = arg(&args, "--level", 15);
-    let tol: f64 = arg(&args, "--tol", 1.0e-4);
-    let seed: u64 = arg(&args, "--seed", 1);
+    let cli = Cli::parse("figure1", USAGE);
+    let level: u32 = cli.parsed("--level", 15);
+    let tol: f64 = cli.parsed("--tol", 1.0e-4);
+    let seed: u64 = cli.parsed("--seed", 1);
 
     let report = figure1_run(level, tol, seed);
     println!(

@@ -13,7 +13,10 @@
 //! ```
 //! With no figure number, all four are printed.
 
+use bench::cli::Cli;
 use renovation::{run_distributed_experiment, ExperimentPoint};
+
+const USAGE: &str = "[2|3|4|5] [--runs N]";
 
 fn plot_times(points: &[ExperimentPoint], tol: f64, fig: u32) {
     let pts: Vec<&ExperimentPoint> = points.iter().filter(|p| p.tol == tol).collect();
@@ -52,14 +55,12 @@ fn plot_speedup(points: &[ExperimentPoint], tol: f64, fig: u32) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let which: Option<u32> = args.iter().find_map(|a| a.parse().ok());
-    let runs = args
-        .iter()
-        .position(|a| a == "--runs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5usize);
+    let cli = Cli::parse("figures", USAGE);
+    let which: Option<u32> = cli.positional("figure");
+    if let Some(f) = which.filter(|f| !(2..=5).contains(f)) {
+        cli.usage_exit(&format!("no figure {f}; choose 2..5"));
+    }
+    let runs = cli.parsed("--runs", 5usize);
 
     let points = run_distributed_experiment(
         0..=15,
@@ -76,8 +77,7 @@ fn main() {
             2 => plot_times(&points, 1.0e-3, 2),
             3 => plot_speedup(&points, 1.0e-3, 3),
             4 => plot_times(&points, 1.0e-4, 4),
-            5 => plot_speedup(&points, 1.0e-4, 5),
-            other => eprintln!("no figure {other}; choose 2..5"),
+            _ => plot_speedup(&points, 1.0e-4, 5),
         }
     }
 

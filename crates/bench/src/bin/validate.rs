@@ -11,16 +11,13 @@
 //! cargo run -p bench --release --bin validate [-- --max-level N]
 //! ```
 
+use bench::cli::Cli;
 use renovation::cost::{measure_shape, CostModel, REF_TOL};
 use solver::problem::Problem;
 
 fn main() {
-    let max_level: u32 = std::env::args()
-        .skip(1)
-        .position(|a| a == "--max-level")
-        .and_then(|i| std::env::args().nth(i + 2))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
+    let cli = Cli::parse("validate", "[--max-level N]");
+    let max_level: u32 = cli.parsed("--max-level", 4);
 
     let model = CostModel::paper_calibrated();
     println!("cost-model shape validation against the real solver");

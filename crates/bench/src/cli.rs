@@ -1,11 +1,10 @@
 //! Shared flag parsing for the bench binaries.
 //!
-//! `table1`, `scaling` and `ablations` grew the same hand-rolled
-//! `args.iter().position(...)` parsing three times over, each
-//! with `.expect(...)` panics for malformed values. This module is that
-//! logic extracted once: position-independent `--flag [value]` pairs,
-//! typed accessors with defaults, and *usage + exit code 2* instead of a
-//! panic backtrace when a value is missing or malformed.
+//! Every bench binary parses its command line here: position-independent
+//! `--flag [value]` pairs, typed accessors with defaults, and *usage +
+//! exit code 2* instead of a panic backtrace or a silent default when a
+//! value is missing or malformed. Flags a binary does not ask for are
+//! ignored.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -30,11 +29,6 @@ impl Cli {
             usage,
             args: std::env::args().skip(1).collect(),
         }
-    }
-
-    /// A `Cli` over explicit arguments (for tests).
-    pub fn from_args(bin: &'static str, usage: &'static str, args: Vec<String>) -> Cli {
-        Cli { bin, usage, args }
     }
 
     /// Print the offending flag and the usage line, then exit(2) — the
@@ -67,11 +61,29 @@ impl Cli {
     }
 
     /// Typed optional value; a malformed value is a usage error.
-    pub fn parsed_opt<T: FromStr>(&self, name: &str) -> Option<T> {
+    fn parsed_opt<T: FromStr>(&self, name: &str) -> Option<T> {
         let v = self.value(name)?;
         match v.parse() {
             Ok(t) => Some(t),
             Err(_) => self.usage_exit(&format!("{name}: cannot parse {v:?}")),
+        }
+    }
+
+    /// The first argument that is neither a flag nor a flag's value (the
+    /// word after a `--flag` is its value), parsed; a malformed one is a
+    /// usage error.
+    pub fn positional<T: FromStr>(&self, what: &str) -> Option<T> {
+        let v = self
+            .args
+            .iter()
+            .enumerate()
+            .find(|&(i, a)| {
+                !a.starts_with("--") && (i == 0 || !self.args[i - 1].starts_with("--"))
+            })?
+            .1;
+        match v.parse() {
+            Ok(t) => Some(t),
+            Err(_) => self.usage_exit(&format!("{what}: cannot parse {v:?}")),
         }
     }
 
@@ -187,11 +199,11 @@ mod tests {
     use super::*;
 
     fn cli(args: &[&str]) -> Cli {
-        Cli::from_args(
-            "test",
-            "[--x N]",
-            args.iter().map(|s| s.to_string()).collect(),
-        )
+        Cli {
+            bin: "test",
+            usage: "[--x N]",
+            args: args.iter().map(|s| s.to_string()).collect(),
+        }
     }
 
     #[test]
@@ -203,6 +215,13 @@ mod tests {
         assert_eq!(c.parsed("--runs", 5usize), 5);
         assert_eq!(c.parsed_opt::<f64>("--tol"), Some(1e-4));
         assert_eq!(c.value("--missing"), None);
+    }
+
+    #[test]
+    fn a_positional_is_neither_a_flag_nor_its_value() {
+        assert_eq!(cli(&["--runs", "3"]).positional::<u32>("figure"), None);
+        assert_eq!(cli(&["--runs", "3", "4"]).positional("figure"), Some(4u32));
+        assert_eq!(cli(&["2", "--runs", "1"]).positional("figure"), Some(2u32));
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.time)
     }
 

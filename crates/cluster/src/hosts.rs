@@ -25,7 +25,7 @@ impl Host {
     }
 
     /// Speed relative to the cluster's reference 1200 MHz machine.
-    pub fn rel_speed(&self) -> f64 {
+    pub(crate) fn rel_speed(&self) -> f64 {
         self.mhz / 1200.0
     }
 }

@@ -21,7 +21,7 @@ pub struct NetworkModel {
 impl NetworkModel {
     /// The paper's network: 100 Mbps switched Ethernet. Sustained TCP over
     /// 100 Mbps in 2003 ≈ 11 MB/s; PC memory copies ≈ 400 MB/s.
-    pub fn switched_ethernet_100mbps() -> NetworkModel {
+    pub(crate) fn switched_ethernet_100mbps() -> NetworkModel {
         NetworkModel {
             latency: 150e-6,
             bandwidth: 11.0e6,
@@ -79,7 +79,7 @@ impl NetworkModel {
     }
 
     /// Transfer time for `bytes` within one machine.
-    pub fn local_transfer(&self, bytes: usize) -> f64 {
+    pub(crate) fn local_transfer(&self, bytes: usize) -> f64 {
         bytes as f64 / self.mem_bandwidth
     }
 

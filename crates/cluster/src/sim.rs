@@ -51,13 +51,13 @@ use crate::workload::{Job, Workload};
 
 /// Epoch base for virtual trace timestamps — the very timestamp family the
 /// paper's §6 output shows.
-pub const TRACE_EPOCH_SECS: u64 = 1_048_087_412;
+pub(crate) const TRACE_EPOCH_SECS: u64 = 1_048_087_412;
 
 /// Virtual seconds between a worker dying silently and the master declaring
 /// the job lost (the heartbeat-silence window of the live transport). A
 /// corrupt reply is detected the instant it arrives — the CRC rejects it —
 /// so only crashes and connection drops pay this.
-pub const LOSS_DETECTION_SECS: f64 = 2.0;
+pub(crate) const LOSS_DETECTION_SECS: f64 = 2.0;
 
 /// Costs of the coordination layer, in seconds. Defaults are calibrated to
 /// 2003-era workstation clusters (rsh-based task forking, PVM-like message
@@ -86,7 +86,7 @@ pub struct CoordCosts {
 impl CoordCosts {
     /// Calibrated 2003-era defaults (rsh-based task forking, NFS-loaded
     /// binaries); see EXPERIMENTS.md for the calibration against Table 1.
-    pub fn paper_era() -> CoordCosts {
+    pub(crate) fn paper_era() -> CoordCosts {
         CoordCosts {
             startup: 2.5,
             event_latency: 1.0e-3,
@@ -354,7 +354,7 @@ impl SimFleet {
     /// included). Crash, connection drop, and corrupt reply are all a lost
     /// job to the master: the worker burns part (crash), almost none
     /// (drop), or all (corrupt) of its compute, the loss is detected after
-    /// [`LOSS_DETECTION_SECS`] — immediately, for a CRC-rejected reply —
+    /// `LOSS_DETECTION_SECS` of virtual time — immediately, for a CRC-rejected reply —
     /// and the job is re-dispatched, counted in
     /// [`DistributedReport::redispatches`]. A stall sleeps the worker before
     /// its compute; a heartbeat delay is absorbed by the live transport's

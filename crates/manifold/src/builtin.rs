@@ -91,7 +91,8 @@ pub fn void(coord: &Coord) -> MfResult<ProcessRef> {
 
 /// Create and activate a printer process: every unit read from `input` is
 /// emitted as a §6-format trace message (prefixed with `label`).
-pub fn printer(coord: &Coord, label: &str) -> MfResult<ProcessRef> {
+#[cfg(test)]
+fn printer(coord: &Coord, label: &str) -> MfResult<ProcessRef> {
     let label = label.to_string();
     let p = coord.create_stepped("printer", move |ctx: &ProcessCtx| {
         while let Some(u) = ctx.try_read("input") {

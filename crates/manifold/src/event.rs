@@ -20,8 +20,6 @@
 //!   special occurrence, which is how the `terminated(p)` primitive of the
 //!   language is implemented without a second wait queue.
 
-use std::time::Duration;
-
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{MfError, MfResult};
@@ -161,28 +159,19 @@ struct MemInner {
 
 impl MemInner {
     /// Block on `cv` until something one of `patterns` matches arrives
-    /// (or the owner is killed, or the deadline passes — returns `true`).
-    /// A carrier hands its slot on meanwhile.
+    /// (or the owner is killed). A carrier hands its slot on meanwhile.
     fn wait(
         inner: &mut parking_lot::MutexGuard<'_, MemInner>,
         cv: &Condvar,
         patterns: &[EventPattern],
-        deadline: Option<std::time::Instant>,
-    ) -> bool {
+    ) {
         inner.awaited.extend_from_slice(patterns);
         inner.waiters += 1;
-        let timed_out = match deadline {
-            Some(d) => pool::blocking(|| cv.wait_until(inner, d).timed_out()),
-            None => {
-                pool::blocking(|| cv.wait(inner));
-                false
-            }
-        };
+        pool::blocking(|| cv.wait(inner));
         inner.waiters -= 1;
         if inner.waiters == 0 {
             inner.awaited.clear();
         }
-        timed_out
     }
 }
 
@@ -284,7 +273,7 @@ impl EventMemory {
             if inner.killed {
                 return Err(MfError::Killed);
             }
-            MemInner::wait(&mut inner, &self.cv, patterns, None);
+            MemInner::wait(&mut inner, &self.cv, patterns);
         }
     }
 
@@ -306,36 +295,7 @@ impl EventMemory {
             if inner.killed {
                 return Err(MfError::Killed);
             }
-            MemInner::wait(&mut inner, &self.cv, patterns, None);
-        }
-    }
-
-    /// Like [`EventMemory::wait_select`] but gives up after `timeout`.
-    pub fn wait_select_timeout(
-        &self,
-        patterns: &[EventPattern],
-        timeout: Duration,
-    ) -> MfResult<(usize, EventOccurrence)> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(hit) = Self::select_locked(&mut inner, patterns) {
-                return Ok(hit);
-            }
-            if inner.killed {
-                return Err(MfError::Killed);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return Err(MfError::Timeout);
-            }
-            if MemInner::wait(&mut inner, &self.cv, patterns, Some(deadline)) {
-                // Loop once more to give a final chance to a racing deliver.
-                if let Some(hit) = Self::select_locked(&mut inner, patterns) {
-                    return Ok(hit);
-                }
-                return Err(MfError::Timeout);
-            }
+            MemInner::wait(&mut inner, &self.cv, patterns);
         }
     }
 
@@ -349,6 +309,7 @@ impl EventMemory {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn p(n: u64) -> ProcessId {
         ProcessId(n)
@@ -473,13 +434,6 @@ mod tests {
         assert!(m.try_select(&["go".into()]).is_some());
         m.kill();
         assert_eq!(m.wait_present(&["go".into()]), Err(MfError::Killed));
-    }
-
-    #[test]
-    fn timeout_fires() {
-        let m = EventMemory::new();
-        let r = m.wait_select_timeout(&["never".into()], Duration::from_millis(30));
-        assert_eq!(r, Err(MfError::Timeout));
     }
 
     #[test]

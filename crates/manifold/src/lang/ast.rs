@@ -264,7 +264,8 @@ impl Block {
     }
 
     /// Labels of all states, in order.
-    pub fn state_labels(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn state_labels(&self) -> Vec<&str> {
         self.states.iter().map(|s| s.label.as_str()).collect()
     }
 }

@@ -89,7 +89,7 @@ impl LangError {
 
     /// Attach `line` if the error has no span yet (used to re-attribute
     /// factory-reported errors to the `process … is …` declaration).
-    pub fn or_line(mut self, line: u32) -> Self {
+    pub(crate) fn or_line(mut self, line: u32) -> Self {
         if self.line == 0 {
             self.line = line;
         }

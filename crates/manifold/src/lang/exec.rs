@@ -177,7 +177,7 @@ impl Mc {
     }
 
     /// Compile an already-parsed program.
-    pub fn from_program(program: Program) -> MfResult<Mc> {
+    pub(crate) fn from_program(program: Program) -> MfResult<Mc> {
         let compiled = Arc::new(compile(&program)?);
         Ok(Mc { program, compiled })
     }

@@ -117,7 +117,7 @@ impl LinkSpec {
     /// matches the *base* name: an MLINK `{weight Worker 1}` applies to
     /// instances of `Worker(event)` — the signature decoration is not part
     /// of the manifold's link-stage identity.
-    pub fn weight_of(&self, manifold: &Name) -> u32 {
+    pub(crate) fn weight_of(&self, manifold: &Name) -> u32 {
         if let Some(w) = self.weights.get(manifold) {
             return *w;
         }
@@ -131,7 +131,7 @@ impl LinkSpec {
     }
 
     /// Name of the main task (first declared).
-    pub fn main_task(&self) -> Name {
+    pub(crate) fn main_task(&self) -> Name {
         self.tasks
             .first()
             .map(|t| t.name.clone())
@@ -139,7 +139,7 @@ impl LinkSpec {
     }
 
     /// Which task houses instances of `manifold`.
-    pub fn task_for(&self, manifold: &Name) -> Name {
+    pub(crate) fn task_for(&self, manifold: &Name) -> Name {
         for t in &self.tasks {
             if t.includes.is_empty() || t.includes.contains(manifold) {
                 return t.name.clone();
@@ -511,7 +511,8 @@ impl Bundler {
     }
 
     /// Is the given instance alive?
-    pub fn is_alive(&self, task: TaskInstanceId) -> bool {
+    #[cfg(test)]
+    fn is_alive(&self, task: TaskInstanceId) -> bool {
         self.instances.iter().any(|i| i.id == task)
     }
 }

@@ -34,13 +34,6 @@ use crate::process::Waker;
 use crate::stream::Stream;
 use crate::unit::Unit;
 
-/// Well-known port names.
-pub const INPUT: &str = "input";
-/// Standard output port.
-pub const OUTPUT: &str = "output";
-/// Standard error port.
-pub const ERROR: &str = "error";
-
 struct PortInner {
     incoming: Vec<Arc<Stream>>,
     outgoing: Vec<Arc<Stream>>,
@@ -292,8 +285,8 @@ mod tests {
 
     #[test]
     fn end_to_end_transfer() {
-        let out = Port::new(pid(1), OUTPUT);
-        let inp = Port::new(pid(2), INPUT);
+        let out = Port::new(pid(1), "output");
+        let inp = Port::new(pid(2), "input");
         wire(&out, &inp, StreamType::BK);
         out.write(Unit::int(5)).unwrap();
         assert_eq!(inp.read().unwrap().as_int(), Some(5));
@@ -301,8 +294,8 @@ mod tests {
 
     #[test]
     fn write_blocks_until_connected() {
-        let out = Port::new(pid(1), OUTPUT);
-        let inp = Port::new(pid(2), INPUT);
+        let out = Port::new(pid(1), "output");
+        let inp = Port::new(pid(2), "input");
         let out2 = out.clone();
         let h = thread::spawn(move || out2.write(Unit::int(9)));
         thread::sleep(Duration::from_millis(20));
@@ -314,8 +307,8 @@ mod tests {
 
     #[test]
     fn read_blocks_until_data() {
-        let out = Port::new(pid(1), OUTPUT);
-        let inp = Port::new(pid(2), INPUT);
+        let out = Port::new(pid(1), "output");
+        let inp = Port::new(pid(2), "input");
         wire(&out, &inp, StreamType::BK);
         let inp2 = inp.clone();
         let h = thread::spawn(move || inp2.read());
@@ -328,7 +321,7 @@ mod tests {
     fn read_sees_data_through_future_stream() {
         // MANIFOLD semantics: a reader blocked on an unconnected port is
         // satisfied when a coordinator later attaches a fed stream.
-        let inp = Port::new(pid(2), INPUT);
+        let inp = Port::new(pid(2), "input");
         let inp2 = inp.clone();
         let h = thread::spawn(move || inp2.read());
         thread::sleep(Duration::from_millis(10));
@@ -339,9 +332,9 @@ mod tests {
 
     #[test]
     fn write_fans_out_to_all_streams() {
-        let out = Port::new(pid(1), OUTPUT);
-        let a = Port::new(pid(2), INPUT);
-        let b = Port::new(pid(3), INPUT);
+        let out = Port::new(pid(1), "output");
+        let a = Port::new(pid(2), "input");
+        let b = Port::new(pid(3), "input");
         wire(&out, &a, StreamType::BK);
         wire(&out, &b, StreamType::BK);
         out.write(Unit::int(3)).unwrap();
@@ -351,7 +344,7 @@ mod tests {
 
     #[test]
     fn drained_dead_streams_are_pruned() {
-        let inp = Port::new(pid(2), INPUT);
+        let inp = Port::new(pid(2), "input");
         let s = Stream::preloaded(StreamType::BK, [Unit::int(1)]);
         inp.attach_incoming(&s);
         assert_eq!(inp.incoming_count(), 1);
@@ -362,8 +355,8 @@ mod tests {
 
     #[test]
     fn bk_break_lets_sink_drain() {
-        let out = Port::new(pid(1), OUTPUT);
-        let inp = Port::new(pid(2), INPUT);
+        let out = Port::new(pid(1), "output");
+        let inp = Port::new(pid(2), "input");
         let s = wire(&out, &inp, StreamType::BK);
         out.write(Unit::int(11)).unwrap();
         s.dismantle(); // break at source
@@ -373,14 +366,14 @@ mod tests {
 
     #[test]
     fn kill_unblocks_reader_and_writer() {
-        let inp = Port::new(pid(2), INPUT);
+        let inp = Port::new(pid(2), "input");
         let inp2 = inp.clone();
         let h = thread::spawn(move || inp2.read());
         thread::sleep(Duration::from_millis(10));
         inp.kill();
         assert_eq!(h.join().unwrap(), Err(MfError::Killed));
 
-        let out = Port::new(pid(1), OUTPUT);
+        let out = Port::new(pid(1), "output");
         let out2 = out.clone();
         let h = thread::spawn(move || out2.write(Unit::int(0)));
         thread::sleep(Duration::from_millis(10));
@@ -390,16 +383,16 @@ mod tests {
 
     #[test]
     fn read_timeout_expires() {
-        let inp = Port::new(pid(2), INPUT);
+        let inp = Port::new(pid(2), "input");
         let r = inp.read_timeout(Duration::from_millis(20));
         assert_eq!(r, Err(MfError::Timeout));
     }
 
     #[test]
     fn fair_merge_across_streams() {
-        let a = Port::new(pid(1), OUTPUT);
-        let b = Port::new(pid(2), OUTPUT);
-        let inp = Port::new(pid(3), INPUT);
+        let a = Port::new(pid(1), "output");
+        let b = Port::new(pid(2), "output");
+        let inp = Port::new(pid(3), "input");
         wire(&a, &inp, StreamType::BK);
         wire(&b, &inp, StreamType::BK);
         for _ in 0..10 {
@@ -421,9 +414,9 @@ mod tests {
 
     #[test]
     fn try_write_without_stream() {
-        let out = Port::new(pid(1), OUTPUT);
+        let out = Port::new(pid(1), "output");
         assert!(!out.try_write(Unit::int(1)).unwrap());
-        let inp = Port::new(pid(2), INPUT);
+        let inp = Port::new(pid(2), "input");
         wire(&out, &inp, StreamType::BK);
         assert!(out.try_write(Unit::int(1)).unwrap());
     }

@@ -258,11 +258,6 @@ impl ProcessCore {
         *self.remote_identity.lock() = Some(identity);
     }
 
-    /// The adopted remote identity, if any.
-    pub fn remote_identity(&self) -> Option<RemoteIdentity> {
-        self.remote_identity.lock().clone()
-    }
-
     pub(crate) fn set_life(&self, s: LifeState) {
         *self.life.lock() = s;
         self.life_cv.notify_all();
@@ -520,7 +515,7 @@ impl ProcessCore {
     }
 
     /// Emit a trace record in the paper's §6 format.
-    pub fn trace_message(&self, source_file: &str, line: u32, message: String) {
+    pub(crate) fn trace_message(&self, source_file: &str, line: u32, message: String) {
         let placement = self.placement.lock().clone();
         let (mut host, mut task_uid, task_name) = match placement {
             Some(p) => (

@@ -123,7 +123,8 @@ impl Stream {
     }
 
     /// Is the source end currently attached/open?
-    pub fn source_open(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn source_open(&self) -> bool {
         self.inner.lock().src_open
     }
 
@@ -159,7 +160,7 @@ impl Stream {
 
     /// Disconnect the stream from its producer. Buffered units remain
     /// readable by the sink; once drained the sink will prune the stream.
-    pub fn break_source(self: &Arc<Self>) {
+    pub(crate) fn break_source(self: &Arc<Self>) {
         let src = self.src_port();
         {
             let mut inner = self.inner.lock();
@@ -177,7 +178,7 @@ impl Stream {
 
     /// Disconnect the stream from its consumer. Buffered units become
     /// unreachable unless the stream is reattached to a new sink.
-    pub fn break_sink(self: &Arc<Self>) {
+    pub(crate) fn break_sink(self: &Arc<Self>) {
         let snk = self.snk_port();
         {
             let mut inner = self.inner.lock();

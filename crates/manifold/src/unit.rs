@@ -106,14 +106,6 @@ impl Unit {
         }
     }
 
-    /// Interpret as a process reference.
-    pub fn as_process_ref(&self) -> Option<&ProcessRef> {
-        match self {
-            Unit::ProcessRef(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Interpret as tuple.
     pub fn as_tuple(&self) -> Option<&[Unit]> {
         match self {
@@ -140,11 +132,14 @@ impl Unit {
             .ok_or(MfError::UnitType { expected: "Reals" })
     }
 
-    /// Like [`Unit::as_process_ref`] but returning a typed error.
+    /// Interpret as a process reference, or a typed error.
     pub fn expect_process_ref(&self) -> MfResult<ProcessRef> {
-        self.as_process_ref().cloned().ok_or(MfError::UnitType {
-            expected: "ProcessRef",
-        })
+        match self {
+            Unit::ProcessRef(r) => Ok(r.clone()),
+            _ => Err(MfError::UnitType {
+                expected: "ProcessRef",
+            }),
+        }
     }
 
     /// Approximate wire size of the unit in bytes, as it would cross the

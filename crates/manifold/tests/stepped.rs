@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use manifold::prelude::*;
 use manifold::process::LifeState;
@@ -326,6 +326,14 @@ fn an_occurrence_wakes_a_stepped_watcher_on_the_delivering_thread_and_never_a_th
         Ok(())
     });
     env.activate(&threaded).unwrap();
+    // Under load the body may not have started yet. Once it has, it blocks
+    // reading `never`, so from here on only an occurrence that ran it
+    // again could move the count.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while entered.load(Ordering::SeqCst) == 0 {
+        assert!(Instant::now() < deadline, "the threaded body never started");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let (tid_tx, tid_rx) = channel();
     let raiser = env.create_process("Raiser", move |ctx: ProcessCtx| {
@@ -482,7 +490,7 @@ fn stepped_scope_exits_cleanly(
             .collect();
         closed_tx.send(open).unwrap();
     });
-    let began = std::time::Instant::now();
+    let began = Instant::now();
     env.activate(&c).unwrap();
     assert!(began.elapsed() < NO_BLOCKING, "the first step blocked");
     let open = closed_rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -544,7 +552,7 @@ fn a_stepped_scope_closing_on_its_own_members_thread_waits_for_nobody() {
     stepped_scope_exits_cleanly(
         move |coord| {
             let ender = coord.create_atomic("Ender", move |ctx: ProcessCtx| {
-                let began = std::time::Instant::now();
+                let began = Instant::now();
                 ctx.raise("the_end");
                 took_tx.send(began.elapsed()).unwrap();
                 Ok(())
@@ -581,7 +589,7 @@ fn killing_a_pending_stepped_coordinator_ends_its_members() {
     env.activate(&c).unwrap();
     assert_eq!(c.life_state(), LifeState::Active);
     assert_eq!(env.live_processes(), 3);
-    let began = std::time::Instant::now();
+    let began = Instant::now();
     c.core().kill();
     assert!(began.elapsed() < NO_BLOCKING, "the kill blocked");
     c.core().wait_terminated(Duration::from_secs(5)).unwrap();

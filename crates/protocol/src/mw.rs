@@ -271,7 +271,7 @@ where
     }
 
     /// What a pending machine is waiting for, in `coord`'s event memory.
-    pub fn awaits(&self) -> &[EventPattern] {
+    pub(crate) fn awaits(&self) -> &[EventPattern] {
         match self.state {
             State::Entering | State::Halted => &[],
             State::Begin => &self.begin,
@@ -284,7 +284,7 @@ where
 
     /// React to whatever is in `coord`'s event memory, as far as that goes
     /// without waiting: `Ready` when the protocol is over, `Pending` when
-    /// the next thing it reacts to ([`ProtocolMw::awaits`]) has not
+    /// the next thing it reacts to (`ProtocolMw::awaits`) has not
     /// happened yet, an error when it failed or `coord` was killed. Always
     /// pass the same coordinator.
     pub fn step(&mut self, coord: &Coord) -> MfResult<Poll<ProtocolOutcome>> {

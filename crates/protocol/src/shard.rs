@@ -125,23 +125,6 @@ impl ShardPlan {
         }
         queues
     }
-
-    /// The global dispatch sequence of the sharded run: a round-robin
-    /// interleave of the shard queues (shard 0 first). This is what both
-    /// the live master and the DES walk, so traces agree line-for-line
-    /// across backends; for one shard it is the identity.
-    pub fn interleave(&self) -> Vec<usize> {
-        let mut queues = self.queues();
-        let mut out = Vec::with_capacity(self.assignment.len());
-        while out.len() < self.assignment.len() {
-            for q in queues.iter_mut() {
-                if let Some(j) = q.pop_front() {
-                    out.push(j);
-                }
-            }
-        }
-        out
-    }
 }
 
 fn least_loaded(costs: &[f64]) -> usize {
@@ -348,7 +331,6 @@ mod tests {
     fn flat_plan_is_identity() {
         let plan = ShardPlan::partition(&[3.0, 1.0, 2.0], 1);
         assert_eq!(plan.assignment, vec![0, 0, 0]);
-        assert_eq!(plan.interleave(), vec![0, 1, 2]);
         assert_eq!(plan.shard_cost, vec![6.0]);
     }
 
@@ -365,15 +347,9 @@ mod tests {
         let mut all: Vec<usize> = per_shard.iter_mut().flat_map(|q| q.drain(..)).collect();
         all.sort_unstable();
         assert_eq!(all, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn interleave_is_deterministic_round_robin() {
-        let costs = [8.0, 7.0, 6.0, 5.0];
-        let plan = ShardPlan::partition(&costs, 2);
         // Shard 0 gets {0, 3}, shard 1 gets {1, 2} under LPT.
+        let plan = ShardPlan::partition(&[8.0, 7.0, 6.0, 5.0], 2);
         assert_eq!(plan.assignment, vec![0, 1, 1, 0]);
-        assert_eq!(plan.interleave(), vec![0, 1, 3, 2]);
     }
 
     #[test]

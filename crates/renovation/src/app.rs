@@ -113,7 +113,10 @@ mod tests {
         };
         Engine::threads(mode, policy, opts)
             .and_then(|engine| {
-                engine.run_one(AppConfig::new(*app).with_data_through_master(data_through_master))
+                engine.run_one(AppConfig {
+                    data_through_master,
+                    ..AppConfig::new(*app)
+                })
             })
             .unwrap()
     }

@@ -6,7 +6,6 @@
 //! * `MF_WORKER_ADDR` — `tcp:host:port` / `unix:path` to connect back to
 //!   (required);
 //! * `MF_WORKER_INSTANCE` — this child's pool slot (required);
-//! * `MF_WORKER_HEARTBEAT_MS` — heartbeat cadence, default 100;
 //! * `MF_CHAOS_PLAN` — fault injection: a [`chaos::FaultPlan`] in its
 //!   textual form; this child applies only the faults naming its own
 //!   instance (crash, connection drop, frame corruption, stall,
@@ -16,7 +15,6 @@
 //! transport error, 42 on injected crash.
 
 use std::process::exit;
-use std::time::Duration;
 
 use renovation::run_worker_child;
 use transport::Addr;
@@ -43,7 +41,6 @@ fn main() {
             exit(1);
         }
     };
-    let heartbeat = Duration::from_millis(env_u64("MF_WORKER_HEARTBEAT_MS").unwrap_or(100));
     let faults = match std::env::var("MF_CHAOS_PLAN") {
         Ok(text) => match chaos::FaultPlan::parse(&text) {
             Ok(plan) => plan.worker_faults(instance),
@@ -55,7 +52,7 @@ fn main() {
         Err(_) => chaos::WorkerFaults::default(),
     };
 
-    match run_worker_child(addr, instance, heartbeat, faults) {
+    match run_worker_child(addr, instance, faults) {
         Ok(summary) => {
             if !summary.clean_shutdown {
                 eprintln!(

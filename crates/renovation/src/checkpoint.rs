@@ -38,7 +38,7 @@ use crate::codec::{problem_from_unit, problem_to_unit, result_from_unit, result_
 pub const MAGIC: &[u8; 4] = b"MFCK";
 
 /// Version of the checkpoint layout; mismatches are refused, not guessed.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 const FILE_NAME: &str = "run.ckpt";
 

@@ -87,7 +87,7 @@ impl CostModel {
     /// `(level, tol)` run equals `target_seconds` on the reference machine.
     /// The sequential time is affine in the unit scale, so two probes pin
     /// it exactly.
-    pub fn calibrate_to(&mut self, level: u32, tol: f64, target_seconds: f64) {
+    pub(crate) fn calibrate_to(&mut self, level: u32, tol: f64, target_seconds: f64) {
         self.unit_grid_seconds = 0.0;
         let at_zero = self.sequential_seconds(2, level, tol);
         self.unit_grid_seconds = 1.0;
@@ -106,7 +106,7 @@ impl CostModel {
 
     /// Virtual seconds of `subsolve(l, m)` at tolerance `tol` on the
     /// reference machine.
-    pub fn grid_seconds(&self, l: u32, m: u32, tol: f64) -> f64 {
+    pub(crate) fn grid_seconds(&self, l: u32, m: u32, tol: f64) -> f64 {
         let lm = (l + m) as f64;
         let stretch = (l as f64 - m as f64) / (lm + 1.0);
         let anis = 1.0 + self.anisotropy * stretch * stretch;
@@ -115,12 +115,12 @@ impl CostModel {
     }
 
     /// Flops of `subsolve(l, m)` (grid seconds × reference rate).
-    pub fn grid_flops(&self, l: u32, m: u32, tol: f64) -> f64 {
+    pub(crate) fn grid_flops(&self, l: u32, m: u32, tol: f64) -> f64 {
         self.grid_seconds(l, m, tol) * self.ref_flops_per_sec
     }
 
     /// Bytes of a grid's full node field.
-    pub fn grid_bytes(root: u32, l: u32, m: u32) -> usize {
+    pub(crate) fn grid_bytes(root: u32, l: u32, m: u32) -> usize {
         Grid2::new(root, l, m).node_count() * 8
     }
 

@@ -15,7 +15,7 @@
 //! Engine::new ──► fleet up (env / worker processes / simulated cluster)
 //!    submit(cfg₁) ─► JobHandle #1 ┐ pending; up to `width` jobs in flight,
 //!    submit(cfg₂) ─► JobHandle #2 ┘ each a job scope of its own
-//!    next_finished() / handle.wait() ─► JobReport (bit-identical)
+//!    handle.wait() ─► JobReport (bit-identical)
 //!    ...
 //! engine.shutdown() ──► fleet down, EngineSummary
 //!
@@ -24,10 +24,10 @@
 //!
 //! Every job runs a *fresh, job-scoped* coordinator and master over the
 //! *shared* fleet. [`Engine::submit`] starts the job and returns at once;
-//! [`JobHandle::wait`] blocks for that job, [`Engine::next_finished`] for
-//! whichever finishes first. [`Engine::width`] jobs can be in flight
-//! together — two per worker process on the procs backend, one on the
-//! other backends — and a submit beyond that waits for a slot.
+//! [`JobHandle::wait`] blocks for that job, and [`Engine::on_job_finished`]
+//! tells a caller that waits on something else. [`Engine::width`] jobs can
+//! be in flight together — two per worker process on the procs backend,
+//! one on the other backends — and a submit beyond that waits for a slot.
 //!
 //! What a job owns and what the fleet owns:
 //!
@@ -69,7 +69,7 @@ use crate::app::RunMode;
 use crate::checkpoint::CheckpointStore;
 use crate::cost::CostModel;
 use crate::master::{master_body, MasterConfig};
-use crate::procs::{JobSource, ProcsConfig, WORKER_HEARTBEAT};
+use crate::procs::{JobSource, ProcsConfig};
 use crate::virtualrun::paper_sim;
 use crate::worker::{worker_factory_chaos, worker_factory_with_gauge, WorkerGauge};
 
@@ -174,18 +174,6 @@ impl AppConfig {
             policy: None,
         }
     }
-
-    /// Select the §4.1 I/O-worker data path.
-    pub fn with_data_through_master(mut self, through_master: bool) -> Self {
-        self.data_through_master = through_master;
-        self
-    }
-
-    /// Dispatch this job under `policy` instead of the engine's default.
-    pub fn with_policy(mut self, policy: PolicyRef) -> Self {
-        self.policy = Some(policy);
-        self
-    }
 }
 
 /// What one served job produced.
@@ -288,9 +276,6 @@ struct JobSlot {
     /// Set under the board lock, after `report` is in place.
     finished: AtomicBool,
     report: Mutex<Option<MfResult<JobReport>>>,
-    /// The job's handle was waited on or dropped: nobody is left to be
-    /// told about it.
-    handle_gone: AtomicBool,
 }
 
 impl JobSlot {
@@ -343,12 +328,6 @@ impl JobHandle {
         drop(state);
         let report = self.slot.report.lock().take();
         report.expect("a finished job has a report")
-    }
-}
-
-impl Drop for JobHandle {
-    fn drop(&mut self) {
-        self.slot.handle_gone.store(true, Ordering::Release);
     }
 }
 
@@ -417,9 +396,8 @@ enum BackendState {
     },
 }
 
-/// A job the engine started and still has to account for: it is running,
-/// or it has finished and neither [`Engine::next_finished`] nor its handle
-/// has taken note.
+/// A job the engine started: it is running, or it has finished since the
+/// last [`Engine::submit`].
 struct InFlight {
     id: u64,
     /// Which of the fleet's `width` lanes the job occupies — its window on
@@ -440,7 +418,8 @@ pub struct Engine {
     protocol_pool: Arc<PerpetualPool>,
     next_job: u64,
     width: usize,
-    /// Submission order; at most `width` of them still running.
+    /// Submission order; at most `width` of them still running. A submit
+    /// drops the finished ones.
     in_flight: Vec<InFlight>,
     board: Arc<Board>,
 }
@@ -501,14 +480,8 @@ impl Engine {
                 pool_cfg.job_timeout = cfg.job_timeout;
                 pool_cfg.respawn_budget = retry;
                 pool_cfg.shards = opts.shards.shards.max(1);
-                pool_cfg.base_env = vec![(
-                    "MF_WORKER_HEARTBEAT_MS".into(),
-                    WORKER_HEARTBEAT.as_millis().to_string(),
-                )];
                 if let Some(plan) = &opts.faults {
-                    pool_cfg
-                        .base_env
-                        .push(("MF_CHAOS_PLAN".into(), plan.to_string()));
+                    pool_cfg.base_env = vec![("MF_CHAOS_PLAN".into(), plan.to_string())];
                 }
                 let pool = Arc::new(RemoteWorkerPool::launch(
                     pool_cfg,
@@ -594,12 +567,6 @@ impl Engine {
         self.in_flight.iter().filter(|j| !j.slot.finished()).count()
     }
 
-    /// Forget the finished jobs nobody can ask about any more.
-    fn prune(&mut self) {
-        self.in_flight
-            .retain(|j| !(j.slot.finished() && j.slot.handle_gone.load(Ordering::Acquire)));
-    }
-
     /// Jobs this fleet has served to completion.
     pub fn jobs_served(&self) -> usize {
         match &self.state {
@@ -633,7 +600,7 @@ impl Engine {
     /// caller that also waits on something else — a serving loop blocked
     /// on its admission queue — folds job completion into its one wake-up
     /// source instead of polling; a caller with nothing else to wait on
-    /// uses [`Engine::next_finished`].
+    /// uses [`JobHandle::wait`].
     pub fn on_job_finished(&mut self, wake: impl Fn() + Send + Sync + 'static) {
         self.board.state.lock().wake = Some(Arc::new(wake));
     }
@@ -667,15 +634,11 @@ impl Engine {
                 });
             }
         }
-        self.prune();
+        self.in_flight.retain(|j| !j.slot.finished());
         let id = self.next_job;
         self.next_job += 1;
         let lane = (0..self.width)
-            .find(|l| {
-                self.in_flight
-                    .iter()
-                    .all(|j| j.lane != *l || j.slot.finished())
-            })
+            .find(|l| self.in_flight.iter().all(|j| j.lane != *l))
             .expect("fewer jobs running than lanes");
         let job = InFlight {
             id,
@@ -683,7 +646,6 @@ impl Engine {
             slot: Arc::new(JobSlot {
                 finished: AtomicBool::new(false),
                 report: Mutex::new(None),
-                handle_gone: AtomicBool::new(false),
             }),
             log: ScopeLog::new(),
         };
@@ -697,29 +659,6 @@ impl Engine {
         }
         self.in_flight.push(job);
         Ok(handle)
-    }
-
-    /// Block until a job has finished that this call has not reported
-    /// before and whose handle is still waiting to be asked, and return
-    /// its id — earliest submitted first when there are several — or
-    /// `None` when no such job is left, running or finished. The job's
-    /// [`JobHandle::wait`] then returns at once. One thread can keep the
-    /// fleet full this way: submit until [`Engine::in_flight`] reaches
-    /// [`Engine::width`], then alternate `next_finished` and `submit`.
-    pub fn next_finished(&mut self) -> Option<u64> {
-        let board = Arc::clone(&self.board);
-        let mut state = board.state.lock();
-        loop {
-            self.prune();
-            let done = self.in_flight.iter().position(|j| j.slot.finished());
-            if let Some(i) = done {
-                return Some(self.in_flight.remove(i).id);
-            }
-            if self.in_flight.is_empty() {
-                return None;
-            }
-            self.board.finished.wait(&mut state);
-        }
     }
 
     /// What the fleet's environment holds right now (all zero on sim).
@@ -744,8 +683,13 @@ impl Engine {
 
     /// Wait for the jobs still in flight, then tear the fleet down and
     /// account for its life.
-    pub fn shutdown(mut self) -> EngineSummary {
-        while self.next_finished().is_some() {}
+    pub fn shutdown(self) -> EngineSummary {
+        {
+            let mut state = self.board.state.lock();
+            while self.in_flight() > 0 {
+                self.board.finished.wait(&mut state);
+            }
+        }
         let jobs_served = self.jobs_served();
         let fleet_workers_created = self.fleet_workers_created();
         let footprint = self.footprint();

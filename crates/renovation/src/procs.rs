@@ -42,7 +42,7 @@ use transport::{serve, Addr, RemoteWorkerPool, ServeConfig, ServeSummary};
 use crate::worker::{subsolve_unit, WorkerGauge};
 
 /// How often a worker child reports that it is alive.
-pub(crate) const WORKER_HEARTBEAT: Duration = Duration::from_millis(100);
+const WORKER_HEARTBEAT: Duration = Duration::from_millis(100);
 
 /// The shape of a worker-process pool. How a run on it behaves — faults,
 /// checkpoints, retries, shards, churn — is [`EngineOpts`](crate::EngineOpts).
@@ -203,7 +203,6 @@ pub fn child_task_uid(instance: u64) -> u64 {
 pub fn run_worker_child(
     addr: Addr,
     instance: u64,
-    heartbeat: Duration,
     faults: chaos::WorkerFaults,
 ) -> std::io::Result<ServeSummary> {
     let mut cfg = ServeConfig::new(
@@ -212,7 +211,7 @@ pub fn run_worker_child(
         transport::real_hostname(),
         child_task_uid(instance),
     );
-    cfg.heartbeat = heartbeat;
+    cfg.heartbeat = WORKER_HEARTBEAT;
     // Wire-level faults run inside the serve loop (it owns the socket);
     // the crash stays here in the job handler, because an abrupt
     // process exit is an *application*-level death, not a transport one.
@@ -284,14 +283,8 @@ mod tests {
 
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = Addr::Tcp(listener.local_addr().unwrap().to_string());
-        let child = std::thread::spawn(move || {
-            run_worker_child(
-                addr,
-                0,
-                Duration::from_millis(100),
-                chaos::WorkerFaults::default(),
-            )
-        });
+        let child =
+            std::thread::spawn(move || run_worker_child(addr, 0, chaos::WorkerFaults::default()));
         let (sock, _) = listener.accept().unwrap();
         let mut conn = Conn::Tcp(sock);
         match conn.recv_msg().unwrap().unwrap() {

@@ -1,15 +1,16 @@
-//! The supervisor coordinator: master-death detection + relaunch.
+//! The supervisor: master-death detection + relaunch.
 //!
 //! The paper's protocol makes *worker* death an ordinary, observable event
 //! (`death_worker`), but a dying **master** takes the whole run with it.
-//! This module closes that gap in MANIFOLD style: a `Supervisor`
-//! coordinator runs the application as an atomic process, observes its
-//! termination, and — when the run died rather than finished — raises
-//! [`MASTER_DOWN`] and launches a fresh incarnation that resumes from the
-//! last checkpoint (see [`crate::checkpoint`]). Because the master
-//! checkpoints every collected result before it can die, and a resumed
-//! run restores those results instead of re-collecting them, each distinct
-//! failure costs at most one relaunch.
+//! This module closes that gap with a small state machine around the
+//! master: it runs the application, and when the run died rather than
+//! finished it launches a fresh incarnation that resumes from the last
+//! checkpoint (see [`crate::checkpoint`]). Because the master checkpoints
+//! every collected result before it can die, and a resumed run restores
+//! those results instead of re-collecting them, each distinct failure
+//! costs at most one relaunch. Nothing else observes a master's death, so
+//! the supervisor is a loop on the caller's thread, not a MANIFOLD
+//! process.
 //!
 //! The relaunch budget bounds the other half of the chaos-harness
 //! invariant: a run whose faults exceed its budgets must end in a
@@ -20,17 +21,9 @@
 //! [`EngineOpts::resume`](crate::EngineOpts::resume) set from the flag the
 //! supervisor passes in.
 
-use std::sync::Arc;
-
-use manifold::mes;
 use manifold::prelude::*;
-use manifold::trace::TraceRecord;
-use parking_lot::Mutex;
 
 use crate::engine::JobReport;
-
-/// Event the supervisor raises each time it observes a dead master.
-pub const MASTER_DOWN: &str = "master_down";
 
 /// Outcome of a supervised run.
 #[derive(Debug)]
@@ -39,9 +32,8 @@ pub struct SupervisedRun {
     pub result: JobReport,
     /// How many times the supervisor relaunched a dead run.
     pub relaunches: usize,
-    /// The supervisor's own trace (the application's is in
-    /// `result.records`).
-    pub supervisor_records: Vec<TraceRecord>,
+    /// Why each dead incarnation died, in order (one per relaunch).
+    pub causes: Vec<MfError>,
 }
 
 /// Run `launch` under a supervisor with the given relaunch budget.
@@ -54,78 +46,33 @@ pub struct SupervisedRun {
 /// process; the supervisor only *escalates* the flag, never clears it.
 pub fn supervise<F>(relaunch_budget: usize, mut launch: F) -> MfResult<SupervisedRun>
 where
-    F: FnMut(bool) -> MfResult<JobReport> + Send + 'static,
+    F: FnMut(bool) -> MfResult<JobReport>,
 {
-    let env = Environment::new();
-    let cell: Arc<Mutex<Option<(JobReport, usize)>>> = Arc::new(Mutex::new(None));
-    let cell2 = cell.clone();
-    let run = env.run_coordinator("Supervisor", |coord| {
-        let sup = coord.create_atomic("Supervise(run)", move |ctx: ProcessCtx| {
-            mes!(ctx, "Welcome");
-            let mut relaunches = 0usize;
-            let mut resume = false;
-            loop {
-                match launch(resume) {
-                    Ok(result) => {
-                        mes!(
-                            ctx,
-                            "supervisor: run complete after {relaunches} relaunch(es)"
-                        );
-                        *cell2.lock() = Some((result, relaunches));
-                        mes!(ctx, "Bye");
-                        return Ok(());
-                    }
-                    Err(err) if relaunches < relaunch_budget => {
-                        relaunches += 1;
-                        mes!(
-                            ctx,
-                            "supervisor: master down ({err}); relaunching from checkpoint \
-                             ({relaunches}/{relaunch_budget})"
-                        );
-                        ctx.raise(MASTER_DOWN);
-                        resume = true;
-                    }
-                    Err(err) => {
-                        return Err(MfError::App(format!(
-                            "supervisor: relaunch budget ({relaunch_budget}) exhausted: {err}"
-                        )));
-                    }
-                }
+    let mut causes = Vec::new();
+    loop {
+        match launch(!causes.is_empty()) {
+            Ok(result) => {
+                return Ok(SupervisedRun {
+                    result,
+                    relaunches: causes.len(),
+                    causes,
+                })
             }
-        });
-        coord.activate(&sup)?;
-        sup.core()
-            .wait_terminated(std::time::Duration::from_secs(600))
-    });
-    let supervisor_records = env.trace().snapshot();
-    env.shutdown();
-    match run {
-        Ok(()) => {}
-        Err(e) => {
-            // Prefer the atomic process's own failure detail.
-            if let Some((_, err)) = env.failures().into_iter().next() {
-                return Err(MfError::App(err.to_string()));
+            Err(err) if causes.len() < relaunch_budget => causes.push(err),
+            Err(err) => {
+                return Err(MfError::App(format!(
+                    "supervisor: relaunch budget ({relaunch_budget}) exhausted: {err}"
+                )))
             }
-            return Err(e);
         }
     }
-    if let Some((_, err)) = env.failures().into_iter().next() {
-        return Err(MfError::App(err.to_string()));
-    }
-    let (result, relaunches) = cell
-        .lock()
-        .take()
-        .ok_or_else(|| MfError::App("supervisor produced no result".into()))?;
-    Ok(SupervisedRun {
-        result,
-        relaunches,
-        supervisor_records,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::{AppConfig, Engine, EngineOpts, RunMode};
     use chaos::{FaultKind, FaultPlan};
     use protocol::PaperFaithful;
@@ -171,10 +118,12 @@ mod tests {
         assert_eq!(sup.result.result.combined, seq.combined);
         assert_eq!(sup.result.result.l2_error, seq.l2_error);
         assert_eq!(sup.result.result.work, uninterrupted.result.work);
-        assert!(sup
-            .supervisor_records
-            .iter()
-            .any(|r| r.message.contains("master down")));
+        assert_eq!(sup.causes.len(), 1);
+        assert!(
+            sup.causes[0].to_string().contains("master killed"),
+            "{}",
+            sup.causes[0]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -39,10 +39,11 @@ fn submit_mix_and_check(engine: &mut Engine) {
     for (i, (root, level, through_master, policy)) in job_mix().into_iter().enumerate() {
         let app = SequentialApp::new(root, level, 1e-3);
         let oracle = app.run().unwrap();
-        let mut cfg = AppConfig::new(app).with_data_through_master(through_master);
-        if let Some(p) = policy {
-            cfg = cfg.with_policy(p);
-        }
+        let cfg = AppConfig {
+            data_through_master: through_master,
+            policy,
+            ..AppConfig::new(app)
+        };
         let handle = engine.submit(cfg).expect("engine admission");
         assert_eq!(handle.id(), (i + 1) as u64);
         let report = handle.wait().unwrap();
@@ -125,10 +126,11 @@ fn sim_fleet_serves_eight_jobs_and_warm_jobs_are_faster() {
     for (root, level, through_master, policy) in job_mix() {
         let app = SequentialApp::new(root, level, 1e-3);
         let oracle = app.run().unwrap();
-        let mut cfg = AppConfig::new(app).with_data_through_master(through_master);
-        if let Some(p) = policy {
-            cfg = cfg.with_policy(p);
-        }
+        let cfg = AppConfig {
+            data_through_master: through_master,
+            policy,
+            ..AppConfig::new(app)
+        };
         let report = engine.submit(cfg).unwrap().wait().unwrap();
         assert_eq!(report.result.combined, oracle.combined);
         assert_eq!(report.result.l2_error, oracle.l2_error);

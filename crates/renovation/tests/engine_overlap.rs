@@ -53,13 +53,10 @@ fn job_mix() -> Vec<AppConfig> {
         (2, 2, true, Some(Arc::new(PaperFaithful))),
     ];
     mix.into_iter()
-        .map(|(root, level, through_master, policy)| {
-            let cfg = AppConfig::new(SequentialApp::new(root, level, 1e-3))
-                .with_data_through_master(through_master);
-            match policy {
-                Some(p) => cfg.with_policy(p),
-                None => cfg,
-            }
+        .map(|(root, level, through_master, policy)| AppConfig {
+            data_through_master: through_master,
+            policy,
+            ..AppConfig::new(SequentialApp::new(root, level, 1e-3))
         })
         .collect()
 }
@@ -178,29 +175,32 @@ fn a_checkpointing_fleet_is_one_job_wide() {
 }
 
 #[test]
-fn next_finished_hands_out_every_job_once() {
+fn a_full_fleet_hands_out_every_job_once() {
     let mut fleet = procs_fleet(level4());
     let app = SequentialApp::new(1, 2, 1e-3);
     let oracle = app.run().unwrap();
     let mut handles: Vec<JobHandle> = Vec::new();
-    let mut finished: Vec<u64> = Vec::new();
-    for _ in 0..10 {
-        // Keep the fleet full: a slot frees exactly when a job is reaped.
-        if fleet.in_flight() == fleet.width() {
-            finished.extend(fleet.next_finished());
+    for i in 0..10 {
+        // Ten jobs through four lanes: a submit into a full fleet returns
+        // only once a lane has freed, so it never holds more than its width.
+        let full = fleet.in_flight() == fleet.width();
+        let handle = fleet.submit(AppConfig::new(app)).unwrap();
+        assert_eq!(handle.id(), (i + 1) as u64);
+        assert!(fleet.in_flight() <= fleet.width());
+        if full {
+            assert!(
+                handles.iter().any(JobHandle::is_finished),
+                "job {} started before a lane was free",
+                i + 1
+            );
         }
-        handles.push(fleet.submit(AppConfig::new(app)).unwrap());
+        handles.push(handle);
     }
-    while let Some(id) = fleet.next_finished() {
-        finished.push(id);
-    }
-    assert_eq!(fleet.in_flight(), 0);
-    finished.sort_unstable();
-    assert_eq!(finished, (1..=10).collect::<Vec<u64>>());
     for h in handles {
-        assert!(h.is_finished());
         assert_eq!(h.wait().unwrap().result.combined, oracle.combined);
     }
+    assert_eq!(fleet.in_flight(), 0);
+    assert_eq!(fleet.jobs_served(), 10);
     fleet.shutdown();
 }
 
@@ -221,7 +221,10 @@ fn one_jobs_crash_fails_that_job_only(mut fleet: Engine) {
     let oracle = app.run().unwrap();
     let configs = [
         AppConfig::new(app),
-        AppConfig::new(app).with_policy(Arc::new(Panicking)),
+        AppConfig {
+            policy: Some(Arc::new(Panicking)),
+            ..AppConfig::new(app)
+        },
         AppConfig::new(app),
         AppConfig::new(app),
     ];

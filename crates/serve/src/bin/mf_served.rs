@@ -3,11 +3,14 @@
 //! ```text
 //! mf-served [--listen tcp:HOST:PORT|unix:PATH]
 //!           [--backend threads|procs|sim] [--instances N] [--worker-exe PATH]
-//!           [--capacity-level N] [--queue-cap N] [--max-weight N]
-//!           [--fault-budget N] [--retry-budget N] [--retry-after-ms N]
-//!           [--faults SPEC] [--drain-grace-ms N]
+//!           [--capacity-level N] [--queue-cap N] [--faults SPEC]
 //!           [--journal DIR] [--journal-fsync] [--journal-segment-bytes N]
 //! ```
+//!
+//! The other admission and drain settings are those of
+//! [`AdmissionConfig::default`](serve::AdmissionConfig) and
+//! [`DaemonConfig::default`](serve::daemon::DaemonConfig). A flag this
+//! list does not name is ignored.
 //!
 //! Listens until something drains it — SIGTERM/SIGINT, or a tenant's
 //! `Drain` message — then finishes every accepted job, tells each session
@@ -35,8 +38,7 @@ use transport::Addr;
 
 const USAGE: &str = "usage: mf-served [--listen tcp:HOST:PORT|unix:PATH] \
      [--backend threads|procs|sim] [--instances N] [--worker-exe PATH] \
-     [--capacity-level N] [--queue-cap N] [--max-weight N] [--fault-budget N] \
-     [--retry-budget N] [--retry-after-ms N] [--faults SPEC] [--drain-grace-ms N] \
+     [--capacity-level N] [--queue-cap N] [--faults SPEC] \
      [--journal DIR] [--journal-fsync] [--journal-segment-bytes N]";
 
 static TERM: AtomicBool = AtomicBool::new(false);
@@ -98,10 +100,6 @@ fn main() {
     let capacity_level: u32 = args.parsed("--capacity-level", 8);
     let admission = AdmissionConfig {
         queue_cap: args.parsed("--queue-cap", 128),
-        max_weight: args.parsed("--max-weight", 16),
-        fault_budget: args.parsed("--fault-budget", 8),
-        retry_budget: args.parsed("--retry-budget", 4),
-        retry_after: Duration::from_millis(args.parsed("--retry-after-ms", 25)),
         capacity_level,
         ..AdmissionConfig::default()
     };
@@ -125,8 +123,8 @@ fn main() {
         addr,
         admission,
         tenant_faults,
-        drain_grace: Duration::from_millis(args.parsed("--drain-grace-ms", 5_000)),
         journal,
+        ..DaemonConfig::default()
     };
 
     let backend = args.value("--backend").unwrap_or("threads").to_string();

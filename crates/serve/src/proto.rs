@@ -218,7 +218,7 @@ impl ServeMsg {
     /// Lower to the unit representation, moving the fields in: a `Done`'s
     /// field becomes the unit's without a copy. The one layout of every
     /// message, the journal's replies included.
-    pub fn into_unit(self) -> Unit {
+    pub(crate) fn into_unit(self) -> Unit {
         match self {
             ServeMsg::Hello {
                 version,

@@ -1391,16 +1391,26 @@ mod tests {
             assert!(job.started.try_recv().is_err(), "started before its head");
         }
         // A child that answers finds the job behind its head; the
-        // connection that answered takes the oldest waiting job.
-        for (answers, want) in [(1usize, 3), (1, 4), (0, 2), (1, 5)] {
+        // connection that answered takes the oldest waiting job. A child
+        // reads its next job as soon as it has written a `Done`, before
+        // the launcher has handled that `Done`, so two readers could race
+        // for the fleet lock and either order would be FIFO. The launcher
+        // writes a connection's refill before it runs the answered job's
+        // completion: waiting for that completion fixes which connection
+        // took which waiting job.
+        for (answers, answered, want) in [(1usize, 1usize, 3), (1, 3, 4), (0, 0, 2), (1, 4, 5)] {
             gates.tell(busy[answers], Reply::Done);
             let (instance, k) = gates.arrival();
             assert_eq!((instance, k), (busy[answers], want), "the queue is FIFO");
+            assert_eq!(
+                jobs[answered].outcome().unwrap(),
+                Unit::int(answered as i64)
+            );
         }
         gates.tell(busy[0], Reply::Done);
         gates.tell(busy[1], Reply::Done);
-        for (k, job) in jobs.iter().enumerate() {
-            assert_eq!(job.outcome().unwrap(), Unit::int(k as i64));
+        for k in [2, 5] {
+            assert_eq!(jobs[k].outcome().unwrap(), Unit::int(k as i64));
         }
         pool.shutdown();
     }

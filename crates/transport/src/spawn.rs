@@ -62,7 +62,8 @@ impl ChildHandle {
     }
 
     /// True if the child has exited (non-blocking).
-    pub fn is_dead(&mut self) -> bool {
+    #[cfg(test)]
+    fn is_dead(&mut self) -> bool {
         match self.child.as_mut() {
             None => true,
             Some(c) => matches!(c.try_wait(), Ok(Some(_))),

@@ -15,6 +15,11 @@
 # `pub`), and a name shared by two items hides both: each line is a lead to
 # verify, not a verdict. `pub(crate)` items are the compiler's job.
 #
+# A lead that stays public is listed in `scripts/dead_pub.allow` as
+# `file kind name — reason`. The script exits 1 when a lead is missing from
+# that file or a line of it is no longer a lead, so a new public item needs
+# a caller, a narrower visibility or a reason.
+#
 # Usage: scripts/dead_pub.sh [REPO_ROOT]   (default: the current directory)
 set -euo pipefail
 
@@ -22,7 +27,8 @@ root=${1:-.}
 cd "$root"
 
 corpus=$(mktemp)
-trap 'rm -f "$corpus"' EXIT
+leads=$(mktemp)
+trap 'rm -f "$corpus" "$leads"' EXIT
 
 files() {
     find crates/*/src examples benchmark/src -name '*.rs' -not -path 'crates/compat/*' 2>/dev/null | sort
@@ -49,4 +55,20 @@ grep -E '^crates/[^:]+:[0-9]+:[[:space:]]*pub[[:space:]]+((const|async|unsafe)[[
         if [ "$callers" = 0 ]; then
             echo "$file:$line: $kind $name"
         fi
-    done
+    done | tee "$leads"
+
+allow=scripts/dead_pub.allow
+[ -f "$allow" ] || exit 0
+# Both sides as `file kind name`, sorted: comm -23 is what only the left has.
+status=0
+while read -r key; do
+    echo "dead_pub: not in $allow: $key" >&2
+    status=1
+done < <(comm -23 <(sed -E 's/^([^:]+):[0-9]+: /\1 /' "$leads" | sort) \
+    <(grep -Ev '^[[:space:]]*(#|$)' "$allow" | sed -E 's/[[:space:]]+—.*$//' | sort))
+while read -r key; do
+    echo "dead_pub: listed in $allow but no longer a lead: $key" >&2
+    status=1
+done < <(comm -13 <(sed -E 's/^([^:]+):[0-9]+: /\1 /' "$leads" | sort) \
+    <(grep -Ev '^[[:space:]]*(#|$)' "$allow" | sed -E 's/[[:space:]]+—.*$//' | sort))
+exit $status

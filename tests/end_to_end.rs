@@ -21,7 +21,10 @@ fn run_policy(
         capacity_level: app.level,
         ..EngineOpts::default()
     };
-    let job = AppConfig::new(*app).with_data_through_master(data_through_master);
+    let job = AppConfig {
+        data_through_master,
+        ..AppConfig::new(*app)
+    };
     Engine::threads(mode.clone(), policy, opts)
         .and_then(|engine| engine.run_one(job))
         .unwrap()
