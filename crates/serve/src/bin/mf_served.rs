@@ -10,7 +10,14 @@
 //! The other admission and drain settings are those of
 //! [`AdmissionConfig::default`](serve::AdmissionConfig) and
 //! [`DaemonConfig::default`](serve::daemon::DaemonConfig). A flag this
-//! list does not name is ignored.
+//! list does not name is ignored, with a note on stderr.
+//!
+//! Stderr also carries one line per set-up [`Stage`] —
+//! `mf-served: stage NAME at SECONDS`, stamped with `CLOCK_MONOTONIC` —
+//! for `main` entered, `listening`, the first worker's `first-hello-ack`,
+//! `engine-built` and the `first-done` reply written. The fleet comes up
+//! while the daemon binds, so `listening` and the fleet's two stages may
+//! come in either order. Stdout's first line is the `listening on` line.
 //!
 //! Listens until something drains it — SIGTERM/SIGINT, or a tenant's
 //! `Drain` message — then finishes every accepted job, tells each session
@@ -26,6 +33,7 @@
 //! to reconnecting clients. `--journal-fsync` extends the guarantee from
 //! process crashes to power loss, at a per-record fsync cost.
 
+use std::os::raw::{c_int, c_long};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -34,6 +42,7 @@ use protocol::PaperFaithful;
 use renovation::{Engine, EngineOpts, ProcsConfig, RunMode};
 use serve::daemon::{Daemon, DaemonConfig, EngineBuilder};
 use serve::{AdmissionConfig, JournalConfig};
+use transport::stage::{self, Stage};
 use transport::Addr;
 
 const USAGE: &str = "usage: mf-served [--listen tcp:HOST:PORT|unix:PATH] \
@@ -43,7 +52,7 @@ const USAGE: &str = "usage: mf-served [--listen tcp:HOST:PORT|unix:PATH] \
 
 static TERM: AtomicBool = AtomicBool::new(false);
 
-extern "C" fn on_term(_sig: std::os::raw::c_int) {
+extern "C" fn on_term(_sig: c_int) {
     TERM.store(true, Ordering::Release);
 }
 
@@ -51,7 +60,7 @@ extern "C" fn on_term(_sig: std::os::raw::c_int) {
 /// every libc the standard library links; no crate needed.
 fn hook_signals() {
     extern "C" {
-        fn signal(signum: std::os::raw::c_int, handler: usize) -> usize;
+        fn signal(signum: c_int, handler: usize) -> usize;
     }
     unsafe {
         signal(15, on_term as *const () as usize);
@@ -59,11 +68,71 @@ fn hook_signals() {
     }
 }
 
+/// Where a stage line's time comes from: `clock_gettime(2)` on
+/// `CLOCK_MONOTONIC`, the clock every process on the host shares, so the
+/// lines can be set beside a client's or a worker's own stamps.
+fn monotonic() -> (c_long, c_long) {
+    #[repr(C)]
+    struct Timespec {
+        tv_sec: c_long,
+        tv_nsec: c_long,
+    }
+    extern "C" {
+        fn clock_gettime(clock: c_int, tp: *mut Timespec) -> c_int;
+    }
+    const CLOCK_MONOTONIC: c_int = 1;
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    unsafe {
+        clock_gettime(CLOCK_MONOTONIC, &mut ts);
+    }
+    (ts.tv_sec, ts.tv_nsec)
+}
+
+fn print_stage(stage: Stage) {
+    let (secs, nanos) = monotonic();
+    eprintln!("mf-served: stage {} at {secs}.{nanos:09}", stage.name());
+}
+
+/// The flags this daemon reads that take a value.
+const VALUED: [&str; 9] = [
+    "--listen",
+    "--backend",
+    "--instances",
+    "--worker-exe",
+    "--capacity-level",
+    "--queue-cap",
+    "--faults",
+    "--journal",
+    "--journal-segment-bytes",
+];
+
+/// The flags this daemon reads that take none.
+const SWITCHES: [&str; 3] = ["--journal-fsync", "--help", "-h"];
+
 /// Minimal `--flag value` scanner (the bench crate's richer CLI lives a
 /// dependency layer above this daemon).
 struct Args(Vec<String>);
 
 impl Args {
+    /// The arguments this daemon does not read. A word after an unknown
+    /// flag that is not a flag itself is taken for that flag's value.
+    fn unknown(&self) -> Vec<&str> {
+        let mut unknown = Vec::new();
+        let mut words = self.0.iter().map(String::as_str).peekable();
+        while let Some(word) = words.next() {
+            if VALUED.contains(&word) {
+                words.next();
+            } else if !SWITCHES.contains(&word) {
+                unknown.push(word);
+                words.next_if(|value| !value.starts_with("--"));
+            }
+        }
+        unknown
+    }
+
     fn value(&self, flag: &str) -> Option<&str> {
         self.0
             .iter()
@@ -84,10 +153,15 @@ impl Args {
 }
 
 fn main() {
+    stage::observe(print_stage);
+    stage::reached(Stage::Main);
     let args = Args(std::env::args().skip(1).collect());
     if args.0.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         return;
+    }
+    for flag in args.unknown() {
+        eprintln!("mf-served: ignoring unknown flag {flag}");
     }
 
     let addr = match Addr::parse(args.value("--listen").unwrap_or("tcp:127.0.0.1:0")) {
@@ -158,6 +232,7 @@ fn main() {
             std::process::exit(1);
         }
     };
+    stage::reached(Stage::Listening);
     println!(
         "mf-served: listening on {} ({backend} backend, capacity level {capacity_level})",
         daemon.local_addr()

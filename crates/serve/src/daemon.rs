@@ -16,6 +16,10 @@
 //! engine is not `Send`; the builder closure is), so fleet bring-up is
 //! part of the daemon's start, not job 1's latency, and then keeps
 //! [`Engine::width`] jobs in flight on the one persistent worker fleet.
+//! [`Daemon::start`] starts the loop, and so the fleet, first: the
+//! journal's recovery and the bind run on the starting thread while the
+//! workers come up, and the loop takes its first turn once it has both
+//! its engine and its reactor.
 //! A finished job and a drain reach it through the reactor's one
 //! [`Waker`]; everything else it waits for is a socket. Nothing on the
 //! loop blocks but `poll(2)`: a `Submit` is offered and either queued or
@@ -52,11 +56,12 @@ use chaos::FaultPlan;
 use manifold::prelude::MfResult;
 use renovation::{AppConfig, Engine, EngineSummary, JobHandle, JobReport};
 use solver::sequential::SequentialApp;
+use transport::poll::Waker;
+use transport::stage::{self, Stage};
 use transport::Addr;
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionStats, Next, Offer, QueuedJob};
 use crate::journal::{Admit, Journal, JournalConfig, OutcomeBody};
-use crate::poll::Waker;
 use crate::proto::{ServeMsg, SERVE_PROTOCOL_VERSION};
 use crate::reactor::Reactor;
 use crate::registry::SessionId;
@@ -172,92 +177,83 @@ impl DrainTrigger {
 pub struct Daemon {
     trigger: DrainTrigger,
     local: Addr,
-    serve_loop: std::thread::JoinHandle<DaemonReport>,
+    /// `None` only for a loop that never got its reactor.
+    serve_loop: std::thread::JoinHandle<Option<DaemonReport>>,
 }
 
 impl Daemon {
-    /// Recover the journal, bind, and start the serve loop. `build_engine`
-    /// runs on the loop's thread before its first turn.
+    /// Start the serve loop, recover the journal and bind. The loop
+    /// builds the engine with `build_engine` first, on its own thread, so
+    /// the worker fleet comes up while this thread recovers and binds; it
+    /// takes its first turn once both are done. A recovery or bind error
+    /// shuts the fleet down again and is returned.
     pub fn start(cfg: DaemonConfig, build_engine: EngineBuilder) -> std::io::Result<Daemon> {
         let admission = Arc::new(Admission::new(cfg.admission));
-
-        // Recovery happens *before* the listener binds: by the time a
-        // tenant can reconnect, its identity, budgets, and unfinished
-        // jobs are already back in the admission queue.
-        let journal = match cfg.journal {
-            None => None,
-            Some(jc) => {
-                let (j, rec) = Journal::open(jc)?;
-                for (name, weight, failed) in &rec.tenants {
-                    admission.restore_tenant(name, *weight, *failed);
-                }
-                for p in &rec.pending {
-                    // Session 0 is never a live connection: the job is
-                    // detached until its tenant rebinds, and the reply
-                    // routes by tenant name anyway.
-                    admission.restore(QueuedJob {
-                        tenant: Arc::from(p.tenant.as_str()),
-                        session: 0,
-                        seq: p.seq,
-                        root: p.root,
-                        level: p.level,
-                        tol: p.tol,
-                        attempts: 0,
-                        enqueued: Instant::now(),
-                    });
-                }
-                if !rec.tenants.is_empty() {
-                    eprintln!(
-                        "journal: recovered {} tenants; resubmitting {} unfinished jobs, \
-                         {} unacknowledged replies await reconnect",
-                        rec.tenants.len(),
-                        rec.pending.len(),
-                        rec.unacked_outcomes
-                    );
-                }
-                Some(j)
-            }
-        };
-
-        let reactor = Reactor::bind(&cfg.addr)?;
-        let local = reactor.local_addr().clone();
-        let trigger = DrainTrigger {
-            admission: Arc::clone(&admission),
-            waker: reactor.waker(),
-        };
+        let (ready_tx, ready) = std::sync::mpsc::sync_channel::<(Reactor, Option<Journal>)>(1);
         let (faults, drain_grace) = (cfg.tenant_faults, cfg.drain_grace);
+        let loop_admission = Arc::clone(&admission);
         let serve_loop = std::thread::Builder::new()
             .name("serve-loop".into())
             .spawn(move || {
                 let mut engine =
                     build_engine().map_err(|e| format!("engine construction failed: {e}"));
+                if engine.is_ok() {
+                    stage::reached(Stage::EngineBuilt);
+                }
+                let Ok((reactor, journal)) = ready.recv() else {
+                    // Recovery or the bind failed: nothing to serve.
+                    engine.map(Engine::shutdown).ok();
+                    return None;
+                };
                 if let Ok(e) = &mut engine {
                     let waker = reactor.waker();
                     e.on_job_finished(move || waker.wake());
                 }
-                ServeLoop {
-                    width: engine.as_ref().map_or(1, Engine::width),
-                    engine,
-                    reactor,
-                    admission,
-                    journal,
-                    running: Vec::new(),
-                    peak_in_flight: 0,
-                    hold: None,
-                    stalled: None,
-                    daemon_kill: faults.as_ref().and_then(FaultPlan::daemon_kill),
-                    faults,
-                    tenant_jobs: HashMap::new(),
-                    outcomes: 0,
-                    buf: vec![0; READ_CHUNK],
-                }
-                .run(drain_grace)
+                Some(
+                    ServeLoop {
+                        width: engine.as_ref().map_or(1, Engine::width),
+                        engine,
+                        reactor,
+                        admission: loop_admission,
+                        journal,
+                        running: Vec::new(),
+                        peak_in_flight: 0,
+                        hold: None,
+                        stalled: None,
+                        daemon_kill: faults.as_ref().and_then(FaultPlan::daemon_kill),
+                        faults,
+                        tenant_jobs: HashMap::new(),
+                        outcomes: 0,
+                        replied: false,
+                        buf: vec![0; READ_CHUNK],
+                    }
+                    .run(drain_grace),
+                )
             })?;
-        Ok(Daemon {
-            trigger,
-            local,
-            serve_loop,
-        })
+        match recover_and_bind(&admission, cfg.journal, &cfg.addr) {
+            Ok((reactor, journal)) => {
+                let local = reactor.local_addr().clone();
+                let trigger = DrainTrigger {
+                    admission,
+                    waker: reactor.waker(),
+                };
+                ready_tx
+                    .send((reactor, journal))
+                    .expect("the serve loop waits for its reactor");
+                Ok(Daemon {
+                    trigger,
+                    local,
+                    serve_loop,
+                })
+            }
+            Err(e) => {
+                // Told there is nothing to serve, the loop shuts its
+                // engine down: every worker child is reaped.
+                drop(ready_tx);
+                let _ = serve_loop.join();
+                Err(e)
+            }
+        }
     }
 
     /// The bound listen address (kernel-assigned port resolved).
@@ -280,11 +276,60 @@ impl Daemon {
     /// either in `served`, in a tenant's `failed` row, or in `orphaned` —
     /// drains lose nothing.
     pub fn wait(self) -> DaemonReport {
-        self.serve_loop.join().unwrap_or_else(|_| {
-            let stats = self.trigger.admission.stats();
-            DaemonReport::new(stats, 0, Err("serve loop panicked".into()), false)
-        })
+        match self.serve_loop.join() {
+            Ok(Some(report)) => report,
+            _ => {
+                let stats = self.trigger.admission.stats();
+                DaemonReport::new(stats, 0, Err("serve loop panicked".into()), false)
+            }
+        }
     }
+}
+
+/// Rebuild the admission state from the journal, if there is one, then
+/// bind `addr`. Recovery comes *before* the bind: by the time a tenant
+/// can reconnect, its identity, budgets, and unfinished jobs are already
+/// back in the admission queue.
+fn recover_and_bind(
+    admission: &Admission,
+    journal: Option<JournalConfig>,
+    addr: &Addr,
+) -> std::io::Result<(Reactor, Option<Journal>)> {
+    let journal = match journal {
+        None => None,
+        Some(jc) => {
+            let (j, rec) = Journal::open(jc)?;
+            for (name, weight, failed) in &rec.tenants {
+                admission.restore_tenant(name, *weight, *failed);
+            }
+            for p in &rec.pending {
+                // Session 0 is never a live connection: the job is
+                // detached until its tenant rebinds, and the reply
+                // routes by tenant name anyway.
+                admission.restore(QueuedJob {
+                    tenant: Arc::from(p.tenant.as_str()),
+                    session: 0,
+                    seq: p.seq,
+                    root: p.root,
+                    level: p.level,
+                    tol: p.tol,
+                    attempts: 0,
+                    enqueued: Instant::now(),
+                });
+            }
+            if !rec.tenants.is_empty() {
+                eprintln!(
+                    "journal: recovered {} tenants; resubmitting {} unfinished jobs, \
+                     {} unacknowledged replies await reconnect",
+                    rec.tenants.len(),
+                    rec.pending.len(),
+                    rec.unacked_outcomes
+                );
+            }
+            Some(j)
+        }
+    };
+    Ok((Reactor::bind(addr)?, journal))
 }
 
 /// SIGKILL ourselves: the crash-recovery hook. No destructors, no flushes
@@ -338,6 +383,8 @@ struct ServeLoop {
     /// reply.
     daemon_kill: Option<u64>,
     outcomes: u64,
+    /// A `Done` was queued this turn: the flush writes it.
+    replied: bool,
     buf: Vec<u8>,
 }
 
@@ -357,6 +404,9 @@ impl ServeLoop {
                 break;
             }
             self.flush();
+            if std::mem::take(&mut self.replied) {
+                stage::reached(Stage::FirstDone);
+            }
         }
 
         let drained = ServeMsg::Drained {
@@ -723,6 +773,7 @@ impl ServeLoop {
             };
             if served {
                 self.admission.complete(&job, delivered);
+                self.replied |= delivered;
             }
             return;
         };
@@ -734,6 +785,7 @@ impl ServeLoop {
                 self.outcome_journaled();
                 if let Some(s) = self.reactor.sessions.tenant_session(&job.tenant) {
                     s.push_frame(frame);
+                    self.replied |= served;
                 }
                 // An undelivered reply is not an orphan: it waits,
                 // durably, for the tenant to resume.

@@ -6,8 +6,8 @@
 //! [`Engine`](renovation::Engine) fleet, with the properties a shared
 //! service needs and a batch run does not:
 //!
-//! * [`poll`] / [`reactor`] — a readiness front end: nonblocking sockets
-//!   in one hand-rolled `poll(2)` loop, frames in and out through the
+//! * [`reactor`] — a readiness front end: nonblocking sockets in one
+//!   hand-rolled `poll(2)` loop ([`transport::poll`]), frames in and out through the
 //!   same CRC codec the worker transport uses. No thread per connection,
 //!   so thousands of tenant sessions cost what their sockets cost;
 //! * [`admission`] — bounded per-tenant queues, weighted fair-share
@@ -40,7 +40,6 @@ pub mod backoff;
 pub mod client;
 pub mod daemon;
 pub mod journal;
-pub mod poll;
 pub mod proto;
 pub mod reactor;
 pub mod registry;

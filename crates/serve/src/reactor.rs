@@ -4,7 +4,7 @@
 //! The transport crate's coordinator↔worker path spends a thread per
 //! connection — fine for 32 workers, a coordination-overhead cliff for
 //! thousands of tenants. This reactor is the other shape: sockets are
-//! nonblocking, and one hand-rolled [`poll(2)`][crate::poll] waits on the
+//! nonblocking, and one hand-rolled [`poll(2)`][transport::poll] waits on the
 //! listener (the transport crate's [`Listener`], the same one the worker
 //! fleet binds, which replaces a stale socket file on bind), every
 //! session's socket and one [`Waker`], which other threads trip to hand
@@ -20,9 +20,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use transport::poll::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use transport::{Addr, Listener};
 
-use crate::poll::{poll_fds, PollFd, Waker, POLLIN, POLLOUT};
 use crate::registry::{Registry, SessionId};
 
 /// The listener, the session table and the poll set, owned by the one

@@ -2,16 +2,18 @@
 //! session table and the engine. These tests pin what that must not cost:
 //! the thread census of a real `mf-served`, sockets served while dispatch
 //! is held, and a round trip that never waits for a lost engine wake-up.
+//! And the loop starts its fleet before the daemon binds: a bind that then
+//! fails must take the fleet down with it.
 
 use std::io::{BufRead, BufReader};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use chaos::FaultPlan;
 use protocol::PaperFaithful;
-use renovation::{Engine, EngineOpts, RunMode};
+use renovation::{Engine, EngineOpts, ProcsConfig, RunMode};
 use serve::admission::AdmissionConfig;
 use serve::daemon::{Daemon, DaemonConfig};
 use serve::proto::{RejectReason, ServeMsg};
@@ -183,4 +185,63 @@ fn idle_round_trips_wait_for_no_timeout() {
     c.bye().unwrap();
     daemon.drain_trigger().drain();
     assert!(daemon.wait().clean);
+}
+
+/// This process's children named `name` (a zombie counts: it was never
+/// reaped).
+fn children_named(name: &str) -> Vec<u32> {
+    let me = std::process::id().to_string();
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir("/proc").unwrap().flatten() {
+        let Ok(pid) = entry.file_name().to_string_lossy().parse::<u32>() else {
+            continue;
+        };
+        let Ok(status) = std::fs::read_to_string(entry.path().join("status")) else {
+            continue;
+        };
+        let field = |key: &str| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix(key))
+                .map(str::trim)
+        };
+        if field("Name:") == Some(name) && field("PPid:") == Some(me.as_str()) {
+            found.push(pid);
+        }
+    }
+    found
+}
+
+/// The fleet is started before the bind: when the bind then fails,
+/// `Daemon::start` returns the error, and the worker processes the
+/// engine had already brought up are shut down and reaped.
+#[test]
+fn a_bind_that_fails_after_the_fleet_started_leaves_no_child() {
+    let worker = Path::new(env!("CARGO_BIN_EXE_mf-served")).with_file_name("subsolve_worker");
+    assert!(
+        worker.is_file(),
+        "{} is missing — build the renovation crate's binaries first",
+        worker.display()
+    );
+    let (built_tx, built) = std::sync::mpsc::channel();
+    let started = Daemon::start(
+        DaemonConfig {
+            addr: Addr::Unix(PathBuf::from("/nonexistent-serve-loop-dir/daemon.sock")),
+            ..DaemonConfig::default()
+        },
+        Box::new(move || {
+            let mut pc = ProcsConfig::new(2);
+            pc.worker_exe = Some(worker);
+            let engine = Engine::procs(pc, Arc::new(PaperFaithful), EngineOpts::default());
+            built_tx.send(engine.is_ok()).unwrap();
+            engine
+        }),
+    );
+    assert!(started.is_err(), "bound a socket in a missing directory");
+    assert_eq!(
+        built.try_recv(),
+        Ok(true),
+        "the fleet was not started first"
+    );
+    assert_eq!(children_named("subsolve_worker"), Vec::<u32>::new());
 }

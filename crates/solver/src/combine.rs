@@ -33,13 +33,15 @@ pub fn prolong_bilinear(from: &Grid2, values: &[f64], to: &Grid2) -> Vec<f64> {
             (i0, f - i0 as f64)
         }
     }
+    // A node's column cell depends only on its column: locate each once.
+    let cols: Vec<(usize, f64)> = (0..=to.nx)
+        .map(|i| locate(to.x(i), from.hx, from.nx))
+        .collect();
     let mut out = Vec::with_capacity(to.node_count());
     for j in 0..=to.ny {
         let y = to.y(j);
         let (j0, ty) = locate(y, from.hy, from.ny);
-        for i in 0..=to.nx {
-            let x = to.x(i);
-            let (i0, tx) = locate(x, from.hx, from.nx);
+        for &(i0, tx) in &cols {
             let v00 = values[from.node_idx(i0, j0)];
             let v10 = values[from.node_idx(i0 + 1, j0)];
             let v01 = values[from.node_idx(i0, j0 + 1)];

@@ -4,10 +4,13 @@
 //! name in Linux's abstract namespace (every child is spawned on this
 //! host; the name dies with the fleet's process, however it ends, so no
 //! socket file is ever left behind), spawns one child process per task
-//! instance through a [`Spawner`], and completes the
-//! `Hello`/`HelloAck` handshake with each (a child at another protocol
-//! version fails the launch); the host and task uid a child names in its
-//! `Hello` are the identity its worker's trace records carry. From then on
+//! instance through a [`Spawner`] — all of them before any handshake, so
+//! the fleet comes up in one child start, not one per instance — and
+//! completes the `Hello`/`HelloAck` handshake with each in whatever order
+//! they connect (a child at another protocol version, or one that exits
+//! first, fails the launch); the host and task uid a child names in its
+//! `Hello` are the identity its worker's trace records carry. The launch,
+//! a revival and a join all go through that one bring-up. From then on
 //! it takes jobs without making anyone wait ([`RemoteWorkerPool::submit`]):
 //!
 //! * a connection carries up to two jobs (`WIRE_DEPTH`): its *head*, which
@@ -62,7 +65,9 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::conn::{Addr, Backoff, Conn, Listener};
 use crate::msg::{Message, PROTOCOL_VERSION};
+use crate::poll::{poll_fds, PollFd, POLLIN};
 use crate::spawn::{ChildHandle, SpawnSpec, Spawner};
+use crate::stage::{self, Stage};
 
 /// Pool parameters.
 #[derive(Debug, Clone)]
@@ -110,38 +115,15 @@ fn socket_addr() -> Addr {
     )))
 }
 
-/// Accept one connection within `timeout` (polling, so a child that never
-/// connects cannot hang the pool). The pause between polls starts at
-/// 50 µs and doubles up to 5 ms: a child that connects a millisecond after
-/// it was spawned is accepted a millisecond after, and one that never does
-/// costs two hundred polls a second.
-fn accept_within(listener: &Listener, timeout: Duration) -> std::io::Result<Conn> {
-    let deadline = Instant::now() + timeout;
-    let mut pause = Backoff::new(Duration::from_micros(50), Duration::from_millis(5));
-    loop {
-        match listener.accept() {
-            Ok(stream) => {
-                stream.set_nonblocking(false)?;
-                return Ok(Conn::from(stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(e) => return Err(e),
-        }
-        if Instant::now() >= deadline {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::TimedOut,
-                "no child connected within handshake timeout",
-            ));
-        }
-        std::thread::sleep(pause.step());
-    }
-}
-
 /// What a job that found no instance alive or revivable fails with.
 const NO_INSTANCES: &str = "no live remote instances (respawn budget exhausted)";
 
 /// Time allowed for a child to connect and complete the handshake.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(20);
+
+/// Longest wait, in milliseconds, for a connection before a bring-up
+/// looks again for an exited child and at its deadline.
+const ACCEPT_POLL_MS: i32 = 5;
 
 /// How long a departing child gets to acknowledge and close.
 const DEPARTURE_GRACE: Duration = Duration::from_secs(5);
@@ -388,8 +370,11 @@ fn fail(queued: Vec<Queued>, reason: &str) {
     }
 }
 
-/// A child that connected and shook hands.
+/// A child that connected and shook hands, for slot `index` of shard
+/// pool `pool`.
 struct Up {
+    index: u64,
+    pool: u64,
     reader: Conn,
     writer: Conn,
     identity: RemoteIdentity,
@@ -425,14 +410,13 @@ impl RemoteWorkerPool {
         });
         // Readers start only once every child is up: a failed launch
         // leaves no thread behind, and dropping `ups` kills the children.
-        let ups: Vec<Up> = (0..instances)
-            .map(|index| bring_up(&inner, index, index % shards))
-            .collect::<MfResult<_>>()?;
+        let wanted: Vec<(u64, u64)> = (0..instances).map(|i| (i, i % shards)).collect();
+        let ups = bring_up_all(&inner, &wanted)?;
         let pool = RemoteWorkerPool { inner };
-        for (index, up) in (0..instances).zip(ups) {
+        for up in ups {
             // On failure, dropping `pool` shuts down the slots installed so
             // far and dropping the rest of `ups` kills their children.
-            pool.inner.install(index, index % shards, up)?;
+            pool.inner.install(up)?;
         }
         Ok(pool)
     }
@@ -548,8 +532,9 @@ impl RemoteWorkerPool {
         let index = self.inner.next_index.fetch_add(1, Ordering::Relaxed);
         let shards = self.inner.cfg.shards.max(1) as u64;
         let pool = pool.unwrap_or(index % shards).min(shards - 1);
-        let up = bring_up(&self.inner, index, pool)?;
-        self.inner.install(index, pool, up)?;
+        for up in bring_up_all(&self.inner, &[(index, pool)])? {
+            self.inner.install(up)?;
+        }
         self.inner.dispatch();
         Ok(index)
     }
@@ -676,75 +661,130 @@ fn send_leave(writer: &Mutex<Conn>, index: u64) {
     }
 }
 
-/// Spawn a child for slot `index`, accept its connection and handshake.
+/// Bring up one child for each `(index, pool)` in `wanted`. Every child
+/// is spawned first, so they start side by side; then their connections
+/// are accepted and handshaken in whatever order they arrive, each matched
+/// to its slot by the instance its `Hello` names. A `Hello` naming no
+/// instance still waiting is a straggler from an earlier attempt and is
+/// dropped. The `Up`s come back in `wanted`'s order.
+///
 /// The listener lock is held throughout, serializing concurrent
-/// bring-ups; the fleet's state lock is not.
-fn bring_up(inner: &PoolInner, index: u64, pool: u64) -> MfResult<Up> {
+/// bring-ups; the fleet's state lock is not. On failure every child
+/// spawned here is killed and reaped, and the error names its instance —
+/// or, for a connection that never said which it is, every instance still
+/// waiting.
+fn bring_up_all(inner: &PoolInner, wanted: &[(u64, u64)]) -> MfResult<Vec<Up>> {
     let cfg = &inner.cfg;
-    let mut env = cfg.base_env.clone();
-    env.push(("MF_WORKER_ADDR".into(), inner.addr.to_string()));
-    env.push(("MF_WORKER_INSTANCE".into(), index.to_string()));
-    let spec = SpawnSpec {
-        program: cfg.program.clone(),
-        args: Vec::new(),
-        env,
-    };
-
     let listener = inner.listener.lock();
-    let child = inner
-        .spawner
-        .spawn(&spec)
-        .map_err(|e| app_err(format!("spawn instance {index}: {e}")))?;
+    let mut children = Vec::with_capacity(wanted.len());
+    for &(index, _) in wanted {
+        let mut env = cfg.base_env.clone();
+        env.push(("MF_WORKER_ADDR".into(), inner.addr.to_string()));
+        env.push(("MF_WORKER_INSTANCE".into(), index.to_string()));
+        let spec = SpawnSpec {
+            program: cfg.program.clone(),
+            args: Vec::new(),
+            env,
+        };
+        let child = inner
+            .spawner
+            .spawn(&spec)
+            .map_err(|e| app_err(format!("spawn instance {index}: {e}")))?;
+        children.push(Some(child));
+    }
 
+    let mut ups: Vec<Option<Up>> = wanted.iter().map(|_| None).collect();
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
-    loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(app_err(format!("instance {index}: handshake timed out")));
-        }
-        let mut conn = accept_within(&listener, remaining)
-            .map_err(|e| app_err(format!("instance {index}: {e}")))?;
+    while ups.iter().any(Option::is_none) {
+        let mut conn = match listener.accept() {
+            Ok(stream) => {
+                stream.set_nonblocking(false).map_err(app_err)?;
+                Conn::from(stream)
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                // A child that has exited will never connect.
+                for (&(index, _), child) in wanted.iter().zip(&mut children) {
+                    if let Some(status) = child.as_mut().and_then(ChildHandle::exited) {
+                        return Err(app_err(format!(
+                            "instance {index}: exited before its handshake ({status})"
+                        )));
+                    }
+                }
+                if Instant::now() >= deadline {
+                    let who = still_waiting(wanted, &ups);
+                    return Err(app_err(format!("{who}: handshake timed out")));
+                }
+                // A connection ends the wait at once; the timeout only
+                // bounds how late an exit or the deadline is noticed.
+                let mut ready = [PollFd::new(listener.fd(), POLLIN)];
+                poll_fds(&mut ready, ACCEPT_POLL_MS).map_err(app_err)?;
+                continue;
+            }
+            Err(e) => return Err(app_err(format!("{}: {e}", still_waiting(wanted, &ups)))),
+        };
         conn.set_read_timeout(Some(HANDSHAKE_TIMEOUT))
             .map_err(app_err)?;
-        match conn.recv_msg() {
+        let (version, instance, host, task_uid) = match conn.recv_msg() {
             Ok(Some(Message::Hello {
                 version,
                 instance,
                 host,
                 task_uid,
-            })) => {
-                if version != PROTOCOL_VERSION {
-                    return Err(app_err(format!(
-                        "instance {index}: protocol version {version} != {PROTOCOL_VERSION}"
-                    )));
-                }
-                if instance != index {
-                    // A late straggler from an earlier attempt; drop it
-                    // and keep waiting for the child we just spawned.
-                    continue;
-                }
-                conn.send_msg(&Message::HelloAck { instance, pool })
-                    .map_err(app_err)?;
-                // From here on the connection only carries jobs: the
-                // liveness window is set once, not per job.
-                conn.set_read_timeout(Some(cfg.job_timeout))
-                    .map_err(app_err)?;
-                return Ok(Up {
-                    writer: conn.try_clone().map_err(app_err)?,
-                    reader: conn,
-                    identity: RemoteIdentity {
-                        host: HostName::new(host),
-                        task_uid,
-                    },
-                    child,
-                });
-            }
+            })) => (version, instance, host, task_uid),
             other => {
-                return Err(app_err(format!(
-                    "instance {index}: bad handshake: {other:?}"
-                )))
+                let who = still_waiting(wanted, &ups);
+                return Err(app_err(format!("{who}: bad handshake: {other:?}")));
             }
+        };
+        let Some(at) = (0..wanted.len()).find(|&at| wanted[at].0 == instance && ups[at].is_none())
+        else {
+            // A straggler: drop its connection and wait on.
+            continue;
+        };
+        if version != PROTOCOL_VERSION {
+            return Err(app_err(format!(
+                "instance {instance}: protocol version {version} != {PROTOCOL_VERSION}"
+            )));
         }
+        let pool = wanted[at].1;
+        let mut ack = || {
+            conn.send_msg(&Message::HelloAck { instance, pool })?;
+            // From here on the connection only carries jobs: the liveness
+            // window is set once, not per job.
+            conn.set_read_timeout(Some(cfg.job_timeout))?;
+            conn.try_clone()
+        };
+        let writer = ack().map_err(|e| app_err(format!("instance {instance}: {e}")))?;
+        stage::reached(Stage::FirstHelloAck);
+        ups[at] = Some(Up {
+            index: instance,
+            pool,
+            reader: conn,
+            writer,
+            identity: RemoteIdentity {
+                host: HostName::new(host),
+                task_uid,
+            },
+            child: children[at]
+                .take()
+                .expect("a child for every instance not up"),
+        });
+    }
+    Ok(ups.into_iter().flatten().collect())
+}
+
+/// The instances of `wanted` not up yet, as an error's subject:
+/// `instance 1`, or `instances 0, 2`.
+fn still_waiting(wanted: &[(u64, u64)], ups: &[Option<Up>]) -> String {
+    let left: Vec<String> = wanted
+        .iter()
+        .zip(ups)
+        .filter(|(_, up)| up.is_none())
+        .map(|((index, _), _)| index.to_string())
+        .collect();
+    match left.as_slice() {
+        [one] => format!("instance {one}"),
+        _ => format!("instances {}", left.join(", ")),
     }
 }
 
@@ -794,9 +834,11 @@ fn timed_out(e: &std::io::Error) -> bool {
 impl PoolInner {
     /// Add the slot for a child that is up and start its reader thread.
     /// Without a reader thread there is no slot: the child is killed.
-    fn install(self: &Arc<Self>, index: u64, pool: u64, up: Up) -> MfResult<()> {
+    fn install(self: &Arc<Self>, up: Up) -> MfResult<()> {
         let inner = Arc::clone(self);
         let Up {
+            index,
+            pool,
             reader: conn,
             writer,
             identity,
@@ -1088,7 +1130,7 @@ impl PoolInner {
         let pool = st.slot(index).pool;
         drop(st);
         std::thread::sleep(pause);
-        let up = bring_up(self, index, pool);
+        let up = bring_up_all(self, &[(index, pool)]).map(|mut ups| ups.remove(0));
 
         let mut st = self.state.lock();
         let closing = st.closing;
@@ -1864,6 +1906,172 @@ mod tests {
             "no reader thread was started"
         );
         assert_eq!(exits.recv_timeout(WAIT).unwrap(), 0, "the child is gone");
+    }
+
+    /// Test double: [`ThreadSpawner`]-like children that cannot connect
+    /// until every one of them has been spawned.
+    struct Barriered {
+        barrier: Arc<std::sync::Barrier>,
+    }
+
+    impl Spawner for Barriered {
+        fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
+            let addr = Addr::parse(&env_of(spec, "MF_WORKER_ADDR")).unwrap();
+            let instance: u64 = env_of(spec, "MF_WORKER_INSTANCE").parse().unwrap();
+            let barrier = Arc::clone(&self.barrier);
+            std::thread::spawn(move || {
+                barrier.wait();
+                let cfg = ServeConfig::new(addr, instance, format!("host-{instance}"), instance);
+                let _ = serve(cfg, Ok);
+            });
+            Ok(ChildHandle::detached())
+        }
+    }
+
+    #[test]
+    fn the_fleet_comes_up_only_if_every_child_is_spawned_before_any_handshake() {
+        let spawner = Arc::new(Barriered {
+            barrier: Arc::new(std::sync::Barrier::new(3)),
+        });
+        let pool = RemoteWorkerPool::launch(quick_cfg(3), spawner).unwrap();
+        assert_eq!(pool.member_indices(), vec![0, 1, 2]);
+        for i in 0..3 {
+            assert_eq!(run(&pool, 0, Unit::int(i)).unwrap(), Unit::int(i));
+        }
+        pool.shutdown();
+    }
+
+    /// What a [`Mixed`] child does.
+    #[derive(Clone, Copy)]
+    enum Role {
+        /// Connect (once: a fleet that is gone is not retried), shake
+        /// hands, report the `HelloAck`, and hold the connection until the
+        /// fleet closes it.
+        Good,
+        /// Once every [`Role::Good`] child has its `HelloAck`, connect and
+        /// say `Heartbeat` instead of `Hello`.
+        BadHello,
+        /// A real process that exits at once, status 3, without connecting.
+        Exits,
+    }
+
+    /// Test double: one [`Role`] per instance. Every in-thread child
+    /// reports its instance on `exits` once its connection is gone (or was
+    /// never made); the pid of an [`Role::Exits`] process goes on `pids`.
+    struct Mixed {
+        roles: Vec<Role>,
+        acked: Mutex<(Sender<()>, Option<Receiver<()>>)>,
+        exits: Mutex<Sender<u64>>,
+        pids: Mutex<Vec<u32>>,
+    }
+
+    fn mixed(roles: Vec<Role>) -> (Arc<Mixed>, Receiver<u64>) {
+        let (acked_tx, acked_rx) = channel();
+        let (exits_tx, exits) = channel();
+        let spawner = Mixed {
+            roles,
+            acked: Mutex::new((acked_tx, Some(acked_rx))),
+            exits: Mutex::new(exits_tx),
+            pids: Mutex::new(Vec::new()),
+        };
+        (Arc::new(spawner), exits)
+    }
+
+    impl Spawner for Mixed {
+        fn spawn(&self, spec: &SpawnSpec) -> std::io::Result<ChildHandle> {
+            let addr = Addr::parse(&env_of(spec, "MF_WORKER_ADDR")).unwrap();
+            let instance: u64 = env_of(spec, "MF_WORKER_INSTANCE").parse().unwrap();
+            let exits = self.exits.lock().clone();
+            let hold = |mut conn: Conn| while let Ok(Some(_)) = conn.recv_msg() {};
+            match self.roles[instance as usize] {
+                Role::Good => {
+                    let acked = self.acked.lock().0.clone();
+                    std::thread::spawn(move || {
+                        if let Ok(mut conn) = Conn::connect(&addr, Duration::from_secs(5)) {
+                            let hello = Message::Hello {
+                                version: PROTOCOL_VERSION,
+                                instance,
+                                host: "good-host".into(),
+                                task_uid: instance,
+                            };
+                            if conn.send_msg(&hello).is_ok()
+                                && matches!(conn.recv_msg(), Ok(Some(Message::HelloAck { .. })))
+                            {
+                                let _ = acked.send(());
+                                hold(conn);
+                            }
+                        }
+                        let _ = exits.send(instance);
+                    });
+                }
+                Role::BadHello => {
+                    let acked = self.acked.lock().1.take().expect("one BadHello child");
+                    let good = self
+                        .roles
+                        .iter()
+                        .filter(|r| matches!(r, Role::Good))
+                        .count();
+                    std::thread::spawn(move || {
+                        for _ in 0..good {
+                            acked.recv().unwrap();
+                        }
+                        let mut conn = Conn::connect(&addr, Duration::from_secs(5)).unwrap();
+                        conn.send_msg(&Message::Heartbeat).unwrap();
+                        hold(conn);
+                        let _ = exits.send(instance);
+                    });
+                }
+                Role::Exits => {
+                    let child = std::process::Command::new("/bin/sh")
+                        .args(["-c", "exit 3"])
+                        .spawn()?;
+                    self.pids.lock().push(child.id());
+                    return Ok(ChildHandle::new(child));
+                }
+            }
+            Ok(ChildHandle::detached())
+        }
+    }
+
+    /// `n` instances from `exits`, sorted.
+    fn gone(exits: &Receiver<u64>, n: usize) -> Vec<u64> {
+        let mut gone: Vec<u64> = (0..n).map(|_| exits.recv_timeout(WAIT).unwrap()).collect();
+        gone.sort();
+        gone
+    }
+
+    #[test]
+    fn a_bad_handshake_fails_the_bring_up_naming_its_instance_and_leaves_no_child() {
+        let (spawner, exits) = mixed(vec![Role::Good, Role::BadHello, Role::Good]);
+        let err = match RemoteWorkerPool::launch(quick_cfg(3), spawner) {
+            Err(err) => err,
+            Ok(_) => panic!("launch accepted a child that said Heartbeat for Hello"),
+        };
+        assert!(
+            matches!(&err, MfError::App(m) if m.starts_with("instance 1: bad handshake:")),
+            "got {err:?}"
+        );
+        assert_eq!(gone(&exits, 3), [0, 1, 2]);
+    }
+
+    #[test]
+    fn a_child_that_exits_before_its_handshake_fails_the_bring_up_at_once() {
+        let (spawner, exits) = mixed(vec![Role::Good, Role::Exits, Role::Good]);
+        let began = Instant::now();
+        let err = match RemoteWorkerPool::launch(quick_cfg(3), Arc::clone(&spawner) as _) {
+            Err(err) => err,
+            Ok(_) => panic!("launch succeeded without instance 1"),
+        };
+        let waited = began.elapsed();
+        assert!(
+            matches!(&err, MfError::App(m) if m == "instance 1: exited before its handshake (exit status: 3)"),
+            "got {err:?}"
+        );
+        assert!(waited < HANDSHAKE_TIMEOUT, "refused after {waited:?}");
+        assert_eq!(gone(&exits, 2), [0, 2]);
+        // Reaped, not a zombie: the pid is gone from the process table.
+        let pid = spawner.pids.lock()[0];
+        assert!(!std::path::Path::new(&format!("/proc/{pid}")).exists());
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //!   crate's launcher and the serving daemon's reactor, and one
 //!   connection (TCP or Unix socket) with timeouts and bounded
 //!   reconnect-with-backoff;
+//! * [`poll`] — `poll(2)` and a cross-thread waker: the launcher waits
+//!   for its children's connections with it, and the serving daemon's
+//!   reactor for everything;
 //! * [`spawn`] — launching child task-instance processes: a local
 //!   `fork/exec` spawner behind a trait tests substitute;
 //! * [`server`] — the child-side serve loop (handshake, job execution,
@@ -34,7 +37,9 @@
 //!   the rest in the fleet's queue, one reader thread per connection),
 //!   listens on a Unix-domain socket named in the abstract namespace (its
 //!   children all run on this host), detects dead instances
-//!   (EOF, heartbeat silence) and respawns them under a bounded budget.
+//!   (EOF, heartbeat silence) and respawns them under a bounded budget;
+//! * [`stage`] — set-up stage stamps a daemon prints to say where its
+//!   start-up time went.
 //!
 //! Nothing above this crate binds or accepts a socket of its own: the
 //! serving daemon's reactor listens through [`Listener`], and `protocol`
@@ -46,8 +51,10 @@ pub mod conn;
 pub mod frame;
 pub mod launcher;
 pub mod msg;
+pub mod poll;
 pub mod server;
 pub mod spawn;
+pub mod stage;
 pub mod wire;
 
 use std::fmt;

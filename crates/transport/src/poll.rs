@@ -1,9 +1,10 @@
 //! A hand-rolled `poll(2)` readiness facility.
 //!
-//! The build environment vendors no `mio`, so the reactor sits directly on
-//! the one syscall it actually needs. `poll(2)` is part of every libc the
-//! Rust standard library already links against, so declaring the symbol
-//! here costs nothing and keeps the whole serving layer dependency-free.
+//! The build environment vendors no `mio`, so the serving daemon's reactor
+//! and the launcher's handshake wait sit directly on the one syscall they
+//! need. `poll(2)` is part of every libc the Rust standard library already
+//! links against, so declaring the symbol here costs nothing and keeps
+//! both layers dependency-free.
 //!
 //! Two pieces:
 //!

@@ -61,6 +61,12 @@ impl ChildHandle {
         status.code()
     }
 
+    /// The child's exit status, if it has exited (non-blocking). A
+    /// detached handle's child is not ours to watch: `None`.
+    pub(crate) fn exited(&mut self) -> Option<std::process::ExitStatus> {
+        self.child.as_mut()?.try_wait().ok().flatten()
+    }
+
     /// True if the child has exited (non-blocking).
     #[cfg(test)]
     fn is_dead(&mut self) -> bool {
